@@ -1,4 +1,4 @@
-.PHONY: check lint analyze test bench-tier2
+.PHONY: check lint analyze test bench-tier2 bench-e2e bench-e2e-selftest
 
 check:
 	sh scripts/check.sh
@@ -28,3 +28,12 @@ test:
 # what reviews look at
 bench-tier2:
 	python benchmarks/run_tier2.py
+
+# the repo benchmark declared in BENCHMARK.json: time to solution,
+# factor-once/solve-many and per-layer attribution on four workloads
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+# the harness's own tests (smoke-scale workloads, comparison rules)
+bench-e2e-selftest:
+	python3 -m pytest benchmarks/e2e -q

@@ -20,5 +20,8 @@ else
     echo "== ruff not installed; skipping generic lint =="
 fi
 
+echo "== core + runtime code lines (ROADMAP: net negative is a success metric) =="
+python scripts/count_code_lines.py src/repro/core src/repro/runtime
+
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q

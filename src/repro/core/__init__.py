@@ -40,7 +40,6 @@ from .numeric import (
     execute_task,
     factorize,
     resolve_plan_cache,
-    run_task,
     task_features,
 )
 from .schur import extract_trailing, partial_factorize
@@ -88,7 +87,6 @@ __all__ = [
     "NumericOptions",
     "FactorizeStats",
     "factorize",
-    "run_task",
     "execute_task",
     "resolve_plan_cache",
     "task_features",

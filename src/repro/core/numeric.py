@@ -9,23 +9,25 @@ Execution follows the synchronisation-free discipline of Section 4.4: a
 ready-heap ordered by priority (earlier elimination step first — the
 critical path — then kernel class), counters per task, counter decrements
 on completion.  That discipline lives exactly once, in
-:class:`repro.runtime.scheduler.SchedulerCore`; this module is the
-*sequential* engine draining one core, the threaded engine
-(:mod:`repro.runtime.threaded`) shares a core between workers, the
-distributed engine (:mod:`repro.runtime.distributed`) gives each rank a
-core over its owned tasks, and :mod:`repro.runtime.simulator` models the
+:class:`repro.runtime.scheduler.SchedulerCore`, and the loop around it
+exactly once, in :func:`repro.runtime.lanes.run_lanes`; this module
+supplies the phase's **job** (:class:`FactorJob`: which slot a task
+writes, how to run it, what to call it in a trace) and the in-process
+entry point :func:`factorize`.  The distributed engine
+(:mod:`repro.runtime.distributed`) runs the same job on each rank over
+the rank's owned tasks, and :mod:`repro.runtime.simulator` models the
 same protocol in virtual time — all replay the same DAG.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
 from ..kernels.base import Workspace
 from ..kernels.compress import CompressPolicy, try_compress
-from ..runtime.scheduler import EventRecorder, SchedulerCore, WorkerLocal, ready_entry
+from ..runtime.lanes import run_lanes
+from ..runtime.scheduler import EventRecorder, SchedulerCore
 from ..kernels.plans import (
     PlanCache,
     build_gessm_plan,
@@ -50,12 +52,10 @@ __all__ = [
     "FactorizeStats",
     "factorize",
     "task_features",
-    "run_task",
     "execute_task",
+    "FactorJob",
     "resolve_plan_cache",
     "resolve_compress",
-    "ready_entry",
-    "push_ready",
 ]
 
 _TTYPE_TO_KTYPE = {
@@ -111,7 +111,15 @@ class NumericOptions:
 
 @dataclass
 class FactorizeStats:
-    """Per-run accounting: task counts, chosen kernel versions, timings."""
+    """Per-run accounting of a factorisation on any engine: task counts,
+    chosen kernel versions, timings, and — for the multi-lane and
+    multi-rank configurations — pool shape and message traffic.
+
+    ``seconds_by_type`` is filled whenever tasks are timed
+    (``collect_timings`` or a recorder); ``tasks_per_proc``,
+    ``messages_sent`` and ``block_bytes_sent`` (real wire bytes of the
+    shipped panels) only by the rank engines.
+    """
 
     kernel_choices: dict[int, str] = field(default_factory=dict)
     tasks_executed: int = 0
@@ -123,6 +131,12 @@ class FactorizeStats:
     plan_bytes: int = 0
     blocks_compressed: int = 0
     lr_value_bytes: int = 0
+    n_workers: int = 1
+    n_procs: int = 1
+    tasks_per_proc: list[int] = field(default_factory=list)
+    messages_sent: int = 0
+    block_bytes_sent: float = 0.0
+    max_ready_depth: int = 0
 
     def version_histogram(self) -> dict[str, int]:
         """Count of executed tasks per ``TYPE/VERSION`` label."""
@@ -333,7 +347,7 @@ def execute_task(
 
     Returns ``(replaced_pivots, planned)`` — the GESP diagnostic plus
     whether a plan (rather than the unplanned kernel) ran.  This is the
-    shared per-task entry point of all three engines.
+    per-task entry point :class:`FactorJob` calls on every engine.
 
     With a :class:`~repro.kernels.compress.CompressPolicy` (``None`` by
     default — the bit-identical path), two extra branches activate:
@@ -381,31 +395,46 @@ def execute_task(
     return 0, False
 
 
-def run_task(
-    f: BlockMatrix,
-    task: Task,
-    version: str,
-    ws: Workspace,
-    *,
-    pivot_floor: float = 0.0,
-    plans: PlanCache | None = None,
-    compress: CompressPolicy | None = None,
-) -> int:
-    """Execute one task with an explicit kernel version (in place).
+class FactorJob:
+    """Phase 4 as the lane driver sees it (the job protocol of
+    :mod:`repro.runtime.lanes`): a task writes its target block's slot,
+    runs as feature extraction → kernel selection → :func:`execute_task`,
+    and is traced as ``GETRF(k=0,0,0)`` under its kernel family.
 
-    Returns the number of statically-replaced pivots (GETRF only; 0 for
-    the other kernel roles) — the GESP diagnostic aggregated in
-    :class:`FactorizeStats`.  Pass ``plans`` to route the plannable
-    variants through cached execution plans (bit-identical result).
+    ``f`` is the :class:`BlockMatrix` or a distributed rank's local view.
     """
-    return execute_task(
-        f, task, version, ws, pivot_floor=pivot_floor, plans=plans, compress=compress
-    )[0]
 
+    name = "factorize"
 
-def push_ready(heap: list[tuple[int, int, int]], dag: TaskDAG, tid: int) -> None:
-    """Push a newly-ready task onto the priority heap."""
-    heapq.heappush(heap, ready_entry(dag.tasks[tid], tid))
+    def __init__(self, f, dag: TaskDAG, options: NumericOptions, n_slots: int) -> None:
+        self.f = f
+        self.tasks = dag.tasks
+        self.options = options
+        self.n_slots = n_slots
+        self.plans = resolve_plan_cache(f, options)
+        self.compress = resolve_compress(options)
+
+    def write_slots(self, tid: int) -> tuple[int, ...]:
+        task = self.tasks[tid]
+        return (self.f.block_slot(task.bi, task.bj),)
+
+    def execute(self, tid: int, ws: Workspace) -> tuple[str, int, bool]:
+        # compression of a finished GESSM/TSTRF panel happens inside
+        # execute_task, i.e. inside the driver's write-lock window —
+        # single writer preserved
+        task = self.tasks[tid]
+        ktype = _TTYPE_TO_KTYPE[task.ttype]
+        version = self.options.selector.select(ktype, task_features(self.f, task))
+        replaced, planned = execute_task(
+            self.f, task, version, ws, pivot_floor=self.options.pivot_floor,
+            plans=self.plans, compress=self.compress,
+        )
+        return f"{ktype.value}/{version}", replaced, planned
+
+    def trace_label(self, tid: int) -> tuple[str, str]:
+        task = self.tasks[tid]
+        name = task.ttype.name
+        return f"{name}(k={task.k},{task.bi},{task.bj})", name
 
 
 def factorize(
@@ -416,6 +445,8 @@ def factorize(
     collect_timings: bool = False,
     recorder: EventRecorder | None = None,
     checker=None,
+    owned=None,
+    n_lanes: int = 1,
 ) -> FactorizeStats:
     """Factorise the blocked matrix in place by replaying the DAG.
 
@@ -423,59 +454,33 @@ def factorize(
     priority ``(k, task-type, tid)`` — the earliest elimination step
     first, which keeps the critical path moving (the paper: "each
     process always selects the most critical of the tasks to be
-    computed").  Pass an :class:`~repro.runtime.scheduler.EventRecorder`
-    to capture task/ready-depth events for Chrome-trace export, or a
+    computed").  One lane (the default) is the sequential engine; more
+    lanes are the threaded engine
+    (:func:`repro.runtime.threaded.factorize_threaded`), whose result
+    equals the sequential one up to floating-point reassociation of
+    commuting Schur updates.  ``owned`` restricts the run to a
+    predecessor-closed subset of task ids (the partial factorisation of
+    :mod:`repro.core.schur`).  Pass an
+    :class:`~repro.runtime.scheduler.EventRecorder` to capture
+    task/ready-depth events for Chrome-trace export, or a
     :class:`~repro.devtools.racecheck.RaceChecker` (``checker``) to
     audit the counter protocol as it runs.
     """
     options = options or NumericOptions()
-    stats = FactorizeStats()
-    ws = Workspace()
-    plans = resolve_plan_cache(f, options)
-    compress = resolve_compress(options)
-    core = SchedulerCore.from_dag(dag, recorder=recorder)
-    if checker is not None:
-        from ..devtools.racecheck import CheckedSchedulerCore
-
-        core = CheckedSchedulerCore.adopt(core, checker)
-    local = WorkerLocal()
-
+    job = FactorJob(f, dag, options, f.num_blocks)
+    core = SchedulerCore.from_dag(dag, owned=owned, recorder=recorder)
+    stats = FactorizeStats(n_workers=n_lanes)
     t_start = time.perf_counter()
-    while (tid := core.pop()) is not None:
-        task = dag.tasks[tid]
-        feats = task_features(f, task)
-        ktype = _TTYPE_TO_KTYPE[task.ttype]
-        version = options.selector.select(ktype, feats)
-        t0 = time.perf_counter() if (collect_timings or recorder) else 0.0
-        replaced, planned = execute_task(
-            f, task, version, ws,
-            pivot_floor=options.pivot_floor, plans=plans, compress=compress,
-        )
-        if collect_timings or recorder:
-            t1 = time.perf_counter()
-            if collect_timings:
-                key = task.ttype.name
-                stats.seconds_by_type[key] = (
-                    stats.seconds_by_type.get(key, 0.0) + t1 - t0
-                )
-            if recorder:
-                recorder.task(
-                    0, f"{task.ttype.name}(k={task.k},{task.bi},{task.bj})",
-                    task.ttype.name, t0, t1, tid,
-                )
-        local.count(tid, f"{ktype.value}/{version}", replaced, planned)
-        stats.flops_total += task.flops
-        core.complete(tid)
-
-    local.merge_into(stats)
+    run_lanes(
+        core, job, n_lanes=n_lanes, recorder=recorder, checker=checker,
+        timed=collect_timings,
+    ).merge_into(stats)
     stats.seconds_total = time.perf_counter() - t_start
-    if plans is not None:
-        stats.plan_bytes = plans.nbytes
-    if compress is not None:
+    stats.flops_total = sum(dag.tasks[t].flops for t in stats.kernel_choices)
+    if job.plans is not None:
+        stats.plan_bytes = job.plans.nbytes
+    if job.compress is not None:
         comp = f.compression_stats()
         stats.blocks_compressed = comp["blocks_compressed"]
         stats.lr_value_bytes = comp["lr_value_bytes"]
-    core.check("sequential")
-    if checker is not None:
-        checker.final_check(core)
     return stats

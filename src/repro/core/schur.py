@@ -10,23 +10,12 @@ structure is needed, the trailing sub-grid *is* the complement.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from ..kernels.base import Workspace
 from ..sparse.csc import CSCMatrix, coo_to_csc
 from .blocking import BlockMatrix
 from .dag import TaskDAG
-from .numeric import (
-    _TTYPE_TO_KTYPE,
-    FactorizeStats,
-    NumericOptions,
-    execute_task,
-    push_ready,
-    resolve_plan_cache,
-    task_features,
-)
+from .numeric import FactorizeStats, NumericOptions, factorize
 
 __all__ = ["partial_factorize", "extract_trailing"]
 
@@ -41,40 +30,16 @@ def partial_factorize(
 
     Afterwards the leading ``kb × kb`` block grid holds its LU factors and
     panels, and every trailing block ``(i, j)`` with ``i, j ≥ kb`` holds
-    the corresponding Schur-complement entries.
+    the corresponding Schur-complement entries.  The steps ``k < kb`` are
+    predecessor-closed (a task only depends on tasks of earlier or equal
+    steps), so this is :func:`~repro.core.numeric.factorize` restricted
+    to them.
     """
     if not 0 <= kb <= f.nb:
         raise ValueError(f"kb must be in [0, {f.nb}]")
-    options = options or NumericOptions()
-    stats = FactorizeStats()
-    ws = Workspace()
-    plans = resolve_plan_cache(f, options)
-    counters = dag.dep_counts()
-    ready: list[tuple[int, int, int]] = []
-    for tid in dag.roots():
-        if dag.tasks[tid].k < kb:
-            push_ready(ready, dag, tid)
-    while ready:
-        _, _, tid = heapq.heappop(ready)
-        task = dag.tasks[tid]
-        feats = task_features(f, task)
-        ktype = _TTYPE_TO_KTYPE[task.ttype]
-        version = options.selector.select(ktype, feats)
-        replaced, planned = execute_task(
-            f, task, version, ws, pivot_floor=options.pivot_floor, plans=plans
-        )
-        stats.pivots_replaced += replaced
-        stats.planned_tasks += planned
-        stats.kernel_choices[tid] = f"{ktype.value}/{version}"
-        stats.flops_total += task.flops
-        stats.tasks_executed += 1
-        for s in task.successors:
-            counters[s] -= 1
-            if counters[s] == 0 and dag.tasks[s].k < kb:
-                push_ready(ready, dag, s)
-    if plans is not None:
-        stats.plan_bytes = plans.nbytes
-    return stats
+    return factorize(
+        f, dag, options, owned=[t.tid for t in dag.tasks if t.k < kb]
+    )
 
 
 def extract_trailing(f: BlockMatrix, kb: int) -> CSCMatrix:

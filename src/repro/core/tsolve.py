@@ -16,13 +16,16 @@ Two execution paths share the same kernels
   solves, which have no DAG path);
 * the **scheduler path** — :func:`build_tsolve_dag(..., executable=True)
   <repro.core.tsolve_dag.build_tsolve_dag>` tasks drained through the
-  shared :class:`~repro.runtime.scheduler.SchedulerCore`, exactly like the
-  numeric phase.  :func:`tsolve_sequential` is the one-lane replay
-  (this module's analogue of :func:`repro.core.numeric.factorize`); the
-  threaded and distributed variants live in :mod:`repro.runtime` and are
-  dispatched by name through :mod:`repro.runtime.engines`.  Same-target
-  updates are chained in the DAG, so every engine reproduces the loop
-  sweeps' floating-point operation order bit-for-bit.
+  shared :class:`~repro.runtime.scheduler.SchedulerCore` by the one lane
+  driver (:func:`repro.runtime.lanes.run_lanes`), exactly like the
+  numeric phase.  :class:`SolveJob` is the phase's job;
+  :func:`tsolve_lanes` runs it in this process (:func:`tsolve_sequential`
+  is its one-lane form, this module's analogue of
+  :func:`repro.core.numeric.factorize`), the rank variant lives in
+  :mod:`repro.runtime.distributed`, and all are dispatched by name
+  through :mod:`repro.runtime.engines`.  Same-target updates are chained
+  in the DAG, so every engine reproduces the loop sweeps' floating-point
+  operation order bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from ..kernels.tsolve_kernels import (
     updb_seg,
     updf_seg,
 )
+from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, SchedulerCore
 from ..sparse.csc import CSCMatrix
 from .blocking import BlockMatrix
@@ -62,6 +66,8 @@ __all__ = [
     "tsolve_task_label",
     "resolve_spmv_plan",
     "execute_tsolve_task",
+    "SolveJob",
+    "tsolve_lanes",
     "tsolve_sequential",
 ]
 
@@ -315,8 +321,8 @@ def execute_tsolve_task(
 ) -> None:
     """Run one solve task against the forward/backward RHS arrays.
 
-    The shared per-task entry point of the sequential, threaded and
-    distributed solve engines (the phase-5 analogue of
+    The per-task entry point :class:`SolveJob` calls on every engine
+    (the phase-5 analogue of
     :func:`repro.core.numeric.execute_task`).  ``f`` is anything exposing
     ``block_slice``/``block``/``block_order``/``block_slot`` — a
     :class:`BlockMatrix` or a distributed rank's local view.
@@ -347,6 +353,78 @@ def _check_rhs(n: int, b: np.ndarray) -> np.ndarray:
     return y
 
 
+class SolveJob:
+    """Phase 5 as the lane driver sees it (the job protocol of
+    :mod:`repro.runtime.lanes`): a task writes RHS segment slots (``y``
+    segment ``i`` is slot ``i``, ``x`` segment ``i`` slot ``nb + i``),
+    runs as :func:`execute_tsolve_task` on the shared ``y``/``x`` arrays
+    and is traced as ``DIAG_F(k=3)`` under its task kind.
+
+    ``f`` is the :class:`BlockMatrix` or a distributed rank's local view.
+    """
+
+    name = "tsolve"
+
+    def __init__(
+        self, f, tdag: TSolveDAG, y: np.ndarray, x: np.ndarray,
+        plans: PlanCache | None,
+    ) -> None:
+        self.f = f
+        self.tdag = tdag
+        self.y = y
+        self.x = x
+        self.plans = plans
+        self.n_slots = 2 * f.nb
+
+    def write_slots(self, tid: int) -> tuple[int, ...]:
+        return tsolve_write_slots(self.tdag, tid, self.f.nb)
+
+    def execute(self, tid: int, ws) -> tuple:
+        execute_tsolve_task(self.f, self.tdag, tid, self.y, self.x, self.plans)
+        return ()
+
+    def trace_label(self, tid: int) -> tuple[str, str]:
+        return (
+            tsolve_task_label(self.tdag, tid),
+            _KIND_NAMES[int(self.tdag.kinds[tid])],
+        )
+
+
+def tsolve_lanes(
+    f: BlockMatrix,
+    tdag: TSolveDAG,
+    b: np.ndarray,
+    *,
+    n_lanes: int = 1,
+    plans: PlanCache | None = None,
+    recorder: EventRecorder | None = None,
+    checker=None,
+) -> tuple[np.ndarray, TSolveStats]:
+    """Both triangular sweeps on ``n_lanes`` lanes of this process.
+    More than one lane needs an *executable* solve DAG; because that DAG
+    totally orders the writers of every segment, the solution is
+    bit-identical for every lane count.  Returns ``(x, TSolveStats)``."""
+    if n_lanes > 1 and tdag.seq_y is None:
+        raise ValueError("concurrent lanes need an executable solve DAG "
+                         "(build_tsolve_dag(..., executable=True))")
+    y = _check_rhs(f.n, b)
+    x = np.empty_like(y)
+    t_start = time.perf_counter()
+    tally = run_lanes(
+        tsolve_core(tdag, f.nb, recorder=recorder),
+        SolveJob(f, tdag, y, x, plans),
+        n_lanes=n_lanes, recorder=recorder, checker=checker,
+    )
+    stats = TSolveStats(
+        tasks_executed=tally.tasks_executed,
+        nrhs=1 if y.ndim == 1 else y.shape[1],
+        n_workers=n_lanes,
+        max_ready_depth=tally.max_ready_depth,
+        seconds=time.perf_counter() - t_start,
+    )
+    return x, stats
+
+
 def tsolve_sequential(
     f: BlockMatrix,
     b: np.ndarray,
@@ -367,39 +445,4 @@ def tsolve_sequential(
     """
     if tdag is None:
         tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
-    y = _check_rhs(f.n, b)
-    x = np.empty_like(y)
-    t_start = time.perf_counter()
-    core = tsolve_core(tdag, f.nb, recorder=recorder)
-    if checker is not None:
-        from ..devtools.racecheck import CheckedSchedulerCore
-
-        core = CheckedSchedulerCore.adopt(core, checker)
-    stats = TSolveStats(nrhs=1 if y.ndim == 1 else y.shape[1])
-    # pop/complete auditing is wired into the adopted core; only the
-    # write claims are reported here where the slots are known
-    while (tid := core.pop()) is not None:
-        slots = tsolve_write_slots(tdag, tid, f.nb)
-        if checker is not None:
-            for s in slots:
-                checker.begin_write(s, tid, 0)
-        t0 = recorder.now() if recorder else 0.0
-        try:
-            execute_tsolve_task(f, tdag, tid, y, x, plans)
-        finally:
-            if checker is not None:
-                for s in slots:
-                    checker.end_write(s, tid, 0)
-        if recorder:
-            recorder.task(
-                0, tsolve_task_label(tdag, tid),
-                _KIND_NAMES[int(tdag.kinds[tid])], t0, recorder.now(), tid,
-            )
-        core.complete(tid)
-        stats.tasks_executed += 1
-    core.check("tsolve-sequential")
-    if checker is not None:
-        checker.final_check(core)
-    stats.max_ready_depth = core.max_ready_depth
-    stats.seconds = time.perf_counter() - t_start
-    return x, stats
+    return tsolve_lanes(f, tdag, b, plans=plans, recorder=recorder, checker=checker)

@@ -14,7 +14,7 @@ Lock discovery is structural:
   function, or ``self.x = ...`` scope;
 * lists of locks (``[threading.Lock() for ...]``), directly or through a
   factory function whose return statement builds one — the whole list is
-  one *family* node (``block_locks``), since members are interchangeable
+  one *family* node (``slot_locks``), since members are interchangeable
   for ordering purposes;
 * names declared as lock keys in a module's ``__guarded_by__`` spec.
 
@@ -27,7 +27,7 @@ every lock that callee (transitively) acquires.
 
 Two deliberate exclusions, both under-approximations:
 
-* *family self-edges* (``seg_locks[i]`` acquired while ``seg_locks[j]``
+* *family self-edges* (``slot_locks[i]`` acquired while ``slot_locks[j]``
   is held) are skipped — members of a family are acquired in slot order
   by convention, which a static pass cannot check, and flagging every
   multi-member hold would bury real cross-lock cycles;

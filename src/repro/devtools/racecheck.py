@@ -20,8 +20,9 @@ uphold at run time:
 opt-in (``SolverOptions.validate_concurrency=True`` or the
 ``REPRO_CHECK=1`` environment variable — see :func:`validation_enabled`)
 because the tracking adds a lock acquisition per scheduler event.  The
-engines call it directly where they know the worker id; single-lane
-engines can instead use :class:`CheckedSchedulerCore`, which wires the
+lane driver (:func:`repro.runtime.lanes.run_lanes`) reports to it
+directly, with the lane id, on every engine; code that drives a core by
+hand can instead use :class:`CheckedSchedulerCore`, which wires the
 checker into ``pop``/``complete``.
 
 A violation raises :class:`ConcurrencyViolation` naming the slot/task
@@ -67,8 +68,9 @@ class RaceChecker:
     post-mortems can read everything that fired even if the engine ate
     the exception.
 
-    ``worker`` arguments are lane identifiers: a thread id for the
-    threaded engine, a rank for the distributed one, 0 for sequential.
+    ``worker`` arguments are lane identifiers: the lane index within
+    the pool (0 on a single lane; the receiver thread of a hybrid rank
+    is lane ``n_lanes``).  Ranks are told apart by ``label``.
     """
 
     def __init__(self, *, label: str = "run") -> None:
@@ -177,9 +179,8 @@ class RaceChecker:
 class CheckedSchedulerCore(SchedulerCore):
     """A :class:`SchedulerCore` that reports every ``pop``/``complete``
     to a :class:`RaceChecker`, attributing events to its ``lane`` —
-    the drop-in for single-lane engines (sequential, one distributed
-    rank).  Multi-worker engines call the checker directly with the real
-    worker id instead."""
+    the drop-in for a hand-driven core (unit tests, probes).  The lane
+    driver calls the checker directly with the real lane id instead."""
 
     __slots__ = ("checker",)
 

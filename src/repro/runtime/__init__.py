@@ -56,10 +56,8 @@ _EXPORTS = {
     "LoopbackTransport": ".transports",
     "FaultPlan": ".transports",
     "InjectedFault": ".transports",
-    "DistributedStats": ".distributed",
     "factorize_distributed": ".distributed",
     "tsolve_distributed": ".distributed",
-    "ThreadedStats": ".threaded",
     "factorize_threaded": ".threaded",
     "tsolve_threaded": ".threaded",
 }

@@ -30,13 +30,16 @@ ones back, and patches them into the caller's
 indistinguishable from a sequential factorisation (asserted by the
 tests).
 
-With ``n_threads > 1`` each rank becomes a **hybrid** rank (HYLU-style
-mixed parallelism): a dedicated receiver thread absorbs inbound block
-messages while ``n_threads`` compute threads drain the rank's one shared
-:class:`~repro.runtime.scheduler.SchedulerCore` under a condition lock —
-the exact threading policy of :mod:`repro.runtime.threaded` — so the
-message protocol, trace lanes and RaceChecker instrumentation are reused
-unchanged.
+Every rank runs the one lane driver (:func:`repro.runtime.lanes.run_lanes`)
+with its endpoint: this module only supplies the rank-side halves of the
+two jobs (what a finished task publishes, how a received message is
+installed), the rank main both phases share, and the master's
+scatter/gather.  With ``n_threads > 1`` each rank becomes a **hybrid**
+rank (HYLU-style mixed parallelism): a dedicated receiver thread absorbs
+inbound block messages while ``n_threads`` compute threads drain the
+rank's one shared :class:`~repro.runtime.scheduler.SchedulerCore` — the
+exact threading policy of :mod:`repro.runtime.threaded`, because it is
+the same code.
 
 This executor is about protocol fidelity, not speed: Python processes
 pay pickling costs that real MPI ranks do not.
@@ -45,37 +48,27 @@ pay pickling costs that real MPI ranks do not.
 from __future__ import annotations
 
 import logging
-import queue as queue_mod
-import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.blocking import BlockMatrix
-from ..core.dag import TaskDAG, TaskType
+from ..core.dag import TaskDAG
+from ..core.numeric import FactorizeStats, FactorJob, NumericOptions
 from ..core.placement import CyclicPlacement, PlacementPolicy
-from ..core.numeric import (
-    _TTYPE_TO_KTYPE,
-    NumericOptions,
-    execute_task,
-    resolve_compress,
-    task_features,
-)
 from ..core.tsolve import (
+    _Y_WRITERS,
+    SolveJob,
     TSolveStats,
     _check_rhs,
-    _KIND_NAMES,
-    execute_tsolve_task,
     tsolve_core,
-    tsolve_task_label,
-    tsolve_write_slots,
 )
 from ..core.tsolve_dag import TSolveDAG, TSolveTaskType
-from ..kernels.base import Workspace
+from ..kernels.plans import PlanCache
 from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
-from .scheduler import EventRecorder, SchedulerCore, ready_entry
+from .lanes import run_lanes
+from .scheduler import EventRecorder, SchedulerCore
 from .transports import (
     Endpoint,
     MultiprocessingTransport,
@@ -84,24 +77,9 @@ from .transports import (
     TransportTimeout,
 )
 
-__all__ = ["DistributedStats", "factorize_distributed", "tsolve_distributed"]
+__all__ = ["factorize_distributed", "tsolve_distributed"]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class DistributedStats:
-    """Accounting of one distributed factorisation."""
-
-    n_procs: int
-    tasks_per_proc: list[int]
-    messages_sent: int
-    block_bytes_sent: float
-    kernel_choices: dict[int, str] = field(default_factory=dict)
-    pivots_replaced: int = 0
-    planned_tasks: int = 0
-    blocks_compressed: int = 0
-    lr_value_bytes: int = 0
 
 
 def _block_nbytes(blk: CSCMatrix) -> int:
@@ -113,17 +91,24 @@ def _block_nbytes(blk: CSCMatrix) -> int:
 class _LocalView:
     """A worker's partial view of the block matrix.
 
-    Quacks like :class:`BlockMatrix` for the needs of ``run_task`` /
-    ``task_features`` (``block``/``block_slot``/``blk_values``), but holds
+    Quacks like :class:`BlockMatrix` for the needs of ``execute_task`` /
+    ``task_features`` (``block``/``block_slot``/``plan_cache``), but holds
     only owned + received blocks; touching an absent block is a protocol
     bug and raises immediately.
     """
 
-    def __init__(self, boundaries: np.ndarray) -> None:
+    def __init__(
+        self, boundaries: np.ndarray, owned: list[tuple[int, int, CSCMatrix]]
+    ) -> None:
         self.boundaries = np.asarray(boundaries, dtype=np.int64)
         self.nb = self.boundaries.size - 1
         self.n = int(self.boundaries[-1])
-        self._blocks: dict[tuple[int, int], CSCMatrix] = {}
+        self._blocks: dict[tuple[int, int], CSCMatrix] = {
+            (bi, bj): blk for bi, bj, blk in owned
+        }
+        self.owned_keys = frozenset(self._blocks)
+        # plans are rank-local: each process addresses only blocks it holds
+        self.plan_cache = None
         # low-rank overlay, same contract as BlockMatrix.lr_overlay: for
         # owned blocks it sits *beside* the exact CSC data; for received
         # panels it may be the only representation (the owner shipped
@@ -181,7 +166,7 @@ class _LocalView:
 def _block_payload(
     view: _LocalView, tid: int, bi: int, bj: int
 ) -> tuple[tuple, int]:
-    """``(payload, wire_bytes)`` for shipping block ``(bi, bj)``.
+    """``(message, wire_bytes)`` for shipping block ``(bi, bj)``.
 
     A compressed panel travels as its low-rank factors — tag ``"lr"``,
     ``u.nbytes + v.nbytes`` real bytes (plus ``src_nnz`` so the receiver
@@ -201,94 +186,47 @@ def _block_payload(
     return payload, _block_nbytes(target)
 
 
-def _worker_main(
-    rank: int,
-    endpoint: Endpoint,
-    boundaries: np.ndarray,
-    owned: list[tuple[int, int, CSCMatrix]],
-    tasks: list[tuple[int, int, int, int, int, int]],
-    successors: list[list[int]],
-    owner_of_task: np.ndarray,
-    pivot_floor: float,
-    use_plans: bool,
-    plan_entry_limit: int | None,
-    trace: bool,
-    validate: bool = False,
-    n_threads: int = 1,
-    compress_tol: float = 0.0,
-    compress_min_order: int = 32,
-) -> None:
-    """Worker loop: compute own tasks, exchange blocks, ship results back.
+def _consumers(successors, owner_of_task: np.ndarray, rank: int) -> set[int]:
+    """The other ranks owning a successor — where a task's output goes."""
+    return {int(owner_of_task[s]) for s in successors} - {rank}
 
-    ``tasks[tid] = (ttype, k, bi, bj, n_deps, flops)``.  With
-    ``validate`` a rank-local :class:`~repro.devtools.racecheck.
-    RaceChecker` audits the counter protocol; a violation is posted to
-    the master as this rank's failure.  With ``n_threads > 1`` the rank
-    runs the hybrid mode: a receiver thread absorbs inbound messages
-    while ``n_threads`` compute threads share this rank's scheduler core
-    (the :mod:`repro.runtime.threaded` policy, per-target-block locks
-    included).  With ``compress_tol > 0`` the rank compresses its own
-    GESSM/TSTRF panel outputs and ships low-rank ``"lr"`` payloads to
-    their consumers; the gathered factors are unaffected (owners keep
-    and return the exact CSC arrays).
+
+class _RankFactorJob(FactorJob):
+    """The factor job on one rank: owned tasks over a :class:`_LocalView`,
+    panels shipped to their consumers, received panels installed.
+
+    With ``compress_tol > 0`` the rank compresses its own GESSM/TSTRF
+    panel outputs and ships low-rank ``"lr"`` payloads to their
+    consumers; the gathered factors are unaffected (owners keep and
+    return the exact CSC arrays).
     """
-    from ..core.dag import Task
-    from ..kernels.plans import PlanCache
-    from ..kernels.selector import SelectorPolicy
 
-    checker = None
-    if validate:
-        from ..devtools.racecheck import CheckedSchedulerCore, RaceChecker
+    def __init__(
+        self, rank: int, recorder: EventRecorder | None, boundaries: np.ndarray,
+        owned: list[tuple[int, int, CSCMatrix]], dag: TaskDAG,
+        owner_of_task: np.ndarray, options: NumericOptions,
+    ) -> None:
+        view = _LocalView(boundaries, owned)
+        super().__init__(view, dag, options, view.nb * view.nb)
+        self.rank = rank
+        self.owner_of_task = owner_of_task
+        self.core = SchedulerCore.from_dag(
+            dag, owned=np.flatnonzero(owner_of_task == rank),
+            recorder=recorder, lane=rank,
+        )
 
-        checker = RaceChecker(label=f"rank {rank}")
+    def outgoing(self, tid: int):
+        task = self.tasks[tid]
+        dests = _consumers(task.successors, self.owner_of_task, self.rank)
+        if not dests:
+            return None
+        # panel results are final (the panel is its block's last writer),
+        # so the live arrays are stable by the time any consumer reads them
+        return (dests, *_block_payload(self.f, tid, task.bi, task.bj))
 
-    view = _LocalView(boundaries)
-    owned_keys: set[tuple[int, int]] = set()
-    for bi, bj, blk in owned:
-        view.add(bi, bj, blk)
-        owned_keys.add((bi, bj))
-
-    selector = SelectorPolicy.default()
-    ws = Workspace()
-    # plans are rank-local: each process addresses only blocks it holds
-    plans = PlanCache(ssssm_entry_limit=plan_entry_limit) if use_plans else None
-    # the compression policy is rebuilt from the two scalars the master
-    # shipped (policies hold a selector tree — cheaper to reconstruct
-    # than to pickle) against this rank's own selector instance
-    compress = resolve_compress(NumericOptions(
-        selector=selector,
-        compress_tol=compress_tol,
-        compress_min_order=compress_min_order,
-    ))
-    recorder = EventRecorder() if trace else None
-
-    class _T:  # entry shim so ready_entry works on the serialised tuples
-        __slots__ = ("k", "ttype")
-
-        def __init__(self, k, ttype):
-            self.k, self.ttype = k, ttype
-
-    entries = [ready_entry(_T(t[1], t[0]), tid) for tid, t in enumerate(tasks)]
-    succ_arrays = [np.asarray(s, dtype=np.int64) for s in successors]
-    n_deps = np.asarray([t[4] for t in tasks], dtype=np.int64)
-    my_tasks = np.flatnonzero(owner_of_task == rank)
-    core = SchedulerCore(
-        entries, succ_arrays, n_deps,
-        owned=my_tasks, recorder=recorder, lane=rank,
-    )
-    if checker is not None:
-        core = CheckedSchedulerCore.adopt(core, checker)
-    sent_msgs = 0
-    sent_bytes = 0
-    choices: dict[int, str] = {}
-    pivots = 0
-    planned_count = 0
-
-    def consumers(tid: int) -> set[int]:
-        return {int(owner_of_task[s]) for s in successors[tid]} - {rank}
-
-    def absorb(msg) -> None:
-        src_tid, bi, bj, tag = msg[:4]
+    def absorb(self, msg) -> int:
+        _, bi, bj, tag = msg[:4]
+        view = self.f
         if tag == "lr":
             # low-rank panel: install the overlay only — there is no CSC
             # representation of this block on the wire, and none is
@@ -296,214 +234,140 @@ def _worker_main(
             # LR kernels serve straight from U/V)
             u, v, src_nnz = msg[4:]
             view.set_compressed(bi, bj, u, v, src_nnz=src_nnz)
-            nbytes = u.nbytes + v.nbytes
-        else:
-            indptr, indices, data = msg[4:]
-            # wrap the payload arrays directly (zero-copy): over loopback
-            # these are the sender's live block arrays — slab slices on
-            # the arena layout — and sent blocks are final (panel results
-            # are never rewritten), so aliasing them is safe; over
-            # multiprocessing they are fresh arrays off the queue
-            blk = CSCMatrix.from_views(
-                (view.block_order(bi), view.block_order(bj)),
-                indptr,
-                indices,
-                data,
-            )
-            view.add(bi, bj, blk)
-            nbytes = indptr.nbytes + indices.nbytes + data.nbytes
-        if recorder is not None:
-            recorder.recv(rank, int(owner_of_task[src_tid]), src_tid, nbytes)
-        core.complete(src_tid)  # remote predecessor: releases local tasks
+            return u.nbytes + v.nbytes
+        indptr, indices, data = msg[4:]
+        # wrap the payload arrays directly (zero-copy): over loopback
+        # these are the sender's live block arrays — slab slices on
+        # the arena layout — and sent blocks are final (panel results
+        # are never rewritten), so aliasing them is safe; over
+        # multiprocessing they are fresh arrays off the queue
+        blk = CSCMatrix.from_views(
+            (view.block_order(bi), view.block_order(bj)), indptr, indices, data
+        )
+        view.add(bi, bj, blk)
+        return _block_nbytes(blk)
 
-    def run_single_lane() -> None:
-        nonlocal sent_msgs, sent_bytes, pivots, planned_count
-        while not core.done():
-            tid = core.pop()
-            if tid is None:
-                # nothing runnable: block for one message, then drain extras
-                absorb(endpoint.recv())
-                while True:
-                    try:
-                        absorb(endpoint.recv(block=False))
-                    except queue_mod.Empty:
-                        break
-                continue
-            ttype, k, bi, bj, _, flops = tasks[tid]
-            task = Task(tid, TaskType(ttype), k, bi, bj, flops)
-            feats = task_features(view, task)
-            ktype = _TTYPE_TO_KTYPE[task.ttype]
-            version = selector.select(ktype, feats)
-            t0 = time.perf_counter() if recorder else 0.0
-            slot = view.block_slot(bi, bj)
-            if checker is not None:
-                checker.begin_write(slot, tid, rank)
-            try:
-                replaced, planned = execute_task(
-                    view, task, version, ws, pivot_floor=pivot_floor,
-                    plans=plans, compress=compress,
-                )
-            finally:
-                if checker is not None:
-                    checker.end_write(slot, tid, rank)
-            if recorder is not None:
-                recorder.task(
-                    rank, f"{task.ttype.name}(k={k},{bi},{bj})",
-                    task.ttype.name, t0, time.perf_counter(), tid,
-                )
-            choices[tid] = f"{ktype.value}/{version}"
-            pivots += replaced
-            planned_count += int(planned)
-            core.complete(tid)
-            endpoint.on_task_executed(core.executed)
-            dests = consumers(tid)
-            if dests:
-                payload, nbytes = _block_payload(view, tid, bi, bj)
-                for w in dests:
-                    endpoint.send(w, payload)
-                    sent_msgs += 1
-                    sent_bytes += nbytes
-                    if recorder is not None:
-                        recorder.send(rank, w, tid, nbytes)
-
-    def run_hybrid() -> None:
-        nonlocal sent_msgs, sent_bytes, pivots, planned_count
-        cond = threading.Condition()
-        errors: list[BaseException] = []
-        # one lock per block this rank's tasks write (virtual slots)
-        slot_locks: dict[int, threading.Lock] = {}
-        for t in my_tasks:
-            slot_locks.setdefault(
-                view.block_slot(tasks[t][2], tasks[t][3]), threading.Lock()
-            )
-        # each remote task with a locally-owned successor sends exactly
-        # one message here, so the receiver's lifetime is a fixed count
-        expected = sum(
-            1
-            for t in range(len(tasks))
-            if owner_of_task[t] != rank
-            and any(owner_of_task[s] == rank for s in successors[t])
+    def result(self) -> tuple[list, int, int]:
+        """What goes home: the factored values of the owned blocks
+        (received operand copies stay; owners always keep the exact CSC
+        arrays, so the gathered factors are compression-free regardless
+        of ``compress_tol``) and the overlays this rank computed itself
+        (received copies would double-count the owner's work)."""
+        view = self.f
+        mine = [
+            cb for key, cb in view._compressed.items() if key in view.owned_keys
+        ]
+        return (
+            [(bi, bj, view.block(bi, bj).data) for bi, bj in view.owned_keys],
+            len(mine),
+            sum(cb.value_nbytes for cb in mine),
         )
 
-        def receive() -> None:
-            for _ in range(expected):
-                try:
-                    msg = endpoint.recv()
-                except TransportStopped:
-                    return
-                with cond:
-                    absorb(msg)
-                    cond.notify_all()
 
-        def compute(wid: int) -> None:
-            nonlocal sent_msgs, sent_bytes, pivots, planned_count
-            ws_local = Workspace()
-            try:
-                while True:
-                    with cond:
-                        tid = core.pop()
-                        while tid is None and not core.done() and not errors:
-                            cond.wait()
-                            tid = core.pop()
-                        if errors or tid is None:
-                            return
-                    ttype, k, bi, bj, _, flops = tasks[tid]
-                    task = Task(tid, TaskType(ttype), k, bi, bj, flops)
-                    feats = task_features(view, task)
-                    ktype = _TTYPE_TO_KTYPE[task.ttype]
-                    version = selector.select(ktype, feats)
-                    t0 = time.perf_counter() if recorder else 0.0
-                    slot = view.block_slot(bi, bj)
-                    with slot_locks[slot]:
-                        if checker is not None:
-                            checker.begin_write(slot, tid, wid)
-                        try:
-                            replaced, planned = execute_task(
-                                view, task, version, ws_local,
-                                pivot_floor=pivot_floor, plans=plans,
-                                compress=compress,
-                            )
-                        finally:
-                            if checker is not None:
-                                checker.end_write(slot, tid, wid)
-                    if recorder is not None:
-                        recorder.task(
-                            rank, f"{task.ttype.name}(k={k},{bi},{bj})",
-                            task.ttype.name, t0, time.perf_counter(), tid,
-                        )
-                    with cond:
-                        choices[tid] = f"{ktype.value}/{version}"
-                        pivots += replaced
-                        planned_count += int(planned)
-                        newly_ready = core.complete(tid)
-                        if core.done():
-                            cond.notify_all()
-                        elif newly_ready:
-                            cond.notify(newly_ready)
-                    endpoint.on_task_executed(core.executed)
-                    dests = consumers(tid)
-                    if dests:
-                        # panel results are final (the panel is its
-                        # block's last writer), so the live arrays are
-                        # stable by the time any consumer reads them
-                        payload, nbytes = _block_payload(view, tid, bi, bj)
-                        for w in dests:
-                            endpoint.send(w, payload)
-                            with cond:
-                                sent_msgs += 1
-                                sent_bytes += nbytes
-                            if recorder is not None:
-                                recorder.send(rank, w, tid, nbytes)
-            except BaseException as exc:  # surface via the master
-                with cond:
-                    errors.append(exc)
-                    cond.notify_all()
+class _RankSolveJob(SolveJob):
+    """The solve job on one rank: each message carries the *segment* a
+    task just wrote (real byte accounting: the segment array's
+    ``nbytes``).
 
-        rx = threading.Thread(target=receive, daemon=True)
-        rx.start()
-        pool = [
-            threading.Thread(target=compute, args=(wid,), daemon=True)
-            for wid in range(n_threads)
+    Because transports only order messages per sender, a slow producer's
+    payload can arrive after a newer write to the same segment already
+    landed; the per-task write sequence numbers (``seq_y``/``seq_x`` of
+    the executable DAG) make the receive path idempotent — stale payloads
+    still decrement the dependency counter but no longer touch the array.
+    """
+
+    def __init__(
+        self, rank: int, recorder: EventRecorder | None, boundaries: np.ndarray,
+        owned: list[tuple[int, int, CSCMatrix]], tdag: TSolveDAG,
+        b: np.ndarray, use_plans: bool,
+    ) -> None:
+        view = _LocalView(boundaries, owned)
+        y = np.array(b, dtype=np.float64)
+        super().__init__(
+            view, tdag, y, np.zeros_like(y), PlanCache() if use_plans else None
+        )
+        self.rank = rank
+        self.owner_of_task = tdag.owner
+        self.my_tasks = np.flatnonzero(tdag.owner == rank)
+        self.core = tsolve_core(
+            tdag, view.nb, owned=self.my_tasks, recorder=recorder, lane=rank
+        )
+        # the (array, write-sequence, highest sequence applied per
+        # segment) triples of y and x — local writes and accepted
+        # messages both advance the applied sequence
+        self.written = [
+            (arr, seq, np.full(view.nb, -1, dtype=np.int64))
+            for arr, seq in ((self.y, tdag.seq_y), (self.x, tdag.seq_x))
         ]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
-        if errors:
-            raise errors[0]
 
+    def execute(self, tid: int, ws) -> tuple:
+        super().execute(tid, ws)
+        tgt = int(self.tdag.target[tid])
+        for _, seq, applied in self.written:
+            if seq[tid] >= 0:  # tid wrote this array (and holds its lock)
+                applied[tgt] = max(applied[tgt], seq[tid])
+        return ()
+
+    def outgoing(self, tid: int):
+        tdag = self.tdag
+        dests = _consumers(tdag.successors[tid], self.owner_of_task, self.rank)
+        if not dests:
+            return None
+        tgt = int(tdag.target[tid])
+        # y for forward writers (a DIAG_F seed equals its y), the x
+        # segment for backward writers; a copy, because a chained
+        # successor writer may overwrite the segment before the send
+        src = self.y if int(tdag.kinds[tid]) in _Y_WRITERS else self.x
+        arr = np.array(src[self.f.block_slice(tgt)])
+        return dests, (tid, tgt, arr), arr.nbytes
+
+    def absorb(self, msg) -> int:
+        src_tid, tgt, arr = msg
+        seg = self.f.block_slice(tgt)
+        # a DIAG_F payload doubles as the backward seed (x = y there)
+        for dest, seq, applied in self.written:
+            if seq[src_tid] > applied[tgt]:
+                dest[seg] = arr
+                applied[tgt] = seq[src_tid]
+        return arr.nbytes
+
+    def result(self) -> list[tuple[int, np.ndarray]]:
+        """The x segments this rank finished (its DIAG_B tasks)."""
+        done = self.my_tasks[
+            self.tdag.kinds[self.my_tasks] == TSolveTaskType.DIAG_B
+        ]
+        return [
+            (int(k), np.array(self.x[self.f.block_slice(int(k))]))
+            for k in self.tdag.target[done]
+        ]
+
+
+def _rank_main(
+    rank: int, endpoint: Endpoint, build_job, payload: tuple,
+    trace: bool, validate: bool, n_threads: int,
+) -> None:
+    """One rank of either phase: build the rank's job from what the
+    master scattered, drain it with the lane driver over ``endpoint``,
+    ship the tallies and ``job.result()`` back.
+
+    With ``validate`` a rank-local :class:`~repro.devtools.racecheck.
+    RaceChecker` audits the counter protocol; a violation — like any
+    other failure on a compute lane or the receiver — is posted to the
+    master as this rank's ``"error"``.
+    """
     try:
-        if n_threads > 1:
-            run_hybrid()
-        else:
-            run_single_lane()
-        if checker is not None:
-            checker.final_check(core)
-        # ship factored owned blocks home (received operand copies stay);
-        # owners always keep the exact CSC arrays, so the gathered
-        # factors are compression-free regardless of compress_tol
-        out = [
-            (bi, bj, blk.indptr, blk.indices, blk.data)
-            for (bi, bj), blk in view._blocks.items()
-            if (bi, bj) in owned_keys
-        ]
-        # overlays this rank computed itself (received copies would
-        # double-count the owner's work across the pool)
-        n_compressed = sum(
-            1 for key in view._compressed if key in owned_keys
+        recorder = EventRecorder() if trace else None
+        checker = None
+        if validate:
+            from ..devtools.racecheck import RaceChecker
+
+            checker = RaceChecker(label=f"rank {rank}")
+        job = build_job(rank, recorder, *payload)
+        tally = run_lanes(
+            job.core, job, n_lanes=n_threads, endpoint=endpoint,
+            recorder=recorder, checker=checker,
         )
-        lr_bytes = sum(
-            cb.value_nbytes
-            for key, cb in view._compressed.items()
-            if key in owned_keys
-        )
-        endpoint.post_result(
-            (
-                "ok", rank, int(my_tasks.size), sent_msgs, sent_bytes, out,
-                choices, pivots, planned_count, n_compressed, lr_bytes,
-                recorder,
-            )
-        )
+        endpoint.post_result(("ok", rank, tally, job.result(), recorder))
     except TransportStopped:  # master tore the pool down; exit quietly
         return
     except BaseException as exc:
@@ -519,6 +383,84 @@ def _worker_main(
             )
 
 
+def _resolve_pool(
+    n_procs: int, n_threads: int, placement: PlacementPolicy | None
+) -> PlacementPolicy:
+    """Validate the pool shape; ``placement=None`` selects the paper's
+    2D block-cyclic rule."""
+    if n_procs < 1:
+        raise ValueError("need at least one process")
+    if n_threads < 1:
+        raise ValueError("need at least one thread per rank")
+    if placement is None:
+        return CyclicPlacement(n_procs)
+    if placement.nprocs != n_procs:
+        raise ValueError(
+            f"placement {placement.name!r} was built for "
+            f"{placement.nprocs} ranks, but {n_procs} were requested"
+        )
+    return placement
+
+
+def _owned_blocks(
+    f: BlockMatrix, placement: PlacementPolicy
+) -> list[list[tuple[int, int, CSCMatrix]]]:
+    """Per rank, the ``(bi, bj, block)`` triples it owns."""
+    per_rank: list[list[tuple[int, int, CSCMatrix]]] = [
+        [] for _ in range(placement.nprocs)
+    ]
+    for bj in range(f.nb):
+        rows, blocks = f.blocks_in_column(bj)
+        for bi, blk in zip(rows, blocks):
+            per_rank[placement.owner(int(bi), bj)].append((int(bi), bj, blk))
+    return per_rank
+
+
+def _run_ranks(
+    what: str, n_procs: int, build_job, payload_of_rank, *,
+    transport: Transport | None, timeout: float,
+    recorder: EventRecorder | None, validate: bool, n_threads: int,
+):
+    """Launch ``n_procs`` ranks of :func:`_rank_main` and yield each
+    rank's ``(rank, tally, result)`` as it reports, merging the rank
+    recorders into ``recorder``.
+
+    ``timeout`` bounds the wait for each report: a dead or hung rank
+    tears the pool down and raises, naming the ranks no longer alive.  A
+    rank's ``"error"`` report does the same at once — a failed rank can
+    no longer feed its consumers, so the rest of the pool would block
+    forever on their inboxes.
+    """
+    transport = transport or MultiprocessingTransport()
+    transport.start(
+        n_procs, _rank_main,
+        lambda rank: (
+            build_job, payload_of_rank(rank), recorder is not None, validate,
+            n_threads,
+        ),
+    )
+    for _ in range(n_procs):
+        try:
+            msg = transport.get_result(timeout)
+        except TransportTimeout as exc:
+            transport.terminate()
+            transport.join(timeout=5)
+            raise RuntimeError(
+                f"distributed {what} timed out after {timeout}s "
+                f"(ranks no longer alive: {exc.dead_ranks}) — "
+                "worker crash or deadlock"
+            ) from None
+        if msg[0] == "error":
+            transport.terminate()
+            transport.join(timeout=30)
+            raise RuntimeError(f"rank {msg[1]}: {msg[2]}")
+        _, rank, tally, result, rank_recorder = msg
+        if recorder is not None and rank_recorder is not None:
+            recorder.merge(rank_recorder)
+        yield rank, tally, result
+    transport.join(timeout=30)
+
+
 def factorize_distributed(
     f: BlockMatrix,
     dag: TaskDAG,
@@ -531,7 +473,7 @@ def factorize_distributed(
     validate: bool = False,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
-) -> DistributedStats:
+) -> FactorizeStats:
     """Factorise ``f`` in place across ``n_procs`` ranks.
 
     Tasks and block storage follow the block→rank map of ``placement``
@@ -541,7 +483,9 @@ def factorize_distributed(
     require remote writes, which the message protocol — like PanguLU's —
     does not do for targets.  With ``n_threads > 1`` each rank drives a
     pool of that many compute threads over its shared scheduler core
-    (the ``"hybrid"`` engine).
+    (the ``"hybrid"`` engine).  ``options`` travels to the ranks whole,
+    so they select kernels, plan and compress exactly as the in-process
+    engines do.
 
     ``transport`` selects the message substrate: the default
     :class:`~repro.runtime.transports.MultiprocessingTransport` (one OS
@@ -558,385 +502,30 @@ def factorize_distributed(
     surface as that rank's error instead of silent corruption.
     """
     options = options or NumericOptions()
-    if n_procs < 1:
-        raise ValueError("need at least one process")
-    if n_threads < 1:
-        raise ValueError("need at least one thread per rank")
-    if placement is None:
-        placement = CyclicPlacement(n_procs)
-    elif placement.nprocs != n_procs:
-        raise ValueError(
-            f"placement {placement.name!r} was built for "
-            f"{placement.nprocs} ranks, but {n_procs} were requested"
-        )
-    owner_of_block: dict[tuple[int, int], int] = {}
-    for bj in range(f.nb):
-        rows, _ = f.blocks_in_column(bj)
-        for bi in rows:
-            owner_of_block[(int(bi), bj)] = placement.owner(int(bi), bj)
-    owner_of_task = np.asarray(
-        [owner_of_block[(t.bi, t.bj)] for t in dag.tasks], dtype=np.int64
-    )
-
-    tasks = [
-        (int(t.ttype), t.k, t.bi, t.bj, t.n_deps, t.flops) for t in dag.tasks
-    ]
-    successors = [t.successors for t in dag.tasks]
-
-    owned_per_rank: list[list[tuple[int, int, CSCMatrix]]] = [
-        [] for _ in range(n_procs)
-    ]
-    for (bi, bj), rank in owner_of_block.items():
-        owned_per_rank[rank].append((bi, bj, f.block(bi, bj)))
-
-    transport = transport or MultiprocessingTransport()
-
-    def args_of_rank(rank: int) -> tuple:
-        return (
-            f.boundaries, owned_per_rank[rank], tasks, successors,
-            owner_of_task, options.pivot_floor, options.use_plans,
-            options.plan_entry_limit, recorder is not None, validate,
-            n_threads, options.compress_tol, options.compress_min_order,
-        )
-
-    transport.start(n_procs, _worker_main, args_of_rank)
-
-    stats = DistributedStats(
-        n_procs=n_procs,
+    placement = _resolve_pool(n_procs, n_threads, placement)
+    owned = _owned_blocks(f, placement)
+    owner_of_task = placement.assign(dag)
+    stats = FactorizeStats(
+        flops_total=dag.total_flops, n_workers=n_threads, n_procs=n_procs,
         tasks_per_proc=[0] * n_procs,
-        messages_sent=0,
-        block_bytes_sent=0.0,
     )
-    errors: list[str] = []
-    for _ in range(n_procs):
-        try:
-            msg = transport.get_result(timeout)
-        except TransportTimeout as exc:
-            transport.terminate()
-            transport.join(timeout=5)
-            raise RuntimeError(
-                f"distributed factorisation timed out after {timeout}s "
-                f"(ranks no longer alive: {exc.dead_ranks}) — "
-                "worker crash or deadlock"
-            ) from None
-        if msg[0] == "error":
-            # a failed rank can no longer feed its consumers, so the rest
-            # of the pool would block forever on their inboxes — tear the
-            # whole pool down immediately and surface the failure
-            errors.append(f"rank {msg[1]}: {msg[2]}")
-            transport.terminate()
-            break
-        (_, rank, ntasks, sent, nbytes, blocks, choices, pivots,
-         planned, n_compressed, lr_bytes, rank_recorder) = msg
-        stats.tasks_per_proc[rank] = ntasks
-        stats.messages_sent += sent
-        stats.block_bytes_sent += nbytes
-        stats.kernel_choices.update(choices)
-        stats.pivots_replaced += pivots
-        stats.planned_tasks += planned
+    t_start = time.perf_counter()
+    for rank, tally, (blocks, n_compressed, lr_bytes) in _run_ranks(
+        "factorisation", n_procs, _RankFactorJob,
+        lambda rank: (f.boundaries, owned[rank], dag, owner_of_task, options),
+        transport=transport, timeout=timeout, recorder=recorder,
+        validate=validate, n_threads=n_threads,
+    ):
+        tally.merge_into(stats)
+        stats.tasks_per_proc[rank] = tally.tasks_executed
+        stats.messages_sent += tally.messages_sent
+        stats.block_bytes_sent += tally.bytes_sent
         stats.blocks_compressed += n_compressed
         stats.lr_value_bytes += lr_bytes
-        if recorder is not None and rank_recorder is not None:
-            recorder.merge(rank_recorder)
-        for bi, bj, _indptr, _indices, data in blocks:
-            if owner_of_block.get((bi, bj)) != rank:
-                continue  # received operand copy, not authoritative
+        for bi, bj, data in blocks:
             f.block(bi, bj).data[...] = data
-    transport.join(timeout=30)
-    if errors:
-        raise RuntimeError("; ".join(errors))
+    stats.seconds_total = time.perf_counter() - t_start
     return stats
-
-
-# ----------------------------------------------------------------------
-# distributed triangular solve (phase 5 over the same transports)
-# ----------------------------------------------------------------------
-
-def _tsolve_worker_main(
-    rank: int,
-    endpoint: Endpoint,
-    boundaries: np.ndarray,
-    owned: list[tuple[int, int, CSCMatrix]],
-    dag_arrays: tuple,
-    b: np.ndarray,
-    use_plans: bool,
-    trace: bool,
-    validate: bool = False,
-    n_threads: int = 1,
-) -> None:
-    """Solve-phase worker loop: run owned solve tasks, exchange RHS
-    segments, ship solved ``x`` segments back.
-
-    Each message carries the *segment* a task just wrote (real byte
-    accounting: the segment array's ``nbytes``).  Because transports only
-    order messages per sender, a slow producer's payload can arrive after
-    a newer write to the same segment already landed; the per-task write
-    sequence numbers (``seq_y``/``seq_x`` of the executable DAG) make the
-    receive path idempotent — stale payloads still decrement the
-    dependency counter but no longer touch the array.
-    """
-    (kinds, k_of, target, n_deps, successors, owner_of_task,
-     seq_y, seq_x) = dag_arrays
-    tdag = TSolveDAG(
-        kinds=kinds, k_of=k_of, target=target,
-        flops=np.zeros(len(kinds)), out_bytes=np.zeros(len(kinds)),
-        n_deps=n_deps, successors=successors, owner=owner_of_task,
-        total_flops=0.0, seq_y=seq_y, seq_x=seq_x,
-    )
-    checker = None
-    if validate:
-        from ..devtools.racecheck import CheckedSchedulerCore, RaceChecker
-
-        checker = RaceChecker(label=f"rank {rank}")
-
-    view = _LocalView(boundaries)
-    for bi, bj, blk in owned:
-        view.add(bi, bj, blk)
-
-    from ..kernels.plans import PlanCache
-
-    plans = PlanCache() if use_plans else None
-    recorder = EventRecorder() if trace else None
-    y = np.array(b, dtype=np.float64)
-    x = np.zeros_like(y)
-    my_tasks = np.flatnonzero(owner_of_task == rank)
-    core = tsolve_core(
-        tdag, view.nb, owned=my_tasks, recorder=recorder, lane=rank
-    )
-    if checker is not None:
-        core = CheckedSchedulerCore.adopt(core, checker)
-
-    # highest write-sequence applied per segment of each RHS array —
-    # local writes and accepted messages both advance it
-    applied_y: dict[int, int] = {}
-    applied_x: dict[int, int] = {}
-    sent_msgs = 0
-    sent_bytes = 0
-
-    def seg_of(tgt: int) -> slice:
-        return view.block_slice(tgt)
-
-    def mark_written(tid: int, tgt: int) -> None:
-        if seq_y[tid] >= 0:
-            applied_y[tgt] = max(applied_y.get(tgt, -1), int(seq_y[tid]))
-        if seq_x[tid] >= 0:
-            applied_x[tgt] = max(applied_x.get(tgt, -1), int(seq_x[tid]))
-
-    def absorb(msg) -> None:
-        src_tid, tgt, arr = msg
-        seg = seg_of(tgt)
-        if seq_y[src_tid] >= 0 and seq_y[src_tid] > applied_y.get(tgt, -1):
-            y[seg] = arr
-            applied_y[tgt] = int(seq_y[src_tid])
-        if seq_x[src_tid] >= 0 and seq_x[src_tid] > applied_x.get(tgt, -1):
-            # a DIAG_F payload doubles as the backward seed (x = y there)
-            x[seg] = arr
-            applied_x[tgt] = int(seq_x[src_tid])
-        if recorder is not None:
-            recorder.recv(rank, int(owner_of_task[src_tid]), src_tid, arr.nbytes)
-        core.complete(src_tid)  # remote predecessor: releases local tasks
-
-    def consumers(tid: int) -> set[int]:
-        return {int(owner_of_task[s]) for s in successors[tid]} - {rank}
-
-    def run_single_lane() -> None:
-        nonlocal sent_msgs, sent_bytes
-        while not core.done():
-            tid = core.pop()
-            if tid is None:
-                absorb(endpoint.recv())
-                while True:
-                    try:
-                        absorb(endpoint.recv(block=False))
-                    except queue_mod.Empty:
-                        break
-                continue
-            kind = int(kinds[tid])
-            tgt = int(target[tid])
-            slots = tsolve_write_slots(tdag, tid, view.nb)
-            t0 = time.perf_counter() if recorder else 0.0
-            if checker is not None:
-                for s in slots:
-                    checker.begin_write(s, tid, rank)
-            try:
-                execute_tsolve_task(view, tdag, tid, y, x, plans)
-            finally:
-                if checker is not None:
-                    for s in slots:
-                        checker.end_write(s, tid, rank)
-            mark_written(tid, tgt)
-            if recorder is not None:
-                recorder.task(
-                    rank, tsolve_task_label(tdag, tid), _KIND_NAMES[kind],
-                    t0, time.perf_counter(), tid,
-                )
-            core.complete(tid)
-            endpoint.on_task_executed(core.executed)
-            dests = consumers(tid)
-            if dests:
-                seg = seg_of(tgt)
-                # y for forward writers (a DIAG_F seed equals its y), the
-                # x segment for backward writers
-                arr = np.array(y[seg] if kind in (
-                    TSolveTaskType.DIAG_F, TSolveTaskType.UPD_F
-                ) else x[seg])
-                for w in dests:
-                    endpoint.send(w, (tid, tgt, arr))
-                    sent_msgs += 1
-                    sent_bytes += arr.nbytes
-                    if recorder is not None:
-                        recorder.send(rank, w, tid, arr.nbytes)
-
-    def run_hybrid() -> None:
-        nonlocal sent_msgs, sent_bytes
-        cond = threading.Condition()
-        errors: list[BaseException] = []
-        # y slots [0, nb), x slots [nb, 2·nb) — same layout as
-        # tsolve_write_slots, shared by writers and the receiver
-        seg_locks = [threading.Lock() for _ in range(2 * view.nb)]
-        expected = sum(
-            1
-            for t in range(len(kinds))
-            if owner_of_task[t] != rank
-            and any(owner_of_task[s] == rank for s in successors[t])
-        )
-
-        def absorb_locked(msg) -> None:
-            src_tid, tgt, arr = msg
-            seg = seg_of(tgt)
-            if seq_y[src_tid] >= 0:
-                with seg_locks[tgt]:
-                    if seq_y[src_tid] > applied_y.get(tgt, -1):
-                        y[seg] = arr
-                        applied_y[tgt] = int(seq_y[src_tid])
-            if seq_x[src_tid] >= 0:
-                with seg_locks[view.nb + tgt]:
-                    if seq_x[src_tid] > applied_x.get(tgt, -1):
-                        x[seg] = arr
-                        applied_x[tgt] = int(seq_x[src_tid])
-            if recorder is not None:
-                recorder.recv(
-                    rank, int(owner_of_task[src_tid]), src_tid, arr.nbytes
-                )
-            with cond:
-                core.complete(src_tid)
-                cond.notify_all()
-
-        def receive() -> None:
-            for _ in range(expected):
-                try:
-                    msg = endpoint.recv()
-                except TransportStopped:
-                    return
-                absorb_locked(msg)
-
-        def compute(wid: int) -> None:
-            nonlocal sent_msgs, sent_bytes
-            try:
-                while True:
-                    with cond:
-                        tid = core.pop()
-                        while tid is None and not core.done() and not errors:
-                            cond.wait()
-                            tid = core.pop()
-                        if errors or tid is None:
-                            return
-                    kind = int(kinds[tid])
-                    tgt = int(target[tid])
-                    slots = tsolve_write_slots(tdag, tid, view.nb)
-                    dests = consumers(tid)
-                    t0 = time.perf_counter() if recorder else 0.0
-                    payload = None
-                    for s in slots:
-                        seg_locks[s].acquire()
-                    if checker is not None:
-                        for s in slots:
-                            checker.begin_write(s, tid, wid)
-                    try:
-                        execute_tsolve_task(view, tdag, tid, y, x, plans)
-                        mark_written(tid, tgt)
-                        if dests:
-                            # snapshot the outgoing segment while the
-                            # write locks are still held: once the task
-                            # completes, a chained successor writer on
-                            # another thread may overwrite it before the
-                            # send reads it
-                            seg = seg_of(tgt)
-                            payload = np.array(y[seg] if kind in (
-                                TSolveTaskType.DIAG_F, TSolveTaskType.UPD_F
-                            ) else x[seg])
-                    finally:
-                        if checker is not None:
-                            for s in slots:
-                                checker.end_write(s, tid, wid)
-                        for s in reversed(slots):
-                            seg_locks[s].release()
-                    if recorder is not None:
-                        recorder.task(
-                            rank, tsolve_task_label(tdag, tid),
-                            _KIND_NAMES[kind], t0, time.perf_counter(), tid,
-                        )
-                    with cond:
-                        newly_ready = core.complete(tid)
-                        if core.done():
-                            cond.notify_all()
-                        elif newly_ready:
-                            cond.notify(newly_ready)
-                    endpoint.on_task_executed(core.executed)
-                    for w in dests:
-                        endpoint.send(w, (tid, tgt, payload))
-                        with cond:
-                            sent_msgs += 1
-                            sent_bytes += payload.nbytes
-                        if recorder is not None:
-                            recorder.send(rank, w, tid, payload.nbytes)
-            except BaseException as exc:  # surface via the master
-                with cond:
-                    errors.append(exc)
-                    cond.notify_all()
-
-        rx = threading.Thread(target=receive, daemon=True)
-        rx.start()
-        pool = [
-            threading.Thread(target=compute, args=(wid,), daemon=True)
-            for wid in range(n_threads)
-        ]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
-        if errors:
-            raise errors[0]
-
-    try:
-        if n_threads > 1:
-            run_hybrid()
-        else:
-            run_single_lane()
-        if checker is not None:
-            checker.final_check(core)
-        # ship home the x segments this rank finished (its DIAG_B tasks)
-        xparts = [
-            (int(target[t]), np.array(x[seg_of(int(target[t]))]))
-            for t in my_tasks
-            if int(kinds[t]) == TSolveTaskType.DIAG_B
-        ]
-        endpoint.post_result(
-            ("ok", rank, int(core.executed), sent_msgs, sent_bytes,
-             xparts, recorder)
-        )
-    except TransportStopped:  # master tore the pool down; exit quietly
-        return
-    except BaseException as exc:
-        try:
-            endpoint.post_result(("error", rank, repr(exc)))
-        except (OSError, ValueError, TransportStopped) as post_exc:
-            # pragma: no cover - result channel gone (master died or
-            # closed the queue); log both failures before exiting
-            logger.error(
-                "tsolve rank %d failed with %r and could not report it "
-                "(result channel gone: %r)", rank, exc, post_exc,
-            )
 
 
 def tsolve_distributed(
@@ -962,7 +551,7 @@ def tsolve_distributed(
     updates on the off-diagonal block's owner, so factor blocks stay put
     and only RHS segments travel.  Messages carry real segment bytes
     (``arr.nbytes``), accounted in the returned stats; the write-sequence
-    guard of :func:`_tsolve_worker_main` keeps out-of-order deliveries
+    guard of :class:`_RankSolveJob` keeps out-of-order deliveries
     harmless, so the gathered solution is bit-identical to
     :func:`repro.core.tsolve.tsolve_sequential`.  With ``n_threads > 1``
     each rank drains its scheduler core with a thread pool (the
@@ -970,81 +559,33 @@ def tsolve_distributed(
     ``validate`` behave exactly as in :func:`factorize_distributed`.
     Returns ``(x, TSolveStats)``.
     """
-    if n_procs < 1:
-        raise ValueError("need at least one process")
-    if n_threads < 1:
-        raise ValueError("need at least one thread per rank")
+    placement = _resolve_pool(n_procs, n_threads, placement)
     if tdag.seq_y is None:
         raise ValueError("tsolve_distributed needs an executable solve DAG "
                          "(build_tsolve_dag(..., executable=True))")
     y0 = _check_rhs(f.n, b)
-    if placement is None:
-        placement = CyclicPlacement(n_procs)
-    elif placement.nprocs != n_procs:
-        raise ValueError(
-            f"placement {placement.name!r} was built for "
-            f"{placement.nprocs} ranks, but {n_procs} were requested"
-        )
-    owned_per_rank: list[list[tuple[int, int, CSCMatrix]]] = [
-        [] for _ in range(n_procs)
-    ]
-    for bj in range(f.nb):
-        rows, blocks = f.blocks_in_column(bj)
-        for bi, blk in zip(rows, blocks):
-            owned_per_rank[placement.owner(int(bi), bj)].append(
-                (int(bi), bj, blk)
-            )
-
-    dag_arrays = (
-        tdag.kinds, tdag.k_of, tdag.target, tdag.n_deps,
-        tdag.successors, tdag.owner, tdag.seq_y, tdag.seq_x,
-    )
-    transport = transport or MultiprocessingTransport()
-
-    def args_of_rank(rank: int) -> tuple:
-        return (
-            f.boundaries, owned_per_rank[rank], dag_arrays, y0,
-            use_plans, recorder is not None, validate, n_threads,
-        )
-
-    t_start = time.perf_counter()
-    transport.start(n_procs, _tsolve_worker_main, args_of_rank)
-
+    owned = _owned_blocks(f, placement)
     stats = TSolveStats(
         engine="distributed" if n_threads == 1 else "hybrid",
-        n_procs=n_procs,
         nrhs=1 if y0.ndim == 1 else y0.shape[1],
+        n_workers=n_threads, n_procs=n_procs,
     )
     x = np.empty_like(y0)
     filled = np.zeros(f.nb, dtype=bool)
-    errors: list[str] = []
-    for _ in range(n_procs):
-        try:
-            msg = transport.get_result(timeout)
-        except TransportTimeout as exc:
-            transport.terminate()
-            transport.join(timeout=5)
-            raise RuntimeError(
-                f"distributed tsolve timed out after {timeout}s "
-                f"(ranks no longer alive: {exc.dead_ranks}) — "
-                "worker crash or deadlock"
-            ) from None
-        if msg[0] == "error":
-            errors.append(f"rank {msg[1]}: {msg[2]}")
-            transport.terminate()
-            break
-        _, rank, ntasks, sent, nbytes, xparts, rank_recorder = msg
-        stats.tasks_executed += ntasks
-        stats.messages_sent += sent
-        stats.seg_bytes_sent += nbytes
-        if recorder is not None and rank_recorder is not None:
-            recorder.merge(rank_recorder)
+    t_start = time.perf_counter()
+    for _, tally, xparts in _run_ranks(
+        "tsolve", n_procs, _RankSolveJob,
+        lambda rank: (f.boundaries, owned[rank], tdag, y0, use_plans),
+        transport=transport, timeout=timeout, recorder=recorder,
+        validate=validate, n_threads=n_threads,
+    ):
+        stats.tasks_executed += tally.tasks_executed
+        stats.messages_sent += tally.messages_sent
+        stats.seg_bytes_sent += tally.bytes_sent
+        stats.max_ready_depth = max(stats.max_ready_depth, tally.max_ready_depth)
         for k, arr in xparts:
             x[f.block_slice(k)] = arr
             filled[k] = True
-    transport.join(timeout=30)
-    if errors:
-        raise RuntimeError("; ".join(errors))
     if not np.all(filled):
         raise RuntimeError(
             f"distributed tsolve returned {int(filled.sum())} of {f.nb} "

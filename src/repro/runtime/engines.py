@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from ..core.numeric import FactorizeStats, factorize, resolve_plan_cache
-from ..core.tsolve import TSolveStats, tsolve_sequential
+from ..core.tsolve import tsolve_sequential
 from .distributed import factorize_distributed, tsolve_distributed
 from .scheduler import EventRecorder
 from .threaded import factorize_threaded, tsolve_threaded
@@ -89,19 +89,6 @@ def available_engines() -> list[str]:
     return sorted(_ENGINES)
 
 
-def _compression_counters(f, options) -> tuple[int, int]:
-    """``(blocks_compressed, lr_value_bytes)`` of a local engine run —
-    read off the structure's overlay after the fact.  ``(0, 0)`` with
-    compression disabled or on structures without an overlay."""
-    if getattr(options.numeric, "compress_tol", 0.0) <= 0.0:
-        return 0, 0
-    stats = getattr(f, "compression_stats", None)
-    if stats is None:
-        return 0, 0
-    comp = stats()
-    return comp["blocks_compressed"], comp["lr_value_bytes"]
-
-
 def _resolve_checker(options, label: str):
     """A fresh :class:`~repro.devtools.racecheck.RaceChecker` when the
     options (or the ``REPRO_CHECK`` environment variable) request
@@ -129,44 +116,25 @@ def _threaded(
     f, dag, options, *, recorder: EventRecorder | None = None,
     placement=None,
 ) -> FactorizeStats:
-    tstats = factorize_threaded(
+    return factorize_threaded(
         f, dag, options.numeric,
         n_workers=max(1, options.n_workers), recorder=recorder,
         checker=_resolve_checker(options, "threaded"),
-    )
-    comp = _compression_counters(f, options)
-    return FactorizeStats(
-        kernel_choices=tstats.kernel_choices,
-        tasks_executed=tstats.tasks_executed,
-        flops_total=dag.total_flops,
-        pivots_replaced=tstats.pivots_replaced,
-        planned_tasks=tstats.planned_tasks,
-        plan_bytes=tstats.plan_bytes,
-        blocks_compressed=comp[0],
-        lr_value_bytes=comp[1],
     )
 
 
 @register_engine("distributed")
 def _distributed(
     f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
+    placement=None, n_threads: int = 1,
 ) -> FactorizeStats:
     from ..devtools.racecheck import validation_enabled
 
-    dstats = factorize_distributed(
+    return factorize_distributed(
         f, dag, max(1, options.nprocs),
         options=options.numeric, recorder=recorder,
         validate=validation_enabled(options), placement=placement,
-    )
-    return FactorizeStats(
-        kernel_choices=dstats.kernel_choices,
-        tasks_executed=sum(dstats.tasks_per_proc),
-        flops_total=dag.total_flops,
-        pivots_replaced=dstats.pivots_replaced,
-        planned_tasks=dstats.planned_tasks,
-        blocks_compressed=dstats.blocks_compressed,
-        lr_value_bytes=dstats.lr_value_bytes,
+        n_threads=n_threads,
     )
 
 
@@ -175,22 +143,9 @@ def _hybrid(
     f, dag, options, *, recorder: EventRecorder | None = None,
     placement=None,
 ) -> FactorizeStats:
-    from ..devtools.racecheck import validation_enabled
-
-    dstats = factorize_distributed(
-        f, dag, max(1, options.nprocs),
-        options=options.numeric, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
+    return _distributed(
+        f, dag, options, recorder=recorder, placement=placement,
         n_threads=max(1, options.n_workers),
-    )
-    return FactorizeStats(
-        kernel_choices=dstats.kernel_choices,
-        tasks_executed=sum(dstats.tasks_per_proc),
-        flops_total=dag.total_flops,
-        pivots_replaced=dstats.pivots_replaced,
-        planned_tasks=dstats.planned_tasks,
-        blocks_compressed=dstats.blocks_compressed,
-        lr_value_bytes=dstats.lr_value_bytes,
     )
 
 
@@ -255,7 +210,7 @@ def _tsolve_threaded(
 @register_tsolve_engine("distributed")
 def _tsolve_distributed(
     f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
+    placement=None, n_threads: int = 1,
 ) -> tuple:
     from ..devtools.racecheck import validation_enabled
 
@@ -263,6 +218,7 @@ def _tsolve_distributed(
         f, tdag, b, max(1, options.nprocs),
         use_plans=options.numeric.use_plans, recorder=recorder,
         validate=validation_enabled(options), placement=placement,
+        n_threads=n_threads,
     )
 
 
@@ -271,11 +227,7 @@ def _tsolve_hybrid(
     f, tdag, b, options, *, recorder: EventRecorder | None = None,
     placement=None,
 ) -> tuple:
-    from ..devtools.racecheck import validation_enabled
-
-    return tsolve_distributed(
-        f, tdag, b, max(1, options.nprocs),
-        use_plans=options.numeric.use_plans, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
+    return _tsolve_distributed(
+        f, tdag, b, options, recorder=recorder, placement=placement,
         n_threads=max(1, options.n_workers),
     )

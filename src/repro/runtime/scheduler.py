@@ -3,23 +3,25 @@
 PanguLU's synchronisation-free protocol is a small state machine — a
 dependency counter per task, a priority heap of ready tasks, counter
 decrements on completion, a deadlock check at the end — that every real
-engine must run.  Before this module existed it was re-implemented in the
-sequential driver, the threaded executor and each distributed rank;
-:class:`SchedulerCore` is the single copy all three now consume:
+engine must run.  :class:`SchedulerCore` is the single copy, and it has
+a single driver: :func:`repro.runtime.lanes.run_lanes` is the only code
+in the package that calls :meth:`SchedulerCore.pop` /
+:meth:`SchedulerCore.complete` (a lint rule keeps it that way), and the
+engines are its configurations:
 
-* the **sequential** engine (:func:`repro.core.numeric.factorize`) drains
-  one core to exhaustion;
-* the **threaded** engine (:func:`repro.runtime.threaded`) shares one
-  core between workers, guarding ``pop``/``complete`` with its condition
-  lock (the core itself is lock-free — synchronisation policy stays in
-  the engine, protocol lives here);
-* each **distributed** rank (:mod:`repro.runtime.distributed`) owns a
-  core restricted to its own tasks (``owned=...``); completions of remote
-  predecessors arrive as messages and are fed to the same
+* **one lane** (the sequential engine,
+  :func:`repro.core.numeric.factorize`) drains one core inline;
+* **several lanes** (:mod:`repro.runtime.threaded`) share one core,
+  the driver guarding ``pop``/``complete`` with the pool's condition
+  (the core itself is lock-free — synchronisation policy stays in the
+  driver, protocol lives here);
+* each **distributed** rank (:mod:`repro.runtime.distributed`) gets a
+  core restricted to its own tasks (``owned=...``); completions of
+  remote predecessors arrive as messages and are fed to the same
   :meth:`SchedulerCore.complete`.
 
-The triangular solves (phase 5) run the same three engines over the same
-core — :func:`repro.core.tsolve.tsolve_core` builds one from an
+The triangular solves (phase 5) run the same configurations over the
+same core — :func:`repro.core.tsolve.tsolve_core` builds one from an
 executable :class:`~repro.core.tsolve_dag.TSolveDAG`, and the solve
 tasks flow through ``pop``/``complete`` exactly as factor tasks do.
 
@@ -183,32 +185,52 @@ class EventRecorder:
 
 @dataclass
 class WorkerLocal:
-    """Lock-free per-worker accounting, merged once at worker exit.
+    """Lock-free per-lane accounting, merged once at lane exit.
 
-    Engines accumulate into one of these outside any lock and call
-    :meth:`merge_into` exactly once (under the engine's lock for the
-    threaded case) — the low-contention stat pattern every engine shares.
+    The lane driver (:func:`repro.runtime.lanes.run_lanes`) accumulates
+    into one of these per lane outside any lock and calls
+    :meth:`merge_into` exactly once (under the pool's lock when there is
+    a pool) — the low-contention stat pattern every configuration
+    shares.  Field names match the stats dataclasses so a tally merges
+    into another tally and into a ``FactorizeStats`` alike.
     """
 
-    choices: dict[int, str] = field(default_factory=dict)
-    executed: int = 0
+    __transport_message__ = True
+
+    kernel_choices: dict[int, str] = field(default_factory=dict)
+    tasks_executed: int = 0
     pivots_replaced: int = 0
     planned_tasks: int = 0
+    seconds_by_type: dict[str, float] = field(default_factory=dict)
+    messages_sent: int = 0
+    bytes_sent: int = 0
+    max_ready_depth: int = 0
 
-    def count(self, tid: int, label: str, replaced: int, planned: bool) -> None:
-        self.choices[tid] = label
-        self.executed += 1
+    def count(
+        self, tid: int, label: str | None = None, replaced: int = 0,
+        planned: bool = False,
+    ) -> None:
+        """Tally one executed task (solve tasks carry no kernel label)."""
+        if label is not None:
+            self.kernel_choices[tid] = label
+        self.tasks_executed += 1
         self.pivots_replaced += replaced
         self.planned_tasks += int(planned)
 
     def merge_into(self, stats) -> None:
-        """Add this worker's tallies to a stats object exposing
+        """Add this lane's task tallies to a stats object exposing
         ``kernel_choices`` / ``tasks_executed`` / ``pivots_replaced`` /
-        ``planned_tasks``."""
-        stats.kernel_choices.update(self.choices)
-        stats.tasks_executed += self.executed
+        ``planned_tasks`` / ``seconds_by_type`` / ``max_ready_depth``
+        (message counts are named per phase and stay with the caller)."""
+        stats.kernel_choices.update(self.kernel_choices)
+        stats.tasks_executed += self.tasks_executed
         stats.pivots_replaced += self.pivots_replaced
         stats.planned_tasks += self.planned_tasks
+        for key, seconds in self.seconds_by_type.items():
+            stats.seconds_by_type[key] = (
+                stats.seconds_by_type.get(key, 0.0) + seconds
+            )
+        stats.max_ready_depth = max(stats.max_ready_depth, self.max_ready_depth)
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +262,8 @@ class SchedulerCore:
         Recorder lane for the depth samples (a rank id; 0 for the
         in-process engines, whose heap is global).
 
-    The core performs **no locking**: the sequential engine needs none,
-    the threaded engine guards calls with its condition lock, each
+    The core performs **no locking**: one lane needs none, the lane
+    driver guards a shared core's calls with the pool's condition, each
     distributed rank has a private core.
     """
 

@@ -5,19 +5,19 @@ this module complements it by *really executing* the synchronisation-free
 counter protocol of Section 4.4 with worker threads: a shared dependency
 counter per task, a shared priority queue of ready tasks, no barriers
 anywhere.  NumPy kernels release the GIL for their array work, so workers
-overlap; per-target-block locks serialise concurrent SSSSM updates into
+overlap; per-target-slot locks serialise concurrent SSSSM updates into
 the same block (in the distributed setting the block's owner process does
 this serialisation implicitly).
 
-The counter/heap/completion protocol itself lives in the shared
-:class:`~repro.runtime.scheduler.SchedulerCore`; this engine only adds
-the threading policy around it.  The global condition lock is held only
-for queue pops and completion bookkeeping: feature extraction and kernel
-selection run outside it, dependency counters are decremented in one
-vectorised operation, heap entries are precomputed, per-worker statistics
-merge once at exit, and waiters are woken one-per-new-task
-(``notify(n)``) instead of ``notify_all`` — so workers actually overlap
-during the vectorised kernels instead of convoying on the lock.
+Both entry points are the ``n_lanes = n_workers``, no-endpoint
+configuration of the one lane driver
+(:func:`repro.runtime.lanes.run_lanes`), which holds the threading
+policy: the pool's condition lock is held only for queue pops and
+completion bookkeeping, feature extraction and kernel selection run
+outside it, per-lane statistics merge once at exit, and waiters are woken
+one-per-new-task (``notify(n)``) instead of ``notify_all`` — so workers
+actually overlap during the vectorised kernels instead of convoying on
+the lock.
 
 Used by the tests to prove the protocol is deadlock-free and produces the
 same factors as sequential execution, and by the quickstart example as a
@@ -26,71 +26,15 @@ same factors as sequential execution, and by the quickstart example as a
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from ..core.blocking import BlockMatrix
 from ..core.dag import TaskDAG
-from ..core.numeric import (
-    _TTYPE_TO_KTYPE,
-    NumericOptions,
-    execute_task,
-    resolve_compress,
-    resolve_plan_cache,
-    task_features,
-)
-from ..core.tsolve import (
-    TSolveStats,
-    _check_rhs,
-    _KIND_NAMES,
-    execute_tsolve_task,
-    tsolve_core,
-    tsolve_task_label,
-    tsolve_write_slots,
-)
+from ..core.numeric import FactorizeStats, NumericOptions, factorize
+from ..core.tsolve import tsolve_lanes
 from ..core.tsolve_dag import TSolveDAG
-from ..kernels.base import Workspace
 from ..kernels.plans import PlanCache
-from .scheduler import EventRecorder, SchedulerCore, WorkerLocal
+from .scheduler import EventRecorder
 
-__all__ = ["ThreadedStats", "factorize_threaded", "tsolve_threaded"]
-
-# shared state and its lock, registered for the `lock-discipline` lint
-# rule: these operations only happen inside `with cond:`
-__guarded_by__ = {
-    "cond": ("core.pop", "core.complete", "errors", "local.merge_into"),
-}
-
-
-def _make_block_locks(n: int) -> list[threading.Lock]:
-    """One lock per stored block, serialising concurrent updates to the
-    same target.  A separate function so the race-detector tests can
-    replace it with no-op locks and prove the checker catches the
-    resulting double write."""
-    return [threading.Lock() for _ in range(n)]
-
-
-def _make_segment_locks(n: int) -> list[threading.Lock]:
-    """One lock per RHS segment slot (``y`` then ``x``) for the threaded
-    triangular solve — the phase-5 counterpart of the per-block locks,
-    and the same monkeypatch seam for the race-detector tests."""
-    return [threading.Lock() for _ in range(n)]
-
-
-@dataclass
-class ThreadedStats:
-    """Accounting of one threaded factorisation."""
-
-    tasks_executed: int = 0
-    n_workers: int = 0
-    kernel_choices: dict[int, str] = field(default_factory=dict)
-    max_ready_depth: int = 0
-    pivots_replaced: int = 0
-    planned_tasks: int = 0
-    plan_bytes: int = 0
+__all__ = ["factorize_threaded", "tsolve_threaded"]
 
 
 def factorize_threaded(
@@ -101,7 +45,7 @@ def factorize_threaded(
     n_workers: int = 4,
     recorder: EventRecorder | None = None,
     checker=None,
-) -> ThreadedStats:
+) -> FactorizeStats:
     """Factorise the blocked matrix in place with ``n_workers`` threads.
 
     Raises the first kernel exception encountered (after quiescing the
@@ -114,109 +58,11 @@ def factorize_threaded(
     verify the single-writer / exactly-once invariants with per-worker
     provenance.
     """
-    options = options or NumericOptions()
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    n = len(dag.tasks)
-    stats = ThreadedStats(n_workers=n_workers)
-    plans = resolve_plan_cache(f, options)
-    compress = resolve_compress(options)
-
-    lock = threading.Lock()
-    cond = threading.Condition(lock)
-    core = SchedulerCore.from_dag(dag, recorder=recorder)
-    errors: list[BaseException] = []
-
-    # one lock per stored block serialises concurrent updates to a target
-    block_locks = _make_block_locks(len(f.blk_values))
-
-    def worker(wid: int) -> None:
-        ws = Workspace()
-        ws.presize(f.max_block_order, dtype=getattr(f, "dtype", np.float64))
-        local = WorkerLocal()
-        try:
-            while True:
-                with cond:
-                    tid = core.pop()
-                    while tid is None and not core.done() and not errors:
-                        cond.wait()
-                        tid = core.pop()
-                    if errors or tid is None:
-                        return
-                task = dag.tasks[tid]
-                try:
-                    if checker is not None:
-                        checker.on_pop(tid, wid)
-                    # feature extraction and version selection run
-                    # outside the global lock — only the target block
-                    # is serialised during the kernel itself
-                    feats = task_features(f, task)
-                    ktype = _TTYPE_TO_KTYPE[task.ttype]
-                    version = options.selector.select(ktype, feats)
-                    slot = f.block_slot(task.bi, task.bj)
-                    t0 = time.perf_counter() if recorder else 0.0
-                    with block_locks[slot]:
-                        if checker is not None:
-                            checker.begin_write(slot, tid, wid)
-                        try:
-                            # compression of a finished GESSM/TSTRF panel
-                            # happens inside execute_task, i.e. inside
-                            # this block lock — single writer preserved
-                            replaced, planned = execute_task(
-                                f, task, version, ws,
-                                pivot_floor=options.pivot_floor, plans=plans,
-                                compress=compress,
-                            )
-                        finally:
-                            if checker is not None:
-                                checker.end_write(slot, tid, wid)
-                    if recorder:
-                        recorder.task(
-                            wid,
-                            f"{task.ttype.name}(k={task.k},{task.bi},{task.bj})",
-                            task.ttype.name, t0, time.perf_counter(), tid,
-                        )
-                    local.count(
-                        tid, f"{ktype.value}/{version}", replaced, planned
-                    )
-                    if checker is not None:
-                        checker.on_complete(tid, wid)
-                    with cond:
-                        newly_ready = core.complete(tid)
-                        if core.done():
-                            cond.notify_all()
-                        elif newly_ready:
-                            cond.notify(newly_ready)
-                except BaseException as exc:  # propagate to the caller
-                    with cond:
-                        errors.append(exc)
-                        cond.notify_all()
-                    return
-        finally:
-            with cond:
-                local.merge_into(stats)
-
-    threads = [
-        threading.Thread(target=worker, args=(wid,), daemon=True)
-        for wid in range(n_workers)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    if checker is not None:
-        checker.final_check(core)
-    stats.max_ready_depth = core.max_ready_depth
-    core.check("threaded")  # names the blocked frontier on deadlock
-    if stats.tasks_executed != n:
-        raise RuntimeError(
-            f"threaded deadlock: executed {stats.tasks_executed} of {n} tasks"
-        )
-    if plans is not None:
-        stats.plan_bytes = plans.nbytes
-    return stats
+    return factorize(
+        f, dag, options, recorder=recorder, checker=checker, n_lanes=n_workers
+    )
 
 
 def tsolve_threaded(
@@ -233,105 +79,18 @@ def tsolve_threaded(
     *executable* solve DAG (:func:`repro.core.tsolve_dag.build_tsolve_dag`
     with ``executable=True``).
 
-    Same threading policy as :func:`factorize_threaded` — shared
-    :class:`SchedulerCore` under a condition lock, per-segment locks
-    around the RHS writes, ``notify(n)`` wake-ups — and, because the DAG
-    totally orders the writers of every segment, the solution is
-    *bit-identical* to :func:`repro.core.tsolve.tsolve_sequential`.
-    Returns ``(x, TSolveStats)``; ``b`` may be a vector or an ``(n, k)``
+    Same threading policy as :func:`factorize_threaded`, with per-segment
+    locks around the RHS writes — and, because the DAG totally orders the
+    writers of every segment, the solution is *bit-identical* to
+    :func:`repro.core.tsolve.tsolve_sequential`.  Returns
+    ``(x, TSolveStats)``; ``b`` may be a vector or an ``(n, k)``
     multi-RHS panel.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    if tdag.seq_y is None:
-        raise ValueError("tsolve_threaded needs an executable solve DAG "
-                         "(build_tsolve_dag(..., executable=True))")
-    y = _check_rhs(f.n, b)
-    x = np.empty_like(y)
-    t_start = time.perf_counter()
-    stats = TSolveStats(
-        engine="threaded",
-        n_workers=n_workers,
-        nrhs=1 if y.ndim == 1 else y.shape[1],
+    x, stats = tsolve_lanes(
+        f, tdag, b, n_lanes=n_workers, plans=plans, recorder=recorder,
+        checker=checker,
     )
-
-    lock = threading.Lock()
-    cond = threading.Condition(lock)
-    core = tsolve_core(tdag, f.nb, recorder=recorder)
-    errors: list[BaseException] = []
-    seg_locks = _make_segment_locks(2 * f.nb)
-
-    def worker(wid: int) -> None:
-        executed = 0
-        try:
-            while True:
-                with cond:
-                    tid = core.pop()
-                    while tid is None and not core.done() and not errors:
-                        cond.wait()
-                        tid = core.pop()
-                    if errors or tid is None:
-                        return
-                try:
-                    if checker is not None:
-                        checker.on_pop(tid, wid)
-                    slots = tsolve_write_slots(tdag, tid, f.nb)
-                    t0 = time.perf_counter() if recorder else 0.0
-                    for s in slots:
-                        seg_locks[s].acquire()
-                    if checker is not None:
-                        for s in slots:
-                            checker.begin_write(s, tid, wid)
-                    try:
-                        execute_tsolve_task(f, tdag, tid, y, x, plans)
-                    finally:
-                        if checker is not None:
-                            for s in slots:
-                                checker.end_write(s, tid, wid)
-                        for s in reversed(slots):
-                            seg_locks[s].release()
-                    if recorder:
-                        recorder.task(
-                            wid, tsolve_task_label(tdag, tid),
-                            _KIND_NAMES[int(tdag.kinds[tid])],
-                            t0, time.perf_counter(), tid,
-                        )
-                    executed += 1
-                    if checker is not None:
-                        checker.on_complete(tid, wid)
-                    with cond:
-                        newly_ready = core.complete(tid)
-                        if core.done():
-                            cond.notify_all()
-                        elif newly_ready:
-                            cond.notify(newly_ready)
-                except BaseException as exc:  # propagate to the caller
-                    with cond:
-                        errors.append(exc)
-                        cond.notify_all()
-                    return
-        finally:
-            with cond:
-                stats.tasks_executed += executed
-
-    threads = [
-        threading.Thread(target=worker, args=(wid,), daemon=True)
-        for wid in range(n_workers)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    if checker is not None:
-        checker.final_check(core)
-    stats.max_ready_depth = core.max_ready_depth
-    core.check("threaded tsolve")  # names the blocked frontier on deadlock
-    if stats.tasks_executed != len(tdag):
-        raise RuntimeError(
-            f"threaded tsolve deadlock: executed {stats.tasks_executed} "
-            f"of {len(tdag)} tasks"
-        )
-    stats.seconds = time.perf_counter() - t_start
+    stats.engine = "threaded"
     return x, stats

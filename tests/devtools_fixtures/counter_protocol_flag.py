@@ -15,3 +15,14 @@ def hand_rolled_tsolve_absorb(core, msg, y, seg):
     src_tid, _tgt, arr = msg
     y[seg] = arr
     core.counters[core.successors[src_tid]] -= 1  # raw vectorised decrement
+
+
+def hand_rolled_task_loop(core, job, ws):
+    while (tid := core.pop()) is not None:       # a re-forked lane loop
+        job.execute(tid, ws)
+        core.complete(tid)
+
+
+def hand_rolled_rank_receive(job, msg):
+    job.absorb(msg)
+    job.core.complete(msg[0])                    # and a re-forked receive path

@@ -1,14 +1,21 @@
 """Should-pass fixture for the `counter-protocol` rule."""
 
+from repro.runtime.lanes import run_lanes
 
-def protocol_completion(core, tid):
-    newly_ready = core.complete(tid)   # the one sanctioned path
+
+def protocol_run(core, job):
+    tally = run_lanes(core, job)       # the one sanctioned loop
     depth = len(core.ready)            # reads are fine
     counters = list(core.counters)     # so are copies
-    return newly_ready, depth, counters
+    return tally, depth, counters
 
 
-def protocol_tsolve_absorb(core, msg, y, seg):
+def protocol_tsolve_absorb(job, msg, y, seg):
     src_tid, _tgt, arr = msg
     y[seg] = arr                       # RHS segments are not protocol state
-    return core.complete(src_tid)      # remote completion, sanctioned path
+    return arr.nbytes                  # the driver completes src_tid
+
+
+def unrelated_pops(stack, done, tid):
+    done.pop(tid, None)                # not a scheduler core
+    return stack.pop()

@@ -114,6 +114,30 @@ def test_counter_protocol_flags_tsolve_absorb():
     )
 
 
+def test_counter_protocol_flags_reforked_task_loops(tmp_path):
+    """A ``.pop()``/``.complete()`` call on a scheduler core outside the
+    lane driver is a hand-written task loop; the same source *is* allowed
+    under the driver's path, and non-core receivers never match."""
+    findings = _run_rule(
+        "counter-protocol", FIXTURES / "counter_protocol_flag.py"
+    )
+    loops = [f for f in findings if "outside the lane driver" in f.message]
+    assert [f.message.split("(")[0] for f in loops] == [
+        "core.pop", "core.complete", "job.core.complete",
+    ]
+    rule = all_rules()["counter-protocol"]
+    driver = SRC / "repro" / "runtime" / "lanes.py"
+    assert rule.applies_to(str(driver))    # raw stores still policed there
+    assert lint_file(driver, rules=[rule]) == []
+    elsewhere = tmp_path / "repro" / "runtime" / "threaded.py"
+    elsewhere.parent.mkdir(parents=True)
+    elsewhere.write_text(driver.read_text())
+    moved = lint_file(elsewhere, rules=[rule])
+    assert moved and all("outside the lane driver" in f.message for f in moved)
+    for exempt in (("runtime", "scheduler.py"), ("devtools", "racecheck.py")):
+        assert not rule.applies_to(str(SRC.joinpath("repro", *exempt)))
+
+
 def test_no_block_rebind_scope():
     """The rule covers the kernel and engine modules (which lint clean)
     and excludes the storage types that legitimately bind the arrays."""
@@ -156,6 +180,9 @@ def test_counter_protocol_clean_on_tsolve_engines():
     rule = all_rules()["counter-protocol"]
     for rel in (
         ("core", "tsolve.py"),
+        ("core", "numeric.py"),
+        ("core", "schur.py"),
+        ("runtime", "lanes.py"),
         ("runtime", "threaded.py"),
         ("runtime", "distributed.py"),
         ("runtime", "engines.py"),

@@ -1,0 +1,287 @@
+"""The engine matrix of the one lane driver (`repro.runtime.lanes`).
+
+Every engine is a configuration of ``run_lanes`` — lanes × ranks — so one
+table covers them all:
+
+    {1 lane, 3 lanes, 2 ranks × 1, 2 ranks × 2 over loopback}
+  × {factor, tsolve}
+  × {clean, validate, fail_after, dead_ranks, delay+stagger}
+
+(the three fault scenarios need a transport, so they apply to the rank
+configurations only).  Clean one-lane factors are pinned bit-for-bit to
+the values the hand-written sequential loop produced before the fold;
+the other configurations agree with them to rounding, and every solve is
+bit-identical to the loop sweeps.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import time
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from repro.core import NumericOptions, block_partition, build_dag, factorize
+from repro.core.placement import CyclicPlacement
+from repro.core.tsolve import block_backward, block_forward, tsolve_lanes
+from repro.core.tsolve_dag import build_tsolve_dag
+from repro.devtools.racecheck import RaceChecker
+from repro.kernels.selector import SelectorPolicy
+from repro.runtime import (
+    EventRecorder,
+    factorize_distributed,
+    tsolve_distributed,
+)
+from repro.runtime.transports import FaultPlan, LoopbackTransport
+from repro.sparse import grid_laplacian_2d, random_sparse
+from repro.symbolic import symbolic_symmetric
+
+#: generator matrix → (builder, block size, sha256 of the factored value
+#: slab as the pre-fold sequential loop left it)
+MATRICES = {
+    "grid2d_9x9": (
+        lambda: grid_laplacian_2d(9, 9), 10,
+        "3a436ad3b6c11dd26f8ff12610a0e84ea845fff929d59b74636e2f134accc8d8",
+    ),
+    "random_80": (
+        lambda: random_sparse(80, 0.06, seed=0), 12,
+        "c9eed8653d1d65a1813e5bfe8e3b3a5e366f48be8d00a8efc06e11c571a4bcea",
+    ),
+}
+#: kernel labels the default trees / the fixed ablation selector choose on
+#: ``random_80`` — the same on every engine
+DEFAULT_LABELS = {
+    "GETRF/C_V1", "GETRF/G_V1", "GESSM/C_V2", "GESSM/G_V1", "TSTRF/C_V2",
+    "SSSSM/C_V1",
+}
+FIXED_LABELS = {"GETRF/G_V1", "GESSM/G_V1", "TSTRF/G_V1", "SSSSM/C_V2"}
+
+
+@dataclass(frozen=True)
+class Config:
+    ranks: int      # 0: in-process, no endpoint
+    lanes: int
+
+
+CONFIGS = {
+    "1-lane": Config(0, 1),
+    "3-lanes": Config(0, 3),
+    "2x1": Config(2, 1),
+    "2x2": Config(2, 2),
+}
+FAULTS = {
+    "clean": None,
+    "validate": None,
+    "fail_after": FaultPlan(fail_after={0: 2}),
+    "dead_ranks": FaultPlan(dead_ranks=frozenset({1})),
+    "delay+stagger": FaultPlan(delay_seconds=0.002, stagger=True),
+}
+CELLS = [
+    (config, phase, scenario)
+    for config, cfg in CONFIGS.items()
+    for phase in ("factor", "tsolve")
+    for scenario in FAULTS
+    if cfg.ranks or scenario in ("clean", "validate")
+]
+
+
+def _prepared(name="random_80"):
+    build, bs, _ = MATRICES[name]
+    bm = block_partition(symbolic_symmetric(build()).filled, bs)
+    return bm, build_dag(bm)
+
+
+def _slab_sha(bm) -> str:
+    h = hashlib.sha256()
+    for blk in bm.blk_values:
+        h.update(np.ascontiguousarray(blk.data).tobytes())
+    return h.hexdigest()
+
+
+def _run_factor(cfg: Config, bm, dag, *, scenario="clean", options=None,
+                recorder=None, timeout=30.0):
+    validate = scenario == "validate"
+    if not cfg.ranks:
+        checker = RaceChecker(label="lanes") if validate else None
+        stats = factorize(bm, dag, options, n_lanes=cfg.lanes,
+                          recorder=recorder, checker=checker)
+        assert checker is None or checker.violations == []
+        return stats
+    return factorize_distributed(
+        bm, dag, cfg.ranks, options=options, n_threads=cfg.lanes,
+        transport=LoopbackTransport(faults=FAULTS[scenario]),
+        recorder=recorder, validate=validate, timeout=timeout,
+    )
+
+
+def _run_tsolve(cfg: Config, f, b, *, scenario="clean", timeout=30.0):
+    validate = scenario == "validate"
+    if not cfg.ranks:
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        checker = RaceChecker(label="lanes") if validate else None
+        out = tsolve_lanes(f, tdag, b, n_lanes=cfg.lanes, checker=checker)
+        assert checker is None or checker.violations == []
+        return out
+    tdag = build_tsolve_dag(f, CyclicPlacement(cfg.ranks).owner, executable=True)
+    return tsolve_distributed(
+        f, tdag, b, cfg.ranks, n_threads=cfg.lanes,
+        transport=LoopbackTransport(faults=FAULTS[scenario]),
+        validate=validate, timeout=timeout,
+    )
+
+
+@pytest.fixture(scope="module")
+def factored():
+    """Sequentially factored ``random_80`` — the reference of every cell."""
+    bm, dag = _prepared()
+    factorize(bm, dag)
+    return bm
+
+
+def _expect_failure(scenario: str, run) -> None:
+    if scenario == "fail_after":
+        with pytest.raises(RuntimeError, match=r"rank 0.*injected fault"):
+            run(30.0)
+        return
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"timed out.*\[1\]"):
+        run(1.0)
+    assert time.perf_counter() - t0 < 10.0   # bounded, not a hang
+
+
+@pytest.mark.parametrize("config,phase,scenario", CELLS)
+def test_engine_matrix(config, phase, scenario, factored):
+    cfg = CONFIGS[config]
+    failing = scenario in ("fail_after", "dead_ranks")
+    if phase == "factor":
+        bm, dag = _prepared()
+        if failing:
+            _expect_failure(scenario, lambda timeout: _run_factor(
+                cfg, bm, dag, scenario=scenario, timeout=timeout))
+            return
+        stats = _run_factor(cfg, bm, dag, scenario=scenario)
+        assert stats.tasks_executed == len(dag)
+        assert (stats.n_procs, stats.n_workers) == (max(1, cfg.ranks), cfg.lanes)
+        if config == "1-lane":
+            assert _slab_sha(bm) == MATRICES["random_80"][2]
+        np.testing.assert_allclose(
+            bm.to_csc().to_dense(), factored.to_csc().to_dense(), atol=1e-9
+        )
+    else:
+        b = np.random.default_rng(3).standard_normal((factored.n, 2))
+        if failing:
+            _expect_failure(scenario, lambda timeout: _run_tsolve(
+                cfg, factored, b, scenario=scenario, timeout=timeout))
+            return
+        x, stats = _run_tsolve(cfg, factored, b, scenario=scenario)
+        assert np.array_equal(x, block_backward(factored, block_forward(factored, b)))
+        assert stats.tasks_executed > 0 and stats.nrhs == 2
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_sequential_factors_pinned(name):
+    bm, dag = _prepared(name)
+    factorize(bm, dag)
+    assert _slab_sha(bm) == MATRICES[name][2]
+
+
+# ----------------------------------------------------------------------
+# drift the hand-written copies had accumulated
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("phase", ["factor", "tsolve"])
+def test_duplicate_delivery_surfaces_on_every_rank_shape(
+    phase, n_threads, validate, factored
+):
+    """A failure in the receive lane is the rank's error, not a hang: the
+    hybrid copies used to lose the receiver thread's exception and leave
+    the compute threads waiting until the master's timeout."""
+    transport = LoopbackTransport(
+        faults=FaultPlan(duplicate_from=frozenset({0, 1}))
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError) as exc:
+        if phase == "factor":
+            bm, dag = _prepared()
+            factorize_distributed(
+                bm, dag, 2, transport=transport, n_threads=n_threads,
+                validate=validate, timeout=30.0,
+            )
+        else:
+            tdag = build_tsolve_dag(
+                factored, CyclicPlacement(2).owner, executable=True
+            )
+            tsolve_distributed(
+                factored, tdag, np.ones(factored.n), 2, transport=transport,
+                n_threads=n_threads, validate=validate, timeout=30.0,
+            )
+    assert time.perf_counter() - t0 < 5.0
+    msg = str(exc.value)
+    assert "rank " in msg
+    assert ("completed twice" if validate else "completed more than once") in msg
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_config_honours_the_selector(config):
+    """Ranks used to build ``SelectorPolicy.default()`` themselves, so the
+    Fig. 14 ablation selector was ignored on distributed/hybrid."""
+    for make, labels in (
+        (SelectorPolicy.fixed, FIXED_LABELS),
+        (SelectorPolicy.default, DEFAULT_LABELS),
+    ):
+        bm, dag = _prepared()
+        stats = _run_factor(
+            CONFIGS[config], bm, dag, options=NumericOptions(selector=make())
+        )
+        assert set(stats.kernel_choices.values()) == labels
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_config_fills_the_one_stats_type(config):
+    cfg = CONFIGS[config]
+    bm, dag = _prepared()
+    rec = EventRecorder()
+    stats = _run_factor(cfg, bm, dag, recorder=rec)
+    assert len(rec.task_events) == len(dag)
+    assert set(stats.seconds_by_type) == {"GETRF", "GESSM", "TSTRF", "SSSSM"}
+    assert all(s > 0.0 for s in stats.seconds_by_type.values())
+    assert stats.flops_total == dag.total_flops
+    assert stats.max_ready_depth >= 1
+    assert stats.planned_tasks > 0
+    if cfg.ranks:
+        assert sum(stats.tasks_per_proc) == len(dag)
+        assert stats.messages_sent > 0 and stats.block_bytes_sent > 0
+    else:
+        assert stats.messages_sent == 0 and stats.tasks_per_proc == []
+
+
+# ----------------------------------------------------------------------
+# shared-state stress: more lanes than cores, fast thread switching
+# ----------------------------------------------------------------------
+
+def test_oversubscribed_lanes_lose_no_update(factored):
+    b = np.random.default_rng(5).standard_normal(factored.n)
+    ref = block_backward(factored, block_forward(factored, b))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        deadline = time.perf_counter() + 20.0
+        for cfg in (Config(0, 8), Config(2, 4)):
+            for _ in range(3):
+                bm, dag = _prepared()
+                stats = _run_factor(cfg, bm, dag, scenario="validate")
+                assert stats.tasks_executed == len(dag) == len(stats.kernel_choices)
+                np.testing.assert_allclose(
+                    bm.to_csc().to_dense(), factored.to_csc().to_dense(),
+                    atol=1e-9,
+                )
+                x, _ = _run_tsolve(cfg, factored, b, scenario="validate")
+                assert np.array_equal(x, ref)
+                assert time.perf_counter() < deadline
+    finally:
+        sys.setswitchinterval(old)

@@ -168,25 +168,25 @@ class _NoopLock:
 
 
 def test_threaded_detector_catches_double_writer(monkeypatch):
+    from repro.core.dag import TaskDAG
+    from repro.devtools import racecheck
+
     bm, _ = _prepared()
     # two independent root tasks targeting the SAME block (0, 0)
-    dag = _StubDAG([
+    dag = TaskDAG([
         Task(0, TaskType.GETRF, 0, 0, 0, flops=1),
         Task(1, TaskType.GETRF, 0, 0, 0, flops=1),
-    ])
+    ], {}, 2)
 
     collided = threading.Event()
-    checker = RaceChecker(label="threaded")
-    orig_begin = checker.begin_write
 
-    def signalling_begin(slot, tid, worker):
-        try:
-            orig_begin(slot, tid, worker)
-        except ConcurrencyViolation:
-            collided.set()  # release the first writer
-            raise
-
-    checker.begin_write = signalling_begin
+    class SignallingChecker(RaceChecker):
+        def begin_write(self, slot, tid, worker):
+            try:
+                super().begin_write(slot, tid, worker)
+            except ConcurrencyViolation:
+                collided.set()  # release the first writer
+                raise
 
     def fake_execute(f, task, version, ws, **kwargs):
         # hold the block until the second writer collides (bounded wait
@@ -194,15 +194,29 @@ def test_threaded_detector_catches_double_writer(monkeypatch):
         collided.wait(timeout=10)
         return 0, False
 
-    monkeypatch.setattr("repro.runtime.threaded._make_block_locks",
+    monkeypatch.setattr("repro.runtime.lanes._make_slot_locks",
                         lambda n: [_NoopLock() for _ in range(n)])
-    monkeypatch.setattr("repro.runtime.threaded.execute_task", fake_execute)
+    monkeypatch.setattr("repro.core.numeric.execute_task", fake_execute)
 
     with pytest.raises(ConcurrencyViolation) as exc:
-        factorize_threaded(bm, dag, n_workers=2, checker=checker)
+        factorize_threaded(
+            bm, dag, n_workers=2, checker=SignallingChecker(label="threaded")
+        )
     msg = str(exc.value)
     assert "double writer" in msg
     assert "task 0" in msg and "task 1" in msg  # both tasks named
+    assert collided.is_set()
+
+    # the hybrid configuration runs the same lanes behind the same lock
+    # seam: one rank, two compute threads, the rank's own checker
+    collided.clear()
+    monkeypatch.setattr(racecheck, "RaceChecker", SignallingChecker)
+    with pytest.raises(RuntimeError, match="rank 0.*double writer") as exc:
+        factorize_distributed(
+            bm, dag, 1, transport=LoopbackTransport(), n_threads=2,
+            validate=True, timeout=30.0,
+        )
+    assert "task 0" in str(exc.value) and "task 1" in str(exc.value)
     assert collided.is_set()
 
 

@@ -150,6 +150,8 @@ class _NoopLock:
 
 
 def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
+    from repro.devtools import racecheck
+
     f = _factored()
     # two independent root UPD_F tasks writing the SAME y segment
     tdag = TSolveDAG(
@@ -167,17 +169,14 @@ def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
     )
 
     collided = threading.Event()
-    checker = RaceChecker(label="tsolve-threaded")
-    orig_begin = checker.begin_write
 
-    def signalling_begin(slot, tid, worker):
-        try:
-            orig_begin(slot, tid, worker)
-        except ConcurrencyViolation:
-            collided.set()  # release the first writer
-            raise
-
-    checker.begin_write = signalling_begin
+    class SignallingChecker(RaceChecker):
+        def begin_write(self, slot, tid, worker):
+            try:
+                super().begin_write(slot, tid, worker)
+            except ConcurrencyViolation:
+                collided.set()  # release the first writer
+                raise
 
     def fake_execute(f, tdag, tid, y, x, plans):
         # hold the segment until the second writer collides (bounded
@@ -185,19 +184,32 @@ def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
         collided.wait(timeout=10)
 
     monkeypatch.setattr(
-        "repro.runtime.threaded._make_segment_locks",
+        "repro.runtime.lanes._make_slot_locks",
         lambda n: [_NoopLock() for _ in range(n)],
     )
-    monkeypatch.setattr(
-        "repro.runtime.threaded.execute_tsolve_task", fake_execute
-    )
+    monkeypatch.setattr("repro.core.tsolve.execute_tsolve_task", fake_execute)
 
     with pytest.raises(ConcurrencyViolation) as exc:
-        tsolve_threaded(f, tdag, np.ones(f.n), n_workers=2, checker=checker)
+        tsolve_threaded(
+            f, tdag, np.ones(f.n), n_workers=2,
+            checker=SignallingChecker(label="tsolve-threaded"),
+        )
     msg = str(exc.value)
     assert "double writer" in msg
     assert "task 0" in msg and "task 1" in msg  # both tasks named
     assert "slot 2" in msg                      # the shared y segment
+    assert collided.is_set()
+
+    # the hybrid configuration runs the same lanes behind the same lock
+    # seam: one rank, two compute threads, the rank's own checker
+    collided.clear()
+    monkeypatch.setattr(racecheck, "RaceChecker", SignallingChecker)
+    with pytest.raises(RuntimeError, match="rank 0.*double writer") as exc:
+        tsolve_distributed(
+            f, tdag, np.ones(f.n), 1, transport=LoopbackTransport(),
+            n_threads=2, validate=True, timeout=30.0,
+        )
+    assert "slot 2" in str(exc.value)
     assert collided.is_set()
 
 
