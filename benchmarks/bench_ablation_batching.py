@@ -6,6 +6,11 @@ amortises the per-step factor preparation (split, CSR conversion) across
 all panel blocks of one elimination step.  This bench times per-block vs
 batched panel solves on real block columns and reports the amortisation
 factor.
+
+The two batched wrappers live here, next to their only consumer (the
+solver's task DAG schedules panel solves per block, so nothing in the
+package calls them); the bench asserts they reproduce the per-block
+kernels before it times them.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from common import banner
 from repro.analysis import format_table
@@ -21,11 +28,88 @@ from repro.kernels import (
     GETRF_VARIANTS,
     TSTRF_VARIANTS,
     Workspace,
-    gessm_batched,
-    tstrf_batched,
+    split_lu,
 )
-from repro.sparse import random_sparse
+from repro.sparse import CSCMatrix, random_sparse
 from repro.symbolic import symbolic_symmetric
+
+
+def gessm_batched(
+    diag: CSCMatrix,
+    blocks: list[CSCMatrix],
+    ws: Workspace,
+    *,
+    version: str = "G_V3",
+) -> None:
+    """Solve ``L·Xᵢ = Bᵢ`` for every block of one block column, in place.
+
+    For the compiled variant (``G_V3``) the factor split and the SciPy
+    structure are built once and the right-hand sides are concatenated
+    into a single panel — one triangular solve instead of one per block.
+    Other versions amortise what they can and loop otherwise.
+    """
+    if not blocks:
+        return
+    if version == "G_V3":
+        l, _ = split_lu(diag)
+        lc = sp.csc_matrix((l.data, l.indices, l.indptr), shape=l.shape).tocsr()
+        widths = [b.ncols for b in blocks]
+        panel = np.zeros((diag.ncols, int(np.sum(widths))), dtype=diag.data.dtype)
+        offset = 0
+        for b in blocks:
+            rows, cols = b.rows_cols()
+            panel[rows, cols + offset] = b.data
+            offset += b.ncols
+        x = spla.spsolve_triangular(lc, panel, lower=True, unit_diagonal=True)
+        offset = 0
+        for b in blocks:
+            rows, cols = b.rows_cols()
+            b.data[...] = x[rows, cols + offset]
+            offset += b.ncols
+        return
+    kernel = GESSM_VARIANTS[version]
+    for b in blocks:
+        kernel(diag, b, ws)
+
+
+def tstrf_batched(
+    diag: CSCMatrix,
+    blocks: list[CSCMatrix],
+    ws: Workspace,
+    *,
+    version: str = "G_V3",
+) -> None:
+    """Solve ``Xᵢ·U = Bᵢ`` for every block of one block row, in place.
+
+    The ``G_V3`` path builds ``Uᵀ`` and its CSR once and stacks the
+    transposed right-hand sides into one panel.
+    """
+    if not blocks:
+        return
+    if version == "G_V3":
+        _, u = split_lu(diag)
+        ut = u.transpose()
+        ut_csr = sp.csc_matrix(
+            (ut.data, ut.indices, ut.indptr), shape=ut.shape
+        ).tocsr()
+        heights = [b.nrows for b in blocks]
+        panel = np.zeros((diag.ncols, int(np.sum(heights))), dtype=diag.data.dtype)
+        offset = 0
+        for b in blocks:
+            rows, cols = b.rows_cols()
+            panel[cols, rows + offset] = b.data
+            offset += b.nrows
+        x = spla.spsolve_triangular(ut_csr, panel, lower=True, unit_diagonal=False)
+        offset = 0
+        for b in blocks:
+            rows, cols = b.rows_cols()
+            b.data[...] = x[cols, rows + offset]
+            offset += b.nrows
+        return
+    kernel = TSTRF_VARIANTS[version]
+    for b in blocks:
+        kernel(diag, b, ws)
+
 
 
 def _panel(n: int, h: int, width: int, count: int, seed: int):
@@ -54,8 +138,27 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
+def _assert_matches_per_block(batched_fn, variants, diag, blocks, ws) -> None:
+    """Every version of a batched wrapper — the aggregated ``G_V3`` path
+    and the looping fallbacks — reproduces the per-block ``C_V2`` kernel;
+    an empty batch is a no-op."""
+    batched_fn(diag, [], ws)
+    for version in ("G_V3", "C_V2", "G_V1"):
+        got = [b.copy() for b in blocks]
+        batched_fn(diag, got, ws, version=version)
+        for ref, out in zip(blocks, got):
+            single = ref.copy()
+            variants["C_V2"](diag, single, ws)
+            np.testing.assert_allclose(
+                out.to_dense(), single.to_dense(), atol=1e-9
+            )
+
+
 def test_ablation_batched_panels(benchmark):
     banner("Ablation — batched vs per-block panel solves (G_V3 path)")
+    diag, u_blocks, l_blocks, ws = _panel(n=96, h=32, width=20, count=3, seed=21)
+    _assert_matches_per_block(gessm_batched, GESSM_VARIANTS, diag, u_blocks, ws)
+    _assert_matches_per_block(tstrf_batched, TSTRF_VARIANTS, diag, l_blocks, ws)
     rows = []
     for count in (2, 4, 8, 16):
         diag, u_blocks, l_blocks, ws = _panel(

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo-wide check: project lint (always) + ruff (when available) + the
-# tier-1 test suite.  This is what CI and `make check` run; keep it in
+# size numbers ROADMAP tracks + the tier-1 test suite + the benchmark
+# harness's own tests.  This is what CI and `make check` run; keep it in
 # sync with ROADMAP.md.
 set -eu
 
@@ -22,6 +23,20 @@ fi
 
 echo "== core + runtime code lines (ROADMAP: net negative is a success metric) =="
 python scripts/count_code_lines.py src/repro/core src/repro/runtime
+echo "== all of src/repro =="
+python scripts/count_code_lines.py src/repro
+
+echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs) =="
+PYTHONPATH=src python -c "
+from dataclasses import fields
+from repro import SolverOptions
+from repro.core.numeric import NumericOptions
+print(f'{len(fields(SolverOptions)) + len(fields(NumericOptions)):6d}  option fields')"
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
+
+# tier-1 does not collect benchmarks/e2e/test_harness.py, the only guard
+# on the surface the frozen benchmark harness patches and reads
+echo "== benchmark harness self-test =="
+make bench-e2e-selftest

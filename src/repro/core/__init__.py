@@ -35,7 +35,6 @@ from .strategy import (
     get_blocking_strategy,
 )
 from .numeric import (
-    FactorizeStats,
     NumericOptions,
     execute_task,
     factorize,
@@ -46,7 +45,6 @@ from .schur import extract_trailing, partial_factorize
 from .solver import Factorization, PanguLU, SolverOptions
 from .memory import MemoryReport, memory_report, per_process_bytes
 from .tsolve import (
-    TSolveStats,
     block_backward,
     block_forward,
     execute_tsolve_task,
@@ -85,7 +83,6 @@ __all__ = [
     "get_placement",
     "resolve_placement",
     "NumericOptions",
-    "FactorizeStats",
     "factorize",
     "execute_task",
     "resolve_plan_cache",
@@ -105,7 +102,6 @@ __all__ = [
     "block_forward",
     "solve_lower_unit",
     "solve_upper",
-    "TSolveStats",
     "execute_tsolve_task",
     "tsolve_sequential",
 ]

@@ -21,13 +21,12 @@ same protocol in virtual time — all replay the same DAG.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..kernels.base import Workspace
 from ..kernels.compress import CompressPolicy, try_compress
 from ..runtime.lanes import run_lanes
-from ..runtime.scheduler import EventRecorder, SchedulerCore
+from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
 from ..kernels.plans import (
     PlanCache,
     build_gessm_plan,
@@ -49,7 +48,6 @@ from .dag import Task, TaskDAG, TaskType
 
 __all__ = [
     "NumericOptions",
-    "FactorizeStats",
     "factorize",
     "task_features",
     "execute_task",
@@ -91,10 +89,17 @@ class NumericOptions:
         ``None`` removes the cap.
     compress_tol:
         Relative spectral tolerance for the low-rank block overlay
-        (``SolverOptions.compress_tol`` syncs here).  0 — the default —
-        disables compression entirely: no overlay is consulted or
-        written, and every engine is bit-identical to the
-        pre-compression code path.
+        (:class:`~repro.sparse.blockrep.CompressedBlock`); this is the
+        knob's one home — ``SolverOptions.compress_tol`` reads and writes
+        it.  0 — the default — disables compression entirely: no overlay
+        is consulted or written, and every engine takes the
+        pre-compression code path.  When positive, GESSM/TSTRF output
+        panels that compress profitably carry a truncated ``U @ V.T``
+        overlay which downstream SSSSM consumers (and the transports)
+        use at ``O((m + n) · rank)`` cost; the factors become
+        approximate and solves recover accuracy through the adaptive
+        refinement loop, escalating to an exact decompressed
+        refactorisation if refinement stalls.
     compress_min_order:
         Smallest ``min(m, n)`` a GESSM/TSTRF output block must reach
         before a compression attempt (small blocks never amortise the
@@ -107,43 +112,6 @@ class NumericOptions:
     plan_entry_limit: int | None = 4_000_000
     compress_tol: float = 0.0
     compress_min_order: int = 32
-
-
-@dataclass
-class FactorizeStats:
-    """Per-run accounting of a factorisation on any engine: task counts,
-    chosen kernel versions, timings, and — for the multi-lane and
-    multi-rank configurations — pool shape and message traffic.
-
-    ``seconds_by_type`` is filled whenever tasks are timed
-    (``collect_timings`` or a recorder); ``tasks_per_proc``,
-    ``messages_sent`` and ``block_bytes_sent`` (real wire bytes of the
-    shipped panels) only by the rank engines.
-    """
-
-    kernel_choices: dict[int, str] = field(default_factory=dict)
-    tasks_executed: int = 0
-    seconds_total: float = 0.0
-    seconds_by_type: dict[str, float] = field(default_factory=dict)
-    flops_total: int = 0
-    pivots_replaced: int = 0
-    planned_tasks: int = 0
-    plan_bytes: int = 0
-    blocks_compressed: int = 0
-    lr_value_bytes: int = 0
-    n_workers: int = 1
-    n_procs: int = 1
-    tasks_per_proc: list[int] = field(default_factory=list)
-    messages_sent: int = 0
-    block_bytes_sent: float = 0.0
-    max_ready_depth: int = 0
-
-    def version_histogram(self) -> dict[str, int]:
-        """Count of executed tasks per ``TYPE/VERSION`` label."""
-        out: dict[str, int] = {}
-        for label in self.kernel_choices.values():
-            out[label] = out.get(label, 0) + 1
-        return out
 
 
 def _compressed(f, bi: int, bj: int):
@@ -436,6 +404,17 @@ class FactorJob:
         name = task.ttype.name
         return f"{name}(k={task.k},{task.bi},{task.bj})", name
 
+    def finish(self, report: RunReport) -> None:
+        """The flops of the tasks that ran, the plan cache's footprint
+        and what the overlay of ``f`` holds (a rank: of its own blocks)."""
+        report.flops_total = sum(self.tasks[t].flops for t in report.kernel_choices)
+        if self.plans is not None:
+            report.plan_bytes = self.plans.nbytes
+        if self.compress is not None:
+            comp = self.f.compression_stats()
+            report.blocks_compressed = comp["blocks_compressed"]
+            report.lr_value_bytes = comp["lr_value_bytes"]
+
 
 def factorize(
     f: BlockMatrix,
@@ -447,7 +426,7 @@ def factorize(
     checker=None,
     owned=None,
     n_lanes: int = 1,
-) -> FactorizeStats:
+) -> RunReport:
     """Factorise the blocked matrix in place by replaying the DAG.
 
     Tasks are drawn from the shared scheduler core's ready-heap with
@@ -469,18 +448,7 @@ def factorize(
     options = options or NumericOptions()
     job = FactorJob(f, dag, options, f.num_blocks)
     core = SchedulerCore.from_dag(dag, owned=owned, recorder=recorder)
-    stats = FactorizeStats(n_workers=n_lanes)
-    t_start = time.perf_counter()
-    run_lanes(
+    return run_lanes(
         core, job, n_lanes=n_lanes, recorder=recorder, checker=checker,
         timed=collect_timings,
-    ).merge_into(stats)
-    stats.seconds_total = time.perf_counter() - t_start
-    stats.flops_total = sum(dag.tasks[t].flops for t in stats.kernel_choices)
-    if job.plans is not None:
-        stats.plan_bytes = job.plans.nbytes
-    if job.compress is not None:
-        comp = f.compression_stats()
-        stats.blocks_compressed = comp["blocks_compressed"]
-        stats.lr_value_bytes = comp["lr_value_bytes"]
-    return stats
+    )

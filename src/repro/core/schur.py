@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime.scheduler import RunReport
 from ..sparse.csc import CSCMatrix, coo_to_csc
 from .blocking import BlockMatrix
 from .dag import TaskDAG
-from .numeric import FactorizeStats, NumericOptions, factorize
+from .numeric import NumericOptions, factorize
 
 __all__ = ["partial_factorize", "extract_trailing"]
 
@@ -25,7 +26,7 @@ def partial_factorize(
     dag: TaskDAG,
     kb: int,
     options: NumericOptions | None = None,
-) -> FactorizeStats:
+) -> RunReport:
     """Run the block elimination for steps ``k < kb`` only, in place.
 
     Afterwards the leading ``kb × kb`` block grid holds its LU factors and

@@ -30,25 +30,22 @@ delegate to it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from ..ordering import amd, colamd, mc64, nested_dissection, rcm
+from ..runtime.scheduler import ENGINE_SHAPES, EventRecorder, RunReport
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult, symbolic_symmetric
 from .blocking import BlockMatrix, block_partition
 from .dag import TaskDAG, build_dag
-from .mapping import ProcessGrid, balance_loads, task_weights
+from .mapping import balance_loads, task_weights
+from .numeric import NumericOptions
 from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
-from .numeric import FactorizeStats, NumericOptions
-from .tsolve import (
-    TSolveStats,
-    block_backward_trans,
-    block_forward_trans,
-)
+from .tsolve import block_backward_trans, block_forward_trans
 from .tsolve_dag import build_tsolve_dag
 from .verify import verify_dag
 
@@ -226,8 +223,6 @@ class SolverOptions:
         stores the resolved tuple back on the options, so every later
         consumer (placement, balancer, engine re-resolution) sees
         concrete floats.
-    load_balance:
-        Apply the static time-slice balancing to the task assignment.
     engine:
         Execution engine for the numeric phase **and** for the triangular
         solves of phase 5, resolved through the registries in
@@ -236,9 +231,11 @@ class SolverOptions:
         over a message transport) or ``"hybrid"`` (``nprocs`` ranks ×
         ``n_workers`` threads per rank — HYLU-style mixed parallelism).
         ``None`` (default) picks ``"threaded"`` when ``n_workers > 1``,
-        else ``"sequential"``.  All engines produce bit-identical
-        solutions — the solve DAG totally orders the writers of every
-        RHS segment.
+        else ``"sequential"``.  Given the same factors all engines
+        produce the bit-identical solution — the solve DAG totally
+        orders the writers of every RHS segment; the factors themselves
+        agree across engines to rounding (the factor DAG does not order
+        the Schur updates of one block).
     n_workers:
         Worker threads for the ``"threaded"`` engine
         (:func:`repro.runtime.factorize_threaded`), and threads *per
@@ -261,14 +258,10 @@ class SolverOptions:
         Working precision of the numeric factors: ``"float64"`` (default)
         or ``"float32"``.  Single precision halves the arena ``data``
         slab, the per-block value arrays and the transport value bytes;
-        accuracy is recovered by iterative refinement in
-        ``refine_target_dtype`` (residuals and corrections accumulate in
-        double precision — the classic mixed-precision LU-IR recipe,
-        mirroring the production solver's paired r32/r64 kernels).
-    refine_target_dtype:
-        Accumulation dtype of the mixed-precision refinement loop
-        (``"float64"`` default).  The triangular solves promote the
-        ``float32`` factors against this dtype's right-hand sides.
+        accuracy is recovered by iterative refinement in ``float64``
+        (residuals and corrections accumulate in double precision — the
+        classic mixed-precision LU-IR recipe, mirroring the production
+        solver's paired r32/r64 kernels).
     refine_tol:
         Relative-residual target ``‖b − A x‖ / ‖b‖`` of the adaptive
         refinement on the ``float32`` factor path.  Plain refinement
@@ -289,20 +282,12 @@ class SolverOptions:
         the tasks and workers involved.  Also enabled globally by
         setting the ``REPRO_CHECK`` environment variable to a non-zero
         value.
-    compress_tol:
-        Relative spectral tolerance of the low-rank block overlay
-        (:class:`~repro.sparse.blockrep.CompressedBlock`).  0 (default)
-        disables compression — every engine is bit-identical to the
-        pre-compression solver.  When positive, GESSM/TSTRF output
-        panels that compress profitably carry a truncated ``U @ V.T``
-        overlay which downstream SSSSM consumers (and the transports)
-        use at ``O((m + n) · rank)`` cost; the factors become
-        approximate and solves recover accuracy through the adaptive
-        refinement loop, escalating to an exact decompressed
-        refactorisation if refinement stalls.
-    compress_min_order:
-        Smallest ``min(m, n)`` a block must reach before a compression
-        attempt (the SVD never amortises on small blocks).
+    compress_tol, compress_min_order:
+        Not fields of their own: constructor shorthands for, and
+        read/write views of, ``numeric.compress_tol`` /
+        ``numeric.compress_min_order`` (see :class:`NumericOptions`),
+        the one place the low-rank overlay knobs are stored — it is
+        what travels to the ranks.
     verify_schedule:
         Statically verify every built DAG (the factor DAG at
         preprocessing, each executable solve DAG on first use) with
@@ -323,19 +308,23 @@ class SolverOptions:
     nprocs: int = 1
     placement: str | PlacementPolicy = "cyclic"
     rank_speeds: tuple[float, ...] | str | None = None
-    load_balance: bool = True
     refine_steps: int = 2
     factor_dtype: str = "float64"
-    refine_target_dtype: str = "float64"
     refine_tol: float = 1e-12
     refine_max_iter: int = 40
-    compress_tol: float = 0.0
-    compress_min_order: int = 32
     n_workers: int = 1
     engine: str | None = None
     trace_events: bool = False
     validate_concurrency: bool = False
     verify_schedule: bool = False
+    compress_tol: InitVar[float | None] = None
+    compress_min_order: InitVar[int | None] = None
+
+    def __post_init__(self, compress_tol, compress_min_order) -> None:
+        if compress_tol is not None:
+            self.numeric.compress_tol = compress_tol
+        if compress_min_order is not None:
+            self.numeric.compress_min_order = compress_min_order
 
     def resolved_engine(self) -> str:
         """The engine name after applying the ``None`` default rule."""
@@ -352,14 +341,19 @@ class SolverOptions:
             )
         return dt
 
-    def resolved_refine_dtype(self) -> np.dtype:
-        """``refine_target_dtype`` as a validated :class:`numpy.dtype`."""
-        dt = np.dtype(self.refine_target_dtype)
-        if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(
-                f"refine_target_dtype must be float32 or float64, got {dt}"
-            )
-        return dt
+
+def _numeric_view(name: str) -> property:
+    """A ``SolverOptions`` attribute stored on ``options.numeric``."""
+    return property(
+        lambda self: getattr(self.numeric, name),
+        lambda self, value: setattr(self.numeric, name, value),
+    )
+
+
+# installed after the dataclass is built: inside the class body the names
+# are taken by the constructor shorthands above
+SolverOptions.compress_tol = _numeric_view("compress_tol")
+SolverOptions.compress_min_order = _numeric_view("compress_min_order")
 
 
 class Factorization:
@@ -374,7 +368,8 @@ class Factorization:
 
     The handle is **picklable**: the pattern-bound execution-plan cache
     (which holds a lock and is cheap to rebuild lazily) is dropped on
-    serialisation, everything else round-trips, so a factorisation
+    serialisation by ``BlockMatrix.__getstate__`` (which also ships the
+    arena as three slabs), everything else round-trips, so a factorisation
     computed once can be shipped to worker processes that each solve
     their own right-hand sides.
 
@@ -385,10 +380,10 @@ class Factorization:
         ``total_solve_seconds`` accumulates (it is what
         ``PanguLU.phase_seconds["solve"]`` reports), ``last_solve_seconds``
         is the most recent call alone.
-    last_tsolve_stats:
-        :class:`~repro.core.tsolve.TSolveStats` of the most recent
-        engine-driven sweep pair (task counts, message bytes for the
-        distributed engine).
+    stats, last_tsolve_stats:
+        :class:`~repro.runtime.scheduler.RunReport` of the most recent
+        numeric run, and of the most recent engine-driven sweep pair
+        (task counts, pool shape, message bytes on the rank engines).
     """
 
     def __init__(
@@ -404,7 +399,7 @@ class Factorization:
         reordered: CSCMatrix,
         blocks: BlockMatrix,
         dag: TaskDAG,
-        stats: FactorizeStats,
+        stats: RunReport | None,
         placement: PlacementPolicy | None = None,
     ) -> None:
         self.a = a
@@ -422,7 +417,7 @@ class Factorization:
         self.last_solve_seconds = 0.0
         self.total_solve_seconds = 0.0
         self.refactorize_seconds = 0.0
-        self.last_tsolve_stats: TSolveStats | None = None
+        self.last_tsolve_stats: RunReport | None = None
         self.placement = placement
         # executable solve DAGs, keyed by engine placement (the local
         # engines share one single-owner DAG; distributed/hybrid need
@@ -445,7 +440,10 @@ class Factorization:
         one (e.g. the options changed after factorisation) and caches it
         on the handle.
         """
-        if self.options.resolved_engine() not in ("distributed", "hybrid"):
+        uses_ranks, _ = ENGINE_SHAPES.get(
+            self.options.resolved_engine(), (False, False)
+        )
+        if not uses_ranks:
             return None
         nprocs = max(1, self.options.nprocs)
         if self.placement is None or self.placement.nprocs != nprocs:
@@ -488,11 +486,10 @@ class Factorization:
         # Dr A Dc z = Dr b with x = Dc z; rows/cols permuted into block space
         c_hat = (rs * b)[self.row_perm]
         engine = get_tsolve_engine(self.options.resolved_engine())
-        z_hat, tstats = engine(
+        z_hat, self.last_tsolve_stats = engine(
             self.blocks, self._tsolve_dag(), c_hat, self.options,
             recorder=recorder, placement=self._engine_placement(),
         )
-        self.last_tsolve_stats = tstats
         z = np.empty_like(z_hat)
         z[self.col_perm] = z_hat
         return cs * z
@@ -530,18 +527,17 @@ class Factorization:
 
     def _refine_adaptive(self, x: np.ndarray, b: np.ndarray, apply_fn, matvec):
         """Adaptive mixed-precision refinement (the ``float32`` factor
-        path): iterate plain LU-IR in ``refine_target_dtype`` until the
-        relative residual meets ``refine_tol``; when the sweeps stop
-        contracting, escalate to a GMRES-IR inner loop (FGMRES on ``A``
-        preconditioned by the low-precision factor application); raise
+        path): iterate plain LU-IR in ``float64`` until the relative
+        residual meets ``refine_tol``; when the sweeps stop contracting,
+        escalate to a GMRES-IR inner loop (FGMRES on ``A`` preconditioned
+        by the low-precision factor application); raise
         :class:`RefinementStalled` when neither reaches the tolerance.
         """
         opts = self.options
         tol = float(opts.refine_tol)
         budget = max(1, int(opts.refine_max_iter))
-        target = opts.resolved_refine_dtype()
-        x = np.asarray(x, dtype=target)
-        b = np.asarray(b, dtype=target)
+        x = np.asarray(x, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
         multi = b.ndim == 2
 
         if multi:
@@ -570,7 +566,7 @@ class Factorization:
             else:
                 stall = 0
             prev = worst
-            x = x + np.asarray(apply_fn(r), dtype=target)
+            x = x + np.asarray(apply_fn(r), dtype=np.float64)
             spent += 1
             r = b - matvec(x)
             worst = rel(r)
@@ -590,7 +586,7 @@ class Factorization:
         for j in todo:
             rj = r[:, j] if multi else r
             dj = bden[j] if multi else bden
-            y, used = _fgmres(mv1, ap1, np.asarray(rj, dtype=target),
+            y, used = _fgmres(mv1, ap1, np.asarray(rj, dtype=np.float64),
                               tol * float(dj), esc_budget)
             spent += used
             if multi:
@@ -618,33 +614,31 @@ class Factorization:
         values are approximate all the same."""
         return self.options.numeric.compress_tol > 0.0
 
-    def decompress(self) -> FactorizeStats:
+    def decompress(self) -> RunReport:
         """Refinement-escalation path: disable compression, drop every
         low-rank overlay, and refactorise the current matrix exactly.
         After this the handle behaves like a compression-off
         factorisation (bit-identical factors to ``compress_tol=0``);
         the caller retries the solve against the exact factors."""
         self.options.compress_tol = 0.0
-        self.options.numeric.compress_tol = 0.0
-        if hasattr(self.blocks, "clear_compressed"):
-            self.blocks.clear_compressed()
-        return self.refactorize(self.a)
+        return self.refactorize(self.a)  # drops the stale overlays first
 
-    def _refine_compressed(self, x0, b, apply_fn, matvec, *, rebuild):
-        """Refinement with the compressed-factor escalation: run the
-        adaptive loop; when it stalls, decompress + refactorise exactly
-        and retry once from a fresh application of the exact factors
-        (``rebuild`` recomputes the initial iterate)."""
+    def _solve_refined(self, b: np.ndarray, apply_fn, matvec) -> np.ndarray:
+        """One application of the factors plus the refinement they call
+        for: the fixed ``refine_steps`` sweeps on exact ``float64``
+        factors, the adaptive loop on ``float32`` or compressed ones.  A
+        stall on compressed factors escalates once — decompress,
+        refactorise exactly, start over from the exact factors."""
+        x = apply_fn(b)
+        if self.factor_dtype == np.float64 and not self.compression_active():
+            return self._refine(x, b, apply_fn, matvec)
         try:
-            return self._refine_adaptive(x0, b, apply_fn, matvec)
+            return self._refine_adaptive(x, b, apply_fn, matvec)
         except RefinementStalled:
             if not self.compression_active():
                 raise
             self.decompress()
-            x1 = rebuild()
-            if self.factor_dtype == np.dtype(np.float32):
-                return self._refine_adaptive(x1, b, apply_fn, matvec)
-            return self._refine(x1, b, apply_fn, matvec)
+            return self._solve_refined(b, apply_fn, matvec)
 
     def solve(self, b: np.ndarray, *, recorder=None) -> np.ndarray:
         """Solve ``A x = b`` (vector or ``(n, k)`` multi-RHS panel) with
@@ -657,18 +651,10 @@ class Factorization:
             raise ValueError(
                 f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
             )
-        mv = self.a.matmat if b.ndim == 2 else self.a.matvec
-        x0 = self.apply(b, recorder=recorder)
-        apply_fn = lambda r: self.apply(r, recorder=recorder)  # noqa: E731
-        if self.compression_active():
-            x = self._refine_compressed(
-                x0, b, apply_fn, mv,
-                rebuild=lambda: self.apply(b, recorder=recorder),
-            )
-        elif self.factor_dtype == np.dtype(np.float32):
-            x = self._refine_adaptive(x0, b, apply_fn, mv)
-        else:
-            x = self._refine(x0, b, apply_fn, mv)
+        x = self._solve_refined(
+            b, lambda r: self.apply(r, recorder=recorder),
+            self.a.matmat if b.ndim == 2 else self.a.matvec,
+        )
         self._account(t0)
         return x
 
@@ -680,18 +666,7 @@ class Factorization:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):
             raise ValueError(f"b has shape {b.shape}, expected ({self.n},)")
-        if self.compression_active():
-            x = self._refine_compressed(
-                self._apply_transposed(b), b,
-                self._apply_transposed, self._matvec_t,
-                rebuild=lambda: self._apply_transposed(b),
-            )
-        elif self.factor_dtype == np.dtype(np.float32):
-            x = self._refine_adaptive(self._apply_transposed(b), b,
-                                      self._apply_transposed, self._matvec_t)
-        else:
-            x = self._refine(self._apply_transposed(b), b,
-                             self._apply_transposed, self._matvec_t)
+        x = self._solve_refined(b, self._apply_transposed, self._matvec_t)
         self._account(t0)
         return x
 
@@ -706,7 +681,7 @@ class Factorization:
     # ------------------------------------------------------------------
     # refactorisation
     # ------------------------------------------------------------------
-    def refactorize(self, a_new: CSCMatrix) -> FactorizeStats:
+    def refactorize(self, a_new: CSCMatrix) -> RunReport:
         """Re-run only the numeric phase for a matrix with the *same
         pattern* but new values (Newton steps in circuit/device
         simulation — the workload PanguLU's introduction motivates).
@@ -763,15 +738,6 @@ class Factorization:
         self.refactorize_seconds = time.perf_counter() - t0
         return self.stats
 
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # BlockMatrix.__getstate__ drops the (lock-holding) plan cache and,
-        # on the arena layout, serialises the factors as three contiguous
-        # slabs instead of thousands of per-block arrays
-        return dict(self.__dict__)
-
 
 class PanguLU:
     """Sparse direct solver for ``A x = b`` (square, structurally
@@ -811,10 +777,9 @@ class PanguLU:
         self.symbolic: SymbolicResult | None = None
         self.blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
-        self.grid: ProcessGrid | None = None
         self.placement: PlacementPolicy | None = None
         self.assignment: np.ndarray | None = None
-        self.numeric_stats: FactorizeStats | None = None
+        self.numeric_stats: RunReport | None = None
         self.recorder = None  # EventRecorder of the last factorize, if traced
         self._factorized = False
         self._fact: Factorization | None = None
@@ -854,11 +819,9 @@ class PanguLU:
         elif ordering == "best":
             # try the serious candidates and keep the one with least fill —
             # ordering cost is small next to numeric factorisation
-            from ..symbolic import symbolic_symmetric as _sym
-
             candidates = {"nd": nested_dissection(work), "amd": amd(work)}
             fills = {
-                name: _sym(work.permute(q, q)).nnz_lu
+                name: symbolic_symmetric(work.permute(q, q)).nnz_lu
                 for name, q in candidates.items()
             }
             p = candidates[min(fills, key=fills.get)]
@@ -895,17 +858,11 @@ class PanguLU:
             arena=self.options.use_arena,
             dtype=self.options.resolved_factor_dtype(),
         )
-        if self.options.compress_tol > 0.0:
-            # sync the solver-level knobs into the numeric options the
-            # engines consume, and pre-size the arena's low-rank slab so
-            # compression (and re-compression on refactorize) is
-            # alloc-free
-            self.options.numeric.compress_tol = self.options.compress_tol
-            self.options.numeric.compress_min_order = self.options.compress_min_order
         if self.options.numeric.compress_tol > 0.0:
+            # pre-size the arena's low-rank slab so compression (and
+            # re-compression on refactorize) is alloc-free
             self.blocks.enable_lr_overlay()
         self.dag = build_dag(self.blocks)
-        self.grid = ProcessGrid.square(self.options.nprocs)
         if self.options.rank_speeds == "auto":
             from ..runtime.calibrate import calibrate_rank_speeds
 
@@ -914,17 +871,16 @@ class PanguLU:
             # Factorization handle re-resolves placements from the same
             # options object later
             self.options.rank_speeds = calibrate_rank_speeds(self.options.nprocs)
-        placement = resolve_placement(
+        self.placement = placement = resolve_placement(
             self.options.placement, self.options.nprocs,
             speeds=self.options.rank_speeds,
         ).prepare(self.dag, self.blocks)
-        self.placement = placement
         assignment = placement.assign(self.dag)
         if self.options.verify_schedule:
             verify_dag(
                 self.dag, assignment=assignment, nprocs=placement.nprocs
             )
-        if self.options.load_balance and placement.nprocs > 1:
+        if placement.nprocs > 1:
             weights = task_weights(self.dag, self.blocks)
             assignment = balance_loads(
                 self.dag, placement, assignment,
@@ -941,10 +897,10 @@ class PanguLU:
         Dispatches to the engine named by ``options.engine`` through the
         registry in :mod:`repro.runtime.engines` — every engine drains
         the same DAG through the shared scheduler core and produces the
-        same factors.  The returned handle owns phase 5 (and is
-        picklable, so it can solve in other processes); ``solve`` /
-        ``solve_transposed`` / ``refactorize`` on this object delegate
-        to it.
+        same factors up to rounding.  The returned handle owns phase 5
+        (and is picklable, so it can solve in other processes);
+        ``solve`` / ``solve_transposed`` / ``refactorize`` on this
+        object delegate to it.
         """
         if self._factorized:
             if self._fact is None:
@@ -956,7 +912,6 @@ class PanguLU:
             self.preprocess()
         t0 = time.perf_counter()
         from ..runtime.engines import get_engine
-        from ..runtime.scheduler import EventRecorder
 
         engine = get_engine(self.options.resolved_engine())
         self.recorder = EventRecorder() if self.options.trace_events else None
@@ -1015,16 +970,6 @@ class PanguLU:
         self.phase_seconds["solve"] = fact.total_solve_seconds
         return x
 
-    def _apply_factors(self, b: np.ndarray) -> np.ndarray:
-        """One pass of the permuted/scaled triangular solves (delegates
-        to :meth:`Factorization.apply`)."""
-        return self.factorize().apply(b, recorder=self.recorder)
-
-    def _matvec_t(self, x: np.ndarray) -> np.ndarray:
-        """``Aᵀ @ x`` for a dense vector."""
-        fact = self.factorize()
-        return fact._matvec_t(x)
-
     def slogdet(self) -> tuple[float, float]:
         """``(sign, log|det A|)`` from the factorisation (numpy.slogdet
         convention).
@@ -1075,7 +1020,7 @@ class PanguLU:
             x[j] = 1.0
         return norm_a * est
 
-    def refactorize(self, a_new: CSCMatrix) -> FactorizeStats:
+    def refactorize(self, a_new: CSCMatrix) -> RunReport:
         """Re-run only the numeric phase for a matrix with the *same
         pattern* but new values (Newton steps in circuit/device
         simulation — the workload PanguLU's introduction motivates).
@@ -1088,21 +1033,10 @@ class PanguLU:
         if self._fact is None:
             if self.blocks is None:
                 self.preprocess()
-            # value swap before the first numeric run: factorise the new
-            # values directly instead of factorising twice
-            if a_new.shape != self.a.shape:
-                raise ValueError("refactorize requires a same-shape matrix")
-            if not (
-                np.array_equal(a_new.indptr, self.a.indptr)
-                and np.array_equal(a_new.indices, self.a.indices)
-            ):
-                raise ValueError(
-                    "refactorize requires the original sparsity pattern"
-                )
-            fact = self.factorize()
-            stats = fact.refactorize(a_new)
-        else:
-            stats = self._fact.refactorize(a_new)
+            # value swap before the first numeric run: a handle over the
+            # preprocessed blocks factorises the new values directly
+            self._fact = self._make_handle()
+        stats = self._fact.refactorize(a_new)
         # keep the facade's view of the phase products in step
         self.a = self._fact.a
         self._reordered = self._fact.reordered

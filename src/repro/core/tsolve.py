@@ -30,9 +30,6 @@ Two execution paths share the same kernels
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..kernels.plans import PlanCache
@@ -45,7 +42,7 @@ from ..kernels.tsolve_kernels import (
     updf_seg,
 )
 from ..runtime.lanes import run_lanes
-from ..runtime.scheduler import EventRecorder, SchedulerCore
+from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
 from ..sparse.csc import CSCMatrix
 from .blocking import BlockMatrix
 from .tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
@@ -59,7 +56,6 @@ __all__ = [
     "block_backward_trans",
     "solve_lower_trans_u",
     "solve_upper_trans_l",
-    "TSolveStats",
     "tsolve_entries",
     "tsolve_core",
     "tsolve_write_slots",
@@ -229,21 +225,6 @@ _KIND_NAMES = {int(t): t.name for t in TSolveTaskType}
 _Y_WRITERS = (int(TSolveTaskType.DIAG_F), int(TSolveTaskType.UPD_F))
 
 
-@dataclass
-class TSolveStats:
-    """Accounting of one engine-driven triangular solve (both sweeps)."""
-
-    engine: str = "sequential"
-    tasks_executed: int = 0
-    nrhs: int = 1
-    n_workers: int = 1
-    n_procs: int = 1
-    messages_sent: int = 0
-    seg_bytes_sent: float = 0.0
-    max_ready_depth: int = 0
-    seconds: float = 0.0
-
-
 def tsolve_task_label(tdag: TSolveDAG, tid: int) -> str:
     """Trace label of a solve task: ``DIAG_F(k=3)`` / ``UPD_B(9→2)``."""
     kind = int(tdag.kinds[tid])
@@ -389,6 +370,10 @@ class SolveJob:
             _KIND_NAMES[int(self.tdag.kinds[tid])],
         )
 
+    def finish(self, report: RunReport) -> None:
+        """The number of right-hand sides solved at once."""
+        report.nrhs = 1 if self.y.ndim == 1 else self.y.shape[1]
+
 
 def tsolve_lanes(
     f: BlockMatrix,
@@ -399,30 +384,21 @@ def tsolve_lanes(
     plans: PlanCache | None = None,
     recorder: EventRecorder | None = None,
     checker=None,
-) -> tuple[np.ndarray, TSolveStats]:
+) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps on ``n_lanes`` lanes of this process.
     More than one lane needs an *executable* solve DAG; because that DAG
     totally orders the writers of every segment, the solution is
-    bit-identical for every lane count.  Returns ``(x, TSolveStats)``."""
+    bit-identical for every lane count.  Returns ``(x, RunReport)``."""
     if n_lanes > 1 and tdag.seq_y is None:
         raise ValueError("concurrent lanes need an executable solve DAG "
                          "(build_tsolve_dag(..., executable=True))")
     y = _check_rhs(f.n, b)
     x = np.empty_like(y)
-    t_start = time.perf_counter()
-    tally = run_lanes(
+    return x, run_lanes(
         tsolve_core(tdag, f.nb, recorder=recorder),
         SolveJob(f, tdag, y, x, plans),
         n_lanes=n_lanes, recorder=recorder, checker=checker,
     )
-    stats = TSolveStats(
-        tasks_executed=tally.tasks_executed,
-        nrhs=1 if y.ndim == 1 else y.shape[1],
-        n_workers=n_lanes,
-        max_ready_depth=tally.max_ready_depth,
-        seconds=time.perf_counter() - t_start,
-    )
-    return x, stats
 
 
 def tsolve_sequential(
@@ -433,7 +409,7 @@ def tsolve_sequential(
     plans: PlanCache | None = None,
     recorder: EventRecorder | None = None,
     checker=None,
-) -> tuple[np.ndarray, TSolveStats]:
+) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps as a one-lane replay of the solve DAG —
     the scheduler-path correctness reference (bit-identical to
     ``block_backward(f, block_forward(f, b))``).

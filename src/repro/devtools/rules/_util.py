@@ -23,7 +23,7 @@ __all__ = [
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
-    "fill", "put", "resize", "sort_indices", "merge", "merge_into",
+    "fill", "put", "resize", "sort_indices", "merge",
 })
 
 

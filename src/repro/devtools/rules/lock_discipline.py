@@ -5,7 +5,7 @@ a lock; which attribute belongs to which lock is *registered in the
 module itself* via a module-level declaration::
 
     __guarded_by__ = {
-        "cond": ("core.pop", "core.complete", "errors", "local.merge_into"),
+        "cond": ("core.pop", "core.complete", "errors", "total.merge"),
         "self._lock": ("self._plans",),
     }
 

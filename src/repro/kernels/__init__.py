@@ -6,7 +6,6 @@ execution plans (precomputed scatter addressing) for the sparse
 variants."""
 
 from .base import SingularBlockError, Workspace, split_lu
-from .batched import gessm_batched, tstrf_batched
 from .compress import (
     COMPRESS_VARIANTS,
     LR_SSSSM_VARIANTS,
@@ -98,8 +97,6 @@ __all__ = [
     "Workspace",
     "SingularBlockError",
     "split_lu",
-    "gessm_batched",
-    "tstrf_batched",
     "getrf_flops",
     "gessm_flops",
     "tstrf_flops",

@@ -36,7 +36,7 @@ _EXPORTS = {
     "price_tasks": ".adapters",
     # scheduler core + events
     "SchedulerCore": ".scheduler",
-    "WorkerLocal": ".scheduler",
+    "RunReport": ".scheduler",
     "EventRecorder": ".scheduler",
     "ready_entry": ".scheduler",
     # tracing

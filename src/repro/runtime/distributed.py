@@ -54,12 +54,11 @@ import numpy as np
 
 from ..core.blocking import BlockMatrix
 from ..core.dag import TaskDAG
-from ..core.numeric import FactorizeStats, FactorJob, NumericOptions
+from ..core.numeric import FactorJob, NumericOptions
 from ..core.placement import CyclicPlacement, PlacementPolicy
 from ..core.tsolve import (
     _Y_WRITERS,
     SolveJob,
-    TSolveStats,
     _check_rhs,
     tsolve_core,
 )
@@ -68,7 +67,7 @@ from ..kernels.plans import PlanCache
 from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
 from .lanes import run_lanes
-from .scheduler import EventRecorder, SchedulerCore
+from .scheduler import EventRecorder, RunReport, SchedulerCore
 from .transports import (
     Endpoint,
     MultiprocessingTransport,
@@ -133,6 +132,18 @@ class _LocalView:
         self._compressed[(bi, bj)] = cb
         return cb
 
+    def compression_stats(self) -> dict[str, int]:
+        """The overlays this rank computed itself (received copies would
+        double-count their owner's work), as
+        :meth:`BlockMatrix.compression_stats` counts them."""
+        mine = [
+            cb for key, cb in self._compressed.items() if key in self.owned_keys
+        ]
+        return {
+            "blocks_compressed": len(mine),
+            "lr_value_bytes": sum(cb.value_nbytes for cb in mine),
+        }
+
     def block(self, bi: int, bj: int) -> CSCMatrix:
         try:
             return self._blocks[(bi, bj)]
@@ -149,10 +160,6 @@ class _LocalView:
         cache — plans are process-local index arrays).
         """
         return bi * self.nb + bj
-
-    def block_start(self, b: int) -> int:
-        """First global row/column of block index ``b``."""
-        return int(self.boundaries[b])
 
     def block_order(self, b: int) -> int:
         """Row/column count of block index ``b``."""
@@ -247,21 +254,13 @@ class _RankFactorJob(FactorJob):
         view.add(bi, bj, blk)
         return _block_nbytes(blk)
 
-    def result(self) -> tuple[list, int, int]:
-        """What goes home: the factored values of the owned blocks
-        (received operand copies stay; owners always keep the exact CSC
-        arrays, so the gathered factors are compression-free regardless
-        of ``compress_tol``) and the overlays this rank computed itself
-        (received copies would double-count the owner's work)."""
+    def result(self) -> list[tuple[int, int, np.ndarray]]:
+        """What goes home beside the report: the factored values of the
+        owned blocks (received operand copies stay; owners always keep
+        the exact CSC arrays, so the gathered factors are
+        compression-free regardless of ``compress_tol``)."""
         view = self.f
-        mine = [
-            cb for key, cb in view._compressed.items() if key in view.owned_keys
-        ]
-        return (
-            [(bi, bj, view.block(bi, bj).data) for bi, bj in view.owned_keys],
-            len(mine),
-            sum(cb.value_nbytes for cb in mine),
-        )
+        return [(bi, bj, view.block(bi, bj).data) for bi, bj in view.owned_keys]
 
 
 class _RankSolveJob(SolveJob):
@@ -348,7 +347,7 @@ def _rank_main(
 ) -> None:
     """One rank of either phase: build the rank's job from what the
     master scattered, drain it with the lane driver over ``endpoint``,
-    ship the tallies and ``job.result()`` back.
+    ship the run's report and ``job.result()`` back.
 
     With ``validate`` a rank-local :class:`~repro.devtools.racecheck.
     RaceChecker` audits the counter protocol; a violation — like any
@@ -363,11 +362,11 @@ def _rank_main(
 
             checker = RaceChecker(label=f"rank {rank}")
         job = build_job(rank, recorder, *payload)
-        tally = run_lanes(
+        report = run_lanes(
             job.core, job, n_lanes=n_threads, endpoint=endpoint,
             recorder=recorder, checker=checker,
         )
-        endpoint.post_result(("ok", rank, tally, job.result(), recorder))
+        endpoint.post_result(("ok", rank, report, job.result(), recorder))
     except TransportStopped:  # master tore the pool down; exit quietly
         return
     except BaseException as exc:
@@ -417,20 +416,24 @@ def _owned_blocks(
 
 
 def _run_ranks(
-    what: str, n_procs: int, build_job, payload_of_rank, *,
-    transport: Transport | None, timeout: float,
-    recorder: EventRecorder | None, validate: bool, n_threads: int,
-):
-    """Launch ``n_procs`` ranks of :func:`_rank_main` and yield each
-    rank's ``(rank, tally, result)`` as it reports, merging the rank
-    recorders into ``recorder``.
+    what: str, n_procs: int, n_threads: int, build_job, payload_of_rank,
+    install, *, transport: Transport | None, timeout: float,
+    recorder: EventRecorder | None, validate: bool,
+) -> RunReport:
+    """Launch ``n_procs`` ranks of :func:`_rank_main` and gather them:
+    each rank's report is merged into the returned one (and its recorder
+    into ``recorder``), its ``job.result()`` handed to ``install``.
 
-    ``timeout`` bounds the wait for each report: a dead or hung rank
-    tears the pool down and raises, naming the ranks no longer alive.  A
-    rank's ``"error"`` report does the same at once — a failed rank can
-    no longer feed its consumers, so the rest of the pool would block
+    ``timeout`` bounds the wait for each rank: a dead or hung rank tears
+    the pool down and raises, naming the ranks no longer alive.  A
+    rank's ``"error"`` does the same at once — a failed rank can no
+    longer feed its consumers, so the rest of the pool would block
     forever on their inboxes.
     """
+    report = RunReport(
+        n_workers=n_threads, n_procs=n_procs, tasks_per_proc=[0] * n_procs
+    )
+    t_start = time.perf_counter()
     transport = transport or MultiprocessingTransport()
     transport.start(
         n_procs, _rank_main,
@@ -454,11 +457,16 @@ def _run_ranks(
             transport.terminate()
             transport.join(timeout=30)
             raise RuntimeError(f"rank {msg[1]}: {msg[2]}")
-        _, rank, tally, result, rank_recorder = msg
+        _, rank, part, result, rank_recorder = msg
+        report.merge(part)
+        report.tasks_per_proc[rank] = part.tasks_executed
+        report.nrhs = part.nrhs
         if recorder is not None and rank_recorder is not None:
             recorder.merge(rank_recorder)
-        yield rank, tally, result
+        install(result)
     transport.join(timeout=30)
+    report.seconds = time.perf_counter() - t_start
+    return report
 
 
 def factorize_distributed(
@@ -473,7 +481,7 @@ def factorize_distributed(
     validate: bool = False,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
-) -> FactorizeStats:
+) -> RunReport:
     """Factorise ``f`` in place across ``n_procs`` ranks.
 
     Tasks and block storage follow the block→rank map of ``placement``
@@ -505,27 +513,17 @@ def factorize_distributed(
     placement = _resolve_pool(n_procs, n_threads, placement)
     owned = _owned_blocks(f, placement)
     owner_of_task = placement.assign(dag)
-    stats = FactorizeStats(
-        flops_total=dag.total_flops, n_workers=n_threads, n_procs=n_procs,
-        tasks_per_proc=[0] * n_procs,
-    )
-    t_start = time.perf_counter()
-    for rank, tally, (blocks, n_compressed, lr_bytes) in _run_ranks(
-        "factorisation", n_procs, _RankFactorJob,
-        lambda rank: (f.boundaries, owned[rank], dag, owner_of_task, options),
-        transport=transport, timeout=timeout, recorder=recorder,
-        validate=validate, n_threads=n_threads,
-    ):
-        tally.merge_into(stats)
-        stats.tasks_per_proc[rank] = tally.tasks_executed
-        stats.messages_sent += tally.messages_sent
-        stats.block_bytes_sent += tally.bytes_sent
-        stats.blocks_compressed += n_compressed
-        stats.lr_value_bytes += lr_bytes
+
+    def install(blocks) -> None:
         for bi, bj, data in blocks:
             f.block(bi, bj).data[...] = data
-    stats.seconds_total = time.perf_counter() - t_start
-    return stats
+
+    return _run_ranks(
+        "factorisation", n_procs, n_threads, _RankFactorJob,
+        lambda rank: (f.boundaries, owned[rank], dag, owner_of_task, options),
+        install, transport=transport, timeout=timeout, recorder=recorder,
+        validate=validate,
+    )
 
 
 def tsolve_distributed(
@@ -550,14 +548,14 @@ def tsolve_distributed(
     block-cyclic rule) — diag solves run on the diagonal block's owner,
     updates on the off-diagonal block's owner, so factor blocks stay put
     and only RHS segments travel.  Messages carry real segment bytes
-    (``arr.nbytes``), accounted in the returned stats; the write-sequence
-    guard of :class:`_RankSolveJob` keeps out-of-order deliveries
-    harmless, so the gathered solution is bit-identical to
+    (``arr.nbytes``), accounted in the returned report; the
+    write-sequence guard of :class:`_RankSolveJob` keeps out-of-order
+    deliveries harmless, so the gathered solution is bit-identical to
     :func:`repro.core.tsolve.tsolve_sequential`.  With ``n_threads > 1``
     each rank drains its scheduler core with a thread pool (the
     ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder`` /
     ``validate`` behave exactly as in :func:`factorize_distributed`.
-    Returns ``(x, TSolveStats)``.
+    Returns ``(x, RunReport)``.
     """
     placement = _resolve_pool(n_procs, n_threads, placement)
     if tdag.seq_y is None:
@@ -565,31 +563,23 @@ def tsolve_distributed(
                          "(build_tsolve_dag(..., executable=True))")
     y0 = _check_rhs(f.n, b)
     owned = _owned_blocks(f, placement)
-    stats = TSolveStats(
-        engine="distributed" if n_threads == 1 else "hybrid",
-        nrhs=1 if y0.ndim == 1 else y0.shape[1],
-        n_workers=n_threads, n_procs=n_procs,
-    )
     x = np.empty_like(y0)
     filled = np.zeros(f.nb, dtype=bool)
-    t_start = time.perf_counter()
-    for _, tally, xparts in _run_ranks(
-        "tsolve", n_procs, _RankSolveJob,
-        lambda rank: (f.boundaries, owned[rank], tdag, y0, use_plans),
-        transport=transport, timeout=timeout, recorder=recorder,
-        validate=validate, n_threads=n_threads,
-    ):
-        stats.tasks_executed += tally.tasks_executed
-        stats.messages_sent += tally.messages_sent
-        stats.seg_bytes_sent += tally.bytes_sent
-        stats.max_ready_depth = max(stats.max_ready_depth, tally.max_ready_depth)
+
+    def install(xparts) -> None:
         for k, arr in xparts:
             x[f.block_slice(k)] = arr
             filled[k] = True
+
+    report = _run_ranks(
+        "tsolve", n_procs, n_threads, _RankSolveJob,
+        lambda rank: (f.boundaries, owned[rank], tdag, y0, use_plans),
+        install, transport=transport, timeout=timeout, recorder=recorder,
+        validate=validate,
+    )
     if not np.all(filled):
         raise RuntimeError(
             f"distributed tsolve returned {int(filled.sum())} of {f.nb} "
             "solution segments"
         )
-    stats.seconds = time.perf_counter() - t_start
-    return x, stats
+    return x, report

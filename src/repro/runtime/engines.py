@@ -1,55 +1,57 @@
 """Execution-engine registry.
 
-One engine = one way of draining the task DAG through the shared
-:class:`~repro.runtime.scheduler.SchedulerCore`.  The registry maps the
+One engine = one pool *shape* for draining a task DAG through the one
+lane driver (:func:`repro.runtime.lanes.run_lanes`): ranks over a
+message transport × threads per rank.  The registry maps the
 ``SolverOptions.engine`` string to a callable with the uniform signature
 
 ``engine(blocks, dag, solver_options, *, recorder=None, placement=None)
--> FactorizeStats``
+-> RunReport``
 
 so the :class:`~repro.core.solver.PanguLU` facade (and the CLI's
 ``--engine`` flag) dispatch by name instead of special-casing worker
 counts.  ``placement`` is the fitted
 :class:`~repro.core.placement.PlacementPolicy` deciding block→rank
-ownership for the multi-rank engines (the local engines ignore it).  A
-future engine — async, sharded, multi-backend — is a transport plus one
-:func:`register_engine` call.
+ownership for the multi-rank engines (the local engines ignore it).
 
 Phase 5 has a parallel registry: the same names map to
 *triangular-solve* engines with the signature
 
 ``tsolve_engine(blocks, tdag, b, solver_options, *, recorder=None,
-placement=None) -> (x, TSolveStats)``
+placement=None) -> (x, RunReport)``
 
 registered via :func:`register_tsolve_engine` and dispatched by the
 :class:`~repro.core.solver.Factorization` handle, so one
 ``SolverOptions.engine`` string governs both the factorisation and every
-subsequent solve.  All engines produce bit-identical solutions (the
-solve DAG totally orders each RHS segment's writers).
+subsequent solve.  Given the same factors every engine produces the
+bit-identical solution (the solve DAG totally orders each RHS segment's
+writers); the factors themselves agree across engines only to rounding,
+because the factor DAG leaves the Schur updates of one block unordered.
 
-Built-ins (both registries):
+The built-ins of both registries come from one table,
+:data:`~repro.runtime.scheduler.ENGINE_SHAPES` — a new built-in is one
+row there:
 
-========== ==========================================================
-name        substrate
-========== ==========================================================
-sequential  one thread, one core (the correctness reference)
-threaded    ``options.n_workers`` threads sharing one core
-distributed ``options.nprocs`` ranks over a message transport
-hybrid      ``options.nprocs`` ranks × ``options.n_workers`` threads
-            per rank, each rank's thread pool draining one shared
-            scheduler core (HYLU-style mixed parallelism)
-========== ==========================================================
+========== ===== ======= ============================================
+name        ranks threads substrate
+========== ===== ======= ============================================
+sequential  no    no      one thread, one core (the reference)
+threaded    no    yes     ``options.n_workers`` threads sharing a core
+distributed yes   no      ``options.nprocs`` ranks over a transport
+hybrid      yes   yes     ``options.nprocs`` ranks × ``options.n_workers``
+                          threads per rank, each rank's pool draining
+                          one shared core (HYLU-style mixed parallelism)
+========== ===== ======= ============================================
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..core.numeric import FactorizeStats, factorize, resolve_plan_cache
-from ..core.tsolve import tsolve_sequential
+from ..core.numeric import factorize, resolve_plan_cache
+from ..core.tsolve import tsolve_lanes
 from .distributed import factorize_distributed, tsolve_distributed
-from .scheduler import EventRecorder
-from .threaded import factorize_threaded, tsolve_threaded
+from .scheduler import ENGINE_SHAPES, EventRecorder, RunReport
 
 __all__ = [
     "register_engine",
@@ -60,174 +62,114 @@ __all__ = [
     "available_tsolve_engines",
 ]
 
-_ENGINES: dict[str, Callable] = {}
+
+def _registry(kind: str) -> tuple[Callable, Callable, Callable]:
+    """``(register, get, available)`` over one fresh ``name → engine``
+    table; ``kind`` names it in the lookup error."""
+    table: dict[str, Callable] = {}
+
+    def register(name: str) -> Callable[[Callable], Callable]:
+        """Decorator registering an engine under ``name`` (last wins)."""
+
+        def deco(fn: Callable) -> Callable:
+            table[name] = fn
+            return fn
+
+        return deco
+
+    def get(name: str) -> Callable:
+        """The engine registered under ``name``; raises with the list of
+        known names on a miss."""
+        try:
+            return table[name]
+        except KeyError:
+            raise ValueError(
+                f"unknown {kind} {name!r}; available: {available()}"
+            ) from None
+
+    def available() -> list[str]:
+        """Sorted names of all registered engines."""
+        return sorted(table)
+
+    return register, get, available
 
 
-def register_engine(name: str) -> Callable[[Callable], Callable]:
-    """Decorator registering an engine under ``name`` (last wins)."""
-
-    def deco(fn: Callable) -> Callable:
-        _ENGINES[name] = fn
-        return fn
-
-    return deco
+register_engine, get_engine, available_engines = _registry("engine")
+(
+    register_tsolve_engine, get_tsolve_engine, available_tsolve_engines,
+) = _registry("tsolve engine")
 
 
-def get_engine(name: str) -> Callable:
-    """The engine registered under ``name``; raises with the list of
-    known names on a miss."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {available_engines()}"
-        ) from None
+def _validating(options) -> bool:
+    """Whether the options (or the ``REPRO_CHECK`` environment variable)
+    request concurrency validation."""
+    from ..devtools.racecheck import validation_enabled
 
-
-def available_engines() -> list[str]:
-    """Sorted names of all registered engines."""
-    return sorted(_ENGINES)
+    return validation_enabled(options)
 
 
 def _resolve_checker(options, label: str):
-    """A fresh :class:`~repro.devtools.racecheck.RaceChecker` when the
-    options (or the ``REPRO_CHECK`` environment variable) request
-    concurrency validation, else ``None``."""
-    from ..devtools.racecheck import RaceChecker, validation_enabled
+    """A fresh :class:`~repro.devtools.racecheck.RaceChecker` when
+    validation is requested, else ``None``."""
+    from ..devtools.racecheck import RaceChecker
 
-    if not validation_enabled(options):
-        return None
-    return RaceChecker(label=label)
-
-
-@register_engine("sequential")
-def _sequential(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    return factorize(
-        f, dag, options.numeric, recorder=recorder,
-        checker=_resolve_checker(options, "sequential"),
-    )
-
-
-@register_engine("threaded")
-def _threaded(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    return factorize_threaded(
-        f, dag, options.numeric,
-        n_workers=max(1, options.n_workers), recorder=recorder,
-        checker=_resolve_checker(options, "threaded"),
-    )
-
-
-@register_engine("distributed")
-def _distributed(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None, n_threads: int = 1,
-) -> FactorizeStats:
-    from ..devtools.racecheck import validation_enabled
-
-    return factorize_distributed(
-        f, dag, max(1, options.nprocs),
-        options=options.numeric, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
-        n_threads=n_threads,
-    )
-
-
-@register_engine("hybrid")
-def _hybrid(
-    f, dag, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> FactorizeStats:
-    return _distributed(
-        f, dag, options, recorder=recorder, placement=placement,
-        n_threads=max(1, options.n_workers),
-    )
+    return RaceChecker(label=label) if _validating(options) else None
 
 
 # ----------------------------------------------------------------------
-# phase-5 triangular-solve engines
+# the built-ins: one adapter per phase, one registry entry per table row
 # ----------------------------------------------------------------------
 
-_TSOLVE_ENGINES: dict[str, Callable] = {}
-
-
-def register_tsolve_engine(name: str) -> Callable[[Callable], Callable]:
-    """Decorator registering a triangular-solve engine (last wins)."""
-
-    def deco(fn: Callable) -> Callable:
-        _TSOLVE_ENGINES[name] = fn
-        return fn
-
-    return deco
-
-
-def get_tsolve_engine(name: str) -> Callable:
-    """The solve engine registered under ``name``; raises with the list
-    of known names on a miss."""
-    try:
-        return _TSOLVE_ENGINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown tsolve engine {name!r}; "
-            f"available: {available_tsolve_engines()}"
-        ) from None
-
-
-def available_tsolve_engines() -> list[str]:
-    """Sorted names of all registered triangular-solve engines."""
-    return sorted(_TSOLVE_ENGINES)
-
-
-@register_tsolve_engine("sequential")
-def _tsolve_sequential(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
-    return tsolve_sequential(
-        f, b, tdag=tdag, plans=resolve_plan_cache(f, options.numeric),
-        recorder=recorder,
-        checker=_resolve_checker(options, "tsolve-sequential"),
+def _pool(options, uses_ranks: bool, uses_threads: bool) -> tuple[int, int]:
+    """``(ranks, lanes per rank)`` of an engine shape under ``options``
+    (0 ranks: in this process, no transport)."""
+    return (
+        max(1, options.nprocs) if uses_ranks else 0,
+        max(1, options.n_workers) if uses_threads else 1,
     )
 
 
-@register_tsolve_engine("threaded")
-def _tsolve_threaded(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
-    return tsolve_threaded(
-        f, tdag, b, n_workers=max(1, options.n_workers),
-        plans=resolve_plan_cache(f, options.numeric), recorder=recorder,
-        checker=_resolve_checker(options, "tsolve-threaded"),
-    )
+def _factor_engine(name: str, shape: tuple[bool, bool]) -> Callable:
+    def engine(
+        f, dag, options, *, recorder: EventRecorder | None = None,
+        placement=None,
+    ) -> RunReport:
+        ranks, lanes = _pool(options, *shape)
+        if ranks:
+            return factorize_distributed(
+                f, dag, ranks, options=options.numeric, recorder=recorder,
+                validate=_validating(options), placement=placement,
+                n_threads=lanes,
+            )
+        return factorize(
+            f, dag, options.numeric, recorder=recorder,
+            checker=_resolve_checker(options, name), n_lanes=lanes,
+        )
+
+    return engine
 
 
-@register_tsolve_engine("distributed")
-def _tsolve_distributed(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None, n_threads: int = 1,
-) -> tuple:
-    from ..devtools.racecheck import validation_enabled
+def _tsolve_engine(name: str, shape: tuple[bool, bool]) -> Callable:
+    def engine(
+        f, tdag, b, options, *, recorder: EventRecorder | None = None,
+        placement=None,
+    ) -> tuple:
+        ranks, lanes = _pool(options, *shape)
+        if ranks:
+            return tsolve_distributed(
+                f, tdag, b, ranks, use_plans=options.numeric.use_plans,
+                recorder=recorder, validate=_validating(options),
+                placement=placement, n_threads=lanes,
+            )
+        return tsolve_lanes(
+            f, tdag, b, n_lanes=lanes,
+            plans=resolve_plan_cache(f, options.numeric), recorder=recorder,
+            checker=_resolve_checker(options, f"tsolve-{name}"),
+        )
 
-    return tsolve_distributed(
-        f, tdag, b, max(1, options.nprocs),
-        use_plans=options.numeric.use_plans, recorder=recorder,
-        validate=validation_enabled(options), placement=placement,
-        n_threads=n_threads,
-    )
+    return engine
 
 
-@register_tsolve_engine("hybrid")
-def _tsolve_hybrid(
-    f, tdag, b, options, *, recorder: EventRecorder | None = None,
-    placement=None,
-) -> tuple:
-    return _tsolve_distributed(
-        f, tdag, b, options, recorder=recorder, placement=placement,
-        n_threads=max(1, options.n_workers),
-    )
+for _name, _shape in ENGINE_SHAPES.items():
+    register_engine(_name)(_factor_engine(_name, _shape))
+    register_tsolve_engine(_name)(_tsolve_engine(_name, _shape))

@@ -32,10 +32,13 @@ with
 ``execute(tid, ws) -> tuple``
     run the task with the lane's :class:`~repro.kernels.base.Workspace`;
     returns the ``(label, replaced_pivots, planned)`` tail of
-    :meth:`WorkerLocal.count <repro.runtime.scheduler.WorkerLocal.count>`
+    :meth:`RunReport.count <repro.runtime.scheduler.RunReport.count>`
     (``()`` for tasks with nothing to tally);
 ``trace_label(tid) -> (name, category)``
     the task's trace name and the key its seconds are tallied under;
+``finish(report)``
+    fill the fields of the finished run's report only the phase knows
+    (flops, plan and overlay bytes; the RHS count);
 
 and, on a rank (``endpoint`` given),
 
@@ -59,7 +62,7 @@ import time
 from contextlib import ExitStack, nullcontext
 
 from ..kernels.base import Workspace
-from .scheduler import EventRecorder, SchedulerCore, WorkerLocal
+from .scheduler import EventRecorder, RunReport, SchedulerCore
 from .transports import Endpoint
 
 __all__ = ["run_lanes"]
@@ -68,7 +71,7 @@ __all__ = ["run_lanes"]
 # rule: these operations only happen inside `with gate:` — the pool's
 # condition when lanes share the core, a no-op context on one lane
 __guarded_by__ = {
-    "gate": ("core.pop", "core.complete", "errors", "local.merge_into"),
+    "gate": ("core.pop", "core.complete", "errors", "total.merge"),
 }
 
 
@@ -90,7 +93,7 @@ def run_lanes(
     recorder: EventRecorder | None = None,
     checker=None,
     timed: bool = False,
-) -> WorkerLocal:
+) -> RunReport:
     """Drain ``core`` by running ``job``'s tasks on ``n_lanes`` lanes.
 
     One lane runs inline in the caller's thread with no condition, no
@@ -106,7 +109,9 @@ def run_lanes(
     re-raised here; a drained core is checked for deadlock, and
     ``checker`` (a :class:`~repro.devtools.racecheck.RaceChecker`) audits
     pops, completions and write claims with lane provenance.  Returns the
-    merged per-lane tallies.
+    run's :class:`~repro.runtime.scheduler.RunReport` — the lanes'
+    tallies merged, ``n_workers``, ``max_ready_depth`` and the drain's
+    wall-clock ``seconds`` filled, then handed to ``job.finish``.
     """
     if n_lanes < 1:
         raise ValueError("need at least one lane")
@@ -118,7 +123,8 @@ def run_lanes(
     no_claim = nullcontext()
     timed = timed or recorder is not None
     errors: list[BaseException] = []
-    total = WorkerLocal()
+    total = RunReport(n_workers=n_lanes)
+    t_start = time.perf_counter()
 
     def writing(tid: int, wid: int):
         """Context holding the write locks (in slot order: ``DIAG_F``
@@ -182,7 +188,7 @@ def run_lanes(
 
     def lane(wid: int) -> None:
         ws = Workspace()
-        local = WorkerLocal()
+        local = RunReport()
         trace_lane = wid if endpoint is None else endpoint.rank
         try:
             while True:
@@ -223,9 +229,7 @@ def run_lanes(
             fail(exc)
         finally:
             with gate:
-                local.merge_into(total)
-                total.messages_sent += local.messages_sent
-                total.bytes_sent += local.bytes_sent
+                total.merge(local)
 
     def receiver() -> None:
         # each remote task with a locally-owned successor sends exactly
@@ -262,4 +266,6 @@ def run_lanes(
     if checker is not None:
         checker.final_check(core)
     total.max_ready_depth = core.max_ready_depth
+    total.seconds = time.perf_counter() - t_start
+    job.finish(total)
     return total

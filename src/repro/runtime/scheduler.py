@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,8 @@ __all__ = [
     "ready_entry",
     "CounterUnderflowError",
     "SchedulerCore",
-    "WorkerLocal",
+    "ENGINE_SHAPES",
+    "RunReport",
     "EventRecorder",
     "TaskEvent",
     "MessageEvent",
@@ -180,19 +182,42 @@ class EventRecorder:
 
 
 # ----------------------------------------------------------------------
-# per-worker statistics
+# the one run report
 # ----------------------------------------------------------------------
 
-@dataclass
-class WorkerLocal:
-    """Lock-free per-lane accounting, merged once at lane exit.
+#: engine name → ``(uses_ranks, uses_threads)``: an engine is a pool
+#: *shape* — ranks over a transport × threads per rank — not a code path
+ENGINE_SHAPES = {
+    "sequential": (False, False),
+    "threaded": (False, True),
+    "distributed": (True, False),
+    "hybrid": (True, True),
+}
 
-    The lane driver (:func:`repro.runtime.lanes.run_lanes`) accumulates
-    into one of these per lane outside any lock and calls
-    :meth:`merge_into` exactly once (under the pool's lock when there is
-    a pool) — the low-contention stat pattern every configuration
-    shares.  Field names match the stats dataclasses so a tally merges
-    into another tally and into a ``FactorizeStats`` alike.
+#: the additive counters of a :class:`RunReport`
+_COUNTERS = (
+    "tasks_executed", "pivots_replaced", "planned_tasks", "messages_sent",
+    "bytes_sent", "flops_total", "plan_bytes", "blocks_compressed",
+    "lr_value_bytes",
+)
+
+
+@dataclass
+class RunReport:
+    """What one run of the lane driver did — the same type on every
+    engine and in both phases (factorisation and triangular solves).
+
+    A lane tallies into one of these outside any lock,
+    :func:`repro.runtime.lanes.run_lanes` merges the lanes and returns
+    it, a distributed rank ships it home, the master merges the ranks.
+    The counters and ``kernel_choices`` / ``seconds_by_type`` add up
+    under :meth:`merge`; the pool shape (``n_workers`` threads per rank,
+    ``n_procs`` ranks, ``tasks_per_proc`` — filled by the rank engines
+    only), ``nrhs`` and the wall-clock ``seconds`` (of the drain; launch
+    to join on the rank engines) belong to whoever launched the run.
+    ``seconds_by_type`` is filled whenever tasks are timed;
+    ``bytes_sent`` counts real wire bytes (factor panels in phase 4, RHS
+    segments in phase 5).
     """
 
     __transport_message__ = True
@@ -205,6 +230,15 @@ class WorkerLocal:
     messages_sent: int = 0
     bytes_sent: int = 0
     max_ready_depth: int = 0
+    flops_total: int = 0
+    plan_bytes: int = 0
+    blocks_compressed: int = 0
+    lr_value_bytes: int = 0
+    n_workers: int = 1
+    n_procs: int = 1
+    tasks_per_proc: list[int] = field(default_factory=list)
+    nrhs: int = 1
+    seconds: float = 0.0
 
     def count(
         self, tid: int, label: str | None = None, replaced: int = 0,
@@ -217,20 +251,31 @@ class WorkerLocal:
         self.pivots_replaced += replaced
         self.planned_tasks += int(planned)
 
-    def merge_into(self, stats) -> None:
-        """Add this lane's task tallies to a stats object exposing
-        ``kernel_choices`` / ``tasks_executed`` / ``pivots_replaced`` /
-        ``planned_tasks`` / ``seconds_by_type`` / ``max_ready_depth``
-        (message counts are named per phase and stay with the caller)."""
-        stats.kernel_choices.update(self.kernel_choices)
-        stats.tasks_executed += self.tasks_executed
-        stats.pivots_replaced += self.pivots_replaced
-        stats.planned_tasks += self.planned_tasks
-        for key, seconds in self.seconds_by_type.items():
-            stats.seconds_by_type[key] = (
-                stats.seconds_by_type.get(key, 0.0) + seconds
+    def merge(self, other: RunReport) -> None:
+        """Fold another report (a lane's, a rank's) into this one."""
+        self.kernel_choices.update(other.kernel_choices)
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for key, seconds in other.seconds_by_type.items():
+            self.seconds_by_type[key] = (
+                self.seconds_by_type.get(key, 0.0) + seconds
             )
-        stats.max_ready_depth = max(stats.max_ready_depth, self.max_ready_depth)
+        self.max_ready_depth = max(self.max_ready_depth, other.max_ready_depth)
+
+    @property
+    def engine(self) -> str:
+        """The engine name of the pool shape this run had: ranks iff
+        ``tasks_per_proc`` is filled, threads iff ``n_workers > 1``."""
+        shape = (bool(self.tasks_per_proc), self.n_workers > 1)
+        return next(n for n, s in ENGINE_SHAPES.items() if s == shape)
+
+    #: read-only views of ``bytes_sent`` under its per-phase names: factor
+    #: panels travel in phase 4, RHS segments in phase 5
+    block_bytes_sent = seg_bytes_sent = property(lambda self: self.bytes_sent)
+
+    def version_histogram(self) -> dict[str, int]:
+        """Count of executed tasks per ``TYPE/VERSION`` label."""
+        return dict(Counter(self.kernel_choices.values()))
 
 
 # ----------------------------------------------------------------------

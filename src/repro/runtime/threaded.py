@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from ..core.blocking import BlockMatrix
 from ..core.dag import TaskDAG
-from ..core.numeric import FactorizeStats, NumericOptions, factorize
+from ..core.numeric import NumericOptions, factorize
 from ..core.tsolve import tsolve_lanes
 from ..core.tsolve_dag import TSolveDAG
 from ..kernels.plans import PlanCache
-from .scheduler import EventRecorder
+from .scheduler import EventRecorder, RunReport
 
 __all__ = ["factorize_threaded", "tsolve_threaded"]
 
@@ -45,7 +45,7 @@ def factorize_threaded(
     n_workers: int = 4,
     recorder: EventRecorder | None = None,
     checker=None,
-) -> FactorizeStats:
+) -> RunReport:
     """Factorise the blocked matrix in place with ``n_workers`` threads.
 
     Raises the first kernel exception encountered (after quiescing the
@@ -83,14 +83,12 @@ def tsolve_threaded(
     locks around the RHS writes — and, because the DAG totally orders the
     writers of every segment, the solution is *bit-identical* to
     :func:`repro.core.tsolve.tsolve_sequential`.  Returns
-    ``(x, TSolveStats)``; ``b`` may be a vector or an ``(n, k)``
+    ``(x, RunReport)``; ``b`` may be a vector or an ``(n, k)``
     multi-RHS panel.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    x, stats = tsolve_lanes(
+    return tsolve_lanes(
         f, tdag, b, n_lanes=n_workers, plans=plans, recorder=recorder,
         checker=checker,
     )
-    stats.engine = "threaded"
-    return x, stats

@@ -211,13 +211,32 @@ class TestBitIdentityWhenOff:
         assert not f1.compression_active()
 
     def test_engines_agree_when_off(self):
-        a, am = _coupled_matrix(seed=23)
+        """What the DAGs enforce across rank counts.  The factor DAG does
+        not order the ``SSSSM(k, i, j)`` updates of one target, so a
+        rank accumulates them in message-arrival order: factors agree
+        with the sequential ones to 1e-12 of the largest entry and
+        solutions to 1e-10, not bit for bit.  The solve DAG does order
+        every segment's writers, so *given the same factors* the solve
+        is bit-identical on every engine."""
+        _, am = _coupled_matrix(seed=23)
         b = np.random.default_rng(5).standard_normal(am.nrows)
-        x_seq = _factorize(am, block_size=32, engine="sequential").solve(b)
-        x_dist = _factorize(
-            am, block_size=32, engine="distributed", nprocs=3
-        ).solve(b)
-        np.testing.assert_array_equal(x_seq, x_dist)
+        f_seq = _factorize(am, block_size=32, engine="sequential")
+        x_seq = f_seq.solve(b)
+        scale = max(np.abs(blk.data).max() for blk in f_seq.blocks.blk_values)
+        for nprocs in (2, 3):
+            f_dist = _factorize(
+                am, block_size=32, engine="distributed", nprocs=nprocs
+            )
+            for b0, b1 in zip(f_seq.blocks.blk_values, f_dist.blocks.blk_values):
+                np.testing.assert_allclose(
+                    b1.data, b0.data, rtol=0, atol=1e-12 * scale
+                )
+            x_dist = f_dist.solve(b)
+            np.testing.assert_allclose(
+                x_dist, x_seq, rtol=0, atol=1e-10 * np.abs(x_seq).max()
+            )
+            f_dist.options.engine = "sequential"   # same factors, other engine
+            np.testing.assert_array_equal(f_dist.solve(b), x_dist)
 
 
 class TestCompressedSolve:
@@ -308,6 +327,34 @@ class TestCompressedSolve:
         x = f.solve(b)
         resid = np.linalg.norm(1.5 * (a @ x) - b) / np.linalg.norm(b)
         assert resid <= f.options.refine_tol * 10
+
+
+class TestOneHomePerKnob:
+    def test_solver_options_view_the_numeric_options(self):
+        from dataclasses import fields
+
+        opts = SolverOptions(compress_tol=1e-6, compress_min_order=8)
+        assert opts.numeric.compress_tol == 1e-6
+        assert opts.numeric.compress_min_order == 8
+        assert not {"compress_tol", "compress_min_order"} & {
+            f.name for f in fields(SolverOptions)
+        }
+        opts.compress_tol = 1e-4            # either object, same storage
+        assert opts.numeric.compress_tol == 1e-4
+        opts.numeric.compress_min_order = 64
+        assert opts.compress_min_order == 64
+        # the defaults are the numeric options' own
+        assert SolverOptions().compress_tol == 0.0
+        assert SolverOptions().compress_min_order == 32
+
+    def test_decompress_zeroes_the_one_copy(self):
+        _, am = _coupled_matrix()
+        f = _factorize(
+            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+        )
+        assert f.options.compress_tol == f.options.numeric.compress_tol == 1e-8
+        f.decompress()
+        assert f.options.compress_tol == f.options.numeric.compress_tol == 0.0
 
 
 class TestEscalation:

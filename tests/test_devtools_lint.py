@@ -78,8 +78,9 @@ def test_rule_finding_details():
     messages = "\n".join(f.message for f in findings)
     assert "core.pop" in messages
     assert "errors" in messages
+    assert "total.merge" in messages
     flagged_lines = {f.line for f in findings}
-    assert len(flagged_lines) == 2  # the call and the mutation
+    assert len(flagged_lines) == 3  # the call, the mutation, the merge
 
 
 def test_kernel_purity_flags_tsolve_roles():

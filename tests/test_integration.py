@@ -42,9 +42,9 @@ class TestFullPipeline:
         s.preprocess()
         factorize_threaded(s.blocks, s.dag, n_workers=4)
         s._factorized = True
-        from repro.core.numeric import FactorizeStats
+        from repro.runtime import RunReport
 
-        s.numeric_stats = FactorizeStats()
+        s.numeric_stats = RunReport()
         b = np.ones(a.nrows)
         x = s.solve(b)
         assert s.residual_norm(x, b) < 1e-8

@@ -17,6 +17,7 @@ bit-identical to the loop sweeps.
 from __future__ import annotations
 
 import hashlib
+import pickle
 import sys
 import time
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from repro.devtools.racecheck import RaceChecker
 from repro.kernels.selector import SelectorPolicy
 from repro.runtime import (
     EventRecorder,
+    RunReport,
     factorize_distributed,
     tsolve_distributed,
 )
@@ -141,6 +143,31 @@ def factored():
     return bm
 
 
+#: the engine name of each configuration's pool shape
+ENGINE_OF = {
+    "1-lane": "sequential", "3-lanes": "threaded",
+    "2x1": "distributed", "2x2": "hybrid",
+}
+
+
+def _check_report(report, config: str) -> None:
+    """Every cell returns the one report type, filled the same way."""
+    cfg = CONFIGS[config]
+    assert type(report) is RunReport
+    assert report.tasks_executed > 0 and report.max_ready_depth >= 1
+    assert (report.n_procs, report.n_workers) == (max(1, cfg.ranks), cfg.lanes)
+    assert report.engine == ENGINE_OF[config]
+    assert report.seconds > 0.0
+    if cfg.ranks:
+        assert sum(report.tasks_per_proc) == report.tasks_executed
+        assert report.messages_sent > 0 and report.bytes_sent > 0
+    else:
+        assert report.tasks_per_proc == []
+        assert report.messages_sent == 0 and report.bytes_sent == 0
+    assert report.block_bytes_sent == report.seg_bytes_sent == report.bytes_sent
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
 def _expect_failure(scenario: str, run) -> None:
     if scenario == "fail_after":
         with pytest.raises(RuntimeError, match=r"rank 0.*injected fault"):
@@ -164,7 +191,7 @@ def test_engine_matrix(config, phase, scenario, factored):
             return
         stats = _run_factor(cfg, bm, dag, scenario=scenario)
         assert stats.tasks_executed == len(dag)
-        assert (stats.n_procs, stats.n_workers) == (max(1, cfg.ranks), cfg.lanes)
+        _check_report(stats, config)
         if config == "1-lane":
             assert _slab_sha(bm) == MATRICES["random_80"][2]
         np.testing.assert_allclose(
@@ -178,7 +205,8 @@ def test_engine_matrix(config, phase, scenario, factored):
             return
         x, stats = _run_tsolve(cfg, factored, b, scenario=scenario)
         assert np.array_equal(x, block_backward(factored, block_forward(factored, b)))
-        assert stats.tasks_executed > 0 and stats.nrhs == 2
+        assert stats.nrhs == 2 and stats.kernel_choices == {}
+        _check_report(stats, config)
 
 
 @pytest.mark.parametrize("name", MATRICES)

@@ -56,10 +56,6 @@ class TestFactorDtypeOption:
     def test_invalid_dtype_rejected(self):
         with pytest.raises(ValueError, match="factor_dtype"):
             SolverOptions(factor_dtype="float16").resolved_factor_dtype()
-        with pytest.raises(ValueError, match="refine_target_dtype"):
-            SolverOptions(
-                refine_target_dtype="complex128"
-            ).resolved_refine_dtype()
 
     def test_value_nbytes_tracks_dtype(self):
         # symbolic (lazy-data) matrices must price value bytes at their

@@ -65,11 +65,28 @@ class TestRefactorize:
 
     def test_refactorize_before_factorize(self):
         # refactorize on a fresh solver runs the earlier phases implicitly
+        # and the numeric phase once, on the new values (it used to
+        # factorise the old values first)
+        from repro.runtime import engines
+
         a = random_sparse(50, 0.08, seed=6)
         a2 = a.copy()
         a2.data = a.data * 2.0
         s = PanguLU(a)
-        s.refactorize(a2)
+        real = engines.get_engine("sequential")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        engines.register_engine("sequential")(counting)
+        try:
+            stats = s.refactorize(a2)
+        finally:
+            engines.register_engine("sequential")(real)
+        assert len(calls) == 1
+        assert s.numeric_stats is stats is s.factorize().stats
         x = s.solve(np.ones(50))
         np.testing.assert_allclose(a2.matvec(x), 1.0, atol=1e-8)
 

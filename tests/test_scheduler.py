@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import block_partition, build_dag, factorize
-from repro.runtime import EventRecorder, SchedulerCore, WorkerLocal, ready_entry
+from repro.runtime import EventRecorder, RunReport, SchedulerCore, ready_entry
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
 
@@ -152,20 +152,45 @@ class TestSchedulerCore:
         assert core.max_ready_depth >= 1
 
 
-class TestWorkerLocal:
-    def test_merge_into(self):
-        from repro.core import FactorizeStats
-
-        stats = FactorizeStats()
-        w1, w2 = WorkerLocal(), WorkerLocal()
+class TestRunReport:
+    def test_merge(self):
+        total = RunReport(n_workers=2, n_procs=3, nrhs=4, seconds=1.0)
+        w1 = RunReport(messages_sent=2, bytes_sent=80, max_ready_depth=3,
+                       seconds_by_type={"GETRF": 0.5}, flops_total=10,
+                       blocks_compressed=1, lr_value_bytes=64, plan_bytes=8)
+        w2 = RunReport(messages_sent=1, bytes_sent=16, max_ready_depth=5,
+                       seconds_by_type={"GETRF": 0.25, "SSSSM": 1.0},
+                       flops_total=5, n_workers=7, n_procs=7, nrhs=7,
+                       seconds=7.0)
         w1.count(0, "getrf/a", 1, True)
         w2.count(1, "ssssm/b", 0, False)
-        w1.merge_into(stats)
-        w2.merge_into(stats)
-        assert stats.tasks_executed == 2
-        assert stats.pivots_replaced == 1
-        assert stats.planned_tasks == 1
-        assert stats.kernel_choices == {0: "getrf/a", 1: "ssssm/b"}
+        w2.count(2)                      # a solve task: no kernel label
+        total.merge(w1)
+        total.merge(w2)
+        assert total.tasks_executed == 3
+        assert total.pivots_replaced == 1
+        assert total.planned_tasks == 1
+        assert total.kernel_choices == {0: "getrf/a", 1: "ssssm/b"}
+        # messages and bytes merge like every other counter
+        assert (total.messages_sent, total.bytes_sent) == (3, 96)
+        assert total.block_bytes_sent == total.seg_bytes_sent == 96
+        assert total.seconds_by_type == {"GETRF": 0.75, "SSSSM": 1.0}
+        assert total.max_ready_depth == 5
+        assert (total.flops_total, total.plan_bytes) == (15, 8)
+        assert (total.blocks_compressed, total.lr_value_bytes) == (1, 64)
+        # the pool shape and wall-clock belong to whoever launched the run
+        assert (total.n_workers, total.n_procs, total.nrhs) == (2, 3, 4)
+        assert total.seconds == 1.0
+
+    @pytest.mark.parametrize("n_workers,tasks_per_proc,engine", [
+        (1, [], "sequential"), (3, [], "threaded"),
+        (1, [4, 5], "distributed"), (2, [4, 5], "hybrid"),
+    ])
+    def test_engine_label_follows_the_pool_shape(
+        self, n_workers, tasks_per_proc, engine
+    ):
+        report = RunReport(n_workers=n_workers, tasks_per_proc=tasks_per_proc)
+        assert report.engine == engine
 
 
 class TestEventRecorder:
