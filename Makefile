@@ -1,4 +1,4 @@
-.PHONY: check lint analyze test bench-tier2 bench-e2e bench-e2e-selftest
+.PHONY: check lint analyze test bench-tier2 bench-e2e bench-e2e-selftest profile-setup
 
 check:
 	sh scripts/check.sh
@@ -37,3 +37,10 @@ bench-e2e:
 # the harness's own tests (smoke-scale workloads, comparison rules)
 bench-e2e-selftest:
 	python3 -m pytest benchmarks/e2e -q
+
+# where one warm PanguLU.preprocess() spends its time: phase_seconds and
+# the cProfile top-15 (cumulative), e.g. `make profile-setup MATRIX=cage12 SCALE=2.0`
+MATRIX ?= cage12
+SCALE ?= 1.0
+profile-setup:
+	python scripts/profile_setup.py $(MATRIX) --scale $(SCALE)

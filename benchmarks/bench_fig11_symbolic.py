@@ -2,9 +2,9 @@
 
 The paper: PanguLU's symmetrised, symmetric-pruned symbolic factorisation
 is 4.45× faster (geometric mean, up to 6.80×) than SuperLU_DIST's.  Here
-both are real wall-clock measurements: PanguLU's elimination-tree
-row-subtree walk vs the baseline's Gilbert–Peierls column DFS, on the
-same reordered matrices.
+both are real wall-clock measurements: PanguLU's column-structure merge
+up the elimination tree vs the baseline's Gilbert–Peierls column DFS, on
+the same reordered matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import time
 
 from common import banner, bench_matrices, prepared_pangulu
 from repro.analysis import format_table, geometric_mean, speedup_summary
-from repro.symbolic import symbolic_gilbert_peierls, symbolic_symmetric
+from repro.baseline import symbolic_gilbert_peierls
+from repro.symbolic import symbolic_symmetric
 
 
 def _times(name: str) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo-wide check: project lint (always) + ruff (when available) + the
-# size numbers ROADMAP tracks + the tier-1 test suite + the benchmark
-# harness's own tests.  This is what CI and `make check` run; keep it in
+# size numbers ROADMAP tracks + one smoke-scale setup profile + the tier-1
+# test suite + the benchmark harness's own tests.  This is what CI and `make check` run; keep it in
 # sync with ROADMAP.md.
 set -eu
 
@@ -32,6 +32,10 @@ from dataclasses import fields
 from repro import SolverOptions
 from repro.core.numeric import NumericOptions
 print(f'{len(fields(SolverOptions)) + len(fields(NumericOptions)):6d}  option fields')"
+
+# informational, no threshold: tier-1 stays timing-free
+echo "== setup profile at smoke scale (make profile-setup) =="
+python scripts/profile_setup.py cage12 --scale 0.17 --top 8
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q

@@ -1,6 +1,6 @@
-"""SuperLU_DIST-role baseline: supernode detection with relaxation,
-dense-panel supernodal factorisation, its task DAG with dense costs, and
-the level-set distributed simulation."""
+"""SuperLU_DIST-role baseline: Gilbert–Peierls column-DFS symbolic fill,
+supernode detection with relaxation, dense-panel supernodal factorisation,
+its task DAG with dense costs, and the level-set distributed simulation."""
 
 from .dag import (
     GATHER_BANDWIDTH,
@@ -9,6 +9,7 @@ from .dag import (
     simulate_superlu,
     sn_etree_levels,
 )
+from .gp import symbolic_gilbert_peierls
 from .solver import BaselineOptions, SuperLUBaseline
 from .supernodal import (
     GEMMRecord,
@@ -24,6 +25,7 @@ from .supernodes import (
 )
 
 __all__ = [
+    "symbolic_gilbert_peierls",
     "SupernodePartition",
     "detect_supernodes",
     "supernode_size_histogram",

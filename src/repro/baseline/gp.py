@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix, coo_to_csc
-from .fill import SymbolicResult, fill_in_values
-from .etree import elimination_tree
+from ..symbolic.etree import elimination_tree
+from ..symbolic.fill import SymbolicResult, entry_positions
 
 __all__ = ["symbolic_gilbert_peierls"]
 
@@ -122,11 +122,13 @@ def symbolic_gilbert_peierls(a: CSCMatrix, *, prune: bool = True) -> SymbolicRes
         rows[k + above.size + 1 : k + cnt] = below
         cols[k : k + cnt] = j
         k += cnt
-    pattern = coo_to_csc((n, n), rows[:k], cols[:k], np.zeros(k))
-    filled = fill_in_values(pattern, a)
+    filled = coo_to_csc((n, n), rows[:k], cols[:k], np.zeros(k))
+    positions = entry_positions(filled, a)
+    filled.data[positions] = a.data
     return SymbolicResult(
         filled=filled,
         etree=elimination_tree(a),
         nnz_l=nnz_l,
         nnz_u=nnz_u,
+        a_positions=positions,
     )

@@ -25,7 +25,8 @@ import numpy as np
 from ..ordering import amd, colamd, mc64, nested_dissection, rcm
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import ensure_diagonal
-from ..symbolic import SymbolicResult, symbolic_gilbert_peierls
+from ..symbolic import SymbolicResult
+from .gp import symbolic_gilbert_peierls
 from .supernodal import (
     SupernodalMatrix,
     SupernodalStats,

@@ -44,6 +44,7 @@ import numpy as np
 
 from ..sparse.blockrep import CompressedBlock, lr_profit_cap
 from ..sparse.csc import CSCMatrix
+from ..sparse.patterns import concat_ranges, run_starts
 
 __all__ = [
     "BlockMatrix",
@@ -660,12 +661,15 @@ def block_partition(
 
     Every stored entry of ``filled`` lands in exactly one block; blocks
     keep local CSC patterns with sorted-unique columns (inherited from the
-    parent).  O(nnz + nb²) time.
+    parent).  One pass of array operations over the stored entries plus a
+    sort of the (column, block row) runs — no per-column or per-block
+    interpreter loop.
 
     With ``arena=True`` the payloads are laid out in one preallocated
     :class:`FactorArena` — three contiguous slabs in storage-slot order —
-    and every block is a zero-copy view into them (bit-identical contents
-    to the per-block layout; only the physical backing differs).  The
+    and every block is a zero-copy view into them.  The per-block layout
+    is cut from the same slabs, each block copying its slices
+    (bit-identical contents; only the physical backing differs).  The
     slabs are sized from the per-block extents, so variable-width blocks
     need no changes below this point.
 
@@ -688,101 +692,75 @@ def block_partition(
         bs = int(np.diff(bounds).max())
     nb = bounds.size - 1
 
-    # per (bi, bj): lists of (local col, local rows, vals, global start)
-    # gathered per column; each chunk is one contiguous run of the parent
-    # data array beginning at that global start
-    col_chunks: dict[tuple[int, int], list] = {}
-    data = filled.data
-    col_block = np.repeat(np.arange(nb, dtype=np.int64), np.diff(bounds))
-    upper = bounds[1:]
-    for j in range(n):
-        bj = int(col_block[j])
-        lc = j - int(bounds[bj])
-        sl = filled.col_slice(j)
-        rows = filled.indices[sl]
-        if rows.size == 0:
-            continue
-        vals = data[sl]
-        # split the sorted rows at block boundaries
-        cut = np.searchsorted(rows, upper)
-        start = 0
-        for bi in range(nb):
-            end = int(cut[bi])
-            if end > start:
-                col_chunks.setdefault((bi, bj), []).append(
-                    (lc, rows[start:end] - int(bounds[bi]), vals[start:end],
-                     sl.start + start)
-                )
-            start = end
+    # A *run* is a maximal stretch of stored entries in one column and one
+    # block row.  Rows are sorted within a column, so a run is contiguous in
+    # the parent arrays, and it is one local column of one block, so it is
+    # contiguous in that block's CSC arrays too: sorting the runs — not the
+    # entries — by storage slot lays out the slabs.
+    widths = np.diff(bounds)
+    block_of = np.repeat(np.arange(nb, dtype=np.int64), widths)
+    nnz = filled.nnz
+    entry_bi = block_of[filled.indices]
+    new_run = run_starts(entry_bi)
+    col_starts = filled.indptr[1:-1]
+    new_run[col_starts[col_starts < nnz]] = True
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, nnz))
+    run_col = np.searchsorted(filled.indptr, run_start, side="right") - 1
+    run_key = block_of[run_col] * nb + entry_bi[run_start]
+    del entry_bi, new_run
 
-    # assemble each block's local CSC arrays (plus, for the arena, the
-    # parent-data position of every entry)
-    blocks_per_col: list[list[tuple]] = [[] for _ in range(nb)]
-    for (bi, bj), chunks in col_chunks.items():
-        bo_r = int(bounds[bi + 1] - bounds[bi])
-        bo_c = int(bounds[bj + 1] - bounds[bj])
-        indptr = np.zeros(bo_c + 1, dtype=np.int64)
-        for lc, r, _, _ in chunks:
-            indptr[lc + 1] = r.size
-        np.cumsum(indptr, out=indptr)
-        nnz = int(indptr[-1])
-        indices = np.empty(nnz, dtype=np.int64)
-        vals_arr = np.empty(nnz, dtype=dtype)
-        pos_arr = np.empty(nnz, dtype=np.int64) if arena else None
-        for lc, r, v, gstart in chunks:
-            dst = slice(int(indptr[lc]), int(indptr[lc + 1]))
-            indices[dst] = r
-            vals_arr[dst] = v
-            if pos_arr is not None:
-                pos_arr[dst] = np.arange(gstart, gstart + r.size, dtype=np.int64)
-        blocks_per_col[bj].append((bi, (bo_r, bo_c), indptr, indices, vals_arr, pos_arr))
-
-    # layer-1 CSC over blocks, payloads in storage-slot order
+    # storage-slot order is block column major; the stable sort keeps the
+    # runs of one block in column order
+    order = np.argsort(run_key, kind="stable")
+    run_start, run_len, run_col, run_key = (
+        run_start[order], run_len[order], run_col[order], run_key[order]
+    )
+    first = np.flatnonzero(run_starts(run_key))
+    blk_bj, blk_bi = np.divmod(run_key[first], nb)
+    num_blocks = first.size
+    run_slot = np.repeat(
+        np.arange(num_blocks, dtype=np.int64), np.diff(np.append(first, run_key.size))
+    )
     blk_colptr = np.zeros(nb + 1, dtype=np.int64)
-    blk_rowidx_parts: list[int] = []
-    payloads: list[tuple] = []
-    for bj in range(nb):
-        entries = sorted(blocks_per_col[bj], key=lambda t: t[0])
-        blk_colptr[bj + 1] = blk_colptr[bj] + len(entries)
-        for bi, shape, indptr, indices, vals_arr, pos_arr in entries:
-            blk_rowidx_parts.append(bi)
-            payloads.append((shape, indptr, indices, vals_arr, pos_arr))
+    np.cumsum(np.bincount(blk_bj, minlength=nb), out=blk_colptr[1:])
+    run_dest = np.cumsum(run_len) - run_len
+    val_off = np.append(run_dest[first], nnz)
+    ptr_off = np.zeros(num_blocks + 1, dtype=np.int64)
+    np.cumsum(widths[blk_bj] + 1, out=ptr_off[1:])
+
+    # per-block indptr: a (block, local column) pair holds at most one run,
+    # so its length goes one position further on, then a running sum
+    # rebased to 0 at every block
+    indptr = np.zeros(int(ptr_off[-1]), dtype=np.int64)
+    indptr[ptr_off[run_slot] + run_col - bounds[blk_bj][run_slot] + 1] = run_len
+    np.cumsum(indptr, out=indptr)
+    indptr -= np.repeat(val_off[:-1], np.diff(ptr_off))
+
+    # expand the runs to entries: slab position k reads parent position
+    # gather[k]
+    gather = concat_ranges(run_start, run_len)
+    indices = filled.indices[gather]
+    indices -= np.repeat(bounds[blk_bi], np.diff(val_off))
+    data = filled.data[gather].astype(dtype, copy=False)
 
     out = BlockMatrix(
         n=n,
         bs=bs,
         nb=nb,
         blk_colptr=blk_colptr,
-        blk_rowidx=np.asarray(blk_rowidx_parts, dtype=np.int64),
+        blk_rowidx=blk_bi,
         blk_values=[],
         dtype=dtype,
         boundaries=bounds,
     )
-    if not arena:
-        out.blk_values = [
-            CSCMatrix(shape, indptr, indices, vals_arr, check=False)
-            for shape, indptr, indices, vals_arr, _ in payloads
-        ]
-        out.col_support, out.row_support = _supports(out.blk_values)
-        return out
-
-    # arena layout: concatenate the per-block arrays into the three slabs
-    # and the slot→offset tables, then re-expose the blocks as views
-    num_blocks = len(payloads)
-    ptr_off = np.zeros(num_blocks + 1, dtype=np.int64)
-    val_off = np.zeros(num_blocks + 1, dtype=np.int64)
-    for slot, (_, indptr, indices, _, _) in enumerate(payloads):
-        ptr_off[slot + 1] = ptr_off[slot] + indptr.size
-        val_off[slot + 1] = val_off[slot] + indices.size
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_v = np.zeros(0, dtype=dtype)
     out.arena = FactorArena(
-        indptr=np.concatenate([p[1] for p in payloads]) if payloads else empty_i,
-        indices=np.concatenate([p[2] for p in payloads]) if payloads else empty_i,
-        data=np.concatenate([p[3] for p in payloads]) if payloads else empty_v,
-        ptr_off=ptr_off,
-        val_off=val_off,
-        gather=np.concatenate([p[4] for p in payloads]) if payloads else empty_i,
+        indptr=indptr, indices=indices, data=data,
+        ptr_off=ptr_off, val_off=val_off, gather=gather,
     )
     out._attach_arena_views()
+    if not arena:
+        # legacy layout: the same arrays, every block owning its slices
+        out.arena = None
+        out.blk_values = [blk.copy() for blk in out.blk_values]
     return out

@@ -709,20 +709,27 @@ class Factorization:
         )
         self.reordered = ensure_diagonal(work)
         from ..runtime.engines import get_engine
-        from ..symbolic import fill_in_values
 
-        refreshed = fill_in_values(self.symbolic.filled.pattern_copy(), work)
+        # same pattern ⇒ the analysis-time map from the reordered matrix's
+        # entries to filled positions still holds: one indexed store
+        filled = self.symbolic.filled
+        refreshed = np.zeros(filled.nnz, dtype=filled.dtype)
+        refreshed[self.symbolic.a_positions] = self.reordered.data
         if getattr(self.blocks, "lr_overlay", None):
             # stale overlays describe the previous values; the engine
             # re-compresses (into the same arena slab) as it factorises
             self.blocks.clear_compressed()
         if self.blocks.arena is not None:
-            self.blocks.arena.refill(refreshed.data)
+            self.blocks.arena.refill(refreshed)
         else:
             bs = self.blocks.bs
             plan_cache = self.blocks.plan_cache
             self.blocks = block_partition(
-                refreshed, self.blocks.boundaries, dtype=self.blocks.dtype
+                CSCMatrix(
+                    filled.shape, filled.indptr, filled.indices, refreshed,
+                    check=False,
+                ),
+                self.blocks.boundaries, dtype=self.blocks.dtype,
             )
             self.blocks.bs = bs
             # same pattern ⇒ same boundaries ⇒ same storage slots: the

@@ -13,28 +13,28 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix, coo_to_csc
-from ..sparse.patterns import adjacency_lists
+from ..sparse.patterns import adjacency
 from .amd import amd
-from .rcm import bfs_levels, pseudo_peripheral_vertex
+from .rcm import Adjacency, gather_neighbours, pseudo_peripheral_vertex
 
 __all__ = ["nested_dissection"]
 
 
-def _subgraph_matrix(adj: list[np.ndarray], vertices: np.ndarray) -> CSCMatrix:
+def _subgraph_matrix(adj: Adjacency, vertices: np.ndarray) -> CSCMatrix:
     """Build the pattern matrix of the subgraph induced by ``vertices``."""
-    pos = {int(v): i for i, v in enumerate(vertices)}
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, v in enumerate(vertices):
-        for w in adj[int(v)]:
-            j = pos.get(int(w))
-            if j is not None:
-                rows.append(j)
-                cols.append(i)
-    m = len(vertices)
-    rows_arr = np.asarray(rows + list(range(m)), dtype=np.int64)
-    cols_arr = np.asarray(cols + list(range(m)), dtype=np.int64)
-    return coo_to_csc((m, m), rows_arr, cols_arr)
+    m = vertices.size
+    local = np.full(adj[0].size - 1, -1, dtype=np.int64)
+    local[vertices] = np.arange(m, dtype=np.int64)
+    nbrs, counts = gather_neighbours(adj, vertices)
+    rows = local[nbrs]
+    inside = rows >= 0
+    diag = np.arange(m, dtype=np.int64)
+    cols = np.repeat(diag, counts)
+    return coo_to_csc(
+        (m, m),
+        np.concatenate([rows[inside], diag]),
+        np.concatenate([cols[inside], diag]),
+    )
 
 
 def _pick_separator(levels: list[np.ndarray]) -> int:
@@ -64,7 +64,7 @@ def _pick_separator(levels: list[np.ndarray]) -> int:
 
 
 def _dissect(
-    adj: list[np.ndarray],
+    adj: Adjacency,
     vertices: np.ndarray,
     leaf_size: int,
     out: list[int],
@@ -74,14 +74,15 @@ def _dissect(
     if vertices.size <= leaf_size:
         sub = _subgraph_matrix(adj, vertices)
         local = amd(sub)
-        out.extend(int(vertices[i]) for i in local)
+        out.extend(vertices[local].tolist())
         return
 
-    mask = np.zeros(len(adj), dtype=bool)
+    mask = np.zeros(adj[0].size - 1, dtype=bool)
     mask[vertices] = True
-    start = int(vertices[0])
-    start, _ = pseudo_peripheral_vertex(adj, start, mask)
-    level, levels = bfs_levels(adj, start, mask)
+    _, levels = pseudo_peripheral_vertex(adj, int(vertices[0]), mask)
+    level = np.full(mask.size, -1, dtype=np.int64)
+    for depth, members in enumerate(levels):
+        level[members] = depth
 
     unreached = vertices[level[vertices] < 0]
     if unreached.size:
@@ -95,7 +96,7 @@ def _dissect(
         # graph too shallow to dissect — fall back to AMD
         sub = _subgraph_matrix(adj, vertices)
         local = amd(sub)
-        out.extend(int(vertices[i]) for i in local)
+        out.extend(vertices[local].tolist())
         return
 
     sep_level = _pick_separator(levels)
@@ -107,7 +108,7 @@ def _dissect(
     # separator last (eliminated after both halves)
     sub = _subgraph_matrix(adj, sep)
     local = amd(sub)
-    out.extend(int(sep[i]) for i in local)
+    out.extend(sep[local].tolist())
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
@@ -128,7 +129,7 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     n = a.ncols
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    adj = adjacency_lists(a)
+    adj = adjacency(a)
     out: list[int] = []
     _dissect(adj, np.arange(n, dtype=np.int64), leaf_size, out)
     perm = np.asarray(out, dtype=np.int64)

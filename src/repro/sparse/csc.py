@@ -368,23 +368,15 @@ class CSCMatrix:
     def transpose(self) -> "CSCMatrix":
         """Return the transpose (a CSC view of the CSR form of ``self``)."""
         nrows, ncols = self.shape
-        nnz = self.nnz
         t_indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(t_indptr, self.indices + 1, 1)
-        np.cumsum(t_indptr, out=t_indptr)
-        t_indices = np.empty(nnz, dtype=np.int64)
-        t_data = np.empty(nnz, dtype=self._dtype)
-        fill = t_indptr[:-1].copy()
-        cols = np.repeat(np.arange(ncols, dtype=np.int64), np.diff(self.indptr))
-        # stable counting pass: entries of a row arrive in increasing column
-        # order because we walk columns left to right
+        np.cumsum(np.bincount(self.indices, minlength=nrows), out=t_indptr[1:])
+        # stable sort by row: entries of a row arrive in increasing column
+        # order because the columns are walked left to right
         order = np.argsort(self.indices, kind="stable")
-        rows_sorted = self.indices[order]
-        t_indices[:] = cols[order]
-        t_data[:] = self.data[order]
-        # rows_sorted groups rows contiguously; positions already correct
-        del fill, rows_sorted
-        return CSCMatrix((ncols, nrows), t_indptr, t_indices, t_data, check=False)
+        return CSCMatrix(
+            (ncols, nrows), t_indptr, self.cols_expanded()[order],
+            self.data[order], check=False,
+        )
 
     def permute(self, row_perm: np.ndarray | None, col_perm: np.ndarray | None) -> "CSCMatrix":
         """Return ``A[row_perm, :][:, col_perm]`` — i.e. new[i, j] = old[row_perm[i], col_perm[j]].
@@ -572,8 +564,12 @@ def coo_to_csc(
     if cols.size and (cols.min() < 0 or cols.max() >= ncols):
         raise ValueError("column index out of range")
 
-    # sort by (col, row)
-    order = np.lexsort((rows, cols))
+    # sort by (col, row): one stable argsort on the fused key (several
+    # times faster than a two-key lexsort; stability keeps duplicates in
+    # input order, so their sums below are bit-reproducible)
+    if nrows * ncols >= 2**63:
+        raise ValueError(f"shape {shape} too large for an int64 sort key")
+    order = np.argsort(cols * nrows + rows, kind="stable")
     rows = rows[order]
     cols = cols[order]
     vals = vals[order]
@@ -591,6 +587,5 @@ def coo_to_csc(
             rows, cols, vals = rows[keep], cols[keep], out_vals
 
     indptr = np.zeros(ncols + 1, dtype=np.int64)
-    np.add.at(indptr, cols + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
     return CSCMatrix(shape, indptr, rows, vals, check=False)

@@ -9,13 +9,46 @@ from .csc import CSCMatrix, coo_to_csc
 __all__ = [
     "symmetrize_pattern",
     "pattern_union",
+    "adjacency",
     "adjacency_lists",
     "bandwidth",
     "is_structurally_symmetric",
     "has_full_diagonal",
     "ensure_diagonal",
     "structural_rank_lower_bound",
+    "run_starts",
+    "sorted_unique",
+    "concat_ranges",
 ]
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Boolean mask, True where ``values[k]`` differs from ``values[k - 1]``
+    (and at ``k = 0``): the first entry of every run of equal values."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sort ``values`` **in place** and return its distinct entries.
+
+    The sort-and-compare-neighbours core of ``np.unique`` without its
+    per-call overhead — the analysis loops call this once per column or
+    BFS level.
+    """
+    values.sort()
+    return values[run_starts(values)]
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(starts[i], starts[i] + lengths[i])`` for every ``i``, back
+    to back — the index array that gathers (or scatters) many contiguous
+    stretches of one array in a single operation."""
+    # slot k of range i holds starts[i] + k − (first slot of range i)
+    out = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    out += np.arange(out.size, dtype=np.int64)
+    return out
 
 
 def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
@@ -50,19 +83,25 @@ def pattern_union(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
     return out
 
 
-def adjacency_lists(a: CSCMatrix) -> list[np.ndarray]:
-    """Undirected adjacency of the symmetrised pattern, excluding self-loops.
-
-    Returns, for each vertex ``v``, a sorted array of neighbours.  Used by
-    the from-scratch ordering codes (AMD, nested dissection, RCM).
+def adjacency(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected adjacency of the symmetrised pattern, excluding
+    self-loops, as flat CSR-style arrays ``(ptr, idx)``: the neighbours of
+    vertex ``v`` are ``idx[ptr[v]:ptr[v + 1]]``, sorted.  The form the
+    level-synchronous traversals (BFS, nested dissection, RCM) gather from.
     """
     s = symmetrize_pattern(a)
-    n = s.ncols
-    out: list[np.ndarray] = []
-    for j in range(n):
-        rows, _ = s.col(j)
-        out.append(rows[rows != j].copy())
-    return out
+    rows, cols = s.rows_cols()
+    off_diag = rows != cols
+    ptr = np.zeros(s.ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[off_diag], minlength=s.ncols), out=ptr[1:])
+    return ptr, rows[off_diag]
+
+
+def adjacency_lists(a: CSCMatrix) -> list[np.ndarray]:
+    """:func:`adjacency` as one sorted neighbour array per vertex (views of
+    one array) — what the set-based minimum-degree codes start from."""
+    ptr, idx = adjacency(a)
+    return np.split(idx, ptr[1:-1]) if ptr.size > 1 else []
 
 
 def bandwidth(a: CSCMatrix) -> int:
@@ -82,15 +121,17 @@ def is_structurally_symmetric(a: CSCMatrix) -> bool:
     )
 
 
+def _diagonal_present(a: CSCMatrix) -> np.ndarray:
+    """Boolean mask over ``range(min(shape))``: diagonal structurally stored."""
+    rows, cols = a.rows_cols()
+    present = np.zeros(min(a.shape), dtype=bool)
+    present[rows[rows == cols]] = True
+    return present
+
+
 def has_full_diagonal(a: CSCMatrix) -> bool:
     """True when every diagonal position is structurally present."""
-    n = min(a.shape)
-    for j in range(n):
-        rows = a.indices[a.col_slice(j)]
-        pos = np.searchsorted(rows, j)
-        if pos >= rows.size or rows[pos] != j:
-            return False
-    return True
+    return bool(_diagonal_present(a).all())
 
 
 def ensure_diagonal(a: CSCMatrix, value: float = 0.0) -> CSCMatrix:
@@ -99,16 +140,9 @@ def ensure_diagonal(a: CSCMatrix, value: float = 0.0) -> CSCMatrix:
     Missing diagonal entries are inserted with ``value``; existing entries
     are untouched.  Static-pivoting LU requires a structurally full diagonal.
     """
-    n = min(a.shape)
-    missing = []
-    for j in range(n):
-        rows = a.indices[a.col_slice(j)]
-        pos = np.searchsorted(rows, j)
-        if pos >= rows.size or rows[pos] != j:
-            missing.append(j)
-    if not missing:
+    miss = np.flatnonzero(~_diagonal_present(a))
+    if miss.size == 0:
         return a.copy()
-    miss = np.asarray(missing, dtype=np.int64)
     rows_a, cols_a = a.rows_cols()
     rows = np.concatenate([rows_a, miss])
     cols = np.concatenate([cols_a, miss])

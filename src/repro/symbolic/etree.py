@@ -2,8 +2,9 @@
 
 The elimination tree of a (symmetrised) sparse matrix drives both symbolic
 factorisation paths in this reproduction: PanguLU's symmetric-pruned fill
-computation walks row subtrees of the etree, and the supernodal baseline
-uses the etree's postorder to detect supernodes.
+computation merges column structures up the etree
+(:func:`column_structures`), and the supernodal baseline uses the etree's
+postorder to detect supernodes.
 """
 
 from __future__ import annotations
@@ -11,9 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from ..sparse.patterns import symmetrize_pattern
+from ..sparse.patterns import sorted_unique, symmetrize_pattern
 
-__all__ = ["elimination_tree", "postorder", "tree_levels", "column_counts"]
+__all__ = [
+    "elimination_tree",
+    "column_structures",
+    "postorder",
+    "tree_levels",
+    "column_counts",
+]
 
 
 def elimination_tree(a: CSCMatrix, *, symmetrize: bool = True) -> np.ndarray:
@@ -99,26 +106,63 @@ def tree_levels(parent: np.ndarray) -> np.ndarray:
     return depth
 
 
-def column_counts(a: CSCMatrix, parent: np.ndarray) -> np.ndarray:
-    """Nonzero count of each column of the Cholesky factor ``L`` of the
-    symmetrised pattern (including the diagonal).
+def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination tree and below-diagonal column structures of the
+    Cholesky factor ``L`` of a structurally symmetric pattern ``s``.
 
-    Computed by the row-subtree marking pass — the same walk that builds
-    the fill pattern, counting instead of collecting.
+    Column ``j`` of ``L`` is its own below-diagonal entries plus whatever
+    its etree children pass up::
+
+        struct(L_j) = s_j[> j]  ∪  ⋃_{c : parent[c] = j} struct(L_c) ∖ {j}
+
+    and ``parent[j] = min struct(L_j)``, so one left-to-right sweep finds
+    tree and structures together: every child ``c < j`` is complete, and
+    knows its parent, before column ``j`` is merged.  One
+    concatenate/sort/dedupe per column; a column with a single child and
+    no entries of its own is a slice of the child's array.
+
+    Returns ``(parent, ptr, rows)``: the etree (−1 for roots, the same tree
+    as :func:`elimination_tree`) and the structures in CSC form without
+    the diagonal — ``rows[ptr[j]:ptr[j + 1]]`` is ``struct(L_j)``, sorted.
     """
-    s = symmetrize_pattern(a)
     n = s.ncols
-    counts = np.ones(n, dtype=np.int64)  # diagonal
-    mark = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        mark[i] = i
-        rows = s.indices[s.col_slice(i)]
-        for r in rows[rows < i]:
-            j = int(r)
-            while mark[j] != i:
-                mark[j] = i
-                counts[j] += 1  # L[i, j] is a nonzero of column j
-                j = int(parent[j])
-                if j < 0:  # pragma: no cover - broken etree safety
-                    break
-    return counts
+    rows, cols = s.rows_cols()
+    below = rows > cols
+    own_rows = rows[below]
+    own_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[below], minlength=n), out=own_ptr[1:])
+    own_ptr = own_ptr.tolist()
+
+    parent = np.full(n, -1, dtype=np.int64)
+    structs: list[np.ndarray] = []
+    # what the completed children of j pass up: their structures minus j
+    inherited: list[list[np.ndarray]] = [[] for _ in range(n)]
+    for j in range(n):
+        parts = inherited[j]
+        own = own_rows[own_ptr[j] : own_ptr[j + 1]]
+        if own.size:
+            parts.append(own)
+        if len(parts) == 1:
+            struct = parts[0]
+        elif parts:
+            struct = sorted_unique(np.concatenate(parts))
+        else:
+            struct = own
+        inherited[j] = None
+        structs.append(struct)
+        if struct.size:
+            p = int(struct[0])
+            parent[j] = p
+            if struct.size > 1:
+                inherited[p].append(struct[1:])
+
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([st.size for st in structs], out=ptr[1:])
+    return parent, ptr, np.concatenate(structs) if n else own_rows
+
+
+def column_counts(a: CSCMatrix) -> np.ndarray:
+    """Nonzero count of each column of the Cholesky factor ``L`` of the
+    symmetrised pattern (including the diagonal)."""
+    _, ptr, _ = column_structures(symmetrize_pattern(a))
+    return np.diff(ptr) + 1

@@ -1,16 +1,24 @@
 """Symbolic factorisation — fill-pattern computation.
 
-Two paths, mirroring the two solvers under test:
+:func:`symbolic_symmetric` is PanguLU's path (Section 4.1/5.2): symmetrise
+the pattern and compute the exact Cholesky-style fill of ``A + A^T``.  The
+fill of a symmetric structure obeys
 
-* :func:`symbolic_symmetric` — PanguLU's path (Section 4.1/5.2): symmetrise
-  the pattern and compute the exact Cholesky-style fill of ``A + A^T`` via
-  elimination-tree row-subtree walks.  This *is* the symmetric-pruning
-  formulation: walking the etree visits each structural row entry once,
-  which is exactly what Eisenstat–Liu symmetric pruning achieves for
-  symmetric structures — no redundant reachability searches.
+    ``struct(L_j) = A_j[> j]  ∪  ⋃_{children c of j} struct(L_c) ∖ {j}``
 
-* :func:`symbolic_gilbert_peierls` (in :mod:`repro.symbolic.gp`) — the
-  unsymmetric column-DFS fill used by the SuperLU_DIST-like baseline.
+over the elimination tree — eliminating ``c`` connects its remaining
+neighbours, and the first of them (its etree parent) inherits the rest.
+:func:`~repro.symbolic.etree.column_structures` evaluates exactly that,
+one array merge per column.  Each column structure is merged into one
+parent only, never searched again from every later column that reaches it:
+this *is* what Eisenstat–Liu symmetric pruning achieves for symmetric
+structures (the pruned graph of a symmetric factor is its elimination
+tree), so the result is the symmetric-pruned fill, and the same pattern
+the row-subtree formulation enumerates row by row
+(``tests/reference_analysis.py`` keeps that walk as the oracle).
+
+The unsymmetric column-DFS fill used by the SuperLU_DIST-like baseline
+lives with it, in :mod:`repro.baseline.gp`.
 
 The result carries the filled pattern ``F = pattern(L) ∪ pattern(U)`` as a
 :class:`~repro.sparse.csc.CSCMatrix` whose values hold the entries of the
@@ -23,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.csc import CSCMatrix, coo_to_csc
-from ..sparse.patterns import symmetrize_pattern
-from .etree import elimination_tree
+from ..sparse.csc import CSCMatrix
+from ..sparse.patterns import concat_ranges, symmetrize_pattern
+from .etree import column_structures
 
-__all__ = ["SymbolicResult", "symbolic_symmetric", "fill_in_values"]
+__all__ = ["SymbolicResult", "symbolic_symmetric", "entry_positions", "fill_in_values"]
 
 
 @dataclass(frozen=True)
@@ -45,12 +53,17 @@ class SymbolicResult:
         Nonzeros of the strict lower / upper triangles plus the diagonal
         counted in both (matching the paper's ``nnz(L+U)`` convention where
         ``L`` is unit-lower and ``U`` carries the diagonal).
+    a_positions:
+        Position in ``filled``'s arrays of every stored entry of the input
+        matrix, in the input's storage order — a same-pattern matrix is
+        re-injected with ``data[a_positions] = a_new.data``.
     """
 
     filled: CSCMatrix
     etree: np.ndarray
     nnz_l: int
     nnz_u: int
+    a_positions: np.ndarray
 
     @property
     def nnz_lu(self) -> int:
@@ -58,74 +71,79 @@ class SymbolicResult:
         return self.nnz_l + self.nnz_u
 
     @property
+    def nnz_a(self) -> int:
+        """Structural nonzeros of the input matrix (stored zeros count)."""
+        return int(self.a_positions.size)
+
+    @property
     def fill_ratio(self) -> float:
         """``nnz(filled) / nnz`` of the original pattern (≥ 1)."""
-        base = int(np.count_nonzero(self.filled.data)) or 1
-        return self.filled.nnz / base
+        return self.filled.nnz / (self.nnz_a or 1)
 
 
 def symbolic_symmetric(a: CSCMatrix) -> SymbolicResult:
     """Exact fill pattern of the symmetrised matrix (PanguLU's symbolic).
 
-    The row-subtree walk enumerates, for each row ``i``, the columns
-    ``j < i`` where ``L[i, j]`` is structurally nonzero; ``U``'s pattern is
-    the transpose.  Complexity O(|L|) after the etree.
+    The column structures of ``L`` are the strict lower triangle of the
+    filled pattern; ``U``'s pattern is the transpose (one stable argsort),
+    and column ``j`` of the result is written as upper part, diagonal,
+    lower part.  O(|L| log) after the symmetrisation.
     """
     if a.nrows != a.ncols:
         raise ValueError("symbolic factorisation requires a square matrix")
     n = a.ncols
-    s = symmetrize_pattern(a)
-    parent = elimination_tree(s, symmetrize=False)
+    parent, low_ptr, low_rows = column_structures(symmetrize_pattern(a))
+    nnz_strict = low_rows.size
+    low_counts = np.diff(low_ptr)
+    low_cols = np.repeat(np.arange(n, dtype=np.int64), low_counts)
+    # transpose of the strict lower triangle: the entries of row i, in
+    # increasing column order, are the above-diagonal part of column i
+    up_counts = np.bincount(low_rows, minlength=n)
+    up_rows = low_cols[np.argsort(low_rows, kind="stable")]
 
-    # pass 1: count entries per row of L (strict lower part)
-    mark = np.full(n, -1, dtype=np.int64)
-    row_counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        mark[i] = i
-        rows = s.indices[s.col_slice(i)]
-        for r in rows[rows < i]:
-            j = int(r)
-            while j != -1 and mark[j] != i:
-                mark[j] = i
-                row_counts[i] += 1
-                j = int(parent[j])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(up_counts + 1 + low_counts, out=indptr[1:])
+    diag_at = indptr[:-1] + up_counts
+    indices = np.empty(2 * nnz_strict + n, dtype=np.int64)
+    indices[concat_ranges(indptr[:-1], up_counts)] = up_rows
+    indices[diag_at] = np.arange(n, dtype=np.int64)
+    indices[concat_ranges(diag_at + 1, low_counts)] = low_rows
 
-    # pass 2: collect the column indices per row
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=row_ptr[1:])
-    lower_cols = np.empty(int(row_ptr[-1]), dtype=np.int64)
-    fill_pos = row_ptr[:-1].copy()
-    mark[:] = -1
-    for i in range(n):
-        mark[i] = i
-        rows = s.indices[s.col_slice(i)]
-        for r in rows[rows < i]:
-            j = int(r)
-            while j != -1 and mark[j] != i:
-                mark[j] = i
-                lower_cols[fill_pos[i]] = j
-                fill_pos[i] += 1
-                j = int(parent[j])
-
-    lower_rows = np.repeat(np.arange(n, dtype=np.int64), row_counts)
-    # full pattern = strict lower + its transpose + diagonal, with A's values
-    rows_all = np.concatenate(
-        [lower_rows, lower_cols, np.arange(n, dtype=np.int64)]
-    )
-    cols_all = np.concatenate(
-        [lower_cols, lower_rows, np.arange(n, dtype=np.int64)]
-    )
-    pattern = coo_to_csc(
-        (n, n), rows_all, cols_all, np.zeros(rows_all.size), sum_duplicates=True
-    )
-    filled = fill_in_values(pattern, a)
-    nnz_strict = int(lower_rows.size)
+    pattern = CSCMatrix((n, n), indptr, indices, check=False)
+    positions = entry_positions(pattern, a)
+    pattern.data[positions] = a.data
     return SymbolicResult(
-        filled=filled,
+        filled=pattern,
         etree=parent,
         nnz_l=nnz_strict + n,
         nnz_u=nnz_strict + n,
+        a_positions=positions,
     )
+
+
+def entry_positions(pattern: CSCMatrix, a: CSCMatrix) -> np.ndarray:
+    """Position in ``pattern``'s arrays of every stored entry of ``a``.
+
+    One ``searchsorted`` over the fused key ``col · nrows + row``, which is
+    increasing along a CSC pattern.  Raises ``ValueError`` naming the first
+    column of ``a`` that ``pattern`` does not cover.
+    """
+    if pattern.shape != a.shape:
+        raise ValueError("shape mismatch")
+    nrows = a.nrows
+    a_cols = a.cols_expanded()
+    wanted = a_cols * nrows + a.indices
+    have = np.repeat(
+        np.arange(pattern.ncols, dtype=np.int64) * nrows, np.diff(pattern.indptr)
+    )
+    have += pattern.indices
+    pos = np.searchsorted(have, wanted)
+    covered = pos < have.size
+    covered[covered] = have[pos[covered]] == wanted[covered]
+    if not covered.all():
+        j = int(a_cols[np.argmin(covered)])
+        raise ValueError(f"pattern does not cover column {j} of the input")
+    return pos
 
 
 def fill_in_values(pattern: CSCMatrix, a: CSCMatrix) -> CSCMatrix:
@@ -134,19 +152,7 @@ def fill_in_values(pattern: CSCMatrix, a: CSCMatrix) -> CSCMatrix:
     Every stored entry of ``a`` must exist in ``pattern``; fill positions
     keep value 0.  Returns a new matrix sharing ``pattern``'s arrays shape.
     """
-    if pattern.shape != a.shape:
-        raise ValueError("shape mismatch")
+    positions = entry_positions(pattern, a)
     out = pattern.pattern_copy()
-    data = out.data  # allocates zeros
-    for j in range(a.ncols):
-        sl_a = a.col_slice(j)
-        rows_a = a.indices[sl_a]
-        if rows_a.size == 0:
-            continue
-        sl_p = out.col_slice(j)
-        rows_p = out.indices[sl_p]
-        pos = np.searchsorted(rows_p, rows_a)
-        if np.any(pos >= rows_p.size) or np.any(rows_p[np.minimum(pos, rows_p.size - 1)] != rows_a):
-            raise ValueError(f"pattern does not cover column {j} of the input")
-        data[int(out.indptr[j]) + pos] = a.data[sl_a]
+    out.data[positions] = a.data
     return out

@@ -1,0 +1,342 @@
+"""Test-only oracles for the analysis phase.
+
+These are the interpreter-loop implementations the array algorithms in
+``repro.sparse``, ``repro.symbolic``, ``repro.ordering`` and
+``repro.core.blocking`` replaced: per-entry row-subtree walks for the
+symbolic fill, per-neighbour breadth-first search over adjacency lists,
+and the per-column chunk loop of the block partition.  They are slow and
+obviously right; ``tests/test_reference_analysis.py`` asserts the
+production code reproduces them bit for bit.  Nothing under ``src/``
+imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.blocking import BlockMatrix, FactorArena, boundaries_from_block_size
+from repro.ordering import amd
+from repro.ordering.nd import _pick_separator
+from repro.sparse import CSCMatrix
+from repro.symbolic import elimination_tree
+
+
+# ----------------------------------------------------------------------
+# sparse
+# ----------------------------------------------------------------------
+def coo_to_csc(shape, rows, cols, vals=None) -> CSCMatrix:
+    """Two-key ``lexsort`` assembly, duplicates summed in input order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.ones(rows.size) if vals is None else np.asarray(vals)
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size:
+        dup = np.zeros(rows.size, dtype=bool)
+        dup[1:] = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if dup.any():
+            group = np.cumsum(~dup) - 1
+            out_vals = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+            np.add.at(out_vals, group, vals)
+            rows, cols, vals = rows[~dup], cols[~dup], out_vals
+    indptr = np.zeros(shape[1] + 1, dtype=np.int64)
+    np.add.at(indptr, cols + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return CSCMatrix(shape, indptr, rows, vals, check=False)
+
+
+def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
+    rows, cols = a.rows_cols()
+    return coo_to_csc(
+        a.shape,
+        np.concatenate([rows, cols]),
+        np.concatenate([cols, rows]),
+        np.concatenate([a.data, np.zeros(a.nnz)]),
+    )
+
+
+def missing_diagonal(a: CSCMatrix) -> list[int]:
+    """Columns whose diagonal entry is not stored (per-column search)."""
+    missing = []
+    for j in range(min(a.shape)):
+        rows = a.indices[a.col_slice(j)]
+        pos = np.searchsorted(rows, j)
+        if pos >= rows.size or rows[pos] != j:
+            missing.append(j)
+    return missing
+
+
+def ensure_diagonal(a: CSCMatrix, value: float = 0.0) -> CSCMatrix:
+    miss = np.asarray(missing_diagonal(a), dtype=np.int64)
+    if not miss.size:
+        return a.copy()
+    rows, cols = a.rows_cols()
+    return coo_to_csc(
+        a.shape,
+        np.concatenate([rows, miss]),
+        np.concatenate([cols, miss]),
+        np.concatenate([a.data, np.full(miss.size, value)]),
+    )
+
+
+def adjacency_lists(a: CSCMatrix) -> list[np.ndarray]:
+    s = symmetrize_pattern(a)
+    out = []
+    for j in range(s.ncols):
+        rows = s.indices[s.col_slice(j)]
+        out.append(rows[rows != j].copy())
+    return out
+
+
+# ----------------------------------------------------------------------
+# symbolic: row-subtree walk
+# ----------------------------------------------------------------------
+def fill_in_values(pattern: CSCMatrix, a: CSCMatrix) -> CSCMatrix:
+    """Per-column ``searchsorted`` value injection."""
+    if pattern.shape != a.shape:
+        raise ValueError("shape mismatch")
+    out = pattern.pattern_copy()
+    data = out.data
+    for j in range(a.ncols):
+        sl_a = a.col_slice(j)
+        rows_a = a.indices[sl_a]
+        if rows_a.size == 0:
+            continue
+        rows_p = out.indices[out.col_slice(j)]
+        pos = np.searchsorted(rows_p, rows_a)
+        if np.any(pos >= rows_p.size) or np.any(
+            rows_p[np.minimum(pos, rows_p.size - 1)] != rows_a
+        ):
+            raise ValueError(f"pattern does not cover column {j} of the input")
+        data[int(out.indptr[j]) + pos] = a.data[sl_a]
+    return out
+
+
+def symbolic_symmetric(a: CSCMatrix) -> tuple[CSCMatrix, np.ndarray, int]:
+    """``(filled, etree, nnz of the strict lower triangle)`` by walking, for
+    each row ``i``, from every ``j < i`` with ``S[i, j] != 0`` up the
+    elimination tree until a column already marked for row ``i``."""
+    n = a.ncols
+    s = symmetrize_pattern(a)
+    parent = elimination_tree(s, symmetrize=False)
+    mark = np.full(n, -1, dtype=np.int64)
+    lower_rows: list[int] = []
+    lower_cols: list[int] = []
+    for i in range(n):
+        mark[i] = i
+        rows = s.indices[s.col_slice(i)]
+        for r in rows[rows < i]:
+            j = int(r)
+            while j != -1 and mark[j] != i:
+                mark[j] = i
+                lower_rows.append(i)
+                lower_cols.append(j)
+                j = int(parent[j])
+    diag = list(range(n))
+    pattern = coo_to_csc(
+        (n, n),
+        lower_rows + lower_cols + diag,
+        lower_cols + lower_rows + diag,
+        np.zeros(2 * len(lower_rows) + n),
+    )
+    return fill_in_values(pattern, a), parent, len(lower_rows)
+
+
+# ----------------------------------------------------------------------
+# ordering: list-based BFS, George's nested dissection, RCM
+# ----------------------------------------------------------------------
+def bfs_levels(adj: list[np.ndarray], start: int, mask=None):
+    n = len(adj)
+    level = np.full(n, -1, dtype=np.int64)
+    if mask is not None and not mask[start]:
+        raise ValueError("start vertex is masked out")
+    level[start] = 0
+    frontier = [start]
+    levels = [np.asarray([start], dtype=np.int64)]
+    while frontier:
+        nxt: list[int] = []
+        for v in frontier:
+            for w in adj[v]:
+                w = int(w)
+                if level[w] < 0 and (mask is None or mask[w]):
+                    level[w] = level[v] + 1
+                    nxt.append(w)
+        if nxt:
+            levels.append(np.asarray(sorted(nxt), dtype=np.int64))
+        frontier = nxt
+    return level, levels
+
+
+def pseudo_peripheral_vertex(adj: list[np.ndarray], start: int, mask=None):
+    v = start
+    _, levels = bfs_levels(adj, v, mask)
+    ecc = len(levels)
+    while True:
+        last = levels[-1]
+        degs = [len(adj[int(u)]) for u in last]
+        cand = int(last[int(np.argmin(degs))])
+        _, new_levels = bfs_levels(adj, cand, mask)
+        if len(new_levels) <= ecc:
+            return v, levels
+        v, levels, ecc = cand, new_levels, len(new_levels)
+
+
+def _subgraph_matrix(adj: list[np.ndarray], vertices: np.ndarray) -> CSCMatrix:
+    pos = {int(v): i for i, v in enumerate(vertices)}
+    rows: list[int] = []
+    cols: list[int] = []
+    for i, v in enumerate(vertices):
+        for w in adj[int(v)]:
+            j = pos.get(int(w))
+            if j is not None:
+                rows.append(j)
+                cols.append(i)
+    m = len(vertices)
+    return coo_to_csc((m, m), rows + list(range(m)), cols + list(range(m)))
+
+
+def _dissect(adj, vertices: np.ndarray, leaf_size: int, out: list[int]) -> None:
+    if vertices.size == 0:
+        return
+    if vertices.size <= leaf_size:
+        out.extend(int(vertices[i]) for i in amd(_subgraph_matrix(adj, vertices)))
+        return
+    mask = np.zeros(len(adj), dtype=bool)
+    mask[vertices] = True
+    start, _ = pseudo_peripheral_vertex(adj, int(vertices[0]), mask)
+    level, levels = bfs_levels(adj, start, mask)
+    unreached = vertices[level[vertices] < 0]
+    if unreached.size:
+        _dissect(adj, vertices[level[vertices] >= 0], leaf_size, out)
+        _dissect(adj, unreached, leaf_size, out)
+        return
+    if len(levels) < 3:
+        out.extend(int(vertices[i]) for i in amd(_subgraph_matrix(adj, vertices)))
+        return
+    sep_level = _pick_separator(levels)
+    sep = levels[sep_level]
+    _dissect(adj, vertices[(level[vertices] >= 0) & (level[vertices] < sep_level)],
+             leaf_size, out)
+    _dissect(adj, vertices[level[vertices] > sep_level], leaf_size, out)
+    out.extend(int(sep[i]) for i in amd(_subgraph_matrix(adj, sep)))
+
+
+def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
+    out: list[int] = []
+    _dissect(adjacency_lists(a), np.arange(a.ncols, dtype=np.int64), leaf_size, out)
+    return np.asarray(out, dtype=np.int64)
+
+
+def rcm(a: CSCMatrix) -> np.ndarray:
+    n = a.ncols
+    adj = adjacency_lists(a)
+    degree = np.asarray([len(x) for x in adj], dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    while len(order) < n:
+        unvisited = np.flatnonzero(~visited)
+        start = int(unvisited[int(np.argmin(degree[unvisited]))])
+        start, _ = pseudo_peripheral_vertex(adj, start, ~visited)
+        queue = [start]
+        visited[start] = True
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            nbrs = [int(w) for w in adj[v] if not visited[w]]
+            nbrs.sort(key=lambda w: (degree[w], w))
+            for w in nbrs:
+                visited[w] = True
+            queue.extend(nbrs)
+    return np.asarray(order[::-1], dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# blocking: per-column chunk loop
+# ----------------------------------------------------------------------
+def block_partition(filled: CSCMatrix, bs, *, arena: bool = False, dtype=None) -> BlockMatrix:
+    """Walk every column, cut its sorted rows at the block boundaries,
+    collect the chunks per block, then assemble block by block."""
+    dtype = np.dtype(dtype) if dtype is not None else filled.dtype
+    n = filled.ncols
+    if np.ndim(bs) == 0:
+        bs = int(bs)
+        bounds = boundaries_from_block_size(n, bs)
+    else:
+        bounds = np.asarray(bs, dtype=np.int64)
+        bs = int(np.diff(bounds).max())
+    nb = bounds.size - 1
+
+    col_chunks: dict[tuple[int, int], list] = {}
+    data = filled.data
+    col_block = np.repeat(np.arange(nb, dtype=np.int64), np.diff(bounds))
+    for j in range(n):
+        bj = int(col_block[j])
+        lc = j - int(bounds[bj])
+        sl = filled.col_slice(j)
+        rows = filled.indices[sl]
+        cut = np.searchsorted(rows, bounds[1:])
+        start = 0
+        for bi in range(nb):
+            end = int(cut[bi])
+            if end > start:
+                col_chunks.setdefault((bi, bj), []).append(
+                    (lc, rows[start:end] - int(bounds[bi]), data[sl][start:end],
+                     sl.start + start)
+                )
+            start = end
+
+    blocks_per_col: list[list[tuple]] = [[] for _ in range(nb)]
+    for (bi, bj), chunks in col_chunks.items():
+        shape = (int(bounds[bi + 1] - bounds[bi]), int(bounds[bj + 1] - bounds[bj]))
+        indptr = np.zeros(shape[1] + 1, dtype=np.int64)
+        for lc, r, _, _ in chunks:
+            indptr[lc + 1] = r.size
+        np.cumsum(indptr, out=indptr)
+        nnz = int(indptr[-1])
+        indices = np.empty(nnz, dtype=np.int64)
+        vals = np.empty(nnz, dtype=dtype)
+        pos = np.empty(nnz, dtype=np.int64)
+        for lc, r, v, gstart in chunks:
+            dst = slice(int(indptr[lc]), int(indptr[lc + 1]))
+            indices[dst] = r
+            vals[dst] = v
+            pos[dst] = np.arange(gstart, gstart + r.size, dtype=np.int64)
+        blocks_per_col[bj].append((bi, shape, indptr, indices, vals, pos))
+
+    blk_colptr = np.zeros(nb + 1, dtype=np.int64)
+    blk_rowidx: list[int] = []
+    payloads: list[tuple] = []
+    for bj in range(nb):
+        entries = sorted(blocks_per_col[bj], key=lambda t: t[0])
+        blk_colptr[bj + 1] = blk_colptr[bj] + len(entries)
+        for bi, *payload in entries:
+            blk_rowidx.append(bi)
+            payloads.append(tuple(payload))
+
+    out = BlockMatrix(
+        n=n, bs=bs, nb=nb, blk_colptr=blk_colptr,
+        blk_rowidx=np.asarray(blk_rowidx, dtype=np.int64),
+        blk_values=[
+            CSCMatrix(shape, indptr, indices, vals, check=False)
+            for shape, indptr, indices, vals, _ in payloads
+        ],
+        dtype=dtype, boundaries=bounds,
+    )
+    out.col_support = [np.diff(b.indptr) > 0 for b in out.blk_values]
+    out.row_support = []
+    for b in out.blk_values:
+        rs = np.zeros(b.nrows, dtype=bool)
+        rs[b.indices] = True
+        out.row_support.append(rs)
+    if arena:
+        def cat(k, dt):
+            parts = [p[k] for p in payloads]
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=dt)
+
+        out.arena = FactorArena(
+            indptr=cat(1, np.int64), indices=cat(2, np.int64), data=cat(3, dtype),
+            ptr_off=np.cumsum([0] + [p[1].size for p in payloads], dtype=np.int64),
+            val_off=np.cumsum([0] + [p[2].size for p in payloads], dtype=np.int64),
+            gather=cat(4, np.int64),
+        )
+    return out

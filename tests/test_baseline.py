@@ -15,10 +15,10 @@ from repro.baseline import (
     sn_factorize,
     sn_partition,
     supernode_size_histogram,
+    symbolic_gilbert_peierls,
 )
 from repro.runtime import A100_PLATFORM
 from repro.sparse import generate, random_sparse
-from repro.symbolic import symbolic_gilbert_peierls
 
 
 def _filled(n=70, seed=0):

@@ -6,9 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baseline import detect_supernodes, sn_factorize, sn_partition
+from repro.baseline import (
+    detect_supernodes,
+    sn_factorize,
+    sn_partition,
+    symbolic_gilbert_peierls,
+)
 from repro.sparse import random_sparse
-from repro.symbolic import symbolic_gilbert_peierls
 
 
 def _dense_lu(d: np.ndarray) -> np.ndarray:

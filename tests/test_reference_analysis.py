@@ -1,0 +1,300 @@
+"""The array-native analysis phase against its interpreter-loop oracles.
+
+``tests/reference_analysis.py`` holds the row-subtree symbolic fill, the
+list-based BFS / nested dissection / RCM and the chunk-loop block
+partition that ``src/`` used to run.  Same permutation, same filled
+pattern and same block layout mean the same task stream and therefore
+bit-identical factors, so every comparison here is exact.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+
+from . import reference_analysis as ref
+from repro.core.blocking import block_partition
+from repro.core.strategy import IrregularBlocking
+from repro.ordering import bfs_levels, nested_dissection, pseudo_peripheral_vertex, rcm
+from repro.sparse import (
+    CSCMatrix,
+    adjacency_lists,
+    coo_to_csc,
+    ensure_diagonal,
+    generate,
+    has_full_diagonal,
+    paper_matrix_names,
+    random_sparse,
+)
+from repro.sparse.patterns import adjacency
+from repro.symbolic import (
+    column_structures,
+    elimination_tree,
+    entry_positions,
+    fill_in_values,
+    symbolic_symmetric,
+)
+
+NAMES = paper_matrix_names()
+
+
+@functools.lru_cache(maxsize=None)
+def matrix(name: str) -> CSCMatrix:
+    """Generator ``name`` at n ≈ 120–430, seeded by its position."""
+    return generate(name, scale=0.1, seed=NAMES.index(name))
+
+
+@functools.lru_cache(maxsize=None)
+def filled(name: str) -> CSCMatrix:
+    return symbolic_symmetric(matrix(name)).filled
+
+
+def without_diagonal(a: CSCMatrix, every: int) -> CSCMatrix:
+    """``a`` with every ``every``-th diagonal entry structurally removed."""
+    rows, cols = a.rows_cols()
+    keep = ~((rows == cols) & (cols % every == 0))
+    return coo_to_csc(a.shape, rows[keep], cols[keep], a.data[keep])
+
+
+def assert_same_matrix(got: CSCMatrix, want: CSCMatrix) -> None:
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+def assert_same_symbolic(a: CSCMatrix) -> None:
+    sym = symbolic_symmetric(a)
+    want, etree, nnz_strict = ref.symbolic_symmetric(a)
+    assert_same_matrix(sym.filled, want)
+    np.testing.assert_array_equal(sym.etree, etree)
+    assert sym.etree.dtype == etree.dtype
+    assert sym.nnz_l == sym.nnz_u == nnz_strict + a.ncols
+    # the position map addresses exactly a's entries, in a's order
+    np.testing.assert_array_equal(sym.filled.indices[sym.a_positions], a.indices)
+    np.testing.assert_array_equal(sym.filled.data[sym.a_positions], a.data)
+    assert sym.nnz_a == a.nnz
+
+
+def assert_same_blocks(f: CSCMatrix, bs, *, arena: bool, dtype) -> None:
+    got = block_partition(f, bs, arena=arena, dtype=dtype)
+    want = ref.block_partition(f, bs, arena=arena, dtype=dtype)
+    assert (got.n, got.bs, got.nb, got.dtype) == (want.n, want.bs, want.nb, want.dtype)
+    for name in ("boundaries", "blk_colptr", "blk_rowidx"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == np.int64
+    assert len(got.blk_values) == len(want.blk_values) == got.num_blocks
+    for g, w in zip(got.blk_values, want.blk_values):
+        assert_same_matrix(g, w)
+    for name in ("col_support", "row_support"):
+        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+            np.testing.assert_array_equal(g, w)
+    if not arena:
+        assert got.arena is None
+        # the legacy layout's promise: every block owns its arrays
+        assert all(b.data.base is None for b in got.blk_values)
+        return
+    for name in ("indptr", "indices", "data", "ptr_off", "val_off", "gather"):
+        g, w = getattr(got.arena, name), getattr(want.arena, name)
+        np.testing.assert_array_equal(g, w)
+        assert g.dtype == w.dtype, name
+    # and the blocks alias the slabs
+    assert all(np.shares_memory(b.data, got.arena.data) for b in got.blk_values if b.nnz)
+
+
+# ----------------------------------------------------------------------
+# the sweep
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", NAMES)
+class TestSweep:
+    def test_symbolic_fill(self, name):
+        assert_same_symbolic(matrix(name))
+
+    def test_symbolic_fill_float32_and_holes(self, name):
+        a = matrix(name)
+        assert_same_symbolic(a.astype(np.float32))
+        assert_same_symbolic(without_diagonal(a, 3))
+
+    def test_column_structures_are_the_strict_lower_fill(self, name):
+        a = matrix(name)
+        want, etree, _ = ref.symbolic_symmetric(a)
+        parent, ptr, rows = column_structures(ref.symmetrize_pattern(a))
+        np.testing.assert_array_equal(parent, etree)
+        np.testing.assert_array_equal(parent, elimination_tree(a))
+        w_rows, w_cols = want.rows_cols()
+        below = w_rows > w_cols
+        np.testing.assert_array_equal(rows, w_rows[below])
+        np.testing.assert_array_equal(np.diff(ptr), np.bincount(w_cols[below], minlength=a.ncols))
+
+    def test_orderings(self, name):
+        a = matrix(name)
+        np.testing.assert_array_equal(nested_dissection(a), ref.nested_dissection(a))
+        np.testing.assert_array_equal(
+            nested_dissection(a, leaf_size=8), ref.nested_dissection(a, leaf_size=8)
+        )
+        np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+
+    def test_bfs_and_peripheral_search(self, name):
+        a = matrix(name)
+        n = a.ncols
+        adj, lists = adjacency(a), ref.adjacency_lists(a)
+        rng = np.random.default_rng(NAMES.index(name))
+        for mask in (None, rng.random(n) < 0.7):
+            for start in rng.choice(n if mask is None else np.flatnonzero(mask), 3):
+                level, levels = bfs_levels(adj, int(start), mask)
+                w_level, w_levels = ref.bfs_levels(lists, int(start), mask)
+                np.testing.assert_array_equal(level, w_level)
+                assert len(levels) == len(w_levels)
+                for g, w in zip(levels, w_levels):
+                    np.testing.assert_array_equal(g, w)
+                    assert g.dtype == w.dtype
+                v, lv = pseudo_peripheral_vertex(adj, int(start), mask)
+                w_v, w_lv = ref.pseudo_peripheral_vertex(lists, int(start), mask)
+                assert v == w_v and len(lv) == len(w_lv)
+
+    def test_pattern_helpers(self, name):
+        a = matrix(name)
+        holes = without_diagonal(a, 4)
+        assert has_full_diagonal(a) == (not ref.missing_diagonal(a))
+        assert not has_full_diagonal(holes)
+        assert_same_matrix(ensure_diagonal(holes), ref.ensure_diagonal(holes))
+        assert_same_matrix(ensure_diagonal(a), a)
+        for g, w in zip(adjacency_lists(holes), ref.adjacency_lists(holes), strict=True):
+            np.testing.assert_array_equal(g, w)
+        assert_same_matrix(fill_in_values(filled(name), holes),
+                           ref.fill_in_values(filled(name), holes))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "noarena"])
+    @pytest.mark.parametrize("layout", ["regular", "irregular"])
+    def test_block_partition(self, name, layout, arena, dtype):
+        f = filled(name)
+        bs = 24 if layout == "regular" else IrregularBlocking(20).boundaries(f)
+        assert_same_blocks(f, bs, arena=arena, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", range(4))
+def test_coo_assembly_sums_duplicates_in_input_order(seed, dtype):
+    rng = np.random.default_rng(seed)
+    m, shape = 4000, (37, 53)
+    rows, cols = rng.integers(0, shape[0], m), rng.integers(0, shape[1], m)
+    vals = rng.standard_normal(m).astype(dtype)
+    assert_same_matrix(coo_to_csc(shape, rows, cols, vals),
+                       ref.coo_to_csc(shape, rows, cols, vals))
+
+
+def test_nonsymmetric_random_patterns():
+    for seed in range(6):
+        a = random_sparse(90, 0.04, seed=seed)
+        assert_same_symbolic(a)
+        np.testing.assert_array_equal(nested_dissection(a, leaf_size=16),
+                                      ref.nested_dissection(a, leaf_size=16))
+        assert_same_blocks(symbolic_symmetric(a).filled, 7, arena=True, dtype=None)
+
+
+# ----------------------------------------------------------------------
+# edge cases
+# ----------------------------------------------------------------------
+def test_order_zero():
+    a = CSCMatrix.empty((0, 0))
+    sym = symbolic_symmetric(a)
+    assert sym.filled.shape == (0, 0) and sym.filled.nnz == 0
+    assert sym.etree.size == 0 and sym.nnz_lu == 0 and sym.fill_ratio == 0.0
+    assert nested_dissection(a).size == 0 and rcm(a).size == 0
+    assert adjacency_lists(a) == [] and has_full_diagonal(a)
+    bm = block_partition(sym.filled, 4, arena=True)
+    assert bm.nb == 0 and bm.num_blocks == 0 and bm.blk_values == []
+    assert bm.arena.data.size == 0 and bm.arena.ptr_off.tolist() == [0]
+
+
+def test_order_one():
+    a = CSCMatrix.from_dense(np.array([[3.0]]))
+    assert_same_symbolic(a)
+    assert nested_dissection(a).tolist() == [0] == rcm(a).tolist()
+    for arena in (True, False):
+        assert_same_blocks(symbolic_symmetric(a).filled, 4, arena=arena, dtype=None)
+    level, levels = bfs_levels(adjacency(a), 0)
+    assert level.tolist() == [0] and [lv.tolist() for lv in levels] == [[0]]
+
+
+def test_diagonal_matrix_is_a_forest_of_roots():
+    a = CSCMatrix.from_dense(np.diag(np.arange(1.0, 41.0)))
+    assert_same_symbolic(a)
+    sym = symbolic_symmetric(a)
+    assert np.all(sym.etree == -1) and sym.filled.nnz == 40
+    np.testing.assert_array_equal(nested_dissection(a, leaf_size=8),
+                                  ref.nested_dissection(a, leaf_size=8))
+    np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+    assert_same_blocks(sym.filled, 6, arena=True, dtype=None)
+    assert block_partition(sym.filled, 6).num_blocks == 7  # diagonal blocks only
+
+
+def test_empty_columns_before_ensure_diagonal():
+    d = np.zeros((12, 12))
+    d[0, 5] = d[5, 0] = d[7, 2] = d[3, 3] = d[11, 4] = 2.0   # columns 1, 6, 8–11 empty
+    a = CSCMatrix.from_dense(d)
+    assert not has_full_diagonal(a)
+    assert_same_symbolic(a)              # the symbolic pass adds the diagonal itself
+    full = ensure_diagonal(a)
+    assert_same_matrix(full, ref.ensure_diagonal(a))
+    assert has_full_diagonal(full) and full.nnz == a.nnz + 11
+    assert_same_symbolic(full)
+    assert_same_blocks(symbolic_symmetric(a).filled, 5, arena=True, dtype=None)
+
+
+def test_disconnected_graph_and_masked_bfs():
+    # two 4-cycles {0..3}, {4..7} and an isolated vertex 8
+    d = np.eye(9)
+    for base in (0, 4):
+        for k in range(4):
+            d[base + k, base + (k + 1) % 4] = d[base + (k + 1) % 4, base + k] = 1.0
+    a = CSCMatrix.from_dense(d)
+    adj = adjacency(a)
+    level, levels = bfs_levels(adj, 5)
+    assert level.tolist() == [-1, -1, -1, -1, 1, 0, 1, 2, -1]
+    assert [lv.tolist() for lv in levels] == [[5], [4, 6], [7]]
+    mask = np.array([1, 1, 0, 1, 1, 1, 1, 1, 1], dtype=bool)   # cut the first cycle open
+    level, levels = bfs_levels(adj, 1, mask)
+    assert level.tolist() == [1, 0, -1, 2, -1, -1, -1, -1, -1]
+    assert not mask[2] and mask.sum() == 8                      # mask not written to
+    with pytest.raises(ValueError, match="masked out"):
+        bfs_levels(adj, 2, mask)
+    assert bfs_levels(adj, 8)[0].tolist() == [-1] * 8 + [0]
+    for leaf in (2, 64):
+        np.testing.assert_array_equal(nested_dissection(a, leaf_size=leaf),
+                                      ref.nested_dissection(a, leaf_size=leaf))
+    np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+
+
+def test_fill_in_values_names_the_first_uncovered_column():
+    pattern = CSCMatrix.from_dense(np.eye(5) + np.eye(5, k=1))
+    a = np.eye(5)
+    a[4, 2] = a[3, 1] = a[0, 1] = 1.0        # (0, 1) is covered; columns 1 and 2 are not
+    a = CSCMatrix.from_dense(a)
+    for fn in (fill_in_values, ref.fill_in_values, entry_positions):
+        with pytest.raises(ValueError, match="does not cover column 1 of the input"):
+            fn(pattern, a)
+    with pytest.raises(ValueError, match="does not cover column 0"):
+        entry_positions(CSCMatrix.empty((5, 5)), a)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fill_in_values(pattern, CSCMatrix.eye(4))
+    assert entry_positions(pattern, CSCMatrix.empty((5, 5))).size == 0
+
+
+def test_fill_ratio_counts_stored_zeros_structurally():
+    # lower bidiagonal of order 6 with three sub-diagonal entries stored as 0.0
+    n = 6
+    a = coo_to_csc(
+        (n, n),
+        np.r_[np.arange(n), np.arange(1, n)],
+        np.r_[np.arange(n), np.arange(n - 1)],
+        np.r_[np.ones(n), [0.0, 1.0, 0.0, 1.0, 0.0]],
+    )
+    assert a.nnz == 11 and np.count_nonzero(a.data) == 8
+    sym = symbolic_symmetric(a)
+    assert sym.nnz_a == 11 and sym.filled.nnz == 16
+    assert sym.fill_ratio == 16 / 11          # not 16 / 8
