@@ -7,6 +7,13 @@ sweep at reduced scale — blocks cut from real symbolic fill across block
 orders and densities — prints one series per variant, and asserts the
 paper's headline observation: each kernel family has at least two
 variants that are strictly best somewhere in the sweep.
+
+Every variant is timed standalone here — the dense-mapped ones
+(``IMAGE_VERSIONS``) build their own dense images, inversion of the
+diagonal block included.  ``run_sweep(images=True)`` times them the way
+the factorisation runs them instead: handed the images its panel cache
+holds, whose one-off cost every task of an elimination step shares; that
+is the sweep ``bench_fig08_selector.py`` fits the selector on.
 """
 
 from __future__ import annotations
@@ -22,9 +29,16 @@ from repro.kernels import (
     GETRF_VARIANTS,
     SSSSM_VARIANTS,
     TSTRF_VARIANTS,
+    KernelType,
+    TaskFeatures,
     Workspace,
+    gessm_flops,
+    getrf_flops,
     ssssm_flops_structural,
+    tstrf_flops,
 )
+from repro.kernels.base import SERIAL_GEMM_WORK, triangle_inverse
+from repro.kernels.registry import IMAGE_VERSIONS
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
 
@@ -38,8 +52,19 @@ SWEEP = [
     ("random", 128, 0.01), ("random", 128, 0.05), ("random", 128, 0.15),
     ("random", 256, 0.01), ("random", 256, 0.04),
     ("random", 512, 0.06),  # large dense panels: the compiled regime
-    ("banded", 256, 2), ("banded", 512, 3), ("banded", 512, 8),
+    # banded: block orders 52–256 around the default block sizes (47–104
+    # on the repo benchmark's matrices), and 320–512 beyond them, where
+    # the n³ of a dense image meets the nnz-proportional cost of the
+    # sparse variants
+    ("banded", 104, 2), ("banded", 208, 3), ("banded", 256, 2),
+    ("banded", 320, 4), ("banded", 384, 3), ("banded", 512, 3),
+    ("banded", 512, 8),
+    ("banded", 640, 3), ("banded", 768, 3), ("banded", 768, 48),
+    ("banded", 1024, 2), ("banded", 1024, 8), ("banded", 1024, 24),
+    ("banded", 1024, 64),
 ]
+#: the feature each family's Fig. 8 tree splits on
+X_FEATURE = {"GETRF": "nnz_a", "GESSM": "nnz_b", "TSTRF": "nnz_b", "SSSSM": "flops"}
 
 
 def _banded(n: int, band: int, seed: int = 1) -> "np.ndarray":
@@ -80,49 +105,85 @@ def _time(fn, *operands, repeats: int = 2) -> float:
     return best
 
 
-def run_sweep():
+def run_sweep(*, images: bool, repeats: int = 2):
     """Measure every variant on every sweep point.
 
-    Returns ``{family: [(x_feature, {variant: seconds})]}`` with
-    ``x`` = nnz for the panel kernels, FLOPs for SSSSM.
+    Returns ``{family: [(TaskFeatures, {variant: seconds})]}`` — the
+    features as :func:`repro.core.numeric.task_features` would report
+    them for the task.
     """
     out = {"GETRF": [], "GESSM": [], "TSTRF": [], "SSSSM": []}
+    # the first threaded BLAS calls of a process stall for milliseconds
+    # each while the pool's threads start; keep that out of the samples
+    warm = np.ones((256, 256))
+    for _ in range(64):
+        warm @ warm
+
+    def times(family, variants, target, call, handed):
+        dense = IMAGE_VERSIONS.get(KernelType[family])
+        return {
+            v: _time(
+                lambda blk, w: call(fn, blk, w, **(handed if v == dense else {})),
+                target, repeats=repeats,
+            )
+            for v, fn in variants.items()
+        }
+
     for kind, n, param in SWEEP:
         d, b, r, c = _blocks(kind, n, param)
         dfac = d.copy()
         GETRF_VARIANTS["G_V2"](dfac, WS)
-        out["GETRF"].append(
-            (d.nnz, {v: _time(fn, d) for v, fn in GETRF_VARIANTS.items()})
-        )
-        out["GESSM"].append(
-            (b.nnz, {v: _time(lambda blk, w: fn(dfac, blk, w), b)
-                     for v, fn in GESSM_VARIANTS.items()})
-        )
-        out["TSTRF"].append(
-            (r.nnz, {v: _time(lambda blk, w: fn(dfac, blk, w), r)
-                     for v, fn in TSTRF_VARIANTS.items()})
-        )
-        out["SSSSM"].append(
-            (ssssm_flops_structural(r, b),
-             {v: _time(lambda blk, w: fn(blk, r, b, w), c)
-              for v, fn in SSSSM_VARIANTS.items()})
-        )
+        order = d.ncols
+        out["GETRF"].append((
+            TaskFeatures(nnz_a=d.nnz, flops=getrf_flops(d), n=order,
+                         density=d.density),
+            times("GETRF", GETRF_VARIANTS, d, lambda fn, blk, w: fn(blk, w), {}),
+        ))
+        out["GESSM"].append((
+            TaskFeatures(nnz_a=d.nnz, nnz_b=b.nnz, flops=gessm_flops(d, b),
+                         n=order, density=b.density),
+            times("GESSM", GESSM_VARIANTS, b,
+                  lambda fn, blk, w, **kw: fn(dfac, blk, w, **kw),
+                  {"inv": triangle_inverse(dfac, lower=True)} if images else {}),
+        ))
+        out["TSTRF"].append((
+            TaskFeatures(nnz_a=d.nnz, nnz_b=r.nnz, flops=tstrf_flops(d, r),
+                         n=order, density=r.density),
+            times("TSTRF", TSTRF_VARIANTS, r,
+                  lambda fn, blk, w, **kw: fn(dfac, blk, w, **kw),
+                  {"inv": triangle_inverse(dfac, lower=False)} if images else {}),
+        ))
+        out["SSSSM"].append((
+            TaskFeatures(nnz_a=r.nnz, nnz_b=b.nnz,
+                         flops=ssssm_flops_structural(r, b), n=order,
+                         density=c.density),
+            times("SSSSM", SSSSM_VARIANTS, c,
+                  lambda fn, blk, w, **kw: fn(blk, r, b, w, **kw),
+                  {"a_dense": r.to_dense(), "b_dense": b.to_dense()}
+                  if images else {}),
+        ))
     return out
 
 
 def test_fig07_kernel_sweep(benchmark):
     banner("Fig. 7 — kernel time vs nnz / FLOPs, all 17 variants")
-    sweep = run_sweep()
+    sweep = run_sweep(images=False)
     for family, samples in sweep.items():
         xlabel = "FLOPs" if family == "SSSSM" else "nnz"
         variants = list(samples[0][1])
         rows = []
-        for x, times in sorted(samples):
+        for feats, times in sorted(
+            samples, key=lambda s: s[0].get(X_FEATURE[family])
+        ):
             best = min(times, key=times.get)
-            rows.append([x] + [times[v] * 1e3 for v in variants] + [best])
+            rows.append(
+                [int(feats.get(X_FEATURE[family])), feats.n, feats.density]
+                + [times[v] * 1e3 for v in variants] + [best]
+            )
         print(f"\n{family} (times in ms):")
         print(format_table(
-            [xlabel] + variants + ["best"], rows, float_fmt="{:.3f}"
+            [xlabel, "n", "density"] + variants + ["best"], rows,
+            float_fmt="{:.3f}",
         ))
     benchmark.pedantic(
         lambda: _time(GETRF_VARIANTS["G_V1"], _blocks("random", 64, 0.05)[0]),
@@ -131,4 +192,33 @@ def test_fig07_kernel_sweep(benchmark):
     # the paper's point: no single variant wins everywhere
     for family, samples in sweep.items():
         winners = {min(t, key=t.get) for _, t in samples}
+        print(f"{family}: fastest somewhere: {sorted(winners)}")
         assert len(winners) >= 2, f"{family}: one variant dominated the sweep"
+
+
+def _cpu_per_wall(m: int, n: int, k: int, calls: int = 300) -> float:
+    """Process CPU seconds per wall second over ``calls`` GEMMs: ≈ 1 when
+    BLAS keeps the product on the calling thread, ≈ the pool size when it
+    threads it (the woken workers spin between calls)."""
+    a, b = np.ones((m, k)), np.ones((k, n))
+    time.sleep(0.3)  # let the pool's workers spin down after earlier calls
+    wall, cpu = time.perf_counter(), time.process_time()
+    for _ in range(calls):
+        a @ b
+    return (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+
+def test_serial_gemm_work_is_below_the_blas_threading_threshold():
+    """``serial_matmul`` relies on BLAS running a product of
+    ``SERIAL_GEMM_WORK`` multiply-adds on the calling thread; a BLAS with
+    a lower threshold fails here instead of silently threading every
+    slab (``docs/trsm_threading.md``)."""
+    banner("GEMM threading threshold of this BLAS vs SERIAL_GEMM_WORK")
+    np.ones((4, 4)) @ np.ones((4, 4))  # start the pool
+    k = 64
+    n = SERIAL_GEMM_WORK // (k * k)
+    at_limit = _cpu_per_wall(k, n, k)
+    for factor in (1, 2, 4, 8):
+        print(f"{k}×{factor * n}×{k} ({factor}× SERIAL_GEMM_WORK): "
+              f"{_cpu_per_wall(k, factor * n, k):.2f} CPU s per wall s")
+    assert at_limit < 1.3, at_limit

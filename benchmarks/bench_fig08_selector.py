@@ -2,31 +2,31 @@
 
 The paper constructs four decision trees from a large pool of measured
 kernel times and selects variants by nnz (panel kernels) or FLOPs
-(SSSSM).  This bench (re-)derives trees from the Fig. 7 sweep with the
-CART calibrator, prints the learned thresholds next to the shipped
-defaults, and quantifies the selection quality: total time of the
-tree-selected kernels vs the oracle (per-sample best) and vs every fixed
-single-variant policy.
+(SSSSM).  This bench (re-)derives trees from the Fig. 7 sweep — the
+dense-mapped variants handed their cached images, as the factorisation
+runs them — with the CART calibrator, prints the learned thresholds next
+to the shipped defaults, and quantifies the selection quality: total time
+of the tree-selected kernels vs the oracle (per-sample best) and vs every
+fixed single-variant policy.
+
+``default_trees()`` is refitted from this output.  A dense image costs
+``n³`` whatever the nnz or the FLOPs, so next to the paper's feature the
+GESSM/TSTRF/SSSSM trees may split on the block order (and SSSSM on the
+target's density) — ``FEATURES`` below.
 """
 
 from __future__ import annotations
 
 from bench_fig07_kernels import run_sweep
 from common import banner
-from repro.kernels import (
-    DecisionTree,
-    KernelType,
-    Split,
-    TaskFeatures,
-    calibrate,
-    default_trees,
-)
+from repro.kernels import KernelType, Split, calibrate, default_trees
 
-_FEATURE = {
+#: features each refitted tree may split on (GETRF: the paper's nnz)
+FEATURES = {
     KernelType.GETRF: "nnz_a",
-    KernelType.GESSM: "nnz_b",
-    KernelType.TSTRF: "nnz_b",
-    KernelType.SSSSM: "flops",
+    KernelType.GESSM: ("n", "nnz_b"),
+    KernelType.TSTRF: ("n", "nnz_b"),
+    KernelType.SSSSM: ("n", "density", "flops"),
 }
 
 
@@ -44,18 +44,13 @@ def _tree_str(node, depth=0) -> str:
 
 def test_fig08_decision_trees(benchmark):
     banner("Fig. 8 — decision-tree kernel selection (calibrated from Fig. 7 sweep)")
-    sweep = run_sweep()
-    measurements = {}
-    for family, samples in sweep.items():
-        ktype = KernelType[family]
-        feat = _FEATURE[ktype]
-        measurements[ktype] = [
-            (TaskFeatures(**{"nnz_a": 0, feat: x} if feat != "nnz_a"
-                          else {feat: x}), times)
-            for x, times in samples
-        ]
-    learned = calibrate(measurements)
-    benchmark.pedantic(lambda: calibrate(measurements), rounds=3, iterations=1)
+    sweep = run_sweep(images=True, repeats=5)
+    measurements = {KernelType[family]: s for family, s in sweep.items()}
+    learned = calibrate(measurements, feature_by_type=FEATURES)
+    benchmark.pedantic(
+        lambda: calibrate(measurements, feature_by_type=FEATURES),
+        rounds=3, iterations=1,
+    )
 
     for ktype, tree in learned.items():
         print(f"\n{ktype.value}: learned tree")
@@ -77,3 +72,8 @@ def test_fig08_decision_trees(benchmark):
         assert tree_total <= fixed_best + 1e-12
         # and come close to the oracle
         assert tree_total <= 1.6 * oracle
+        shipped = default_trees()[ktype]
+        shipped_total = sum(t[shipped.select(f)] for f, t in measurements[ktype])
+        print(f"  shipped default tree on the same sweep: "
+              f"{shipped_total * 1e3:.2f} ms")
+        print(_tree_str(shipped.root, 1))

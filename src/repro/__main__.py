@@ -79,6 +79,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"factor dtype = {solver.blocks.dtype}, "
           f"relative residual = {solver.residual_norm(x, b):.3e}")
     fact = solver.factorize()
+    from .core.memory import memory_report
+
+    run = fact.stats
+    mem = memory_report(blocks, run)
+    print(f"numeric: {run.tasks_executed} tasks ({run.planned_tasks} planned), "
+          f"factor storage = {mem.total_bytes} B, "
+          f"plan_bytes = {run.plan_bytes}, "
+          f"panel_cache_peak_bytes = {mem.panel_cache_peak_bytes}")
     if fact.last_tsolve_stats is not None:
         ts = fact.last_tsolve_stats
         print(f"solve: {solver.solve_count} call(s), last "

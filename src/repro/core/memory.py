@@ -68,6 +68,12 @@ class MemoryReport:
         Exact CSC payload (values + within-block indices) of the blocks
         that also carry a low-rank overlay — what a consumer that reads
         the overlay *instead* of the CSC arrays avoids touching.
+    panel_cache_peak_bytes:
+        High-water mark of the dense panel images the dense-mapped
+        kernels multiplied during the factorisation ``run`` (largest
+        rank's on the rank engines).  Transient working memory — the
+        images are gone when the run ends — so it is reported beside
+        :attr:`total_bytes`, not in it.
     """
 
     values_bytes: int
@@ -78,6 +84,7 @@ class MemoryReport:
     arena_refill_bytes: int = 0
     lr_value_bytes: int = 0
     compressed_csc_bytes: int = 0
+    panel_cache_peak_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -124,10 +131,12 @@ class MemoryReport:
         )
 
 
-def memory_report(f: BlockMatrix) -> MemoryReport:
+def memory_report(f: BlockMatrix, run=None) -> MemoryReport:
     """Account the storage of a blocked matrix exactly (including any
     execution plans cached on the structure), with every byte count
-    derived from the actual array dtypes."""
+    derived from the actual array dtypes.  ``run`` — the
+    :class:`~repro.runtime.scheduler.RunReport` of the factorisation that
+    filled ``f`` — adds the working memory only a run knows."""
     values = 0
     layer2 = 0
     dense_eq = 0
@@ -162,6 +171,7 @@ def memory_report(f: BlockMatrix) -> MemoryReport:
         arena_refill_bytes=int(refill),
         lr_value_bytes=int(lr_bytes),
         compressed_csc_bytes=int(comp_csc),
+        panel_cache_peak_bytes=run.panel_cache_peak_bytes if run is not None else 0,
     )
 
 

@@ -21,9 +21,12 @@ same protocol in virtual time — all replay the same DAG.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
-from ..kernels.base import Workspace
+import numpy as np
+
+from ..kernels.base import Workspace, triangle_inverse
 from ..kernels.compress import CompressPolicy, try_compress
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
@@ -40,7 +43,7 @@ from ..kernels.plans import (
     run_ssssm_plan_arena,
     run_tstrf_plan,
 )
-from ..kernels.registry import KernelType, get_kernel, plan_capable
+from ..kernels.registry import IMAGE_VERSIONS, KernelType, get_kernel, plan_capable
 from ..kernels.selector import SelectorPolicy, TaskFeatures
 from ..sparse.blockrep import CompressedBlock, lr_profit_cap
 from .blocking import BlockMatrix
@@ -52,9 +55,16 @@ __all__ = [
     "task_features",
     "execute_task",
     "FactorJob",
+    "PanelCache",
     "resolve_plan_cache",
     "resolve_compress",
 ]
+
+# registered for the `lock-discipline` lint rule: the panel cache is only
+# written under its lock (reads stay lock-free — see PanelCache.get)
+__guarded_by__ = {
+    "self._lock": ("self._images", "self._uses", "self.nbytes", "self.peak_bytes"),
+}
 
 _TTYPE_TO_KTYPE = {
     TaskType.GETRF: KernelType.GETRF,
@@ -310,12 +320,19 @@ def execute_task(
     pivot_floor: float = 0.0,
     plans: PlanCache | None = None,
     compress: CompressPolicy | None = None,
+    panels: PanelCache | None = None,
 ) -> tuple[int, bool]:
     """Execute one task, preferring a cached execution plan.
 
     Returns ``(replaced_pivots, planned)`` — the GESP diagnostic plus
     whether a plan (rather than the unplanned kernel) ran.  This is the
     per-task entry point :class:`FactorJob` calls on every engine.
+
+    ``panels`` is the factorisation's :class:`PanelCache`: the
+    dense-mapped variants (:data:`~repro.kernels.registry.IMAGE_VERSIONS`)
+    take their operand images from it, building each on first use.
+    Without one (``None``) they scatter their operands themselves and
+    nothing is kept.
 
     With a :class:`~repro.kernels.compress.CompressPolicy` (``None`` by
     default — the bit-identical path), two extra branches activate:
@@ -351,16 +368,88 @@ def execute_task(
     assert target is not None
     if task.ttype == TaskType.GETRF:
         return int(kernel(target, ws, pivot_floor=pivot_floor) or 0), False
+    # the dense-mapped variants multiply dense images of their operands,
+    # kept by the factorisation's panel cache when there is one
+    images = {}
+    cached = panels is not None and IMAGE_VERSIONS[ktype] == version
     if task.ttype in (TaskType.GESSM, TaskType.TSTRF):
         diag = f.block(task.k, task.k)
-        kernel(diag, target, ws)
+        if cached:
+            lower = ktype is KernelType.GESSM
+            images["inv"] = panels.get(
+                (f.block_slot(task.k, task.k), lower),
+                lambda: triangle_inverse(diag, lower=lower),
+            )
+        kernel(diag, target, ws, **images)
         if compress is not None:
             _maybe_compress(f, task, compress)
     else:
         a_blk = f.block(task.bi, task.k)
         b_blk = f.block(task.k, task.bj)
-        kernel(target, a_blk, b_blk, ws)
+        if cached:
+            images["a_dense"] = panels.get(
+                f.block_slot(task.bi, task.k), a_blk.to_dense
+            )
+            images["b_dense"] = panels.get(
+                f.block_slot(task.k, task.bj), b_blk.to_dense
+            )
+        kernel(target, a_blk, b_blk, ws, **images)
     return 0, False
+
+
+class PanelCache:
+    """Dense images of one factorisation's published panels, so that a
+    dense-mapped task is one GEMM and touches only its own target.
+
+    Keyed by block slot: ``slot`` holds the image of an ``L(i,k)`` /
+    ``U(k,j)`` panel (what ``ssssm_c_v1`` multiplies), ``(slot, lower)``
+    the inverse of one triangle of a factored diagonal block (what
+    ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by).  An image is built by
+    its first user — on a rank that covers received panels too — and
+    dropped by :meth:`release` when the last task reading its block
+    completes (``uses``: slot → number of such tasks, the block's panel
+    task's successors in the DAG), so with earliest-step-first scheduling
+    about two elimination steps of panels are alive at once.
+
+    Reads are lock-free, builds raced and resolved with ``setdefault``
+    (as in :class:`~repro.kernels.plans.PlanCache`): the lanes of a
+    threaded run share one cache.  It belongs to one :class:`FactorJob`
+    and dies with it, so a refactorisation never sees an old image.
+    """
+
+    def __init__(self, uses: dict[int, int]) -> None:
+        self._uses = uses
+        self._images: dict = {}
+        self._lock = threading.Lock()
+        self.nbytes = 0
+        self.peak_bytes = 0
+
+    def get(self, key, build) -> np.ndarray:
+        """The image under ``key``, from ``build()`` on a miss."""
+        image = self._images.get(key)
+        if image is None:
+            image = build()
+            with self._lock:
+                kept = self._images.setdefault(key, image)
+                if kept is image:
+                    self.nbytes += image.nbytes
+                    self.peak_bytes = max(self.peak_bytes, self.nbytes)
+            image = kept
+        return image
+
+    def release(self, slot: int) -> None:
+        """A task that reads block ``slot`` completed; after the last
+        one the block's images go."""
+        with self._lock:
+            self._uses[slot] -= 1
+            if self._uses[slot] == 0:
+                for key in (slot, (slot, True), (slot, False)):
+                    image = self._images.pop(key, None)
+                    if image is not None:
+                        self.nbytes -= image.nbytes
+
+    def __len__(self) -> int:
+        return len(self._images)
 
 
 class FactorJob:
@@ -369,18 +458,36 @@ class FactorJob:
     runs as feature extraction → kernel selection → :func:`execute_task`,
     and is traced as ``GETRF(k=0,0,0)`` under its kernel family.
 
-    ``f`` is the :class:`BlockMatrix` or a distributed rank's local view.
+    ``f`` is the :class:`BlockMatrix` or a distributed rank's local view;
+    ``owned`` the task ids this job runs (``None``: all of them) — what
+    the job's :class:`PanelCache` counts a block's readers over.
     """
 
     name = "factorize"
 
-    def __init__(self, f, dag: TaskDAG, options: NumericOptions, n_slots: int) -> None:
+    def __init__(
+        self, f, dag: TaskDAG, options: NumericOptions, n_slots: int, owned=None
+    ) -> None:
         self.f = f
         self.tasks = dag.tasks
         self.options = options
         self.n_slots = n_slots
         self.plans = resolve_plan_cache(f, options)
         self.compress = resolve_compress(options)
+        runs = None
+        if owned is not None:
+            runs = np.zeros(len(dag.tasks), dtype=bool)
+            runs[np.asarray(owned, dtype=np.int64)] = True
+
+        def readers(tid: int) -> int:
+            """Successors of panel task ``tid`` that this job runs."""
+            successors = dag.tasks[tid].successors
+            return len(successors) if runs is None else int(runs[successors].sum())
+
+        self.panels = PanelCache({
+            f.block_slot(bi, bj): readers(tid)
+            for (bi, bj), tid in dag.panel_of_block.items()
+        })
 
     def write_slots(self, tid: int) -> tuple[int, ...]:
         task = self.tasks[tid]
@@ -395,8 +502,14 @@ class FactorJob:
         version = self.options.selector.select(ktype, task_features(self.f, task))
         replaced, planned = execute_task(
             self.f, task, version, ws, pivot_floor=self.options.pivot_floor,
-            plans=self.plans, compress=self.compress,
+            plans=self.plans, compress=self.compress, panels=self.panels,
         )
+        slot = self.f.block_slot
+        if task.ttype is TaskType.SSSSM:
+            self.panels.release(slot(task.bi, task.k))
+            self.panels.release(slot(task.k, task.bj))
+        elif task.ttype is not TaskType.GETRF:
+            self.panels.release(slot(task.k, task.k))
         return f"{ktype.value}/{version}", replaced, planned
 
     def trace_label(self, tid: int) -> tuple[str, str]:
@@ -405,9 +518,11 @@ class FactorJob:
         return f"{name}(k={task.k},{task.bi},{task.bj})", name
 
     def finish(self, report: RunReport) -> None:
-        """The flops of the tasks that ran, the plan cache's footprint
-        and what the overlay of ``f`` holds (a rank: of its own blocks)."""
+        """The flops of the tasks that ran, the footprints of the plan
+        cache and (at its peak) the panel cache, and what the overlay of
+        ``f`` holds (a rank: of its own blocks)."""
         report.flops_total = sum(self.tasks[t].flops for t in report.kernel_choices)
+        report.panel_cache_peak_bytes = self.panels.peak_bytes
         if self.plans is not None:
             report.plan_bytes = self.plans.nbytes
         if self.compress is not None:
@@ -446,7 +561,7 @@ def factorize(
     audit the counter protocol as it runs.
     """
     options = options or NumericOptions()
-    job = FactorJob(f, dag, options, f.num_blocks)
+    job = FactorJob(f, dag, options, f.num_blocks, owned)
     core = SchedulerCore.from_dag(dag, owned=owned, recorder=recorder)
     return run_lanes(
         core, job, n_lanes=n_lanes, recorder=recorder, checker=checker,

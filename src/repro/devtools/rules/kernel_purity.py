@@ -12,7 +12,10 @@ kernel module:
   calling convention: ``getrf_*``/``ssssm_*``/``updf_*``/``updb_*`` →
   first parameter, ``gessm_*``/``tstrf_*``/``diagf_*``/``diagb_*`` →
   second) and its ``ws`` workspace — one level of local aliasing
-  (``c_data = c.data``) is resolved;
+  (``c_data = c.data``) is resolved.  Keyword-only parameters are
+  read-only operands like the rest: they carry the cached dense images
+  of the factorisation's panel cache (``inv=``, ``a_dense=``,
+  ``b_dense=``), which other lanes read at the same time;
 * no ``import time`` / ``import random`` / ``np.random`` usage;
 * no module-level mutable state except ALL_CAPS registry constants, and
   no ``global`` statements inside kernels.
@@ -140,15 +143,16 @@ class KernelPurityRule(Rule):
                         )
 
     def _check_writes(self, fn: ast.FunctionDef, ctx: FileContext) -> Iterator[Finding]:
-        params = [a.arg for a in fn.args.args + fn.args.posonlyargs]
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
         if not params:
             return
         widx = _WRITABLE_PARAM[fn.name.split("_", 1)[0]]
         if widx >= len(params):
             return
         writable = {params[widx], "ws"}
-        readonly = set(params) - writable
-        aliases = _alias_map(fn, set(params))
+        operands = set(params) | {a.arg for a in fn.args.kwonlyargs}
+        readonly = operands - writable
+        aliases = _alias_map(fn, operands)
         for stmt in ast.walk(fn):
             if not isinstance(stmt, ast.stmt):
                 continue

@@ -15,8 +15,10 @@ three addressing methods well-defined:
 * **Merge** — locate targets by merging two sorted index lists
   (``numpy.intersect1d`` on sorted-unique arrays).
 
-This module provides the dense workspace, scatter/gather helpers, and
-the L/U split views of a factored diagonal block.
+This module provides the dense workspace, scatter/gather helpers, the
+dense inverse the dense-mapped panel solves multiply by
+(:func:`triangle_inverse` of a factored diagonal block), and the L/U
+split views of a factored diagonal block.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from ..sparse.csc import CSCMatrix
 
@@ -31,6 +34,8 @@ __all__ = [
     "Workspace",
     "scatter_dense",
     "gather_dense",
+    "triangle_inverse",
+    "serial_matmul",
     "split_lu",
     "solve_levels",
     "csc_to_csr_arrays",
@@ -119,6 +124,68 @@ def gather_dense(block: CSCMatrix, dense: np.ndarray) -> None:
     """Gather values from ``dense`` back into the block's fixed pattern."""
     rows, cols = block.rows_cols()
     block.data[...] = dense[rows, cols]
+
+
+#: multiply-adds per GEMM call that OpenBLAS still runs on the calling
+#: thread (measured threshold of this build: 2^20; see
+#: ``docs/trsm_threading.md``), with a factor two to spare.  A measured
+#: property of one BLAS, not a tuning knob: ``bench_fig07_kernels.py``
+#: re-measures the threshold and fails when it has dropped below this.
+SERIAL_GEMM_WORK = 1 << 19
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in column slabs small enough that BLAS keeps each GEMM
+    on the calling thread.
+
+    The task, not the BLAS call, is this solver's unit of parallelism:
+    a *threaded* GEMM issued from a Python task loop has to wake a pool
+    thread that then spins against the other lanes and ranks — measured
+    on 104-wide blocks at 2 ranks × 2 cores, 2.5 s of numeric time became
+    6.4–7.5 s with plain ``@`` and 0.6 s with this.  Products up to
+    :data:`SERIAL_GEMM_WORK` (every block order below 80) are one call.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    if m * n * k <= SERIAL_GEMM_WORK:
+        return a @ b
+    out = np.empty((m, n), dtype=a.dtype)
+    width = max(1, SERIAL_GEMM_WORK // (m * k))
+    for j in range(0, n, width):
+        np.matmul(a, b[:, j:j + width], out=out[:, j:j + width])
+    return out
+
+
+def triangle_inverse(diag: CSCMatrix, *, lower: bool) -> np.ndarray:
+    """Dense inverse of one triangle of a factored diagonal block: the
+    unit-lower ``L`` (``lower=True``) or the upper ``U`` including its
+    diagonal, in the block's value dtype (LAPACK ``trtri``).
+
+    With it a panel solve is one GEMM — ``L⁻¹·B`` for GESSM, ``B·U⁻¹``
+    for TSTRF — the ``DiagInv`` form of SuperLU_DIST.  A per-task
+    ``trsm`` is *not* an alternative here: this OpenBLAS build threads
+    ``trsm`` at any size (see ``docs/trsm_threading.md``).  The price is
+    accuracy on ill-conditioned blocks: the forward error of ``B·U⁻¹``
+    grows with ``cond(U)`` where substitution's grows with the (usually
+    far smaller) backward-stable bound.
+
+    A zero or structurally missing ``U`` diagonal raises
+    :class:`SingularBlockError` naming the column.
+    """
+    d = diag.to_dense()
+    (trtri,) = get_lapack_funcs(("trtri",), (d,))
+    # trtri on the transposed (Fortran-ordered) view avoids a copy: the
+    # inverse of the transpose is the transpose of the inverse
+    inv_t, info = trtri(d.T, lower=not lower, unitdiag=lower, overwrite_c=True)
+    if info > 0:
+        raise SingularBlockError(f"zero/missing U diagonal at {info - 1}")
+    if info < 0:  # pragma: no cover - argument error, not data
+        raise ValueError(f"trtri: illegal argument {-info}")
+    inv = inv_t.T
+    if lower:  # trtri leaves the other triangle (and a unit diagonal) as found
+        inv = np.tril(inv, -1)
+        np.fill_diagonal(inv, 1.0)
+        return inv
+    return np.triu(inv)
 
 
 def split_lu(diag: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:

@@ -10,7 +10,7 @@ The five variants follow Table 1 of the paper:
 version  addressing  parallelising method        dense mapping
 =======  ==========  ==========================  =============
 C_V1     Merge       column-wise                 no
-C_V2     Direct      column-wise                 yes
+C_V2     Direct      one GEMM on the inverse     yes
 G_V1     Bin-search  warp-level column           no
 G_V2     Bin-search  un-sync warp-level row      no
 G_V3     Direct      warp-level column           yes
@@ -29,8 +29,10 @@ from .base import (
     csc_to_csr_arrays,
     gather_dense,
     scatter_dense,
+    serial_matmul,
     solve_levels,
     split_lu,
+    triangle_inverse,
 )
 
 __all__ = [
@@ -78,21 +80,19 @@ def gessm_c_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
                 vals_c[pos_c] -= l_vals[pos_l] * xt
 
 
-def gessm_c_v2(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """Dense-mapped column solve (CPU V2, "Direct").
-
-    Scatters ``B`` into a dense panel and sweeps the pivots once, updating
-    all right-hand-side columns simultaneously with vectorised rows.
-    """
-    n, m = b.shape
-    w = ws.dense("a", (n, m), b.data.dtype)
+def gessm_c_v2(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None
+) -> None:
+    """Dense-mapped solve (CPU V2, "Direct"): scatter ``B``, one GEMM
+    with the dense inverse of the unit-lower ``L``, gather.  ``inv`` is
+    that inverse when the caller holds one (the factorisation's panel
+    cache builds it once per diagonal block); accuracy: see
+    :func:`~repro.kernels.base.triangle_inverse`."""
+    if inv is None:
+        inv = triangle_inverse(diag, lower=True)
+    w = ws.dense("a", b.shape, b.data.dtype)
     scatter_dense(b, w)
-    for t in range(n):
-        xt = w[t, :]
-        l_rows, l_vals = _strict_lower_cols(diag, t)
-        if l_rows.size:
-            w[l_rows, :] -= np.outer(l_vals, xt)
-    gather_dense(b, w)
+    gather_dense(b, serial_matmul(inv, w))
 
 
 def gessm_g_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:

@@ -33,6 +33,7 @@ __all__ = [
     "get_kernel",
     "is_gpu_version",
     "plan_capable",
+    "IMAGE_VERSIONS",
 ]
 
 
@@ -55,6 +56,16 @@ KERNEL_REGISTRY: dict[KernelType, dict[str, Callable]] = {
     KernelType.TSTRF: dict(TSTRF_VARIANTS),
     KernelType.SSSSM: dict(SSSSM_VARIANTS) | dict(LR_SSSSM_VARIANTS),
     KernelType.COMPRESS: dict(COMPRESS_VARIANTS),
+}
+
+
+#: the "Direct" variant of each family that is one GEMM on dense operand
+#: *images* and takes them from a caller that holds them (``inv=`` for
+#: the panel solves, ``a_dense=`` / ``b_dense=`` for SSSSM)
+IMAGE_VERSIONS = {
+    KernelType.GESSM: "C_V2",
+    KernelType.TSTRF: "C_V2",
+    KernelType.SSSSM: "C_V1",
 }
 
 

@@ -7,7 +7,7 @@ from a large sweep of measured kernel times on the target GPU; this module
 
 * represents such trees as explicit data (:class:`DecisionTree` /
   :class:`Split` / leaf strings) so the paper's topology is preserved;
-* ships :func:`default_trees` with thresholds calibrated for *this*
+* ships :func:`default_trees` with thresholds fitted to *this*
   implementation's kernels (the absolute crossover points of CUDA kernels
   on an A100 obviously differ from NumPy kernels — what is reproduced is
   the mechanism and its effect, see the Fig. 14 ablation bench);
@@ -124,14 +124,29 @@ def default_trees() -> dict[KernelType, DecisionTree]:
 
     Topology follows Fig. 8 (small-nnz → CPU-class sparse kernels,
     mid-range → bin-search/level GPU kernels, large/dense → dense-mapped or
-    compiled kernels); thresholds are calibrated to this implementation
-    (see ``benchmarks/bench_fig08_selector.py`` for the measured sweep).
+    compiled kernels); thresholds are fitted to this implementation by
+    ``benchmarks/bench_fig08_selector.py``.
     """
-    # Thresholds below come from the measured sweep over block orders
-    # 16–256 and densities 0.01–1.0 (see bench_fig07_kernels.py): the
-    # sparse left-looking kernels win tiny/very sparse blocks, the
-    # dense-workspace variants win medium densities, and the dense /
-    # compiled paths win dense or very large panels.
+    # GESSM / TSTRF / SSSSM thresholds: refitted 2026-09-29 from the
+    # bench_fig08_selector.py sweep (CART over bench_fig07_kernels.py's
+    # 26 points: random fill at block orders 16–256, densities 0.01–1.0,
+    # banded at orders 52–512; best of 5; dense-mapped variants handed
+    # their cached images, as the factorisation runs them; panel trees
+    # over (n, nnz_b), SSSSM over (n, density, flops)).  With one GEMM
+    # per dense-mapped task the dense path wins everywhere but on sparse
+    # panels of large blocks, where the n³ of the GEMM (in slabs above
+    # order 80, see ``serial_matmul``) meets a cost proportional to nnz:
+    # GESSM goes sparse from order 144 up below 500 stored entries
+    # (0.24 ms against 1.05 ms at order 256, 3.0 against 15.3 at 512),
+    # TSTRF, whose sparse variants pay a split and two transposes per
+    # call, only from order 448 up below 1 200 (4.0 ms against 17.4).
+    # The compiled G_V3 leaves are gone (9.5 ms against 1.9 ms on a dense
+    # 256-panel).  Valid for block orders up to 512; dense panels above
+    # order 256 are not in the sweep (a sparse variant takes seconds
+    # there) and the dense leaf is extrapolated for them.
+    # GETRF is as fitted before (block orders 16–256, densities
+    # 0.01–1.0): sparse left-looking kernels on tiny/very sparse blocks,
+    # the dense workspace on the rest.
     getrf = DecisionTree(
         Split(
             "nnz_a",
@@ -141,25 +156,27 @@ def default_trees() -> dict[KernelType, DecisionTree]:
         )
     )
     gessm = DecisionTree(
-        Split(
-            "nnz_b",
-            30.0,
-            Split("nnz_b", 12.0, "C_V1", "G_V1"),
-            Split("nnz_b", 20_000.0, "C_V2", "G_V3"),
-        )
+        Split("nnz_b", 500.0, Split("n", 144.0, "C_V2", "G_V1"), "C_V2")
     )
     tstrf = DecisionTree(
-        Split("nnz_b", 25_000.0, "C_V2", "G_V3")
+        Split("n", 448.0, "C_V2", Split("nnz_b", 1200.0, "G_V1", "C_V2"))
     )
-    # dense-operand subtree — unchanged from the pre-compression
-    # selector so runs with compression disabled stay bit-identical
+    # dense-operand subtree.  A dense image costs n³ whatever the FLOPs,
+    # so the block order guards the paper's FLOP split: below 176 (the
+    # fitted split) the GEMM on dense images wins at any density —
+    # 0.06 ms against 0.19 ms for G_V1 at n = 104, density 0.07; 1.0 ms
+    # against 0.24 ms at n = 256.  Above it the bin-search kernels take
+    # targets less than a third full (fitted: 0.32; 0.8 ms against 7.0
+    # at n = 384, density 0.24); the FLOP split under that is as fitted
+    # before (C_V2 and G_V1 are within 10 % of each other on the
+    # sweep's five samples below it).
     ssssm_dense = Split(
         "n",
-        96.0,
+        176.0,
         "C_V1",
         Split(
             "density",
-            0.2,
+            0.32,
             Split("flops", 100.0, "C_V2", "G_V1"),
             "C_V1",
         ),
@@ -235,15 +252,16 @@ class SelectorPolicy:
 def calibrate(
     measurements: dict[KernelType, list[tuple[TaskFeatures, dict[str, float]]]],
     *,
-    feature_by_type: dict[KernelType, str] | None = None,
+    feature_by_type: dict[KernelType, str | tuple[str, ...]] | None = None,
     max_depth: int = 3,
 ) -> dict[KernelType, DecisionTree]:
     """Rebuild decision trees from measured per-variant kernel times.
 
     ``measurements[ktype]`` is a list of ``(features, {version: seconds})``
-    samples.  A small exact CART over one feature per type (the paper uses
-    nnz for panel kernels, FLOPs for SSSSM) greedily picks thresholds
-    minimising the total time of the selected kernels.
+    samples.  A small exact CART greedily picks thresholds minimising the
+    total time of the selected kernels — over one feature per type by
+    default (the paper uses nnz for panel kernels, FLOPs for SSSSM), over
+    the best of several where ``feature_by_type`` gives a tuple.
     """
     if feature_by_type is None:
         feature_by_type = {
@@ -262,35 +280,37 @@ def calibrate(
         version = min(totals, key=totals.get)  # type: ignore[arg-type]
         return version, totals[version]
 
-    def build(samples, feature, depth) -> Node:
+    def build(samples, features, depth) -> Node:
         leaf, leaf_cost = best_leaf(samples)
         if depth >= max_depth or len(samples) < 4:
             return leaf
-        xs = sorted({s.get(feature) for s, _ in samples})
         best: tuple[float, Node] = (leaf_cost, leaf)
-        for i in range(1, len(xs)):
-            thr = 0.5 * (xs[i - 1] + xs[i])
-            left = [s for s in samples if s[0].get(feature) < thr]
-            right = [s for s in samples if s[0].get(feature) >= thr]
-            if not left or not right:
-                continue
-            _, cl = best_leaf(left)
-            _, cr = best_leaf(right)
-            if cl + cr < best[0] - 1e-12:
-                best = (
-                    cl + cr,
-                    Split(
-                        feature,
-                        thr,
-                        build(left, feature, depth + 1),
-                        build(right, feature, depth + 1),
-                    ),
-                )
+        for feature in features:
+            xs = sorted({s.get(feature) for s, _ in samples})
+            for i in range(1, len(xs)):
+                thr = 0.5 * (xs[i - 1] + xs[i])
+                left = [s for s in samples if s[0].get(feature) < thr]
+                right = [s for s in samples if s[0].get(feature) >= thr]
+                _, cl = best_leaf(left)
+                _, cr = best_leaf(right)
+                if cl + cr < best[0] - 1e-12:
+                    best = (
+                        cl + cr,
+                        Split(
+                            feature,
+                            thr,
+                            build(left, features, depth + 1),
+                            build(right, features, depth + 1),
+                        ),
+                    )
         return best[1]
 
     out: dict[KernelType, DecisionTree] = {}
     for ktype, samples in measurements.items():
         if not samples:
             raise ValueError(f"no samples for {ktype}")
-        out[ktype] = DecisionTree(build(samples, feature_by_type[ktype], 0))
+        features = feature_by_type[ktype]
+        if isinstance(features, str):
+            features = (features,)
+        out[ktype] = DecisionTree(build(samples, features, 0))
     return out

@@ -12,7 +12,7 @@ The four variants follow Table 1 of the paper:
 =======  ==========  =================================  =============
 version  addressing  parallelising method               dense mapping
 =======  ==========  =================================  =============
-C_V1     Direct      approx. equal-load column blocks   C only
+C_V1     Direct      one GEMM on cached dense images    A and B
 C_V2     Bin-search  adaptive split-bin                 no
 G_V1     Bin-search  adaptive multi-level               no
 G_V2     Direct      warp-level column                  C only
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..sparse.csc import CSCMatrix
-from .base import Workspace, gather_dense, scatter_dense
+from .base import Workspace, gather_dense, scatter_dense, serial_matmul
 
 __all__ = [
     "ssssm_c_v1",
@@ -49,21 +49,27 @@ def ssssm_flops(a: CSCMatrix, b: CSCMatrix) -> int:
     return int(2 * np.dot(a_colnnz, b_rownnz))
 
 
-def ssssm_c_v1(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
+def ssssm_c_v1(
+    c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace, *,
+    a_dense: np.ndarray | None = None, b_dense: np.ndarray | None = None,
+) -> None:
     """Dense GEMM with pattern gather (CPU V1, "Direct").
 
-    Scatters all three operands dense and runs one vectorised matmul.
-    Wins when the blocks are dense (audikw_1-style matrices) — exactly the
-    regime where supernodal dense BLAS is competitive.
+    One GEMM on the dense images of ``A`` and ``B``; the product is
+    gathered at ``C``'s pattern and subtracted in place, so ``C`` is
+    never densified.  ``a_dense`` / ``b_dense`` are the images when the
+    caller holds them (the factorisation's panel cache keeps one per
+    published panel).  Wins when the blocks are dense (audikw_1-style
+    matrices) — where supernodal dense BLAS is competitive.
     """
-    wa = ws.dense("a", a.shape, a.data.dtype)
-    wb = ws.dense("b", b.shape, b.data.dtype)
-    wc = ws.dense("c", c.shape, c.data.dtype)
-    scatter_dense(a, wa)
-    scatter_dense(b, wb)
-    scatter_dense(c, wc)
-    wc -= wa @ wb
-    gather_dense(c, wc)
+    if a_dense is None:
+        a_dense = ws.dense("a", a.shape, a.data.dtype)
+        scatter_dense(a, a_dense)
+    if b_dense is None:
+        b_dense = ws.dense("b", b.shape, b.data.dtype)
+        scatter_dense(b, b_dense)
+    rows, cols = c.rows_cols()
+    c.data[...] -= serial_matmul(a_dense, b_dense)[rows, cols]
 
 
 def ssssm_c_v2(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:

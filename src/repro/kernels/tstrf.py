@@ -7,7 +7,7 @@ corresponding block of ``L`` by solving ``X·U = B`` in place.
 A right solve against upper-triangular ``U`` is a left solve against the
 non-unit lower-triangular ``U^T``: the sparse variants transpose the block,
 run a forward substitution mirror of the GESSM variants, and transpose
-back; the dense variants sweep columns of ``U`` directly.
+back; the dense-mapped C_V2 is one GEMM with the inverse of ``U``.
 
 The five variants follow Table 1 of the paper (same addressing split as
 GESSM: merge / direct / bin-search / level-scheduled rows / compiled).
@@ -26,8 +26,10 @@ from .base import (
     csc_to_csr_arrays,
     gather_dense,
     scatter_dense,
+    serial_matmul,
     solve_levels,
     split_lu,
+    triangle_inverse,
 )
 
 __all__ = [
@@ -97,28 +99,20 @@ def tstrf_c_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
     b.data[...] = bt.transpose().data
 
 
-def tstrf_c_v2(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """Dense-mapped column sweep (CPU V2, "Direct").
-
-    Works on ``B`` directly: columns of ``U`` are processed left to right;
-    each solved column of ``X`` immediately updates the later columns.
-    """
-    n, m = b.shape  # b is n-rows tall, m = diag order? no: X U = B, U m×m
-    w = ws.dense("a", (n, m), b.data.dtype)
+def tstrf_c_v2(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None
+) -> None:
+    """Dense-mapped solve (CPU V2, "Direct"): scatter ``B``, one GEMM
+    with the dense inverse of ``U`` from the right, gather.  ``inv`` is
+    that inverse when the caller holds one (as for ``gessm_c_v2``);
+    building it raises on a zero or missing ``U`` diagonal, and the error
+    of the result grows with ``cond(U)`` — see
+    :func:`~repro.kernels.base.triangle_inverse`."""
+    if inv is None:
+        inv = triangle_inverse(diag, lower=False)
+    w = ws.dense("a", b.shape, b.data.dtype)
     scatter_dense(b, w)
-    data = diag.data
-    for c in range(m):
-        sl = diag.col_slice(c)
-        rows = diag.indices[sl]
-        vals = data[sl]
-        upto = int(np.searchsorted(rows, c))
-        if upto >= rows.size or rows[upto] != c or vals[upto] == 0.0:
-            raise SingularBlockError(f"zero/missing U diagonal at {c}")
-        above = rows[:upto]
-        if above.size:
-            w[:, c] -= w[:, above] @ vals[:upto]
-        w[:, c] /= vals[upto]
-    gather_dense(b, w)
+    gather_dense(b, serial_matmul(w, inv))
 
 
 def tstrf_g_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:

@@ -94,17 +94,23 @@ class VariantProfile:
     launch_scale: float = 1.0
 
 
+# The dense-mapped panel solves (GESSM/TSTRF C_V2) are one GEMM with the
+# explicit inverse of the diagonal block's triangle: 2·n²·m executed FLOPs
+# for the n²·m of substitution that ``dense_flops`` counts, hence half the
+# device's dense efficiency is useful work.  SSSSM C_V1 is the same dense
+# GEMM as ever; what it stopped doing — re-scattering all three panels per
+# task — this model never charged (``dense_bytes`` counts each panel once).
 VARIANT_PROFILES: dict[tuple[KernelType, str], VariantProfile] = {
     (KernelType.GETRF, "C_V1"): VariantProfile(True, True),
     (KernelType.GETRF, "G_V1"): VariantProfile(False, False),
     (KernelType.GETRF, "G_V2"): VariantProfile(False, False, eff_scale=1.6),
     (KernelType.GESSM, "C_V1"): VariantProfile(False, False, eff_scale=0.7),
-    (KernelType.GESSM, "C_V2"): VariantProfile(True, True),
+    (KernelType.GESSM, "C_V2"): VariantProfile(True, True, eff_scale=0.5),
     (KernelType.GESSM, "G_V1"): VariantProfile(False, False),
     (KernelType.GESSM, "G_V2"): VariantProfile(False, True, eff_scale=1.4, launch_scale=1.5),
     (KernelType.GESSM, "G_V3"): VariantProfile(True, True, launch_scale=2.0),
     (KernelType.TSTRF, "C_V1"): VariantProfile(False, False, eff_scale=0.7),
-    (KernelType.TSTRF, "C_V2"): VariantProfile(True, True),
+    (KernelType.TSTRF, "C_V2"): VariantProfile(True, True, eff_scale=0.5),
     (KernelType.TSTRF, "G_V1"): VariantProfile(False, False),
     (KernelType.TSTRF, "G_V2"): VariantProfile(False, True, eff_scale=1.4, launch_scale=1.5),
     (KernelType.TSTRF, "G_V3"): VariantProfile(True, True, launch_scale=2.0),

@@ -214,12 +214,12 @@ class _RankFactorJob(FactorJob):
         owner_of_task: np.ndarray, options: NumericOptions,
     ) -> None:
         view = _LocalView(boundaries, owned)
-        super().__init__(view, dag, options, view.nb * view.nb)
+        my_tasks = np.flatnonzero(owner_of_task == rank)
+        super().__init__(view, dag, options, view.nb * view.nb, my_tasks)
         self.rank = rank
         self.owner_of_task = owner_of_task
         self.core = SchedulerCore.from_dag(
-            dag, owned=np.flatnonzero(owner_of_task == rank),
-            recorder=recorder, lane=rank,
+            dag, owned=my_tasks, recorder=recorder, lane=rank,
         )
 
     def outgoing(self, tid: int):

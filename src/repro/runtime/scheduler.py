@@ -232,6 +232,7 @@ class RunReport:
     max_ready_depth: int = 0
     flops_total: int = 0
     plan_bytes: int = 0
+    panel_cache_peak_bytes: int = 0
     blocks_compressed: int = 0
     lr_value_bytes: int = 0
     n_workers: int = 1
@@ -261,6 +262,9 @@ class RunReport:
                 self.seconds_by_type.get(key, 0.0) + seconds
             )
         self.max_ready_depth = max(self.max_ready_depth, other.max_ready_depth)
+        self.panel_cache_peak_bytes = max(
+            self.panel_cache_peak_bytes, other.panel_cache_peak_bytes
+        )
 
     @property
     def engine(self) -> str:

@@ -310,9 +310,7 @@ class CSCMatrix:
     def to_dense(self) -> np.ndarray:
         """Expand to a dense array of the matrix's value dtype."""
         out = np.zeros(self.shape, dtype=self._dtype)
-        ncols = self.shape[1]
-        cols = np.repeat(np.arange(ncols), np.diff(self.indptr))
-        out[self.indices, cols] = self.data
+        out[self.indices, self.cols_expanded()] = self.data
         return out
 
     def to_scipy(self) -> sp.csc_matrix:

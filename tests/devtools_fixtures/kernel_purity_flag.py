@@ -14,6 +14,11 @@ def ssssm_bad(c, a, b, ws):
     return c
 
 
+def gessm_bad(diag, b, ws, *, inv=None):
+    inv[0, 0] = 1.0               # mutates the cached image other lanes read
+    b.data[...] = (inv @ ws.dense2d)[0]
+
+
 def updf_bad(tgt, blk, src, plan=None):
     src[0] = 0.0                  # solve update mutates its source segment
     blk.data[:] = 1.0             # and the factor block it should only read

@@ -13,6 +13,12 @@ def ssssm_good(c, a, b, ws):
     return c
 
 
+def gessm_good(diag, b, ws, *, inv=None):
+    if inv is None:
+        inv = np.eye(2)           # rebinding the name is not a mutation
+    b.data[...] = (inv @ ws.dense2d)[0]  # reads the cached image, writes b
+
+
 def updf_good(tgt, blk, src, plan=None):
     tgt[blk.indices] = tgt[blk.indices] - blk.data * src[:1]  # writes target only
     return tgt

@@ -7,9 +7,10 @@ through slot→offset tables.  The contract tested here:
 * **bit identity** — the arena changes layout, not arithmetic: factors
   and solutions under ``use_arena=True`` equal the legacy per-block
   layout bit for bit on every deterministic schedule (sequential,
-  single-worker threaded, distributed ranks, loopback-distributed);
-  multi-worker threaded — ulp-nondeterministic run-to-run by itself —
-  agrees within its own scatter;
+  single-worker threaded); multi-rank and multi-worker threaded runs —
+  ulp-nondeterministic run-to-run by themselves, because the factor DAG
+  does not order the Schur updates of one block — agree within
+  ``1e-12·max|LU|``;
 * **in-place refactorize** — re-injecting values allocates/rebinds *no*
   per-block array: the block structure, the slabs, every view and every
   cached execution plan survive by identity;
@@ -92,10 +93,11 @@ class TestEnginesAgreeBitIdentical:
     @pytest.mark.parametrize("engine", ["sequential", "threaded", "distributed"])
     def test_factors_and_solutions_match_legacy(self, engine):
         """Bit identity is asserted where the engine itself is run-to-run
-        deterministic: sequential, single-worker threaded, and the
-        distributed ranks.  (Multi-worker threaded reorders SSSSM
-        accumulation ulp-nondeterministically even on one layout — its
-        arena/legacy agreement is covered at tolerance below.)"""
+        deterministic: sequential and single-worker threaded.  The factor
+        DAG does not order the Schur updates of one block, so two
+        multi-rank runs (like multi-worker threaded, covered below)
+        differ in the last bits by arrival order even on one layout:
+        the distributed pair is held to ``1e-12·max|LU|``."""
         a = random_sparse(N, 0.06, seed=3)
         b = np.ones(N)
         results = {}
@@ -109,6 +111,13 @@ class TestEnginesAgreeBitIdentical:
             results[use_arena] = (
                 lu.indptr.copy(), lu.indices.copy(), lu.data.copy(), s.solve(b)
             )
+        if engine == "distributed":
+            (*pat_l, lu_l, x_l), (*pat_a, lu_a, x_a) = results[False], results[True]
+            for la, aa in zip(pat_l, pat_a):
+                assert np.array_equal(la, aa)
+            assert np.abs(lu_l - lu_a).max() <= 1e-12 * np.abs(lu_l).max()
+            np.testing.assert_allclose(x_l, x_a, rtol=0, atol=1e-10)
+            return
         for la, aa in zip(results[False], results[True]):
             assert np.array_equal(la, aa)
 
@@ -129,7 +138,8 @@ class TestEnginesAgreeBitIdentical:
 
     def test_distributed_loopback_matches_legacy(self):
         """The in-process transport exchanges live slab slices — the
-        factored bits still equal the legacy layout's."""
+        factors still equal the legacy layout's, to the rounding two
+        multi-rank runs differ by (Schur updates of one block commute)."""
         f = _filled(seed=4)
         legacy = block_partition(f, 12)
         arena = block_partition(f, 12, arena=True)
@@ -139,8 +149,9 @@ class TestEnginesAgreeBitIdentical:
         factorize_distributed(
             arena, build_dag(arena), 3, transport=LoopbackTransport()
         )
+        scale = max(np.abs(lb.data).max() for lb in legacy.blk_values)
         for lb, ab in zip(legacy.blk_values, arena.blk_values):
-            assert np.array_equal(lb.data, ab.data)
+            assert np.abs(lb.data - ab.data).max() <= 1e-12 * scale
         # the factored values live in the slab (views were written through)
         assert arena.blk_values[0].data.base is arena.arena.data
 

@@ -95,6 +95,16 @@ def test_kernel_purity_flags_tsolve_roles():
     assert "designated output is 'x'" in messages
 
 
+def test_kernel_purity_treats_cached_images_as_read_only():
+    """The keyword-only image parameters of the dense-mapped variants are
+    operands shared across lanes: writing one is flagged, reading is not."""
+    findings = _run_rule("kernel-purity", FIXTURES / "kernel_purity_flag.py")
+    assert any(
+        "gessm_bad() mutates read-only operand 'inv'" in f.message
+        for f in findings
+    )
+
+
 def test_kernel_purity_scopes_cover_tsolve_kernels():
     """The rule's path filter includes the phase-5 kernel module (and the
     module itself lints clean)."""

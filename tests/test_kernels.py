@@ -24,6 +24,7 @@ from repro.kernels import (
     ssssm_flops_structural,
     tstrf_flops,
 )
+from repro.kernels.base import SERIAL_GEMM_WORK, serial_matmul, triangle_inverse
 from repro.kernels.registry import get_kernel, is_gpu_version
 from repro.sparse import CSCMatrix, random_sparse
 from repro.symbolic import symbolic_symmetric
@@ -198,6 +199,155 @@ class TestSSSSM:
         before = c.to_dense().copy()
         SSSSM_VARIANTS[version](c, a_empty, b_empty, ws)
         np.testing.assert_array_equal(c.to_dense(), before)
+
+
+def _factored(seed: int, split: int = 35, dtype=np.float64):
+    """``(D, B, R, C)`` of :func:`_blocks` with ``D`` factored and ``B`` /
+    ``R`` solved by the merge variants — fill-closed operands in ``dtype``."""
+    ws = Workspace()
+    d, b, r, c = (m.astype(dtype) for m in _blocks(seed, split=split))
+    GETRF_VARIANTS["G_V1"](d, ws)
+    GESSM_VARIANTS["C_V1"](d, b, ws)
+    TSTRF_VARIANTS["C_V1"](d, r, ws)
+    return d, b, r, c
+
+
+def _without(block: CSCMatrix, *, rows=(), cols=()) -> CSCMatrix:
+    """``block`` with whole rows / columns emptied (values and pattern)."""
+    dense = block.to_dense()
+    keep = _mask(block)
+    keep[list(rows), :] = False
+    keep[:, list(cols)] = False
+    out = CSCMatrix.from_dense(np.where(keep, 1.0, 0.0)).astype(block.dtype)
+    r, c = out.rows_cols()
+    out.data[...] = dense[r, c]
+    return out
+
+
+class TestDenseMapped:
+    """The "Direct" variants are one GEMM on dense images; the sparse
+    variants of the same family are their oracle."""
+
+    #: random / rectangular-edge / float32 operand sets
+    CASES = {
+        "random": dict(seed=0),
+        "rectangular": dict(seed=1, split=45),
+        "float32": dict(seed=2, dtype=np.float32),
+    }
+
+    @staticmethod
+    def _assert_close(got: CSCMatrix, ref: CSCMatrix) -> None:
+        tol = 1e-12 if ref.dtype == np.float64 else 1e-4
+        assert got.dtype == ref.dtype
+        assert np.abs(got.data - ref.data).max() <= tol * np.abs(ref.data).max()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gessm_agrees_with_merge_variant(self, case, ws):
+        d, _, _, _ = _factored(**self.CASES[case])
+        # an unsolved B, two of its columns emptied (a column of L⁻¹·B
+        # depends on that column of B alone, so closure holds)
+        b = _without(
+            _blocks(self.CASES[case]["seed"], split=d.ncols)[1].astype(d.dtype),
+            cols=(0, 3),
+        )
+        ref, got = b.copy(), b.copy()
+        GESSM_VARIANTS["C_V1"](d, ref, ws)
+        GESSM_VARIANTS["C_V2"](d, got, ws)
+        self._assert_close(got, ref)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_tstrf_agrees_with_merge_variant(self, case, ws):
+        d, _, _, _ = _factored(**self.CASES[case])
+        r = _without(
+            _blocks(self.CASES[case]["seed"], split=d.ncols)[2].astype(d.dtype),
+            rows=(1, 2),
+        )
+        ref, got = r.copy(), r.copy()
+        TSTRF_VARIANTS["C_V1"](d, ref, ws)
+        TSTRF_VARIANTS["C_V2"](d, got, ws)
+        self._assert_close(got, ref)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ssssm_agrees_with_binsearch_variant(self, case, ws):
+        _, b, r, c = _factored(**self.CASES[case])
+        r = _without(r, cols=(4,))     # an empty column of A
+        ref, got = c.copy(), c.copy()
+        SSSSM_VARIANTS["C_V2"](ref, r, b, ws)
+        SSSSM_VARIANTS["C_V1"](got, r, b, ws)
+        self._assert_close(got, ref)
+
+    def test_images_from_the_caller_give_the_same_bits(self, ws):
+        """What the panel cache hands in is what the kernel would build."""
+        d, b, r, c = _factored(3)
+        for lower, fn, blk in (
+            (True, GESSM_VARIANTS["C_V2"], b), (False, TSTRF_VARIANTS["C_V2"], r)
+        ):
+            alone, handed = blk.copy(), blk.copy()
+            fn(d, alone, ws)
+            fn(d, handed, ws, inv=triangle_inverse(d, lower=lower))
+            assert np.array_equal(alone.data, handed.data)
+        alone, handed = c.copy(), c.copy()
+        SSSSM_VARIANTS["C_V1"](alone, r, b, ws)
+        SSSSM_VARIANTS["C_V1"](
+            handed, r, b, ws, a_dense=r.to_dense(), b_dense=b.to_dense()
+        )
+        assert np.array_equal(alone.data, handed.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_serial_matmul_slabs_equal_one_gemm(self, dtype):
+        """Above the single-thread GEMM size the product is computed in
+        column slabs; same values, same dtype, strided operands included."""
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((120, 130)).astype(dtype)
+        big = rng.standard_normal((140, 150)).astype(dtype)
+        b = big[:130, :110]                        # a view, as ws.dense hands out
+        assert a.shape[0] * b.shape[1] * a.shape[1] > 3 * SERIAL_GEMM_WORK
+        got = serial_matmul(a, b)
+        assert got.dtype == dtype and got.shape == (120, 110)
+        np.testing.assert_allclose(
+            got, a @ b, rtol=0, atol=200 * np.finfo(dtype).eps * np.abs(a @ b).max()
+        )
+        small = serial_matmul(a[:8, :8], b[:8, :8])
+        assert np.array_equal(small, a[:8, :8] @ b[:8, :8])
+
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_zero_or_missing_u_diagonal_names_the_column(self, missing, ws):
+        dense = np.array([[2.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 3.0]])
+        pattern = np.ones((3, 3))
+        pattern[1, 1] = 0.0 if missing else 1.0    # no slot / a stored zero
+        diag = CSCMatrix.from_dense(pattern)
+        diag.data[...] = dense[diag.rows_cols()]
+        blk = CSCMatrix.from_dense(np.ones((2, 3)))
+        with pytest.raises(SingularBlockError, match="U diagonal at 1"):
+            TSTRF_VARIANTS["C_V2"](diag, blk, ws)
+        with pytest.raises(SingularBlockError, match="U diagonal at 1"):
+            triangle_inverse(diag, lower=False)
+
+    def _assert_within_cond_bound(self, d: CSCMatrix, r: CSCMatrix, ws) -> float:
+        """``B·U⁻¹`` against substitution: the inverse form's forward error
+        grows with ``cond(U)``, so that is what bounds the difference.
+        Returns ``cond(U)``."""
+        ref, got = r.copy(), r.copy()
+        TSTRF_VARIANTS["C_V1"](d, ref, ws)
+        TSTRF_VARIANTS["C_V2"](d, got, ws)
+        cond = np.linalg.cond(np.triu(d.to_dense()))
+        bound = 8 * d.ncols * np.finfo(float).eps * cond * np.abs(ref.data).max()
+        assert np.abs(got.data - ref.data).max() <= bound
+        return cond
+
+    def test_replaced_pivot_block_agrees_within_cond_bound(self, ws):
+        d, _, r, _ = _blocks(4)
+        d.data[d.indptr[0]] = 0.0       # the (0, 0) entry: GESP replaces it
+        assert GETRF_VARIANTS["C_V1"](d, ws, pivot_floor=1e-12) == 1
+        assert self._assert_within_cond_bound(d, r, ws) > 1e8
+
+    def test_ill_conditioned_block_agrees_within_cond_bound(self, ws):
+        d, _, r, _ = _factored(5)
+        rows, cols = d.rows_cols()
+        upper = rows <= cols            # grade the columns of U over 1e10
+        d.data[upper] *= np.logspace(0, -10, d.ncols)[cols[upper]]
+        cond = self._assert_within_cond_bound(d, _blocks(5)[2], ws)
+        assert 1e9 < cond < 1e11
 
 
 class TestSplitLU:

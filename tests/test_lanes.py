@@ -8,10 +8,12 @@ table covers them all:
   × {clean, validate, fail_after, dead_ranks, delay+stagger}
 
 (the three fault scenarios need a transport, so they apply to the rank
-configurations only).  Clean one-lane factors are pinned bit-for-bit to
-the values the hand-written sequential loop produced before the fold;
-the other configurations agree with them to rounding, and every solve is
-bit-identical to the loop sweeps.
+configurations only).  One-lane factors under the fixed (sparse-variant)
+selector are pinned bit-for-bit to the values the hand-written sequential
+loop produced before the fold; the default path calls BLAS, whose last
+bits depend on the kernel OpenBLAS dispatches for the CPU, so it is held
+to ``1e-12·max|LU|`` of the pinned factors; the other configurations
+agree to rounding, and every solve is bit-identical to the loop sweeps.
 """
 
 from __future__ import annotations
@@ -41,23 +43,22 @@ from repro.runtime.transports import FaultPlan, LoopbackTransport
 from repro.sparse import grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
 
-#: generator matrix → (builder, block size, sha256 of the factored value
-#: slab as the pre-fold sequential loop left it)
+#: generator matrix → (builder, block size, sha256 of the value slab as
+#: the pre-fold sequential loop factored it under ``SelectorPolicy.fixed()``)
 MATRICES = {
     "grid2d_9x9": (
         lambda: grid_laplacian_2d(9, 9), 10,
-        "3a436ad3b6c11dd26f8ff12610a0e84ea845fff929d59b74636e2f134accc8d8",
+        "7b49ca83f2e37235f2bdd90cd6d80a548262dda1adea786680142c247472568a",
     ),
     "random_80": (
         lambda: random_sparse(80, 0.06, seed=0), 12,
-        "c9eed8653d1d65a1813e5bfe8e3b3a5e366f48be8d00a8efc06e11c571a4bcea",
+        "6dd5b2de5f0a4d19c29c18d9e2e70b26c7cb5c3c5c10268be6c88b1593c2b06f",
     ),
 }
 #: kernel labels the default trees / the fixed ablation selector choose on
 #: ``random_80`` — the same on every engine
 DEFAULT_LABELS = {
-    "GETRF/C_V1", "GETRF/G_V1", "GESSM/C_V2", "GESSM/G_V1", "TSTRF/C_V2",
-    "SSSSM/C_V1",
+    "GETRF/C_V1", "GETRF/G_V1", "GESSM/C_V2", "TSTRF/C_V2", "SSSSM/C_V1",
 }
 FIXED_LABELS = {"GETRF/G_V1", "GESSM/G_V1", "TSTRF/G_V1", "SSSSM/C_V2"}
 
@@ -101,6 +102,20 @@ def _slab_sha(bm) -> str:
     for blk in bm.blk_values:
         h.update(np.ascontiguousarray(blk.data).tobytes())
     return h.hexdigest()
+
+
+def _pinned(name="random_80"):
+    """``name`` factored under the fixed selector, its SHA checked."""
+    bm, dag = _prepared(name)
+    factorize(bm, dag, NumericOptions(selector=SelectorPolicy.fixed()))
+    assert _slab_sha(bm) == MATRICES[name][2]
+    return bm.to_csc().to_dense()
+
+
+def _assert_near_pinned(bm, pinned) -> None:
+    assert np.abs(bm.to_csc().to_dense() - pinned).max() <= (
+        1e-12 * np.abs(pinned).max()
+    )
 
 
 def _run_factor(cfg: Config, bm, dag, *, scenario="clean", options=None,
@@ -193,7 +208,7 @@ def test_engine_matrix(config, phase, scenario, factored):
         assert stats.tasks_executed == len(dag)
         _check_report(stats, config)
         if config == "1-lane":
-            assert _slab_sha(bm) == MATRICES["random_80"][2]
+            _assert_near_pinned(bm, _pinned())
         np.testing.assert_allclose(
             bm.to_csc().to_dense(), factored.to_csc().to_dense(), atol=1e-9
         )
@@ -211,9 +226,10 @@ def test_engine_matrix(config, phase, scenario, factored):
 
 @pytest.mark.parametrize("name", MATRICES)
 def test_sequential_factors_pinned(name):
+    pinned = _pinned(name)
     bm, dag = _prepared(name)
     factorize(bm, dag)
-    assert _slab_sha(bm) == MATRICES[name][2]
+    _assert_near_pinned(bm, pinned)
 
 
 # ----------------------------------------------------------------------

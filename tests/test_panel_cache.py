@@ -1,0 +1,145 @@
+"""The per-factorisation dense panel cache (`repro.core.numeric.PanelCache`).
+
+A dense-mapped task multiplies cached dense images of its operands; an
+image lives from its first use until the last task reading its block
+completes.  Asserted here: every image is evicted by the end of a run on
+every engine shape, the peak is reported, and a refactorisation starts
+from an empty cache.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.core.numeric as numeric
+from repro import PanguLU, SolverOptions
+from repro.core import NumericOptions, block_partition, build_dag, factorize
+from repro.core.memory import memory_report
+from repro.core.numeric import PanelCache, execute_task
+from repro.kernels import Workspace
+from repro.kernels.selector import SelectorPolicy
+from repro.runtime import factorize_distributed
+from repro.runtime.transports import LoopbackTransport
+from repro.sparse import random_sparse
+from repro.symbolic import symbolic_symmetric
+
+
+def _prepared(seed=0):
+    a = random_sparse(120, 0.05, seed=seed)
+    bm = block_partition(symbolic_symmetric(a).filled, 16)
+    return bm, build_dag(bm)
+
+
+@pytest.fixture
+def caches(monkeypatch):
+    """Every :class:`PanelCache` the factor jobs of a test create."""
+    made = []
+
+    class Recorded(PanelCache):
+        def __init__(self, uses):
+            super().__init__(uses)
+            made.append(self)
+
+    monkeypatch.setattr(numeric, "PanelCache", Recorded)
+    return made
+
+
+RUNS = {
+    "sequential": lambda bm, dag: factorize(bm, dag),
+    "2-threads": lambda bm, dag: factorize(bm, dag, n_lanes=2),
+    "2-ranks": lambda bm, dag: factorize_distributed(
+        bm, dag, 2, transport=LoopbackTransport()
+    ),
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_every_image_is_evicted_by_the_end_of_a_run(run, caches):
+    bm, dag = _prepared()
+    report = RUNS[run](bm, dag)
+    assert "SSSSM/C_V1" in report.version_histogram()
+    assert len(caches) == (2 if run == "2-ranks" else 1)
+    for cache in caches:
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.peak_bytes > 0
+        assert not any(cache._uses.values())
+    assert report.panel_cache_peak_bytes == max(c.peak_bytes for c in caches)
+    mem = memory_report(bm, report)
+    assert mem.panel_cache_peak_bytes == report.panel_cache_peak_bytes
+    assert memory_report(bm).panel_cache_peak_bytes == 0
+    # a fraction of the dense-equivalent storage, not all of it
+    assert mem.panel_cache_peak_bytes < mem.dense_equivalent_bytes
+
+
+def test_partial_run_counts_only_the_tasks_it_runs(caches):
+    """A predecessor-closed subset (the Schur front end): blocks whose
+    later readers are not part of the run must still be let go."""
+    bm, dag = _prepared()
+    owned = [t.tid for t in dag.tasks if t.k < 3]
+    factorize(bm, dag, owned=owned)
+    (cache,) = caches
+    assert len(cache) == 0 and cache.peak_bytes > 0
+
+
+def test_sparse_selector_builds_no_image(caches):
+    bm, dag = _prepared()
+    report = factorize(bm, dag, NumericOptions(selector=SelectorPolicy.fixed()))
+    assert report.panel_cache_peak_bytes == 0
+    assert caches[0].peak_bytes == 0
+
+
+def test_blocks_wider_than_one_serial_gemm(caches):
+    """96-wide blocks: every dense-mapped product is computed in slabs
+    (`serial_matmul`), and still matches the sparse variants."""
+    a = random_sparse(288, 0.04, seed=3)
+    filled = symbolic_symmetric(a).filled
+    dense, sparse = block_partition(filled, 96), block_partition(filled, 96)
+    report = factorize(dense, build_dag(dense))
+    factorize(sparse, build_dag(sparse),
+              NumericOptions(selector=SelectorPolicy.fixed()))
+    assert {"GESSM/C_V2", "TSTRF/C_V2", "SSSSM/C_V1"} <= set(
+        report.version_histogram()
+    )
+    got, ref = dense.to_csc().data, sparse.to_csc().data
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_execute_task_without_a_cache_keeps_nothing(caches):
+    """The benchmark's regret probe calls ``execute_task`` on a bare
+    block view: the dense-mapped kernels then scatter their own operands
+    and agree bit for bit with the cached run."""
+    cached, dag = _prepared(seed=2)
+    bare, _ = _prepared(seed=2)
+    report = factorize(cached, dag)
+    ws = Workspace()
+    for task in dag.tasks:   # tid order is a topological order
+        version = report.kernel_choices[task.tid].split("/")[1]
+        execute_task(bare, task, version, ws, pivot_floor=1e-12)
+    assert len(caches) == 1
+    for got, ref in zip(bare.blk_values, cached.blk_values):
+        assert np.array_equal(got.data, ref.data)
+
+
+def test_refactorize_never_reads_a_stale_image(caches):
+    """New values through the same handle: the second run's factors are
+    those a sparse-variant (image-free) refactorisation gives, not a mix
+    with images of the first."""
+    a = random_sparse(120, 0.05, seed=1)
+    a2 = a.copy()
+    a2.data[...] = a.data * np.linspace(0.5, 1.5, a.nnz)
+    fact = PanguLU(a).factorize()
+    assert "SSSSM/C_V1" in fact.stats.version_histogram()
+    old = fact.blocks.to_csc().data.copy()
+    fact.refactorize(a2)
+    assert len(caches) == 2 and all(len(c) == 0 for c in caches)
+    assert all(c.peak_bytes > 0 for c in caches)
+    sparse = PanguLU(a, SolverOptions(
+        numeric=NumericOptions(selector=SelectorPolicy.fixed())
+    )).factorize()
+    sparse.refactorize(a2)
+    new, ref = fact.blocks.to_csc().data, sparse.blocks.to_csc().data
+    assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(new - old).max() > 1e-3 * np.abs(ref).max()
+    b = np.ones(a.nrows)
+    assert np.abs(a2.matvec(fact.solve(b)) - b).max() < 1e-9

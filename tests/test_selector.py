@@ -120,3 +120,42 @@ class TestCalibrate:
         for v in ("SLOW", "FAST"):
             total_fixed = sum(t[v] for _, t in samples)
             assert total_tree <= total_fixed + 1e-12
+
+    def test_several_features_split_on_the_one_that_separates(self):
+        """A dense image costs n³ whatever the nnz: the crossover of the
+        dense-mapped panel kernels is in the block order, which a tree
+        over nnz alone cannot express."""
+        samples = [
+            (TaskFeatures(nnz_a=0, nnz_b=nnz, n=n),
+             {"DENSE": (n / 100.0) ** 3, "SPARSE": 1.0 + nnz / 1000.0})
+            for n in (50, 100, 200, 400)
+            for nnz in (10, 100)
+        ]
+        by_nnz = calibrate({KernelType.TSTRF: samples})[KernelType.TSTRF]
+        both = calibrate(
+            {KernelType.TSTRF: samples},
+            feature_by_type={KernelType.TSTRF: ("nnz_b", "n")},
+        )[KernelType.TSTRF]
+        assert both.root.feature == "n" and both.root.threshold == 150.0
+        assert both.select(TaskFeatures(nnz_a=0, nnz_b=10, n=50)) == "DENSE"
+        assert both.select(TaskFeatures(nnz_a=0, nnz_b=10, n=400)) == "SPARSE"
+        totals = [
+            sum(t[tree.select(f)] for f, t in samples) for tree in (both, by_nnz)
+        ]
+        assert totals[0] < totals[1]
+
+
+class TestDefaultTreesGuardWideBlocks:
+    """The dense leaves are fitted on block orders up to 512 with sparse
+    panels in the sweep: near-empty panels of wide blocks must not pay
+    the n³ of a GEMM in slabs."""
+
+    @pytest.mark.parametrize("ktype", [KernelType.GESSM, KernelType.TSTRF])
+    def test_near_empty_panel_of_a_wide_block_goes_sparse(self, ktype):
+        pol = SelectorPolicy.default()
+        wide = TaskFeatures(nnz_a=2000, nnz_b=6, flops=40, n=512, density=2e-5)
+        assert pol.select(ktype, wide) in ("C_V1", "G_V1")
+        dense = TaskFeatures(nnz_a=2000, nnz_b=90_000, n=512, density=0.4)
+        assert pol.select(ktype, dense) == "C_V2"
+        narrow = TaskFeatures(nnz_a=500, nnz_b=6, flops=40, n=64, density=1e-3)
+        assert pol.select(ktype, narrow) == "C_V2"
