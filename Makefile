@@ -1,4 +1,4 @@
-.PHONY: check lint analyze test bench-tier2 bench-e2e bench-e2e-selftest profile-setup
+.PHONY: check lint analyze test bench-e2e bench-e2e-selftest profile-setup
 
 check:
 	sh scripts/check.sh
@@ -22,12 +22,6 @@ analyze:
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
-
-# regenerate BENCH_kernels.json (stamped with git SHA + timestamp +
-# matrix set); absolute numbers are machine-dependent — the ratios are
-# what reviews look at
-bench-tier2:
-	python benchmarks/run_tier2.py
 
 # the repo benchmark declared in BENCHMARK.json: time to solution,
 # factor-once/solve-many and per-layer attribution on four workloads

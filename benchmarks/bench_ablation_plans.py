@@ -5,14 +5,18 @@ addressing every sparse kernel variant otherwise rediscovers per
 invocation, turning the numeric hot path into pure vectorised NumPy.
 This bench quantifies the claim at two levels:
 
-* **micro** — planned vs unplanned execution of the sparse SSSSM
-  variants (the C_V2 / G_V2 bin-search regimes) on blocks cut from real
-  symbolic fill: expected well above the 2× acceptance bar, even with
-  the one-off plan build charged to the planned side;
+* **micro** — the sparse SSSSM variants (the C_V2 / G_V2 bin-search
+  regimes) handed their plan (`plan=`) vs running their own loops, on
+  blocks cut from real symbolic fill: expected well above the 2×
+  acceptance bar, even with the one-off plan build charged to the
+  planned side;
 * **end-to-end** — `factorize` wall-clock on a mid-size generator
-  matrix with `use_plans` on vs off, both cold (plans built during the
-  run) and warm (plan cache reused, the refactorisation regime of
-  Newton/time-stepping workloads): expected ≥ 1.3×;
+  matrix, both cold (plans built during the run) and warm (plan cache
+  reused, the refactorisation regime of Newton/time-stepping workloads),
+  against the unplanned reference replay of the same tasks
+  (`tests/reference_numeric.replay_unplanned`: `execute_task(...,
+  plans=None)` in task-id order — run this file from the repository
+  root with `python -m pytest` so `tests` imports): expected ≥ 1.3×;
 
 plus the safety net: all 17 kernel variants — planned or not — must
 still agree with a dense reference to fp tolerance.
@@ -35,10 +39,10 @@ from repro.kernels import (
     SelectorPolicy,
     Workspace,
     build_ssssm_plan,
-    run_ssssm_plan,
 )
 from repro.sparse import generate, random_sparse
 from repro.symbolic import symbolic_symmetric
+from tests.reference_numeric import replay_unplanned
 
 WS = Workspace()
 
@@ -80,7 +84,9 @@ def micro_ssssm():
         t_g2 = _best_of(lambda: SSSSM_VARIANTS["G_V2"](c.copy(), r, b, WS))
         t_build = _best_of(lambda: build_ssssm_plan(c, r, b))
         plan = build_ssssm_plan(c, r, b)
-        t_run = _best_of(lambda: run_ssssm_plan(plan, c.copy(), r, b))
+        t_run = _best_of(
+            lambda: SSSSM_VARIANTS["C_V2"](c.copy(), r, b, WS, plan=plan)
+        )
         rows.append((n, density, t_c2, t_g2, t_build, t_run))
     return rows
 
@@ -90,7 +96,9 @@ def end_to_end(name: str = "G3_circuit", scale: float = 0.35):
 
     All three use the fixed selector policy — every version plannable,
     the regime the plan layer addresses; the adaptive tree mixes in
-    dense-mapped variants that bypass plans by design.
+    dense-mapped variants that take no plan.  The unplanned side is the
+    bare reference replay (no scheduler around the tasks), which can
+    only flatter it.
     """
     a = generate(name, scale=scale, seed=0)
     filled = symbolic_symmetric(a).filled
@@ -103,7 +111,7 @@ def end_to_end(name: str = "G3_circuit", scale: float = 0.35):
     fixed = SelectorPolicy.fixed()
     bm, dag = fresh()
     t0 = time.perf_counter()
-    factorize(bm, dag, NumericOptions(selector=fixed, use_plans=False))
+    replay_unplanned(bm, dag, NumericOptions(selector=fixed))
     t_unplanned = time.perf_counter() - t0
 
     bm_cold, dag = fresh()
@@ -119,9 +127,9 @@ def end_to_end(name: str = "G3_circuit", scale: float = 0.35):
 
     assert stats_cold.planned_tasks == stats_cold.tasks_executed
     assert stats_warm.planned_tasks == stats_warm.tasks_executed
-    assert np.array_equal(
-        bm_warm.to_csc().to_dense(), bm_cold.to_csc().to_dense()
-    )
+    lu = bm.to_csc().to_dense()
+    assert np.array_equal(bm_cold.to_csc().to_dense(), lu)
+    assert np.array_equal(bm_warm.to_csc().to_dense(), lu)
     return t_unplanned, t_cold, t_warm
 
 
@@ -157,7 +165,7 @@ def test_end_to_end_factorize_speedup(benchmark):
     print(format_table(
         ["config", "seconds", "speedup"],
         [
-            ["unplanned (use_plans=False)", t_unplanned, 1.0],
+            ["unplanned (reference replay, plans=None)", t_unplanned, 1.0],
             ["planned, cold cache", t_cold, t_unplanned / t_cold],
             ["planned, warm cache (refactorize regime)", t_warm,
              t_unplanned / t_warm],

@@ -26,12 +26,18 @@ python scripts/count_code_lines.py src/repro/core src/repro/runtime
 echo "== all of src/repro =="
 python scripts/count_code_lines.py src/repro
 
-echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs) =="
+# a ratchet, not a report: a PR that adds a knob fails here; one that
+# removes a knob lowers the ceiling in the same commit
+MAX_OPTION_FIELDS=23
+echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs; ceiling $MAX_OPTION_FIELDS) =="
 PYTHONPATH=src python -c "
+import sys
 from dataclasses import fields
 from repro import SolverOptions
 from repro.core.numeric import NumericOptions
-print(f'{len(fields(SolverOptions)) + len(fields(NumericOptions)):6d}  option fields')"
+n = len(fields(SolverOptions)) + len(fields(NumericOptions))
+print(f'{n:6d}  option fields')
+sys.exit(f'option fields: {n} > $MAX_OPTION_FIELDS — a new knob needs a reason and a raised ceiling in scripts/check.sh' if n > $MAX_OPTION_FIELDS else 0)"
 
 # informational, no threshold: tier-1 stays timing-free
 echo "== setup profile at smoke scale (make profile-setup) =="

@@ -36,14 +36,8 @@ from ..kernels.plans import (
     build_getrf_plan,
     build_ssssm_plan,
     build_tstrf_plan,
-    rebase_ssssm_plan,
-    run_gessm_plan,
-    run_getrf_plan,
-    run_ssssm_plan,
-    run_ssssm_plan_arena,
-    run_tstrf_plan,
 )
-from ..kernels.registry import IMAGE_VERSIONS, KernelType, get_kernel, plan_capable
+from ..kernels.registry import CACHED_OPERAND, KernelType, get_kernel
 from ..kernels.selector import SelectorPolicy, TaskFeatures
 from ..sparse.blockrep import CompressedBlock, lr_profit_cap
 from .blocking import BlockMatrix
@@ -66,11 +60,25 @@ __guarded_by__ = {
     "self._lock": ("self._images", "self._uses", "self.nbytes", "self.peak_bytes"),
 }
 
-_TTYPE_TO_KTYPE = {
-    TaskType.GETRF: KernelType.GETRF,
-    TaskType.GESSM: KernelType.GESSM,
-    TaskType.TSTRF: KernelType.TSTRF,
-    TaskType.SSSSM: KernelType.SSSSM,
+#: Per task type: the kernel family; the coordinates of a task's blocks in
+#: the argument order of that family's kernels (``(bi, bj)`` is the block
+#: written, the others are read); and the builder of the family's
+#: execution plan, which takes the blocks in that same order.
+_FAMILY = {
+    TaskType.GETRF: (
+        KernelType.GETRF, lambda t: ((t.bi, t.bj),), build_getrf_plan,
+    ),
+    TaskType.GESSM: (
+        KernelType.GESSM, lambda t: ((t.k, t.k), (t.bi, t.bj)), build_gessm_plan,
+    ),
+    TaskType.TSTRF: (
+        KernelType.TSTRF, lambda t: ((t.k, t.k), (t.bi, t.bj)), build_tstrf_plan,
+    ),
+    TaskType.SSSSM: (
+        KernelType.SSSSM,
+        lambda t: ((t.bi, t.bj), (t.bi, t.k), (t.k, t.bj)),
+        build_ssssm_plan,
+    ),
 }
 
 
@@ -88,15 +96,11 @@ class NumericOptions:
         magnitude than ``pivot_floor · max|block|`` is replaced by that
         bound with matching sign (SuperLU GESP policy).  0 disables the
         replacement and raises on exact zeros.
-    use_plans:
-        Execute the sparse-addressing kernel variants through cached
-        fixed-pattern execution plans (:mod:`repro.kernels.plans`).
-        Planned execution is bit-identical to the unplanned kernels; the
-        flag exists for the Fig. 14-style planned-vs-unplanned ablation.
     plan_entry_limit:
-        Per-task cap on SSSSM scatter-map entries; products whose plan
-        would exceed it fall back to unplanned execution (memory valve).
-        ``None`` removes the cap.
+        Per-task cap on SSSSM scatter-map entries; a product whose
+        execution plan (:mod:`repro.kernels.plans`) would exceed it is
+        run by the selected variant's own loop instead — same bits, no
+        plan kept (memory valve).  ``None`` removes the cap.
     compress_tol:
         Relative spectral tolerance for the low-rank block overlay
         (:class:`~repro.sparse.blockrep.CompressedBlock`); this is the
@@ -118,7 +122,6 @@ class NumericOptions:
 
     selector: SelectorPolicy = field(default_factory=SelectorPolicy.default)
     pivot_floor: float = 1e-12
-    use_plans: bool = True
     plan_entry_limit: int | None = 4_000_000
     compress_tol: float = 0.0
     compress_min_order: int = 32
@@ -186,15 +189,13 @@ def task_features(f: BlockMatrix, task: Task) -> TaskFeatures:
     )
 
 
-def resolve_plan_cache(f: BlockMatrix, options: NumericOptions) -> PlanCache | None:
-    """The plan cache of this block structure, or ``None`` with plans off.
+def resolve_plan_cache(f: BlockMatrix, options: NumericOptions) -> PlanCache:
+    """The plan cache of this block structure.
 
     The cache lives on the :class:`BlockMatrix` (created on first use) so
     plans follow the pattern they address — shared by every engine that
     factorises the same structure and reused across refactorisations.
     """
-    if not options.use_plans:
-        return None
     cache = f.plan_cache
     if cache is None:
         cache = f.plan_cache = PlanCache(ssssm_entry_limit=options.plan_entry_limit)
@@ -233,82 +234,25 @@ def _maybe_compress(f, task: Task, policy: CompressPolicy) -> None:
         f.set_compressed(task.bi, task.bj, cb.u, cb.v, src_nnz=cb.src_nnz)
 
 
-def _try_planned(
-    f: BlockMatrix, task: Task, ktype: KernelType, plans: PlanCache, pivot_floor: float
-) -> int | None:
-    """Execute a task through its cached execution plan.
+def _cached_plan(plans: PlanCache, ktype: KernelType, build, slots, blocks):
+    """The execution plan of one task, built on first use; ``None`` where
+    an SSSSM scatter map would exceed the cache's entry limit.
 
-    Returns the replaced-pivot count, or ``None`` when no plan applies
-    (SSSSM declined over the entry limit) — the caller falls back to the
-    unplanned kernel.  Plans are keyed by the storage slots of the
-    participating blocks: patterns are immutable post-symbolic, so a slot
-    identifies a pattern for the life of the structure.
-
-    On an arena-backed structure the SSSSM scatter maps are rebased to
-    **slab-global** offsets and executed directly on the shared value
-    slab (same indexing order — bit-identical); distributed workers
-    operate on a :class:`~repro.runtime.distributed._LocalView` without
-    an arena and keep the block-local form.
-
-    Keys carry the value dtype character alongside the slots: the plans
-    themselves are index-only (dtype-agnostic), but keying on dtype keeps
-    a shared cache coherent if the same structure is ever re-partitioned
-    at a different working precision (refactorize carries the cache
-    across partitions).
+    Plans are keyed by the storage slots of the participating blocks:
+    patterns are immutable post-symbolic, so a slot identifies a pattern
+    for the life of the structure.  Keys carry the value dtype character
+    alongside the slots: the plans themselves are index-only
+    (dtype-agnostic), but keying on dtype keeps a shared cache coherent
+    if the same structure is ever re-partitioned at a different working
+    precision (refactorize carries the cache across partitions).
     """
-    target = f.block(task.bi, task.bj)
-    dc = target.data.dtype.char
-    if ktype is KernelType.GETRF:
-        slot = f.block_slot(task.bi, task.bj)
-        plan = plans.get(("getrf", slot, dc), lambda: build_getrf_plan(target))
-        return run_getrf_plan(plan, target, pivot_floor=pivot_floor)
-    if ktype is KernelType.GESSM or ktype is KernelType.TSTRF:
-        diag = f.block(task.k, task.k)
-        key = (
-            "gessm" if ktype is KernelType.GESSM else "tstrf",
-            f.block_slot(task.k, task.k),
-            f.block_slot(task.bi, task.bj),
-            dc,
-        )
-        if ktype is KernelType.GESSM:
-            plan = plans.get(key, lambda: build_gessm_plan(diag, target))
-            run_gessm_plan(plan, diag, target)
-        else:
-            plan = plans.get(key, lambda: build_tstrf_plan(diag, target))
-            run_tstrf_plan(plan, diag, target)
-        return 0
-    a_blk = f.block(task.bi, task.k)
-    b_blk = f.block(task.k, task.bj)
-    sa = f.block_slot(task.bi, task.k)
-    sb = f.block_slot(task.k, task.bj)
-    sc = f.block_slot(task.bi, task.bj)
-    arena = getattr(f, "arena", None)
-    if arena is not None:
-        plan = plans.get(
-            ("ssssm@arena", sa, sb, sc, dc),
-            lambda: rebase_ssssm_plan(
-                build_ssssm_plan(
-                    target, a_blk, b_blk, entry_limit=plans.ssssm_entry_limit
-                ),
-                int(arena.val_off[sa]),
-                int(arena.val_off[sb]),
-                int(arena.val_off[sc]),
-            ),
-        )
-        if plan is None:
-            return None
-        run_ssssm_plan_arena(plan, arena.data)
-        return 0
-    plan = plans.get(
-        ("ssssm", sa, sb, sc, dc),
-        lambda: build_ssssm_plan(
-            target, a_blk, b_blk, entry_limit=plans.ssssm_entry_limit
-        ),
+    limit = {}
+    if ktype is KernelType.SSSSM:
+        limit["entry_limit"] = plans.ssssm_entry_limit
+    return plans.get(
+        (ktype.value, *slots, blocks[0].data.dtype.char),
+        lambda: build(*blocks, **limit),
     )
-    if plan is None:
-        return None
-    run_ssssm_plan(plan, target, a_blk, b_blk)
-    return 0
 
 
 def execute_task(
@@ -322,79 +266,51 @@ def execute_task(
     compress: CompressPolicy | None = None,
     panels: PanelCache | None = None,
 ) -> tuple[int, bool]:
-    """Execute one task, preferring a cached execution plan.
+    """Execute one task with the registered kernel ``version`` of its
+    family — the per-task entry point :class:`FactorJob` calls on every
+    engine, and the only path from a task to a kernel.
+
+    The kernel gets the task's blocks in its family's argument order,
+    plus whatever that variant declares it can be handed
+    (:data:`~repro.kernels.registry.CACHED_OPERAND`) and the caller has
+    a cache for: its execution plan from ``plans`` (the structure's
+    :class:`~repro.kernels.plans.PlanCache`, alive across
+    refactorisations), its dense operand images from ``panels`` (the
+    factorisation's :class:`PanelCache`, each alive until its last
+    reader), both built on first use.  Without the cache (``None``) the
+    variant does that work itself and keeps nothing — same bits either
+    way.  The low-rank variants get each read operand's overlay where
+    the block carries one.
 
     Returns ``(replaced_pivots, planned)`` — the GESP diagnostic plus
-    whether a plan (rather than the unplanned kernel) ran.  This is the
-    per-task entry point :class:`FactorJob` calls on every engine.
-
-    ``panels`` is the factorisation's :class:`PanelCache`: the
-    dense-mapped variants (:data:`~repro.kernels.registry.IMAGE_VERSIONS`)
-    take their operand images from it, building each on first use.
-    Without one (``None``) they scatter their operands themselves and
-    nothing is kept.
+    whether the variant was handed a plan.
 
     With a :class:`~repro.kernels.compress.CompressPolicy` (``None`` by
-    default — the bit-identical path), two extra branches activate:
-    SSSSM tasks whose operands carry a low-rank overlay route to the
-    ``LR_V1``/``LR_V2`` kernels (never the plan path — plans address
-    exact patterns), and a just-finished GESSM/TSTRF panel is offered to
-    the compressor before the task completes, inside the same write-lock
-    window.
+    default — the bit-identical path) a just-finished GESSM/TSTRF panel
+    is offered to the compressor before the task completes, inside the
+    same write-lock window.
     """
-    ktype = _TTYPE_TO_KTYPE[task.ttype]
-    if ktype is KernelType.SSSSM:
-        a_cb = _compressed(f, task.bi, task.k)
-        b_cb = _compressed(f, task.k, task.bj)
-        if a_cb is not None or b_cb is not None:
-            target = f.block(task.bi, task.bj)
-            assert target is not None
-            a_op = a_cb if a_cb is not None else f.block(task.bi, task.k)
-            b_op = b_cb if b_cb is not None else f.block(task.k, task.bj)
-            if not version.startswith("LR_"):
-                # a fixed (ablation) selector never emits the low-rank
-                # versions; the operand representation decides for it
-                version = "LR_V2" if (a_cb is not None and b_cb is not None) else "LR_V1"
-            get_kernel(ktype, version)(target, a_op, b_op, ws)
-            return 0, False
-    if plans is not None and plan_capable(ktype, version):
-        replaced = _try_planned(f, task, ktype, plans, pivot_floor)
-        if replaced is not None:
-            if compress is not None and task.ttype in (TaskType.GESSM, TaskType.TSTRF):
-                _maybe_compress(f, task, compress)
-            return replaced, True
+    ktype, operands_of, build_plan = _FAMILY[task.ttype]
+    coords = operands_of(task)
     kernel = get_kernel(ktype, version)
-    target = f.block(task.bi, task.bj)
-    assert target is not None
-    if task.ttype == TaskType.GETRF:
-        return int(kernel(target, ws, pivot_floor=pivot_floor) or 0), False
-    # the dense-mapped variants multiply dense images of their operands,
-    # kept by the factorisation's panel cache when there is one
-    images = {}
-    cached = panels is not None and IMAGE_VERSIONS[ktype] == version
-    if task.ttype in (TaskType.GESSM, TaskType.TSTRF):
-        diag = f.block(task.k, task.k)
-        if cached:
-            lower = ktype is KernelType.GESSM
-            images["inv"] = panels.get(
-                (f.block_slot(task.k, task.k), lower),
-                lambda: triangle_inverse(diag, lower=lower),
-            )
-        kernel(diag, target, ws, **images)
-        if compress is not None:
-            _maybe_compress(f, task, compress)
+    takes = CACHED_OPERAND.get((ktype, version))
+    if takes == "overlay":
+        blocks = [f.block(*coords[0]), *(_ssssm_operand(f, *c) for c in coords[1:])]
     else:
-        a_blk = f.block(task.bi, task.k)
-        b_blk = f.block(task.k, task.bj)
-        if cached:
-            images["a_dense"] = panels.get(
-                f.block_slot(task.bi, task.k), a_blk.to_dense
-            )
-            images["b_dense"] = panels.get(
-                f.block_slot(task.k, task.bj), b_blk.to_dense
-            )
-        kernel(target, a_blk, b_blk, ws, **images)
-    return 0, False
+        blocks = [f.block(*c) for c in coords]
+    handed = {}
+    if ktype is KernelType.GETRF:
+        handed["pivot_floor"] = pivot_floor
+    if takes == "plan" and plans is not None:
+        slots = [f.block_slot(*c) for c in coords]
+        handed["plan"] = _cached_plan(plans, ktype, build_plan, slots, blocks)
+    elif takes == "images" and panels is not None:
+        slots = [f.block_slot(*c) for c in coords]
+        handed.update(panels.images(ktype, slots, blocks))
+    replaced = kernel(*blocks, ws, **handed)
+    if compress is not None and task.ttype in (TaskType.GESSM, TaskType.TSTRF):
+        _maybe_compress(f, task, compress)
+    return int(replaced or 0), handed.get("plan") is not None
 
 
 class PanelCache:
@@ -437,6 +353,21 @@ class PanelCache:
             image = kept
         return image
 
+    def images(self, ktype: KernelType, slots, blocks) -> dict[str, np.ndarray]:
+        """The keyword images of one dense-mapped task, whose ``blocks``
+        (with their ``slots``) come in kernel argument order: the inverse
+        of the diagonal block's triangle for a panel solve, the images of
+        ``A`` and ``B`` for SSSSM."""
+        if ktype is KernelType.SSSSM:
+            return {
+                "a_dense": self.get(slots[1], blocks[1].to_dense),
+                "b_dense": self.get(slots[2], blocks[2].to_dense),
+            }
+        lower = ktype is KernelType.GESSM
+        return {"inv": self.get(
+            (slots[0], lower), lambda: triangle_inverse(blocks[0], lower=lower)
+        )}
+
     def release(self, slot: int) -> None:
         """A task that reads block ``slot`` completed; after the last
         one the block's images go."""
@@ -461,6 +392,13 @@ class FactorJob:
     ``f`` is the :class:`BlockMatrix` or a distributed rank's local view;
     ``owned`` the task ids this job runs (``None``: all of them) — what
     the job's :class:`PanelCache` counts a block's readers over.
+
+    The job holds the two caches :func:`execute_task` hands operands
+    from: ``plans``, the plan cache of ``f`` (:func:`resolve_plan_cache`
+    — it outlives the job, so a refactorisation replays the same plans),
+    and ``panels``, created here and gone with the job.  The label it
+    reports per task is the selector's choice, which is the registry
+    entry that ran.
     """
 
     name = "factorize"
@@ -498,18 +436,15 @@ class FactorJob:
         # execute_task, i.e. inside the driver's write-lock window —
         # single writer preserved
         task = self.tasks[tid]
-        ktype = _TTYPE_TO_KTYPE[task.ttype]
+        ktype, operands_of, _ = _FAMILY[task.ttype]
         version = self.options.selector.select(ktype, task_features(self.f, task))
         replaced, planned = execute_task(
             self.f, task, version, ws, pivot_floor=self.options.pivot_floor,
             plans=self.plans, compress=self.compress, panels=self.panels,
         )
-        slot = self.f.block_slot
-        if task.ttype is TaskType.SSSSM:
-            self.panels.release(slot(task.bi, task.k))
-            self.panels.release(slot(task.k, task.bj))
-        elif task.ttype is not TaskType.GETRF:
-            self.panels.release(slot(task.k, task.k))
+        for coord in operands_of(task):
+            if coord != (task.bi, task.bj):   # one reader of that block is done
+                self.panels.release(self.f.block_slot(*coord))
         return f"{ktype.value}/{version}", replaced, planned
 
     def trace_label(self, tid: int) -> tuple[str, str]:
@@ -523,8 +458,7 @@ class FactorJob:
         ``f`` holds (a rank: of its own blocks)."""
         report.flops_total = sum(self.tasks[t].flops for t in report.kernel_choices)
         report.panel_cache_peak_bytes = self.panels.peak_bytes
-        if self.plans is not None:
-            report.plan_bytes = self.plans.nbytes
+        report.plan_bytes = self.plans.nbytes
         if self.compress is not None:
             comp = self.f.compression_stats()
             report.blocks_compressed = comp["blocks_compressed"]

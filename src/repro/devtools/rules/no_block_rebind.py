@@ -3,11 +3,11 @@
 The arena layout (:class:`~repro.core.blocking.FactorArena`) works only
 because every block's ``indptr``/``indices``/``data`` is a **view into a
 shared slab**: kernels write *through* the view (``blk.data[dst] -= …``)
-and the slab, the execution plans addressing it, the transport payloads
-aliasing it and the in-place ``refactorize`` path all stay coherent.
+and the slab, the transport payloads aliasing it and the in-place
+``refactorize`` path all stay coherent.
 Rebinding one of those attributes (``blk.data = new_array``) silently
-detaches the block from its slab — subsequent arena-addressed plans and
-slab sends would read stale storage while the kernel's output sits in a
+detaches the block from its slab — subsequent slab sends and refills
+would read stale storage while the kernel's output sits in a
 private array.  The same discipline is what makes the legacy layout's
 plan cache safe across :meth:`~repro.core.solver.PanguLU.refactorize`.
 

@@ -2,8 +2,9 @@
 GESSM×5, TSTRF×5, SSSSM×4) plus the low-rank extension family
 (SSSSM LR×2, COMPRESS×3), structural FLOP counters, the kernel
 registry, the decision-tree selector of Fig. 8, and fixed-pattern
-execution plans (precomputed scatter addressing) for the sparse
-variants."""
+execution plans (precomputed scatter addressing) that the sparse
+variants accept as ``plan=`` (their runners stay in
+:mod:`repro.kernels.plans`)."""
 
 from .base import SingularBlockError, Workspace, split_lu
 from .compress import (
@@ -43,10 +44,6 @@ from .plans import (
     build_gessm_plan,
     build_ssssm_plan,
     build_tstrf_plan,
-    run_getrf_plan,
-    run_gessm_plan,
-    run_ssssm_plan,
-    run_tstrf_plan,
 )
 from .registry import (
     KERNEL_REGISTRY,
@@ -54,7 +51,6 @@ from .registry import (
     get_kernel,
     is_gpu_version,
     kernel_names,
-    plan_capable,
 )
 from .selector import (
     DecisionTree,
@@ -123,18 +119,13 @@ __all__ = [
     "calibrate",
     "PlanCache",
     "PLANNABLE_VERSIONS",
-    "plan_capable",
     "SSSSMPlan",
     "SolvePlan",
     "GETRFPlan",
     "build_ssssm_plan",
-    "run_ssssm_plan",
     "build_gessm_plan",
-    "run_gessm_plan",
     "build_tstrf_plan",
-    "run_tstrf_plan",
     "build_getrf_plan",
-    "run_getrf_plan",
     "SpMVPlan",
     "build_spmv_plan",
     "diagf_seg",

@@ -15,14 +15,16 @@ three addressing methods well-defined:
 * **Merge** — locate targets by merging two sorted index lists
   (``numpy.intersect1d`` on sorted-unique arrays).
 
-This module provides the dense workspace, scatter/gather helpers, the
-dense inverse the dense-mapped panel solves multiply by
+This module provides the kernel-family enum, the dense workspace,
+scatter/gather helpers, the static-pivot rule of GETRF, the dense
+inverse the dense-mapped panel solves multiply by
 (:func:`triangle_inverse` of a factored diagonal block), and the L/U
 split views of a factored diagonal block.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,9 @@ from scipy.linalg import get_lapack_funcs
 from ..sparse.csc import CSCMatrix
 
 __all__ = [
+    "KernelType",
     "Workspace",
+    "fix_pivot",
     "scatter_dense",
     "gather_dense",
     "triangle_inverse",
@@ -43,12 +47,38 @@ __all__ = [
 ]
 
 
+class KernelType(enum.Enum):
+    """The four block-kernel roles of PanguLU's numeric factorisation."""
+
+    GETRF = "GETRF"   # diagonal-block LU
+    GESSM = "GESSM"   # lower triangular solve (block column of U)
+    TSTRF = "TSTRF"   # upper triangular solve (block row of L)
+    SSSSM = "SSSSM"   # sparse-sparse Schur update
+    COMPRESS = "COMPRESS"  # low-rank representation transitions
+
+    def __str__(self) -> str:  # pragma: no cover - display only
+        return self.value
+
+
 class SingularBlockError(ArithmeticError):
     """A diagonal pivot was exactly zero during GETRF.
 
     With MC64 preprocessing this indicates severe cancellation; callers may
     retry with a perturbed pivot (static pivoting à la SuperLU GESP).
     """
+
+
+def fix_pivot(value: float, pivot_floor: float, scale: float) -> tuple[float, bool]:
+    """Replace an exactly/near-zero pivot per static-pivoting policy.
+
+    Returns ``(pivot, replaced)`` — the second flag feeds the GESP
+    diagnostics (count of perturbed pivots) in the factorisation stats.
+    """
+    if value == 0.0 or abs(value) < pivot_floor * scale:
+        if pivot_floor <= 0.0:
+            raise SingularBlockError("zero pivot in GETRF (run MC64 first)")
+        return (pivot_floor * scale if value >= 0 else -pivot_floor * scale), True
+    return value, False
 
 
 @dataclass

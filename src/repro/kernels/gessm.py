@@ -34,6 +34,7 @@ from .base import (
     split_lu,
     triangle_inverse,
 )
+from .plans import SolvePlan, run_gessm_plan
 
 __all__ = [
     "gessm_c_v1",
@@ -54,13 +55,19 @@ def _strict_lower_cols(diag: CSCMatrix, t: int) -> tuple[np.ndarray, np.ndarray]
     return rows[start:], diag.data[sl][start:]
 
 
-def gessm_c_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
+def gessm_c_v1(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
+) -> None:
     """Merge-addressed column solve (CPU V1).
 
     Pure sparse forward substitution; update targets are located by merging
     the pivot's L-column index list with the B-column index list
-    (``numpy.intersect1d`` on sorted-unique arrays).
+    (``numpy.intersect1d`` on sorted-unique arrays) — or read from
+    ``plan``, the block pair's precomputed solve order, when the caller
+    holds one (same operations in the same order).
     """
+    if plan is not None:
+        return run_gessm_plan(plan, diag, b)
     for c in range(b.ncols):
         sl = b.col_slice(c)
         rows_c = b.indices[sl]
@@ -95,13 +102,18 @@ def gessm_c_v2(
     gather_dense(b, serial_matmul(inv, w))
 
 
-def gessm_g_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
+def gessm_g_v1(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
+) -> None:
     """Bin-search column solve (GPU V1, "warp-level column").
 
     Like :func:`gessm_c_v1` but targets are located with ``searchsorted``
     into the B column's pattern (binary search rather than a full merge) —
     cheaper when the L columns are much shorter than the B columns.
+    ``plan``: as for :func:`gessm_c_v1`.
     """
+    if plan is not None:
+        return run_gessm_plan(plan, diag, b)
     for c in range(b.ncols):
         sl = b.col_slice(c)
         rows_c = b.indices[sl]

@@ -22,22 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from .base import SingularBlockError, Workspace, gather_dense, scatter_dense
+from .base import SingularBlockError, Workspace, fix_pivot, gather_dense, scatter_dense
+from .plans import GETRFPlan, run_getrf_plan
 
 __all__ = ["getrf_c_v1", "getrf_g_v1", "getrf_g_v2", "GETRF_VARIANTS"]
-
-
-def _fix_pivot(value: float, pivot_floor: float, scale: float) -> tuple[float, bool]:
-    """Replace an exactly/near-zero pivot per static-pivoting policy.
-
-    Returns ``(pivot, replaced)`` — the second flag feeds the GESP
-    diagnostics (count of perturbed pivots) in the factorisation stats.
-    """
-    if value == 0.0 or abs(value) < pivot_floor * scale:
-        if pivot_floor <= 0.0:
-            raise SingularBlockError("zero pivot in GETRF (run MC64 first)")
-        return (pivot_floor * scale if value >= 0 else -pivot_floor * scale), True
-    return value, False
 
 
 def getrf_c_v1(
@@ -55,7 +43,7 @@ def getrf_c_v1(
     scale = (float(np.abs(block.data).max()) if block.nnz else 0.0) or 1.0
     replaced = 0
     for k in range(n):
-        piv, rep = _fix_pivot(float(w[k, k]), pivot_floor, scale)
+        piv, rep = fix_pivot(float(w[k, k]), pivot_floor, scale)
         replaced += rep
         w[k, k] = piv
         if k + 1 < n:
@@ -67,7 +55,8 @@ def getrf_c_v1(
 
 
 def getrf_g_v1(
-    block: CSCMatrix, ws: Workspace, *, pivot_floor: float = 0.0
+    block: CSCMatrix, ws: Workspace, *, pivot_floor: float = 0.0,
+    plan: GETRFPlan | None = None,
 ) -> int:
     """Sparse left-looking LU with bin-search addressing (GPU V1, SFLU-style).
 
@@ -75,8 +64,12 @@ def getrf_g_v1(
     factored column ``t`` appearing in its own pattern (``t < j``), locating
     the update targets with ``searchsorted`` into column ``j``'s index list.
     Never touches a dense workspace — the fast choice for very sparse
-    blocks.
+    blocks.  ``plan`` is the block's precomputed schedule when the caller
+    holds one (same operations in the same order, addresses looked up
+    once per pattern instead of once per call).
     """
+    if plan is not None:
+        return run_getrf_plan(plan, block, pivot_floor=pivot_floor)
     n = block.ncols
     indptr, indices, data = block.indptr, block.indices, block.data
     scale = (float(np.abs(data).max()) if data.size else 0.0) or 1.0
@@ -109,7 +102,7 @@ def getrf_g_v1(
             vals_j[pos[valid]] -= l_vals[valid] * xt
         if diag_pos >= rows_j.size or rows_j[diag_pos] != j:
             raise SingularBlockError(f"missing structural pivot at column {j}")
-        piv, rep = _fix_pivot(float(vals_j[diag_pos]), pivot_floor, scale)
+        piv, rep = fix_pivot(float(vals_j[diag_pos]), pivot_floor, scale)
         replaced += rep
         vals_j[diag_pos] = piv
         if diag_pos + 1 < rows_j.size:
@@ -118,14 +111,18 @@ def getrf_g_v1(
 
 
 def getrf_g_v2(
-    block: CSCMatrix, ws: Workspace, *, pivot_floor: float = 0.0
+    block: CSCMatrix, ws: Workspace, *, pivot_floor: float = 0.0,
+    plan: GETRFPlan | None = None,
 ) -> int:
     """Sparse left-looking LU with a dense column workspace (GPU V2).
 
     Same traversal as :func:`getrf_g_v1` but each column is scattered into
     a dense vector so updates use direct addressing — the paper's "Direct"
-    + "Un-sync SFLU" combination, best at medium densities.
+    + "Un-sync SFLU" combination, best at medium densities.  ``plan``:
+    as for :func:`getrf_g_v1`, whose arithmetic this variant shares.
     """
+    if plan is not None:
+        return run_getrf_plan(plan, block, pivot_floor=pivot_floor)
     n = block.ncols
     indptr, indices, data = block.indptr, block.indices, block.data
     scale = (float(np.abs(data).max()) if data.size else 0.0) or 1.0
@@ -149,7 +146,7 @@ def getrf_g_v2(
                 x[rows_t[start:]] -= data[lo_t + start : hi_t] * xt
         if diag_pos >= rows_j.size or rows_j[diag_pos] != j:
             raise SingularBlockError(f"missing structural pivot at column {j}")
-        piv, rep = _fix_pivot(float(x[j]), pivot_floor, scale)
+        piv, rep = fix_pivot(float(x[j]), pivot_floor, scale)
         replaced += rep
         x[j] = piv
         below = rows_j[diag_pos + 1 :]

@@ -24,19 +24,23 @@ entries directly to destination ``data`` slots:
 * :class:`GETRFPlan` — the left-looking column/pivot schedule of the
   sparse GETRF variants with per-step source/target index segments.
 
-Plans replicate the *exact* floating-point operation sequence of the
-sparse kernel variants they replace (same products, same order, same
-structural-validity masking), so planned execution is bit-identical to
-the unplanned kernels — asserted by ``tests/test_plans.py``.  Only the
-sparse-addressing variants are plannable (see :data:`PLANNABLE_VERSIONS`);
-the dense-mapped and compiled variants already run at vendor-library
-speed and use different summation orders.
+A plan is a cached *operand* of the variant it reproduces, not a code
+path beside it: the sparse-addressing variants (see
+:data:`PLANNABLE_VERSIONS`) accept theirs as ``plan=`` and then perform
+the *exact* floating-point operation sequence of their own loop (same
+products, same order, same structural-validity masking) through the
+``run_*_plan`` functions below, so a variant handed its plan is
+bit-identical to the same variant without — asserted by
+``tests/test_plans.py``.  The dense-mapped and compiled variants already
+run at vendor-library speed, use different summation orders, and take
+no plan.
 
 Plans are built lazily on first use and cached in a :class:`PlanCache`
 keyed by the storage slots of the participating blocks (patterns are
-immutable post-symbolic), shared by all three engines — sequential
-:func:`repro.core.numeric.factorize`, the threaded executor, and the
-distributed executor — and accounted by :func:`repro.core.memory.memory_report`.
+immutable post-symbolic) — by :func:`repro.core.numeric.execute_task`,
+the one per-task entry point of every engine — and accounted by
+:func:`repro.core.memory.memory_report`.  This module depends on
+:mod:`repro.kernels.base` alone, so the kernel modules can import it.
 """
 
 from __future__ import annotations
@@ -47,9 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from .base import SingularBlockError
-from .getrf import _fix_pivot
-from .registry import KernelType
+from .base import KernelType, SingularBlockError, fix_pivot
 
 __all__ = [
     "SSSSMPlan",
@@ -59,8 +61,6 @@ __all__ = [
     "PLANNABLE_VERSIONS",
     "build_ssssm_plan",
     "run_ssssm_plan",
-    "rebase_ssssm_plan",
-    "run_ssssm_plan_arena",
     "build_gessm_plan",
     "run_gessm_plan",
     "build_tstrf_plan",
@@ -75,10 +75,10 @@ __guarded_by__ = {
     "self._lock": ("self._plans", "self.builds"),
 }
 
-#: Kernel versions whose numeric behaviour a plan reproduces exactly.
-#: Dense-mapped (``C_V1`` GEMM, ``C_V2``/``G_V3`` panels) and compiled
-#: (``G_V1`` SpGEMM, ``G_V3`` solves) variants use different summation
-#: orders and stay unplanned.
+#: Kernel versions whose numeric behaviour a plan reproduces exactly;
+#: each accepts one as ``plan=``.  Dense-mapped (``C_V1`` GEMM,
+#: ``C_V2``/``G_V3`` panels) and compiled (``G_V1`` SpGEMM, ``G_V3``
+#: solves) variants use different summation orders and take none.
 PLANNABLE_VERSIONS: dict[KernelType, frozenset[str]] = {
     KernelType.GETRF: frozenset({"G_V1", "G_V2"}),
     KernelType.GESSM: frozenset({"C_V1", "G_V1"}),
@@ -87,11 +87,20 @@ PLANNABLE_VERSIONS: dict[KernelType, frozenset[str]] = {
 }
 
 
+class _IndexPlan:
+    """What the three plan dataclasses share: a plan is nothing but its
+    index arrays, so its footprint is theirs."""
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in vars(self).values() if a is not None)
+
+
 # ----------------------------------------------------------------------
 # SSSSM — Schur update scatter maps
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SSSSMPlan:
+class SSSSMPlan(_IndexPlan):
     """Flattened scatter map for ``C ← C − A·B``.
 
     ``c.data[dst[i]] -= a.data[src_a[i]] * b.data[src_b[i]]`` applied in
@@ -101,10 +110,6 @@ class SSSSMPlan:
     src_a: np.ndarray
     src_b: np.ndarray
     dst: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.src_a.nbytes + self.src_b.nbytes + self.dst.nbytes
 
 
 def _flatten_segments(
@@ -157,7 +162,7 @@ def build_ssssm_plan(
     ``C``'s fixed pattern.
 
     Returns ``None`` when the map would exceed ``entry_limit`` entries
-    (the caller falls back to unplanned execution) — a memory valve for
+    (the variant then runs its own loop) — a memory valve for
     near-dense products whose plan would rival the factors in size.
     """
     a_colnnz = np.diff(a.indptr)
@@ -186,40 +191,11 @@ def run_ssssm_plan(plan: SSSSMPlan, c: CSCMatrix, a: CSCMatrix, b: CSCMatrix) ->
     np.subtract.at(c.data, plan.dst, prod)
 
 
-def rebase_ssssm_plan(
-    plan: SSSSMPlan | None, a_off: int, b_off: int, c_off: int
-) -> SSSSMPlan | None:
-    """Translate a block-local scatter map into **arena-global** offsets.
-
-    On the arena layout every block's ``data`` is a view into one shared
-    value slab; adding each block's slab offset to the plan's index arrays
-    yields a plan that addresses the slab directly
-    (:func:`run_ssssm_plan_arena`), skipping the three per-call view
-    lookups.  The indexing order is unchanged, so execution remains
-    bit-identical to the view-based form.  ``None`` (a declined plan)
-    passes through.
-    """
-    if plan is None:
-        return None
-    return SSSSMPlan(
-        src_a=plan.src_a + a_off,
-        src_b=plan.src_b + b_off,
-        dst=plan.dst + c_off,
-    )
-
-
-def run_ssssm_plan_arena(plan: SSSSMPlan, data: np.ndarray) -> None:
-    """Execute an offset-rebased Schur update directly on the value slab."""
-    prod = data[plan.src_a]
-    prod *= data[plan.src_b]
-    np.subtract.at(data, plan.dst, prod)
-
-
 # ----------------------------------------------------------------------
 # GESSM / TSTRF — planned triangular solves
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SolvePlan:
+class SolvePlan(_IndexPlan):
     """Solve-order plan of a block triangular solve.
 
     One *step* per pivot entry of the right-hand-side block (in solve
@@ -236,15 +212,6 @@ class SolvePlan:
     src: np.ndarray
     div: np.ndarray | None = None
     gather: np.ndarray | None = None
-
-    @property
-    def nbytes(self) -> int:
-        n = self.piv.nbytes + self.seg_ptr.nbytes + self.dst.nbytes + self.src.nbytes
-        if self.div is not None:
-            n += self.div.nbytes
-        if self.gather is not None:
-            n += self.gather.nbytes
-        return n
 
 
 def _upper_counts(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -404,7 +371,7 @@ def run_tstrf_plan(plan: SolvePlan, diag: CSCMatrix, b: CSCMatrix) -> None:
 # GETRF — planned left-looking factorisation
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class GETRFPlan:
+class GETRFPlan(_IndexPlan):
     """Left-looking schedule of the sparse GETRF variants.
 
     Column ``j`` runs the update steps ``col_step_ptr[j]`` to
@@ -421,19 +388,6 @@ class GETRFPlan:
     diag_idx: np.ndarray
     below_lo: np.ndarray
     below_hi: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            self.col_step_ptr.nbytes
-            + self.piv.nbytes
-            + self.seg_ptr.nbytes
-            + self.dst.nbytes
-            + self.src.nbytes
-            + self.diag_idx.nbytes
-            + self.below_lo.nbytes
-            + self.below_hi.nbytes
-        )
 
 
 def build_getrf_plan(block: CSCMatrix) -> GETRFPlan:
@@ -500,7 +454,7 @@ def run_getrf_plan(
             s, e = seg_ptr[i], seg_ptr[i + 1]
             data[dst[s:e]] -= data[src[s:e]] * xt
         dpos = plan.diag_idx[j]
-        piv_v, rep = _fix_pivot(float(data[dpos]), pivot_floor, scale)
+        piv_v, rep = fix_pivot(float(data[dpos]), pivot_floor, scale)
         replaced += rep
         data[dpos] = piv_v
         lo, hi = plan.below_lo[j], plan.below_hi[j]

@@ -17,12 +17,13 @@ CompressedBlock` operands at ``O((m + n) · rank)`` cost.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
 
+from .base import KernelType
 from .compress import COMPRESS_VARIANTS, LR_SSSSM_VARIANTS
 from .getrf import GETRF_VARIANTS
 from .gessm import GESSM_VARIANTS
+from .plans import PLANNABLE_VERSIONS
 from .ssssm import SSSSM_VARIANTS
 from .tstrf import TSTRF_VARIANTS
 
@@ -32,22 +33,9 @@ __all__ = [
     "kernel_names",
     "get_kernel",
     "is_gpu_version",
-    "plan_capable",
     "IMAGE_VERSIONS",
+    "CACHED_OPERAND",
 ]
-
-
-class KernelType(enum.Enum):
-    """The four block-kernel roles of PanguLU's numeric factorisation."""
-
-    GETRF = "GETRF"   # diagonal-block LU
-    GESSM = "GESSM"   # lower triangular solve (block column of U)
-    TSTRF = "TSTRF"   # upper triangular solve (block row of L)
-    SSSSM = "SSSSM"   # sparse-sparse Schur update
-    COMPRESS = "COMPRESS"  # low-rank representation transitions
-
-    def __str__(self) -> str:  # pragma: no cover - display only
-        return self.value
 
 
 KERNEL_REGISTRY: dict[KernelType, dict[str, Callable]] = {
@@ -66,6 +54,20 @@ IMAGE_VERSIONS = {
     KernelType.GESSM: "C_V2",
     KernelType.TSTRF: "C_V2",
     KernelType.SSSSM: "C_V1",
+}
+
+#: What a variant can be handed by a caller that caches it, besides its
+#: blocks — the one thing the numeric driver looks up per task:
+#: ``"plan"`` (keyword ``plan=``: the fixed-pattern plan that reproduces
+#: the variant's own loop, :data:`~repro.kernels.plans.PLANNABLE_VERSIONS`),
+#: ``"images"`` (the keywords of :data:`IMAGE_VERSIONS`) or ``"overlay"``
+#: (low-rank operands in place of the CSC blocks).  Plans and images are
+#: optional: without them the variant does the work itself and keeps
+#: nothing.  A variant not listed takes its blocks and nothing else.
+CACHED_OPERAND: dict[tuple[KernelType, str], str] = {
+    **{(k, v): "plan" for k, versions in PLANNABLE_VERSIONS.items() for v in versions},
+    **{(k, v): "images" for k, v in IMAGE_VERSIONS.items()},
+    **{(KernelType.SSSSM, v): "overlay" for v in LR_SSSSM_VARIANTS},
 }
 
 
@@ -95,10 +97,3 @@ def is_gpu_version(version: str) -> bool:
     """True for the GPU-class (throughput-oriented) variants."""
     return version.startswith("G_")
 
-
-def plan_capable(ktype: KernelType, version: str) -> bool:
-    """True when the variant has a fixed-pattern execution plan that
-    reproduces its arithmetic bit-for-bit (see :mod:`repro.kernels.plans`)."""
-    from .plans import PLANNABLE_VERSIONS  # deferred: plans imports this module
-
-    return version in PLANNABLE_VERSIONS.get(ktype, ())

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .registry import KernelType
+from .registry import CACHED_OPERAND, KernelType
 
 __all__ = [
     "Split",
@@ -246,7 +246,14 @@ class SelectorPolicy:
         return cls(trees=fixed_trees(versions), adaptive=False, baseline=versions)
 
     def select(self, ktype: KernelType, feats: TaskFeatures) -> str:
-        return self.trees[ktype].select(feats)
+        """The version to run.  Where operands carry a low-rank overlay
+        their representation decides: trees that do not split on
+        ``lr_operands`` (the fixed baseline, a refit without compressed
+        samples) yield to the low-rank variant for that operand count."""
+        version = self.trees[ktype].select(feats)
+        if feats.lr_operands and CACHED_OPERAND.get((ktype, version)) != "overlay":
+            version = "LR_V2" if feats.lr_operands == 2 else "LR_V1"
+        return version
 
 
 def calibrate(

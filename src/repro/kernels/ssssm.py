@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from ..sparse.csc import CSCMatrix
 from .base import Workspace, gather_dense, scatter_dense, serial_matmul
+from .plans import SSSSMPlan, run_ssssm_plan
 
 __all__ = [
     "ssssm_c_v1",
@@ -72,13 +73,21 @@ def ssssm_c_v1(
     c.data[...] -= serial_matmul(a_dense, b_dense)[rows, cols]
 
 
-def ssssm_c_v2(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
+def ssssm_c_v2(
+    c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace, *,
+    plan: SSSSMPlan | None = None,
+) -> None:
     """Bin-search scatter (CPU V2, "adaptive split-bin").
 
     Fully sparse: for every entry ``B[t, j]`` the column ``A[:, t]`` is
     accumulated into ``C[:, j]``, locating targets by binary search in
     ``C``'s fixed column pattern.  Cheapest at very low FLOP counts.
+    ``plan`` is the block triple's flattened scatter map when the caller
+    holds one: the same products subtracted in the same order, as one
+    multiply and one ordered scatter.
     """
+    if plan is not None:
+        return run_ssssm_plan(plan, c, a, b)
     c_indptr, c_indices, c_data = c.indptr, c.indices, c.data
     a_indptr, a_indices, a_data = a.indptr, a.indices, a.data
     for j in range(b.ncols):
@@ -134,13 +143,19 @@ def ssssm_g_v1(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
         c_data[lo + pos[valid]] -= pv[valid]
 
 
-def ssssm_g_v2(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
+def ssssm_g_v2(
+    c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace, *,
+    plan: SSSSMPlan | None = None,
+) -> None:
     """Dense-C accumulation (GPU V2, "Direct warp-level column").
 
     Only the *target* is dense-mapped; the product is accumulated column
     by column with direct (dense) addressing — no searches, no full GEMM.
-    Strong when ``C`` is dense but ``A``/``B`` are sparse.
+    Strong when ``C`` is dense but ``A``/``B`` are sparse.  ``plan``: as
+    for :func:`ssssm_c_v2`, whose arithmetic this variant shares.
     """
+    if plan is not None:
+        return run_ssssm_plan(plan, c, a, b)
     wc = ws.dense("c", c.shape, c.data.dtype)
     scatter_dense(c, wc)
     a_indptr, a_indices, a_data = a.indptr, a.indices, a.data

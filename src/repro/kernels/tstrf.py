@@ -31,6 +31,7 @@ from .base import (
     split_lu,
     triangle_inverse,
 )
+from .plans import SolvePlan, run_tstrf_plan
 
 __all__ = [
     "tstrf_c_v1",
@@ -90,9 +91,15 @@ def _forward_solve_nonunit(
                 vals_c[pos[valid]] -= l_vals[valid] * xt
 
 
-def tstrf_c_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
+def tstrf_c_v1(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
+) -> None:
     """Merge-addressed row solve (CPU V1): transpose, merge-forward-solve,
-    transpose back."""
+    transpose back — or, handed the block pair's ``plan`` (solve order,
+    targets and transpose permutation precomputed), the same operations
+    in the same order without the three structural passes."""
+    if plan is not None:
+        return run_tstrf_plan(plan, diag, b)
     ut = _upper_transposed(diag)
     bt = b.transpose()
     _forward_solve_nonunit(ut, bt, addressing="merge")
@@ -115,8 +122,13 @@ def tstrf_c_v2(
     gather_dense(b, serial_matmul(w, inv))
 
 
-def tstrf_g_v1(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """Bin-search row solve (GPU V1, "warp-level column")."""
+def tstrf_g_v1(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
+) -> None:
+    """Bin-search row solve (GPU V1, "warp-level column"); ``plan``: as
+    for :func:`tstrf_c_v1`."""
+    if plan is not None:
+        return run_tstrf_plan(plan, diag, b)
     ut = _upper_transposed(diag)
     bt = b.transpose()
     _forward_solve_nonunit(ut, bt, addressing="binsearch")

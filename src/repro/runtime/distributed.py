@@ -277,14 +277,11 @@ class _RankSolveJob(SolveJob):
 
     def __init__(
         self, rank: int, recorder: EventRecorder | None, boundaries: np.ndarray,
-        owned: list[tuple[int, int, CSCMatrix]], tdag: TSolveDAG,
-        b: np.ndarray, use_plans: bool,
+        owned: list[tuple[int, int, CSCMatrix]], tdag: TSolveDAG, b: np.ndarray,
     ) -> None:
         view = _LocalView(boundaries, owned)
         y = np.array(b, dtype=np.float64)
-        super().__init__(
-            view, tdag, y, np.zeros_like(y), PlanCache() if use_plans else None
-        )
+        super().__init__(view, tdag, y, np.zeros_like(y), PlanCache())
         self.rank = rank
         self.owner_of_task = tdag.owner
         self.my_tasks = np.flatnonzero(tdag.owner == rank)
@@ -532,7 +529,6 @@ def tsolve_distributed(
     b,
     n_procs: int = 2,
     *,
-    use_plans: bool = True,
     timeout: float = 300.0,
     transport: Transport | None = None,
     recorder: EventRecorder | None = None,
@@ -573,7 +569,7 @@ def tsolve_distributed(
 
     report = _run_ranks(
         "tsolve", n_procs, n_threads, _RankSolveJob,
-        lambda rank: (f.boundaries, owned[rank], tdag, y0, use_plans),
+        lambda rank: (f.boundaries, owned[rank], tdag, y0),
         install, transport=transport, timeout=timeout, recorder=recorder,
         validate=validate,
     )

@@ -157,9 +157,9 @@ def _tsolve_engine(name: str, shape: tuple[bool, bool]) -> Callable:
         ranks, lanes = _pool(options, *shape)
         if ranks:
             return tsolve_distributed(
-                f, tdag, b, ranks, use_plans=options.numeric.use_plans,
-                recorder=recorder, validate=_validating(options),
-                placement=placement, n_threads=lanes,
+                f, tdag, b, ranks, recorder=recorder,
+                validate=_validating(options), placement=placement,
+                n_threads=lanes,
             )
         return tsolve_lanes(
             f, tdag, b, n_lanes=lanes,

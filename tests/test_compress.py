@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.numeric import NumericOptions
 from repro.core.solver import PanguLU, SolverOptions
 from repro.kernels import Workspace
 from repro.kernels.compress import (
@@ -25,7 +26,7 @@ from repro.kernels.compress import (
     ssssm_lr_v2,
     try_compress,
 )
-from repro.kernels.selector import TaskFeatures
+from repro.kernels.selector import SelectorPolicy, TaskFeatures
 from repro.sparse import CSCMatrix
 from repro.sparse.blockrep import (
     CompressedBlock,
@@ -261,12 +262,24 @@ class TestCompressedSolve:
         assert resid <= f.options.refine_tol * 10
 
     def test_lr_kernels_appear_in_choices(self):
+        # the label recorded is the kernel that ran: where an operand
+        # carries an overlay that is a low-rank variant whatever the
+        # selector's trees say — the fixed baseline's single SSSSM leaf
+        # is the plannable C_V2, and none of these tasks ran it or a plan
         _, am = _coupled_matrix()
-        f = _factorize(
-            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
-        )
-        labels = set(f.stats.kernel_choices.values())
-        assert any(lbl.startswith("SSSSM/LR_") for lbl in labels)
+        inputs = {"default": SelectorPolicy.default(), "fixed": SelectorPolicy.fixed()}
+        for name, selector in inputs.items():
+            f = _factorize(
+                am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+                numeric=NumericOptions(selector=selector),
+            )
+            hist = f.stats.version_histogram()
+            lr = sum(n for lbl, n in hist.items() if lbl.startswith("SSSSM/LR_"))
+            ssssm = sum(n for lbl, n in hist.items() if lbl.startswith("SSSSM/"))
+            assert lr > 0, name
+            if name == "fixed":   # every panel of this matrix compresses
+                assert lr == ssssm, hist
+                assert f.stats.planned_tasks == len(f.stats.kernel_choices) - lr
 
     def test_distributed_wire_bytes_shrink(self):
         """Compressed panels ship as U/V: the loopback byte accounting

@@ -16,13 +16,14 @@ import repro.core.numeric as numeric
 from repro import PanguLU, SolverOptions
 from repro.core import NumericOptions, block_partition, build_dag, factorize
 from repro.core.memory import memory_report
-from repro.core.numeric import PanelCache, execute_task
-from repro.kernels import Workspace
+from repro.core.numeric import PanelCache
 from repro.kernels.selector import SelectorPolicy
 from repro.runtime import factorize_distributed
 from repro.runtime.transports import LoopbackTransport
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
+
+from .reference_numeric import replay_unplanned
 
 
 def _prepared(seed=0):
@@ -112,10 +113,7 @@ def test_execute_task_without_a_cache_keeps_nothing(caches):
     cached, dag = _prepared(seed=2)
     bare, _ = _prepared(seed=2)
     report = factorize(cached, dag)
-    ws = Workspace()
-    for task in dag.tasks:   # tid order is a topological order
-        version = report.kernel_choices[task.tid].split("/")[1]
-        execute_task(bare, task, version, ws, pivot_floor=1e-12)
+    assert replay_unplanned(bare, dag) == report.kernel_choices
     assert len(caches) == 1
     for got, ref in zip(bare.blk_values, cached.blk_values):
         assert np.array_equal(got.data, ref.data)

@@ -1,11 +1,15 @@
 """Tests for fixed-pattern execution plans (:mod:`repro.kernels.plans`).
 
-The load-bearing property: planned execution must be **bit-identical** to
-the unplanned sparse kernels — same products, same order, same masking —
-so `use_plans` is purely a performance knob, never a numerics knob.
+The load-bearing property: a variant handed its plan must be
+**bit-identical** to the same variant running its own loop — same
+products, same order, same masking.  The reference is
+``tests/reference_numeric.replay_unplanned``: every task through
+``execute_task(..., plans=None, panels=None)``.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -22,12 +26,14 @@ from repro.core import (
 from repro.kernels import (
     KERNEL_REGISTRY,
     PLANNABLE_VERSIONS,
+    KernelType,
     PlanCache,
     SelectorPolicy,
-    plan_capable,
 )
 from repro.sparse import CSCMatrix, random_sparse
 from repro.symbolic import symbolic_symmetric
+
+from .reference_numeric import replay_unplanned
 
 
 def _prepared(n=80, bs=12, seed=0, density=0.07):
@@ -42,20 +48,28 @@ def _factor_dense(bm, dag, **kw):
     return bm.to_csc().to_dense(), stats
 
 
+def _reference_dense(bm, dag, **kw):
+    choices = replay_unplanned(bm, dag, NumericOptions(**kw))
+    assert len(choices) == len(dag.tasks)
+    return bm.to_csc().to_dense()
+
+
 class TestPlannableRegistry:
     def test_plannable_versions_exist(self):
         for ktype, versions in PLANNABLE_VERSIONS.items():
             for v in versions:
-                assert v in KERNEL_REGISTRY[ktype]
-                assert plan_capable(ktype, v)
+                assert "plan" in inspect.signature(KERNEL_REGISTRY[ktype][v]).parameters
 
     def test_dense_variants_not_plannable(self):
         # dense-mapped variants use different summation orders — a plan
-        # claiming to reproduce them bit-for-bit would be a lie
-        from repro.kernels import KernelType
-
-        assert not plan_capable(KernelType.SSSSM, "C_V1")
-        assert not plan_capable(KernelType.GETRF, "C_V1")
+        # claiming to reproduce them bit-for-bit would be a lie: exactly
+        # the listed variants take a plan
+        for ktype, variants in KERNEL_REGISTRY.items():
+            for v, kernel in variants.items():
+                takes_plan = "plan" in inspect.signature(kernel).parameters
+                assert takes_plan == (v in PLANNABLE_VERSIONS.get(ktype, ())), (ktype, v)
+        assert "C_V1" not in PLANNABLE_VERSIONS[KernelType.SSSSM]
+        assert "C_V1" not in PLANNABLE_VERSIONS[KernelType.GETRF]
 
 
 class TestBitIdentity:
@@ -65,22 +79,17 @@ class TestBitIdentity:
         # every task runs planned — the strongest exercise of the maps
         _, bm1, dag1 = _prepared(seed=seed)
         _, bm2, dag2 = _prepared(seed=seed)
-        d1, s1 = _factor_dense(
-            bm1, dag1, selector=SelectorPolicy.fixed(), use_plans=True
-        )
-        d2, s2 = _factor_dense(
-            bm2, dag2, selector=SelectorPolicy.fixed(), use_plans=False
-        )
-        assert s1.planned_tasks > 0
-        assert s2.planned_tasks == 0
+        d1, s1 = _factor_dense(bm1, dag1, selector=SelectorPolicy.fixed())
+        d2 = _reference_dense(bm2, dag2, selector=SelectorPolicy.fixed())
+        assert s1.planned_tasks == len(dag1.tasks)
         assert np.array_equal(d1, d2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_default_policy_bit_identical(self, seed):
         _, bm1, dag1 = _prepared(seed=seed, n=100, bs=10)
         _, bm2, dag2 = _prepared(seed=seed, n=100, bs=10)
-        d1, _ = _factor_dense(bm1, dag1, use_plans=True)
-        d2, _ = _factor_dense(bm2, dag2, use_plans=False)
+        d1, _ = _factor_dense(bm1, dag1)
+        d2 = _reference_dense(bm2, dag2)
         assert np.array_equal(d1, d2)
 
     @given(
@@ -91,12 +100,8 @@ class TestBitIdentity:
     def test_property_random_block_matrices(self, seed, bs):
         _, bm1, dag1 = _prepared(n=60, bs=bs, seed=seed, density=0.08)
         _, bm2, dag2 = _prepared(n=60, bs=bs, seed=seed, density=0.08)
-        d1, _ = _factor_dense(
-            bm1, dag1, selector=SelectorPolicy.fixed(), use_plans=True
-        )
-        d2, _ = _factor_dense(
-            bm2, dag2, selector=SelectorPolicy.fixed(), use_plans=False
-        )
+        d1, _ = _factor_dense(bm1, dag1, selector=SelectorPolicy.fixed())
+        d2 = _reference_dense(bm2, dag2, selector=SelectorPolicy.fixed())
         assert np.array_equal(d1, d2)
 
 
@@ -110,11 +115,12 @@ class TestPlanCacheBehaviour:
         assert bm.plan_cache.nbytes > 0
 
     def test_plans_disabled_leaves_no_cache(self):
+        # ``plans=None`` is the one way to run unplanned: nothing is
+        # built, nothing is attached to the structure
         _, bm, dag = _prepared()
-        stats = factorize(bm, dag, NumericOptions(use_plans=False))
+        replay_unplanned(bm, dag, NumericOptions(selector=SelectorPolicy.fixed()))
         assert bm.plan_cache is None
-        assert stats.planned_tasks == 0
-        assert stats.plan_bytes == 0
+        assert memory_report(bm).plan_bytes == 0
 
     def test_refactorize_reuses_cache(self):
         from repro import PanguLU
@@ -139,12 +145,15 @@ class TestPlanCacheBehaviour:
         _, bm1, dag1 = _prepared(seed=3)
         _, bm2, dag2 = _prepared(seed=3)
         d1, s1 = _factor_dense(bm1, dag1, selector=SelectorPolicy.fixed())
-        # a zero entry budget declines every SSSSM plan (memory valve);
-        # the solves/GETRF still run planned and the result is unchanged
+        # a zero entry budget declines every SSSSM plan (memory valve):
+        # those tasks run C_V2's own loop, the solves/GETRF still get
+        # their plans, and the result is unchanged
         d2, s2 = _factor_dense(
             bm2, dag2, selector=SelectorPolicy.fixed(), plan_entry_limit=0
         )
+        assert s1.planned_tasks == len(dag1.tasks)
         assert 0 < s2.planned_tasks < s1.planned_tasks
+        assert s2.kernel_choices == s1.kernel_choices
         assert np.array_equal(d1, d2)
 
     def test_cache_get_caches_none(self):
@@ -202,9 +211,9 @@ class TestThreadedAndPartial:
         s1 = partial_factorize(
             bm1, dag1, kb, NumericOptions(selector=SelectorPolicy.fixed())
         )
-        partial_factorize(
-            bm2, dag2, kb,
-            NumericOptions(selector=SelectorPolicy.fixed(), use_plans=False),
+        replay_unplanned(
+            bm2, dag2, NumericOptions(selector=SelectorPolicy.fixed()),
+            tids=[t.tid for t in dag2.tasks if t.k < kb],
         )
         assert s1.planned_tasks > 0
         assert np.array_equal(

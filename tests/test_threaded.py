@@ -65,15 +65,9 @@ class TestProtocol:
                 bm, dag, NumericOptions(pivot_floor=0.0), n_workers=3
             )
 
-    def test_kernel_exception_propagates_and_quiesces(self, monkeypatch):
-        # a kernel that raises mid-DAG must surface the *original*
-        # exception to the caller with every worker quiesced first —
-        # factorize_threaded joins the pool before re-raising, so this
-        # test deadlocks (and times out) if quiescing is broken
-        import threading
-
-        from repro.core import NumericOptions
-        from repro.kernels.registry import KERNEL_REGISTRY, KernelType
+    @staticmethod
+    def _injected_failure(monkeypatch, ktype, versions):
+        from repro.kernels.registry import KERNEL_REGISTRY
 
         class _Boom(RuntimeError):
             pass
@@ -81,15 +75,45 @@ class TestProtocol:
         def boom(*args, **kwargs):
             raise _Boom("injected kernel failure")
 
-        for version in list(KERNEL_REGISTRY[KernelType.SSSSM]):
-            monkeypatch.setitem(KERNEL_REGISTRY[KernelType.SSSSM], version, boom)
+        for version in versions or list(KERNEL_REGISTRY[ktype]):
+            monkeypatch.setitem(KERNEL_REGISTRY[ktype], version, boom)
+        return _Boom
+
+    def test_kernel_exception_propagates_and_quiesces(self, monkeypatch):
+        # a kernel that raises mid-DAG must surface the *original*
+        # exception to the caller with every worker quiesced first —
+        # factorize_threaded joins the pool before re-raising, so this
+        # test deadlocks (and times out) if quiescing is broken
+        import threading
+
+        from repro.kernels.registry import KernelType
+
+        boom = self._injected_failure(monkeypatch, KernelType.SSSSM, None)
         _, bm, dag = _prepared(n=120, bs=10, seed=3)
         threads_before = threading.active_count()
-        with pytest.raises(_Boom, match="injected kernel failure"):
-            factorize_threaded(
-                bm, dag, NumericOptions(use_plans=False), n_workers=4
-            )
+        with pytest.raises(boom, match="injected kernel failure"):
+            factorize_threaded(bm, dag, n_workers=4)
         assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_plannable_kernel_is_run_through_the_registry(
+        self, monkeypatch, n_workers
+    ):
+        # a patched registry entry must be what runs even where the
+        # variant would be handed a plan: on a reordered 2-D grid the
+        # default trees send most diagonal blocks to GETRF/G_V2, which is
+        # plannable, and every factorisation has a plan cache
+        from repro import PanguLU, SolverOptions
+        from repro.kernels.registry import KernelType
+        from repro.sparse import generate
+
+        solver = PanguLU(
+            generate("ecology1", scale=0.2, seed=0), SolverOptions(block_size=40)
+        )
+        solver.preprocess()
+        boom = self._injected_failure(monkeypatch, KernelType.GETRF, ["G_V2"])
+        with pytest.raises(boom, match="injected kernel failure"):
+            factorize_threaded(solver.blocks, solver.dag, n_workers=n_workers)
 
     def test_records_kernel_choices(self):
         _, bm, dag = _prepared()
