@@ -19,9 +19,9 @@ import numpy as np
 
 from common import banner, factorized_pangulu, prepared_pangulu
 from repro.analysis import format_table
-from repro.core.tsolve import tsolve_sequential
+from repro.core.tsolve import tsolve_lanes, tsolve_sequential
 from repro.core.tsolve_dag import build_tsolve_dag
-from repro.runtime import A100_PLATFORM, simulate_tsolve, tsolve_threaded
+from repro.runtime import A100_PLATFORM, simulate_tsolve
 
 MATRICES = ("ecology1", "ASIC_680k", "Si87H76")
 PROCS = (1, 4, 16, 64)
@@ -47,11 +47,11 @@ def test_tsolve_engines(benchmark):
         tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
         b = np.linspace(1.0, 2.0, f.n)
         x_seq, _ = tsolve_sequential(f, b, tdag=tdag)
-        x_thr, _ = tsolve_threaded(f, tdag, b, n_workers=WORKERS)
+        x_thr, _ = tsolve_lanes(f, tdag, b, n_lanes=WORKERS)
         assert np.array_equal(x_seq, x_thr), name  # bit-identical
         t_seq = _best_s(lambda: tsolve_sequential(f, b, tdag=tdag))
         t_thr = _best_s(
-            lambda: tsolve_threaded(f, tdag, b, n_workers=WORKERS)
+            lambda: tsolve_lanes(f, tdag, b, n_lanes=WORKERS)
         )
         rows.append([name, len(tdag), t_seq * 1e3, t_thr * 1e3,
                      t_seq / t_thr])
@@ -65,7 +65,7 @@ def test_tsolve_engines(benchmark):
     tdag = build_tsolve_dag(pg.blocks, lambda bi, bj: 0, executable=True)
     b = np.ones(pg.blocks.n)
     benchmark.pedantic(
-        lambda: tsolve_threaded(pg.blocks, tdag, b, n_workers=WORKERS),
+        lambda: tsolve_lanes(pg.blocks, tdag, b, n_lanes=WORKERS),
         rounds=3,
         iterations=1,
     )

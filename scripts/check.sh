@@ -28,7 +28,7 @@ python scripts/count_code_lines.py src/repro
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that
 # removes a knob lowers the ceiling in the same commit
-MAX_OPTION_FIELDS=23
+MAX_OPTION_FIELDS=22
 echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs; ceiling $MAX_OPTION_FIELDS) =="
 PYTHONPATH=src python -c "
 import sys

@@ -89,9 +89,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"panel_cache_peak_bytes = {mem.panel_cache_peak_bytes}")
     if fact.last_tsolve_stats is not None:
         ts = fact.last_tsolve_stats
+        hist = ts.residual_history
         print(f"solve: {solver.solve_count} call(s), last "
               f"{solver.last_solve_seconds:.4f} s "
-              f"({ts.tasks_executed} solve tasks via {ts.engine})")
+              f"({ts.tasks_executed} solve tasks via {ts.engine}; "
+              f"{len(hist)} residual(s), last {hist[-1][1]:.3e})")
     for phase, seconds in solver.phase_seconds.items():
         print(f"  {phase:<12s} {seconds:8.4f} s")
     if args.trace:

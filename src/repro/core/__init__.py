@@ -44,14 +44,7 @@ from .numeric import (
 from .schur import extract_trailing, partial_factorize
 from .solver import Factorization, PanguLU, SolverOptions
 from .memory import MemoryReport, memory_report, per_process_bytes
-from .tsolve import (
-    block_backward,
-    block_forward,
-    execute_tsolve_task,
-    solve_lower_unit,
-    solve_upper,
-    tsolve_sequential,
-)
+from .tsolve import execute_tsolve_task, tsolve_sequential
 from .tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
 
 __all__ = [
@@ -98,10 +91,6 @@ __all__ = [
     "TSolveDAG",
     "TSolveTaskType",
     "build_tsolve_dag",
-    "block_backward",
-    "block_forward",
-    "solve_lower_unit",
-    "solve_upper",
     "execute_tsolve_task",
     "tsolve_sequential",
 ]

@@ -483,10 +483,9 @@ def factorize(
     first, which keeps the critical path moving (the paper: "each
     process always selects the most critical of the tasks to be
     computed").  One lane (the default) is the sequential engine; more
-    lanes are the threaded engine
-    (:func:`repro.runtime.threaded.factorize_threaded`), whose result
-    equals the sequential one up to floating-point reassociation of
-    commuting Schur updates.  ``owned`` restricts the run to a
+    lanes are the threaded engine, whose result equals the sequential
+    one up to floating-point reassociation of commuting Schur updates
+    (``n_lanes < 1`` is rejected by the lane driver).  ``owned`` restricts the run to a
     predecessor-closed subset of task ids (the partial factorisation of
     :mod:`repro.core.schur`).  Pass an
     :class:`~repro.runtime.scheduler.EventRecorder` to capture

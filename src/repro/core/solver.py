@@ -45,7 +45,6 @@ from .mapping import balance_loads, task_weights
 from .numeric import NumericOptions
 from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
-from .tsolve import block_backward_trans, block_forward_trans
 from .tsolve_dag import build_tsolve_dag
 from .verify import verify_dag
 
@@ -53,16 +52,18 @@ __all__ = ["SolverOptions", "Factorization", "PanguLU", "RefinementStalled"]
 
 
 class RefinementStalled(ArithmeticError):
-    """Mixed-precision iterative refinement could not reach the requested
-    residual tolerance.
+    """Iterative refinement on approximate factors could not reach the
+    requested residual tolerance.
 
-    Raised by :meth:`Factorization.solve` on the ``float32`` factor path
-    when plain refinement stops contracting *and* the GMRES-IR escalation
-    also fails to reach ``SolverOptions.refine_tol`` — typically a sign
-    that the matrix is too ill-conditioned for single-precision factors
-    (``κ(A) · ε₃₂ ≳ 1``).  The message reports the achieved relative
-    residual so callers can decide whether to accept it or refactorise
-    at ``factor_dtype="float64"``.
+    Raised by :meth:`Factorization.solve` on ``float32`` (or compressed)
+    factors when plain refinement stops contracting *and* the GMRES-IR
+    escalation also fails to reach ``SolverOptions.refine_tol`` —
+    typically a sign that the matrix is too ill-conditioned for
+    single-precision factors (``κ(A) · ε₃₂ ≳ 1``).  Never raised for
+    exact ``float64`` factors: they have nothing more precise to
+    escalate to and return their best iterate.  The message reports the
+    achieved relative residual so callers can decide whether to accept
+    it or refactorise at ``factor_dtype="float64"``.
 
     Attributes
     ----------
@@ -237,9 +238,9 @@ class SolverOptions:
         agree across engines to rounding (the factor DAG does not order
         the Schur updates of one block).
     n_workers:
-        Worker threads for the ``"threaded"`` engine
-        (:func:`repro.runtime.factorize_threaded`), and threads *per
-        rank* for the ``"hybrid"`` engine.
+        Worker threads (lanes of :func:`repro.runtime.lanes.run_lanes`)
+        for the ``"threaded"`` engine, and threads *per rank* for the
+        ``"hybrid"`` engine.
     trace_events:
         Record structured scheduler events (task start/end, message
         send/recv, ready-queue depth) during the numeric phase and the
@@ -247,13 +248,6 @@ class SolverOptions:
         is available as ``solver.recorder`` (solve-task lanes are
         appended to it by each :meth:`PanguLU.solve`) and can be
         serialised with :func:`repro.runtime.write_recorder_trace`.
-    refine_steps:
-        Iterative-refinement sweeps after the triangular solves.  Static
-        pivoting (MC64 + GESP pivot replacement) trades factorisation-time
-        stability for a possibly larger residual; a few cheap refinement
-        steps recover it — the same recipe SuperLU_DIST applies.  Applies
-        to the ``float64`` factor path; the ``float32`` path replaces the
-        fixed sweep count with the adaptive loop below.
     factor_dtype:
         Working precision of the numeric factors: ``"float64"`` (default)
         or ``"float32"``.  Single precision halves the arena ``data``
@@ -263,15 +257,25 @@ class SolverOptions:
         classic mixed-precision LU-IR recipe, mirroring the production
         solver's paired r32/r64 kernels).
     refine_tol:
-        Relative-residual target ``‖b − A x‖ / ‖b‖`` of the adaptive
-        refinement on the ``float32`` factor path.  Plain refinement
-        iterates until the tolerance is met; if it stalls, a
-        GMRES-IR-style inner loop (FGMRES preconditioned by the low-
-        precision factors) takes over; if that also fails,
-        :class:`RefinementStalled` is raised with the achieved residual.
+        Relative-residual target ``max_j ‖b_j − A x_j‖ / ‖b_j‖`` of the
+        iterative refinement every solve ends with.  Static pivoting
+        (MC64 + GESP pivot replacement) trades factorisation-time
+        stability for a possibly larger residual and refinement sweeps
+        recover it — the recipe SuperLU_DIST applies — but only when the
+        residual asks for them: the loop stops at the tolerance, when
+        ``refine_max_iter`` sweeps are spent, or when two consecutive
+        sweeps fail to halve the residual, and returns the best iterate
+        seen.  What a stall means depends on the factors: exact
+        ``float64`` factors have nothing more precise to turn to and the
+        best iterate is the answer; ``float32`` or compressed factors
+        escalate to a GMRES-IR-style inner loop (FGMRES preconditioned
+        by the factors), compressed ones then to an exact
+        refactorisation, and :class:`RefinementStalled` is raised with
+        the achieved residual if all of that fails.
     refine_max_iter:
-        Iteration budget of the adaptive refinement loop (plain sweeps
-        plus escalation matvecs).
+        Sweep budget of the refinement loop (also the floor of the
+        escalation's matvec budget).  ``0`` is the bare factor
+        application: no residual, no refinement.
     validate_concurrency:
         Run the numeric phase and the triangular solves under the
         :mod:`repro.devtools.racecheck` invariant checker: single writer
@@ -308,7 +312,6 @@ class SolverOptions:
     nprocs: int = 1
     placement: str | PlacementPolicy = "cyclic"
     rank_speeds: tuple[float, ...] | str | None = None
-    refine_steps: int = 2
     factor_dtype: str = "float64"
     refine_tol: float = 1e-12
     refine_max_iter: int = 40
@@ -383,7 +386,8 @@ class Factorization:
     stats, last_tsolve_stats:
         :class:`~repro.runtime.scheduler.RunReport` of the most recent
         numeric run, and of the most recent engine-driven sweep pair
-        (task counts, pool shape, message bytes on the rank engines).
+        (task counts, pool shape, message bytes on the rank engines;
+        after a :meth:`solve`, ``residual_history`` of its refinement).
     """
 
     def __init__(
@@ -421,7 +425,7 @@ class Factorization:
         self.placement = placement
         # executable solve DAGs, keyed by engine placement (the local
         # engines share one single-owner DAG; distributed/hybrid need
-        # the ownership map of their rank count)
+        # the ownership map of their rank count) and solve direction
         self._tsolve_dags: dict = {}
 
     @property
@@ -453,58 +457,58 @@ class Factorization:
             ).prepare(self.dag, self.blocks)
         return self.placement
 
-    def _tsolve_dag(self):
-        """The executable solve DAG for the current engine (cached —
-        patterns are immutable post-symbolic, so it survives repeated
-        solves and refactorisations)."""
+    def _tsolve_dag(self, transposed: bool = False):
+        """The executable solve DAG of one direction for the current
+        engine (cached — patterns are immutable post-symbolic, so it
+        survives repeated solves and refactorisations)."""
         placement = self._engine_placement()
         if placement is not None:
-            key = (placement.name, placement.nprocs)
+            key = (placement.name, placement.nprocs, transposed)
             owner = placement.owner
         else:
-            key = ("local", 1)
+            key = ("local", 1, transposed)
 
             def owner(bi: int, bj: int) -> int:
                 return 0
 
         tdag = self._tsolve_dags.get(key)
         if tdag is None:
-            tdag = build_tsolve_dag(self.blocks, owner, executable=True)
+            tdag = build_tsolve_dag(
+                self.blocks, owner, executable=True, transposed=transposed
+            )
             if self.options.verify_schedule:
                 verify_dag(tdag)
             self._tsolve_dags[key] = tdag
         return tdag
 
-    def apply(self, b: np.ndarray, *, recorder=None) -> np.ndarray:
+    def apply(
+        self, b: np.ndarray, *, transposed: bool = False, recorder=None
+    ) -> np.ndarray:
         """One pass of the permuted/scaled triangular solves: ``x`` with
-        ``A x ≈ b`` up to static-pivoting error (vector or multi-RHS),
-        executed by the engine named in the options."""
+        ``A x ≈ b`` (``Aᵀ x ≈ b`` when ``transposed``) up to
+        static-pivoting error, vector or multi-RHS, executed by the
+        engine named in the options."""
         from ..runtime.engines import get_tsolve_engine
 
-        rs = self.row_scale if b.ndim == 1 else self.row_scale[:, None]
-        cs = self.col_scale if b.ndim == 1 else self.col_scale[:, None]
-        # Dr A Dc z = Dr b with x = Dc z; rows/cols permuted into block space
-        c_hat = (rs * b)[self.row_perm]
+        # Dr A Dc z = Dr b with x = Dc z, rows/cols permuted into block
+        # space; transposed, Sᵀ w = Dc b with S = Dr A Dc and x = Dr w —
+        # the scalings and permutations swap sides
+        scale_in, perm_in, perm_out, scale_out = (
+            (self.col_scale, self.col_perm, self.row_perm, self.row_scale)
+            if transposed
+            else (self.row_scale, self.row_perm, self.col_perm, self.col_scale)
+        )
+        if b.ndim == 2:
+            scale_in, scale_out = scale_in[:, None], scale_out[:, None]
+        c_hat = (scale_in * b)[perm_in]
         engine = get_tsolve_engine(self.options.resolved_engine())
         z_hat, self.last_tsolve_stats = engine(
-            self.blocks, self._tsolve_dag(), c_hat, self.options,
+            self.blocks, self._tsolve_dag(transposed), c_hat, self.options,
             recorder=recorder, placement=self._engine_placement(),
         )
         z = np.empty_like(z_hat)
-        z[self.col_perm] = z_hat
-        return cs * z
-
-    def _apply_transposed(self, b: np.ndarray) -> np.ndarray:
-        """One pass of the transposed solves ``Aᵀ x ≈ b`` (legacy loop
-        sweeps — the transposed direction has no DAG path)."""
-        # Aᵀ x = b  ⇔  Sᵀ w = Dc b with S = Dr A Dc, x = Dr w, and
-        # m2ᵀ v = (Dc b)[col_perm], w[row_perm] = v
-        c_hat = (self.col_scale * b)[self.col_perm]
-        y = block_forward_trans(self.blocks, c_hat)
-        v = block_backward_trans(self.blocks, y)
-        w = np.empty_like(v)
-        w[self.row_perm] = v
-        return self.row_scale * w
+        z[perm_out] = z_hat
+        return scale_out * z
 
     # ------------------------------------------------------------------
     # solves
@@ -514,91 +518,6 @@ class Factorization:
         """Value dtype of the stored factors (``blocks.dtype``)."""
         return self.blocks.dtype
 
-    def _refine(self, x: np.ndarray, b: np.ndarray, apply_fn, matvec):
-        """``refine_steps`` rounds of iterative refinement of ``x``
-        against ``b``, with ``apply_fn`` the direction-specific factor
-        application and ``matvec`` the matching matrix product."""
-        for _ in range(max(0, self.options.refine_steps)):
-            r = b - matvec(x)
-            if not np.all(np.isfinite(r)):
-                break
-            x = x + apply_fn(r)
-        return x
-
-    def _refine_adaptive(self, x: np.ndarray, b: np.ndarray, apply_fn, matvec):
-        """Adaptive mixed-precision refinement (the ``float32`` factor
-        path): iterate plain LU-IR in ``float64`` until the relative
-        residual meets ``refine_tol``; when the sweeps stop contracting,
-        escalate to a GMRES-IR inner loop (FGMRES on ``A`` preconditioned
-        by the low-precision factor application); raise
-        :class:`RefinementStalled` when neither reaches the tolerance.
-        """
-        opts = self.options
-        tol = float(opts.refine_tol)
-        budget = max(1, int(opts.refine_max_iter))
-        x = np.asarray(x, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        multi = b.ndim == 2
-
-        if multi:
-            bden = np.linalg.norm(b, axis=0)
-            bden = np.where(bden == 0.0, 1.0, bden)
-        else:
-            bden = float(np.linalg.norm(b)) or 1.0
-
-        def rel(r: np.ndarray) -> float:
-            if multi:
-                return float(np.max(np.linalg.norm(r, axis=0) / bden))
-            return float(np.linalg.norm(r)) / bden
-
-        spent = 0
-        r = b - matvec(x)
-        worst = rel(r)
-        prev = np.inf
-        stall = 0
-        while worst > tol and spent < budget and np.all(np.isfinite(r)):
-            # a sweep that fails to halve the residual is "stalled" —
-            # κ(A)·ε₃₂ is biting and more of the same will not converge
-            if worst > 0.5 * prev:
-                stall += 1
-                if stall >= 2:
-                    break
-            else:
-                stall = 0
-            prev = worst
-            x = x + np.asarray(apply_fn(r), dtype=np.float64)
-            spent += 1
-            r = b - matvec(x)
-            worst = rel(r)
-        if worst <= tol:
-            return x
-
-        # GMRES-IR escalation, one correction system per unconverged RHS
-        if multi:
-            mv1 = lambda v: matvec(v[:, None])[:, 0]  # noqa: E731
-            ap1 = lambda v: apply_fn(v[:, None])[:, 0]  # noqa: E731
-            col_rel = np.linalg.norm(r, axis=0) / bden
-            todo = [j for j in range(b.shape[1]) if col_rel[j] > tol]
-        else:
-            mv1, ap1 = matvec, apply_fn
-            todo = [None]
-        esc_budget = max(budget, 20)
-        for j in todo:
-            rj = r[:, j] if multi else r
-            dj = bden[j] if multi else bden
-            y, used = _fgmres(mv1, ap1, np.asarray(rj, dtype=np.float64),
-                              tol * float(dj), esc_budget)
-            spent += used
-            if multi:
-                x[:, j] = x[:, j] + y
-            else:
-                x = x + y
-        r = b - matvec(x)
-        worst = rel(r)
-        if worst <= tol:
-            return x
-        raise RefinementStalled(worst, tol, spent)
-
     def _account(self, t0: float) -> None:
         self.last_solve_seconds = time.perf_counter() - t0
         self.total_solve_seconds += self.last_solve_seconds
@@ -607,11 +526,11 @@ class Factorization:
     def compression_active(self) -> bool:
         """True while the factors were computed with the low-rank block
         overlay enabled (``compress_tol > 0``) — i.e. they are
-        tolerance-accurate, not exact, and solves must run the adaptive
-        refinement loop.  Judged from the options, not the overlay dict:
-        on the distributed engine the compression happened on remote
-        ranks and the master's overlay is empty, but the gathered factor
-        values are approximate all the same."""
+        tolerance-accurate, not exact, and a refinement stall escalates.
+        Judged from the options, not the overlay dict: on the distributed
+        engine the compression happened on remote ranks and the master's
+        overlay is empty, but the gathered factor values are approximate
+        all the same."""
         return self.options.numeric.compress_tol > 0.0
 
     def decompress(self) -> RunReport:
@@ -623,60 +542,124 @@ class Factorization:
         self.options.compress_tol = 0.0
         return self.refactorize(self.a)  # drops the stale overlays first
 
-    def _solve_refined(self, b: np.ndarray, apply_fn, matvec) -> np.ndarray:
-        """One application of the factors plus the refinement they call
-        for: the fixed ``refine_steps`` sweeps on exact ``float64``
-        factors, the adaptive loop on ``float32`` or compressed ones.  A
-        stall on compressed factors escalates once — decompress,
-        refactorise exactly, start over from the exact factors."""
-        x = apply_fn(b)
-        if self.factor_dtype == np.float64 and not self.compression_active():
-            return self._refine(x, b, apply_fn, matvec)
-        try:
-            return self._refine_adaptive(x, b, apply_fn, matvec)
-        except RefinementStalled:
-            if not self.compression_active():
-                raise
-            self.decompress()
-            return self._solve_refined(b, apply_fn, matvec)
+    def _solve_refined(
+        self, b: np.ndarray, transposed: bool, recorder, history: list
+    ) -> np.ndarray:
+        """One application of the factors plus the refinement the
+        residual asks for — the one policy of every solve.
 
-    def solve(self, b: np.ndarray, *, recorder=None) -> np.ndarray:
-        """Solve ``A x = b`` (vector or ``(n, k)`` multi-RHS panel) with
-        ``refine_steps`` rounds of iterative refinement.  Pass an
+        Plain LU-IR with the residual in ``float64``: stop when the
+        relative residual (max over right-hand sides) meets
+        ``refine_tol``, when ``refine_max_iter`` sweeps are spent, or
+        when two consecutive sweeps fail to halve it, and take the best
+        iterate seen.  Short of the tolerance, exact ``float64`` factors
+        return that iterate — nothing more precise exists to correct it
+        with; ``float32`` or compressed factors escalate to a GMRES-IR
+        inner loop (FGMRES on ``A`` preconditioned by the factor
+        application), compressed ones then once more — decompress,
+        refactorise exactly, start over — and :class:`RefinementStalled`
+        is raised when that fails too.  ``history`` receives one
+        ``(step, relative residual)`` pair per residual taken.
+        """
+        opts = self.options
+        tol = float(opts.refine_tol)
+        budget = max(0, int(opts.refine_max_iter))
+        first = "decompress" if history else "apply"
+
+        def apply_fn(r: np.ndarray) -> np.ndarray:
+            return self.apply(r, transposed=transposed, recorder=recorder)
+
+        def product(v: np.ndarray) -> np.ndarray:
+            if transposed:
+                return self.a.rmatvec(v)
+            return self.a.matmat(v) if v.ndim == 2 else self.a.matvec(v)
+
+        x = apply_fn(b)
+        if budget == 0:
+            return x
+        bden = np.atleast_1d(np.linalg.norm(b, axis=0))
+        bden[bden == 0.0] = 1.0
+
+        def residual(x: np.ndarray, step: str) -> tuple[np.ndarray, float]:
+            r = b - product(x)
+            worst = float(np.max(np.linalg.norm(r, axis=0) / bden))
+            if not np.isfinite(worst):
+                raise FloatingPointError(
+                    f"residual became non-finite at refinement step "
+                    f"{len(history)} ({step}); history so far: {history}"
+                )
+            history.append((step, worst))
+            return r, worst
+
+        r, worst = residual(x, first)
+        best = (worst, x)
+        spent = stall = 0
+        while worst > tol and spent < budget and stall < 2:
+            x = x + apply_fn(r)
+            spent += 1
+            prev = worst
+            r, worst = residual(x, "sweep")
+            # a sweep that fails to halve the residual is "stalled" —
+            # more of the same will not converge
+            stall = stall + 1 if worst > 0.5 * prev else 0
+            if worst < best[0]:
+                best = (worst, x)
+        if best[0] <= tol or (
+            self.factor_dtype == np.float64 and not self.compression_active()
+        ):
+            return best[1]
+
+        # GMRES-IR escalation from where the sweeps left off, one
+        # correction system per unconverged RHS
+        for j in np.flatnonzero(np.linalg.norm(r, axis=0) / bden > tol):
+            col = np.s_[:, j] if b.ndim == 2 else np.s_[:]
+            y, used = _fgmres(
+                product, apply_fn, r[col], tol * bden[j], max(budget, 20)
+            )
+            spent += used
+            x[col] += y
+        r, worst = residual(x, "fgmres")
+        if worst <= tol:
+            return x
+        if self.compression_active():
+            self.decompress()
+            return self._solve_refined(b, transposed, recorder, history)
+        raise RefinementStalled(worst, tol, spent)
+
+    def solve(
+        self, b: np.ndarray, *, transposed: bool = False, recorder=None
+    ) -> np.ndarray:
+        """Solve ``A x = b`` — or ``Aᵀ x = b`` with ``transposed`` — for
+        a vector or an ``(n, k)`` multi-RHS panel, refined to
+        ``options.refine_tol`` (:meth:`_solve_refined`).  Pass an
         :class:`~repro.runtime.scheduler.EventRecorder` to append
-        solve-task trace lanes to it."""
+        solve-task trace lanes to it.  The relative-residual history of
+        the refinement is left on ``last_tsolve_stats.residual_history``.
+        """
         t0 = time.perf_counter()
         b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.n or b.ndim > 2:
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(
                 f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
             )
-        x = self._solve_refined(
-            b, lambda r: self.apply(r, recorder=recorder),
-            self.a.matmat if b.ndim == 2 else self.a.matvec,
-        )
+        bad = np.argwhere(~np.isfinite(b))
+        if bad.size:
+            where = ", ".join(map(str, bad[0]))
+            raise ValueError(
+                f"right-hand side is not finite: b[{where}] = "
+                f"{b[tuple(bad[0])]}"
+            )
+        history: list[tuple[str, float]] = []
+        x = self._solve_refined(b, transposed, recorder, history)
+        self.last_tsolve_stats.residual_history = history
         self._account(t0)
         return x
 
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+    def solve_transposed(self, b: np.ndarray, *, recorder=None) -> np.ndarray:
         """Solve ``Aᵀ x = b`` using the same factorisation
         (``(LU)ᵀ = Uᵀ Lᵀ`` over the block layout — no second
-        factorisation)."""
-        t0 = time.perf_counter()
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.n,):
-            raise ValueError(f"b has shape {b.shape}, expected ({self.n},)")
-        x = self._solve_refined(b, self._apply_transposed, self._matvec_t)
-        self._account(t0)
-        return x
-
-    def _matvec_t(self, x: np.ndarray) -> np.ndarray:
-        """``Aᵀ @ x`` for a dense vector."""
-        a = self.a
-        y = np.zeros(a.ncols, dtype=np.float64)
-        cols = np.repeat(np.arange(a.ncols), np.diff(a.indptr))
-        np.add.at(y, cols, a.data * x[a.indices])
-        return y
+        factorisation): :meth:`solve` in the transposed direction."""
+        return self.solve(b, transposed=True, recorder=recorder)
 
     # ------------------------------------------------------------------
     # refactorisation
@@ -953,9 +936,9 @@ class PanguLU:
         return self._fact.last_solve_seconds if self._fact is not None else 0.0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Phase 5: solve ``A x = b``, with ``refine_steps`` rounds of
-        iterative refinement, through the engine named by
-        ``options.engine`` (delegates to the :class:`Factorization`).
+        """Phase 5: solve ``A x = b``, refined to ``options.refine_tol``,
+        through the engine named by ``options.engine`` (delegates to the
+        :class:`Factorization`).
 
         ``b`` may be a vector of length ``n`` or an ``(n, k)`` array of
         ``k`` simultaneous right-hand sides.
@@ -969,11 +952,12 @@ class PanguLU:
         """Solve ``Aᵀ x = b`` using the same factorisation.
 
         Uses ``(LU)ᵀ = Uᵀ Lᵀ`` over the block layout — no second
-        factorisation.  Needed by the 1-norm condition estimator and by
-        adjoint/sensitivity computations in circuit and PDE workloads.
+        factorisation — through the same engine, panels and refinement
+        as :meth:`solve`.  Needed by the 1-norm condition estimator and
+        by adjoint/sensitivity computations in circuit and PDE workloads.
         """
         fact = self.factorize()
-        x = fact.solve_transposed(b)
+        x = fact.solve_transposed(b, recorder=self.recorder)
         self.phase_seconds["solve"] = fact.total_solve_seconds
         return x
 

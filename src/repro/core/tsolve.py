@@ -3,29 +3,27 @@
 After numeric factorisation the block matrix holds ``L`` (strictly below
 the diagonal blocks plus the unit-lower part of each diagonal block) and
 ``U`` (diagonal and above).  Solving ``A x = b`` finishes with
-``L y = b`` (forward, by block columns) and ``U x = y`` (backward).
+``L y = b`` (forward, by block columns) and ``U x = y`` (backward);
+solving ``Aᵀ x = b`` with ``Uᵀ y = b`` and ``Lᵀ x = y`` (by block rows).
 Both sweeps reuse the two-layer structure: the diagonal block solves are
 within-block sparse substitutions; the off-diagonal updates are block
-mat-vecs over stored entries only.
+mat-vecs over stored entries only
+(:mod:`repro.kernels.tsolve_kernels`).
 
-Two execution paths share the same kernels
-(:mod:`repro.kernels.tsolve_kernels`):
-
-* the legacy **loop sweeps** :func:`block_forward` / :func:`block_backward`
-  — fixed k-ascending/-descending order, no scheduler (also the transposed
-  solves, which have no DAG path);
-* the **scheduler path** — :func:`build_tsolve_dag(..., executable=True)
-  <repro.core.tsolve_dag.build_tsolve_dag>` tasks drained through the
-  shared :class:`~repro.runtime.scheduler.SchedulerCore` by the one lane
-  driver (:func:`repro.runtime.lanes.run_lanes`), exactly like the
-  numeric phase.  :class:`SolveJob` is the phase's job;
-  :func:`tsolve_lanes` runs it in this process (:func:`tsolve_sequential`
-  is its one-lane form, this module's analogue of
-  :func:`repro.core.numeric.factorize`), the rank variant lives in
-  :mod:`repro.runtime.distributed`, and all are dispatched by name
-  through :mod:`repro.runtime.engines`.  Same-target updates are chained
-  in the DAG, so every engine reproduces the loop sweeps' floating-point
-  operation order bit-for-bit.
+There is one execution path, in either direction:
+:func:`build_tsolve_dag(..., executable=True)
+<repro.core.tsolve_dag.build_tsolve_dag>` tasks drained through the
+shared :class:`~repro.runtime.scheduler.SchedulerCore` by the one lane
+driver (:func:`repro.runtime.lanes.run_lanes`), exactly like the numeric
+phase.  :class:`SolveJob` is the phase's job; :func:`tsolve_lanes` runs
+it in this process (:func:`tsolve_sequential` is its one-lane form, this
+module's analogue of :func:`repro.core.numeric.factorize`), the rank
+variant lives in :mod:`repro.runtime.distributed`, and all are dispatched
+by name through :mod:`repro.runtime.engines`.  Same-target updates are
+chained in the DAG, so every engine and lane count reproduces the
+floating-point operation order of a k-ordered loop sweep bit for bit
+(the loops themselves are a test-only reference,
+``tests/reference_tsolve.py``).
 """
 
 from __future__ import annotations
@@ -38,6 +36,8 @@ from ..kernels.tsolve_kernels import (
     build_spmv_plan,
     diagb_seg,
     diagf_seg,
+    solve_lower_trans_u,
+    solve_upper_trans_l,
     updb_seg,
     updf_seg,
 )
@@ -48,14 +48,6 @@ from .blocking import BlockMatrix
 from .tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
 
 __all__ = [
-    "solve_lower_unit",
-    "solve_upper",
-    "block_forward",
-    "block_backward",
-    "block_forward_trans",
-    "block_backward_trans",
-    "solve_lower_trans_u",
-    "solve_upper_trans_l",
     "tsolve_entries",
     "tsolve_core",
     "tsolve_write_slots",
@@ -67,157 +59,6 @@ __all__ = [
     "tsolve_sequential",
 ]
 
-
-def solve_lower_unit(diag: CSCMatrix, y: np.ndarray) -> None:
-    """In-place ``y ← L⁻¹ y`` with the unit-lower part of a factored
-    diagonal block (alias of :func:`repro.kernels.tsolve_kernels.diagf_seg`,
-    kept under its historical name)."""
-    diagf_seg(diag, y)
-
-
-def solve_upper(diag: CSCMatrix, y: np.ndarray) -> None:
-    """In-place ``y ← U⁻¹ y`` with the upper part (incl. diagonal) of a
-    factored diagonal block (alias of
-    :func:`repro.kernels.tsolve_kernels.diagb_seg`)."""
-    diagb_seg(diag, y)
-
-
-def _block_matvec_sub(blk: CSCMatrix, x_seg: np.ndarray, y_seg: np.ndarray) -> None:
-    """``y_seg -= blk @ x_seg`` over stored entries only (vector or panel)."""
-    updf_seg(y_seg, blk, x_seg)
-
-
-def block_forward(f: BlockMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``L y = b`` over the factored block matrix.
-
-    ``b`` may be a vector of length ``n`` or an ``(n, k)`` array of ``k``
-    right-hand sides (solved simultaneously, vectorised across columns).
-    """
-    y = np.asarray(b, dtype=np.float64).copy()
-    if y.shape[0] != f.n or y.ndim > 2:
-        raise ValueError(f"rhs has shape {y.shape}, expected ({f.n},) or ({f.n}, k)")
-    for k in range(f.nb):
-        seg = f.block_slice(k)
-        diag = f.block(k, k)
-        assert diag is not None
-        solve_lower_unit(diag, y[seg])
-        rows, blocks = f.blocks_in_column(k)
-        for bi, blk in zip(rows, blocks):
-            bi = int(bi)
-            if bi <= k:
-                continue
-            tgt = f.block_slice(bi)
-            _block_matvec_sub(blk, y[seg], y[tgt])
-    return y
-
-
-def block_backward(f: BlockMatrix, y: np.ndarray) -> np.ndarray:
-    """Solve ``U x = y`` over the factored block matrix (vector or
-    ``(n, k)`` multi-RHS array)."""
-    x = np.asarray(y, dtype=np.float64).copy()
-    if x.shape[0] != f.n or x.ndim > 2:
-        raise ValueError(f"rhs has shape {x.shape}, expected ({f.n},) or ({f.n}, k)")
-    for k in range(f.nb - 1, -1, -1):
-        seg = f.block_slice(k)
-        diag = f.block(k, k)
-        assert diag is not None
-        solve_upper(diag, x[seg])
-        # propagate x_k into earlier block rows through U column k blocks
-        rows, blocks = f.blocks_in_column(k)
-        for bi, blk in zip(rows, blocks):
-            bi = int(bi)
-            if bi >= k:
-                continue
-            tgt = f.block_slice(bi)
-            _block_matvec_sub(blk, x[seg], x[tgt])
-    return x
-
-
-def _block_matvec_t_sub(blk: CSCMatrix, x_seg: np.ndarray, y_seg: np.ndarray) -> None:
-    """``y_seg -= blkᵀ @ x_seg`` over stored entries only."""
-    cols = np.repeat(np.arange(blk.ncols), np.diff(blk.indptr))
-    np.subtract.at(y_seg, cols, blk.data * x_seg[blk.indices])
-
-
-def solve_lower_trans_u(diag: CSCMatrix, y: np.ndarray) -> None:
-    """In-place ``y ← U⁻ᵀ y`` with the upper part of a factored diagonal
-    block (``Uᵀ`` is non-unit lower triangular; forward substitution using
-    ``U``'s columns as ``Uᵀ``'s rows)."""
-    n = diag.ncols
-    data = diag.data
-    for j in range(n):
-        sl = diag.col_slice(j)
-        rows = diag.indices[sl]
-        vals = data[sl]
-        dpos = int(np.searchsorted(rows, j))
-        if dpos >= rows.size or rows[dpos] != j or vals[dpos] == 0.0:
-            raise ZeroDivisionError(f"zero or missing U diagonal at {j}")
-        if dpos > 0:
-            y[j] -= vals[:dpos] @ y[rows[:dpos]]
-        y[j] /= vals[dpos]
-
-
-def solve_upper_trans_l(diag: CSCMatrix, y: np.ndarray) -> None:
-    """In-place ``y ← L⁻ᵀ y`` with the unit-lower part of a factored
-    diagonal block (``Lᵀ`` is unit upper triangular; backward
-    substitution using ``L``'s columns as ``Lᵀ``'s rows)."""
-    n = diag.ncols
-    data = diag.data
-    for j in range(n - 1, -1, -1):
-        sl = diag.col_slice(j)
-        rows = diag.indices[sl]
-        start = int(np.searchsorted(rows, j + 1))
-        if start < rows.size:
-            y[j] -= data[sl][start:] @ y[rows[start:]]
-
-
-def block_forward_trans(f: BlockMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``Uᵀ y = b`` over the factored block matrix (the forward
-    sweep of a transposed solve ``(LU)ᵀ v = b``)."""
-    y = np.asarray(b, dtype=np.float64).copy()
-    if y.shape != (f.n,):
-        raise ValueError(f"rhs has shape {y.shape}, expected ({f.n},)")
-    for k in range(f.nb):
-        seg = f.block_slice(k)
-        # contributions from earlier segments through U blocks above the
-        # diagonal in block column k (their transposes sit in row k of Uᵀ)
-        rows, blocks = f.blocks_in_column(k)
-        for bi, blk in zip(rows, blocks):
-            bi = int(bi)
-            if bi >= k:
-                continue
-            src = f.block_slice(bi)
-            _block_matvec_t_sub(blk, y[src], y[seg])
-        diag = f.block(k, k)
-        assert diag is not None
-        solve_lower_trans_u(diag, y[seg])
-    return y
-
-
-def block_backward_trans(f: BlockMatrix, y: np.ndarray) -> np.ndarray:
-    """Solve ``Lᵀ x = y`` over the factored block matrix (the backward
-    sweep of a transposed solve)."""
-    x = np.asarray(y, dtype=np.float64).copy()
-    if x.shape != (f.n,):
-        raise ValueError(f"rhs has shape {x.shape}, expected ({f.n},)")
-    for k in range(f.nb - 1, -1, -1):
-        seg = f.block_slice(k)
-        rows, blocks = f.blocks_in_column(k)
-        for bi, blk in zip(rows, blocks):
-            bi = int(bi)
-            if bi <= k:
-                continue
-            src = f.block_slice(bi)
-            _block_matvec_t_sub(blk, x[src], x[seg])
-        diag = f.block(k, k)
-        assert diag is not None
-        solve_upper_trans_l(diag, x[seg])
-    return x
-
-
-# ----------------------------------------------------------------------
-# the scheduler path: TSolveDAG tasks through the shared SchedulerCore
-# ----------------------------------------------------------------------
 
 _KIND_NAMES = {int(t): t.name for t in TSolveTaskType}
 
@@ -281,15 +122,15 @@ def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
 
 
 def resolve_spmv_plan(
-    f, tgt: int, k: int, blk: CSCMatrix, plans: PlanCache | None
+    f, bi: int, bj: int, blk: CSCMatrix, plans: PlanCache | None
 ) -> SpMVPlan | None:
-    """The cached scatter plan of update block ``(tgt, k)``, built on
+    """The cached scatter plan of update block ``(bi, bj)``, built on
     first use.  Keyed by storage slot like the factorisation plans —
     patterns are immutable post-symbolic, so the plan survives repeated
-    solves and refactorisations."""
+    solves (of either direction) and refactorisations."""
     if plans is None:
         return None
-    return plans.get(("spmv", f.block_slot(tgt, k)), lambda: build_spmv_plan(blk))
+    return plans.get(("spmv", f.block_slot(bi, bj)), lambda: build_spmv_plan(blk))
 
 
 def execute_tsolve_task(
@@ -306,25 +147,29 @@ def execute_tsolve_task(
     (the phase-5 analogue of
     :func:`repro.core.numeric.execute_task`).  ``f`` is anything exposing
     ``block_slice``/``block``/``block_order``/``block_slot`` — a
-    :class:`BlockMatrix` or a distributed rank's local view.
+    :class:`BlockMatrix` or a distributed rank's local view.  The DAG's
+    direction flag picks the block an update reads (``(tgt, k)``, or
+    ``(k, tgt)`` transposed) and the transposed form of each kernel.
     """
     kind = int(tdag.kinds[tid])
     k = int(tdag.k_of[tid])
     tgt = int(tdag.target[tid])
+    trans = tdag.transposed
     seg = f.block_slice(tgt)
     if kind == TSolveTaskType.DIAG_F:
-        diagf_seg(f.block(k, k), y[seg])
+        (solve_lower_trans_u if trans else diagf_seg)(f.block(k, k), y[seg])
         x[seg] = y[seg]  # seed the backward sweep with the forward result
     elif kind == TSolveTaskType.DIAG_B:
-        diagb_seg(f.block(k, k), x[seg])
+        (solve_upper_trans_l if trans else diagb_seg)(f.block(k, k), x[seg])
     else:
-        blk = f.block(tgt, k)
+        bi, bj = (k, tgt) if trans else (tgt, k)
+        blk = f.block(bi, bj)
         src = f.block_slice(k)
-        plan = resolve_spmv_plan(f, tgt, k, blk, plans)
+        plan = resolve_spmv_plan(f, bi, bj, blk, plans)
         if kind == TSolveTaskType.UPD_F:
-            updf_seg(y[seg], blk, y[src], plan)
+            updf_seg(y[seg], blk, y[src], plan, transposed=trans)
         else:
-            updb_seg(x[seg], blk, x[src], plan)
+            updb_seg(x[seg], blk, x[src], plan, transposed=trans)
 
 
 def _check_rhs(n: int, b: np.ndarray) -> np.ndarray:
@@ -411,8 +256,7 @@ def tsolve_sequential(
     checker=None,
 ) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps as a one-lane replay of the solve DAG —
-    the scheduler-path correctness reference (bit-identical to
-    ``block_backward(f, block_forward(f, b))``).
+    what every other lane count and engine must match bit for bit.
 
     ``b`` may be a vector or an ``(n, k)`` multi-RHS panel.  Pass a
     ``recorder`` for solve-task trace lanes and a ``checker``

@@ -15,18 +15,27 @@ The backward sweep chains off the forward one per segment (``DIAG_B(k)``
 additionally waits for ``DIAG_F(k)``), so the two solves pipeline the way
 the real distributed phase does.
 
+A **transposed** solve ``Aᵀ x = b`` is the same graph over ``(LU)ᵀ =
+Uᵀ Lᵀ`` (``transposed=True``): the forward sweep solves with ``Uᵀ`` and
+pushes segment ``k`` through the ``U`` blocks of block *row* ``k``
+(``UPD_F(k, j)``: ``y_j −= U(k,j)ᵀ · y_k``), the backward sweep solves
+with ``Lᵀ`` and pushes through the ``L`` blocks of that row
+(``UPD_B(k, i)``: ``x_i −= L(k,i)ᵀ · x_k``) — block rows walked where
+the plain solve walks block columns, every task still on the owner of
+the block it reads.
+
 Two consumers share this graph.  The *simulator* (``runtime/adapters.py``)
 prices the default build, whose dependencies capture mathematical
-readiness only.  The *real engines* (sequential / threaded / distributed,
-see :mod:`repro.core.tsolve` and :mod:`repro.runtime.engines`) request
-``executable=True``, which adds the edges actual concurrent execution
-needs on top:
+readiness only.  The *real engines* (sequential / threaded / distributed
+/ hybrid, see :mod:`repro.core.tsolve` and :mod:`repro.runtime.engines`)
+request ``executable=True``, which adds the edges actual concurrent
+execution needs on top:
 
-* the updates into each target segment are **chained** in the order the
-  legacy sequential sweeps apply them (ascending source ``k`` forward,
+* the updates into each target segment are **chained** in the order a
+  k-ordered loop sweep applies them (ascending source ``k`` forward,
   descending backward) — every segment then has a totally ordered writer
-  sequence, making any topological execution *bit-identical* to
-  :func:`repro.core.tsolve.block_forward` / ``block_backward``;
+  sequence, making any topological execution *bit-identical* to the loop
+  sweeps the tests keep as reference (``tests/reference_tsolve.py``);
 * ``DIAG_F(i)`` precedes the first backward update into segment ``i``
   (``DIAG_F`` seeds the backward array from the forward result, so the
   seed must land before ``UPD_B`` writes accumulate on it);
@@ -63,6 +72,9 @@ class TSolveDAG:
     order on the forward (``y``) and backward (``x``) arrays, −1 for
     tasks that do not write the array.  ``DIAG_F`` appears in both — it
     finishes the ``y`` segment and seeds the matching ``x`` segment.
+    ``transposed`` is the direction flag: an update task ``(k → tgt)``
+    reads block ``(tgt, k)`` in a plain solve, block ``(k, tgt)``
+    (transposed) in a transposed one.
     """
 
     kinds: np.ndarray
@@ -76,6 +88,7 @@ class TSolveDAG:
     total_flops: float
     seq_y: np.ndarray | None = None
     seq_x: np.ndarray | None = None
+    transposed: bool = False
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -94,17 +107,20 @@ def _diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
 
 
 def build_tsolve_dag(
-    f: BlockMatrix, owner_of_block, *, executable: bool = False
+    f: BlockMatrix, owner_of_block, *, executable: bool = False,
+    transposed: bool = False,
 ) -> TSolveDAG:
     """Build the solve DAG; ``owner_of_block(bi, bj) -> proc`` sets task
     placement (diag tasks on the diagonal block's owner, updates on the
     off-diagonal block's owner — data stays put, vectors move).
 
-    ``executable=True`` additionally chains same-target updates in the
-    legacy sequential application order, orders the backward seed, and
+    ``executable=True`` additionally chains same-target updates in
+    ascending/descending source order, orders the backward seed, and
     fills ``seq_y``/``seq_x`` — the extra structure the real engines need
     for race-free, bit-identical concurrent execution (module docstring).
     The default build is the looser graph the simulator prices.
+    ``transposed=True`` builds the graph of ``Aᵀ x = b`` (block rows in
+    place of block columns).
     """
     nb = f.nb
     kinds: list[int] = []
@@ -124,41 +140,48 @@ def build_tsolve_dag(
         owner.append(p)
         return tid
 
+    def pushes(k: int):
+        """``(target segment, flops, owner)`` of every off-diagonal block
+        segment ``k`` is pushed through, by ascending target: block
+        column ``k`` of ``A``, block row ``k`` when transposed."""
+        if transposed:
+            return [
+                (bj, 2.0 * blk.nnz, owner_of_block(k, bj))
+                for bj, blk in f.blocks_in_row(k)
+            ]
+        rows, blocks = f.blocks_in_column(k)
+        return [
+            (int(bi), 2.0 * blk.nnz, owner_of_block(int(bi), k))
+            for bi, blk in zip(rows, blocks)
+        ]
+
+    pushed = [pushes(k) for k in range(nb)]  # both sweeps walk it
+
     diag_f: dict[int, int] = {}
     diag_b: dict[int, int] = {}
     upd_f: list[tuple[int, int, int]] = []  # (tid, k, i)
     upd_b: list[tuple[int, int, int]] = []
 
+    # the forward diagonal solve is with L (Uᵀ when transposed), the
+    # backward one with U (Lᵀ)
     for k in range(nb):
         diag_f[k] = add(
             TSolveTaskType.DIAG_F, k, k,
-            _diag_solve_flops(f, k, lower=True),
+            _diag_solve_flops(f, k, lower=not transposed),
             owner_of_block(k, k),
         )
-        rows, blocks = f.blocks_in_column(k)
-        for bi, blk in zip(rows, blocks):
-            bi = int(bi)
-            if bi > k:
-                tid = add(
-                    TSolveTaskType.UPD_F, k, bi, 2.0 * blk.nnz,
-                    owner_of_block(bi, k),
-                )
-                upd_f.append((tid, k, bi))
+        for tgt, fl, p in pushed[k]:
+            if tgt > k:
+                upd_f.append((add(TSolveTaskType.UPD_F, k, tgt, fl, p), k, tgt))
     for k in range(nb - 1, -1, -1):
         diag_b[k] = add(
             TSolveTaskType.DIAG_B, k, k,
-            _diag_solve_flops(f, k, lower=False),
+            _diag_solve_flops(f, k, lower=transposed),
             owner_of_block(k, k),
         )
-        rows, blocks = f.blocks_in_column(k)
-        for bi, blk in zip(rows, blocks):
-            bi = int(bi)
-            if bi < k:
-                tid = add(
-                    TSolveTaskType.UPD_B, k, bi, 2.0 * blk.nnz,
-                    owner_of_block(bi, k),
-                )
-                upd_b.append((tid, k, bi))
+        for tgt, fl, p in pushed[k]:
+            if tgt < k:
+                upd_b.append((add(TSolveTaskType.UPD_B, k, tgt, fl, p), k, tgt))
 
     n = len(kinds)
     n_deps = np.zeros(n, dtype=np.int64)
@@ -223,4 +246,5 @@ def build_tsolve_dag(
         total_flops=float(np.sum(flops)),
         seq_y=seq_y,
         seq_x=seq_x,
+        transposed=transposed,
     )

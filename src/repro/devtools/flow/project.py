@@ -2,7 +2,7 @@
 
 The per-module AST rules in :mod:`repro.devtools.rules` see one file at
 a time; the invariants they guard, however, routinely cross module
-boundaries — a lock acquired in :mod:`repro.runtime.threaded` around a
+boundaries — a lock acquired in :mod:`repro.runtime.lanes` around a
 call whose callee lives in :mod:`repro.kernels.plans`, a dtype chosen in
 one function and consumed three calls later.  This module parses every
 file of the analysis set once and answers the two questions the flow
@@ -37,7 +37,7 @@ __all__ = ["FunctionInfo", "ModuleInfo", "Project"]
 class FunctionInfo:
     """One function definition anywhere in the analysis set."""
 
-    qualname: str                 # "repro.runtime.threaded:worker"
+    qualname: str                 # "repro.runtime.lanes:run_lanes.lane"
     module: "ModuleInfo"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None        # enclosing class name, if a method

@@ -9,8 +9,8 @@ race detector, so any such write outside ``runtime/scheduler.py`` (the
 one module allowed to implement the protocol) is flagged.
 
 The rule covers every scheduler consumer — the factorisation engines
-*and* the phase-5 triangular-solve path (``core/tsolve.py``, the
-``tsolve_threaded``/``tsolve_distributed`` engines), which drive the
+*and* the phase-5 triangular-solve path (``core/tsolve.py``'s
+``tsolve_lanes``, the ``tsolve_distributed`` engine), which drive the
 same :class:`SchedulerCore` over the solve DAG.
 
 The sanctioned methods have one sanctioned caller, too: the *loop

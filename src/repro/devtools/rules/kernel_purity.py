@@ -10,9 +10,10 @@ kernel module:
 
 * a ``<role>_*`` kernel writes only through its output parameter (by
   calling convention: ``getrf_*``/``ssssm_*``/``updf_*``/``updb_*`` →
-  first parameter, ``gessm_*``/``tstrf_*``/``diagf_*``/``diagb_*`` →
-  second) and its ``ws`` workspace — one level of local aliasing
-  (``c_data = c.data``) is resolved.  Keyword-only parameters are
+  first parameter, ``gessm_*``/``tstrf_*``/``diagf_*``/``diagb_*`` and
+  the transposed diagonal solves ``solve_*`` → second) and its ``ws``
+  workspace — one level of local aliasing (``c_data = c.data``) is
+  resolved.  Keyword-only parameters are
   read-only operands like the rest: they carry the cached dense images
   of the factorisation's panel cache (``inv=``, ``a_dense=``,
   ``b_dense=``), which other lanes read at the same time;
@@ -32,10 +33,11 @@ from ._util import dotted, functions, mutation_roots
 #: kernel-role prefix → index of the writable (output) parameter
 #: (the tsolve roles cover the phase-5 segment kernels: the diag solves
 #: write their RHS segment — second parameter — and the updates scatter
-#: into their target segment — first parameter)
+#: into their target segment — first parameter; ``solve_lower_trans_u`` /
+#: ``solve_upper_trans_l`` are the diag roles of a transposed solve)
 _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
-    "diagf": 1, "diagb": 1, "updf": 0, "updb": 0,
+    "diagf": 1, "diagb": 1, "updf": 0, "updb": 0, "solve": 1,
 }
 
 _BANNED_MODULES = {"time", "random"}

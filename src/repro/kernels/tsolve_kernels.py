@@ -5,19 +5,25 @@ executes two kernel roles over RHS *segments* of the block layout:
 
 * ``diagf_*`` / ``diagb_*`` — within-block substitutions with a factored
   diagonal block: unit-lower forward (``y ← L⁻¹ y``) and upper backward
-  (``x ← U⁻¹ x``);
+  (``x ← U⁻¹ x``); in a transposed solve (``(LU)ᵀ = Uᵀ Lᵀ``) the same
+  two tasks run :func:`solve_lower_trans_u` (``y ← U⁻ᵀ y``) and
+  :func:`solve_upper_trans_l` (``x ← L⁻ᵀ x``);
 * ``updf_*`` / ``updb_*`` — off-diagonal mat-vec updates
-  (``tgt −= blk · src``) over stored entries only, pushing a solved
-  segment through an ``L`` (forward) or ``U`` (backward) block.
+  (``tgt −= blk · src``, or ``blkᵀ · src`` with ``transposed=True``)
+  over stored entries only, pushing a solved segment through an ``L``
+  (forward) or ``U`` (backward) block — the other way round when
+  transposed.
 
-All four accept a vector segment or a 2-D multi-RHS panel and write only
-their designated output segment (``diagf``/``diagb``: second parameter,
-``updf``/``updb``: first), the convention the ``kernel-purity`` lint rule
-enforces.  The scatter addressing of the update kernels (the expanded
-column index of every stored entry) depends only on the block pattern, so
-it can be precomputed once per block as a :class:`SpMVPlan` and reused
-across every solve and every right-hand side — the phase-5 counterpart of
-the factorisation's fixed-pattern execution plans.
+All of them accept a vector segment or a 2-D multi-RHS panel and write
+only their designated output segment (``diagf``/``diagb``/``solve_*``:
+second parameter, ``updf``/``updb``: first), the convention the
+``kernel-purity`` lint rule enforces.  The scatter addressing of the
+update kernels (the expanded column index of every stored entry) depends
+only on the block pattern, so it can be precomputed once per block as a
+:class:`SpMVPlan` and reused across every solve, every right-hand side and both directions (the
+transposed update swaps the roles of ``plan.cols`` and ``blk.indices``) —
+the phase-5 counterpart of the factorisation's fixed-pattern execution
+plans.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ __all__ = [
     "build_spmv_plan",
     "diagf_seg",
     "diagb_seg",
+    "solve_lower_trans_u",
+    "solve_upper_trans_l",
     "updf_seg",
     "updb_seg",
 ]
@@ -107,23 +115,60 @@ def diagb_seg(diag: CSCMatrix, x: np.ndarray) -> None:
                 x[rows[:dpos]] -= vals[:dpos] * xj
 
 
+def solve_lower_trans_u(diag: CSCMatrix, y: np.ndarray) -> None:
+    """In-place ``y ← U⁻ᵀ y`` with the upper part of a factored diagonal
+    block — the ``DIAG_F`` role of a transposed solve (``Uᵀ`` is non-unit
+    lower triangular; forward substitution using ``U``'s columns as
+    ``Uᵀ``'s rows).  ``y`` may be a vector or a 2-D panel."""
+    n = diag.ncols
+    data = diag.data
+    for j in range(n):
+        sl = diag.col_slice(j)
+        rows = diag.indices[sl]
+        vals = data[sl]
+        dpos = int(np.searchsorted(rows, j))
+        if dpos >= rows.size or rows[dpos] != j or vals[dpos] == 0.0:
+            raise ZeroDivisionError(f"zero or missing U diagonal at {j}")
+        if dpos > 0:
+            y[j] -= vals[:dpos] @ y[rows[:dpos]]
+        y[j] /= vals[dpos]
+
+
+def solve_upper_trans_l(diag: CSCMatrix, x: np.ndarray) -> None:
+    """In-place ``x ← L⁻ᵀ x`` with the unit-lower part of a factored
+    diagonal block — the ``DIAG_B`` role of a transposed solve (``Lᵀ`` is
+    unit upper triangular; backward substitution using ``L``'s columns as
+    ``Lᵀ``'s rows).  ``x`` may be a vector or a 2-D panel."""
+    n = diag.ncols
+    data = diag.data
+    for j in range(n - 1, -1, -1):
+        sl = diag.col_slice(j)
+        rows = diag.indices[sl]
+        start = int(np.searchsorted(rows, j + 1))
+        if start < rows.size:
+            x[j] -= data[sl][start:] @ x[rows[start:]]
+
+
 def updf_seg(
     tgt: np.ndarray,
     blk: CSCMatrix,
     src: np.ndarray,
     plan: SpMVPlan | None = None,
+    *,
+    transposed: bool = False,
 ) -> None:
     """``tgt −= blk @ src`` over stored entries only (vector or panel):
-    the forward-sweep push of a solved segment through an ``L`` block."""
+    the forward-sweep push of a solved segment through an ``L`` block.
+    With ``transposed`` it is ``tgt −= blkᵀ @ src`` — the same entries
+    and the same plan, gathered by row index and scattered by column."""
     cols = (
         plan.cols
         if plan is not None
         else np.repeat(np.arange(blk.ncols), np.diff(blk.indptr))
     )
-    if src.ndim == 2:
-        np.subtract.at(tgt, blk.indices, blk.data[:, None] * src[cols])
-    else:
-        np.subtract.at(tgt, blk.indices, blk.data * src[cols])
+    into, frm = (cols, blk.indices) if transposed else (blk.indices, cols)
+    data = blk.data[:, None] if src.ndim == 2 else blk.data
+    np.subtract.at(tgt, into, data * src[frm])
 
 
 def updb_seg(
@@ -131,9 +176,11 @@ def updb_seg(
     blk: CSCMatrix,
     src: np.ndarray,
     plan: SpMVPlan | None = None,
+    *,
+    transposed: bool = False,
 ) -> None:
     """``tgt −= blk @ src`` over stored entries only: the backward-sweep
     push of a solved segment through a ``U`` block.  Identical arithmetic
     to :func:`updf_seg` — kept as its own role so each task kind names
     the kernel it runs (trace categories, lint conventions)."""
-    updf_seg(tgt, blk, src, plan)
+    updf_seg(tgt, blk, src, plan, transposed=transposed)

@@ -58,8 +58,6 @@ _EXPORTS = {
     "InjectedFault": ".transports",
     "factorize_distributed": ".distributed",
     "tsolve_distributed": ".distributed",
-    "factorize_threaded": ".threaded",
-    "tsolve_threaded": ".threaded",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -38,8 +38,8 @@ scatter/gather.  With ``n_threads > 1`` each rank becomes a **hybrid**
 rank (HYLU-style mixed parallelism): a dedicated receiver thread absorbs
 inbound block messages while ``n_threads`` compute threads drain the
 rank's one shared :class:`~repro.runtime.scheduler.SchedulerCore` — the
-exact threading policy of :mod:`repro.runtime.threaded`, because it is
-the same code.
+exact threading policy of the threaded engine, because it is the same
+code (:func:`repro.runtime.lanes.run_lanes` with ``n_lanes > 1``).
 
 This executor is about protocol fidelity, not speed: Python processes
 pay pickling costs that real MPI ranks do not.

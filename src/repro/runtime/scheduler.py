@@ -11,10 +11,11 @@ engines are its configurations:
 
 * **one lane** (the sequential engine,
   :func:`repro.core.numeric.factorize`) drains one core inline;
-* **several lanes** (:mod:`repro.runtime.threaded`) share one core,
-  the driver guarding ``pop``/``complete`` with the pool's condition
-  (the core itself is lock-free — synchronisation policy stays in the
-  driver, protocol lives here);
+* **several lanes** (the threaded engine: the same functions with
+  ``n_lanes > 1``) share one core, the driver guarding
+  ``pop``/``complete`` with the pool's condition (the core itself is
+  lock-free — synchronisation policy stays in the driver, protocol
+  lives here);
 * each **distributed** rank (:mod:`repro.runtime.distributed`) gets a
   core restricted to its own tasks (``owned=...``); completions of
   remote predecessors arrive as messages and are fed to the same
@@ -217,7 +218,13 @@ class RunReport:
     to join on the rank engines) belong to whoever launched the run.
     ``seconds_by_type`` is filled whenever tasks are timed;
     ``bytes_sent`` counts real wire bytes (factor panels in phase 4, RHS
-    segments in phase 5).
+    segments in phase 5).  ``residual_history`` is filled by
+    :meth:`Factorization.solve <repro.core.solver.Factorization.solve>`
+    on the report of its last sweep: one ``(step, relative residual)``
+    pair per residual its refinement took — ``"apply"`` after the first
+    factor application, ``"sweep"`` after each refinement sweep, and the
+    escalation steps marked ``"fgmres"`` (after the GMRES-IR correction)
+    and ``"decompress"`` (first application of the exact refactorisation).
     """
 
     __transport_message__ = True
@@ -240,6 +247,7 @@ class RunReport:
     tasks_per_proc: list[int] = field(default_factory=list)
     nrhs: int = 1
     seconds: float = 0.0
+    residual_history: list[tuple[str, float]] = field(default_factory=list)
 
     def count(
         self, tid: int, label: str | None = None, replaced: int = 0,
@@ -265,6 +273,7 @@ class RunReport:
         self.panel_cache_peak_bytes = max(
             self.panel_cache_peak_bytes, other.panel_cache_peak_bytes
         )
+        self.residual_history += other.residual_history
 
     @property
     def engine(self) -> str:

@@ -444,8 +444,7 @@ class CSCMatrix:
         if x.shape != (self.ncols,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.ncols},)")
         y = np.zeros(self.nrows, dtype=np.float64)
-        cols = np.repeat(np.arange(self.ncols), np.diff(self.indptr))
-        np.add.at(y, self.indices, self.data * x[cols])
+        np.add.at(y, self.indices, self.data * x[self.cols_expanded()])
         return y
 
     def norm_1(self) -> float:
@@ -470,8 +469,22 @@ class CSCMatrix:
         if x.ndim != 2 or x.shape[0] != self.ncols:
             raise ValueError(f"X has shape {x.shape}, expected ({self.ncols}, k)")
         y = np.zeros((self.nrows, x.shape[1]), dtype=np.float64)
-        cols = np.repeat(np.arange(self.ncols), np.diff(self.indptr))
-        np.add.at(y, self.indices, self.data[:, None] * x[cols])
+        np.add.at(y, self.indices, self.data[:, None] * x[self.cols_expanded()])
+        return y
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """Compute ``Aᵀ @ x`` for a dense vector or ``(nrows, k)`` array
+        ``x`` — the transposed counterpart of :meth:`matvec` /
+        :meth:`matmat`, over the same cached column expansion."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.nrows:
+            raise ValueError(
+                f"x has shape {x.shape}, expected ({self.nrows},) or "
+                f"({self.nrows}, k)"
+            )
+        y = np.zeros((self.ncols, *x.shape[1:]), dtype=np.float64)
+        data = self.data[:, None] if x.ndim == 2 else self.data
+        np.add.at(y, self.cols_expanded(), data * x[self.indices])
         return y
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:

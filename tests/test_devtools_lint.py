@@ -158,7 +158,7 @@ def test_no_block_rebind_scope():
         ("core", "numeric.py"),
         ("core", "tsolve.py"),
         ("runtime", "distributed.py"),
-        ("runtime", "threaded.py"),
+        ("runtime", "lanes.py"),
     ):
         path = SRC.joinpath("repro", *rel)
         assert rule.applies_to(str(path))
@@ -175,7 +175,7 @@ def test_no_dense_roundtrip_scope():
         ("core", "numeric.py"),
         ("core", "solver.py"),
         ("runtime", "distributed.py"),
-        ("runtime", "threaded.py"),
+        ("runtime", "lanes.py"),
         ("sparse", "blockrep.py"),
     ):
         path = SRC.joinpath("repro", *rel)
@@ -194,7 +194,6 @@ def test_counter_protocol_clean_on_tsolve_engines():
         ("core", "numeric.py"),
         ("core", "schur.py"),
         ("runtime", "lanes.py"),
-        ("runtime", "threaded.py"),
         ("runtime", "distributed.py"),
         ("runtime", "engines.py"),
     ):

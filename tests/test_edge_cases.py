@@ -121,3 +121,38 @@ class TestSingleBlockFactorisation:
         l = np.tril(lu, -1) + np.eye(20)
         u = np.triu(lu)
         np.testing.assert_allclose(l @ u, d, atol=1e-9)
+
+
+class TestHostileRightHandSides:
+    """A bad ``b`` or a blown-up iterate ends in a named error, never in
+    a silently non-finite ``x``."""
+
+    @pytest.mark.parametrize("factor_dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_is_rejected_up_front(self, factor_dtype, bad):
+        from repro import SolverOptions
+        from repro.sparse import random_sparse
+
+        s = PanguLU(
+            random_sparse(30, 0.1, seed=0), SolverOptions(factor_dtype=factor_dtype)
+        )
+        b = np.ones(30)
+        b[7] = bad
+        with pytest.raises(ValueError, match=r"not finite: b\[7\]"):
+            s.solve(b)
+        B = np.ones((30, 3))
+        B[11, 2] = bad
+        with pytest.raises(ValueError, match=r"not finite: b\[11, 2\]"):
+            s.solve_transposed(B)
+        assert s.solve_count == 0  # rejected before any sweep ran
+
+    def test_residual_turning_non_finite_raises(self):
+        from repro.sparse import random_sparse
+
+        s = PanguLU(random_sparse(30, 0.1, seed=1))
+        s.factorize()
+        # poison the factors after the fact: the iterate, then the
+        # residual, go non-finite although A and b are clean
+        s.blocks.block(0, 0).data[...] = np.nan
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            s.solve(np.ones(30))

@@ -7,10 +7,10 @@ import pytest
 
 from repro import PanguLU, SolverOptions
 from repro.baseline import SuperLUBaseline, simulate_superlu
+from repro.core import factorize
 from repro.runtime import (
     A100_PLATFORM,
     MI50_PLATFORM,
-    factorize_threaded,
     simulate_pangulu,
 )
 from repro.sparse import generate, read_matrix_market, write_matrix_market
@@ -40,7 +40,7 @@ class TestFullPipeline:
         a = generate("ldoor", scale=0.1)
         s = PanguLU(a)
         s.preprocess()
-        factorize_threaded(s.blocks, s.dag, n_workers=4)
+        factorize(s.blocks, s.dag, n_lanes=4)
         s._factorized = True
         from repro.runtime import RunReport
 

@@ -29,7 +29,7 @@ import pytest
 
 from repro.core import NumericOptions, block_partition, build_dag, factorize
 from repro.core.placement import CyclicPlacement
-from repro.core.tsolve import block_backward, block_forward, tsolve_lanes
+from repro.core.tsolve import tsolve_lanes
 from repro.core.tsolve_dag import build_tsolve_dag
 from repro.devtools.racecheck import RaceChecker
 from repro.kernels.selector import SelectorPolicy
@@ -42,6 +42,8 @@ from repro.runtime import (
 from repro.runtime.transports import FaultPlan, LoopbackTransport
 from repro.sparse import grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
+
+from .reference_tsolve import block_backward, block_forward
 
 #: generator matrix → (builder, block size, sha256 of the value slab as
 #: the pre-fold sequential loop factored it under ``SelectorPolicy.fixed()``)

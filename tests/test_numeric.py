@@ -5,19 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    NumericOptions,
-    block_backward,
-    block_forward,
-    block_partition,
-    build_dag,
-    factorize,
-    solve_lower_unit,
-    solve_upper,
-)
+from repro.core import NumericOptions, block_partition, build_dag, factorize
 from repro.kernels import SelectorPolicy
 from repro.sparse import grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
+
+from .reference_tsolve import (
+    block_backward,
+    block_forward,
+    solve_lower_unit,
+    solve_upper,
+)
 
 
 def _prepared(n=60, bs=16, seed=0):

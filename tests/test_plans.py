@@ -188,14 +188,12 @@ class TestMemoryAccounting:
 
 class TestThreadedAndPartial:
     def test_threaded_planned_matches_sequential(self):
-        from repro.runtime import factorize_threaded
-
         _, bm1, dag1 = _prepared(n=90, bs=12, seed=5)
         _, bm2, dag2 = _prepared(n=90, bs=12, seed=5)
         factorize(bm1, dag1, NumericOptions(selector=SelectorPolicy.fixed()))
-        tstats = factorize_threaded(
+        tstats = factorize(
             bm2, dag2, NumericOptions(selector=SelectorPolicy.fixed()),
-            n_workers=4,
+            n_lanes=4,
         )
         assert tstats.planned_tasks > 0
         np.testing.assert_allclose(

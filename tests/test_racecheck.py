@@ -23,7 +23,7 @@ from repro.devtools.racecheck import (
     RaceChecker,
     validation_enabled,
 )
-from repro.runtime import factorize_distributed, factorize_threaded
+from repro.runtime import factorize_distributed
 from repro.runtime.scheduler import CounterUnderflowError, SchedulerCore
 from repro.runtime.transports import FaultPlan, LoopbackTransport
 from repro.sparse import grid_laplacian_2d, random_sparse
@@ -199,8 +199,8 @@ def test_threaded_detector_catches_double_writer(monkeypatch):
     monkeypatch.setattr("repro.core.numeric.execute_task", fake_execute)
 
     with pytest.raises(ConcurrencyViolation) as exc:
-        factorize_threaded(
-            bm, dag, n_workers=2, checker=SignallingChecker(label="threaded")
+        factorize(
+            bm, dag, n_lanes=2, checker=SignallingChecker(label="threaded")
         )
     msg = str(exc.value)
     assert "double writer" in msg
@@ -225,7 +225,7 @@ def test_threaded_clean_run_with_real_locks_and_checker():
     ref, _ = _prepared(seed=1)
     factorize(ref, build_dag(ref))
     checker = RaceChecker(label="threaded")
-    stats = factorize_threaded(bm, dag, n_workers=4, checker=checker)
+    stats = factorize(bm, dag, n_lanes=4, checker=checker)
     assert stats.tasks_executed == len(dag.tasks)
     assert checker.violations == []
     np.testing.assert_allclose(

@@ -6,40 +6,67 @@ import numpy as np
 import pytest
 
 from repro import PanguLU, SolverOptions
+from repro.runtime import engines
 from repro.sparse import CSCMatrix, random_sparse
+
+
+@pytest.fixture
+def sweeps():
+    """Calls of the sequential tsolve engine, counted at the registry
+    (the entry is restored on teardown)."""
+    real = engines.get_tsolve_engine("sequential")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    engines.register_tsolve_engine("sequential")(counting)
+    yield calls
+    engines.register_tsolve_engine("sequential")(real)
+
+
+def _ill_conditioned(n: int, decades: int, seed: int) -> CSCMatrix:
+    """A dense-pattern matrix with singular values ``1 … 10^-decades``:
+    in float64 its backward-error floor is ≈ ε·κ, far above the default
+    ``refine_tol``."""
+    u, _, vt = np.linalg.svd(random_sparse(n, 0.08, seed=seed).to_dense())
+    return CSCMatrix.from_dense((u * np.logspace(0, -decades, n)) @ vt)
 
 
 class TestRefinementSteps:
     def test_zero_steps_still_accurate_on_easy_matrix(self):
         a = random_sparse(50, 0.08, seed=1)
-        s = PanguLU(a, SolverOptions(refine_steps=0))
+        s = PanguLU(a, SolverOptions(refine_max_iter=0))
         b = np.ones(50)
         x = s.solve(b)
         assert s.residual_norm(x, b) < 1e-12
+        # the bare apply: one sweep, no residual taken
+        assert s.factorize().last_tsolve_stats.residual_history == []
 
     def test_refinement_reduces_residual_on_hard_matrix(self):
         a = random_sparse(60, 0.08, seed=9)
         bad = a.scale(np.logspace(-5, 5, 60), None)
         b = np.ones(60)
         res = {}
-        for steps in (0, 2):
-            s = PanguLU(bad, SolverOptions(refine_steps=steps))
+        for budget in (0, 40):
+            s = PanguLU(bad, SolverOptions(refine_max_iter=budget))
             x = s.solve(b)
-            res[steps] = s.residual_norm(x, b)
-        assert res[2] <= res[0] * 1.0001  # refinement never hurts
+            res[budget] = s.residual_norm(x, b)
+        assert res[40] <= res[0] * 1.0001  # refinement never hurts
         # and on this conditioning it genuinely helps
-        assert res[2] < res[0] or res[0] < 1e-12
+        assert res[40] < res[0] or res[0] < 1e-12
 
     def test_negative_steps_treated_as_zero(self):
         a = random_sparse(30, 0.1, seed=2)
-        s = PanguLU(a, SolverOptions(refine_steps=-3))
+        s = PanguLU(a, SolverOptions(refine_max_iter=-3))
         x = s.solve(np.ones(30))
         assert s.residual_norm(x, np.ones(30)) < 1e-10
 
     def test_refinement_applies_to_multi_rhs(self):
         a = random_sparse(40, 0.08, seed=3)
         bad = a.scale(np.logspace(-3, 3, 40), None)
-        s = PanguLU(bad, SolverOptions(refine_steps=2))
+        s = PanguLU(bad, SolverOptions())
         B = np.eye(40)[:, :3]
         X = s.solve(B)
         d = bad.to_dense()
@@ -53,7 +80,7 @@ class TestRefinementSteps:
         # pathological: a zero U diagonal in the factors must raise the
         # triangular solve's explicit error, not spin in refinement
         a = random_sparse(20, 0.15, seed=4)
-        s = PanguLU(a, SolverOptions(refine_steps=5))
+        s = PanguLU(a, SolverOptions(refine_max_iter=5))
         s.factorize()
         diag = s.blocks.block(0, 0)
         pos = int(np.searchsorted(diag.indices[diag.col_slice(0)], 0))
@@ -62,13 +89,57 @@ class TestRefinementSteps:
             s.solve(np.ones(20))
 
 
+class TestOnePolicy:
+    """The one tolerance-driven loop every solve ends with."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    def test_benign_matrix_makes_one_sweep(self, sweeps, transposed, nrhs):
+        a = random_sparse(50, 0.08, seed=1)
+        fact = PanguLU(a).factorize()
+        b = np.random.default_rng(0).standard_normal(
+            50 if nrhs == 1 else (50, nrhs)
+        )
+        for solves in (1, 2):
+            fact.solve(b, transposed=transposed)
+            assert len(sweeps) == solves  # one engine sweep per solve
+            ((step, rel),) = fact.last_tsolve_stats.residual_history
+            assert step == "apply" and rel <= fact.options.refine_tol
+
+    def test_float64_floor_above_tol_returns_best_iterate(self, sweeps):
+        a = _ill_conditioned(60, 12, seed=0)
+        b = np.ones(60)
+        bare = PanguLU(a, SolverOptions(refine_max_iter=0))
+        res_bare = bare.residual_norm(bare.solve(b), b)
+        s = PanguLU(a)
+        n_before = len(sweeps)
+        x = s.solve(b)  # must not raise RefinementStalled
+        history = s.factorize().last_tsolve_stats.residual_history
+        rels = [rel for _, rel in history]
+        assert min(rels) > s.options.refine_tol  # the floor is above tol
+        assert [step for step, _ in history] == ["apply"] + ["sweep"] * (
+            len(history) - 1
+        )  # exact factors: no escalation step
+        # stopped on the stall rule, long before the budget
+        assert len(sweeps) - n_before == len(history) < 10
+        assert s.residual_norm(x, b) == pytest.approx(min(rels), rel=1e-12)
+        assert s.residual_norm(x, b) <= res_bare * 1.0001  # never hurts
+
+    def test_budget_caps_the_sweeps(self, sweeps):
+        a = _ill_conditioned(60, 16, seed=0)
+        s = PanguLU(a, SolverOptions(refine_max_iter=1))
+        s.solve(np.ones(60))
+        assert len(sweeps) == 2  # the apply and the one sweep allowed
+        assert len(s.factorize().last_tsolve_stats.residual_history) == 2
+
+
 class TestRefinementConvergence:
     def test_converges_geometrically(self):
         """Each refinement sweep should multiply the residual by roughly
         the same contraction factor until the FP floor."""
         a = random_sparse(50, 0.08, seed=11)
         bad = a.scale(np.logspace(-4, 4, 50), None)
-        s = PanguLU(bad, SolverOptions(refine_steps=0))
+        s = PanguLU(bad, SolverOptions(refine_max_iter=0))
         fact = s.factorize()
         b = np.ones(50)
         x = fact.apply(b)

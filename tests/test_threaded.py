@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import block_partition, build_dag, factorize
-from repro.runtime import factorize_threaded
 from repro.sparse import generate, random_sparse
 from repro.symbolic import symbolic_symmetric
 
@@ -24,7 +23,7 @@ class TestEquivalence:
         a, bm_seq, dag_seq = _prepared(seed=workers)
         _, bm_thr, dag_thr = _prepared(seed=workers)
         factorize(bm_seq, dag_seq)
-        stats = factorize_threaded(bm_thr, dag_thr, n_workers=workers)
+        stats = factorize(bm_thr, dag_thr, n_lanes=workers)
         assert stats.tasks_executed == len(dag_thr.tasks)
         np.testing.assert_allclose(
             bm_thr.to_csc().to_dense(), bm_seq.to_csc().to_dense(), atol=1e-9
@@ -38,7 +37,7 @@ class TestEquivalence:
         s1.preprocess()
         s2.preprocess()
         factorize(s1.blocks, s1.dag)
-        factorize_threaded(s2.blocks, s2.dag, n_workers=4)
+        factorize(s2.blocks, s2.dag, n_lanes=4)
         np.testing.assert_allclose(
             s2.blocks.to_csc().to_dense(),
             s1.blocks.to_csc().to_dense(),
@@ -49,8 +48,8 @@ class TestEquivalence:
 class TestProtocol:
     def test_rejects_zero_workers(self):
         _, bm, dag = _prepared()
-        with pytest.raises(ValueError, match="worker"):
-            factorize_threaded(bm, dag, n_workers=0)
+        with pytest.raises(ValueError, match="at least one lane"):
+            factorize(bm, dag, n_lanes=0)
 
     def test_error_propagates(self):
         _, bm, dag = _prepared()
@@ -61,8 +60,8 @@ class TestProtocol:
         from repro.kernels.base import SingularBlockError
 
         with pytest.raises(SingularBlockError):
-            factorize_threaded(
-                bm, dag, NumericOptions(pivot_floor=0.0), n_workers=3
+            factorize(
+                bm, dag, NumericOptions(pivot_floor=0.0), n_lanes=3
             )
 
     @staticmethod
@@ -82,7 +81,7 @@ class TestProtocol:
     def test_kernel_exception_propagates_and_quiesces(self, monkeypatch):
         # a kernel that raises mid-DAG must surface the *original*
         # exception to the caller with every worker quiesced first —
-        # factorize_threaded joins the pool before re-raising, so this
+        # the lane driver joins the pool before re-raising, so this
         # test deadlocks (and times out) if quiescing is broken
         import threading
 
@@ -92,7 +91,7 @@ class TestProtocol:
         _, bm, dag = _prepared(n=120, bs=10, seed=3)
         threads_before = threading.active_count()
         with pytest.raises(boom, match="injected kernel failure"):
-            factorize_threaded(bm, dag, n_workers=4)
+            factorize(bm, dag, n_lanes=4)
         assert threading.active_count() == threads_before
 
     @pytest.mark.parametrize("n_workers", [1, 4])
@@ -113,16 +112,16 @@ class TestProtocol:
         solver.preprocess()
         boom = self._injected_failure(monkeypatch, KernelType.GETRF, ["G_V2"])
         with pytest.raises(boom, match="injected kernel failure"):
-            factorize_threaded(solver.blocks, solver.dag, n_workers=n_workers)
+            factorize(solver.blocks, solver.dag, n_lanes=n_workers)
 
     def test_records_kernel_choices(self):
         _, bm, dag = _prepared()
-        stats = factorize_threaded(bm, dag, n_workers=2)
+        stats = factorize(bm, dag, n_lanes=2)
         assert len(stats.kernel_choices) == len(dag.tasks)
 
     def test_parallelism_observed(self):
         # with several workers the ready queue must have held >1 task at
         # some point for a DAG with real fan-out
         _, bm, dag = _prepared(n=120, bs=10, seed=3)
-        stats = factorize_threaded(bm, dag, n_workers=4)
+        stats = factorize(bm, dag, n_lanes=4)
         assert stats.max_ready_depth >= 2

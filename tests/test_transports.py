@@ -142,11 +142,9 @@ class TestRealRunTraces:
             assert r["ts"] >= by_id[r["id"]]["ts"]
 
     def test_threaded_trace_has_worker_lanes(self, tmp_path):
-        from repro.runtime import factorize_threaded
-
         bm, dag = _prepared(seed=8)
         rec = EventRecorder()
-        factorize_threaded(bm, dag, n_workers=3, recorder=rec)
+        factorize(bm, dag, n_lanes=3, recorder=rec)
         events = recorder_to_chrome_trace(rec)
         tasks = [e for e in events if e["ph"] == "X"]
         assert len(tasks) == len(dag.tasks)

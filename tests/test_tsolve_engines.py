@@ -1,11 +1,12 @@
-"""Tests of the phase-5 triangular-solve engines (`repro.core.tsolve`,
-`repro.runtime.threaded.tsolve_threaded`, `repro.runtime.distributed
+"""Tests of the phase-5 triangular-solve engines (`repro.core.tsolve`'s
+`tsolve_lanes` on one and several lanes, `repro.runtime.distributed
 .tsolve_distributed`) and the factor-once/solve-many `Factorization`
 handle.
 
 The executable solve DAG totally orders the writers of every RHS
-segment, so all three engines must produce *bit-identical* solutions —
-equal to the legacy sequential sweeps, not merely close.  The race
+segment, so all engines must produce *bit-identical* solutions — equal
+to the k-ordered loop sweeps of `tests/reference_tsolve.py`, not merely
+close — in the plain and in the transposed direction.  The race
 detector must stay silent on clean runs and name both parties when a
 double writer is injected on an RHS segment.
 """
@@ -21,14 +22,17 @@ import pytest
 from repro.core import block_partition, build_dag, factorize
 from repro.core.mapping import ProcessGrid
 from repro.core.solver import Factorization, PanguLU, SolverOptions
-from repro.core.tsolve import block_backward, block_forward, tsolve_sequential
+from repro.core.tsolve import tsolve_lanes, tsolve_sequential
 from repro.core.tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
+from repro.core.verify import verify_dag
 from repro.devtools.racecheck import ConcurrencyViolation, RaceChecker
-from repro.runtime import tsolve_distributed, tsolve_threaded
+from repro.runtime import tsolve_distributed
 from repro.runtime.engines import available_tsolve_engines, get_tsolve_engine
 from repro.runtime.transports import LoopbackTransport
-from repro.sparse import grid_laplacian_2d, random_sparse
+from repro.sparse import generate, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
+
+from .reference_tsolve import block_backward, block_forward
 
 
 def _factored(n=72, bs=13, seed=0):
@@ -58,7 +62,7 @@ class TestEnginesAgree:
 
         tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
         xs, ss = tsolve_sequential(f, b, tdag=tdag)
-        xt, st = tsolve_threaded(f, tdag, b, n_workers=4)
+        xt, st = tsolve_lanes(f, tdag, b, n_lanes=4)
 
         grid_dag = build_tsolve_dag(
             f, ProcessGrid.square(2).owner, executable=True
@@ -67,7 +71,7 @@ class TestEnginesAgree:
             f, grid_dag, b, 2, transport=LoopbackTransport(), validate=True
         )
 
-        assert np.array_equal(xs, ref)  # scheduler path == legacy sweeps
+        assert np.array_equal(xs, ref)  # the DAG path == the loop sweeps
         assert np.array_equal(xt, xs)
         assert np.array_equal(xd, xs)
         assert ss.tasks_executed == st.tasks_executed == len(tdag)
@@ -92,11 +96,75 @@ class TestEnginesAgree:
         f = _factored()
         loose = build_tsolve_dag(f, lambda bi, bj: 0)  # simulator build
         with pytest.raises(ValueError, match="executable"):
-            tsolve_threaded(f, loose, np.ones(f.n))
+            tsolve_lanes(f, loose, np.ones(f.n), n_lanes=4)
         with pytest.raises(ValueError, match="executable"):
             tsolve_distributed(
                 f, loose, np.ones(f.n), 2, transport=LoopbackTransport()
             )
+
+
+# ----------------------------------------------------------------------
+# the transposed direction is the same DAG job
+# ----------------------------------------------------------------------
+
+class TestTransposedDag:
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    def test_lanes_and_ranks_match_dense_transposed_solve(self, nrhs):
+        f = _factored(seed=3)
+        b = _rhs(f.n, nrhs, seed=2)
+        lu = f.to_csc().to_dense()
+        m = (np.tril(lu, -1) + np.eye(f.n)) @ np.triu(lu)
+
+        tdag = build_tsolve_dag(
+            f, lambda bi, bj: 0, executable=True, transposed=True
+        )
+        assert tdag.transposed
+        verify_dag(tdag)
+        x1, s1 = tsolve_lanes(f, tdag, b, checker=RaceChecker(label="one lane"))
+        np.testing.assert_allclose(x1, np.linalg.solve(m.T, b), atol=1e-9)
+        # a row/column mix-up would solve with m instead
+        assert not np.allclose(x1, np.linalg.solve(m, b), atol=1e-6)
+
+        checker = RaceChecker(label="four lanes")
+        x4, s4 = tsolve_lanes(f, tdag, b, n_lanes=4, checker=checker)
+        assert checker.violations == []
+        grid_dag = build_tsolve_dag(
+            f, ProcessGrid.square(2).owner, executable=True, transposed=True
+        )
+        verify_dag(grid_dag)
+        xd, sd = tsolve_distributed(
+            f, grid_dag, b, 2, transport=LoopbackTransport(), validate=True
+        )
+        assert np.array_equal(x4, x1)
+        assert np.array_equal(xd, x1)
+        # same graph shape as the plain direction: the filled pattern is
+        # symmetric, so block row k has as many blocks as block column k
+        plain = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        assert s1.tasks_executed == s4.tasks_executed == len(tdag) == len(plain)
+        assert sd.tasks_executed == len(grid_dag) and sd.messages_sent > 0
+
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    def test_every_engine_name_solves_the_transposed_system(self, nrhs):
+        # cage12: non-symmetric pattern *and* values
+        a = generate("cage12", scale=0.12)
+        b = _rhs(a.nrows, nrhs, seed=5)
+        ref = PanguLU(a.transpose()).solve(b)
+        opts = SolverOptions(
+            nprocs=2, n_workers=2, verify_schedule=True,
+            validate_concurrency=True,
+        )
+        fact = PanguLU(a, opts).factorize()
+        applied = {}
+        for engine in ("sequential", "threaded", "distributed", "hybrid"):
+            opts.engine = engine  # same factors, another pool shape
+            applied[engine] = fact.apply(b, transposed=True)
+            assert fact.last_tsolve_stats.engine == engine
+            np.testing.assert_allclose(
+                fact.solve_transposed(b), ref, rtol=0, atol=1e-8
+            )
+        for engine, x in applied.items():  # == the one-lane replay
+            assert np.array_equal(x, applied["sequential"]), engine
+        assert {key[-1] for key in fact._tsolve_dags} == {True}
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +258,8 @@ def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
     monkeypatch.setattr("repro.core.tsolve.execute_tsolve_task", fake_execute)
 
     with pytest.raises(ConcurrencyViolation) as exc:
-        tsolve_threaded(
-            f, tdag, np.ones(f.n), n_workers=2,
+        tsolve_lanes(
+            f, tdag, np.ones(f.n), n_lanes=2,
             checker=SignallingChecker(label="tsolve-threaded"),
         )
     msg = str(exc.value)
@@ -218,7 +286,7 @@ def test_threaded_clean_run_with_checker():
     tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
     checker = RaceChecker(label="tsolve-threaded")
     b = _rhs(f.n, 2, seed=3)
-    x, _ = tsolve_threaded(f, tdag, b, n_workers=4, checker=checker)
+    x, _ = tsolve_lanes(f, tdag, b, n_lanes=4, checker=checker)
     assert checker.violations == []
     ref, _ = tsolve_sequential(f, b, checker=RaceChecker(label="seq"))
     assert np.array_equal(x, ref)
