@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo-wide check: project lint (always) + ruff (when available) + the
-# size numbers ROADMAP tracks + one smoke-scale setup profile + the tier-1
+# size numbers ROADMAP tracks (code lines of core/ + runtime/ and option
+# fields are ratchets) + one smoke-scale setup profile + the tier-1
 # test suite + the benchmark harness's own tests.  This is what CI and `make check` run; keep it in
 # sync with ROADMAP.md.
 set -eu
@@ -21,8 +22,17 @@ else
     echo "== ruff not installed; skipping generic lint =="
 fi
 
-echo "== core + runtime code lines (ROADMAP: net negative is a success metric) =="
-python scripts/count_code_lines.py src/repro/core src/repro/runtime
+# a ratchet like the option-field count below: a PR that grows core/ +
+# runtime/ must raise the ceiling here and say why; one that shrinks
+# them lowers it in the same commit
+MAX_CORE_RUNTIME_LINES=4397
+echo "== core + runtime code lines (ROADMAP: net negative is a success metric; ceiling $MAX_CORE_RUNTIME_LINES) =="
+core_runtime=$(python scripts/count_code_lines.py src/repro/core src/repro/runtime)
+echo "$core_runtime"
+if [ "$(echo "$core_runtime" | awk 'END {print $1}')" -gt "$MAX_CORE_RUNTIME_LINES" ]; then
+    echo "core + runtime code lines exceed $MAX_CORE_RUNTIME_LINES — growth needs a reason and a raised ceiling in scripts/check.sh" >&2
+    exit 1
+fi
 echo "== all of src/repro =="
 python scripts/count_code_lines.py src/repro
 

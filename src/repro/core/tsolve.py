@@ -5,10 +5,11 @@ the diagonal blocks plus the unit-lower part of each diagonal block) and
 ``U`` (diagonal and above).  Solving ``A x = b`` finishes with
 ``L y = b`` (forward, by block columns) and ``U x = y`` (backward);
 solving ``Aᵀ x = b`` with ``Uᵀ y = b`` and ``Lᵀ x = y`` (by block rows).
-Both sweeps reuse the two-layer structure: the diagonal block solves are
-within-block sparse substitutions; the off-diagonal updates are block
-mat-vecs over stored entries only
-(:mod:`repro.kernels.tsolve_kernels`).
+Both sweeps reuse the two-layer structure with two kernels: the diagonal
+block solves are one product with the dense inverse of the block's
+triangle (:func:`~repro.kernels.tsolve_kernels.diag_seg`); the
+off-diagonal updates are block mat-vecs over stored entries only
+(:func:`~repro.kernels.tsolve_kernels.upd_seg`).
 
 There is one execution path, in either direction:
 :func:`build_tsolve_dag(..., executable=True)
@@ -21,29 +22,19 @@ module's analogue of :func:`repro.core.numeric.factorize`), the rank
 variant lives in :mod:`repro.runtime.distributed`, and all are dispatched
 by name through :mod:`repro.runtime.engines`.  Same-target updates are
 chained in the DAG, so every engine and lane count reproduces the
-floating-point operation order of a k-ordered loop sweep bit for bit
-(the loops themselves are a test-only reference,
-``tests/reference_tsolve.py``).
+one-lane replay bit for bit; that replay agrees with the k-ordered
+per-column loop sweeps (a test-only oracle, ``tests/reference_tsolve.py``)
+to rounding — a product with an inverse is not a substitution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.plans import PlanCache
-from ..kernels.tsolve_kernels import (
-    SpMVPlan,
-    build_spmv_plan,
-    diagb_seg,
-    diagf_seg,
-    solve_lower_trans_u,
-    solve_upper_trans_l,
-    updb_seg,
-    updf_seg,
-)
+from ..kernels.base import SingularBlockError
+from ..kernels.tsolve_kernels import diag_seg, upd_seg
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
-from ..sparse.csc import CSCMatrix
 from .blocking import BlockMatrix
 from .tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
 
@@ -52,7 +43,6 @@ __all__ = [
     "tsolve_core",
     "tsolve_write_slots",
     "tsolve_task_label",
-    "resolve_spmv_plan",
     "execute_tsolve_task",
     "SolveJob",
     "tsolve_lanes",
@@ -121,55 +111,45 @@ def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
     return (nb + tgt,)
 
 
-def resolve_spmv_plan(
-    f, bi: int, bj: int, blk: CSCMatrix, plans: PlanCache | None
-) -> SpMVPlan | None:
-    """The cached scatter plan of update block ``(bi, bj)``, built on
-    first use.  Keyed by storage slot like the factorisation plans —
-    patterns are immutable post-symbolic, so the plan survives repeated
-    solves (of either direction) and refactorisations."""
-    if plans is None:
-        return None
-    return plans.get(("spmv", f.block_slot(bi, bj)), lambda: build_spmv_plan(blk))
-
-
 def execute_tsolve_task(
-    f,
-    tdag: TSolveDAG,
-    tid: int,
-    y: np.ndarray,
-    x: np.ndarray,
-    plans: PlanCache | None = None,
+    f, tdag: TSolveDAG, tid: int, y: np.ndarray, x: np.ndarray
 ) -> None:
     """Run one solve task against the forward/backward RHS arrays.
 
     The per-task entry point :class:`SolveJob` calls on every engine
     (the phase-5 analogue of
     :func:`repro.core.numeric.execute_task`).  ``f`` is anything exposing
-    ``block_slice``/``block``/``block_order``/``block_slot`` — a
-    :class:`BlockMatrix` or a distributed rank's local view.  The DAG's
-    direction flag picks the block an update reads (``(tgt, k)``, or
-    ``(k, tgt)`` transposed) and the transposed form of each kernel.
+    ``block_slice``/``block`` — a :class:`BlockMatrix` or a distributed
+    rank's local view.  The DAG's direction flag picks the block an
+    update reads (``(tgt, k)``, or ``(k, tgt)`` transposed) and the
+    triangle a diagonal task inverts: forward tasks solve with ``L``,
+    backward tasks with ``U``, the other way round when transposed.
+
+    A zero ``U`` pivot raises :class:`SingularBlockError` naming the
+    diagonal block, the column in it and the row of the reordered matrix.
     """
     kind = int(tdag.kinds[tid])
     k = int(tdag.k_of[tid])
     tgt = int(tdag.target[tid])
     trans = tdag.transposed
     seg = f.block_slice(tgt)
-    if kind == TSolveTaskType.DIAG_F:
-        (solve_lower_trans_u if trans else diagf_seg)(f.block(k, k), y[seg])
+    out = y if kind in _Y_WRITERS else x
+    if kind in (TSolveTaskType.UPD_F, TSolveTaskType.UPD_B):
+        blk = f.block(k, tgt) if trans else f.block(tgt, k)
+        upd_seg(out[seg], blk, out[f.block_slice(k)], transposed=trans)
+        return
+    forward = kind == TSolveTaskType.DIAG_F
+    diag = f.block(k, k)
+    try:
+        diag_seg(diag, out[seg], lower=forward != trans, transposed=trans)
+    except SingularBlockError:
+        j = int(np.flatnonzero(diag.diagonal() == 0.0)[0])
+        raise SingularBlockError(
+            f"zero/missing U diagonal in block {k}, column {j} "
+            f"(row {seg.start + j} of the reordered matrix)"
+        ) from None
+    if forward:
         x[seg] = y[seg]  # seed the backward sweep with the forward result
-    elif kind == TSolveTaskType.DIAG_B:
-        (solve_upper_trans_l if trans else diagb_seg)(f.block(k, k), x[seg])
-    else:
-        bi, bj = (k, tgt) if trans else (tgt, k)
-        blk = f.block(bi, bj)
-        src = f.block_slice(k)
-        plan = resolve_spmv_plan(f, bi, bj, blk, plans)
-        if kind == TSolveTaskType.UPD_F:
-            updf_seg(y[seg], blk, y[src], plan, transposed=trans)
-        else:
-            updb_seg(x[seg], blk, x[src], plan, transposed=trans)
 
 
 def _check_rhs(n: int, b: np.ndarray) -> np.ndarray:
@@ -191,22 +171,18 @@ class SolveJob:
 
     name = "tsolve"
 
-    def __init__(
-        self, f, tdag: TSolveDAG, y: np.ndarray, x: np.ndarray,
-        plans: PlanCache | None,
-    ) -> None:
+    def __init__(self, f, tdag: TSolveDAG, y: np.ndarray, x: np.ndarray) -> None:
         self.f = f
         self.tdag = tdag
         self.y = y
         self.x = x
-        self.plans = plans
         self.n_slots = 2 * f.nb
 
     def write_slots(self, tid: int) -> tuple[int, ...]:
         return tsolve_write_slots(self.tdag, tid, self.f.nb)
 
     def execute(self, tid: int, ws) -> tuple:
-        execute_tsolve_task(self.f, self.tdag, tid, self.y, self.x, self.plans)
+        execute_tsolve_task(self.f, self.tdag, tid, self.y, self.x)
         return ()
 
     def trace_label(self, tid: int) -> tuple[str, str]:
@@ -226,7 +202,6 @@ def tsolve_lanes(
     b: np.ndarray,
     *,
     n_lanes: int = 1,
-    plans: PlanCache | None = None,
     recorder: EventRecorder | None = None,
     checker=None,
 ) -> tuple[np.ndarray, RunReport]:
@@ -241,7 +216,7 @@ def tsolve_lanes(
     x = np.empty_like(y)
     return x, run_lanes(
         tsolve_core(tdag, f.nb, recorder=recorder),
-        SolveJob(f, tdag, y, x, plans),
+        SolveJob(f, tdag, y, x),
         n_lanes=n_lanes, recorder=recorder, checker=checker,
     )
 
@@ -251,7 +226,6 @@ def tsolve_sequential(
     b: np.ndarray,
     *,
     tdag: TSolveDAG | None = None,
-    plans: PlanCache | None = None,
     recorder: EventRecorder | None = None,
     checker=None,
 ) -> tuple[np.ndarray, RunReport]:
@@ -265,4 +239,4 @@ def tsolve_sequential(
     """
     if tdag is None:
         tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
-    return tsolve_lanes(f, tdag, b, plans=plans, recorder=recorder, checker=checker)
+    return tsolve_lanes(f, tdag, b, recorder=recorder, checker=checker)

@@ -34,8 +34,9 @@ execution needs on top:
 * the updates into each target segment are **chained** in the order a
   k-ordered loop sweep applies them (ascending source ``k`` forward,
   descending backward) — every segment then has a totally ordered writer
-  sequence, making any topological execution *bit-identical* to the loop
-  sweeps the tests keep as reference (``tests/reference_tsolve.py``);
+  sequence, making any topological execution *bit-identical* to the
+  one-lane replay (the loop sweeps the tests keep as oracle,
+  ``tests/reference_tsolve.py``, apply the same order);
 * ``DIAG_F(i)`` precedes the first backward update into segment ``i``
   (``DIAG_F`` seeds the backward array from the forward result, so the
   seed must land before ``UPD_B`` writes accumulate on it);

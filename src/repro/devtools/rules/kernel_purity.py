@@ -9,9 +9,8 @@ state) breaks the engines-agree cross-checks.  The rule enforces, per
 kernel module:
 
 * a ``<role>_*`` kernel writes only through its output parameter (by
-  calling convention: ``getrf_*``/``ssssm_*``/``updf_*``/``updb_*`` →
-  first parameter, ``gessm_*``/``tstrf_*``/``diagf_*``/``diagb_*`` and
-  the transposed diagonal solves ``solve_*`` → second) and its ``ws``
+  calling convention: ``getrf_*``/``ssssm_*``/``upd_*`` → first
+  parameter, ``gessm_*``/``tstrf_*``/``diag_*`` → second) and its ``ws``
   workspace — one level of local aliasing (``c_data = c.data``) is
   resolved.  Keyword-only parameters are
   read-only operands like the rest: they carry the cached dense images
@@ -31,13 +30,13 @@ from ..astlint import FileContext, Finding, Rule, register
 from ._util import dotted, functions, mutation_roots
 
 #: kernel-role prefix → index of the writable (output) parameter
-#: (the tsolve roles cover the phase-5 segment kernels: the diag solves
-#: write their RHS segment — second parameter — and the updates scatter
-#: into their target segment — first parameter; ``solve_lower_trans_u`` /
-#: ``solve_upper_trans_l`` are the diag roles of a transposed solve)
+#: (the tsolve roles are the two phase-5 segment kernels: ``diag_seg``
+#: writes its RHS segment — second parameter — and ``upd_seg`` scatters
+#: into its target segment — first parameter; either direction, ``A`` or
+#: ``Aᵀ``)
 _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
-    "diagf": 1, "diagb": 1, "updf": 0, "updb": 0, "solve": 1,
+    "diag": 1, "upd": 0,
 }
 
 _BANNED_MODULES = {"time", "random"}

@@ -4,7 +4,8 @@ GESSM×5, TSTRF×5, SSSSM×4) plus the low-rank extension family
 registry, the decision-tree selector of Fig. 8, and fixed-pattern
 execution plans (precomputed scatter addressing) that the sparse
 variants accept as ``plan=`` (their runners stay in
-:mod:`repro.kernels.plans`)."""
+:mod:`repro.kernels.plans`), and the two stateless kernels of the
+triangular solves (``diag_seg``, ``upd_seg``)."""
 
 from .base import SingularBlockError, Workspace, split_lu
 from .compress import (
@@ -75,14 +76,7 @@ from .tstrf import (
     tstrf_g_v2,
     tstrf_g_v3,
 )
-from .tsolve_kernels import (
-    SpMVPlan,
-    build_spmv_plan,
-    diagb_seg,
-    diagf_seg,
-    updb_seg,
-    updf_seg,
-)
+from .tsolve_kernels import diag_seg, upd_seg
 
 __all__ = [
     "KernelType",
@@ -126,10 +120,6 @@ __all__ = [
     "build_gessm_plan",
     "build_tstrf_plan",
     "build_getrf_plan",
-    "SpMVPlan",
-    "build_spmv_plan",
-    "diagf_seg",
-    "diagb_seg",
-    "updf_seg",
-    "updb_seg",
+    "diag_seg",
+    "upd_seg",
 ]

@@ -17,9 +17,9 @@ three addressing methods well-defined:
 
 This module provides the kernel-family enum, the dense workspace,
 scatter/gather helpers, the static-pivot rule of GETRF, the dense
-inverse the dense-mapped panel solves multiply by
-(:func:`triangle_inverse` of a factored diagonal block), and the L/U
-split views of a factored diagonal block.
+inverse the dense-mapped panel solves and the triangular solves'
+diagonal tasks multiply by (:func:`triangle_inverse` of a factored
+diagonal block), and the L/U split views of a factored diagonal block.
 """
 
 from __future__ import annotations
@@ -185,10 +185,14 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def triangle_inverse(diag: CSCMatrix, *, lower: bool) -> np.ndarray:
+def triangle_inverse(
+    diag: CSCMatrix, *, lower: bool, dtype: np.dtype | type | None = None
+) -> np.ndarray:
     """Dense inverse of one triangle of a factored diagonal block: the
     unit-lower ``L`` (``lower=True``) or the upper ``U`` including its
-    diagonal, in the block's value dtype (LAPACK ``trtri``).
+    diagonal, in the block's value dtype unless ``dtype`` names another
+    (LAPACK ``trtri``; the solve phase inverts float32 factors in
+    float64, the precision of its right-hand sides).
 
     With it a panel solve is one GEMM — ``L⁻¹·B`` for GESSM, ``B·U⁻¹``
     for TSTRF — the ``DiagInv`` form of SuperLU_DIST.  A per-task
@@ -201,7 +205,8 @@ def triangle_inverse(diag: CSCMatrix, *, lower: bool) -> np.ndarray:
     A zero or structurally missing ``U`` diagonal raises
     :class:`SingularBlockError` naming the column.
     """
-    d = diag.to_dense()
+    d = np.zeros(diag.shape, dtype=diag.dtype if dtype is None else dtype)
+    scatter_dense(diag, d)
     (trtri,) = get_lapack_funcs(("trtri",), (d,))
     # trtri on the transposed (Fortran-ordered) view avoids a copy: the
     # inverse of the transpose is the transpose of the inverse

@@ -70,8 +70,7 @@ def tstrf_flops(diag: CSCMatrix, b: CSCMatrix) -> int:
     """FLOPs of ``X·U = B``: one division per entry of ``B`` plus a
     multiply-add against the strict-upper row of the pivot column."""
     _, upper_col, _ = _lower_upper_counts(diag)
-    cols = np.repeat(np.arange(b.ncols, dtype=np.int64), np.diff(b.indptr))
-    return int(b.nnz + 2 * np.sum(upper_col[cols]))
+    return int(b.nnz + 2 * np.sum(upper_col[b.cols_expanded()]))
 
 
 def ssssm_flops_structural(a: CSCMatrix, b: CSCMatrix) -> int:
@@ -108,5 +107,4 @@ def gessm_flops_from_counts(counts: DiagCounts, b: CSCMatrix) -> int:
 
 def tstrf_flops_from_counts(counts: DiagCounts, b: CSCMatrix) -> int:
     """:func:`tstrf_flops` with precomputed diagonal counts."""
-    cols = np.repeat(np.arange(b.ncols, dtype=np.int64), np.diff(b.indptr))
-    return int(b.nnz + 2 * np.sum(counts.upper_col[cols]))
+    return int(b.nnz + 2 * np.sum(counts.upper_col[b.cols_expanded()]))

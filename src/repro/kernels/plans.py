@@ -176,8 +176,7 @@ def build_ssssm_plan(
     # one flat entry per product term, in ssssm_c_v2 loop order:
     # B entries column-major, then the A[:, t] column for each
     src_b, src_a = _flatten_segments(a.indptr[:-1][b.indices], counts)
-    b_cols = np.repeat(np.arange(b.ncols, dtype=np.int64), np.diff(b.indptr))
-    keys = b_cols[src_b] * c.nrows + a.indices[src_a]
+    keys = b.cols_expanded()[src_b] * c.nrows + a.indices[src_a]
     pos, valid = _locate(keys, _colkeys(c.indptr, c.indices, c.nrows))
     if valid.all():
         return SSSSMPlan(src_a=src_a, src_b=src_b, dst=pos)

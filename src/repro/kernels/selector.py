@@ -218,15 +218,11 @@ def fixed_trees(versions: dict[KernelType, str]) -> dict[KernelType, DecisionTre
 
 @dataclass
 class SelectorPolicy:
-    """Kernel selection policy used by the numeric driver.
-
-    ``adaptive=True`` consults the decision trees; ``adaptive=False``
-    always returns the fixed baseline version (ablation mode).
-    """
+    """Kernel selection policy used by the numeric driver: one decision
+    tree per kernel type (:meth:`fixed` builds degenerate ones — the
+    ablation mode)."""
 
     trees: dict[KernelType, DecisionTree]
-    adaptive: bool = True
-    baseline: dict[KernelType, str] | None = None
 
     @classmethod
     def default(cls) -> "SelectorPolicy":
@@ -243,7 +239,7 @@ class SelectorPolicy:
                 KernelType.SSSSM: "C_V2",
                 KernelType.COMPRESS: "SVD_V1",
             }
-        return cls(trees=fixed_trees(versions), adaptive=False, baseline=versions)
+        return cls(trees=fixed_trees(versions))
 
     def select(self, ktype: KernelType, feats: TaskFeatures) -> str:
         """The version to run.  Where operands carry a low-rank overlay

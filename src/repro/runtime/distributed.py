@@ -63,7 +63,6 @@ from ..core.tsolve import (
     tsolve_core,
 )
 from ..core.tsolve_dag import TSolveDAG, TSolveTaskType
-from ..kernels.plans import PlanCache
 from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
 from .lanes import run_lanes
@@ -281,7 +280,7 @@ class _RankSolveJob(SolveJob):
     ) -> None:
         view = _LocalView(boundaries, owned)
         y = np.array(b, dtype=np.float64)
-        super().__init__(view, tdag, y, np.zeros_like(y), PlanCache())
+        super().__init__(view, tdag, y, np.zeros_like(y))
         self.rank = rank
         self.owner_of_task = tdag.owner
         self.my_tasks = np.flatnonzero(tdag.owner == rank)

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..core.numeric import factorize, resolve_plan_cache
+from ..core.numeric import factorize
 from ..core.tsolve import tsolve_lanes
 from .distributed import factorize_distributed, tsolve_distributed
 from .scheduler import ENGINE_SHAPES, EventRecorder, RunReport
@@ -162,8 +162,7 @@ def _tsolve_engine(name: str, shape: tuple[bool, bool]) -> Callable:
                 n_threads=lanes,
             )
         return tsolve_lanes(
-            f, tdag, b, n_lanes=lanes,
-            plans=resolve_plan_cache(f, options.numeric), recorder=recorder,
+            f, tdag, b, n_lanes=lanes, recorder=recorder,
             checker=_resolve_checker(options, f"tsolve-{name}"),
         )
 

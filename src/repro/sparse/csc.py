@@ -434,8 +434,7 @@ class CSCMatrix:
         if row_scale is not None:
             out.data *= np.asarray(row_scale, dtype=np.float64)[out.indices]
         if col_scale is not None:
-            cols = np.repeat(np.arange(self.ncols), np.diff(out.indptr))
-            out.data *= np.asarray(col_scale, dtype=np.float64)[cols]
+            out.data *= np.asarray(col_scale, dtype=np.float64)[out.cols_expanded()]
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ def gessm_bad(diag, b, ws, *, inv=None):
     b.data[...] = (inv @ ws.dense2d)[0]
 
 
-def updf_bad(tgt, blk, src, plan=None):
+def upd_bad(tgt, blk, src, *, transposed=False):
     src[0] = 0.0                  # solve update mutates its source segment
     blk.data[:] = 1.0             # and the factor block it should only read
     return tgt
 
 
-def diagb_bad(diag, x):
+def diag_bad(diag, x, *, lower):
     diag.data[0] = 1.0            # diag solve mutates the factor block
     return x

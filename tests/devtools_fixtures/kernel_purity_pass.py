@@ -19,11 +19,11 @@ def gessm_good(diag, b, ws, *, inv=None):
     b.data[...] = (inv @ ws.dense2d)[0]  # reads the cached image, writes b
 
 
-def updf_good(tgt, blk, src, plan=None):
+def upd_good(tgt, blk, src, *, transposed=False):
     tgt[blk.indices] = tgt[blk.indices] - blk.data * src[:1]  # writes target only
     return tgt
 
 
-def diagb_good(diag, x):
+def diag_good(diag, x, *, lower):
     x[0] = x[0] / diag.data[-1]   # the RHS segment is the designated output
     return x

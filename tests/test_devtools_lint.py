@@ -89,9 +89,9 @@ def test_kernel_purity_flags_tsolve_roles():
     factor block, are all named with the right designated output."""
     findings = _run_rule("kernel-purity", FIXTURES / "kernel_purity_flag.py")
     messages = "\n".join(f.message for f in findings)
-    assert "updf_bad() mutates read-only operand 'src'" in messages
-    assert "updf_bad() mutates read-only operand 'blk'" in messages
-    assert "diagb_bad() mutates read-only operand 'diag'" in messages
+    assert "upd_bad() mutates read-only operand 'src'" in messages
+    assert "upd_bad() mutates read-only operand 'blk'" in messages
+    assert "diag_bad() mutates read-only operand 'diag'" in messages
     assert "designated output is 'x'" in messages
 
 

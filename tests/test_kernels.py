@@ -17,6 +17,7 @@ from repro.kernels import (
     KernelType,
     SingularBlockError,
     Workspace,
+    diag_seg,
     gessm_flops,
     getrf_flops,
     kernel_names,
@@ -224,6 +225,25 @@ def _without(block: CSCMatrix, *, rows=(), cols=()) -> CSCMatrix:
     return out
 
 
+def _replaced_pivot_block() -> CSCMatrix:
+    """A factored diagonal block whose ``(0, 0)`` pivot GESP replaced
+    (``cond(U) > 1e8``)."""
+    d = _blocks(4)[0]
+    d.data[d.indptr[0]] = 0.0
+    assert GETRF_VARIANTS["C_V1"](d, Workspace(), pivot_floor=1e-12) == 1
+    return d
+
+
+def _graded_block() -> CSCMatrix:
+    """A factored diagonal block with the columns of ``U`` graded over
+    ``1e10`` (``cond(U) ≈ 1e10``)."""
+    d = _factored(5)[0]
+    rows, cols = d.rows_cols()
+    upper = rows <= cols
+    d.data[upper] *= np.logspace(0, -10, d.ncols)[cols[upper]]
+    return d
+
+
 class TestDenseMapped:
     """The "Direct" variants are one GEMM on dense images; the sparse
     variants of the same family are their oracle."""
@@ -336,18 +356,68 @@ class TestDenseMapped:
         return cond
 
     def test_replaced_pivot_block_agrees_within_cond_bound(self, ws):
-        d, _, r, _ = _blocks(4)
-        d.data[d.indptr[0]] = 0.0       # the (0, 0) entry: GESP replaces it
-        assert GETRF_VARIANTS["C_V1"](d, ws, pivot_floor=1e-12) == 1
-        assert self._assert_within_cond_bound(d, r, ws) > 1e8
+        d = _replaced_pivot_block()
+        assert self._assert_within_cond_bound(d, _blocks(4)[2], ws) > 1e8
 
     def test_ill_conditioned_block_agrees_within_cond_bound(self, ws):
-        d, _, r, _ = _factored(5)
-        rows, cols = d.rows_cols()
-        upper = rows <= cols            # grade the columns of U over 1e10
-        d.data[upper] *= np.logspace(0, -10, d.ncols)[cols[upper]]
-        cond = self._assert_within_cond_bound(d, _blocks(5)[2], ws)
+        cond = self._assert_within_cond_bound(_graded_block(), _blocks(5)[2], ws)
         assert 1e9 < cond < 1e11
+
+
+class TestDiagSeg:
+    """The solve phase's diagonal kernel: ``L⁻¹``, ``U⁻¹``, ``U⁻ᵀ``, ``L⁻ᵀ``
+    are one inverse each, against ``numpy.linalg.solve`` on the dense
+    triangle within the envelope :class:`TestDenseMapped` holds the
+    inverse form to."""
+
+    ROLES = [(True, False), (False, False), (False, True), (True, True)]
+
+    @staticmethod
+    def _check(d: CSCMatrix, lower: bool, transposed: bool, nrhs: int) -> float:
+        """Solve in place into a *view* of a larger array (what ``y[seg]``
+        is) and compare; returns the triangle's condition number."""
+        n = d.ncols
+        packed = d.to_dense().astype(np.float64)
+        tri = np.tril(packed, -1) + np.eye(n) if lower else np.triu(packed)
+        tri = tri.T if transposed else tri
+        rng = np.random.default_rng(n + nrhs)
+        host = rng.standard_normal(n + 9 if nrhs == 1 else (n + 9, nrhs))
+        before, values = host.copy(), d.data.copy()
+        diag_seg(d, host[4:4 + n], lower=lower, transposed=transposed)
+        ref = np.linalg.solve(tri, before[4:4 + n])
+        cond = np.linalg.cond(tri)
+        bound = 8 * n * np.finfo(float).eps * cond * np.abs(ref).max()
+        assert np.abs(host[4:4 + n] - ref).max() <= bound
+        assert np.array_equal(host[:4], before[:4])
+        assert np.array_equal(host[4 + n:], before[4 + n:])
+        assert d.data.dtype == values.dtype and np.array_equal(d.data, values)
+        return cond
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    @pytest.mark.parametrize("lower,transposed", ROLES)
+    def test_four_roles_against_dense_solve(self, lower, transposed, nrhs, dtype):
+        d, _, _, _ = _factored(6, dtype=dtype)
+        self._check(d, lower, transposed, nrhs)
+
+    @pytest.mark.parametrize("lower,transposed", ROLES)
+    def test_replaced_pivot_block_within_cond_bound(self, lower, transposed):
+        cond = self._check(_replaced_pivot_block(), lower, transposed, 3)
+        assert lower or cond > 1e8
+
+    @pytest.mark.parametrize("lower,transposed", ROLES)
+    def test_ill_conditioned_block_within_cond_bound(self, lower, transposed):
+        cond = self._check(_graded_block(), lower, transposed, 1)
+        assert lower or 1e9 < cond < 1e11
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_zero_u_diagonal_raises_and_leaves_the_segment(self, transposed):
+        d, _, _, _ = _factored(6)
+        d.data[d.indptr[2] + int(np.searchsorted(d.indices[d.col_slice(2)], 2))] = 0.0
+        seg = np.ones(d.ncols)
+        with pytest.raises(SingularBlockError, match="U diagonal at 2"):
+            diag_seg(d, seg, lower=False, transposed=transposed)
+        assert np.array_equal(seg, np.ones(d.ncols))
 
 
 class TestSplitLU:

@@ -13,7 +13,12 @@ selector are pinned bit-for-bit to the values the hand-written sequential
 loop produced before the fold; the default path calls BLAS, whose last
 bits depend on the kernel OpenBLAS dispatches for the CPU, so it is held
 to ``1e-12·max|LU|`` of the pinned factors; the other configurations
-agree to rounding, and every solve is bit-identical to the loop sweeps.
+agree to rounding.  Every solve — engine, lane count, fault scenario — is
+bit-identical to the one-lane DAG replay (same kernels, same inputs,
+writer chains in the DAG), and that replay agrees with the per-column
+loop sweeps of ``tests/reference_tsolve.py`` to ``1e-12·‖x‖∞`` (the
+engines solve a diagonal block by a product with its inverse, the oracle
+by substitution).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import pytest
 
 from repro.core import NumericOptions, block_partition, build_dag, factorize
 from repro.core.placement import CyclicPlacement
-from repro.core.tsolve import tsolve_lanes
+from repro.core.tsolve import tsolve_lanes, tsolve_sequential
 from repro.core.tsolve_dag import build_tsolve_dag
 from repro.devtools.racecheck import RaceChecker
 from repro.kernels.selector import SelectorPolicy
@@ -160,6 +165,15 @@ def factored():
     return bm
 
 
+def _replay(f, b) -> np.ndarray:
+    """The one-lane DAG replay every configuration must match bit for
+    bit, itself held to the loop-sweep oracle at ``1e-12·‖x‖∞``."""
+    x, _ = tsolve_sequential(f, b)
+    ref = block_backward(f, block_forward(f, b))
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    return x
+
+
 #: the engine name of each configuration's pool shape
 ENGINE_OF = {
     "1-lane": "sequential", "3-lanes": "threaded",
@@ -221,7 +235,7 @@ def test_engine_matrix(config, phase, scenario, factored):
                 cfg, factored, b, scenario=scenario, timeout=timeout))
             return
         x, stats = _run_tsolve(cfg, factored, b, scenario=scenario)
-        assert np.array_equal(x, block_backward(factored, block_forward(factored, b)))
+        assert np.array_equal(x, _replay(factored, b))
         assert stats.nrhs == 2 and stats.kernel_choices == {}
         _check_report(stats, config)
 
@@ -312,7 +326,7 @@ def test_every_config_fills_the_one_stats_type(config):
 
 def test_oversubscribed_lanes_lose_no_update(factored):
     b = np.random.default_rng(5).standard_normal(factored.n)
-    ref = block_backward(factored, block_forward(factored, b))
+    ref = _replay(factored, b)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

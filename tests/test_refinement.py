@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import PanguLU, SolverOptions
-from repro.runtime import engines
+from repro.core.mapping import ProcessGrid
+from repro.core.tsolve_dag import build_tsolve_dag
+from repro.kernels import SingularBlockError
+from repro.runtime import engines, tsolve_distributed
+from repro.runtime.transports import LoopbackTransport
 from repro.sparse import CSCMatrix, random_sparse
 
 
@@ -76,17 +82,49 @@ class TestRefinementSteps:
         )
         assert np.abs(d @ X - B).max() < 1e4 * floor
 
+    @staticmethod
+    def _sabotaged(block: int = 0, column: int = 0):
+        """A factorised 20×20 system (5-wide blocks) whose ``U`` pivot at
+        ``column`` of diagonal block ``block`` is overwritten by zero."""
+        a = random_sparse(20, 0.15, seed=4)
+        s = PanguLU(a, SolverOptions(refine_max_iter=5, block_size=5))
+        s.factorize()
+        diag = s.blocks.block(block, block)
+        rows = diag.indices[diag.col_slice(column)]
+        diag.data[int(diag.indptr[column] + np.searchsorted(rows, column))] = 0.0
+        return s
+
     def test_sabotaged_factors_raise_not_loop(self):
         # pathological: a zero U diagonal in the factors must raise the
         # triangular solve's explicit error, not spin in refinement
-        a = random_sparse(20, 0.15, seed=4)
-        s = PanguLU(a, SolverOptions(refine_max_iter=5))
-        s.factorize()
-        diag = s.blocks.block(0, 0)
-        pos = int(np.searchsorted(diag.indices[diag.col_slice(0)], 0))
-        diag.data[pos] = 0.0
-        with pytest.raises(ZeroDivisionError, match="U diagonal"):
+        s = self._sabotaged()
+        with pytest.raises(SingularBlockError, match="U diagonal"):
             s.solve(np.ones(20))
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_zero_pivot_names_block_and_row(self, transposed):
+        # ... and name where: the diagonal block, the column in it and
+        # the row of the reordered matrix (5-wide blocks: 2·5 + 3)
+        s = self._sabotaged(block=2, column=3)
+        with pytest.raises(
+            ArithmeticError, match=r"U diagonal in block 2, column 3 \(row 13 of"
+        ):
+            s.factorize().solve(np.ones((20, 2)), transposed=transposed)
+
+    def test_zero_pivot_on_a_rank_reaches_the_caller(self):
+        # a rank's error comes home as _run_ranks' RuntimeError carrying
+        # the same text — at once, not as a timeout
+        f = self._sabotaged(block=2, column=3).blocks
+        tdag = build_tsolve_dag(f, ProcessGrid.square(2).owner, executable=True)
+        t0 = time.perf_counter()
+        with pytest.raises(
+            RuntimeError,
+            match=r"rank \d: SingularBlockError.*block 2, column 3 \(row 13 of",
+        ):
+            tsolve_distributed(
+                f, tdag, np.ones(20), 2, transport=LoopbackTransport(), timeout=30.0
+            )
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestOnePolicy:

@@ -5,8 +5,10 @@ handle.
 
 The executable solve DAG totally orders the writers of every RHS
 segment, so all engines must produce *bit-identical* solutions — equal
-to the k-ordered loop sweeps of `tests/reference_tsolve.py`, not merely
-close — in the plain and in the transposed direction.  The race
+to the one-lane DAG replay, not merely close — in the plain and in the
+transposed direction; the replay itself agrees with the k-ordered
+per-column loop sweeps of `tests/reference_tsolve.py` to `1e-12·‖x‖∞`
+(a product with a triangle's inverse is not a substitution).  The race
 detector must stay silent on clean runs and name both parties when a
 double writer is injected on an RHS segment.
 """
@@ -29,7 +31,7 @@ from repro.devtools.racecheck import ConcurrencyViolation, RaceChecker
 from repro.runtime import tsolve_distributed
 from repro.runtime.engines import available_tsolve_engines, get_tsolve_engine
 from repro.runtime.transports import LoopbackTransport
-from repro.sparse import generate, grid_laplacian_2d, random_sparse
+from repro.sparse import CSCMatrix, generate, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
 
 from .reference_tsolve import block_backward, block_forward
@@ -71,7 +73,9 @@ class TestEnginesAgree:
             f, grid_dag, b, 2, transport=LoopbackTransport(), validate=True
         )
 
-        assert np.array_equal(xs, ref)  # the DAG path == the loop sweeps
+        # the DAG path agrees with the loop-sweep oracle to rounding ...
+        assert np.abs(xs - ref).max() <= 1e-12 * np.abs(ref).max()
+        # ... and every engine with the one-lane replay bit for bit
         assert np.array_equal(xt, xs)
         assert np.array_equal(xd, xs)
         assert ss.tasks_executed == st.tasks_executed == len(tdag)
@@ -246,7 +250,7 @@ def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
                 collided.set()  # release the first writer
                 raise
 
-    def fake_execute(f, tdag, tid, y, x, plans):
+    def fake_execute(f, tdag, tid, y, x):
         # hold the segment until the second writer collides (bounded
         # wait so a regression fails the test instead of hanging it)
         collided.wait(timeout=10)
@@ -314,6 +318,27 @@ class TestFactorizationHandle:
         assert np.array_equal(x1, x2)
         assert float(np.linalg.norm(a.matvec(x2) - b)) < 1e-8
         assert fact2.solve_count == 1  # solved without refactorizing
+
+    def test_noarena_refactorize_rebuilds_the_update_addressing(self):
+        # use_arena=False re-partitions on refactorize: the blocks are new
+        # objects, so the column expansion `upd_seg` scatters by is rebuilt
+        # lazily by the next solve — in both directions
+        a = random_sparse(60, 0.08, seed=2)
+        fact = PanguLU(a, SolverOptions(use_arena=False, block_size=11)).factorize()
+        b = _rhs(60, 2, seed=3)
+        fact.solve(b)                  # fills the first partition's expansions
+        old = fact.blocks
+        scale = 1.0 + 0.2 * np.random.default_rng(4).random(a.nnz)
+        a2 = CSCMatrix(a.shape, a.indptr, a.indices, a.data * scale)
+        fact.refactorize(a2)
+        assert fact.blocks is not old
+        x, _ = tsolve_sequential(fact.blocks, b)
+        ref = block_backward(fact.blocks, block_forward(fact.blocks, b))
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        d2 = a2.to_dense()
+        for transposed, m in ((False, d2), (True, d2.T)):
+            xs = fact.solve(b, transposed=transposed)
+            assert np.abs(m @ xs - b).max() <= 1e-10 * np.abs(xs).max()
 
     def test_solve_timing_accumulates(self):
         a = grid_laplacian_2d(7, 7)
