@@ -19,6 +19,7 @@ import numpy as np
 
 from . import PanguLU, SolverOptions
 from .analysis import format_table
+from .core.solver import ORDERINGS
 from .sparse import (
     generate,
     paper_matrix_names,
@@ -197,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("solve", help="solve A x = b for a .mtx file or analogue")
     p.add_argument("matrix", help=".mtx path or a paper matrix name")
-    p.add_argument("--ordering", default="nd", choices=["nd", "amd", "rcm", "natural"])
+    p.add_argument("--ordering", default="nd", choices=list(ORDERINGS))
     p.add_argument("--blocking", default="regular",
                    choices=["regular", "irregular"],
                    help="blocking strategy: one uniform block size "

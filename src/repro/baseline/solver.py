@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ordering import amd, colamd, mc64, nested_dissection, rcm
+from ..core.solver import reorder_and_scale
 from ..sparse.csc import CSCMatrix
-from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult
 from .gp import symbolic_gilbert_peierls
 from .supernodal import (
@@ -79,39 +78,14 @@ class SuperLUBaseline:
         self._factorized = False
 
     def reorder(self) -> CSCMatrix:
-        """Phase 1 — identical policy to PanguLU's."""
+        """Phase 1 — PanguLU's, by the same function."""
         t0 = time.perf_counter()
-        a = self.a
-        n = a.ncols
-        if self.options.use_mc64:
-            res = mc64(a)
-            self.row_scale, self.col_scale = res.row_scale, res.col_scale
-            work = a.scale(res.row_scale, res.col_scale).permute(res.row_perm, None)
-            mc64_perm = res.row_perm
-        else:
-            self.row_scale = np.ones(n)
-            self.col_scale = np.ones(n)
-            work = a.copy()
-            mc64_perm = np.arange(n, dtype=np.int64)
-        ordering = self.options.ordering
-        if ordering == "nd":
-            p = nested_dissection(work)
-        elif ordering == "amd":
-            p = amd(work)
-        elif ordering == "colamd":
-            p = colamd(work)
-        elif ordering == "rcm":
-            p = rcm(work)
-        elif ordering == "natural":
-            p = np.arange(n, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
-        self.col_perm = p
-        self.row_perm = mc64_perm[p]
-        work = ensure_diagonal(work.permute(p, p))
-        self._reordered = work
+        (
+            self.row_scale, self.col_scale, self.row_perm, self.col_perm,
+            self._reordered,
+        ) = reorder_and_scale(self.a, self.options.ordering, self.options.use_mc64)
         self.phase_seconds["reorder"] = time.perf_counter() - t0
-        return work
+        return self._reordered
 
     def symbolic_factorize(self) -> SymbolicResult:
         """Phase 2 — Gilbert–Peierls exact unsymmetric fill."""

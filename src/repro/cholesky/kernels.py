@@ -1,4 +1,4 @@
-"""Block kernels for the sparse Cholesky extension.
+"""The one kernel the sparse Cholesky extension owns, and its task graph.
 
 PanguLU's regular 2D layout is not LU-specific: for symmetric positive
 definite systems the same two-layer structure over the *lower triangle*
@@ -6,120 +6,131 @@ of the symmetric fill supports a block Cholesky factorisation
 ``A = L·Lᵀ`` at half the storage and FLOPs.  (The PanguLU project itself
 added an SPD path in later releases; this module reproduces the idea.)
 
-Three kernel roles replace the four of LU:
+Three kernel roles replace the four of LU, and two of them *are* LU's
+dense-mapped kernels (see :class:`repro.cholesky.solver.LLtJob`):
 
-* :func:`potrf`  — in-place Cholesky of a diagonal block;
-* :func:`trsm`   — panel solve ``X·Lᵀ = B`` turning a below-diagonal
-  block into its slice of ``L``;
-* :func:`syrk`   — symmetric Schur update ``C −= A·Bᵀ`` (``A = L(i,k)``,
-  ``B = L(j,k)``, target ``(i, j)`` with ``i ≥ j``).
+* POTRF — in-place Cholesky of a diagonal block: :func:`potrf`, one
+  LAPACK call on the dense image (the one kernel Cholesky owns);
+* TRSM  — panel solve ``X·Lᵀ = B`` turning a below-diagonal block into
+  its slice of ``L``: ``tstrf_c_v2`` handed ``L⁻ᵀ`` (:func:`l_inverse`);
+* SYRK  — symmetric Schur update ``C −= A·Bᵀ`` (``A = L(i,k)``,
+  ``B = L(j,k)``, target ``(i, j)`` with ``i ≥ j``): ``ssssm_c_v1``
+  handed the image of ``A`` and the transposed image of ``B``.
 
-All kernels write only inside the blocks' fixed symbolic patterns; the
-fill-closure argument is the same as for the LU kernels.
+:func:`build_llt_dag` lays them out as a :class:`~repro.core.dag.TaskDAG`
+the shared scheduler core and lane driver run unchanged.  All kernels
+write only inside the blocks' fixed symbolic patterns; the fill-closure
+argument is the same as for the LU kernels.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+from collections import defaultdict
 
-from ..kernels.base import Workspace, gather_dense, scatter_dense
+import numpy as np
+from scipy.linalg.lapack import dpotrf
+
+from ..core.blocking import BlockMatrix
+from ..core.dag import Task, TaskDAG, TaskType
+from ..kernels.base import SingularBlockError, gather_dense, triangle_inverse
 from ..sparse.csc import CSCMatrix
 
-__all__ = ["potrf", "trsm", "syrk", "NotPositiveDefiniteError", "potrf_flops", "syrk_flops"]
+__all__ = ["NotPositiveDefiniteError", "potrf", "l_inverse", "build_llt_dag"]
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """A diagonal pivot was non-positive during POTRF."""
+    """A diagonal pivot was non-positive during POTRF, or a factored
+    ``L`` has a zero diagonal entry."""
 
 
-def potrf(block: CSCMatrix, ws: Workspace) -> None:
-    """In-place Cholesky of a diagonal block (lower storage).
+def potrf(f: BlockMatrix, k: int) -> None:
+    """In-place Cholesky of diagonal block ``k`` (lower storage, float64):
+    LAPACK ``dpotrf`` on the dense image; afterwards the block holds
+    ``L``.  A non-positive or NaN pivot raises
+    :class:`NotPositiveDefiniteError` naming block and column (from
+    finite input a pivot only ever shrinks, so there is no ``+Inf`` one
+    to pass LAPACK's test)."""
+    block = f.block(k, k)
+    # the transposed image is Fortran-ordered and its upper triangle is
+    # the block's lower one: ``UᵀU`` of it is ``L Lᵀ`` with ``L = Uᵀ``
+    u, info = dpotrf(block.to_dense().T, lower=False, overwrite_a=True)
+    if info < 0:  # pragma: no cover - argument error, not data
+        raise ValueError(f"potrf: illegal argument {-info}")
+    if info:
+        raise NotPositiveDefiniteError(
+            f"non-positive pivot in block {k}, column {info - 1} (row "
+            f"{f.block_start(k) + info - 1} of the reordered matrix; not SPD?)"
+        )
+    gather_dense(block, u.T)
 
-    Dense-mapped right-looking sweep; afterwards the block holds ``L``
-    (its stored pattern is the lower triangle including the diagonal).
+
+def l_inverse(f: BlockMatrix, k: int) -> np.ndarray:
+    """Dense ``L(k,k)⁻¹`` of a POTRF'd diagonal block — what TRSM and
+    both solve sweeps multiply by.  A zero or missing ``L`` diagonal
+    raises :class:`NotPositiveDefiniteError` naming block and column."""
+    diag = f.block(k, k)
+    try:
+        return triangle_inverse(diag, lower=True, unit=False)
+    except SingularBlockError:
+        j = int(np.flatnonzero(diag.diagonal() == 0.0)[0])
+        raise NotPositiveDefiniteError(
+            f"zero/missing L diagonal in block {k}, column {j} "
+            f"(row {f.block_start(k) + j} of the reordered matrix)"
+        ) from None
+
+
+def build_llt_dag(f: BlockMatrix) -> TaskDAG:
+    """The task DAG of the right-looking block Cholesky of lower-stored
+    ``f``, in the factor DAG's own vocabulary so the shared scheduler,
+    lane driver and :func:`~repro.core.verify.verify_dag` take it as is:
+
+    * ``GETRF(k)``      is POTRF of ``(k, k)``        ← every SYRK into it;
+    * ``TSTRF(i, k)``   is TRSM of ``(i, k)``, i > k  ← POTRF(k) + every
+      SYRK into it;
+    * ``SSSSM(k, i, j)`` is SYRK ``C(i,j) −= L(i,k)·L(j,k)ᵀ``, i ≥ j > k
+      ← TRSM(i, k) and TRSM(j, k); it exists when the product is
+      structurally nonempty and lands in a stored block (the mirror part
+      of the update is the symmetry saving).
+
+    Tasks are created step by step, so ``tasks`` is ordered by ``k`` with
+    POTRF first, then the step's TRSMs, then its SYRKs — every
+    predecessor precedes its successors.  Flops are structural: per
+    POTRF pivot a square root, a scale and a rank-1 update of the columns
+    below; per TRSM entry a division and a multiply-add against the
+    pivot column's strict-lower part; SYRK ``2 Σ_t nnz(A[:,t]) nnz(B[:,t])``.
     """
-    n = block.ncols
-    w = ws.dense("a", (n, n))
-    scatter_dense(block, w)
-    for k in range(n):
-        piv = w[k, k]
-        if piv <= 0.0 or not np.isfinite(piv):
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {piv!r} at column {k} (matrix not SPD?)"
-            )
-        d = np.sqrt(piv)
-        w[k, k] = d
-        if k + 1 < n:
-            w[k + 1 :, k] /= d
-            # symmetric rank-1 update of the trailing lower triangle
-            w[k + 1 :, k + 1 :] -= np.outer(w[k + 1 :, k], w[k + 1 :, k])
-    gather_dense(block, w)
+    tasks: list[Task] = []
+    # block -> the tasks writing it: the SYRKs into it, then its panel task
+    writers: dict[tuple[int, int], list[int]] = defaultdict(list)
 
+    def add(ttype: TaskType, k: int, bi: int, bj: int, flops, preds) -> int:
+        tid = len(tasks)
+        tasks.append(Task(tid, ttype, k, bi, bj, int(flops), n_deps=len(preds)))
+        for p in preds:
+            tasks[p].successors.append(tid)
+        writers[(bi, bj)].append(tid)
+        return tid
 
-def trsm(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """In-place ``X·Lᵀ = B`` against a POTRF'd diagonal block.
-
-    Column sweep using ``L``'s columns directly (column ``c`` of ``L``
-    is row ``c`` of ``Lᵀ``): ``X[:,c] = (B[:,c] − X[:,below]·L[below,c]) / L[c,c]``
-    …processed in *increasing* ``c`` with already-solved columns feeding
-    later ones.
-    """
-    n, m = b.shape  # m == diag order
-    w = ws.dense("a", (n, m))
-    scatter_dense(b, w)
-    data = diag.data
-    for c in range(m):
-        sl = diag.col_slice(c)
-        rows = diag.indices[sl]
-        vals = data[sl]
-        # lower storage: first entry of column c is the diagonal
-        if rows.size == 0 or rows[0] != c or vals[0] == 0.0:
-            raise NotPositiveDefiniteError(f"missing/zero L diagonal at {c}")
-        w[:, c] /= vals[0]
-        below = rows[1:]
-        if below.size:
-            w[:, below] -= np.outer(w[:, c], vals[1:])
-    gather_dense(b, w)
-
-
-def syrk(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """Symmetric Schur update ``C −= A·Bᵀ`` inside ``C``'s fixed pattern.
-
-    Entries of the product falling outside the stored pattern are the
-    (mirror) upper-triangle positions of a diagonal target — skipping
-    them is exactly the symmetry saving.
-    """
-    asp = sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape, copy=False)
-    bsp = sp.csc_matrix((b.data, b.indices, b.indptr), shape=b.shape, copy=False)
-    p = (asp @ bsp.T).tocsc()
-    p.sort_indices()
-    c_indptr, c_indices, c_data = c.indptr, c.indices, c.data
-    for j in range(c.ncols):
-        lo_p, hi_p = int(p.indptr[j]), int(p.indptr[j + 1])
-        if lo_p == hi_p:
-            continue
-        pr = p.indices[lo_p:hi_p]
-        pv = p.data[lo_p:hi_p]
-        lo, hi = int(c_indptr[j]), int(c_indptr[j + 1])
-        rows_cj = c_indices[lo:hi]
-        pos = np.searchsorted(rows_cj, pr)
-        valid = pos < rows_cj.size
-        np.minimum(pos, rows_cj.size - 1, out=pos)
-        valid &= rows_cj[pos] == pr
-        c_data[lo + pos[valid]] -= pv[valid]
-
-
-def potrf_flops(block: CSCMatrix) -> int:
-    """Structural FLOPs of a block Cholesky (pattern-based)."""
-    n = block.ncols
-    total = 0
-    for j in range(n):
-        below = int(block.indptr[j + 1] - block.indptr[j]) - 1
-        total += 1 + below + below * (below + 1)  # sqrt + scale + update
-    return total
-
-
-def syrk_flops(a: CSCMatrix, b: CSCMatrix) -> int:
-    """Structural FLOPs of ``C −= A·Bᵀ``: ``2 Σ_t nnz(A[:,t]) nnz(B[:,t])``."""
-    return int(2 * np.dot(np.diff(a.indptr), np.diff(b.indptr)))
+    for k in range(f.nb):
+        diag = f.block(k, k)
+        if diag is None:
+            raise ValueError(f"empty diagonal block ({k},{k})")
+        below = np.diff(diag.indptr) - 1   # strict-lower nnz per column of L(k,k)
+        potrf_flops = np.sum(1 + below + below * (below + 1))
+        # a copy: ``add`` appends the new task to the list it is handed
+        root = add(TaskType.GETRF, k, k, k, potrf_flops, [*writers[(k, k)]])
+        rows, blocks = f.blocks_in_column(k)
+        panel = [
+            (int(i), blk, np.diff(blk.indptr)) for i, blk in zip(rows, blocks) if i > k
+        ]
+        for i, blk, _ in panel:
+            trsm_flops = blk.nnz + 2 * np.sum(below[blk.cols_expanded()])
+            add(TaskType.TSTRF, k, i, k, trsm_flops, [root, *writers[(i, k)]])
+        for n, (i, _, a_colnnz) in enumerate(panel):
+            for j, _, b_colnnz in panel[: n + 1]:
+                syrk_flops = 2 * np.dot(a_colnnz, b_colnnz)   # 0: empty product
+                if syrk_flops and f.block_slot(i, j) >= 0:
+                    preds = {writers[(i, k)][-1], writers[(j, k)][-1]}
+                    add(TaskType.SSSSM, k, i, j, syrk_flops, preds)
+    panel_of_block = {block: tids[-1] for block, tids in writers.items()}
+    return TaskDAG(tasks, panel_of_block, sum(t.flops for t in tasks))

@@ -1,9 +1,11 @@
-"""Block Cholesky driver and solver facade (SPD extension).
+"""Block Cholesky job and solver facade (SPD extension).
 
 Reuses PanguLU's pipeline wholesale: fill-reducing ordering, symmetric
 symbolic factorisation, regular 2D blocking — then factors only the
-lower-triangular blocks with the three Cholesky kernels and solves
-``L y = b`` / ``Lᵀ x = y`` over the block layout.
+lower-triangular blocks by draining :func:`~repro.cholesky.kernels.build_llt_dag`
+through the shared lane driver (:class:`LLtJob`), and solves
+``L y = b`` / ``Lᵀ x = y`` over the block layout with the solve phase's
+update kernel and LU's refinement loop.
 """
 
 from __future__ import annotations
@@ -14,13 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.blocking import BlockMatrix, block_partition, choose_block_size
+from ..core.dag import TaskDAG, TaskType
+from ..core.numeric import FactorJob, NumericOptions
+from ..core.solver import SolverOptions, fill_reducing_ordering, refined_solve
 from ..kernels.base import Workspace
-from ..ordering import amd, nested_dissection, rcm
+from ..kernels.ssssm import ssssm_c_v1
+from ..kernels.tsolve_kernels import upd_seg
+from ..kernels.tstrf import tstrf_c_v2
+from ..runtime.lanes import run_lanes
+from ..runtime.scheduler import RunReport, SchedulerCore
 from ..sparse.csc import CSCMatrix
 from ..symbolic import SymbolicResult, symbolic_symmetric
-from .kernels import NotPositiveDefiniteError, potrf, syrk, syrk_flops, trsm
+from .kernels import build_llt_dag, l_inverse, potrf
 
-__all__ = ["CholeskyOptions", "PanguLLt"]
+__all__ = ["CholeskyOptions", "LLtJob", "PanguLLt"]
 
 
 @dataclass
@@ -30,7 +39,40 @@ class CholeskyOptions:
 
     ordering: str = "nd"
     block_size: int | None = None
-    refine_steps: int = 1
+
+
+class LLtJob(FactorJob):
+    """Block Cholesky as the lane driver sees it: LU's
+    :class:`~repro.core.numeric.FactorJob` (write slot = the target
+    block, trace labels, flop tally, a :class:`~repro.core.numeric.PanelCache`
+    evicted by the DAG's reader counts) with the kernels of ``A = L·Lᵀ``
+    at the leaves — LAPACK POTRF, and LU's dense-mapped TSTRF and SSSSM
+    handed ``L(k,k)⁻ᵀ`` and the images of ``L(i,k)`` / ``L(j,k)ᵀ``."""
+
+    def __init__(self, f: BlockMatrix, dag: TaskDAG) -> None:
+        super().__init__(f, dag, NumericOptions(), f.num_blocks)
+
+    def execute(self, tid: int, ws: Workspace) -> tuple[str]:
+        f, task, panels = self.f, self.tasks[tid], self.panels
+        if task.ttype is TaskType.GETRF:
+            potrf(f, task.k)
+            return ("POTRF/LAPACK",)
+        target = f.block(task.bi, task.bj)
+        if task.ttype is TaskType.TSTRF:
+            diag = f.block_slot(task.k, task.k)
+            inv = panels.get((diag, False), lambda: l_inverse(f, task.k).T)
+            tstrf_c_v2(f.blk_values[diag], target, ws, inv=inv)
+            panels.release(diag)
+            return ("TSTRF/C_V2",)
+        a, b = f.block_slot(task.bi, task.k), f.block_slot(task.bj, task.k)
+        ssssm_c_v1(
+            target, f.blk_values[a], f.blk_values[b], ws,
+            a_dense=panels.get(a, f.blk_values[a].to_dense),
+            b_dense=panels.get(b, f.blk_values[b].to_dense).T,
+        )
+        for slot in {a, b}:
+            panels.release(slot)
+        return ("SSSSM/C_V1",)
 
 
 class PanguLLt:
@@ -52,129 +94,75 @@ class PanguLLt:
         self.perm: np.ndarray | None = None
         self.symbolic: SymbolicResult | None = None
         self.blocks: BlockMatrix | None = None
-        self.flops: int = 0
-        self._factorized = False
+        self.dag: TaskDAG | None = None
+        self.flops: int = 0   # SYRK flops, the Schur work LU's SSSSM doubles
+        self.numeric_stats: RunReport | None = None
+        self.residual_history: list[tuple[str, float]] = []
 
     # ------------------------------------------------------------------
     def preprocess(self) -> BlockMatrix:
-        """Ordering + symbolic + blocking of the lower triangle."""
+        """Ordering + symbolic + blocking of the lower triangle + DAG."""
         t0 = time.perf_counter()
-        ordering = self.options.ordering
-        if ordering == "nd":
-            p = nested_dissection(self.a)
-        elif ordering == "amd":
-            p = amd(self.a)
-        elif ordering == "rcm":
-            p = rcm(self.a)
-        elif ordering == "natural":
-            p = np.arange(self.a.ncols, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
-        self.perm = p
-        work = self.a.permute(p, p)
-        self.symbolic = symbolic_symmetric(work)
-        filled = self.symbolic.filled
-        # keep only the lower triangle (diagonal included)
-        lower = _lower_triangle(filled)
+        self.perm = fill_reducing_ordering(self.a, self.options.ordering)
+        self.symbolic = symbolic_symmetric(self.a.permute(self.perm, self.perm))
+        lower = _lower_triangle(self.symbolic.filled)
         bs = self.options.block_size or choose_block_size(lower.ncols, lower.nnz)
         self.blocks = block_partition(lower, bs)
+        self.dag = build_llt_dag(self.blocks)
+        self.flops = sum(t.flops for t in self.dag.tasks if t.ttype is TaskType.SSSSM)
         self.phase_seconds["preprocess"] = time.perf_counter() - t0
         return self.blocks
 
-    def factorize(self) -> int:
-        """Right-looking block Cholesky in place; returns the structural
-        FLOP count."""
-        if self._factorized:
-            return self.flops
-        if self.blocks is None:
-            self.preprocess()
-        t0 = time.perf_counter()
-        f = self.blocks
-        ws = Workspace()
-        total = 0
-        for k in range(f.nb):
-            diag = f.block(k, k)
-            if diag is None:
-                raise ValueError(f"empty diagonal block ({k},{k})")
-            potrf(diag, ws)
-            rows, blocks = f.blocks_in_column(k)
-            panel = [(int(bi), blk) for bi, blk in zip(rows, blocks) if bi > k]
-            for _, blk in panel:
-                trsm(diag, blk, ws)
-            for ai, (i, a_blk) in enumerate(panel):
-                csup_a = np.diff(a_blk.indptr) > 0
-                for j, b_blk in panel[: ai + 1]:
-                    csup_b = np.diff(b_blk.indptr) > 0
-                    if not bool(np.any(csup_a & csup_b)):
-                        continue
-                    target = f.block(i, j)
-                    if target is None:
-                        continue  # structurally empty product (mirror part)
-                    syrk(target, a_blk, b_blk, ws)
-                    total += syrk_flops(a_blk, b_blk)
-        self.flops = total
-        self.phase_seconds["numeric"] = time.perf_counter() - t0
-        self._factorized = True
-        return total
+    def factorize(self) -> RunReport:
+        """Right-looking block Cholesky in place: the DAG drained on one
+        lane of the shared driver (idempotent; returns the run's report)."""
+        if self.numeric_stats is None:
+            if self.blocks is None:
+                self.preprocess()
+            t0 = time.perf_counter()
+            core = SchedulerCore.from_dag(self.dag)
+            self.numeric_stats = run_lanes(core, LLtJob(self.blocks, self.dag))
+            self.phase_seconds["numeric"] = time.perf_counter() - t0
+        return self.numeric_stats
 
     # ------------------------------------------------------------------
-    def _forward(self, b: np.ndarray) -> np.ndarray:
-        """``L y = b`` (non-unit lower) over the block layout."""
+    def _apply(self, rhs: np.ndarray) -> np.ndarray:
+        """``A⁻¹ rhs`` through the factors: ``L y = P rhs`` walking the
+        DAG's panel tasks (``POTRF(k)`` solves segment ``k``, ``TRSM(i,k)``
+        pushes it through ``L(i,k)``), then ``Lᵀ x = y`` walking them
+        backwards with every block transposed."""
         f = self.blocks
-        y = b.copy()
-        for k in range(f.nb):
-            seg = f.block_slice(k)
-            diag = f.block(k, k)
-            _solve_lower_nonunit(diag, y[seg])
-            rows, blocks = f.blocks_in_column(k)
-            for bi, blk in zip(rows, blocks):
-                bi = int(bi)
-                if bi <= k:
-                    continue
-                tgt = f.block_slice(bi)
-                cols = blk.cols_expanded()
-                np.subtract.at(y[tgt], blk.indices, blk.data * y[seg][cols])
-        return y
-
-    def _backward(self, y: np.ndarray) -> np.ndarray:
-        """``Lᵀ x = y`` over the block layout (transposed sweeps)."""
-        f = self.blocks
-        x = y.copy()
-        for k in range(f.nb - 1, -1, -1):
-            seg = f.block_slice(k)
-            # contributions of later segments through L(i,k)ᵀ, i > k
-            rows, blocks = f.blocks_in_column(k)
-            for bi, blk in zip(rows, blocks):
-                bi = int(bi)
-                if bi <= k:
-                    continue
-                src = f.block_slice(bi)
-                cols = blk.cols_expanded()
-                np.subtract.at(x[seg], cols, blk.data * x[src][blk.indices])
-            diag = f.block(k, k)
-            _solve_lower_trans(diag, x[seg])
-        return x
+        panel = [t for t in self.dag.tasks if t.ttype is not TaskType.SSSSM]
+        v = rhs[self.perm]
+        for transposed in (False, True):
+            for t in reversed(panel) if transposed else panel:
+                seg, below = v[f.block_slice(t.k)], v[f.block_slice(t.bi)]
+                if t.ttype is TaskType.GETRF:
+                    inv = l_inverse(f, t.k)
+                    seg[...] = (inv.T if transposed else inv) @ seg
+                elif transposed:
+                    upd_seg(seg, f.block(t.bi, t.k), below, transposed=True)
+                else:
+                    upd_seg(below, f.block(t.bi, t.k), seg)
+        out = np.empty_like(v)
+        out[self.perm] = v
+        return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` with optional iterative refinement."""
+        """Solve ``A x = b``, refined by LU's loop to LU's default
+        tolerance (:func:`~repro.core.solver.refined_solve`); the
+        residuals it took are left on :attr:`residual_history`."""
         self.factorize()
         t0 = time.perf_counter()
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.a.nrows,):
             raise ValueError(f"b has shape {b.shape}, expected ({self.a.nrows},)")
-
-        def apply(rhs: np.ndarray) -> np.ndarray:
-            z = self._backward(self._forward(rhs[self.perm]))
-            out = np.empty_like(z)
-            out[self.perm] = z
-            return out
-
-        x = apply(b)
-        for _ in range(max(0, self.options.refine_steps)):
-            r = b - self.a.matvec(x)
-            if not np.all(np.isfinite(r)):
-                break
-            x = x + apply(r)
+        self.residual_history = []
+        x = refined_solve(
+            self._apply, self.a.matvec, b, tol=SolverOptions.refine_tol,
+            budget=SolverOptions.refine_max_iter,
+            history=self.residual_history, exact=True,
+        )
         self.phase_seconds["solve"] = time.perf_counter() - t0
         return x
 
@@ -186,60 +174,15 @@ class PanguLLt:
     def factor_error(self) -> float:
         """``‖P A Pᵀ − L Lᵀ‖∞ / ‖A‖∞`` — factorisation check."""
         self.factorize()
-        low = self.blocks.to_csc().to_dense()
-        l = np.tril(low)
+        l = np.tril(self.blocks.to_csc().to_dense())
         ref = self.a.permute(self.perm, self.perm).to_dense()
-        scale = np.abs(ref).max() or 1.0
-        return float(np.abs(ref - (l @ l.T)).max() / scale)
+        return float(np.abs(ref - l @ l.T).max() / (np.abs(ref).max() or 1.0))
 
 
 def _lower_triangle(m: CSCMatrix) -> CSCMatrix:
     """Lower triangle (incl. diagonal) of a CSC matrix."""
-    keep_idx: list[np.ndarray] = []
+    rows, cols = m.rows_cols()
+    keep = rows >= cols
     indptr = np.zeros(m.ncols + 1, dtype=np.int64)
-    vals: list[np.ndarray] = []
-    data = m.data
-    for j in range(m.ncols):
-        sl = m.col_slice(j)
-        rows = m.indices[sl]
-        start = int(np.searchsorted(rows, j))
-        keep_idx.append(rows[start:])
-        vals.append(data[sl][start:])
-        indptr[j + 1] = indptr[j] + keep_idx[-1].size
-    return CSCMatrix(
-        m.shape,
-        indptr,
-        np.concatenate(keep_idx) if keep_idx else np.zeros(0, np.int64),
-        np.concatenate(vals) if vals else np.zeros(0),
-        check=False,
-    )
-
-
-def _solve_lower_nonunit(diag: CSCMatrix, y: np.ndarray) -> None:
-    """In-place ``y ← L⁻¹ y`` for a POTRF'd block (non-unit lower)."""
-    data = diag.data
-    for j in range(diag.ncols):
-        sl = diag.col_slice(j)
-        rows = diag.indices[sl]
-        vals = data[sl]
-        if rows.size == 0 or rows[0] != j or vals[0] == 0.0:
-            raise NotPositiveDefiniteError(f"missing/zero L diagonal at {j}")
-        y[j] /= vals[0]
-        yj = y[j]
-        if rows.size > 1 and yj != 0.0:
-            y[rows[1:]] -= vals[1:] * yj
-
-
-def _solve_lower_trans(diag: CSCMatrix, y: np.ndarray) -> None:
-    """In-place ``y ← L⁻ᵀ y`` for a POTRF'd block (backward sweep)."""
-    data = diag.data
-    for j in range(diag.ncols - 1, -1, -1):
-        sl = diag.col_slice(j)
-        rows = diag.indices[sl]
-        vals = data[sl]
-        if rows.size == 0 or rows[0] != j or vals[0] == 0.0:
-            raise NotPositiveDefiniteError(f"missing/zero L diagonal at {j}")
-        acc = y[j]
-        if rows.size > 1:
-            acc = acc - float(vals[1:] @ y[rows[1:]])
-        y[j] = acc / vals[0]
+    np.cumsum(np.bincount(cols[keep], minlength=m.ncols), out=indptr[1:])
+    return CSCMatrix(m.shape, indptr, rows[keep], m.data[keep], check=False)

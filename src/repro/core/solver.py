@@ -48,7 +48,10 @@ from .strategy import get_blocking_strategy
 from .tsolve_dag import build_tsolve_dag
 from .verify import verify_dag
 
-__all__ = ["SolverOptions", "Factorization", "PanguLU", "RefinementStalled"]
+__all__ = [
+    "SolverOptions", "Factorization", "PanguLU", "RefinementStalled",
+    "ORDERINGS", "fill_reducing_ordering", "reorder_and_scale", "refined_solve",
+]
 
 
 class RefinementStalled(ArithmeticError):
@@ -162,6 +165,136 @@ def _perm_sign(perm: np.ndarray) -> float:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _least_fill(work: CSCMatrix) -> np.ndarray:
+    """``"best"``: try the serious candidates and keep the one with least
+    fill — ordering cost is small next to numeric factorisation."""
+    return min(
+        (nested_dissection(work), amd(work)),
+        key=lambda q: symbolic_symmetric(work.permute(q, q)).nnz_lu,
+    )
+
+
+#: The fill-reducing orderings by name — the one table every facade
+#: (:class:`PanguLU`, the supernodal baseline, ``repro.cholesky``) and the
+#: CLI's ``--ordering`` choices read.  The entries look the ordering
+#: functions up in this module's globals *when called*, so a wrapper
+#: installed on ``repro.core.solver.nested_dissection`` is what runs.
+ORDERINGS = {
+    "nd": lambda work: nested_dissection(work),
+    "amd": lambda work: amd(work),
+    "colamd": lambda work: colamd(work),
+    "rcm": lambda work: rcm(work),
+    "natural": lambda work: np.arange(work.ncols, dtype=np.int64),
+    "best": _least_fill,
+}
+
+
+def fill_reducing_ordering(work: CSCMatrix, ordering: str) -> np.ndarray:
+    """The symmetric permutation ``ordering`` (a key of :data:`ORDERINGS`)
+    computes for ``work``."""
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    return ORDERINGS[ordering](work)
+
+
+def reorder_and_scale(a: CSCMatrix, ordering: str, use_mc64: bool):
+    """Phase 1 of the LU-shaped facades: MC64 row permutation + scaling
+    (identity without ``use_mc64``), then the fill-reducing symmetric
+    permutation, then a structurally full diagonal.  Returns
+    ``(row_scale, col_scale, row_perm, col_perm, reordered)`` with
+    ``reordered = (Dr A Dc)[row_perm][:, col_perm]`` — the matrix the
+    later phases factorise."""
+    n = a.ncols
+    row_scale = np.ones(n, dtype=np.float64)
+    col_scale = np.ones(n, dtype=np.float64)
+    mc64_perm, work = np.arange(n, dtype=np.int64), a
+    if use_mc64:
+        res = mc64(a)
+        row_scale, col_scale, mc64_perm = res.row_scale, res.col_scale, res.row_perm
+        work = a.scale(row_scale, col_scale).permute(mc64_perm, None)
+    p = fill_reducing_ordering(work, ordering)
+    return row_scale, col_scale, mc64_perm[p], p, ensure_diagonal(work.permute(p, p))
+
+
+def refined_solve(
+    apply_fn, product, b: np.ndarray, *, tol: float, budget: int,
+    history: list, exact: bool,
+) -> np.ndarray:
+    """One application of the factors plus the refinement the residual
+    asks for — the one policy of every solve, LU and Cholesky alike.
+
+    ``apply_fn(r)`` applies the factors (``≈ A⁻¹ r``), ``product(v)`` is
+    ``A v``; ``b`` is a vector or an ``(n, k)`` panel and must be finite
+    (``ValueError`` naming the first bad entry otherwise).
+
+    Plain iterative refinement with the residual in ``float64``: stop
+    when the relative residual (max over right-hand sides) meets ``tol``,
+    when ``budget`` sweeps are spent (``0`` is the bare application: no
+    residual taken), or when two consecutive sweeps fail to halve it, and
+    take the best iterate seen.  Short of the tolerance, ``exact``
+    factors return that iterate — nothing more precise exists to correct
+    it with; approximate ones escalate to a GMRES-IR inner loop (FGMRES
+    on ``A`` preconditioned by ``apply_fn``) and :class:`RefinementStalled`
+    is raised when that fails too.  ``history`` receives one ``(step,
+    relative residual)`` pair per residual taken (the first is labelled
+    ``"apply"``, or ``"decompress"`` when the caller retries with a
+    non-empty history); a non-finite residual raises
+    ``FloatingPointError`` quoting it.
+    """
+    bad = np.argwhere(~np.isfinite(b))
+    if bad.size:
+        where = ", ".join(map(str, bad[0]))
+        raise ValueError(
+            f"right-hand side is not finite: b[{where}] = {b[tuple(bad[0])]}"
+        )
+    x = apply_fn(b)
+    if budget == 0:
+        return x
+    bden = np.atleast_1d(np.linalg.norm(b, axis=0))
+    bden[bden == 0.0] = 1.0
+
+    def residual(x: np.ndarray, step: str) -> tuple[np.ndarray, float]:
+        r = b - product(x)
+        worst = float(np.max(np.linalg.norm(r, axis=0) / bden))
+        if not np.isfinite(worst):
+            raise FloatingPointError(
+                f"residual became non-finite at refinement step "
+                f"{len(history)} ({step}); history so far: {history}"
+            )
+        history.append((step, worst))
+        return r, worst
+
+    r, worst = residual(x, "decompress" if history else "apply")
+    best = (worst, x)
+    spent = stall = 0
+    while worst > tol and spent < budget and stall < 2:
+        x = x + apply_fn(r)
+        spent += 1
+        prev = worst
+        r, worst = residual(x, "sweep")
+        # a sweep that fails to halve the residual is "stalled" —
+        # more of the same will not converge
+        stall = stall + 1 if worst > 0.5 * prev else 0
+        if worst < best[0]:
+            best = (worst, x)
+    if best[0] <= tol or exact:
+        return best[1]
+
+    # GMRES-IR escalation from where the sweeps left off, one
+    # correction system per unconverged RHS
+    for j in np.flatnonzero(np.linalg.norm(r, axis=0) / bden > tol):
+        col = np.s_[:, j] if b.ndim == 2 else np.s_[:]
+        y, used = _fgmres(
+            product, apply_fn, r[col], tol * bden[j], max(budget, 20)
+        )
+        spent += used
+        x[col] += y
+    r, worst = residual(x, "fgmres")
+    if worst <= tol:
+        return x
+    raise RefinementStalled(worst, tol, spent)
 
 
 @dataclass
@@ -545,27 +678,12 @@ class Factorization:
     def _solve_refined(
         self, b: np.ndarray, transposed: bool, recorder, history: list
     ) -> np.ndarray:
-        """One application of the factors plus the refinement the
-        residual asks for — the one policy of every solve.
-
-        Plain LU-IR with the residual in ``float64``: stop when the
-        relative residual (max over right-hand sides) meets
-        ``refine_tol``, when ``refine_max_iter`` sweeps are spent, or
-        when two consecutive sweeps fail to halve it, and take the best
-        iterate seen.  Short of the tolerance, exact ``float64`` factors
-        return that iterate — nothing more precise exists to correct it
-        with; ``float32`` or compressed factors escalate to a GMRES-IR
-        inner loop (FGMRES on ``A`` preconditioned by the factor
-        application), compressed ones then once more — decompress,
-        refactorise exactly, start over — and :class:`RefinementStalled`
-        is raised when that fails too.  ``history`` receives one
-        ``(step, relative residual)`` pair per residual taken.
-        """
-        opts = self.options
-        tol = float(opts.refine_tol)
-        budget = max(0, int(opts.refine_max_iter))
-        first = "decompress" if history else "apply"
-
+        """:func:`refined_solve` on this handle's factors, to
+        ``options.refine_tol`` within ``options.refine_max_iter`` sweeps.
+        ``float32`` or compressed factors are the approximate ones that
+        escalate; when compressed factors stall even there, the handle
+        escalates once more — decompress, refactorise exactly, start
+        over — before :class:`RefinementStalled` reaches the caller."""
         def apply_fn(r: np.ndarray) -> np.ndarray:
             return self.apply(r, transposed=transposed, recorder=recorder)
 
@@ -574,57 +692,19 @@ class Factorization:
                 return self.a.rmatvec(v)
             return self.a.matmat(v) if v.ndim == 2 else self.a.matvec(v)
 
-        x = apply_fn(b)
-        if budget == 0:
-            return x
-        bden = np.atleast_1d(np.linalg.norm(b, axis=0))
-        bden[bden == 0.0] = 1.0
-
-        def residual(x: np.ndarray, step: str) -> tuple[np.ndarray, float]:
-            r = b - product(x)
-            worst = float(np.max(np.linalg.norm(r, axis=0) / bden))
-            if not np.isfinite(worst):
-                raise FloatingPointError(
-                    f"residual became non-finite at refinement step "
-                    f"{len(history)} ({step}); history so far: {history}"
-                )
-            history.append((step, worst))
-            return r, worst
-
-        r, worst = residual(x, first)
-        best = (worst, x)
-        spent = stall = 0
-        while worst > tol and spent < budget and stall < 2:
-            x = x + apply_fn(r)
-            spent += 1
-            prev = worst
-            r, worst = residual(x, "sweep")
-            # a sweep that fails to halve the residual is "stalled" —
-            # more of the same will not converge
-            stall = stall + 1 if worst > 0.5 * prev else 0
-            if worst < best[0]:
-                best = (worst, x)
-        if best[0] <= tol or (
-            self.factor_dtype == np.float64 and not self.compression_active()
-        ):
-            return best[1]
-
-        # GMRES-IR escalation from where the sweeps left off, one
-        # correction system per unconverged RHS
-        for j in np.flatnonzero(np.linalg.norm(r, axis=0) / bden > tol):
-            col = np.s_[:, j] if b.ndim == 2 else np.s_[:]
-            y, used = _fgmres(
-                product, apply_fn, r[col], tol * bden[j], max(budget, 20)
+        try:
+            return refined_solve(
+                apply_fn, product, b, tol=float(self.options.refine_tol),
+                budget=max(0, int(self.options.refine_max_iter)),
+                history=history,
+                exact=self.factor_dtype == np.float64
+                and not self.compression_active(),
             )
-            spent += used
-            x[col] += y
-        r, worst = residual(x, "fgmres")
-        if worst <= tol:
-            return x
-        if self.compression_active():
-            self.decompress()
-            return self._solve_refined(b, transposed, recorder, history)
-        raise RefinementStalled(worst, tol, spent)
+        except RefinementStalled:
+            if not self.compression_active():
+                raise
+        self.decompress()
+        return self._solve_refined(b, transposed, recorder, history)
 
     def solve(
         self, b: np.ndarray, *, transposed: bool = False, recorder=None
@@ -641,13 +721,6 @@ class Factorization:
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(
                 f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
-            )
-        bad = np.argwhere(~np.isfinite(b))
-        if bad.size:
-            where = ", ".join(map(str, bad[0]))
-            raise ValueError(
-                f"right-hand side is not finite: b[{where}] = "
-                f"{b[tuple(bad[0])]}"
             )
         history: list[tuple[str, float]] = []
         x = self._solve_refined(b, transposed, recorder, history)
@@ -781,49 +854,12 @@ class PanguLU:
         """Phase 1: MC64 + fill-reducing ordering; returns the reordered,
         scaled matrix the later phases factorise."""
         t0 = time.perf_counter()
-        a = self.a
-        n = a.ncols
-        if self.options.use_mc64:
-            res = mc64(a)
-            self.row_scale = res.row_scale
-            self.col_scale = res.col_scale
-            work = a.scale(res.row_scale, res.col_scale).permute(res.row_perm, None)
-            mc64_perm = res.row_perm
-        else:
-            self.row_scale = np.ones(n, dtype=np.float64)
-            self.col_scale = np.ones(n, dtype=np.float64)
-            work = a.copy()
-            mc64_perm = np.arange(n, dtype=np.int64)
-
-        ordering = self.options.ordering
-        if ordering == "nd":
-            p = nested_dissection(work)
-        elif ordering == "amd":
-            p = amd(work)
-        elif ordering == "colamd":
-            p = colamd(work)
-        elif ordering == "rcm":
-            p = rcm(work)
-        elif ordering == "natural":
-            p = np.arange(n, dtype=np.int64)
-        elif ordering == "best":
-            # try the serious candidates and keep the one with least fill —
-            # ordering cost is small next to numeric factorisation
-            candidates = {"nd": nested_dissection(work), "amd": amd(work)}
-            fills = {
-                name: symbolic_symmetric(work.permute(q, q)).nnz_lu
-                for name, q in candidates.items()
-            }
-            p = candidates[min(fills, key=fills.get)]
-        else:
-            raise ValueError(f"unknown ordering {ordering!r}")
-        self.col_perm = p
-        self.row_perm = mc64_perm[p]
-        work = work.permute(p, p)
-        work = ensure_diagonal(work)
+        (
+            self.row_scale, self.col_scale, self.row_perm, self.col_perm,
+            self._reordered,
+        ) = reorder_and_scale(self.a, self.options.ordering, self.options.use_mc64)
         self.phase_seconds["reorder"] = time.perf_counter() - t0
-        self._reordered = work
-        return work
+        return self._reordered
 
     def symbolic_factorize(self) -> SymbolicResult:
         """Phase 2: symmetric-pruned fill pattern of the reordered matrix."""

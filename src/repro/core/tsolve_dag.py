@@ -96,15 +96,14 @@ class TSolveDAG:
 
 
 def _diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
+    """Flops of a substitution with one triangle of diagonal block ``k``:
+    a multiply-add per strict entry, plus a division per column of ``U``
+    (``L`` is unit)."""
     diag = f.block(k, k)
     assert diag is not None
-    n = diag.ncols
-    strict = 0
-    for j in range(n):
-        rows = diag.indices[diag.col_slice(j)]
-        pos = int(np.searchsorted(rows, j))
-        strict += (rows.size - pos - 1) if lower else pos
-    return 2.0 * strict + (0.0 if lower else n)
+    rows, cols = diag.rows_cols()
+    strict = np.count_nonzero(rows > cols if lower else rows < cols)
+    return 2.0 * strict + (0.0 if lower else diag.ncols)
 
 
 def build_tsolve_dag(

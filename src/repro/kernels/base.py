@@ -186,13 +186,17 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def triangle_inverse(
-    diag: CSCMatrix, *, lower: bool, dtype: np.dtype | type | None = None
+    diag: CSCMatrix, *, lower: bool, unit: bool | None = None,
+    dtype: np.dtype | type | None = None,
 ) -> np.ndarray:
     """Dense inverse of one triangle of a factored diagonal block: the
-    unit-lower ``L`` (``lower=True``) or the upper ``U`` including its
-    diagonal, in the block's value dtype unless ``dtype`` names another
-    (LAPACK ``trtri``; the solve phase inverts float32 factors in
-    float64, the precision of its right-hand sides).
+    lower ``L`` (``lower=True``) or the upper ``U``, in the block's value
+    dtype unless ``dtype`` names another (LAPACK ``trtri``; the solve
+    phase inverts float32 factors in float64, the precision of its
+    right-hand sides).  ``unit`` is ``trtri``'s own flag — the stored
+    diagonal is not the triangle's, which has ones there — and defaults
+    to ``lower``: an LU block keeps a unit ``L`` and ``U``'s diagonal; a
+    Cholesky block's ``L`` is ``lower=True, unit=False``.
 
     With it a panel solve is one GEMM — ``L⁻¹·B`` for GESSM, ``B·U⁻¹``
     for TSTRF — the ``DiagInv`` form of SuperLU_DIST.  A per-task
@@ -202,25 +206,27 @@ def triangle_inverse(
     grows with ``cond(U)`` where substitution's grows with the (usually
     far smaller) backward-stable bound.
 
-    A zero or structurally missing ``U`` diagonal raises
-    :class:`SingularBlockError` naming the column.
+    A zero or structurally missing diagonal entry of a non-unit triangle
+    raises :class:`SingularBlockError` naming the column.
     """
+    unit = lower if unit is None else unit
     d = np.zeros(diag.shape, dtype=diag.dtype if dtype is None else dtype)
     scatter_dense(diag, d)
     (trtri,) = get_lapack_funcs(("trtri",), (d,))
     # trtri on the transposed (Fortran-ordered) view avoids a copy: the
     # inverse of the transpose is the transpose of the inverse
-    inv_t, info = trtri(d.T, lower=not lower, unitdiag=lower, overwrite_c=True)
+    inv_t, info = trtri(d.T, lower=not lower, unitdiag=unit, overwrite_c=True)
     if info > 0:
-        raise SingularBlockError(f"zero/missing U diagonal at {info - 1}")
+        raise SingularBlockError(
+            f"zero/missing {'L' if lower else 'U'} diagonal at {info - 1}"
+        )
     if info < 0:  # pragma: no cover - argument error, not data
         raise ValueError(f"trtri: illegal argument {-info}")
-    inv = inv_t.T
-    if lower:  # trtri leaves the other triangle (and a unit diagonal) as found
-        inv = np.tril(inv, -1)
+    # trtri leaves the other triangle (and a unit diagonal) as found
+    inv = np.tril(inv_t.T, -1 if unit else 0) if lower else np.triu(inv_t.T)
+    if unit:
         np.fill_diagonal(inv, 1.0)
-        return inv
-    return np.triu(inv)
+    return inv
 
 
 def split_lu(diag: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:

@@ -14,7 +14,8 @@ one-lane DAG replay must agree with
 engines agree with that replay bit for bit.
 ``solve_lower_unit`` / ``solve_upper`` are the diagonal-block
 substitutions ``tests/test_numeric.py`` checks by name, ``update`` the
-off-diagonal push.  Nothing here imports a kernel from ``src/``, and
+off-diagonal push, ``diag_solve_flops`` the per-column count the solve
+DAG's vectorised diagonal-task flops must equal.  Nothing here imports a kernel from ``src/``, and
 nothing under ``src/`` imports this module.
 """
 
@@ -101,3 +102,17 @@ def block_backward(f: BlockMatrix, y: np.ndarray) -> np.ndarray:
             if bi < k:
                 update(x[f.block_slice(int(bi))], blk, x[seg])
     return x
+
+
+def diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
+    """Flops of a substitution with one triangle of diagonal block ``k``,
+    counted column by column (the loop
+    ``repro.core.tsolve_dag._diag_solve_flops`` replaced)."""
+    diag = f.block(k, k)
+    n = diag.ncols
+    strict = 0
+    for j in range(n):
+        rows = diag.indices[diag.col_slice(j)]
+        pos = int(np.searchsorted(rows, j))
+        strict += (rows.size - pos - 1) if lower else pos
+    return 2.0 * strict + (0.0 if lower else n)

@@ -24,6 +24,13 @@ class TestSolve:
         assert rc == 0
         assert "residual" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ordering", ["colamd", "best"])
+    def test_solve_takes_every_ordering_the_options_accept(self, ordering, capsys):
+        """``--ordering`` reads its choices from the solver's own table."""
+        rc = main(["solve", "ecology1", "--scale", "0.12", "--ordering", ordering])
+        assert rc == 0
+        assert "relative residual" in capsys.readouterr().out
+
     def test_solve_writes_solution(self, tmp_path, capsys):
         out_path = tmp_path / "x.txt"
         rc = main(["solve", "ecology1", "--scale", "0.12",

@@ -16,6 +16,8 @@ from repro.core import (
 from repro.runtime import A100_PLATFORM, simulate_tsolve
 from repro.sparse import generate, random_sparse
 
+from .reference_tsolve import diag_solve_flops
+
 
 @pytest.fixture(scope="module")
 def prepared():
@@ -109,6 +111,31 @@ class TestTSolveDAG:
                 (dag.kinds == int(TSolveTaskType.DIAG_B)) & (dag.k_of == k)
             )[0])
             assert bwd in dag.successors[fwd]
+
+    @pytest.mark.parametrize("name", ["audikw_1", "G3_circuit", "cage12", "ASIC_680k"])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_diag_flops_match_the_column_loop(self, name, transposed):
+        """The vectorised diagonal-task flops equal the per-column count
+        they replaced, so ``flops`` / ``total_flops`` are unchanged."""
+        s = PanguLU(generate(name, scale=0.15))
+        f = s.preprocess()
+        dag = build_tsolve_dag(f, lambda bi, bj: 0, transposed=transposed)
+        for kind, lower in ((TSolveTaskType.DIAG_F, not transposed),
+                            (TSolveTaskType.DIAG_B, transposed)):
+            tids = np.flatnonzero(dag.kinds == int(kind))
+            expect = [diag_solve_flops(f, int(k), lower=lower) for k in dag.k_of[tids]]
+            assert dag.flops[tids].tolist() == expect
+        off_diag = sum(
+            2.0 * blk.nnz
+            for bj in range(f.nb)
+            for bi, blk in zip(*f.blocks_in_column(bj))
+            if int(bi) != bj
+        )
+        diag = sum(
+            diag_solve_flops(f, k, lower=lower)
+            for k in range(f.nb) for lower in (True, False)
+        )
+        assert dag.total_flops == off_diag + diag
 
     def test_simulation_completes(self, prepared):
         for p in (1, 4, 16):
