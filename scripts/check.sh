@@ -41,7 +41,7 @@ MAX_CORE_RUNTIME_LINES=4397
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
-MAX_SRC_LINES=11160
+MAX_SRC_LINES=11133
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that

@@ -13,8 +13,9 @@ Two entry points:
 * :func:`maximum_transversal` — structural only (MC21-style augmenting
   paths): a row permutation giving a zero-free diagonal.
 * :func:`mc64` — the weighted version (maximise the product of diagonal
-  magnitudes) via successive shortest augmenting paths with node
-  potentials, returning the permutation and the scaling vectors.
+  magnitudes): Duff–Koster initial dual + greedy tight-edge matching,
+  shortest augmenting paths with node potentials for the remainder,
+  returning the permutation and the scaling vectors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
+from ..sparse.patterns import first_free_matching
 
 __all__ = ["maximum_transversal", "mc64", "MC64Result", "StructurallySingularError"]
 
@@ -39,20 +41,12 @@ def maximum_transversal(a: CSCMatrix) -> np.ndarray:
     Returns ``row_of_col`` where ``row_of_col[j]`` is the row matched to
     column ``j`` (−1 if unmatched).  When the matching is perfect,
     permuting with ``A.permute(row_of_col, None)`` yields a matrix with a
-    zero-free diagonal.
+    zero-free diagonal.  Tie-break: the cheap pass gives every column, in
+    column order, its first free row (so a full diagonal comes back as
+    the identity); augmenting paths place the columns that leaves free.
     """
     n = a.ncols
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    col_of_row = np.full(a.nrows, -1, dtype=np.int64)
-
-    # cheap assignment pass
-    for j in range(n):
-        for r in a.indices[a.col_slice(j)]:
-            r = int(r)
-            if col_of_row[r] < 0:
-                col_of_row[r] = j
-                row_of_col[j] = r
-                break
+    row_of_col, col_of_row = first_free_matching(a)  # cheap assignment pass
 
     # augmenting-path pass (BFS keeps paths short and the code iterative)
     for j0 in range(n):
@@ -123,10 +117,18 @@ def mc64(a: CSCMatrix) -> MC64Result:
     """Maximum-product bipartite matching with scaling (MC64 job 5).
 
     Minimises ``sum c_ij`` over perfect matchings, where
-    ``c_ij = log(colmax_j) − log |a_ij| ≥ 0``, using successive shortest
-    augmenting paths on reduced costs (Dijkstra with node potentials —
-    the sparse Jonker–Volgenant scheme).  Entries that are stored but
-    numerically zero are treated as absent.
+    ``c_ij = log(colmax_j) − log |a_ij| ≥ 0``.  The duals start from the
+    Duff–Koster heuristic (row minima, then column minima of the reduced
+    costs), the exactly tight edges are matched greedily, and only the
+    columns that leaves free go through successive shortest augmenting
+    paths on reduced costs (Dijkstra with node potentials — the sparse
+    Jonker–Volgenant scheme).  Entries that are stored but numerically
+    zero (or NaN) are treated as absent; ``±Inf`` is a ``ValueError``.
+
+    Where the optimal matching or its dual solution is not unique (ties,
+    no dominant entries) *an* optimal pair is returned, not a canonical
+    one: the contract is ``log_product`` at the optimum, ``|Dr A Dc| ≤ 1``
+    everywhere and ``= 1`` on the matched entries (up to rounding).
     """
     if a.nrows != a.ncols:
         raise ValueError("mc64 requires a square matrix")
@@ -134,106 +136,112 @@ def mc64(a: CSCMatrix) -> MC64Result:
     if n == 0:
         return MC64Result(np.zeros(0, np.int64), np.zeros(0), np.zeros(0), 0.0)
 
-    absval = np.abs(a.data)
-    cost = np.full(absval.shape, np.inf)
-    colmax_log = np.empty(n)
-    for j in range(n):
-        sl = a.col_slice(j)
-        vals = absval[sl]
-        nz = vals > 0
-        if not nz.any():
-            raise StructurallySingularError(f"column {j} has no nonzero entries")
-        cmax = float(vals[nz].max())
-        colmax_log[j] = np.log(cmax)
-        cost[sl][...] = np.where(nz, colmax_log[j] - np.log(np.where(nz, vals, 1.0)), np.inf)
-        # note: cost is a fresh array slice? np arrays: cost[sl] returns a view,
-        # [...] assigns in place.
+    indptr, rows = a.indptr, a.indices
+    cols = a.cols_expanded()
+    absval = np.abs(a.data).astype(np.float64, copy=False)
+    bad = np.flatnonzero(np.isinf(absval))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"mc64 needs finite values: a[{rows[k]}, {cols[k]}] = {a.data[k]}"
+        )
+    nz = absval > 0
+    dead = np.flatnonzero(np.bincount(cols[nz], minlength=n) == 0)
+    if dead.size:
+        raise StructurallySingularError(f"column {dead[0]} has no nonzero entries")
+    # every column holds an entry, so reduceat sees no empty segment
+    colmax_log = np.log(np.maximum.reduceat(np.where(nz, absval, 0.0), indptr[:-1]))
+    cost = np.where(nz, colmax_log[cols] - np.log(np.where(nz, absval, 1.0)), np.inf)
 
-    pi_row = np.zeros(n)  # node potentials (rows)
-    pi_col = np.zeros(n)  # node potentials (columns)
+    # Duff–Koster start: feasible duals with a tight edge in every column
+    # (reduced cost exactly 0.0 at each column's argmin), matched greedily.
+    # A row with no finite cost keeps potential 0 and stays unmatched.
+    pi_row = np.full(n, np.inf)
+    np.minimum.at(pi_row, rows, cost)
+    pi_row[np.isinf(pi_row)] = 0.0
+    reduced = cost - pi_row[rows]
+    pi_col = -np.minimum.reduceat(reduced, indptr[:-1])
+    tight = np.flatnonzero(reduced + pi_col[cols] <= 0.0)
+    # each row to the first column holding it tight, each column keeps one
+    won_rows, first = np.unique(rows[tight], return_index=True)
+    won_cols, keep = np.unique(cols[tight[first]], return_index=True)
     row_of_col = np.full(n, -1, dtype=np.int64)
     col_of_row = np.full(n, -1, dtype=np.int64)
+    row_of_col[won_cols] = won_rows[keep]
+    col_of_row[won_rows[keep]] = won_cols
 
-    INF = np.inf
-    for j0 in range(n):
+    unmatched: list[int] = []
+    for j0 in np.flatnonzero(row_of_col < 0).tolist():
         # Dijkstra over reduced costs from free column j0.
-        # Forward arc  j -> r  : w = c_rj + pi_col[j] - pi_row[r]  (>= 0)
+        # Forward arc  j -> r  : w = c_rj - pi_row[r] + pi_col[j]  (>= 0)
         # Matched arc  r -> j' : w = -c_rj' + pi_row[r] - pi_col[j'] = 0
-        dist_row: dict[int, float] = {}
-        dist_col: dict[int, float] = {j0: 0.0}
-        parent_col_of_row: dict[int, int] = {}
-        done_rows: set[int] = set()
+        dist_row = np.full(n, np.inf)
+        dist_col = np.full(n, np.inf)
+        dist_col[j0] = 0.0
+        parent_col_of_row = np.full(n, -1, dtype=np.int64)
+        done_rows = np.zeros(n, dtype=bool)
         heap: list[tuple[float, int]] = []
 
         def _relax_from_col(j: int, dj: float) -> None:
-            sl = a.col_slice(j)
-            rows = a.indices[sl]
-            costs = cost[sl]
-            pj = pi_col[j]
-            for pos in range(rows.size):
-                r = int(rows[pos])
-                if r in done_rows:
-                    continue
-                w = costs[pos] + pj - pi_row[r]
-                if not np.isfinite(w):
-                    continue
-                nd = dj + w
-                if nd < dist_row.get(r, INF):
-                    dist_row[r] = nd
-                    parent_col_of_row[r] = j
-                    heapq.heappush(heap, (nd, r))
+            sl = slice(indptr[j], indptr[j + 1])
+            reached = rows[sl]
+            # an absent entry's infinite cost never improves on anything
+            nd = dj + (cost[sl] - pi_row[reached] + pi_col[j])
+            better = ~done_rows[reached] & (nd < dist_row[reached])
+            reached, nd = reached[better], nd[better]
+            dist_row[reached] = nd
+            parent_col_of_row[reached] = j
+            for entry in zip(nd.tolist(), reached.tolist()):
+                heapq.heappush(heap, entry)
 
         _relax_from_col(j0, 0.0)
         end_row = -1
-        delta = INF
         while heap:
             d, r = heapq.heappop(heap)
-            if r in done_rows or d > dist_row.get(r, INF):
+            if done_rows[r] or d > dist_row[r]:
                 continue
-            done_rows.add(r)
+            done_rows[r] = True
             jm = int(col_of_row[r])
             if jm < 0:
                 end_row, delta = r, d
                 break
             # matched arc r -> jm has reduced cost 0
-            if d < dist_col.get(jm, INF):
+            if d < dist_col[jm]:
                 dist_col[jm] = d
                 _relax_from_col(jm, d)
         if end_row < 0:
-            raise StructurallySingularError(
-                "matrix is structurally singular (no perfect matching)"
-            )
+            # no free row within reach now means none later either: the
+            # matching only grows, so j0 stays out of every maximum one
+            unmatched.append(j0)
+            continue
 
         # Potential update: pi_x += min(dist_x, delta) - delta.  The -delta
         # normalisation makes the update zero for every unlabeled node
-        # (whose true distance is >= delta), so only labeled nodes need
-        # touching and feasibility is preserved globally.
-        for j, dj in dist_col.items():
-            pi_col[j] += min(dj, delta) - delta
-        for r, dr in dist_row.items():
-            pi_row[r] += min(dr, delta) - delta
+        # (distance inf here, true distance >= delta), so feasibility is
+        # preserved globally.
+        pi_col += np.minimum(dist_col, delta) - delta
+        pi_row += np.minimum(dist_row, delta) - delta
 
         # augment along parent pointers
         r = end_row
         while True:
-            j = parent_col_of_row[r]
+            j = int(parent_col_of_row[r])
             prev_r = int(row_of_col[j])
             row_of_col[j] = r
             col_of_row[r] = j
             if j == j0:
                 break
             r = prev_r
+    if unmatched:
+        raise StructurallySingularError(
+            f"matrix is structurally singular: {len(unmatched)} of {n} columns "
+            f"have no row left to match, the first is column {unmatched[0]}"
+        )
 
-    log_product = 0.0
-    for j in range(n):
-        r = int(row_of_col[j])
-        sl = a.col_slice(j)
-        rows = a.indices[sl]
-        pos = int(np.searchsorted(rows, r))
-        log_product += float(np.log(absval[sl][pos]))
+    log_product = float(np.log(absval[rows == row_of_col[cols]]).sum())
 
     # From feasibility c_ij >= pi_row[i] - pi_col[j] (equality on matched):
     # |a_ij| * e^{pi_row[i]} * e^{-pi_col[j]} / colmax_j <= 1.
     row_scale = np.exp(pi_row)
     col_scale = np.exp(-pi_col - colmax_log)
-    return MC64Result(row_of_col.copy(), row_scale, col_scale, log_product)
+    return MC64Result(row_of_col, row_scale, col_scale, log_product)

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CSCMatrix", "coo_to_csc", "VALUE_DTYPES"]
+__all__ = ["CSCMatrix", "coo_to_csc", "concat_ranges", "VALUE_DTYPES"]
 
 #: value dtypes the container stores natively; anything else is coerced
 #: to float64 (ints, python floats, float16, …)
@@ -39,6 +39,16 @@ def _as_values(values: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
     if dtype is None:
         dtype = arr.dtype if arr.dtype in VALUE_DTYPES else np.dtype(np.float64)
     return np.ascontiguousarray(arr, dtype=dtype)
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(starts[i], starts[i] + lengths[i])`` for every ``i``, back
+    to back — the index array that gathers (or scatters) many contiguous
+    stretches of one array in a single operation."""
+    # slot k of range i holds starts[i] + k − (first slot of range i)
+    out = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    out += np.arange(out.size, dtype=np.int64)
+    return out
 
 
 class CSCMatrix:
@@ -384,48 +394,30 @@ class CSCMatrix:
         """
         nrows, ncols = self.shape
         if col_perm is None:
-            col_perm = np.arange(ncols, dtype=np.int64)
-        else:
-            col_perm = np.asarray(col_perm, dtype=np.int64)
-        if row_perm is None:
-            inv_row = None
-        else:
-            row_perm = np.asarray(row_perm, dtype=np.int64)
-            inv_row = np.empty(nrows, dtype=np.int64)
-            inv_row[row_perm] = np.arange(nrows, dtype=np.int64)
-
+            col_perm = np.arange(ncols)
+        col_perm = np.asarray(col_perm, dtype=np.int64)
         counts = np.diff(self.indptr)[col_perm]
-        new_indptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_indptr[1:])
-        nnz = int(new_indptr[-1])
-        new_indices = np.empty(nnz, dtype=np.int64)
-        new_data = np.empty(nnz, dtype=self._dtype)
-        data = self.data
-        for newj in range(ncols):
-            oldj = int(col_perm[newj])
-            sl = self.col_slice(oldj)
-            rows = self.indices[sl]
-            vals = data[sl]
-            if inv_row is not None:
-                rows = inv_row[rows]
-                order = np.argsort(rows, kind="stable")
-                rows = rows[order]
-                vals = vals[order]
-            dst = slice(int(new_indptr[newj]), int(new_indptr[newj + 1]))
-            new_indices[dst] = rows
-            new_data[dst] = vals
-        return CSCMatrix(self.shape, new_indptr, new_indices, new_data, check=False)
+        indptr = np.zeros(ncols + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        src = concat_ranges(self.indptr[:-1][col_perm], counts)
+        indices, data = self.indices[src], self.data[src]
+        if row_perm is not None:
+            inv_row = np.empty(nrows, dtype=np.int64)
+            inv_row[np.asarray(row_perm, dtype=np.int64)] = np.arange(nrows)
+            indices = inv_row[indices]
+            # (column, new row) pairs are distinct: one sort on the fused
+            # key puts every column's rows back in increasing order
+            cols = np.repeat(np.arange(ncols, dtype=np.int64), counts)
+            order = np.argsort(cols * nrows + indices)
+            indices, data = indices[order], data[order]
+        return CSCMatrix(self.shape, indptr, indices, data, check=False)
 
     def diagonal(self) -> np.ndarray:
         """Extract the main diagonal as a dense vector."""
-        n = min(self.shape)
-        out = np.zeros(n, dtype=self._dtype)
-        data = self.data
-        for j in range(n):
-            rows, _ = self.indices[self.col_slice(j)], None
-            pos = np.searchsorted(rows, j)
-            if pos < rows.size and rows[pos] == j:
-                out[j] = data[int(self.indptr[j]) + int(pos)]
+        out = np.zeros(min(self.shape), dtype=self._dtype)
+        rows, cols = self.rows_cols()
+        on = rows == cols
+        out[rows[on]] = self.data[on]
         return out
 
     def scale(self, row_scale: np.ndarray | None, col_scale: np.ndarray | None) -> "CSCMatrix":

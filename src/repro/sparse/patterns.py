@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csc import CSCMatrix, coo_to_csc
+from .csc import CSCMatrix, concat_ranges, coo_to_csc
 
 __all__ = [
     "symmetrize_pattern",
@@ -15,6 +15,7 @@ __all__ = [
     "is_structurally_symmetric",
     "has_full_diagonal",
     "ensure_diagonal",
+    "first_free_matching",
     "structural_rank_lower_bound",
     "run_starts",
     "sorted_unique",
@@ -39,16 +40,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     """
     values.sort()
     return values[run_starts(values)]
-
-
-def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``arange(starts[i], starts[i] + lengths[i])`` for every ``i``, back
-    to back — the index array that gathers (or scatters) many contiguous
-    stretches of one array in a single operation."""
-    # slot k of range i holds starts[i] + k − (first slot of range i)
-    out = (starts - lengths.cumsum() + lengths).repeat(lengths)
-    out += np.arange(out.size, dtype=np.int64)
-    return out
 
 
 def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
@@ -150,15 +141,23 @@ def ensure_diagonal(a: CSCMatrix, value: float = 0.0) -> CSCMatrix:
     return coo_to_csc(a.shape, rows, cols, vals)
 
 
+def first_free_matching(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy structural matching: the columns, in order, each take their
+    first row that no earlier column took.  Returns ``(row_of_col,
+    col_of_row)``, ``-1`` where unmatched.
+
+    The scan is sequential on purpose: with a full diagonal the columns
+    before ``j`` hold exactly the rows before ``j``, so the result is the
+    identity — a property no order-free (array) greedy shares.
+    """
+    row_of_col = [-1] * a.ncols
+    col_of_row = [-1] * a.nrows
+    for r, j in zip(a.indices.tolist(), a.cols_expanded().tolist()):
+        if row_of_col[j] < 0 and col_of_row[r] < 0:
+            row_of_col[j], col_of_row[r] = r, j
+    return np.array(row_of_col, dtype=np.int64), np.array(col_of_row, dtype=np.int64)
+
+
 def structural_rank_lower_bound(a: CSCMatrix) -> int:
     """Greedy matching size — a fast lower bound on the structural rank."""
-    matched_rows = np.full(a.nrows, False)
-    count = 0
-    for j in range(a.ncols):
-        rows = a.indices[a.col_slice(j)]
-        for r in rows:
-            if not matched_rows[r]:
-                matched_rows[r] = True
-                count += 1
-                break
-    return count
+    return int(np.count_nonzero(first_free_matching(a)[0] >= 0))

@@ -2,9 +2,10 @@
 
 These are the interpreter-loop implementations the array algorithms in
 ``repro.sparse``, ``repro.symbolic``, ``repro.ordering`` and
-``repro.core.blocking`` replaced: per-entry row-subtree walks for the
-symbolic fill, per-neighbour breadth-first search over adjacency lists,
-and the per-column chunk loop of the block partition.  They are slow and
+``repro.core.blocking`` replaced: the per-column ``permute`` / ``diagonal``
+of the CSC container, per-entry row-subtree walks for the symbolic fill,
+per-neighbour breadth-first search over adjacency lists, and the
+per-column chunk loop of the block partition.  They are slow and
 obviously right; ``tests/test_reference_analysis.py`` asserts the
 production code reproduces them bit for bit.  Nothing under ``src/``
 imports this module.
@@ -53,6 +54,42 @@ def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
         np.concatenate([cols, rows]),
         np.concatenate([a.data, np.zeros(a.nnz)]),
     )
+
+
+def permute(a: CSCMatrix, row_perm, col_perm) -> CSCMatrix:
+    """``A[row_perm, :][:, col_perm]``, one column (and one ``argsort``)
+    at a time."""
+    nrows, ncols = a.shape
+    col_perm = np.arange(ncols) if col_perm is None else np.asarray(col_perm)
+    inv_row = None
+    if row_perm is not None:
+        inv_row = np.empty(nrows, dtype=np.int64)
+        inv_row[np.asarray(row_perm)] = np.arange(nrows)
+    indptr = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.diff(a.indptr)[col_perm], out=indptr[1:])
+    indices = np.empty(a.nnz, dtype=np.int64)
+    data = np.empty(a.nnz, dtype=a.dtype)
+    for newj in range(ncols):
+        rows, vals = a.col(int(col_perm[newj]))
+        if inv_row is not None:
+            rows = inv_row[rows]
+            order = np.argsort(rows, kind="stable")
+            rows, vals = rows[order], vals[order]
+        dst = slice(indptr[newj], indptr[newj + 1])
+        indices[dst] = rows
+        data[dst] = vals
+    return CSCMatrix(a.shape, indptr, indices, data, check=False)
+
+
+def diagonal(a: CSCMatrix) -> np.ndarray:
+    """Main diagonal, one ``searchsorted`` per column."""
+    out = np.zeros(min(a.shape), dtype=a.dtype)
+    for j in range(out.size):
+        rows, vals = a.col(j)
+        pos = np.searchsorted(rows, j)
+        if pos < rows.size and rows[pos] == j:
+            out[j] = vals[pos]
+    return out
 
 
 def missing_diagonal(a: CSCMatrix) -> list[int]:

@@ -214,6 +214,8 @@ def test_permute_property(d, seed):
     out = m.permute(p, q)
     out._validate()
     np.testing.assert_array_equal(out.to_dense(), d[np.ix_(p, q)])
+    # the inverse permutations undo it exactly
+    assert out.permute(np.argsort(p), np.argsort(q)) == m
 
 
 @settings(max_examples=40, deadline=None)

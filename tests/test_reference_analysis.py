@@ -187,6 +187,26 @@ def test_coo_assembly_sums_duplicates_in_input_order(seed, dtype):
                        ref.coo_to_csc(shape, rows, cols, vals))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("which", ["rows", "cols", "both", "neither"])
+@pytest.mark.parametrize("shape", [(37, 53), (53, 37), (40, 40), (1, 9), (9, 1)])
+def test_permute_and_diagonal(shape, which, dtype):
+    rng = np.random.default_rng(sum(shape))
+    d = rng.standard_normal(shape).astype(dtype)
+    d[rng.random(shape) > 0.15] = 0.0
+    d[:, ::5] = 0.0  # empty columns
+    a = CSCMatrix.from_dense(d)
+    p = rng.permutation(shape[0]) if which in ("rows", "both") else None
+    q = rng.permutation(shape[1]) if which in ("cols", "both") else None
+    got = a.permute(p, q)
+    assert_same_matrix(got, ref.permute(a, p, q))
+    assert not np.shares_memory(got.indices, a.indices)
+    for m in (a, got):
+        diag = m.diagonal()
+        assert diag.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(diag, ref.diagonal(m))
+
+
 def test_nonsymmetric_random_patterns():
     for seed in range(6):
         a = random_sparse(90, 0.04, seed=seed)
