@@ -92,8 +92,6 @@ def modelled_ssssm_flops(bm, dag, stats) -> tuple[float, float]:
 def run_once(am, compress_tol: float) -> dict:
     filled = symbolic_symmetric(am).filled
     bm = block_partition(filled, BLOCK, arena=True)
-    if compress_tol > 0.0:
-        bm.enable_lr_overlay()
     dag = build_dag(bm)
     opts = NumericOptions(
         compress_tol=compress_tol, compress_min_order=MIN_ORDER

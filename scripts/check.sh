@@ -37,11 +37,11 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
     fi
 }
 # ROADMAP: net negative in core/ + runtime/ is a success metric
-MAX_CORE_RUNTIME_LINES=4397
+MAX_CORE_RUNTIME_LINES=4231
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
-MAX_SRC_LINES=11133
+MAX_SRC_LINES=10937
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that

@@ -84,9 +84,9 @@ def _dependency_levels(m: SupernodalMatrix) -> np.ndarray:
     """
     ns = m.ns
     level = np.zeros(ns, dtype=np.int64)
+    below, right = m.step_blocks
     for k in range(ns):
-        row_blocks = [i for i in range(k + 1, ns) if (i, k) in m.dense]
-        col_blocks = [j for j in range(k + 1, ns) if (k, j) in m.dense]
+        row_blocks, col_blocks = below[k], right[k]
         for i in row_blocks:
             level[i] = max(level[i], level[k] + 1)
         for j in col_blocks:
@@ -103,6 +103,7 @@ def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG
     """Construct the supernodal task DAG with dense costs."""
     ns = m.ns
     sn_level = _dependency_levels(m)
+    below, right = m.step_blocks
 
     kinds: list[int] = []
     k_of: list[int] = []
@@ -131,8 +132,7 @@ def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG
     for k in range(ns):
         w = m.width(k)
         panel_of_block[(k, k)] = add(_FACT, k, k, k, (2.0 / 3.0) * w**3, 0.0)
-        row_blocks = [i for i in range(k + 1, ns) if (i, k) in m.dense]
-        col_blocks = [j for j in range(k + 1, ns) if (k, j) in m.dense]
+        row_blocks, col_blocks = below[k], right[k]
         for i in row_blocks:
             blk = m.dense[(i, k)]
             panel_of_block[(i, k)] = add(

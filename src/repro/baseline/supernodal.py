@@ -9,9 +9,11 @@ honestly over the supernode partition of the exact fill:
 * every structurally nonzero block is stored **dense** — including all
   padding zeros (this is the storage Fig. 1d depicts);
 * numeric factorisation is the same right-looking block algorithm as
-  PanguLU's, but with dense kernels: LAPACK-style dense LU on diagonal
-  blocks, dense triangular solves on panels, and dense GEMM for Schur
-  updates (wasting multiply-adds on every padding zero);
+  PanguLU's, but with dense kernels on the same BLAS primitives
+  (:mod:`repro.kernels.base`): dense LU on diagonal blocks, panels
+  multiplied by the diagonal block's triangle inverses (``DiagInv``),
+  and dense GEMM for Schur updates (wasting multiply-adds on every
+  padding zero);
 * per-GEMM statistics (operand densities, shapes, moved bytes) are
   recorded — they feed the Fig. 4 density histograms and the baseline's
   simulated task costs.
@@ -23,11 +25,12 @@ pattern), which the tests verify.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels.base import SingularBlockError
+from ..kernels.base import dense_getrf, dense_triangle_inverse, serial_matmul
 from ..sparse.csc import CSCMatrix
 from .supernodes import SupernodePartition
 
@@ -61,7 +64,7 @@ class SupernodalStats:
 
     ``seconds_panel`` / ``seconds_schur`` are real wall-clock splits of
     the panel factorisation vs. Schur-complement work — the comparison of
-    Table 4.
+    Table 4.  ``pivots_replaced`` counts static-pivot replacements.
     """
 
     gemms: list[GEMMRecord] = field(default_factory=list)
@@ -70,6 +73,7 @@ class SupernodalStats:
     moved_bytes: float = 0.0
     seconds_panel: float = 0.0
     seconds_schur: float = 0.0
+    pivots_replaced: int = 0
 
 
 @dataclass
@@ -77,13 +81,30 @@ class SupernodalMatrix:
     """Uneven dense-block matrix cut at supernode boundaries.
 
     ``dense[(i, j)]`` holds the dense payload of block ``(i, j)``;
-    ``pattern_nnz[(i, j)]`` its structural (unpadded) nonzero count.
+    ``pattern_nnz[(i, j)]`` its structural (unpadded) nonzero count;
+    ``diag_inv[k]`` the ``(L⁻¹, U⁻¹)`` pair of factored diagonal block
+    ``k`` (filled by :func:`sn_factorize`, read by the solve).
     """
 
     n: int
     boundaries: np.ndarray
     dense: dict[tuple[int, int], np.ndarray]
     pattern_nnz: dict[tuple[int, int], int]
+    diag_inv: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    @functools.cached_property
+    def step_blocks(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per elimination step ``k``, ascending: the block rows ``i > k``
+        with ``(i, k)`` stored and the block columns ``j > k`` with
+        ``(k, j)`` stored."""
+        below: list[list[int]] = [[] for _ in range(self.ns)]
+        right: list[list[int]] = [[] for _ in range(self.ns)]
+        for i, j in sorted(self.dense):
+            if i > j:
+                below[j].append(i)
+            elif i < j:
+                right[i].append(j)
+        return below, right
 
     @property
     def ns(self) -> int:
@@ -145,75 +166,53 @@ def sn_partition(filled: CSCMatrix, part: SupernodePartition) -> SupernodalMatri
     return SupernodalMatrix(n=n, boundaries=b.copy(), dense=dense, pattern_nnz=nnz)
 
 
-def _dense_getrf(d: np.ndarray, pivot_floor: float) -> None:
-    """In-place dense LU without pivoting (static pivoting upstream)."""
-    n = d.shape[0]
-    scale = float(np.abs(d).max()) or 1.0
-    for k in range(n):
-        piv = d[k, k]
-        if piv == 0.0 or abs(piv) < pivot_floor * scale:
-            if pivot_floor <= 0.0:
-                raise SingularBlockError("zero pivot in supernodal GETRF")
-            piv = pivot_floor * scale if piv >= 0 else -pivot_floor * scale
-            d[k, k] = piv
-        if k + 1 < n:
-            d[k + 1 :, k] /= piv
-            d[k + 1 :, k + 1 :] -= np.outer(d[k + 1 :, k], d[k, k + 1 :])
-
-
-def _trsm_right_upper(u: np.ndarray, b: np.ndarray) -> None:
-    """``B ← B · U⁻¹`` in place (dense, column sweep)."""
-    n = u.shape[0]
-    for c in range(n):
-        if c:
-            b[:, c] -= b[:, :c] @ u[:c, c]
-        b[:, c] /= u[c, c]
-
-
-def _trsm_left_lower_unit(l: np.ndarray, b: np.ndarray) -> None:
-    """``B ← L⁻¹ · B`` in place with unit-lower ``L`` (dense, row sweep)."""
-    n = l.shape[0]
-    for r in range(n):
-        if r:
-            b[r, :] -= l[r, :r] @ b[:r, :]
-
-
 def sn_factorize(
     m: SupernodalMatrix, *, pivot_floor: float = 1e-12
 ) -> SupernodalStats:
-    """Right-looking supernodal factorisation in place, with accounting."""
+    """Right-looking supernodal factorisation in place, with accounting.
+
+    Per supernode: the diagonal panel's LU (:func:`dense_getrf`, the loop
+    of PanguLU's ``getrf_c_v1``), its two triangle inverses (kept in
+    ``m.diag_inv`` for the solve), every panel below and to the right as
+    one product with an inverse — SuperLU_DIST's ``DiagInv`` — and one
+    GEMM per Schur update, all on the calling thread
+    (:func:`serial_matmul`) like the solver it is compared with.
+    """
     import time
 
     stats = SupernodalStats()
-    ns = m.ns
-    for k in range(ns):
+    below, right = m.step_blocks
+    for k in range(m.ns):
         diag = m.block(k, k)
         if diag is None:
             raise ValueError(f"empty diagonal supernode block ({k},{k})")
         w = m.width(k)
         t0 = time.perf_counter()
-        _dense_getrf(diag, pivot_floor)
+        stats.pivots_replaced += dense_getrf(
+            diag, pivot_floor, float(np.abs(diag).max()) or 1.0
+        )
         stats.panel_flops += (2.0 / 3.0) * w**3
-        row_blocks = [i for i in range(k + 1, ns) if (i, k) in m.dense]
-        col_blocks = [j for j in range(k + 1, ns) if (k, j) in m.dense]
-        for i in row_blocks:
+        linv = dense_triangle_inverse(diag.copy(), lower=True, unit=True)
+        uinv = dense_triangle_inverse(diag.copy(), lower=False, unit=False)
+        m.diag_inv[k] = (linv, uinv)
+        for i in below[k]:
             blk = m.dense[(i, k)]
-            _trsm_right_upper(diag, blk)
+            blk[...] = serial_matmul(blk, uinv)
             stats.panel_flops += float(blk.shape[0]) * w * w
-        for j in col_blocks:
+        for j in right[k]:
             blk = m.dense[(k, j)]
-            _trsm_left_lower_unit(diag, blk)
+            blk[...] = serial_matmul(linv, blk)
             stats.panel_flops += float(blk.shape[1]) * w * w
         stats.seconds_panel += time.perf_counter() - t0
         t0 = time.perf_counter()
-        for i in row_blocks:
+        for i in below[k]:
             a = m.dense[(i, k)]
-            for j in col_blocks:
+            for j in right[k]:
                 bb = m.dense[(k, j)]
                 c = m.dense.get((i, j))
                 if c is None:
                     continue  # structurally empty target: product is zero
-                c -= a @ bb
+                c -= serial_matmul(a, bb)
                 rec = GEMMRecord(
                     m=a.shape[0],
                     n=bb.shape[1],

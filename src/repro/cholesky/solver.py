@@ -50,7 +50,7 @@ class LLtJob(FactorJob):
     handed ``L(k,k)⁻ᵀ`` and the images of ``L(i,k)`` / ``L(j,k)ᵀ``."""
 
     def __init__(self, f: BlockMatrix, dag: TaskDAG) -> None:
-        super().__init__(f, dag, NumericOptions(), f.num_blocks)
+        super().__init__(f, dag, NumericOptions())
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str]:
         f, task, panels = self.f, self.tasks[tid], self.panels

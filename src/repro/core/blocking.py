@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sparse.blockrep import CompressedBlock, lr_profit_cap
+from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import concat_ranges, run_starts
 
@@ -195,15 +195,6 @@ class FactorArena:
         makes :meth:`refill` — and therefore refactorisation — a single
         in-place overwrite of the value slab with zero new block
         allocations.
-    lr_data, lr_off, lr_rank:
-        Optional low-rank slab (``None`` until :meth:`alloc_lr`): slot
-        ``s`` may hold compressed ``U``/``V`` factors in
-        ``lr_data[lr_off[s]:lr_off[s+1]]`` with the retained rank in
-        ``lr_rank[s]`` (−1 = uncompressed).  Capacities are sized from
-        the profitable-rank cap ``(nnz − 1) // (m + n)``, which bounds
-        the whole slab at strictly less than the ``data`` slab — so the
-        compressed overlay never doubles the arena, and ``refactorize``
-        re-compresses into the same storage without allocating.
     """
 
     indptr: np.ndarray
@@ -212,57 +203,14 @@ class FactorArena:
     ptr_off: np.ndarray
     val_off: np.ndarray
     gather: np.ndarray
-    lr_data: np.ndarray | None = field(default=None, repr=False)
-    lr_off: np.ndarray | None = field(default=None, repr=False)
-    lr_rank: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def nbytes(self) -> int:
         """Total slab + offset-table bytes (``gather`` included)."""
-        total = (
+        return (
             self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
             + self.ptr_off.nbytes + self.val_off.nbytes + self.gather.nbytes
         )
-        if self.lr_data is not None:
-            total += self.lr_data.nbytes + self.lr_off.nbytes + self.lr_rank.nbytes
-        return total
-
-    @property
-    def has_lr(self) -> bool:
-        """True once :meth:`alloc_lr` has laid out the low-rank slab."""
-        return self.lr_data is not None
-
-    def alloc_lr(self, caps: np.ndarray) -> None:
-        """Lay out the low-rank slab from per-slot entry capacities
-        (``caps[s]`` = largest ``rank · (m + n)`` worth storing for slot
-        ``s``; 0 disables compression for that slot)."""
-        num_blocks = self.ptr_off.size - 1
-        caps = np.asarray(caps, dtype=np.int64)
-        if caps.size != num_blocks:
-            raise ValueError("one capacity per storage slot required")
-        lr_off = np.zeros(num_blocks + 1, dtype=np.int64)
-        np.cumsum(caps, out=lr_off[1:])
-        self.lr_off = lr_off
-        self.lr_data = np.zeros(int(lr_off[-1]), dtype=self.data.dtype)
-        self.lr_rank = np.full(num_blocks, -1, dtype=np.int64)
-
-    def lr_capacity(self, slot: int) -> int:
-        """Entry capacity of slot ``slot``'s low-rank storage (0 when the
-        slab is unallocated or the slot was sized out)."""
-        if self.lr_off is None:
-            return 0
-        return int(self.lr_off[slot + 1] - self.lr_off[slot])
-
-    def lr_views(
-        self, slot: int, shape: tuple[int, int], rank: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(u, v)`` views over slot ``slot``'s low-rank
-        storage for the given shape and rank."""
-        m, n = shape
-        base = int(self.lr_off[slot])
-        u = self.lr_data[base : base + m * rank].reshape(m, rank)
-        v = self.lr_data[base + m * rank : base + (m + n) * rank].reshape(n, rank)
-        return u, v
 
     def slot_view(self, slot: int, shape: tuple[int, int]) -> CSCMatrix:
         """Zero-copy :class:`CSCMatrix` over storage slot ``slot``."""
@@ -289,10 +237,6 @@ class FactorArena:
             # assignment, which casts (float64 fill → float32 slab) on
             # the mixed-precision path
             self.data[...] = filled_data[self.gather]
-        if self.lr_rank is not None:
-            # stale low-rank factors describe the *old* values; the next
-            # factorization re-compresses into the same slab
-            self.lr_rank[:] = -1
 
 
 @dataclass
@@ -320,11 +264,9 @@ class BlockMatrix:
         rows ``blk_rowidx[blk_colptr[bj]:blk_colptr[bj+1]]`` (sorted).
     blk_values:
         Per-block payloads aligned with ``blk_rowidx``; each is a
-        :class:`CSCMatrix` with *local* indices.
-    col_support, row_support:
-        Per-block boolean arrays over local columns/rows marking which are
-        structurally nonzero — used to decide whether a Schur product
-        between two blocks is structurally empty.
+        :class:`CSCMatrix` with *local* indices — or ``None`` on a
+        rank's :meth:`restricted` copy, for a stored block the rank
+        neither owns nor has received.
     plan_cache:
         Lazily-created :class:`repro.kernels.plans.PlanCache` of
         fixed-pattern execution plans for this structure (managed by
@@ -350,7 +292,12 @@ class BlockMatrix:
         never consults it.  The CSC payload stays authoritative (the
         triangular solves and the to_csc reassembly read it unchanged);
         SSSSM consumers prefer the overlay via
-        :meth:`compressed_block`.
+        :meth:`compressed_block`.  Every overlay owns its ``u``/``v``
+        arrays.
+    owned:
+        ``None`` on the full matrix; on a :meth:`restricted` copy the
+        storage slots the rank owns (what :meth:`compression_stats`
+        counts, and what unpickling re-attaches).
     """
 
     n: int
@@ -358,14 +305,13 @@ class BlockMatrix:
     nb: int
     blk_colptr: np.ndarray
     blk_rowidx: np.ndarray
-    blk_values: list[CSCMatrix]
-    col_support: list[np.ndarray] = field(default_factory=list)
-    row_support: list[np.ndarray] = field(default_factory=list)
+    blk_values: list[CSCMatrix | None]
     plan_cache: object | None = field(default=None, repr=False)
     arena: FactorArena | None = field(default=None, repr=False)
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
     boundaries: np.ndarray | None = field(default=None, repr=False)
     lr_overlay: dict = field(default_factory=dict, repr=False)
+    owned: frozenset | None = field(default=None, repr=False)
     _index: dict | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -406,36 +352,26 @@ class BlockMatrix:
     # ------------------------------------------------------------------
     def _attach_arena_views(self) -> None:
         """(Re)create ``blk_values`` as zero-copy views into the arena
-        slabs (and the per-block support masks from those views), and
-        rebuild the low-rank overlay from the slab's per-slot ranks."""
+        slabs (on a rank's copy: of the slots it owns)."""
         arena = self.arena
         assert arena is not None
-        values: list[CSCMatrix] = []
-        overlay: dict[tuple[int, int], CompressedBlock] = {}
+        values: list[CSCMatrix | None] = []
         for bj in range(self.nb):
             for slot in range(int(self.blk_colptr[bj]), int(self.blk_colptr[bj + 1])):
                 bi = int(self.blk_rowidx[slot])
                 shape = (self.block_order(bi), self.block_order(bj))
-                values.append(arena.slot_view(slot, shape))
-                if arena.lr_rank is not None and arena.lr_rank[slot] >= 0:
-                    rank = int(arena.lr_rank[slot])
-                    u, v = arena.lr_views(slot, shape, rank)
-                    src_nnz = int(arena.val_off[slot + 1] - arena.val_off[slot])
-                    overlay[(bi, bj)] = CompressedBlock(
-                        shape=shape, u=u, v=v, src_nnz=src_nnz
-                    )
+                held = self.owned is None or slot in self.owned
+                values.append(arena.slot_view(slot, shape) if held else None)
         self.blk_values = values
-        self.col_support, self.row_support = _supports(values)
-        self.lr_overlay = overlay
 
     def __getstate__(self) -> dict:
         """Serialise without the unpicklable/rebuildable parts.
 
         The plan cache (holds a lock, rebuilt lazily) and the slot index
-        are always dropped.  With an arena, the per-block views and
-        support masks are dropped too — the three slabs are the single
-        source of truth, so pickling ships three contiguous buffers
-        instead of thousands of small per-block arrays.
+        are always dropped.  With an arena, the per-block views are
+        dropped too — the three slabs are the single source of truth, so
+        pickling ships three contiguous buffers instead of thousands of
+        small per-block arrays.
         """
         state = {
             f.name: getattr(self, f.name) for f in dataclasses.fields(self)
@@ -444,11 +380,6 @@ class BlockMatrix:
         state["_index"] = None
         if self.arena is not None:
             state["blk_values"] = None
-            state["col_support"] = None
-            state["row_support"] = None
-            # the overlay is views into the lr slab; rebuilt from
-            # arena.lr_rank on unpickle
-            state["lr_overlay"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -475,9 +406,49 @@ class BlockMatrix:
         return self._index.get((bi, bj), -1)
 
     def block(self, bi: int, bj: int) -> CSCMatrix | None:
-        """The block at block coordinates ``(bi, bj)``, or None if empty."""
+        """The block at block coordinates ``(bi, bj)``, or None if empty.
+        On a rank's :meth:`restricted` copy a stored block the rank does
+        not hold is a protocol bug and raises."""
         slot = self.block_slot(bi, bj)
-        return None if slot < 0 else self.blk_values[slot]
+        if slot < 0:
+            return None
+        blk = self.blk_values[slot]
+        if blk is None:
+            raise RuntimeError(
+                f"worker touched block ({bi},{bj}) it neither owns nor received"
+            )
+        return blk
+
+    # ------------------------------------------------------------------
+    # a rank's share
+    # ------------------------------------------------------------------
+    def restricted(self, owned_slots) -> BlockMatrix:
+        """A distributed rank's share of this matrix: a shallow copy on
+        the same layer-1 arrays, boundaries and arena that holds only
+        the blocks in ``owned_slots`` (the same block objects — under a
+        process transport the copy is the rank's own), with its own
+        empty overlay and no plan cache (plans are rank-local)."""
+        owned = frozenset(int(s) for s in owned_slots)
+        return dataclasses.replace(
+            self,
+            blk_values=[
+                blk if slot in owned else None
+                for slot, blk in enumerate(self.blk_values)
+            ],
+            plan_cache=None, lr_overlay={}, owned=owned,
+        )
+
+    def install(
+        self, bi: int, bj: int, indptr: np.ndarray, indices: np.ndarray,
+        data: np.ndarray,
+    ) -> CSCMatrix:
+        """Put a received block into its slot, wrapping the arrays as
+        they are (zero-copy)."""
+        blk = CSCMatrix.from_views(
+            (self.block_order(bi), self.block_order(bj)), indptr, indices, data
+        )
+        self.blk_values[self.block_slot(bi, bj)] = blk
+        return blk
 
     # ------------------------------------------------------------------
     # low-rank overlay
@@ -488,54 +459,14 @@ class BlockMatrix:
         disabled)."""
         return self.lr_overlay.get((bi, bj))
 
-    def enable_lr_overlay(self) -> None:
-        """Size the arena's low-rank slab so compressed factors can be
-        stored (and re-stored across ``refactorize``) without
-        allocating.  Diagonal blocks are sized out — GETRF targets are
-        never compressed.  No-op for the legacy layout or when already
-        allocated."""
-        arena = self.arena
-        if arena is None or arena.has_lr:
-            return
-        caps = np.zeros(self.num_blocks, dtype=np.int64)
-        for bj in range(self.nb):
-            for slot in range(int(self.blk_colptr[bj]), int(self.blk_colptr[bj + 1])):
-                bi = int(self.blk_rowidx[slot])
-                if bi == bj:
-                    continue
-                m, n = self.block_order(bi), self.block_order(bj)
-                nnz = int(arena.val_off[slot + 1] - arena.val_off[slot])
-                caps[slot] = lr_profit_cap(m, n, nnz) * (m + n)
-        arena.alloc_lr(caps)
-
     def set_compressed(
         self, bi: int, bj: int, u: np.ndarray, v: np.ndarray, *, src_nnz: int
     ) -> CompressedBlock:
-        """Install a low-rank overlay for block ``(bi, bj)``.
-
-        When the arena's low-rank slab has capacity for this rank, the
-        factors are copied into zero-copy slab views (so refactorize
-        re-compresses alloc-free and pickling ships one buffer);
-        otherwise the overlay owns the arrays.  The exact CSC payload is
-        untouched either way.
-        """
-        m, n = int(u.shape[0]), int(v.shape[0])
-        rank = int(u.shape[1])
-        slot = self.block_slot(bi, bj)
-        arena = self.arena
-        if (
-            arena is not None
-            and arena.has_lr
-            and slot >= 0
-            and rank * (m + n) <= arena.lr_capacity(slot)
-        ):
-            uv, vv = arena.lr_views(slot, (m, n), rank)
-            uv[...] = u
-            vv[...] = v
-            arena.lr_rank[slot] = rank
-            cb = CompressedBlock(shape=(m, n), u=uv, v=vv, src_nnz=int(src_nnz))
-        else:
-            cb = CompressedBlock(shape=(m, n), u=u, v=v, src_nnz=int(src_nnz))
+        """Install a low-rank overlay ``u @ v.T`` for block ``(bi, bj)``;
+        the exact CSC payload is untouched."""
+        cb = CompressedBlock(
+            shape=(int(u.shape[0]), int(v.shape[0])), u=u, v=v, src_nnz=int(src_nnz)
+        )
         self.lr_overlay[(bi, bj)] = cb
         return cb
 
@@ -543,24 +474,20 @@ class BlockMatrix:
         """Drop every low-rank overlay (the refinement escalation path:
         back to exact CSC blocks everywhere)."""
         self.lr_overlay.clear()
-        if self.arena is not None and self.arena.lr_rank is not None:
-            self.arena.lr_rank[:] = -1
 
     def compression_stats(self) -> dict[str, int]:
         """Counters for stats/benches: how many blocks carry an overlay,
         the low-rank payload bytes, and the exact value bytes those
-        blocks would cost uncompressed."""
-        lr_bytes = 0
-        csc_bytes = 0
-        for (bi, bj), cb in self.lr_overlay.items():
-            lr_bytes += cb.value_nbytes
-            blk = self.block(bi, bj)
-            if blk is not None:
-                csc_bytes += blk.value_nbytes
+        blocks would cost uncompressed.  A rank counts the overlays of
+        the blocks it owns (a received copy is its owner's work)."""
+        mine = [
+            (cb, self.block(bi, bj)) for (bi, bj), cb in self.lr_overlay.items()
+            if self.owned is None or self.block_slot(bi, bj) in self.owned
+        ]
         return {
-            "blocks_compressed": len(self.lr_overlay),
-            "lr_value_bytes": int(lr_bytes),
-            "compressed_csc_bytes": int(csc_bytes),
+            "blocks_compressed": len(mine),
+            "lr_value_bytes": sum(cb.value_nbytes for cb, _ in mine),
+            "compressed_csc_bytes": sum(blk.value_nbytes for _, blk in mine),
         }
 
     def blocks_in_column(self, bj: int) -> tuple[np.ndarray, list[CSCMatrix]]:
@@ -614,18 +541,6 @@ class BlockMatrix:
             "density_mean": float(dens.mean()) if dens.size else 0.0,
             "grid": self.nb,
         }
-
-
-def _supports(blocks: list[CSCMatrix]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-block column/row structural-support masks."""
-    col_support = []
-    row_support = []
-    for blk in blocks:
-        col_support.append(np.diff(blk.indptr) > 0)
-        rs = np.zeros(blk.nrows, dtype=bool)
-        rs[blk.indices] = True
-        row_support.append(rs)
-    return col_support, row_support
 
 
 def _validate_boundaries(n: int, boundaries: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ Section 4.4).  For elimination step ``k``:
 * ``GESSM(k, j)``   turns block ``(k, j)``, ``j > k``, into ``U``;
 * ``SSSSM(k, i, j)`` applies ``C(i,j) −= L(i,k) · U(k,j)``.
 
-An SSSSM node exists only when the structural product is nonempty (the
-column support of ``L(i,k)`` intersects the row support of ``U(k,j)``);
-fill closure then guarantees the target block exists.
+An SSSSM node exists only when the structural product is nonempty (some
+column of ``L(i,k)`` meets a nonempty row of ``U(k,j)`` — its flop count
+is positive); fill closure then guarantees the target block exists.
 
 Dependencies:
 
@@ -33,10 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..kernels.flops import (
-    diag_counts,
+    DiagCounts,
     gessm_flops_from_counts,
     tstrf_flops_from_counts,
 )
+from ..runtime.scheduler import ready_entry
 from .blocking import BlockMatrix
 
 __all__ = ["TaskType", "Task", "TaskDAG", "build_dag", "sync_free_array"]
@@ -88,6 +89,11 @@ class TaskDAG:
         GESSM / TSTRF).
     total_flops:
         Sum of all task FLOP counts — the paper's Table 3 "PanguLU FLOPs".
+
+    ``entries`` / ``successors`` / ``n_deps`` are the per-task views
+    :meth:`SchedulerCore.from_dag <repro.runtime.scheduler.SchedulerCore.from_dag>`
+    and :func:`~repro.core.verify.verify_dag` read — the attributes a
+    :class:`~repro.core.tsolve_dag.TSolveDAG` stores flat.
     """
 
     tasks: list[Task]
@@ -97,6 +103,16 @@ class TaskDAG:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    @property
+    def entries(self) -> list[tuple[int, int, int]]:
+        """Ready-heap entry of every task (:func:`ready_entry`)."""
+        return [ready_entry(t, t.tid) for t in self.tasks]
+
+    @property
+    def successors(self) -> list[list[int]]:
+        """Successor tids of every task."""
+        return [t.successors for t in self.tasks]
+
     def roots(self) -> list[int]:
         """Tasks with no dependencies (initially runnable)."""
         return [t.tid for t in self.tasks if t.n_deps == 0]
@@ -104,6 +120,8 @@ class TaskDAG:
     def dep_counts(self) -> np.ndarray:
         """Fresh copy of the per-task dependency counters."""
         return np.asarray([t.n_deps for t in self.tasks], dtype=np.int64)
+
+    n_deps = property(dep_counts)
 
     def critical_path_flops(self) -> int:
         """FLOP weight of the longest dependency chain — a lower bound on
@@ -158,12 +176,8 @@ def build_dag(f: BlockMatrix) -> TaskDAG:
                 f"diagonal block ({k},{k}) is structurally empty — "
                 "the input needs a zero-free diagonal (run MC64 first)"
             )
-        counts = diag_counts(diag)
-        getrf_fl = int(
-            np.sum(counts.lower_col)
-            + 2 * np.dot(counts.lower_col, counts.upper_row)
-        )
-        panel_of_block[(k, k)] = add(TaskType.GETRF, k, k, k, getrf_fl)
+        counts = DiagCounts(diag)
+        panel_of_block[(k, k)] = add(TaskType.GETRF, k, k, k, counts.getrf_flops())
         # per-U-block row-nnz vectors, reused by every SSSSM of this step
         u_rownnz: dict[int, np.ndarray] = {}
         for j in urow[k]:
@@ -172,9 +186,7 @@ def build_dag(f: BlockMatrix) -> TaskDAG:
             panel_of_block[(k, j)] = add(
                 TaskType.GESSM, k, k, j, gessm_flops_from_counts(counts, b)
             )
-            rn = np.zeros(b.nrows, dtype=np.int64)
-            np.add.at(rn, b.indices, 1)
-            u_rownnz[j] = rn
+            u_rownnz[j] = np.bincount(b.indices, minlength=b.nrows)
         l_colnnz: dict[int, np.ndarray] = {}
         for i in lcol[k]:
             b = f.block(i, k)
@@ -185,21 +197,12 @@ def build_dag(f: BlockMatrix) -> TaskDAG:
             l_colnnz[i] = np.diff(b.indptr)
         # Schur updates from step k
         for i in lcol[k]:
-            slot_l = f.block_slot(i, k)
-            csup = f.col_support[slot_l]
             cn = l_colnnz[i]
             for j in urow[k]:
-                slot_u = f.block_slot(k, j)
-                rsup = f.row_support[slot_u]
-                if not bool(np.any(csup & rsup)):
+                flops = int(2 * np.dot(cn, u_rownnz[j]))
+                if flops == 0:
                     continue  # structurally empty product
-                tid = add(
-                    TaskType.SSSSM,
-                    k,
-                    i,
-                    j,
-                    int(2 * np.dot(cn, u_rownnz[j])),
-                )
+                tid = add(TaskType.SSSSM, k, i, j, flops)
                 ssssm_into.setdefault((i, j), []).append(tid)
 
     # ---- wire dependencies ------------------------------------------------

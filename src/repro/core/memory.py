@@ -157,7 +157,7 @@ def memory_report(f: BlockMatrix, run=None) -> MemoryReport:
     plans = f.plan_cache
     lr_bytes = 0
     comp_csc = 0
-    for (bi, bj), cb in (getattr(f, "lr_overlay", None) or {}).items():
+    for (bi, bj), cb in f.lr_overlay.items():
         lr_bytes += cb.value_nbytes
         blk = f.block(bi, bj)
         if blk is not None:  # values + indices a pure-overlay reader skips

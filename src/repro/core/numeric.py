@@ -127,21 +127,12 @@ class NumericOptions:
     compress_min_order: int = 32
 
 
-def _compressed(f, bi: int, bj: int):
-    """The low-rank overlay of block ``(bi, bj)`` if the structure keeps
-    one (``BlockMatrix`` and the distributed ``_LocalView`` both do);
-    ``None`` otherwise.  ``getattr``-based so hand-built test doubles
-    without an overlay keep working."""
-    get = getattr(f, "compressed_block", None)
-    return get(bi, bj) if get is not None else None
-
-
-def _ssssm_operand(f, bi: int, bj: int):
+def _ssssm_operand(f: BlockMatrix, bi: int, bj: int):
     """The representation an SSSSM consumer should multiply with: the
     low-rank overlay when present, else the exact CSC block.  On remote
     ranks only the overlay may exist (the transport shipped U/V, not the
     CSC arrays)."""
-    cb = _compressed(f, bi, bj)
+    cb = f.compressed_block(bi, bj)
     return cb if cb is not None else f.block(bi, bj)
 
 
@@ -216,7 +207,7 @@ def resolve_compress(options: NumericOptions) -> CompressPolicy | None:
     )
 
 
-def _maybe_compress(f, task: Task, policy: CompressPolicy) -> None:
+def _maybe_compress(f: BlockMatrix, task: Task, policy: CompressPolicy) -> None:
     """Try to install a low-rank overlay for a just-computed GESSM/TSTRF
     panel block.  Runs inside the caller's write-lock window for the
     target slot, so the RaceChecker still sees a single writer; the
@@ -389,9 +380,10 @@ class FactorJob:
     runs as feature extraction → kernel selection → :func:`execute_task`,
     and is traced as ``GETRF(k=0,0,0)`` under its kernel family.
 
-    ``f`` is the :class:`BlockMatrix` or a distributed rank's local view;
-    ``owned`` the task ids this job runs (``None``: all of them) — what
-    the job's :class:`PanelCache` counts a block's readers over.
+    ``f`` is the :class:`BlockMatrix` (on a distributed rank, its
+    :meth:`~BlockMatrix.restricted` share); ``owned`` the task ids this
+    job runs (``None``: all of them) — what the job's :class:`PanelCache`
+    counts a block's readers over.
 
     The job holds the two caches :func:`execute_task` hands operands
     from: ``plans``, the plan cache of ``f`` (:func:`resolve_plan_cache`
@@ -404,12 +396,12 @@ class FactorJob:
     name = "factorize"
 
     def __init__(
-        self, f, dag: TaskDAG, options: NumericOptions, n_slots: int, owned=None
+        self, f: BlockMatrix, dag: TaskDAG, options: NumericOptions, owned=None
     ) -> None:
         self.f = f
         self.tasks = dag.tasks
         self.options = options
-        self.n_slots = n_slots
+        self.n_slots = f.num_blocks
         self.plans = resolve_plan_cache(f, options)
         self.compress = resolve_compress(options)
         runs = None
@@ -494,7 +486,7 @@ def factorize(
     audit the counter protocol as it runs.
     """
     options = options or NumericOptions()
-    job = FactorJob(f, dag, options, f.num_blocks, owned)
+    job = FactorJob(f, dag, options, owned)
     core = SchedulerCore.from_dag(dag, owned=owned, recorder=recorder)
     return run_lanes(
         core, job, n_lanes=n_lanes, recorder=recorder, checker=checker,

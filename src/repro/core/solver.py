@@ -771,10 +771,9 @@ class Factorization:
         filled = self.symbolic.filled
         refreshed = np.zeros(filled.nnz, dtype=filled.dtype)
         refreshed[self.symbolic.a_positions] = self.reordered.data
-        if getattr(self.blocks, "lr_overlay", None):
-            # stale overlays describe the previous values; the engine
-            # re-compresses (into the same arena slab) as it factorises
-            self.blocks.clear_compressed()
+        # stale overlays describe the previous values; the engine
+        # re-compresses as it factorises
+        self.blocks.clear_compressed()
         if self.blocks.arena is not None:
             self.blocks.arena.refill(refreshed)
         else:
@@ -884,10 +883,6 @@ class PanguLU:
             arena=self.options.use_arena,
             dtype=self.options.resolved_factor_dtype(),
         )
-        if self.options.numeric.compress_tol > 0.0:
-            # pre-size the arena's low-rank slab so compression (and
-            # re-compression on refactorize) is alloc-free
-            self.blocks.enable_lr_overlay()
         self.dag = build_dag(self.blocks)
         if self.options.rank_speeds == "auto":
             from ..runtime.calibrate import calibrate_rank_speeds

@@ -36,11 +36,9 @@ from ..kernels.tsolve_kernels import diag_seg, upd_seg
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
 from .blocking import BlockMatrix
-from .tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
+from .tsolve_dag import _Y_WRITERS, TSolveDAG, TSolveTaskType, build_tsolve_dag
 
 __all__ = [
-    "tsolve_entries",
-    "tsolve_core",
     "tsolve_write_slots",
     "tsolve_task_label",
     "execute_tsolve_task",
@@ -52,9 +50,6 @@ __all__ = [
 
 _KIND_NAMES = {int(t): t.name for t in TSolveTaskType}
 
-#: task kinds that write the forward (`y`) array / the backward (`x`) array
-_Y_WRITERS = (int(TSolveTaskType.DIAG_F), int(TSolveTaskType.UPD_F))
-
 
 def tsolve_task_label(tdag: TSolveDAG, tid: int) -> str:
     """Trace label of a solve task: ``DIAG_F(k=3)`` / ``UPD_B(9→2)``."""
@@ -64,38 +59,6 @@ def tsolve_task_label(tdag: TSolveDAG, tid: int) -> str:
     if kind in (TSolveTaskType.DIAG_F, TSolveTaskType.DIAG_B):
         return f"{name}(k={k})"
     return f"{name}({k}→{tgt})"
-
-
-def tsolve_entries(tdag: TSolveDAG, nb: int) -> list[tuple[int, int, int]]:
-    """Precomputed ready-heap entries: forward tasks by ascending source
-    segment, backward tasks by descending — the elimination-step priority
-    of Section 4.4 carried over to the solve sweeps."""
-    entries = []
-    for tid in range(len(tdag)):
-        kind = int(tdag.kinds[tid])
-        k = int(tdag.k_of[tid])
-        prio = k if kind in _Y_WRITERS else 2 * nb - 1 - k
-        entries.append((prio, kind, tid))
-    return entries
-
-
-def tsolve_core(
-    tdag: TSolveDAG,
-    nb: int,
-    *,
-    owned=None,
-    recorder: EventRecorder | None = None,
-    lane: int = 0,
-) -> SchedulerCore:
-    """A :class:`SchedulerCore` over the solve DAG's flat arrays."""
-    return SchedulerCore(
-        tsolve_entries(tdag, nb),
-        [np.asarray(s, dtype=np.int64) for s in tdag.successors],
-        tdag.n_deps,
-        owned=owned,
-        recorder=recorder,
-        lane=lane,
-    )
 
 
 def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
@@ -112,18 +75,19 @@ def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
 
 
 def execute_tsolve_task(
-    f, tdag: TSolveDAG, tid: int, y: np.ndarray, x: np.ndarray
+    f: BlockMatrix, tdag: TSolveDAG, tid: int, y: np.ndarray, x: np.ndarray
 ) -> None:
     """Run one solve task against the forward/backward RHS arrays.
 
     The per-task entry point :class:`SolveJob` calls on every engine
     (the phase-5 analogue of
-    :func:`repro.core.numeric.execute_task`).  ``f`` is anything exposing
-    ``block_slice``/``block`` — a :class:`BlockMatrix` or a distributed
-    rank's local view.  The DAG's direction flag picks the block an
-    update reads (``(tgt, k)``, or ``(k, tgt)`` transposed) and the
-    triangle a diagonal task inverts: forward tasks solve with ``L``,
-    backward tasks with ``U``, the other way round when transposed.
+    :func:`repro.core.numeric.execute_task`).  ``f`` is the factored
+    :class:`BlockMatrix` (on a distributed rank, its
+    :meth:`~BlockMatrix.restricted` share).  The DAG's direction flag
+    picks the block an update reads (``(tgt, k)``, or ``(k, tgt)``
+    transposed) and the triangle a diagonal task inverts: forward tasks
+    solve with ``L``, backward tasks with ``U``, the other way round when
+    transposed.
 
     A zero ``U`` pivot raises :class:`SingularBlockError` naming the
     diagonal block, the column in it and the row of the reordered matrix.
@@ -166,7 +130,8 @@ class SolveJob:
     runs as :func:`execute_tsolve_task` on the shared ``y``/``x`` arrays
     and is traced as ``DIAG_F(k=3)`` under its task kind.
 
-    ``f`` is the :class:`BlockMatrix` or a distributed rank's local view.
+    ``f`` is the :class:`BlockMatrix` (on a distributed rank, its
+    :meth:`~BlockMatrix.restricted` share).
     """
 
     name = "tsolve"
@@ -215,7 +180,7 @@ def tsolve_lanes(
     y = _check_rhs(f.n, b)
     x = np.empty_like(y)
     return x, run_lanes(
-        tsolve_core(tdag, f.nb, recorder=recorder),
+        SchedulerCore.from_dag(tdag, recorder=recorder),
         SolveJob(f, tdag, y, x),
         n_lanes=n_lanes, recorder=recorder, checker=checker,
     )

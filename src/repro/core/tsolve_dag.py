@@ -64,6 +64,11 @@ class TSolveTaskType(enum.IntEnum):
     UPD_B = 3
 
 
+#: task kinds that write the forward (`y`) array; the others write the
+#: backward (`x`) array
+_Y_WRITERS = (int(TSolveTaskType.DIAG_F), int(TSolveTaskType.UPD_F))
+
+
 @dataclass
 class TSolveDAG:
     """Flat arrays describing the triangular-solve task graph.
@@ -75,7 +80,10 @@ class TSolveDAG:
     finishes the ``y`` segment and seeds the matching ``x`` segment.
     ``transposed`` is the direction flag: an update task ``(k → tgt)``
     reads block ``(tgt, k)`` in a plain solve, block ``(k, tgt)``
-    (transposed) in a transposed one.
+    (transposed) in a transposed one.  ``entries`` are the ready-heap
+    priorities: forward tasks by ascending source segment, backward
+    tasks by descending — the elimination-step priority of Section 4.4
+    carried over to the solve sweeps.
     """
 
     kinds: np.ndarray
@@ -87,6 +95,7 @@ class TSolveDAG:
     successors: list[list[int]]
     owner: np.ndarray
     total_flops: float
+    entries: list[tuple[int, int, int]]
     seq_y: np.ndarray | None = None
     seq_x: np.ndarray | None = None
     transposed: bool = False
@@ -234,6 +243,10 @@ def build_tsolve_dag(
         for i in range(nb):
             seq_x[diag_b[i]] = len(bwd_chain.get(i, ())) + 1
 
+    entries = [
+        (k if kind in _Y_WRITERS else 2 * nb - 1 - k, kind, tid)
+        for tid, (kind, k) in enumerate(zip(kinds, k_of))
+    ]
     return TSolveDAG(
         kinds=np.asarray(kinds, dtype=np.int64),
         k_of=np.asarray(k_of, dtype=np.int64),
@@ -244,6 +257,7 @@ def build_tsolve_dag(
         successors=successors,
         owner=np.asarray(owner, dtype=np.int64),
         total_flops=float(np.sum(flops)),
+        entries=entries,
         seq_y=seq_y,
         seq_x=seq_x,
         transposed=transposed,

@@ -28,8 +28,8 @@ them *before* a single kernel runs:
   placement-agnostic: *any* single-writer-consistent ownership map
   passes — block-cyclic, cost-model, or hand-rolled.
 
-:func:`verify_dag` accepts either DAG flavour (duck-typed on
-``panel_of_block`` vs ``kinds``), raises :class:`ScheduleViolation` —
+:func:`verify_dag` accepts either DAG flavour (both expose
+``successors`` and ``n_deps``), raises :class:`ScheduleViolation` —
 a ``ValueError`` carrying a stable ``code`` from the list above — on
 the first violation, and returns a :class:`ScheduleReport` summary on
 success.  It is wired behind ``SolverOptions.verify_schedule`` / the
@@ -42,6 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dag import TaskDAG, TaskType
+from .tsolve_dag import TSolveDAG, TSolveTaskType
 
 __all__ = ["ScheduleViolation", "ScheduleReport", "verify_dag"]
 
@@ -76,21 +79,6 @@ class ScheduleReport:
             f"{self.n_edges} edges, {self.n_roots} roots, "
             f"critical path {self.depth} tasks"
         )
-
-
-def _successors_and_deps(dag) -> tuple[list[list[int]], np.ndarray, str]:
-    if hasattr(dag, "panel_of_block"):
-        succ = [list(t.successors) for t in dag.tasks]
-        deps = np.asarray([t.n_deps for t in dag.tasks], dtype=np.int64)
-        return succ, deps, "factor"
-    if hasattr(dag, "kinds"):
-        succ = [list(s) for s in dag.successors]
-        deps = np.asarray(dag.n_deps, dtype=np.int64)
-        return succ, deps, "tsolve"
-    raise TypeError(
-        f"verify_dag: unsupported DAG type {type(dag).__name__} "
-        "(expected TaskDAG or TSolveDAG)"
-    )
 
 
 def _check_edges(succ: list[list[int]]) -> int:
@@ -190,8 +178,6 @@ def _extract_cycle(succ: list[list[int]], remaining: set[int]) -> list[int]:
 
 
 def _check_factor_writers(dag) -> None:
-    from .dag import TaskType
-
     for t in dag.tasks:
         if t.ttype != TaskType.SSSSM:
             continue
@@ -214,8 +200,6 @@ def _check_factor_writers(dag) -> None:
 
 
 def _check_tsolve_chains(dag) -> None:
-    from .tsolve_dag import TSolveTaskType
-
     n = len(dag.kinds)
     succ_sets = [set(s) for s in dag.successors]
     for arr, label in ((dag.seq_y, "y"), (dag.seq_x, "x")):
@@ -304,7 +288,14 @@ def verify_dag(dag, *, assignment=None, nprocs: int | None = None) -> ScheduleRe
     check for single-writer ownership consistency; ``nprocs`` bounds the
     valid rank range when given.
     """
-    succ, deps, kind = _successors_and_deps(dag)
+    if not isinstance(dag, (TaskDAG, TSolveDAG)):
+        raise TypeError(
+            f"verify_dag: unsupported DAG type {type(dag).__name__} "
+            "(expected TaskDAG or TSolveDAG)"
+        )
+    kind = "factor" if isinstance(dag, TaskDAG) else "tsolve"
+    succ = [list(s) for s in dag.successors]
+    deps = np.asarray(dag.n_deps, dtype=np.int64)
     n_edges = _check_edges(succ)
     _check_counters(succ, deps)
     n_roots, depth = _check_acyclic(succ, deps)
@@ -312,7 +303,7 @@ def verify_dag(dag, *, assignment=None, nprocs: int | None = None) -> ScheduleRe
         _check_factor_writers(dag)
         if assignment is not None:
             _check_ownership(dag, assignment, nprocs)
-    elif getattr(dag, "seq_y", None) is not None:
+    elif dag.seq_y is not None:
         _check_tsolve_chains(dag)
     return ScheduleReport(
         kind=kind,

@@ -36,8 +36,10 @@ __all__ = [
     "KernelType",
     "Workspace",
     "fix_pivot",
+    "dense_getrf",
     "scatter_dense",
     "gather_dense",
+    "dense_triangle_inverse",
     "triangle_inverse",
     "serial_matmul",
     "split_lu",
@@ -79,6 +81,24 @@ def fix_pivot(value: float, pivot_floor: float, scale: float) -> tuple[float, bo
             raise SingularBlockError("zero pivot in GETRF (run MC64 first)")
         return (pivot_floor * scale if value >= 0 else -pivot_floor * scale), True
     return value, False
+
+
+def dense_getrf(w: np.ndarray, pivot_floor: float, scale: float) -> int:
+    """In-place LU of the dense square array ``w`` without pivoting:
+    per pivot, :func:`fix_pivot` against ``scale``, the column below
+    divided, one rank-1 update of the trailing matrix.  What
+    ``getrf_c_v1`` runs on a block's dense image and the supernodal
+    baseline on its diagonal panels.  Returns the replaced-pivot count."""
+    n = w.shape[0]
+    replaced = 0
+    for k in range(n):
+        piv, rep = fix_pivot(float(w[k, k]), pivot_floor, scale)
+        replaced += rep
+        w[k, k] = piv
+        if k + 1 < n:
+            w[k + 1 :, k] /= piv
+            w[k + 1 :, k + 1 :] -= np.outer(w[k + 1 :, k], w[k, k + 1 :])
+    return replaced
 
 
 @dataclass
@@ -209,9 +229,16 @@ def triangle_inverse(
     A zero or structurally missing diagonal entry of a non-unit triangle
     raises :class:`SingularBlockError` naming the column.
     """
-    unit = lower if unit is None else unit
     d = np.zeros(diag.shape, dtype=diag.dtype if dtype is None else dtype)
     scatter_dense(diag, d)
+    return dense_triangle_inverse(d, lower=lower, unit=lower if unit is None else unit)
+
+
+def dense_triangle_inverse(d: np.ndarray, *, lower: bool, unit: bool) -> np.ndarray:
+    """:func:`triangle_inverse` of a C-ordered dense array holding the
+    factors, whose named triangle ``trtri`` overwrites — hand it a copy
+    of anything still needed (the supernodal baseline does, once per
+    diagonal panel)."""
     (trtri,) = get_lapack_funcs(("trtri",), (d,))
     # trtri on the transposed (Fortran-ordered) view avoids a copy: the
     # inverse of the transpose is the transpose of the inverse

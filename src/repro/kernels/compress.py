@@ -36,6 +36,7 @@ from ..sparse.blockrep import (
 )
 from ..sparse.csc import CSCMatrix
 from .base import Workspace
+from .flops import ssssm_flops_structural
 
 __all__ = [
     "CompressPolicy",
@@ -156,7 +157,8 @@ def try_compress(
 def lr_ssssm_flops(c_nnz: int, a, b) -> int:
     """Flop estimate for one low-rank Schur update ``C -= A @ B`` with
     at least one compressed operand — the quantity the ablation bench
-    compares against :func:`~repro.kernels.ssssm.ssssm_flops`."""
+    compares against
+    :func:`~repro.kernels.flops.ssssm_flops_structural`."""
     a_lr = isinstance(a, CompressedBlock)
     b_lr = isinstance(b, CompressedBlock)
     if a_lr and b_lr:
@@ -168,9 +170,7 @@ def lr_ssssm_flops(c_nnz: int, a, b) -> int:
         return 2 * b.nnz * a.rank + 2 * c_nnz * a.rank
     if b_lr:
         return 2 * a.nnz * b.rank + 2 * c_nnz * b.rank
-    from .ssssm import ssssm_flops
-
-    return ssssm_flops(a, b)
+    return ssssm_flops_structural(a, b)
 
 
 def ssssm_lr_v1(c: CSCMatrix, a, b, ws: Workspace) -> None:

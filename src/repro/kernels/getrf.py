@@ -22,7 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from .base import SingularBlockError, Workspace, fix_pivot, gather_dense, scatter_dense
+from .base import (
+    SingularBlockError,
+    Workspace,
+    dense_getrf,
+    fix_pivot,
+    gather_dense,
+    scatter_dense,
+)
 from .plans import GETRFPlan, run_getrf_plan
 
 __all__ = ["getrf_c_v1", "getrf_g_v1", "getrf_g_v2", "GETRF_VARIANTS"]
@@ -41,15 +48,7 @@ def getrf_c_v1(
     w = ws.dense("a", (n, n), block.data.dtype)
     scatter_dense(block, w)
     scale = (float(np.abs(block.data).max()) if block.nnz else 0.0) or 1.0
-    replaced = 0
-    for k in range(n):
-        piv, rep = fix_pivot(float(w[k, k]), pivot_floor, scale)
-        replaced += rep
-        w[k, k] = piv
-        if k + 1 < n:
-            w[k + 1 :, k] /= piv
-            # rank-1 Schur update of the trailing matrix
-            w[k + 1 :, k + 1 :] -= np.outer(w[k + 1 :, k], w[k, k + 1 :])
+    replaced = dense_getrf(w, pivot_floor, scale)
     gather_dense(block, w)
     return replaced
 

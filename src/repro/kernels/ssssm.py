@@ -34,20 +34,7 @@ __all__ = [
     "ssssm_g_v1",
     "ssssm_g_v2",
     "SSSSM_VARIANTS",
-    "ssssm_flops",
 ]
-
-
-def ssssm_flops(a: CSCMatrix, b: CSCMatrix) -> int:
-    """Exact multiply-add count of the sparse product ``A·B``.
-
-    ``2 · Σ_t nnz(A[:, t]) · nnz(B[t, :])`` — the per-task weight used by
-    both the load balancer and the decision-tree kernel selector.
-    """
-    a_colnnz = np.diff(a.indptr)
-    b_rownnz = np.zeros(a.ncols, dtype=np.int64)
-    np.add.at(b_rownnz, b.indices, 1)
-    return int(2 * np.dot(a_colnnz, b_rownnz))
 
 
 def ssssm_c_v1(

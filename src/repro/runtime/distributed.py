@@ -5,7 +5,9 @@ runs on ``n_procs`` ranks, each of which
 
 * initially holds **only the blocks it owns** under the configured
   :class:`~repro.core.placement.PlacementPolicy` (2D block-cyclic by
-  default; distributed memory, not shared);
+  default; distributed memory, not shared) — its
+  :meth:`BlockMatrix.restricted <repro.core.blocking.BlockMatrix.restricted>`
+  share, on which touching a block it neither owns nor received raises;
 * executes the tasks targeting its blocks, picking the highest-priority
   (earliest elimination step) ready task — the Section 4.4 discipline,
   run by a rank-local :class:`~repro.runtime.scheduler.SchedulerCore`
@@ -56,14 +58,8 @@ from ..core.blocking import BlockMatrix
 from ..core.dag import TaskDAG
 from ..core.numeric import FactorJob, NumericOptions
 from ..core.placement import CyclicPlacement, PlacementPolicy
-from ..core.tsolve import (
-    _Y_WRITERS,
-    SolveJob,
-    _check_rhs,
-    tsolve_core,
-)
+from ..core.tsolve import _Y_WRITERS, SolveJob, _check_rhs
 from ..core.tsolve_dag import TSolveDAG, TSolveTaskType
-from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
 from .lanes import run_lanes
 from .scheduler import EventRecorder, RunReport, SchedulerCore
@@ -86,91 +82,8 @@ def _block_nbytes(blk: CSCMatrix) -> int:
     return blk.indptr.nbytes + blk.indices.nbytes + blk.data.nbytes
 
 
-class _LocalView:
-    """A worker's partial view of the block matrix.
-
-    Quacks like :class:`BlockMatrix` for the needs of ``execute_task`` /
-    ``task_features`` (``block``/``block_slot``/``plan_cache``), but holds
-    only owned + received blocks; touching an absent block is a protocol
-    bug and raises immediately.
-    """
-
-    def __init__(
-        self, boundaries: np.ndarray, owned: list[tuple[int, int, CSCMatrix]]
-    ) -> None:
-        self.boundaries = np.asarray(boundaries, dtype=np.int64)
-        self.nb = self.boundaries.size - 1
-        self.n = int(self.boundaries[-1])
-        self._blocks: dict[tuple[int, int], CSCMatrix] = {
-            (bi, bj): blk for bi, bj, blk in owned
-        }
-        self.owned_keys = frozenset(self._blocks)
-        # plans are rank-local: each process addresses only blocks it holds
-        self.plan_cache = None
-        # low-rank overlay, same contract as BlockMatrix.lr_overlay: for
-        # owned blocks it sits *beside* the exact CSC data; for received
-        # panels it may be the only representation (the owner shipped
-        # U/V instead of the CSC arrays)
-        self._compressed: dict[tuple[int, int], CompressedBlock] = {}
-
-    def add(self, bi: int, bj: int, blk: CSCMatrix) -> None:
-        self._blocks[(bi, bj)] = blk
-
-    def compressed_block(self, bi: int, bj: int) -> CompressedBlock | None:
-        """The low-rank overlay of ``(bi, bj)``, or ``None``."""
-        return self._compressed.get((bi, bj))
-
-    def set_compressed(
-        self, bi: int, bj: int, u: np.ndarray, v: np.ndarray, *, src_nnz: int
-    ) -> CompressedBlock:
-        """Install a ``U @ V.T`` overlay for block ``(bi, bj)``."""
-        cb = CompressedBlock(
-            shape=(self.block_order(bi), self.block_order(bj)),
-            u=u, v=v, src_nnz=int(src_nnz),
-        )
-        self._compressed[(bi, bj)] = cb
-        return cb
-
-    def compression_stats(self) -> dict[str, int]:
-        """The overlays this rank computed itself (received copies would
-        double-count their owner's work), as
-        :meth:`BlockMatrix.compression_stats` counts them."""
-        mine = [
-            cb for key, cb in self._compressed.items() if key in self.owned_keys
-        ]
-        return {
-            "blocks_compressed": len(mine),
-            "lr_value_bytes": sum(cb.value_nbytes for cb in mine),
-        }
-
-    def block(self, bi: int, bj: int) -> CSCMatrix:
-        try:
-            return self._blocks[(bi, bj)]
-        except KeyError:
-            raise RuntimeError(
-                f"worker touched block ({bi},{bj}) it neither owns nor received"
-            ) from None
-
-    def block_slot(self, bi: int, bj: int) -> int:
-        """Virtual storage slot: dense block-grid index.
-
-        Stable and unique per block coordinate, so it serves as a plan
-        cache key exactly like a real slot (each worker holds its own
-        cache — plans are process-local index arrays).
-        """
-        return bi * self.nb + bj
-
-    def block_order(self, b: int) -> int:
-        """Row/column count of block index ``b``."""
-        return int(self.boundaries[b + 1] - self.boundaries[b])
-
-    def block_slice(self, b: int) -> slice:
-        """Global row/column slice covered by block index ``b``."""
-        return slice(int(self.boundaries[b]), int(self.boundaries[b + 1]))
-
-
 def _block_payload(
-    view: _LocalView, tid: int, bi: int, bj: int
+    view: BlockMatrix, tid: int, bi: int, bj: int
 ) -> tuple[tuple, int]:
     """``(message, wire_bytes)`` for shipping block ``(bi, bj)``.
 
@@ -198,8 +111,9 @@ def _consumers(successors, owner_of_task: np.ndarray, rank: int) -> set[int]:
 
 
 class _RankFactorJob(FactorJob):
-    """The factor job on one rank: owned tasks over a :class:`_LocalView`,
-    panels shipped to their consumers, received panels installed.
+    """The factor job on one rank: owned tasks over the rank's
+    :meth:`~BlockMatrix.restricted` share of ``f``, panels shipped to
+    their consumers, received panels installed.
 
     With ``compress_tol > 0`` the rank compresses its own GESSM/TSTRF
     panel outputs and ships low-rank ``"lr"`` payloads to their
@@ -208,13 +122,13 @@ class _RankFactorJob(FactorJob):
     """
 
     def __init__(
-        self, rank: int, recorder: EventRecorder | None, boundaries: np.ndarray,
-        owned: list[tuple[int, int, CSCMatrix]], dag: TaskDAG,
-        owner_of_task: np.ndarray, options: NumericOptions,
+        self, rank: int, recorder: EventRecorder | None, f: BlockMatrix,
+        owner_of_slot: np.ndarray, dag: TaskDAG, owner_of_task: np.ndarray,
+        options: NumericOptions,
     ) -> None:
-        view = _LocalView(boundaries, owned)
+        view = f.restricted(np.flatnonzero(owner_of_slot == rank))
         my_tasks = np.flatnonzero(owner_of_task == rank)
-        super().__init__(view, dag, options, view.nb * view.nb, my_tasks)
+        super().__init__(view, dag, options, my_tasks)
         self.rank = rank
         self.owner_of_task = owner_of_task
         self.core = SchedulerCore.from_dag(
@@ -247,19 +161,15 @@ class _RankFactorJob(FactorJob):
         # the arena layout — and sent blocks are final (panel results
         # are never rewritten), so aliasing them is safe; over
         # multiprocessing they are fresh arrays off the queue
-        blk = CSCMatrix.from_views(
-            (view.block_order(bi), view.block_order(bj)), indptr, indices, data
-        )
-        view.add(bi, bj, blk)
-        return _block_nbytes(blk)
+        return _block_nbytes(view.install(bi, bj, indptr, indices, data))
 
-    def result(self) -> list[tuple[int, int, np.ndarray]]:
-        """What goes home beside the report: the factored values of the
+    def result(self) -> list[tuple[int, np.ndarray]]:
+        """What goes home beside the report: ``(slot, values)`` of the
         owned blocks (received operand copies stay; owners always keep
         the exact CSC arrays, so the gathered factors are
         compression-free regardless of ``compress_tol``)."""
         view = self.f
-        return [(bi, bj, view.block(bi, bj).data) for bi, bj in view.owned_keys]
+        return [(slot, view.blk_values[slot].data) for slot in view.owned]
 
 
 class _RankSolveJob(SolveJob):
@@ -275,17 +185,17 @@ class _RankSolveJob(SolveJob):
     """
 
     def __init__(
-        self, rank: int, recorder: EventRecorder | None, boundaries: np.ndarray,
-        owned: list[tuple[int, int, CSCMatrix]], tdag: TSolveDAG, b: np.ndarray,
+        self, rank: int, recorder: EventRecorder | None, f: BlockMatrix,
+        owner_of_slot: np.ndarray, tdag: TSolveDAG, b: np.ndarray,
     ) -> None:
-        view = _LocalView(boundaries, owned)
+        view = f.restricted(np.flatnonzero(owner_of_slot == rank))
         y = np.array(b, dtype=np.float64)
         super().__init__(view, tdag, y, np.zeros_like(y))
         self.rank = rank
         self.owner_of_task = tdag.owner
         self.my_tasks = np.flatnonzero(tdag.owner == rank)
-        self.core = tsolve_core(
-            tdag, view.nb, owned=self.my_tasks, recorder=recorder, lane=rank
+        self.core = SchedulerCore.from_dag(
+            tdag, owned=self.my_tasks, recorder=recorder, lane=rank
         )
         # the (array, write-sequence, highest sequence applied per
         # segment) triples of y and x — local writes and accepted
@@ -397,18 +307,13 @@ def _resolve_pool(
     return placement
 
 
-def _owned_blocks(
-    f: BlockMatrix, placement: PlacementPolicy
-) -> list[list[tuple[int, int, CSCMatrix]]]:
-    """Per rank, the ``(bi, bj, block)`` triples it owns."""
-    per_rank: list[list[tuple[int, int, CSCMatrix]]] = [
-        [] for _ in range(placement.nprocs)
-    ]
-    for bj in range(f.nb):
-        rows, blocks = f.blocks_in_column(bj)
-        for bi, blk in zip(rows, blocks):
-            per_rank[placement.owner(int(bi), bj)].append((int(bi), bj, blk))
-    return per_rank
+def _owner_of_slot(f: BlockMatrix, placement: PlacementPolicy) -> np.ndarray:
+    """The rank owning each storage slot of ``f``."""
+    cols = np.repeat(np.arange(f.nb), np.diff(f.blk_colptr))
+    return np.asarray(
+        [placement.owner(int(bi), int(bj)) for bi, bj in zip(f.blk_rowidx, cols)],
+        dtype=np.int64,
+    )
 
 
 def _run_ranks(
@@ -507,16 +412,16 @@ def factorize_distributed(
     """
     options = options or NumericOptions()
     placement = _resolve_pool(n_procs, n_threads, placement)
-    owned = _owned_blocks(f, placement)
+    owner_of_slot = _owner_of_slot(f, placement)
     owner_of_task = placement.assign(dag)
 
     def install(blocks) -> None:
-        for bi, bj, data in blocks:
-            f.block(bi, bj).data[...] = data
+        for slot, data in blocks:
+            f.blk_values[slot].data[...] = data
 
     return _run_ranks(
         "factorisation", n_procs, n_threads, _RankFactorJob,
-        lambda rank: (f.boundaries, owned[rank], dag, owner_of_task, options),
+        lambda rank: (f, owner_of_slot, dag, owner_of_task, options),
         install, transport=transport, timeout=timeout, recorder=recorder,
         validate=validate,
     )
@@ -557,7 +462,7 @@ def tsolve_distributed(
         raise ValueError("tsolve_distributed needs an executable solve DAG "
                          "(build_tsolve_dag(..., executable=True))")
     y0 = _check_rhs(f.n, b)
-    owned = _owned_blocks(f, placement)
+    owner_of_slot = _owner_of_slot(f, placement)
     x = np.empty_like(y0)
     filled = np.zeros(f.nb, dtype=bool)
 
@@ -568,7 +473,7 @@ def tsolve_distributed(
 
     report = _run_ranks(
         "tsolve", n_procs, n_threads, _RankSolveJob,
-        lambda rank: (f.boundaries, owned[rank], tdag, y0),
+        lambda rank: (f, owner_of_slot, tdag, y0),
         install, transport=transport, timeout=timeout, recorder=recorder,
         validate=validate,
     )

@@ -22,9 +22,10 @@ engines are its configurations:
   :meth:`SchedulerCore.complete`.
 
 The triangular solves (phase 5) run the same configurations over the
-same core — :func:`repro.core.tsolve.tsolve_core` builds one from an
-executable :class:`~repro.core.tsolve_dag.TSolveDAG`, and the solve
-tasks flow through ``pop``/``complete`` exactly as factor tasks do.
+same core — :meth:`SchedulerCore.from_dag` builds one from an
+executable :class:`~repro.core.tsolve_dag.TSolveDAG` as it does from a
+factor DAG, and the solve tasks flow through ``pop``/``complete``
+exactly as factor tasks do.
 
 The core also hosts the structured :class:`EventRecorder` — task
 start/end, message send/recv, ready-queue depth — which
@@ -376,14 +377,12 @@ class SchedulerCore:
         recorder: EventRecorder | None = None,
         lane: int = 0,
     ) -> SchedulerCore:
-        """Build a core from a :class:`repro.core.dag.TaskDAG` (duck-typed
-        — anything with ``tasks`` carrying ``k``/``ttype``/``tid``/
-        ``successors``/``n_deps`` works)."""
-        tasks = dag.tasks
-        entries = [ready_entry(t, t.tid) for t in tasks]
-        successors = [np.asarray(t.successors, dtype=np.int64) for t in tasks]
-        n_deps = np.asarray([t.n_deps for t in tasks], dtype=np.int64)
-        return cls(entries, successors, n_deps,
+        """Build a core from a factor or solve DAG — anything exposing
+        per-task ``entries`` (heap priorities), ``successors`` and
+        ``n_deps``, as :class:`repro.core.dag.TaskDAG` and
+        :class:`repro.core.tsolve_dag.TSolveDAG` do."""
+        successors = [np.asarray(s, dtype=np.int64) for s in dag.successors]
+        return cls(dag.entries, successors, dag.n_deps,
                    owned=owned, recorder=recorder, lane=lane)
 
     # -- scheduling ----------------------------------------------------

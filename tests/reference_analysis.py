@@ -4,8 +4,9 @@ These are the interpreter-loop implementations the array algorithms in
 ``repro.sparse``, ``repro.symbolic``, ``repro.ordering`` and
 ``repro.core.blocking`` replaced: the per-column ``permute`` / ``diagonal``
 of the CSC container, per-entry row-subtree walks for the symbolic fill,
-per-neighbour breadth-first search over adjacency lists, and the
-per-column chunk loop of the block partition.  They are slow and
+per-neighbour breadth-first search over adjacency lists, the
+per-column chunk loop of the block partition, and the support-mask
+task-DAG builder with its per-column flop counts.  They are slow and
 obviously right; ``tests/test_reference_analysis.py`` asserts the
 production code reproduces them bit for bit.  Nothing under ``src/``
 imports this module.
@@ -359,12 +360,6 @@ def block_partition(filled: CSCMatrix, bs, *, arena: bool = False, dtype=None) -
         ],
         dtype=dtype, boundaries=bounds,
     )
-    out.col_support = [np.diff(b.indptr) > 0 for b in out.blk_values]
-    out.row_support = []
-    for b in out.blk_values:
-        rs = np.zeros(b.nrows, dtype=bool)
-        rs[b.indices] = True
-        out.row_support.append(rs)
     if arena:
         def cat(k, dt):
             parts = [p[k] for p in payloads]
@@ -377,3 +372,84 @@ def block_partition(filled: CSCMatrix, bs, *, arena: bool = False, dtype=None) -
             gather=cat(4, np.int64),
         )
     return out
+
+
+# ----------------------------------------------------------------------
+# core.dag
+# ----------------------------------------------------------------------
+def _lower_upper_counts(block: CSCMatrix):
+    """Per column of a diagonal block: strict-lower nnz, strict-upper
+    nnz; per row: strict-upper nnz — one ``searchsorted`` per column."""
+    n = block.ncols
+    lower_col = np.zeros(n, dtype=np.int64)
+    upper_col = np.zeros(n, dtype=np.int64)
+    upper_row = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        rows = block.indices[block.col_slice(j)]
+        pos = int(np.searchsorted(rows, j))
+        has_diag = 1 if pos < rows.size and rows[pos] == j else 0
+        lower_col[j] = rows.size - pos - has_diag
+        upper_col[j] = pos
+        np.add.at(upper_row, rows[:pos], 1)
+    return lower_col, upper_col, upper_row
+
+
+def build_dag(f: BlockMatrix) -> list[tuple]:
+    """The block LU task list as ``(type name, k, bi, bj, flops,
+    successors)`` per task id: step by step GETRF, the GESSMs by block
+    column, the TSTRFs by block row, then every SSSSM whose ``L(i,k)``
+    has a stored column where ``U(k,j)`` has a stored row (the
+    per-block support masks the builder used to keep)."""
+    nb = f.nb
+    col_support = [np.diff(b.indptr) > 0 for b in f.blk_values]
+    row_support = []
+    for b in f.blk_values:
+        rs = np.zeros(b.nrows, dtype=bool)
+        rs[b.indices] = True
+        row_support.append(rs)
+
+    tasks: list[list] = []
+    panel: dict[tuple[int, int], int] = {}
+    into: dict[tuple[int, int], list[int]] = {}
+
+    def add(name, k, bi, bj, flops) -> int:
+        tasks.append([name, k, bi, bj, int(flops), []])
+        return len(tasks) - 1
+
+    for k in range(nb):
+        lower_col, upper_col, upper_row = _lower_upper_counts(f.block(k, k))
+        panel[(k, k)] = add(
+            "GETRF", k, k, k, lower_col.sum() + 2 * np.dot(lower_col, upper_row)
+        )
+        urow = [j for j in range(k + 1, nb) if f.block_slot(k, j) >= 0]
+        lcol = [i for i in range(k + 1, nb) if f.block_slot(i, k) >= 0]
+        for j in urow:
+            b = f.block(k, j)
+            panel[(k, j)] = add("GESSM", k, k, j, 2 * lower_col[b.indices].sum())
+        for i in lcol:
+            b = f.block(i, k)
+            panel[(i, k)] = add(
+                "TSTRF", k, i, k, b.nnz + 2 * upper_col[b.cols_expanded()].sum()
+            )
+        for i in lcol:
+            a = f.block(i, k)
+            for j in urow:
+                b = f.block(k, j)
+                if not np.any(
+                    col_support[f.block_slot(i, k)] & row_support[f.block_slot(k, j)]
+                ):
+                    continue
+                rownnz = np.zeros(b.nrows, dtype=np.int64)
+                np.add.at(rownnz, b.indices, 1)
+                tid = add("SSSSM", k, i, j, 2 * np.dot(np.diff(a.indptr), rownnz))
+                into.setdefault((i, j), []).append(tid)
+
+    for tid, (name, k, bi, bj, _, _) in enumerate(tasks):
+        if name == "SSSSM":
+            preds = [panel[(bi, k)], panel[(k, bj)]]
+        else:
+            preds = [] if name == "GETRF" else [panel[(k, k)]]
+            preds += into.get((bi, bj), [])
+        for p in preds:
+            tasks[p][5].append(tid)
+    return [tuple(t) for t in tasks]

@@ -106,6 +106,37 @@ class TestSupernodalNumeric:
             assert 0 < g.density_a <= 1
             assert 0 < g.density_c <= 1
 
+    def test_static_pivot_replacement_is_the_kernels_rule(self):
+        """The baseline's diagonal LU is the loop of ``getrf_c_v1``: the
+        same pivots fall under ``pivot_floor``, the same factors come
+        out, and without a floor the zero pivot raises."""
+        from repro.baseline.supernodal import SupernodalMatrix
+        from repro.kernels import Workspace, getrf_c_v1
+        from repro.kernels.base import SingularBlockError
+        from repro.sparse import CSCMatrix
+
+        d = np.random.default_rng(6).standard_normal((9, 9)) + 4.0 * np.eye(9)
+        d[0, 0] = 1e-15                # under the floor from the start
+        d[4, :4] = d[4, 5:] = 0.0      # row 4 untouched by the elimination,
+        d[4, 4] = 0.0                  # so its pivot is an exact zero
+
+        def one_supernode():
+            return SupernodalMatrix(
+                n=9, boundaries=np.array([0, 9]), dense={(0, 0): d.copy()},
+                pattern_nnz={(0, 0): 81},
+            )
+
+        block = CSCMatrix(            # the full pattern, zeros stored
+            (9, 9), np.arange(0, 82, 9), np.tile(np.arange(9), 9), d.T.ravel().copy()
+        )
+        m = one_supernode()
+        stats = sn_factorize(m, pivot_floor=1e-12)
+        assert stats.pivots_replaced == 2
+        assert stats.pivots_replaced == getrf_c_v1(block, Workspace(), pivot_floor=1e-12)
+        np.testing.assert_array_equal(m.dense[(0, 0)], block.to_dense())
+        with pytest.raises(SingularBlockError):
+            sn_factorize(one_supernode(), pivot_floor=0.0)
+
     def test_gemm_dense_flops_exceed_structural_need(self):
         """The dense GEMMs pay for padding — their FLOPs must exceed the
         structural FLOPs PanguLU spends on the same matrix."""

@@ -13,7 +13,7 @@ from repro.core import (
     boundaries_from_block_size,
     choose_block_size,
 )
-from repro.sparse import CSCMatrix, random_sparse
+from repro.sparse import CSCMatrix, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
 
 
@@ -131,16 +131,6 @@ class TestPartition:
         for blk in bm.blk_values:
             blk._validate()
 
-    def test_supports(self):
-        _, bm = self._blocked()
-        for slot, blk in enumerate(bm.blk_values):
-            np.testing.assert_array_equal(
-                bm.col_support[slot], np.diff(blk.indptr) > 0
-            )
-            rs = np.zeros(blk.nrows, dtype=bool)
-            rs[blk.indices] = True
-            np.testing.assert_array_equal(bm.row_support[slot], rs)
-
     def test_blocks_in_row(self):
         f, bm = self._blocked()
         for bi in range(bm.nb):
@@ -159,6 +149,96 @@ class TestPartition:
         stats = bm.nnz_stats()
         assert stats["num_blocks"] == bm.num_blocks
         assert stats["nnz_total"] == sum(b.nnz for b in bm.blk_values)
+
+
+class TestRestricted:
+    """A distributed rank's share of the matrix is a ``BlockMatrix``."""
+
+    def _blocked(self, *, arena=True):
+        # banded fill: 10 of the 4 × 4 grid's blocks are stored
+        f = symbolic_symmetric(grid_laplacian_2d(8, 8)).filled
+        return block_partition(f, 16, arena=arena)
+
+    @staticmethod
+    def _coords(bm):
+        return [
+            (int(bi), bj)
+            for bj in range(bm.nb) for bi in bm.blocks_in_column(bj)[0]
+        ]
+
+    @pytest.mark.parametrize("arena", [True, False])
+    def test_unheld_stored_block_is_a_protocol_error(self, arena):
+        bm = self._blocked(arena=arena)
+        coords = self._coords(bm)
+        assert len(coords) == bm.num_blocks > bm.nb   # some off-diagonal
+        rank = bm.restricted(range(0, bm.num_blocks, 2))
+        for slot, (bi, bj) in enumerate(coords):
+            assert rank.block_slot(bi, bj) == slot    # real slots
+            if slot % 2 == 0:
+                assert rank.block(bi, bj) is bm.block(bi, bj)
+            else:
+                with pytest.raises(RuntimeError, match=rf"\({bi},{bj}\).*neither owns"):
+                    rank.block(bi, bj)
+        absent = next(
+            (bi, bj) for bi in range(bm.nb) for bj in range(bm.nb)
+            if bm.block_slot(bi, bj) < 0
+        )
+        assert rank.block(*absent) is None            # structurally absent
+        # a received block becomes readable; the parent never notices
+        bi, bj = coords[1]
+        src = bm.block(bi, bj)
+        got = rank.install(bi, bj, src.indptr, src.indices, src.data.copy())
+        assert rank.block(bi, bj) is got and got.shape == src.shape
+        assert np.shares_memory(got.indices, src.indices)
+        assert bm.block(bi, bj) is src
+
+    def test_shares_the_structure_and_no_cache(self):
+        from repro.core.numeric import NumericOptions, resolve_plan_cache
+
+        bm = self._blocked()
+        plans = resolve_plan_cache(bm, NumericOptions())
+        bi, bj = self._coords(bm)[0]
+        bm.set_compressed(bi, bj, np.ones((16, 1)), np.ones((16, 1)), src_nnz=9)
+        rank = bm.restricted([0, 1])
+        assert rank.owned == {0, 1} and bm.owned is None
+        for name in ("blk_colptr", "blk_rowidx", "boundaries", "arena"):
+            assert getattr(rank, name) is getattr(bm, name)
+        assert (rank.n, rank.bs, rank.nb, rank.num_blocks) == (
+            bm.n, bm.bs, bm.nb, bm.num_blocks
+        )
+        assert rank.plan_cache is None and bm.plan_cache is plans
+        assert rank.lr_overlay == {} and rank.lr_overlay is not bm.lr_overlay
+        assert resolve_plan_cache(rank, NumericOptions()) is not plans
+        rank.set_compressed(bi, bj, np.ones((16, 2)), np.ones((16, 2)), src_nnz=9)
+        assert bm.compressed_block(bi, bj).rank == 1
+
+    def test_compression_stats_count_owned_overlays(self):
+        bm = self._blocked()
+        coords = self._coords(bm)
+        rank = bm.restricted([0])
+        u, v = np.ones((16, 1)), np.ones((16, 1))
+        mine = rank.set_compressed(*coords[0], u, v, src_nnz=5)
+        rank.set_compressed(*coords[1], u, v, src_nnz=5)   # a received "lr" panel
+        assert rank.compressed_block(*coords[1]) is not None
+        bm.set_compressed(*coords[0], u, v, src_nnz=5)
+        assert rank.compression_stats() == {
+            "blocks_compressed": 1,
+            "lr_value_bytes": mine.value_nbytes,
+            "compressed_csc_bytes": bm.block(*coords[0]).value_nbytes,
+        }
+        assert rank.compression_stats() == bm.compression_stats()
+        rank.clear_compressed()
+        assert rank.compression_stats()["blocks_compressed"] == 0
+        assert bm.compression_stats()["blocks_compressed"] == 1
+
+    def test_pickled_share_stays_a_share(self):
+        import pickle
+
+        rank = self._blocked().restricted([0, 2])
+        back = pickle.loads(pickle.dumps(rank))
+        assert back.owned == {0, 2}
+        assert [b is not None for b in back.blk_values[:4]] == [True, False, True, False]
+        np.testing.assert_array_equal(back.blk_values[2].data, rank.blk_values[2].data)
 
 
 class TestBoundaryPartition:

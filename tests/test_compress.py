@@ -342,6 +342,36 @@ class TestCompressedSolve:
         assert resid <= f.options.refine_tol * 10
 
 
+    def test_pickled_handle_keeps_its_overlay(self):
+        """An overlay owns its arrays, so it pickles as it is: the copy
+        multiplies against the same ``U``/``V`` and solves to the gate
+        with the factors it arrived with (no refactorisation)."""
+        import pickle
+
+        a, am = _coupled_matrix()
+        f = _factorize(
+            am, block_size=32, compress_tol=1e-8, compress_min_order=16,
+        )
+        assert f.blocks.arena is not None and f.blocks.lr_overlay
+        g = pickle.loads(pickle.dumps(f))
+        assert g.blocks.lr_overlay.keys() == f.blocks.lr_overlay.keys()
+        for key, cb in f.blocks.lr_overlay.items():
+            got = g.blocks.compressed_block(*key)
+            assert (got.shape, got.src_nnz) == (cb.shape, cb.src_nnz)
+            np.testing.assert_array_equal(got.u, cb.u)
+            np.testing.assert_array_equal(got.v, cb.v)
+        assert g.blocks.compression_stats() == f.blocks.compression_stats()
+        for b0, b1 in zip(f.blocks.blk_values, g.blocks.blk_values):
+            np.testing.assert_array_equal(b0.data, b1.data)
+        stats = g.stats
+        b = np.random.default_rng(9).standard_normal(am.nrows)
+        x = g.solve(b)
+        assert g.stats is stats and g.compression_active()
+        resid = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+        assert resid <= g.options.refine_tol * 10
+        np.testing.assert_array_equal(x, f.solve(b))
+
+
 class TestOneHomePerKnob:
     def test_solver_options_view_the_numeric_options(self):
         from dataclasses import fields

@@ -70,6 +70,34 @@ class TestDistributed:
         )
 
 
+class TestRankShare:
+    def test_rank_job_runs_on_its_share_and_names_a_missing_operand(self):
+        """A rank holds ``BlockMatrix.restricted`` of its slots — real
+        slots, so ``f.num_blocks`` write locks — and a task whose operand
+        has not arrived fails by name instead of reading stale data."""
+        from repro.core.numeric import NumericOptions
+        from repro.core.placement import CyclicPlacement
+        from repro.kernels import Workspace
+        from repro.runtime.distributed import _owner_of_slot, _RankFactorJob
+
+        bm, dag = _prepared()
+        place = CyclicPlacement(2)
+        owner = _owner_of_slot(bm, place)
+        job = _RankFactorJob(
+            1, None, bm, owner, dag, place.assign(dag), NumericOptions()
+        )
+        assert job.n_slots == bm.num_blocks
+        assert job.f is not bm and job.f.owned == set(np.flatnonzero(owner == 1))
+        assert sorted(slot for slot, _ in job.result()) == sorted(job.f.owned)
+        task = next(
+            t for t in dag.tasks
+            if t.k != t.bj and place.owner(t.bi, t.bj) == 1
+            and place.owner(t.k, t.k) == 0
+        )
+        with pytest.raises(RuntimeError, match=rf"\({task.k},{task.k}\).*nor received"):
+            job.execute(task.tid, Workspace())
+
+
 class TestFailureInjection:
     def test_worker_error_surfaces(self):
         """A kernel failure inside a rank must surface as RuntimeError on

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import block_partition, build_dag, factorize
-from repro.core.dag import Task, TaskType
+from repro.core.dag import Task, TaskDAG, TaskType
 from repro.core.solver import PanguLU, SolverOptions
 from repro.devtools.racecheck import (
     CheckedSchedulerCore,
@@ -43,13 +43,12 @@ class _Stub:
         self.successors, self.n_deps = successors, n_deps
 
 
-class _StubDAG:
-    def __init__(self, tasks):
-        self.tasks = tasks
+def _stub_dag(tasks):
+    return TaskDAG(tasks, {}, 0)
 
 
 def _chain(n):
-    return _StubDAG([
+    return _stub_dag([
         _Stub(i, i, 0, [i + 1] if i + 1 < n else [], 0 if i == 0 else 1)
         for i in range(n)
     ])

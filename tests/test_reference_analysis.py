@@ -1,10 +1,11 @@
 """The array-native analysis phase against its interpreter-loop oracles.
 
 ``tests/reference_analysis.py`` holds the row-subtree symbolic fill, the
-list-based BFS / nested dissection / RCM and the chunk-loop block
-partition that ``src/`` used to run.  Same permutation, same filled
-pattern and same block layout mean the same task stream and therefore
-bit-identical factors, so every comparison here is exact.
+list-based BFS / nested dissection / RCM, the chunk-loop block
+partition and the support-mask task-DAG builder that ``src/`` used to
+run.  Same permutation, same filled pattern and same block layout mean
+the same task stream and therefore bit-identical factors, so every
+comparison here is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from . import reference_analysis as ref
+from repro import PanguLU
 from repro.core.blocking import block_partition
+from repro.core.dag import build_dag
 from repro.core.strategy import IrregularBlocking
 from repro.ordering import bfs_levels, nested_dissection, pseudo_peripheral_vertex, rcm
 from repro.sparse import (
@@ -89,9 +92,6 @@ def assert_same_blocks(f: CSCMatrix, bs, *, arena: bool, dtype) -> None:
     assert len(got.blk_values) == len(want.blk_values) == got.num_blocks
     for g, w in zip(got.blk_values, want.blk_values):
         assert_same_matrix(g, w)
-    for name in ("col_support", "row_support"):
-        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
-            np.testing.assert_array_equal(g, w)
     if not arena:
         assert got.arena is None
         # the legacy layout's promise: every block owns its arrays
@@ -103,6 +103,25 @@ def assert_same_blocks(f: CSCMatrix, bs, *, arena: bool, dtype) -> None:
         assert g.dtype == w.dtype, name
     # and the blocks alias the slabs
     assert all(np.shares_memory(b.data, got.arena.data) for b in got.blk_values if b.nnz)
+
+
+def assert_same_dag(blocks) -> int:
+    """``build_dag`` against the support-mask oracle; returns how many
+    structurally empty Schur products both left out."""
+    dag = build_dag(blocks)
+    got = [
+        (t.ttype.name, t.k, t.bi, t.bj, t.flops, t.successors) for t in dag.tasks
+    ]
+    want = ref.build_dag(blocks)
+    assert got == want
+    assert all(type(t.flops) is int for t in dag.tasks)
+    assert dag.total_flops == sum(t[4] for t in want)
+    pairs = sum(
+        sum(1 for i in range(k + 1, blocks.nb) if blocks.block_slot(i, k) >= 0)
+        * sum(1 for j in range(k + 1, blocks.nb) if blocks.block_slot(k, j) >= 0)
+        for k in range(blocks.nb)
+    )
+    return pairs - sum(t[0] == "SSSSM" for t in want)
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +193,26 @@ class TestSweep:
         f = filled(name)
         bs = 24 if layout == "regular" else IrregularBlocking(20).boundaries(f)
         assert_same_blocks(f, bs, arena=arena, dtype=dtype)
+
+    def test_build_dag(self, name):
+        assert_same_dag(block_partition(filled(name), 24))
+
+
+# the repo benchmark's three generators at its smoke scales
+# (benchmarks/e2e/workloads.py), through the facade's own phases 1–3
+@pytest.mark.parametrize(
+    "name, scale", [("audikw_1", 0.17), ("ecology1", 0.12), ("cage12", 0.17)]
+)
+def test_build_dag_on_the_benchmark_generators(name, scale):
+    solver = PanguLU(generate(name, scale=scale, seed=0))
+    solver.preprocess()
+    assert_same_dag(solver.blocks)
+
+
+def test_build_dag_leaves_out_structurally_empty_products():
+    # small blocks of a circuit matrix: L(i,k)·U(k,j) pairs sharing no index
+    bm = block_partition(filled("ASIC_680k"), 6)
+    assert assert_same_dag(bm) > 1000
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

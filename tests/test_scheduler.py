@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import block_partition, build_dag, factorize
+from repro.core.dag import TaskDAG
 from repro.runtime import EventRecorder, RunReport, SchedulerCore, ready_entry
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
@@ -26,14 +27,13 @@ class _Stub:
         self.successors, self.n_deps = successors, n_deps
 
 
-class _StubDAG:
-    def __init__(self, tasks):
-        self.tasks = tasks
+def _stub_dag(tasks):
+    return TaskDAG(tasks, {}, 0)
 
 
 def _chain(n):
     """t0 → t1 → … → t(n−1)."""
-    return _StubDAG([
+    return _stub_dag([
         _Stub(i, i, 0, [i + 1] if i + 1 < n else [], 0 if i == 0 else 1)
         for i in range(n)
     ])
@@ -42,7 +42,7 @@ def _chain(n):
 class TestSchedulerCore:
     def test_drains_in_priority_order(self):
         # two roots at steps 3 and 1: the step-1 task must pop first
-        dag = _StubDAG([
+        dag = _stub_dag([
             _Stub(0, 3, 0, [], 0),
             _Stub(1, 1, 0, [], 0),
         ])
@@ -53,7 +53,7 @@ class TestSchedulerCore:
 
     def test_kernel_class_breaks_step_ties(self):
         # same k: GETRF (class 0) before SSSSM (class 3)
-        dag = _StubDAG([
+        dag = _stub_dag([
             _Stub(0, 0, 3, [], 0),
             _Stub(1, 0, 0, [], 0),
         ])
@@ -97,7 +97,7 @@ class TestSchedulerCore:
     def test_frontier_is_capped_and_counts_overflow(self):
         # twelve independent roots, none executed: the frontier lists
         # the first eight and the message counts the remainder
-        dag = _StubDAG([_Stub(i, i, 0, [], 0) for i in range(12)])
+        dag = _stub_dag([_Stub(i, i, 0, [], 0) for i in range(12)])
         core = SchedulerCore.from_dag(dag)
         assert len(core.blocked_frontier()) == 8
         assert core.blocked_frontier(limit=3) == [(0, 0), (1, 0), (2, 0)]

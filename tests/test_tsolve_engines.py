@@ -236,6 +236,7 @@ def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
         successors=[[], []],
         owner=np.zeros(2, dtype=np.int64),
         total_flops=0.0,
+        entries=[(0, 1, 0), (1, 1, 1)],
         seq_y=np.array([0, 1]),
         seq_x=np.array([-1, -1]),
     )
