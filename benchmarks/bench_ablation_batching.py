@@ -2,7 +2,8 @@
 
 The paper's related work credits Sao et al. with aggregating small dense
 BLAS calls into larger ones on GPUs.  The analogous optimisation here
-amortises the per-step factor preparation (split, CSR conversion) across
+amortises the per-step factor preparation (triangle extraction, SciPy
+structure) across
 all panel blocks of one elimination step.  This bench times per-block vs
 batched panel solves on real block columns and reports the amortisation
 factor.
@@ -18,8 +19,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from common import banner
 from repro.analysis import format_table
@@ -28,88 +27,52 @@ from repro.kernels import (
     GETRF_VARIANTS,
     TSTRF_VARIANTS,
     Workspace,
-    split_lu,
+    triangle,
 )
+from repro.kernels.gessm import panel_compiled
 from repro.sparse import CSCMatrix, random_sparse
 from repro.symbolic import symbolic_symmetric
 
 
-def gessm_batched(
-    diag: CSCMatrix,
-    blocks: list[CSCMatrix],
-    ws: Workspace,
-    *,
-    version: str = "G_V3",
+def _batched(
+    diag: CSCMatrix, blocks: list[CSCMatrix], ws: Workspace, version: str,
+    *, lower: bool,
 ) -> None:
-    """Solve ``L·Xᵢ = Bᵢ`` for every block of one block column, in place.
+    """Solve every block of one block column (``lower``: ``L·Xᵢ = Bᵢ``)
+    or block row (``Xᵢ·U = Bᵢ`` as ``Uᵀ·Xᵢᵀ = Bᵢᵀ``) in place.
 
-    For the compiled variant (``G_V3``) the factor split and the SciPy
-    structure are built once and the right-hand sides are concatenated
-    into a single panel — one triangular solve instead of one per block.
-    Other versions amortise what they can and loop otherwise.
+    For the compiled variant (``G_V3``) the triangle of the diagonal
+    block is extracted once and the right-hand sides — transposed for a
+    block row — are concatenated into a single panel: one
+    ``panel_compiled`` call instead of one per block.  Other versions
+    loop over the per-block kernel.
     """
+    if version != "G_V3":
+        kernel = (GESSM_VARIANTS if lower else TSTRF_VARIANTS)[version]
+        for b in blocks:
+            kernel(diag, b, ws)
+        return
     if not blocks:
         return
-    if version == "G_V3":
-        l, _ = split_lu(diag)
-        lc = sp.csc_matrix((l.data, l.indices, l.indptr), shape=l.shape).tocsr()
-        widths = [b.ncols for b in blocks]
-        panel = np.zeros((diag.ncols, int(np.sum(widths))), dtype=diag.data.dtype)
-        offset = 0
-        for b in blocks:
-            rows, cols = b.rows_cols()
-            panel[rows, cols + offset] = b.data
-            offset += b.ncols
-        x = spla.spsolve_triangular(lc, panel, lower=True, unit_diagonal=True)
-        offset = 0
-        for b in blocks:
-            rows, cols = b.rows_cols()
-            b.data[...] = x[rows, cols + offset]
-            offset += b.ncols
-        return
-    kernel = GESSM_VARIANTS[version]
+    coords, offset = [], 0
     for b in blocks:
-        kernel(diag, b, ws)
+        rows, cols = b.rows_cols() if lower else b.rows_cols()[::-1]
+        coords.append((rows, cols + offset))
+        offset += b.ncols if lower else b.nrows
+    panel = np.zeros((diag.ncols, offset), dtype=diag.data.dtype)
+    for b, at in zip(blocks, coords):
+        panel[at] = b.data
+    x = panel_compiled(triangle(diag, lower=lower, by_rows=True), panel)
+    for b, at in zip(blocks, coords):
+        b.data[...] = x[at]
 
 
-def tstrf_batched(
-    diag: CSCMatrix,
-    blocks: list[CSCMatrix],
-    ws: Workspace,
-    *,
-    version: str = "G_V3",
-) -> None:
-    """Solve ``Xᵢ·U = Bᵢ`` for every block of one block row, in place.
+def gessm_batched(diag, blocks, ws, *, version: str = "G_V3") -> None:
+    _batched(diag, blocks, ws, version, lower=True)
 
-    The ``G_V3`` path builds ``Uᵀ`` and its CSR once and stacks the
-    transposed right-hand sides into one panel.
-    """
-    if not blocks:
-        return
-    if version == "G_V3":
-        _, u = split_lu(diag)
-        ut = u.transpose()
-        ut_csr = sp.csc_matrix(
-            (ut.data, ut.indices, ut.indptr), shape=ut.shape
-        ).tocsr()
-        heights = [b.nrows for b in blocks]
-        panel = np.zeros((diag.ncols, int(np.sum(heights))), dtype=diag.data.dtype)
-        offset = 0
-        for b in blocks:
-            rows, cols = b.rows_cols()
-            panel[cols, rows + offset] = b.data
-            offset += b.nrows
-        x = spla.spsolve_triangular(ut_csr, panel, lower=True, unit_diagonal=False)
-        offset = 0
-        for b in blocks:
-            rows, cols = b.rows_cols()
-            b.data[...] = x[cols, rows + offset]
-            offset += b.nrows
-        return
-    kernel = TSTRF_VARIANTS[version]
-    for b in blocks:
-        kernel(diag, b, ws)
 
+def tstrf_batched(diag, blocks, ws, *, version: str = "G_V3") -> None:
+    _batched(diag, blocks, ws, version, lower=False)
 
 
 def _panel(n: int, h: int, width: int, count: int, seed: int):

@@ -25,8 +25,8 @@ from common import SCALE, banner, matrix
 from repro import PanguLU, SolverOptions
 from repro.analysis import format_table
 from repro.core import (
+    CyclicPlacement,
     ProcessGrid,
-    assign_tasks,
     build_dag,
     get_blocking_strategy,
     load_imbalance,
@@ -50,7 +50,7 @@ def _profile(name: str):
         dag = build_dag(blocks)
         stats = partition_flop_stats(blocks, dag)
         weights = task_weights(dag, blocks)
-        cyclic = assign_tasks(dag, ProcessGrid.square(NPROCS))
+        cyclic = CyclicPlacement(ProcessGrid.square(NPROCS)).assign(dag)
         stats["imbalance"] = load_imbalance(
             dag, cyclic, NPROCS, weights=weights
         )

@@ -13,8 +13,7 @@ from dataclasses import replace
 
 from common import banner, bench_matrices, prepared_pangulu
 from repro.analysis import format_table, geometric_mean
-from repro.core import assign_tasks, balance_loads, load_imbalance
-from repro.core.mapping import ProcessGrid
+from repro.core import CyclicPlacement, ProcessGrid, balance_loads, load_imbalance
 from repro.runtime import A100_PLATFORM, simulate_pangulu
 
 #: A compute-bound variant of the A100 platform: devices 100× slower with
@@ -39,9 +38,9 @@ _COMPUTE_BOUND = replace(
 
 def _one(name: str, nprocs: int, platform) -> tuple[float, float, float, float]:
     pg = prepared_pangulu(name)
-    grid = ProcessGrid.square(nprocs)
-    raw = assign_tasks(pg.dag, grid)
-    balanced = balance_loads(pg.dag, grid, raw)
+    placement = CyclicPlacement(ProcessGrid.square(nprocs))
+    raw = placement.assign(pg.dag)
+    balanced = balance_loads(pg.dag, placement, raw)
     imb_raw = load_imbalance(pg.dag, raw, nprocs)
     imb_bal = load_imbalance(pg.dag, balanced, nprocs)
     t_raw = simulate_pangulu(

@@ -14,7 +14,7 @@ import time
 from common import banner, bench_matrices, prepared_baseline, prepared_pangulu
 from repro.analysis import format_table, geometric_mean, speedup_summary
 from repro.baseline import detect_supernodes, sn_partition
-from repro.core import ProcessGrid, assign_tasks, balance_loads, build_dag
+from repro.core import CyclicPlacement, ProcessGrid, balance_loads, build_dag
 from repro.core.blocking import block_partition, choose_block_size
 
 
@@ -25,8 +25,8 @@ def _pangulu_preprocess_time(name: str) -> float:
     bs = choose_block_size(filled.ncols, filled.nnz)
     blocks = block_partition(filled, bs)
     dag = build_dag(blocks)
-    grid = ProcessGrid.square(16)
-    balance_loads(dag, grid, assign_tasks(dag, grid))
+    placement = CyclicPlacement(ProcessGrid.square(16))
+    balance_loads(dag, placement, placement.assign(dag))
     return time.perf_counter() - t0
 
 

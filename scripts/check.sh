@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo-wide check: project lint (always) + ruff (when available) + the
-# size numbers ROADMAP tracks (code lines of core/ + runtime/, of all of
-# src/repro, and option fields are ratchets) + one smoke-scale setup
-# profile + the tier-1 test suite + the benchmark harness's own tests.
+# size numbers ROADMAP tracks (code lines of core/ + runtime/, of
+# src/repro/kernels, of all of src/repro, and option fields are ratchets)
+# + one smoke-scale setup profile + the tier-1 test suite + the benchmark
+# harness's own tests.
 # This is what CI and `make check` run; keep it in sync with ROADMAP.md.
 set -eu
 
@@ -37,12 +38,17 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
     fi
 }
 # ROADMAP: net negative in core/ + runtime/ is a success metric
-MAX_CORE_RUNTIME_LINES=4231
+MAX_CORE_RUNTIME_LINES=4181
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
-MAX_SRC_LINES=10937
+MAX_SRC_LINES=10771
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
+
+# the kernels are paper-fidelity code mostly off the benchmark's path
+# (every panel task runs C_V2): what they cost is their size
+MAX_KERNELS_LINES=1286
+line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that
 # removes a knob lowers the ceiling in the same commit

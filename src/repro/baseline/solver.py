@@ -64,8 +64,7 @@ class SuperLUBaseline:
     def __init__(self, a: CSCMatrix, options: BaselineOptions | None = None) -> None:
         if a.nrows != a.ncols:
             raise ValueError("baseline requires a square matrix")
-        if a.nnz and not np.all(np.isfinite(a.data)):
-            raise ValueError("matrix contains non-finite values (NaN/Inf)")
+        a.require_finite("a")
         self.a = a
         self.options = options or BaselineOptions()
         self.phase_seconds: dict[str, float] = {}

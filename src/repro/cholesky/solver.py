@@ -86,8 +86,7 @@ class PanguLLt:
     def __init__(self, a: CSCMatrix, options: CholeskyOptions | None = None) -> None:
         if a.nrows != a.ncols:
             raise ValueError("Cholesky requires a square matrix")
-        if a.nnz and not np.all(np.isfinite(a.data)):
-            raise ValueError("matrix contains non-finite values (NaN/Inf)")
+        a.require_finite("a")
         self.a = a
         self.options = options or CholeskyOptions()
         self.phase_seconds: dict[str, float] = {}

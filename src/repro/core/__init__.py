@@ -15,7 +15,6 @@ from .blocking import (
 from .dag import Task, TaskDAG, TaskType, build_dag, sync_free_array
 from .mapping import (
     ProcessGrid,
-    assign_tasks,
     balance_loads,
     load_imbalance,
     task_weights,
@@ -66,7 +65,6 @@ __all__ = [
     "build_dag",
     "sync_free_array",
     "ProcessGrid",
-    "assign_tasks",
     "balance_loads",
     "load_imbalance",
     "PlacementPolicy",

@@ -22,10 +22,10 @@ from .dag import TaskDAG
 
 __all__ = [
     "ProcessGrid",
-    "assign_tasks",
     "task_weights",
     "balance_loads",
     "load_imbalance",
+    "check_rank_speeds",
 ]
 
 
@@ -77,22 +77,6 @@ class ProcessGrid:
         return (bi % self.p) * self.q + (bj % self.q)
 
 
-def assign_tasks(dag: TaskDAG, grid) -> np.ndarray:
-    """Default task→process assignment: each task runs on the owner of its
-    target block.
-
-    ``grid`` may be a :class:`ProcessGrid` (the block-cyclic rule) or any
-    :class:`repro.core.placement.PlacementPolicy` — the policy's
-    :meth:`~repro.core.placement.PlacementPolicy.assign` is the general
-    form and this function is its grid-shaped convenience wrapper.
-    """
-    if hasattr(grid, "assign"):
-        return grid.assign(dag)
-    return np.asarray(
-        [grid.owner(t.bi, t.bj) for t in dag.tasks], dtype=np.int64
-    )
-
-
 def task_weights(dag: TaskDAG, f=None) -> np.ndarray:
     """Per-task balancing weights: structural FLOPs with a per-block
     traffic floor.
@@ -116,22 +100,22 @@ def task_weights(dag: TaskDAG, f=None) -> np.ndarray:
     return np.maximum(w, np.maximum(floor, 1.0))
 
 
-def _check_rank_speeds(speeds, nprocs: int) -> np.ndarray | None:
-    """Validated per-rank speed factors as a float array (``None``
+def check_rank_speeds(speeds, nprocs: int) -> tuple[float, ...] | None:
+    """Validated per-rank speed factors as a tuple of floats (``None``
     passes through — homogeneous ranks)."""
     if speeds is None:
         return None
-    out = np.asarray(speeds, dtype=np.float64)
-    if out.shape != (nprocs,):
-        raise ValueError(f"got {out.size} rank speeds for {nprocs} ranks")
-    if np.any(out <= 0.0):
+    out = tuple(float(s) for s in speeds)
+    if len(out) != nprocs:
+        raise ValueError(f"got {len(out)} rank speeds for {nprocs} ranks")
+    if any(s <= 0.0 for s in out):
         raise ValueError("rank speeds must be positive")
     return out
 
 
 def balance_loads(
     dag: TaskDAG,
-    grid,
+    placement,
     assignment: np.ndarray | None = None,
     *,
     max_rounds: int = 1,
@@ -147,9 +131,10 @@ def balance_loads(
     spread.  Runs in preprocessing — the "small time overhead compared to
     numeric factorisation" the paper notes.
 
-    ``grid`` is a :class:`ProcessGrid` or a
-    :class:`repro.core.placement.PlacementPolicy` (both carry ``nprocs``
-    and a default assignment).  ``weights`` overrides the per-task
+    ``placement`` is the :class:`repro.core.placement.PlacementPolicy`
+    whose ``assign(dag)`` is the default ``assignment`` (a bare
+    :class:`ProcessGrid` is a shape, not an owner map: wrap it in
+    ``CyclicPlacement``).  ``weights`` overrides the per-task
     weights (see :func:`task_weights` for the flop-with-traffic-floor
     weighting the solver passes); the default is the raw structural FLOP
     count.  ``speeds`` supplies per-rank speed factors for heterogeneous
@@ -157,9 +142,11 @@ def balance_loads(
     executing rank), so a fast rank absorbs proportionally more work;
     ``None`` keeps the homogeneous behaviour bit-identical.
     """
-    nprocs = grid.nprocs
+    from .placement import require_placement
+
+    nprocs = require_placement(placement).nprocs
     if assignment is None:
-        assignment = assign_tasks(dag, grid)
+        assignment = placement.assign(dag)
     assignment = assignment.copy()
     if nprocs == 1:
         return assignment
@@ -170,10 +157,10 @@ def balance_loads(
         flops = np.asarray(weights, dtype=np.float64)
         if flops.shape != (len(dag.tasks),):
             raise ValueError("weights must have one entry per task")
-    speed = _check_rank_speeds(speeds, nprocs)
+    speed = check_rank_speeds(speeds, nprocs)
     # 1/speed per rank; exact ones when homogeneous, so every product
     # below is bit-identical to the historical speed-free arithmetic
-    inv = np.ones(nprocs, dtype=np.float64) if speed is None else 1.0 / speed
+    inv = 1.0 / np.asarray(speed or (1.0,) * nprocs, dtype=np.float64)
     slices = np.asarray([t.k for t in dag.tasks], dtype=np.int64)
     nslices = int(slices.max()) + 1 if len(dag.tasks) else 0
 
@@ -242,8 +229,6 @@ def load_imbalance(
     else:
         flops = np.asarray(weights, dtype=np.float64)
     np.add.at(loads, assignment, flops)
-    speed = _check_rank_speeds(speeds, nprocs)
-    if speed is not None:
-        loads /= speed
+    loads /= np.asarray(check_rank_speeds(speeds, nprocs) or 1.0)
     mean = loads.mean()
     return float(loads.max() / mean) if mean > 0 else 1.0

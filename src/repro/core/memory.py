@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import BlockMatrix
+from .placement import require_placement
 
 __all__ = ["MemoryReport", "memory_report", "per_process_bytes"]
 
@@ -175,23 +176,20 @@ def memory_report(f: BlockMatrix, run=None) -> MemoryReport:
     )
 
 
-def per_process_bytes(f: BlockMatrix, grid) -> np.ndarray:
+def per_process_bytes(f: BlockMatrix, placement) -> np.ndarray:
     """Bytes of block storage owned by each process — the quantity that
     must fit in one device's memory.
 
-    ``grid`` is a :class:`ProcessGrid` (block-cyclic ownership) or any
-    :class:`repro.core.placement.PlacementPolicy`.  Ownership is the
-    storage layout; the load balancer migrates *tasks*, never block
+    ``placement`` is a :class:`repro.core.placement.PlacementPolicy`
+    (``CyclicPlacement(grid)`` for block-cyclic ownership).  Ownership is
+    the storage layout; the load balancer migrates *tasks*, never block
     storage.  Counts are exact (``nbytes`` of the per-block arrays at
     their real dtypes).
     """
-    from .placement import CyclicPlacement, PlacementPolicy
-
-    place = grid if isinstance(grid, PlacementPolicy) else CyclicPlacement(grid)
-    out = np.zeros(place.nprocs, dtype=np.int64)
+    out = np.zeros(require_placement(placement).nprocs, dtype=np.int64)
     for bj in range(f.nb):
         rows, blocks = f.blocks_in_column(bj)
         for bi, blk in zip(rows, blocks):
-            owner = place.owner(int(bi), bj)
+            owner = placement.owner(int(bi), bj)
             out[owner] += blk.value_nbytes + blk.index_nbytes
     return out

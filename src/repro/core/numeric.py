@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,10 +33,9 @@ from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
 from ..kernels.plans import (
     PlanCache,
-    build_gessm_plan,
     build_getrf_plan,
+    build_solve_plan,
     build_ssssm_plan,
-    build_tstrf_plan,
 )
 from ..kernels.registry import CACHED_OPERAND, KernelType, get_kernel
 from ..kernels.selector import SelectorPolicy, TaskFeatures
@@ -60,6 +60,12 @@ __guarded_by__ = {
     "self._lock": ("self._images", "self._uses", "self.nbytes", "self.peak_bytes"),
 }
 
+
+def _panel_blocks(t: Task):
+    """A panel solve reads the step's diagonal block and writes its own."""
+    return (t.k, t.k), (t.bi, t.bj)
+
+
 #: Per task type: the kernel family; the coordinates of a task's blocks in
 #: the argument order of that family's kernels (``(bi, bj)`` is the block
 #: written, the others are read); and the builder of the family's
@@ -69,10 +75,10 @@ _FAMILY = {
         KernelType.GETRF, lambda t: ((t.bi, t.bj),), build_getrf_plan,
     ),
     TaskType.GESSM: (
-        KernelType.GESSM, lambda t: ((t.k, t.k), (t.bi, t.bj)), build_gessm_plan,
+        KernelType.GESSM, _panel_blocks, partial(build_solve_plan, lower=True),
     ),
     TaskType.TSTRF: (
-        KernelType.TSTRF, lambda t: ((t.k, t.k), (t.bi, t.bj)), build_tstrf_plan,
+        KernelType.TSTRF, _panel_blocks, partial(build_solve_plan, lower=False),
     ),
     TaskType.SSSSM: (
         KernelType.SSSSM,

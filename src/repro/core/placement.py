@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .mapping import ProcessGrid, task_weights
+from .mapping import ProcessGrid, check_rank_speeds, task_weights
 
 __all__ = [
     "PlacementPolicy",
@@ -49,6 +49,7 @@ __all__ = [
     "available_placements",
     "get_placement",
     "resolve_placement",
+    "require_placement",
 ]
 
 
@@ -70,7 +71,7 @@ class PlacementPolicy(ABC):
         if nprocs < 1:
             raise ValueError("placement needs at least one rank")
         self._nprocs = int(nprocs)
-        self.speeds = _check_speeds(speeds, self._nprocs)
+        self.speeds = check_rank_speeds(speeds, self._nprocs)
 
     @property
     def nprocs(self) -> int:
@@ -94,17 +95,17 @@ class PlacementPolicy(ABC):
         )
 
 
-def _check_speeds(speeds, nprocs: int):
-    if speeds is None:
-        return None
-    out = tuple(float(s) for s in speeds)
-    if len(out) != nprocs:
-        raise ValueError(
-            f"got {len(out)} rank speeds for {nprocs} ranks"
+def require_placement(placement) -> PlacementPolicy:
+    """``placement`` itself — after refusing anything that is not a
+    policy, a bare :class:`~repro.core.mapping.ProcessGrid` included: it
+    is the ``P × Q`` shape inside :class:`CyclicPlacement`, not an owner
+    map of its own."""
+    if not isinstance(placement, PlacementPolicy):
+        raise TypeError(
+            f"expected a PlacementPolicy, got {type(placement).__name__} "
+            "— wrap a ProcessGrid as CyclicPlacement(grid)"
         )
-    if any(s <= 0.0 for s in out):
-        raise ValueError("rank speeds must be positive")
-    return out
+    return placement
 
 
 class CyclicPlacement(PlacementPolicy):

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..ordering import amd, colamd, mc64, nested_dissection, rcm
 from ..runtime.scheduler import ENGINE_SHAPES, EventRecorder, RunReport
-from ..sparse.csc import CSCMatrix
+from ..sparse.csc import CSCMatrix, as_values
 from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult, symbolic_symmetric
 from .blocking import BlockMatrix, block_partition
@@ -351,12 +351,6 @@ class SolverOptions:
         Per-rank relative speed factors (length ``nprocs``) describing a
         heterogeneous machine; consumed by the ``"cost"`` placement and
         the speed-aware load balancer.  ``None`` means homogeneous.
-        The string ``"auto"`` calibrates the factors from a short
-        deterministic kernel warmup at preprocessing time
-        (:func:`repro.runtime.calibrate.calibrate_rank_speeds`) and
-        stores the resolved tuple back on the options, so every later
-        consumer (placement, balancer, engine re-resolution) sees
-        concrete floats.
     engine:
         Execution engine for the numeric phase **and** for the triangular
         solves of phase 5, resolved through the registries in
@@ -444,7 +438,7 @@ class SolverOptions:
     numeric: NumericOptions = field(default_factory=NumericOptions)
     nprocs: int = 1
     placement: str | PlacementPolicy = "cyclic"
-    rank_speeds: tuple[float, ...] | str | None = None
+    rank_speeds: tuple[float, ...] | None = None
     factor_dtype: str = "float64"
     refine_tol: float = 1e-12
     refine_max_iter: int = 40
@@ -717,7 +711,7 @@ class Factorization:
         the refinement is left on ``last_tsolve_stats.residual_history``.
         """
         t0 = time.perf_counter()
-        b = np.asarray(b, dtype=np.float64)
+        b = as_values(b, np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(
                 f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
@@ -758,6 +752,7 @@ class Factorization:
             and np.array_equal(a_new.indices, self.a.indices)
         ):
             raise ValueError("refactorize requires the original sparsity pattern")
+        a_new.require_finite("a_new")
         t0 = time.perf_counter()
         self.a = a_new
         work = a_new.scale(self.row_scale, self.col_scale).permute(
@@ -826,8 +821,7 @@ class PanguLU:
     def __init__(self, a: CSCMatrix, options: SolverOptions | None = None) -> None:
         if a.nrows != a.ncols:
             raise ValueError("PanguLU requires a square matrix")
-        if a.nnz and not np.all(np.isfinite(a.data)):
-            raise ValueError("matrix contains non-finite values (NaN/Inf)")
+        a.require_finite("a")
         self.a = a
         self.options = options or SolverOptions()
         self.phase_seconds: dict[str, float] = {}
@@ -884,14 +878,6 @@ class PanguLU:
             dtype=self.options.resolved_factor_dtype(),
         )
         self.dag = build_dag(self.blocks)
-        if self.options.rank_speeds == "auto":
-            from ..runtime.calibrate import calibrate_rank_speeds
-
-            # resolve to a concrete tuple *before* any policy is built:
-            # placement construction validates speeds as floats, and the
-            # Factorization handle re-resolves placements from the same
-            # options object later
-            self.options.rank_speeds = calibrate_rank_speeds(self.options.nprocs)
         self.placement = placement = resolve_placement(
             self.options.placement, self.options.nprocs,
             speeds=self.options.rank_speeds,

@@ -10,8 +10,10 @@ kernel module:
 
 * a ``<role>_*`` kernel writes only through its output parameter (by
   calling convention: ``getrf_*``/``ssssm_*``/``upd_*`` → first
-  parameter, ``gessm_*``/``tstrf_*``/``diag_*`` → second) and its ``ws``
-  workspace — one level of local aliasing (``c_data = c.data``) is
+  parameter, ``gessm_*``/``tstrf_*``/``diag_*`` → second, and so the
+  shared ``panel_*`` solves the GESSM/TSTRF names call: the triangle of
+  the factored diagonal block comes first and is read-only, the block or
+  dense panel solved in place second) and its ``ws`` workspace — one level of local aliasing (``c_data = c.data``) is
   resolved.  Keyword-only parameters are
   read-only operands like the rest: they carry the cached dense images
   of the factorisation's panel cache (``inv=``, ``a_dense=``,
@@ -36,7 +38,7 @@ from ._util import dotted, functions, mutation_roots
 #: ``Aᵀ``)
 _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
-    "diag": 1, "upd": 0,
+    "panel": 1, "diag": 1, "upd": 0,
 }
 
 _BANNED_MODULES = {"time", "random"}

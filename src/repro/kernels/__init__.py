@@ -7,7 +7,7 @@ variants accept as ``plan=`` (their runners stay in
 :mod:`repro.kernels.plans`), and the two stateless kernels of the
 triangular solves (``diag_seg``, ``upd_seg``)."""
 
-from .base import SingularBlockError, Workspace, split_lu
+from .base import SingularBlockError, Triangle, Workspace, triangle
 from .compress import (
     COMPRESS_VARIANTS,
     LR_SSSSM_VARIANTS,
@@ -42,9 +42,8 @@ from .plans import (
     SolvePlan,
     SSSSMPlan,
     build_getrf_plan,
-    build_gessm_plan,
+    build_solve_plan,
     build_ssssm_plan,
-    build_tstrf_plan,
 )
 from .registry import (
     KERNEL_REGISTRY,
@@ -86,7 +85,8 @@ __all__ = [
     "is_gpu_version",
     "Workspace",
     "SingularBlockError",
-    "split_lu",
+    "Triangle",
+    "triangle",
     "getrf_flops",
     "gessm_flops",
     "tstrf_flops",
@@ -117,8 +117,7 @@ __all__ = [
     "SolvePlan",
     "GETRFPlan",
     "build_ssssm_plan",
-    "build_gessm_plan",
-    "build_tstrf_plan",
+    "build_solve_plan",
     "build_getrf_plan",
     "diag_seg",
     "upd_seg",

@@ -19,7 +19,8 @@ This module provides the kernel-family enum, the dense workspace,
 scatter/gather helpers, the static-pivot rule of GETRF, the dense
 inverse the dense-mapped panel solves and the triangular solves'
 diagonal tasks multiply by (:func:`triangle_inverse` of a factored
-diagonal block), and the L/U split views of a factored diagonal block.
+diagonal block), and the index view of either triangle of a factored
+diagonal block (:func:`triangle`) the sparse panel solves walk.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ __all__ = [
     "dense_triangle_inverse",
     "triangle_inverse",
     "serial_matmul",
-    "split_lu",
+    "diagonal_positions",
+    "Triangle",
+    "triangle",
     "solve_levels",
-    "csc_to_csr_arrays",
     "SingularBlockError",
 ]
 
@@ -256,59 +258,52 @@ def dense_triangle_inverse(d: np.ndarray, *, lower: bool, unit: bool) -> np.ndar
     return inv
 
 
-def split_lu(diag: CSCMatrix) -> tuple[CSCMatrix, CSCMatrix]:
-    """Split a factored diagonal block into ``(L, U)``.
+def diagonal_positions(block: CSCMatrix) -> np.ndarray:
+    """Position in ``block.data`` of each column's diagonal entry, −1
+    where it is structurally missing."""
+    rows, cols = block.rows_cols()
+    on_diag = np.flatnonzero(rows == cols)
+    pos = np.full(block.ncols, -1, dtype=np.int64)
+    pos[cols[on_diag]] = on_diag
+    return pos
 
-    ``L`` is unit-lower (unit diagonal stored explicitly), ``U`` is upper
-    including the diagonal.  Both are fresh CSC matrices.
-    """
+
+@dataclass(frozen=True)
+class Triangle:
+    """The strict part of one triangle ``T`` of a factored diagonal block
+    — its unit-lower ``L`` or its ``Uᵀ`` — as index ranges over the
+    block's own values: column ``t`` (row ``t`` when built ``by_rows``)
+    holds the indices ``indices[indptr[t]:indptr[t+1]]``, ascending, with
+    values ``data[src[indptr[t]:indptr[t+1]]]``.  ``div[t]`` is the
+    position in ``data`` of ``T``'s diagonal entry ``t`` (−1 where it is
+    structurally missing); ``None`` for the unit ``L``, which divides by
+    nothing.  ``data`` *is* ``diag.data``: nothing numeric is copied."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray
+    div: np.ndarray | None
+    data: np.ndarray
+
+
+def triangle(diag: CSCMatrix, *, lower: bool, by_rows: bool = False) -> Triangle:
+    """:class:`Triangle` of ``L`` (``lower=True``) or ``Uᵀ`` of a factored
+    diagonal block, compressed by the triangle's columns — what a column
+    forward sweep walks — or ``by_rows``, what a level-set or compiled
+    row solve walks.  ``L`` by columns and ``Uᵀ`` by rows lie in the
+    block's own column order; the other two are its transpose."""
     n = diag.ncols
-    l_indptr = np.zeros(n + 1, dtype=np.int64)
-    u_indptr = np.zeros(n + 1, dtype=np.int64)
-    l_idx: list[np.ndarray] = []
-    l_val: list[np.ndarray] = []
-    u_idx: list[np.ndarray] = []
-    u_val: list[np.ndarray] = []
-    data = diag.data
-    # the stored unit diagonal must be built in the factor dtype —
-    # np.concatenate([[1.0], float32_vals]) would silently promote the
-    # whole L value array to float64
-    unit = np.ones(1, dtype=data.dtype)
-    for j in range(n):
-        sl = diag.col_slice(j)
-        rows = diag.indices[sl]
-        vals = data[sl]
-        below = rows > j
-        upto = rows <= j
-        l_idx.append(np.concatenate([[j], rows[below]]))
-        l_val.append(np.concatenate([unit, vals[below]]))
-        u_idx.append(rows[upto])
-        u_val.append(vals[upto])
-        l_indptr[j + 1] = l_indptr[j] + l_idx[-1].size
-        u_indptr[j + 1] = u_indptr[j] + u_idx[-1].size
-    l = CSCMatrix(
-        diag.shape,
-        l_indptr,
-        np.concatenate(l_idx) if l_idx else np.zeros(0, np.int64),
-        np.concatenate(l_val) if l_val else np.zeros(0, dtype=data.dtype),
-        check=False,
-    )
-    u = CSCMatrix(
-        diag.shape,
-        u_indptr,
-        np.concatenate(u_idx) if u_idx else np.zeros(0, np.int64),
-        np.concatenate(u_val) if u_val else np.zeros(0, dtype=data.dtype),
-        check=False,
-    )
-    return l, u
-
-
-def csc_to_csr_arrays(
-    m: CSCMatrix,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(indptr, col_indices, data)`` of the CSR form of ``m``."""
-    t = m.transpose()
-    return t.indptr, t.indices, t.data
+    rows, cols = diag.rows_cols()
+    src = np.flatnonzero(rows > cols if lower else rows < cols)
+    major, minor = cols[src], rows[src]
+    if lower == by_rows:
+        # stable: within one row the block's columns stay ascending
+        order = np.argsort(minor, kind="stable")
+        src, major, minor = src[order], minor[order], major[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
+    div = None if lower else diagonal_positions(diag)
+    return Triangle(indptr, minor, src, div, diag.data)
 
 
 def solve_levels(l_csr_indptr: np.ndarray, l_csr_cols: np.ndarray, n: int) -> list[np.ndarray]:

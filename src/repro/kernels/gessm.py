@@ -15,9 +15,18 @@ G_V1     Bin-search  warp-level column           no
 G_V2     Bin-search  un-sync warp-level row      no
 G_V3     Direct      warp-level column           yes
 =======  ==========  ==========================  =============
+
+Each addressing method is written once, for a triangular matrix ``T``
+that is either the unit ``L`` or the non-unit ``Uᵀ`` of the diagonal
+block (:func:`~repro.kernels.base.triangle`): :func:`panel_sweep`
+(``C_V1`` / ``G_V1``), :func:`panel_levels` (``G_V2``) and
+:func:`panel_compiled` (``G_V3``).  The TSTRF variants of
+:mod:`repro.kernels.tstrf` are these on the pair ``(Uᵀ, Bᵀ)``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,16 +34,17 @@ import scipy.sparse.linalg as spla
 
 from ..sparse.csc import CSCMatrix
 from .base import (
+    SingularBlockError,
+    Triangle,
     Workspace,
-    csc_to_csr_arrays,
     gather_dense,
     scatter_dense,
     serial_matmul,
     solve_levels,
-    split_lu,
+    triangle,
     triangle_inverse,
 )
-from .plans import SolvePlan, run_gessm_plan
+from .plans import SolvePlan, run_solve_plan
 
 __all__ = [
     "gessm_c_v1",
@@ -43,48 +53,112 @@ __all__ = [
     "gessm_g_v2",
     "gessm_g_v3",
     "GESSM_VARIANTS",
+    "panel_sweep",
+    "panel_levels",
+    "panel_compiled",
+    "panel_dense",
 ]
 
 
-def _strict_lower_cols(diag: CSCMatrix, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices/values of the strictly-lower part of column ``t`` of a
-    factored diagonal block (the ``L`` multipliers of pivot ``t``)."""
-    sl = diag.col_slice(t)
-    rows = diag.indices[sl]
-    start = int(np.searchsorted(rows, t + 1))
-    return rows[start:], diag.data[sl][start:]
+def _divisor(tri: Triangle, t: int):
+    """The diagonal entry a non-unit triangle divides pivot ``t`` by."""
+    d = tri.div[t]
+    if d < 0 or tri.data[d] == 0.0:
+        raise SingularBlockError(f"zero/missing U diagonal at {t}")
+    return tri.data[d]
 
 
-def gessm_c_v1(
-    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
-) -> None:
-    """Merge-addressed column solve (CPU V1).
-
-    Pure sparse forward substitution; update targets are located by merging
-    the pivot's L-column index list with the B-column index list
-    (``numpy.intersect1d`` on sorted-unique arrays) — or read from
-    ``plan``, the block pair's precomputed solve order, when the caller
-    holds one (same operations in the same order).
-    """
-    if plan is not None:
-        return run_gessm_plan(plan, diag, b)
+def panel_sweep(tri: Triangle, b: CSCMatrix, *, merge: bool) -> None:
+    """Sparse forward substitution ``T·X = B`` in place on ``b``, column
+    by column: per stored entry ``x_t`` — divided by ``T``'s diagonal
+    when it has one — the strict column ``t`` of ``T`` is eliminated from
+    the rest of the column.  Update targets are located by merging the
+    two sorted index lists (``numpy.intersect1d``, Table 1's "Merge") or
+    by binary search into the column's pattern (``searchsorted`` plus a
+    validity mask, "Bin-search" — cheaper when ``T``'s columns are much
+    shorter than ``B``'s)."""
+    indptr, t_rows = tri.indptr, tri.indices
+    t_vals = tri.data[tri.src]
     for c in range(b.ncols):
         sl = b.col_slice(c)
         rows_c = b.indices[sl]
         vals_c = b.data[sl]
         for p in range(rows_c.size):
-            xt = vals_c[p]
-            if xt == 0.0:
-                continue
             t = int(rows_c[p])
-            l_rows, l_vals = _strict_lower_cols(diag, t)
-            if l_rows.size == 0:
+            xt = vals_c[p]
+            if tri.div is not None:
+                xt = vals_c[p] = xt / _divisor(tri, t)
+            lo, hi = indptr[t], indptr[t + 1]
+            if xt == 0.0 or lo == hi:
                 continue
-            common, pos_l, pos_c = np.intersect1d(
-                l_rows, rows_c, assume_unique=True, return_indices=True
-            )
-            if common.size:
-                vals_c[pos_c] -= l_vals[pos_l] * xt
+            l_rows, l_vals = t_rows[lo:hi], t_vals[lo:hi]
+            if merge:
+                common, pos_l, pos_c = np.intersect1d(
+                    l_rows, rows_c, assume_unique=True, return_indices=True
+                )
+                if common.size:
+                    vals_c[pos_c] -= l_vals[pos_l] * xt
+            else:
+                pos = np.searchsorted(rows_c, l_rows)
+                valid = pos < rows_c.size
+                np.minimum(pos, rows_c.size - 1, out=pos)
+                valid &= rows_c[pos] == l_rows
+                vals_c[pos[valid]] -= l_vals[valid] * xt
+
+
+def panel_levels(tri: Triangle, w: np.ndarray) -> np.ndarray:
+    """Level-scheduled row solve ``T·X = W`` in place on the dense panel
+    ``w`` (``tri`` built ``by_rows``): the level sets of the solve DAG,
+    one level at a time; rows inside a level are independent — the
+    synchronisation-free row algorithm of SFLU applied to the solve."""
+    indptr, cols = tri.indptr, tri.indices
+    vals = tri.data[tri.src]
+    for lev in solve_levels(indptr, cols, w.shape[0]):
+        for r in lev:
+            r = int(r)
+            lo, hi = indptr[r], indptr[r + 1]
+            if hi > lo:
+                w[r, :] -= vals[lo:hi] @ w[cols[lo:hi], :]
+            if tri.div is not None:
+                w[r, :] /= _divisor(tri, r)
+    return w
+
+
+def panel_compiled(tri: Triangle, w: np.ndarray) -> np.ndarray:
+    """``T⁻¹·W`` by SciPy's compiled sparse triangular solve (``tri``
+    built ``by_rows``) — the analogue of handing the panel to a vendor
+    library: a conversion/launch overhead up front, the highest
+    throughput on large dense-ish panels."""
+    n = w.shape[0]
+    t = sp.csr_array((tri.data[tri.src], tri.indices, tri.indptr), shape=(n, n))
+    if tri.div is not None:
+        # a missing diagonal is a zero one: SciPy names the singularity
+        t = t + sp.diags_array(np.where(tri.div < 0, 0.0, tri.data[tri.div]))
+    return spla.spsolve_triangular(t, w, lower=True, unit_diagonal=tri.div is None)
+
+
+def panel_dense(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace,
+    solve: Callable[[Triangle, np.ndarray], np.ndarray], *, lower: bool,
+) -> None:
+    """Run a dense-panel row ``solve`` for GESSM (``lower``: ``L`` on the
+    panel of ``B``) or TSTRF (``Uᵀ`` on the panel of ``Bᵀ``) and gather
+    the result back into ``b``'s pattern."""
+    rows, cols = b.rows_cols() if lower else b.rows_cols()[::-1]
+    w = ws.dense("a", (diag.ncols, b.ncols if lower else b.nrows), b.data.dtype)
+    w[rows, cols] = b.data
+    b.data[...] = solve(triangle(diag, lower=lower, by_rows=True), w)[rows, cols]
+
+
+def gessm_c_v1(
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
+) -> None:
+    """Merge-addressed column solve (CPU V1): :func:`panel_sweep` with
+    merge addressing — or, handed ``plan``, the block pair's precomputed
+    solve order, the same operations in the same order read from it."""
+    if plan is not None:
+        return run_solve_plan(plan, diag, b)
+    panel_sweep(triangle(diag, lower=True), b, merge=True)
 
 
 def gessm_c_v2(
@@ -105,76 +179,24 @@ def gessm_c_v2(
 def gessm_g_v1(
     diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, plan: SolvePlan | None = None
 ) -> None:
-    """Bin-search column solve (GPU V1, "warp-level column").
-
-    Like :func:`gessm_c_v1` but targets are located with ``searchsorted``
-    into the B column's pattern (binary search rather than a full merge) —
-    cheaper when the L columns are much shorter than the B columns.
-    ``plan``: as for :func:`gessm_c_v1`.
-    """
+    """Bin-search column solve (GPU V1, "warp-level column"):
+    :func:`panel_sweep` with bin-search addressing; ``plan``: as for
+    :func:`gessm_c_v1`."""
     if plan is not None:
-        return run_gessm_plan(plan, diag, b)
-    for c in range(b.ncols):
-        sl = b.col_slice(c)
-        rows_c = b.indices[sl]
-        vals_c = b.data[sl]
-        for p in range(rows_c.size):
-            xt = vals_c[p]
-            if xt == 0.0:
-                continue
-            t = int(rows_c[p])
-            l_rows, l_vals = _strict_lower_cols(diag, t)
-            if l_rows.size == 0:
-                continue
-            pos = np.searchsorted(rows_c, l_rows)
-            valid = pos < rows_c.size
-            np.minimum(pos, rows_c.size - 1, out=pos)
-            valid &= rows_c[pos] == l_rows
-            vals_c[pos[valid]] -= l_vals[valid] * xt
+        return run_solve_plan(plan, diag, b)
+    panel_sweep(triangle(diag, lower=True), b, merge=False)
 
 
 def gessm_g_v2(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """Level-scheduled row solve (GPU V2, "un-sync warp-level row").
-
-    Computes the level sets of the triangular-solve DAG of ``L`` and
-    processes one level at a time on a dense panel; rows inside a level
-    are independent (this is the synchronisation-free row algorithm of
-    SFLU applied to the solve).
-    """
-    n, m = b.shape
-    l, _ = split_lu(diag)
-    indptr, cols, vals = csc_to_csr_arrays(l)
-    levels = solve_levels(indptr, cols, n)
-    w = ws.dense("a", (n, m), b.data.dtype)
-    scatter_dense(b, w)
-    for lev in levels:
-        for r in lev:
-            r = int(r)
-            sl = slice(int(indptr[r]), int(indptr[r + 1]))
-            cs = cols[sl]
-            strict = cs < r
-            if strict.any():
-                w[r, :] -= vals[sl][strict] @ w[cs[strict], :]
-    gather_dense(b, w)
+    """Level-scheduled row solve (GPU V2, "un-sync warp-level row"):
+    :func:`panel_levels` on the dense panel of ``B``."""
+    panel_dense(diag, b, ws, panel_levels, lower=True)
 
 
 def gessm_g_v3(diag: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
-    """Compiled dense-panel solve (GPU V3, "Direct warp-level column").
-
-    Offloads to SciPy's compiled sparse triangular solve on a dense
-    right-hand side — the analogue of handing the panel to a vendor
-    library: a conversion/launch overhead up front, the highest throughput
-    on large dense-ish panels.
-    """
-    n, m = b.shape
-    l, _ = split_lu(diag)
-    w = ws.dense("a", (n, m), b.data.dtype)
-    scatter_dense(b, w)
-    lc = sp.csr_matrix(
-        (l.data, l.indices, l.indptr), shape=l.shape
-    ).T.tocsr()  # CSC arrays reinterpreted then transposed -> true CSR of L
-    x = spla.spsolve_triangular(lc, w, lower=True, unit_diagonal=True)
-    gather_dense(b, x)
+    """Compiled dense-panel solve (GPU V3, "Direct warp-level column"):
+    :func:`panel_compiled` on the dense panel of ``B``."""
+    panel_dense(diag, b, ws, panel_compiled, lower=True)
 
 
 GESSM_VARIANTS = {

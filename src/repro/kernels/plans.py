@@ -51,7 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from .base import KernelType, SingularBlockError, fix_pivot
+from .base import (
+    KernelType,
+    SingularBlockError,
+    diagonal_positions,
+    fix_pivot,
+    triangle,
+)
 
 __all__ = [
     "SSSSMPlan",
@@ -61,10 +67,8 @@ __all__ = [
     "PLANNABLE_VERSIONS",
     "build_ssssm_plan",
     "run_ssssm_plan",
-    "build_gessm_plan",
-    "run_gessm_plan",
-    "build_tstrf_plan",
-    "run_tstrf_plan",
+    "build_solve_plan",
+    "run_solve_plan",
     "build_getrf_plan",
     "run_getrf_plan",
 ]
@@ -213,18 +217,6 @@ class SolvePlan(_IndexPlan):
     gather: np.ndarray | None = None
 
 
-def _upper_counts(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Per column, the number of entries with ``row <= column``.
-
-    Rows are sorted within a column, so these are the leading entries:
-    ``indptr[:-1] + _upper_counts(...)`` is the start of each column's
-    strict-lower segment.
-    """
-    n = indptr.size - 1
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return np.bincount(cols[indices <= cols], minlength=n)
-
-
 def _plan_steps(
     step_t: np.ndarray,
     step_col: np.ndarray,
@@ -251,119 +243,59 @@ def _plan_steps(
     return src_flat[valid], pos[valid], seg
 
 
-def build_gessm_plan(diag: CSCMatrix, b: CSCMatrix) -> SolvePlan:
-    """Plan the forward solve ``L·X = B`` (unit-lower ``L`` from the
-    factored diagonal block).
+def build_solve_plan(diag: CSCMatrix, b: CSCMatrix, *, lower: bool) -> SolvePlan:
+    """Plan the forward sweep of a panel solve: GESSM's ``L·X = B``
+    (``lower``) in ``b.data`` order, or TSTRF's ``X·U = B`` as
+    ``Uᵀ·Xᵀ = Bᵀ`` on ``b.data[gather]``, the entry order of ``Bᵀ``.
 
-    One candidate step per entry of ``B`` in data order; update targets
-    are resolved once with the same bin-search + validity masking as
-    ``gessm_g_v1``, and steps with no targets are dropped (they are
-    no-ops — GESSM has no division).
+    One candidate step per work entry; update targets are resolved once
+    with the bin-search + validity masking of the ``G_V1`` sweeps.  A
+    step without targets is dropped when the triangle is unit (a no-op)
+    and kept otherwise (it still divides).  A structurally missing ``U``
+    diagonal raises here, an exactly zero one when the plan runs.
     """
-    l_start = diag.indptr[:-1] + _upper_counts(diag.indptr, diag.indices)
-    step_t = b.indices.astype(np.int64, copy=False)
-    b_cols = np.repeat(np.arange(b.ncols, dtype=np.int64), np.diff(b.indptr))
+    tri = triangle(diag, lower=lower)
+    step_t, step_col = b.rows_cols()
+    nrows, gather, div = b.nrows, None, None
+    if not lower:
+        gather = np.argsort(step_t, kind="stable")
+        step_t, step_col, nrows = step_col[gather], step_t[gather], b.ncols
+        div = tri.div[step_t]
+        if (div < 0).any():
+            t = int(step_t[div < 0][0])
+            raise SingularBlockError(f"zero/missing U diagonal at {t}")
     src, dst, seg = _plan_steps(
-        step_t, b_cols, l_start, diag.indptr[1:], diag.indices,
-        _colkeys(b.indptr, b.indices, b.nrows), b.nrows,
+        step_t, step_col, tri.indptr[:-1], tri.indptr[1:], tri.indices,
+        step_col * nrows + step_t, nrows,
     )
-    keep = np.flatnonzero(seg > 0)
+    keep = np.flatnonzero(seg > 0) if lower else np.arange(seg.size, dtype=np.int64)
     seg_ptr = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(seg[keep], out=seg_ptr[1:])
-    return SolvePlan(piv=keep, seg_ptr=seg_ptr, dst=dst, src=src)
-
-
-def run_gessm_plan(plan: SolvePlan, diag: CSCMatrix, b: CSCMatrix) -> None:
-    """Execute a planned GESSM solve in place on ``b.data``."""
-    data = b.data
-    dd = diag.data
-    piv, seg_ptr, dst, src = plan.piv, plan.seg_ptr, plan.dst, plan.src
-    for i in range(piv.size):
-        xt = data[piv[i]]
-        if xt == 0.0:
-            continue
-        s, e = seg_ptr[i], seg_ptr[i + 1]
-        data[dst[s:e]] -= dd[src[s:e]] * xt
-
-
-def _upper_transposed_map(diag: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Structural ``U^T`` of a factored diagonal block, as index maps.
-
-    Returns ``(indptr, indices, tau)`` where column ``t`` of ``U^T``
-    holds rows ``indices[indptr[t]:indptr[t+1]]`` and values
-    ``diag.data[tau[indptr[t]:indptr[t+1]]]`` — the same entries, in the
-    same order, as ``split_lu(diag)[1].transpose()``, but without copying
-    any numeric data.
-    """
-    rows_d, cols_d = diag.rows_cols()
-    upper = np.flatnonzero(rows_d <= cols_d)
-    # U^T column = original row; within a column sorted by original column
-    order = np.lexsort((cols_d[upper], rows_d[upper]))
-    tau = upper[order]
-    ut_cols = rows_d[tau]
-    indptr = np.zeros(diag.ncols + 1, dtype=np.int64)
-    np.add.at(indptr, ut_cols + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols_d[tau], tau
-
-
-def build_tstrf_plan(diag: CSCMatrix, b: CSCMatrix) -> SolvePlan:
-    """Plan the row solve ``X·U = B`` as the forward solve
-    ``U^T·X^T = B^T`` of the transpose-based TSTRF variants.
-
-    Every entry of ``B`` is a step (division by the ``U`` diagonal always
-    happens); structurally missing diagonals raise at build time, exactly
-    zero ones at run time.
-    """
-    ut_indptr, ut_indices, tau = _upper_transposed_map(diag)
-    rows_b, cols_b = b.rows_cols()
-    # permutation taking b.data into B^T (CSC-of-transpose) entry order
-    gather = np.lexsort((cols_b, rows_b)).astype(np.int64)
-    bt_cols = rows_b[gather]  # column of B^T per work entry, non-decreasing
-    bt_rows = cols_b[gather]  # row of B^T per work entry
-    # every U^T column a step touches must lead with its diagonal
-    n = diag.ncols
-    diag_ok = np.zeros(n, dtype=bool)
-    nonempty = np.flatnonzero(ut_indptr[:-1] < ut_indptr[1:])
-    diag_ok[nonempty] = ut_indices[ut_indptr[nonempty]] == nonempty
-    if bt_rows.size and not diag_ok[bt_rows].all():
-        t = int(bt_rows[~diag_ok[bt_rows]][0])
-        raise SingularBlockError(f"zero/missing U diagonal at {t}")
-    # one step per B^T entry, in work order; seg lengths may be zero
-    src_flat, dst, seg = _plan_steps(
-        bt_rows, bt_cols, ut_indptr[:-1] + 1, ut_indptr[1:], ut_indices,
-        bt_cols * b.ncols + bt_rows, b.ncols,
-    )
-    seg_ptr = np.zeros(bt_rows.size + 1, dtype=np.int64)
-    np.cumsum(seg, out=seg_ptr[1:])
     return SolvePlan(
-        piv=np.arange(bt_rows.size, dtype=np.int64),
-        seg_ptr=seg_ptr,
-        dst=dst,
-        src=tau[src_flat],
-        div=tau[ut_indptr[:-1][bt_rows]],
-        gather=gather,
+        piv=keep, seg_ptr=seg_ptr, dst=dst, src=tri.src[src], div=div, gather=gather
     )
 
 
-def run_tstrf_plan(plan: SolvePlan, diag: CSCMatrix, b: CSCMatrix) -> None:
-    """Execute a planned TSTRF solve in place on ``b.data``."""
+def run_solve_plan(plan: SolvePlan, diag: CSCMatrix, b: CSCMatrix) -> None:
+    """Execute a planned GESSM / TSTRF solve in place on ``b.data``."""
     dd = diag.data
-    w = b.data[plan.gather]
+    w = b.data if plan.gather is None else b.data[plan.gather]
     piv, div, seg_ptr = plan.piv, plan.div, plan.seg_ptr
     dst, src = plan.dst, plan.src
     for i in range(piv.size):
-        uv = dd[div[i]]
-        if uv == 0.0:
-            raise SingularBlockError(f"zero/missing U diagonal (step {i})")
-        xt = w[piv[i]] / uv
-        w[piv[i]] = xt
+        xt = w[piv[i]]
+        if div is not None:
+            uv = dd[div[i]]
+            if uv == 0.0:
+                raise SingularBlockError(f"zero/missing U diagonal (step {i})")
+            xt = w[piv[i]] = xt / uv
         if xt == 0.0:
             continue
         s, e = seg_ptr[i], seg_ptr[i + 1]
         if e > s:
             w[dst[s:e]] -= dd[src[s:e]] * xt
-    b.data[plan.gather] = w
+    if plan.gather is not None:
+        b.data[plan.gather] = w
 
 
 # ----------------------------------------------------------------------
@@ -400,17 +332,13 @@ def build_getrf_plan(block: CSCMatrix) -> GETRFPlan:
     """
     n = block.ncols
     indptr, indices = block.indptr, block.indices
-    if indices.size == 0 and n:
-        raise SingularBlockError("missing structural pivot at column 0")
-    upper = _upper_counts(indptr, indices)
-    diag_idx = indptr[:-1] + upper - 1
-    bad = np.flatnonzero((upper == 0) | (indices[np.maximum(diag_idx, 0)] != np.arange(n)))
+    diag_idx = diagonal_positions(block)
+    bad = np.flatnonzero(diag_idx < 0)
     if bad.size:
         raise SingularBlockError(f"missing structural pivot at column {int(bad[0])}")
     # one candidate step per strict-upper entry, in data (column-major)
     # order — the traversal order of getrf_g_v1
-    rows_d = indices
-    cols_d = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    rows_d, cols_d = block.rows_cols()
     strict = np.flatnonzero(rows_d < cols_d)
     step_t = rows_d[strict]
     step_col = cols_d[strict]

@@ -100,20 +100,22 @@ class VariantProfile:
 # device's dense efficiency is useful work.  SSSSM C_V1 is the same dense
 # GEMM as ever; what it stopped doing — re-scattering all three panels per
 # task — this model never charged (``dense_bytes`` counts each panel once).
+# A panel solve is one piece of code per addressing method, run on ``(L, B)``
+# for GESSM and on ``(Uᵀ, Bᵀ)`` for TSTRF: one profile row serves both.
+_PANEL_PROFILES = {
+    "C_V1": VariantProfile(False, False, eff_scale=0.7),
+    "C_V2": VariantProfile(True, True, eff_scale=0.5),
+    "G_V1": VariantProfile(False, False),
+    "G_V2": VariantProfile(False, True, eff_scale=1.4, launch_scale=1.5),
+    "G_V3": VariantProfile(True, True, launch_scale=2.0),
+}
+
 VARIANT_PROFILES: dict[tuple[KernelType, str], VariantProfile] = {
     (KernelType.GETRF, "C_V1"): VariantProfile(True, True),
     (KernelType.GETRF, "G_V1"): VariantProfile(False, False),
     (KernelType.GETRF, "G_V2"): VariantProfile(False, False, eff_scale=1.6),
-    (KernelType.GESSM, "C_V1"): VariantProfile(False, False, eff_scale=0.7),
-    (KernelType.GESSM, "C_V2"): VariantProfile(True, True, eff_scale=0.5),
-    (KernelType.GESSM, "G_V1"): VariantProfile(False, False),
-    (KernelType.GESSM, "G_V2"): VariantProfile(False, True, eff_scale=1.4, launch_scale=1.5),
-    (KernelType.GESSM, "G_V3"): VariantProfile(True, True, launch_scale=2.0),
-    (KernelType.TSTRF, "C_V1"): VariantProfile(False, False, eff_scale=0.7),
-    (KernelType.TSTRF, "C_V2"): VariantProfile(True, True, eff_scale=0.5),
-    (KernelType.TSTRF, "G_V1"): VariantProfile(False, False),
-    (KernelType.TSTRF, "G_V2"): VariantProfile(False, True, eff_scale=1.4, launch_scale=1.5),
-    (KernelType.TSTRF, "G_V3"): VariantProfile(True, True, launch_scale=2.0),
+    **{(k, v): p for k in (KernelType.GESSM, KernelType.TSTRF)
+       for v, p in _PANEL_PROFILES.items()},
     (KernelType.SSSSM, "C_V1"): VariantProfile(True, True),
     (KernelType.SSSSM, "C_V2"): VariantProfile(False, False),
     (KernelType.SSSSM, "G_V1"): VariantProfile(False, False, eff_scale=3.0, launch_scale=2.0),

@@ -25,17 +25,20 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CSCMatrix", "coo_to_csc", "concat_ranges", "VALUE_DTYPES"]
+__all__ = ["CSCMatrix", "coo_to_csc", "concat_ranges", "VALUE_DTYPES", "as_values"]
 
 #: value dtypes the container stores natively; anything else is coerced
 #: to float64 (ints, python floats, float16, …)
 VALUE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-def _as_values(values: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
+def as_values(values: np.ndarray, dtype: np.dtype | type | None = None) -> np.ndarray:
     """Normalise a value array: contiguous, float32/float64 preserved,
-    every other dtype coerced to float64."""
+    every other real dtype coerced to float64; complex values are refused
+    (a cast would keep the real part and solve a different system)."""
     arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"complex values are not supported (dtype {arr.dtype})")
     if dtype is None:
         dtype = arr.dtype if arr.dtype in VALUE_DTYPES else np.dtype(np.float64)
     return np.ascontiguousarray(arr, dtype=dtype)
@@ -115,7 +118,7 @@ class CSCMatrix:
             if self._dtype not in VALUE_DTYPES:
                 raise TypeError(f"unsupported value dtype {self._dtype}")
         else:
-            self._data = _as_values(data, None if dtype is None else np.dtype(dtype))
+            self._data = as_values(data, None if dtype is None else np.dtype(dtype))
             self._dtype = self._data.dtype
         self._cols = None
         if check:
@@ -162,7 +165,7 @@ class CSCMatrix:
 
     @data.setter
     def data(self, values: np.ndarray) -> None:
-        values = _as_values(values)
+        values = as_values(values)
         if values.size != self.nnz:
             raise ValueError(f"data has {values.size} entries, expected {self.nnz}")
         self._data = values
@@ -238,7 +241,7 @@ class CSCMatrix:
 
         ``float32``/``float64`` inputs keep their dtype; everything else
         is coerced to ``float64``."""
-        dense = _as_values(dense)
+        dense = as_values(dense)
         if dense.ndim != 2:
             raise ValueError("dense input must be 2-D")
         mask = np.abs(dense) > drop_tol
@@ -412,6 +415,17 @@ class CSCMatrix:
             indices, data = indices[order], data[order]
         return CSCMatrix(self.shape, indptr, indices, data, check=False)
 
+    def require_finite(self, name: str) -> None:
+        """``ValueError`` naming the first NaN/Inf entry (``name`` is what
+        the caller calls this matrix)."""
+        bad = np.flatnonzero(~np.isfinite(self.data))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"matrix contains non-finite values (NaN/Inf): {name}.data[{i}] = "
+                f"{self.data[i]} at ({self.indices[i]}, {self.cols_expanded()[i]})"
+            )
+
     def diagonal(self) -> np.ndarray:
         """Extract the main diagonal as a dense vector."""
         out = np.zeros(min(self.shape), dtype=self._dtype)
@@ -557,7 +571,7 @@ def coo_to_csc(
     if vals is None:
         vals = np.ones(rows.size, dtype=np.float64)
     else:
-        vals = _as_values(vals)
+        vals = as_values(vals)
     if not (rows.size == cols.size == vals.size):
         raise ValueError("rows, cols, vals must have equal length")
     nrows, ncols = shape

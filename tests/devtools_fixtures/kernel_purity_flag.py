@@ -19,6 +19,12 @@ def gessm_bad(diag, b, ws, *, inv=None):
     b.data[...] = (inv @ ws.dense2d)[0]
 
 
+def panel_bad(tri, b, *, merge):
+    vals = tri.data
+    vals[tri.src[0]] = 0.0        # the shared sweep mutates the diagonal block
+    b.data[0] = vals[0]
+
+
 def upd_bad(tgt, blk, src, *, transposed=False):
     src[0] = 0.0                  # solve update mutates its source segment
     blk.data[:] = 1.0             # and the factor block it should only read

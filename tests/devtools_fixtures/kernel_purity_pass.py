@@ -19,6 +19,11 @@ def gessm_good(diag, b, ws, *, inv=None):
     b.data[...] = (inv @ ws.dense2d)[0]  # reads the cached image, writes b
 
 
+def panel_good(tri, b, *, merge):
+    vals = tri.data[tri.src]      # a gathered copy of the triangle's values
+    b.data[0] = b.data[0] - vals[0]  # the solved block is the only one written
+
+
 def upd_good(tgt, blk, src, *, transposed=False):
     tgt[blk.indices] = tgt[blk.indices] - blk.data * src[:1]  # writes target only
     return tgt

@@ -430,27 +430,3 @@ class TestEscalation:
         assert resid <= 1e-10
         # the escalation flipped compression off and refactorised
         assert not f.compression_active()
-
-
-# ----------------------------------------------------------------------
-# satellite: auto-calibrated rank speeds
-# ----------------------------------------------------------------------
-
-class TestAutoRankSpeeds:
-    def test_calibrate_returns_normalised_tuple(self):
-        from repro.runtime.calibrate import calibrate_rank_speeds
-
-        speeds = calibrate_rank_speeds(3, order=48, repeats=2)
-        assert len(speeds) == 3
-        assert max(speeds) == 1.0
-        assert all(0.0 < s <= 1.0 for s in speeds)
-
-    def test_auto_resolves_during_preprocess(self):
-        _, am = _coupled_matrix()
-        s = PanguLU(am, SolverOptions(
-            block_size=32, rank_speeds="auto", nprocs=2,
-        ))
-        s.preprocess()
-        assert isinstance(s.options.rank_speeds, tuple)
-        assert len(s.options.rank_speeds) == 2
-        assert max(s.options.rank_speeds) == 1.0

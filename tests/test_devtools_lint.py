@@ -105,6 +105,20 @@ def test_kernel_purity_treats_cached_images_as_read_only():
     )
 
 
+def test_kernel_purity_follows_the_writes_into_the_shared_panel_solves():
+    """The GESSM/TSTRF names delegate to ``panel_*`` functions: the rule
+    knows their role (second positional parameter is the block written,
+    the triangle of the diagonal block is read-only)."""
+    findings = _run_rule("kernel-purity", FIXTURES / "kernel_purity_flag.py")
+    assert any(
+        "panel_bad() mutates read-only operand 'tri'" in f.message
+        and "designated output is 'b'" in f.message
+        for f in findings
+    )
+    passing = _run_rule("kernel-purity", FIXTURES / "kernel_purity_pass.py")
+    assert passing == []
+
+
 def test_kernel_purity_scopes_cover_tsolve_kernels():
     """The rule's path filter includes the phase-5 kernel module (and the
     module itself lints clean)."""

@@ -21,14 +21,21 @@ from repro.kernels import (
     gessm_flops,
     getrf_flops,
     kernel_names,
-    split_lu,
     ssssm_flops_structural,
     tstrf_flops,
 )
-from repro.kernels.base import SERIAL_GEMM_WORK, serial_matmul, triangle_inverse
+from repro.kernels.base import (
+    SERIAL_GEMM_WORK,
+    serial_matmul,
+    triangle,
+    triangle_inverse,
+)
+from repro.kernels.plans import PLANNABLE_VERSIONS, build_solve_plan
 from repro.kernels.registry import get_kernel, is_gpu_version
 from repro.sparse import CSCMatrix, random_sparse
 from repro.symbolic import symbolic_symmetric
+
+from .reference_numeric import PANEL_ORACLE, split_lu
 
 
 @pytest.fixture
@@ -213,12 +220,15 @@ def _factored(seed: int, split: int = 35, dtype=np.float64):
     return d, b, r, c
 
 
-def _without(block: CSCMatrix, *, rows=(), cols=()) -> CSCMatrix:
-    """``block`` with whole rows / columns emptied (values and pattern)."""
+def _without(block: CSCMatrix, *, rows=(), cols=(), entries=()) -> CSCMatrix:
+    """``block`` with whole rows / columns, or single ``(row, column)``
+    entries, emptied (values and pattern)."""
     dense = block.to_dense()
     keep = _mask(block)
     keep[list(rows), :] = False
     keep[:, list(cols)] = False
+    for entry in entries:
+        keep[entry] = False
     out = CSCMatrix.from_dense(np.where(keep, 1.0, 0.0)).astype(block.dtype)
     r, c = out.rows_cols()
     out.data[...] = dense[r, c]
@@ -431,6 +441,153 @@ class TestSplitLU:
             l.to_dense(), np.tril(packed, -1) + np.eye(d.ncols)
         )
         np.testing.assert_allclose(u.to_dense(), np.triu(packed))
+
+
+def _panel_case(kind: str, dtype=np.float64, n: int = 60, split: int = 38):
+    """``(D, B, R)`` cut from the symbolic fill of a random, banded or
+    fully dense matrix — ``D`` factored, ``B`` / ``R`` unsolved, ragged
+    (``n - split`` wide against a diagonal block of order ``split``) and
+    with one empty column of ``B`` / ``Bᵀ``."""
+    rng = np.random.default_rng(11)
+    if kind == "random":
+        a = random_sparse(n, 0.08, seed=3)
+    else:
+        dense = rng.standard_normal((n, n))
+        if kind == "banded":
+            i, j = np.indices((n, n))
+            dense[np.abs(i - j) > 4] = 0.0
+        dense[np.arange(n), np.arange(n)] = n
+        a = CSCMatrix.from_dense(dense)
+    f = symbolic_symmetric(a).filled
+    top, bot = np.arange(split), np.arange(split, n)
+    d = f.extract_submatrix(top, range(split)).astype(dtype)
+    b = f.extract_submatrix(top, range(split, n)).astype(dtype)
+    r = f.extract_submatrix(bot, range(split)).astype(dtype)
+    GETRF_VARIANTS["C_V1"](d, Workspace())
+    return d, _without(b, cols=(1,)), _without(r, rows=(1,))
+
+
+PANEL_FAMILIES = (KernelType.GESSM, KernelType.TSTRF)
+
+
+class TestPanelSolvesWrittenOnce:
+    """TSTRF is GESSM on ``(Uᵀ, Bᵀ)``: the shared sweeps reproduce the
+    per-family loops they replaced (``tests/reference_numeric.py``)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["random", "banded", "dense"])
+    @pytest.mark.parametrize("ktype", PANEL_FAMILIES)
+    @pytest.mark.parametrize("version", ["C_V1", "G_V1", "G_V2"])
+    def test_bit_identical_to_the_hand_written_loop(
+        self, version, ktype, kind, dtype, ws
+    ):
+        d, b, r = _panel_case(kind, dtype)
+        blk = b if ktype is KernelType.GESSM else r
+        swept = blk if ktype is KernelType.GESSM else blk.transpose()
+        assert blk.nnz and np.diff(swept.indptr).min() == 0  # an empty column
+        ref, before = blk.copy(), d.data.copy()
+        PANEL_ORACLE[ktype, version](d, ref, ws)
+        runs = [{}]
+        if version in PLANNABLE_VERSIONS[ktype]:
+            plan = build_solve_plan(d, blk, lower=ktype is KernelType.GESSM)
+            runs.append({"plan": plan})
+        for handed in runs:
+            got = blk.copy()
+            get_kernel(ktype, version)(d, got, ws, **handed)
+            assert got.dtype == dtype
+            assert np.array_equal(got.data, ref.data), handed.keys()
+        assert np.array_equal(d.data, before)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["random", "banded", "dense"])
+    @pytest.mark.parametrize("ktype", PANEL_FAMILIES)
+    @pytest.mark.parametrize("version", ["C_V2", "G_V3"])
+    def test_direct_variants_within_their_parents_tolerance(
+        self, version, ktype, kind, dtype, ws
+    ):
+        d, b, r = _panel_case(kind, dtype)
+        blk = b if ktype is KernelType.GESSM else r
+        ref, got = blk.copy(), blk.copy()
+        PANEL_ORACLE[ktype, "C_V1"](d, ref, ws)
+        get_kernel(ktype, version)(d, got, ws)
+        TestDenseMapped._assert_close(got, ref)
+
+
+def _u_diagonal_broken(how: str) -> tuple[CSCMatrix, CSCMatrix]:
+    """The dense case of :func:`_panel_case` with ``U(2, 2)`` exactly
+    zero or structurally missing, and its ``R`` panel."""
+    d, _, r = _panel_case("dense")
+    if how == "zero":
+        d.data[d.indptr[2] + 2] = 0.0
+        return d, r
+    return _without(d, entries=[(2, 2)]), r
+
+
+class TestBrokenUDiagonal:
+    """A missing or zero ``U`` diagonal is a named error wherever a
+    non-unit triangle divides: the sweep, the level-set loop, plan build
+    (missing) and plan run (zero)."""
+
+    @pytest.mark.parametrize("how", ["zero", "missing"])
+    @pytest.mark.parametrize("version", ["C_V1", "G_V1", "G_V2"])
+    def test_sweeps_and_level_loop_name_the_column(self, version, how, ws):
+        d, r = _u_diagonal_broken(how)
+        before = r.data.copy()
+        with pytest.raises(SingularBlockError, match="zero/missing U diagonal at 2"):
+            TSTRF_VARIANTS[version](d, r, ws)
+        assert np.array_equal(r.data, before)
+
+    def test_plan_build_refuses_a_missing_diagonal(self):
+        d, r = _u_diagonal_broken("missing")
+        with pytest.raises(SingularBlockError, match="zero/missing U diagonal at 2"):
+            build_solve_plan(d, r, lower=False)
+        # the unit triangle never looks at it
+        build_solve_plan(d, r.transpose(), lower=True)
+
+    @pytest.mark.parametrize("version", ["C_V1", "G_V1"])
+    def test_plan_run_refuses_a_zero_diagonal(self, version, ws):
+        d, r = _u_diagonal_broken("zero")
+        plan = build_solve_plan(d, r, lower=False)
+        with pytest.raises(SingularBlockError, match=r"zero/missing U diagonal \(step 2\)"):
+            TSTRF_VARIANTS[version](d, r, ws, plan=plan)
+
+
+class TestTriangle:
+    """The one accessor against ``split_lu``: same entries, same order,
+    and the block's own values behind them."""
+
+    @staticmethod
+    def _strict(m: CSCMatrix):
+        off = m.indices != m.cols_expanded()
+        return np.diff(np.concatenate([[0], np.cumsum(off)[m.indptr[1:] - 1]])), off
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["random", "banded", "dense"])
+    def test_matches_split_lu(self, kind, dtype):
+        d = _panel_case(kind, dtype)[0]
+        l, u = split_lu(d)
+        # the matrix whose CSC columns the accessor must list, per
+        # (lower, by_rows): L, Lᵀ, Uᵀ, U
+        expect = {
+            (True, False): l, (True, True): l.transpose(),
+            (False, False): u.transpose(), (False, True): u,
+        }
+        for (lower, by_rows), m in expect.items():
+            tri = triangle(d, lower=lower, by_rows=by_rows)
+            counts, off = self._strict(m)
+            assert tri.data is d.data
+            assert np.array_equal(np.diff(tri.indptr), counts)
+            assert np.array_equal(tri.indices, m.indices[off])
+            assert np.array_equal(d.data[tri.src], m.data[off])
+            if lower:
+                assert tri.div is None
+            else:
+                assert np.array_equal(d.data[tri.div], m.data[~off])
+
+    def test_missing_diagonal_is_minus_one(self):
+        d, _ = _u_diagonal_broken("missing")
+        div = triangle(d, lower=False).div
+        assert div[2] == -1 and (np.delete(div, 2) >= 0).all()
 
 
 def _mask(m: CSCMatrix) -> np.ndarray:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CyclicPlacement,
     ProcessGrid,
-    assign_tasks,
     balance_loads,
     block_partition,
     build_dag,
@@ -52,28 +52,28 @@ class TestProcessGrid:
 class TestAssignment:
     def test_assignment_matches_owner(self):
         _, dag = _dag()
-        grid = ProcessGrid.square(4)
-        asg = assign_tasks(dag, grid)
+        grid = CyclicPlacement(ProcessGrid.square(4))
+        asg = grid.assign(dag)
         for t, p in zip(dag.tasks, asg):
             assert p == grid.owner(t.bi, t.bj)
 
     def test_assignment_in_range(self):
         _, dag = _dag()
-        asg = assign_tasks(dag, ProcessGrid.square(6))
+        asg = CyclicPlacement(ProcessGrid.square(6)).assign(dag)
         assert asg.min() >= 0 and asg.max() < 6
 
 
 class TestBalancing:
     def test_no_change_single_proc(self):
         _, dag = _dag()
-        grid = ProcessGrid.square(1)
+        grid = CyclicPlacement(ProcessGrid.square(1))
         asg = balance_loads(dag, grid)
         assert np.all(asg == 0)
 
     def test_imbalance_not_worse(self):
         _, dag = _dag(seed=3)
-        grid = ProcessGrid.square(4)
-        before = assign_tasks(dag, grid)
+        grid = CyclicPlacement(ProcessGrid.square(4))
+        before = grid.assign(dag)
         after = balance_loads(dag, grid, before)
         imb_before = load_imbalance(dag, before, 4)
         imb_after = load_imbalance(dag, after, 4)
@@ -81,22 +81,22 @@ class TestBalancing:
 
     def test_swaps_preserve_task_partition(self):
         _, dag = _dag(seed=5)
-        grid = ProcessGrid.square(4)
+        grid = CyclicPlacement(ProcessGrid.square(4))
         after = balance_loads(dag, grid)
         assert after.shape == (len(dag.tasks),)
         assert after.min() >= 0 and after.max() < 4
 
     def test_input_not_mutated(self):
         _, dag = _dag(seed=7)
-        grid = ProcessGrid.square(4)
-        before = assign_tasks(dag, grid)
+        grid = CyclicPlacement(ProcessGrid.square(4))
+        before = grid.assign(dag)
         snapshot = before.copy()
         balance_loads(dag, grid, before)
         np.testing.assert_array_equal(before, snapshot)
 
     def test_multiple_rounds_allowed(self):
         _, dag = _dag(seed=9)
-        grid = ProcessGrid.square(4)
+        grid = CyclicPlacement(ProcessGrid.square(4))
         a1 = balance_loads(dag, grid, max_rounds=1)
         a3 = balance_loads(dag, grid, max_rounds=3)
         assert load_imbalance(dag, a3, 4) <= load_imbalance(dag, a1, 4) + 1e-9
@@ -153,16 +153,26 @@ class TestTaskWeights:
 
     def test_balancer_accepts_weights(self):
         bm, dag = _dag()
-        grid = ProcessGrid.square(4)
+        grid = CyclicPlacement(ProcessGrid.square(4))
         w = task_weights(dag, bm)
-        a0 = assign_tasks(dag, grid)
+        a0 = grid.assign(dag)
         a1 = balance_loads(dag, grid, a0, weights=w)
         before = load_imbalance(dag, a0, 4, weights=w)
         after = load_imbalance(dag, a1, 4, weights=w)
         assert after <= before + 1e-9
 
-    def test_weights_length_checked(self):
+    def test_bare_process_grid_is_refused(self):
+        # a grid is the P × Q shape inside CyclicPlacement, not an owner
+        # map: every function that takes one takes a PlacementPolicy
         _, dag = _dag()
         grid = ProcessGrid.square(4)
+        with pytest.raises(TypeError, match=r"CyclicPlacement\(grid\)"):
+            balance_loads(dag, grid)
+        with pytest.raises(TypeError, match="got ProcessGrid"):
+            balance_loads(dag, grid, CyclicPlacement(grid).assign(dag))
+
+    def test_weights_length_checked(self):
+        _, dag = _dag()
+        grid = CyclicPlacement(ProcessGrid.square(4))
         with pytest.raises(ValueError, match="one entry per task"):
             balance_loads(dag, grid, weights=np.ones(3))

@@ -7,6 +7,7 @@ import pytest
 
 from repro import PanguLU, SolverOptions
 from repro.core import (
+    CyclicPlacement,
     ProcessGrid,
     TSolveTaskType,
     build_tsolve_dag,
@@ -57,7 +58,9 @@ class TestMemoryReport:
 
     def test_per_process_bytes_sum(self, prepared):
         grid = ProcessGrid.square(4)
-        pp = per_process_bytes(prepared.blocks, grid)
+        with pytest.raises(TypeError, match=r"CyclicPlacement\(grid\)"):
+            per_process_bytes(prepared.blocks, grid)
+        pp = per_process_bytes(prepared.blocks, CyclicPlacement(grid))
         total = sum(
             b.nnz * 16 + (b.ncols + 1) * 8 for b in prepared.blocks.blk_values
         )

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import (
     ProcessGrid,
-    assign_tasks,
     balance_loads,
     block_partition,
     build_dag,
@@ -125,17 +124,13 @@ class TestCyclicPlacement:
         assert CyclicPlacement(6).nprocs == 6
 
     def test_assign_matches_assign_tasks(self):
+        # the rule the deleted ``mapping.assign_tasks`` wrapper applied:
+        # every task on the block-cyclic owner of its target block
         _, dag = _prepared()
         grid = ProcessGrid.square(4)
         np.testing.assert_array_equal(
-            CyclicPlacement(grid).assign(dag), assign_tasks(dag, grid)
-        )
-
-    def test_assign_tasks_accepts_policy(self):
-        _, dag = _prepared()
-        np.testing.assert_array_equal(
-            assign_tasks(dag, CyclicPlacement(4)),
-            assign_tasks(dag, ProcessGrid.square(4)),
+            CyclicPlacement(grid).assign(dag),
+            [grid.owner(t.bi, t.bj) for t in dag.tasks],
         )
 
     def test_prepare_is_noop_returning_self(self):

@@ -63,6 +63,25 @@ class TestRefactorize:
         with pytest.raises(ValueError, match="shape"):
             s.refactorize(other)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values_and_keeps_the_handle(self, bad):
+        a = random_sparse(40, 0.08, seed=6)
+        s = PanguLU(a)
+        b = np.ones(40)
+        s.solve(b)
+        a_bad = a.copy()
+        a_bad.data[7] = bad
+        row, col = int(a.indices[7]), int(a.cols_expanded()[7])
+        with pytest.raises(
+            ValueError, match=rf"a_new\.data\[7\] = {bad} at \({row}, {col}\)"
+        ):
+            s.refactorize(a_bad)
+        # nothing on the handle was touched: it still solves the old matrix
+        assert s.a is a
+        x = s.solve(b)
+        assert s.residual_norm(x, b) <= s.options.refine_tol
+        np.testing.assert_allclose(a.matvec(x), b, atol=1e-8)
+
     def test_refactorize_before_factorize(self):
         # refactorize on a fresh solver runs the earlier phases implicitly
         # and the numeric phase once, on the new values (it used to

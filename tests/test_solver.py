@@ -169,6 +169,31 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="non-finite"):
             PanguLU(a)
 
+    def test_complex_matrix_values_are_refused(self):
+        # a cast would keep the real part and solve a different system
+        a = random_sparse(20, 0.2, seed=4)
+        with pytest.raises(TypeError, match="complex values are not supported"):
+            CSCMatrix(a.shape, a.indptr, a.indices, a.data * (1 + 2j))
+        with pytest.raises(TypeError, match="complex128"):
+            CSCMatrix.from_dense(np.eye(3) * 1j)
+        with pytest.raises(TypeError, match="complex values are not supported"):
+            a.data = a.data.astype(np.complex64)
+
+    def test_complex_right_hand_side_is_refused(self):
+        a = random_sparse(20, 0.2, seed=5)
+        s = PanguLU(a)
+        b = np.ones(20)
+        for bad in (b * (1 + 1j), np.ones((20, 2), dtype=np.complex64)):
+            with pytest.raises(TypeError, match="complex values are not supported"):
+                s.solve(bad)
+            with pytest.raises(TypeError, match=str(bad.dtype)):
+                s.solve_transposed(bad)
+        # integer and float32 input keep working
+        for ok in (np.ones(20, dtype=np.int64), b.astype(np.float32)):
+            np.testing.assert_allclose(a.matvec(s.solve(ok)), b, atol=1e-8)
+        ints = CSCMatrix(a.shape, a.indptr, a.indices, np.arange(1, a.nnz + 1))
+        assert ints.dtype == np.float64
+
     def test_structurally_singular_raises(self):
         from repro.ordering import StructurallySingularError
 
