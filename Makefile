@@ -1,4 +1,4 @@
-.PHONY: check lint analyze test bench-e2e bench-e2e-selftest profile-setup
+.PHONY: check lint analyze test bench-e2e bench-e2e-selftest profile-setup profile-numeric
 
 check:
 	sh scripts/check.sh
@@ -38,3 +38,9 @@ MATRIX ?= cage12
 SCALE ?= 1.0
 profile-setup:
 	python scripts/profile_setup.py $(MATRIX) --scale $(SCALE)
+
+# where one warm sequential factorize() spends its time: job build /
+# task spans per kernel family / driver remainder, in seconds and us per
+# task, then the cProfile top-15, e.g. `make profile-numeric MATRIX=audikw_1`
+profile-numeric:
+	python scripts/profile_numeric.py $(MATRIX) --scale $(SCALE)

@@ -183,7 +183,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_chrome_trace(
             args.trace, last_sim.result, last_sim.assignment,
             names=names, categories=cats,
-            successors=[t.successors for t in solver.dag.tasks],
+            successors=solver.dag.successors,
         )
         print(f"chrome trace of the largest run written to {args.trace}")
     return 0

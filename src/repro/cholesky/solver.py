@@ -43,36 +43,45 @@ class CholeskyOptions:
 
 class LLtJob(FactorJob):
     """Block Cholesky as the lane driver sees it: LU's
-    :class:`~repro.core.numeric.FactorJob` (write slot = the target
-    block, trace labels, flop tally, a :class:`~repro.core.numeric.PanelCache`
-    evicted by the DAG's reader counts) with the kernels of ``A = L·Lᵀ``
-    at the leaves — LAPACK POTRF, and LU's dense-mapped TSTRF and SSSSM
-    handed ``L(k,k)⁻ᵀ`` and the images of ``L(i,k)`` / ``L(j,k)ᵀ``."""
+    :class:`~repro.core.numeric.FactorJob` (slots resolved per task,
+    write slot = the target block, trace labels, flop tally, a
+    :class:`~repro.core.numeric.PanelCache` evicted by the reader
+    counts) with the kernels of ``A = L·Lᵀ`` at the leaves — LAPACK
+    POTRF, and LU's dense-mapped TSTRF and SSSSM handed ``L(k,k)⁻ᵀ`` and
+    the images of ``L(i,k)`` / ``L(j,k)ᵀ``.  A SYRK reads ``(bi, k)`` and
+    ``(bj, k)`` where LU's SSSSM reads ``(bi, k)`` and ``(k, bj)``."""
+
+    family = {
+        **FactorJob.family,
+        TaskType.SSSSM: (None, lambda k, bi, bj: ((bi, bj), (bi, k), (bj, k)), None),
+    }
 
     def __init__(self, f: BlockMatrix, dag: TaskDAG) -> None:
         super().__init__(f, dag, NumericOptions())
+
+    def _resolve_calls(self) -> None:
+        """Nothing to select: one kernel per task type."""
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str]:
         f, task, panels = self.f, self.tasks[tid], self.panels
         if task.ttype is TaskType.GETRF:
             potrf(f, task.k)
             return ("POTRF/LAPACK",)
-        target = f.block(task.bi, task.bj)
+        slots = self.args[tid]
+        blocks = [f.blk_values[slot] for slot in slots]
         if task.ttype is TaskType.TSTRF:
-            diag = f.block_slot(task.k, task.k)
-            inv = panels.get((diag, False), lambda: l_inverse(f, task.k).T)
-            tstrf_c_v2(f.blk_values[diag], target, ws, inv=inv)
-            panels.release(diag)
-            return ("TSTRF/C_V2",)
-        a, b = f.block_slot(task.bi, task.k), f.block_slot(task.bj, task.k)
-        ssssm_c_v1(
-            target, f.blk_values[a], f.blk_values[b], ws,
-            a_dense=panels.get(a, f.blk_values[a].to_dense),
-            b_dense=panels.get(b, f.blk_values[b].to_dense).T,
-        )
-        for slot in {a, b}:
-            panels.release(slot)
-        return ("SSSSM/C_V1",)
+            inv = panels.get((slots[0], False), lambda: l_inverse(f, task.k).T)
+            tstrf_c_v2(*blocks, ws, inv=inv)
+            label = "TSTRF/C_V2"
+        else:
+            ssssm_c_v1(
+                *blocks, ws,
+                a_dense=panels.get(slots[1], blocks[1].to_dense),
+                b_dense=panels.get(slots[2], blocks[2].to_dense).T,
+            )
+            label = "SSSSM/C_V1"
+        panels.release(slots, self.target[tid])
+        return (label,)
 
 
 class PanguLLt:

@@ -298,6 +298,10 @@ class BlockMatrix:
         ``None`` on the full matrix; on a :meth:`restricted` copy the
         storage slots the rank owns (what :meth:`compression_stats`
         counts, and what unpickling re-attaches).
+    blk_nnz:
+        Stored entries of every slot, recorded by
+        :func:`block_partition` — layer-1 data, so a rank knows the
+        ``nnz`` of blocks it does not hold (:meth:`slot_structure`).
     """
 
     n: int
@@ -312,6 +316,7 @@ class BlockMatrix:
     boundaries: np.ndarray | None = field(default=None, repr=False)
     lr_overlay: dict = field(default_factory=dict, repr=False)
     owned: frozenset | None = field(default=None, repr=False)
+    blk_nnz: np.ndarray | None = field(default=None, repr=False)
     _index: dict | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -405,17 +410,52 @@ class BlockMatrix:
             self._index = index
         return self._index.get((bi, bj), -1)
 
+    @property
+    def blk_colidx(self) -> np.ndarray:
+        """Block column of every storage slot (``blk_rowidx``'s
+        counterpart, expanded from ``blk_colptr``)."""
+        return np.repeat(np.arange(self.nb), np.diff(self.blk_colptr))
+
+    def slots_of(self, bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+        """:meth:`block_slot` of whole coordinate arrays: one binary
+        search over the layer-1 keys (block-column major, rows sorted
+        within a column), −1 where the block is absent."""
+        keys = self.blk_colidx * self.nb + self.blk_rowidx
+        wanted = np.asarray(bj) * self.nb + np.asarray(bi)
+        slots = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(keys[slots] == wanted, slots, -1)
+
+    def slot_structure(self) -> np.recarray:
+        """Per storage slot, the ``nnz`` / ``ncols`` / ``density`` a
+        block's payload reports — from layer-1 data alone, so it covers
+        the blocks a rank's :meth:`restricted` share does not hold."""
+        if self.blk_nnz is None:  # a hand-built structure: all blocks held
+            self.blk_nnz = np.asarray(
+                [blk.nnz for blk in self.blk_values], dtype=np.int64
+            )
+        widths = np.diff(self.boundaries)
+        ncols = widths[self.blk_colidx]
+        cells = widths[self.blk_rowidx] * ncols
+        return np.rec.fromarrays(
+            [self.blk_nnz, ncols, self.blk_nnz / cells],
+            names="nnz,ncols,density",
+        )
+
     def block(self, bi: int, bj: int) -> CSCMatrix | None:
         """The block at block coordinates ``(bi, bj)``, or None if empty.
         On a rank's :meth:`restricted` copy a stored block the rank does
         not hold is a protocol bug and raises."""
         slot = self.block_slot(bi, bj)
-        if slot < 0:
-            return None
+        return None if slot < 0 else self.block_at(slot)
+
+    def block_at(self, slot: int) -> CSCMatrix:
+        """The block in storage slot ``slot`` (held or raises, as
+        :meth:`block`)."""
         blk = self.blk_values[slot]
         if blk is None:
             raise RuntimeError(
-                f"worker touched block ({bi},{bj}) it neither owns nor received"
+                f"worker touched block ({self.blk_rowidx[slot]},"
+                f"{self.blk_colidx[slot]}) it neither owns nor received"
             )
         return blk
 
@@ -668,6 +708,7 @@ def block_partition(
         blk_values=[],
         dtype=dtype,
         boundaries=bounds,
+        blk_nnz=np.diff(val_off),
     )
     out.arena = FactorArena(
         indptr=indptr, indices=indices, data=data,

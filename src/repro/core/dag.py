@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,7 +42,9 @@ from ..kernels.flops import (
 from ..runtime.scheduler import ready_entry
 from .blocking import BlockMatrix
 
-__all__ = ["TaskType", "Task", "TaskDAG", "build_dag", "sync_free_array"]
+__all__ = [
+    "TaskType", "Task", "TaskTable", "TaskDAG", "build_dag", "sync_free_array",
+]
 
 
 class TaskType(enum.IntEnum):
@@ -76,6 +80,49 @@ class Task:
         )
 
 
+def _column(name: str) -> cached_property:
+    """One ``int64`` array over a task attribute, built on first use."""
+    return cached_property(lambda self: np.fromiter(
+        map(attrgetter(name), self.tasks), np.int64, len(self.tasks)
+    ))
+
+
+class TaskTable:
+    """The tasks of a DAG in array form, indexed by ``tid`` — what the
+    fixed pattern decides about a task, resolved once per DAG instead of
+    per run: the columns the numeric job turns into storage slots,
+    selector features and kernel choices
+    (:class:`repro.core.numeric.FactorJob`), and the ready-heap entries,
+    successor lists and in-degrees every
+    :meth:`SchedulerCore.from_dag <repro.runtime.scheduler.SchedulerCore.from_dag>`
+    starts from.
+
+    Each column is built when first read (a hand-built DAG of stub tasks
+    need only carry the attributes its reader asks for) and then kept: a
+    snapshot — tasks edited afterwards need a new :class:`TaskDAG`.
+    """
+
+    def __init__(self, tasks: list) -> None:
+        self.tasks = tasks
+
+    ttype = _column("ttype")
+    k = _column("k")
+    bi = _column("bi")
+    bj = _column("bj")
+    flops = _column("flops")
+    n_deps = _column("n_deps")
+
+    @cached_property
+    def entries(self) -> list[tuple[int, int, int]]:
+        """Ready-heap entry of every task (:func:`ready_entry`)."""
+        return [ready_entry(t, t.tid) for t in self.tasks]
+
+    @cached_property
+    def successors(self) -> list[list[int]]:
+        """Successor tids of every task."""
+        return [t.successors for t in self.tasks]
+
+
 @dataclass
 class TaskDAG:
     """The full task graph plus lookup indices.
@@ -90,10 +137,13 @@ class TaskDAG:
     total_flops:
         Sum of all task FLOP counts — the paper's Table 3 "PanguLU FLOPs".
 
-    ``entries`` / ``successors`` / ``n_deps`` are the per-task views
+    ``table`` is the :class:`TaskTable` of ``tasks``, created on first
+    use and dropped from pickles and deep copies.  ``entries`` /
+    ``successors`` / ``n_deps`` — the per-task views
     :meth:`SchedulerCore.from_dag <repro.runtime.scheduler.SchedulerCore.from_dag>`
-    and :func:`~repro.core.verify.verify_dag` read — the attributes a
-    :class:`~repro.core.tsolve_dag.TSolveDAG` stores flat.
+    and :func:`~repro.core.verify.verify_dag` read, the attributes a
+    :class:`~repro.core.tsolve_dag.TSolveDAG` stores flat — are its
+    columns.
     """
 
     tasks: list[Task]
@@ -103,23 +153,23 @@ class TaskDAG:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    @property
-    def entries(self) -> list[tuple[int, int, int]]:
-        """Ready-heap entry of every task (:func:`ready_entry`)."""
-        return [ready_entry(t, t.tid) for t in self.tasks]
+    @cached_property
+    def table(self) -> TaskTable:
+        return TaskTable(self.tasks)
 
-    @property
-    def successors(self) -> list[list[int]]:
-        """Successor tids of every task."""
-        return [t.successors for t in self.tasks]
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "table"}
+
+    entries = property(lambda self: self.table.entries)
+    successors = property(lambda self: self.table.successors)
 
     def roots(self) -> list[int]:
         """Tasks with no dependencies (initially runnable)."""
-        return [t.tid for t in self.tasks if t.n_deps == 0]
+        return np.flatnonzero(self.table.n_deps == 0).tolist()
 
     def dep_counts(self) -> np.ndarray:
         """Fresh copy of the per-task dependency counters."""
-        return np.asarray([t.n_deps for t in self.tasks], dtype=np.int64)
+        return self.table.n_deps.copy()
 
     n_deps = property(dep_counts)
 
@@ -236,9 +286,6 @@ def sync_free_array(dag: TaskDAG, nb: int) -> dict[tuple[int, int], int]:
     for an off-diagonal block, 0 means its panel solve may run once the
     diagonal is done.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for (bi, bj), tid in dag.panel_of_block.items():
-        t = dag.tasks[tid]
-        ssssm_preds = t.n_deps if t.ttype == TaskType.GETRF else t.n_deps - 1
-        counts[(bi, bj)] = ssssm_preds
-    return counts
+    table = dag.table
+    ssssm_preds = table.n_deps - (table.ttype != TaskType.GETRF)
+    return {blk: int(ssssm_preds[tid]) for blk, tid in dag.panel_of_block.items()}

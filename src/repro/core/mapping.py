@@ -90,13 +90,12 @@ def task_weights(dag: TaskDAG, f=None) -> np.ndarray:
     every stored entry); without it, a unit floor still keeps every task
     visible to the balancer.
     """
-    w = np.asarray([t.flops for t in dag.tasks], dtype=np.float64)
+    table = dag.table
+    w = table.flops.astype(np.float64)
     if f is None:
         return np.maximum(w, 1.0)
-    floor = np.empty(len(dag.tasks), dtype=np.float64)
-    for i, t in enumerate(dag.tasks):
-        blk = f.block(t.bi, t.bj)
-        floor[i] = 2.0 * blk.nnz if blk is not None else 1.0
+    slots = f.slots_of(table.bi, table.bj)
+    floor = np.where(slots >= 0, 2.0 * f.slot_structure().nnz[slots], 1.0)
     return np.maximum(w, np.maximum(floor, 1.0))
 
 
@@ -152,7 +151,7 @@ def balance_loads(
         return assignment
 
     if weights is None:
-        flops = np.asarray([t.flops for t in dag.tasks], dtype=np.float64)
+        flops = dag.table.flops.astype(np.float64)
     else:
         flops = np.asarray(weights, dtype=np.float64)
         if flops.shape != (len(dag.tasks),):
@@ -161,7 +160,7 @@ def balance_loads(
     # 1/speed per rank; exact ones when homogeneous, so every product
     # below is bit-identical to the historical speed-free arithmetic
     inv = 1.0 / np.asarray(speed or (1.0,) * nprocs, dtype=np.float64)
-    slices = np.asarray([t.k for t in dag.tasks], dtype=np.int64)
+    slices = dag.table.k
     nslices = int(slices.max()) + 1 if len(dag.tasks) else 0
 
     for _ in range(max_rounds):
@@ -225,7 +224,7 @@ def load_imbalance(
     """
     loads = np.zeros(nprocs, dtype=np.float64)
     if weights is None:
-        flops = np.asarray([t.flops for t in dag.tasks], dtype=np.float64)
+        flops = dag.table.flops.astype(np.float64)
     else:
         flops = np.asarray(weights, dtype=np.float64)
     np.add.at(loads, assignment, flops)

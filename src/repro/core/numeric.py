@@ -13,7 +13,11 @@ on completion.  That discipline lives exactly once, in
 exactly once, in :func:`repro.runtime.lanes.run_lanes`; this module
 supplies the phase's **job** (:class:`FactorJob`: which slot a task
 writes, how to run it, what to call it in a trace) and the in-process
-entry point :func:`factorize`.  The distributed engine
+entry point :func:`factorize`.  What the fixed pattern decides about a
+task — its blocks' storage slots, its selector features, the kernel
+variant and what that variant is handed — the job resolves once, in
+array form, when it is built; running a task is *row → kernel call →
+release*.  The distributed engine
 (:mod:`repro.runtime.distributed`) runs the same job on each rank over
 the rank's owned tasks, and :mod:`repro.runtime.simulator` models the
 same protocol in virtual time — all replay the same DAG.
@@ -27,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from ..kernels.base import Workspace, triangle_inverse
+from ..kernels.base import SingularBlockError, Workspace, triangle_inverse
 from ..kernels.compress import CompressPolicy, try_compress
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
@@ -61,18 +65,19 @@ __guarded_by__ = {
 }
 
 
-def _panel_blocks(t: Task):
+def _panel_blocks(k, bi, bj):
     """A panel solve reads the step's diagonal block and writes its own."""
-    return (t.k, t.k), (t.bi, t.bj)
+    return (k, k), (bi, bj)
 
 
 #: Per task type: the kernel family; the coordinates of a task's blocks in
-#: the argument order of that family's kernels (``(bi, bj)`` is the block
-#: written, the others are read); and the builder of the family's
-#: execution plan, which takes the blocks in that same order.
+#: the argument order of that family's kernels, from ``(k, bi, bj)`` — one
+#: task's ints or whole columns of the task table alike (``(bi, bj)`` is
+#: the block written, the others are read); and the builder of the
+#: family's execution plan, which takes the blocks in that same order.
 _FAMILY = {
     TaskType.GETRF: (
-        KernelType.GETRF, lambda t: ((t.bi, t.bj),), build_getrf_plan,
+        KernelType.GETRF, lambda k, bi, bj: ((bi, bj),), build_getrf_plan,
     ),
     TaskType.GESSM: (
         KernelType.GESSM, _panel_blocks, partial(build_solve_plan, lower=True),
@@ -82,10 +87,11 @@ _FAMILY = {
     ),
     TaskType.SSSSM: (
         KernelType.SSSSM,
-        lambda t: ((t.bi, t.bj), (t.bi, t.k), (t.k, t.bj)),
+        lambda k, bi, bj: ((bi, bj), (bi, k), (k, bj)),
         build_ssssm_plan,
     ),
 }
+_PANEL_SOLVES = (KernelType.GESSM, KernelType.TSTRF)
 
 
 @dataclass
@@ -142,8 +148,32 @@ def _ssssm_operand(f: BlockMatrix, bi: int, bj: int):
     return cb if cb is not None else f.block(bi, bj)
 
 
+def _features_of(ttype, flops, blocks, lr_operands=0, rank=0) -> TaskFeatures:
+    """Selector features of tasks of one type from their blocks in
+    kernel argument order — of one task from its payloads, of many from
+    rows of :meth:`BlockMatrix.slot_structure` (``flops`` and every
+    field are then arrays)."""
+    if ttype == TaskType.GETRF:
+        (target,) = blocks
+        return TaskFeatures(
+            nnz_a=target.nnz, flops=flops, n=target.ncols, density=target.density
+        )
+    if ttype != TaskType.SSSSM:
+        a, target = blocks    # the factored diagonal block and the panel
+        nnz_b = target.nnz
+    else:
+        target, a, b = blocks
+        nnz_b = b.nnz
+    return TaskFeatures(
+        nnz_a=a.nnz, nnz_b=nnz_b, flops=flops, n=a.ncols, density=target.density,
+        lr_operands=lr_operands, rank=rank,
+    )
+
+
 def task_features(f: BlockMatrix, task: Task) -> TaskFeatures:
-    """Structural features of a task for the decision-tree selector.
+    """Structural features of a task for the decision-tree selector —
+    the per-task form of what :meth:`FactorJob.features` computes for a
+    whole family at once.
 
     SSSSM operands are looked up through the representation layer:
     compressed operands contribute their exact-payload ``nnz`` (shipped
@@ -151,38 +181,15 @@ def task_features(f: BlockMatrix, task: Task) -> TaskFeatures:
     identical features) plus the ``lr_operands``/``rank`` features the
     low-rank branches of the tree split on.
     """
-    target = f.block(task.bi, task.bj)
-    assert target is not None
-    if task.ttype == TaskType.GETRF:
-        return TaskFeatures(
-            nnz_a=target.nnz,
-            flops=task.flops,
-            n=target.ncols,
-            density=target.density,
-        )
-    if task.ttype in (TaskType.GESSM, TaskType.TSTRF):
-        diag = f.block(task.k, task.k)
-        assert diag is not None
-        return TaskFeatures(
-            nnz_a=diag.nnz,
-            nnz_b=target.nnz,
-            flops=task.flops,
-            n=diag.ncols,
-            density=target.density,
-        )
-    a_rep = _ssssm_operand(f, task.bi, task.k)
-    b_rep = _ssssm_operand(f, task.k, task.bj)
-    assert a_rep is not None and b_rep is not None
+    coords = _FAMILY[task.ttype][1](task.k, task.bi, task.bj)
+    if task.ttype != TaskType.SSSSM:
+        return _features_of(task.ttype, task.flops, [f.block(*c) for c in coords])
+    a_rep, b_rep = (_ssssm_operand(f, *c) for c in coords[1:])
     a_rank = a_rep.rank if isinstance(a_rep, CompressedBlock) else 0
     b_rank = b_rep.rank if isinstance(b_rep, CompressedBlock) else 0
-    return TaskFeatures(
-        nnz_a=a_rep.nnz,
-        nnz_b=b_rep.nnz,
-        flops=task.flops,
-        n=a_rep.ncols,
-        density=target.density,
-        lr_operands=int(a_rank > 0) + int(b_rank > 0),
-        rank=max(a_rank, b_rank),
+    return _features_of(
+        task.ttype, task.flops, (f.block(*coords[0]), a_rep, b_rep),
+        lr_operands=int(a_rank > 0) + int(b_rank > 0), rank=max(a_rank, b_rank),
     )
 
 
@@ -252,6 +259,26 @@ def _cached_plan(plans: PlanCache, ktype: KernelType, build, slots, blocks):
     )
 
 
+def _run_kernel(
+    family, kernel, takes, slots, blocks, ws: Workspace, pivot_floor: float,
+    plans: PlanCache | None, panels: PanelCache | None,
+) -> tuple[int, bool]:
+    """Call ``kernel`` on a task's ``blocks`` (kernel argument order,
+    with their storage ``slots``), handing it what the variant declares
+    (``takes``, its :data:`~repro.kernels.registry.CACHED_OPERAND` entry)
+    from the caches given.  Returns ``(replaced_pivots, planned)``."""
+    ktype, _, build_plan = family
+    handed = {}
+    if ktype is KernelType.GETRF:
+        handed["pivot_floor"] = pivot_floor
+    if takes == "plan" and plans is not None:
+        handed["plan"] = _cached_plan(plans, ktype, build_plan, slots, blocks)
+    elif takes == "images" and panels is not None:
+        handed.update(panels.images(ktype, slots, blocks))
+    replaced = kernel(*blocks, ws, **handed)
+    return int(replaced or 0), handed.get("plan") is not None
+
+
 def execute_task(
     f: BlockMatrix,
     task: Task,
@@ -264,8 +291,10 @@ def execute_task(
     panels: PanelCache | None = None,
 ) -> tuple[int, bool]:
     """Execute one task with the registered kernel ``version`` of its
-    family — the per-task entry point :class:`FactorJob` calls on every
-    engine, and the only path from a task to a kernel.
+    family — :meth:`FactorJob.execute` for a caller that addresses blocks
+    by coordinates: ``f`` need only offer ``block(bi, bj)`` and
+    ``block_slot(bi, bj)`` (plus ``compressed_block`` for the low-rank
+    variants), and the kernel call is the one the job makes.
 
     The kernel gets the task's blocks in its family's argument order,
     plus whatever that variant declares it can be handed
@@ -287,27 +316,22 @@ def execute_task(
     is offered to the compressor before the task completes, inside the
     same write-lock window.
     """
-    ktype, operands_of, build_plan = _FAMILY[task.ttype]
-    coords = operands_of(task)
-    kernel = get_kernel(ktype, version)
+    family = ktype, operands_of, _ = _FAMILY[task.ttype]
+    coords = operands_of(task.k, task.bi, task.bj)
     takes = CACHED_OPERAND.get((ktype, version))
     if takes == "overlay":
         blocks = [f.block(*coords[0]), *(_ssssm_operand(f, *c) for c in coords[1:])]
     else:
         blocks = [f.block(*c) for c in coords]
-    handed = {}
-    if ktype is KernelType.GETRF:
-        handed["pivot_floor"] = pivot_floor
-    if takes == "plan" and plans is not None:
-        slots = [f.block_slot(*c) for c in coords]
-        handed["plan"] = _cached_plan(plans, ktype, build_plan, slots, blocks)
-    elif takes == "images" and panels is not None:
-        slots = [f.block_slot(*c) for c in coords]
-        handed.update(panels.images(ktype, slots, blocks))
-    replaced = kernel(*blocks, ws, **handed)
-    if compress is not None and task.ttype in (TaskType.GESSM, TaskType.TSTRF):
+    cached = plans if takes == "plan" else panels if takes == "images" else None
+    slots = () if cached is None else [f.block_slot(*c) for c in coords]
+    out = _run_kernel(
+        family, get_kernel(ktype, version), takes, slots, blocks, ws,
+        pivot_floor, plans, panels,
+    )
+    if compress is not None and ktype in _PANEL_SOLVES:
         _maybe_compress(f, task, compress)
-    return int(replaced or 0), handed.get("plan") is not None
+    return out
 
 
 class PanelCache:
@@ -320,9 +344,9 @@ class PanelCache:
     ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by).  An image is built by
     its first user — on a rank that covers received panels too — and
     dropped by :meth:`release` when the last task reading its block
-    completes (``uses``: slot → number of such tasks, the block's panel
-    task's successors in the DAG), so with earliest-step-first scheduling
-    about two elimination steps of panels are alive at once.
+    completes (``uses``: slot → number of reads of it by the job's
+    tasks), so with earliest-step-first scheduling about two elimination
+    steps of panels are alive at once.
 
     Reads are lock-free, builds raced and resolved with ``setdefault``
     (as in :class:`~repro.kernels.plans.PlanCache`): the lanes of a
@@ -365,16 +389,20 @@ class PanelCache:
             (slots[0], lower), lambda: triangle_inverse(blocks[0], lower=lower)
         )}
 
-    def release(self, slot: int) -> None:
-        """A task that reads block ``slot`` completed; after the last
-        one the block's images go."""
+    def release(self, slots, written: int) -> None:
+        """A task on the blocks in ``slots`` completed: all but the one
+        it ``written`` have one read less to wait for, and after a
+        block's last its images go."""
         with self._lock:
-            self._uses[slot] -= 1
-            if self._uses[slot] == 0:
-                for key in (slot, (slot, True), (slot, False)):
-                    image = self._images.pop(key, None)
-                    if image is not None:
-                        self.nbytes -= image.nbytes
+            for slot in slots:
+                if slot == written:
+                    continue
+                self._uses[slot] -= 1
+                if self._uses[slot] == 0:
+                    for key in (slot, (slot, True), (slot, False)):
+                        image = self._images.pop(key, None)
+                        if image is not None:
+                            self.nbytes -= image.nbytes
 
     def __len__(self) -> int:
         return len(self._images)
@@ -383,67 +411,128 @@ class PanelCache:
 class FactorJob:
     """Phase 4 as the lane driver sees it (the job protocol of
     :mod:`repro.runtime.lanes`): a task writes its target block's slot,
-    runs as feature extraction → kernel selection → :func:`execute_task`,
-    and is traced as ``GETRF(k=0,0,0)`` under its kernel family.
+    runs as one kernel call on the blocks in its row, and is traced as
+    ``GETRF(k=0,0,0)`` under its kernel family.
 
     ``f`` is the :class:`BlockMatrix` (on a distributed rank, its
     :meth:`~BlockMatrix.restricted` share); ``owned`` the task ids this
     job runs (``None``: all of them) — what the job's :class:`PanelCache`
     counts a block's readers over.
 
-    The job holds the two caches :func:`execute_task` hands operands
-    from: ``plans``, the plan cache of ``f`` (:func:`resolve_plan_cache`
-    — it outlives the job, so a refactorisation replays the same plans),
-    and ``panels``, created here and gone with the job.  The label it
-    reports per task is the selector's choice, which is the registry
-    entry that ran.
+    Everything the pattern fixes is resolved here, over whole columns of
+    the DAG's :class:`~repro.core.dag.TaskTable`: ``args`` (per task,
+    the storage slots of its blocks in kernel argument order — the
+    coordinate rule of ``family`` through :meth:`BlockMatrix.slots_of`;
+    ``family_slots`` holds them per task type as ``(tids, array)``),
+    ``target`` (the slot written) and
+    ``calls`` (per task ``(family, kernel, takes, label)``: the
+    selector's trees evaluated over :meth:`features`, then the registry
+    entry, what it is handed and its ``"TYPE/VERSION"`` label looked up
+    once per version).  A patched ``KERNEL_REGISTRY`` entry is what runs
+    if it was patched before the job was built.
+
+    The job holds the two caches operands are handed from: ``plans``,
+    the plan cache of ``f`` (:func:`resolve_plan_cache` — it outlives
+    the job, so a refactorisation replays the same plans), and
+    ``panels``, created here and gone with the job.
     """
 
     name = "factorize"
+    family = _FAMILY
 
     def __init__(
         self, f: BlockMatrix, dag: TaskDAG, options: NumericOptions, owned=None
     ) -> None:
         self.f = f
         self.tasks = dag.tasks
+        self.table = table = dag.table
         self.options = options
         self.n_slots = f.num_blocks
         self.plans = resolve_plan_cache(f, options)
         self.compress = resolve_compress(options)
-        runs = None
-        if owned is not None:
-            runs = np.zeros(len(dag.tasks), dtype=bool)
-            runs[np.asarray(owned, dtype=np.int64)] = True
+        n = len(dag.tasks)
+        runs = np.ones(n, bool) if owned is None else np.isin(np.arange(n), owned)
+        target = f.slots_of(table.bi, table.bj)
+        self.target = target.tolist()
+        self.args: list[tuple[int, ...]] = [()] * n
+        self.family_slots = {}
+        uses = np.zeros(f.num_blocks, dtype=np.int64)
+        for ttype, (_, operands_of, _) in self.family.items():
+            tids = np.flatnonzero(table.ttype == ttype)
+            coords = operands_of(table.k[tids], table.bi[tids], table.bj[tids])
+            slots = np.column_stack([f.slots_of(bi, bj) for bi, bj in coords])
+            self.family_slots[ttype] = tids, slots
+            read = (slots != target[tids, None]) & runs[tids, None]
+            uses += np.bincount(slots[read], minlength=uses.size)
+            for tid, args in zip(tids.tolist(), map(tuple, slots.tolist())):
+                self.args[tid] = args
+        self.panels = PanelCache(dict(enumerate(uses.tolist())))
+        self.calls = self._resolve_calls()
 
-        def readers(tid: int) -> int:
-            """Successors of panel task ``tid`` that this job runs."""
-            successors = dag.tasks[tid].successors
-            return len(successors) if runs is None else int(runs[successors].sum())
+    def features(self, ttype: TaskType) -> tuple[np.ndarray, TaskFeatures]:
+        """The task ids of one type and their selector features as one
+        :class:`TaskFeatures` of arrays (no overlay: ``lr_operands`` 0)
+        — :func:`task_features` of each, from layer-1 data."""
+        tids, slots = self.family_slots[ttype]
+        structure = self.f.slot_structure()
+        blocks = [structure[s] for s in slots.T]
+        return tids, _features_of(ttype, self.table.flops[tids], blocks)
 
-        self.panels = PanelCache({
-            f.block_slot(bi, bj): readers(tid)
-            for (bi, bj), tid in dag.panel_of_block.items()
-        })
+    def _resolve_calls(self) -> list[tuple]:
+        calls: list = [None] * len(self.tasks)
+        for ttype, family in self.family.items():
+            ktype = family[0]
+            tids, feats = self.features(ttype)
+            # no overlay yet, so the policy's choice is its tree's
+            tree = self.options.selector.trees[ktype]
+            versions = tree.select_many(feats, tids.size)
+            heads = {
+                v: (family, get_kernel(ktype, v), CACHED_OPERAND.get((ktype, v)),
+                    f"{ktype.value}/{v}")
+                for v in np.unique(versions).tolist()
+            }
+            for tid, version in zip(tids.tolist(), versions.tolist()):
+                calls[tid] = heads[version]
+        return calls
 
     def write_slots(self, tid: int) -> tuple[int, ...]:
-        task = self.tasks[tid]
-        return (self.f.block_slot(task.bi, task.bj),)
+        return (self.target[tid],)
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str, int, bool]:
-        # compression of a finished GESSM/TSTRF panel happens inside
-        # execute_task, i.e. inside the driver's write-lock window —
-        # single writer preserved
-        task = self.tasks[tid]
-        ktype, operands_of, _ = _FAMILY[task.ttype]
-        version = self.options.selector.select(ktype, task_features(self.f, task))
-        replaced, planned = execute_task(
-            self.f, task, version, ws, pivot_floor=self.options.pivot_floor,
-            plans=self.plans, compress=self.compress, panels=self.panels,
-        )
-        for coord in operands_of(task):
-            if coord != (task.bi, task.bj):   # one reader of that block is done
-                self.panels.release(self.f.block_slot(*coord))
-        return f"{ktype.value}/{version}", replaced, planned
+        # compression of a finished GESSM/TSTRF panel happens here, i.e.
+        # inside the driver's write-lock window — single writer preserved
+        f, compress, slots = self.f, self.compress, self.args[tid]
+        family, kernel, takes, label = self.calls[tid]
+        ktype = family[0]
+        feats = None
+        if compress is not None and ktype is KernelType.SSSSM:
+            feats = task_features(f, self.tasks[tid])
+        try:
+            if feats is not None and feats.lr_operands:
+                # an operand carries an overlay: the choice is the
+                # selector's on the real ``lr_operands`` / ``rank``
+                version = self.options.selector.select(ktype, feats)
+                label = f"{ktype.value}/{version}"
+                replaced, planned = execute_task(
+                    f, self.tasks[tid], version, ws, plans=self.plans,
+                    panels=self.panels,
+                )
+            else:
+                replaced, planned = _run_kernel(
+                    family, kernel, takes, slots, [f.block_at(s) for s in slots],
+                    ws, self.options.pivot_floor, self.plans, self.panels,
+                )
+        except SingularBlockError as exc:
+            task = self.tasks[tid]
+            rows = f.block_slice(task.bi)
+            raise SingularBlockError(
+                f"{task.ttype.name}(k={task.k}) on block ({task.bi},{task.bj}), "
+                f"rows {rows.start}–{rows.stop - 1} of the reordered matrix: {exc}"
+            ) from exc
+        if compress is not None and ktype in _PANEL_SOLVES:
+            _maybe_compress(f, self.tasks[tid], compress)
+        self.panels.release(slots, self.target[tid])
+        return label, replaced, planned
 
     def trace_label(self, tid: int) -> tuple[str, str]:
         task = self.tasks[tid]
@@ -454,7 +543,8 @@ class FactorJob:
         """The flops of the tasks that ran, the footprints of the plan
         cache and (at its peak) the panel cache, and what the overlay of
         ``f`` holds (a rank: of its own blocks)."""
-        report.flops_total = sum(self.tasks[t].flops for t in report.kernel_choices)
+        ran = np.fromiter(report.kernel_choices, np.int64, len(report.kernel_choices))
+        report.flops_total = int(self.table.flops[ran].sum())
         report.panel_cache_peak_bytes = self.panels.peak_bytes
         report.plan_bytes = self.plans.nbytes
         if self.compress is not None:

@@ -42,7 +42,9 @@ __all__ = ["analyze_payload_escape"]
 RULE = "payload-escape"
 
 _SEND_METHODS = frozenset({"send", "post_result"})
-_SCHEDULER_ATTRS = frozenset({"counters", "ready", "remaining", "owned_mask"})
+_SCHEDULER_ATTRS = frozenset(
+    {"counters", "_counts", "ready", "remaining", "owned_mask"}
+)
 #: calls that return a fresh object (aliasing broken)
 _COPYING_CALLS = frozenset(
     {"array", "copy", "deepcopy", "int", "float", "bytes", "list", "dict",

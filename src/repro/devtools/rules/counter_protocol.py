@@ -1,8 +1,8 @@
 """``counter-protocol`` — dependency counters flow through SchedulerCore.
 
 The synchronisation-free protocol is sound only because every counter
-decrement happens inside :meth:`SchedulerCore.complete` (vectorised,
-paired with a ready-heap push, checked for underflow).  A raw store to
+decrement happens inside :meth:`SchedulerCore.complete` (paired with a
+ready-heap push, checked for underflow).  A raw store to
 ``core.counters``, ``core.remaining`` or a direct push/pop on
 ``core.ready`` from engine code bypasses the underflow guard and the
 race detector, so any such write outside ``runtime/scheduler.py`` (the
@@ -35,7 +35,7 @@ from ..astlint import FileContext, Finding, Rule, register
 from ._util import MUTATING_METHODS, dotted
 
 #: SchedulerCore attributes engines must never write directly
-_PROTOCOL_ATTRS = frozenset({"counters", "remaining", "ready"})
+_PROTOCOL_ATTRS = frozenset({"counters", "_counts", "remaining", "ready"})
 
 
 #: the one module (besides the excluded protocol/devtools modules) whose

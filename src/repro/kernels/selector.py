@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .registry import CACHED_OPERAND, KernelType
 
 __all__ = [
@@ -67,11 +69,20 @@ class TaskFeatures:
     lr_operands: int = 0
     rank: int = 0
 
-    def get(self, feature: str) -> float:
+    def _field(self, feature: str):
         value = getattr(self, feature, None)
         if value is None:
             raise KeyError(f"unknown feature {feature!r}")
-        return float(value)
+        return value
+
+    def get(self, feature: str) -> float:
+        return float(self._field(feature))
+
+    def column(self, feature: str, n: int) -> np.ndarray:
+        """:meth:`get` where the fields hold arrays over ``n`` tasks (a
+        scalar field stands for every task): the ``float64`` column."""
+        column = np.asarray(self._field(feature), dtype=np.float64)
+        return np.broadcast_to(column, (n,))
 
 
 Node = Union["Split", str]
@@ -105,6 +116,28 @@ class DecisionTree:
         while isinstance(node, Split):
             node = node.left if feats.get(node.feature) < node.threshold else node.right
         return node
+
+    def select_many(self, feats: TaskFeatures, n: int) -> np.ndarray:
+        """:meth:`select` for ``n`` tasks at once — ``feats`` holds one
+        array per feature (:meth:`TaskFeatures.column`): every split is
+        one ``<`` over the tasks that reach it.  Returns the version
+        strings as an array.
+
+        >>> tree = DecisionTree(Split("nnz_a", 100.0, "C_V1", "G_V1"))
+        >>> tree.select_many(TaskFeatures(nnz_a=np.array([10, 100])), 2).tolist()
+        ['C_V1', 'G_V1']
+        """
+        names = sorted(set(self.leaves()))
+        leaf = np.empty(n, dtype=np.int64)
+        stack: list[tuple[Node, np.ndarray]] = [(self.root, np.arange(n))]
+        while stack:
+            node, tasks = stack.pop()
+            if isinstance(node, Split):
+                left = feats.column(node.feature, n)[tasks] < node.threshold
+                stack += [(node.left, tasks[left]), (node.right, tasks[~left])]
+            else:
+                leaf[tasks] = names.index(node)
+        return np.asarray(names)[leaf]
 
     def leaves(self) -> list[str]:
         """All version strings reachable from this tree."""

@@ -123,18 +123,17 @@ def simulate_pangulu(
             assignment = balance_loads(
                 dag, place, assignment, speeds=place.speeds
             )
-    priority = np.asarray(
-        [t.k * 8 + int(t.ttype) for t in dag.tasks], dtype=np.float64
-    )
+    table = dag.table
+    priority = (table.k * 8 + table.ttype).astype(np.float64)
     spec = SimSpec(
         durations=durations,
         owner=assignment,
         out_bytes=np.asarray([st.out_bytes for st in sim_tasks]),
         n_deps=dag.dep_counts(),
-        successors=[t.successors for t in dag.tasks],
+        successors=dag.successors,
         priority=priority,
         nprocs=nprocs,
-        levels=np.asarray([t.k for t in dag.tasks], dtype=np.int64),
+        levels=table.k,
     )
     result = simulate(spec, platform, schedule=schedule)
     return PanguLUSimulation(

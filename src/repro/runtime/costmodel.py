@@ -201,37 +201,26 @@ def extract_sim_tasks(f: BlockMatrix, dag: TaskDAG) -> list[SimTask]:
     float32-partitioned matrix is simulated with its actual (halved)
     value traffic.
     """
+    from ..core.numeric import task_features  # imports this package
+
     itemsize = float(getattr(f, "dtype", np.dtype(np.float64)).itemsize)
     out: list[SimTask] = []
     for t in dag.tasks:
         target = f.block(t.bi, t.bj)
         assert target is not None
         rows_n, cols_n = target.shape
+        # operand nnz and contraction dimension are the selector's features
+        feats = task_features(f, t)
+        nnz_a, nnz_b, inner = feats.nnz_a, feats.nnz_b, feats.n
+        op_density = target.density
         if t.ttype == TaskType.GETRF:
-            nnz_a, nnz_b = target.nnz, 0
-            inner = rows_n
             dense = (2.0 / 3.0) * rows_n**3
         elif t.ttype == TaskType.GESSM:
-            diag = f.block(t.k, t.k)
-            nnz_a, nnz_b = diag.nnz, target.nnz
-            inner = diag.ncols
             dense = float(inner) ** 2 * cols_n
         elif t.ttype == TaskType.TSTRF:
-            diag = f.block(t.k, t.k)
-            nnz_a, nnz_b = diag.nnz, target.nnz
-            inner = diag.ncols
             dense = float(inner) ** 2 * rows_n
         else:
-            a_blk = f.block(t.bi, t.k)
-            b_blk = f.block(t.k, t.bj)
-            nnz_a, nnz_b = a_blk.nnz, b_blk.nnz
-            inner = a_blk.ncols
             dense = 2.0 * rows_n * cols_n * inner
-        if t.ttype == TaskType.GETRF:
-            op_density = target.density
-        elif t.ttype in (TaskType.GESSM, TaskType.TSTRF):
-            op_density = target.density
-        else:
             op_density = max(
                 nnz_a / (rows_n * inner), nnz_b / (inner * cols_n)
             )

@@ -83,9 +83,10 @@ def _block_nbytes(blk: CSCMatrix) -> int:
 
 
 def _block_payload(
-    view: BlockMatrix, tid: int, bi: int, bj: int
+    view: BlockMatrix, tid: int, bi: int, bj: int, slot: int
 ) -> tuple[tuple, int]:
-    """``(message, wire_bytes)`` for shipping block ``(bi, bj)``.
+    """``(message, wire_bytes)`` for shipping block ``(bi, bj)``, held
+    in storage slot ``slot``.
 
     A compressed panel travels as its low-rank factors — tag ``"lr"``,
     ``u.nbytes + v.nbytes`` real bytes (plus ``src_nnz`` so the receiver
@@ -100,7 +101,7 @@ def _block_payload(
         return (tid, bi, bj, "lr", cb.u, cb.v, cb.src_nnz), (
             cb.u.nbytes + cb.v.nbytes
         )
-    target = view.block(bi, bj)
+    target = view.block_at(slot)
     payload = (tid, bi, bj, "csc", target.indptr, target.indices, target.data)
     return payload, _block_nbytes(target)
 
@@ -142,7 +143,10 @@ class _RankFactorJob(FactorJob):
             return None
         # panel results are final (the panel is its block's last writer),
         # so the live arrays are stable by the time any consumer reads them
-        return (dests, *_block_payload(self.f, tid, task.bi, task.bj))
+        return (
+            dests,
+            *_block_payload(self.f, tid, task.bi, task.bj, self.target[tid]),
+        )
 
     def absorb(self, msg) -> int:
         _, bi, bj, tag = msg[:4]
@@ -309,9 +313,9 @@ def _resolve_pool(
 
 def _owner_of_slot(f: BlockMatrix, placement: PlacementPolicy) -> np.ndarray:
     """The rank owning each storage slot of ``f``."""
-    cols = np.repeat(np.arange(f.nb), np.diff(f.blk_colptr))
     return np.asarray(
-        [placement.owner(int(bi), int(bj)) for bi, bj in zip(f.blk_rowidx, cols)],
+        [placement.owner(int(bi), int(bj))
+         for bi, bj in zip(f.blk_rowidx, f.blk_colidx)],
         dtype=np.int64,
     )
 

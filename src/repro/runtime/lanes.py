@@ -232,12 +232,13 @@ def run_lanes(
                 total.merge(local)
 
     def receiver() -> None:
-        # each remote task with a locally-owned successor sends exactly
-        # one message here, so the receiver's lifetime is a fixed count
+        # each remote task with a locally-owned successor (the only ones
+        # a rank's core keeps) sends exactly one message here, so the
+        # receiver's lifetime is a fixed count
         mask = core.owned_mask
         expected = sum(
             1 for t, succ in enumerate(core.successors)
-            if not mask[t] and mask[succ].any()
+            if succ and not mask[t]
         )
         try:
             for _ in range(expected):

@@ -305,7 +305,7 @@ class SchedulerCore:
         Precomputed heap entry per task id (see :func:`ready_entry`) —
         computed once so pushes are O(log n) with no attribute chasing.
     successors:
-        Global adjacency, one ``int64`` array per task id.
+        Global adjacency, one list of task ids per task id.
     n_deps:
         Global in-degrees (consumed as a copy).
     owned:
@@ -321,13 +321,18 @@ class SchedulerCore:
         Recorder lane for the depth samples (a rank id; 0 for the
         in-process engines, whose heap is global).
 
+    A task completes by a handful of decrements, so the state is plain
+    Python: ``successors`` lists of ints (on a rank: only the owned
+    ones, filtered here once) and a list of int counters that
+    :attr:`counters` shows as an array.
+
     The core performs **no locking**: one lane needs none, the lane
     driver guards a shared core's calls with the pool's condition, each
     distributed rank has a private core.
     """
 
     __slots__ = (
-        "entries", "successors", "counters", "ready", "owned_mask",
+        "entries", "successors", "_counts", "ready", "owned_mask",
         "remaining", "n_owned", "executed", "completed",
         "max_ready_depth", "recorder", "lane",
     )
@@ -335,7 +340,7 @@ class SchedulerCore:
     def __init__(
         self,
         entries: list[tuple[int, int, int]],
-        successors: list[np.ndarray],
+        successors: list[list[int]],
         n_deps: np.ndarray,
         *,
         owned=None,
@@ -344,26 +349,32 @@ class SchedulerCore:
     ) -> None:
         n = len(entries)
         self.entries = entries
-        self.successors = successors
-        self.counters = np.asarray(n_deps, dtype=np.int64).copy()
+        counts = np.asarray(n_deps, dtype=np.int64)
+        self._counts = counts.tolist()
         self.recorder = recorder
         self.lane = lane
         if owned is None:
             self.owned_mask = None
+            self.successors = successors
             self.n_owned = n
-            roots = np.flatnonzero(self.counters == 0)
+            roots = np.flatnonzero(counts == 0)
         else:
             mask = np.zeros(n, dtype=bool)
             owned = np.asarray(list(owned), dtype=np.int64)
             mask[owned] = True
             self.owned_mask = mask
+            # a rank never decrements a counter it does not own
+            keep = mask.tolist()
+            self.successors = [
+                [s for s in succ if keep[s]] for succ in successors
+            ]
             self.n_owned = int(owned.size)
-            roots = owned[self.counters[owned] == 0]
+            roots = owned[counts[owned] == 0]
         self.remaining = self.n_owned
         self.executed = 0
-        self.completed = np.zeros(n, dtype=bool)
+        self.completed = bytearray(n)
         self.ready: list[tuple[int, int, int]] = [
-            entries[int(t)] for t in roots
+            entries[t] for t in roots.tolist()
         ]
         heapq.heapify(self.ready)
         self.max_ready_depth = len(self.ready)
@@ -381,9 +392,14 @@ class SchedulerCore:
         per-task ``entries`` (heap priorities), ``successors`` and
         ``n_deps``, as :class:`repro.core.dag.TaskDAG` and
         :class:`repro.core.tsolve_dag.TSolveDAG` do."""
-        successors = [np.asarray(s, dtype=np.int64) for s in dag.successors]
-        return cls(dag.entries, successors, dag.n_deps,
+        return cls(dag.entries, dag.successors, dag.n_deps,
                    owned=owned, recorder=recorder, lane=lane)
+
+    @property
+    def counters(self) -> np.ndarray:
+        """The dependency counters as an array (a snapshot: only
+        :meth:`complete` changes them)."""
+        return np.asarray(self._counts, dtype=np.int64)
 
     # -- scheduling ----------------------------------------------------
     def done(self) -> bool:
@@ -400,42 +416,39 @@ class SchedulerCore:
         return heapq.heappop(self.ready)[2]
 
     def complete(self, tid: int) -> int:
-        """Record completion of ``tid`` and release its successors.
-
-        The vectorised decrement: all (owned) successors of ``tid`` drop
-        by one in a single fancy-indexed operation, and those reaching
-        zero are pushed onto the ready heap.  Returns the number of newly
-        ready tasks (the threaded engine's ``notify(n)`` count).  ``tid``
-        may be a *non-owned* predecessor (a received message) — it then
-        releases owned successors without counting as local work.
+        """Record completion of ``tid`` and release its successors:
+        each (owned) successor's counter drops by one, and those
+        reaching zero are pushed onto the ready heap.  Returns the number
+        of newly ready tasks (the threaded engine's ``notify(n)``
+        count).  ``tid`` may be a *non-owned* predecessor (a received
+        message) — it then releases owned successors without counting
+        as local work.
         """
         if self.owned_mask is None or self.owned_mask[tid]:
             self.executed += 1
             self.remaining -= 1
-        self.completed[tid] = True
-        succ = self.successors[tid]
-        if self.owned_mask is not None and succ.size:
-            succ = succ[self.owned_mask[succ]]
+        self.completed[tid] = 1
+        counts, ready, entries = self._counts, self.ready, self.entries
         newly = 0
-        if succ.size:
-            self.counters[succ] -= 1
-            bad = succ[self.counters[succ] < 0]
-            if bad.size:
-                detail = ", ".join(
-                    f"task {int(s)} at {int(self.counters[s])} "
-                    f"(expected ≥ 0)"
-                    for s in bad[:8]
-                )
-                raise CounterUnderflowError(
-                    f"completion of task {tid} drove {bad.size} dependency "
-                    f"counter(s) negative: {detail} — task {tid} completed "
-                    "more than once (duplicate message or double execution)"
-                )
-            for s in succ[self.counters[succ] == 0]:
-                heapq.heappush(self.ready, self.entries[s])
+        bad = []
+        for s in self.successors[tid]:
+            left = counts[s] = counts[s] - 1
+            if left == 0:
+                heapq.heappush(ready, entries[s])
                 newly += 1
+            elif left < 0:
+                bad.append(s)
+        if bad:
+            detail = ", ".join(
+                f"task {s} at {counts[s]} (expected ≥ 0)" for s in bad[:8]
+            )
+            raise CounterUnderflowError(
+                f"completion of task {tid} drove {len(bad)} dependency "
+                f"counter(s) negative: {detail} — task {tid} completed "
+                "more than once (duplicate message or double execution)"
+            )
         if self.recorder is not None:
-            self.recorder.depth(self.lane, len(self.ready))
+            self.recorder.depth(self.lane, len(ready))
         return newly
 
     def blocked_frontier(self, limit: int = 8) -> list[tuple[int, int]]:
@@ -444,12 +457,12 @@ class SchedulerCore:
         counter 0 were ready but never popped (a worker died or an error
         short-circuited the drain); positive counters are waiting on
         predecessors that themselves never finished."""
-        if self.owned_mask is None:
-            pending = np.flatnonzero(~self.completed)
-        else:
-            pending = np.flatnonzero(self.owned_mask & ~self.completed)
+        pending = np.frombuffer(self.completed, dtype=np.uint8) == 0
+        if self.owned_mask is not None:
+            pending &= self.owned_mask
         return [
-            (int(t), int(self.counters[t])) for t in pending[:limit]
+            (t, self._counts[t])
+            for t in np.flatnonzero(pending)[:limit].tolist()
         ]
 
     def check(self, engine: str = "scheduler") -> None:

@@ -22,7 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.numeric import NumericOptions, execute_task, task_features
+from repro.core.numeric import (
+    NumericOptions,
+    execute_task,
+    resolve_compress,
+    task_features,
+)
 from repro.kernels import KernelType, SingularBlockError, Workspace
 from repro.kernels.base import gather_dense, scatter_dense, solve_levels
 from repro.sparse import CSCMatrix
@@ -46,7 +51,7 @@ def replay_unplanned(bm, dag, options: NumericOptions | None = None, *, tids=Non
         version = options.selector.select(ktype, task_features(bm, task))
         _, planned = execute_task(
             bm, task, version, ws, pivot_floor=options.pivot_floor,
-            plans=None, panels=None,
+            plans=None, panels=None, compress=resolve_compress(options),
         )
         assert not planned
         choices[task.tid] = f"{ktype.value}/{version}"

@@ -281,6 +281,47 @@ class TestCompressedSolve:
                 assert lr == ssssm, hist
                 assert f.stats.planned_tasks == len(f.stats.kernel_choices) - lr
 
+    @pytest.mark.parametrize("selector", ["default", "fixed"])
+    def test_choices_are_the_per_task_selections(self, selector):
+        """An SSSSM whose operand carries an overlay when it runs is
+        selected then, on the real ``lr_operands`` / ``rank``; every
+        other choice was made when the job was built.  Either way it is
+        what ``SelectorPolicy.select`` says of ``task_features`` at that
+        point — on one rank and on two."""
+        from repro.core import block_partition, build_dag, factorize
+        from repro.runtime.distributed import factorize_distributed
+        from repro.runtime.transports import LoopbackTransport
+        from repro.sparse.csc import coo_to_csc
+        from repro.symbolic import symbolic_symmetric
+
+        from .reference_numeric import replay_unplanned
+
+        # full-rank coupling in block row and column 1: those panels do
+        # not compress, so the step-1 products keep their static choice
+        a, _ = _coupled_matrix(seed=31)
+        noise = 0.05 * np.random.default_rng(5).standard_normal((2, 32, 192))
+        a[32:64, 64:] += noise[0]
+        a[64:, 32:64] += noise[1].T
+        rows, cols = np.nonzero(a)
+        filled = symbolic_symmetric(
+            coo_to_csc(a.shape, rows, cols, a[rows, cols])
+        ).filled
+        options = NumericOptions(
+            selector=getattr(SelectorPolicy, selector)(),
+            compress_tol=1e-8, compress_min_order=16,
+        )
+        ref = block_partition(filled, 32)
+        want = replay_unplanned(ref, build_dag(ref), options)
+        ssssm = [label for label in want.values() if label.startswith("SSSSM/")]
+        assert 0 < sum(label.startswith("SSSSM/LR_") for label in ssssm) < len(ssssm)
+        one = block_partition(filled, 32)
+        assert factorize(one, build_dag(one), options).kernel_choices == want
+        two = block_partition(filled, 32)
+        report = factorize_distributed(
+            two, build_dag(two), 2, transport=LoopbackTransport(), options=options,
+        )
+        assert report.kernel_choices == want
+
     def test_distributed_wire_bytes_shrink(self):
         """Compressed panels ship as U/V: the loopback byte accounting
         must come in strictly under the CSC payload accounting."""

@@ -17,6 +17,7 @@ import pytest
 from repro.core import block_partition, build_dag, factorize
 from repro.core.dag import Task, TaskDAG, TaskType
 from repro.core.solver import PanguLU, SolverOptions
+from repro.kernels.registry import KERNEL_REGISTRY, KernelType
 from repro.devtools.racecheck import (
     CheckedSchedulerCore,
     ConcurrencyViolation,
@@ -187,15 +188,17 @@ def test_threaded_detector_catches_double_writer(monkeypatch):
                 collided.set()  # release the first writer
                 raise
 
-    def fake_execute(f, task, version, ws, **kwargs):
+    def fake_getrf(a, ws, **kwargs):
         # hold the block until the second writer collides (bounded wait
         # so a regression fails the test instead of hanging it)
         collided.wait(timeout=10)
-        return 0, False
+        return 0
 
     monkeypatch.setattr("repro.runtime.lanes._make_slot_locks",
                         lambda n: [_NoopLock() for _ in range(n)])
-    monkeypatch.setattr("repro.core.numeric.execute_task", fake_execute)
+    # the job reaches a kernel through its registry entry, nothing else
+    for version in KERNEL_REGISTRY[KernelType.GETRF]:
+        monkeypatch.setitem(KERNEL_REGISTRY[KernelType.GETRF], version, fake_getrf)
 
     with pytest.raises(ConcurrencyViolation) as exc:
         factorize(

@@ -128,6 +128,17 @@ class TestSchedulerCore:
         assert core.done()
         core.check()
 
+    def test_owned_core_keeps_only_owned_successors(self):
+        # a rank never touches a counter it does not own: the foreign
+        # successors are dropped when the core is built
+        core = SchedulerCore.from_dag(_chain(4), owned=[1, 3])
+        assert core.successors == [[1], [], [3], []]
+        assert isinstance(core.counters, np.ndarray)
+        assert core.counters.tolist() == [0, 1, 1, 1]
+        assert core.complete(0) == 1
+        assert core.complete(1) == 0     # its successor is another rank's
+        assert core.counters.tolist() == [0, 0, 1, 1]
+
     def test_vectorised_decrement_matches_full_run(self):
         bm, dag = _prepared()
         core = SchedulerCore.from_dag(dag)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.kernels import (
@@ -39,6 +40,41 @@ class TestDecisionTree:
         tree = DecisionTree(Split("bogus", 1.0, "A", "B"))
         with pytest.raises(KeyError):
             tree.select(TaskFeatures(nnz_a=1))
+        with pytest.raises(KeyError):
+            tree.select_many(TaskFeatures(nnz_a=np.ones(2)), 2)
+
+    def test_array_evaluation_is_select_per_task(self):
+        # random features, a third of them exactly on a threshold of the
+        # tree they go through (`<` sends those right)
+        rng = np.random.default_rng(0)
+        n = 400
+        for ktype, tree in default_trees().items():
+            cols = {
+                "nnz_a": rng.integers(0, 2000, n), "nnz_b": rng.integers(0, 2000, n),
+                "flops": rng.integers(0, 400, n), "n": rng.integers(1, 600, n),
+                "density": rng.random(n), "lr_operands": rng.integers(0, 3, n),
+                "rank": rng.integers(0, 96, n),
+            }
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Split):
+                    hit = rng.random(n) < 0.33 / len(cols)
+                    cols[node.feature] = np.where(
+                        hit, node.threshold, cols[node.feature]
+                    ).astype(cols[node.feature].dtype)
+                    stack += [node.left, node.right]
+            got = tree.select_many(TaskFeatures(**cols), n)
+            want = [
+                tree.select(TaskFeatures(**{k: v[i].item() for k, v in cols.items()}))
+                for i in range(n)
+            ]
+            assert got.tolist() == want, ktype
+            assert len(set(want)) == len(set(tree.leaves())), ktype
+        # a scalar field stands for every task; no task, no answer
+        tree = DecisionTree(Split("nnz_b", 1.0, "A", "B"))
+        assert tree.select_many(TaskFeatures(nnz_a=np.arange(3)), 3).tolist() == ["A"] * 3
+        assert tree.select_many(TaskFeatures(nnz_a=np.arange(0)), 0).size == 0
 
 
 class TestDefaults:
