@@ -13,8 +13,8 @@ structure trailing dense panels have after fill), then quantifies the
 claim on four axes, compression off vs on:
 
 * **SSSSM flops** — modelled per executed task: the structural flops of
-  the dense-path kernels vs the ``lr_ssssm_flops`` cost of the tasks the
-  selector actually routed to the LR family;
+  the dense-path kernels vs the ``lr_ssssm_flops`` cost of the tasks
+  that ran the low-rank update (``SSSSM/LR``);
 * **value bytes** — exact CSC payload a consumer reads vs the same with
   compressed panels read from their U/V factors
   (``MemoryReport.effective_traffic_bytes``);
@@ -67,7 +67,7 @@ def coupled_matrix(n=384, bs=BLOCK, rank=2, scale=0.05, seed=11):
 
 def modelled_ssssm_flops(bm, dag, stats) -> tuple[float, float]:
     """(structural, as-executed) SSSSM flops of one factorisation:
-    LR-routed tasks charged at their ``lr_ssssm_flops`` cost, the rest
+    ``SSSSM/LR`` tasks charged at their ``lr_ssssm_flops`` cost, the rest
     at the DAG's structural estimate."""
     structural = 0.0
     executed = 0.0
@@ -76,7 +76,7 @@ def modelled_ssssm_flops(bm, dag, stats) -> tuple[float, float]:
         if not label.startswith("SSSSM/"):
             continue
         structural += task.flops
-        if label.startswith("SSSSM/LR_"):
+        if label == "SSSSM/LR":
             a = bm.compressed_block(task.bi, task.k)
             b = bm.compressed_block(task.k, task.bj)
             c = bm.block(task.bi, task.bj)

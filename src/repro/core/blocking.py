@@ -500,13 +500,11 @@ class BlockMatrix:
         return self.lr_overlay.get((bi, bj))
 
     def set_compressed(
-        self, bi: int, bj: int, u: np.ndarray, v: np.ndarray, *, src_nnz: int
+        self, bi: int, bj: int, u: np.ndarray, v: np.ndarray
     ) -> CompressedBlock:
         """Install a low-rank overlay ``u @ v.T`` for block ``(bi, bj)``;
         the exact CSC payload is untouched."""
-        cb = CompressedBlock(
-            shape=(int(u.shape[0]), int(v.shape[0])), u=u, v=v, src_nnz=int(src_nnz)
-        )
+        cb = CompressedBlock(shape=(int(u.shape[0]), int(v.shape[0])), u=u, v=v)
         self.lr_overlay[(bi, bj)] = cb
         return cb
 

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from ..kernels.base import SingularBlockError, Workspace, triangle_inverse
-from ..kernels.compress import CompressPolicy, try_compress
+from ..kernels.compress import CompressPolicy, ssssm_lr, try_compress
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
 from ..kernels.plans import (
@@ -43,7 +43,6 @@ from ..kernels.plans import (
 )
 from ..kernels.registry import CACHED_OPERAND, KernelType, get_kernel
 from ..kernels.selector import SelectorPolicy, TaskFeatures
-from ..sparse.blockrep import CompressedBlock, lr_profit_cap
 from .blocking import BlockMatrix
 from .dag import Task, TaskDAG, TaskType
 
@@ -139,16 +138,7 @@ class NumericOptions:
     compress_min_order: int = 32
 
 
-def _ssssm_operand(f: BlockMatrix, bi: int, bj: int):
-    """The representation an SSSSM consumer should multiply with: the
-    low-rank overlay when present, else the exact CSC block.  On remote
-    ranks only the overlay may exist (the transport shipped U/V, not the
-    CSC arrays)."""
-    cb = f.compressed_block(bi, bj)
-    return cb if cb is not None else f.block(bi, bj)
-
-
-def _features_of(ttype, flops, blocks, lr_operands=0, rank=0) -> TaskFeatures:
+def _features_of(ttype, flops, blocks) -> TaskFeatures:
     """Selector features of tasks of one type from their blocks in
     kernel argument order — of one task from its payloads, of many from
     rows of :meth:`BlockMatrix.slot_structure` (``flops`` and every
@@ -166,31 +156,15 @@ def _features_of(ttype, flops, blocks, lr_operands=0, rank=0) -> TaskFeatures:
         nnz_b = b.nnz
     return TaskFeatures(
         nnz_a=a.nnz, nnz_b=nnz_b, flops=flops, n=a.ncols, density=target.density,
-        lr_operands=lr_operands, rank=rank,
     )
 
 
 def task_features(f: BlockMatrix, task: Task) -> TaskFeatures:
     """Structural features of a task for the decision-tree selector —
     the per-task form of what :meth:`FactorJob.features` computes for a
-    whole family at once.
-
-    SSSSM operands are looked up through the representation layer:
-    compressed operands contribute their exact-payload ``nnz`` (shipped
-    as ``src_nnz`` with the factors, so local and remote ranks compute
-    identical features) plus the ``lr_operands``/``rank`` features the
-    low-rank branches of the tree split on.
-    """
+    whole family at once, from the task's exact blocks."""
     coords = _FAMILY[task.ttype][1](task.k, task.bi, task.bj)
-    if task.ttype != TaskType.SSSSM:
-        return _features_of(task.ttype, task.flops, [f.block(*c) for c in coords])
-    a_rep, b_rep = (_ssssm_operand(f, *c) for c in coords[1:])
-    a_rank = a_rep.rank if isinstance(a_rep, CompressedBlock) else 0
-    b_rank = b_rep.rank if isinstance(b_rep, CompressedBlock) else 0
-    return _features_of(
-        task.ttype, task.flops, (f.block(*coords[0]), a_rep, b_rep),
-        lr_operands=int(a_rank > 0) + int(b_rank > 0), rank=max(a_rank, b_rank),
-    )
+    return _features_of(task.ttype, task.flops, [f.block(*c) for c in coords])
 
 
 def resolve_plan_cache(f: BlockMatrix, options: NumericOptions) -> PlanCache:
@@ -212,11 +186,8 @@ def resolve_compress(options: NumericOptions) -> CompressPolicy | None:
     ``execute_task`` never touches the overlay machinery."""
     if options.compress_tol <= 0.0:
         return None
-    tree = options.selector.trees.get(KernelType.COMPRESS)
     return CompressPolicy(
-        tol=options.compress_tol,
-        min_order=options.compress_min_order,
-        tree=tree,
+        tol=options.compress_tol, min_order=options.compress_min_order
     )
 
 
@@ -225,17 +196,25 @@ def _maybe_compress(f: BlockMatrix, task: Task, policy: CompressPolicy) -> None:
     panel block.  Runs inside the caller's write-lock window for the
     target slot, so the RaceChecker still sees a single writer; the
     exact CSC payload is left untouched (the overlay is additive)."""
-    target = f.block(task.bi, task.bj)
-    if target is None:
-        return
-    m, n = target.shape
-    cap = lr_profit_cap(m, n, target.nnz)
-    feats = TaskFeatures(
-        nnz_a=target.nnz, n=min(m, n), density=target.density, rank=cap
-    )
-    cb = try_compress(target, policy, feats)
+    cb = try_compress(f.block(task.bi, task.bj), policy)
     if cb is not None:
-        f.set_compressed(task.bi, task.bj, cb.u, cb.v, src_nnz=cb.src_nnz)
+        f.set_compressed(task.bi, task.bj, cb.u, cb.v)
+
+
+def _overlaid(f: BlockMatrix, task: Task):
+    """The operands ``L(bi,k)``, ``U(k,bj)`` of an SSSSM as
+    :func:`~repro.kernels.compress.ssssm_lr` multiplies them — a block's
+    overlay where it carries one, else the block — or ``None`` when
+    neither carries one.  On a rank a received ``"lr"`` panel exists only
+    as its overlay."""
+    a = f.compressed_block(task.bi, task.k)
+    b = f.compressed_block(task.k, task.bj)
+    if a is None and b is None:
+        return None
+    return (
+        f.block(task.bi, task.k) if a is None else a,
+        f.block(task.k, task.bj) if b is None else b,
+    )
 
 
 def _cached_plan(plans: PlanCache, ktype: KernelType, build, slots, blocks):
@@ -293,8 +272,7 @@ def execute_task(
     """Execute one task with the registered kernel ``version`` of its
     family — :meth:`FactorJob.execute` for a caller that addresses blocks
     by coordinates: ``f`` need only offer ``block(bi, bj)`` and
-    ``block_slot(bi, bj)`` (plus ``compressed_block`` for the low-rank
-    variants), and the kernel call is the one the job makes.
+    ``block_slot(bi, bj)``, and the kernel call is the one the job makes.
 
     The kernel gets the task's blocks in its family's argument order,
     plus whatever that variant declares it can be handed
@@ -305,8 +283,7 @@ def execute_task(
     factorisation's :class:`PanelCache`, each alive until its last
     reader), both built on first use.  Without the cache (``None``) the
     variant does that work itself and keeps nothing — same bits either
-    way.  The low-rank variants get each read operand's overlay where
-    the block carries one.
+    way.
 
     Returns ``(replaced_pivots, planned)`` — the GESP diagnostic plus
     whether the variant was handed a plan.
@@ -314,20 +291,17 @@ def execute_task(
     With a :class:`~repro.kernels.compress.CompressPolicy` (``None`` by
     default — the bit-identical path) a just-finished GESSM/TSTRF panel
     is offered to the compressor before the task completes, inside the
-    same write-lock window.
+    same write-lock window.  Which operands carry an overlay is not this
+    function's question: it runs ``version`` on the exact blocks.
     """
     family = ktype, operands_of, _ = _FAMILY[task.ttype]
     coords = operands_of(task.k, task.bi, task.bj)
     takes = CACHED_OPERAND.get((ktype, version))
-    if takes == "overlay":
-        blocks = [f.block(*coords[0]), *(_ssssm_operand(f, *c) for c in coords[1:])]
-    else:
-        blocks = [f.block(*c) for c in coords]
     cached = plans if takes == "plan" else panels if takes == "images" else None
     slots = () if cached is None else [f.block_slot(*c) for c in coords]
     out = _run_kernel(
-        family, get_kernel(ktype, version), takes, slots, blocks, ws,
-        pivot_floor, plans, panels,
+        family, get_kernel(ktype, version), takes, slots,
+        [f.block(*c) for c in coords], ws, pivot_floor, plans, panels,
     )
     if compress is not None and ktype in _PANEL_SOLVES:
         _maybe_compress(f, task, compress)
@@ -429,7 +403,10 @@ class FactorJob:
     selector's trees evaluated over :meth:`features`, then the registry
     entry, what it is handed and its ``"TYPE/VERSION"`` label looked up
     once per version).  A patched ``KERNEL_REGISTRY`` entry is what runs
-    if it was patched before the job was built.
+    if it was patched before the job was built.  The one choice made at
+    run time: with compression on, an SSSSM whose ``L(i,k)`` or
+    ``U(k,j)`` carries an overlay runs
+    :func:`~repro.kernels.compress.ssssm_lr`, labelled ``SSSSM/LR``.
 
     The job holds the two caches operands are handed from: ``plans``,
     the plan cache of ``f`` (:func:`resolve_plan_cache` — it outlives
@@ -471,8 +448,8 @@ class FactorJob:
 
     def features(self, ttype: TaskType) -> tuple[np.ndarray, TaskFeatures]:
         """The task ids of one type and their selector features as one
-        :class:`TaskFeatures` of arrays (no overlay: ``lr_operands`` 0)
-        — :func:`task_features` of each, from layer-1 data."""
+        :class:`TaskFeatures` of arrays — :func:`task_features` of each,
+        from layer-1 data."""
         tids, slots = self.family_slots[ttype]
         structure = self.f.slot_structure()
         blocks = [structure[s] for s in slots.T]
@@ -483,7 +460,6 @@ class FactorJob:
         for ttype, family in self.family.items():
             ktype = family[0]
             tids, feats = self.features(ttype)
-            # no overlay yet, so the policy's choice is its tree's
             tree = self.options.selector.trees[ktype]
             versions = tree.select_many(feats, tids.size)
             heads = {
@@ -504,31 +480,25 @@ class FactorJob:
         f, compress, slots = self.f, self.compress, self.args[tid]
         family, kernel, takes, label = self.calls[tid]
         ktype = family[0]
-        feats = None
+        lr = None
         if compress is not None and ktype is KernelType.SSSSM:
-            feats = task_features(f, self.tasks[tid])
-        try:
-            if feats is not None and feats.lr_operands:
-                # an operand carries an overlay: the choice is the
-                # selector's on the real ``lr_operands`` / ``rank``
-                version = self.options.selector.select(ktype, feats)
-                label = f"{ktype.value}/{version}"
-                replaced, planned = execute_task(
-                    f, self.tasks[tid], version, ws, plans=self.plans,
-                    panels=self.panels,
-                )
-            else:
+            lr = _overlaid(f, self.tasks[tid])
+        if lr is not None:
+            ssssm_lr(f.block_at(slots[0]), *lr, ws)
+            label, replaced, planned = "SSSSM/LR", 0, False
+        else:
+            try:
                 replaced, planned = _run_kernel(
                     family, kernel, takes, slots, [f.block_at(s) for s in slots],
                     ws, self.options.pivot_floor, self.plans, self.panels,
                 )
-        except SingularBlockError as exc:
-            task = self.tasks[tid]
-            rows = f.block_slice(task.bi)
-            raise SingularBlockError(
-                f"{task.ttype.name}(k={task.k}) on block ({task.bi},{task.bj}), "
-                f"rows {rows.start}–{rows.stop - 1} of the reordered matrix: {exc}"
-            ) from exc
+            except SingularBlockError as exc:
+                task = self.tasks[tid]
+                rows = f.block_slice(task.bi)
+                raise SingularBlockError(
+                    f"{task.ttype.name}(k={task.k}) on block ({task.bi},{task.bj}), "
+                    f"rows {rows.start}–{rows.stop - 1} of the reordered matrix: {exc}"
+                ) from exc
         if compress is not None and ktype in _PANEL_SOLVES:
             _maybe_compress(f, self.tasks[tid], compress)
         self.panels.release(slots, self.target[tid])

@@ -30,7 +30,7 @@ delegate to it.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -665,8 +665,14 @@ class Factorization:
         low-rank overlay, and refactorise the current matrix exactly.
         After this the handle behaves like a compression-off
         factorisation (bit-identical factors to ``compress_tol=0``);
-        the caller retries the solve against the exact factors."""
-        self.options.compress_tol = 0.0
+        the caller retries the solve against the exact factors.  The
+        handle switches to its own copy of the options: the caller's
+        :class:`SolverOptions` — which the facade and other solvers may
+        share — keeps compressing."""
+        # the constructor shorthand writes the zero into the fresh copy
+        self.options = replace(
+            self.options, numeric=replace(self.options.numeric), compress_tol=0.0
+        )
         return self.refactorize(self.a)  # drops the stale overlays first
 
     def _solve_refined(

@@ -118,7 +118,7 @@ def execute_tsolve_task(
 
 def _check_rhs(n: int, b: np.ndarray) -> np.ndarray:
     y = np.array(b, dtype=np.float64)
-    if y.shape[0] != n or y.ndim > 2:
+    if y.ndim not in (1, 2) or y.shape[0] != n:
         raise ValueError(f"rhs has shape {y.shape}, expected ({n},) or ({n}, k)")
     return y
 

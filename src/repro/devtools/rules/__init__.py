@@ -11,7 +11,6 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     kernel_purity,
     lock_discipline,
     no_block_rebind,
-    no_dense_roundtrip,
     no_direct_owner,
     no_global_blocksize,
     no_implicit_float64,
@@ -26,7 +25,6 @@ __all__ = [
     "kernel_purity",
     "lock_discipline",
     "no_block_rebind",
-    "no_dense_roundtrip",
     "no_direct_owner",
     "no_global_blocksize",
     "no_implicit_float64",

@@ -1,25 +1,14 @@
 """Block sparse BLAS: the 17 kernel variants of Table 1 (GETRF×3,
-GESSM×5, TSTRF×5, SSSSM×4) plus the low-rank extension family
-(SSSSM LR×2, COMPRESS×3), structural FLOP counters, the kernel
-registry, the decision-tree selector of Fig. 8, and fixed-pattern
-execution plans (precomputed scatter addressing) that the sparse
+GESSM×5, TSTRF×5, SSSSM×4), the low-rank overlay's compressor and
+Schur update, structural FLOP counters, the kernel registry, the
+decision-tree selector of Fig. 8, and fixed-pattern execution plans
+(precomputed scatter addressing) that the sparse
 variants accept as ``plan=`` (their runners stay in
 :mod:`repro.kernels.plans`), and the two stateless kernels of the
 triangular solves (``diag_seg``, ``upd_seg``)."""
 
 from .base import SingularBlockError, Triangle, Workspace, triangle
-from .compress import (
-    COMPRESS_VARIANTS,
-    LR_SSSSM_VARIANTS,
-    CompressPolicy,
-    compress_rsvd_v1,
-    compress_svd_v1,
-    decompress_v1,
-    lr_ssssm_flops,
-    ssssm_lr_v1,
-    ssssm_lr_v2,
-    try_compress,
-)
+from .compress import CompressPolicy, lr_ssssm_flops, ssssm_lr, try_compress
 from .flops import (
     gessm_flops,
     getrf_flops,
@@ -95,14 +84,8 @@ __all__ = [
     "GESSM_VARIANTS",
     "TSTRF_VARIANTS",
     "SSSSM_VARIANTS",
-    "COMPRESS_VARIANTS",
-    "LR_SSSSM_VARIANTS",
     "CompressPolicy",
-    "compress_svd_v1",
-    "compress_rsvd_v1",
-    "decompress_v1",
-    "ssssm_lr_v1",
-    "ssssm_lr_v2",
+    "ssssm_lr",
     "lr_ssssm_flops",
     "try_compress",
     "DecisionTree",

@@ -58,7 +58,6 @@ class KernelType(enum.Enum):
     GESSM = "GESSM"   # lower triangular solve (block column of U)
     TSTRF = "TSTRF"   # upper triangular solve (block row of L)
     SSSSM = "SSSSM"   # sparse-sparse Schur update
-    COMPRESS = "COMPRESS"  # low-rank representation transitions
 
     def __str__(self) -> str:  # pragma: no cover - display only
         return self.value
@@ -150,20 +149,6 @@ class Workspace:
         v = self._vec[:n]
         v[...] = 0.0
         return v
-
-    def presize(
-        self, n: int, m: int | None = None, dtype: np.dtype | type = np.float64
-    ) -> None:
-        """Grow all scratch buffers to at least ``(n, m)`` up front.
-
-        Worker threads call this once with the block size (and the factor
-        dtype) before entering the task loop so no allocation (and no
-        allocator contention) happens inside the numeric hot path.
-        """
-        m = n if m is None else m
-        for which in ("a", "b", "c"):
-            self.dense(which, (n, m), dtype)
-        self.vector(n, dtype)
 
 
 def scatter_dense(block: CSCMatrix, out: np.ndarray) -> None:

@@ -1,5 +1,4 @@
-"""Kernel registry: the 17 sparse kernel variants of Table 1, plus the
-low-rank extension family.
+"""Kernel registry: the 17 sparse kernel variants of Table 1.
 
 Each variant is addressed as ``(KernelType, version)`` — e.g.
 ``(KernelType.SSSSM, "G_V1")``.  Versions starting with ``C_`` are the
@@ -8,11 +7,9 @@ starting with ``G_`` are the GPU-class algorithms (throughput-oriented:
 dense workspaces, level scheduling, compiled offload).  The distinction
 feeds the heterogeneous cost model in :mod:`repro.runtime.costmodel`.
 
-Beyond Table 1, the compressed-block layer (ROADMAP item 3) adds a
-fifth family — ``COMPRESS`` transition kernels (truncated/randomised
-SVD and the approved decompress) — and two low-rank SSSSM versions
-(``LR_V1``/``LR_V2``) that consume :class:`~repro.sparse.blockrep.
-CompressedBlock` operands at ``O((m + n) · rank)`` cost.
+The low-rank overlay's update (:func:`repro.kernels.compress.ssssm_lr`)
+is not a variant here: no selector chooses it — an SSSSM runs it when an
+operand carries an overlay.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .base import KernelType
-from .compress import COMPRESS_VARIANTS, LR_SSSSM_VARIANTS
 from .getrf import GETRF_VARIANTS
 from .gessm import GESSM_VARIANTS
 from .plans import PLANNABLE_VERSIONS
@@ -42,8 +38,7 @@ KERNEL_REGISTRY: dict[KernelType, dict[str, Callable]] = {
     KernelType.GETRF: dict(GETRF_VARIANTS),
     KernelType.GESSM: dict(GESSM_VARIANTS),
     KernelType.TSTRF: dict(TSTRF_VARIANTS),
-    KernelType.SSSSM: dict(SSSSM_VARIANTS) | dict(LR_SSSSM_VARIANTS),
-    KernelType.COMPRESS: dict(COMPRESS_VARIANTS),
+    KernelType.SSSSM: dict(SSSSM_VARIANTS),
 }
 
 
@@ -59,21 +54,18 @@ IMAGE_VERSIONS = {
 #: What a variant can be handed by a caller that caches it, besides its
 #: blocks — the one thing the numeric driver looks up per task:
 #: ``"plan"`` (keyword ``plan=``: the fixed-pattern plan that reproduces
-#: the variant's own loop, :data:`~repro.kernels.plans.PLANNABLE_VERSIONS`),
-#: ``"images"`` (the keywords of :data:`IMAGE_VERSIONS`) or ``"overlay"``
-#: (low-rank operands in place of the CSC blocks).  Plans and images are
+#: the variant's own loop, :data:`~repro.kernels.plans.PLANNABLE_VERSIONS`)
+#: or ``"images"`` (the keywords of :data:`IMAGE_VERSIONS`).  Both are
 #: optional: without them the variant does the work itself and keeps
 #: nothing.  A variant not listed takes its blocks and nothing else.
 CACHED_OPERAND: dict[tuple[KernelType, str], str] = {
     **{(k, v): "plan" for k, versions in PLANNABLE_VERSIONS.items() for v in versions},
     **{(k, v): "images" for k, v in IMAGE_VERSIONS.items()},
-    **{(KernelType.SSSSM, v): "overlay" for v in LR_SSSSM_VARIANTS},
 }
 
 
 def kernel_names() -> list[tuple[KernelType, str]]:
-    """All 22 ``(type, version)`` pairs: the 17 of Table 1 in table
-    order, then the low-rank SSSSM versions and the COMPRESS family."""
+    """The 17 ``(type, version)`` pairs of Table 1, in table order."""
     return [
         (ktype, version)
         for ktype, versions in KERNEL_REGISTRY.items()

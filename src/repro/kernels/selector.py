@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .registry import CACHED_OPERAND, KernelType
+from .registry import KernelType
 
 __all__ = [
     "Split",
@@ -51,14 +51,6 @@ class TaskFeatures:
         block order (rows of the diagonal block).
     density:
         nnz of the *output* block over its dense capacity.
-    lr_operands:
-        how many SSSSM operands are low-rank compressed (0, 1 or 2);
-        always 0 with compression disabled, keeping the default trees
-        bit-identical to the pre-compression selector.
-    rank:
-        estimated/retained low-rank rank — the actual rank of the
-        compressed operands for SSSSM, or the profitable-rank cap
-        ``(nnz − 1) // (m + n)`` when choosing a COMPRESS kernel.
     """
 
     nnz_a: int
@@ -66,8 +58,6 @@ class TaskFeatures:
     flops: int = 0
     n: int = 1
     density: float = 0.0
-    lr_operands: int = 0
-    rank: int = 0
 
     def _field(self, feature: str):
         value = getattr(self, feature, None)
@@ -194,44 +184,26 @@ def default_trees() -> dict[KernelType, DecisionTree]:
     tstrf = DecisionTree(
         Split("n", 448.0, "C_V2", Split("nnz_b", 1200.0, "G_V1", "C_V2"))
     )
-    # dense-operand subtree.  A dense image costs n³ whatever the FLOPs,
-    # so the block order guards the paper's FLOP split: below 176 (the
-    # fitted split) the GEMM on dense images wins at any density —
+    # SSSSM: a dense image costs n³ whatever the FLOPs, so the block
+    # order guards the paper's FLOP split: below 176 (the fitted
+    # split) the GEMM on dense images wins at any density —
     # 0.06 ms against 0.19 ms for G_V1 at n = 104, density 0.07; 1.0 ms
     # against 0.24 ms at n = 256.  Above it the bin-search kernels take
     # targets less than a third full (fitted: 0.32; 0.8 ms against 7.0
     # at n = 384, density 0.24); the FLOP split under that is as fitted
     # before (C_V2 and G_V1 are within 10 % of each other on the
     # sweep's five samples below it).
-    ssssm_dense = Split(
-        "n",
-        176.0,
-        "C_V1",
-        Split(
-            "density",
-            0.32,
-            Split("flops", 100.0, "C_V2", "G_V1"),
-            "C_V1",
-        ),
-    )
     ssssm = DecisionTree(
         Split(
-            "lr_operands",
-            1.0,
-            ssssm_dense,
-            Split("lr_operands", 2.0, "LR_V1", "LR_V2"),
-        )
-    )
-    # COMPRESS: exact SVD for small orders; for large blocks the
-    # randomised range finder wins when the profitable rank is small
-    # relative to the order, otherwise the projection step dominates
-    # and exact SVD is no worse
-    compress = DecisionTree(
-        Split(
             "n",
-            192.0,
-            "SVD_V1",
-            Split("rank", 48.0, "RSVD_V1", "SVD_V1"),
+            176.0,
+            "C_V1",
+            Split(
+                "density",
+                0.32,
+                Split("flops", 100.0, "C_V2", "G_V1"),
+                "C_V1",
+            ),
         )
     )
     return {
@@ -239,7 +211,6 @@ def default_trees() -> dict[KernelType, DecisionTree]:
         KernelType.GESSM: gessm,
         KernelType.TSTRF: tstrf,
         KernelType.SSSSM: ssssm,
-        KernelType.COMPRESS: compress,
     }
 
 
@@ -270,19 +241,12 @@ class SelectorPolicy:
                 KernelType.GESSM: "G_V1",
                 KernelType.TSTRF: "G_V1",
                 KernelType.SSSSM: "C_V2",
-                KernelType.COMPRESS: "SVD_V1",
             }
         return cls(trees=fixed_trees(versions))
 
     def select(self, ktype: KernelType, feats: TaskFeatures) -> str:
-        """The version to run.  Where operands carry a low-rank overlay
-        their representation decides: trees that do not split on
-        ``lr_operands`` (the fixed baseline, a refit without compressed
-        samples) yield to the low-rank variant for that operand count."""
-        version = self.trees[ktype].select(feats)
-        if feats.lr_operands and CACHED_OPERAND.get((ktype, version)) != "overlay":
-            version = "LR_V2" if feats.lr_operands == 2 else "LR_V1"
-        return version
+        """The version its tree picks for one task's features."""
+        return self.trees[ktype].select(feats)
 
 
 def calibrate(
@@ -305,7 +269,6 @@ def calibrate(
             KernelType.GESSM: "nnz_b",
             KernelType.TSTRF: "nnz_b",
             KernelType.SSSSM: "flops",
-            KernelType.COMPRESS: "n",
         }
 
     def best_leaf(samples: list[tuple[TaskFeatures, dict[str, float]]]) -> tuple[str, float]:

@@ -181,11 +181,6 @@ def best_version(task: SimTask, platform: Platform) -> tuple[str, float]:
     ktype = _TTYPE_TO_KTYPE[task.ttype]
     best_v, best_t = "", np.inf
     for version in KERNEL_REGISTRY[ktype]:
-        # the low-rank SSSSM variants have no simulated profile — they
-        # only apply when an operand is compressed, which the purely
-        # structural simulator never models
-        if (ktype, version) not in VARIANT_PROFILES:
-            continue
         t = kernel_time(task, version, platform)
         if t < best_t:
             best_v, best_t = version, t
@@ -288,7 +283,6 @@ def simulated_trees(platform: Platform, sim_tasks: list[SimTask]):
         times = {
             version: kernel_time(st, version, platform)
             for version in KERNEL_REGISTRY[ktype]
-            if (ktype, version) in VARIANT_PROFILES
         }
         feats = TaskFeatures(
             nnz_a=st.nnz_a,

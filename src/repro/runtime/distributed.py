@@ -89,18 +89,14 @@ def _block_payload(
     in storage slot ``slot``.
 
     A compressed panel travels as its low-rank factors — tag ``"lr"``,
-    ``u.nbytes + v.nbytes`` real bytes (plus ``src_nnz`` so the receiver
-    computes the same :class:`~repro.kernels.selector.TaskFeatures` as
-    the owner) — everything else as the exact CSC triplet under tag
-    ``"csc"``.  This is where the compression actually saves wire
-    traffic: consumers of a rank-``r`` panel receive ``r·(m+n)`` values
-    instead of ``nnz`` values plus the index arrays.
+    ``u.nbytes + v.nbytes`` real bytes — everything else as the exact
+    CSC triplet under tag ``"csc"``.  This is where the compression
+    actually saves wire traffic: consumers of a rank-``r`` panel receive
+    ``r·(m+n)`` values instead of ``nnz`` values plus the index arrays.
     """
     cb = view.compressed_block(bi, bj)
     if cb is not None:
-        return (tid, bi, bj, "lr", cb.u, cb.v, cb.src_nnz), (
-            cb.u.nbytes + cb.v.nbytes
-        )
+        return (tid, bi, bj, "lr", cb.u, cb.v), cb.value_nbytes
     target = view.block_at(slot)
     payload = (tid, bi, bj, "csc", target.indptr, target.indices, target.data)
     return payload, _block_nbytes(target)
@@ -154,11 +150,9 @@ class _RankFactorJob(FactorJob):
         if tag == "lr":
             # low-rank panel: install the overlay only — there is no CSC
             # representation of this block on the wire, and none is
-            # needed (its sole consumers are SSSSM reads, which the
-            # LR kernels serve straight from U/V)
-            u, v, src_nnz = msg[4:]
-            view.set_compressed(bi, bj, u, v, src_nnz=src_nnz)
-            return u.nbytes + v.nbytes
+            # needed (its sole consumers are SSSSM reads, which
+            # ssssm_lr serves straight from U/V)
+            return view.set_compressed(bi, bj, *msg[4:]).value_nbytes
         indptr, indices, data = msg[4:]
         # wrap the payload arrays directly (zero-copy): over loopback
         # these are the sender's live block arrays — slab slices on

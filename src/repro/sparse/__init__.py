@@ -1,11 +1,9 @@
-"""Sparse-matrix substrate: CSC container, block representations
-(exact CSC + low-rank compressed), Matrix Market I/O, pattern
+"""Sparse-matrix substrate: CSC container, the low-rank block overlay
+and its truncations, Matrix Market I/O, pattern
 utilities, and synthetic analogues of the paper's 16 test matrices."""
 
 from .blockrep import (
-    BlockRep,
     CompressedBlock,
-    block_kind,
     lr_profit_cap,
     randomized_svd,
     truncated_svd,
@@ -39,9 +37,7 @@ from .patterns import (
 __all__ = [
     "CSCMatrix",
     "coo_to_csc",
-    "BlockRep",
     "CompressedBlock",
-    "block_kind",
     "lr_profit_cap",
     "truncated_svd",
     "randomized_svd",

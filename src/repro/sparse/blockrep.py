@@ -1,23 +1,15 @@
-"""Block representations — the layer that breaks the "block == CSC" rule.
+"""The low-rank block overlay and the truncations that produce it.
 
-Historically every layer of the stack (kernels, plans, arena, transports,
-memory accounting, selector) assumed a stored block *is* a
-:class:`~repro.sparse.csc.CSCMatrix`.  The big separator blocks of filled
-matrices are nearly dense but numerically low-rank (Zhu & Lai's recursive
-ND + low-rank LU; Li & Liu's data-sparse factorisation survey), so a
-truncated ``U @ V.T`` factorisation stores and multiplies them at
-``O((m + n) · rank)`` instead of ``O(nnz)`` / ``O(m · n)`` cost.
+The big separator blocks of filled matrices are nearly dense but
+numerically low-rank (Zhu & Lai's recursive ND + low-rank LU; Li & Liu's
+data-sparse factorisation survey), so a truncated ``U @ V.T``
+factorisation stores and multiplies them at ``O((m + n) · rank)``
+instead of ``O(nnz)`` / ``O(m · n)`` cost.  This module holds
 
-This module defines the representation layer:
-
-* :class:`BlockRep` — the minimal protocol every representation obeys
-  (``shape`` / ``nnz`` / ``dtype`` / ``value_nbytes``); the existing
-  :class:`CSCMatrix` satisfies it structurally and stays the default,
-  bit-identical representation.
 * :class:`CompressedBlock` — a rank-``r`` approximation ``U @ V.T`` of a
-  panel block, produced by the truncated-SVD / randomised-SVD kernels in
-  :mod:`repro.kernels.compress` at a configurable relative tolerance.
-* The numerical workhorses :func:`truncated_svd` and
+  panel block, produced by :func:`repro.kernels.compress.try_compress`
+  at a configurable relative tolerance;
+* the numerical workhorses :func:`truncated_svd` and
   :func:`randomized_svd` (deterministic: the random range-finder is
   seeded from the block shape, so every engine and every rank computes
   bit-identical factors for the same block).
@@ -38,37 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BlockRep",
     "CompressedBlock",
-    "block_kind",
     "truncated_svd",
     "randomized_svd",
     "lr_profit_cap",
 ]
 
 
-class BlockRep:
-    """Minimal protocol of a stored block representation.
-
-    Not an ABC — :class:`~repro.sparse.csc.CSCMatrix` predates this layer
-    and satisfies the protocol structurally; :class:`CompressedBlock`
-    subclasses it for documentation and ``isinstance`` convenience.  A
-    representation provides ``shape``, ``nrows``/``ncols``, ``nnz`` (the
-    stored-entry count the selector features are built from),
-    ``dtype``, and ``value_nbytes`` (the real byte cost of its numeric
-    payload — what the transports and :mod:`repro.core.memory` account).
-    """
-
-    __slots__ = ()
-
-
-def block_kind(rep) -> str:
-    """``"lr"`` for a compressed block, ``"csc"`` for everything else."""
-    return "lr" if isinstance(rep, CompressedBlock) else "csc"
-
-
 @dataclass
-class CompressedBlock(BlockRep):
+class CompressedBlock:
     """A rank-``r`` low-rank overlay ``U @ V.T`` of one panel block.
 
     Attributes
@@ -77,19 +47,13 @@ class CompressedBlock(BlockRep):
         ``(m, n)`` of the block it approximates.
     u, v:
         The factors — ``u`` is ``(m, r)``, ``v`` is ``(n, r)``, both in
-        the factor dtype.  On an arena-backed structure these are
-        zero-copy views into the arena's preallocated low-rank slab.
-    src_nnz:
-        nnz of the exact CSC payload this overlay stands in for.  Shipped
-        with the factors so remote ranks — which hold *only* the
-        compressed form — compute the same selector features (and hence
-        pick the same kernels) as local engines that hold both.
+        the factor dtype, owned by the overlay (a handle pickles them as
+        they are).
     """
 
     shape: tuple[int, int]
     u: np.ndarray
     v: np.ndarray
-    src_nnz: int
 
     #: transports may ship this object whole inside result tuples
     __transport_message__ = True
@@ -112,32 +76,9 @@ class CompressedBlock(BlockRep):
         return self.u.dtype
 
     @property
-    def nnz(self) -> int:
-        """Stored-entry count of the *exact* payload (selector feature
-        parity between ranks that hold the CSC form and ranks that only
-        received the overlay)."""
-        return int(self.src_nnz)
-
-    @property
-    def density(self) -> float:
-        """Density of the exact payload over the dense block capacity."""
-        m, n = self.shape
-        return self.src_nnz / (m * n) if m and n else 0.0
-
-    @property
     def value_nbytes(self) -> int:
         """Real byte cost of the low-rank payload (``U`` plus ``V``)."""
         return int(self.u.nbytes + self.v.nbytes)
-
-    def dense(self) -> np.ndarray:
-        """Materialise ``U @ V.T`` as a dense array.
-
-        The only sanctioned caller is the decompress kernel
-        (:func:`repro.kernels.compress.decompress_v1`); everywhere else
-        the ``no-dense-roundtrip`` lint rule flags the call — the whole
-        point of the representation is to *never* pay the dense product.
-        """
-        return self.u @ self.v.T
 
 
 def lr_profit_cap(m: int, n: int, nnz: int) -> int:

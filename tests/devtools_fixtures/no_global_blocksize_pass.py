@@ -15,6 +15,6 @@ def run_panel(blocks, out):
     return out
 
 
-def presize_workspace(ws, f):
-    ws.presize(f.max_block_order)
-    return ws
+def scratch_for(ws, f):
+    order = f.max_block_order
+    return ws.dense("a", (order, order))

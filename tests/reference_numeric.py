@@ -6,7 +6,8 @@ the shared ``panel_*`` functions of ``repro.kernels.gessm`` replaced.
 order, and the order in which the sequential engine applies the updates
 of any one block) and calls ``execute_task(..., plans=None,
 panels=None)`` — no execution plan, no cached image, nothing kept
-between tasks.  Planned and image-fed runs must reproduce its factors
+between tasks; with compression on, an SSSSM whose ``L(i,k)`` or
+``U(k,j)`` carries an overlay runs ``ssssm_lr`` instead.  Planned and image-fed runs must reproduce its factors
 bit for bit (``tests/test_plans.py``, ``tests/test_panel_cache.py``);
 ``benchmarks/bench_ablation_plans.py`` times it as the unplanned side.
 
@@ -28,8 +29,10 @@ from repro.core.numeric import (
     resolve_compress,
     task_features,
 )
+from repro.core.dag import TaskType
 from repro.kernels import KernelType, SingularBlockError, Workspace
 from repro.kernels.base import gather_dense, scatter_dense, solve_levels
+from repro.kernels.compress import ssssm_lr
 from repro.sparse import CSCMatrix
 
 
@@ -41,17 +44,29 @@ def replay_unplanned(bm, dag, options: NumericOptions | None = None, *, tids=Non
     "TYPE/VERSION"}`` as ``RunReport.kernel_choices`` would.
     """
     options = options or NumericOptions()
+    policy = resolve_compress(options)
     ws = Workspace()
     keep = None if tids is None else set(tids)
     choices = {}
     for task in dag.tasks:
         if keep is not None and task.tid not in keep:
             continue
+        if policy is not None and task.ttype is TaskType.SSSSM:
+            coords = ((task.bi, task.k), (task.k, task.bj))
+            overlays = [bm.compressed_block(*c) for c in coords]
+            if any(cb is not None for cb in overlays):
+                operands = [
+                    bm.block(*c) if cb is None else cb
+                    for c, cb in zip(coords, overlays)
+                ]
+                ssssm_lr(bm.block(task.bi, task.bj), *operands, ws)
+                choices[task.tid] = "SSSSM/LR"
+                continue
         ktype = KernelType[task.ttype.name]
         version = options.selector.select(ktype, task_features(bm, task))
         _, planned = execute_task(
             bm, task, version, ws, pivot_floor=options.pivot_floor,
-            plans=None, panels=None, compress=resolve_compress(options),
+            plans=None, panels=None, compress=policy,
         )
         assert not planned
         choices[task.tid] = f"{ktype.value}/{version}"

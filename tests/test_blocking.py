@@ -198,7 +198,7 @@ class TestRestricted:
         bm = self._blocked()
         plans = resolve_plan_cache(bm, NumericOptions())
         bi, bj = self._coords(bm)[0]
-        bm.set_compressed(bi, bj, np.ones((16, 1)), np.ones((16, 1)), src_nnz=9)
+        bm.set_compressed(bi, bj, np.ones((16, 1)), np.ones((16, 1)))
         rank = bm.restricted([0, 1])
         assert rank.owned == {0, 1} and bm.owned is None
         for name in ("blk_colptr", "blk_rowidx", "boundaries", "arena"):
@@ -209,7 +209,7 @@ class TestRestricted:
         assert rank.plan_cache is None and bm.plan_cache is plans
         assert rank.lr_overlay == {} and rank.lr_overlay is not bm.lr_overlay
         assert resolve_plan_cache(rank, NumericOptions()) is not plans
-        rank.set_compressed(bi, bj, np.ones((16, 2)), np.ones((16, 2)), src_nnz=9)
+        rank.set_compressed(bi, bj, np.ones((16, 2)), np.ones((16, 2)))
         assert bm.compressed_block(bi, bj).rank == 1
 
     def test_compression_stats_count_owned_overlays(self):
@@ -217,10 +217,10 @@ class TestRestricted:
         coords = self._coords(bm)
         rank = bm.restricted([0])
         u, v = np.ones((16, 1)), np.ones((16, 1))
-        mine = rank.set_compressed(*coords[0], u, v, src_nnz=5)
-        rank.set_compressed(*coords[1], u, v, src_nnz=5)   # a received "lr" panel
+        mine = rank.set_compressed(*coords[0], u, v)
+        rank.set_compressed(*coords[1], u, v)   # a received "lr" panel
         assert rank.compressed_block(*coords[1]) is not None
-        bm.set_compressed(*coords[0], u, v, src_nnz=5)
+        bm.set_compressed(*coords[0], u, v)
         assert rank.compression_stats() == {
             "blocks_compressed": 1,
             "lr_value_bytes": mine.value_nbytes,

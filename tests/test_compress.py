@@ -1,9 +1,9 @@
-"""Tests of the compressed low-rank block family (blockrep + kernels +
-solver integration).
+"""Tests of the low-rank block overlay (blockrep + the compressor and
+``ssssm_lr`` + solver integration).
 
-Covers the representation layer's truncation guarantees (exact-rank
-recovery and the tolerance bound, in both value dtypes), the LR SSSSM
-kernels against dense references, the profitability gates, the
+Covers the truncation guarantees (exact-rank recovery and the tolerance
+bound, in both value dtypes), the low-rank Schur update against dense
+references, the profitability gates, which tasks run ``SSSSM/LR``, the
 ``compress_tol=0`` bit-identity guarantee, the end-to-end compressed
 solve on a filled low-rank regime across engines (wire traffic
 included), and the refinement-stall escalation path that decompresses
@@ -22,11 +22,10 @@ from repro.kernels import Workspace
 from repro.kernels.compress import (
     CompressPolicy,
     lr_ssssm_flops,
-    ssssm_lr_v1,
-    ssssm_lr_v2,
+    ssssm_lr,
     try_compress,
 )
-from repro.kernels.selector import SelectorPolicy, TaskFeatures
+from repro.kernels.selector import SelectorPolicy
 from repro.sparse import CSCMatrix
 from repro.sparse.blockrep import (
     CompressedBlock,
@@ -149,9 +148,31 @@ class TestTryCompress:
         cb = try_compress(blk, CompressPolicy(tol=1e-10, min_order=8))
         assert cb is not None
         assert cb.rank == 3
-        assert cb.src_nnz == blk.nnz  # selector parity on remote ranks
         assert cb.value_nbytes == cb.u.nbytes + cb.v.nbytes
         assert cb.value_nbytes < blk.value_nbytes
+
+    @pytest.mark.parametrize("order,rows,randomised", [
+        (200, 95, True),     # order ≥ 192, profit cap 47
+        (200, 200, False),   # profit cap 99
+        (160, 60, False),    # order below 192
+    ])
+    def test_randomised_svd_on_large_blocks_with_small_cap(
+        self, monkeypatch, order, rows, randomised
+    ):
+        import repro.kernels.compress as compress
+
+        called = []
+        for name in ("randomized_svd", "truncated_svd"):
+            real = getattr(compress, name)
+            monkeypatch.setattr(compress, name, lambda *a, _f=real, _n=name: (
+                called.append(_n) or _f(*a)
+            ))
+        rng = np.random.default_rng(7)
+        dense = np.zeros((order, order))
+        dense[:rows] = np.outer(rng.random(rows) + 1, rng.random(order) + 1)
+        cb = try_compress(self._block(dense), CompressPolicy(tol=1e-8, min_order=8))
+        assert cb is not None and cb.rank == 1
+        assert called == ["randomized_svd" if randomised else "truncated_svd"]
 
 
 class TestLRKernels:
@@ -179,16 +200,15 @@ class TestLRKernels:
         c_out = csc(c_dense)
         a_op = a_cb if mix in ("a", "both") else a_blk
         b_op = b_cb if mix in ("b", "both") else b_blk
-        kernel = ssssm_lr_v2 if mix == "both" else ssssm_lr_v1
-        kernel(c_out, a_op, b_op, ws)
+        ssssm_lr(c_out, a_op, b_op, ws)
 
         rows, cols = c_ref.rows_cols()
         expect = c_ref.data - (a_dense @ b_dense)[rows, cols]
         np.testing.assert_allclose(c_out.data, expect, atol=1e-10)
 
     def test_flops_scale_with_rank_not_order(self):
-        a = CompressedBlock((64, 64), np.zeros((64, 2)), np.zeros((64, 2)), 4096)
-        b = CompressedBlock((64, 64), np.zeros((64, 2)), np.zeros((64, 2)), 4096)
+        a = CompressedBlock((64, 64), np.zeros((64, 2)), np.zeros((64, 2)))
+        b = CompressedBlock((64, 64), np.zeros((64, 2)), np.zeros((64, 2)))
         lr = lr_ssssm_flops(1000, a, b)
         dense_flops = 2.0 * 64 * 64 * 64
         assert 0 < lr < dense_flops / 10
@@ -263,7 +283,7 @@ class TestCompressedSolve:
 
     def test_lr_kernels_appear_in_choices(self):
         # the label recorded is the kernel that ran: where an operand
-        # carries an overlay that is a low-rank variant whatever the
+        # carries an overlay that is the low-rank update whatever the
         # selector's trees say — the fixed baseline's single SSSSM leaf
         # is the plannable C_V2, and none of these tasks ran it or a plan
         _, am = _coupled_matrix()
@@ -274,7 +294,7 @@ class TestCompressedSolve:
                 numeric=NumericOptions(selector=selector),
             )
             hist = f.stats.version_histogram()
-            lr = sum(n for lbl, n in hist.items() if lbl.startswith("SSSSM/LR_"))
+            lr = hist.get("SSSSM/LR", 0)
             ssssm = sum(n for lbl, n in hist.items() if lbl.startswith("SSSSM/"))
             assert lr > 0, name
             if name == "fixed":   # every panel of this matrix compresses
@@ -283,12 +303,13 @@ class TestCompressedSolve:
 
     @pytest.mark.parametrize("selector", ["default", "fixed"])
     def test_choices_are_the_per_task_selections(self, selector):
-        """An SSSSM whose operand carries an overlay when it runs is
-        selected then, on the real ``lr_operands`` / ``rank``; every
-        other choice was made when the job was built.  Either way it is
-        what ``SelectorPolicy.select`` says of ``task_features`` at that
-        point — on one rank and on two."""
+        """The tasks labelled ``SSSSM/LR`` are exactly the SSSSMs whose
+        ``L(i,k)`` or ``U(k,j)`` carried an overlay; every other task
+        keeps the job's static choice — in the unplanned replay, on one
+        lane, on three and on two ranks."""
         from repro.core import block_partition, build_dag, factorize
+        from repro.core.dag import TaskType
+        from repro.core.numeric import FactorJob
         from repro.runtime.distributed import factorize_distributed
         from repro.runtime.transports import LoopbackTransport
         from repro.sparse.csc import coo_to_csc
@@ -310,12 +331,30 @@ class TestCompressedSolve:
             selector=getattr(SelectorPolicy, selector)(),
             compress_tol=1e-8, compress_min_order=16,
         )
+
+        def overlaid(bm, dag):
+            carried = set(bm.lr_overlay)
+            return {
+                t.tid for t in dag.tasks if t.ttype is TaskType.SSSSM
+                and {(t.bi, t.k), (t.k, t.bj)} & carried
+            }
+
         ref = block_partition(filled, 32)
-        want = replay_unplanned(ref, build_dag(ref), options)
-        ssssm = [label for label in want.values() if label.startswith("SSSSM/")]
-        assert 0 < sum(label.startswith("SSSSM/LR_") for label in ssssm) < len(ssssm)
-        one = block_partition(filled, 32)
-        assert factorize(one, build_dag(one), options).kernel_choices == want
+        dag = build_dag(ref)
+        static = [call[3] for call in FactorJob(ref, dag, options).calls]
+        want = replay_unplanned(ref, dag, options)
+        lr = overlaid(ref, dag)
+        n_ssssm = sum(t.ttype is TaskType.SSSSM for t in dag.tasks)
+        assert 0 < len(lr) < n_ssssm
+        assert want == {
+            tid: "SSSSM/LR" if tid in lr else label
+            for tid, label in enumerate(static)
+        }
+        for lanes in (1, 3):
+            bm = block_partition(filled, 32)
+            report = factorize(bm, build_dag(bm), options, n_lanes=lanes)
+            assert report.kernel_choices == want, lanes
+            assert overlaid(bm, dag) == lr, lanes
         two = block_partition(filled, 32)
         report = factorize_distributed(
             two, build_dag(two), 2, transport=LoopbackTransport(), options=options,
@@ -398,7 +437,7 @@ class TestCompressedSolve:
         assert g.blocks.lr_overlay.keys() == f.blocks.lr_overlay.keys()
         for key, cb in f.blocks.lr_overlay.items():
             got = g.blocks.compressed_block(*key)
-            assert (got.shape, got.src_nnz) == (cb.shape, cb.src_nnz)
+            assert got.shape == cb.shape
             np.testing.assert_array_equal(got.u, cb.u)
             np.testing.assert_array_equal(got.v, cb.v)
         assert g.blocks.compression_stats() == f.blocks.compression_stats()
@@ -439,6 +478,23 @@ class TestOneHomePerKnob:
         assert f.options.compress_tol == f.options.numeric.compress_tol == 1e-8
         f.decompress()
         assert f.options.compress_tol == f.options.numeric.compress_tol == 0.0
+
+    def test_escalation_leaves_shared_options_alone(self):
+        """Two solvers built from one ``SolverOptions``: the one whose
+        handle escalates stops compressing, the other — and any solver
+        built later from the same object — still compresses."""
+        _, am = _coupled_matrix()
+        opts = SolverOptions(
+            block_size=32, compress_tol=1e-8, compress_min_order=16,
+        )
+        s1, s2 = PanguLU(am, opts), PanguLU(am, opts)
+        f1 = s1.factorize()
+        f1.decompress()
+        assert not f1.compression_active() and f1.stats.blocks_compressed == 0
+        assert opts.compress_tol == s2.options.compress_tol == 1e-8
+        assert PanguLU(am, opts).options.compress_tol == 1e-8
+        f2 = s2.factorize()
+        assert f2.compression_active() and f2.stats.blocks_compressed > 0
 
 
 class TestEscalation:

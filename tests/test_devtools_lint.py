@@ -33,7 +33,6 @@ RULE_FIXTURES = {
     "no-bare-except-in-runtime": "bare_except",
     "picklable-messages": "picklable_messages",
     "no-block-rebind": "no_block_rebind",
-    "no-dense-roundtrip": "no_dense_roundtrip",
     "no-direct-owner": "no_direct_owner",
     "no-global-blocksize": "no_global_blocksize",
     "no-implicit-float64": "no_implicit_float64",
@@ -178,26 +177,6 @@ def test_no_block_rebind_scope():
         assert rule.applies_to(str(path))
         assert lint_file(path, rules=[rule]) == [], rel
     assert not rule.applies_to(str(SRC / "repro" / "core" / "blocking.py"))
-
-
-def test_no_dense_roundtrip_scope():
-    """The rule covers the modules that consume compressed blocks (all
-    clean) and excludes the one approved round-trip — the ``EXPAND_V1``
-    decompress kernel in ``kernels/compress.py``."""
-    rule = all_rules()["no-dense-roundtrip"]
-    for rel in (
-        ("core", "numeric.py"),
-        ("core", "solver.py"),
-        ("runtime", "distributed.py"),
-        ("runtime", "lanes.py"),
-        ("sparse", "blockrep.py"),
-    ):
-        path = SRC.joinpath("repro", *rel)
-        assert rule.applies_to(str(path))
-        assert lint_file(path, rules=[rule]) == [], rel
-    assert not rule.applies_to(
-        str(SRC / "repro" / "kernels" / "compress.py")
-    )
 
 
 def test_counter_protocol_clean_on_tsolve_engines():

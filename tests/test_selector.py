@@ -52,8 +52,7 @@ class TestDecisionTree:
             cols = {
                 "nnz_a": rng.integers(0, 2000, n), "nnz_b": rng.integers(0, 2000, n),
                 "flops": rng.integers(0, 400, n), "n": rng.integers(1, 600, n),
-                "density": rng.random(n), "lr_operands": rng.integers(0, 3, n),
-                "rank": rng.integers(0, 96, n),
+                "density": rng.random(n),
             }
             stack = [tree.root]
             while stack:

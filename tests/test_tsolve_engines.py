@@ -106,6 +106,20 @@ class TestEnginesAgree:
                 f, loose, np.ones(f.n), 2, transport=LoopbackTransport()
             )
 
+    @pytest.mark.parametrize("b", [5.0, np.ones((72, 2, 1)), np.ones(71)])
+    def test_wrong_rhs_shape_is_named(self, b):
+        """A scalar, a 3-D array or a wrong length is a ValueError with
+        the expected shapes on every engine, not a bare IndexError."""
+        f = _factored()
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        expected = r"expected \(72,\) or \(72, k\)"
+        with pytest.raises(ValueError, match=expected):
+            tsolve_sequential(f, b, tdag=tdag)
+        with pytest.raises(ValueError, match=expected):
+            tsolve_lanes(f, tdag, b, n_lanes=2)
+        with pytest.raises(ValueError, match=expected):
+            tsolve_distributed(f, tdag, b, 2, transport=LoopbackTransport())
+
 
 # ----------------------------------------------------------------------
 # the transposed direction is the same DAG job
