@@ -21,7 +21,7 @@ claim on four axes, compression off vs on:
 * **wire bytes** — real loopback-transport byte accounting of a 3-rank
   distributed factorisation;
 * **accuracy** — the compressed solve must still meet the refinement
-  gate (``refine_tol``), because iterative refinement recovers the
+  gate (``REFINE_TOL``), because iterative refinement recovers the
   truncated mass.
 
 Acceptance: LR-routed SSSSM flops and effective value bytes both drop,
@@ -39,6 +39,7 @@ from common import banner
 from repro import PanguLU, SolverOptions
 from repro.core import block_partition, build_dag, factorize
 from repro.core.memory import memory_report
+from repro.core.solver import REFINE_TOL
 from repro.core.numeric import NumericOptions
 from repro.kernels.compress import lr_ssssm_flops
 from repro.runtime import LoopbackTransport, factorize_distributed
@@ -160,7 +161,7 @@ def main() -> None:
         print(f"{label:<24}{a:>12.2f}{b_:>12.2f}")
     print(f"\nLR value KiB: {on['lr_value_bytes'] / 1024:.2f} "
           f"(overlay beside {on['arena_value_bytes'] / 1024:.2f} KiB exact)")
-    print(f"refined residual (tol {solver.options.refine_tol:.0e}): "
+    print(f"refined residual (tol {REFINE_TOL:.0e}): "
           f"{resid:.2e}")
 
     assert on["blocks_compressed"] > 0, "nothing compressed in the ablation"
@@ -169,7 +170,7 @@ def main() -> None:
     assert on["effective_bytes"] < off["effective_bytes"], \
         "overlay did not reduce effective value bytes"
     assert w_on < w_off, "compressed panels did not shrink wire traffic"
-    assert resid <= solver.options.refine_tol * 10, \
+    assert resid <= REFINE_TOL * 10, \
         "compressed solve missed the refinement gate"
     print("\nall compression-ablation acceptance checks passed")
 

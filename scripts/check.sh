@@ -46,14 +46,18 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # decrement and task_weights' loop it replaced gave back; costmodel /
 # adapters / mapping shrank by 15
 # then -30: the overlay (not a per-task re-selection) decides the Schur update
-MAX_CORE_RUNTIME_LINES=4242
+# then -32: options nobody set are constants, preprocess builds no task map
+# nothing runs, simulated_trees is gone, the pool takes no silent clamps
+MAX_CORE_RUNTIME_LINES=4210
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
 # PR 24: +115 = the 91 above, the 18 below, +4 in cholesky/ (LLtJob's
 # own coordinate rule), +2 in devtools/ (the `_counts` protocol attribute)
 # then -183 = -30 above, -91 kernels/, -20 sparse/ (BlockRep), -42 devtools/ (no-dense-roundtrip)
-MAX_SRC_LINES=10703
+# then -80 = -32 above, -48 in sparse/, symbolic/, baseline/, cholesky/
+# (dead pattern/etree helpers, three never-set BaselineOptions fields)
+MAX_SRC_LINES=10623
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the kernels are paper-fidelity code mostly off the benchmark's path
@@ -66,7 +70,9 @@ line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that
 # removes a knob lowers the ceiling in the same commit
-MAX_OPTION_FIELDS=22
+# 22 -> 18: use_mc64, rank_speeds, refine_tol and refine_max_iter were
+# set by no workload, benchmark, example or CLI flag — now constants
+MAX_OPTION_FIELDS=18
 echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs; ceiling $MAX_OPTION_FIELDS) =="
 PYTHONPATH=src python -c "
 import sys

@@ -41,15 +41,15 @@ __all__ = ["BaselineOptions", "SuperLUBaseline"]
 
 @dataclass
 class BaselineOptions:
-    """Configuration of the baseline pipeline (defaults match the paper's
-    SuperLU_DIST setup as closely as this reproduction allows)."""
+    """Configuration of the baseline pipeline: the fill-reducing
+    ``ordering`` (a key of :data:`repro.core.solver.ORDERINGS`; MC64 always
+    runs first, as in PanguLU) and the supernode width cap.  Supernode
+    relaxation keeps :func:`~repro.baseline.supernodes.detect_supernodes`'
+    defaults, as pivot replacement keeps
+    :func:`~repro.baseline.supernodal.sn_factorize`'s floor."""
 
     ordering: str = "nd"
-    use_mc64: bool = True
     max_supernode_width: int = 64
-    relax_pad: float = 0.30
-    relax_small: int = 4
-    pivot_floor: float = 1e-12
 
 
 class SuperLUBaseline:
@@ -84,7 +84,7 @@ class SuperLUBaseline:
         (
             self.row_scale, self.col_scale, self.row_perm, self.col_perm,
             self._reordered,
-        ) = reorder_and_scale(self.a, self.options.ordering, self.options.use_mc64)
+        ) = reorder_and_scale(self.a, self.options.ordering)
         self.phase_seconds["reorder"] = time.perf_counter() - t0
         return self._reordered
 
@@ -102,12 +102,8 @@ class SuperLUBaseline:
         if self.symbolic is None:
             self.symbolic_factorize()
         t0 = time.perf_counter()
-        opts = self.options
         self.partition = detect_supernodes(
-            self.symbolic.filled,
-            max_width=opts.max_supernode_width,
-            relax_pad=opts.relax_pad,
-            relax_small=opts.relax_small,
+            self.symbolic.filled, max_width=self.options.max_supernode_width
         )
         self.panels = sn_partition(self.symbolic.filled, self.partition)
         self.phase_seconds["preprocess"] = time.perf_counter() - t0
@@ -120,9 +116,7 @@ class SuperLUBaseline:
         if self.panels is None:
             self.preprocess()
         t0 = time.perf_counter()
-        self.numeric_stats = sn_factorize(
-            self.panels, pivot_floor=self.options.pivot_floor
-        )
+        self.numeric_stats = sn_factorize(self.panels)
         self.phase_seconds["numeric"] = time.perf_counter() - t0
         self._factorized = True
         return self.numeric_stats

@@ -18,7 +18,9 @@ import numpy as np
 from ..core.blocking import BlockMatrix, block_partition, choose_block_size
 from ..core.dag import TaskDAG, TaskType
 from ..core.numeric import FactorJob, NumericOptions
-from ..core.solver import SolverOptions, fill_reducing_ordering, refined_solve
+from ..core.solver import (
+    REFINE_MAX_ITER, REFINE_TOL, fill_reducing_ordering, refined_solve,
+)
 from ..kernels.base import Workspace
 from ..kernels.ssssm import ssssm_c_v1
 from ..kernels.tsolve_kernels import upd_seg
@@ -167,8 +169,8 @@ class PanguLLt:
             raise ValueError(f"b has shape {b.shape}, expected ({self.a.nrows},)")
         self.residual_history = []
         x = refined_solve(
-            self._apply, self.a.matvec, b, tol=SolverOptions.refine_tol,
-            budget=SolverOptions.refine_max_iter,
+            self._apply, self.a.matvec, b, tol=REFINE_TOL,
+            budget=REFINE_MAX_ITER,
             history=self.residual_history, exact=True,
         )
         self.phase_seconds["solve"] = time.perf_counter() - t0

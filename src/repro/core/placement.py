@@ -22,7 +22,8 @@ way):
   (structural FLOPs floored by block traffic) and blocks are assigned
   greedily, heaviest first, to the rank with the least *time* — load
   divided by the rank's speed factor (LPT over speed-scaled loads).
-  Rank speeds come from ``SolverOptions.rank_speeds`` or a
+  Rank speeds are the ``speeds=`` a caller builds the policy with (pass
+  the instance as ``SolverOptions.placement``) or a
   :class:`repro.runtime.machine.Platform`'s ``rank_speeds``.
 
 Both are deterministic: identical inputs produce identical ownership

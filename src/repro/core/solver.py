@@ -9,8 +9,8 @@
 2. **Symbolic factorisation** — symmetric-pruned fill of the reordered
    matrix (:func:`repro.symbolic.symbolic_symmetric`).
 3. **Preprocessing** — block-size selection, regular 2D blocking into the
-   two-layer sparse structure, task-DAG construction, block-cyclic
-   mapping with static load balancing.
+   two-layer sparse structure, task-DAG construction, block→rank
+   placement.
 4. **Numeric factorisation** — DAG replay with adaptive sparse kernels.
 5. **Triangular solve** — block forward/backward substitution through the
    engine named by ``options.engine`` (the same scheduler core as the
@@ -41,7 +41,9 @@ from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult, symbolic_symmetric
 from .blocking import BlockMatrix, block_partition
 from .dag import TaskDAG, build_dag
-from .mapping import balance_loads, task_weights
+# not called here: the benchmark harness wraps this module's
+# ``balance_loads`` by name (benchmarks/e2e/layers.py), so it stays importable
+from .mapping import balance_loads  # noqa: F401
 from .numeric import NumericOptions
 from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
@@ -50,8 +52,19 @@ from .verify import verify_dag
 
 __all__ = [
     "SolverOptions", "Factorization", "PanguLU", "RefinementStalled",
-    "ORDERINGS", "fill_reducing_ordering", "reorder_and_scale", "refined_solve",
+    "REFINE_TOL", "REFINE_MAX_ITER", "ORDERINGS", "fill_reducing_ordering",
+    "reorder_and_scale", "refined_solve",
 ]
+
+#: Relative-residual target ``max_j ‖b_j − A x_j‖ / ‖b_j‖`` of the
+#: refinement every solve ends with (:func:`refined_solve`): static
+#: pivoting (MC64 + GESP pivot replacement) trades factorisation-time
+#: stability for a possibly larger residual, and refinement sweeps
+#: recover it — the recipe SuperLU_DIST applies.
+REFINE_TOL = 1e-12
+#: Sweep budget of that loop, and the floor of the escalation's matvec
+#: budget.
+REFINE_MAX_ITER = 40
 
 
 class RefinementStalled(ArithmeticError):
@@ -60,7 +73,7 @@ class RefinementStalled(ArithmeticError):
 
     Raised by :meth:`Factorization.solve` on ``float32`` (or compressed)
     factors when plain refinement stops contracting *and* the GMRES-IR
-    escalation also fails to reach ``SolverOptions.refine_tol`` —
+    escalation also fails to reach :data:`REFINE_TOL` —
     typically a sign that the matrix is too ill-conditioned for
     single-precision factors (``κ(A) · ε₃₂ ≳ 1``).  Never raised for
     exact ``float64`` factors: they have nothing more precise to
@@ -87,7 +100,7 @@ class RefinementStalled(ArithmeticError):
             f"{self.achieved:.3e} (tolerance {self.tol:.3e}, "
             f"{self.iterations} iterations); the matrix is likely too "
             f"ill-conditioned for float32 factors — refactorize with "
-            f'factor_dtype="float64" or relax refine_tol'
+            f'factor_dtype="float64"'
         )
 
     def __reduce__(self):
@@ -199,23 +212,19 @@ def fill_reducing_ordering(work: CSCMatrix, ordering: str) -> np.ndarray:
     return ORDERINGS[ordering](work)
 
 
-def reorder_and_scale(a: CSCMatrix, ordering: str, use_mc64: bool):
-    """Phase 1 of the LU-shaped facades: MC64 row permutation + scaling
-    (identity without ``use_mc64``), then the fill-reducing symmetric
-    permutation, then a structurally full diagonal.  Returns
-    ``(row_scale, col_scale, row_perm, col_perm, reordered)`` with
-    ``reordered = (Dr A Dc)[row_perm][:, col_perm]`` — the matrix the
-    later phases factorise."""
-    n = a.ncols
-    row_scale = np.ones(n, dtype=np.float64)
-    col_scale = np.ones(n, dtype=np.float64)
-    mc64_perm, work = np.arange(n, dtype=np.int64), a
-    if use_mc64:
-        res = mc64(a)
-        row_scale, col_scale, mc64_perm = res.row_scale, res.col_scale, res.row_perm
-        work = a.scale(row_scale, col_scale).permute(mc64_perm, None)
+def reorder_and_scale(a: CSCMatrix, ordering: str):
+    """Phase 1 of the LU-shaped facades: MC64 row permutation + scaling,
+    then the fill-reducing symmetric permutation, then a structurally
+    full diagonal.  Returns ``(row_scale, col_scale, row_perm, col_perm,
+    reordered)`` with ``reordered = (Dr A Dc)[row_perm][:, col_perm]`` —
+    the matrix the later phases factorise."""
+    res = mc64(a)
+    work = a.scale(res.row_scale, res.col_scale).permute(res.row_perm, None)
     p = fill_reducing_ordering(work, ordering)
-    return row_scale, col_scale, mc64_perm[p], p, ensure_diagonal(work.permute(p, p))
+    return (
+        res.row_scale, res.col_scale, res.row_perm[p], p,
+        ensure_diagonal(work.permute(p, p)),
+    )
 
 
 def refined_solve(
@@ -230,9 +239,10 @@ def refined_solve(
     (``ValueError`` naming the first bad entry otherwise).
 
     Plain iterative refinement with the residual in ``float64``: stop
-    when the relative residual (max over right-hand sides) meets ``tol``,
-    when ``budget`` sweeps are spent (``0`` is the bare application: no
-    residual taken), or when two consecutive sweeps fail to halve it, and
+    when the relative residual (max over right-hand sides) meets ``tol``
+    (:data:`REFINE_TOL` for the facades), when ``budget`` sweeps are spent
+    (:data:`REFINE_MAX_ITER`; ``0`` is the bare application: no residual
+    taken), or when two consecutive sweeps fail to halve it, and
     take the best iterate seen.  Short of the tolerance, ``exact``
     factors return that iterate — nothing more precise exists to correct
     it with; approximate ones escalate to a GMRES-IR inner loop (FGMRES
@@ -307,10 +317,7 @@ class SolverOptions:
         Fill-reducing ordering: ``"nd"`` (METIS-role nested dissection,
         the paper's choice), ``"amd"``, ``"colamd"``, ``"rcm"``,
         ``"natural"``, or ``"best"`` (evaluate ND and AMD, keep the one
-        with least fill).
-    use_mc64:
-        Run the MC64 permutation/scaling (paper default).  Disable only
-        for matrices already diagonally dominant.
+        with least fill).  MC64 permutation/scaling always runs first.
     blocking:
         Blocking strategy for the two-layer structure: ``"regular"``
         (uniform block size — the paper's Section 4.1 layout, default)
@@ -337,20 +344,17 @@ class SolverOptions:
     numeric:
         Kernel selection and pivoting options for the numeric phase.
     nprocs:
-        Logical process count for the mapping and for the
-        ``"distributed"``/``"hybrid"`` engines' rank count.
+        Rank count of the placement and of the ``"distributed"`` /
+        ``"hybrid"`` engines.
     placement:
         Block→rank ownership policy: ``"cyclic"`` (the paper's regular
         2D block-cyclic grid, default), ``"cost"`` (cost-model-driven
-        heterogeneous placement honouring ``rank_speeds``), or a
-        prebuilt :class:`~repro.core.placement.PlacementPolicy`
-        instance.  The policy decides which rank owns (and therefore
-        factors) every block, for the mapping, the distributed/hybrid
-        engines and the solve DAGs alike.
-    rank_speeds:
-        Per-rank relative speed factors (length ``nprocs``) describing a
-        heterogeneous machine; consumed by the ``"cost"`` placement and
-        the speed-aware load balancer.  ``None`` means homogeneous.
+        placement on homogeneous ranks), or a prebuilt
+        :class:`~repro.core.placement.PlacementPolicy` instance — pass
+        ``CostModelPlacement(nprocs, speeds=…)`` for a heterogeneous
+        machine.  The policy decides which rank owns (and therefore
+        factors) every block, for the distributed/hybrid engines and
+        the solve DAGs alike.
     engine:
         Execution engine for the numeric phase **and** for the triangular
         solves of phase 5, resolved through the registries in
@@ -382,27 +386,10 @@ class SolverOptions:
         accuracy is recovered by iterative refinement in ``float64``
         (residuals and corrections accumulate in double precision — the
         classic mixed-precision LU-IR recipe, mirroring the production
-        solver's paired r32/r64 kernels).
-    refine_tol:
-        Relative-residual target ``max_j ‖b_j − A x_j‖ / ‖b_j‖`` of the
-        iterative refinement every solve ends with.  Static pivoting
-        (MC64 + GESP pivot replacement) trades factorisation-time
-        stability for a possibly larger residual and refinement sweeps
-        recover it — the recipe SuperLU_DIST applies — but only when the
-        residual asks for them: the loop stops at the tolerance, when
-        ``refine_max_iter`` sweeps are spent, or when two consecutive
-        sweeps fail to halve the residual, and returns the best iterate
-        seen.  What a stall means depends on the factors: exact
-        ``float64`` factors have nothing more precise to turn to and the
-        best iterate is the answer; ``float32`` or compressed factors
-        escalate to a GMRES-IR-style inner loop (FGMRES preconditioned
-        by the factors), compressed ones then to an exact
-        refactorisation, and :class:`RefinementStalled` is raised with
-        the achieved residual if all of that fails.
-    refine_max_iter:
-        Sweep budget of the refinement loop (also the floor of the
-        escalation's matvec budget).  ``0`` is the bare factor
-        application: no residual, no refinement.
+        solver's paired r32/r64 kernels).  Every solve ends with the
+        iterative refinement of :func:`refined_solve` to
+        :data:`REFINE_TOL` within :data:`REFINE_MAX_ITER` sweeps; an
+        unrefined application is :meth:`Factorization.apply`.
     validate_concurrency:
         Run the numeric phase and the triangular solves under the
         :mod:`repro.devtools.racecheck` invariant checker: single writer
@@ -431,17 +418,13 @@ class SolverOptions:
     """
 
     ordering: str = "nd"
-    use_mc64: bool = True
     blocking: str = "regular"
     block_size: int | None = None
     use_arena: bool = True
     numeric: NumericOptions = field(default_factory=NumericOptions)
     nprocs: int = 1
     placement: str | PlacementPolicy = "cyclic"
-    rank_speeds: tuple[float, ...] | None = None
     factor_dtype: str = "float64"
-    refine_tol: float = 1e-12
-    refine_max_iter: int = 40
     n_workers: int = 1
     engine: str | None = None
     trace_events: bool = False
@@ -451,10 +434,16 @@ class SolverOptions:
     compress_min_order: InitVar[int | None] = None
 
     def __post_init__(self, compress_tol, compress_min_order) -> None:
-        if compress_tol is not None:
-            self.numeric.compress_tol = compress_tol
-        if compress_min_order is not None:
-            self.numeric.compress_min_order = compress_min_order
+        for name in ("block_size", "nprocs", "n_workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        shorthands = {"compress_tol": compress_tol,
+                      "compress_min_order": compress_min_order}
+        shorthands = {k: v for k, v in shorthands.items() if v is not None}
+        if shorthands:
+            # a copy: the caller's NumericOptions may be shared
+            self.numeric = replace(self.numeric, **shorthands)
 
     def resolved_engine(self) -> str:
         """The engine name after applying the ``None`` default rule."""
@@ -576,11 +565,10 @@ class Factorization:
         )
         if not uses_ranks:
             return None
-        nprocs = max(1, self.options.nprocs)
+        nprocs = self.options.nprocs
         if self.placement is None or self.placement.nprocs != nprocs:
             self.placement = resolve_placement(
-                self.options.placement, nprocs,
-                speeds=self.options.rank_speeds,
+                self.options.placement, nprocs
             ).prepare(self.dag, self.blocks)
         return self.placement
 
@@ -669,17 +657,15 @@ class Factorization:
         handle switches to its own copy of the options: the caller's
         :class:`SolverOptions` — which the facade and other solvers may
         share — keeps compressing."""
-        # the constructor shorthand writes the zero into the fresh copy
-        self.options = replace(
-            self.options, numeric=replace(self.options.numeric), compress_tol=0.0
-        )
+        # the constructor shorthand writes the zero into a fresh copy
+        self.options = replace(self.options, compress_tol=0.0)
         return self.refactorize(self.a)  # drops the stale overlays first
 
     def _solve_refined(
         self, b: np.ndarray, transposed: bool, recorder, history: list
     ) -> np.ndarray:
         """:func:`refined_solve` on this handle's factors, to
-        ``options.refine_tol`` within ``options.refine_max_iter`` sweeps.
+        :data:`REFINE_TOL` within :data:`REFINE_MAX_ITER` sweeps.
         ``float32`` or compressed factors are the approximate ones that
         escalate; when compressed factors stall even there, the handle
         escalates once more — decompress, refactorise exactly, start
@@ -694,8 +680,7 @@ class Factorization:
 
         try:
             return refined_solve(
-                apply_fn, product, b, tol=float(self.options.refine_tol),
-                budget=max(0, int(self.options.refine_max_iter)),
+                apply_fn, product, b, tol=REFINE_TOL, budget=REFINE_MAX_ITER,
                 history=history,
                 exact=self.factor_dtype == np.float64
                 and not self.compression_active(),
@@ -711,7 +696,7 @@ class Factorization:
     ) -> np.ndarray:
         """Solve ``A x = b`` — or ``Aᵀ x = b`` with ``transposed`` — for
         a vector or an ``(n, k)`` multi-RHS panel, refined to
-        ``options.refine_tol`` (:meth:`_solve_refined`).  Pass an
+        :data:`REFINE_TOL` (:meth:`_solve_refined`).  Pass an
         :class:`~repro.runtime.scheduler.EventRecorder` to append
         solve-task trace lanes to it.  The relative-residual history of
         the refinement is left on ``last_tsolve_stats.residual_history``.
@@ -840,7 +825,6 @@ class PanguLU:
         self.blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
         self.placement: PlacementPolicy | None = None
-        self.assignment: np.ndarray | None = None
         self.numeric_stats: RunReport | None = None
         self.recorder = None  # EventRecorder of the last factorize, if traced
         self._factorized = False
@@ -856,7 +840,7 @@ class PanguLU:
         (
             self.row_scale, self.col_scale, self.row_perm, self.col_perm,
             self._reordered,
-        ) = reorder_and_scale(self.a, self.options.ordering, self.options.use_mc64)
+        ) = reorder_and_scale(self.a, self.options.ordering)
         self.phase_seconds["reorder"] = time.perf_counter() - t0
         return self._reordered
 
@@ -870,7 +854,7 @@ class PanguLU:
         return self.symbolic
 
     def preprocess(self) -> BlockMatrix:
-        """Phase 3: blocking, DAG construction, mapping + load balance."""
+        """Phase 3: blocking, DAG construction, block→rank placement."""
         if self.symbolic is None:
             self.symbolic_factorize()
         t0 = time.perf_counter()
@@ -885,21 +869,13 @@ class PanguLU:
         )
         self.dag = build_dag(self.blocks)
         self.placement = placement = resolve_placement(
-            self.options.placement, self.options.nprocs,
-            speeds=self.options.rank_speeds,
+            self.options.placement, self.options.nprocs
         ).prepare(self.dag, self.blocks)
-        assignment = placement.assign(self.dag)
         if self.options.verify_schedule:
             verify_dag(
-                self.dag, assignment=assignment, nprocs=placement.nprocs
+                self.dag, assignment=placement.assign(self.dag),
+                nprocs=placement.nprocs,
             )
-        if placement.nprocs > 1:
-            weights = task_weights(self.dag, self.blocks)
-            assignment = balance_loads(
-                self.dag, placement, assignment,
-                weights=weights, speeds=placement.speeds,
-            )
-        self.assignment = assignment
         self.phase_seconds["preprocess"] = time.perf_counter() - t0
         return self.blocks
 
@@ -959,7 +935,7 @@ class PanguLU:
         return self._fact.last_solve_seconds if self._fact is not None else 0.0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Phase 5: solve ``A x = b``, refined to ``options.refine_tol``,
+        """Phase 5: solve ``A x = b``, refined to :data:`REFINE_TOL`,
         through the engine named by ``options.engine`` (delegates to the
         :class:`Factorization`).
 

@@ -24,7 +24,6 @@ _EXPORTS = {
     "best_version": ".costmodel",
     "extract_sim_tasks": ".costmodel",
     "partition_flop_stats": ".costmodel",
-    "simulated_trees": ".costmodel",
     "BYTES_PER_ENTRY": ".costmodel",
     # simulator + bridges
     "SimSpec": ".simulator",

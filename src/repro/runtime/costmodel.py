@@ -36,7 +36,6 @@ __all__ = [
     "best_version",
     "extract_sim_tasks",
     "partition_flop_stats",
-    "simulated_trees",
     "BYTES_PER_ENTRY",
     "INDEX_BYTES",
     "bytes_per_entry",
@@ -263,33 +262,3 @@ def partition_flop_stats(f: BlockMatrix, dag: TaskDAG) -> dict:
         "dense_flops": dense,
         "padding_ratio": dense / structural if structural else 1.0,
     }
-
-
-def simulated_trees(platform: Platform, sim_tasks: list[SimTask]):
-    """Fit Fig.-8-style decision trees to the platform's *modelled* kernel
-    times — the exact construction the paper performs with measured GPU
-    times, run against the cost model instead.
-
-    Returns ``{KernelType: DecisionTree}`` suitable for a
-    :class:`~repro.kernels.selector.SelectorPolicy`; on the samples used
-    for fitting, tree selection approximates the per-task optimum
-    (`best_version`).
-    """
-    from ..kernels.selector import TaskFeatures, calibrate
-
-    measurements: dict[KernelType, list] = {k: [] for k in KernelType}
-    for st in sim_tasks:
-        ktype = _TTYPE_TO_KTYPE[st.ttype]
-        times = {
-            version: kernel_time(st, version, platform)
-            for version in KERNEL_REGISTRY[ktype]
-        }
-        feats = TaskFeatures(
-            nnz_a=st.nnz_a,
-            nnz_b=st.nnz_b,
-            flops=st.flops,
-            n=st.inner,
-            density=st.operand_density,
-        )
-        measurements[ktype].append((feats, times))
-    return calibrate({k: v for k, v in measurements.items() if v})

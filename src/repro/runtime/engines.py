@@ -124,8 +124,8 @@ def _pool(options, uses_ranks: bool, uses_threads: bool) -> tuple[int, int]:
     """``(ranks, lanes per rank)`` of an engine shape under ``options``
     (0 ranks: in this process, no transport)."""
     return (
-        max(1, options.nprocs) if uses_ranks else 0,
-        max(1, options.n_workers) if uses_threads else 1,
+        options.nprocs if uses_ranks else 0,
+        options.n_workers if uses_threads else 1,
     )
 
 

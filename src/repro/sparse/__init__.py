@@ -29,8 +29,6 @@ from .patterns import (
     ensure_diagonal,
     has_full_diagonal,
     is_structurally_symmetric,
-    pattern_union,
-    structural_rank_lower_bound,
     symmetrize_pattern,
 )
 
@@ -55,11 +53,9 @@ __all__ = [
     "read_matrix_market",
     "write_matrix_market",
     "symmetrize_pattern",
-    "pattern_union",
     "adjacency_lists",
     "bandwidth",
     "is_structurally_symmetric",
     "has_full_diagonal",
     "ensure_diagonal",
-    "structural_rank_lower_bound",
 ]

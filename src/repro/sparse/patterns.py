@@ -8,7 +8,6 @@ from .csc import CSCMatrix, concat_ranges, coo_to_csc
 
 __all__ = [
     "symmetrize_pattern",
-    "pattern_union",
     "adjacency",
     "adjacency_lists",
     "bandwidth",
@@ -16,7 +15,6 @@ __all__ = [
     "has_full_diagonal",
     "ensure_diagonal",
     "first_free_matching",
-    "structural_rank_lower_bound",
     "run_starts",
     "sorted_unique",
     "concat_ranges",
@@ -57,21 +55,6 @@ def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
     vals = np.concatenate([a.data, np.zeros(at.nnz)])
     # summing duplicates keeps A's value where both patterns have the entry
     return coo_to_csc(a.shape, rows, cols, vals)
-
-
-def pattern_union(a: CSCMatrix, b: CSCMatrix) -> CSCMatrix:
-    """Union of two patterns (values: a's where present, else b's)."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    rows_a, cols_a = a.rows_cols()
-    rows_b, cols_b = b.rows_cols()
-    # Keep A's values; mark B-only entries by adding B with zero where A has
-    # the entry.  Simplest correct approach: union pattern, then fill from A.
-    rows = np.concatenate([rows_a, rows_b])
-    cols = np.concatenate([cols_a, cols_b])
-    vals = np.concatenate([a.data, np.zeros(b.nnz)])
-    out = coo_to_csc(a.shape, rows, cols, vals)
-    return out
 
 
 def adjacency(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -156,8 +139,3 @@ def first_free_matching(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
         if row_of_col[j] < 0 and col_of_row[r] < 0:
             row_of_col[j], col_of_row[r] = r, j
     return np.array(row_of_col, dtype=np.int64), np.array(col_of_row, dtype=np.int64)
-
-
-def structural_rank_lower_bound(a: CSCMatrix) -> int:
-    """Greedy matching size — a fast lower bound on the structural rank."""
-    return int(np.count_nonzero(first_free_matching(a)[0] >= 0))

@@ -18,8 +18,6 @@ __all__ = [
     "elimination_tree",
     "column_structures",
     "postorder",
-    "tree_levels",
-    "column_counts",
 ]
 
 
@@ -89,23 +87,6 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return post
 
 
-def tree_levels(parent: np.ndarray) -> np.ndarray:
-    """Depth of every vertex in the forest (roots have depth 0)."""
-    n = parent.size
-    depth = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        # climb until a vertex with a known depth or a root
-        path = []
-        i = v
-        while i >= 0 and depth[i] < 0:
-            path.append(i)
-            i = int(parent[i])
-        base = 0 if i < 0 else int(depth[i]) + 1
-        for off, u in enumerate(reversed(path)):
-            depth[u] = base + off
-    return depth
-
-
 def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elimination tree and below-diagonal column structures of the
     Cholesky factor ``L`` of a structurally symmetric pattern ``s``.
@@ -159,10 +140,3 @@ def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([st.size for st in structs], out=ptr[1:])
     return parent, ptr, np.concatenate(structs) if n else own_rows
-
-
-def column_counts(a: CSCMatrix) -> np.ndarray:
-    """Nonzero count of each column of the Cholesky factor ``L`` of the
-    symmetrised pattern (including the diagonal)."""
-    _, ptr, _ = column_structures(symmetrize_pattern(a))
-    return np.diff(ptr) + 1

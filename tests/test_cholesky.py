@@ -21,7 +21,7 @@ from repro.cholesky.kernels import l_inverse
 from repro.cholesky.solver import _lower_triangle
 from repro.core import block_partition
 from repro.core.dag import TaskType
-from repro.core.solver import ORDERINGS, SolverOptions
+from repro.core.solver import ORDERINGS, REFINE_TOL, SolverOptions
 from repro.core.verify import verify_dag
 from repro.devtools.racecheck import RaceChecker
 from repro.kernels import Workspace
@@ -276,7 +276,7 @@ class TestSharedRefinement:
         x = s.solve(b)
         steps = [step for step, _ in s.residual_history]
         assert steps[0] == "apply" and set(steps[1:]) <= {"sweep"}
-        assert s.residual_history[-1][1] <= SolverOptions.refine_tol
+        assert s.residual_history[-1][1] <= REFINE_TOL
         assert s.residual_norm(x, b) <= 1e-12
         s.solve(2 * b)
         assert [step for step, _ in s.residual_history][0] == "apply"  # not appended

@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.numeric import NumericOptions
-from repro.core.solver import PanguLU, SolverOptions
+from repro.core.solver import REFINE_TOL, PanguLU, SolverOptions
 from repro.kernels import Workspace
 from repro.kernels.compress import (
     CompressPolicy,
@@ -279,7 +279,7 @@ class TestCompressedSolve:
         assert f.compression_active()
         x = f.solve(b)
         resid = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-        assert resid <= f.options.refine_tol * 10
+        assert resid <= REFINE_TOL * 10
 
     def test_lr_kernels_appear_in_choices(self):
         # the label recorded is the kernel that ran: where an operand
@@ -419,7 +419,7 @@ class TestCompressedSolve:
         b = np.random.default_rng(8).standard_normal(am.nrows)
         x = f.solve(b)
         resid = np.linalg.norm(1.5 * (a @ x) - b) / np.linalg.norm(b)
-        assert resid <= f.options.refine_tol * 10
+        assert resid <= REFINE_TOL * 10
 
 
     def test_pickled_handle_keeps_its_overlay(self):
@@ -448,7 +448,7 @@ class TestCompressedSolve:
         x = g.solve(b)
         assert g.stats is stats and g.compression_active()
         resid = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-        assert resid <= g.options.refine_tol * 10
+        assert resid <= REFINE_TOL * 10
         np.testing.assert_array_equal(x, f.solve(b))
 
 
@@ -469,6 +469,19 @@ class TestOneHomePerKnob:
         # the defaults are the numeric options' own
         assert SolverOptions().compress_tol == 0.0
         assert SolverOptions().compress_min_order == 32
+
+    def test_shorthand_leaves_a_shared_numeric_options_alone(self):
+        """The shorthand writes into the options' own copy: a second
+        solver built on the same ``NumericOptions`` does not compress."""
+        _, am = _coupled_matrix()
+        num = NumericOptions()
+        shorthand = SolverOptions(
+            numeric=num, block_size=32, compress_tol=1e-8, compress_min_order=16,
+        )
+        plain = SolverOptions(numeric=num, block_size=32)
+        assert num.compress_tol == plain.compress_tol == 0.0
+        assert PanguLU(am, shorthand).factorize().stats.blocks_compressed > 0
+        assert PanguLU(am, plain).factorize().stats.blocks_compressed == 0
 
     def test_decompress_zeroes_the_one_copy(self):
         _, am = _coupled_matrix()
@@ -518,7 +531,6 @@ class TestEscalation:
         a, am = _coupled_matrix(scale=1.0, diag=8.0, seed=41)
         f = _factorize(
             am, block_size=32, compress_tol=0.9, compress_min_order=16,
-            refine_max_iter=4,
         )
         assert f.compression_active()
         b = np.random.default_rng(3).standard_normal(am.nrows)

@@ -155,40 +155,3 @@ class TestSimulatePanguLU:
         bm, dag = self._fixture()
         sim = simulate_pangulu(bm, dag, A100_PLATFORM, 4)
         assert sim.gflops > 0
-
-
-class TestSimulatedTrees:
-    def test_trees_approximate_model_optimum(self):
-        from repro.kernels import SelectorPolicy
-        from repro.runtime import simulated_trees
-
-        a = random_sparse(90, 0.06, seed=3)
-        f = symbolic_symmetric(a).filled
-        bm = block_partition(f, 12)
-        dag = build_dag(bm)
-        sts = extract_sim_tasks(bm, dag)
-        trees = simulated_trees(A100_PLATFORM, sts)
-        policy = SelectorPolicy(trees=trees)
-        from repro.core.dag import TaskType as TT
-        from repro.kernels import KernelType
-        from repro.kernels.selector import TaskFeatures
-
-        k_of = {
-            TT.GETRF: KernelType.GETRF,
-            TT.GESSM: KernelType.GESSM,
-            TT.TSTRF: KernelType.TSTRF,
-            TT.SSSSM: KernelType.SSSSM,
-        }
-        tree_total = 0.0
-        best_total = 0.0
-        for st in sts:
-            feats = TaskFeatures(
-                nnz_a=st.nnz_a, nnz_b=st.nnz_b, flops=st.flops,
-                n=st.inner, density=st.operand_density,
-            )
-            v = policy.select(k_of[st.ttype], feats)
-            tree_total += kernel_time(st, v, A100_PLATFORM)
-            best_total += best_version(st, A100_PLATFORM)[1]
-        # the fitted trees stay close to the per-task optimum on the
-        # samples they were fitted on (the paper's own construction)
-        assert tree_total <= 1.3 * best_total

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import PanguLU, RefinementStalled, SolverOptions
+from repro.core.solver import REFINE_TOL, refined_solve
 from repro.sparse import CSCMatrix, random_sparse
 
 
@@ -80,7 +81,7 @@ class TestRefinementRecoversAccuracy:
         r64 = s64.residual_norm(s64.solve(b), b)
         r32 = s32.residual_norm(s32.solve(b), b)
         # the refined float32 solution matches the float64 path's residual
-        # tolerance (refine_tol), not merely single-precision accuracy
+        # tolerance (REFINE_TOL), not merely single-precision accuracy
         assert r32 <= max(1e-12, 100 * r64)
 
     def test_multi_rhs_refined(self):
@@ -109,11 +110,12 @@ class TestRefinementRecoversAccuracy:
         # loop must stall out and raise the diagnostic, not spin
         n = 40
         a = _conditioned(n, 2, seed=10)
-        s = PanguLU(a, SolverOptions(
-            factor_dtype="float32", refine_tol=1e-30, refine_max_iter=3,
-        ))
+        fact = PanguLU(a, SolverOptions(factor_dtype="float32")).factorize()
         with pytest.raises(RefinementStalled) as ei:
-            s.solve(np.ones(n))
+            refined_solve(
+                fact.apply, a.matvec, np.ones(n), tol=1e-30, budget=3,
+                history=[], exact=False,
+            )
         err = ei.value
         assert err.achieved > err.tol == 1e-30
         assert err.iterations > 0
@@ -133,7 +135,7 @@ class TestRefinementRecoversAccuracy:
         except RefinementStalled as err:
             assert err.achieved > err.tol
         else:
-            assert s.residual_norm(x, b) <= s.options.refine_tol * 10
+            assert s.residual_norm(x, b) <= REFINE_TOL * 10
 
     def test_stalled_exception_pickles(self):
         err = RefinementStalled(1e-5, 1e-12, 7)
@@ -142,14 +144,12 @@ class TestRefinementRecoversAccuracy:
 
     def test_float64_path_unchanged_by_new_options(self):
         # a benign float64 solve is at tolerance after its first sweep,
-        # so the refinement knobs have nothing to change
+        # so the refinement has nothing to change
         n = 30
         a = random_sparse(n, 0.1, seed=12)
         b = np.ones(n)
-        x1 = PanguLU(a, SolverOptions()).solve(b)
-        x2 = PanguLU(a, SolverOptions(refine_tol=1e-1,
-                                      refine_max_iter=1)).solve(b)
-        np.testing.assert_array_equal(x1, x2)
+        fact = PanguLU(a, SolverOptions()).factorize()
+        np.testing.assert_array_equal(fact.solve(b), fact.apply(b))
 
 
 class TestEngineBitIdentity:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +13,7 @@ from repro.sparse import (
     ensure_diagonal,
     has_full_diagonal,
     is_structurally_symmetric,
-    pattern_union,
     random_sparse,
-    structural_rank_lower_bound,
     symmetrize_pattern,
 )
 
@@ -39,22 +36,6 @@ class TestSymmetrize:
     def test_result_symmetric(self):
         a = random_sparse(25, 0.08, seed=5)
         assert is_structurally_symmetric(symmetrize_pattern(a))
-
-
-class TestUnion:
-    def test_union_pattern(self):
-        a = CSCMatrix.from_dense(np.array([[1.0, 0], [0, 0]]))
-        b = CSCMatrix.from_dense(np.array([[0.0, 2], [0, 0]]))
-        u = pattern_union(a, b)
-        assert u.nnz == 2
-        # a's values win where a has the entry
-        np.testing.assert_allclose(u.to_dense(), [[1.0, 0], [0, 0]])
-
-    def test_shape_mismatch(self):
-        a = CSCMatrix.eye(2)
-        b = CSCMatrix.eye(3)
-        with pytest.raises(ValueError, match="shape"):
-            pattern_union(a, b)
 
 
 class TestDiagonal:
@@ -98,10 +79,6 @@ class TestMisc:
         for v, nbrs in enumerate(adj):
             for w in nbrs:
                 assert v in adj[int(w)]
-
-    def test_structural_rank_full_for_dominant(self):
-        a = random_sparse(30, 0.05, seed=6)
-        assert structural_rank_lower_bound(a) == 30
 
 
 @settings(max_examples=40, deadline=None)

@@ -342,6 +342,20 @@ class TestOwnershipVerification:
             verify_dag(dag, assignment=asg, nprocs=4)
         assert exc.value.code == "split-ownership"
 
+    def test_balanced_task_map_is_simulator_only(self):
+        """The engines run every task on its block's owner; the load
+        balancer migrates single tasks, which splits a block's writers
+        across ranks — fine for the simulator, not executable."""
+        bm, dag = _prepared()
+        place = CyclicPlacement(2)
+        verify_dag(dag, assignment=place.assign(dag), nprocs=2)
+        balanced = balance_loads(
+            dag, place, place.assign(dag), weights=task_weights(dag, bm)
+        )
+        with pytest.raises(ScheduleViolation) as exc:
+            verify_dag(dag, assignment=balanced, nprocs=2)
+        assert exc.value.code == "split-ownership"
+
     def test_rejects_out_of_range_rank(self):
         _, dag = _prepared()
         asg = CyclicPlacement(4).assign(dag)
@@ -400,11 +414,17 @@ class TestEnginesHonourPlacement:
         b = np.ones(a.nrows)
         x_ref = PanguLU(a, SolverOptions(engine="sequential")).solve(b)
         s = PanguLU(a, SolverOptions(
-            engine="distributed", nprocs=3, placement="cost",
-            rank_speeds=(1.0, 1.0, 0.5), verify_schedule=True,
+            engine="distributed", nprocs=3,
+            placement=CostModelPlacement(3, speeds=(1.0, 1.0, 0.5)),
+            verify_schedule=True,
         ))
         x = s.solve(b)
         assert s.placement is not None and s.placement.name == "cost"
+        # the map the registry's speed-aware "cost" policy builds
+        ref = get_placement("cost", 3, speeds=(1.0, 1.0, 0.5))
+        np.testing.assert_array_equal(
+            s.placement.assign(s.dag), ref.prepare(s.dag, s.blocks).assign(s.dag)
+        )
         np.testing.assert_allclose(x, x_ref, atol=1e-10)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro import PanguLU, SolverOptions
 from repro.core.mapping import ProcessGrid
+from repro.core.solver import REFINE_TOL, refined_solve
 from repro.core.tsolve_dag import build_tsolve_dag
 from repro.kernels import SingularBlockError
 from repro.runtime import engines, tsolve_distributed
@@ -34,40 +35,32 @@ def sweeps():
 
 def _ill_conditioned(n: int, decades: int, seed: int) -> CSCMatrix:
     """A dense-pattern matrix with singular values ``1 … 10^-decades``:
-    in float64 its backward-error floor is ≈ ε·κ, far above the default
-    ``refine_tol``."""
+    in float64 its backward-error floor is ≈ ε·κ, far above
+    ``REFINE_TOL``."""
     u, _, vt = np.linalg.svd(random_sparse(n, 0.08, seed=seed).to_dense())
     return CSCMatrix.from_dense((u * np.logspace(0, -decades, n)) @ vt)
 
 
 class TestRefinementSteps:
-    def test_zero_steps_still_accurate_on_easy_matrix(self):
+    def test_zero_steps_still_accurate_on_easy_matrix(self, sweeps):
         a = random_sparse(50, 0.08, seed=1)
-        s = PanguLU(a, SolverOptions(refine_max_iter=0))
+        s = PanguLU(a)
         b = np.ones(50)
-        x = s.solve(b)
+        x = s.factorize().apply(b)
         assert s.residual_norm(x, b) < 1e-12
         # the bare apply: one sweep, no residual taken
-        assert s.factorize().last_tsolve_stats.residual_history == []
+        assert len(sweeps) == 1
 
     def test_refinement_reduces_residual_on_hard_matrix(self):
         a = random_sparse(60, 0.08, seed=9)
         bad = a.scale(np.logspace(-5, 5, 60), None)
         b = np.ones(60)
-        res = {}
-        for budget in (0, 40):
-            s = PanguLU(bad, SolverOptions(refine_max_iter=budget))
-            x = s.solve(b)
-            res[budget] = s.residual_norm(x, b)
+        s = PanguLU(bad)
+        res = {0: s.residual_norm(s.factorize().apply(b), b),
+               40: s.residual_norm(s.solve(b), b)}
         assert res[40] <= res[0] * 1.0001  # refinement never hurts
         # and on this conditioning it genuinely helps
         assert res[40] < res[0] or res[0] < 1e-12
-
-    def test_negative_steps_treated_as_zero(self):
-        a = random_sparse(30, 0.1, seed=2)
-        s = PanguLU(a, SolverOptions(refine_max_iter=-3))
-        x = s.solve(np.ones(30))
-        assert s.residual_norm(x, np.ones(30)) < 1e-10
 
     def test_refinement_applies_to_multi_rhs(self):
         a = random_sparse(40, 0.08, seed=3)
@@ -87,7 +80,7 @@ class TestRefinementSteps:
         """A factorised 20×20 system (5-wide blocks) whose ``U`` pivot at
         ``column`` of diagonal block ``block`` is overwritten by zero."""
         a = random_sparse(20, 0.15, seed=4)
-        s = PanguLU(a, SolverOptions(refine_max_iter=5, block_size=5))
+        s = PanguLU(a, SolverOptions(block_size=5))
         s.factorize()
         diag = s.blocks.block(block, block)
         rows = diag.indices[diag.col_slice(column)]
@@ -142,19 +135,18 @@ class TestOnePolicy:
             fact.solve(b, transposed=transposed)
             assert len(sweeps) == solves  # one engine sweep per solve
             ((step, rel),) = fact.last_tsolve_stats.residual_history
-            assert step == "apply" and rel <= fact.options.refine_tol
+            assert step == "apply" and rel <= REFINE_TOL
 
     def test_float64_floor_above_tol_returns_best_iterate(self, sweeps):
         a = _ill_conditioned(60, 12, seed=0)
         b = np.ones(60)
-        bare = PanguLU(a, SolverOptions(refine_max_iter=0))
-        res_bare = bare.residual_norm(bare.solve(b), b)
         s = PanguLU(a)
+        res_bare = s.residual_norm(s.factorize().apply(b), b)
         n_before = len(sweeps)
         x = s.solve(b)  # must not raise RefinementStalled
         history = s.factorize().last_tsolve_stats.residual_history
         rels = [rel for _, rel in history]
-        assert min(rels) > s.options.refine_tol  # the floor is above tol
+        assert min(rels) > REFINE_TOL  # the floor is above tol
         assert [step for step, _ in history] == ["apply"] + ["sweep"] * (
             len(history) - 1
         )  # exact factors: no escalation step
@@ -165,10 +157,14 @@ class TestOnePolicy:
 
     def test_budget_caps_the_sweeps(self, sweeps):
         a = _ill_conditioned(60, 16, seed=0)
-        s = PanguLU(a, SolverOptions(refine_max_iter=1))
-        s.solve(np.ones(60))
+        fact = PanguLU(a).factorize()
+        history = []
+        refined_solve(
+            fact.apply, a.matvec, np.ones(60), tol=REFINE_TOL, budget=1,
+            history=history, exact=True,
+        )
         assert len(sweeps) == 2  # the apply and the one sweep allowed
-        assert len(s.factorize().last_tsolve_stats.residual_history) == 2
+        assert len(history) == 2
 
 
 class TestRefinementConvergence:
@@ -177,8 +173,7 @@ class TestRefinementConvergence:
         the same contraction factor until the FP floor."""
         a = random_sparse(50, 0.08, seed=11)
         bad = a.scale(np.logspace(-4, 4, 50), None)
-        s = PanguLU(bad, SolverOptions(refine_max_iter=0))
-        fact = s.factorize()
+        fact = PanguLU(bad).factorize()
         b = np.ones(50)
         x = fact.apply(b)
         residuals = [np.linalg.norm(b - bad.matvec(x))]

@@ -11,7 +11,6 @@ from repro.kernels import SelectorPolicy
 from repro.sparse import (
     CSCMatrix,
     generate,
-    grid_laplacian_2d,
     paper_matrix_names,
     random_sparse,
 )
@@ -31,13 +30,6 @@ class TestSolve:
         s = PanguLU(a)
         s.factorize()
         assert s.lu_product_error() < 1e-10
-
-    def test_without_mc64(self):
-        a = grid_laplacian_2d(10, 10)  # already dominant
-        s = PanguLU(a, SolverOptions(use_mc64=False))
-        b = np.ones(100)
-        x = s.solve(b)
-        assert s.residual_norm(x, b) < 1e-10
 
     def test_explicit_block_size(self):
         a = random_sparse(90, 0.06, seed=3)
@@ -103,11 +95,45 @@ class TestSolve:
         a = random_sparse(80, 0.06, seed=8)
         s = PanguLU(a, SolverOptions(nprocs=4))
         s.preprocess()
-        assert s.assignment is not None
-        assert s.assignment.max() < 4
+        assert s.placement.nprocs == 4
+        assert s.placement.assign(s.dag).max() < 4
         # distributed mapping never changes local numeric correctness
         x = s.solve(np.ones(80))
         assert s.residual_norm(x, np.ones(80)) < 1e-9
+
+    @pytest.mark.parametrize("placement", ["cyclic", "cost"])
+    def test_preprocess_runs_no_load_balancer(self, monkeypatch, placement):
+        # the engines run every task on its block's owner: phase 3 fits
+        # the placement and builds no task→rank map of its own
+        from repro.core import mapping, placement as placement_mod, solver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("phase 3 ran the load balancer")
+
+        for mod in (mapping, solver):
+            monkeypatch.setattr(mod, "balance_loads", forbidden)
+            monkeypatch.setattr(mod, "task_weights", forbidden, raising=False)
+        fits = []
+        real = placement_mod.task_weights
+        monkeypatch.setattr(
+            placement_mod, "task_weights",
+            lambda *a, **kw: fits.append(1) or real(*a, **kw),
+        )
+        s = PanguLU(random_sparse(80, 0.06, seed=8),
+                    SolverOptions(nprocs=2, placement=placement))
+        s.preprocess()
+        # the cost policy prices blocks once, while it is fitted
+        assert len(fits) == (placement == "cost")
+        assert not hasattr(s, "assignment")
+
+    @pytest.mark.parametrize("field, value", [
+        ("block_size", 0), ("block_size", -4),
+        ("n_workers", 0), ("n_workers", -2),
+        ("nprocs", 0), ("nprocs", -1),
+    ])
+    def test_rejects_pool_and_blocking_below_one(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be at least 1"):
+            SolverOptions(**{field: value})
 
 
 class TestPaperMatrices:

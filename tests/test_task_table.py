@@ -187,7 +187,9 @@ def test_task_weights_floor_is_the_target_traffic():
 
 def _singular_tridiagonal():
     """Tridiagonal 40 × 40 whose rows 18–19 hold ``[[1, 1], [1, 1]]``
-    cut off from their neighbours: block (2, 2) at block size 8."""
+    cut off from their neighbours: block (2, 2) at block size 8.  MC64
+    keeps every row in place and scales by powers of two, so the zero
+    pivot survives phase 1 exactly."""
     d = 4.0 * np.eye(40) + np.eye(40, k=1) + np.eye(40, k=-1)
     d[18:20, 18:20] = 1.0
     d[17, 18] = d[18, 17] = d[19, 20] = d[20, 19] = 0.0
@@ -202,7 +204,7 @@ def _singular_tridiagonal():
 ], ids=lambda kw: kw["engine"])
 def test_zero_pivot_names_task_block_and_rows(engine):
     solver = PanguLU(_singular_tridiagonal(), SolverOptions(
-        ordering="natural", use_mc64=False, block_size=8,
+        ordering="natural", block_size=8,
         numeric=NumericOptions(pivot_floor=0.0), **engine,
     ))
     raised = RuntimeError if engine["engine"] == "distributed" else SingularBlockError
