@@ -57,7 +57,10 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # then -183 = -30 above, -91 kernels/, -20 sparse/ (BlockRep), -42 devtools/ (no-dense-roundtrip)
 # then -80 = -32 above, -48 in sparse/, symbolic/, baseline/, cholesky/
 # (dead pattern/etree helpers, three never-set BaselineOptions fields)
-MAX_SRC_LINES=10623
+# then -15 in ordering/ and sparse/: no CSCMatrix round trip per AMD call,
+# no element_size, no minimum_degree (a test oracle now), no adjacency_lists;
+# one BFS (induced_subgraph + level_structure) for ND, bfs_levels and RCM
+MAX_SRC_LINES=10608
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the kernels are paper-fidelity code mostly off the benchmark's path

@@ -5,7 +5,9 @@
 unrecorded warm-up ``preprocess()`` (imports, numpy's lazy set-up), then
 prints the ``phase_seconds`` of a second, unprofiled one — with phase 1
 (``reorder``) split into MC64, the fill-reducing ordering and the
-``permute`` calls by timing wrappers — and the cProfile top-N by
+``permute`` calls by timing wrappers, and the ordering split again into
+the AMD core (seconds, calls, pivots) and the pseudo-peripheral
+level-structure searches of nested dissection — and the cProfile top-N by
 cumulative time of a third.  cProfile taxes every Python call
 but not the work inside numpy, so the table finds candidates; the numbers
 that count are the unprofiled phase seconds and the repo benchmark's
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import importlib
 import pstats
 import sys
 import time
@@ -25,32 +28,42 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro.core.solver as solver_mod  # noqa: E402
+import repro.ordering.nd as nd_mod  # noqa: E402
 from repro import PanguLU  # noqa: E402
 from repro.sparse import CSCMatrix, generate  # noqa: E402
 
+# the package re-exports the function `amd` under the submodule's name
+amd_mod = importlib.import_module("repro.ordering.amd")
+
 
 @contextmanager
-def timed_calls(targets):
+def timed_calls(targets, tallies=None):
     """Wrap each ``(owner, attribute)`` in a wall-clock accumulator for
-    the duration of the block; yields ``{attribute: seconds}``.  The
-    phase-1 code looks these names up when it calls them, the way the
-    benchmark harness relies on."""
-    seconds = {attr: 0.0 for _, attr in targets}
+    the duration of the block; yields ``{attribute: [seconds, calls,
+    tallied]}``, where ``tallied`` sums ``tallies[attribute](result)`` over
+    the calls (0 without a tally) and owners sharing an attribute name
+    share its entry.  The phase-1 code looks these names up when it calls
+    them, the way the benchmark harness relies on."""
+    tallies = tallies or {}
+    stats = {attr: [0.0, 0, 0] for _, attr in targets}
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr in targets]
 
     def wrap(attr, fn):
         def timed(*args, **kwargs):
             t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                seconds[attr] += time.perf_counter() - t0
+            result = fn(*args, **kwargs)
+            entry = stats[attr]
+            entry[0] += time.perf_counter() - t0
+            entry[1] += 1
+            if attr in tallies:
+                entry[2] += tallies[attr](result)
+            return result
         return timed
 
     for owner, attr, fn in originals:
         setattr(owner, attr, wrap(attr, fn))
     try:
-        yield seconds
+        yield stats
     finally:
         for owner, attr, fn in originals:
             setattr(owner, attr, fn)
@@ -68,7 +81,10 @@ def main(argv: list[str] | None = None) -> int:
 
     solver = PanguLU(a)
     with timed_calls([(solver_mod, "mc64"), (solver_mod, "fill_reducing_ordering"),
-                      (CSCMatrix, "permute")]) as split:
+                      (CSCMatrix, "permute"), (nd_mod, "_amd_order"),
+                      (amd_mod, "_amd_order"), (nd_mod, "level_structure")],
+                     # the AMD core returns (order, pivots)
+                     tallies={"_amd_order": lambda result: result[1]}) as split:
         solver.preprocess()
     print(f"{args.matrix} x{args.scale}: n = {a.nrows}, nnz = {a.nnz}, "
           f"nnz(L+U) = {solver.symbolic.nnz_lu}")
@@ -77,8 +93,16 @@ def main(argv: list[str] | None = None) -> int:
         if phase == "reorder":
             # preprocess() calls permute in phase 1 only, and (ordering
             # "best" aside) not from inside the two functions above
-            for part, part_seconds in split.items():
-                print(f"    {part:<24s}{part_seconds:8.3f} s")
+            for part in ("mc64", "fill_reducing_ordering", "permute"):
+                print(f"    {part:<24s}{split[part][0]:8.3f} s")
+                if part != "fill_reducing_ordering":
+                    continue
+                amd_s, amd_calls, amd_pivots = split["_amd_order"]
+                bfs_s, bfs_calls, _ = split["level_structure"]
+                print(f"      {'AMD core':<22s}{amd_s:8.3f} s  "
+                      f"({amd_calls} calls, {amd_pivots} pivots)")
+                print(f"      {'level structures':<22s}{bfs_s:8.3f} s  "
+                      f"({bfs_calls} searches)")
     print(f"  {'setup':<12s}{sum(solver.phase_seconds.values()):8.3f} s")
 
     profile = cProfile.Profile()

@@ -19,9 +19,9 @@ import heapq
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from ..sparse.patterns import adjacency_lists
+from ..sparse.patterns import adjacency
 
-__all__ = ["amd", "minimum_degree"]
+__all__ = ["amd"]
 
 
 def amd(a: CSCMatrix) -> np.ndarray:
@@ -42,27 +42,40 @@ def amd(a: CSCMatrix) -> np.ndarray:
     """
     if a.nrows != a.ncols:
         raise ValueError("AMD requires a square matrix")
-    n = a.ncols
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
+    order, _ = _amd_order(adjacency(a))
+    return np.asarray(order, dtype=np.int64)
 
-    adj = adjacency_lists(a)
-    adj_var: list[set[int]] = [set(map(int, nb)) for nb in adj]
+
+def _amd_order(adj: tuple[np.ndarray, np.ndarray]) -> tuple[list[int], int]:
+    """AMD on the graph whose sorted neighbour lists are ``idx[ptr[v]:ptr[v
+    + 1]]`` (no self-loops).  Returns the elimination order and the number
+    of pivots (supervariables eliminated) it took.
+
+    Scalars live in Python lists, and an element's size is recorded when
+    the element is formed: a supervariable merge folds ``i`` into a ``j``
+    adjacent to exactly the same elements, so every element loses
+    ``nv[i]`` and gains it back.  The sets must be built and updated by
+    exactly these operations in this order: a supervariable's
+    representative is the first member in ``lp``'s set-iteration order,
+    so that order is part of the permutation.
+    """
+    ptr, idx = adj
+    n = ptr.size - 1
+    flat, bounds = idx.tolist(), ptr.tolist()
+    adj_var: list[set[int]] = [set(flat[bounds[v]:bounds[v + 1]]) for v in range(n)]
     adj_el: list[set[int]] = [set() for _ in range(n)]
     el_vars: dict[int, set[int]] = {}
-    nv = np.ones(n, dtype=np.int64)        # supervariable sizes
-    alive = np.ones(n, dtype=bool)
-    absorbed_into = np.full(n, -1, dtype=np.int64)
-    degree = np.asarray([len(s) for s in adj_var], dtype=np.int64)
+    el_size = [0] * n                      # |element p| when p was eliminated
+    nv = [1] * n                           # supervariable sizes
+    alive = [True] * n
+    eliminated = [False] * n
+    absorbed_into = [-1] * n
+    degree = [len(s) for s in adj_var]
 
-    heap: list[tuple[int, int]] = [(int(degree[i]), i) for i in range(n)]
+    heap: list[tuple[int, int]] = [(degree[i], i) for i in range(n)]
     heapq.heapify(heap)
 
     order: list[int] = []
-    eliminated = np.zeros(n, dtype=bool)
-
-    def element_size(e: int) -> int:
-        return int(sum(nv[v] for v in el_vars[e]))
 
     while heap:
         d, p = heapq.heappop(heap)
@@ -96,22 +109,21 @@ def amd(a: CSCMatrix) -> np.ndarray:
         # computed with one counting pass (the AMD w-trick).
         overlap: dict[int, int] = {}
         for i in lp:
+            w = nv[i]
             for e in adj_el[i]:
-                if e == p:
-                    continue
-                overlap[e] = overlap.get(e, 0) + int(nv[i])
-        el_sizes = {e: element_size(e) for e in overlap}
+                if e != p:
+                    overlap[e] = overlap.get(e, 0) + w
 
-        lp_size = int(sum(nv[v] for v in lp))
+        lp_size = el_size[p] = sum(map(nv.__getitem__, lp))
+        remaining = n - len(order)
         for i in lp:
-            ext = lp_size - int(nv[i])
-            ext += int(sum(nv[v] for v in adj_var[i]))
+            ext = lp_size - nv[i] + sum(map(nv.__getitem__, adj_var[i]))
             for e in adj_el[i]:
-                if e == p:
-                    continue
-                ext += max(0, el_sizes[e] - overlap[e])
-            new_d = min(n - len(order), ext)
-            degree[i] = max(0, new_d)
+                if e != p:
+                    outside = el_size[e] - overlap[e]
+                    if outside > 0:
+                        ext += outside
+            degree[i] = ext if ext < remaining else remaining
 
         # --- supervariable detection (hash + exact compare) ---------------
         buckets: dict[int, list[int]] = {}
@@ -144,16 +156,16 @@ def amd(a: CSCMatrix) -> np.ndarray:
                     kept.append(i)
 
         for i in el_vars[p]:
-            heapq.heappush(heap, (int(degree[i]), i))
+            heapq.heappush(heap, (degree[i], i))
 
     # expand supervariables: absorbed variables are eliminated together with
     # (immediately after) their representative
     expansion: dict[int, list[int]] = {}
     for i in range(n):
         if absorbed_into[i] >= 0:
-            root = int(absorbed_into[i])
+            root = absorbed_into[i]
             while absorbed_into[root] >= 0:
-                root = int(absorbed_into[root])
+                root = absorbed_into[root]
             expansion.setdefault(root, []).append(i)
 
     full_order: list[int] = []
@@ -163,32 +175,4 @@ def amd(a: CSCMatrix) -> np.ndarray:
     if len(full_order) != n:  # pragma: no cover - safety net
         seen = set(full_order)
         full_order.extend(i for i in range(n) if i not in seen)
-    return np.asarray(full_order, dtype=np.int64)
-
-
-def minimum_degree(a: CSCMatrix) -> np.ndarray:
-    """Exact (non-approximate) minimum-degree ordering.
-
-    Slower than :func:`amd` but useful as a quality reference in tests.
-    """
-    n = a.ncols
-    adj: list[set[int]] = [set(map(int, nb)) for nb in adjacency_lists(a)]
-    alive = np.ones(n, dtype=bool)
-    order: list[int] = []
-    heap = [(len(adj[i]), i) for i in range(n)]
-    heapq.heapify(heap)
-    while len(order) < n:
-        d, p = heapq.heappop(heap)
-        if not alive[p] or d != len(adj[p]):
-            continue
-        alive[p] = False
-        order.append(p)
-        nbrs = [v for v in adj[p] if alive[v]]
-        for i in nbrs:
-            adj[i].discard(p)
-            for j in nbrs:
-                if j != i:
-                    adj[i].add(j)
-            heapq.heappush(heap, (len(adj[i]), i))
-        adj[p].clear()
-    return np.asarray(order, dtype=np.int64)
+    return full_order, len(order)

@@ -5,47 +5,36 @@ module implements recursive bisection with BFS level-structure vertex
 separators (George's original construction): root a BFS at a
 pseudo-peripheral vertex, pick the level whose removal best separates the
 graph into balanced halves, order both halves recursively, and number the
-separator last.  Subgraphs below ``leaf_size`` are ordered with AMD.
+separator last.  Subgraphs at or below ``leaf_size`` are ordered with AMD.
+
+Every vertex set is sorted, so each one's induced subgraph is cut once as
+a local CSR (:func:`~repro.ordering.rcm.induced_subgraph`) whose local
+order is the global order; the level structures are searched on it in
+compiled code, and leaves and separators go to the AMD core as the same
+neighbour lists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.csc import CSCMatrix, coo_to_csc
+from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import adjacency
-from .amd import amd
-from .rcm import Adjacency, gather_neighbours, pseudo_peripheral_vertex
+from .amd import _amd_order
+from .rcm import Adjacency, induced_subgraph, level_structure
 
 __all__ = ["nested_dissection"]
 
 
-def _subgraph_matrix(adj: Adjacency, vertices: np.ndarray) -> CSCMatrix:
-    """Build the pattern matrix of the subgraph induced by ``vertices``."""
-    m = vertices.size
-    local = np.full(adj[0].size - 1, -1, dtype=np.int64)
-    local[vertices] = np.arange(m, dtype=np.int64)
-    nbrs, counts = gather_neighbours(adj, vertices)
-    rows = local[nbrs]
-    inside = rows >= 0
-    diag = np.arange(m, dtype=np.int64)
-    cols = np.repeat(diag, counts)
-    return coo_to_csc(
-        (m, m),
-        np.concatenate([rows[inside], diag]),
-        np.concatenate([cols[inside], diag]),
-    )
-
-
-def _pick_separator(levels: list[np.ndarray]) -> int:
-    """Choose the BFS level used as separator.
+def _pick_separator(sizes: np.ndarray) -> int:
+    """Choose the BFS level used as separator, given the level sizes.
 
     Scans the middle half of the level structure and picks the level
     minimising ``|separator| / min(|A|, |B|)`` where A/B are the vertex
     counts strictly before/after it — small separator, balanced halves.
     """
-    depth = len(levels)
-    sizes = np.asarray([lv.size for lv in levels], dtype=np.float64)
+    depth = len(sizes)
+    sizes = np.asarray(sizes, dtype=np.float64)
     prefix = np.cumsum(sizes)
     total = prefix[-1]
     lo = max(1, depth // 4)
@@ -63,52 +52,49 @@ def _pick_separator(levels: list[np.ndarray]) -> int:
     return best
 
 
+def _order_with_amd(adj: Adjacency, vertices: np.ndarray, out: list[int]) -> None:
+    local, _ = _amd_order(adj)
+    out.extend(vertices[local].tolist())
+
+
 def _dissect(
     adj: Adjacency,
     vertices: np.ndarray,
+    degree: np.ndarray,
     leaf_size: int,
     out: list[int],
 ) -> None:
-    if vertices.size == 0:
-        return
+    """Order the sorted vertex set ``vertices`` into ``out``; ``adj`` is its
+    induced subgraph in local numbering, ``degree`` its full-graph
+    degrees."""
     if vertices.size <= leaf_size:
-        sub = _subgraph_matrix(adj, vertices)
-        local = amd(sub)
-        out.extend(vertices[local].tolist())
+        _order_with_amd(adj, vertices, out)
         return
 
-    mask = np.zeros(adj[0].size - 1, dtype=bool)
-    mask[vertices] = True
-    _, levels = pseudo_peripheral_vertex(adj, int(vertices[0]), mask)
-    level = np.full(mask.size, -1, dtype=np.int64)
-    for depth, members in enumerate(levels):
-        level[members] = depth
+    def recurse(part: np.ndarray) -> None:
+        _dissect(induced_subgraph(adj, part), vertices[part], degree[part],
+                 leaf_size, out)
 
-    unreached = vertices[level[vertices] < 0]
-    if unreached.size:
+    _, order, bounds = level_structure(adj, 0, degree)
+    if order.size < vertices.size:
         # disconnected: order the reached component, then recurse on the rest
-        reached = vertices[level[vertices] >= 0]
-        _dissect(adj, reached, leaf_size, out)
-        _dissect(adj, unreached, leaf_size, out)
+        reached = np.zeros(vertices.size, dtype=bool)
+        reached[order] = True
+        recurse(np.flatnonzero(reached))
+        recurse(np.flatnonzero(~reached))
         return
 
-    if len(levels) < 3:
+    if len(bounds) < 4:
         # graph too shallow to dissect — fall back to AMD
-        sub = _subgraph_matrix(adj, vertices)
-        local = amd(sub)
-        out.extend(vertices[local].tolist())
+        _order_with_amd(adj, vertices, out)
         return
 
-    sep_level = _pick_separator(levels)
-    sep = levels[sep_level]
-    left = vertices[(level[vertices] >= 0) & (level[vertices] < sep_level)]
-    right = vertices[level[vertices] > sep_level]
-    _dissect(adj, left, leaf_size, out)
-    _dissect(adj, right, leaf_size, out)
+    d = _pick_separator(np.diff(bounds))
+    recurse(np.sort(order[:bounds[d]]))
+    recurse(np.sort(order[bounds[d + 1]:]))
     # separator last (eliminated after both halves)
-    sub = _subgraph_matrix(adj, sep)
-    local = amd(sub)
-    out.extend(sep[local].tolist())
+    sep = np.sort(order[bounds[d]:bounds[d + 1]])
+    _order_with_amd(induced_subgraph(adj, sep), vertices[sep], out)
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
@@ -131,7 +117,7 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     adj = adjacency(a)
     out: list[int] = []
-    _dissect(adj, np.arange(n, dtype=np.int64), leaf_size, out)
+    _dissect(adj, np.arange(n, dtype=np.int64), np.diff(adj[0]), leaf_size, out)
     perm = np.asarray(out, dtype=np.int64)
     if perm.size != n or np.unique(perm).size != n:  # pragma: no cover
         raise AssertionError("nested dissection produced an invalid permutation")

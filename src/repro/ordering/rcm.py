@@ -1,36 +1,104 @@
-"""Reverse Cuthill–McKee ordering.
-
-A bandwidth-reducing ordering used as a cheap fallback and as a building
-block for pseudo-peripheral vertex searches in the nested-dissection code.
+"""Reverse Cuthill–McKee ordering, and the breadth-first level structures
+it and nested dissection are built on.
 
 Graphs are the flat ``(ptr, idx)`` arrays of
-:func:`repro.sparse.patterns.adjacency`; the traversals are
-level-synchronous — one gather/mask/unique per BFS level instead of one
-interpreter step per edge.
+:func:`repro.sparse.patterns.adjacency` (sorted neighbour lists, no
+self-loops).  A search restricted to a vertex set runs on that set's
+induced subgraph, cut out once as a local CSR; the traversal itself is
+``scipy.sparse.csgraph.breadth_first_order`` (compiled), so the
+interpreter pays per search, not per BFS level or per edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from ..sparse.csc import CSCMatrix
-from ..sparse.patterns import adjacency, concat_ranges, sorted_unique
+from ..sparse.patterns import adjacency, concat_ranges
 
-__all__ = ["rcm", "pseudo_peripheral_vertex", "bfs_levels", "gather_neighbours"]
+__all__ = [
+    "rcm", "pseudo_peripheral_vertex", "bfs_levels", "induced_subgraph",
+    "level_structure",
+]
 
 #: flat adjacency ``(ptr, idx)`` as built by :func:`adjacency`
 Adjacency = tuple[np.ndarray, np.ndarray]
 
 
-def gather_neighbours(
-    adj: Adjacency, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbour lists of ``vertices`` back to back (repeats kept), and the
-    per-vertex neighbour counts that delimit them."""
+def induced_subgraph(adj: Adjacency, vertices: np.ndarray) -> Adjacency:
+    """The subgraph induced by the **sorted** vertex set ``vertices``,
+    renumbered ``0 … m-1`` in that order — so local order is the parent's
+    order and every local neighbour list stays sorted."""
     ptr, idx = adj
+    m = vertices.size
+    local = np.full(ptr.size - 1, -1, dtype=np.int64)
+    local[vertices] = np.arange(m, dtype=np.int64)
     starts = ptr[vertices]
     counts = ptr[vertices + 1] - starts
-    return idx[concat_ranges(starts, counts)], counts
+    nbrs = local[idx[concat_ranges(starts, counts)]]
+    inside = nbrs >= 0
+    owner = np.repeat(np.arange(m, dtype=np.int64), counts)
+    sub_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[inside], minlength=m), out=sub_ptr[1:])
+    return sub_ptr, nbrs[inside]
+
+
+def _bfs(graph: csr_array, start: int) -> tuple[np.ndarray, list[int]]:
+    """Breadth-first order from ``start`` and its level boundaries: level
+    ``d`` is ``order[bounds[d]:bounds[d + 1]]``.  The positions of the
+    BFS parents never decrease along the order, so level ``d + 1`` starts
+    at the first vertex whose parent sits at or past the start of level
+    ``d``: one table lookup per level."""
+    order, pred = breadth_first_order(graph, start, directed=True,
+                                      return_predecessors=True)
+    pos = np.empty(graph.shape[0], dtype=np.int64)
+    pos[order] = np.arange(order.size, dtype=np.int64)
+    parent_pos = pos[pred[order[1:]]]
+    next_start = (1 + np.searchsorted(parent_pos, np.arange(order.size))).tolist()
+    bounds = [0, 1]
+    while bounds[-1] < order.size:
+        bounds.append(next_start[bounds[-1]])
+    return order, bounds
+
+
+def level_structure(
+    adj: Adjacency, start: int, degree: np.ndarray
+) -> tuple[int, np.ndarray, list[int]]:
+    """George–Liu pseudo-peripheral vertex search on ``adj``.
+
+    Repeatedly roots a BFS at a vertex of the deepest level with the least
+    ``degree`` (lowest index on ties) until eccentricity stops increasing.
+    Returns the root and its level structure as :func:`_bfs` gives it.
+    ``degree`` is the caller's: nested dissection passes full-graph
+    degrees while searching a subgraph.
+    """
+    m = adj[0].size - 1
+    graph = csr_array((np.ones(adj[1].size), adj[1], adj[0]), shape=(m, m))
+    v = start
+    order, bounds = _bfs(graph, v)
+    while True:
+        last = np.sort(order[bounds[-2]:])
+        cand = int(last[int(np.argmin(degree[last]))])
+        new_order, new_bounds = _bfs(graph, cand)
+        if len(new_bounds) <= len(bounds):
+            return v, order, bounds
+        v, order, bounds = cand, new_order, new_bounds
+
+
+def _levels(vertices: np.ndarray, order: np.ndarray, bounds: list) -> list[np.ndarray]:
+    """A local level structure as sorted arrays of the parent's vertices."""
+    return [vertices[np.sort(order[a:b])] for a, b in zip(bounds, bounds[1:])]
+
+
+def _restricted(adj: Adjacency, mask: np.ndarray | None) -> tuple[np.ndarray, Adjacency]:
+    """The vertices ``mask`` admits (all without one) and their induced
+    subgraph."""
+    if mask is None:
+        return np.arange(adj[0].size - 1, dtype=np.int64), adj
+    vertices = np.flatnonzero(mask)
+    return vertices, induced_subgraph(adj, vertices)
 
 
 def bfs_levels(
@@ -43,43 +111,30 @@ def bfs_levels(
     vertices at depth ``d`` (sorted).  ``mask`` restricts the traversal to
     vertices where ``mask[v]`` is True.
     """
-    n = adj[0].size - 1
     if mask is not None and not mask[start]:
         raise ValueError("start vertex is masked out")
-    level = np.full(n, -1, dtype=np.int64)
-    # admissible and not yet reached
-    unseen = np.ones(n, dtype=bool) if mask is None else np.array(mask, dtype=bool)
-    frontier = np.asarray([start], dtype=np.int64)
-    levels: list[np.ndarray] = []
-    while frontier.size:
-        level[frontier] = len(levels)
-        unseen[frontier] = False
-        levels.append(frontier)
-        nbrs, _ = gather_neighbours(adj, frontier)
-        frontier = sorted_unique(nbrs[unseen[nbrs]])
-    return level, levels
+    vertices, sub = _restricted(adj, mask)
+    m = vertices.size
+    order, bounds = _bfs(
+        csr_array((np.ones(sub[1].size), sub[1], sub[0]), shape=(m, m)),
+        int(np.searchsorted(vertices, start)),
+    )
+    level = np.full(adj[0].size - 1, -1, dtype=np.int64)
+    level[vertices[order]] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return level, _levels(vertices, order, bounds)
 
 
 def pseudo_peripheral_vertex(
     adj: Adjacency, start: int, mask: np.ndarray | None = None
 ) -> tuple[int, list[np.ndarray]]:
-    """George–Liu pseudo-peripheral vertex search.
-
-    Repeatedly roots a BFS at a minimum-degree vertex of the deepest level
-    until eccentricity stops increasing.  Returns the vertex and its level
-    structure.
-    """
-    ptr = adj[0]
-    v = start
-    _, levels = bfs_levels(adj, v, mask)
-    ecc = len(levels)
-    while True:
-        last = levels[-1]
-        cand = int(last[int(np.argmin(ptr[last + 1] - ptr[last]))])
-        _, new_levels = bfs_levels(adj, cand, mask)
-        if len(new_levels) <= ecc:
-            return v, levels
-        v, levels, ecc = cand, new_levels, len(new_levels)
+    """George–Liu pseudo-peripheral vertex search (:func:`level_structure`
+    with the degrees of ``adj``), restricted to ``mask``.  Returns the
+    vertex and its level structure."""
+    vertices, sub = _restricted(adj, mask)
+    v, order, bounds = level_structure(
+        sub, int(np.searchsorted(vertices, start)), np.diff(adj[0])[vertices]
+    )
+    return int(vertices[v]), _levels(vertices, order, bounds)
 
 
 def rcm(a: CSCMatrix) -> np.ndarray:
@@ -89,6 +144,8 @@ def rcm(a: CSCMatrix) -> np.ndarray:
     ``A[p][:, p]`` has reduced bandwidth.  Handles disconnected graphs by
     restarting from the lowest-degree unvisited vertex.
     """
+    if a.nrows != a.ncols:
+        raise ValueError("RCM requires a square matrix")
     n = a.ncols
     if n == 0:
         return np.zeros(0, dtype=np.int64)

@@ -24,7 +24,6 @@ from .generators import (
 )
 from .io import read_matrix_market, write_matrix_market
 from .patterns import (
-    adjacency_lists,
     bandwidth,
     ensure_diagonal,
     has_full_diagonal,
@@ -53,7 +52,6 @@ __all__ = [
     "read_matrix_market",
     "write_matrix_market",
     "symmetrize_pattern",
-    "adjacency_lists",
     "bandwidth",
     "is_structurally_symmetric",
     "has_full_diagonal",

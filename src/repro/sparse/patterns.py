@@ -9,7 +9,6 @@ from .csc import CSCMatrix, concat_ranges, coo_to_csc
 __all__ = [
     "symmetrize_pattern",
     "adjacency",
-    "adjacency_lists",
     "bandwidth",
     "is_structurally_symmetric",
     "has_full_diagonal",
@@ -61,7 +60,7 @@ def adjacency(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Undirected adjacency of the symmetrised pattern, excluding
     self-loops, as flat CSR-style arrays ``(ptr, idx)``: the neighbours of
     vertex ``v`` are ``idx[ptr[v]:ptr[v + 1]]``, sorted.  The form the
-    level-synchronous traversals (BFS, nested dissection, RCM) gather from.
+    graph searches (BFS, nested dissection, AMD, RCM) start from.
     """
     s = symmetrize_pattern(a)
     rows, cols = s.rows_cols()
@@ -69,13 +68,6 @@ def adjacency(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:
     ptr = np.zeros(s.ncols + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols[off_diag], minlength=s.ncols), out=ptr[1:])
     return ptr, rows[off_diag]
-
-
-def adjacency_lists(a: CSCMatrix) -> list[np.ndarray]:
-    """:func:`adjacency` as one sorted neighbour array per vertex (views of
-    one array) — what the set-based minimum-degree codes start from."""
-    ptr, idx = adjacency(a)
-    return np.split(idx, ptr[1:-1]) if ptr.size > 1 else []
 
 
 def bandwidth(a: CSCMatrix) -> int:

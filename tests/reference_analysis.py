@@ -4,7 +4,10 @@ These are the interpreter-loop implementations the array algorithms in
 ``repro.sparse``, ``repro.symbolic``, ``repro.ordering`` and
 ``repro.core.blocking`` replaced: the per-column ``permute`` / ``diagonal``
 of the CSC container, per-entry row-subtree walks for the symbolic fill,
-per-neighbour breadth-first search over adjacency lists, the
+the set-based AMD (numpy scalars, element sizes re-summed at every
+pivot) and the nested dissection built on it over per-neighbour
+breadth-first search of adjacency lists, the exact minimum-degree
+ordering AMD's quality is checked against, the
 per-column chunk loop of the block partition, and the support-mask
 task-DAG builder with its per-column flop counts.  They are slow and
 obviously right; ``tests/test_reference_analysis.py`` asserts the
@@ -14,11 +17,11 @@ imports this module.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.core.blocking import BlockMatrix, FactorArena, boundaries_from_block_size
-from repro.ordering import amd
-from repro.ordering.nd import _pick_separator
 from repro.sparse import CSCMatrix
 from repro.symbolic import elimination_tree
 
@@ -181,8 +184,189 @@ def symbolic_symmetric(a: CSCMatrix) -> tuple[CSCMatrix, np.ndarray, int]:
 
 
 # ----------------------------------------------------------------------
-# ordering: list-based BFS, George's nested dissection, RCM
+# ordering: set-based AMD, exact minimum degree, list-based BFS,
+# George's nested dissection, RCM
 # ----------------------------------------------------------------------
+def reference_amd(a: CSCMatrix) -> np.ndarray:
+    """Compute an approximate-minimum-degree permutation — the set-based
+    AMD with numpy scalars and element sizes summed at every pivot, which
+    ``repro.ordering.amd`` must reproduce bit for bit.
+
+    Parameters
+    ----------
+    a:
+        Square sparse matrix; its symmetrised pattern defines the
+        elimination graph.
+
+    Returns
+    -------
+    numpy.ndarray
+        "New-from-old" permutation ``p``: eliminating variables in the order
+        ``p[0], p[1], …`` approximately minimises fill, i.e. reorder with
+        ``A[p][:, p]``.
+    """
+    if a.nrows != a.ncols:
+        raise ValueError("AMD requires a square matrix")
+    n = a.ncols
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+
+    adj = adjacency_lists(a)
+    adj_var: list[set[int]] = [set(map(int, nb)) for nb in adj]
+    adj_el: list[set[int]] = [set() for _ in range(n)]
+    el_vars: dict[int, set[int]] = {}
+    nv = np.ones(n, dtype=np.int64)        # supervariable sizes
+    alive = np.ones(n, dtype=bool)
+    absorbed_into = np.full(n, -1, dtype=np.int64)
+    degree = np.asarray([len(s) for s in adj_var], dtype=np.int64)
+
+    heap: list[tuple[int, int]] = [(int(degree[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+
+    order: list[int] = []
+    eliminated = np.zeros(n, dtype=bool)
+
+    def element_size(e: int) -> int:
+        return int(sum(nv[v] for v in el_vars[e]))
+
+    while heap:
+        d, p = heapq.heappop(heap)
+        if not alive[p] or eliminated[p] or d != degree[p]:
+            continue  # stale heap entry or merged supervariable
+
+        # --- form the pivot element Lp -----------------------------------
+        lp: set[int] = set(v for v in adj_var[p] if alive[v])
+        for e in adj_el[p]:
+            lp |= el_vars[e]
+        lp.discard(p)
+        lp = {v for v in lp if alive[v] and not eliminated[v]}
+
+        eliminated[p] = True
+        order.append(p)
+        parents_els = set(adj_el[p])
+        # absorb old elements into the new one
+        for e in parents_els:
+            el_vars.pop(e, None)
+        el_vars[p] = set(lp)
+
+        # --- update each variable in Lp ----------------------------------
+        lp_and_p = lp | {p}
+        for i in lp:
+            adj_var[i] -= lp_and_p
+            adj_el[i] -= parents_els
+            adj_el[i].add(p)
+
+        # --- approximate external degrees ---------------------------------
+        # |Le \ Lp| for every element e still adjacent to some i in Lp,
+        # computed with one counting pass (the AMD w-trick).
+        overlap: dict[int, int] = {}
+        for i in lp:
+            for e in adj_el[i]:
+                if e == p:
+                    continue
+                overlap[e] = overlap.get(e, 0) + int(nv[i])
+        el_sizes = {e: element_size(e) for e in overlap}
+
+        lp_size = int(sum(nv[v] for v in lp))
+        for i in lp:
+            ext = lp_size - int(nv[i])
+            ext += int(sum(nv[v] for v in adj_var[i]))
+            for e in adj_el[i]:
+                if e == p:
+                    continue
+                ext += max(0, el_sizes[e] - overlap[e])
+            new_d = min(n - len(order), ext)
+            degree[i] = max(0, new_d)
+
+        # --- supervariable detection (hash + exact compare) ---------------
+        buckets: dict[int, list[int]] = {}
+        for i in lp:
+            key = hash(
+                (frozenset(adj_el[i]), len(adj_var[i]))
+            )
+            buckets.setdefault(key, []).append(i)
+        for bucket in buckets.values():
+            if len(bucket) < 2:
+                continue
+            kept: list[int] = []
+            for i in bucket:
+                merged = False
+                for j in kept:
+                    if adj_el[i] == adj_el[j] and adj_var[i] == adj_var[j]:
+                        # merge i into j
+                        nv[j] += nv[i]
+                        alive[i] = False
+                        absorbed_into[i] = j
+                        el_vars[p].discard(i)
+                        for e in adj_el[i]:
+                            if e in el_vars:
+                                el_vars[e].discard(i)
+                        adj_var[i].clear()
+                        adj_el[i].clear()
+                        merged = True
+                        break
+                if not merged:
+                    kept.append(i)
+
+        for i in el_vars[p]:
+            heapq.heappush(heap, (int(degree[i]), i))
+
+    # expand supervariables: absorbed variables are eliminated together with
+    # (immediately after) their representative
+    expansion: dict[int, list[int]] = {}
+    for i in range(n):
+        if absorbed_into[i] >= 0:
+            root = int(absorbed_into[i])
+            while absorbed_into[root] >= 0:
+                root = int(absorbed_into[root])
+            expansion.setdefault(root, []).append(i)
+
+    full_order: list[int] = []
+    for p in order:
+        full_order.append(p)
+        full_order.extend(sorted(expansion.get(p, [])))
+    if len(full_order) != n:  # pragma: no cover - safety net
+        seen = set(full_order)
+        full_order.extend(i for i in range(n) if i not in seen)
+    return np.asarray(full_order, dtype=np.int64)
+
+
+def colamd(a: CSCMatrix) -> np.ndarray:
+    """:func:`reference_amd` on the pattern of ``AᵀA``, formed densely."""
+    rows, cols = a.rows_cols()
+    pattern = np.zeros(a.shape)
+    pattern[rows, cols] = 1.0
+    return reference_amd(CSCMatrix.from_dense(pattern.T @ pattern))
+
+
+def minimum_degree(a: CSCMatrix) -> np.ndarray:
+    """Exact (non-approximate) minimum-degree ordering.
+
+    Slower than AMD but useful as a quality reference in tests.
+    """
+    n = a.ncols
+    adj: list[set[int]] = [set(map(int, nb)) for nb in adjacency_lists(a)]
+    alive = np.ones(n, dtype=bool)
+    order: list[int] = []
+    heap = [(len(adj[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+    while len(order) < n:
+        d, p = heapq.heappop(heap)
+        if not alive[p] or d != len(adj[p]):
+            continue
+        alive[p] = False
+        order.append(p)
+        nbrs = [v for v in adj[p] if alive[v]]
+        for i in nbrs:
+            adj[i].discard(p)
+            for j in nbrs:
+                if j != i:
+                    adj[i].add(j)
+            heapq.heappush(heap, (len(adj[i]), i))
+        adj[p].clear()
+    return np.asarray(order, dtype=np.int64)
+
+
 def bfs_levels(adj: list[np.ndarray], start: int, mask=None):
     n = len(adj)
     level = np.full(n, -1, dtype=np.int64)
@@ -233,11 +417,37 @@ def _subgraph_matrix(adj: list[np.ndarray], vertices: np.ndarray) -> CSCMatrix:
     return coo_to_csc((m, m), rows + list(range(m)), cols + list(range(m)))
 
 
+def _pick_separator(levels: list[np.ndarray]) -> int:
+    """Choose the BFS level used as separator.
+
+    Scans the middle half of the level structure and picks the level
+    minimising ``|separator| / min(|A|, |B|)`` where A/B are the vertex
+    counts strictly before/after it — small separator, balanced halves.
+    """
+    depth = len(levels)
+    sizes = np.asarray([lv.size for lv in levels], dtype=np.float64)
+    prefix = np.cumsum(sizes)
+    total = prefix[-1]
+    lo = max(1, depth // 4)
+    hi = max(lo + 1, (3 * depth) // 4 + 1)
+    best, best_score = lo, np.inf
+    for d in range(lo, min(hi, depth - 1)):
+        before = prefix[d - 1]
+        after = total - prefix[d]
+        small = min(before, after)
+        if small <= 0:
+            continue
+        score = sizes[d] / small
+        if score < best_score:
+            best, best_score = d, score
+    return best
+
+
 def _dissect(adj, vertices: np.ndarray, leaf_size: int, out: list[int]) -> None:
     if vertices.size == 0:
         return
     if vertices.size <= leaf_size:
-        out.extend(int(vertices[i]) for i in amd(_subgraph_matrix(adj, vertices)))
+        out.extend(int(vertices[i]) for i in reference_amd(_subgraph_matrix(adj, vertices)))
         return
     mask = np.zeros(len(adj), dtype=bool)
     mask[vertices] = True
@@ -249,14 +459,14 @@ def _dissect(adj, vertices: np.ndarray, leaf_size: int, out: list[int]) -> None:
         _dissect(adj, unreached, leaf_size, out)
         return
     if len(levels) < 3:
-        out.extend(int(vertices[i]) for i in amd(_subgraph_matrix(adj, vertices)))
+        out.extend(int(vertices[i]) for i in reference_amd(_subgraph_matrix(adj, vertices)))
         return
     sep_level = _pick_separator(levels)
     sep = levels[sep_level]
     _dissect(adj, vertices[(level[vertices] >= 0) & (level[vertices] < sep_level)],
              leaf_size, out)
     _dissect(adj, vertices[level[vertices] > sep_level], leaf_size, out)
-    out.extend(int(sep[i]) for i in amd(_subgraph_matrix(adj, sep)))
+    out.extend(int(sep[i]) for i in reference_amd(_subgraph_matrix(adj, sep)))
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.sparse import (
     CSCMatrix,
-    adjacency_lists,
     bandwidth,
     ensure_diagonal,
     has_full_diagonal,
@@ -16,6 +15,7 @@ from repro.sparse import (
     random_sparse,
     symmetrize_pattern,
 )
+from repro.sparse.patterns import adjacency
 
 
 class TestSymmetrize:
@@ -68,14 +68,16 @@ class TestMisc:
 
     def test_adjacency_excludes_self_loops(self):
         a = random_sparse(20, 0.1, seed=1)
-        adj = adjacency_lists(a)
+        ptr, idx = adjacency(a)
+        adj = np.split(idx, ptr[1:-1])
         for v, nbrs in enumerate(adj):
             assert v not in nbrs
             assert np.all(np.diff(nbrs) > 0)
 
     def test_adjacency_symmetric(self):
         a = random_sparse(20, 0.1, seed=2)
-        adj = adjacency_lists(a)
+        ptr, idx = adjacency(a)
+        adj = np.split(idx, ptr[1:-1])
         for v, nbrs in enumerate(adj):
             for w in nbrs:
                 assert v in adj[int(w)]

@@ -1,9 +1,9 @@
 """The array-native analysis phase against its interpreter-loop oracles.
 
 ``tests/reference_analysis.py`` holds the row-subtree symbolic fill, the
-list-based BFS / nested dissection / RCM, the chunk-loop block
-partition and the support-mask task-DAG builder that ``src/`` used to
-run.  Same permutation, same filled pattern and same block layout mean
+set-based AMD, the list-based BFS / nested dissection / RCM, the
+chunk-loop block partition and the support-mask task-DAG builder that
+``src/`` used to run.  Same permutation, same filled pattern and same block layout mean
 the same task stream and therefore bit-identical factors, so every
 comparison here is exact.
 """
@@ -14,16 +14,25 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from . import reference_analysis as ref
 from repro import PanguLU
 from repro.core.blocking import block_partition
 from repro.core.dag import build_dag
+from repro.core.solver import fill_reducing_ordering, reorder_and_scale
 from repro.core.strategy import IrregularBlocking
-from repro.ordering import bfs_levels, nested_dissection, pseudo_peripheral_vertex, rcm
+from repro.ordering import (
+    amd,
+    bfs_levels,
+    colamd,
+    mc64,
+    nested_dissection,
+    pseudo_peripheral_vertex,
+    rcm,
+)
 from repro.sparse import (
     CSCMatrix,
-    adjacency_lists,
     coo_to_csc,
     ensure_diagonal,
     generate,
@@ -105,6 +114,26 @@ def assert_same_blocks(f: CSCMatrix, bs, *, arena: bool, dtype) -> None:
     assert all(np.shares_memory(b.data, got.arena.data) for b in got.blk_values if b.nnz)
 
 
+def assert_same_orderings(a: CSCMatrix) -> None:
+    """AMD, COLAMD, nested dissection at two leaf sizes, ``"best"`` and RCM
+    against the oracles, exactly."""
+    def fill(q):
+        return symbolic_symmetric(a.permute(q, q)).nnz_lu
+
+    want_amd = ref.reference_amd(a)
+    want_nd = ref.nested_dissection(a)
+    np.testing.assert_array_equal(amd(a), want_amd)
+    np.testing.assert_array_equal(colamd(a), ref.colamd(a))
+    np.testing.assert_array_equal(nested_dissection(a), want_nd)
+    np.testing.assert_array_equal(
+        nested_dissection(a, leaf_size=8), ref.nested_dissection(a, leaf_size=8)
+    )
+    np.testing.assert_array_equal(
+        fill_reducing_ordering(a, "best"), min((want_nd, want_amd), key=fill)
+    )
+    np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+
+
 def assert_same_dag(blocks) -> int:
     """``build_dag`` against the support-mask oracle; returns how many
     structurally empty Schur products both left out."""
@@ -149,12 +178,10 @@ class TestSweep:
         np.testing.assert_array_equal(np.diff(ptr), np.bincount(w_cols[below], minlength=a.ncols))
 
     def test_orderings(self, name):
-        a = matrix(name)
-        np.testing.assert_array_equal(nested_dissection(a), ref.nested_dissection(a))
-        np.testing.assert_array_equal(
-            nested_dissection(a, leaf_size=8), ref.nested_dissection(a, leaf_size=8)
-        )
-        np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+        assert_same_orderings(matrix(name))
+
+    def test_orderings_at_twice_the_scale(self, name):
+        assert_same_orderings(generate(name, scale=0.2, seed=NAMES.index(name)))
 
     def test_bfs_and_peripheral_search(self, name):
         a = matrix(name)
@@ -181,8 +208,10 @@ class TestSweep:
         assert not has_full_diagonal(holes)
         assert_same_matrix(ensure_diagonal(holes), ref.ensure_diagonal(holes))
         assert_same_matrix(ensure_diagonal(a), a)
-        for g, w in zip(adjacency_lists(holes), ref.adjacency_lists(holes), strict=True):
-            np.testing.assert_array_equal(g, w)
+        ptr, idx = adjacency(holes)
+        want = ref.adjacency_lists(holes)
+        np.testing.assert_array_equal(np.diff(ptr), [w.size for w in want])
+        np.testing.assert_array_equal(idx, np.concatenate(want))
         assert_same_matrix(fill_in_values(filled(name), holes),
                            ref.fill_in_values(filled(name), holes))
 
@@ -246,6 +275,20 @@ def test_permute_and_diagonal(shape, which, dtype):
         np.testing.assert_array_equal(diag, ref.diagonal(m))
 
 
+@pytest.mark.parametrize("seed", range(32))
+def test_orderings_on_random_patterns(seed):
+    # sparse enough to leave isolated vertices and several components; every
+    # fourth seed adds two more components and three isolated vertices
+    n = 20 + (37 * seed) % 110
+    a = random_sparse(n, (0.004, 0.01, 0.03, 0.08)[seed % 4], seed=seed,
+                      symmetric_pattern=seed % 2 == 1)
+    if seed % 4 == 3:
+        other = random_sparse(n // 3 + 1, 0.1, seed=seed + 100)
+        parts = [a.to_scipy(), other.to_scipy(), sp.identity(3, format="csc")]
+        a = CSCMatrix.from_scipy(sp.block_diag(parts, format="csc"))
+    assert_same_orderings(a)
+
+
 def test_nonsymmetric_random_patterns():
     for seed in range(6):
         a = random_sparse(90, 0.04, seed=seed)
@@ -264,7 +307,8 @@ def test_order_zero():
     assert sym.filled.shape == (0, 0) and sym.filled.nnz == 0
     assert sym.etree.size == 0 and sym.nnz_lu == 0 and sym.fill_ratio == 0.0
     assert nested_dissection(a).size == 0 and rcm(a).size == 0
-    assert adjacency_lists(a) == [] and has_full_diagonal(a)
+    ptr, idx = adjacency(a)
+    assert ptr.tolist() == [0] and idx.size == 0 and has_full_diagonal(a)
     bm = block_partition(sym.filled, 4, arena=True)
     assert bm.nb == 0 and bm.num_blocks == 0 and bm.blk_values == []
     assert bm.arena.data.size == 0 and bm.arena.ptr_off.tolist() == [0]
@@ -285,9 +329,7 @@ def test_diagonal_matrix_is_a_forest_of_roots():
     assert_same_symbolic(a)
     sym = symbolic_symmetric(a)
     assert np.all(sym.etree == -1) and sym.filled.nnz == 40
-    np.testing.assert_array_equal(nested_dissection(a, leaf_size=8),
-                                  ref.nested_dissection(a, leaf_size=8))
-    np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+    assert_same_orderings(a)
     assert_same_blocks(sym.filled, 6, arena=True, dtype=None)
     assert block_partition(sym.filled, 6).num_blocks == 7  # diagonal blocks only
 
@@ -327,6 +369,17 @@ def test_disconnected_graph_and_masked_bfs():
         np.testing.assert_array_equal(nested_dissection(a, leaf_size=leaf),
                                       ref.nested_dissection(a, leaf_size=leaf))
     np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+
+
+def test_phase_one_at_benchmark_scale():
+    # grid2d_seq's matrix (benchmarks/e2e/workloads.py)
+    a = generate("ecology1", scale=4.0, seed=0)
+    _, _, row_perm, col_perm, _ = reorder_and_scale(a, "nd")
+    res = mc64(a)
+    want = ref.nested_dissection(a.scale(res.row_scale, res.col_scale)
+                                 .permute(res.row_perm, None))
+    np.testing.assert_array_equal(col_perm, want)
+    np.testing.assert_array_equal(row_perm, res.row_perm[want])
 
 
 def test_fill_in_values_names_the_first_uncovered_column():
