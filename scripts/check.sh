@@ -48,7 +48,8 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # then -30: the overlay (not a per-task re-selection) decides the Schur update
 # then -32: options nobody set are constants, preprocess builds no task map
 # nothing runs, simulated_trees is gone, the pool takes no silent clamps
-MAX_CORE_RUNTIME_LINES=4210
+# then -35: the opt-in race checker's hooks, claims and validate plumbing
+MAX_CORE_RUNTIME_LINES=4175
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -60,7 +61,8 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # then -15 in ordering/ and sparse/: no CSCMatrix round trip per AMD call,
 # no element_size, no minimum_degree (a test oracle now), no adjacency_lists;
 # one BFS (induced_subgraph + level_structure) for ND, bfs_levels and RCM
-MAX_SRC_LINES=10608
+# then -174: devtools/racecheck.py, its exports, --check and the -35 above
+MAX_SRC_LINES=10434
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the kernels are paper-fidelity code mostly off the benchmark's path
@@ -75,7 +77,8 @@ line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 # removes a knob lowers the ceiling in the same commit
 # 22 -> 18: use_mc64, rank_speeds, refine_tol and refine_max_iter were
 # set by no workload, benchmark, example or CLI flag — now constants
-MAX_OPTION_FIELDS=18
+# 18 -> 17: validate_concurrency — SchedulerCore checks every run itself
+MAX_OPTION_FIELDS=17
 echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs; ceiling $MAX_OPTION_FIELDS) =="
 PYTHONPATH=src python -c "
 import sys

@@ -56,7 +56,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             placement=args.placement,
             factor_dtype=args.dtype,
             trace_events=bool(args.trace),
-            validate_concurrency=bool(args.check),
             verify_schedule=bool(args.verify),
         )
     )
@@ -85,6 +84,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     run = fact.stats
     mem = memory_report(blocks, run)
     print(f"numeric: {run.tasks_executed} tasks ({run.planned_tasks} planned), "
+          f"pivots replaced = {run.pivots_replaced}, "
           f"factor storage = {mem.total_bytes} B, "
           f"plan_bytes = {run.plan_bytes}, "
           f"panel_cache_peak_bytes = {mem.panel_cache_peak_bytes}")
@@ -236,11 +236,6 @@ def main(argv: list[str] | None = None) -> int:
                         "that greedily packs speed-scaled block loads")
     p.add_argument("--trace", help="write a chrome://tracing JSON of the real "
                                    "numeric + solve run to this path")
-    p.add_argument("--check", action="store_true",
-                   help="run the numeric phase and the triangular solves "
-                        "under the concurrency invariant checker "
-                        "(repro.devtools.racecheck); "
-                        "equivalent to setting REPRO_CHECK=1")
     p.add_argument("--verify", action="store_true",
                    help="statically verify every built DAG before "
                         "execution (acyclicity, counter=indegree, "

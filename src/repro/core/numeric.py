@@ -194,8 +194,8 @@ def resolve_compress(options: NumericOptions) -> CompressPolicy | None:
 def _maybe_compress(f: BlockMatrix, task: Task, policy: CompressPolicy) -> None:
     """Try to install a low-rank overlay for a just-computed GESSM/TSTRF
     panel block.  Runs inside the caller's write-lock window for the
-    target slot, so the RaceChecker still sees a single writer; the
-    exact CSC payload is left untouched (the overlay is additive)."""
+    target slot, so the block still has a single writer; the exact CSC
+    payload is left untouched (the overlay is additive)."""
     cb = try_compress(f.block(task.bi, task.bj), policy)
     if cb is not None:
         f.set_compressed(task.bi, task.bj, cb.u, cb.v)
@@ -530,7 +530,6 @@ def factorize(
     *,
     collect_timings: bool = False,
     recorder: EventRecorder | None = None,
-    checker=None,
     owned=None,
     n_lanes: int = 1,
 ) -> RunReport:
@@ -547,14 +546,11 @@ def factorize(
     predecessor-closed subset of task ids (the partial factorisation of
     :mod:`repro.core.schur`).  Pass an
     :class:`~repro.runtime.scheduler.EventRecorder` to capture
-    task/ready-depth events for Chrome-trace export, or a
-    :class:`~repro.devtools.racecheck.RaceChecker` (``checker``) to
-    audit the counter protocol as it runs.
+    task/ready-depth events for Chrome-trace export.
     """
     options = options or NumericOptions()
     job = FactorJob(f, dag, options, owned)
     core = SchedulerCore.from_dag(dag, owned=owned, recorder=recorder)
     return run_lanes(
-        core, job, n_lanes=n_lanes, recorder=recorder, checker=checker,
-        timed=collect_timings,
+        core, job, n_lanes=n_lanes, recorder=recorder, timed=collect_timings,
     )

@@ -390,16 +390,6 @@ class SolverOptions:
         iterative refinement of :func:`refined_solve` to
         :data:`REFINE_TOL` within :data:`REFINE_MAX_ITER` sweeps; an
         unrefined application is :meth:`Factorization.apply`.
-    validate_concurrency:
-        Run the numeric phase and the triangular solves under the
-        :mod:`repro.devtools.racecheck` invariant checker: single writer
-        per block slot (RHS segment for the solves), exactly-once task
-        completion, no ready-heap re-issue, nothing dropped.  A violation
-        raises
-        :class:`~repro.devtools.racecheck.ConcurrencyViolation` naming
-        the tasks and workers involved.  Also enabled globally by
-        setting the ``REPRO_CHECK`` environment variable to a non-zero
-        value.
     compress_tol, compress_min_order:
         Not fields of their own: constructor shorthands for, and
         read/write views of, ``numeric.compress_tol`` /
@@ -428,7 +418,6 @@ class SolverOptions:
     n_workers: int = 1
     engine: str | None = None
     trace_events: bool = False
-    validate_concurrency: bool = False
     verify_schedule: bool = False
     compress_tol: InitVar[float | None] = None
     compress_min_order: InitVar[int | None] = None
@@ -707,6 +696,8 @@ class Factorization:
             raise ValueError(
                 f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
             )
+        if b.ndim == 2 and b.shape[1] == 0:
+            raise ValueError(f"b has no right-hand-side columns (shape {b.shape})")
         history: list[tuple[str, float]] = []
         x = self._solve_refined(b, transposed, recorder, history)
         self.last_tsolve_stats.residual_history = history

@@ -62,7 +62,7 @@ def tsolve_task_label(tdag: TSolveDAG, tid: int) -> str:
 
 
 def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
-    """Race-checker slots a task writes: slot ``i`` is the ``y`` segment
+    """Write-lock slots a task writes: slot ``i`` is the ``y`` segment
     ``i``, slot ``nb + i`` the ``x`` segment ``i``.  ``DIAG_F`` claims
     both (it finishes ``y[i]`` and seeds ``x[i]``)."""
     kind = int(tdag.kinds[tid])
@@ -168,7 +168,6 @@ def tsolve_lanes(
     *,
     n_lanes: int = 1,
     recorder: EventRecorder | None = None,
-    checker=None,
 ) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps on ``n_lanes`` lanes of this process.
     More than one lane needs an *executable* solve DAG; because that DAG
@@ -182,7 +181,7 @@ def tsolve_lanes(
     return x, run_lanes(
         SchedulerCore.from_dag(tdag, recorder=recorder),
         SolveJob(f, tdag, y, x),
-        n_lanes=n_lanes, recorder=recorder, checker=checker,
+        n_lanes=n_lanes, recorder=recorder,
     )
 
 
@@ -192,16 +191,13 @@ def tsolve_sequential(
     *,
     tdag: TSolveDAG | None = None,
     recorder: EventRecorder | None = None,
-    checker=None,
 ) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps as a one-lane replay of the solve DAG —
     what every other lane count and engine must match bit for bit.
 
     ``b`` may be a vector or an ``(n, k)`` multi-RHS panel.  Pass a
-    ``recorder`` for solve-task trace lanes and a ``checker``
-    (:class:`~repro.devtools.racecheck.RaceChecker`) to audit the
-    single-writer discipline over RHS segments.
+    ``recorder`` for solve-task trace lanes.
     """
     if tdag is None:
         tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
-    return tsolve_lanes(f, tdag, b, recorder=recorder, checker=checker)
+    return tsolve_lanes(f, tdag, b, recorder=recorder)

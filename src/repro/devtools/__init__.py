@@ -5,17 +5,17 @@ kernel completion decrements dependency counters, and a single unguarded
 mutation — or an in-place write to a block another rank still reads —
 silently corrupts the factors.  Generic linters cannot check those
 invariants, so this package encodes them directly:
+:mod:`repro.devtools.astlint` is an AST static-analysis pass with
+project-specific rules (lock discipline, counter protocol, kernel purity,
+send-then-mutate, exception hygiene, message picklability), plus the
+whole-program flow analyses of :mod:`repro.devtools.flow`.  Run it with
+``python -m repro.devtools.lint src`` (``--flow`` for the flow passes).
 
-* :mod:`repro.devtools.astlint` — an AST static-analysis pass with
-  project-specific rules (lock discipline, counter protocol, kernel
-  purity, send-then-mutate, exception hygiene, message picklability).
-  Run it with ``python -m repro.devtools.lint src``.
-* :mod:`repro.devtools.racecheck` — an opt-in runtime race/invariant
-  detector (``SolverOptions.validate_concurrency`` or ``REPRO_CHECK=1``)
-  that tracks block-write ownership and the counter protocol during real
-  engine runs, reporting violations with task/worker provenance.
-
-See ``docs/devtools.md`` for the rule catalogue and the runtime mode.
+The run-time half needs no tooling: every engine run checks the counter
+protocol itself (:meth:`repro.runtime.scheduler.SchedulerCore.complete`
+refuses a second completion, :meth:`~repro.runtime.scheduler.
+SchedulerCore.check` names any task that never completed).  See
+``docs/devtools.md`` for the rule catalogue and the always-on guards.
 """
 
 from .astlint import (
@@ -29,12 +29,6 @@ from .astlint import (
     render_json,
     render_text,
 )
-from .racecheck import (
-    ConcurrencyViolation,
-    CheckedSchedulerCore,
-    RaceChecker,
-    validation_enabled,
-)
 
 __all__ = [
     "Finding",
@@ -46,8 +40,4 @@ __all__ = [
     "register",
     "render_json",
     "render_text",
-    "ConcurrencyViolation",
-    "CheckedSchedulerCore",
-    "RaceChecker",
-    "validation_enabled",
 ]

@@ -4,9 +4,9 @@ The synchronisation-free protocol is sound only because every counter
 decrement happens inside :meth:`SchedulerCore.complete` (paired with a
 ready-heap push, checked for underflow).  A raw store to
 ``core.counters``, ``core.remaining`` or a direct push/pop on
-``core.ready`` from engine code bypasses the underflow guard and the
-race detector, so any such write outside ``runtime/scheduler.py`` (the
-one module allowed to implement the protocol) is flagged.
+``core.ready`` from engine code bypasses the exactly-once and underflow
+guards, so any such write outside ``runtime/scheduler.py`` (the one
+module allowed to implement the protocol) is flagged.
 
 The rule covers every scheduler consumer — the factorisation engines
 *and* the phase-5 triangular-solve path (``core/tsolve.py``'s
@@ -14,14 +14,13 @@ The rule covers every scheduler consumer — the factorisation engines
 same :class:`SchedulerCore` over the solve DAG.
 
 The sanctioned methods have one sanctioned caller, too: the *loop
-around* ``pop()``/``complete()`` — checker claims, write locks, timing,
-tallies, notify, publish, the error path — used to be written out once
-per engine and phase, and the copies drifted.  It now lives in
+around* ``pop()``/``complete()`` — write locks, timing, tallies,
+notify, publish, the error path — used to be written out once per
+engine and phase, and the copies drifted.  It now lives in
 ``runtime/lanes.py`` alone, so a ``.pop()`` / ``.complete()`` call on a
 scheduler core (a receiver named ``core`` / ``*_core`` / ``*.core``)
-anywhere else in the package — outside the protocol module and its
-auditing subclass in ``devtools/racecheck.py`` — is a re-forked task
-loop and is flagged: configure :func:`~repro.runtime.lanes.run_lanes`
+anywhere else in the package — outside the protocol module — is a
+re-forked task loop and is flagged: configure :func:`~repro.runtime.lanes.run_lanes`
 (lanes × endpoint) and supply a job instead.
 """
 
@@ -38,8 +37,8 @@ from ._util import MUTATING_METHODS, dotted
 _PROTOCOL_ATTRS = frozenset({"counters", "_counts", "remaining", "ready"})
 
 
-#: the one module (besides the excluded protocol/devtools modules) whose
-#: code may drive a core's pop()/complete(): the lane driver
+#: the one module (besides the excluded protocol module) whose code may
+#: drive a core's pop()/complete(): the lane driver
 _LOOP_MODULE = "*/repro/runtime/lanes.py"
 _LOOP_METHODS = frozenset({"pop", "complete"})
 
@@ -69,7 +68,7 @@ class CounterProtocolRule(Rule):
         "scheduler counters/ready-heap are only mutated via SchedulerCore "
         "methods, never raw stores, and only the lane driver calls those"
     )
-    exclude = ("*/repro/runtime/scheduler.py", "*/repro/devtools/*")
+    exclude = ("*/repro/runtime/scheduler.py",)
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         is_driver = fnmatch.fnmatch(ctx.path.replace("\\", "/"), _LOOP_MODULE)
@@ -84,8 +83,8 @@ class CounterProtocolRule(Rule):
                         yield ctx.finding(
                             self.name, target,
                             f"raw store to scheduler .{attr} — go through "
-                            "SchedulerCore.complete()/pop() so the underflow "
-                            "guard and race detector see it",
+                            "SchedulerCore.complete()/pop() so the "
+                            "exactly-once and underflow guards see it",
                         )
             elif isinstance(node, ast.Call):
                 func = node.func

@@ -11,8 +11,8 @@ Neither is a kernel variant the selector chooses among: whether an
 operand carries an overlay is what decides.
 
 The compressor runs inside the same write-lock window as the panel
-kernel that produced the block, so the RaceChecker sees a single
-writer; :func:`ssssm_lr` only *reads* the overlay and scatters into the
+kernel that produced the block, so the block keeps a single writer;
+:func:`ssssm_lr` only *reads* the overlay and scatters into the
 target's stored pattern (out-of-pattern mass is dropped and recovered
 by iterative refinement, exactly like the drop-tolerance semantics of
 the sparse kernels).

@@ -247,28 +247,22 @@ class _RankSolveJob(SolveJob):
 
 def _rank_main(
     rank: int, endpoint: Endpoint, build_job, payload: tuple,
-    trace: bool, validate: bool, n_threads: int,
+    trace: bool, n_threads: int,
 ) -> None:
     """One rank of either phase: build the rank's job from what the
     master scattered, drain it with the lane driver over ``endpoint``,
     ship the run's report and ``job.result()`` back.
 
-    With ``validate`` a rank-local :class:`~repro.devtools.racecheck.
-    RaceChecker` audits the counter protocol; a violation — like any
-    other failure on a compute lane or the receiver — is posted to the
-    master as this rank's ``"error"``.
+    Any failure on a compute lane or the receiver — a duplicated message
+    refused by the rank's core as a second completion included — is
+    posted to the master as this rank's ``"error"``.
     """
     try:
         recorder = EventRecorder() if trace else None
-        checker = None
-        if validate:
-            from ..devtools.racecheck import RaceChecker
-
-            checker = RaceChecker(label=f"rank {rank}")
         job = build_job(rank, recorder, *payload)
         report = run_lanes(
             job.core, job, n_lanes=n_threads, endpoint=endpoint,
-            recorder=recorder, checker=checker,
+            recorder=recorder,
         )
         endpoint.post_result(("ok", rank, report, job.result(), recorder))
     except TransportStopped:  # master tore the pool down; exit quietly
@@ -317,7 +311,7 @@ def _owner_of_slot(f: BlockMatrix, placement: PlacementPolicy) -> np.ndarray:
 def _run_ranks(
     what: str, n_procs: int, n_threads: int, build_job, payload_of_rank,
     install, *, transport: Transport | None, timeout: float,
-    recorder: EventRecorder | None, validate: bool,
+    recorder: EventRecorder | None,
 ) -> RunReport:
     """Launch ``n_procs`` ranks of :func:`_rank_main` and gather them:
     each rank's report is merged into the returned one (and its recorder
@@ -337,8 +331,7 @@ def _run_ranks(
     transport.start(
         n_procs, _rank_main,
         lambda rank: (
-            build_job, payload_of_rank(rank), recorder is not None, validate,
-            n_threads,
+            build_job, payload_of_rank(rank), recorder is not None, n_threads,
         ),
     )
     for _ in range(n_procs):
@@ -377,7 +370,6 @@ def factorize_distributed(
     timeout: float = 300.0,
     transport: Transport | None = None,
     recorder: EventRecorder | None = None,
-    validate: bool = False,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
 ) -> RunReport:
@@ -403,10 +395,9 @@ def factorize_distributed(
     OOM kill, …) terminates the remaining pool and raises instead of
     hanging the caller.  Pass a ``recorder`` to collect per-rank task and
     message send/recv events from the real run (merged into it on
-    success) for Chrome-trace export.  With ``validate`` each rank runs
-    a local :class:`~repro.devtools.racecheck.RaceChecker`; protocol
-    violations (duplicate completions, double writes, dropped messages)
-    surface as that rank's error instead of silent corruption.
+    success) for Chrome-trace export.  A duplicated message is refused
+    by the receiving rank's core as a second completion and surfaces as
+    that rank's error instead of silent corruption.
     """
     options = options or NumericOptions()
     placement = _resolve_pool(n_procs, n_threads, placement)
@@ -421,7 +412,6 @@ def factorize_distributed(
         "factorisation", n_procs, n_threads, _RankFactorJob,
         lambda rank: (f, owner_of_slot, dag, owner_of_task, options),
         install, transport=transport, timeout=timeout, recorder=recorder,
-        validate=validate,
     )
 
 
@@ -434,7 +424,6 @@ def tsolve_distributed(
     timeout: float = 300.0,
     transport: Transport | None = None,
     recorder: EventRecorder | None = None,
-    validate: bool = False,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
 ) -> tuple:
@@ -451,8 +440,8 @@ def tsolve_distributed(
     deliveries harmless, so the gathered solution is bit-identical to
     :func:`repro.core.tsolve.tsolve_sequential`.  With ``n_threads > 1``
     each rank drains its scheduler core with a thread pool (the
-    ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder`` /
-    ``validate`` behave exactly as in :func:`factorize_distributed`.
+    ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder``
+    behave exactly as in :func:`factorize_distributed`.
     Returns ``(x, RunReport)``.
     """
     placement = _resolve_pool(n_procs, n_threads, placement)
@@ -473,7 +462,6 @@ def tsolve_distributed(
         "tsolve", n_procs, n_threads, _RankSolveJob,
         lambda rank: (f, owner_of_slot, tdag, y0),
         install, transport=transport, timeout=timeout, recorder=recorder,
-        validate=validate,
     )
     if not np.all(filled):
         raise RuntimeError(

@@ -100,22 +100,6 @@ register_engine, get_engine, available_engines = _registry("engine")
 ) = _registry("tsolve engine")
 
 
-def _validating(options) -> bool:
-    """Whether the options (or the ``REPRO_CHECK`` environment variable)
-    request concurrency validation."""
-    from ..devtools.racecheck import validation_enabled
-
-    return validation_enabled(options)
-
-
-def _resolve_checker(options, label: str):
-    """A fresh :class:`~repro.devtools.racecheck.RaceChecker` when
-    validation is requested, else ``None``."""
-    from ..devtools.racecheck import RaceChecker
-
-    return RaceChecker(label=label) if _validating(options) else None
-
-
 # ----------------------------------------------------------------------
 # the built-ins: one adapter per phase, one registry entry per table row
 # ----------------------------------------------------------------------
@@ -129,7 +113,7 @@ def _pool(options, uses_ranks: bool, uses_threads: bool) -> tuple[int, int]:
     )
 
 
-def _factor_engine(name: str, shape: tuple[bool, bool]) -> Callable:
+def _factor_engine(shape: tuple[bool, bool]) -> Callable:
     def engine(
         f, dag, options, *, recorder: EventRecorder | None = None,
         placement=None,
@@ -138,18 +122,16 @@ def _factor_engine(name: str, shape: tuple[bool, bool]) -> Callable:
         if ranks:
             return factorize_distributed(
                 f, dag, ranks, options=options.numeric, recorder=recorder,
-                validate=_validating(options), placement=placement,
-                n_threads=lanes,
+                placement=placement, n_threads=lanes,
             )
         return factorize(
-            f, dag, options.numeric, recorder=recorder,
-            checker=_resolve_checker(options, name), n_lanes=lanes,
+            f, dag, options.numeric, recorder=recorder, n_lanes=lanes,
         )
 
     return engine
 
 
-def _tsolve_engine(name: str, shape: tuple[bool, bool]) -> Callable:
+def _tsolve_engine(shape: tuple[bool, bool]) -> Callable:
     def engine(
         f, tdag, b, options, *, recorder: EventRecorder | None = None,
         placement=None,
@@ -157,18 +139,14 @@ def _tsolve_engine(name: str, shape: tuple[bool, bool]) -> Callable:
         ranks, lanes = _pool(options, *shape)
         if ranks:
             return tsolve_distributed(
-                f, tdag, b, ranks, recorder=recorder,
-                validate=_validating(options), placement=placement,
+                f, tdag, b, ranks, recorder=recorder, placement=placement,
                 n_threads=lanes,
             )
-        return tsolve_lanes(
-            f, tdag, b, n_lanes=lanes, recorder=recorder,
-            checker=_resolve_checker(options, f"tsolve-{name}"),
-        )
+        return tsolve_lanes(f, tdag, b, n_lanes=lanes, recorder=recorder)
 
     return engine
 
 
 for _name, _shape in ENGINE_SHAPES.items():
-    register_engine(_name)(_factor_engine(_name, _shape))
-    register_tsolve_engine(_name)(_tsolve_engine(_name, _shape))
+    register_engine(_name)(_factor_engine(_shape))
+    register_tsolve_engine(_name)(_tsolve_engine(_shape))

@@ -5,10 +5,9 @@ ready task, run its kernel, decrement counters, wake successors, no
 barriers.  :class:`~repro.runtime.scheduler.SchedulerCore` holds the
 state machine; this module holds the *loop around it*, once:
 
-    ready pop / wait → checker claim → write locks → time → execute →
-    record → tally → complete + notify → fault hook → send what the task
-    published → (on any lane, receiver included) one error path →
-    deadlock check
+    ready pop / wait → write locks → time → execute → record → tally →
+    complete + notify → fault hook → send what the task published →
+    (on any lane, receiver included) one error path → deadlock check
 
 The four engines are ``n_lanes`` × ``endpoint``:
 
@@ -28,7 +27,7 @@ with
 ``n_slots``
     size of the write-slot space (one lock per slot when lanes share it);
 ``write_slots(tid) -> tuple[int, ...]``
-    the slots ``tid`` writes, in claim order;
+    the slots ``tid`` writes, in lock order;
 ``execute(tid, ws) -> tuple``
     run the task with the lane's :class:`~repro.kernels.base.Workspace`;
     returns the ``(label, replaced_pivots, planned)`` tail of
@@ -75,15 +74,6 @@ __guarded_by__ = {
 }
 
 
-def _make_slot_locks(n: int) -> list[threading.Lock]:
-    """One lock per write slot (a stored block in phase 4, a ``y``/``x``
-    RHS segment in phase 5), serialising concurrent writers of the same
-    target.  A separate function so the race-detector tests can replace
-    it with no-op locks and prove the checker catches the resulting
-    double write."""
-    return [threading.Lock() for _ in range(n)]
-
-
 def run_lanes(
     core: SchedulerCore,
     job,
@@ -91,7 +81,6 @@ def run_lanes(
     n_lanes: int = 1,
     endpoint: Endpoint | None = None,
     recorder: EventRecorder | None = None,
-    checker=None,
     timed: bool = False,
 ) -> RunReport:
     """Drain ``core`` by running ``job``'s tasks on ``n_lanes`` lanes.
@@ -100,55 +89,46 @@ def run_lanes(
     lock and no thread start; with an ``endpoint`` it blocks on the
     endpoint only when nothing is ready, then drains the inbox without
     blocking.  More lanes are threads sharing the core under one
-    condition, with per-slot write locks, plus — given an ``endpoint`` —
+    condition, with per-slot write locks (a stored block in phase 4, a
+    ``y``/``x`` RHS segment in phase 5), plus — given an ``endpoint`` —
     a receiver thread.  That is the driver's single branch, taken from
     the lane count.
 
     Tasks are timed when ``timed`` or a ``recorder`` is given.  The first
-    exception on any lane (compute or receiver) quiesces the pool and is
-    re-raised here; a drained core is checked for deadlock, and
-    ``checker`` (a :class:`~repro.devtools.racecheck.RaceChecker`) audits
-    pops, completions and write claims with lane provenance.  Returns the
-    run's :class:`~repro.runtime.scheduler.RunReport` — the lanes'
-    tallies merged, ``n_workers``, ``max_ready_depth`` and the drain's
-    wall-clock ``seconds`` filled, then handed to ``job.finish``.
+    exception on any lane (compute or receiver) — a second completion
+    refused by the core included — quiesces the pool and is re-raised
+    here; a drained core is checked for deadlock.  Returns the run's
+    :class:`~repro.runtime.scheduler.RunReport` — the lanes' tallies
+    merged, ``n_workers``, ``max_ready_depth`` and the drain's wall-clock
+    ``seconds`` filled, then handed to ``job.finish``.
     """
     if n_lanes < 1:
         raise ValueError("need at least one lane")
     pooled = n_lanes > 1
     cond = threading.Condition() if pooled else None
     gate = cond if pooled else nullcontext()
-    locks = _make_slot_locks(job.n_slots) if pooled else None
-    claims = pooled or checker is not None
-    no_claim = nullcontext()
+    locks = [threading.Lock() for _ in range(job.n_slots)] if pooled else None
+    no_lock = nullcontext()
     timed = timed or recorder is not None
     errors: list[BaseException] = []
     total = RunReport(n_workers=n_lanes)
     t_start = time.perf_counter()
 
-    def writing(tid: int, wid: int):
-        """Context holding the write locks (in slot order: ``DIAG_F``
-        takes ``y`` then ``x``) and checker claims of the slots ``tid``
-        writes; released in reverse, however far the claiming got."""
-        if not claims:
-            return no_claim
+    def writing(tid: int):
+        """Context holding the write locks of the slots ``tid`` writes
+        (in slot order: ``DIAG_F`` takes ``y`` then ``x``); released in
+        reverse, however far the locking got."""
+        if locks is None:
+            return no_lock
         stack = ExitStack()
         with stack:
-            slots = job.write_slots(tid)
-            if locks is not None:
-                for s in slots:
-                    stack.enter_context(locks[s])
-            if checker is not None:
-                for s in slots:
-                    checker.begin_write(s, tid, wid)
-                    stack.callback(checker.end_write, s, tid, wid)
+            for s in job.write_slots(tid):
+                stack.enter_context(locks[s])
             return stack.pop_all()
 
-    def complete(tid: int, wid: int) -> None:
+    def complete(tid: int) -> None:
         """Counter decrements of a local or remote completion, waking one
         waiter per newly ready task."""
-        if checker is not None:
-            checker.on_complete(tid, wid)
         with gate:
             newly_ready = core.complete(tid)
             if cond is not None:
@@ -157,22 +137,22 @@ def run_lanes(
                 elif newly_ready:
                     cond.notify(newly_ready)
 
-    def absorb(msg, wid: int) -> None:
+    def absorb(msg) -> None:
         src_tid = msg[0]
-        with writing(src_tid, wid):
+        with writing(src_tid):
             nbytes = job.absorb(msg)
         if recorder is not None:
             recorder.recv(
                 endpoint.rank, int(job.owner_of_task[src_tid]), src_tid, nbytes
             )
-        complete(src_tid, wid)  # remote predecessor: releases local tasks
+        complete(src_tid)  # remote predecessor: releases local tasks
 
     def receive_inline() -> None:
         """Nothing runnable: block for one message, then drain extras."""
-        absorb(endpoint.recv(), 0)
+        absorb(endpoint.recv())
         while True:
             try:
-                absorb(endpoint.recv(block=False), 0)
+                absorb(endpoint.recv(block=False))
             except queue_mod.Empty:
                 return
 
@@ -199,10 +179,8 @@ def run_lanes(
                         tid = core.pop()
                     if errors or tid is None:
                         return
-                if checker is not None:
-                    checker.on_pop(tid, wid)
                 t0 = time.perf_counter() if timed else 0.0
-                with writing(tid, wid):
+                with writing(tid):
                     tallied = job.execute(tid, ws)
                     published = None if endpoint is None else job.outgoing(tid)
                 if timed:
@@ -214,7 +192,7 @@ def run_lanes(
                     if recorder is not None:
                         recorder.task(trace_lane, name, cat, t0, t1, tid)
                 local.count(tid, *tallied)
-                complete(tid, wid)
+                complete(tid)
                 if endpoint is not None:
                     endpoint.on_task_executed(core.executed)
                 if published is not None:
@@ -242,7 +220,7 @@ def run_lanes(
         )
         try:
             for _ in range(expected):
-                absorb(endpoint.recv(), n_lanes)
+                absorb(endpoint.recv())
         except BaseException as exc:  # same error path as the compute lanes
             fail(exc)
 
@@ -264,8 +242,6 @@ def run_lanes(
     if errors:
         raise errors[0]
     core.check(job.name)  # names the blocked frontier on deadlock
-    if checker is not None:
-        checker.final_check(core)
     total.max_ready_depth = core.max_ready_depth
     total.seconds = time.perf_counter() - t_start
     job.finish(total)

@@ -59,14 +59,16 @@ __all__ = [
 
 
 class CounterUnderflowError(RuntimeError):
-    """A dependency counter was decremented below zero.
+    """The counter protocol was broken: a task completed twice, or a
+    dependency counter went below zero.
 
-    Counters count *unfinished predecessors*; going negative means some
-    predecessor completed (or was reported) more than once — a duplicate
-    message, a double execution, or a corrupted DAG.  The error names the
-    over-decremented successors so the offending completion path can be
-    traced (see also :mod:`repro.devtools.racecheck` for the opt-in
-    checker that attributes the duplicate to a worker)."""
+    Counters count *unfinished predecessors*, so every task must complete
+    exactly once.  :meth:`SchedulerCore.complete` refuses a second
+    completion (a duplicate message or a double execution) before any
+    counter moves, naming the task and the core's lane (a rank's id on
+    the rank engines); a counter that still goes negative started below
+    its task's in-degree — a corrupted DAG — and the error names the
+    over-decremented successors."""
 
 
 def ready_entry(task, tid: int) -> tuple[int, int, int]:
@@ -422,12 +424,19 @@ class SchedulerCore:
         of newly ready tasks (the threaded engine's ``notify(n)``
         count).  ``tid`` may be a *non-owned* predecessor (a received
         message) — it then releases owned successors without counting
-        as local work.
+        as local work.  A second completion of ``tid`` raises
+        :class:`CounterUnderflowError` before any counter moves, so a
+        task enters the ready heap at most once.
         """
+        if self.completed[tid]:
+            raise CounterUnderflowError(
+                f"task {tid} completed twice (lane {self.lane}) — duplicate "
+                "message delivery or double execution"
+            )
+        self.completed[tid] = 1
         if self.owned_mask is None or self.owned_mask[tid]:
             self.executed += 1
             self.remaining -= 1
-        self.completed[tid] = 1
         counts, ready, entries = self._counts, self.ready, self.entries
         newly = 0
         bad = []
@@ -444,8 +453,8 @@ class SchedulerCore:
             )
             raise CounterUnderflowError(
                 f"completion of task {tid} drove {len(bad)} dependency "
-                f"counter(s) negative: {detail} — task {tid} completed "
-                "more than once (duplicate message or double execution)"
+                f"counter(s) negative: {detail} — their counters started "
+                "below their in-degree (corrupted DAG)"
             )
         if self.recorder is not None:
             self.recorder.depth(self.lane, len(ready))

@@ -87,10 +87,12 @@ class FaultPlan:
     duplicate_from:
         Ranks whose every send is delivered **twice** (a retransmitting
         link).  The counter protocol is *not* idempotent — a duplicate
-        completion over-decrements successor counters — so this exercises
-        the :class:`~repro.runtime.scheduler.CounterUnderflowError` guard
-        and the :mod:`repro.devtools.racecheck` duplicate-completion
-        detector.
+        completion would over-decrement successor counters — so this
+        exercises :meth:`SchedulerCore.complete
+        <repro.runtime.scheduler.SchedulerCore.complete>`'s refusal of a
+        second completion (a
+        :class:`~repro.runtime.scheduler.CounterUnderflowError` naming the
+        task and the receiving rank).
     delay_seconds:
         Added delivery latency per message.
     stagger:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ class TestSolve:
         assert rc == 0
         out = capsys.readouterr().out
         assert "relative residual" in out
-        assert "numeric" in out
+        assert re.search(r"numeric: .*pivots replaced = \d+,", out)
 
     def test_solve_mtx_file(self, tmp_path, capsys):
         path = tmp_path / "m.mtx"

@@ -158,8 +158,10 @@ def test_counter_protocol_flags_reforked_task_loops(tmp_path):
     elsewhere.write_text(driver.read_text())
     moved = lint_file(elsewhere, rules=[rule])
     assert moved and all("outside the lane driver" in f.message for f in moved)
-    for exempt in (("runtime", "scheduler.py"), ("devtools", "racecheck.py")):
-        assert not rule.applies_to(str(SRC.joinpath("repro", *exempt)))
+    # the protocol module alone is exempt; devtools/ is policed too
+    assert not rule.applies_to(str(SRC / "repro" / "runtime" / "scheduler.py"))
+    devtools = SRC / "repro" / "devtools"
+    assert all(rule.applies_to(str(p)) for p in devtools.rglob("*.py"))
 
 
 def test_no_block_rebind_scope():

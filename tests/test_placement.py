@@ -404,7 +404,7 @@ class TestEnginesHonourPlacement:
         tdag = build_tsolve_dag(f, place.owner, executable=True)
         x, stats = tsolve_distributed(
             f, tdag, b, 3,
-            transport=LoopbackTransport(), placement=place, validate=True,
+            transport=LoopbackTransport(), placement=place,
         )
         assert np.array_equal(x, ref)
         assert stats.tasks_executed == len(tdag)
@@ -459,11 +459,14 @@ class TestHybridEngine:
         assert sum(stats.tasks_per_proc) == len(dag.tasks)
 
     def test_factor_passes_race_checker(self):
+        """Three threads per rank complete every task exactly once (the
+        rank cores' guards run on every completion)."""
         bm, dag = _prepared(seed=3)
-        factorize_distributed(
+        stats = factorize_distributed(
             bm, dag, 2,
-            transport=LoopbackTransport(), n_threads=3, validate=True,
+            transport=LoopbackTransport(), n_threads=3,
         )
+        assert sum(stats.tasks_per_proc) == len(dag.tasks)
 
     def test_rejects_zero_threads(self):
         bm, dag = _prepared(seed=3)
@@ -481,7 +484,7 @@ class TestHybridEngine:
         )
         x, stats = tsolve_distributed(
             f, tdag, b, 2,
-            transport=LoopbackTransport(), n_threads=3, validate=True,
+            transport=LoopbackTransport(), n_threads=3,
         )
         assert np.array_equal(x, ref)
         assert stats.engine == "hybrid"

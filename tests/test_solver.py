@@ -77,6 +77,9 @@ class TestSolve:
         s = PanguLU(a)
         with pytest.raises(ValueError, match="shape"):
             s.solve(np.ones(4))
+        for solve in (s.solve, s.solve_transposed):
+            with pytest.raises(ValueError, match="no right-hand-side columns"):
+                solve(np.zeros((10, 0)))
 
     def test_phase_seconds_recorded(self):
         a = random_sparse(60, 0.06, seed=7)

@@ -8,15 +8,12 @@ segment, so all engines must produce *bit-identical* solutions — equal
 to the one-lane DAG replay, not merely close — in the plain and in the
 transposed direction; the replay itself agrees with the k-ordered
 per-column loop sweeps of `tests/reference_tsolve.py` to `1e-12·‖x‖∞`
-(a product with a triangle's inverse is not a substitution).  The race
-detector must stay silent on clean runs and name both parties when a
-double writer is injected on an RHS segment.
+(a product with a triangle's inverse is not a substitution).
 """
 
 from __future__ import annotations
 
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -25,9 +22,8 @@ from repro.core import block_partition, build_dag, factorize
 from repro.core.mapping import ProcessGrid
 from repro.core.solver import Factorization, PanguLU, SolverOptions
 from repro.core.tsolve import tsolve_lanes, tsolve_sequential
-from repro.core.tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
+from repro.core.tsolve_dag import build_tsolve_dag
 from repro.core.verify import verify_dag
-from repro.devtools.racecheck import ConcurrencyViolation, RaceChecker
 from repro.runtime import tsolve_distributed
 from repro.runtime.engines import available_tsolve_engines, get_tsolve_engine
 from repro.runtime.transports import LoopbackTransport
@@ -70,7 +66,7 @@ class TestEnginesAgree:
             f, ProcessGrid.square(2).owner, executable=True
         )
         xd, sd = tsolve_distributed(
-            f, grid_dag, b, 2, transport=LoopbackTransport(), validate=True
+            f, grid_dag, b, 2, transport=LoopbackTransport()
         )
 
         # the DAG path agrees with the loop-sweep oracle to rounding ...
@@ -91,7 +87,7 @@ class TestEnginesAgree:
             f, ProcessGrid.square(3).owner, executable=True
         )
         x, stats = tsolve_distributed(
-            f, tdag, b, 3, transport=LoopbackTransport(), validate=True
+            f, tdag, b, 3, transport=LoopbackTransport()
         )
         assert np.array_equal(x, ref)
         assert stats.nrhs == 2
@@ -138,20 +134,18 @@ class TestTransposedDag:
         )
         assert tdag.transposed
         verify_dag(tdag)
-        x1, s1 = tsolve_lanes(f, tdag, b, checker=RaceChecker(label="one lane"))
+        x1, s1 = tsolve_lanes(f, tdag, b)
         np.testing.assert_allclose(x1, np.linalg.solve(m.T, b), atol=1e-9)
         # a row/column mix-up would solve with m instead
         assert not np.allclose(x1, np.linalg.solve(m, b), atol=1e-6)
 
-        checker = RaceChecker(label="four lanes")
-        x4, s4 = tsolve_lanes(f, tdag, b, n_lanes=4, checker=checker)
-        assert checker.violations == []
+        x4, s4 = tsolve_lanes(f, tdag, b, n_lanes=4)
         grid_dag = build_tsolve_dag(
             f, ProcessGrid.square(2).owner, executable=True, transposed=True
         )
         verify_dag(grid_dag)
         xd, sd = tsolve_distributed(
-            f, grid_dag, b, 2, transport=LoopbackTransport(), validate=True
+            f, grid_dag, b, 2, transport=LoopbackTransport()
         )
         assert np.array_equal(x4, x1)
         assert np.array_equal(xd, x1)
@@ -169,7 +163,6 @@ class TestTransposedDag:
         ref = PanguLU(a.transpose()).solve(b)
         opts = SolverOptions(
             nprocs=2, n_workers=2, verify_schedule=True,
-            validate_concurrency=True,
         )
         fact = PanguLU(a, opts).factorize()
         applied = {}
@@ -218,96 +211,17 @@ class TestFacadeDispatch:
 
 
 # ----------------------------------------------------------------------
-# race detection over RHS segments
+# several lanes over shared RHS segments
 # ----------------------------------------------------------------------
 
-class _NoopLock:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def acquire(self):
-        pass
-
-    def release(self):
-        pass
-
-
-def test_threaded_detector_catches_rhs_double_writer(monkeypatch):
-    from repro.devtools import racecheck
-
-    f = _factored()
-    # two independent root UPD_F tasks writing the SAME y segment
-    tdag = TSolveDAG(
-        kinds=np.array([TSolveTaskType.UPD_F, TSolveTaskType.UPD_F]),
-        k_of=np.array([0, 1]),
-        target=np.array([2, 2]),
-        flops=np.zeros(2),
-        out_bytes=np.zeros(2),
-        n_deps=np.array([0, 0]),
-        successors=[[], []],
-        owner=np.zeros(2, dtype=np.int64),
-        total_flops=0.0,
-        entries=[(0, 1, 0), (1, 1, 1)],
-        seq_y=np.array([0, 1]),
-        seq_x=np.array([-1, -1]),
-    )
-
-    collided = threading.Event()
-
-    class SignallingChecker(RaceChecker):
-        def begin_write(self, slot, tid, worker):
-            try:
-                super().begin_write(slot, tid, worker)
-            except ConcurrencyViolation:
-                collided.set()  # release the first writer
-                raise
-
-    def fake_execute(f, tdag, tid, y, x):
-        # hold the segment until the second writer collides (bounded
-        # wait so a regression fails the test instead of hanging it)
-        collided.wait(timeout=10)
-
-    monkeypatch.setattr(
-        "repro.runtime.lanes._make_slot_locks",
-        lambda n: [_NoopLock() for _ in range(n)],
-    )
-    monkeypatch.setattr("repro.core.tsolve.execute_tsolve_task", fake_execute)
-
-    with pytest.raises(ConcurrencyViolation) as exc:
-        tsolve_lanes(
-            f, tdag, np.ones(f.n), n_lanes=2,
-            checker=SignallingChecker(label="tsolve-threaded"),
-        )
-    msg = str(exc.value)
-    assert "double writer" in msg
-    assert "task 0" in msg and "task 1" in msg  # both tasks named
-    assert "slot 2" in msg                      # the shared y segment
-    assert collided.is_set()
-
-    # the hybrid configuration runs the same lanes behind the same lock
-    # seam: one rank, two compute threads, the rank's own checker
-    collided.clear()
-    monkeypatch.setattr(racecheck, "RaceChecker", SignallingChecker)
-    with pytest.raises(RuntimeError, match="rank 0.*double writer") as exc:
-        tsolve_distributed(
-            f, tdag, np.ones(f.n), 1, transport=LoopbackTransport(),
-            n_threads=2, validate=True, timeout=30.0,
-        )
-    assert "slot 2" in str(exc.value)
-    assert collided.is_set()
-
-
 def test_threaded_clean_run_with_checker():
+    """Four lanes over shared segments: each completion passes the
+    core's exactly-once check and the solution is the one-lane replay."""
     f = _factored(seed=2)
     tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
-    checker = RaceChecker(label="tsolve-threaded")
     b = _rhs(f.n, 2, seed=3)
-    x, _ = tsolve_lanes(f, tdag, b, n_lanes=4, checker=checker)
-    assert checker.violations == []
-    ref, _ = tsolve_sequential(f, b, checker=RaceChecker(label="seq"))
+    x, _ = tsolve_lanes(f, tdag, b, n_lanes=4)
+    ref, _ = tsolve_sequential(f, b)
     assert np.array_equal(x, ref)
 
 
