@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from common import banner
 from repro.analysis import format_table
@@ -37,7 +38,11 @@ from repro.kernels import (
     ssssm_flops_structural,
     tstrf_flops,
 )
-from repro.kernels.base import SERIAL_GEMM_WORK, triangle_inverse
+from repro.kernels.base import (
+    GETRF_SERIAL_ORDER,
+    SERIAL_GEMM_WORK,
+    triangle_inverse,
+)
 from repro.kernels.registry import IMAGE_VERSIONS
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
@@ -196,16 +201,20 @@ def test_fig07_kernel_sweep(benchmark):
         assert len(winners) >= 2, f"{family}: one variant dominated the sweep"
 
 
-def _cpu_per_wall(m: int, n: int, k: int, calls: int = 300) -> float:
-    """Process CPU seconds per wall second over ``calls`` GEMMs: ≈ 1 when
-    BLAS keeps the product on the calling thread, ≈ the pool size when it
+def _cpu_per_wall(call, calls: int = 300) -> float:
+    """Process CPU seconds per wall second over ``calls`` calls: ≈ 1 when
+    BLAS keeps the work on the calling thread, ≈ the pool size when it
     threads it (the woken workers spin between calls)."""
-    a, b = np.ones((m, k)), np.ones((k, n))
     time.sleep(0.3)  # let the pool's workers spin down after earlier calls
     wall, cpu = time.perf_counter(), time.process_time()
     for _ in range(calls):
-        a @ b
+        call()
     return (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+
+def _gemm_cpu_per_wall(m: int, n: int, k: int) -> float:
+    a, b = np.ones((m, k)), np.ones((k, n))
+    return _cpu_per_wall(lambda: a @ b)
 
 
 def test_serial_gemm_work_is_below_the_blas_threading_threshold():
@@ -217,8 +226,28 @@ def test_serial_gemm_work_is_below_the_blas_threading_threshold():
     np.ones((4, 4)) @ np.ones((4, 4))  # start the pool
     k = 64
     n = SERIAL_GEMM_WORK // (k * k)
-    at_limit = _cpu_per_wall(k, n, k)
+    at_limit = _gemm_cpu_per_wall(k, n, k)
     for factor in (1, 2, 4, 8):
         print(f"{k}×{factor * n}×{k} ({factor}× SERIAL_GEMM_WORK): "
-              f"{_cpu_per_wall(k, factor * n, k):.2f} CPU s per wall s")
+              f"{_gemm_cpu_per_wall(k, factor * n, k):.2f} CPU s per wall s")
+    assert at_limit < 1.3, at_limit
+
+
+def test_getrf_serial_order_is_below_the_lapack_threading_threshold():
+    """``dense_getrf`` calls LAPACK ``getrf`` only up to
+    ``GETRF_SERIAL_ORDER``, trusting it to stay on the calling thread
+    there; a LAPACK that threads smaller orders fails here instead of
+    stalling every lane and rank (``docs/trsm_threading.md``)."""
+    banner("getrf threading threshold of this LAPACK vs GETRF_SERIAL_ORDER")
+    np.ones((4, 4)) @ np.ones((4, 4))  # start the pool
+    rng = np.random.default_rng(0)
+
+    def getrf_cpu_per_wall(n: int) -> float:
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        (getrf,) = get_lapack_funcs(("getrf",), (a,))
+        return _cpu_per_wall(lambda: getrf(a))
+
+    at_limit = getrf_cpu_per_wall(GETRF_SERIAL_ORDER)
+    for n in (47, 104, GETRF_SERIAL_ORDER, 144, 176, 256):
+        print(f"getrf, order {n}: {getrf_cpu_per_wall(n):.2f} CPU s per wall s")
     assert at_limit < 1.3, at_limit

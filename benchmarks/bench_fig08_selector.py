@@ -10,9 +10,10 @@ of the tree-selected kernels vs the oracle (per-sample best) and vs every
 fixed single-variant policy.
 
 ``default_trees()`` is refitted from this output.  A dense image costs
-``n³`` whatever the nnz or the FLOPs, so next to the paper's feature the
-GESSM/TSTRF/SSSSM trees may split on the block order (and SSSSM on the
-target's density) — ``FEATURES`` below.
+``n³`` whatever the nnz or the FLOPs, so next to the paper's feature
+every tree may split on the block order (and GETRF and SSSSM on the
+target's density) — ``FEATURES`` below: GETRF's dense variant is one
+LAPACK call only up to ``GETRF_SERIAL_ORDER``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from bench_fig07_kernels import run_sweep
 from common import banner
 from repro.kernels import KernelType, Split, calibrate, default_trees
 
-#: features each refitted tree may split on (GETRF: the paper's nnz)
+#: features each refitted tree may split on
 FEATURES = {
-    KernelType.GETRF: "nnz_a",
+    KernelType.GETRF: ("n", "nnz_a", "density"),
     KernelType.GESSM: ("n", "nnz_b"),
     KernelType.TSTRF: ("n", "nnz_b"),
     KernelType.SSSSM: ("n", "density", "flops"),

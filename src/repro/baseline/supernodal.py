@@ -171,8 +171,9 @@ def sn_factorize(
 ) -> SupernodalStats:
     """Right-looking supernodal factorisation in place, with accounting.
 
-    Per supernode: the diagonal panel's LU (:func:`dense_getrf`, the loop
-    of PanguLU's ``getrf_c_v1``), its two triangle inverses (kept in
+    Per supernode: the diagonal panel's LU (:func:`dense_getrf`, what
+    PanguLU's ``getrf_c_v1`` runs: one LAPACK ``getrf`` where that pivots
+    nowhere, else the no-pivot loop), its two triangle inverses (kept in
     ``m.diag_inv`` for the solve), every panel below and to the right as
     one product with an inverse — SuperLU_DIST's ``DiagInv`` — and one
     GEMM per Schur update, all on the calling thread

@@ -84,13 +84,35 @@ def fix_pivot(value: float, pivot_floor: float, scale: float) -> tuple[float, bo
     return value, False
 
 
+#: largest order at which LAPACK ``getrf`` runs on the calling thread
+#: (this OpenBLAS: one CPU per wall second up to 128, about 2 from 144; see
+#: ``docs/trsm_threading.md``).  A measured property of one BLAS, like
+#: :data:`SERIAL_GEMM_WORK`, not a tuning knob: ``bench_fig07_kernels.py``
+#: fails when a ``getrf`` of this order is threaded.
+GETRF_SERIAL_ORDER = 128
+
+
 def dense_getrf(w: np.ndarray, pivot_floor: float, scale: float) -> int:
-    """In-place LU of the dense square array ``w`` without pivoting:
-    per pivot, :func:`fix_pivot` against ``scale``, the column below
-    divided, one rank-1 update of the trailing matrix.  What
+    """In-place LU of the dense square array ``w`` without pivoting, with
+    :func:`fix_pivot` against ``scale`` at every pivot.  What
     ``getrf_c_v1`` runs on a block's dense image and the supernodal
-    baseline on its diagonal panels.  Returns the replaced-pivot count."""
+    baseline on its diagonal panels.  Returns the replaced-pivot count.
+
+    Up to :data:`GETRF_SERIAL_ORDER` it is one LAPACK ``getrf``, kept
+    when that LU is the no-pivot one and needs no GESP replacement: no
+    row swapped (partial pivoting chose the diagonal at every step) and
+    every ``|U[k,k]| ≥ pivot_floor · scale``.  Otherwise — and above that
+    order — a rank-1-update loop: per pivot :func:`fix_pivot`, the
+    column below divided, the trailing matrix updated.  Only the loop
+    replaces pivots or raises :class:`SingularBlockError`."""
     n = w.shape[0]
+    if 0 < n <= GETRF_SERIAL_ORDER:
+        (getrf,) = get_lapack_funcs(("getrf",), (w,))
+        lu, ipiv, info = getrf(w)
+        unpivoted = info == 0 and np.array_equal(ipiv, np.arange(n))
+        if unpivoted and np.abs(np.diagonal(lu)).min() >= pivot_floor * scale:
+            w[...] = lu
+            return 0
     replaced = 0
     for k in range(n):
         piv, rep = fix_pivot(float(w[k, k]), pivot_floor, scale)

@@ -40,9 +40,11 @@ def getrf_c_v1(
 ) -> int:
     """Dense-mapped right-looking LU (CPU V1, "Direct" + "Row" in Table 1).
 
-    Scatters the block into the dense workspace, runs a vectorised
-    rank-1-update LU, gathers back.  Wins when the block is dense enough
-    that the O(n³/3) dense work beats sparse bookkeeping.
+    Scatters the block into the dense workspace, factors it with
+    :func:`~repro.kernels.base.dense_getrf` (one LAPACK ``getrf`` where
+    it pivots nowhere, else the rank-1-update loop), gathers back.  Wins
+    whenever the block is not tiny: the O(n³/3) dense work is one BLAS
+    call against a sparse loop's Python step per column.
     """
     n = block.ncols
     w = ws.dense("a", (n, n), block.data.dtype)

@@ -22,6 +22,7 @@ from typing import Union
 
 import numpy as np
 
+from .base import GETRF_SERIAL_ORDER
 from .registry import KernelType
 
 __all__ = [
@@ -150,39 +151,47 @@ def default_trees() -> dict[KernelType, DecisionTree]:
     compiled kernels); thresholds are fitted to this implementation by
     ``benchmarks/bench_fig08_selector.py``.
     """
-    # GESSM / TSTRF / SSSSM thresholds: refitted 2026-09-29 from the
-    # bench_fig08_selector.py sweep (CART over bench_fig07_kernels.py's
-    # 26 points: random fill at block orders 16–256, densities 0.01–1.0,
-    # banded at orders 52–512; best of 5; dense-mapped variants handed
-    # their cached images, as the factorisation runs them; panel trees
-    # over (n, nnz_b), SSSSM over (n, density, flops)).  With one GEMM
-    # per dense-mapped task the dense path wins everywhere but on sparse
-    # panels of large blocks, where the n³ of the GEMM (in slabs above
-    # order 80, see ``serial_matmul``) meets a cost proportional to nnz:
-    # GESSM goes sparse from order 144 up below 500 stored entries
-    # (0.24 ms against 1.05 ms at order 256, 3.0 against 15.3 at 512),
-    # TSTRF, whose sparse variants pay a split and two transposes per
-    # call, only from order 448 up below 1 200 (4.0 ms against 17.4).
-    # The compiled G_V3 leaves are gone (9.5 ms against 1.9 ms on a dense
-    # 256-panel).  Valid for block orders up to 512; dense panels above
-    # order 256 are not in the sweep (a sparse variant takes seconds
-    # there) and the dense leaf is extrapolated for them.
-    # GETRF is as fitted before (block orders 16–256, densities
-    # 0.01–1.0): sparse left-looking kernels on tiny/very sparse blocks,
-    # the dense workspace on the rest.
+    # Thresholds fitted by the bench_fig08_selector.py sweep (CART over
+    # bench_fig07_kernels.py's 26 points: random fill at block orders
+    # 16–256, densities 0.01–1.0, banded at orders 52–512; best of 5;
+    # dense-mapped variants handed their cached images, as the
+    # factorisation runs them; GETRF over (n, nnz_a, density), panel
+    # trees over (n, nnz_b), SSSSM over (n, density, flops)).  GESSM /
+    # SSSSM 2026-09-29, GETRF / TSTRF 2026-10-15.  Valid for block orders
+    # up to 512; dense panels above order 256 are not in the sweep (a
+    # sparse variant takes seconds there), their dense leaf extrapolated.
+    # GETRF: C_V1 is one LAPACK getrf up to GETRF_SERIAL_ORDER (0.25 ms
+    # at order 128 against 2.5 for G_V2) and wins the blocks of 100 or
+    # more stored entries there (fitted: 68; one random-fill block that
+    # row-swaps, so runs the loop, loses 0.99 ms to 0.69).  Above that
+    # order it is the rank-1 loop, which still wins dense blocks (40 ms
+    # against 64 at order 384, density 0.24) but loses sparse ones to
+    # G_V2 (fitted between densities 0.09 and 0.24: 3.9 ms against 12.7
+    # at order 256, density 0.03).  280 ms over the sweep, the oracle's
+    # 280; the tree with C_V1 everywhere above 100 entries, 615.  The
+    # branch above GETRF_SERIAL_ORDER is there for Fig. 8 fidelity only:
+    # no benchmark workload has a GETRF block of order 129 or more, so on
+    # them this tree is Split("nnz_a", 100, "G_V1", "C_V1").
     getrf = DecisionTree(
         Split(
-            "nnz_a",
-            100.0,
-            "G_V1",
-            Split("density", 0.22, "G_V2", "C_V1"),
+            "n",
+            GETRF_SERIAL_ORDER + 1.0,
+            Split("nnz_a", 100.0, "G_V1", "C_V1"),
+            Split("density", 0.16, "G_V2", "C_V1"),
         )
     )
-    gessm = DecisionTree(
+    # GESSM / TSTRF (one tree: TSTRF is GESSM on the transposed pair).
+    # With one GEMM per dense-mapped task the dense path wins everywhere
+    # but on sparse panels of large blocks, where the n³ of the GEMM (in
+    # slabs above order 80, see ``serial_matmul``) meets a cost
+    # proportional to nnz: from order 144 up, below 500 stored entries,
+    # the sparse G_V1 (GESSM 0.26 ms against 1.02 at order 256, 0.43
+    # against 14.9 at 512; TSTRF 0.44 against 1.06 and 0.48 against
+    # 13.9).  TSTRF over the sweep 30.9 ms, oracle 28.8; 39.4 when its
+    # sparse leaf started at order 448.  The compiled G_V3 leaves are
+    # gone (9.5 ms against 1.9 ms on a dense 256-panel).
+    panel = DecisionTree(
         Split("nnz_b", 500.0, Split("n", 144.0, "C_V2", "G_V1"), "C_V2")
-    )
-    tstrf = DecisionTree(
-        Split("n", 448.0, "C_V2", Split("nnz_b", 1200.0, "G_V1", "C_V2"))
     )
     # SSSSM: a dense image costs n³ whatever the FLOPs, so the block
     # order guards the paper's FLOP split: below 176 (the fitted
@@ -208,8 +217,8 @@ def default_trees() -> dict[KernelType, DecisionTree]:
     )
     return {
         KernelType.GETRF: getrf,
-        KernelType.GESSM: gessm,
-        KernelType.TSTRF: tstrf,
+        KernelType.GESSM: panel,
+        KernelType.TSTRF: panel,
         KernelType.SSSSM: ssssm,
     }
 

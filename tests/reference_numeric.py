@@ -11,6 +11,10 @@ between tasks; with compression on, an SSSSM whose ``L(i,k)`` or
 bit for bit (``tests/test_plans.py``, ``tests/test_panel_cache.py``);
 ``benchmarks/bench_ablation_plans.py`` times it as the unplanned side.
 
+:func:`dense_getrf_loop` is the dense no-pivot LU loop that
+``repro.kernels.base.dense_getrf`` runs where LAPACK's ``getrf`` result
+is refused, kept as the oracle of the accepted ones.
+
 :data:`PANEL_ORACLE` holds the GESSM / TSTRF loops as they stood before
 they were written once (``split_lu``, a ``searchsorted`` per pivot, one
 sweep per family, one level-set loop per family): the kernels of
@@ -31,7 +35,7 @@ from repro.core.numeric import (
 )
 from repro.core.dag import TaskType
 from repro.kernels import KernelType, SingularBlockError, Workspace
-from repro.kernels.base import gather_dense, scatter_dense, solve_levels
+from repro.kernels.base import fix_pivot, gather_dense, scatter_dense, solve_levels
 from repro.kernels.compress import ssssm_lr
 from repro.sparse import CSCMatrix
 
@@ -71,6 +75,24 @@ def replay_unplanned(bm, dag, options: NumericOptions | None = None, *, tids=Non
         assert not planned
         choices[task.tid] = f"{ktype.value}/{version}"
     return choices
+
+
+def dense_getrf_loop(w: np.ndarray, pivot_floor: float, scale: float) -> int:
+    """``repro.kernels.base.dense_getrf`` as it stood before it called
+    LAPACK: in-place no-pivot LU of the dense square ``w`` by rank-1
+    updates, :func:`~repro.kernels.base.fix_pivot` at every pivot.  The
+    oracle its ``getrf`` path is held to, and the loop it falls back to,
+    verbatim.  Returns the replaced-pivot count."""
+    n = w.shape[0]
+    replaced = 0
+    for k in range(n):
+        piv, rep = fix_pivot(float(w[k, k]), pivot_floor, scale)
+        replaced += rep
+        w[k, k] = piv
+        if k + 1 < n:
+            w[k + 1 :, k] /= piv
+            w[k + 1 :, k + 1 :] -= np.outer(w[k + 1 :, k], w[k, k + 1 :])
+    return replaced
 
 
 # ----------------------------------------------------------------------

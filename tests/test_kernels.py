@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
+from repro import PanguLU
 from repro.kernels import (
     GESSM_VARIANTS,
     GETRF_VARIANTS,
@@ -25,17 +27,19 @@ from repro.kernels import (
     tstrf_flops,
 )
 from repro.kernels.base import (
+    GETRF_SERIAL_ORDER,
     SERIAL_GEMM_WORK,
+    dense_getrf,
     serial_matmul,
     triangle,
     triangle_inverse,
 )
 from repro.kernels.plans import PLANNABLE_VERSIONS, build_solve_plan
 from repro.kernels.registry import get_kernel, is_gpu_version
-from repro.sparse import CSCMatrix, random_sparse
+from repro.sparse import CSCMatrix, generate, random_sparse
 from repro.symbolic import symbolic_symmetric
 
-from .reference_numeric import PANEL_ORACLE, split_lu
+from .reference_numeric import PANEL_ORACLE, dense_getrf_loop, split_lu
 
 
 @pytest.fixture
@@ -135,6 +139,95 @@ class TestGETRF:
             results.append(blk.to_dense())
         for r in results[1:]:
             np.testing.assert_allclose(r, results[0], atol=1e-12)
+
+    # dense_getrf: LAPACK getrf where it pivots nowhere, else the loop
+    @staticmethod
+    def _dominant(n: int, dtype=np.float64) -> np.ndarray:
+        """Column diagonally dominant: partial pivoting swaps no row."""
+        a = np.random.default_rng(n).standard_normal((n, n))
+        a += np.diag(np.abs(a).sum(axis=0) + 1.0)
+        return a.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2, 47, 104])
+    def test_lapack_result_is_kept_and_matches_the_loop(self, n, dtype):
+        a = self._dominant(n, dtype)
+        (getrf,) = get_lapack_funcs(("getrf",), (a,))
+        lu, ipiv, info = getrf(a)
+        assert info == 0 and np.array_equal(ipiv, np.arange(n))
+        w, ref = a.copy(), a.copy()
+        assert dense_getrf(w, 1e-12, 1.0) == 0
+        assert w.dtype == lu.dtype == dtype
+        np.testing.assert_array_equal(w, lu)
+        assert dense_getrf_loop(ref, 1e-12, 1.0) == 0
+        # the two differ by rounding only: 1e-12 in float64, a few
+        # hundred ulps of float32
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert np.abs(w - ref).max() <= tol * np.abs(ref).max()
+
+    def test_a_row_swap_takes_the_loop(self):
+        a = np.array([[1.0, 1.0], [3.0, 4.0]])
+        w, ref = a.copy(), a.copy()
+        assert dense_getrf(w, 1e-12, 4.0) == dense_getrf_loop(ref, 1e-12, 4.0) == 0
+        np.testing.assert_array_equal(w, ref)
+
+    def test_a_pivot_under_the_floor_takes_the_loop(self):
+        # row and column 4 decoupled: U[4,4] is exactly the tiny entry and
+        # nothing below it competes, so getrf succeeds without a swap
+        a = self._dominant(10)
+        a[4, :] = a[:, 4] = 0.0
+        a[4, 4] = 1e-20
+        (getrf,) = get_lapack_funcs(("getrf",), (a,))
+        _, ipiv, info = getrf(a)
+        assert info == 0 and np.array_equal(ipiv, np.arange(10))
+        scale = float(np.abs(a).max())
+        w, ref = a.copy(), a.copy()
+        assert dense_getrf(w, 1e-12, scale) == dense_getrf_loop(ref, 1e-12, scale) == 1
+        np.testing.assert_array_equal(w, ref)
+
+    def test_a_zero_pivot_without_floor_raises_from_the_loop(self):
+        with pytest.raises(SingularBlockError):
+            dense_getrf(np.array([[0.0, 1.0], [0.0, 1.0]]), 0.0, 1.0)
+
+    def test_above_the_serial_order_takes_the_loop(self, monkeypatch):
+        import repro.kernels.base as base
+
+        def no_lapack(*args):
+            raise AssertionError("getrf called above GETRF_SERIAL_ORDER")
+
+        monkeypatch.setattr(base, "get_lapack_funcs", no_lapack)
+        a = self._dominant(GETRF_SERIAL_ORDER + 1)
+        w, ref = a.copy(), a.copy()
+        assert dense_getrf(w, 1e-12, 1.0) == dense_getrf_loop(ref, 1e-12, 1.0)
+        np.testing.assert_array_equal(w, ref)
+
+    def test_blocks_refused_by_lapack_still_factor_and_solve(self, monkeypatch):
+        # nlpkkt80's saddle-point blocks make partial pivoting swap on some
+        # diagonal blocks; those take the loop, the others keep getrf
+        import repro.kernels.base as base
+
+        swapped = []
+        real = base.get_lapack_funcs
+
+        def spy(names, arrays):
+            funcs = real(names, arrays)
+            if names != ("getrf",):
+                return funcs
+
+            def getrf(a):
+                lu, ipiv, info = funcs[0](a)
+                swapped.append(not np.array_equal(ipiv, np.arange(a.shape[0])))
+                return lu, ipiv, info
+
+            return (getrf,)
+
+        monkeypatch.setattr(base, "get_lapack_funcs", spy)
+        a = generate("nlpkkt80", scale=0.3)
+        solver = PanguLU(a)
+        b = np.sin(np.arange(a.nrows) * 0.1)
+        x = solver.solve(b)
+        assert any(swapped) and not all(swapped)
+        assert solver.residual_norm(x, b) < 1e-9
 
 
 class TestGESSM:

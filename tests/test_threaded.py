@@ -99,20 +99,31 @@ class TestProtocol:
         self, monkeypatch, n_workers
     ):
         # a patched registry entry must be what runs even where the
-        # variant would be handed a plan: on a reordered 2-D grid the
-        # default trees send most diagonal blocks to GETRF/G_V2, which is
-        # plannable, and every factorisation has a plan cache
+        # variant would be handed a plan: a fixed policy sends every
+        # diagonal block to GETRF/G_V2, which is plannable, and every
+        # factorisation has a plan cache
         from repro import PanguLU, SolverOptions
+        from repro.core import NumericOptions
         from repro.kernels.registry import KernelType
+        from repro.kernels.selector import SelectorPolicy
         from repro.sparse import generate
 
         solver = PanguLU(
             generate("ecology1", scale=0.2, seed=0), SolverOptions(block_size=40)
         )
         solver.preprocess()
+        selector = SelectorPolicy.fixed({
+            KernelType.GETRF: "G_V2",
+            KernelType.GESSM: "G_V1",
+            KernelType.TSTRF: "G_V1",
+            KernelType.SSSSM: "C_V2",
+        })
         boom = self._injected_failure(monkeypatch, KernelType.GETRF, ["G_V2"])
         with pytest.raises(boom, match="injected kernel failure"):
-            factorize(solver.blocks, solver.dag, n_lanes=n_workers)
+            factorize(
+                solver.blocks, solver.dag, NumericOptions(selector=selector),
+                n_lanes=n_workers,
+            )
 
     def test_records_kernel_choices(self):
         _, bm, dag = _prepared()
