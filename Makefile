@@ -1,10 +1,11 @@
-.PHONY: check lint analyze test bench-e2e bench-e2e-selftest profile-setup profile-numeric
+.PHONY: check lint test bench-e2e bench-e2e-selftest profile-setup profile-numeric
 
 check:
 	sh scripts/check.sh
 
-# the project-specific AST lint needs only the stdlib, so it always runs;
-# ruff adds the generic rules wherever it is installed
+# the project-specific lint (all 14 rules, per-file and whole-program)
+# needs only the stdlib, so it always runs; ruff adds the generic rules
+# wherever it is installed
 lint:
 	PYTHONPATH=src python -m repro.devtools.lint src
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -12,13 +13,6 @@ lint:
 	else \
 		echo "ruff not installed; generic lint skipped"; \
 	fi
-
-# whole-program flow analyses (lock-order, dtype-flow, payload-escape)
-# plus the per-module rules; gates on zero findings beyond the committed
-# baseline and leaves a SARIF report for CI annotation
-analyze:
-	PYTHONPATH=src python -m repro.devtools.lint src --flow \
-		--baseline analysis-baseline.json --sarif analysis.sarif
 
 test:
 	PYTHONPATH=src python -m pytest -x -q

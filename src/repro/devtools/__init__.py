@@ -5,11 +5,12 @@ kernel completion decrements dependency counters, and a single unguarded
 mutation — or an in-place write to a block another rank still reads —
 silently corrupts the factors.  Generic linters cannot check those
 invariants, so this package encodes them directly:
-:mod:`repro.devtools.astlint` is an AST static-analysis pass with
-project-specific rules (lock discipline, counter protocol, kernel purity,
-send-then-mutate, exception hygiene, message picklability), plus the
-whole-program flow analyses of :mod:`repro.devtools.flow`.  Run it with
-``python -m repro.devtools.lint src`` (``--flow`` for the flow passes).
+:mod:`repro.devtools.astlint` is an AST static-analysis pass with one
+catalogue of project-specific rules — per-module ones (lock discipline,
+counter protocol, kernel purity, send-then-mutate, exception hygiene,
+message picklability, …) and the whole-program ones of
+:mod:`repro.devtools.flow` (lock order, dtype flow, payload escape).
+Run every rule with ``python -m repro.devtools.lint src``.
 
 The run-time half needs no tooling: every engine run checks the counter
 protocol itself (:meth:`repro.runtime.scheduler.SchedulerCore.complete`

@@ -2,12 +2,16 @@
 
 A deliberately small rule framework: each rule is an object with a
 ``name``, a set of file patterns it applies to, and a ``check`` method
-that walks a parsed module and yields :class:`Finding`\\ s.  The rules
-themselves live in :mod:`repro.devtools.rules` and encode invariants of
-*this* codebase — the lock discipline of the threaded engine, the
-counter protocol of :class:`~repro.runtime.scheduler.SchedulerCore`,
-kernel purity, transport message hygiene — none of which a generic
-linter can know about.
+that walks a parsed module and yields :class:`Finding`\\ s.  A
+:class:`ProjectRule` instead checks the whole analysis set at once, over
+the :class:`~repro.devtools.flow.project.Project` symbol table and call
+graph built from the same parse.  The per-file rules live in
+:mod:`repro.devtools.rules`, the whole-program ones in
+:mod:`repro.devtools.flow`; together they encode invariants of *this*
+codebase — the lock discipline of the threaded engine, the counter
+protocol of :class:`~repro.runtime.scheduler.SchedulerCore`, kernel
+purity, transport message hygiene, lock order, dtype flow — none of
+which a generic linter can know about.
 
 Suppression mirrors the familiar ``noqa`` convention, namespaced so it
 cannot collide with ruff's:
@@ -18,7 +22,7 @@ cannot collide with ruff's:
   suppresses the rule for the whole file;
 * ``# repro: noqa`` without brackets suppresses every rule at that scope.
 
-Run the pass with ``python -m repro.devtools.lint <paths>`` (text or
+Run every rule with ``python -m repro.devtools.lint <paths>`` (text or
 JSON output) — it needs nothing outside the standard library, so it is
 the lint gate that runs even where ruff is not installed.
 """
@@ -34,11 +38,16 @@ import tokenize
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .flow.project import Project
 
 __all__ = [
     "Finding",
     "FileContext",
     "Rule",
+    "ProjectRule",
     "register",
     "all_rules",
     "lint_source",
@@ -107,6 +116,9 @@ class FileContext:
         #: every declared suppression, for hygiene rules:
         #: (line, rule name or the ``*`` blanket sentinel, file-level?)
         self.suppression_sites: list[tuple[int, str, bool]] = []
+        #: the pre-suppression findings of every check on this file, set
+        #: by the driver before the hygiene rules run
+        self.raw_findings: list[Finding] = []
         for lineno, comment, standalone in _iter_comments(
             source, self.lines
         ):
@@ -157,7 +169,8 @@ class Rule:
     exclude: tuple[str, ...] = ()
     #: hygiene rules that police the suppression mechanism itself set
     #: this False — otherwise a blanket suppression comment would
-    #: self-suppress the finding that reports it as stale
+    #: self-suppress the finding that reports it as stale.  They run
+    #: after every other check and read ``ctx.raw_findings``
     suppressible: bool = True
 
     def applies_to(self, path: str) -> bool:
@@ -169,6 +182,15 @@ class Rule:
         return any(fnmatch.fnmatch(p, pat) for pat in self.files)
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Finding]:
+        raise NotImplementedError
+
+
+class ProjectRule(Rule):
+    """Base class of a whole-program rule: it runs once per analysis,
+    over every file at once, and implements :meth:`check_project`
+    instead of :meth:`check`."""
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
         raise NotImplementedError
 
 
@@ -186,7 +208,7 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> dict[str, Rule]:
     """Name → rule instance for every registered rule (loads the rule
     modules on first use)."""
-    from . import rules  # noqa: F401  (importing registers the rules)
+    from . import flow, rules  # noqa: F401  (importing registers the rules)
 
     return dict(_RULES)
 
@@ -203,6 +225,74 @@ def _resolve(select: Sequence[str] | None) -> list[Rule]:
     return [registry[name] for name in select]
 
 
+def _analyze(
+    sources: Iterable[tuple[str, str]],
+    rules: Sequence[Rule],
+    path_filters: bool,
+) -> list[Finding]:
+    """The one driver: parse each ``(path, source)`` once, run every
+    check of ``rules`` — a per-file rule on each file it applies to (on
+    every file when ``path_filters`` is off), a :class:`ProjectRule` once
+    over the project built from the same trees — then the one suppression
+    filter, then the hygiene rules, whose findings are not suppressible.
+    A hygiene rule judges the suppression sites against the raw findings
+    of *every* registered check, so selecting one runs them all."""
+    from .flow.project import Project
+
+    findings: list[Finding] = []
+    parsed: dict[str, tuple[ast.Module, FileContext]] = {}
+    for path, source in sources:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            findings.append(Finding(
+                "syntax-error", path, exc.lineno or 0, exc.offset or 0,
+                f"cannot parse: {exc.msg}",
+            ))
+            continue
+        parsed[path] = (tree, FileContext(path, source))
+
+    def runs_on(rule: Rule, path: str) -> bool:
+        return (rule in rules and not path_filters) or rule.applies_to(path)
+
+    hygiene = [r for r in rules if not r.suppressible]
+    checks = [r for r in rules if r.suppressible]
+    if hygiene:
+        checks += [
+            r for r in all_rules().values()
+            if r.suppressible and r not in checks
+        ]
+    project: Project | None = None
+    raw: list[Finding] = []
+    for rule in checks:
+        if isinstance(rule, ProjectRule):
+            if project is None:
+                project = Project(
+                    (path, tree) for path, (tree, _) in parsed.items()
+                )
+            raw.extend(rule.check_project(project))
+            continue
+        for path, (tree, ctx) in parsed.items():
+            if runs_on(rule, path):
+                raw.extend(rule.check(tree, ctx))
+
+    selected = {r.name for r in rules}
+    for f in raw:
+        entry = parsed.get(f.path)
+        if entry is not None:
+            entry[1].raw_findings.append(f)
+        if f.rule in selected and (
+            entry is None or not entry[1].suppressed(f.rule, f.line)
+        ):
+            findings.append(f)
+    for rule in hygiene:
+        for path, (tree, ctx) in parsed.items():
+            if runs_on(rule, path):
+                findings.extend(rule.check(tree, ctx))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -212,26 +302,9 @@ def lint_source(
     over one source string.  Passing ``rules`` explicitly bypasses the
     per-rule path filters — that is how the fixture tests drive a single
     rule against a snippet living anywhere."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "syntax-error", path, exc.lineno or 0, exc.offset or 0,
-                f"cannot parse: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(path, source)
     if rules is None:
-        rules = [r for r in all_rules().values() if r.applies_to(path)]
-    unsuppressible = {r.name for r in rules if not r.suppressible}
-    findings: list[Finding] = []
-    for rule in rules:
-        for f in rule.check(tree, ctx):
-            if f.rule in unsuppressible or not ctx.suppressed(f.rule, f.line):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+        return _analyze([(path, source)], _resolve(None), path_filters=True)
+    return _analyze([(path, source)], rules, path_filters=False)
 
 
 def lint_file(path: str | Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
@@ -243,21 +316,22 @@ def lint_paths(
     paths: Iterable[str | Path],
     select: Sequence[str] | None = None,
 ) -> list[Finding]:
-    """Lint files and directory trees (``**/*.py``; deliberate-violation
-    fixtures under ``devtools_fixtures`` are skipped)."""
+    """Lint files and directory trees as one analysis set (``**/*.py``;
+    deliberate-violation fixtures under ``devtools_fixtures`` are skipped
+    when walking a tree, analysed when named)."""
     rules = _resolve(select)
-    findings: list[Finding] = []
-    for entry in paths:
-        entry = Path(entry)
-        files = sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]
-        for file in files:
-            if "devtools_fixtures" in file.parts:
-                continue
-            applicable = [r for r in rules if r.applies_to(str(file))]
-            if applicable:
-                findings.extend(lint_file(file, rules=applicable))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    files: list[Path] = []
+    for entry in map(Path, paths):
+        if entry.is_dir():
+            files.extend(
+                f for f in sorted(entry.rglob("*.py"))
+                if "devtools_fixtures" not in f.parts
+            )
+        else:
+            files.append(entry)
+    return _analyze(
+        ((str(f), f.read_text()) for f in files), rules, path_filters=True
+    )
 
 
 def render_text(findings: Sequence[Finding]) -> str:

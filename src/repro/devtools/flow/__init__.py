@@ -1,9 +1,9 @@
-"""Interprocedural flow analyses over the whole ``src/repro`` tree.
+"""The whole-program rules of the lint catalogue.
 
-Where :mod:`repro.devtools.astlint` rules are per-module and syntactic,
-the passes in this package share a project-wide symbol table and call
-graph (:mod:`~repro.devtools.flow.project`) and check invariants that
-cross function and module boundaries:
+Where the :mod:`repro.devtools.rules` check one module at a time, the
+rules in this package share a project-wide symbol table and call graph
+(:mod:`~repro.devtools.flow.project`) and check invariants that cross
+function and module boundaries:
 
 * :mod:`~repro.devtools.flow.lockorder` — lock-acquisition cycles,
   including acquisitions reached through calls (rule ``lock-order``);
@@ -12,108 +12,19 @@ cross function and module boundaries:
 * :mod:`~repro.devtools.flow.escape` — transport payloads aliasing
   mutable scheduler or arena state (rule ``payload-escape``).
 
-Run them with ``python -m repro.devtools.lint <paths> --flow``; findings
-use the same :class:`~repro.devtools.astlint.Finding` type as the lint
-rules, share its reporters (text / JSON / SARIF), honour
-``# repro: noqa[rule]`` comments, and can be baselined
-(:mod:`repro.devtools.report`).
+Each is a :class:`~repro.devtools.astlint.ProjectRule` registered in the
+one catalogue: ``python -m repro.devtools.lint <paths>`` runs them with
+the per-file rules over the same parse, selects them with ``--select``,
+and honours ``# repro: noqa[rule]`` for them like for any rule.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from pathlib import Path
-
-from ..astlint import FileContext, Finding
-from .dtypeflow import analyze_dtype_flow
-from .escape import analyze_payload_escape
-from .lockorder import analyze_lock_order
+from . import (  # noqa: F401  (imported for their registration side effect)
+    dtypeflow,
+    escape,
+    lockorder,
+)
 from .project import Project
 
-__all__ = [
-    "FLOW_PASSES",
-    "Project",
-    "analyze_project",
-    "analyze_paths",
-    "flow_rule_descriptions",
-]
-
-#: rule name → (description, pass function)
-FLOW_PASSES = {
-    "lock-order": (
-        "no cycles in the project-wide lock-acquisition graph "
-        "(call-graph aware)",
-        analyze_lock_order,
-    ),
-    "dtype-flow": (
-        "no implicitly-float64 arrays flowing into float32 kernel paths",
-        analyze_dtype_flow,
-    ),
-    "payload-escape": (
-        "transport payloads do not alias mutable scheduler/arena state",
-        analyze_payload_escape,
-    ),
-}
-
-
-def flow_rule_descriptions() -> dict[str, str]:
-    return {name: desc for name, (desc, _) in FLOW_PASSES.items()}
-
-
-def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
-    files: list[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            # deliberate-violation fixtures are skipped when walking
-            # trees; naming a fixture file explicitly still analyses it
-            # (that is how the fixture tests drive a single pass)
-            files.extend(
-                f for f in sorted(entry.rglob("*.py"))
-                if "devtools_fixtures" not in f.parts
-            )
-        else:
-            files.append(entry)
-    return files
-
-
-def analyze_project(
-    project: Project, select: Sequence[str] | None = None
-) -> list[Finding]:
-    """Run the flow passes over an already-built project."""
-    names = list(FLOW_PASSES) if select is None else list(select)
-    unknown = [n for n in names if n not in FLOW_PASSES]
-    if unknown:
-        raise ValueError(
-            f"unknown flow pass(es) {unknown}; known: {sorted(FLOW_PASSES)}"
-        )
-    findings: list[Finding] = []
-    for name in names:
-        findings.extend(FLOW_PASSES[name][1](project))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def analyze_paths(
-    paths: Iterable[str | Path], select: Sequence[str] | None = None
-) -> list[Finding]:
-    """Build one project from ``paths`` and run the flow passes,
-    honouring ``# repro: noqa[rule]`` suppressions in the flagged
-    files."""
-    files = _collect_files(paths)
-    project = Project.load(files)
-    findings = analyze_project(project, select=select)
-    contexts: dict[str, FileContext] = {}
-    kept: list[Finding] = []
-    for f in findings:
-        ctx = contexts.get(f.path)
-        if ctx is None:
-            try:
-                ctx = FileContext(f.path, Path(f.path).read_text())
-            except OSError:
-                kept.append(f)
-                continue
-            contexts[f.path] = ctx
-        if not ctx.suppressed(f.rule, f.line):
-            kept.append(f)
-    return kept
+__all__ = ["Project"]

@@ -32,10 +32,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..astlint import Finding
+from ..astlint import Finding, ProjectRule, register
+from ..rules._util import NUMPY_ALLOCATORS, NUMPY_NAMES
 from .project import FunctionInfo, Project
 
-__all__ = ["analyze_dtype_flow"]
+__all__ = ["DtypeFlowRule", "analyze_dtype_flow"]
 
 RULE = "dtype-flow"
 
@@ -44,10 +45,7 @@ F64 = "f64"
 IMP64 = "imp64"
 UNKNOWN = "unknown"
 
-#: numpy allocators and the positional index of their dtype argument
-_ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2}
 _LIKE_ALLOCATORS = {"zeros_like", "empty_like", "ones_like", "full_like"}
-_NUMPY_NAMES = {"np", "numpy"}
 
 _F32_NAMES = {"float32", "f4", "single"}
 _F64_NAMES = {"float64", "f8", "double", "float"}
@@ -135,11 +133,11 @@ class _FunctionAnalysis(ast.NodeVisitor):
         ):
             base, attr = func.value.id, func.attr
             is_np = (
-                base in _NUMPY_NAMES
+                base in NUMPY_NAMES
                 or self.fi.module.imports.get(base) == "numpy"
             )
-            if is_np and attr in _ALLOCATORS:
-                darg = _dtype_argument(call, _ALLOCATORS[attr])
+            if is_np and attr in NUMPY_ALLOCATORS:
+                darg = _dtype_argument(call, NUMPY_ALLOCATORS[attr])
                 return IMP64 if darg is None else _dtype_of_expr(darg)
             if is_np and attr in _LIKE_ALLOCATORS:
                 darg = _dtype_argument(call, 99)  # keyword-only here
@@ -332,3 +330,12 @@ def analyze_dtype_flow(project: Project) -> list[Finding]:
         findings.extend(analysis.findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col))
     return findings
+
+
+@register
+class DtypeFlowRule(ProjectRule):
+    name = RULE
+    description = "no implicitly-float64 arrays flowing into float32 kernel paths"
+
+    def check_project(self, project: Project) -> list[Finding]:
+        return analyze_dtype_flow(project)

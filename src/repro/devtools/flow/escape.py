@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import ast
 
-from ..astlint import Finding
+from ..astlint import Finding, ProjectRule, register
+from ..rules._util import send_payload
 from .project import FunctionInfo, Project
 
-__all__ = ["analyze_payload_escape"]
+__all__ = ["PayloadEscapeRule", "analyze_payload_escape"]
 
 RULE = "payload-escape"
-
-_SEND_METHODS = frozenset({"send", "post_result"})
 _SCHEDULER_ATTRS = frozenset(
     {"counters", "_counts", "ready", "remaining", "owned_mask"}
 )
@@ -146,17 +145,9 @@ def analyze_payload_escape(project: Project) -> list[Finding]:
                 assigns[node.targets[0].id] = node.value
 
         for node in ast.walk(fi.node):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SEND_METHODS
-            ):
+            payload_args = send_payload(node)
+            if payload_args is None:
                 continue
-            payload_args = (
-                node.args[1:]
-                if node.func.attr == "send" and len(node.args) > 1
-                else node.args
-            )
             for arg in payload_args:
                 for root in _expand(arg, assigns, project, fi):
                     path = _dotted(root)
@@ -180,3 +171,12 @@ def analyze_payload_escape(project: Project) -> list[Finding]:
     # tuple expansion) and sort
     uniq = sorted(set(findings), key=lambda f: (f.path, f.line, f.message))
     return uniq
+
+
+@register
+class PayloadEscapeRule(ProjectRule):
+    name = RULE
+    description = "transport payloads do not alias mutable scheduler/arena state"
+
+    def check_project(self, project: Project) -> list[Finding]:
+        return analyze_payload_escape(project)

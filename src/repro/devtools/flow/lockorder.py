@@ -40,10 +40,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..astlint import Finding
+from ..astlint import Finding, ProjectRule, register
 from .project import FunctionInfo, Project
 
-__all__ = ["analyze_lock_order"]
+__all__ = ["LockOrderRule", "analyze_lock_order"]
 
 RULE = "lock-order"
 
@@ -379,3 +379,15 @@ def _cycles_to_findings(
             dfs(start, [], set())
     findings.sort(key=lambda f: (f.path, f.line))
     return findings
+
+
+@register
+class LockOrderRule(ProjectRule):
+    name = RULE
+    description = (
+        "no cycles in the project-wide lock-acquisition graph "
+        "(call-graph aware)"
+    )
+
+    def check_project(self, project: Project) -> list[Finding]:
+        return analyze_lock_order(project)

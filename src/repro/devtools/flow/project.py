@@ -4,9 +4,10 @@ The per-module AST rules in :mod:`repro.devtools.rules` see one file at
 a time; the invariants they guard, however, routinely cross module
 boundaries — a lock acquired in :mod:`repro.runtime.lanes` around a
 call whose callee lives in :mod:`repro.kernels.plans`, a dtype chosen in
-one function and consumed three calls later.  This module parses every
-file of the analysis set once and answers the two questions the flow
-passes keep asking:
+one function and consumed three calls later.  This module indexes the
+trees the lint driver parsed (one parse per file, shared with the
+per-file rules) and answers the two questions the flow passes keep
+asking:
 
 * *what functions exist* — :class:`FunctionInfo` records every module
   function, class method and nested closure, qualified as
@@ -27,8 +28,11 @@ one) and it is documented per pass where it matters.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..rules._util import guarded_spec
 
 __all__ = ["FunctionInfo", "ModuleInfo", "Project"]
 
@@ -111,54 +115,18 @@ def _resolve_relative(module: str, level: int, target: str | None) -> str:
     return ".".join(base)
 
 
-def _guarded_spec(tree: ast.Module) -> dict[str, str]:
-    """``{guarded entry: lock name}`` from ``__guarded_by__`` (same
-    shape the ``lock-discipline`` rule reads)."""
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "__guarded_by__"
-            and isinstance(stmt.value, ast.Dict)
-        ):
-            spec: dict[str, str] = {}
-            for key, value in zip(stmt.value.keys, stmt.value.values):
-                if not isinstance(key, ast.Constant) or not isinstance(
-                    value, (ast.Tuple, ast.List)
-                ):
-                    continue
-                for elt in value.elts:
-                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                        spec[elt.value] = str(key.value)
-            return spec
-    return {}
-
-
 class Project:
-    """The whole analysis set, parsed once."""
+    """The whole analysis set: ``(path, parsed module)`` pairs indexed
+    into modules, functions and imports."""
 
-    def __init__(self) -> None:
+    def __init__(self, trees: Iterable[tuple[str, ast.Module]]) -> None:
         self.modules: dict[str, ModuleInfo] = {}
+        for path, tree in trees:
+            self._add_module(path, tree)
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def load(cls, files: list[Path]) -> "Project":
-        project = cls()
-        for file in files:
-            try:
-                source = Path(file).read_text()
-                tree = ast.parse(source, filename=str(file))
-            except (OSError, SyntaxError):
-                continue  # unreadable/unparsable files are the lint's job
-            project._add_module(Path(file), tree)
-        return project
-
-    def _add_module(self, path: Path, tree: ast.Module) -> None:
-        mi = ModuleInfo(name=_module_name(path), path=str(path), tree=tree)
-        mi.guarded = _guarded_spec(tree)
+    def _add_module(self, path: str, tree: ast.Module) -> None:
+        mi = ModuleInfo(name=_module_name(Path(path)), path=path, tree=tree)
+        mi.guarded = guarded_spec(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

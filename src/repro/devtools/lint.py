@@ -1,26 +1,19 @@
 """CLI for the project-specific static analysis:
 ``python -m repro.devtools.lint``.
 
-Exits 0 when no (unbaselined) finding fires, 1 otherwise — this is the
-gate wired into ``make lint`` / ``make analyze`` and
-``scripts/check.sh``; unlike ruff it has no dependencies, so it runs
-everywhere.
+Runs every rule of the catalogue — the per-file rules and the
+whole-program ones — over one parse of the given files.  Exits 0 when
+no finding fires, 1 otherwise — this is the gate wired into
+``make lint`` and ``scripts/check.sh``; unlike ruff it has no
+dependencies, so it runs everywhere.
 
 Examples::
 
     python -m repro.devtools.lint src
     python -m repro.devtools.lint src --format json
     python -m repro.devtools.lint src/repro/runtime --select lock-discipline
-    python -m repro.devtools.lint src --flow
-    python -m repro.devtools.lint src --flow --sarif analysis.sarif \\
-        --baseline analysis-baseline.json
+    python -m repro.devtools.lint src --select lock-order
     python -m repro.devtools.lint --list-rules
-
-``--flow`` adds the interprocedural passes of
-:mod:`repro.devtools.flow` (lock-order, dtype-flow, payload-escape) to
-the per-module rules; ``--baseline`` suppresses findings recorded in a
-committed baseline file so the gate only fails on *new* findings, and
-``--write-baseline`` refreshes that file from the current run.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ import sys
 from pathlib import Path
 
 from .astlint import all_rules, lint_paths, render_json, render_text
-from .report import apply_baseline, load_baseline, render_sarif, write_baseline
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,25 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--select", action="append", metavar="RULE",
-        help="run only this rule or flow pass (repeatable)",
-    )
-    parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the interprocedural flow passes "
-        "(lock-order, dtype-flow, payload-escape)",
-    )
-    parser.add_argument(
-        "--sarif", metavar="PATH",
-        help="additionally write a SARIF 2.1.0 report to PATH",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="suppress findings recorded in this baseline file "
-        "(the gate then fails only on new findings)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite --baseline from the current findings and exit 0",
+        help="run only this rule (repeatable)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -72,59 +46,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from .flow import FLOW_PASSES, analyze_paths, flow_rule_descriptions
-
     if args.list_rules:
         for name, rule in sorted(all_rules().items()):
             print(f"{name:<26s} {rule.description}")
-        for name, desc in sorted(flow_rule_descriptions().items()):
-            print(f"{name:<26s} [flow] {desc}")
         return 0
     if not args.paths:
         parser.error("no paths given (or use --list-rules)")
-    if args.write_baseline and not args.baseline:
-        parser.error("--write-baseline needs --baseline PATH")
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
 
-    lint_select = flow_select = None
-    if args.select is not None:
-        lint_select = [n for n in args.select if n in all_rules()]
-        flow_select = [n for n in args.select if n in FLOW_PASSES]
-        unknown = [
-            n for n in args.select
-            if n not in all_rules() and n not in FLOW_PASSES
-        ]
-        if unknown:
-            parser.error(
-                f"unknown rule(s) {unknown}; known: "
-                f"{sorted([*all_rules(), *FLOW_PASSES])}"
-            )
-
-    findings = []
-    if lint_select is None or lint_select:
-        try:
-            findings.extend(lint_paths(args.paths, select=lint_select))
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.flow and (flow_select is None or flow_select):
-        findings.extend(analyze_paths(args.paths, select=flow_select))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    if args.write_baseline:
-        write_baseline(findings, args.baseline)
-        print(
-            f"baseline {args.baseline} written "
-            f"({len(findings)} finding{'s' if len(findings) != 1 else ''})"
-        )
-        return 0
-    if args.baseline:
-        findings = apply_baseline(findings, load_baseline(args.baseline))
-
-    if args.sarif:
-        descriptions = {
-            name: rule.description for name, rule in all_rules().items()
-        }
-        descriptions.update(flow_rule_descriptions())
-        Path(args.sarif).write_text(render_sarif(findings, descriptions))
+    try:
+        findings = lint_paths(args.paths, select=args.select)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.format == "json":
         print(render_json(findings))

@@ -1,8 +1,9 @@
-"""Shared AST helpers for the lint rules.
+"""Shared AST helpers for the lint rules and the flow passes.
 
-The rules reason about three recurring questions — *what dotted name is
-this expression*, *what object does this statement mutate*, and *which
-lock is held here* — so the answers live in one place.
+The rules reason about a few recurring questions — *what dotted name is
+this expression*, *what object does this statement mutate*, *which
+state does the module declare lock-guarded*, *what does this call send*,
+*is this a NumPy allocator* — so the answers live in one place.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ __all__ = [
     "MUTATING_METHODS",
     "mutation_roots",
     "functions",
+    "guarded_spec",
+    "send_payload",
+    "NUMPY_ALLOCATORS",
+    "NUMPY_NAMES",
 ]
 
 #: methods that mutate their receiver in place (the ones this codebase
@@ -25,6 +30,15 @@ MUTATING_METHODS = frozenset({
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
     "fill", "put", "resize", "sort_indices", "merge",
 })
+
+#: transport methods that enqueue their arguments by reference
+_SEND_METHODS = frozenset({"send", "post_result"})
+
+#: NumPy allocator → position of its ``dtype`` parameter (0-based)
+NUMPY_ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2}
+
+#: module aliases NumPy is conventionally imported under
+NUMPY_NAMES = frozenset({"np", "numpy"})
 
 
 def dotted(node: ast.AST) -> str | None:
@@ -112,3 +126,41 @@ def functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
+
+
+def guarded_spec(tree: ast.Module) -> dict[str, str]:
+    """``{guarded entry: lock name}`` from the module's ``__guarded_by__``
+    declaration (empty when it declares nothing)."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and stmt.targets[0].id == "__guarded_by__"
+            and isinstance(stmt.value, ast.Dict)
+        ):
+            spec: dict[str, str] = {}
+            for key, value in zip(stmt.value.keys, stmt.value.values):
+                if not isinstance(key, ast.Constant) or not isinstance(
+                    value, (ast.Tuple, ast.List)
+                ):
+                    continue
+                for elt in value.elts:
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                        spec[elt.value] = str(key.value)
+            return spec
+    return {}
+
+
+def send_payload(node: ast.AST) -> list[ast.expr] | None:
+    """The payload arguments of a transport ``send(dst, payload…)`` /
+    ``post_result(msg)`` call, or ``None`` when ``node`` is not one."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _SEND_METHODS
+    ):
+        return None
+    if node.func.attr == "send" and len(node.args) > 1:
+        return node.args[1:]
+    return node.args

@@ -24,31 +24,7 @@ import ast
 from collections.abc import Iterator
 
 from ..astlint import FileContext, Finding, Rule, register
-from ._util import MUTATING_METHODS, dotted
-
-
-def _guarded_spec(tree: ast.Module) -> dict[str, str] | None:
-    """``{guarded entry: lock name}`` from ``__guarded_by__``, or ``None``
-    when the module declares nothing."""
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "__guarded_by__"
-            and isinstance(stmt.value, ast.Dict)
-        ):
-            spec: dict[str, str] = {}
-            for key, value in zip(stmt.value.keys, stmt.value.values):
-                if not isinstance(key, ast.Constant) or not isinstance(
-                    value, (ast.Tuple, ast.List)
-                ):
-                    continue
-                for elt in value.elts:
-                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                        spec[elt.value] = str(key.value)
-            return spec or None
-    return None
+from ._util import MUTATING_METHODS, dotted, guarded_spec
 
 
 def _mutated_paths(stmt: ast.stmt) -> Iterator[tuple[str, ast.AST]]:
@@ -95,8 +71,8 @@ class LockDisciplineRule(Rule):
     )
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        spec = _guarded_spec(tree)
-        if spec is None:
+        spec = guarded_spec(tree)
+        if not spec:
             return
         locks = frozenset(spec.values())
         findings: list[Finding] = []

@@ -27,12 +27,7 @@ import ast
 from collections.abc import Iterator
 
 from ..astlint import FileContext, Finding, Rule, register
-
-#: allocator → position of its ``dtype`` parameter (0-based)
-_ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2}
-
-#: module aliases NumPy is conventionally imported under
-_NUMPY_NAMES = frozenset({"np", "numpy"})
+from ._util import NUMPY_ALLOCATORS, NUMPY_NAMES
 
 
 def _implicit_allocation(node: ast.Call) -> str | None:
@@ -41,8 +36,8 @@ def _implicit_allocation(node: ast.Call) -> str | None:
     if not (
         isinstance(func, ast.Attribute)
         and isinstance(func.value, ast.Name)
-        and func.value.id in _NUMPY_NAMES
-        and func.attr in _ALLOCATORS
+        and func.value.id in NUMPY_NAMES
+        and func.attr in NUMPY_ALLOCATORS
     ):
         return None
     if any(kw.arg == "dtype" for kw in node.keywords):
@@ -52,7 +47,7 @@ def _implicit_allocation(node: ast.Call) -> str | None:
     # of the doubt rather than flag spuriously
     if any(isinstance(a, ast.Starred) for a in node.args):
         return None
-    if len(node.args) > _ALLOCATORS[func.attr]:
+    if len(node.args) > NUMPY_ALLOCATORS[func.attr]:
         return None
     return func.attr
 

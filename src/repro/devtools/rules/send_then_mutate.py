@@ -23,9 +23,7 @@ import ast
 from collections.abc import Iterator
 
 from ..astlint import FileContext, Finding, Rule, register
-from ._util import functions, mutation_roots, root_name
-
-_SEND_METHODS = frozenset({"send", "post_result"})
+from ._util import functions, mutation_roots, root_name, send_payload
 
 
 def _payload_roots(node: ast.AST, tuples: dict[str, set[str]]) -> set[str]:
@@ -84,16 +82,8 @@ class SendThenMutateRule(Rule):
             if isinstance(node, ast.stmt):
                 for root, mnode in mutation_roots(node):
                     events.append((mnode.lineno, 1, "mutate", (root, mnode)))
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SEND_METHODS
-            ):
-                payload_args = (
-                    node.args[1:]
-                    if node.func.attr == "send" and len(node.args) > 1
-                    else node.args
-                )
+            payload_args = send_payload(node)
+            if payload_args is not None:
                 roots: set[str] = set()
                 for arg in payload_args:
                     roots |= _payload_roots(arg, tuples)

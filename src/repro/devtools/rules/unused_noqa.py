@@ -2,9 +2,10 @@
 
 A ``# repro: noqa[rule]`` that no longer matches any finding is not
 harmless: it sits there waiting for the rule to regress at that site and
-silently mask it.  This rule re-runs every *other* registered rule that
-applies to the file and compares the raw (pre-suppression) findings
-against the declared suppression sites:
+silently mask it.  This rule compares the raw (pre-suppression)
+findings of every other check on the file — the per-file rules that
+apply to it and the whole-program ones alike, as the driver collected
+them in ``ctx.raw_findings`` — against the declared suppression sites:
 
 * a line-level ``noqa[rule]`` with no finding of that rule on its line
   is stale;
@@ -43,18 +44,10 @@ class UnusedNoqaRule(Rule):
     suppressible = False  # a blanket noqa must not hide its own staleness
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.suppression_sites:
-            return
         registry = all_rules()
-        raw: list[Finding] = []
-        for rule in registry.values():
-            if rule.name == self.name or not rule.applies_to(ctx.path):
-                continue
-            raw.extend(rule.check(tree, ctx))
-
         by_line: dict[int, set[str]] = {}
         all_fired: set[str] = set()
-        for f in raw:
+        for f in ctx.raw_findings:
             by_line.setdefault(f.line, set()).add(f.rule)
             all_fired.add(f.rule)
 

@@ -1,36 +1,30 @@
-"""Tests of the interprocedural flow analyses (`repro.devtools.flow`)
-and the shared SARIF/baseline reporter.
+"""Tests of the whole-program rules (`repro.devtools.flow`).
 
-Each pass is exercised against a should-flag/should-pass fixture pair
+Each rule is exercised against a should-flag/should-pass fixture pair
 under ``tests/devtools_fixtures/`` — the flag fixture seeds exactly the
-bug class the pass exists for (a lock-order cycle closed through a
+bug class the rule exists for (a lock-order cycle closed through a
 call, a cross-call implicit-float64 leak into a float32 kernel, a
-payload aliasing scheduler/arena state).  The repo's own ``src`` tree
-must analyze clean: that regression is the ``make analyze`` gate.
+payload aliasing scheduler/arena state).  They are rules of the one lint
+catalogue, so the repo's own ``src`` tree analysing clean is the
+``make lint`` gate.
 """
 
 from __future__ import annotations
 
-import json
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.devtools import lint as lint_cli
-from repro.devtools.astlint import Finding
-from repro.devtools.flow import (
-    FLOW_PASSES,
-    Project,
-    analyze_paths,
-    flow_rule_descriptions,
+from repro.devtools.astlint import (
+    Finding,
+    ProjectRule,
+    all_rules,
+    lint_paths,
+    lint_source,
 )
-from repro.devtools.report import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    render_sarif,
-    write_baseline,
-)
+from repro.devtools.flow import Project
 
 FIXTURES = Path(__file__).parent / "devtools_fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -44,7 +38,7 @@ PASS_FIXTURES = {
 
 
 def _run_pass(name: str, path: Path) -> list[Finding]:
-    return analyze_paths([path], select=[name])
+    return lint_paths([path], select=[name])
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +46,11 @@ def _run_pass(name: str, path: Path) -> list[Finding]:
 # ----------------------------------------------------------------------
 
 def test_every_flow_pass_has_fixtures():
-    assert set(FLOW_PASSES) == set(PASS_FIXTURES)
+    project_rules = {
+        name for name, rule in all_rules().items()
+        if isinstance(rule, ProjectRule)
+    }
+    assert project_rules == set(PASS_FIXTURES)
 
 
 @pytest.mark.parametrize("name", sorted(PASS_FIXTURES))
@@ -110,12 +108,32 @@ def test_flow_findings_honour_noqa(tmp_path):
     src = (FIXTURES / "flow_payload_escape_flag.py").read_text()
     silenced = tmp_path / "m.py"
     silenced.write_text("# repro: noqa[payload-escape]\n" + src)
-    assert analyze_paths([silenced], select=["payload-escape"]) == []
+    assert lint_paths([silenced], select=["payload-escape"]) == []
+
+
+def test_flow_noqa_is_a_known_rule_to_the_hygiene_check():
+    """A line noqa over a real payload-escape finding silences it and
+    counts as used: the hygiene rule knows the whole-program rules."""
+    src = (FIXTURES / "flow_payload_escape_flag.py").read_text().replace(
+        "post_result(snapshot())",
+        "post_result(snapshot())  # repro: noqa[payload-escape]",
+    )
+    findings = lint_source(src, path="m.py")
+    assert [f.line for f in findings if f.rule == "payload-escape"] == [23, 23]
+    assert not [f for f in findings if f.rule == "unused-noqa"]
+
+
+def test_stale_flow_noqa_is_reported_stale():
+    src = (FIXTURES / "flow_lock_order_pass.py").read_text()
+    stale = "# repro: noqa[lock-order]\n" + src
+    findings = lint_source(stale, rules=[all_rules()["unused-noqa"]])
+    assert [f.message.split(":")[0] for f in findings] == ["stale suppression"]
+    assert "lock-order no longer fires" in findings[0].message
 
 
 def test_unknown_pass_name_raises():
-    with pytest.raises(ValueError, match="unknown flow pass"):
-        analyze_paths([FIXTURES], select=["no-such-pass"])
+    with pytest.raises(ValueError, match="unknown rule"):
+        lint_paths([FIXTURES], select=["no-such-pass"])
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +157,13 @@ def test_project_symbols_and_call_resolution(tmp_path):
         "def top():\n"
         "    return util.helper()\n"
     )
-    project = Project.load(sorted((tmp_path / "pkg").rglob("*.py")))
+    project = Project(
+        (str(p), ast.parse(p.read_text()))
+        for p in sorted((tmp_path / "pkg").rglob("*.py"))
+    )
     names = {fi.qualname for fi in project.all_functions()}
     assert "pkg.util:helper" in names
     assert "pkg.main:C.m" in names and "pkg.main:top" in names
-
-    import ast
 
     main = project.modules["pkg.main"]
     # self.other() resolves to the sibling method
@@ -163,127 +182,39 @@ def test_project_symbols_and_call_resolution(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# reporter: SARIF + baseline
-# ----------------------------------------------------------------------
-
-def _sample_findings():
-    return [
-        Finding("lock-order", "src/a.py", 10, 4, "cycle x -> y -> x"),
-        Finding("dtype-flow", "src/b.py", 3, 0, "implicit mix"),
-    ]
-
-
-def test_sarif_document_shape():
-    doc = json.loads(render_sarif(_sample_findings(), {"lock-order": "d1"}))
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro.devtools"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"lock-order", "dtype-flow"} <= rule_ids
-    assert len(run["results"]) == 2
-    first = run["results"][0]
-    assert first["ruleId"] == "lock-order"
-    loc = first["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"] == "src/a.py"
-    assert loc["region"]["startLine"] == 10
-
-
-def test_baseline_roundtrip_and_ratchet(tmp_path):
-    findings = _sample_findings()
-    path = tmp_path / "baseline.json"
-    write_baseline(findings, path)
-    baseline = load_baseline(path)
-    assert {fingerprint(f) for f in findings} == baseline
-    assert apply_baseline(findings, baseline) == []
-    # line drift does not resurrect a baselined finding …
-    drifted = Finding("lock-order", "src/a.py", 99, 0, "cycle x -> y -> x")
-    assert apply_baseline([drifted], baseline) == []
-    # … but a new message is a new finding
-    new = Finding("lock-order", "src/a.py", 10, 4, "cycle x -> z -> x")
-    assert apply_baseline([new], baseline) == [new]
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "absent.json") == set()
-
-
-def test_baseline_version_mismatch(tmp_path):
-    p = tmp_path / "b.json"
-    p.write_text('{"version": 99, "findings": []}')
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(p)
-
-
-# ----------------------------------------------------------------------
 # the gate: the repo itself analyzes clean; CLI plumbing
 # ----------------------------------------------------------------------
 
 def test_repository_flow_analyzes_clean():
-    findings = analyze_paths([SRC])
+    findings = lint_paths([SRC], select=sorted(PASS_FIXTURES))
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
 
-def test_committed_baseline_is_loadable_and_current():
-    """The committed baseline matches reality: applying it to a clean
-    tree yields no findings, and it contains no stale version."""
-    baseline_path = Path(__file__).parent.parent / "analysis-baseline.json"
-    baseline = load_baseline(baseline_path)
-    findings = apply_baseline(analyze_paths([SRC]), baseline)
-    assert findings == []
-
-
 def test_cli_flow_flag(tmp_path, capsys):
+    """The whole-program rules need no flag: a plain run includes them,
+    and ``--flow`` is gone."""
     bad = tmp_path / "m.py"
     bad.write_text((FIXTURES / "flow_lock_order_flag.py").read_text())
-    assert lint_cli.main([str(bad), "--flow"]) == 1
+    assert lint_cli.main([str(bad)]) == 1
     assert "[lock-order]" in capsys.readouterr().out
-    # the same file without --flow has no per-module findings
-    assert lint_cli.main([str(bad)]) == 0
+    with pytest.raises(SystemExit):
+        lint_cli.main([str(bad), "--flow"])
 
 
 def test_cli_flow_select(tmp_path, capsys):
     bad = tmp_path / "m.py"
     bad.write_text((FIXTURES / "flow_dtype_flow_flag.py").read_text())
-    assert lint_cli.main(
-        [str(bad), "--flow", "--select", "dtype-flow"]
-    ) == 1
+    assert lint_cli.main([str(bad), "--select", "dtype-flow"]) == 1
     out = capsys.readouterr().out
     assert "[dtype-flow]" in out
-
-
-def test_cli_sarif_and_baseline_workflow(tmp_path, capsys):
-    bad = tmp_path / "m.py"
-    bad.write_text((FIXTURES / "flow_payload_escape_flag.py").read_text())
-    sarif = tmp_path / "analysis.sarif"
-    baseline = tmp_path / "baseline.json"
-
-    # 1) findings fail the gate and land in the SARIF report
-    assert lint_cli.main(
-        [str(bad), "--flow", "--sarif", str(sarif)]
-    ) == 1
-    capsys.readouterr()
-    doc = json.loads(sarif.read_text())
-    assert doc["runs"][0]["results"]
-
-    # 2) writing the baseline records them and exits 0
-    assert lint_cli.main(
-        [str(bad), "--flow", "--baseline", str(baseline),
-         "--write-baseline"]
-    ) == 0
-    capsys.readouterr()
-
-    # 3) with the baseline applied the gate passes and the SARIF is empty
-    assert lint_cli.main(
-        [str(bad), "--flow", "--baseline", str(baseline),
-         "--sarif", str(sarif)]
-    ) == 0
-    capsys.readouterr()
-    assert json.loads(sarif.read_text())["runs"][0]["results"] == []
+    # a named fixture file is analysed, not skipped like a walked one
+    fixture = FIXTURES / "flow_payload_escape_flag.py"
+    assert lint_cli.main([str(fixture), "--select", "payload-escape"]) == 1
+    assert "[payload-escape]" in capsys.readouterr().out
 
 
 def test_cli_list_rules_includes_flow_passes(capsys):
     assert lint_cli.main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for name in flow_rule_descriptions():
-        assert name in out
-        assert "[flow]" in out
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert listed == set(all_rules())
+    assert set(PASS_FIXTURES) <= listed

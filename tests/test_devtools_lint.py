@@ -13,6 +13,7 @@ import pytest
 
 from repro.devtools import lint as lint_cli
 from repro.devtools.astlint import (
+    ProjectRule,
     all_rules,
     lint_file,
     lint_paths,
@@ -69,7 +70,13 @@ def test_rule_passes_its_clean_fixture(rule_name):
 
 
 def test_every_registered_rule_has_fixtures():
-    assert set(all_rules()) == set(RULE_FIXTURES)
+    """The per-file rules are paired here; the whole-program ones in
+    ``test_devtools_flow.py``."""
+    per_file = {
+        name for name, rule in all_rules().items()
+        if not isinstance(rule, ProjectRule)
+    }
+    assert per_file == set(RULE_FIXTURES)
 
 
 def test_rule_finding_details():
@@ -295,6 +302,15 @@ def test_cli_exit_codes(capsys, tmp_path):
     bad.write_text((FIXTURES / "counter_protocol_flag.py").read_text())
     assert lint_cli.main([str(bad), "--select", "counter-protocol"]) == 1
     assert "[counter-protocol]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("select", [[], ["lock-discipline"], ["lock-order"]])
+def test_cli_missing_path_is_a_usage_error(select, capsys):
+    argv = ["no/such/dir"] + [a for name in select for a in ("--select", name)]
+    with pytest.raises(SystemExit) as exc:
+        lint_cli.main(argv)
+    assert exc.value.code == 2
+    assert "no such file or directory: no/such/dir" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):
