@@ -3,12 +3,12 @@
 The paper describes the triangular solves as the final phase over the
 same block layout but does not dedicate a figure to them (see its
 citation [59] for the companion triangular-solve work).  This bench
-exercises the *real* engine path — the executable solve DAG through the
-shared scheduler core — measuring sequential vs threaded wall-clock and
+exercises the *real* engine path — the solve DAG through the shared
+scheduler core — measuring sequential vs threaded wall-clock and
 the multi-RHS panel amortisation, then keeps the original simulated
 process-count sweep as the distributed-scaling model.  Engine outputs
-are asserted bit-identical along the way (the executable DAG's
-per-segment writer chains make that a guarantee, not a tolerance).
+are asserted bit-identical along the way (the DAG's per-segment
+writer chains make that a guarantee, not a tolerance).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def test_tsolve_engines(benchmark):
     for name in MATRICES:
         pg = factorized_pangulu(name)
         f = pg.blocks
-        tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0)
         b = np.linspace(1.0, 2.0, f.n)
         x_seq, _ = tsolve_sequential(f, b, tdag=tdag)
         x_thr, _ = tsolve_lanes(f, tdag, b, n_lanes=WORKERS)
@@ -62,7 +62,7 @@ def test_tsolve_engines(benchmark):
     ))
 
     pg = factorized_pangulu(MATRICES[0])
-    tdag = build_tsolve_dag(pg.blocks, lambda bi, bj: 0, executable=True)
+    tdag = build_tsolve_dag(pg.blocks, lambda bi, bj: 0)
     b = np.ones(pg.blocks.n)
     benchmark.pedantic(
         lambda: tsolve_lanes(pg.blocks, tdag, b, n_lanes=WORKERS),
@@ -75,7 +75,7 @@ def test_tsolve_rhs_sweep():
     banner("Extension — multi-RHS panel amortisation (phase 5)")
     pg = factorized_pangulu(MATRICES[0])
     f = pg.blocks
-    tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+    tdag = build_tsolve_dag(f, lambda bi, bj: 0)
     rows = []
     for nrhs in NRHS:
         b = np.linspace(1.0, 2.0, f.n * nrhs).reshape(f.n, nrhs) \

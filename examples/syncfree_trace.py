@@ -15,11 +15,9 @@ Run:  python examples/syncfree_trace.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import PanguLU, SolverOptions
 from repro.core import TaskType, sync_free_array
-from repro.runtime import A100_PLATFORM, simulate_pangulu
+from repro.runtime import A100_PLATFORM, EventRecorder, simulate_pangulu
 from repro.sparse import random_sparse
 
 
@@ -62,16 +60,14 @@ def main() -> None:
               f"(runnable panels next): {ready[:8]}{'…' if len(ready) > 8 else ''}")
         print(render_array(f.nb, counts))
 
-    # the same DAG through the event simulator: the first 12 task firings
-    sim = simulate_pangulu(f, dag, A100_PLATFORM, 4)
-    order = np.argsort(sim.result.start_times)
+    # the same DAG through the event simulator, recorded as the engines
+    # record a real run: the first 12 task firings
+    rec = EventRecorder()
+    sim = simulate_pangulu(f, dag, A100_PLATFORM, 4, recorder=rec)
     print("\nsimulated timeline on 4 processes (first 12 task starts):")
     print(f"{'t (µs)':>8s}  {'proc':>4s}  task")
-    for tid in order[:12]:
-        t = dag.tasks[int(tid)]
-        print(f"{sim.result.start_times[tid] * 1e6:8.2f}  "
-              f"{int(sim.assignment[tid]):4d}  "
-              f"{t.ttype.name}(k={t.k}, target=({t.bi},{t.bj}))")
+    for e in sorted(rec.task_events, key=lambda e: e.t0)[:12]:
+        print(f"{e.t0 * 1e6:8.2f}  {e.worker:4d}  {e.name}")
     print(f"\nmakespan {sim.result.makespan * 1e6:.1f} µs, "
           f"mean sync {sim.result.mean_sync * 1e6:.1f} µs, "
           f"{sim.result.messages} messages")
@@ -79,13 +75,14 @@ def main() -> None:
     # Gantt comparison: sync-free vs level-set barriers
     from repro.analysis import render_gantt
 
-    kinds = np.asarray([int(t.ttype) for t in dag.tasks])
     for schedule in ("syncfree", "levelset"):
-        run = simulate_pangulu(f, dag, A100_PLATFORM, 4, schedule=schedule)
+        rec = EventRecorder()
+        run = simulate_pangulu(
+            f, dag, A100_PLATFORM, 4, schedule=schedule, recorder=rec
+        )
         print(f"\n{schedule} schedule "
               f"(makespan {run.result.makespan * 1e6:.1f} µs):")
-        print(render_gantt(run.result, run.assignment, kinds=kinds, width=64))
-
+        print(render_gantt(rec, width=64))
 
 if __name__ == "__main__":
     main()

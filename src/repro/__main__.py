@@ -154,37 +154,32 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .runtime import A100_PLATFORM, MI50_PLATFORM, simulate_pangulu
+    from .runtime import (
+        A100_PLATFORM, MI50_PLATFORM, EventRecorder, simulate_pangulu,
+        write_recorder_trace,
+    )
 
     a = _load(args.matrix, args.scale)
     solver = PanguLU(a)
     solver.preprocess()
     platform = {"a100": A100_PLATFORM, "mi50": MI50_PLATFORM}[args.platform]
+    procs = [p for p in (1, 2, 4, 8, 16, 32, 64, 128) if p <= args.max_procs]
     rows = []
-    last_sim = None
-    for p in (1, 2, 4, 8, 16, 32, 64, 128):
-        if p > args.max_procs:
-            break
-        sim = simulate_pangulu(solver.blocks, solver.dag, platform, p)
-        last_sim = sim
+    recorder = None
+    for p in procs:
+        if args.trace and p == procs[-1]:
+            recorder = EventRecorder()  # the largest run is traced
+        sim = simulate_pangulu(
+            solver.blocks, solver.dag, platform, p, recorder=recorder
+        )
         rows.append([p, sim.gflops, sim.result.makespan * 1e3,
                      sim.result.mean_sync * 1e3])
     print(format_table(
         ["procs", "GFLOP/s", "makespan (ms)", "sync (ms)"], rows,
         float_fmt="{:.3f}",
     ))
-    if args.trace and last_sim is not None:
-        from .runtime import write_chrome_trace
-
-        names = [
-            f"{t.ttype.name}(k={t.k},{t.bi},{t.bj})" for t in solver.dag.tasks
-        ]
-        cats = [t.ttype.name for t in solver.dag.tasks]
-        write_chrome_trace(
-            args.trace, last_sim.result, last_sim.assignment,
-            names=names, categories=cats,
-            successors=solver.dag.successors,
-        )
+    if recorder is not None:
+        write_recorder_trace(args.trace, recorder)
         print(f"chrome trace of the largest run written to {args.trace}")
     return 0
 

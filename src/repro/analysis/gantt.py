@@ -1,73 +1,70 @@
-"""ASCII Gantt rendering of simulated schedules.
+"""ASCII Gantt rendering of recorded schedules.
 
-Turns a :class:`~repro.runtime.simulator.SimResult` into a per-process
-timeline (one row per process, one glyph per time bucket) so schedule
-differences — barrier gaps under level-set vs dense packing under
-sync-free — are visible in a terminal, without any plotting dependency.
+Turns an :class:`~repro.runtime.scheduler.EventRecorder` — of a
+simulated run or a real one — into a per-lane timeline (one row per
+process/worker/rank, one glyph per time bucket) so schedule differences
+— barrier gaps under level-set vs dense packing under sync-free — are
+visible in a terminal, without any plotting dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.simulator import SimResult
+from ..runtime.scheduler import EventRecorder
 
 __all__ = ["render_gantt"]
 
-#: glyph per task-kind index (cycles if there are more kinds)
+#: glyph per task category, in order of first appearance (cycles if
+#: there are more categories)
 _GLYPHS = "FLUS*+#@"
 
 
 def render_gantt(
-    result: SimResult,
-    owner: np.ndarray,
-    *,
-    kinds: np.ndarray | None = None,
-    width: int = 72,
-    max_procs: int = 16,
+    recorder: EventRecorder, *, width: int = 72, max_procs: int = 16
 ) -> str:
-    """Render the schedule as text.
+    """Render the recorded task spans as text.
 
     Parameters
     ----------
-    result:
-        Simulation outcome (start/end times per task).
-    owner:
-        Process of each task.
-    kinds:
-        Optional small-integer task-kind array selecting the glyph
-        (e.g. ``TaskType`` values); tasks without kinds all render ``#``.
+    recorder:
+        The run's events; its task spans are drawn on their lanes, time
+        rebased to the earliest span.
     width:
         Characters per timeline.
     max_procs:
-        Rows to render (processes beyond this are summarised).
+        Rows to render (lanes beyond this are summarised).
 
-    Busy buckets show the glyph of the task covering the bucket's midpoint
-    (ties: the task that started last); idle buckets show ``·``.
+    Busy buckets show the glyph of the task category covering the
+    bucket's midpoint (ties: the task that started last); idle buckets
+    show ``·``.  The legend maps glyphs to categories.
     """
-    nprocs = int(owner.max()) + 1 if owner.size else 0
-    makespan = result.makespan or 1.0
+    spans = recorder.task_events
+    base = min((e.t0 for e in spans), default=0.0)
+    makespan = max((e.t1 for e in spans), default=base) - base or 1.0
+    cats = list(dict.fromkeys(e.cat for e in spans))
+    glyph = {c: _GLYPHS[i % len(_GLYPHS)] for i, c in enumerate(cats)}
     edges = np.linspace(0.0, makespan, width + 1)
     mids = (edges[:-1] + edges[1:]) / 2.0
-    lines = []
+    nprocs = max((e.worker for e in spans), default=-1) + 1
     shown = min(nprocs, max_procs)
-    for p in range(shown):
-        mine = np.flatnonzero(owner == p)
-        row = ["·"] * width
-        for t in mine:
-            s, e = result.start_times[t], result.end_times[t]
-            cover = (mids >= s) & (mids < e)
-            glyph = (
-                _GLYPHS[int(kinds[t]) % len(_GLYPHS)] if kinds is not None else "#"
-            )
-            for b in np.flatnonzero(cover):
-                row[b] = glyph
-        busy_pct = 100.0 * result.busy_seconds[p] / makespan
-        lines.append(f"p{p:<3d} |{''.join(row)}| {busy_pct:5.1f}% busy")
+    rows = [["·"] * width for _ in range(shown)]
+    busy = np.zeros(shown)
+    for e in sorted(spans, key=lambda e: e.t0):
+        if e.worker >= shown:
+            continue
+        s, t = e.t0 - base, e.t1 - base
+        busy[e.worker] += t - s
+        for b in np.flatnonzero((mids >= s) & (mids < t)):
+            rows[e.worker][b] = glyph[e.cat]
+    lines = [
+        f"p{p:<3d} |{''.join(row)}| {100.0 * busy[p] / makespan:5.1f}% busy"
+        for p, row in enumerate(rows)
+    ]
     if nprocs > shown:
         lines.append(f"… {nprocs - shown} more processes not shown")
+    legend = " ".join(f"{glyph[c]}={c}" for c in cats)
     lines.append(
-        f"time 0 … {makespan * 1e3:.3f} ms   "
-        f"(glyphs: task kinds, '·' idle)"
+        f"time 0 … {makespan * 1e3:.3f} ms   (glyphs: {legend}; '·' idle)"
     )
     return "\n".join(lines)

@@ -173,6 +173,12 @@ class TaskDAG:
 
     n_deps = property(dep_counts)
 
+    def trace_label(self, tid: int) -> tuple[str, str]:
+        """``(name, category)`` of a task in traces:
+        ``GESSM(k=2,5,2)`` (kind, step, target block) under ``GESSM``."""
+        t = self.tasks[tid]
+        return f"{t.ttype.name}(k={t.k},{t.bi},{t.bj})", t.ttype.name
+
     def critical_path_flops(self) -> int:
         """FLOP weight of the longest dependency chain — a lower bound on
         any schedule's makespan in flop units."""

@@ -421,6 +421,7 @@ class FactorJob:
         self, f: BlockMatrix, dag: TaskDAG, options: NumericOptions, owned=None
     ) -> None:
         self.f = f
+        self.dag = dag
         self.tasks = dag.tasks
         self.table = table = dag.table
         self.options = options
@@ -505,9 +506,7 @@ class FactorJob:
         return label, replaced, planned
 
     def trace_label(self, tid: int) -> tuple[str, str]:
-        task = self.tasks[tid]
-        name = task.ttype.name
-        return f"{name}(k={task.k},{task.bi},{task.bj})", name
+        return self.dag.trace_label(tid)
 
     def finish(self, report: RunReport) -> None:
         """The flops of the tasks that ran, the footprints of the plan

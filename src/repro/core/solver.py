@@ -398,7 +398,7 @@ class SolverOptions:
         what travels to the ranks.
     verify_schedule:
         Statically verify every built DAG (the factor DAG at
-        preprocessing, each executable solve DAG on first use) with
+        preprocessing, each solve DAG on first use) with
         :func:`repro.core.verify.verify_dag` before any engine executes
         it: acyclicity, counter-equals-indegree, single-writer block
         chains, and solve-segment write ordering.  A violation raises
@@ -468,7 +468,7 @@ class Factorization:
     """A factor-once/solve-many handle: everything phase 5 needs.
 
     Produced by :meth:`PanguLU.factorize`; owns the factored blocks, the
-    scalings/permutations of phase 1, and the executable solve DAGs, and
+    scalings/permutations of phase 1, and the solve DAGs, and
     solves any number of right-hand sides through the engine named by
     ``options.engine`` — without touching the original :class:`PanguLU`
     (which delegates its own ``solve``/``solve_transposed``/
@@ -528,7 +528,7 @@ class Factorization:
         self.refactorize_seconds = 0.0
         self.last_tsolve_stats: RunReport | None = None
         self.placement = placement
-        # executable solve DAGs, keyed by engine placement (the local
+        # solve DAGs, keyed by engine placement (the local
         # engines share one single-owner DAG; distributed/hybrid need
         # the ownership map of their rank count) and solve direction
         self._tsolve_dags: dict = {}
@@ -562,7 +562,7 @@ class Factorization:
         return self.placement
 
     def _tsolve_dag(self, transposed: bool = False):
-        """The executable solve DAG of one direction for the current
+        """The solve DAG of one direction for the current
         engine (cached — patterns are immutable post-symbolic, so it
         survives repeated solves and refactorisations)."""
         placement = self._engine_placement()
@@ -577,9 +577,7 @@ class Factorization:
 
         tdag = self._tsolve_dags.get(key)
         if tdag is None:
-            tdag = build_tsolve_dag(
-                self.blocks, owner, executable=True, transposed=transposed
-            )
+            tdag = build_tsolve_dag(self.blocks, owner, transposed=transposed)
             if self.options.verify_schedule:
                 verify_dag(tdag)
             self._tsolve_dags[key] = tdag
@@ -719,7 +717,7 @@ class Factorization:
         simulation — the workload PanguLU's introduction motivates).
 
         Reuses the reordering, symbolic pattern, blocking, DAG, mapping,
-        execution plans **and** the executable solve DAGs computed for
+        execution plans **and** the solve DAGs computed for
         the original matrix; only value injection and the numeric
         factorisation are repeated.  On the arena layout
         (``options.use_arena``) the value injection is a single in-place

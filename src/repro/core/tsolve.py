@@ -12,8 +12,7 @@ off-diagonal updates are block mat-vecs over stored entries only
 (:func:`~repro.kernels.tsolve_kernels.upd_seg`).
 
 There is one execution path, in either direction:
-:func:`build_tsolve_dag(..., executable=True)
-<repro.core.tsolve_dag.build_tsolve_dag>` tasks drained through the
+:func:`~repro.core.tsolve_dag.build_tsolve_dag` tasks drained through the
 shared :class:`~repro.runtime.scheduler.SchedulerCore` by the one lane
 driver (:func:`repro.runtime.lanes.run_lanes`), exactly like the numeric
 phase.  :class:`SolveJob` is the phase's job; :func:`tsolve_lanes` runs
@@ -40,25 +39,11 @@ from .tsolve_dag import _Y_WRITERS, TSolveDAG, TSolveTaskType, build_tsolve_dag
 
 __all__ = [
     "tsolve_write_slots",
-    "tsolve_task_label",
     "execute_tsolve_task",
     "SolveJob",
     "tsolve_lanes",
     "tsolve_sequential",
 ]
-
-
-_KIND_NAMES = {int(t): t.name for t in TSolveTaskType}
-
-
-def tsolve_task_label(tdag: TSolveDAG, tid: int) -> str:
-    """Trace label of a solve task: ``DIAG_F(k=3)`` / ``UPD_B(9→2)``."""
-    kind = int(tdag.kinds[tid])
-    k, tgt = int(tdag.k_of[tid]), int(tdag.target[tid])
-    name = _KIND_NAMES[kind]
-    if kind in (TSolveTaskType.DIAG_F, TSolveTaskType.DIAG_B):
-        return f"{name}(k={k})"
-    return f"{name}({k}→{tgt})"
 
 
 def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
@@ -151,10 +136,7 @@ class SolveJob:
         return ()
 
     def trace_label(self, tid: int) -> tuple[str, str]:
-        return (
-            tsolve_task_label(self.tdag, tid),
-            _KIND_NAMES[int(self.tdag.kinds[tid])],
-        )
+        return self.tdag.trace_label(tid)
 
     def finish(self, report: RunReport) -> None:
         """The number of right-hand sides solved at once."""
@@ -170,12 +152,9 @@ def tsolve_lanes(
     recorder: EventRecorder | None = None,
 ) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps on ``n_lanes`` lanes of this process.
-    More than one lane needs an *executable* solve DAG; because that DAG
-    totally orders the writers of every segment, the solution is
-    bit-identical for every lane count.  Returns ``(x, RunReport)``."""
-    if n_lanes > 1 and tdag.seq_y is None:
-        raise ValueError("concurrent lanes need an executable solve DAG "
-                         "(build_tsolve_dag(..., executable=True))")
+    The solve DAG totally orders the writers of every segment, so the
+    solution is bit-identical for every lane count.  Returns
+    ``(x, RunReport)``."""
     y = _check_rhs(f.n, b)
     x = np.empty_like(y)
     return x, run_lanes(
@@ -199,5 +178,5 @@ def tsolve_sequential(
     ``recorder`` for solve-task trace lanes.
     """
     if tdag is None:
-        tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0)
     return tsolve_lanes(f, tdag, b, recorder=recorder)

@@ -24,12 +24,11 @@ with ``Lᵀ`` and pushes through the ``L`` blocks of that row
 the plain solve walks block columns, every task still on the owner of
 the block it reads.
 
-Two consumers share this graph.  The *simulator* (``runtime/adapters.py``)
-prices the default build, whose dependencies capture mathematical
-readiness only.  The *real engines* (sequential / threaded / distributed
-/ hybrid, see :mod:`repro.core.tsolve` and :mod:`repro.runtime.engines`)
-request ``executable=True``, which adds the edges actual concurrent
-execution needs on top:
+The engines (sequential / threaded / distributed / hybrid, see
+:mod:`repro.core.tsolve` and :mod:`repro.runtime.engines`) and the
+simulator (:func:`repro.runtime.adapters.simulate_tsolve`) share this
+one graph.  Beyond mathematical readiness it carries the edges
+concurrent execution needs:
 
 * the updates into each target segment are **chained** in the order a
   k-ordered loop sweep applies them (ascending source ``k`` forward,
@@ -73,9 +72,8 @@ _Y_WRITERS = (int(TSolveTaskType.DIAG_F), int(TSolveTaskType.UPD_F))
 class TSolveDAG:
     """Flat arrays describing the triangular-solve task graph.
 
-    ``seq_y`` / ``seq_x`` are only populated by ``executable=True``
-    builds: the position of each task in its target segment's total write
-    order on the forward (``y``) and backward (``x``) arrays, −1 for
+    ``seq_y`` / ``seq_x`` are the position of each task in its target
+    segment's total write order on the forward (``y``) and backward (``x``) arrays, −1 for
     tasks that do not write the array.  ``DIAG_F`` appears in both — it
     finishes the ``y`` segment and seeds the matching ``x`` segment.
     ``transposed`` is the direction flag: an update task ``(k → tgt)``
@@ -96,12 +94,21 @@ class TSolveDAG:
     owner: np.ndarray
     total_flops: float
     entries: list[tuple[int, int, int]]
-    seq_y: np.ndarray | None = None
-    seq_x: np.ndarray | None = None
+    seq_y: np.ndarray
+    seq_x: np.ndarray
     transposed: bool = False
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def trace_label(self, tid: int) -> tuple[str, str]:
+        """``(name, category)`` of a task in traces: ``DIAG_F(k=3)`` /
+        ``UPD_B(9→2)`` under its kind."""
+        kind = TSolveTaskType(int(self.kinds[tid]))
+        k, tgt = int(self.k_of[tid]), int(self.target[tid])
+        if kind in (TSolveTaskType.DIAG_F, TSolveTaskType.DIAG_B):
+            return f"{kind.name}(k={k})", kind.name
+        return f"{kind.name}({k}→{tgt})", kind.name
 
 
 def _diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
@@ -116,19 +123,16 @@ def _diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
 
 
 def build_tsolve_dag(
-    f: BlockMatrix, owner_of_block, *, executable: bool = False,
-    transposed: bool = False,
+    f: BlockMatrix, owner_of_block, *, transposed: bool = False
 ) -> TSolveDAG:
     """Build the solve DAG; ``owner_of_block(bi, bj) -> proc`` sets task
     placement (diag tasks on the diagonal block's owner, updates on the
     off-diagonal block's owner — data stays put, vectors move).
 
-    ``executable=True`` additionally chains same-target updates in
-    ascending/descending source order, orders the backward seed, and
-    fills ``seq_y``/``seq_x`` — the extra structure the real engines need
-    for race-free, bit-identical concurrent execution (module docstring).
-    The default build is the looser graph the simulator prices.
-    ``transposed=True`` builds the graph of ``Aᵀ x = b`` (block rows in
+    Same-target updates are chained in ascending/descending source
+    order, the backward seed is ordered and ``seq_y``/``seq_x`` are
+    filled — the structure race-free, bit-identical concurrent execution
+    needs (module docstring).  ``transposed=True`` builds the graph of ``Aᵀ x = b`` (block rows in
     place of block columns).
     """
     nb = f.nb
@@ -211,37 +215,35 @@ def build_tsolve_dag(
     for k in range(nb):
         dep(diag_f[k], diag_b[k])
 
-    seq_y = seq_x = None
-    if executable:
-        seq_y = np.full(n, -1, dtype=np.int64)
-        seq_x = np.full(n, -1, dtype=np.int64)
-        # forward writers of y[i]: UPD_F(k, i) ascending k (the order the
-        # upd_f list already carries), then DIAG_F(i)
-        fwd_chain: dict[int, list[int]] = {}
-        for tid, _k, i in upd_f:
-            fwd_chain.setdefault(i, []).append(tid)
-        for i, chain in fwd_chain.items():
-            for pos, tid in enumerate(chain):
-                seq_y[tid] = pos
-                if pos:
-                    dep(chain[pos - 1], tid)
-        for i in range(nb):
-            seq_y[diag_f[i]] = len(fwd_chain.get(i, ()))
-        # backward writers of x[i]: the DIAG_F(i) seed, UPD_B(k, i)
-        # descending k (the upd_b list order), then DIAG_B(i)
-        bwd_chain: dict[int, list[int]] = {}
-        for tid, _k, i in upd_b:
-            bwd_chain.setdefault(i, []).append(tid)
-        for i in range(nb):
-            seq_x[diag_f[i]] = 0
-        for i, chain in bwd_chain.items():
-            dep(diag_f[i], chain[0])  # the seed lands before updates
-            for pos, tid in enumerate(chain):
-                seq_x[tid] = pos + 1
-                if pos:
-                    dep(chain[pos - 1], tid)
-        for i in range(nb):
-            seq_x[diag_b[i]] = len(bwd_chain.get(i, ())) + 1
+    seq_y = np.full(n, -1, dtype=np.int64)
+    seq_x = np.full(n, -1, dtype=np.int64)
+    # forward writers of y[i]: UPD_F(k, i) ascending k (the order the
+    # upd_f list already carries), then DIAG_F(i)
+    fwd_chain: dict[int, list[int]] = {}
+    for tid, _k, i in upd_f:
+        fwd_chain.setdefault(i, []).append(tid)
+    for i, chain in fwd_chain.items():
+        for pos, tid in enumerate(chain):
+            seq_y[tid] = pos
+            if pos:
+                dep(chain[pos - 1], tid)
+    for i in range(nb):
+        seq_y[diag_f[i]] = len(fwd_chain.get(i, ()))
+    # backward writers of x[i]: the DIAG_F(i) seed, UPD_B(k, i)
+    # descending k (the upd_b list order), then DIAG_B(i)
+    bwd_chain: dict[int, list[int]] = {}
+    for tid, _k, i in upd_b:
+        bwd_chain.setdefault(i, []).append(tid)
+    for i in range(nb):
+        seq_x[diag_f[i]] = 0
+    for i, chain in bwd_chain.items():
+        dep(diag_f[i], chain[0])  # the seed lands before updates
+        for pos, tid in enumerate(chain):
+            seq_x[tid] = pos + 1
+            if pos:
+                dep(chain[pos - 1], tid)
+    for i in range(nb):
+        seq_x[diag_b[i]] = len(bwd_chain.get(i, ())) + 1
 
     entries = [
         (k if kind in _Y_WRITERS else 2 * nb - 1 - k, kind, tid)

@@ -16,7 +16,7 @@ them *before* a single kernel runs:
 * **single-writer chains** — for a factor DAG, every SSSSM update has a
   direct edge to its target block's panel task, so the panel
   factorisation can never overlap an update into the same block
-  (``double-writer``); for an executable solve DAG, the writers of every
+  (``double-writer``); for a solve DAG, the writers of every
   RHS segment carry contiguous ``seq_y``/``seq_x`` positions
   (``segment-order``) and consecutive writers are joined by a direct
   edge (``unchained-writer``), with ``DIAG_F`` seeding the backward
@@ -303,7 +303,7 @@ def verify_dag(dag, *, assignment=None, nprocs: int | None = None) -> ScheduleRe
         _check_factor_writers(dag)
         if assignment is not None:
             _check_ownership(dag, assignment, nprocs)
-    elif dag.seq_y is not None:
+    else:
         _check_tsolve_chains(dag)
     return ScheduleReport(
         kind=kind,

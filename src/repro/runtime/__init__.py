@@ -1,8 +1,9 @@
 """Distributed heterogeneous runtime substrate: the shared scheduler
 core, platform/network models, kernel cost models, the discrete-event
 simulator, the real threaded and distributed synchronisation-free
-executors with pluggable transports, the engine registry, and
-Chrome-trace export of simulated *and* real runs.
+executors with pluggable transports, the engine registry, and one
+Chrome-trace export of the run record the engines and the simulator
+both fill.
 
 Re-exports resolve lazily (PEP 562): :mod:`repro.core` depends on
 :mod:`repro.runtime.scheduler`, and the executors here depend on
@@ -39,8 +40,6 @@ _EXPORTS = {
     "EventRecorder": ".scheduler",
     "ready_entry": ".scheduler",
     # tracing
-    "to_chrome_trace": ".trace",
-    "write_chrome_trace": ".trace",
     "recorder_to_chrome_trace": ".trace",
     "write_recorder_trace": ".trace",
     # engines + transports

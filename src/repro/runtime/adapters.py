@@ -21,6 +21,7 @@ from ..core.mapping import balance_loads
 from ..core.placement import resolve_placement
 from .costmodel import SimTask, best_version, extract_sim_tasks, kernel_time
 from .machine import Platform
+from .scheduler import EventRecorder
 from .simulator import SimResult, SimSpec, simulate
 
 __all__ = ["PanguLUSimulation", "simulate_pangulu", "simulate_tsolve", "price_tasks"]
@@ -94,6 +95,7 @@ def simulate_pangulu(
     load_balance: bool = True,
     assignment: np.ndarray | None = None,
     placement="cyclic",
+    recorder: EventRecorder | None = None,
 ) -> PanguLUSimulation:
     """Simulate PanguLU's numeric factorisation on ``nprocs`` processes.
 
@@ -104,7 +106,9 @@ def simulate_pangulu(
     default, ``"cost"``, or a fitted
     :class:`~repro.core.placement.PlacementPolicy`); the ``"cost"``
     policy reads the platform's ``rank_speeds`` to favour fast ranks.
-    An explicit ``assignment`` overrides the placement entirely.
+    An explicit ``assignment`` overrides the placement entirely.  A
+    ``recorder`` receives the simulated run (:func:`simulate`), labelled
+    as the engines label factor tasks.
     """
     sim_tasks = extract_sim_tasks(f, dag)
     durations, versions = price_tasks(sim_tasks, platform, adaptive=adaptive_kernels)
@@ -123,19 +127,20 @@ def simulate_pangulu(
             assignment = balance_loads(
                 dag, place, assignment, speeds=place.speeds
             )
-    table = dag.table
-    priority = (table.k * 8 + table.ttype).astype(np.float64)
     spec = SimSpec(
         durations=durations,
         owner=assignment,
         out_bytes=np.asarray([st.out_bytes for st in sim_tasks]),
-        n_deps=dag.dep_counts(),
+        n_deps=dag.n_deps,
         successors=dag.successors,
-        priority=priority,
+        priority=dag.entries,
         nprocs=nprocs,
-        levels=table.k,
+        levels=dag.table.k,
     )
-    result = simulate(spec, platform, schedule=schedule)
+    result = simulate(
+        spec, platform, schedule=schedule, recorder=recorder,
+        label=dag.trace_label,
+    )
     return PanguLUSimulation(
         result=result,
         versions=versions,
@@ -151,6 +156,7 @@ def simulate_tsolve(
     nprocs: int,
     *,
     placement="cyclic",
+    recorder: EventRecorder | None = None,
 ) -> SimResult:
     """Simulate the distributed block triangular solves (phase 5).
 
@@ -159,15 +165,12 @@ def simulate_tsolve(
     entries once) plus the launch overhead, and segments travel between
     processes like factor blocks do.
 
-    This prices the *default* (non-executable) solve DAG, whose edges
-    capture mathematical readiness only.  The real engines
-    (:func:`repro.core.tsolve.tsolve_sequential` and friends) request
-    ``build_tsolve_dag(..., executable=True)``, which adds the
-    per-segment writer chains concurrent execution needs; the simulator
-    deliberately keeps the looser graph — it prices the critical path,
-    it does not race on memory.  ``placement`` selects the block→rank
-    ownership policy (name or fitted instance; the ``"cost"`` policy
-    costs blocks by storage traffic here, the solve-only path).
+    This prices the solve DAG the engines run
+    (:func:`~repro.core.tsolve_dag.build_tsolve_dag`, writer chains
+    included) in the engines' ready order.  ``placement`` selects the
+    block→rank ownership policy (name or fitted instance; the ``"cost"``
+    policy costs blocks by storage traffic here, the solve-only path).
+    A ``recorder`` receives the simulated run (:func:`simulate`).
     """
     from ..core.tsolve_dag import build_tsolve_dag
 
@@ -200,9 +203,9 @@ def simulate_tsolve(
         durations=durations,
         owner=dag.owner,
         out_bytes=dag.out_bytes,
-        n_deps=dag.n_deps.copy(),
+        n_deps=dag.n_deps,
         successors=dag.successors,
-        priority=np.asarray(dag.kinds * (f.nb + 1) + dag.k_of, dtype=np.float64),
+        priority=dag.entries,
         nprocs=nprocs,
     )
-    return simulate(spec, platform, schedule="syncfree")
+    return simulate(spec, platform, recorder=recorder, label=dag.trace_label)

@@ -178,7 +178,7 @@ class _RankSolveJob(SolveJob):
     Because transports only order messages per sender, a slow producer's
     payload can arrive after a newer write to the same segment already
     landed; the per-task write sequence numbers (``seq_y``/``seq_x`` of
-    the executable DAG) make the receive path idempotent — stale payloads
+    the solve DAG) make the receive path idempotent — stale payloads
     still decrement the dependency counter but no longer touch the array.
     """
 
@@ -429,9 +429,9 @@ def tsolve_distributed(
 ) -> tuple:
     """Both triangular sweeps across ``n_procs`` ranks.
 
-    ``tdag`` must be the *executable* solve DAG built with this run's
-    block→rank owner map (``build_tsolve_dag(f, placement.owner,
-    executable=True)``; ``placement=None`` selects the paper's 2D
+    ``tdag`` must be the solve DAG built with this run's block→rank
+    owner map (``build_tsolve_dag(f, placement.owner)``;
+    ``placement=None`` selects the paper's 2D
     block-cyclic rule) — diag solves run on the diagonal block's owner,
     updates on the off-diagonal block's owner, so factor blocks stay put
     and only RHS segments travel.  Messages carry real segment bytes
@@ -445,9 +445,6 @@ def tsolve_distributed(
     Returns ``(x, RunReport)``.
     """
     placement = _resolve_pool(n_procs, n_threads, placement)
-    if tdag.seq_y is None:
-        raise ValueError("tsolve_distributed needs an executable solve DAG "
-                         "(build_tsolve_dag(..., executable=True))")
     y0 = _check_rhs(f.n, b)
     owner_of_slot = _owner_of_slot(f, placement)
     x = np.empty_like(y0)

@@ -22,15 +22,16 @@ engines are its configurations:
   :meth:`SchedulerCore.complete`.
 
 The triangular solves (phase 5) run the same configurations over the
-same core — :meth:`SchedulerCore.from_dag` builds one from an
-executable :class:`~repro.core.tsolve_dag.TSolveDAG` as it does from a
-factor DAG, and the solve tasks flow through ``pop``/``complete``
-exactly as factor tasks do.
+same core — :meth:`SchedulerCore.from_dag` builds one from a
+:class:`~repro.core.tsolve_dag.TSolveDAG` as it does from a factor DAG,
+and the solve tasks flow through ``pop``/``complete`` exactly as factor
+tasks do.
 
 The core also hosts the structured :class:`EventRecorder` — task
 start/end, message send/recv, ready-queue depth — which
-:mod:`repro.runtime.trace` serialises into Chrome/Perfetto traces of
-*real* runs (not only simulated schedules).
+:mod:`repro.runtime.trace` serialises into Chrome/Perfetto traces; the
+simulator (:func:`repro.runtime.simulator.simulate`) fills the same
+record at virtual time.
 
 This module deliberately imports nothing from :mod:`repro` so the
 ``core`` layer can depend on it without cycles.
@@ -126,9 +127,10 @@ class DepthEvent:
 
 
 class EventRecorder:
-    """Accumulates scheduler events from a real run.
+    """Accumulates scheduler events from a run.
 
-    Timestamps are raw ``time.perf_counter()`` readings; they are
+    Timestamps are raw ``time.perf_counter()`` readings on the engines
+    and virtual seconds on the simulator (which passes ``t``); they are
     comparable across worker threads and across ``fork``-spawned ranks
     (both share the system monotonic clock), and
     :func:`repro.runtime.trace.recorder_to_chrome_trace` rebases them to
@@ -152,15 +154,20 @@ class EventRecorder:
     ) -> None:
         self.task_events.append(TaskEvent(worker, name, cat, t0, t1, tid))
 
-    def send(self, rank: int, dst: int, tid: int, nbytes: int) -> None:
-        self.message_events.append(
-            MessageEvent("send", rank, dst, tid, nbytes, self.now())
-        )
+    def send(
+        self, rank: int, dst: int, tid: int, nbytes: int, t: float | None = None
+    ) -> None:
+        self.message_events.append(MessageEvent(
+            "send", rank, dst, tid, nbytes, self.now() if t is None else t
+        ))
 
-    def recv(self, rank: int, src: int, tid: int, nbytes: int = 0) -> None:
-        self.message_events.append(
-            MessageEvent("recv", rank, src, tid, nbytes, self.now())
-        )
+    def recv(
+        self, rank: int, src: int, tid: int, nbytes: int = 0,
+        t: float | None = None,
+    ) -> None:
+        self.message_events.append(MessageEvent(
+            "recv", rank, src, tid, nbytes, self.now() if t is None else t
+        ))
 
     def depth(self, lane: int, depth: int) -> None:
         self.depth_events.append(DepthEvent(lane, depth, self.now()))

@@ -8,14 +8,18 @@ supernodal panels) over ``P`` simulated processes with
   executing rank's ``Platform.rank_speed`` factor (heterogeneous
   machines run slow ranks proportionally longer; the default
   homogeneous speeds leave durations untouched),
-* point-to-point message delays from the network model (a task's output
-  travels to every consumer on another process),
+* point-to-point message delays from the network model: a task's output
+  travels once to every other process owning a consumer (one message per
+  consuming rank, as the distributed engine sends it), and each
+  consuming edge is released on that message's arrival,
 * one of two scheduling policies:
 
   - ``"syncfree"`` — PanguLU's strategy (Section 4.4): tasks become
     runnable the instant their dependency counter reaches zero; each
-    process always picks the highest-priority (earliest elimination step)
-    ready task.
+    process always picks the highest-priority ready task, after the
+    completion it just finished has released its same-process
+    successors — on one process the start order is the sequential
+    engine's.
   - ``"levelset"`` — the SuperLU_DIST-style policy: tasks carry a level,
     and no process may start a level-``ℓ+1`` task before *every*
     level-``ℓ`` task has completed (a global barrier per level).
@@ -28,11 +32,13 @@ quantity Figs. 5 and 13 compare).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .machine import Platform
+from .scheduler import EventRecorder
 
 __all__ = ["SimSpec", "SimResult", "simulate"]
 
@@ -43,8 +49,11 @@ class SimSpec:
 
     All arrays are indexed by task id; ``successors`` is the adjacency of
     the DAG and ``n_deps`` its in-degrees.  ``priority`` orders ready
-    tasks (smaller = more urgent).  ``levels`` is required for the
-    ``"levelset"`` schedule and ignored otherwise.
+    tasks (smaller = more urgent; ties by task id): any comparable keys,
+    the DAG's own ready-heap ``entries`` for the PanguLU DAGs, so the
+    simulator pops what :class:`~repro.runtime.scheduler.SchedulerCore`
+    pops.  ``levels`` is required for the ``"levelset"`` schedule and
+    ignored otherwise.
     """
 
     durations: np.ndarray
@@ -52,7 +61,7 @@ class SimSpec:
     out_bytes: np.ndarray
     n_deps: np.ndarray
     successors: list[list[int]]
-    priority: np.ndarray
+    priority: Sequence
     nprocs: int
     levels: np.ndarray | None = None
 
@@ -105,12 +114,27 @@ class SimResult:
 _DONE, _DEC = 0, 1
 
 
-def simulate(spec: SimSpec, platform: Platform, *, schedule: str = "syncfree") -> SimResult:
-    """Run the event-driven simulation; see module docstring."""
+def simulate(
+    spec: SimSpec,
+    platform: Platform,
+    *,
+    schedule: str = "syncfree",
+    recorder: EventRecorder | None = None,
+    label: Callable[[int], tuple[str, str]] | None = None,
+) -> SimResult:
+    """Run the event-driven simulation; see module docstring.
+
+    A ``recorder`` receives the run as the engines record theirs, at
+    virtual time: one task span per task on its owner's lane, named by
+    ``label(tid) -> (name, category)`` (the DAG's ``trace_label``;
+    ``task<N>`` without one), and a send/recv :class:`MessageEvent`
+    pair per message.
+    """
     if schedule not in ("syncfree", "levelset"):
         raise ValueError(f"unknown schedule {schedule!r}")
     n = len(spec.durations)
     nprocs = spec.nprocs
+    owner = spec.owner.tolist()
     counters = spec.n_deps.astype(np.int64).copy()
     levels = spec.levels
     if schedule == "levelset":
@@ -128,7 +152,7 @@ def simulate(spec: SimSpec, platform: Platform, *, schedule: str = "syncfree") -
         [platform.rank_speed(p) for p in range(nprocs)], dtype=np.float64
     )
 
-    ready: list[list[tuple[float, int]]] = [[] for _ in range(nprocs)]
+    ready: list[list[tuple]] = [[] for _ in range(nprocs)]
     busy = np.zeros(nprocs, dtype=bool)
     prev_end = np.zeros(nprocs)
     busy_seconds = np.zeros(nprocs)
@@ -147,16 +171,13 @@ def simulate(spec: SimSpec, platform: Platform, *, schedule: str = "syncfree") -
         heapq.heappush(events, (t, seq, kind, tid))
         seq += 1
 
-    def make_ready(tid: int, now: float) -> None:
-        p = int(spec.owner[tid])
-        heapq.heappush(ready[p], (float(spec.priority[tid]), tid))
-        try_start(p, now)
-
-    def release(tid: int, now: float) -> None:
+    def release(tid: int) -> None:
+        """Counter at zero: onto the owner's ready heap (a levelset task
+        above the open level waits for its barrier)."""
         if schedule == "levelset" and int(levels[tid]) > current_level:
             deferred.setdefault(int(levels[tid]), []).append(tid)
         else:
-            make_ready(tid, now)
+            heapq.heappush(ready[owner[tid]], (spec.priority[tid], tid))
 
     def try_start(p: int, now: float) -> None:
         if busy[p] or not ready[p]:
@@ -168,30 +189,48 @@ def simulate(spec: SimSpec, platform: Platform, *, schedule: str = "syncfree") -
         start_times[tid] = now
         dur = float(spec.durations[tid]) / speeds[p]
         push_event(now + dur, _DONE, tid)
+        if recorder is not None:
+            name, cat = label(tid) if label else (f"task{tid}", "task")
+            recorder.task(p, name, cat, now, now + dur, tid)
 
-    # roots
     for tid in range(n):
         if counters[tid] == 0:
-            release(tid, 0.0)
+            release(tid)
+    for p in range(nprocs):
+        try_start(p, 0.0)
 
     makespan = 0.0
     while events:
         t, _, kind, tid = heapq.heappop(events)
         if kind == _DONE:
             executed += 1
-            p = int(spec.owner[tid])
+            p = owner[tid]
             busy[p] = False
             busy_seconds[p] += float(spec.durations[tid]) / speeds[p]
             prev_end[p] = t
             end_times[tid] = t
             makespan = max(makespan, t)
+            nbytes = float(spec.out_bytes[tid])
+            sent: set[int] = set()
             for s in spec.successors[tid]:
-                dst = int(spec.owner[s])
-                delay = platform.message_time(p, dst, float(spec.out_bytes[tid]))
-                if delay > 0.0:
-                    comm_bytes += float(spec.out_bytes[tid])
-                    messages += 1
+                dst = owner[s]
+                if dst == p:
+                    # a local release lands before p picks its next task
+                    counters[s] -= 1
+                    if counters[s] == 0:
+                        release(s)
+                    continue
+                # one message per consuming rank, delivered per edge
+                delay = platform.message_time(p, dst, nbytes)
                 push_event(t + delay, _DEC, s)
+                if dst not in sent:
+                    sent.add(dst)
+                    if recorder is not None:
+                        recorder.send(p, dst, tid, int(nbytes), t)
+                        recorder.recv(dst, p, tid, int(nbytes), t + delay)
+            messages += len(sent)
+            comm_bytes += nbytes * len(sent)
+            opened: list[int] = []
             if schedule == "levelset":
                 lv = int(levels[tid])
                 level_remaining[lv] -= 1
@@ -200,13 +239,17 @@ def simulate(spec: SimSpec, platform: Platform, *, schedule: str = "syncfree") -
                     and level_remaining[current_level] == 0
                 ):
                     current_level += 1
-                    for d in deferred.pop(current_level, []):
-                        make_ready(d, t)
+                    opened += deferred.pop(current_level, [])
+                for d in opened:
+                    release(d)
             try_start(p, t)
+            for d in opened:
+                try_start(owner[d], t)
         else:  # _DEC
             counters[tid] -= 1
             if counters[tid] == 0:
-                release(tid, t)
+                release(tid)
+                try_start(owner[tid], t)
 
     if executed != n:
         raise RuntimeError(

@@ -1,15 +1,15 @@
-"""Chrome-tracing export of simulated schedules and real runs.
+"""Chrome-tracing export of recorded runs, real and simulated.
 
-Serialises both a :class:`~repro.runtime.simulator.SimResult` *and* the
-structured events recorded from a real threaded or distributed run
-(:class:`~repro.runtime.scheduler.EventRecorder`) into the Trace Event
+Serialises the structured events of an
+:class:`~repro.runtime.scheduler.EventRecorder` into the Trace Event
 Format consumed by ``chrome://tracing`` / Perfetto — one lane per
 process/worker/rank, one complete event per task, message arrows as flow
 events (``ph: "s"`` at the sender, ``ph: "f"`` at the receiver), and
-ready-queue depth as counter tracks.  Lets the simulated 128-process
-schedules and the actually-executed runs be inspected with the same
-tooling used for real profiler captures.  Triangular-solve engines feed
-the same recorder: with ``SolverOptions(trace_events=True)`` each solve
+ready-queue depth as counter tracks.  The engines fill the recorder at
+wall-clock time, the simulator (:func:`repro.runtime.simulator.simulate`)
+at virtual time, so a simulated 128-process schedule and an executed run
+are inspected with the same tooling.  Triangular-solve engines feed the
+same recorder: with ``SolverOptions(trace_events=True)`` each solve
 appends its DIAG_F/UPD_F/DIAG_B/UPD_B task lanes (and, distributed, its
 segment send/recv flows) after the factorisation's.
 """
@@ -17,130 +17,27 @@ segment send/recv flows) after the factorisation's.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
-
 from .scheduler import EventRecorder
-from .simulator import SimResult
 
-__all__ = [
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "recorder_to_chrome_trace",
-    "write_recorder_trace",
-]
-
-
-def _flow_pair(
-    flow_id: int, name: str, ts_send: float, lane_send: int,
-    ts_recv: float, lane_recv: int,
-) -> list[dict]:
-    """A matched ``s``/``f`` flow-event pair (times in microseconds)."""
-    common = {"name": name, "cat": "message", "id": flow_id, "pid": 0}
-    return [
-        {**common, "ph": "s", "ts": ts_send, "tid": lane_send},
-        {**common, "ph": "f", "bp": "e", "ts": ts_recv, "tid": lane_recv},
-    ]
-
-
-def to_chrome_trace(
-    result: SimResult,
-    owner: np.ndarray,
-    *,
-    names: list[str] | None = None,
-    categories: list[str] | None = None,
-    successors: list[list[int]] | None = None,
-) -> list[dict]:
-    """Build the Trace Event list for a simulation result.
-
-    Parameters
-    ----------
-    result:
-        The simulation outcome (start/end times per task).
-    owner:
-        Executing process of each task (becomes the ``tid`` lane).
-    names:
-        Optional display name per task (defaults to ``task<N>``).
-    categories:
-        Optional category string per task (e.g. the kernel type) —
-        Chrome tracing colours events by category.
-    successors:
-        Optional DAG adjacency; when given, every cross-process edge
-        becomes a flow-event arrow (``ph: "s"`` at the producer's end
-        time, ``ph: "f"`` at the consumer's start) — the simulated
-        message traffic, drawn the way Perfetto draws real async edges.
-    """
-    n = len(owner)
-    events: list[dict] = []
-    for tid in range(n):
-        start = float(result.start_times[tid])
-        dur = float(result.end_times[tid] - result.start_times[tid])
-        events.append(
-            {
-                "name": names[tid] if names else f"task{tid}",
-                "cat": categories[tid] if categories else "task",
-                "ph": "X",
-                "ts": start * 1e6,      # microseconds
-                "dur": max(dur * 1e6, 0.001),
-                "pid": 0,
-                "tid": int(owner[tid]),
-            }
-        )
-    if successors is not None:
-        flow_id = 0
-        for tid in range(n):
-            src = int(owner[tid])
-            for s in successors[tid]:
-                dst = int(owner[s])
-                if dst == src:
-                    continue  # local dependency, no message
-                events.extend(
-                    _flow_pair(
-                        flow_id,
-                        f"msg:{names[tid] if names else f'task{tid}'}",
-                        float(result.end_times[tid]) * 1e6, src,
-                        float(result.start_times[s]) * 1e6, dst,
-                    )
-                )
-                flow_id += 1
-    events.append(
-        {
-            "name": "makespan",
-            "ph": "I",
-            "ts": result.makespan * 1e6,
-            "pid": 0,
-            "tid": 0,
-            "s": "g",
-        }
-    )
-    return events
-
-
-def write_chrome_trace(
-    path: str | Path,
-    result: SimResult,
-    owner: np.ndarray,
-    *,
-    names: list[str] | None = None,
-    categories: list[str] | None = None,
-    successors: list[list[int]] | None = None,
-) -> None:
-    """Write the trace as JSON; open the file in ``chrome://tracing``."""
-    events = to_chrome_trace(
-        result, owner, names=names, categories=categories, successors=successors
-    )
-    Path(path).write_text(json.dumps({"traceEvents": events}))
+__all__ = ["recorder_to_chrome_trace", "write_recorder_trace"]
 
 
 def recorder_to_chrome_trace(recorder: EventRecorder) -> list[dict]:
-    """Trace Event list from a *real* run's recorded events.
+    """Trace Event list from a run's recorded events.
 
     Task events become complete (``X``) slices on per-worker/per-rank
     lanes, matched message send/recv pairs become flow arrows, unmatched
     sends (dropped or still in flight at teardown) become instants, and
     ready-queue depth becomes a counter track per scheduling lane.  All
     timestamps are rebased to the earliest recorded event.
+
+    A producing task sends to a rank at most once per run, but one
+    recorder may hold several runs (a factorisation, then solves), so
+    the i-th send of a ``(task, sender, receiver)`` key pairs with the
+    i-th receive of that key.
     """
     times = (
         [e.t0 for e in recorder.task_events]
@@ -163,25 +60,28 @@ def recorder_to_chrome_trace(recorder: EventRecorder) -> list[dict]:
                 "args": {"tid": e.tid},
             }
         )
-    # pair sends with their receives: one producing task fans out to
-    # possibly many ranks, so key on (producer task, destination rank)
-    recvs = {
-        (e.tid, e.rank): e
-        for e in recorder.message_events
-        if e.kind == "recv"
-    }
+    recvs: defaultdict[tuple[int, int, int], list] = defaultdict(list)
+    for e in recorder.message_events:
+        if e.kind == "recv":
+            recvs[e.tid, e.peer, e.rank].append(e)
+    paired: defaultdict[tuple[int, int, int], int] = defaultdict(int)
     flow_id = 0
     for e in recorder.message_events:
         if e.kind != "send":
             continue
-        got = recvs.get((e.tid, e.peer))
-        if got is not None:
-            events.extend(
-                _flow_pair(
-                    flow_id, f"msg:task{e.tid}",
-                    us(e.t), e.rank, us(got.t), got.rank,
-                )
-            )
+        key = (e.tid, e.rank, e.peer)
+        i = paired[key]
+        paired[key] += 1
+        if i < len(recvs[key]):
+            common = {
+                "name": f"msg:task{e.tid}", "cat": "message", "id": flow_id,
+                "pid": 0,
+            }
+            events += [
+                {**common, "ph": "s", "ts": us(e.t), "tid": e.rank},
+                {**common, "ph": "f", "bp": "e", "ts": us(recvs[key][i].t),
+                 "tid": e.peer},
+            ]
             flow_id += 1
         else:  # dropped / in-flight at teardown: still show the attempt
             events.append(
@@ -210,6 +110,6 @@ def recorder_to_chrome_trace(recorder: EventRecorder) -> list[dict]:
 
 
 def write_recorder_trace(path: str | Path, recorder: EventRecorder) -> None:
-    """Write a real run's recorded events as Chrome-trace JSON."""
+    """Write a run's recorded events as Chrome-trace JSON."""
     events = recorder_to_chrome_trace(recorder)
     Path(path).write_text(json.dumps({"traceEvents": events}))

@@ -4,7 +4,7 @@ sweeps with per-column substitutions, no DAG, no scheduler, no BLAS.
 :func:`block_forward` walks the block columns in ascending order (solve
 the diagonal block, push the segment through the ``L`` blocks below it),
 :func:`block_backward` in descending order through the ``U`` blocks
-above — the order the executable solve DAG
+above — the order the solve DAG
 (:func:`repro.core.tsolve_dag.build_tsolve_dag`) chains every target
 segment's writers into.  The engines solve a diagonal block by one
 product with its triangle's inverse, not by substitution, so the

@@ -79,8 +79,11 @@ class TestFormatting:
 
 
 class TestGantt:
-    def _result(self):
-        from repro.runtime import CPU_PLATFORM, SimSpec, simulate
+    """``render_gantt`` draws a recorder: a simulated run here, a real
+    one in ``test_real_run``."""
+
+    def _recorder(self):
+        from repro.runtime import CPU_PLATFORM, EventRecorder, SimSpec, simulate
 
         spec = SimSpec(
             durations=np.asarray([1.0, 2.0, 1.0]),
@@ -91,30 +94,50 @@ class TestGantt:
             priority=np.arange(3, dtype=float),
             nprocs=2,
         )
-        return simulate(spec, CPU_PLATFORM), spec
+        rec = EventRecorder()
+        cats = ("GETRF", "GESSM", "TSTRF")
+        simulate(spec, CPU_PLATFORM, recorder=rec,
+                 label=lambda tid: (f"t{tid}", cats[tid]))
+        return rec
 
     def test_render_shape(self):
         from repro.analysis import render_gantt
 
-        res, spec = self._result()
-        out = render_gantt(res, spec.owner, width=40)
+        out = render_gantt(self._recorder(), width=40)
         lines = out.splitlines()
         assert len(lines) == 3  # 2 procs + time legend
         assert lines[0].startswith("p0")
-        assert "busy" in lines[0]
+        # p0 runs 2 s of the 2 s makespan, p1 all of it
+        assert "100.0% busy" in lines[0] and "100.0% busy" in lines[1]
+        assert "2000.000 ms" in lines[2]
 
     def test_kinds_glyphs(self):
         from repro.analysis import render_gantt
 
-        res, spec = self._result()
-        out = render_gantt(
-            res, spec.owner, kinds=np.asarray([0, 1, 2]), width=40
-        )
-        assert "F" in out and "L" in out and "U" in out
+        out = render_gantt(self._recorder(), width=40)
+        p0, p1, legend = out.splitlines()
+        assert set(p0.split("|")[1]) == {"F", "U"}
+        assert set(p1.split("|")[1]) == {"L"}
+        assert "F=GETRF L=GESSM U=TSTRF" in legend
 
     def test_max_procs_truncation(self):
         from repro.analysis import render_gantt
 
-        res, spec = self._result()
-        out = render_gantt(res, spec.owner, width=20, max_procs=1)
+        out = render_gantt(self._recorder(), width=20, max_procs=1)
         assert "more processes not shown" in out
+
+    def test_real_run(self):
+        from repro.analysis import render_gantt
+        from repro.core import block_partition, build_dag, factorize
+        from repro.runtime import EventRecorder
+        from repro.sparse import random_sparse
+        from repro.symbolic import symbolic_symmetric
+
+        a = random_sparse(48, 0.08, seed=3)
+        f = block_partition(symbolic_symmetric(a).filled, 8)
+        dag = build_dag(f)
+        rec = EventRecorder()
+        factorize(f, dag, n_lanes=2, recorder=rec)
+        out = render_gantt(rec, width=30)
+        assert out.splitlines()[0].startswith("p0")
+        assert "GETRF" in out.splitlines()[-1]

@@ -120,11 +120,16 @@ class TestSimulateTrace:
         assert rc == 0
         import json
 
-        data = json.loads(out.read_text())
-        assert len(data["traceEvents"]) > 1
-        # simulated message edges appear as flow-event arrows
-        phases = {e["ph"] for e in data["traceEvents"]}
-        assert {"s", "f"} <= phases
+        events = json.loads(out.read_text())["traceEvents"]
+        # the 2-process run, through the exporter real runs use: task
+        # slices on both process lanes, labelled as the engines label
+        # factor tasks, and its messages as paired flow arrows
+        tasks = [e for e in events if e["ph"] == "X"]
+        assert {e["tid"] for e in tasks} == {0, 1}
+        assert "GETRF(k=0,0,0)" in {e["name"] for e in tasks}
+        sends = [e for e in events if e["ph"] == "s"]
+        recvs = [e for e in events if e["ph"] == "f"]
+        assert sends and len(sends) == len(recvs)
 
 
 class TestEngineFlag:

@@ -165,7 +165,7 @@ def _run_factor(cfg: Config, bm, dag, *, scenario="clean", options=None,
 
 def _run_tsolve(cfg: Config, f, b, *, scenario="clean", timeout=30.0):
     owner = CyclicPlacement(cfg.ranks).owner if cfg.ranks else lambda bi, bj: 0
-    tdag = build_tsolve_dag(f, owner, executable=True)
+    tdag = build_tsolve_dag(f, owner)
     if scenario == "validate":
         _verify(cfg, tdag)
     if not cfg.ranks:
@@ -300,7 +300,7 @@ def test_duplicate_delivery_surfaces_on_every_rank_shape(
             )
         else:
             tdag = build_tsolve_dag(
-                factored, CyclicPlacement(2).owner, executable=True
+                factored, CyclicPlacement(2).owner
             )
             if validate:
                 _verify(cfg, tdag)
@@ -324,7 +324,7 @@ def test_double_execution_surfaces_on_every_lane_count(phase, config, factored):
         bm, dag = _prepared()
         job = FactorJob(bm, dag, NumericOptions())
     else:
-        dag = build_tsolve_dag(factored, lambda bi, bj: 0, executable=True)
+        dag = build_tsolve_dag(factored, lambda bi, bj: 0)
         y = np.ones(factored.n)
         job = SolveJob(factored, dag, y, np.empty_like(y))
     core = SchedulerCore.from_dag(dag)

@@ -401,7 +401,7 @@ class TestEnginesHonourPlacement:
         b = np.ones(f.n)
         ref, _ = tsolve_sequential(f, b)
         place = CostModelPlacement(3).prepare(blocks=f)
-        tdag = build_tsolve_dag(f, place.owner, executable=True)
+        tdag = build_tsolve_dag(f, place.owner)
         x, stats = tsolve_distributed(
             f, tdag, b, 3,
             transport=LoopbackTransport(), placement=place,
@@ -480,7 +480,7 @@ class TestHybridEngine:
         b = rng.standard_normal(f.n if nrhs == 1 else (f.n, nrhs))
         ref, _ = tsolve_sequential(f, b)
         tdag = build_tsolve_dag(
-            f, CyclicPlacement(2).owner, executable=True
+            f, CyclicPlacement(2).owner
         )
         x, stats = tsolve_distributed(
             f, tdag, b, 2,

@@ -108,7 +108,7 @@ class TestRefinementSteps:
         # a rank's error comes home as _run_ranks' RuntimeError carrying
         # the same text — at once, not as a timeout
         f = self._sabotaged(block=2, column=3).blocks
-        tdag = build_tsolve_dag(f, ProcessGrid.square(2).owner, executable=True)
+        tdag = build_tsolve_dag(f, ProcessGrid.square(2).owner)
         t0 = time.perf_counter()
         with pytest.raises(
             RuntimeError,

@@ -69,31 +69,44 @@ class TestChromeTrace:
     def test_events_well_formed(self, tmp_path):
         import json
 
-        from repro.runtime import SimSpec, simulate, write_chrome_trace
+        from repro.runtime import (
+            EventRecorder, SimSpec, simulate, write_recorder_trace,
+        )
 
         spec = SimSpec(
             durations=np.asarray([1e-3, 2e-3]),
             owner=np.asarray([0, 1]),
-            out_bytes=np.zeros(2),
+            out_bytes=np.asarray([800.0, 0.0]),
             n_deps=np.asarray([0, 1]),
             successors=[[1], []],
             priority=np.asarray([0.0, 1.0]),
             nprocs=2,
         )
-        res = simulate(spec, CPU_PLATFORM)
-        path = tmp_path / "trace.json"
-        write_chrome_trace(
-            path, res, spec.owner,
-            names=["a", "b"], categories=["GETRF", "SSSSM"],
+        rec = EventRecorder()
+        res = simulate(
+            spec, CPU_PLATFORM, recorder=rec,
+            label=lambda tid: ("ab"[tid], ("GETRF", "SSSSM")[tid]),
         )
-        data = json.loads(path.read_text())
-        events = data["traceEvents"]
-        assert len(events) == 3  # 2 tasks + makespan marker
-        first = events[0]
-        assert first["name"] == "a" and first["ph"] == "X"
-        assert first["dur"] > 0
-        # the dependent task starts after its predecessor ends
-        assert events[1]["ts"] >= events[0]["ts"] + events[0]["dur"] - 1e-6
+        path = tmp_path / "trace.json"
+        write_recorder_trace(path, rec)
+        events = json.loads(path.read_text())["traceEvents"]
+        tasks = [e for e in events if e["ph"] == "X"]
+        assert [(e["name"], e["cat"], e["tid"]) for e in tasks] == [
+            ("a", "GETRF", 0), ("b", "SSSSM", 1),
+        ]
+        assert tasks[0]["ts"] == 0.0 and tasks[0]["dur"] == pytest.approx(1e3)
+        # the cross-process edge is one flow arrow, from a's end to the
+        # message's arrival, which b's start does not precede
+        send, recv = (
+            next(e for e in events if e["ph"] == ph) for ph in ("s", "f")
+        )
+        assert send["id"] == recv["id"] and res.messages == 1
+        assert (send["tid"], recv["tid"]) == (0, 1)
+        assert send["ts"] == pytest.approx(tasks[0]["dur"])
+        assert recv["ts"] == pytest.approx(
+            send["ts"] + CPU_PLATFORM.message_time(0, 1, 800.0) * 1e6
+        )
+        assert tasks[1]["ts"] >= recv["ts"] - 1e-6
 
 
 class TestNorms:

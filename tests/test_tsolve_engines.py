@@ -3,7 +3,7 @@
 .tsolve_distributed`) and the factor-once/solve-many `Factorization`
 handle.
 
-The executable solve DAG totally orders the writers of every RHS
+The solve DAG totally orders the writers of every RHS
 segment, so all engines must produce *bit-identical* solutions — equal
 to the one-lane DAG replay, not merely close — in the plain and in the
 transposed direction; the replay itself agrees with the k-ordered
@@ -59,12 +59,12 @@ class TestEnginesAgree:
         b = _rhs(f.n, nrhs)
         ref = block_backward(f, block_forward(f, b))
 
-        tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0)
         xs, ss = tsolve_sequential(f, b, tdag=tdag)
         xt, st = tsolve_lanes(f, tdag, b, n_lanes=4)
 
         grid_dag = build_tsolve_dag(
-            f, ProcessGrid.square(2).owner, executable=True
+            f, ProcessGrid.square(2).owner
         )
         xd, sd = tsolve_distributed(
             f, grid_dag, b, 2, transport=LoopbackTransport()
@@ -85,7 +85,7 @@ class TestEnginesAgree:
         b = _rhs(f.n, 2, seed=1)
         ref, _ = tsolve_sequential(f, b)
         tdag = build_tsolve_dag(
-            f, ProcessGrid.square(3).owner, executable=True
+            f, ProcessGrid.square(3).owner
         )
         x, stats = tsolve_distributed(
             f, tdag, b, 3, transport=LoopbackTransport()
@@ -93,22 +93,12 @@ class TestEnginesAgree:
         assert np.array_equal(x, ref)
         assert stats.nrhs == 2
 
-    def test_engines_need_executable_dag(self):
-        f = _factored()
-        loose = build_tsolve_dag(f, lambda bi, bj: 0)  # simulator build
-        with pytest.raises(ValueError, match="executable"):
-            tsolve_lanes(f, loose, np.ones(f.n), n_lanes=4)
-        with pytest.raises(ValueError, match="executable"):
-            tsolve_distributed(
-                f, loose, np.ones(f.n), 2, transport=LoopbackTransport()
-            )
-
     @pytest.mark.parametrize("b", [5.0, np.ones((72, 2, 1)), np.ones(71)])
     def test_wrong_rhs_shape_is_named(self, b):
         """A scalar, a 3-D array or a wrong length is a ValueError with
         the expected shapes on every engine, not a bare IndexError."""
         f = _factored()
-        tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0)
         expected = r"expected \(72,\) or \(72, k\)"
         with pytest.raises(ValueError, match=expected):
             tsolve_sequential(f, b, tdag=tdag)
@@ -131,7 +121,7 @@ class TestTransposedDag:
         m = (np.tril(lu, -1) + np.eye(f.n)) @ np.triu(lu)
 
         tdag = build_tsolve_dag(
-            f, lambda bi, bj: 0, executable=True, transposed=True
+            f, lambda bi, bj: 0, transposed=True
         )
         assert tdag.transposed
         verify_dag(tdag)
@@ -142,7 +132,7 @@ class TestTransposedDag:
 
         x4, s4 = tsolve_lanes(f, tdag, b, n_lanes=4)
         grid_dag = build_tsolve_dag(
-            f, ProcessGrid.square(2).owner, executable=True, transposed=True
+            f, ProcessGrid.square(2).owner, transposed=True
         )
         verify_dag(grid_dag)
         xd, sd = tsolve_distributed(
@@ -152,7 +142,7 @@ class TestTransposedDag:
         assert np.array_equal(xd, x1)
         # same graph shape as the plain direction: the filled pattern is
         # symmetric, so block row k has as many blocks as block column k
-        plain = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+        plain = build_tsolve_dag(f, lambda bi, bj: 0)
         assert s1.tasks_executed == s4.tasks_executed == len(tdag) == len(plain)
         assert sd.tasks_executed == len(grid_dag) and sd.messages_sent > 0
 
@@ -227,7 +217,7 @@ def test_threaded_clean_run_with_checker():
     """Four lanes over shared segments: each completion passes the
     core's exactly-once check and the solution is the one-lane replay."""
     f = _factored(seed=2)
-    tdag = build_tsolve_dag(f, lambda bi, bj: 0, executable=True)
+    tdag = build_tsolve_dag(f, lambda bi, bj: 0)
     b = _rhs(f.n, 2, seed=3)
     x, _ = tsolve_lanes(f, tdag, b, n_lanes=4)
     ref, _ = tsolve_sequential(f, b)

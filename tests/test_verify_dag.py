@@ -1,7 +1,7 @@
 """Tests of the pre-execution schedule verifier (`repro.core.verify`).
 
 Two directions: every DAG the real builders produce must verify clean
-(factor DAGs across the block-size matrix, executable solve DAGs for
+(factor DAGs across the block-size matrix, solve DAGs for
 every owner map the engines use), and each hand-injected violation must
 be rejected with its named diagnostic code — the codes are the contract
 ``--verify`` output and error-handling callers rely on.
@@ -35,10 +35,10 @@ def _factor_dag(**kw):
     return bm, build_dag(bm)
 
 
-def _tsolve_dag(owner=lambda bi, bj: 0, *, executable=True, **kw):
+def _tsolve_dag(owner=lambda bi, bj: 0, **kw):
     bm, dag = _factor_dag(**kw)
     factorize(bm, dag)
-    return build_tsolve_dag(bm, owner, executable=executable)
+    return build_tsolve_dag(bm, owner)
 
 
 def _raises(code, dag):
@@ -81,13 +81,6 @@ class TestAcceptsRealDags:
         report = verify_dag(tdag)
         assert report.kind == "tsolve"
         assert report.n_tasks == len(tdag)
-
-    def test_simulator_tsolve_dag_base_checks_only(self):
-        # the non-executable build has no writer chains (seq arrays are
-        # None) — edges/counters/acyclicity still verify
-        tdag = _tsolve_dag(executable=False)
-        assert tdag.seq_y is None
-        assert verify_dag(tdag).kind == "tsolve"
 
     def test_unsupported_dag_type(self):
         with pytest.raises(TypeError, match="unsupported DAG type"):
