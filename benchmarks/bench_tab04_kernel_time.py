@@ -56,12 +56,13 @@ def _simulated_split(name: str) -> tuple[float, float, float, float]:
     import numpy as np
 
     from common import baseline_sn_dag, prepared_pangulu
-    from repro.baseline.dag import _GEMM, price_sn_tasks
+    from repro.baseline.dag import price_sn_tasks
+    from repro.core.dag import TaskType
     from repro.runtime import A100_PLATFORM, simulate_pangulu
 
-    dag = baseline_sn_dag(name)
-    durations = price_sn_tasks(dag, A100_PLATFORM)
-    gemm_mask = dag.kinds == _GEMM
+    sn = baseline_sn_dag(name)
+    durations = price_sn_tasks(sn, A100_PLATFORM)
+    gemm_mask = sn.dag.table.ttype == TaskType.SSSSM
     schur_bl = float(durations[gemm_mask].sum())
     panel_bl = float(durations[~gemm_mask].sum())
     pg = prepared_pangulu(name)

@@ -7,7 +7,6 @@ from .dag import (
     SupernodalDAG,
     build_sn_dag,
     simulate_superlu,
-    sn_etree_levels,
 )
 from .gp import symbolic_gilbert_peierls
 from .solver import BaselineOptions, SuperLUBaseline
@@ -36,7 +35,6 @@ __all__ = [
     "sn_factorize",
     "SupernodalDAG",
     "build_sn_dag",
-    "sn_etree_levels",
     "simulate_superlu",
     "GATHER_BANDWIDTH",
     "BaselineOptions",

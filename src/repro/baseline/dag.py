@@ -1,8 +1,9 @@
 """Task DAG and simulation bridge for the supernodal baseline.
 
 Builds the same four-role task graph as PanguLU (factor / two solves /
-Schur update) but over the *uneven* supernode partition with *dense*
-costs:
+Schur update), wired by the same :class:`~repro.core.dag.EliminationBuilder`
+and popped in the same ready order, but over the *uneven* supernode
+partition with *dense* costs:
 
 * every task's FLOP count is the dense operation count of its panel
   shapes — padding zeros are paid for (the paper's core criticism);
@@ -10,10 +11,9 @@ costs:
   panels over the host↔accelerator link (SuperLU_DIST's
   gather→GEMM→scatter pipeline, Section 5.4);
 * messages carry dense panels (``rows · cols · 8`` bytes);
-* the schedule is **level-set**: tasks inherit the supernodal
-  elimination-tree level of their source supernode and a global barrier
-  separates levels — the synchronisation the paper measures in Figs. 5
-  and 13.
+* the schedule is **level-set**: tasks inherit the dependency level of
+  their source supernode and a global barrier separates levels — the
+  synchronisation the paper measures in Figs. 5 and 13.
 """
 
 from __future__ import annotations
@@ -22,65 +22,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.dag import EliminationBuilder, TaskDAG, TaskType
 from ..core.placement import CyclicPlacement
 from ..runtime.machine import Platform
 from ..runtime.simulator import SimResult, SimSpec, simulate
 from .supernodal import SupernodalMatrix
 from .supernodes import SupernodePartition
 
-__all__ = ["SupernodalDAG", "build_sn_dag", "sn_etree_levels", "simulate_superlu"]
+__all__ = ["SupernodalDAG", "build_sn_dag", "simulate_superlu"]
 
 #: host↔accelerator gather/scatter bandwidth for the baseline's Schur
 #: pipeline (PCIe-gen3-ish), bytes/s
 GATHER_BANDWIDTH = 1.2e10
 
-_FACT, _TRSM_L, _TRSM_U, _GEMM = 0, 1, 2, 3
-
 
 @dataclass
 class SupernodalDAG:
-    """Flat arrays describing the baseline task graph (simulator input)."""
+    """The baseline task graph (simulator input): a factor
+    :class:`~repro.core.dag.TaskDAG` over the supernode partition —
+    ``GETRF`` / ``TSTRF`` (L panel) / ``GESSM`` (U panel) / ``SSSSM``,
+    wired and popped like PanguLU's — plus what it does not carry, per
+    task: the dense FLOP count, the GEMM gather/scatter bytes, the
+    message bytes of the target block and the level-set ``levels``."""
 
-    kinds: np.ndarray
-    k_of: np.ndarray
-    bi: np.ndarray
-    bj: np.ndarray
+    dag: TaskDAG
     flops: np.ndarray
     gather_bytes: np.ndarray
     out_bytes: np.ndarray
-    n_deps: np.ndarray
-    successors: list[list[int]]
     levels: np.ndarray
-    total_dense_flops: float
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.dag)
 
-
-def sn_etree_levels(part: SupernodePartition) -> np.ndarray:
-    """Level (height above the leaves) of each supernode in the supernodal
-    elimination tree; parent = supernode owning the first below-panel row."""
-    ns = part.n_supernodes
-    col_to_sn = part.supernode_of_column()
-    level = np.zeros(ns, dtype=np.int64)
-    for k in range(ns):
-        rows = part.panel_rows[k]
-        if rows.size == 0:
-            continue
-        parent = int(col_to_sn[int(rows[0])])
-        level[parent] = max(level[parent], level[k] + 1)
-    return level
+    @property
+    def total_dense_flops(self) -> float:
+        return float(np.sum(self.flops))
 
 
 def _dependency_levels(m: SupernodalMatrix) -> np.ndarray:
     """Supernode levels from the actual block dependency relation.
 
     ``level[t] = 1 + max(level[k])`` over every step ``k < t`` whose Schur
-    update or panel output feeds supernode ``t``.  For structurally
-    symmetric fill this coincides with the elimination-tree levels
-    (:func:`sn_etree_levels`); for unsymmetric Gilbert–Peierls fill it is
-    the correct generalisation — every dependency points from a lower to
-    a strictly higher level, which the barrier scheduling requires.
+    update or panel output feeds supernode ``t``, so every dependency
+    points from a lower to a strictly higher level, which the barrier
+    scheduling requires.  This holds for unsymmetric Gilbert–Peierls fill
+    as for symmetric fill; it is not the height in the supernodal
+    elimination tree, even where the fill is symmetric.
     """
     ns = m.ns
     level = np.zeros(ns, dtype=np.int64)
@@ -101,48 +88,29 @@ def _dependency_levels(m: SupernodalMatrix) -> np.ndarray:
 
 def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG:
     """Construct the supernodal task DAG with dense costs."""
-    ns = m.ns
-    sn_level = _dependency_levels(m)
     below, right = m.step_blocks
-
-    kinds: list[int] = []
-    k_of: list[int] = []
-    bi_l: list[int] = []
-    bj_l: list[int] = []
+    builder = EliminationBuilder()
     flops: list[float] = []
     gather: list[float] = []
     out_b: list[float] = []
-    levels: list[int] = []
-    panel_of_block: dict[tuple[int, int], int] = {}
-    gemm_into: dict[tuple[int, int], list[int]] = {}
 
-    def add(kind: int, k: int, i: int, j: int, fl: float, gb: float) -> int:
-        tid = len(kinds)
-        kinds.append(kind)
-        k_of.append(k)
-        bi_l.append(i)
-        bj_l.append(j)
+    def add(ttype: TaskType, k: int, i: int, j: int, fl: float, reads, gb=0.0):
+        builder.add(ttype, k, i, j, int(fl), reads)
         flops.append(fl)
         gather.append(gb)
         blk = m.block(i, j)
         out_b.append(8.0 * blk.size if blk is not None else 0.0)
-        levels.append(int(sn_level[k]))
-        return tid
 
-    for k in range(ns):
+    for k in range(m.ns):
         w = m.width(k)
-        panel_of_block[(k, k)] = add(_FACT, k, k, k, (2.0 / 3.0) * w**3, 0.0)
+        add(TaskType.GETRF, k, k, k, (2.0 / 3.0) * w**3, ())
         row_blocks, col_blocks = below[k], right[k]
         for i in row_blocks:
             blk = m.dense[(i, k)]
-            panel_of_block[(i, k)] = add(
-                _TRSM_L, k, i, k, float(blk.shape[0]) * w * w, 0.0
-            )
+            add(TaskType.TSTRF, k, i, k, float(blk.shape[0]) * w * w, ((k, k),))
         for j in col_blocks:
             blk = m.dense[(k, j)]
-            panel_of_block[(k, j)] = add(
-                _TRSM_U, k, k, j, float(blk.shape[1]) * w * w, 0.0
-            )
+            add(TaskType.GESSM, k, k, j, float(blk.shape[1]) * w * w, ((k, k),))
         for i in row_blocks:
             a = m.dense[(i, k)]
             for j in col_blocks:
@@ -153,42 +121,15 @@ def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG
                 gb = 8.0 * (
                     a.size + bb.size + 2.0 * a.shape[0] * bb.shape[1]
                 )
-                tid = add(_GEMM, k, i, j, fl, gb)
-                gemm_into.setdefault((i, j), []).append(tid)
+                add(TaskType.SSSSM, k, i, j, fl, ((i, k), (k, j)), gb)
 
-    n = len(kinds)
-    n_deps = np.zeros(n, dtype=np.int64)
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for tid in range(n):
-        kind = kinds[tid]
-        i, j, k = bi_l[tid], bj_l[tid], k_of[tid]
-        if kind == _FACT:
-            preds = gemm_into.get((k, k), [])
-        elif kind in (_TRSM_L, _TRSM_U):
-            preds = gemm_into.get((i, j), [])
-            successors[panel_of_block[(k, k)]].append(tid)
-            n_deps[tid] += 1
-        else:
-            preds = []
-            successors[panel_of_block[(i, k)]].append(tid)
-            successors[panel_of_block[(k, j)]].append(tid)
-            n_deps[tid] += 2
-        for p in preds:
-            successors[p].append(tid)
-        n_deps[tid] += len(preds)
-
+    dag = builder.dag()
     return SupernodalDAG(
-        kinds=np.asarray(kinds, dtype=np.int64),
-        k_of=np.asarray(k_of, dtype=np.int64),
-        bi=np.asarray(bi_l, dtype=np.int64),
-        bj=np.asarray(bj_l, dtype=np.int64),
+        dag=dag,
         flops=np.asarray(flops),
         gather_bytes=np.asarray(gather),
         out_bytes=np.asarray(out_b),
-        n_deps=n_deps,
-        successors=successors,
-        levels=np.asarray(levels, dtype=np.int64),
-        total_dense_flops=float(np.sum(flops)),
+        levels=_dependency_levels(m)[dag.table.k],
     )
 
 
@@ -222,19 +163,13 @@ def simulate_superlu(
     if dag is None:
         dag = build_sn_dag(m, part)
     durations = price_sn_tasks(dag, platform)
-    place = CyclicPlacement(nprocs)
-    owner = np.asarray(
-        [place.owner(int(i), int(j)) for i, j in zip(dag.bi, dag.bj)],
-        dtype=np.int64,
-    )
-    priority = dag.k_of * 8 + dag.kinds
     spec = SimSpec(
         durations=durations,
-        owner=owner,
+        owner=CyclicPlacement(nprocs).assign(dag.dag),
         out_bytes=dag.out_bytes,
-        n_deps=dag.n_deps.copy(),
-        successors=dag.successors,
-        priority=priority.astype(np.float64),
+        n_deps=dag.dag.n_deps,
+        successors=dag.dag.successors,
+        priority=dag.dag.entries,
         nprocs=nprocs,
         levels=dag.levels,
     )

@@ -25,13 +25,11 @@ argument is the same as for the LU kernels.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from ..core.blocking import BlockMatrix
-from ..core.dag import Task, TaskDAG, TaskType
+from ..core.dag import EliminationBuilder, TaskDAG, TaskType
 from ..kernels.base import SingularBlockError, gather_dense, triangle_inverse
 from ..sparse.csc import CSCMatrix
 
@@ -92,45 +90,33 @@ def build_llt_dag(f: BlockMatrix) -> TaskDAG:
       structurally nonempty and lands in a stored block (the mirror part
       of the update is the symmetry saving).
 
-    Tasks are created step by step, so ``tasks`` is ordered by ``k`` with
-    POTRF first, then the step's TRSMs, then its SYRKs — every
-    predecessor precedes its successors.  Flops are structural: per
+    These are the edges :class:`~repro.core.dag.EliminationBuilder` wires
+    (a diagonal SYRK reads ``L(i,k)`` once).  Tasks are created step by
+    step, so ``tasks`` is ordered by ``k`` with POTRF first, then the
+    step's TRSMs, then its SYRKs — every predecessor precedes its
+    successors.  Flops are structural: per
     POTRF pivot a square root, a scale and a rank-1 update of the columns
     below; per TRSM entry a division and a multiply-add against the
     pivot column's strict-lower part; SYRK ``2 Σ_t nnz(A[:,t]) nnz(B[:,t])``.
     """
-    tasks: list[Task] = []
-    # block -> the tasks writing it: the SYRKs into it, then its panel task
-    writers: dict[tuple[int, int], list[int]] = defaultdict(list)
-
-    def add(ttype: TaskType, k: int, bi: int, bj: int, flops, preds) -> int:
-        tid = len(tasks)
-        tasks.append(Task(tid, ttype, k, bi, bj, int(flops), n_deps=len(preds)))
-        for p in preds:
-            tasks[p].successors.append(tid)
-        writers[(bi, bj)].append(tid)
-        return tid
-
+    builder = EliminationBuilder()
     for k in range(f.nb):
         diag = f.block(k, k)
         if diag is None:
             raise ValueError(f"empty diagonal block ({k},{k})")
         below = np.diff(diag.indptr) - 1   # strict-lower nnz per column of L(k,k)
         potrf_flops = np.sum(1 + below + below * (below + 1))
-        # a copy: ``add`` appends the new task to the list it is handed
-        root = add(TaskType.GETRF, k, k, k, potrf_flops, [*writers[(k, k)]])
+        builder.add(TaskType.GETRF, k, k, k, int(potrf_flops))
         rows, blocks = f.blocks_in_column(k)
         panel = [
             (int(i), blk, np.diff(blk.indptr)) for i, blk in zip(rows, blocks) if i > k
         ]
         for i, blk, _ in panel:
             trsm_flops = blk.nnz + 2 * np.sum(below[blk.cols_expanded()])
-            add(TaskType.TSTRF, k, i, k, trsm_flops, [root, *writers[(i, k)]])
+            builder.add(TaskType.TSTRF, k, i, k, int(trsm_flops), ((k, k),))
         for n, (i, _, a_colnnz) in enumerate(panel):
             for j, _, b_colnnz in panel[: n + 1]:
                 syrk_flops = 2 * np.dot(a_colnnz, b_colnnz)   # 0: empty product
                 if syrk_flops and f.block_slot(i, j) >= 0:
-                    preds = {writers[(i, k)][-1], writers[(j, k)][-1]}
-                    add(TaskType.SSSSM, k, i, j, syrk_flops, preds)
-    panel_of_block = {block: tids[-1] for block, tids in writers.items()}
-    return TaskDAG(tasks, panel_of_block, sum(t.flops for t in tasks))
+                    builder.add(TaskType.SSSSM, k, i, j, int(syrk_flops), {(i, k), (j, k)})
+    return builder.dag()

@@ -13,7 +13,8 @@ An SSSSM node exists only when the structural product is nonempty (some
 column of ``L(i,k)`` meets a nonempty row of ``U(k,j)`` — its flop count
 is positive); fill closure then guarantees the target block exists.
 
-Dependencies:
+Dependencies — the one rule :class:`EliminationBuilder` wires every
+factor DAG by:
 
 * ``GETRF(k)``      ← every ``SSSSM(·, k, k)``;
 * ``GESSM(k, j)``   ← ``GETRF(k)`` + every ``SSSSM(·, k, j)``;
@@ -43,7 +44,8 @@ from ..runtime.scheduler import ready_entry
 from .blocking import BlockMatrix
 
 __all__ = [
-    "TaskType", "Task", "TaskTable", "TaskDAG", "build_dag", "sync_free_array",
+    "TaskType", "Task", "TaskTable", "TaskDAG", "EliminationBuilder", "build_dag",
+    "sync_free_array",
 ]
 
 
@@ -54,6 +56,9 @@ class TaskType(enum.IntEnum):
     GESSM = 1
     TSTRF = 2
     SSSSM = 3
+
+
+_SSSSM = TaskType.SSSSM
 
 
 @dataclass
@@ -200,12 +205,52 @@ class TaskDAG:
         return out
 
 
+class EliminationBuilder:
+    """Creates the tasks of a right-looking block elimination and wires
+    them as they come, by the one dependency rule every factor DAG here
+    follows — LU (:func:`build_dag`), Cholesky
+    (:func:`~repro.cholesky.kernels.build_llt_dag`) and the supernodal
+    baseline (:func:`~repro.baseline.dag.build_sn_dag`):
+
+    * an update (``SSSSM``) waits for the panel task of each block it
+      reads;
+    * a panel task (``GETRF`` / ``GESSM`` / ``TSTRF``) waits for that too,
+      and for every update already written into its own block, and is
+      then the block's ``panel_of_block`` entry — its last writer;
+    * updates into one block stay unordered among themselves.
+
+    ``reads`` are blocks whose panel task was added before; a block read
+    twice is passed once (a set).
+    """
+
+    def __init__(self) -> None:
+        self.tasks: list[Task] = []
+        self.panel_of_block: dict[tuple[int, int], int] = {}
+        self._updates: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, ttype: TaskType, k: int, bi: int, bj: int, flops: int, reads=()) -> int:
+        tasks, panel = self.tasks, self.panel_of_block
+        tid = len(tasks)
+        preds = [panel[b] for b in reads]
+        if ttype is _SSSSM:
+            self._updates.setdefault((bi, bj), []).append(tid)
+        else:
+            preds += self._updates.pop((bi, bj), ())
+            panel[bi, bj] = tid
+        for p in preds:
+            tasks[p].successors.append(tid)
+        tasks.append(Task(tid, ttype, k, bi, bj, flops, len(preds)))
+        return tid
+
+    def dag(self) -> TaskDAG:
+        return TaskDAG(self.tasks, self.panel_of_block, sum(t.flops for t in self.tasks))
+
+
 def build_dag(f: BlockMatrix) -> TaskDAG:
     """Construct the task DAG from the blocked filled pattern."""
     nb = f.nb
-    tasks: list[Task] = []
-    panel_of_block: dict[tuple[int, int], int] = {}
-    ssssm_into: dict[tuple[int, int], list[int]] = {}
+    builder = EliminationBuilder()
+    add, ssssm = builder.add, TaskType.SSSSM
 
     # Precompute per-step L-column and U-row block lists
     lcol: list[list[int]] = [[] for _ in range(nb)]  # block rows i > k with (i,k)
@@ -219,12 +264,6 @@ def build_dag(f: BlockMatrix) -> TaskDAG:
             elif bi < bj:
                 urow[bi].append(bj)
 
-    def add(ttype: TaskType, k: int, bi: int, bj: int, flops: int) -> int:
-        tid = len(tasks)
-        tasks.append(Task(tid, ttype, k, bi, bj, flops))
-        return tid
-
-    # ---- create all tasks ------------------------------------------------
     for k in range(nb):
         diag = f.block(k, k)
         if diag is None:
@@ -233,54 +272,28 @@ def build_dag(f: BlockMatrix) -> TaskDAG:
                 "the input needs a zero-free diagonal (run MC64 first)"
             )
         counts = DiagCounts(diag)
-        panel_of_block[(k, k)] = add(TaskType.GETRF, k, k, k, counts.getrf_flops())
+        add(TaskType.GETRF, k, k, k, counts.getrf_flops())
         # per-U-block row-nnz vectors, reused by every SSSSM of this step
         u_rownnz: dict[int, np.ndarray] = {}
         for j in urow[k]:
             b = f.block(k, j)
             assert b is not None
-            panel_of_block[(k, j)] = add(
-                TaskType.GESSM, k, k, j, gessm_flops_from_counts(counts, b)
-            )
+            add(TaskType.GESSM, k, k, j, gessm_flops_from_counts(counts, b), ((k, k),))
             u_rownnz[j] = np.bincount(b.indices, minlength=b.nrows)
         l_colnnz: dict[int, np.ndarray] = {}
         for i in lcol[k]:
             b = f.block(i, k)
             assert b is not None
-            panel_of_block[(i, k)] = add(
-                TaskType.TSTRF, k, i, k, tstrf_flops_from_counts(counts, b)
-            )
+            add(TaskType.TSTRF, k, i, k, tstrf_flops_from_counts(counts, b), ((k, k),))
             l_colnnz[i] = np.diff(b.indptr)
         # Schur updates from step k
         for i in lcol[k]:
             cn = l_colnnz[i]
             for j in urow[k]:
                 flops = int(2 * np.dot(cn, u_rownnz[j]))
-                if flops == 0:
-                    continue  # structurally empty product
-                tid = add(TaskType.SSSSM, k, i, j, flops)
-                ssssm_into.setdefault((i, j), []).append(tid)
-
-    # ---- wire dependencies ------------------------------------------------
-    for t in tasks:
-        if t.ttype == TaskType.GETRF:
-            preds = ssssm_into.get((t.k, t.k), [])
-            t.n_deps = len(preds)
-            for p in preds:
-                tasks[p].successors.append(t.tid)
-        elif t.ttype in (TaskType.GESSM, TaskType.TSTRF):
-            preds = ssssm_into.get((t.bi, t.bj), [])
-            t.n_deps = 1 + len(preds)
-            tasks[panel_of_block[(t.k, t.k)]].successors.append(t.tid)
-            for p in preds:
-                tasks[p].successors.append(t.tid)
-        else:  # SSSSM
-            t.n_deps = 2
-            tasks[panel_of_block[(t.bi, t.k)]].successors.append(t.tid)
-            tasks[panel_of_block[(t.k, t.bj)]].successors.append(t.tid)
-
-    total = int(sum(t.flops for t in tasks))
-    return TaskDAG(tasks=tasks, panel_of_block=panel_of_block, total_flops=total)
+                if flops:  # else a structurally empty product
+                    add(ssssm, k, i, j, flops, ((i, k), (k, j)))
+    return builder.dag()
 
 
 def sync_free_array(dag: TaskDAG, nb: int) -> dict[tuple[int, int], int]:

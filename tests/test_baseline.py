@@ -190,20 +190,20 @@ class TestBaselineDAG:
 
     def test_levels_monotone_along_deps(self):
         bl = self._fixture()
-        dag = build_sn_dag(bl.panels, bl.partition)
-        for tid in range(len(dag)):
-            for s in dag.successors[tid]:
+        sn = build_sn_dag(bl.panels, bl.partition)
+        for tid in range(len(sn)):
+            for s in sn.dag.successors[tid]:
                 # inter-step dependencies go to a >= level
-                assert dag.levels[s] >= dag.levels[tid]
+                assert sn.levels[s] >= sn.levels[tid]
 
     def test_dep_counts_consistent(self):
         bl = self._fixture(1)
-        dag = build_sn_dag(bl.panels, bl.partition)
-        indeg = np.zeros(len(dag), dtype=int)
-        for tid in range(len(dag)):
-            for s in dag.successors[tid]:
+        sn = build_sn_dag(bl.panels, bl.partition)
+        indeg = np.zeros(len(sn), dtype=int)
+        for tid in range(len(sn)):
+            for s in sn.dag.successors[tid]:
                 indeg[s] += 1
-        np.testing.assert_array_equal(indeg, dag.n_deps)
+        np.testing.assert_array_equal(indeg, sn.dag.n_deps)
 
     def test_simulation_completes_both_schedules(self):
         bl = self._fixture(2)

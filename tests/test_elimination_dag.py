@@ -1,0 +1,95 @@
+"""The one elimination rule, on every factor DAG.
+
+LU (:func:`~repro.core.dag.build_dag`), Cholesky
+(:func:`~repro.cholesky.kernels.build_llt_dag`) and the supernodal
+baseline (:func:`~repro.baseline.dag.build_sn_dag`) all create their
+tasks through :class:`~repro.core.dag.EliminationBuilder`, so each must
+pass :func:`~repro.core.verify.verify_dag` and carry exactly its edges:
+a panel task waits for every update into its block plus its step's
+diagonal panel, an update for its operands' panel tasks and nothing
+else (so updates into one block stay unordered), and ``panel_of_block``
+names each block's panel task.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import PanguLU
+from repro.baseline import SuperLUBaseline, build_sn_dag
+from repro.cholesky import PanguLLt
+from repro.core.dag import TaskType
+from repro.core.verify import verify_dag
+from repro.sparse import generate
+
+
+def _lu(name):
+    s = PanguLU(generate(name, scale=0.1))
+    s.preprocess()
+    return s.dag
+
+
+def _llt(name):
+    s = PanguLLt(generate(name, scale=0.1))
+    s.preprocess()
+    return s.dag
+
+
+def _sn(name):
+    bl = SuperLUBaseline(generate(name, scale=0.1))
+    bl.preprocess()
+    return build_sn_dag(bl.panels, bl.partition).dag
+
+
+def _lu_operands(t):
+    """The blocks an LU update reads: ``L(i,k)`` and ``U(k,j)``."""
+    return {(t.bi, t.k), (t.k, t.bj)}
+
+
+def _llt_operands(t):
+    """The blocks a SYRK reads: ``L(i,k)`` and ``L(j,k)``."""
+    return {(t.bi, t.k), (t.bj, t.k)}
+
+
+LU_MATRICES = ("ecology1", "cage12", "ASIC_680k", "audikw_1")
+CASES = [
+    *((_lu, name, _lu_operands) for name in LU_MATRICES),
+    *((_llt, name, _llt_operands) for name in ("ecology1", "audikw_1", "G3_circuit")),
+    *((_sn, name, _lu_operands) for name in LU_MATRICES),
+]
+
+
+def _predecessors(dag) -> list[set[int]]:
+    preds: list[set[int]] = [set() for _ in dag.tasks]
+    for t in dag.tasks:
+        for s in t.successors:
+            preds[s].add(t.tid)
+    return preds
+
+
+@pytest.mark.parametrize(
+    "build,name,operands", CASES,
+    ids=[f"{b.__name__[1:]}-{n}" for b, n, _ in CASES],
+)
+def test_every_factor_dag_is_wired_by_the_one_rule(build, name, operands):
+    dag = build(name)
+    assert verify_dag(dag).kind == "factor"
+    preds = _predecessors(dag)
+    updates_into: dict[tuple[int, int], set[int]] = {}
+    for t in dag.tasks:
+        if t.ttype == TaskType.SSSSM:
+            updates_into.setdefault((t.bi, t.bj), set()).add(t.tid)
+    panels = {}
+    for t in dag.tasks:
+        if t.ttype == TaskType.SSSSM:
+            expect = {dag.panel_of_block[b] for b in operands(t)}
+        else:
+            panels[(t.bi, t.bj)] = t.tid
+            expect = updates_into.get((t.bi, t.bj), set())
+            if t.ttype != TaskType.GETRF:
+                expect = expect | {dag.panel_of_block[(t.k, t.k)]}
+        assert preds[t.tid] == expect, (name, t)
+        assert t.n_deps == len(expect)
+    assert dag.panel_of_block == panels
+    assert dag.total_flops == sum(t.flops for t in dag.tasks)
+

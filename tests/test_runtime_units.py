@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baseline import SuperLUBaseline, sn_etree_levels
 from repro.kernels.base import solve_levels
 from repro.runtime import A100_PLATFORM, MI50_PLATFORM, CPU_PLATFORM
-from repro.sparse import random_sparse
 
 
 class TestPlatforms:
@@ -46,23 +44,6 @@ class TestSolveLevels:
 
     def test_empty(self):
         assert solve_levels(np.array([0]), np.array([], dtype=int), 0) == []
-
-
-class TestSupernodeEtree:
-    def test_levels_consistent_with_parents(self):
-        a = random_sparse(60, 0.07, seed=2)
-        bl = SuperLUBaseline(a)
-        bl.preprocess()
-        levels = sn_etree_levels(bl.partition)
-        assert levels.shape == (bl.partition.n_supernodes,)
-        assert levels.min() >= 0
-        # a parent's level strictly exceeds each child's
-        col_to_sn = bl.partition.supernode_of_column()
-        for k in range(bl.partition.n_supernodes):
-            rows = bl.partition.panel_rows[k]
-            if rows.size:
-                parent = int(col_to_sn[int(rows[0])])
-                assert levels[parent] > levels[k]
 
 
 class TestChromeTrace:

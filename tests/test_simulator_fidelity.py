@@ -5,6 +5,8 @@ the same record: on one process the simulated start order is the
 sequential engine's task order (labels included), on several ranks the
 simulated message count is the distributed engine's, and a recorder
 holding several runs exports each message as one arrow inside its run.
+The supernodal baseline is simulated in the same ready order: on one
+process its start order is a drain of the scheduler core over its DAG.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import PanguLU
+from repro.baseline import SuperLUBaseline, simulate_superlu
 from repro.core.numeric import factorize
 from repro.core.placement import CyclicPlacement
 from repro.core.tsolve import tsolve_sequential
@@ -29,6 +32,7 @@ from repro.runtime import (
     simulate_tsolve,
     tsolve_distributed,
 )
+from repro.runtime.scheduler import SchedulerCore
 from repro.sparse import generate
 
 
@@ -71,6 +75,22 @@ def test_one_process_starts_in_the_sequential_engines_order(name, scale):
     simulate_tsolve(f, A100_PLATFORM, 1, recorder=sim)
     tsolve_sequential(f, np.ones(f.n), recorder=run)
     assert _spans(sim) == _spans(run)
+
+
+@pytest.mark.parametrize("name", ["ecology1", "cage12", "ASIC_680k", "audikw_1"])
+def test_baseline_starts_in_the_scheduler_cores_order(name):
+    bl = SuperLUBaseline(generate(name, scale=0.1, seed=0))
+    bl.preprocess()
+    res, sn = simulate_superlu(
+        bl.panels, bl.partition, A100_PLATFORM, 1, schedule="syncfree"
+    )
+    core = SchedulerCore.from_dag(sn.dag)
+    drained = []
+    while (tid := core.pop()) is not None:
+        drained.append(tid)
+        core.complete(tid)
+    assert core.done()
+    assert np.argsort(res.start_times, kind="stable").tolist() == drained
 
 
 @pytest.mark.parametrize("nprocs", [2, 4])
