@@ -3,62 +3,106 @@
 The paper computes the block size "from the matrix order and the density
 of the matrix after symbolic factorisation to balance the computation and
 communication".  This bench sweeps explicit block sizes around the
-heuristic's choice for three structurally different matrices and reports
-task counts, per-task granularity and the simulated 16-process makespan —
-showing the trade-off the heuristic navigates (small blocks: parallelism
-but per-task overhead; large blocks: the reverse) and checking that the
-heuristic's pick is near the sweep's best.
+heuristic's choice and reports task counts, the simulated 16-process
+makespan and the measured best-of-3 sequential ``factorize()`` wall-clock
+— showing the trade-off the heuristic navigates (small blocks:
+parallelism but per-task overhead; large blocks: the reverse) and
+checking that the heuristic's pick is near the sweep's best.
+
+Two sets of matrices: three structurally different paper analogues at
+the bench scale, and the three matrices of the end-to-end benchmark
+(``benchmarks/e2e``) at its scales.  The second set is what
+``choose_block_size``'s dense regime was fitted on: its rows mark the
+heuristic's pick and the measured best.
 """
 
 from __future__ import annotations
 
-from common import SCALE, banner, matrix
+import time
+
+from common import SCALE, banner
 from repro import PanguLU, SolverOptions
 from repro.analysis import format_table
 from repro.core import build_dag, choose_block_size
 from repro.core.blocking import block_partition
 from repro.runtime import A100_PLATFORM, simulate_pangulu
+from repro.sparse import generate
 
-MATRICES = ("ecology1", "ASIC_680k", "Si87H76")
-SIZES = (8, 16, 32, 64, 128)
+#: (matrix, scale, swept block sizes): the paper analogues, then the
+#: end-to-end benchmark's three matrices (the fit of the dense regime)
+MATRICES = (
+    ("ecology1", SCALE, (8, 16, 32, 64, 128)),
+    ("ASIC_680k", SCALE, (8, 16, 32, 64, 128)),
+    ("Si87H76", SCALE, (8, 16, 32, 64, 128)),
+    ("audikw_1", 1.0, (32, 47, 64, 80, 96, 112, 128, 192)),
+    ("cage12", 2.0, (32, 60, 80, 96, 112, 128, 192)),
+    ("ecology1", 4.0, (48, 64, 80, 96, 104, 128, 192)),
+)
+#: the analogues the simulated-makespan assertions cover
+ASSERTED = ("ecology1", "ASIC_680k", "Si87H76")
+REPS = 3
 
 
-def _sweep(name: str):
-    solver = PanguLU(matrix(name), SolverOptions())
-    solver.symbolic_factorize()
+def _factorize_s(a, bs: int) -> float:
+    """One sequential ``factorize()`` wall-clock at order ``bs`` (the
+    numeric phase alone; the reordering is the same at every order)."""
+    solver = PanguLU(a, SolverOptions(block_size=bs))
+    solver.preprocess()
+    t0 = time.perf_counter()
+    solver.factorize()
+    return time.perf_counter() - t0
+
+
+def _sweep(a, sizes: tuple[int, ...]):
+    solver = PanguLU(a, SolverOptions())
+    solver.factorize()   # warm BLAS before anything is timed
     filled = solver.symbolic.filled
     heuristic = choose_block_size(filled.ncols, filled.nnz)
+    orders = [bs for bs in sorted(set(sizes) | {heuristic}) if bs < filled.ncols]
+    # best of REPS rounds over all orders, so drift on a shared box
+    # reaches every order alike
+    wall = dict.fromkeys(orders, float("inf"))
+    for _ in range(REPS):
+        for bs in orders:
+            wall[bs] = min(wall[bs], _factorize_s(a, bs))
     out = []
-    for bs in sorted(set(SIZES) | {heuristic}):
-        if bs >= filled.ncols:
-            continue
+    for bs in orders:
         blocks = block_partition(filled, bs)
         dag = build_dag(blocks)
         sim = simulate_pangulu(blocks, dag, A100_PLATFORM, 16)
-        out.append((bs, blocks.nb, len(dag), sim.result.makespan))
+        out.append((bs, blocks.nb, len(dag), sim.result.makespan, wall[bs]))
     return heuristic, out
 
 
 def test_ablation_block_size(benchmark):
-    banner("Ablation — regular block size vs simulated 16-proc makespan")
+    banner("Ablation — regular block size vs simulated 16-proc makespan "
+           "and measured sequential factorize")
     results = {}
-    for name in MATRICES:
-        heuristic, sweep = _sweep(name)
-        results[name] = (heuristic, sweep)
-        rows = [
-            [bs, nb, ntasks, mk * 1e3,
-             "← heuristic" if bs == heuristic else ""]
-            for bs, nb, ntasks, mk in sweep
-        ]
-        print(f"\n{name} (n = {matrix(name).nrows}, scale={SCALE}):")
+    for name, scale, sizes in MATRICES:
+        a = generate(name, scale=scale, seed=0)
+        heuristic, sweep = _sweep(a, sizes)
+        results[name, scale] = (heuristic, sweep)
+        best = min(sweep, key=lambda row: row[4])[0]
+        rows = []
+        for bs, nb, ntasks, mk, wall in sweep:
+            marks = ["← heuristic"] * (bs == heuristic) + ["← measured best"] * (bs == best)
+            rows.append([bs, nb, ntasks, mk * 1e3, wall * 1e3, " ".join(marks)])
+        print(f"\n{name} (n = {a.nrows}, scale={scale}):")
         print(format_table(
-            ["block size", "nb", "tasks", "makespan (ms)", ""],
+            ["block size", "nb", "tasks", "makespan (ms)", "factorize (ms)", ""],
             rows,
             float_fmt="{:.3f}",
         ))
-    benchmark.pedantic(lambda: _sweep(MATRICES[0]), rounds=1, iterations=1)
-    for name, (heuristic, sweep) in results.items():
-        makespans = {bs: mk for bs, _, _, mk in sweep}
+        wall = {bs: w for bs, _, _, _, w in sweep}
+        print(f"heuristic {heuristic}: {wall[heuristic] * 1e3:.1f} ms, "
+              f"{wall[heuristic] / wall[best]:.2f}x the measured best ({best})")
+    name, scale, sizes = MATRICES[0]
+    benchmark.pedantic(
+        lambda: _sweep(generate(name, scale=scale, seed=0), sizes), rounds=1, iterations=1
+    )
+    for name in ASSERTED:
+        heuristic, sweep = results[name, SCALE]
+        makespans = {bs: mk for bs, _, _, mk, _ in sweep}
         # The trade-off is visible: block size moves the makespan by >2x
         # across the sweep.  At miniature scale every task is dominated by
         # fixed per-kernel overheads, so "coarser is faster" monotonically;

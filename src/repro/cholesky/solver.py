@@ -116,7 +116,9 @@ class PanguLLt:
         self.perm = fill_reducing_ordering(self.a, self.options.ordering)
         self.symbolic = symbolic_symmetric(self.a.permute(self.perm, self.perm))
         lower = _lower_triangle(self.symbolic.filled)
-        bs = self.options.block_size or choose_block_size(lower.ncols, lower.nnz)
+        bs = self.options.block_size or choose_block_size(
+            lower.ncols, self.symbolic.filled.nnz
+        )
         self.blocks = block_partition(lower, bs)
         self.dag = build_llt_dag(self.blocks)
         self.flops = sum(t.flops for t in self.dag.tasks if t.ttype is TaskType.SSSSM)

@@ -37,11 +37,11 @@ Two physical layouts back the same logical structure:
 from __future__ import annotations
 
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels.base import GETRF_SERIAL_ORDER
 from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import concat_ranges, run_starts
@@ -56,19 +56,23 @@ __all__ = [
     "block_partition",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: coarsening floor on the average dense block payload ``nnz(L+U) / nb²``
 MIN_AVG_BLOCK_NNZ = 12.0
+#: block order of the dense regime, and the filled entries per column at
+#: which a matrix enters it: one GEMM / ``getrf`` per task of this order
+#: outweighs the ≈ 10 µs fixed cost of a call
+KERNEL_ORDER = 96
+#: the dense regime never raises the order past ``ceil(n / MIN_BLOCK_COLUMNS)``
+MIN_BLOCK_COLUMNS = 16
 
 
 @dataclass(frozen=True)
 class BlockSizeDecision:
     """Every input and intermediate of the block-size heuristic.
 
-    :func:`choose_block_size` used to return a silently clamped scalar;
-    this record makes the decision inspectable — which clamp fired, what
-    the pre-clamp grid and block size were — for logs, benches, and tests.
+    :func:`choose_block_size` returns only ``bs``; this record makes the
+    decision inspectable — which regime and which clamp fired, what the
+    pre-clamp grid and block size were — for benches and tests.
     """
 
     n: int                  #: matrix order
@@ -79,7 +83,8 @@ class BlockSizeDecision:
     nb_grid: int            #: grid after the 4..128 clamp, before coarsening
     nb: int                 #: final grid after density-driven coarsening
     avg_block_nnz: float    #: nnz_filled / nb² at the final grid
-    bs_raw: int             #: ceil(n / nb) before the [min_bs, max_bs] clamp
+    bs_floor: int           #: dense-regime floor on the order (0 when sparse)
+    bs_raw: int             #: max(ceil(n / nb), bs_floor) before the clamp
     bs: int                 #: the chosen block size (what callers use)
 
     @property
@@ -94,22 +99,23 @@ class BlockSizeDecision:
 
 
 def block_size_decision(
-    n: int, nnz_filled: int, *, min_bs: int = 8, max_bs: int = 512
+    n: int, nnz_filled: int, *, min_bs: int = 8, max_bs: int = GETRF_SERIAL_ORDER
 ) -> BlockSizeDecision:
     """The block-size heuristic with its full decision trace.
 
     Same computation as :func:`choose_block_size` (which delegates here);
     returns a :class:`BlockSizeDecision` instead of the bare scalar so
-    callers can see whether — and which — clamp fired.
+    callers can see the regime and whether — and which — clamp fired.
     """
     if n <= 0:
         raise ValueError("matrix order must be positive")
     nb_sqrt = int(round(np.sqrt(n)))
-    nb_grid = int(np.clip(nb_sqrt, 4, 128))
-    nb = nb_grid
+    nb = nb_grid = int(np.clip(nb_sqrt, 4, 128))
     while nb > 4 and nnz_filled / (nb * nb) < MIN_AVG_BLOCK_NNZ:
         nb = max(4, nb // 2)
-    bs_raw = -(-n // nb)
+    dense = nnz_filled >= KERNEL_ORDER * n
+    bs_floor = min(KERNEL_ORDER, -(-n // MIN_BLOCK_COLUMNS)) if dense else 0
+    bs_raw = max(-(-n // nb), bs_floor)
     bs = int(np.clip(bs_raw, min_bs, max(max_bs, min_bs)))
     return BlockSizeDecision(
         n=n,
@@ -120,13 +126,14 @@ def block_size_decision(
         nb_grid=nb_grid,
         nb=nb,
         avg_block_nnz=nnz_filled / (nb * nb),
+        bs_floor=bs_floor,
         bs_raw=bs_raw,
         bs=bs,
     )
 
 
 def choose_block_size(
-    n: int, nnz_filled: int, *, min_bs: int = 8, max_bs: int = 512
+    n: int, nnz_filled: int, *, min_bs: int = 8, max_bs: int = GETRF_SERIAL_ORDER
 ) -> int:
     """Pick the regular block size from the matrix order and post-symbolic
     density (Section 4.1: "calculated from the matrix order and the density
@@ -139,22 +146,32 @@ def choose_block_size(
     * start from a grid of ``nb ≈ sqrt(n)`` block columns, which keeps the
       task count roughly linear in ``n``;
     * coarsen while the *average dense block payload*
-      ``nnz(L+U) / nb²`` falls below a floor, so very sparse matrices get
-      bigger blocks (more nonzeros per kernel call);
-    * clamp the resulting block size to ``[min_bs, max_bs]``.
+      ``nnz(L+U) / nb²`` falls below :data:`MIN_AVG_BLOCK_NNZ`, so very
+      sparse matrices get bigger blocks (more nonzeros per kernel call);
+    * *dense regime*: when the filled pattern holds at least
+      :data:`KERNEL_ORDER` (96) entries per column, raise the order to
+      ``KERNEL_ORDER`` — but never past ``ceil(n / MIN_BLOCK_COLUMNS)``,
+      so at least 16 block columns stay for the process grid.  Every task
+      is one GEMM or ``getrf`` on dense images with ≈ 10 µs of fixed cost,
+      so on a filled-dense matrix it pays to make each call large.
+      Best-of-3 sequential ``factorize()`` over four runs of
+      ``benchmarks/bench_ablation_blocksize.py`` (2-vCPU x86 box):
+      ``audikw_1`` × 1.0 (406 filled entries per column) takes 236–316 ms
+      at the √n order 47 (6 986 tasks) and 117–179 ms anywhere in
+      80–112, where the best order moved from run to run; 96 runs 1 180
+      tasks.  ``cage12`` × 2.0 (538 per column): 226–320 ms at 60,
+      165–247 ms in 80–112.  The 2D grid ``ecology1`` × 4.0 (39 per
+      column) stays at its √n order 104;
+    * clamp the result to ``[min_bs, max_bs]``; ``max_bs`` defaults to
+      :data:`~repro.kernels.base.GETRF_SERIAL_ORDER` (128), above which
+      LAPACK ``getrf`` / ``potrf`` go multi-threaded
+      (``docs/trsm_threading.md``): ``audikw_1`` × 1.0 takes 334–368 ms
+      at order 192.
 
-    Use :func:`block_size_decision` for the full decision trace (clamp
-    provenance, pre-clamp grid and size).
+    Use :func:`block_size_decision` for the full decision trace (regime,
+    clamp provenance, pre-clamp grid and size).
     """
-    d = block_size_decision(n, nnz_filled, min_bs=min_bs, max_bs=max_bs)
-    if d.size_clamped:
-        logger.debug(
-            "choose_block_size(n=%d, nnz=%d): bs %d clamped to %d "
-            "(range %d..%d, grid %d, avg block nnz %.1f)",
-            d.n, d.nnz_filled, d.bs_raw, d.bs, d.min_bs, d.max_bs,
-            d.nb, d.avg_block_nnz,
-        )
-    return d.bs
+    return block_size_decision(n, nnz_filled, min_bs=min_bs, max_bs=max_bs).bs
 
 
 def boundaries_from_block_size(n: int, bs: int) -> np.ndarray:

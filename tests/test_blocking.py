@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import PanguLU, SolverOptions
 from repro.core import (
     block_partition,
     block_size_decision,
     boundaries_from_block_size,
     choose_block_size,
 )
-from repro.sparse import CSCMatrix, grid_laplacian_2d, random_sparse
+from repro.core.blocking import KERNEL_ORDER, MIN_BLOCK_COLUMNS
+from repro.core.verify import verify_dag
+from repro.kernels.base import GETRF_SERIAL_ORDER
+from repro.sparse import CSCMatrix, generate, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
 
 
@@ -43,10 +47,13 @@ class TestBlockSizeDecision:
             assert d.bs == choose_block_size(n, nnz)
 
     def test_unclamped_decision(self):
-        # n=1024, dense enough: nb=32, bs_raw=32 inside [8, 512]
-        d = block_size_decision(1024, 500_000)
+        # n=1024 with 40 filled entries per column, under KERNEL_ORDER:
+        # the sparse regime keeps the sqrt grid, nb=32, bs_raw=32 inside
+        # [8, 128], and no dense floor
+        d = block_size_decision(1024, 40 * 1024)
         assert not d.size_clamped
-        assert d.bs == d.bs_raw
+        assert d.bs_floor == 0
+        assert d.bs == d.bs_raw == 32
         assert d.nb == d.nb_grid == d.nb_sqrt == 32
 
     def test_min_clamp_edge(self):
@@ -65,11 +72,12 @@ class TestBlockSizeDecision:
 
     def test_max_clamp_edge(self):
         # huge, nearly-empty matrix: coarsening drives the grid to the
-        # floor of 4 and bs_raw far past the default max of 512
+        # floor of 4 and bs_raw far past the default max, GETRF_SERIAL_ORDER
         d = block_size_decision(10_000, 10)
         assert d.nb == 4
         assert d.bs_raw == 2500
-        assert d.bs == 512
+        assert d.max_bs == GETRF_SERIAL_ORDER == 128
+        assert d.bs == 128
         assert d.size_clamped
 
     def test_max_clamp_respects_override(self):
@@ -88,6 +96,52 @@ class TestBlockSizeDecision:
         d = block_size_decision(4000, 10_000)
         assert d.nb < d.nb_grid
         assert d.avg_block_nnz == pytest.approx(10_000 / d.nb**2)
+
+    def test_dense_regime_floor(self):
+        # ≥ KERNEL_ORDER filled entries per column raise the sqrt grid's
+        # order (ceil(4000 / 63) = 64) to KERNEL_ORDER
+        d = block_size_decision(4000, KERNEL_ORDER * 4000)
+        assert d.bs_raw > -(-4000 // d.nb)
+        assert d.bs_floor == d.bs == KERNEL_ORDER
+        # one entry per column fewer and the sqrt grid stands
+        d = block_size_decision(4000, KERNEL_ORDER * 4000 - 1)
+        assert d.bs_floor == 0
+        assert d.bs == -(-4000 // d.nb) == 64
+
+    def test_dense_floor_keeps_sixteen_block_columns(self):
+        # n=640 fully dense: KERNEL_ORDER would leave under 7 block
+        # columns; the floor stops at ceil(640 / 16) = 40
+        d = block_size_decision(640, 640 * 640)
+        assert d.bs_floor == d.bs == 40
+        assert -(-640 // d.bs) >= MIN_BLOCK_COLUMNS
+
+    @pytest.mark.parametrize(
+        "n, nnz", [(10_000, 10), (100_000, 50_000_000), (40_000, 40_000),
+                   (500_000, 10**9), (3000, 9_000_000)],
+    )
+    def test_no_default_order_above_getrf_serial_order(self, n, nnz):
+        assert choose_block_size(n, nnz) <= GETRF_SERIAL_ORDER == 128
+
+
+class TestBenchmarkMatrixOrders:
+    """The default order of the benchmark's three matrices (the
+    ``benchmarks/e2e`` workloads): the filled-dense two take kernel-sized
+    blocks, the 2D grid keeps its sqrt grid."""
+
+    @staticmethod
+    def _preprocessed(name, scale):
+        s = PanguLU(generate(name, scale=scale, seed=0), SolverOptions())
+        s.preprocess()
+        return s
+
+    @pytest.mark.parametrize("name, scale", [("audikw_1", 1.0), ("cage12", 2.0)])
+    def test_filled_dense_matrices_get_kernel_sized_blocks(self, name, scale):
+        s = self._preprocessed(name, scale)
+        assert 88 <= s.blocks.bs <= 112
+        verify_dag(s.dag)
+
+    def test_grid2d_keeps_its_sqrt_grid(self):
+        assert self._preprocessed("ecology1", 4.0).blocks.bs == 104
 
 
 class TestPartition:

@@ -256,6 +256,20 @@ class TestSolver:
         x = s.solve(np.ones(50))
         assert s.residual_norm(x, np.ones(50)) < 1e-10
 
+    # at scale 0.2 the lower triangle's half of the filled count sits
+    # under KERNEL_ORDER per column while the full count is over it
+    @pytest.mark.parametrize("scale", [1.0, 0.2])
+    def test_default_order_matches_lu(self, scale):
+        """The order comes from the full filled count, as in ``PanguLU``,
+        not from the stored lower triangle's half of it: one matrix lands
+        in one density regime in both solvers."""
+        a = generate("audikw_1", scale=scale)
+        chol = PanguLLt(a)
+        chol.preprocess()
+        lu = PanguLU(a)
+        lu.preprocess()
+        assert chol.blocks.bs == lu.blocks.bs
+
     def test_options_have_no_refinement_knob(self):
         assert [f for f in CholeskyOptions.__dataclass_fields__] == [
             "ordering", "block_size"
