@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.solver import reorder_and_scale
+from ..core.solver import checked_rhs, reorder_and_scale, require_at_least_one
 from ..kernels.base import serial_matmul
 from ..sparse.csc import CSCMatrix
 from ..symbolic import SymbolicResult
@@ -50,6 +50,9 @@ class BaselineOptions:
 
     ordering: str = "nd"
     max_supernode_width: int = 64
+
+    def __post_init__(self) -> None:
+        require_at_least_one(self, "max_supernode_width")
 
 
 class SuperLUBaseline:
@@ -125,9 +128,7 @@ class SuperLUBaseline:
         """Phase 5 — dense panel forward/backward sweeps."""
         self.factorize()
         t0 = time.perf_counter()
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.a.nrows,):
-            raise ValueError(f"b has shape {b.shape}, expected ({self.a.nrows},)")
+        b = checked_rhs(b, self.a.nrows)
         m = self.panels
         bd = m.boundaries
         segs = [slice(lo, hi) for lo, hi in zip(bd[:-1], bd[1:])]

@@ -19,7 +19,8 @@ from ..core.blocking import BlockMatrix, block_partition, choose_block_size
 from ..core.dag import TaskDAG, TaskType
 from ..core.numeric import FactorJob, NumericOptions
 from ..core.solver import (
-    REFINE_MAX_ITER, REFINE_TOL, fill_reducing_ordering, refined_solve,
+    REFINE_MAX_ITER, REFINE_TOL, checked_rhs, fill_reducing_ordering,
+    refined_solve, require_at_least_one,
 )
 from ..kernels.base import Workspace
 from ..kernels.ssssm import ssssm_c_v1
@@ -41,6 +42,9 @@ class CholeskyOptions:
 
     ordering: str = "nd"
     block_size: int | None = None
+
+    def __post_init__(self) -> None:
+        require_at_least_one(self, "block_size")
 
 
 class LLtJob(FactorJob):
@@ -166,9 +170,7 @@ class PanguLLt:
         residuals it took are left on :attr:`residual_history`."""
         self.factorize()
         t0 = time.perf_counter()
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.a.nrows,):
-            raise ValueError(f"b has shape {b.shape}, expected ({self.a.nrows},)")
+        b = checked_rhs(b, self.a.nrows)
         self.residual_history = []
         x = refined_solve(
             self._apply, self.a.matvec, b, tol=REFINE_TOL,

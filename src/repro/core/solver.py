@@ -53,7 +53,7 @@ from .verify import verify_dag
 __all__ = [
     "SolverOptions", "Factorization", "PanguLU", "RefinementStalled",
     "REFINE_TOL", "REFINE_MAX_ITER", "ORDERINGS", "fill_reducing_ordering",
-    "reorder_and_scale", "refined_solve",
+    "reorder_and_scale", "checked_rhs", "refined_solve",
 ]
 
 #: Relative-residual target ``max_j ‖b_j − A x_j‖ / ‖b_j‖`` of the
@@ -227,6 +227,35 @@ def reorder_and_scale(a: CSCMatrix, ordering: str):
     )
 
 
+def require_at_least_one(options, *names: str) -> None:
+    """Refuse an option field below 1 (``None`` means "choose for me")."""
+    for name in names:
+        value = getattr(options, name)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def checked_rhs(b, n: int, *, panel: bool = False) -> np.ndarray:
+    """``b`` as the ``float64`` right-hand side of an order-``n`` solve,
+    the one check of every facade: complex values are refused by name
+    (:func:`~repro.sparse.csc.as_values`), as are a shape other than
+    ``(n,)`` — or ``(n, k)``, ``k ≥ 1``, with ``panel`` — and a
+    non-finite entry (``ValueError`` naming the first one)."""
+    b = as_values(b, np.float64)
+    if b.ndim not in ((1, 2) if panel else (1,)) or b.shape[0] != n:
+        expect = f"({n},) or ({n}, k)" if panel else f"({n},)"
+        raise ValueError(f"b has shape {b.shape}, expected {expect}")
+    if b.ndim == 2 and b.shape[1] == 0:
+        raise ValueError(f"b has no right-hand-side columns (shape {b.shape})")
+    bad = np.argwhere(~np.isfinite(b))
+    if bad.size:
+        where = ", ".join(map(str, bad[0]))
+        raise ValueError(
+            f"right-hand side is not finite: b[{where}] = {b[tuple(bad[0])]}"
+        )
+    return b
+
+
 def refined_solve(
     apply_fn, product, b: np.ndarray, *, tol: float, budget: int,
     history: list, exact: bool,
@@ -235,8 +264,8 @@ def refined_solve(
     asks for — the one policy of every solve, LU and Cholesky alike.
 
     ``apply_fn(r)`` applies the factors (``≈ A⁻¹ r``), ``product(v)`` is
-    ``A v``; ``b`` is a vector or an ``(n, k)`` panel and must be finite
-    (``ValueError`` naming the first bad entry otherwise).
+    ``A v``; ``b`` is a vector or an ``(n, k)`` panel, finite
+    (:func:`checked_rhs`).
 
     Plain iterative refinement with the residual in ``float64``: stop
     when the relative residual (max over right-hand sides) meets ``tol``
@@ -253,12 +282,6 @@ def refined_solve(
     non-empty history); a non-finite residual raises
     ``FloatingPointError`` quoting it.
     """
-    bad = np.argwhere(~np.isfinite(b))
-    if bad.size:
-        where = ", ".join(map(str, bad[0]))
-        raise ValueError(
-            f"right-hand side is not finite: b[{where}] = {b[tuple(bad[0])]}"
-        )
     x = apply_fn(b)
     if budget == 0:
         return x
@@ -423,10 +446,7 @@ class SolverOptions:
     compress_min_order: InitVar[int | None] = None
 
     def __post_init__(self, compress_tol, compress_min_order) -> None:
-        for name in ("block_size", "nprocs", "n_workers"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        require_at_least_one(self, "block_size", "nprocs", "n_workers")
         shorthands = {"compress_tol": compress_tol,
                       "compress_min_order": compress_min_order}
         shorthands = {k: v for k, v in shorthands.items() if v is not None}
@@ -689,13 +709,7 @@ class Factorization:
         the refinement is left on ``last_tsolve_stats.residual_history``.
         """
         t0 = time.perf_counter()
-        b = as_values(b, np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n:
-            raise ValueError(
-                f"b has shape {b.shape}, expected ({self.n},) or ({self.n}, k)"
-            )
-        if b.ndim == 2 and b.shape[1] == 0:
-            raise ValueError(f"b has no right-hand-side columns (shape {b.shape})")
+        b = checked_rhs(b, self.n, panel=True)
         history: list[tuple[str, float]] = []
         x = self._solve_refined(b, transposed, recorder, history)
         self.last_tsolve_stats.residual_history = history

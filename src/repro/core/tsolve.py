@@ -47,16 +47,10 @@ __all__ = [
 
 
 def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
-    """Write-lock slots a task writes: slot ``i`` is the ``y`` segment
-    ``i``, slot ``nb + i`` the ``x`` segment ``i``.  ``DIAG_F`` claims
-    both (it finishes ``y[i]`` and seeds ``x[i]``)."""
-    kind = int(tdag.kinds[tid])
+    """The one write-lock slot of a task: slot ``i`` is the ``y``
+    segment ``i``, slot ``nb + i`` the ``x`` segment ``i``."""
     tgt = int(tdag.target[tid])
-    if kind == TSolveTaskType.DIAG_F:
-        return (tgt, nb + tgt)
-    if kind == TSolveTaskType.UPD_F:
-        return (tgt,)
-    return (nb + tgt,)
+    return (tgt if int(tdag.kinds[tid]) in _Y_WRITERS else nb + tgt,)
 
 
 def execute_tsolve_task(
@@ -72,7 +66,8 @@ def execute_tsolve_task(
     picks the block an update reads (``(tgt, k)``, or ``(k, tgt)``
     transposed) and the triangle a diagonal task inverts: forward tasks
     solve with ``L``, backward tasks with ``U``, the other way round when
-    transposed.
+    transposed.  A seeded task first copies its segment of ``y`` into
+    ``x``: the backward sweep starts from the forward result.
 
     A zero ``U`` pivot raises :class:`SingularBlockError` naming the
     diagonal block, the column in it and the row of the reordered matrix.
@@ -83,22 +78,21 @@ def execute_tsolve_task(
     trans = tdag.transposed
     seg = f.block_slice(tgt)
     out = y if kind in _Y_WRITERS else x
+    if tdag.seeds[tid]:
+        x[seg] = y[seg]
     if kind in (TSolveTaskType.UPD_F, TSolveTaskType.UPD_B):
         blk = f.block(k, tgt) if trans else f.block(tgt, k)
         upd_seg(out[seg], blk, out[f.block_slice(k)], transposed=trans)
         return
-    forward = kind == TSolveTaskType.DIAG_F
     diag = f.block(k, k)
     try:
-        diag_seg(diag, out[seg], lower=forward != trans, transposed=trans)
+        diag_seg(diag, out[seg], lower=(out is y) != trans, transposed=trans)
     except SingularBlockError:
         j = int(np.flatnonzero(diag.diagonal() == 0.0)[0])
         raise SingularBlockError(
             f"zero/missing U diagonal in block {k}, column {j} "
             f"(row {seg.start + j} of the reordered matrix)"
         ) from None
-    if forward:
-        x[seg] = y[seg]  # seed the backward sweep with the forward result
 
 
 def _check_rhs(n: int, b: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ schedule and simulate it:
 * ``DIAG_B(k)`` / ``UPD_B(k, i)`` — the mirrored backward sweep
   (``UPD_B`` pushes ``x_k`` up through ``U(i,k)``, ``i < k``).
 
-The backward sweep chains off the forward one per segment (``DIAG_B(k)``
-additionally waits for ``DIAG_F(k)``), so the two solves pipeline the way
-the real distributed phase does.
+The backward sweep chains off the forward one per segment (its first
+writer of segment ``k`` waits for ``DIAG_F(k)``), so the two solves
+pipeline the way the real distributed phase does.
 
 A **transposed** solve ``Aᵀ x = b`` is the same graph over ``(LU)ᵀ =
 Uᵀ Lᵀ`` (``transposed=True``): the forward sweep solves with ``Uᵀ`` and
@@ -27,21 +27,22 @@ the block it reads.
 The engines (sequential / threaded / distributed / hybrid, see
 :mod:`repro.core.tsolve` and :mod:`repro.runtime.engines`) and the
 simulator (:func:`repro.runtime.adapters.simulate_tsolve`) share this
-one graph.  Beyond mathematical readiness it carries the edges
-concurrent execution needs:
+one graph, and it carries only the edges the sweeps need.  The writers
+of every RHS segment form **one chain** of direct edges, in the order a
+k-ordered loop sweep applies them:
 
-* the updates into each target segment are **chained** in the order a
-  k-ordered loop sweep applies them (ascending source ``k`` forward,
-  descending backward) — every segment then has a totally ordered writer
-  sequence, making any topological execution *bit-identical* to the
-  one-lane replay (the loop sweeps the tests keep as oracle,
-  ``tests/reference_tsolve.py``, apply the same order);
-* ``DIAG_F(i)`` precedes the first backward update into segment ``i``
-  (``DIAG_F`` seeds the backward array from the forward result, so the
-  seed must land before ``UPD_B`` writes accumulate on it);
-* per-task write sequence numbers (``seq_y`` / ``seq_x``) record each
-  writer's position in its segment's order, letting the distributed
-  engine discard stale segment payloads delivered out of order.
+* ``y_i``: ``UPD_F(k, i)`` by ascending ``k``, then ``DIAG_F(i)``;
+* ``x_i``: ``UPD_B(k, i)`` by descending ``k``, then ``DIAG_B(i)``.
+  The head of that chain waits for ``DIAG_F(i)`` and is **seeded**: it
+  copies ``x_i = y_i`` before its own write (``seeds``);
+* an update also waits for the diagonal solve of the segment it reads.
+
+So every update has exactly one successor, the next writer of its
+segment, and any topological execution is *bit-identical* to the
+one-lane replay (the loop sweeps the tests keep as oracle,
+``tests/reference_tsolve.py``, apply the same order).  A segment sent
+between ranks lands before any newer write of that segment exists, so
+the distributed engine installs every payload as it comes.
 """
 
 from __future__ import annotations
@@ -72,10 +73,8 @@ _Y_WRITERS = (int(TSolveTaskType.DIAG_F), int(TSolveTaskType.UPD_F))
 class TSolveDAG:
     """Flat arrays describing the triangular-solve task graph.
 
-    ``seq_y`` / ``seq_x`` are the position of each task in its target
-    segment's total write order on the forward (``y``) and backward (``x``) arrays, −1 for
-    tasks that do not write the array.  ``DIAG_F`` appears in both — it
-    finishes the ``y`` segment and seeds the matching ``x`` segment.
+    ``seeds`` marks the head of each ``x`` segment's writer chain, the
+    task that starts the backward sweep from the forward result.
     ``transposed`` is the direction flag: an update task ``(k → tgt)``
     reads block ``(tgt, k)`` in a plain solve, block ``(k, tgt)``
     (transposed) in a transposed one.  ``entries`` are the ready-heap
@@ -94,8 +93,7 @@ class TSolveDAG:
     owner: np.ndarray
     total_flops: float
     entries: list[tuple[int, int, int]]
-    seq_y: np.ndarray
-    seq_x: np.ndarray
+    seeds: np.ndarray
     transposed: bool = False
 
     def __len__(self) -> int:
@@ -129,11 +127,9 @@ def build_tsolve_dag(
     placement (diag tasks on the diagonal block's owner, updates on the
     off-diagonal block's owner — data stays put, vectors move).
 
-    Same-target updates are chained in ascending/descending source
-    order, the backward seed is ordered and ``seq_y``/``seq_x`` are
-    filled — the structure race-free, bit-identical concurrent execution
-    needs (module docstring).  ``transposed=True`` builds the graph of ``Aᵀ x = b`` (block rows in
-    place of block columns).
+    Every segment's writers are chained and the head of each backward
+    chain is seeded (module docstring).  ``transposed=True`` builds the
+    graph of ``Aᵀ x = b`` (block rows in place of block columns).
     """
     nb = f.nb
     kinds: list[int] = []
@@ -142,6 +138,8 @@ def build_tsolve_dag(
     flops: list[float] = []
     out_b: list[float] = []
     owner: list[int] = []
+    successors: list[list[int]] = []
+    n_deps: list[int] = []
 
     def add(kind: TSolveTaskType, k: int, tgt: int, fl: float, p: int) -> int:
         tid = len(kinds)
@@ -151,7 +149,13 @@ def build_tsolve_dag(
         flops.append(fl)
         out_b.append(8.0 * f.block_order(tgt))
         owner.append(p)
+        successors.append([])
+        n_deps.append(0)
         return tid
+
+    def dep(pred: int, succ: int) -> None:
+        successors[pred].append(succ)
+        n_deps[succ] += 1
 
     def pushes(k: int):
         """``(target segment, flops, owner)`` of every off-diagonal block
@@ -169,81 +173,44 @@ def build_tsolve_dag(
         ]
 
     pushed = [pushes(k) for k in range(nb)]  # both sweeps walk it
-
-    diag_f: dict[int, int] = {}
-    diag_b: dict[int, int] = {}
-    upd_f: list[tuple[int, int, int]] = []  # (tid, k, i)
-    upd_b: list[tuple[int, int, int]] = []
+    # the writers of y_i and of x_i, in sweep order; x_i's chain is led
+    # by DIAG_F(i), which its head waits for
+    fwd: list[list[int]] = [[] for _ in range(nb)]
+    bwd: list[list[int]] = [[] for _ in range(nb)]
 
     # the forward diagonal solve is with L (Uᵀ when transposed), the
-    # backward one with U (Lᵀ)
+    # backward one with U (Lᵀ); an update waits for the diagonal solve
+    # of the segment it reads
     for k in range(nb):
-        diag_f[k] = add(
+        diag = add(
             TSolveTaskType.DIAG_F, k, k,
             _diag_solve_flops(f, k, lower=not transposed),
             owner_of_block(k, k),
         )
+        bwd[k].append(diag)
         for tgt, fl, p in pushed[k]:
             if tgt > k:
-                upd_f.append((add(TSolveTaskType.UPD_F, k, tgt, fl, p), k, tgt))
+                fwd[tgt].append(add(TSolveTaskType.UPD_F, k, tgt, fl, p))
+                dep(diag, fwd[tgt][-1])
+        fwd[k].append(diag)
     for k in range(nb - 1, -1, -1):
-        diag_b[k] = add(
+        diag = add(
             TSolveTaskType.DIAG_B, k, k,
             _diag_solve_flops(f, k, lower=transposed),
             owner_of_block(k, k),
         )
         for tgt, fl, p in pushed[k]:
             if tgt < k:
-                upd_b.append((add(TSolveTaskType.UPD_B, k, tgt, fl, p), k, tgt))
+                bwd[tgt].append(add(TSolveTaskType.UPD_B, k, tgt, fl, p))
+                dep(diag, bwd[tgt][-1])
+        bwd[k].append(diag)
 
-    n = len(kinds)
-    n_deps = np.zeros(n, dtype=np.int64)
-    successors: list[list[int]] = [[] for _ in range(n)]
-
-    def dep(pred: int, succ: int) -> None:
-        successors[pred].append(succ)
-        n_deps[succ] += 1
-
-    # forward: DIAG_F(k) <- every UPD_F(j, k); UPD_F(k, i) <- DIAG_F(k)
-    for tid, k, i in upd_f:
-        dep(diag_f[k], tid)
-        dep(tid, diag_f[i])
-    # backward mirrors, plus the forward->backward chain per segment
-    for tid, k, i in upd_b:
-        dep(diag_b[k], tid)
-        dep(tid, diag_b[i])
-    for k in range(nb):
-        dep(diag_f[k], diag_b[k])
-
-    seq_y = np.full(n, -1, dtype=np.int64)
-    seq_x = np.full(n, -1, dtype=np.int64)
-    # forward writers of y[i]: UPD_F(k, i) ascending k (the order the
-    # upd_f list already carries), then DIAG_F(i)
-    fwd_chain: dict[int, list[int]] = {}
-    for tid, _k, i in upd_f:
-        fwd_chain.setdefault(i, []).append(tid)
-    for i, chain in fwd_chain.items():
-        for pos, tid in enumerate(chain):
-            seq_y[tid] = pos
-            if pos:
-                dep(chain[pos - 1], tid)
-    for i in range(nb):
-        seq_y[diag_f[i]] = len(fwd_chain.get(i, ()))
-    # backward writers of x[i]: the DIAG_F(i) seed, UPD_B(k, i)
-    # descending k (the upd_b list order), then DIAG_B(i)
-    bwd_chain: dict[int, list[int]] = {}
-    for tid, _k, i in upd_b:
-        bwd_chain.setdefault(i, []).append(tid)
-    for i in range(nb):
-        seq_x[diag_f[i]] = 0
-    for i, chain in bwd_chain.items():
-        dep(diag_f[i], chain[0])  # the seed lands before updates
-        for pos, tid in enumerate(chain):
-            seq_x[tid] = pos + 1
-            if pos:
-                dep(chain[pos - 1], tid)
-    for i in range(nb):
-        seq_x[diag_b[i]] = len(bwd_chain.get(i, ())) + 1
+    seeds = np.zeros(len(kinds), dtype=bool)
+    for chain in fwd + bwd:
+        for pred, succ in zip(chain, chain[1:]):
+            dep(pred, succ)
+    for chain in bwd:
+        seeds[chain[1]] = True
 
     entries = [
         (k if kind in _Y_WRITERS else 2 * nb - 1 - k, kind, tid)
@@ -255,12 +222,11 @@ def build_tsolve_dag(
         target=np.asarray(target, dtype=np.int64),
         flops=np.asarray(flops),
         out_bytes=np.asarray(out_b),
-        n_deps=n_deps,
+        n_deps=np.asarray(n_deps, dtype=np.int64),
         successors=successors,
         owner=np.asarray(owner, dtype=np.int64),
         total_flops=float(np.sum(flops)),
         entries=entries,
-        seq_y=seq_y,
-        seq_x=seq_x,
+        seeds=seeds,
         transposed=transposed,
     )

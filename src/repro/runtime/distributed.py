@@ -173,13 +173,13 @@ class _RankFactorJob(FactorJob):
 class _RankSolveJob(SolveJob):
     """The solve job on one rank: each message carries the *segment* a
     task just wrote (real byte accounting: the segment array's
-    ``nbytes``).
+    ``nbytes``), and a received one is written into the array its
+    producer writes.
 
-    Because transports only order messages per sender, a slow producer's
-    payload can arrive after a newer write to the same segment already
-    landed; the per-task write sequence numbers (``seq_y``/``seq_x`` of
-    the solve DAG) make the receive path idempotent — stale payloads
-    still decrement the dependency counter but no longer touch the array.
+    Transports only order messages per sender, yet no receive-side guard
+    is needed: an update's one successor is the next writer of its
+    segment, so a payload is installed before any newer write of that
+    segment exists, whatever the delivery order.
     """
 
     def __init__(
@@ -195,43 +195,22 @@ class _RankSolveJob(SolveJob):
         self.core = SchedulerCore.from_dag(
             tdag, owned=self.my_tasks, recorder=recorder, lane=rank
         )
-        # the (array, write-sequence, highest sequence applied per
-        # segment) triples of y and x — local writes and accepted
-        # messages both advance the applied sequence
-        self.written = [
-            (arr, seq, np.full(view.nb, -1, dtype=np.int64))
-            for arr, seq in ((self.y, tdag.seq_y), (self.x, tdag.seq_x))
-        ]
 
-    def execute(self, tid: int, ws) -> tuple:
-        super().execute(tid, ws)
-        tgt = int(self.tdag.target[tid])
-        for _, seq, applied in self.written:
-            if seq[tid] >= 0:  # tid wrote this array (and holds its lock)
-                applied[tgt] = max(applied[tgt], seq[tid])
-        return ()
+    def _segment(self, tid: int) -> np.ndarray:
+        """The segment ``tid`` writes: of ``y`` forward, ``x`` backward."""
+        arr = self.y if int(self.tdag.kinds[tid]) in _Y_WRITERS else self.x
+        return arr[self.f.block_slice(int(self.tdag.target[tid]))]
 
     def outgoing(self, tid: int):
-        tdag = self.tdag
-        dests = _consumers(tdag.successors[tid], self.owner_of_task, self.rank)
+        dests = _consumers(self.tdag.successors[tid], self.owner_of_task, self.rank)
         if not dests:
             return None
-        tgt = int(tdag.target[tid])
-        # y for forward writers (a DIAG_F seed equals its y), the x
-        # segment for backward writers; a copy, because a chained
-        # successor writer may overwrite the segment before the send
-        src = self.y if int(tdag.kinds[tid]) in _Y_WRITERS else self.x
-        arr = np.array(src[self.f.block_slice(tgt)])
-        return dests, (tid, tgt, arr), arr.nbytes
+        arr = np.array(self._segment(tid))  # snapshot in the write-lock window
+        return dests, (tid, arr), arr.nbytes
 
     def absorb(self, msg) -> int:
-        src_tid, tgt, arr = msg
-        seg = self.f.block_slice(tgt)
-        # a DIAG_F payload doubles as the backward seed (x = y there)
-        for dest, seq, applied in self.written:
-            if seq[src_tid] > applied[tgt]:
-                dest[seg] = arr
-                applied[tgt] = seq[src_tid]
+        src_tid, arr = msg
+        self._segment(src_tid)[...] = arr
         return arr.nbytes
 
     def result(self) -> list[tuple[int, np.ndarray]]:
@@ -435,9 +414,9 @@ def tsolve_distributed(
     block-cyclic rule) — diag solves run on the diagonal block's owner,
     updates on the off-diagonal block's owner, so factor blocks stay put
     and only RHS segments travel.  Messages carry real segment bytes
-    (``arr.nbytes``), accounted in the returned report; the
-    write-sequence guard of :class:`_RankSolveJob` keeps out-of-order
-    deliveries harmless, so the gathered solution is bit-identical to
+    (``arr.nbytes``), accounted in the returned report; the solve DAG's
+    writer chains keep out-of-order deliveries harmless, so the gathered
+    solution is bit-identical to
     :func:`repro.core.tsolve.tsolve_sequential`.  With ``n_threads > 1``
     each rank drains its scheduler core with a thread pool (the
     ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder``

@@ -146,6 +146,23 @@ class TestHostileRightHandSides:
             s.solve_transposed(B)
         assert s.solve_count == 0  # rejected before any sweep ran
 
+    @pytest.mark.parametrize("facade", ["PanguLLt", "SuperLUBaseline"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_is_rejected_by_every_facade(self, facade, bad):
+        """The baseline used to return a NaN ``x`` for a non-finite ``b``;
+        every facade runs LU's check before its sweeps."""
+        from repro.baseline import SuperLUBaseline
+        from repro.cholesky import PanguLLt
+        from repro.sparse import grid_laplacian_2d
+
+        a = grid_laplacian_2d(6, 6)
+        s = {"PanguLLt": PanguLLt, "SuperLUBaseline": SuperLUBaseline}[facade](a)
+        b = np.ones(a.nrows)
+        b[7] = bad
+        with pytest.raises(ValueError, match=r"not finite: b\[7\]"):
+            s.solve(b)
+        assert "solve" not in s.phase_seconds  # rejected before any sweep
+
     def test_residual_turning_non_finite_raises(self):
         from repro.sparse import random_sparse
 

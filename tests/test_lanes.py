@@ -8,9 +8,11 @@ table covers them all:
   × {clean, validate, fail_after, dead_ranks, delay+stagger}
 
 (the three fault scenarios need a transport, so they apply to the rank
-configurations only; ``validate`` is the clean run preceded by the static
-``verify_dag`` checks that ``SolverOptions.verify_schedule`` turns on,
-with the ownership map on the rank configurations).  One-lane factors under the fixed (sparse-variant)
+configurations only; delivery order gets two more inputs, 3 ranks × 1
+and the transposed solve, run under ``delay+stagger``; ``validate`` is
+the clean run preceded by the static ``verify_dag`` checks that
+``SolverOptions.verify_schedule`` turns on, with the ownership map on
+the rank configurations).  One-lane factors under the fixed (sparse-variant)
 selector are pinned bit-for-bit to the values the hand-written sequential
 loop produced before the fold; the default path calls BLAS, whose last
 bits depend on the kernel OpenBLAS dispatches for the CPU, so it is held
@@ -94,6 +96,7 @@ CONFIGS = {
     "3-lanes": Config(0, 3),
     "2x1": Config(2, 1),
     "2x2": Config(2, 2),
+    "3x1": Config(3, 1),
 }
 FAULTS = {
     "clean": None,
@@ -105,9 +108,11 @@ FAULTS = {
 CELLS = [
     (config, phase, scenario)
     for config, cfg in CONFIGS.items()
-    for phase in ("factor", "tsolve")
+    for phase in ("factor", "tsolve", "tsolveT")
     for scenario in FAULTS
-    if cfg.ranks or scenario in ("clean", "validate")
+    if (cfg.ranks or scenario in ("clean", "validate"))
+    # the delivery-order inputs: three ranks and the transposed solve
+    and (scenario == "delay+stagger" or (cfg.ranks != 3 and phase != "tsolveT"))
 ]
 
 
@@ -163,9 +168,10 @@ def _run_factor(cfg: Config, bm, dag, *, scenario="clean", options=None,
     )
 
 
-def _run_tsolve(cfg: Config, f, b, *, scenario="clean", timeout=30.0):
+def _run_tsolve(cfg: Config, f, b, *, scenario="clean", timeout=30.0,
+                transposed=False):
     owner = CyclicPlacement(cfg.ranks).owner if cfg.ranks else lambda bi, bj: 0
-    tdag = build_tsolve_dag(f, owner)
+    tdag = build_tsolve_dag(f, owner, transposed=transposed)
     if scenario == "validate":
         _verify(cfg, tdag)
     if not cfg.ranks:
@@ -196,7 +202,7 @@ def _replay(f, b) -> np.ndarray:
 #: the engine name of each configuration's pool shape
 ENGINE_OF = {
     "1-lane": "sequential", "3-lanes": "threaded",
-    "2x1": "distributed", "2x2": "hybrid",
+    "2x1": "distributed", "2x2": "hybrid", "3x1": "distributed",
 }
 
 
@@ -253,8 +259,15 @@ def test_engine_matrix(config, phase, scenario, factored):
             _expect_failure(scenario, lambda timeout: _run_tsolve(
                 cfg, factored, b, scenario=scenario, timeout=timeout))
             return
-        x, stats = _run_tsolve(cfg, factored, b, scenario=scenario)
-        assert np.array_equal(x, _replay(factored, b))
+        transposed = phase == "tsolveT"
+        x, stats = _run_tsolve(cfg, factored, b, scenario=scenario,
+                               transposed=transposed)
+        if transposed:
+            ref, _ = tsolve_sequential(factored, b, tdag=build_tsolve_dag(
+                factored, lambda bi, bj: 0, transposed=True))
+        else:
+            ref = _replay(factored, b)
+        assert np.array_equal(x, ref)
         assert stats.nrhs == 2 and stats.kernel_choices == {}
         _check_report(stats, config)
 

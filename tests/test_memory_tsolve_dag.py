@@ -105,7 +105,6 @@ class TestTSolveDAG:
         """DIAG_B(k) transitively depends on DIAG_F(k)."""
         f = prepared.blocks
         dag = build_tsolve_dag(f, ProcessGrid.square(1).owner)
-        # direct edge inserted by construction:
         for k in range(f.nb):
             fwd = int(np.flatnonzero(
                 (dag.kinds == int(TSolveTaskType.DIAG_F)) & (dag.k_of == k)
@@ -113,7 +112,31 @@ class TestTSolveDAG:
             bwd = int(np.flatnonzero(
                 (dag.kinds == int(TSolveTaskType.DIAG_B)) & (dag.k_of == k)
             )[0])
-            assert bwd in dag.successors[fwd]
+            reached, stack = {fwd}, [fwd]
+            while stack:
+                for s in dag.successors[stack.pop()]:
+                    if s not in reached:
+                        reached.add(s)
+                        stack.append(s)
+            assert bwd in reached
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_updates_feed_only_the_next_writer(self, prepared, transposed):
+        """Every update has exactly one successor, a writer of the same
+        segment in the same sweep; each x chain has one seeded head."""
+        dag = build_tsolve_dag(prepared.blocks, ProcessGrid.square(2).owner,
+                               transposed=transposed)
+        for tid in np.flatnonzero(
+            (dag.kinds == int(TSolveTaskType.UPD_F))
+            | (dag.kinds == int(TSolveTaskType.UPD_B))
+        ):
+            (nxt,) = dag.successors[tid]
+            assert dag.target[nxt] == dag.target[tid]
+            assert dag.kinds[nxt] in (dag.kinds[tid], dag.kinds[tid] - 1)
+        seeded = dag.target[dag.seeds]
+        assert sorted(seeded) == list(range(prepared.blocks.nb))
+        assert set(dag.kinds[dag.seeds]) <= {
+            int(TSolveTaskType.UPD_B), int(TSolveTaskType.DIAG_B)}
 
     @pytest.mark.parametrize("name", ["audikw_1", "G3_circuit", "cage12", "ASIC_680k"])
     @pytest.mark.parametrize("transposed", [False, True])

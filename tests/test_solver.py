@@ -11,6 +11,7 @@ from repro.kernels import SelectorPolicy
 from repro.sparse import (
     CSCMatrix,
     generate,
+    grid_laplacian_2d,
     paper_matrix_names,
     random_sparse,
 )
@@ -138,6 +139,21 @@ class TestSolve:
         with pytest.raises(ValueError, match=rf"{field} must be at least 1"):
             SolverOptions(**{field: value})
 
+    @pytest.mark.parametrize("options, field, value", [
+        ("CholeskyOptions", "block_size", 0),
+        ("CholeskyOptions", "block_size", -3),
+        ("BaselineOptions", "max_supernode_width", 0),
+        ("BaselineOptions", "max_supernode_width", -1),
+    ])
+    def test_facade_options_reject_values_below_one(self, options, field, value):
+        """``block_size=0`` used to fall back to the heuristic through an
+        ``or``; a supernode width below 1 was taken as given."""
+        from repro import baseline, cholesky
+
+        cls = getattr(cholesky if options == "CholeskyOptions" else baseline, options)
+        with pytest.raises(ValueError, match=rf"{field} must be at least 1, got {value}"):
+            cls(**{field: value})
+
 
 class TestPaperMatrices:
     @pytest.mark.parametrize("name", paper_matrix_names())
@@ -222,6 +238,24 @@ class TestInputValidation:
             np.testing.assert_allclose(a.matvec(s.solve(ok)), b, atol=1e-8)
         ints = CSCMatrix(a.shape, a.indptr, a.indices, np.arange(1, a.nnz + 1))
         assert ints.dtype == np.float64
+
+    @pytest.mark.parametrize("facade", ["PanguLLt", "SuperLUBaseline"])
+    def test_complex_right_hand_side_is_refused_by_every_facade(self, facade):
+        """The Cholesky and baseline facades used to cast ``b`` to float
+        and solve its real part; they refuse it by LU's rule."""
+        from repro.baseline import SuperLUBaseline
+        from repro.cholesky import PanguLLt
+
+        a = grid_laplacian_2d(6, 6)  # SPD, so every facade factors it
+        s = {"PanguLLt": PanguLLt, "SuperLUBaseline": SuperLUBaseline}[facade](a)
+        b = np.ones(a.nrows)
+        with pytest.raises(TypeError, match="complex values are not supported"):
+            s.solve(b * (1 + 1j))
+        with pytest.raises(TypeError, match="complex64"):
+            s.solve(b.astype(np.complex64))
+        np.testing.assert_allclose(
+            a.matvec(s.solve(np.ones(a.nrows, dtype=np.int64))), b, atol=1e-8
+        )
 
     def test_structurally_singular_raises(self):
         from repro.ordering import StructurallySingularError

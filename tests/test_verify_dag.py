@@ -142,53 +142,56 @@ class TestRejectsTsolveViolations:
         bad.n_deps[t] += 1
         _raises("cycle", bad)
 
+    @staticmethod
+    def _x_heads(dag) -> np.ndarray:
+        """The seeded heads of the backward writer chains."""
+        heads = np.flatnonzero(dag.seeds)
+        assert len(heads) == int(dag.target.max()) + 1
+        return heads
+
     def test_segment_order_gap(self, tdag):
+        """A seed in the middle of a chain would overwrite the backward
+        writes before it."""
         bad = copy.deepcopy(tdag)
-        tid = int(np.flatnonzero(bad.seq_y >= 0)[0])
-        bad.seq_y[tid] += 5  # leaves a hole in the writer sequence
+        heads = self._x_heads(bad)
+        updates = heads[bad.kinds[heads] == int(TSolveTaskType.UPD_B)]
+        if not updates.size:  # pragma: no cover - matrix always has them
+            pytest.skip("no multi-writer x-segment in this matrix")
+        (nxt,) = bad.successors[int(updates[0])]
+        bad.seeds[nxt] = True
         msg = _raises("segment-order", bad)
-        assert "y-segment" in msg
+        assert "heads no x-segment chain" in msg
 
     def test_segment_order_unseeded_x(self, tdag):
         bad = copy.deepcopy(tdag)
-        # find an x-segment with more than one writer and swap the
-        # DIAG_F seed (seq 0) with the next writer: the sequence stays
-        # contiguous but the segment is no longer seeded first
-        kinds = np.asarray(bad.kinds)
-        for seg in range(int(bad.target.max()) + 1):
-            tids = np.flatnonzero((bad.target == seg) & (bad.seq_x >= 0))
-            if len(tids) < 2:
-                continue
-            order = tids[np.argsort(bad.seq_x[tids])]
-            first, second = int(order[0]), int(order[1])
-            assert kinds[first] == int(TSolveTaskType.DIAG_F)
-            bad.seq_x[first], bad.seq_x[second] = (
-                bad.seq_x[second], bad.seq_x[first],
-            )
-            break
-        else:  # pragma: no cover - matrix always has multi-writer segs
-            pytest.skip("no multi-writer x-segment in this matrix")
+        bad.seeds[self._x_heads(bad)[0]] = False
         msg = _raises("segment-order", bad)
-        assert "DIAG_F" in msg
+        assert "unseeded" in msg
 
     def test_unchained_writer(self, tdag):
         bad = copy.deepcopy(tdag)
         # break the direct edge between two consecutive y-writers while
         # keeping counters consistent, so only the chain check can object
-        for seg in range(int(bad.target.max()) + 1):
-            tids = np.flatnonzero((bad.target == seg) & (bad.seq_y >= 0))
-            if len(tids) < 2:
-                continue
-            order = tids[np.argsort(bad.seq_y[tids])]
-            a, b = int(order[0]), int(order[1])
-            if b in bad.successors[a]:
-                bad.successors[a].remove(b)
-                bad.n_deps[b] -= 1
-                break
-        else:  # pragma: no cover
-            pytest.skip("no chained y-segment in this matrix")
+        upd_f = np.flatnonzero(bad.kinds == int(TSolveTaskType.UPD_F))
+        a = int(upd_f[0])
+        (b,) = bad.successors[a]
+        assert bad.target[b] == bad.target[a]
+        bad.successors[a].remove(b)
+        bad.n_deps[b] -= 1
         msg = _raises("unchained-writer", bad)
         assert "race" in msg
+
+    def test_unchained_seed(self, tdag):
+        """A head that does not wait for its DIAG_F could seed from an
+        unfinished forward segment."""
+        bad = copy.deepcopy(tdag)
+        head = int(self._x_heads(bad)[0])
+        diag_f = next(t for t, s in enumerate(bad.successors) if head in s
+                      and bad.kinds[t] == int(TSolveTaskType.DIAG_F))
+        bad.successors[diag_f].remove(head)
+        bad.n_deps[head] -= 1
+        msg = _raises("unchained-writer", bad)
+        assert "DIAG_F" in msg
 
 
 # ----------------------------------------------------------------------
