@@ -41,6 +41,7 @@ from repro.kernels import (
 from repro.kernels.base import (
     GETRF_SERIAL_ORDER,
     SERIAL_GEMM_WORK,
+    box_image,
     triangle_inverse,
 )
 from repro.kernels.registry import IMAGE_VERSIONS
@@ -164,7 +165,7 @@ def run_sweep(*, images: bool, repeats: int = 2):
                          density=c.density),
             times("SSSSM", SSSSM_VARIANTS, c,
                   lambda fn, blk, w, **kw: fn(blk, r, b, w, **kw),
-                  {"a_dense": r.to_dense(), "b_dense": b.to_dense()}
+                  {"a_dense": box_image(r, 0), "b_dense": box_image(b, 1)}
                   if images else {}),
         ))
     return out

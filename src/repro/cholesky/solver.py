@@ -22,7 +22,7 @@ from ..core.solver import (
     REFINE_MAX_ITER, REFINE_TOL, checked_rhs, fill_reducing_ordering,
     refined_solve, require_at_least_one,
 )
-from ..kernels.base import Workspace
+from ..kernels.base import Workspace, box_image
 from ..kernels.ssssm import ssssm_c_v1
 from ..kernels.tsolve_kernels import upd_seg
 from ..kernels.tstrf import tstrf_c_v2
@@ -54,8 +54,10 @@ class LLtJob(FactorJob):
     :class:`~repro.core.numeric.PanelCache` evicted by the reader
     counts) with the kernels of ``A = L·Lᵀ`` at the leaves — LAPACK
     POTRF, and LU's dense-mapped TSTRF and SSSSM handed ``L(k,k)⁻ᵀ`` and
-    the images of ``L(i,k)`` / ``L(j,k)ᵀ``.  A SYRK reads ``(bi, k)`` and
-    ``(bj, k)`` where LU's SSSSM reads ``(bi, k)`` and ``(k, bj)``."""
+    the row box images of ``L(i,k)`` and ``L(j,k)``, the latter
+    transposed — the column box image of ``L(j,k)ᵀ``.  A SYRK reads
+    ``(bi, k)`` and ``(bj, k)`` where LU's SSSSM reads ``(bi, k)`` and
+    ``(k, bj)``."""
 
     family = {
         **FactorJob.family,
@@ -80,10 +82,11 @@ class LLtJob(FactorJob):
             tstrf_c_v2(*blocks, ws, inv=inv)
             label = "TSTRF/C_V2"
         else:
+            pos, l_jk = panels.get(slots[2], lambda: box_image(blocks[2], 0))
             ssssm_c_v1(
                 *blocks, ws,
-                a_dense=panels.get(slots[1], blocks[1].to_dense),
-                b_dense=panels.get(slots[2], blocks[2].to_dense).T,
+                a_dense=panels.get(slots[1], lambda: box_image(blocks[1], 0)),
+                b_dense=(pos, l_jk.T),
             )
             label = "SSSSM/C_V1"
         panels.release(slots, self.target[tid])

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from ..kernels.base import SingularBlockError, Workspace, triangle_inverse
+from ..kernels.base import SingularBlockError, Workspace, box_image, triangle_inverse
 from ..kernels.compress import CompressPolicy, ssssm_lr, try_compress
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
@@ -308,19 +308,27 @@ def execute_task(
     return out
 
 
+def _nbytes(image) -> int:
+    """Bytes of a triangle inverse or of a ``(pos, dense)`` box image."""
+    if isinstance(image, tuple):
+        return sum(part.nbytes for part in image if part is not None)
+    return image.nbytes
+
+
 class PanelCache:
     """Dense images of one factorisation's published panels, so that a
     dense-mapped task is one GEMM and touches only its own target.
 
-    Keyed by block slot: ``slot`` holds the image of an ``L(i,k)`` /
-    ``U(k,j)`` panel (what ``ssssm_c_v1`` multiplies), ``(slot, lower)``
-    the inverse of one triangle of a factored diagonal block (what
-    ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by).  An image is built by
-    its first user — on a rank that covers received panels too — and
-    dropped by :meth:`release` when the last task reading its block
-    completes (``uses``: slot → number of reads of it by the job's
-    tasks), so with earliest-step-first scheduling about two elimination
-    steps of panels are alive at once.
+    Keyed by block slot: ``slot`` holds the :func:`box_image` of an
+    ``L(i,k)`` panel on its occupied rows or of a ``U(k,j)`` panel on
+    its occupied columns — the ``(pos, dense)`` pairs ``ssssm_c_v1``
+    multiplies — and ``(slot, lower)`` the inverse of one triangle of a
+    factored diagonal block (what ``gessm_c_v2`` / ``tstrf_c_v2``
+    multiply by).  An image is built by its first user — on a rank that
+    covers received panels too — and dropped by :meth:`release` when the
+    last task reading its block completes (``uses``: slot → number of
+    reads of it by the job's tasks), so with earliest-step-first
+    scheduling about two elimination steps of panels are alive at once.
 
     Reads are lock-free, builds raced and resolved with ``setdefault``
     (as in :class:`~repro.kernels.plans.PlanCache`): the lanes of a
@@ -335,7 +343,7 @@ class PanelCache:
         self.nbytes = 0
         self.peak_bytes = 0
 
-    def get(self, key, build) -> np.ndarray:
+    def get(self, key, build):
         """The image under ``key``, from ``build()`` on a miss."""
         image = self._images.get(key)
         if image is None:
@@ -343,20 +351,20 @@ class PanelCache:
             with self._lock:
                 kept = self._images.setdefault(key, image)
                 if kept is image:
-                    self.nbytes += image.nbytes
+                    self.nbytes += _nbytes(image)
                     self.peak_bytes = max(self.peak_bytes, self.nbytes)
             image = kept
         return image
 
-    def images(self, ktype: KernelType, slots, blocks) -> dict[str, np.ndarray]:
+    def images(self, ktype: KernelType, slots, blocks) -> dict:
         """The keyword images of one dense-mapped task, whose ``blocks``
         (with their ``slots``) come in kernel argument order: the inverse
-        of the diagonal block's triangle for a panel solve, the images of
-        ``A`` and ``B`` for SSSSM."""
+        of the diagonal block's triangle for a panel solve, the box
+        images of ``A`` (rows) and ``B`` (columns) for SSSSM."""
         if ktype is KernelType.SSSSM:
             return {
-                "a_dense": self.get(slots[1], blocks[1].to_dense),
-                "b_dense": self.get(slots[2], blocks[2].to_dense),
+                "a_dense": self.get(slots[1], lambda: box_image(blocks[1], 0)),
+                "b_dense": self.get(slots[2], lambda: box_image(blocks[2], 1)),
             }
         lower = ktype is KernelType.GESSM
         return {"inv": self.get(
@@ -376,7 +384,7 @@ class PanelCache:
                     for key in (slot, (slot, True), (slot, False)):
                         image = self._images.pop(key, None)
                         if image is not None:
-                            self.nbytes -= image.nbytes
+                            self.nbytes -= _nbytes(image)
 
     def __len__(self) -> int:
         return len(self._images)

@@ -16,7 +16,9 @@ three addressing methods well-defined:
   (``numpy.intersect1d`` on sorted-unique arrays).
 
 This module provides the kernel-family enum, the dense workspace,
-scatter/gather helpers, the static-pivot rule of GETRF, the dense
+scatter/gather helpers, the dense image of a block's occupied rows or
+columns the dense-mapped GEMMs multiply (:func:`box_image`), the
+static-pivot rule of GETRF, the dense
 inverse the dense-mapped panel solves and the triangular solves'
 diagonal tasks multiply by (:func:`triangle_inverse` of a factored
 diagonal block), and the index view of either triangle of a factored
@@ -40,6 +42,9 @@ __all__ = [
     "dense_getrf",
     "scatter_dense",
     "gather_dense",
+    "BOX_OCCUPANCY",
+    "box_image",
+    "box_index",
     "dense_triangle_inverse",
     "triangle_inverse",
     "serial_matmul",
@@ -133,7 +138,6 @@ class Workspace:
     """
 
     _dense_a: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float64))
-    _dense_b: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float64))
     _dense_c: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float64))
     _vec: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
 
@@ -145,8 +149,9 @@ class Workspace:
     ) -> np.ndarray:
         """Return a zeroed dense scratch array of at least ``shape``.
 
-        ``which`` selects one of three independent buffers (``"a"``,
-        ``"b"``, ``"c"``) so a kernel can hold three operands at once.
+        ``which`` selects one of two independent buffers: ``"a"`` for
+        the block or panel a kernel works on, ``"c"`` for an update's
+        target.
         ``dtype`` must match the operand blocks' value dtype — computing
         dense in float64 and gathering back into float32 storage would
         round differently from the sparse variants of the same kernel and
@@ -191,6 +196,48 @@ def gather_dense(block: CSCMatrix, dense: np.ndarray) -> None:
 #: property of one BLAS, not a tuning knob: ``bench_fig07_kernels.py``
 #: re-measures the threshold and fails when it has dropped below this.
 SERIAL_GEMM_WORK = 1 << 19
+
+
+#: occupied share of a block's rows (or columns) from which
+#: :func:`box_image` returns the whole block: below it a dense-mapped
+#: GEMM multiplies only the occupied box.  Measured like
+#: :data:`SERIAL_GEMM_WORK`, not a tuning knob: of ¼, ½, ¾ and 1, ½ factored
+#: the three sequential benchmark workloads' matrices fastest or within 1 %
+#: of the fastest (EXPERIMENTS.md, "Occupied-box GEMMs").
+BOX_OCCUPANCY = 0.5
+
+
+def box_image(block: CSCMatrix, axis: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(pos, dense)``: the dense image of ``block`` on its occupied rows
+    (``axis=0``) or occupied columns (``axis=1``) — what the dense-mapped
+    variants multiply, so their GEMMs skip the padding zeros.
+
+    ``dense`` holds the occupied rows (columns) in order and one zero
+    row (column) after them, the sentinel; ``pos`` maps every row
+    (column) of the block to its position in ``dense``, an unoccupied
+    one to the sentinel.  A product gathered through ``pos`` thus reads
+    0 wherever the box has no entry.  With at least
+    :data:`BOX_OCCUPANCY` of them occupied the image is the whole block
+    and ``pos`` is ``None`` (the identity; see :func:`box_index`).
+    Nothing is kept: both arrays are O(size of the image) and die with
+    it."""
+    idx = list(block.rows_cols())
+    occupied = np.zeros(block.shape[axis], dtype=bool)
+    occupied[idx[axis]] = True
+    k = int(np.count_nonzero(occupied))
+    pos, shape = None, list(block.shape)
+    if k < BOX_OCCUPANCY * occupied.size:
+        pos = np.full(occupied.size, k, dtype=np.intp)
+        pos[occupied] = np.arange(k)
+        idx[axis], shape[axis] = pos[idx[axis]], k + 1
+    dense = np.zeros(shape, dtype=block.dtype)
+    dense[tuple(idx)] = block.data
+    return pos, dense
+
+
+def box_index(pos: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
+    """Positions in a :func:`box_image` of the rows (columns) ``idx``."""
+    return idx if pos is None else pos[idx]
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -37,8 +37,8 @@ from .base import (
     SingularBlockError,
     Triangle,
     Workspace,
-    gather_dense,
-    scatter_dense,
+    box_image,
+    box_index,
     serial_matmul,
     solve_levels,
     triangle,
@@ -164,16 +164,18 @@ def gessm_c_v1(
 def gessm_c_v2(
     diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None
 ) -> None:
-    """Dense-mapped solve (CPU V2, "Direct"): scatter ``B``, one GEMM
-    with the dense inverse of the unit-lower ``L``, gather.  ``inv`` is
-    that inverse when the caller holds one (the factorisation's panel
-    cache builds it once per diagonal block); accuracy: see
+    """Dense-mapped solve (CPU V2, "Direct"): one GEMM of the dense
+    inverse of the unit-lower ``L`` with the image of ``B``'s occupied
+    columns (:func:`~repro.kernels.base.box_image`, axis 1), gathered
+    back at ``B``'s pattern.  ``inv`` is that inverse when the caller
+    holds one (the factorisation's panel cache builds it once per
+    diagonal block); accuracy: see
     :func:`~repro.kernels.base.triangle_inverse`."""
     if inv is None:
         inv = triangle_inverse(diag, lower=True)
-    w = ws.dense("a", b.shape, b.data.dtype)
-    scatter_dense(b, w)
-    gather_dense(b, serial_matmul(inv, w))
+    pos, w = box_image(b, 1)
+    rows, cols = b.rows_cols()
+    b.data[...] = serial_matmul(inv, w)[rows, box_index(pos, cols)]
 
 
 def gessm_g_v1(

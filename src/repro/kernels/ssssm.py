@@ -12,7 +12,8 @@ The four variants follow Table 1 of the paper:
 =======  ==========  =================================  =============
 version  addressing  parallelising method               dense mapping
 =======  ==========  =================================  =============
-C_V1     Direct      one GEMM on cached dense images    A and B
+C_V1     Direct      one GEMM on the occupied box of    A and B
+                     A's rows × B's columns
 C_V2     Bin-search  adaptive split-bin                 no
 G_V1     Bin-search  adaptive multi-level               no
 G_V2     Direct      warp-level column                  C only
@@ -25,7 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..sparse.csc import CSCMatrix
-from .base import Workspace, gather_dense, scatter_dense, serial_matmul
+from .base import (
+    Workspace, box_image, box_index, gather_dense, scatter_dense, serial_matmul,
+)
 from .plans import SSSSMPlan, run_ssssm_plan
 
 __all__ = [
@@ -39,25 +42,24 @@ __all__ = [
 
 def ssssm_c_v1(
     c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace, *,
-    a_dense: np.ndarray | None = None, b_dense: np.ndarray | None = None,
+    a_dense: tuple | None = None, b_dense: tuple | None = None,
 ) -> None:
     """Dense GEMM with pattern gather (CPU V1, "Direct").
 
-    One GEMM on the dense images of ``A`` and ``B``; the product is
-    gathered at ``C``'s pattern and subtracted in place, so ``C`` is
-    never densified.  ``a_dense`` / ``b_dense`` are the images when the
+    One GEMM on the occupied box: ``A``'s occupied rows × ``B``'s
+    occupied columns (:func:`~repro.kernels.base.box_image`, axis 0 and
+    1).  The product is gathered at ``C``'s pattern through the images'
+    ``pos`` maps and subtracted in place, so ``C`` is never densified;
+    an entry of ``C`` outside the box reads the sentinel zero.
+    ``a_dense`` / ``b_dense`` are those ``(pos, dense)`` images when the
     caller holds them (the factorisation's panel cache keeps one per
     published panel).  Wins when the blocks are dense (audikw_1-style
     matrices) — where supernodal dense BLAS is competitive.
     """
-    if a_dense is None:
-        a_dense = ws.dense("a", a.shape, a.data.dtype)
-        scatter_dense(a, a_dense)
-    if b_dense is None:
-        b_dense = ws.dense("b", b.shape, b.data.dtype)
-        scatter_dense(b, b_dense)
+    pa, a_img = box_image(a, 0) if a_dense is None else a_dense
+    pb, b_img = box_image(b, 1) if b_dense is None else b_dense
     rows, cols = c.rows_cols()
-    c.data[...] -= serial_matmul(a_dense, b_dense)[rows, cols]
+    c.data[...] -= serial_matmul(a_img, b_img)[box_index(pa, rows), box_index(pb, cols)]
 
 
 def ssssm_c_v2(

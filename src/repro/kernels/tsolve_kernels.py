@@ -11,9 +11,10 @@ this module is those two functions:
   that triangle (:func:`~repro.kernels.base.triangle_inverse`,
   SuperLU_DIST's ``DiagInv``), the only BLAS route
   ``docs/trsm_threading.md`` allows;
-* :func:`upd_seg` — the off-diagonal mat-vec update ``tgt −= blk · src``
-  (``blkᵀ · src`` when transposed) over stored entries only, pushing a
-  solved segment through an ``L`` or a ``U`` block.
+* :func:`upd_seg` — the off-diagonal update ``tgt −= blk · src``
+  (``blkᵀ · src`` when transposed), pushing a solved segment through an
+  ``L`` or a ``U`` block: a scatter over stored entries for a vector,
+  one product with the block's occupied-box image for a panel.
 
 Both accept a vector segment or a 2-D multi-RHS panel and write only
 their designated output segment (``diag_seg``: second parameter,
@@ -21,7 +22,7 @@ their designated output segment (``diag_seg``: second parameter,
 enforces.  Both are **stateless**: the inverse lives for one call (kept
 per block it would cost +12 % peak RSS on the 2-D grid workload, and a
 forked rank would lose it with every sweep anyway), and the scatter
-addressing of an update is the column expansion the block itself caches
+addressing of a vector update is the column expansion the block caches
 (:meth:`CSCMatrix.cols_expanded <repro.sparse.csc.CSCMatrix.cols_expanded>`),
 shared with the numeric phase's dense scatter/gather.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from .base import serial_matmul, triangle_inverse
+from .base import box_image, serial_matmul, triangle_inverse
 
 __all__ = ["diag_seg", "upd_seg"]
 
@@ -61,9 +62,19 @@ def upd_seg(
     """``tgt −= blk @ src`` over stored entries only (vector or panel):
     the push of a solved segment through an off-diagonal block.  With
     ``transposed`` it is ``tgt −= blkᵀ @ src`` — the same entries,
-    gathered by row index and scattered by column."""
+    gathered by row index and scattered by column.
+
+    A vector is one scatter of the stored products; a 2-D panel one
+    product with the block's :func:`~repro.kernels.base.box_image` on
+    the rows it writes (the columns, transposed), gathered through its
+    ``pos`` map."""
+    if src.ndim == 2:
+        pos, image = box_image(blk, 1 if transposed else 0)
+        image = image.astype(src.dtype, copy=False)
+        prod = serial_matmul(image.T if transposed else image, src)
+        tgt -= prod if pos is None else prod[pos]
+        return
     into, frm = blk.indices, blk.cols_expanded()
     if transposed:
         into, frm = frm, into
-    data = blk.data[:, None] if src.ndim == 2 else blk.data
-    np.subtract.at(tgt, into, data * src[frm])
+    np.subtract.at(tgt, into, blk.data * src[frm])

@@ -22,8 +22,8 @@ import numpy as np
 from ..sparse.csc import CSCMatrix
 from .base import (
     Workspace,
-    gather_dense,
-    scatter_dense,
+    box_image,
+    box_index,
     serial_matmul,
     triangle,
     triangle_inverse,
@@ -64,17 +64,18 @@ def tstrf_c_v1(
 def tstrf_c_v2(
     diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None
 ) -> None:
-    """Dense-mapped solve (CPU V2, "Direct"): scatter ``B``, one GEMM
-    with the dense inverse of ``U`` from the right, gather.  ``inv`` is
-    that inverse when the caller holds one (as for ``gessm_c_v2``);
-    building it raises on a zero or missing ``U`` diagonal, and the error
-    of the result grows with ``cond(U)`` — see
-    :func:`~repro.kernels.base.triangle_inverse`."""
+    """Dense-mapped solve (CPU V2, "Direct"): one GEMM of the image of
+    ``B``'s occupied rows (:func:`~repro.kernels.base.box_image`, axis
+    0) with the dense inverse of ``U`` from the right, gathered back at
+    ``B``'s pattern.  ``inv`` is that inverse when the caller holds one
+    (as for ``gessm_c_v2``); building it raises on a zero or missing
+    ``U`` diagonal, and the error of the result grows with ``cond(U)`` —
+    see :func:`~repro.kernels.base.triangle_inverse`."""
     if inv is None:
         inv = triangle_inverse(diag, lower=False)
-    w = ws.dense("a", b.shape, b.data.dtype)
-    scatter_dense(b, w)
-    gather_dense(b, serial_matmul(w, inv))
+    pos, w = box_image(b, 0)
+    rows, cols = b.rows_cols()
+    b.data[...] = serial_matmul(w, inv)[box_index(pos, rows), cols]
 
 
 def tstrf_g_v1(

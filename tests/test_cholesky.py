@@ -24,7 +24,7 @@ from repro.core.dag import TaskType
 from repro.core.solver import ORDERINGS, REFINE_TOL, SolverOptions
 from repro.core.verify import verify_dag
 from repro.kernels import Workspace
-from repro.kernels.base import triangle_inverse
+from repro.kernels.base import box_image, triangle_inverse
 from repro.kernels.ssssm import ssssm_c_v1
 from repro.kernels.tstrf import tstrf_c_v2
 from repro.runtime.lanes import run_lanes
@@ -92,14 +92,16 @@ class TestKernels:
         np.testing.assert_allclose(f.block(1, 0).to_dense(), expect, atol=1e-8)
 
     def test_syrk_matches_dense(self):
-        """SYRK is LU's ``ssssm_c_v1`` handed ``A`` and ``Bᵀ`` images."""
+        """SYRK is LU's ``ssssm_c_v1`` handed the row box image of ``A``
+        and, transposed, of ``B``."""
         f, low = two_by_two(seed=2)
         ws = Workspace()
         potrf(f, 0)
         lblk, target = f.block(1, 0), f.block(1, 1)
         tstrf_c_v2(f.block(0, 0), lblk, ws, inv=l_inverse(f, 0).T)
         ld = lblk.to_dense()
-        ssssm_c_v1(target, lblk, lblk, ws, a_dense=ld, b_dense=ld.T)
+        pos, image = box_image(lblk, 0)
+        ssssm_c_v1(target, lblk, lblk, ws, a_dense=(pos, image), b_dense=(pos, image.T))
         # only the lower part is stored; compare there
         rr, cc = target.rows_cols()
         np.testing.assert_allclose(

@@ -29,6 +29,7 @@ from repro.kernels import (
 from repro.kernels.base import (
     GETRF_SERIAL_ORDER,
     SERIAL_GEMM_WORK,
+    box_image,
     dense_getrf,
     serial_matmul,
     triangle,
@@ -413,7 +414,7 @@ class TestDenseMapped:
         alone, handed = c.copy(), c.copy()
         SSSSM_VARIANTS["C_V1"](alone, r, b, ws)
         SSSSM_VARIANTS["C_V1"](
-            handed, r, b, ws, a_dense=r.to_dense(), b_dense=b.to_dense()
+            handed, r, b, ws, a_dense=box_image(r, 0), b_dense=box_image(b, 1)
         )
         assert np.array_equal(alone.data, handed.data)
 
@@ -746,9 +747,9 @@ class TestWorkspace:
     def test_buffers_independent(self):
         ws = Workspace()
         a = ws.dense("a", (2, 2))
-        b = ws.dense("b", (2, 2))
+        c = ws.dense("c", (2, 2))
         a[...] = 1
-        np.testing.assert_array_equal(b, 0)
+        np.testing.assert_array_equal(c, 0)
 
     def test_vector(self):
         ws = Workspace()
