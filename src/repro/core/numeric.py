@@ -58,7 +58,8 @@ __all__ = [
 ]
 
 # registered for the `lock-discipline` lint rule: the panel cache is only
-# written under its lock (reads stay lock-free — see PanelCache.get)
+# written under its lock (reads stay lock-free — see PanelCache.get), and
+# the lock is a leaf: images are built before it is taken
 __guarded_by__ = {
     "self._lock": ("self._images", "self._uses", "self.nbytes", "self.peak_bytes"),
 }

@@ -11,8 +11,9 @@ the same share of blocks regardless of how fast it can retire them.
 This module lifts ownership into a first-class :class:`PlacementPolicy`
 with exactly two methods the rest of the stack consumes — ``owner(bi,
 bj)`` and ``assign(dag)`` — so every layer asks the *policy* instead of
-recomputing the formula (the ``no-direct-owner`` lint rule keeps it that
-way):
+recomputing the formula (a rank that works from another owner map
+touches a block it neither owns nor received, and
+:meth:`~repro.core.blocking.BlockMatrix.restricted` refuses that):
 
 * :class:`CyclicPlacement` — the paper's regular 2D block-cyclic grid,
   bit-identical to the historical ``ProcessGrid.owner`` behaviour.  The

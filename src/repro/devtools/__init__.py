@@ -4,19 +4,20 @@ PanguLU's protocol (Section 5 of the paper) has no global barrier: every
 kernel completion decrements dependency counters, and a single unguarded
 mutation — or an in-place write to a block another rank still reads —
 silently corrupts the factors.  Generic linters cannot check those
-invariants, so this package encodes them directly:
+invariants, so this package encodes the ones no run-time check catches:
 :mod:`repro.devtools.astlint` is an AST static-analysis pass with one
-catalogue of project-specific rules — per-module ones (lock discipline,
-counter protocol, kernel purity, send-then-mutate, exception hygiene,
-message picklability, …) and the whole-program ones of
-:mod:`repro.devtools.flow` (lock order, dtype flow, payload escape).
-Run every rule with ``python -m repro.devtools.lint src``.
+catalogue of 6 project-specific rules — per-module ones (lock
+discipline and lock order, no re-forked task loop, kernel purity,
+exception hygiene, explicit dtypes) and the whole-program dtype flow of
+:mod:`repro.devtools.flow`.  Run every rule with
+``python -m repro.devtools.lint src``.
 
 The run-time half needs no tooling: every engine run checks the counter
 protocol itself (:meth:`repro.runtime.scheduler.SchedulerCore.complete`
 refuses a second completion, :meth:`~repro.runtime.scheduler.
 SchedulerCore.check` names any task that never completed).  See
-``docs/devtools.md`` for the rule catalogue and the always-on guards.
+``docs/devtools.md`` for the rule catalogue, each rule's keep test and
+the always-on guards.
 """
 
 from .astlint import (

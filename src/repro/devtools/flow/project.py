@@ -1,10 +1,8 @@
 """Project-wide symbol table and call graph for the flow analyses.
 
 The per-module AST rules in :mod:`repro.devtools.rules` see one file at
-a time; the invariants they guard, however, routinely cross module
-boundaries — a lock acquired in :mod:`repro.runtime.lanes` around a
-call whose callee lives in :mod:`repro.kernels.plans`, a dtype chosen in
-one function and consumed three calls later.  This module indexes the
+a time; a dtype chosen in one function and consumed three calls later
+crosses function and module boundaries.  This module indexes the
 trees the lint driver parsed (one parse per file, shared with the
 per-file rules) and answers the two questions the flow passes keep
 asking:
@@ -20,9 +18,8 @@ asking:
 Resolution is deliberately best-effort: calls through arbitrary objects
 (``plans.get(...)`` where ``plans`` is a parameter) stay unresolved
 rather than guessed, so the analyses built on top under-approximate the
-call graph instead of inventing edges.  That is the right bias for the
-lock-order pass (a missing edge can miss a deadlock but never fabricates
-one) and it is documented per pass where it matters.
+call graph instead of inventing edges: a pass may miss a bug through
+a dynamic call, but what it reports is real structure.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ import ast
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from ..rules._util import guarded_spec
 
 __all__ = ["FunctionInfo", "ModuleInfo", "Project"]
 
@@ -75,8 +70,6 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: every function in the module (nested closures included).
     all_functions: list[FunctionInfo] = field(default_factory=list)
-    #: the module's ``__guarded_by__`` spec (guarded entry → lock name).
-    guarded: dict[str, str] = field(default_factory=dict)
 
 
 def _module_name(path: Path) -> str:
@@ -126,7 +119,6 @@ class Project:
 
     def _add_module(self, path: str, tree: ast.Module) -> None:
         mi = ModuleInfo(name=_module_name(Path(path)), path=path, tree=tree)
-        mi.guarded = guarded_spec(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

@@ -12,7 +12,7 @@ Examples::
     python -m repro.devtools.lint src
     python -m repro.devtools.lint src --format json
     python -m repro.devtools.lint src/repro/runtime --select lock-discipline
-    python -m repro.devtools.lint src --select lock-order
+    python -m repro.devtools.lint src --select dtype-flow
     python -m repro.devtools.lint --list-rules
 """
 

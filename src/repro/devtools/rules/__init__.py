@@ -10,13 +10,7 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     counter_protocol,
     kernel_purity,
     lock_discipline,
-    no_block_rebind,
-    no_direct_owner,
-    no_global_blocksize,
     no_implicit_float64,
-    picklable_messages,
-    send_then_mutate,
-    unused_noqa,
 )
 
 __all__ = [
@@ -24,11 +18,5 @@ __all__ = [
     "counter_protocol",
     "kernel_purity",
     "lock_discipline",
-    "no_block_rebind",
-    "no_direct_owner",
-    "no_global_blocksize",
     "no_implicit_float64",
-    "picklable_messages",
-    "send_then_mutate",
-    "unused_noqa",
 ]

@@ -2,8 +2,8 @@
 
 The rules reason about a few recurring questions — *what dotted name is
 this expression*, *what object does this statement mutate*, *which
-state does the module declare lock-guarded*, *what does this call send*,
-*is this a NumPy allocator* — so the answers live in one place.
+state does the module declare lock-guarded*, *is this a NumPy
+allocator* — so the answers live in one place.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "mutation_roots",
     "functions",
     "guarded_spec",
-    "send_payload",
     "NUMPY_ALLOCATORS",
     "NUMPY_NAMES",
 ]
@@ -30,9 +29,6 @@ MUTATING_METHODS = frozenset({
     "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
     "fill", "put", "resize", "sort_indices", "merge",
 })
-
-#: transport methods that enqueue their arguments by reference
-_SEND_METHODS = frozenset({"send", "post_result"})
 
 #: NumPy allocator → position of its ``dtype`` parameter (0-based)
 NUMPY_ALLOCATORS = {"zeros": 1, "empty": 1, "ones": 1, "full": 2}
@@ -150,17 +146,3 @@ def guarded_spec(tree: ast.Module) -> dict[str, str]:
                         spec[elt.value] = str(key.value)
             return spec
     return {}
-
-
-def send_payload(node: ast.AST) -> list[ast.expr] | None:
-    """The payload arguments of a transport ``send(dst, payload…)`` /
-    ``post_result(msg)`` call, or ``None`` when ``node`` is not one."""
-    if not (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in _SEND_METHODS
-    ):
-        return None
-    if node.func.attr == "send" and len(node.args) > 1:
-        return node.args[1:]
-    return node.args

@@ -17,8 +17,6 @@ Explicit ``dtype=np.float64`` is fine (plenty of arrays — permutations
 priced in flops, refinement residuals, scale vectors — are *deliberately*
 double); what is banned is not saying.  The ``*_like`` and ``asarray``
 constructors inherit their dtype from an operand and are untouched.
-Intentional default-dtype allocations (e.g. in docs or quick scratch)
-can carry ``# repro: noqa[no-implicit-float64]``.
 """
 
 from __future__ import annotations

@@ -74,7 +74,8 @@ __all__ = [
 ]
 
 # registered for the `lock-discipline` lint rule: the plan dict is only
-# written under the cache lock (reads stay lock-free — see PlanCache.get)
+# written under the cache lock (reads stay lock-free — see PlanCache.get),
+# and the lock is a leaf: plans are built before it is taken
 __guarded_by__ = {
     "self._lock": ("self._plans", "self.builds"),
 }

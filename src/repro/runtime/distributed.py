@@ -297,7 +297,8 @@ def _run_ranks(
     into ``recorder``), its ``job.result()`` handed to ``install``.
 
     ``timeout`` bounds the wait for each rank: a dead or hung rank tears
-    the pool down and raises, naming the ranks no longer alive.  A
+    the pool down and raises, naming the ranks no longer alive (at once,
+    with their exit codes, when a process exited without a result).  A
     rank's ``"error"`` does the same at once — a failed rank can no
     longer feed its consumers, so the rest of the pool would block
     forever on their inboxes.
@@ -319,9 +320,10 @@ def _run_ranks(
         except TransportTimeout as exc:
             transport.terminate()
             transport.join(timeout=5)
+            exits = f", exit codes {exc.exit_codes}" if exc.exit_codes else ""
             raise RuntimeError(
-                f"distributed {what} timed out after {timeout}s "
-                f"(ranks no longer alive: {exc.dead_ranks}) — "
+                f"distributed {what} timed out after {exc.timeout:.3g}s "
+                f"(ranks no longer alive: {exc.dead_ranks}{exits}) — "
                 "worker crash or deadlock"
             ) from None
         if msg[0] == "error":

@@ -68,7 +68,8 @@ __all__ = ["run_lanes"]
 
 # shared state and its lock, registered for the `lock-discipline` lint
 # rule: these operations only happen inside `with gate:` — the pool's
-# condition when lanes share the core, a no-op context on one lane
+# condition when lanes share the core, a no-op context on one lane — and
+# no lock is taken under the gate (slot locks come first, never inside it)
 __guarded_by__ = {
     "gate": ("core.pop", "core.complete", "errors", "total.merge"),
 }

@@ -87,8 +87,6 @@ def ready_entry(task, tid: int) -> tuple[int, int, int]:
 class TaskEvent:
     """One executed task: which lane ran it, when, and what it was."""
 
-    __transport_message__ = True
-
     worker: int
     name: str
     cat: str
@@ -105,8 +103,6 @@ class MessageEvent:
     producing task (the flow-event correlation key).
     """
 
-    __transport_message__ = True
-
     kind: str
     rank: int
     peer: int
@@ -118,8 +114,6 @@ class MessageEvent:
 @dataclass
 class DepthEvent:
     """Ready-queue depth sample (one heap per ``lane``)."""
-
-    __transport_message__ = True
 
     lane: int
     depth: int
@@ -137,8 +131,6 @@ class EventRecorder:
     the earliest event.  Recorders are picklable so distributed ranks can
     ship theirs back to the master, which :meth:`merge`\\ s them.
     """
-
-    __transport_message__ = True
 
     def __init__(self) -> None:
         self.task_events: list[TaskEvent] = []
@@ -236,8 +228,6 @@ class RunReport:
     escalation steps marked ``"fgmres"`` (after the GMRES-IR correction)
     and ``"decompress"`` (first application of the exact refactorisation).
     """
-
-    __transport_message__ = True
 
     kernel_choices: dict[int, str] = field(default_factory=dict)
     tasks_executed: int = 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import queue as queue_mod
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,16 +50,23 @@ __all__ = [
 
 
 class TransportTimeout(Exception):
-    """No rank result arrived within the deadline.
+    """No rank result arrived within the deadline, or a rank exited
+    without posting one.
 
-    ``dead_ranks`` lists ranks that are no longer running — the master
-    folds them into its diagnostic.
+    ``dead_ranks`` lists ranks that are no longer running and
+    ``exit_codes`` their exit codes where the substrate has them — the
+    master folds both into its diagnostic.  ``timeout`` is how long the
+    wait lasted.
     """
 
-    def __init__(self, timeout: float, dead_ranks: list[int]) -> None:
-        super().__init__(f"no result within {timeout}s")
+    def __init__(
+        self, timeout: float, dead_ranks: list[int],
+        exit_codes: dict[int, int] | None = None,
+    ) -> None:
+        super().__init__(f"no result within {timeout:.3g}s")
         self.timeout = timeout
         self.dead_ranks = dead_ranks
+        self.exit_codes = exit_codes or {}
 
 
 class TransportStopped(Exception):
@@ -186,9 +194,13 @@ def _mp_entry(target, rank, inboxes, result_q, args) -> None:
 class MultiprocessingTransport(Transport):
     """One ``fork``-context OS process per rank, queues for messages."""
 
+    #: seconds ``get_result`` waits before it looks at the ranks again
+    POLL_SECONDS = 0.2
+
     def __init__(self) -> None:
         self._procs: list = []
         self._result_q = None
+        self._received = 0
 
     def start(self, n_ranks: int, target, args_of_rank) -> None:
         import multiprocessing as mp
@@ -196,6 +208,7 @@ class MultiprocessingTransport(Transport):
         ctx = mp.get_context("fork")
         inboxes = [ctx.Queue() for _ in range(n_ranks)]
         self._result_q = ctx.Queue()
+        self._procs, self._received = [], 0
         for rank in range(n_ranks):
             p = ctx.Process(
                 target=_mp_entry,
@@ -206,11 +219,26 @@ class MultiprocessingTransport(Transport):
             self._procs.append(p)
 
     def get_result(self, timeout: float):
-        try:
-            return self._result_q.get(timeout=timeout)
-        except queue_mod.Empty:
-            dead = [r for r, p in enumerate(self._procs) if not p.is_alive()]
-            raise TransportTimeout(timeout, dead) from None
+        """The next rank result, waited for in short slices.  A rank
+        posts at most one result, so once more ranks have exited than
+        results arrived, one of them died without posting (killed, or
+        its result failed to pickle on the queue's feeder thread): after
+        one more drain — a rank that posted and then exited is not
+        misreported — that raises at once, not after ``timeout``."""
+        t0, drained = time.perf_counter(), False
+        while True:
+            try:
+                msg = self._result_q.get(timeout=self.POLL_SECONDS)
+            except queue_mod.Empty:
+                waited = time.perf_counter() - t0
+                dead = [r for r, p in enumerate(self._procs) if not p.is_alive()]
+                if drained or waited >= timeout:
+                    codes = {r: self._procs[r].exitcode for r in dead}
+                    raise TransportTimeout(waited, dead, codes) from None
+                drained = len(dead) > self._received  # one more slice
+                continue
+            self._received += 1
+            return msg
 
     def terminate(self) -> None:
         for p in self._procs:

@@ -55,9 +55,6 @@ class CompressedBlock:
     u: np.ndarray
     v: np.ndarray
 
-    #: transports may ship this object whole inside result tuples
-    __transport_message__ = True
-
     @property
     def nrows(self) -> int:
         return int(self.shape[0])

@@ -93,10 +93,6 @@ class CSCMatrix:
         invariants by design.
     """
 
-    # blocks cross the multiprocessing transport (rank scatter at fork
-    # time), so the `picklable-messages` lint rule audits this class
-    __transport_message__ = True
-
     __slots__ = ("shape", "indptr", "indices", "_data", "_dtype", "_cols")
 
     def __init__(

@@ -7,6 +7,7 @@ __guarded_by__ = {
 }
 
 cond = threading.Condition()
+slot_locks = [threading.Lock() for _ in range(4)]
 
 
 def worker(core, errors, total, local):
@@ -18,3 +19,15 @@ def worker(core, errors, total, local):
     with cond:
         total.merge(local)
     return tid
+
+
+def execute(core, slot):
+    with slot_locks[slot]:  # slot lock -> `cond`: the sanctioned nesting
+        with cond:
+            return core.pop()
+
+
+def cached(cache, key, build):
+    image = build()         # built outside the lock, installed under it
+    with cond:
+        return cache.setdefault(key, image)

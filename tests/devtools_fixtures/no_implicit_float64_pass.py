@@ -31,7 +31,3 @@ def integer_workspaces(n):
 
 def splatted_args_unknowable(shape_and_dtype):
     return np.zeros(*shape_and_dtype)     # arity unknowable — not flagged
-
-
-def suppressed_scratch(n):
-    return np.ones(n)                     # repro: noqa[no-implicit-float64]

@@ -2,9 +2,8 @@
 
 Each rule is exercised against a should-flag/should-pass fixture pair
 under ``tests/devtools_fixtures/`` — the flag fixture seeds exactly the
-bug class the rule exists for (a lock-order cycle closed through a
-call, a cross-call implicit-float64 leak into a float32 kernel, a
-payload aliasing scheduler/arena state).  They are rules of the one lint
+bug class the rule exists for (a cross-call implicit-float64 leak into
+a float32 kernel).  They are rules of the one lint
 catalogue, so the repo's own ``src`` tree analysing clean is the
 ``make lint`` gate.
 """
@@ -22,7 +21,6 @@ from repro.devtools.astlint import (
     ProjectRule,
     all_rules,
     lint_paths,
-    lint_source,
 )
 from repro.devtools.flow import Project
 
@@ -31,9 +29,7 @@ SRC = Path(__file__).parent.parent / "src"
 
 #: pass name → fixture basename
 PASS_FIXTURES = {
-    "lock-order": "flow_lock_order",
     "dtype-flow": "flow_dtype_flow",
-    "payload-escape": "flow_payload_escape",
 }
 
 
@@ -67,21 +63,6 @@ def test_pass_accepts_its_clean_fixture(name):
     assert findings == [], [f.format() for f in findings]
 
 
-def test_lock_order_cycle_is_interprocedural():
-    """The flag fixture's a→b edge exists only through a call: the
-    reported cycle proves the pass propagated holds across the call
-    graph, and the message walks the cycle with its acquisition sites."""
-    findings = _run_pass(
-        "lock-order", FIXTURES / "flow_lock_order_flag.py"
-    )
-    assert len(findings) == 1
-    msg = findings[0].message
-    assert "lock_a" in msg and "lock_b" in msg
-    assert "potential deadlock" in msg
-    assert "->" in msg  # the cycle path
-    assert "flow_lock_order_flag.py:" in msg  # acquisition sites
-
-
 def test_dtype_flow_reports_the_entry_call_site():
     findings = _run_pass(
         "dtype-flow", FIXTURES / "flow_dtype_flow_flag.py"
@@ -92,43 +73,6 @@ def test_dtype_flow_reports_the_entry_call_site():
     assert "axpy_f32()" in messages
     # and the plain in-function mix is reported too
     assert "direct_mix() mixes float32" in messages
-
-
-def test_payload_escape_names_each_alias():
-    findings = _run_pass(
-        "payload-escape", FIXTURES / "flow_payload_escape_flag.py"
-    )
-    messages = "\n".join(f.message for f in findings)
-    assert "core.counters" in messages and "scheduler protocol state" in messages
-    assert "arena" in messages and "refactorize" in messages
-    assert "pending" in messages and "state_lock" in messages  # guarded-by
-
-
-def test_flow_findings_honour_noqa(tmp_path):
-    src = (FIXTURES / "flow_payload_escape_flag.py").read_text()
-    silenced = tmp_path / "m.py"
-    silenced.write_text("# repro: noqa[payload-escape]\n" + src)
-    assert lint_paths([silenced], select=["payload-escape"]) == []
-
-
-def test_flow_noqa_is_a_known_rule_to_the_hygiene_check():
-    """A line noqa over a real payload-escape finding silences it and
-    counts as used: the hygiene rule knows the whole-program rules."""
-    src = (FIXTURES / "flow_payload_escape_flag.py").read_text().replace(
-        "post_result(snapshot())",
-        "post_result(snapshot())  # repro: noqa[payload-escape]",
-    )
-    findings = lint_source(src, path="m.py")
-    assert [f.line for f in findings if f.rule == "payload-escape"] == [23, 23]
-    assert not [f for f in findings if f.rule == "unused-noqa"]
-
-
-def test_stale_flow_noqa_is_reported_stale():
-    src = (FIXTURES / "flow_lock_order_pass.py").read_text()
-    stale = "# repro: noqa[lock-order]\n" + src
-    findings = lint_source(stale, rules=[all_rules()["unused-noqa"]])
-    assert [f.message.split(":")[0] for f in findings] == ["stale suppression"]
-    assert "lock-order no longer fires" in findings[0].message
 
 
 def test_unknown_pass_name_raises():
@@ -194,9 +138,9 @@ def test_cli_flow_flag(tmp_path, capsys):
     """The whole-program rules need no flag: a plain run includes them,
     and ``--flow`` is gone."""
     bad = tmp_path / "m.py"
-    bad.write_text((FIXTURES / "flow_lock_order_flag.py").read_text())
+    bad.write_text((FIXTURES / "flow_dtype_flow_flag.py").read_text())
     assert lint_cli.main([str(bad)]) == 1
-    assert "[lock-order]" in capsys.readouterr().out
+    assert "[dtype-flow]" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         lint_cli.main([str(bad), "--flow"])
 
@@ -208,9 +152,9 @@ def test_cli_flow_select(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[dtype-flow]" in out
     # a named fixture file is analysed, not skipped like a walked one
-    fixture = FIXTURES / "flow_payload_escape_flag.py"
-    assert lint_cli.main([str(fixture), "--select", "payload-escape"]) == 1
-    assert "[payload-escape]" in capsys.readouterr().out
+    fixture = FIXTURES / "flow_dtype_flow_flag.py"
+    assert lint_cli.main([str(fixture), "--select", "dtype-flow"]) == 1
+    assert "[dtype-flow]" in capsys.readouterr().out
 
 
 def test_cli_list_rules_includes_flow_passes(capsys):

@@ -30,14 +30,8 @@ RULE_FIXTURES = {
     "lock-discipline": "lock_discipline",
     "counter-protocol": "counter_protocol",
     "kernel-purity": "kernel_purity",
-    "send-then-mutate": "send_then_mutate",
     "no-bare-except-in-runtime": "bare_except",
-    "picklable-messages": "picklable_messages",
-    "no-block-rebind": "no_block_rebind",
-    "no-direct-owner": "no_direct_owner",
-    "no-global-blocksize": "no_global_blocksize",
     "no-implicit-float64": "no_implicit_float64",
-    "unused-noqa": "unused_noqa",
 }
 
 
@@ -69,6 +63,84 @@ def test_rule_passes_its_clean_fixture(rule_name):
     assert findings == [], [f.format() for f in findings]
 
 
+#: keep tests: seed → (rule, the real module it guards, text in that
+#: module, the violation seeded in its place).  Each seeded copy of the
+#: tree but the float32 one (that rule's verdict waits on the float32
+#: path) passed tier-1 and every run-time check — docs/devtools.md has
+#: the verdict table — so only the rule stands between it and a merge.
+SEEDED = {
+    "lock-discipline:complete-outside-gate": (
+        "lock-discipline", "runtime/lanes.py",
+        "        with gate:\n            newly_ready = core.complete(tid)\n",
+        "        newly_ready = core.complete(tid)\n        with gate:\n",
+    ),
+    "lock-discipline:slot-locks-under-gate": (
+        "lock-discipline", "runtime/lanes.py",
+        "        with gate:\n            newly_ready = core.complete(tid)\n",
+        "        with gate, writing(tid):\n"
+        "            newly_ready = core.complete(tid)\n",
+    ),
+    "lock-discipline:build-under-cache-lock": (
+        "lock-discipline", "core/numeric.py",
+        "            image = build()\n            with self._lock:\n",
+        "            with self._lock:\n                image = build()\n",
+    ),
+    "counter-protocol:reforked-loop": (
+        "counter-protocol", "core/numeric.py",
+        "    return run_lanes(\n",
+        "    if n_lanes == 1 and recorder is None and not collect_timings:\n"
+        "        import time\n"
+        "        from ..kernels.base import Workspace\n"
+        "        ws, report, t0 = Workspace(), RunReport(n_workers=1), time.perf_counter()\n"
+        "        while (tid := core.pop()) is not None:\n"
+        "            report.count(tid, *job.execute(tid, ws))\n"
+        "            core.complete(tid)\n"
+        "        core.check(job.name)\n"
+        "        report.max_ready_depth = core.max_ready_depth\n"
+        "        report.seconds = time.perf_counter() - t0\n"
+        "        job.finish(report)\n"
+        "        return report\n"
+        "    return run_lanes(\n",
+    ),
+    "kernel-purity:operand-as-scratch": (
+        "kernel-purity", "kernels/ssssm.py",
+        "    rows, cols = c.rows_cols()\n",
+        "    rows, cols = c.rows_cols()\n"
+        "    a.data[...] *= -1.0  # A as scratch for the sign ...\n"
+        "    a.data[...] *= -1.0  # ... and restored\n",
+    ),
+    "no-bare-except-in-runtime:silent-post-failure": (
+        "no-bare-except-in-runtime", "runtime/distributed.py",
+        "        except (OSError, ValueError, TransportStopped) as post_exc:\n",
+        "        except Exception:\n            pass\n"
+        "        except (OSError, ValueError, TransportStopped) as post_exc:\n",
+    ),
+    "no-implicit-float64:inverse-in-default-dtype": (
+        "no-implicit-float64", "kernels/base.py",
+        "    d = np.zeros(diag.shape, dtype=diag.dtype if dtype is None else dtype)\n",
+        "    d = np.zeros(diag.shape)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED))
+def test_rule_flags_its_seeded_module(seed):
+    """The rule is silent on the live module and fires on a copy of it
+    carrying its keep test's violation."""
+    rule_name, rel, live, seeded = SEEDED[seed]
+    path = SRC / "repro" / rel
+    source = path.read_text()
+    assert source.count(live) == 1, f"{rel} changed: re-anchor seed {seed}"
+    rule = all_rules()[rule_name]
+    assert lint_source(source, str(path), [rule]) == []
+    findings = lint_source(source.replace(live, seeded), str(path), [rule])
+    assert findings and {f.rule for f in findings} == {rule_name}
+
+
+def test_every_per_file_rule_has_a_seeded_module():
+    assert {rule for rule, *_ in SEEDED.values()} == set(RULE_FIXTURES)
+
+
 def test_every_registered_rule_has_fixtures():
     """The per-file rules are paired here; the whole-program ones in
     ``test_devtools_flow.py``."""
@@ -85,8 +157,24 @@ def test_rule_finding_details():
     assert "core.pop" in messages
     assert "errors" in messages
     assert "total.merge" in messages
-    flagged_lines = {f.line for f in findings}
+    flagged_lines = {f.line for f in findings if "outside `with" in f.message}
     assert len(flagged_lines) == 3  # the call, the mutation, the merge
+
+
+def test_lock_discipline_keeps_guarding_locks_leaves():
+    """Under a declared lock nothing takes a lock: a nested ``with``, a
+    later item of the same ``with``, a module function that locks and a
+    callable handed in are each named; the slot lock → ``cond`` nesting
+    and a build outside the lock pass."""
+    findings = _run_rule("lock-discipline", FIXTURES / "lock_discipline_flag.py")
+    leaves = [f.message.split(" while holding cond")[0]
+              for f in findings if "leaf of the lock order" in f.message]
+    assert leaves == [
+        "`with slot_locks[slot]`",
+        "`with slot_locks[tid]`",
+        "release(), which takes a lock,",
+        "build(), a callable handed in,",
+    ]
 
 
 def test_kernel_purity_flags_tsolve_roles():
@@ -134,17 +222,6 @@ def test_kernel_purity_scopes_cover_tsolve_kernels():
     assert lint_file(path, rules=[rule]) == []
 
 
-def test_counter_protocol_flags_tsolve_absorb():
-    findings = _run_rule(
-        "counter-protocol", FIXTURES / "counter_protocol_flag.py"
-    )
-    assert any(
-        f.message.startswith("raw store to scheduler .counters")
-        and f.line > 10  # the tsolve-flavoured fixture, not the first one
-        for f in findings
-    )
-
-
 def test_counter_protocol_flags_reforked_task_loops(tmp_path):
     """A ``.pop()``/``.complete()`` call on a scheduler core outside the
     lane driver is a hand-written task loop; the same source *is* allowed
@@ -158,7 +235,7 @@ def test_counter_protocol_flags_reforked_task_loops(tmp_path):
     ]
     rule = all_rules()["counter-protocol"]
     driver = SRC / "repro" / "runtime" / "lanes.py"
-    assert rule.applies_to(str(driver))    # raw stores still policed there
+    assert rule.applies_to(str(driver))
     assert lint_file(driver, rules=[rule]) == []
     elsewhere = tmp_path / "repro" / "runtime" / "threaded.py"
     elsewhere.parent.mkdir(parents=True)
@@ -169,23 +246,6 @@ def test_counter_protocol_flags_reforked_task_loops(tmp_path):
     assert not rule.applies_to(str(SRC / "repro" / "runtime" / "scheduler.py"))
     devtools = SRC / "repro" / "devtools"
     assert all(rule.applies_to(str(p)) for p in devtools.rglob("*.py"))
-
-
-def test_no_block_rebind_scope():
-    """The rule covers the kernel and engine modules (which lint clean)
-    and excludes the storage types that legitimately bind the arrays."""
-    rule = all_rules()["no-block-rebind"]
-    for rel in (
-        ("kernels", "plans.py"),
-        ("core", "numeric.py"),
-        ("core", "tsolve.py"),
-        ("runtime", "distributed.py"),
-        ("runtime", "lanes.py"),
-    ):
-        path = SRC.joinpath("repro", *rel)
-        assert rule.applies_to(str(path))
-        assert lint_file(path, rules=[rule]) == [], rel
-    assert not rule.applies_to(str(SRC / "repro" / "core" / "blocking.py"))
 
 
 def test_counter_protocol_clean_on_tsolve_engines():
@@ -205,7 +265,7 @@ def test_counter_protocol_clean_on_tsolve_engines():
 
 
 # ----------------------------------------------------------------------
-# suppression
+# no suppression
 # ----------------------------------------------------------------------
 
 BAD_EXCEPT = (
@@ -221,33 +281,18 @@ def _bare_rule():
     return [all_rules()["no-bare-except-in-runtime"]]
 
 
-def test_line_suppression():
-    src = BAD_EXCEPT.replace(
-        "except Exception:",
-        "except Exception:  # repro: noqa[no-bare-except-in-runtime]",
-    )
-    assert lint_source(BAD_EXCEPT, rules=_bare_rule())
-    assert lint_source(src, rules=_bare_rule()) == []
-
-
 def test_line_suppression_other_rule_does_not_apply():
+    """There is no suppression comment: a ``noqa``-shaped comment is a
+    plain comment, and the finding on its line stands."""
     src = BAD_EXCEPT.replace(
         "except Exception:",
         "except Exception:  # repro: noqa[kernel-purity]",
     )
     assert lint_source(src, rules=_bare_rule())
-
-
-def test_file_suppression_via_standalone_comment():
-    src = "# repro: noqa[no-bare-except-in-runtime]\n" + BAD_EXCEPT
-    assert lint_source(src, rules=_bare_rule()) == []
-
-
-def test_blanket_suppression():
-    src = BAD_EXCEPT.replace(
+    blanket = BAD_EXCEPT.replace(
         "except Exception:", "except Exception:  # repro: noqa"
     )
-    assert lint_source(src, rules=_bare_rule()) == []
+    assert lint_source(blanket, rules=_bare_rule())
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +349,7 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert "[counter-protocol]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("select", [[], ["lock-discipline"], ["lock-order"]])
+@pytest.mark.parametrize("select", [[], ["lock-discipline"], ["dtype-flow"]])
 def test_cli_missing_path_is_a_usage_error(select, capsys):
     argv = ["no/such/dir"] + [a for name in select for a in ("--select", name)]
     with pytest.raises(SystemExit) as exc:

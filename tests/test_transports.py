@@ -4,6 +4,8 @@ engine, run over the deterministic in-process loopback transport."""
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ from repro.runtime import (
     EventRecorder,
     FaultPlan,
     LoopbackTransport,
+    MultiprocessingTransport,
     factorize_distributed,
     recorder_to_chrome_trace,
     write_recorder_trace,
 )
+from repro.runtime.distributed import _run_ranks
+from repro.runtime.transports import TransportTimeout
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
 
@@ -115,6 +120,55 @@ class TestFaultInjection:
         np.testing.assert_allclose(
             bm.to_csc().to_dense(), reference, atol=1e-10
         )
+
+
+def _post_unless_rank_1(rank, endpoint):
+    if rank != 1:
+        endpoint.post_result(("ok", rank))
+
+
+def _post_then_exit(rank, endpoint):
+    endpoint.post_result(("ok", rank))
+
+
+def _exit_without_result(rank, recorder):
+    os._exit(3)
+
+
+class TestMultiprocessingResults:
+    """A rank process that exits without posting fails the run as soon as
+    it is seen dead, not when the (here 120 s) timeout runs out."""
+
+    def test_rank_exiting_without_a_result_fails_promptly(self):
+        transport = MultiprocessingTransport()
+        transport.start(2, _post_unless_rank_1, lambda rank: ())
+        t0 = time.perf_counter()
+        got = []
+        with pytest.raises(TransportTimeout) as exc:
+            for _ in range(2):
+                got.append(transport.get_result(120.0))
+        assert time.perf_counter() - t0 < 10.0
+        assert got == [("ok", 0)]
+        assert 1 in exc.value.dead_ranks and exc.value.exit_codes[1] == 0
+        transport.join(timeout=5)
+
+    def test_ranks_that_posted_and_exited_are_not_misreported(self):
+        transport = MultiprocessingTransport()
+        transport.start(2, _post_then_exit, lambda rank: ())
+        time.sleep(1.0)  # both ranks post and exit before the first read
+        got = {transport.get_result(120.0) for _ in range(2)}
+        assert got == {("ok", 0), ("ok", 1)}
+        transport.join(timeout=5)
+
+    def test_run_names_the_dead_ranks_and_exit_codes(self):
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"timed out.*exit codes \{\d: 3"):
+            _run_ranks(
+                "numeric", 2, 1, _exit_without_result, lambda rank: (),
+                lambda result: None, transport=None, timeout=120.0,
+                recorder=None,
+            )
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestRealRunTraces:
