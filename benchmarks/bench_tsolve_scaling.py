@@ -7,8 +7,8 @@ exercises the *real* engine path — the solve DAG through the shared
 scheduler core — measuring sequential vs threaded wall-clock and
 the multi-RHS panel amortisation, then keeps the original simulated
 process-count sweep as the distributed-scaling model.  Engine outputs
-are asserted bit-identical along the way (the DAG's per-segment
-writer chains make that a guarantee, not a tolerance).
+are asserted bit-identical along the way (each segment sums its block
+products in a fixed order, so that is a guarantee, not a tolerance).
 """
 
 from __future__ import annotations

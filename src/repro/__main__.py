@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--verify", action="store_true",
                    help="statically verify every built DAG before "
                         "execution (acyclicity, counter=indegree, "
-                        "single-writer chains, solve segment ordering) "
+                        "the factor DAG's single-writer chains) "
                         "and print the schedule report")
     p.set_defaults(func=_cmd_solve)
 

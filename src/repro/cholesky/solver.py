@@ -5,7 +5,7 @@ symbolic factorisation, regular 2D blocking — then factors only the
 lower-triangular blocks by draining :func:`~repro.cholesky.kernels.build_llt_dag`
 through the shared lane driver (:class:`LLtJob`), and solves
 ``L y = b`` / ``Lᵀ x = y`` over the block layout with the solve phase's
-update kernel and LU's refinement loop.
+per-segment gather and LU's refinement loop.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from ..core.solver import (
     REFINE_MAX_ITER, REFINE_TOL, checked_rhs, fill_reducing_ordering,
     refined_solve, require_at_least_one,
 )
+from ..core.tsolve import gather
+from ..core.tsolve_dag import block_line_sources
 from ..kernels.base import Workspace, box_image
 from ..kernels.ssssm import ssssm_c_v1
-from ..kernels.tsolve_kernels import upd_seg
 from ..kernels.tstrf import tstrf_c_v2
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import RunReport, SchedulerCore
@@ -146,23 +147,21 @@ class PanguLLt:
 
     # ------------------------------------------------------------------
     def _apply(self, rhs: np.ndarray) -> np.ndarray:
-        """``A⁻¹ rhs`` through the factors: ``L y = P rhs`` walking the
-        DAG's panel tasks (``POTRF(k)`` solves segment ``k``, ``TRSM(i,k)``
-        pushes it through ``L(i,k)``), then ``Lᵀ x = y`` walking them
-        backwards with every block transposed."""
+        """``A⁻¹ rhs`` through the factors, segment by segment as LU's
+        solve tasks go (:func:`~repro.core.tsolve.gather`, then the
+        diagonal block's inverse): ``L y = P rhs`` gathering block row
+        ``i`` of ``L``, then ``Lᵀ x = y`` gathering block column ``i``,
+        every block transposed, in reverse."""
         f = self.blocks
-        panel = [t for t in self.dag.tasks if t.ttype is not TaskType.SSSSM]
         v = rhs[self.perm]
-        for transposed in (False, True):
-            for t in reversed(panel) if transposed else panel:
-                seg, below = v[f.block_slice(t.k)], v[f.block_slice(t.bi)]
-                if t.ttype is TaskType.GETRF:
-                    inv = l_inverse(f, t.k)
-                    seg[...] = (inv.T if transposed else inv) @ seg
-                elif transposed:
-                    upd_seg(seg, f.block(t.bi, t.k), below, transposed=True)
-                else:
-                    upd_seg(below, f.block(t.bi, t.k), seg)
+        for transposed, order in ((False, range(f.nb)),
+                                  (True, range(f.nb - 1, -1, -1))):
+            lines = block_line_sources(f, transposed=transposed)
+            for i in order:
+                seg = v[f.block_slice(i)]
+                gather(f, i, lines[i][0], v, seg, transposed=transposed)
+                inv = l_inverse(f, i)
+                seg[...] = (inv.T if transposed else inv) @ seg
         out = np.empty_like(v)
         out[self.perm] = v
         return out

@@ -43,7 +43,7 @@ from .numeric import (
 from .schur import extract_trailing, partial_factorize
 from .solver import Factorization, PanguLU, SolverOptions
 from .memory import MemoryReport, memory_report, per_process_bytes
-from .tsolve import execute_tsolve_task, tsolve_sequential
+from .tsolve import tsolve_sequential
 from .tsolve_dag import TSolveDAG, TSolveTaskType, build_tsolve_dag
 
 __all__ = [
@@ -89,6 +89,5 @@ __all__ = [
     "TSolveDAG",
     "TSolveTaskType",
     "build_tsolve_dag",
-    "execute_tsolve_task",
     "tsolve_sequential",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..ordering import amd, colamd, mc64, nested_dissection, rcm
 from ..runtime.scheduler import ENGINE_SHAPES, EventRecorder, RunReport
-from ..sparse.csc import CSCMatrix, as_values
+from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import ensure_diagonal
 from ..symbolic import SymbolicResult, symbolic_symmetric
 from .blocking import BlockMatrix, block_partition
@@ -47,6 +47,7 @@ from .mapping import balance_loads  # noqa: F401
 from .numeric import NumericOptions
 from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
+from .tsolve import checked_rhs
 from .tsolve_dag import build_tsolve_dag
 from .verify import verify_dag
 
@@ -235,27 +236,6 @@ def require_at_least_one(options, *names: str) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def checked_rhs(b, n: int, *, panel: bool = False) -> np.ndarray:
-    """``b`` as the ``float64`` right-hand side of an order-``n`` solve,
-    the one check of every facade: complex values are refused by name
-    (:func:`~repro.sparse.csc.as_values`), as are a shape other than
-    ``(n,)`` — or ``(n, k)``, ``k ≥ 1``, with ``panel`` — and a
-    non-finite entry (``ValueError`` naming the first one)."""
-    b = as_values(b, np.float64)
-    if b.ndim not in ((1, 2) if panel else (1,)) or b.shape[0] != n:
-        expect = f"({n},) or ({n}, k)" if panel else f"({n},)"
-        raise ValueError(f"b has shape {b.shape}, expected {expect}")
-    if b.ndim == 2 and b.shape[1] == 0:
-        raise ValueError(f"b has no right-hand-side columns (shape {b.shape})")
-    bad = np.argwhere(~np.isfinite(b))
-    if bad.size:
-        where = ", ".join(map(str, bad[0]))
-        raise ValueError(
-            f"right-hand side is not finite: b[{where}] = {b[tuple(bad[0])]}"
-        )
-    return b
-
-
 def refined_solve(
     apply_fn, product, b: np.ndarray, *, tol: float, budget: int,
     history: list, exact: bool,
@@ -387,10 +367,10 @@ class SolverOptions:
         ``n_workers`` threads per rank — HYLU-style mixed parallelism).
         ``None`` (default) picks ``"threaded"`` when ``n_workers > 1``,
         else ``"sequential"``.  Given the same factors all engines
-        produce the bit-identical solution — the solve DAG totally
-        orders the writers of every RHS segment; the factors themselves
-        agree across engines to rounding (the factor DAG does not order
-        the Schur updates of one block).
+        produce the bit-identical solution — each RHS segment's block
+        products are summed in a fixed order, whoever computed them; the
+        factors themselves agree across engines to rounding (the factor
+        DAG does not order the Schur updates of one block).
     n_workers:
         Worker threads (lanes of :func:`repro.runtime.lanes.run_lanes`)
         for the ``"threaded"`` engine, and threads *per rank* for the
@@ -423,8 +403,8 @@ class SolverOptions:
         Statically verify every built DAG (the factor DAG at
         preprocessing, each solve DAG on first use) with
         :func:`repro.core.verify.verify_dag` before any engine executes
-        it: acyclicity, counter-equals-indegree, single-writer block
-        chains, and solve-segment write ordering.  A violation raises
+        it: acyclicity, counter-equals-indegree and, on the factor DAG,
+        single-writer block chains.  A violation raises
         :class:`~repro.core.verify.ScheduleViolation` with a named
         diagnostic instead of deadlocking mid-run.  Also exposed as the
         CLI ``--verify`` flag.

@@ -3,13 +3,13 @@
 After numeric factorisation the block matrix holds ``L`` (strictly below
 the diagonal blocks plus the unit-lower part of each diagonal block) and
 ``U`` (diagonal and above).  Solving ``A x = b`` finishes with
-``L y = b`` (forward, by block columns) and ``U x = y`` (backward);
-solving ``Aᵀ x = b`` with ``Uᵀ y = b`` and ``Lᵀ x = y`` (by block rows).
-Both sweeps reuse the two-layer structure with two kernels: the diagonal
-block solves are one product with the dense inverse of the block's
-triangle (:func:`~repro.kernels.tsolve_kernels.diag_seg`); the
-off-diagonal updates are block mat-vecs over stored entries only
-(:func:`~repro.kernels.tsolve_kernels.upd_seg`).
+``L y = b`` (forward) and ``U x = y`` (backward); solving ``Aᵀ x = b``
+with ``Uᵀ y = b`` and ``Lᵀ x = y``.  Each sweep is one task per RHS
+segment (:mod:`repro.core.tsolve_dag`): the task gathers its block row
+(:func:`gather` — one product per stored block,
+:func:`~repro.kernels.tsolve_kernels.prod_seg`, summed in ascending
+``k``), then applies the dense inverse of the diagonal block's triangle
+(:func:`~repro.kernels.tsolve_kernels.diag_seg`).
 
 There is one execution path, in either direction:
 :func:`~repro.core.tsolve_dag.build_tsolve_dag` tasks drained through the
@@ -19,9 +19,9 @@ phase.  :class:`SolveJob` is the phase's job; :func:`tsolve_lanes` runs
 it in this process (:func:`tsolve_sequential` is its one-lane form, this
 module's analogue of :func:`repro.core.numeric.factorize`), the rank
 variant lives in :mod:`repro.runtime.distributed`, and all are dispatched
-by name through :mod:`repro.runtime.engines`.  Same-target updates are
-chained in the DAG, so every engine and lane count reproduces the
-one-lane replay bit for bit; that replay agrees with the k-ordered
+by name through :mod:`repro.runtime.engines`.  Each segment's products
+are summed in a fixed order, so every engine and lane count reproduces
+the one-lane replay bit for bit; that replay agrees with the k-ordered
 per-column loop sweeps (a test-only oracle, ``tests/reference_tsolve.py``)
 to rounding — a product with an inverse is not a substitution.
 """
@@ -31,102 +31,143 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.base import SingularBlockError
-from ..kernels.tsolve_kernels import diag_seg, upd_seg
+from ..kernels.tsolve_kernels import diag_seg, prod_seg
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
+from ..sparse.csc import as_values
 from .blocking import BlockMatrix
-from .tsolve_dag import _Y_WRITERS, TSolveDAG, TSolveTaskType, build_tsolve_dag
+from .tsolve_dag import FORWARD, LSUM, TSolveDAG, build_tsolve_dag
 
 __all__ = [
-    "tsolve_write_slots",
-    "execute_tsolve_task",
+    "checked_rhs",
+    "segment_products",
+    "gather",
     "SolveJob",
     "tsolve_lanes",
     "tsolve_sequential",
 ]
 
 
-def tsolve_write_slots(tdag: TSolveDAG, tid: int, nb: int) -> tuple[int, ...]:
-    """The one write-lock slot of a task: slot ``i`` is the ``y``
-    segment ``i``, slot ``nb + i`` the ``x`` segment ``i``."""
-    tgt = int(tdag.target[tid])
-    return (tgt if int(tdag.kinds[tid]) in _Y_WRITERS else nb + tgt,)
+def checked_rhs(b, n: int, *, panel: bool = False) -> np.ndarray:
+    """``b`` as the ``float64`` right-hand side of an order-``n`` solve,
+    the one check of every facade and solve engine: complex values are
+    refused by name (:func:`~repro.sparse.csc.as_values`), as are a
+    shape other than ``(n,)`` — or ``(n, k)``, ``k ≥ 1``, with ``panel``
+    — and a non-finite entry (``ValueError`` naming the first one)."""
+    b = as_values(b, np.float64)
+    if b.ndim not in ((1, 2) if panel else (1,)) or b.shape[0] != n:
+        expect = f"({n},) or ({n}, k)" if panel else f"({n},)"
+        raise ValueError(f"b has shape {b.shape}, expected {expect}")
+    if b.ndim == 2 and b.shape[1] == 0:
+        raise ValueError(f"b has no right-hand-side columns (shape {b.shape})")
+    bad = np.argwhere(~np.isfinite(b))
+    if bad.size:
+        where = ", ".join(map(str, bad[0]))
+        raise ValueError(
+            f"right-hand side is not finite: b[{where}] = {b[tuple(bad[0])]}"
+        )
+    return b
 
 
-def execute_tsolve_task(
-    f: BlockMatrix, tdag: TSolveDAG, tid: int, y: np.ndarray, x: np.ndarray
+def segment_products(
+    f: BlockMatrix, i: int, ks, v: np.ndarray, *, transposed: bool = False
+) -> np.ndarray:
+    """The products of segment ``i``'s blocks with the segments ``ks``
+    of ``v``, stacked in the order of ``ks``: ``B(i,k)·v_k``, or
+    ``B(k,i)ᵀ·v_k`` when ``transposed``."""
+    stack = np.empty((len(ks), f.block_order(i), *v.shape[1:]), dtype=v.dtype)
+    for out, k in zip(stack, np.asarray(ks).tolist()):
+        blk = f.block(k, i) if transposed else f.block(i, k)
+        prod_seg(out, blk, v[f.block_slice(k)], transposed=transposed)
+    return stack
+
+
+def gather(
+    f: BlockMatrix, i: int, ks, v: np.ndarray, seg: np.ndarray, *,
+    transposed: bool = False, received=(),
 ) -> None:
-    """Run one solve task against the forward/backward RHS arrays.
-
-    The per-task entry point :class:`SolveJob` calls on every engine
-    (the phase-5 analogue of
-    :func:`repro.core.numeric.execute_task`).  ``f`` is the factored
-    :class:`BlockMatrix` (on a distributed rank, its
-    :meth:`~BlockMatrix.restricted` share).  The DAG's direction flag
-    picks the block an update reads (``(tgt, k)``, or ``(k, tgt)``
-    transposed) and the triangle a diagonal task inverts: forward tasks
-    solve with ``L``, backward tasks with ``U``, the other way round when
-    transposed.  A seeded task first copies its segment of ``y`` into
-    ``x``: the backward sweep starts from the forward result.
-
-    A zero ``U`` pivot raises :class:`SingularBlockError` naming the
-    diagonal block, the column in it and the row of the reordered matrix.
-    """
-    kind = int(tdag.kinds[tid])
-    k = int(tdag.k_of[tid])
-    tgt = int(tdag.target[tid])
-    trans = tdag.transposed
-    seg = f.block_slice(tgt)
-    out = y if kind in _Y_WRITERS else x
-    if tdag.seeds[tid]:
-        x[seg] = y[seg]
-    if kind in (TSolveTaskType.UPD_F, TSolveTaskType.UPD_B):
-        blk = f.block(k, tgt) if trans else f.block(tgt, k)
-        upd_seg(out[seg], blk, out[f.block_slice(k)], transposed=trans)
-        return
-    diag = f.block(k, k)
-    try:
-        diag_seg(diag, out[seg], lower=(out is y) != trans, transposed=trans)
-    except SingularBlockError:
-        j = int(np.flatnonzero(diag.diagonal() == 0.0)[0])
-        raise SingularBlockError(
-            f"zero/missing U diagonal in block {k}, column {j} "
-            f"(row {seg.start + j} of the reordered matrix)"
-        ) from None
-
-
-def _check_rhs(n: int, b: np.ndarray) -> np.ndarray:
-    y = np.array(b, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        raise ValueError(f"rhs has shape {y.shape}, expected ({n},) or ({n}, k)")
-    return y
+    """``seg −= Σ_k B(i,k)·v_k`` (``B(k,i)ᵀ`` when ``transposed``) over
+    the segments ``ks`` and the ``(ks, stack)`` products ``received``
+    from other ranks: every product goes into one stack at its ``k``,
+    ascending, and the stack is summed as one reduction — so the result
+    does not depend on who computed which product."""
+    stack = segment_products(f, i, ks, v, transposed=transposed)
+    if received:
+        ks = np.concatenate([ks, *(r for r, _ in received)])
+        stack = np.concatenate([stack, *(s for _, s in received)])
+        stack = stack[np.argsort(ks)]
+    seg -= stack.sum(axis=0)
 
 
 class SolveJob:
     """Phase 5 as the lane driver sees it (the job protocol of
-    :mod:`repro.runtime.lanes`): a task writes RHS segment slots (``y``
-    segment ``i`` is slot ``i``, ``x`` segment ``i`` slot ``nb + i``),
-    runs as :func:`execute_tsolve_task` on the shared ``y``/``x`` arrays
-    and is traced as ``DIAG_F(k=3)`` under its task kind.
+    :mod:`repro.runtime.lanes`), on every engine: a task runs on the
+    shared ``y``/``x`` arrays (``y`` holds ``b`` until the forward sweep
+    overwrites it, segment by segment) and is traced as ``DIAG_F(i=3)``
+    under its task kind.  Every segment has one writer and all its
+    readers are the writer's successors, so no task takes a write lock.
 
-    ``f`` is the :class:`BlockMatrix` (on a distributed rank, its
-    :meth:`~BlockMatrix.restricted` share).
+    ``f`` is the factored :class:`BlockMatrix` (on a distributed rank,
+    its :meth:`~BlockMatrix.restricted` share).
     """
 
     name = "tsolve"
+    n_slots = 0
 
     def __init__(self, f, tdag: TSolveDAG, y: np.ndarray, x: np.ndarray) -> None:
         self.f = f
         self.tdag = tdag
         self.y = y
         self.x = x
-        self.n_slots = 2 * f.nb
+        #: an LSUM task's stack of products, until its diagonal task runs
+        self.partials: dict[int, np.ndarray] = {}
+        self.lsums_of: dict[int, list[int]] = {}
+        for tid in np.flatnonzero(np.isin(tdag.kinds, LSUM)).tolist():
+            self.lsums_of.setdefault(tdag.successors[tid][0], []).append(tid)
 
     def write_slots(self, tid: int) -> tuple[int, ...]:
-        return tsolve_write_slots(self.tdag, tid, self.f.nb)
+        return ()
 
     def execute(self, tid: int, ws) -> tuple:
-        execute_tsolve_task(self.f, self.tdag, tid, self.y, self.x)
+        """Run one solve task.  An ``LSUM`` task stacks its products in
+        :attr:`partials`; a diagonal task gathers its segment with them
+        (:func:`gather`) and solves it with the triangle of its diagonal
+        block — ``L`` forward, ``U`` backward, the other way round when
+        transposed — writing ``y_i`` or ``x_i``.
+
+        A zero ``U`` pivot raises :class:`SingularBlockError` naming the
+        diagonal block, the column in it and the row of the reordered
+        matrix.
+        """
+        f, tdag = self.f, self.tdag
+        kind = int(tdag.kinds[tid])
+        i = int(tdag.segment[tid])
+        trans = tdag.transposed
+        forward = kind in FORWARD
+        src = self.y if forward else self.x
+        if kind in LSUM:
+            self.partials[tid] = segment_products(
+                f, i, tdag.sources[tid], src, transposed=trans
+            )
+            return ()
+        seg = f.block_slice(i)
+        if not forward:
+            self.x[seg] = self.y[seg]
+        received = [
+            (tdag.sources[lsum], self.partials.pop(lsum))
+            for lsum in self.lsums_of.get(tid, ())
+        ]
+        gather(f, i, tdag.sources[tid], src, src[seg], transposed=trans,
+               received=received)
+        diag = f.block(i, i)
+        try:
+            diag_seg(diag, src[seg], lower=forward != trans, transposed=trans)
+        except SingularBlockError:
+            j = int(np.flatnonzero(diag.diagonal() == 0.0)[0])
+            raise SingularBlockError(
+                f"zero/missing U diagonal in block {i}, column {j} "
+                f"(row {seg.start + j} of the reordered matrix)"
+            ) from None
         return ()
 
     def trace_label(self, tid: int) -> tuple[str, str]:
@@ -146,10 +187,10 @@ def tsolve_lanes(
     recorder: EventRecorder | None = None,
 ) -> tuple[np.ndarray, RunReport]:
     """Both triangular sweeps on ``n_lanes`` lanes of this process.
-    The solve DAG totally orders the writers of every segment, so the
-    solution is bit-identical for every lane count.  Returns
-    ``(x, RunReport)``."""
-    y = _check_rhs(f.n, b)
+    Each segment's products are summed in a fixed order, so the solution
+    is bit-identical for every lane count.  ``b`` passes
+    :func:`checked_rhs`.  Returns ``(x, RunReport)``."""
+    y = checked_rhs(b, f.n, panel=True).copy()
     x = np.empty_like(y)
     return x, run_lanes(
         SchedulerCore.from_dag(tdag, recorder=recorder),

@@ -16,11 +16,8 @@ them *before* a single kernel runs:
 * **single-writer chains** — for a factor DAG, every SSSSM update has a
   direct edge to its target block's panel task, so the panel
   factorisation can never overlap an update into the same block
-  (``double-writer``); for a solve DAG, the writers of every RHS
-  segment form one chain of direct edges, each update feeding only the
-  next writer of its segment, and the head of each backward chain
-  directly follows the segment's ``DIAG_F`` (``unchained-writer``); the
-  ``seeds`` mask marks exactly those heads (``segment-order``);
+  (``double-writer``).  A solve DAG needs no such check: every RHS
+  segment has one writer, and each of its readers is a successor;
 * **ownership consistency** — when a task→rank ``assignment`` is passed
   alongside a factor DAG, every task targeting one block must run on a
   single rank (the message protocol never writes a remote block) and
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dag import TaskDAG, TaskType
-from .tsolve_dag import _Y_WRITERS, TSolveDAG, TSolveTaskType
+from .tsolve_dag import TSolveDAG
 
 __all__ = ["ScheduleViolation", "ScheduleReport", "verify_dag"]
 
@@ -54,8 +51,7 @@ class ScheduleViolation(ValueError):
 
     ``code`` is a stable machine-readable diagnostic name (``bad-edge``,
     ``counter-mismatch``, ``cycle``, ``double-writer``,
-    ``unchained-writer``, ``segment-order``, ``split-ownership``); the
-    message names the offending tasks.
+    ``split-ownership``); the message names the offending tasks.
     """
 
     def __init__(self, code: str, message: str) -> None:
@@ -199,62 +195,6 @@ def _check_factor_writers(dag) -> None:
             )
 
 
-def _check_tsolve_chains(dag) -> None:
-    """One chain per segment and array, ``x_i``'s led by ``DIAG_F(i)``:
-    an update's only successor is the next writer of its segment, no
-    writer directly follows two, every ``x`` writer follows one, and the
-    ``seeds`` mask marks exactly the tasks that follow a ``DIAG_F``."""
-    kinds = np.asarray(dag.kinds)
-    target = np.asarray(dag.target)
-    on_x = ~np.isin(kinds, _Y_WRITERS)
-    chain = 2 * target + on_x  # the (segment, array) a task writes
-    leads_x = kinds == TSolveTaskType.DIAG_F
-    upd = np.isin(kinds, (TSolveTaskType.UPD_F, TSolveTaskType.UPD_B))
-    prev = np.full(len(kinds), -1, dtype=np.int64)
-
-    def name(tid) -> str:
-        return f"{'xy'[not on_x[tid]]}-segment {int(target[tid])}"
-
-    for tid, succ in enumerate(dag.successors):
-        nxt = [s for s in succ if chain[s] == chain[tid] + leads_x[tid]]
-        if upd[tid] and (len(succ) != 1 or len(nxt) != 1):
-            raise ScheduleViolation(
-                "unchained-writer",
-                f"update {tid} into {name(tid)} has successors {succ} — "
-                "it must feed exactly the next writer of its segment, or "
-                "a later writer could race on the segment",
-            )
-        for s in nxt:
-            if prev[s] >= 0:
-                raise ScheduleViolation(
-                    "unchained-writer",
-                    f"{name(s)}: tasks {int(prev[s])} and {tid} both "
-                    f"directly precede writer {s} — the chain forks, so "
-                    "its writers could race on the segment",
-                )
-            prev[s] = tid
-    bad = np.flatnonzero(on_x & (prev < 0))
-    if bad.size:
-        raise ScheduleViolation(
-            "unchained-writer",
-            f"task {int(bad[0])} writes {name(bad[0])} with no direct edge "
-            "from an earlier writer or the segment's DIAG_F — its writers "
-            "could race, or seed from an unfinished y",
-        )
-    heads = on_x & leads_x[prev]
-    bad = np.flatnonzero(heads != np.asarray(dag.seeds, dtype=bool))
-    if bad.size:
-        tid = int(bad[0])
-        raise ScheduleViolation(
-            "segment-order",
-            f"task {tid} heads {name(tid)} but is not seeded — backward "
-            "updates would accumulate on an unseeded segment"
-            if heads[tid] else
-            f"task {tid} into {name(tid)} is seeded but heads no x-segment "
-            "chain — its seed would overwrite the writes before it",
-        )
-
-
 def _check_ownership(dag, assignment: np.ndarray, nprocs: int | None) -> None:
     """Single-writer ownership: tasks sharing a target block share a
     rank, rank ids are in range.  Placement-agnostic — any consistent
@@ -319,8 +259,6 @@ def verify_dag(dag, *, assignment=None, nprocs: int | None = None) -> ScheduleRe
         _check_factor_writers(dag)
         if assignment is not None:
             _check_ownership(dag, assignment, nprocs)
-    else:
-        _check_tsolve_chains(dag)
     return ScheduleReport(
         kind=kind,
         n_tasks=len(succ),

@@ -9,7 +9,7 @@ state) breaks the engines-agree cross-checks.  The rule enforces, per
 kernel module:
 
 * a ``<role>_*`` kernel writes only through its output parameter (by
-  calling convention: ``getrf_*``/``ssssm_*``/``upd_*`` → first
+  calling convention: ``getrf_*``/``ssssm_*``/``prod_*`` → first
   parameter, ``gessm_*``/``tstrf_*``/``diag_*`` → second, and so the
   shared ``panel_*`` solves the GESSM/TSTRF names call: the triangle of
   the factored diagonal block comes first and is read-only, the block or
@@ -33,12 +33,12 @@ from ._util import dotted, functions, mutation_roots
 
 #: kernel-role prefix → index of the writable (output) parameter
 #: (the tsolve roles are the two phase-5 segment kernels: ``diag_seg``
-#: writes its RHS segment — second parameter — and ``upd_seg`` scatters
-#: into its target segment — first parameter; either direction, ``A`` or
-#: ``Aᵀ``)
+#: writes its RHS segment — second parameter — and ``prod_seg`` one
+#: block's product into its output row of the gather's stack — first
+#: parameter; either direction, ``A`` or ``Aᵀ``)
 _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
-    "panel": 1, "diag": 1, "upd": 0,
+    "panel": 1, "diag": 1, "prod": 0,
 }
 
 _BANNED_MODULES = {"time", "random"}

@@ -162,12 +162,14 @@ def simulate_tsolve(
 
     Solve tasks are bandwidth-bound vector operations; each is priced at
     the device's sparse memory roofline (the solve moves the factor's
-    entries once) plus the launch overhead, and segments travel between
-    processes like factor blocks do.
+    entries once: a diagonal task's flops include its row's products)
+    plus the launch overhead, and segments and ``LSUM`` product stacks
+    travel between processes like factor blocks do.
 
     This prices the solve DAG the engines run
-    (:func:`~repro.core.tsolve_dag.build_tsolve_dag`, writer chains
-    included) in the engines' ready order.  ``placement`` selects the
+    (:func:`~repro.core.tsolve_dag.build_tsolve_dag`: one diagonal task
+    per segment and sweep, ``LSUM`` tasks on ranks) in the engines'
+    ready order.  ``placement`` selects the
     block→rank ownership policy (name or fitted instance; the ``"cost"``
     policy costs blocks by storage traffic here, the solve-only path).
     A ``recorder`` receives the simulated run (:func:`simulate`).

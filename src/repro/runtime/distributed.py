@@ -58,8 +58,8 @@ from ..core.blocking import BlockMatrix
 from ..core.dag import TaskDAG
 from ..core.numeric import FactorJob, NumericOptions
 from ..core.placement import CyclicPlacement, PlacementPolicy
-from ..core.tsolve import _Y_WRITERS, SolveJob, _check_rhs
-from ..core.tsolve_dag import TSolveDAG, TSolveTaskType
+from ..core.tsolve import SolveJob, checked_rhs
+from ..core.tsolve_dag import FORWARD, LSUM, TSolveDAG, TSolveTaskType
 from ..sparse.csc import CSCMatrix
 from .lanes import run_lanes
 from .scheduler import EventRecorder, RunReport, SchedulerCore
@@ -171,15 +171,16 @@ class _RankFactorJob(FactorJob):
 
 
 class _RankSolveJob(SolveJob):
-    """The solve job on one rank: each message carries the *segment* a
-    task just wrote (real byte accounting: the segment array's
-    ``nbytes``), and a received one is written into the array its
-    producer writes.
+    """The solve job on one rank: a diagonal task sends the segment it
+    solved to each rank consuming it, an ``LSUM`` task its stacked
+    products to the diagonal task's rank — one message per (segment,
+    rank), with real byte accounting (the payload's ``nbytes``).  A
+    received segment is written into ``y`` or ``x``, received products
+    wait in ``partials`` for the diagonal task they feed.
 
     Transports only order messages per sender, yet no receive-side guard
-    is needed: an update's one successor is the next writer of its
-    segment, so a payload is installed before any newer write of that
-    segment exists, whatever the delivery order.
+    is needed: every segment has one writer, so a payload is final when
+    it is sent, whatever the delivery order.
     """
 
     def __init__(
@@ -187,8 +188,8 @@ class _RankSolveJob(SolveJob):
         owner_of_slot: np.ndarray, tdag: TSolveDAG, b: np.ndarray,
     ) -> None:
         view = f.restricted(np.flatnonzero(owner_of_slot == rank))
-        y = np.array(b, dtype=np.float64)
-        super().__init__(view, tdag, y, np.zeros_like(y))
+        y = b.copy()
+        super().__init__(view, tdag, y, np.empty_like(y))
         self.rank = rank
         self.owner_of_task = tdag.owner
         self.my_tasks = np.flatnonzero(tdag.owner == rank)
@@ -197,21 +198,25 @@ class _RankSolveJob(SolveJob):
         )
 
     def _segment(self, tid: int) -> np.ndarray:
-        """The segment ``tid`` writes: of ``y`` forward, ``x`` backward."""
-        arr = self.y if int(self.tdag.kinds[tid]) in _Y_WRITERS else self.x
-        return arr[self.f.block_slice(int(self.tdag.target[tid]))]
+        """The segment ``tid`` solved: of ``y`` forward, ``x`` backward."""
+        arr = self.y if int(self.tdag.kinds[tid]) in FORWARD else self.x
+        return arr[self.f.block_slice(int(self.tdag.segment[tid]))]
 
     def outgoing(self, tid: int):
         dests = _consumers(self.tdag.successors[tid], self.owner_of_task, self.rank)
         if not dests:
             return None
-        arr = np.array(self._segment(tid))  # snapshot in the write-lock window
-        return dests, (tid, arr), arr.nbytes
+        lsum = int(self.tdag.kinds[tid]) in LSUM
+        payload = self.partials.pop(tid) if lsum else self._segment(tid)
+        return dests, (tid, payload), payload.nbytes
 
     def absorb(self, msg) -> int:
-        src_tid, arr = msg
-        self._segment(src_tid)[...] = arr
-        return arr.nbytes
+        src_tid, payload = msg
+        if int(self.tdag.kinds[src_tid]) in LSUM:
+            self.partials[src_tid] = payload
+        else:
+            self._segment(src_tid)[...] = payload
+        return payload.nbytes
 
     def result(self) -> list[tuple[int, np.ndarray]]:
         """The x segments this rank finished (its DIAG_B tasks)."""
@@ -220,7 +225,7 @@ class _RankSolveJob(SolveJob):
         ]
         return [
             (int(k), np.array(self.x[self.f.block_slice(int(k))]))
-            for k in self.tdag.target[done]
+            for k in self.tdag.segment[done]
         ]
 
 
@@ -413,20 +418,22 @@ def tsolve_distributed(
     ``tdag`` must be the solve DAG built with this run's block→rank
     owner map (``build_tsolve_dag(f, placement.owner)``;
     ``placement=None`` selects the paper's 2D
-    block-cyclic rule) — diag solves run on the diagonal block's owner,
-    updates on the off-diagonal block's owner, so factor blocks stay put
-    and only RHS segments travel.  Messages carry real segment bytes
-    (``arr.nbytes``), accounted in the returned report; the solve DAG's
-    writer chains keep out-of-order deliveries harmless, so the gathered
+    block-cyclic rule) — diagonal tasks run on the diagonal block's
+    owner, ``LSUM`` tasks on the owner of the blocks they multiply, so
+    factor blocks stay put and only RHS segments and stacked products
+    travel.  Messages carry real bytes (the payload's ``nbytes``),
+    accounted in the returned report; each segment's products are summed
+    in a fixed order wherever they were computed, so the gathered
     solution is bit-identical to
-    :func:`repro.core.tsolve.tsolve_sequential`.  With ``n_threads > 1``
+    :func:`repro.core.tsolve.tsolve_sequential`.  ``b`` passes
+    :func:`~repro.core.tsolve.checked_rhs`.  With ``n_threads > 1``
     each rank drains its scheduler core with a thread pool (the
     ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder``
     behave exactly as in :func:`factorize_distributed`.
     Returns ``(x, RunReport)``.
     """
     placement = _resolve_pool(n_procs, n_threads, placement)
-    y0 = _check_rhs(f.n, b)
+    y0 = checked_rhs(b, f.n, panel=True)
     owner_of_slot = _owner_of_slot(f, placement)
     x = np.empty_like(y0)
     filled = np.zeros(f.nb, dtype=bool)

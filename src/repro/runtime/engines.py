@@ -24,8 +24,9 @@ registered via :func:`register_tsolve_engine` and dispatched by the
 :class:`~repro.core.solver.Factorization` handle, so one
 ``SolverOptions.engine`` string governs both the factorisation and every
 subsequent solve.  Given the same factors every engine produces the
-bit-identical solution (the solve DAG totally orders each RHS segment's
-writers); the factors themselves agree across engines only to rounding,
+bit-identical solution (each RHS segment's block products are summed in
+a fixed order, whoever computed them); the factors themselves agree
+across engines only to rounding,
 because the factor DAG leaves the Schur updates of one block unordered.
 
 The built-ins of both registries come from one table,

@@ -42,10 +42,11 @@ with
 and, on a rank (``endpoint`` given),
 
 ``outgoing(tid) -> (dests, message, nbytes) | None``
-    what ``tid`` published, built **inside the write-lock window** so a
-    chained successor writer cannot overwrite it before it is snapshot;
-    sent after the task completed.  Messages are tuples led by the
-    producing task's id;
+    what ``tid`` published, built on its lane inside the task's
+    write-lock window; sent after the task completed.  Both phases
+    publish final values only (a panel result, a solved segment, a stack
+    of products), so a payload needs no snapshot.  Messages are tuples
+    led by the producing task's id;
 ``absorb(message) -> nbytes``
     install a received message's payload (called under the write locks
     of the producing task's slots);

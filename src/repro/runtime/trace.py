@@ -10,8 +10,9 @@ wall-clock time, the simulator (:func:`repro.runtime.simulator.simulate`)
 at virtual time, so a simulated 128-process schedule and an executed run
 are inspected with the same tooling.  Triangular-solve engines feed the
 same recorder: with ``SolverOptions(trace_events=True)`` each solve
-appends its DIAG_F/UPD_F/DIAG_B/UPD_B task lanes (and, distributed, its
-segment send/recv flows) after the factorisation's.
+appends its DIAG_F/DIAG_B task lanes (and, distributed, its LSUM
+tasks and its segment and product send/recv flows) after the
+factorisation's.
 """
 
 from __future__ import annotations

@@ -25,10 +25,10 @@ def panel_bad(tri, b, *, merge):
     b.data[0] = vals[0]
 
 
-def upd_bad(tgt, blk, src, *, transposed=False):
-    src[0] = 0.0                  # solve update mutates its source segment
+def prod_bad(out, blk, src, *, transposed=False):
+    src[0] = 0.0                  # solve product mutates its source segment
     blk.data[:] = 1.0             # and the factor block it should only read
-    return tgt
+    out[...] = 0.0
 
 
 def diag_bad(diag, x, *, lower):

@@ -24,9 +24,8 @@ def panel_good(tri, b, *, merge):
     b.data[0] = b.data[0] - vals[0]  # the solved block is the only one written
 
 
-def upd_good(tgt, blk, src, *, transposed=False):
-    tgt[blk.indices] = tgt[blk.indices] - blk.data * src[:1]  # writes target only
-    return tgt
+def prod_good(out, blk, src, *, transposed=False):
+    out[...] = np.bincount(blk.indices, weights=blk.data * src[:1])  # writes out only
 
 
 def diag_good(diag, x, *, lower):

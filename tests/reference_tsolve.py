@@ -4,18 +4,18 @@ sweeps with per-column substitutions, no DAG, no scheduler, no BLAS.
 :func:`block_forward` walks the block columns in ascending order (solve
 the diagonal block, push the segment through the ``L`` blocks below it),
 :func:`block_backward` in descending order through the ``U`` blocks
-above — the order the solve DAG
-(:func:`repro.core.tsolve_dag.build_tsolve_dag`) chains every target
-segment's writers into.  The engines solve a diagonal block by one
-product with its triangle's inverse, not by substitution, so the
-one-lane DAG replay must agree with
+above.  The solve DAG
+(:func:`repro.core.tsolve_dag.build_tsolve_dag`) gathers instead — a
+segment sums its block row's products in one reduction — and solves a
+diagonal block by one product with its triangle's inverse, not by
+substitution, so the one-lane DAG replay must agree with
 ``block_backward(f, block_forward(f, b))`` to ``1e-12·‖x‖∞``
 (``tests/test_lanes.py``, ``tests/test_tsolve_engines.py``), while the
 engines agree with that replay bit for bit.
 ``solve_lower_unit`` / ``solve_upper`` are the diagonal-block
 substitutions ``tests/test_numeric.py`` checks by name, ``update`` the
-off-diagonal push, ``diag_solve_flops`` the per-column count the solve
-DAG's vectorised diagonal-task flops must equal.  Nothing here imports a kernel from ``src/``, and
+off-diagonal push, ``diag_solve_flops`` the per-column count in the
+solve DAG's diagonal-task flops.  Nothing here imports a kernel from ``src/``, and
 nothing under ``src/`` imports this module.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.blocking import BlockMatrix
-from repro.core.tsolve import _check_rhs
+from repro.core.tsolve import checked_rhs
 from repro.sparse.csc import CSCMatrix
 
 
@@ -78,7 +78,7 @@ def update(tgt: np.ndarray, blk: CSCMatrix, src: np.ndarray) -> None:
 def block_forward(f: BlockMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``L y = b`` over the factored block matrix (vector or
     ``(n, k)`` multi-RHS array)."""
-    y = _check_rhs(f.n, b)
+    y = checked_rhs(b, f.n, panel=True).copy()
     for k in range(f.nb):
         seg = f.block_slice(k)
         solve_lower_unit(f.block(k, k), y[seg])
@@ -92,7 +92,7 @@ def block_forward(f: BlockMatrix, b: np.ndarray) -> np.ndarray:
 def block_backward(f: BlockMatrix, y: np.ndarray) -> np.ndarray:
     """Solve ``U x = y`` over the factored block matrix (vector or
     ``(n, k)`` multi-RHS array)."""
-    x = _check_rhs(f.n, y)
+    x = checked_rhs(y, f.n, panel=True).copy()
     for k in range(f.nb - 1, -1, -1):
         seg = f.block_slice(k)
         solve_upper(f.block(k, k), x[seg])

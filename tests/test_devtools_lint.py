@@ -178,13 +178,15 @@ def test_lock_discipline_keeps_guarding_locks_leaves():
 
 
 def test_kernel_purity_flags_tsolve_roles():
-    """The phase-5 segment-kernel roles are covered: an update mutating
-    its source segment or factor block, and a diag solve mutating the
-    factor block, are all named with the right designated output."""
+    """The phase-5 segment-kernel roles are covered: a block product
+    mutating its source segment or factor block, and a diag solve
+    mutating the factor block, are all named with the right designated
+    output."""
     findings = _run_rule("kernel-purity", FIXTURES / "kernel_purity_flag.py")
     messages = "\n".join(f.message for f in findings)
-    assert "upd_bad() mutates read-only operand 'src'" in messages
-    assert "upd_bad() mutates read-only operand 'blk'" in messages
+    assert "prod_bad() mutates read-only operand 'src'" in messages
+    assert "prod_bad() mutates read-only operand 'blk'" in messages
+    assert "designated output is 'out'" in messages
     assert "diag_bad() mutates read-only operand 'diag'" in messages
     assert "designated output is 'x'" in messages
 

@@ -19,7 +19,8 @@ bits depend on the kernel OpenBLAS dispatches for the CPU, so it is held
 to ``1e-12·max|LU|`` of the pinned factors; the other configurations
 agree to rounding.  Every solve — engine, lane count, fault scenario — is
 bit-identical to the one-lane DAG replay (same kernels, same inputs,
-writer chains in the DAG), and that replay agrees with the per-column
+each segment's products summed in a fixed order), and that replay
+agrees with the per-column
 loop sweeps of ``tests/reference_tsolve.py`` to ``1e-12·‖x‖∞`` (the
 engines solve a diagonal block by a product with its inverse, the oracle
 by substitution).
@@ -145,7 +146,7 @@ def _assert_near_pinned(bm, pinned) -> None:
 
 def _verify(cfg: Config, dag) -> None:
     """The static checks of the ``validate`` scenario: counters, cycles,
-    writer chains and, for a factor DAG on ranks, the ownership map the
+    the factor DAG's writer chains and, on ranks, its ownership map the
     run will use."""
     if cfg.ranks and isinstance(dag, TaskDAG):
         report = verify_dag(dag, assignment=CyclicPlacement(cfg.ranks).assign(dag),

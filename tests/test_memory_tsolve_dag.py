@@ -70,6 +70,8 @@ class TestMemoryReport:
 
 class TestTSolveDAG:
     def test_task_counts(self, prepared):
+        """On four ranks: one diagonal task per segment and sweep, and the
+        forward tasks multiply each strictly-lower stored block once."""
         f = prepared.blocks
         grid = ProcessGrid.square(4)
         dag = build_tsolve_dag(f, grid.owner)
@@ -77,14 +79,39 @@ class TestTSolveDAG:
         n_diag = (kinds == int(TSolveTaskType.DIAG_F)).sum()
         assert n_diag == f.nb
         assert (kinds == int(TSolveTaskType.DIAG_B)).sum() == f.nb
-        # one forward update per strictly-lower stored block
         lower_blocks = sum(
             1
             for bj in range(f.nb)
             for bi in f.blocks_in_column(bj)[0]
             if int(bi) > bj
         )
-        assert (kinds == int(TSolveTaskType.UPD_F)).sum() == lower_blocks
+        forward = np.flatnonzero(
+            (kinds == int(TSolveTaskType.DIAG_F))
+            | (kinds == int(TSolveTaskType.LSUM_F))
+        )
+        assert sum(len(dag.sources[t]) for t in forward) == lower_blocks
+        assert (kinds == int(TSolveTaskType.LSUM_F)).sum() > 0
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_local_dag_is_two_tasks_per_segment(self, prepared, transposed):
+        """One owner: ``2·nb`` tasks, no LSUM, and each diagonal task
+        waits for exactly the distinct source segments of its row (plus
+        ``y_i`` going back)."""
+        f = prepared.blocks
+        dag = build_tsolve_dag(f, lambda bi, bj: 0, transposed=transposed)
+        assert len(dag) == 2 * f.nb
+        assert set(dag.kinds.tolist()) == {
+            int(TSolveTaskType.DIAG_F), int(TSolveTaskType.DIAG_B)}
+        for tid in range(len(dag)):
+            i = int(dag.segment[tid])
+            line = (
+                f.blocks_in_column(i)[0] if transposed
+                else [bj for bj, _ in f.blocks_in_row(i)]
+            )
+            forward = dag.kinds[tid] == int(TSolveTaskType.DIAG_F)
+            ks = sorted({int(k) for k in line if (k < i if forward else k > i)})
+            assert dag.sources[tid].tolist() == ks
+            assert dag.n_deps[tid] == len(ks) + (not forward)
 
     def test_acyclic_and_executable(self, prepared):
         f = prepared.blocks
@@ -107,10 +134,10 @@ class TestTSolveDAG:
         dag = build_tsolve_dag(f, ProcessGrid.square(1).owner)
         for k in range(f.nb):
             fwd = int(np.flatnonzero(
-                (dag.kinds == int(TSolveTaskType.DIAG_F)) & (dag.k_of == k)
+                (dag.kinds == int(TSolveTaskType.DIAG_F)) & (dag.segment == k)
             )[0])
             bwd = int(np.flatnonzero(
-                (dag.kinds == int(TSolveTaskType.DIAG_B)) & (dag.k_of == k)
+                (dag.kinds == int(TSolveTaskType.DIAG_B)) & (dag.segment == k)
             )[0])
             reached, stack = {fwd}, [fwd]
             while stack:
@@ -121,36 +148,48 @@ class TestTSolveDAG:
             assert bwd in reached
 
     @pytest.mark.parametrize("transposed", [False, True])
-    def test_updates_feed_only_the_next_writer(self, prepared, transposed):
-        """Every update has exactly one successor, a writer of the same
-        segment in the same sweep; each x chain has one seeded head."""
-        dag = build_tsolve_dag(prepared.blocks, ProcessGrid.square(2).owner,
+    def test_lsums_feed_only_their_diagonal_task(self, prepared, transposed):
+        """Every LSUM task has exactly one successor, the diagonal task of
+        its segment in its sweep, on another rank; every segment of y and
+        of x has exactly one writer."""
+        dag = build_tsolve_dag(prepared.blocks, ProcessGrid.square(4).owner,
                                transposed=transposed)
-        for tid in np.flatnonzero(
-            (dag.kinds == int(TSolveTaskType.UPD_F))
-            | (dag.kinds == int(TSolveTaskType.UPD_B))
-        ):
+        lsums = np.flatnonzero(
+            (dag.kinds == int(TSolveTaskType.LSUM_F))
+            | (dag.kinds == int(TSolveTaskType.LSUM_B))
+        )
+        assert lsums.size
+        for tid in lsums:
             (nxt,) = dag.successors[tid]
-            assert dag.target[nxt] == dag.target[tid]
-            assert dag.kinds[nxt] in (dag.kinds[tid], dag.kinds[tid] - 1)
-        seeded = dag.target[dag.seeds]
-        assert sorted(seeded) == list(range(prepared.blocks.nb))
-        assert set(dag.kinds[dag.seeds]) <= {
-            int(TSolveTaskType.UPD_B), int(TSolveTaskType.DIAG_B)}
+            assert dag.segment[nxt] == dag.segment[tid]
+            assert dag.kinds[nxt] == dag.kinds[tid] - 1
+            assert dag.owner[nxt] != dag.owner[tid]
+        diag = np.setdiff1d(np.arange(len(dag)), lsums)
+        writes = sorted(zip(dag.kinds[diag].tolist(), dag.segment[diag].tolist()))
+        assert len(set(writes)) == len(writes) == 2 * prepared.blocks.nb
 
     @pytest.mark.parametrize("name", ["audikw_1", "G3_circuit", "cage12", "ASIC_680k"])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_diag_flops_match_the_column_loop(self, name, transposed):
-        """The vectorised diagonal-task flops equal the per-column count
-        they replaced, so ``flops`` / ``total_flops`` are unchanged."""
+        """A diagonal task's flops are the per-column substitution count
+        plus two per stored entry of the blocks it multiplies, so
+        ``total_flops`` counts every entry of the factors once per sweep
+        it serves."""
         s = PanguLU(generate(name, scale=0.15))
         f = s.preprocess()
         dag = build_tsolve_dag(f, lambda bi, bj: 0, transposed=transposed)
         for kind, lower in ((TSolveTaskType.DIAG_F, not transposed),
                             (TSolveTaskType.DIAG_B, transposed)):
             tids = np.flatnonzero(dag.kinds == int(kind))
-            expect = [diag_solve_flops(f, int(k), lower=lower) for k in dag.k_of[tids]]
-            assert dag.flops[tids].tolist() == expect
+            expect = [
+                diag_solve_flops(f, int(i), lower=lower) + sum(
+                    2.0 * (f.block(int(k), int(i)) if transposed
+                           else f.block(int(i), int(k))).nnz
+                    for k in dag.sources[t]
+                )
+                for t, i in zip(tids, dag.segment[tids])
+            ]
+            assert dag.flops[tids].tolist() == pytest.approx(expect, rel=1e-15)
         off_diag = sum(
             2.0 * blk.nnz
             for bj in range(f.nb)

@@ -3,9 +3,9 @@
 .tsolve_distributed`) and the factor-once/solve-many `Factorization`
 handle.
 
-The solve DAG totally orders the writers of every RHS
-segment, so all engines must produce *bit-identical* solutions — equal
-to the one-lane DAG replay, not merely close — in the plain and in the
+Each RHS segment's block products are summed in a fixed order,
+whoever computed them, so all engines must produce *bit-identical*
+solutions — equal to the one-lane DAG replay, not merely close — in the plain and in the
 transposed direction; the replay itself agrees with the k-ordered
 per-column loop sweeps of `tests/reference_tsolve.py` to `1e-12·‖x‖∞`
 (a product with a triangle's inverse is not a substitution).
@@ -21,6 +21,7 @@ import pytest
 
 from repro.core import block_partition, build_dag, factorize
 from repro.core.mapping import ProcessGrid
+from repro.core.placement import CyclicPlacement
 from repro.core.solver import Factorization, PanguLU, SolverOptions
 from repro.core.tsolve import tsolve_lanes, tsolve_sequential
 from repro.core.tsolve_dag import build_tsolve_dag
@@ -107,6 +108,49 @@ class TestEnginesAgree:
         with pytest.raises(ValueError, match=expected):
             tsolve_distributed(f, tdag, b, 2, transport=LoopbackTransport())
 
+    @pytest.mark.parametrize("b,error,match", [
+        (np.ones(72, dtype=complex), TypeError, "complex values are not supported"),
+        (np.r_[np.ones(71), np.nan], ValueError, r"not finite: b\[71\] = nan"),
+        (np.full((72, 2), np.inf), ValueError, r"not finite: b\[0, 0\] = inf"),
+    ], ids=["complex", "nan", "inf-panel"])
+    def test_complex_or_non_finite_rhs_is_refused(self, b, error, match):
+        """The engines check ``b`` as the facades do: a complex value is
+        not cast to its real part, a NaN does not spread through ``x``."""
+        f = _factored()
+        tdag = build_tsolve_dag(f, lambda bi, bj: 0)
+        with pytest.raises(error, match=match):
+            tsolve_sequential(f, b, tdag=tdag)
+        with pytest.raises(error, match=match):
+            tsolve_lanes(f, tdag, b, n_lanes=2)
+        with pytest.raises(error, match=match):
+            tsolve_distributed(f, tdag, b, 2, transport=LoopbackTransport())
+
+
+# ----------------------------------------------------------------------
+# ranks exchange one message per (segment, rank)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("nprocs", [2, 3])
+def test_a_sweep_pair_sends_at_most_one_message_per_segment_and_rank(
+    nprocs, transposed
+):
+    """Under block-cyclic placement a segment reaches each other rank at
+    most once per sweep: its solved values or one stack of products."""
+    f = PanguLU(generate("audikw_1", scale=0.3)).factorize().blocks
+    tdag = build_tsolve_dag(
+        f, CyclicPlacement(nprocs).owner, transposed=transposed
+    )
+    b = _rhs(f.n, 1)
+    x, report = tsolve_distributed(
+        f, tdag, b, nprocs, transport=LoopbackTransport()
+    )
+    assert 0 < report.messages_sent <= 2 * f.nb * (nprocs - 1)
+    ref, _ = tsolve_sequential(
+        f, b, tdag=build_tsolve_dag(f, lambda bi, bj: 0, transposed=transposed)
+    )
+    assert np.array_equal(x, ref)
+
 
 # ----------------------------------------------------------------------
 # the transposed direction is the same DAG job
@@ -188,7 +232,8 @@ class TestFacadeDispatch:
         """Two factorisations agree to rounding only: the factor DAG
         leaves the Schur updates of one block unordered.  One
         factorisation solved by the sequential and by the 4-lane solve
-        engine agrees bit for bit: the solve DAG orders every writer."""
+        engine agrees bit for bit: each segment sums its products in a
+        fixed order."""
         a = grid_laplacian_2d(8, 8)
         b = _rhs(a.nrows, 1, seed=7)
         x_seq = PanguLU(a, SolverOptions(engine="sequential")).solve(b)
@@ -249,7 +294,7 @@ class TestFactorizationHandle:
 
     def test_noarena_refactorize_rebuilds_the_update_addressing(self):
         # use_arena=False re-partitions on refactorize: the blocks are new
-        # objects, so the column expansion `upd_seg` scatters by is rebuilt
+        # objects, so the column expansion `prod_seg` gathers by is rebuilt
         # lazily by the next solve — in both directions
         a = random_sparse(60, 0.08, seed=2)
         fact = PanguLU(a, SolverOptions(use_arena=False, block_size=11)).factorize()

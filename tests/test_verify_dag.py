@@ -135,63 +135,18 @@ class TestRejectsTsolveViolations:
         return _tsolve_dag(ProcessGrid.square(2).owner)
 
     def test_cycle(self, tdag):
+        """A forward diagonal task made to wait for its own backward one
+        (counters kept consistent, so the Kahn pass is what objects)."""
         bad = copy.deepcopy(tdag)
-        t = next(i for i, s in enumerate(bad.successors) if s)
-        s = bad.successors[t][0]
-        bad.successors[s].append(t)
-        bad.n_deps[t] += 1
-        _raises("cycle", bad)
-
-    @staticmethod
-    def _x_heads(dag) -> np.ndarray:
-        """The seeded heads of the backward writer chains."""
-        heads = np.flatnonzero(dag.seeds)
-        assert len(heads) == int(dag.target.max()) + 1
-        return heads
-
-    def test_segment_order_gap(self, tdag):
-        """A seed in the middle of a chain would overwrite the backward
-        writes before it."""
-        bad = copy.deepcopy(tdag)
-        heads = self._x_heads(bad)
-        updates = heads[bad.kinds[heads] == int(TSolveTaskType.UPD_B)]
-        if not updates.size:  # pragma: no cover - matrix always has them
-            pytest.skip("no multi-writer x-segment in this matrix")
-        (nxt,) = bad.successors[int(updates[0])]
-        bad.seeds[nxt] = True
-        msg = _raises("segment-order", bad)
-        assert "heads no x-segment chain" in msg
-
-    def test_segment_order_unseeded_x(self, tdag):
-        bad = copy.deepcopy(tdag)
-        bad.seeds[self._x_heads(bad)[0]] = False
-        msg = _raises("segment-order", bad)
-        assert "unseeded" in msg
-
-    def test_unchained_writer(self, tdag):
-        bad = copy.deepcopy(tdag)
-        # break the direct edge between two consecutive y-writers while
-        # keeping counters consistent, so only the chain check can object
-        upd_f = np.flatnonzero(bad.kinds == int(TSolveTaskType.UPD_F))
-        a = int(upd_f[0])
-        (b,) = bad.successors[a]
-        assert bad.target[b] == bad.target[a]
-        bad.successors[a].remove(b)
-        bad.n_deps[b] -= 1
-        msg = _raises("unchained-writer", bad)
-        assert "race" in msg
-
-    def test_unchained_seed(self, tdag):
-        """A head that does not wait for its DIAG_F could seed from an
-        unfinished forward segment."""
-        bad = copy.deepcopy(tdag)
-        head = int(self._x_heads(bad)[0])
-        diag_f = next(t for t, s in enumerate(bad.successors) if head in s
-                      and bad.kinds[t] == int(TSolveTaskType.DIAG_F))
-        bad.successors[diag_f].remove(head)
-        bad.n_deps[head] -= 1
-        msg = _raises("unchained-writer", bad)
-        assert "DIAG_F" in msg
+        fwd = int(np.flatnonzero(bad.kinds == int(TSolveTaskType.DIAG_F))[0])
+        (bwd,) = [s for s in bad.successors[fwd]
+                  if bad.kinds[s] == int(TSolveTaskType.DIAG_B)]
+        bad.successors[bwd].append(fwd)
+        bad.n_deps[fwd] += 1
+        msg = _raises("cycle", bad)
+        # every cycle runs through the one added edge
+        path = msg.split(": ", 1)[1].split(" — ")[0].split(" -> ")
+        assert {str(fwd), str(bwd)} <= set(path)
 
 
 # ----------------------------------------------------------------------
