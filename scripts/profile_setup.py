@@ -3,7 +3,9 @@
 
 ``python scripts/profile_setup.py MATRIX [--scale S] [--top N]`` runs one
 unrecorded warm-up ``preprocess()`` (imports, numpy's lazy set-up), then
-prints the ``phase_seconds`` of a second, unprofiled one — with phase 1
+prints the order phase 1 kept (``PanguLU.ordering_kept``: the asked
+order, or the input order when the asked one passed the input order's
+envelope) and the ``phase_seconds`` of a second, unprofiled one — with phase 1
 (``reorder``) split into MC64, the fill-reducing ordering and the
 ``permute`` calls by timing wrappers, and the ordering split again into
 the AMD core (seconds, calls, pivots) and the pseudo-peripheral
@@ -30,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import repro.core.solver as solver_mod  # noqa: E402
 import repro.ordering.nd as nd_mod  # noqa: E402
 from repro import PanguLU  # noqa: E402
+from repro.analysis import describe_ordering  # noqa: E402
 from repro.sparse import CSCMatrix, generate  # noqa: E402
 
 # the package re-exports the function `amd` under the submodule's name
@@ -88,11 +91,14 @@ def main(argv: list[str] | None = None) -> int:
         solver.preprocess()
     print(f"{args.matrix} x{args.scale}: n = {a.nrows}, nnz = {a.nnz}, "
           f"nnz(L+U) = {solver.symbolic.nnz_lu}")
+    kept = describe_ordering(solver.options.ordering, solver.ordering_kept)
+    print(f"  ordering    {kept}")
     for phase, seconds in solver.phase_seconds.items():
         print(f"  {phase:<12s}{seconds:8.3f} s")
         if phase == "reorder":
             # preprocess() calls permute in phase 1 only, and (ordering
-            # "best" aside) not from inside the two functions above
+            # "best" aside) not from inside the two functions above; the
+            # symbolic passes that decide the order print as "symbolic"
             for part in ("mc64", "fill_reducing_ordering", "permute"):
                 print(f"    {part:<24s}{split[part][0]:8.3f} s")
                 if part != "fill_reducing_ordering":

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import PanguLU, SolverOptions
-from .analysis import format_table
+from .analysis import describe_ordering, format_table
 from .core.solver import ORDERINGS
 from .sparse import (
     generate,
@@ -75,6 +75,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"n = {a.nrows}, nnz = {a.nnz}, "
           f"nnz(L+U) = {solver.symbolic.nnz_lu}, "
           f"blocks = {blocks.nb}×{blocks.nb} {shape}")
+    print(f"ordering = {describe_ordering(args.ordering, solver.ordering_kept)}")
     print(f"engine = {solver.options.resolved_engine()}, "
           f"factor dtype = {solver.blocks.dtype}, "
           f"relative residual = {solver.residual_norm(x, b):.3e}")
@@ -119,8 +120,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if args.symbolic and a.nrows == a.ncols:
         solver = PanguLU(a)
         sym = solver.symbolic_factorize()
-        print(f"nnz(L+U)  : {sym.nnz_lu}  (fill ratio {sym.fill_ratio:.2f}, "
-              f"after MC64 + {solver.options.ordering} ordering)")
+        print(f"nnz(L+U)  : {sym.nnz_lu}  (fill ratio {sym.fill_ratio:.2f}, after MC64)")
+        print(f"ordering  : "
+              f"{describe_ordering(solver.options.ordering, solver.ordering_kept)}")
     return 0
 
 

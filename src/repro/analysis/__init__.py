@@ -3,7 +3,7 @@ report formatting/aggregation used by the benchmark harness."""
 
 from .density import DENSITY_BIN_LABELS, gemm_density_histogram
 from .gantt import render_gantt
-from .report import format_table, geometric_mean, speedup_summary
+from .report import describe_ordering, format_table, geometric_mean, speedup_summary
 
 __all__ = [
     "gemm_density_histogram",
@@ -12,4 +12,5 @@ __all__ = [
     "render_gantt",
     "format_table",
     "speedup_summary",
+    "describe_ordering",
 ]

@@ -1,8 +1,9 @@
 """Reporting helpers shared by the benchmark harness.
 
 Plain-text table rendering (the benches print the same rows the paper's
-tables/figures report) and the geometric-mean speedup aggregation the
-paper uses throughout its evaluation.
+tables/figures report), the geometric-mean speedup aggregation the
+paper uses throughout its evaluation, and phase 1's ordering decision in
+words.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["geometric_mean", "format_table", "speedup_summary"]
+__all__ = ["geometric_mean", "format_table", "speedup_summary", "describe_ordering"]
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -62,3 +63,20 @@ def speedup_summary(speedups: dict[str, float]) -> str:
         f"geomean {gm:.2f}x, range {min(vals):.2f}x – {max(vals):.2f}x "
         f"over {len(vals)} matrices"
     )
+
+
+def describe_ordering(asked: str, kept: dict) -> str:
+    """One line for a facade's ``ordering_kept`` record: the order phase 1
+    kept, its ``nnz(L+U)`` and the input order's envelope bound.
+
+    >>> print(describe_ordering("nd", {"ordering": "natural", "nnz_lu": 990108,
+    ...                                "envelope_nnz_lu": 992798}))
+    natural (nd passed the input order's envelope 992798): nnz(L+U) 990108
+    """
+    bound = kept["envelope_nnz_lu"]
+    if bound is None:
+        return f"{asked} (not checked): nnz(L+U) {kept['nnz_lu']}"
+    if kept["ordering"] != asked:
+        return (f"{kept['ordering']} ({asked} passed the input order's envelope "
+                f"{bound}): nnz(L+U) {kept['nnz_lu']}")
+    return f"{asked}: nnz(L+U) {kept['nnz_lu']} within the input order's envelope {bound}"

@@ -4,8 +4,9 @@ Mirrors :class:`repro.core.solver.PanguLU` phase for phase so every
 comparison in the paper's evaluation has a like-for-like counterpart:
 
 1. reordering — *identical* to PanguLU (MC64 + the same fill-reducing
-   ordering), so differences downstream are attributable to the methods
-   under test, not the permutation;
+   ordering, or the input order where its envelope has less fill), so
+   differences downstream are attributable to the methods under test,
+   not the permutation;
 2. symbolic — Gilbert–Peierls column-DFS fill (the baseline's exact
    unsymmetric pattern) — slower than PanguLU's etree walk, as Fig. 11
    measures;
@@ -76,18 +77,20 @@ class SuperLUBaseline:
         self.row_perm: np.ndarray | None = None
         self.col_perm: np.ndarray | None = None
         self.symbolic: SymbolicResult | None = None
+        self.ordering_kept: dict | None = None
         self.partition: SupernodePartition | None = None
         self.panels: SupernodalMatrix | None = None
         self.numeric_stats: SupernodalStats | None = None
         self._factorized = False
 
     def reorder(self) -> CSCMatrix:
-        """Phase 1 — PanguLU's, by the same function."""
+        """Phase 1 — PanguLU's, by the same function (the symmetric
+        symbolic pass that decides the order is part of it here)."""
         t0 = time.perf_counter()
         (
             self.row_scale, self.col_scale, self.row_perm, self.col_perm,
-            self._reordered,
-        ) = reorder_and_scale(self.a, self.options.ordering)
+            self._reordered, _, self.ordering_kept,
+        ) = reorder_and_scale(self.a, self.options.ordering, {})
         self.phase_seconds["reorder"] = time.perf_counter() - t0
         return self._reordered
 

@@ -19,8 +19,8 @@ from ..core.blocking import BlockMatrix, block_partition, choose_block_size
 from ..core.dag import TaskDAG, TaskType
 from ..core.numeric import FactorJob, NumericOptions
 from ..core.solver import (
-    REFINE_MAX_ITER, REFINE_TOL, checked_rhs, fill_reducing_ordering,
-    refined_solve, require_at_least_one,
+    REFINE_MAX_ITER, REFINE_TOL, checked_rhs, order_by_fill, refined_solve,
+    require_at_least_one,
 )
 from ..core.tsolve import gather
 from ..core.tsolve_dag import block_line_sources
@@ -30,7 +30,7 @@ from ..kernels.tstrf import tstrf_c_v2
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import RunReport, SchedulerCore
 from ..sparse.csc import CSCMatrix
-from ..symbolic import SymbolicResult, symbolic_symmetric
+from ..symbolic import SymbolicResult
 from .kernels import build_llt_dag, l_inverse, potrf
 
 __all__ = ["CholeskyOptions", "LLtJob", "PanguLLt"]
@@ -111,6 +111,7 @@ class PanguLLt:
         self.phase_seconds: dict[str, float] = {}
         self.perm: np.ndarray | None = None
         self.symbolic: SymbolicResult | None = None
+        self.ordering_kept: dict | None = None
         self.blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
         self.flops: int = 0   # SYRK flops, the Schur work LU's SSSSM doubles
@@ -121,8 +122,9 @@ class PanguLLt:
     def preprocess(self) -> BlockMatrix:
         """Ordering + symbolic + blocking of the lower triangle + DAG."""
         t0 = time.perf_counter()
-        self.perm = fill_reducing_ordering(self.a, self.options.ordering)
-        self.symbolic = symbolic_symmetric(self.a.permute(self.perm, self.perm))
+        self.perm, _, self.symbolic, self.ordering_kept = order_by_fill(
+            self.a, self.options.ordering, {}
+        )
         lower = _lower_triangle(self.symbolic.filled)
         bs = self.options.block_size or choose_block_size(
             lower.ncols, self.symbolic.filled.nnz

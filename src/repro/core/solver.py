@@ -5,9 +5,11 @@
 1. **Reordering** — MC64 row permutation + scaling for a large diagonal
    (numerical stability under static pivoting), then a fill-reducing
    symmetric permutation (nested dissection by default, AMD/RCM/natural
-   selectable).
+   selectable), kept only if its fill stays within the envelope of the
+   input order (:func:`order_by_fill`).
 2. **Symbolic factorisation** — symmetric-pruned fill of the reordered
-   matrix (:func:`repro.symbolic.symbolic_symmetric`).
+   matrix (:func:`repro.symbolic.symbolic_symmetric`), the capped pass
+   that made phase 1's decision.
 3. **Preprocessing** — block-size selection, regular 2D blocking into the
    two-layer sparse structure, task-DAG construction, block→rank
    placement.
@@ -38,7 +40,7 @@ from ..ordering import amd, colamd, mc64, nested_dissection, rcm
 from ..runtime.scheduler import ENGINE_SHAPES, EventRecorder, RunReport
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import ensure_diagonal
-from ..symbolic import SymbolicResult, symbolic_symmetric
+from ..symbolic import SymbolicResult, envelope_profile, symbolic_symmetric
 from .blocking import BlockMatrix, block_partition
 from .dag import TaskDAG, build_dag
 # not called here: the benchmark harness wraps this module's
@@ -54,7 +56,7 @@ from .verify import verify_dag
 __all__ = [
     "SolverOptions", "Factorization", "PanguLU", "RefinementStalled",
     "REFINE_TOL", "REFINE_MAX_ITER", "ORDERINGS", "fill_reducing_ordering",
-    "reorder_and_scale", "checked_rhs", "refined_solve",
+    "order_by_fill", "reorder_and_scale", "checked_rhs", "refined_solve",
 ]
 
 #: Relative-residual target ``max_j ‖b_j − A x_j‖ / ‖b_j‖`` of the
@@ -213,19 +215,41 @@ def fill_reducing_ordering(work: CSCMatrix, ordering: str) -> np.ndarray:
     return ORDERINGS[ordering](work)
 
 
-def reorder_and_scale(a: CSCMatrix, ordering: str):
+def order_by_fill(work: CSCMatrix, ordering: str, spent: dict[str, float]):
+    """The symmetric order phase 1 keeps for ``work``, with its symbolic
+    factorisation.  Orders as asked and runs the symbolic once, capped at
+    the input order's :func:`~repro.symbolic.envelope_profile` — a bound
+    on the input order's own fill.  If the cap trips, the input order has
+    less fill and is kept instead, so the rule never adds fill.  Returns
+    ``(perm, reordered, symbolic, kept)``: ``reordered`` is
+    ``work[perm][:, perm]`` with a full diagonal, ``kept`` the record
+    ``{"ordering", "nnz_lu", "envelope_nnz_lu"}`` (``None`` for the bound
+    when ``"natural"`` was asked and nothing was checked).  The symbolic
+    passes' seconds land in ``spent["symbolic"]``."""
+    p = fill_reducing_ordering(work, ordering)
+    reordered = ensure_diagonal(work.permute(p, p))
+    t0, n, kept = time.perf_counter(), work.ncols, ordering
+    bound = None if ordering == "natural" else envelope_profile(work)
+    sym = symbolic_symmetric(reordered, limit=bound)
+    if sym is None:
+        p, reordered, kept = np.arange(n, dtype=np.int64), ensure_diagonal(work), "natural"
+        sym = symbolic_symmetric(reordered)
+    spent["symbolic"] = time.perf_counter() - t0
+    envelope = None if bound is None else 2 * (bound + n)   # in nnz_lu's units
+    return p, reordered, sym, {"ordering": kept, "nnz_lu": sym.nnz_lu,
+                               "envelope_nnz_lu": envelope}
+
+
+def reorder_and_scale(a: CSCMatrix, ordering: str, spent: dict[str, float]):
     """Phase 1 of the LU-shaped facades: MC64 row permutation + scaling,
-    then the fill-reducing symmetric permutation, then a structurally
-    full diagonal.  Returns ``(row_scale, col_scale, row_perm, col_perm,
-    reordered)`` with ``reordered = (Dr A Dc)[row_perm][:, col_perm]`` —
-    the matrix the later phases factorise."""
+    then :func:`order_by_fill`'s symmetric permutation and symbolic pass.
+    Returns ``(row_scale, col_scale, row_perm, col_perm, reordered,
+    symbolic, kept)`` with ``reordered = (Dr A Dc)[row_perm][:, col_perm]``
+    — the matrix the later phases factorise."""
     res = mc64(a)
     work = a.scale(res.row_scale, res.col_scale).permute(res.row_perm, None)
-    p = fill_reducing_ordering(work, ordering)
-    return (
-        res.row_scale, res.col_scale, res.row_perm[p], p,
-        ensure_diagonal(work.permute(p, p)),
-    )
+    p, reordered, sym, kept = order_by_fill(work, ordering, spent)
+    return res.row_scale, res.col_scale, res.row_perm[p], p, reordered, sym, kept
 
 
 def require_at_least_one(options, *names: str) -> None:
@@ -321,6 +345,12 @@ class SolverOptions:
         the paper's choice), ``"amd"``, ``"colamd"``, ``"rcm"``,
         ``"natural"``, or ``"best"`` (evaluate ND and AMD, keep the one
         with least fill).  MC64 permutation/scaling always runs first.
+        The asked order is kept unless its fill passes the input order's
+        envelope, an upper bound on the input order's own fill; then the
+        input (``"natural"``) order is kept, so the rule never adds fill
+        (:func:`order_by_fill`; the facade's ``ordering_kept`` records
+        which order it kept, its ``nnz_lu`` and the bound).  ``"natural"``
+        itself is not checked.
     blocking:
         Blocking strategy for the two-layer structure: ``"regular"``
         (uniform block size — the paper's Section 4.1 layout, default)
@@ -805,6 +835,7 @@ class PanguLU:
         self.row_perm: np.ndarray | None = None   # combined row permutation
         self.col_perm: np.ndarray | None = None   # fill-reducing permutation
         self.symbolic: SymbolicResult | None = None
+        self.ordering_kept: dict | None = None    # order_by_fill's record
         self.blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
         self.placement: PlacementPolicy | None = None
@@ -817,23 +848,24 @@ class PanguLU:
     # phases
     # ------------------------------------------------------------------
     def reorder(self) -> CSCMatrix:
-        """Phase 1: MC64 + fill-reducing ordering; returns the reordered,
-        scaled matrix the later phases factorise."""
-        t0 = time.perf_counter()
+        """Phases 1 and 2: MC64 + the ordering :func:`order_by_fill` keeps,
+        whose capped symbolic pass is phase 2 (timed as ``"symbolic"``);
+        returns the reordered, scaled matrix the later phases factorise."""
+        t0, spent = time.perf_counter(), {}
         (
             self.row_scale, self.col_scale, self.row_perm, self.col_perm,
-            self._reordered,
-        ) = reorder_and_scale(self.a, self.options.ordering)
-        self.phase_seconds["reorder"] = time.perf_counter() - t0
+            self._reordered, self.symbolic, self.ordering_kept,
+        ) = reorder_and_scale(self.a, self.options.ordering, spent)
+        self.phase_seconds["reorder"] = time.perf_counter() - t0 - spent["symbolic"]
+        self.phase_seconds["symbolic"] = spent["symbolic"]
         return self._reordered
 
     def symbolic_factorize(self) -> SymbolicResult:
-        """Phase 2: symmetric-pruned fill pattern of the reordered matrix."""
-        if self.col_perm is None:
+        """Phase 2: symmetric-pruned fill pattern of the reordered matrix
+        — the result of :meth:`reorder`'s capped pass, which chose the
+        order."""
+        if self.symbolic is None:
             self.reorder()
-        t0 = time.perf_counter()
-        self.symbolic = symbolic_symmetric(self._reordered)
-        self.phase_seconds["symbolic"] = time.perf_counter() - t0
         return self.symbolic
 
     def preprocess(self) -> BlockMatrix:

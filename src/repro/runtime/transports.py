@@ -30,6 +30,7 @@ payloads).
 
 from __future__ import annotations
 
+import pickle
 import queue as queue_mod
 import threading
 import time
@@ -176,12 +177,15 @@ class _MPEndpoint(Endpoint):
         self._result_q = result_q
 
     def send(self, dst: int, payload) -> None:
-        self._inboxes[dst].put(payload)
+        # pickled on the sending lane, not on the queue's feeder thread,
+        # which would drop a payload that fails to pickle and leave the
+        # receiver starving until the timeout: here it raises in the rank
+        # that sent it, which posts the failure as its "error"
+        self._inboxes[dst].put(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
     def recv(self, block: bool = True):
-        if block:
-            return self._inboxes[self.rank].get()
-        return self._inboxes[self.rank].get_nowait()
+        inbox = self._inboxes[self.rank]
+        return pickle.loads(inbox.get() if block else inbox.get_nowait())
 
     def post_result(self, msg) -> None:
         self._result_q.put(msg)

@@ -7,7 +7,13 @@ from .etree import (
     elimination_tree,
     postorder,
 )
-from .fill import SymbolicResult, entry_positions, fill_in_values, symbolic_symmetric
+from .fill import (
+    SymbolicResult,
+    entry_positions,
+    envelope_profile,
+    fill_in_values,
+    symbolic_symmetric,
+)
 
 __all__ = [
     "elimination_tree",
@@ -15,6 +21,7 @@ __all__ = [
     "postorder",
     "SymbolicResult",
     "symbolic_symmetric",
+    "envelope_profile",
     "entry_positions",
     "fill_in_values",
 ]

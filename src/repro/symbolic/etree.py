@@ -87,7 +87,9 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return post
 
 
-def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def column_structures(
+    s: CSCMatrix, limit: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Elimination tree and below-diagonal column structures of the
     Cholesky factor ``L`` of a structurally symmetric pattern ``s``.
 
@@ -105,6 +107,9 @@ def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Returns ``(parent, ptr, rows)``: the etree (−1 for roots, the same tree
     as :func:`elimination_tree`) and the structures in CSC form without
     the diagonal — ``rows[ptr[j]:ptr[j + 1]]`` is ``struct(L_j)``, sorted.
+    With a ``limit``, the sweep stops and returns ``None`` at the first
+    column where the running count of entries passes it — exactly when
+    the whole count would.
     """
     n = s.ncols
     rows, cols = s.rows_cols()
@@ -118,6 +123,7 @@ def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     structs: list[np.ndarray] = []
     # what the completed children of j pass up: their structures minus j
     inherited: list[list[np.ndarray]] = [[] for _ in range(n)]
+    count = 0
     for j in range(n):
         parts = inherited[j]
         own = own_rows[own_ptr[j] : own_ptr[j + 1]]
@@ -131,6 +137,10 @@ def column_structures(s: CSCMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             struct = own
         inherited[j] = None
         structs.append(struct)
+        if limit is not None:
+            count += struct.size
+            if count > limit:
+                return None
         if struct.size:
             p = int(struct[0])
             parent[j] = p

@@ -35,7 +35,10 @@ from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import concat_ranges, symmetrize_pattern
 from .etree import column_structures
 
-__all__ = ["SymbolicResult", "symbolic_symmetric", "entry_positions", "fill_in_values"]
+__all__ = [
+    "SymbolicResult", "symbolic_symmetric", "envelope_profile", "entry_positions",
+    "fill_in_values",
+]
 
 
 @dataclass(frozen=True)
@@ -81,18 +84,25 @@ class SymbolicResult:
         return self.filled.nnz / (self.nnz_a or 1)
 
 
-def symbolic_symmetric(a: CSCMatrix) -> SymbolicResult:
+def symbolic_symmetric(a: CSCMatrix, *, limit: int | None = None) -> SymbolicResult | None:
     """Exact fill pattern of the symmetrised matrix (PanguLU's symbolic).
 
     The column structures of ``L`` are the strict lower triangle of the
     filled pattern; ``U``'s pattern is the transpose (one stable argsort),
     and column ``j`` of the result is written as upper part, diagonal,
     lower part.  O(|L| log) after the symmetrisation.
+
+    ``limit`` caps the strict lower count: the pass returns ``None`` as
+    soon as that count exceeds it (see :func:`envelope_profile` for the
+    cap phase 1 uses), and otherwise the uncapped result.
     """
     if a.nrows != a.ncols:
         raise ValueError("symbolic factorisation requires a square matrix")
     n = a.ncols
-    parent, low_ptr, low_rows = column_structures(symmetrize_pattern(a))
+    structures = column_structures(symmetrize_pattern(a), limit)
+    if structures is None:
+        return None
+    parent, low_ptr, low_rows = structures
     nnz_strict = low_rows.size
     low_counts = np.diff(low_ptr)
     low_cols = np.repeat(np.arange(n, dtype=np.int64), low_counts)
@@ -119,6 +129,24 @@ def symbolic_symmetric(a: CSCMatrix) -> SymbolicResult:
         nnz_u=nnz_strict + n,
         a_positions=positions,
     )
+
+
+def envelope_profile(a: CSCMatrix) -> int:
+    """Profile of ``A + Aᵀ`` in its stored order: ``Σᵢ (i − fᵢ)``, ``fᵢ``
+    the first column of row ``i`` (``i`` itself when the row has nothing
+    left of the diagonal) — the strict lower entries of the envelope.
+
+    Cholesky fill stays inside the envelope (George & Liu), so this is an
+    upper bound on the strict lower count :func:`symbolic_symmetric`
+    finds for this order.  O(nnz): the first neighbours of both
+    triangles are two ``np.minimum.at``, with no symmetrised copy built.
+    """
+    n = a.ncols
+    rows, cols = a.rows_cols()
+    first = np.arange(n, dtype=np.int64)
+    np.minimum.at(first, rows, cols)
+    np.minimum.at(first, cols, rows)
+    return n * (n - 1) // 2 - int(first.sum())
 
 
 def entry_positions(pattern: CSCMatrix, a: CSCMatrix) -> np.ndarray:

@@ -183,6 +183,17 @@ def symbolic_symmetric(a: CSCMatrix) -> tuple[CSCMatrix, np.ndarray, int]:
     return fill_in_values(pattern, a), parent, len(lower_rows)
 
 
+def envelope_profile(a: CSCMatrix) -> int:
+    """``Σᵢ (i − fᵢ)`` over ``A + Aᵀ``, one stored entry at a time: entry
+    ``(r, j)`` puts ``min(r, j)`` in row ``max(r, j)``."""
+    first = list(range(a.ncols))
+    for j in range(a.ncols):
+        for r in a.indices[a.col_slice(j)].tolist():
+            lo, hi = min(r, j), max(r, j)
+            first[hi] = min(first[hi], lo)
+    return sum(i - f for i, f in enumerate(first))
+
+
 # ----------------------------------------------------------------------
 # ordering: set-based AMD, exact minimum degree, list-based BFS,
 # George's nested dissection, RCM

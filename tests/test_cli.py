@@ -62,7 +62,16 @@ class TestInfo:
     def test_info_symbolic(self, capsys):
         rc = main(["info", "ecology1", "--scale", "0.12", "--symbolic"])
         assert rc == 0
-        assert "nnz(L+U)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "nnz(L+U)" in out
+        assert re.search(r"ordering  : nd: nnz\(L\+U\) \d+ within the input order's envelope", out)
+
+    def test_info_and_solve_name_the_order_phase_one_kept(self, capsys):
+        # the banded digraph: ND's separators pass the input order's envelope
+        assert main(["info", "cage12", "--scale", "0.2", "--symbolic"]) == 0
+        assert main(["solve", "cage12", "--scale", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("natural (nd passed the input order's envelope 10864)") == 2
 
 
 class TestGenerate:

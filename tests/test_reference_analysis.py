@@ -45,6 +45,7 @@ from repro.symbolic import (
     column_structures,
     elimination_tree,
     entry_positions,
+    envelope_profile,
     fill_in_values,
     symbolic_symmetric,
 )
@@ -176,6 +177,14 @@ class TestSweep:
         below = w_rows > w_cols
         np.testing.assert_array_equal(rows, w_rows[below])
         np.testing.assert_array_equal(np.diff(ptr), np.bincount(w_cols[below], minlength=a.ncols))
+
+    def test_envelope_profile_and_capped_symbolic(self, name):
+        a = matrix(name)
+        assert envelope_profile(a) == ref.envelope_profile(a)
+        _, _, nnz_strict = ref.symbolic_symmetric(a)
+        assert symbolic_symmetric(a, limit=nnz_strict - 1) is None
+        sym = symbolic_symmetric(a, limit=nnz_strict)
+        assert sym is not None and sym.nnz_l == nnz_strict + a.ncols
 
     def test_orderings(self, name):
         assert_same_orderings(matrix(name))
@@ -374,7 +383,7 @@ def test_disconnected_graph_and_masked_bfs():
 def test_phase_one_at_benchmark_scale():
     # grid2d_seq's matrix (benchmarks/e2e/workloads.py)
     a = generate("ecology1", scale=4.0, seed=0)
-    _, _, row_perm, col_perm, _ = reorder_and_scale(a, "nd")
+    _, _, row_perm, col_perm, *_ = reorder_and_scale(a, "nd", {})
     res = mc64(a)
     want = ref.nested_dissection(a.scale(res.row_scale, res.col_scale)
                                  .permute(res.row_perm, None))

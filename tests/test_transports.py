@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -135,6 +136,18 @@ def _exit_without_result(rank, recorder):
     os._exit(3)
 
 
+def _send_unpicklable(rank, endpoint):
+    """Rank 0 sends rank 1 a payload that cannot be pickled; rank 1 waits
+    for it, as a consumer of that message would."""
+    if rank == 1:
+        endpoint.recv()
+        return
+    try:
+        endpoint.send(1, ("block", threading.Lock()))
+    except Exception as exc:
+        endpoint.post_result(("error", rank, repr(exc)))
+
+
 class TestMultiprocessingResults:
     """A rank process that exits without posting fails the run as soon as
     it is seen dead, not when the (here 120 s) timeout runs out."""
@@ -168,6 +181,41 @@ class TestMultiprocessingResults:
                 lambda result: None, transport=None, timeout=120.0,
                 recorder=None,
             )
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_unpicklable_message_fails_in_the_sending_rank(self):
+        """The payload is pickled by the sender, so the failure is the
+        sender's first result — within one poll slice, not a starved
+        receiver waiting out the timeout."""
+        transport = MultiprocessingTransport()
+        transport.start(2, _send_unpicklable, lambda rank: ())
+        t0 = time.perf_counter()
+        kind, rank, error = transport.get_result(120.0)
+        assert time.perf_counter() - t0 < 10.0
+        assert (kind, rank) == ("error", 0) and "pickle" in error.lower()
+        transport.terminate()
+        transport.join(timeout=5)
+
+    def test_unpicklable_block_payload_names_its_rank(self, monkeypatch):
+        """The same through the numeric engine: a block message that does
+        not pickle fails the run at once, naming the rank that sent it.
+        The ranks are forked, so they inherit the patched job."""
+        from repro.runtime.distributed import _RankFactorJob
+
+        outgoing = _RankFactorJob.outgoing
+
+        def poisoned(self, tid):
+            published = outgoing(self, tid)
+            if published is None:
+                return None
+            dests, msg, nbytes = published
+            return dests, (msg, threading.Lock()), nbytes
+
+        monkeypatch.setattr(_RankFactorJob, "outgoing", poisoned)
+        bm, dag = _prepared(seed=4)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"^rank \d: .*pickle"):
+            factorize_distributed(bm, dag, 2, timeout=120.0)
         assert time.perf_counter() - t0 < 10.0
 
 
