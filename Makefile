@@ -3,7 +3,7 @@
 check:
 	sh scripts/check.sh
 
-# the project-specific lint (all 6 rules, per-file and whole-program)
+# the project-specific lint (all 5 rules, one module at a time)
 # needs only the stdlib, so it always runs; ruff adds the generic rules
 # wherever it is installed
 lint:

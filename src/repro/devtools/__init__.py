@@ -6,10 +6,9 @@ mutation — or an in-place write to a block another rank still reads —
 silently corrupts the factors.  Generic linters cannot check those
 invariants, so this package encodes the ones no run-time check catches:
 :mod:`repro.devtools.astlint` is an AST static-analysis pass with one
-catalogue of 6 project-specific rules — per-module ones (lock
-discipline and lock order, no re-forked task loop, kernel purity,
-exception hygiene, explicit dtypes) and the whole-program dtype flow of
-:mod:`repro.devtools.flow`.  Run every rule with
+catalogue of 5 project-specific rules, each checking one module at a
+time (lock discipline and lock order, no re-forked task loop, kernel
+purity, exception hygiene, explicit dtypes).  Run every rule with
 ``python -m repro.devtools.lint src``.
 
 The run-time half needs no tooling: every engine run checks the counter

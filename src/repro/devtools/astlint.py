@@ -2,15 +2,11 @@
 
 A deliberately small rule framework: each rule is an object with a
 ``name``, a set of file patterns it applies to, and a ``check`` method
-that walks a parsed module and yields :class:`Finding`\\ s.  A
-:class:`ProjectRule` instead checks the whole analysis set at once, over
-the :class:`~repro.devtools.flow.project.Project` symbol table and call
-graph built from the same parse.  The per-file rules live in
-:mod:`repro.devtools.rules`, the whole-program one in
-:mod:`repro.devtools.flow`; together they encode invariants of *this*
-codebase — the lock discipline and lock order of the lane driver, its
-one task loop, kernel purity, dtype flow — none of which a generic
-linter can know about.
+that walks one parsed module and yields :class:`Finding`\\ s.  The
+rules live in :mod:`repro.devtools.rules`; they encode invariants of
+*this* codebase — the lock discipline and lock order of the lane
+driver, its one task loop, kernel purity, explicit dtypes — none of
+which a generic linter can know about.
 
 There is no suppression comment: a finding is fixed in the code, or
 the rule is fixed.
@@ -28,16 +24,11 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .flow.project import Project
 
 __all__ = [
     "Finding",
     "FileContext",
     "Rule",
-    "ProjectRule",
     "register",
     "all_rules",
     "lint_source",
@@ -107,15 +98,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """Base class of a whole-program rule: it runs once per analysis,
-    over every file at once, and implements :meth:`check_project`
-    instead of :meth:`check`."""
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        raise NotImplementedError
-
-
 _RULES: dict[str, Rule] = {}
 
 
@@ -130,7 +112,7 @@ def register(cls: type[Rule]) -> type[Rule]:
 def all_rules() -> dict[str, Rule]:
     """Name → rule instance for every registered rule (loads the rule
     modules on first use)."""
-    from . import flow, rules  # noqa: F401  (importing registers the rules)
+    from . import rules  # noqa: F401  (importing registers the rules)
 
     return dict(_RULES)
 
@@ -153,13 +135,9 @@ def _analyze(
     path_filters: bool,
 ) -> list[Finding]:
     """The one driver: parse each ``(path, source)`` once, then run each
-    of ``rules`` — a per-file rule on each file it applies to (on every
-    file when ``path_filters`` is off), a :class:`ProjectRule` once over
-    the project built from the same trees."""
-    from .flow.project import Project
-
+    of ``rules`` that applies to it (every rule when ``path_filters`` is
+    off)."""
     findings: list[Finding] = []
-    parsed: dict[str, tuple[ast.Module, FileContext]] = {}
     for path, source in sources:
         try:
             tree = ast.parse(source, filename=path)
@@ -169,18 +147,8 @@ def _analyze(
                 f"cannot parse: {exc.msg}",
             ))
             continue
-        parsed[path] = (tree, FileContext(path))
-
-    project: Project | None = None
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            if project is None:
-                project = Project(
-                    (path, tree) for path, (tree, _) in parsed.items()
-                )
-            findings.extend(rule.check_project(project))
-            continue
-        for path, (tree, ctx) in parsed.items():
+        ctx = FileContext(path)
+        for rule in rules:
             if not path_filters or rule.applies_to(path):
                 findings.extend(rule.check(tree, ctx))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -210,7 +178,7 @@ def lint_paths(
     paths: Iterable[str | Path],
     select: Sequence[str] | None = None,
 ) -> list[Finding]:
-    """Lint files and directory trees as one analysis set (``**/*.py``;
+    """Lint files and directory trees (``**/*.py`` under a directory;
     deliberate-violation fixtures under ``devtools_fixtures`` are skipped
     when walking a tree, analysed when named)."""
     rules = _resolve(select)

@@ -1,9 +1,8 @@
 """CLI for the project-specific static analysis:
 ``python -m repro.devtools.lint``.
 
-Runs every rule of the catalogue — the per-file rules and the
-whole-program ones — over one parse of the given files.  Exits 0 when
-no finding fires, 1 otherwise — this is the gate wired into
+Runs every rule of the catalogue over one parse of the given files.
+Exits 0 when no finding fires, 1 otherwise — this is the gate wired into
 ``make lint`` and ``scripts/check.sh``; unlike ruff it has no
 dependencies, so it runs everywhere.
 
@@ -12,7 +11,7 @@ Examples::
     python -m repro.devtools.lint src
     python -m repro.devtools.lint src --format json
     python -m repro.devtools.lint src/repro/runtime --select lock-discipline
-    python -m repro.devtools.lint src --select dtype-flow
+    python -m repro.devtools.lint src --select no-implicit-float64
     python -m repro.devtools.lint --list-rules
 """
 

@@ -1,4 +1,4 @@
-"""Shared AST helpers for the lint rules and the flow passes.
+"""Shared AST helpers for the lint rules.
 
 The rules reason about a few recurring questions — *what dotted name is
 this expression*, *what object does this statement mutate*, *which

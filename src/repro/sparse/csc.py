@@ -224,10 +224,6 @@ class CSCMatrix:
         """Return the ``data``/``indices`` slice covering column ``j``."""
         return slice(int(self.indptr[j]), int(self.indptr[j + 1]))
 
-    def col_nnz(self) -> np.ndarray:
-        """Per-column nonzero counts."""
-        return np.diff(self.indptr)
-
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------

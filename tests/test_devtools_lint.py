@@ -13,7 +13,6 @@ import pytest
 
 from repro.devtools import lint as lint_cli
 from repro.devtools.astlint import (
-    ProjectRule,
     all_rules,
     lint_file,
     lint_paths,
@@ -142,13 +141,7 @@ def test_every_per_file_rule_has_a_seeded_module():
 
 
 def test_every_registered_rule_has_fixtures():
-    """The per-file rules are paired here; the whole-program ones in
-    ``test_devtools_flow.py``."""
-    per_file = {
-        name for name, rule in all_rules().items()
-        if not isinstance(rule, ProjectRule)
-    }
-    assert per_file == set(RULE_FIXTURES)
+    assert set(all_rules()) == set(RULE_FIXTURES)
 
 
 def test_rule_finding_details():
@@ -316,6 +309,9 @@ def test_path_filters_keep_rules_off_foreign_files():
 def test_lint_paths_skips_fixture_directory():
     findings = lint_paths([FIXTURES.parent])
     assert not any("devtools_fixtures" in f.path for f in findings)
+    # a fixture named explicitly is analysed, not skipped like a walked one
+    named = FIXTURES / "counter_protocol_flag.py"
+    assert lint_paths([named], select=["counter-protocol"])
 
 
 def test_unknown_select_raises():
@@ -351,7 +347,9 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert "[counter-protocol]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("select", [[], ["lock-discipline"], ["dtype-flow"]])
+@pytest.mark.parametrize(
+    "select", [[], ["lock-discipline"], ["no-implicit-float64"]]
+)
 def test_cli_missing_path_is_a_usage_error(select, capsys):
     argv = ["no/such/dir"] + [a for name in select for a in ("--select", name)]
     with pytest.raises(SystemExit) as exc:
@@ -362,9 +360,8 @@ def test_cli_missing_path_is_a_usage_error(select, capsys):
 
 def test_cli_list_rules(capsys):
     assert lint_cli.main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for name in RULE_FIXTURES:
-        assert name in out
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted(RULE_FIXTURES)
 
 
 def test_cli_json_format(capsys, tmp_path):
