@@ -84,7 +84,8 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # their exports), +9 in analysis/ (describe_ordering), +5 in the CLI, baseline/ and
 # cholesky/ (recording the order phase 1 kept)
 # then -431: the devtools/ -429 below, -2 in sparse/ (CSCMatrix.col_nnz, never called)
-MAX_SRC_LINES=8821
+# then -1 in ordering/: ND numbers each separator in ascending order (no AMD call on it)
+MAX_SRC_LINES=8820
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver

@@ -5,13 +5,14 @@ module implements recursive bisection with BFS level-structure vertex
 separators (George's original construction): root a BFS at a
 pseudo-peripheral vertex, pick the level whose removal best separates the
 graph into balanced halves, order both halves recursively, and number the
-separator last.  Subgraphs at or below ``leaf_size`` are ordered with AMD.
+separator last, in ascending vertex order (AMD inside a separator moved
+fill by under 3 % either way and cost most of ND's time).  Subgraphs at or
+below ``leaf_size`` are ordered with AMD.
 
 Every vertex set is sorted, so each one's induced subgraph is cut once as
 a local CSR (:func:`~repro.ordering.rcm.induced_subgraph`) whose local
 order is the global order; the level structures are searched on it in
-compiled code, and leaves and separators go to the AMD core as the same
-neighbour lists.
+compiled code, and leaves go to the AMD core as the same neighbour lists.
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ def _dissect(
     d = _pick_separator(np.diff(bounds))
     recurse(np.sort(order[:bounds[d]]))
     recurse(np.sort(order[bounds[d + 1]:]))
-    # separator last (eliminated after both halves)
-    sep = np.sort(order[bounds[d]:bounds[d + 1]])
-    _order_with_amd(induced_subgraph(adj, sep), vertices[sep], out)
+    # separator last (eliminated after both halves), in ascending order
+    out.extend(vertices[np.sort(order[bounds[d]:bounds[d + 1]])].tolist())
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:

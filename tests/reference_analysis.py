@@ -477,7 +477,7 @@ def _dissect(adj, vertices: np.ndarray, leaf_size: int, out: list[int]) -> None:
     _dissect(adj, vertices[(level[vertices] >= 0) & (level[vertices] < sep_level)],
              leaf_size, out)
     _dissect(adj, vertices[level[vertices] > sep_level], leaf_size, out)
-    out.extend(int(sep[i]) for i in reference_amd(_subgraph_matrix(adj, sep)))
+    out.extend(int(v) for v in np.sort(sep))
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:

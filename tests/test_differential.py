@@ -5,8 +5,8 @@ Every combination runs the whole pipeline through :class:`PanguLU` and is
 held to a normwise backward error ``‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)`` of at
 most ``1e-10`` — the bound ``splu``'s own answer is checked against too,
 so a failure is the solver's, not an ill-posed problem's.  The ranks are
-threads over the loopback transport (the distributed engine's transport
-is swapped for the test), so the sweep costs no process spawns.
+threads over the loopback transport (the distributed and hybrid engines'
+transport is swapped for the test), so the sweep costs no process spawns.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ ENGINES = {
     "sequential": {},
     "lanes2": {"engine": "threaded", "n_workers": 2},
     "ranks2": {"engine": "distributed", "nprocs": 2},
+    "hybrid2x2": {"engine": "hybrid", "nprocs": 2, "n_workers": 2},
 }
 
 

@@ -9,10 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ordering import amd, nested_dissection, rcm
-from repro.sparse import bandwidth, grid_laplacian_2d, random_sparse
+from repro.sparse import bandwidth, generate, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
 
-from .reference_analysis import minimum_degree
+from .reference_analysis import (
+    _pick_separator,
+    adjacency_lists,
+    bfs_levels,
+    minimum_degree,
+    pseudo_peripheral_vertex,
+)
 
 
 def _is_permutation(p: np.ndarray, n: int) -> bool:
@@ -101,6 +107,35 @@ class TestQuality:
         p1 = nested_dissection(g, leaf_size=16)
         p2 = nested_dissection(g, leaf_size=100)
         assert _is_permutation(p1, 144) and _is_permutation(p2, 144)
+
+
+class TestGeorgeConstruction:
+    """ND numbers the top-level separator last, in ascending order, after
+    two halves that share no edge (George's construction)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: grid_laplacian_2d(20, 20), lambda: generate("audikw_1", scale=0.5)],
+        ids=["grid20x20", "audikw_1@0.5"],
+    )
+    def test_top_level_separator_is_the_sorted_tail(self, make):
+        a = make()
+        n = a.ncols
+        adj = adjacency_lists(a)
+        start, _ = pseudo_peripheral_vertex(adj, 0)
+        _, levels = bfs_levels(adj, start)
+        assert n > 64 and sum(lv.size for lv in levels) == n  # dissected, connected
+        d = _pick_separator(levels)
+        sep = levels[d]
+        first = np.concatenate(levels[:d])
+        p = nested_dissection(a)
+        assert np.array_equal(p[n - sep.size:], np.sort(sep))
+        # the two halves come first, and no edge joins them
+        assert np.array_equal(np.sort(p[:first.size]), np.sort(first))
+        in_first = np.zeros(n, dtype=bool)
+        in_first[first] = True
+        second = p[first.size:n - sep.size]
+        assert not any(in_first[adj[v]].any() for v in second)
 
 
 @settings(max_examples=25, deadline=None)
