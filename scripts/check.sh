@@ -85,7 +85,9 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # cholesky/ (recording the order phase 1 kept)
 # then -431: the devtools/ -429 below, -2 in sparse/ (CSCMatrix.col_nnz, never called)
 # then -1 in ordering/: ND numbers each separator in ascending order (no AMD call on it)
-MAX_SRC_LINES=8820
+# then +22: +16 in ordering/ (ND orders each leaf by exact minimum degree on
+# bitsets), +6 in sparse/ (CSCMatrix's products call SciPy's compiled kernels)
+MAX_SRC_LINES=8842
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver

@@ -8,8 +8,9 @@ order, or the input order when the asked one passed the input order's
 envelope) and the ``phase_seconds`` of a second, unprofiled one — with phase 1
 (``reorder``) split into MC64, the fill-reducing ordering and the
 ``permute`` calls by timing wrappers, and the ordering split again into
-the AMD core (seconds, calls, pivots) and the pseudo-peripheral
-level-structure searches of nested dissection — and the cProfile top-N by
+the AMD core (seconds, calls, pivots), nested dissection's minimum-degree
+leaves (seconds, calls, vertices) and its pseudo-peripheral
+level-structure searches — and the cProfile top-N by
 cumulative time of a third.  cProfile taxes every Python call
 but not the work inside numpy, so the table finds candidates; the numbers
 that count are the unprofiled phase seconds and the repo benchmark's
@@ -85,9 +86,11 @@ def main(argv: list[str] | None = None) -> int:
     solver = PanguLU(a)
     with timed_calls([(solver_mod, "mc64"), (solver_mod, "fill_reducing_ordering"),
                       (CSCMatrix, "permute"), (nd_mod, "_amd_order"),
-                      (amd_mod, "_amd_order"), (nd_mod, "level_structure")],
-                     # the AMD core returns (order, pivots)
-                     tallies={"_amd_order": lambda result: result[1]}) as split:
+                      (amd_mod, "_amd_order"), (nd_mod, "_minimum_degree"),
+                      (nd_mod, "level_structure")],
+                     # the AMD core returns (order, pivots), a leaf its order
+                     tallies={"_amd_order": lambda result: result[1],
+                              "_minimum_degree": len}) as split:
         solver.preprocess()
     print(f"{args.matrix} x{args.scale}: n = {a.nrows}, nnz = {a.nnz}, "
           f"nnz(L+U) = {solver.symbolic.nnz_lu}")
@@ -104,9 +107,12 @@ def main(argv: list[str] | None = None) -> int:
                 if part != "fill_reducing_ordering":
                     continue
                 amd_s, amd_calls, amd_pivots = split["_amd_order"]
+                leaf_s, leaf_calls, leaf_vertices = split["_minimum_degree"]
                 bfs_s, bfs_calls, _ = split["level_structure"]
                 print(f"      {'AMD core':<22s}{amd_s:8.3f} s  "
                       f"({amd_calls} calls, {amd_pivots} pivots)")
+                print(f"      {'minimum-degree leaves':<22s}{leaf_s:8.3f} s  "
+                      f"({leaf_calls} calls, {leaf_vertices} vertices)")
                 print(f"      {'level structures':<22s}{bfs_s:8.3f} s  "
                       f"({bfs_calls} searches)")
     print(f"  {'setup':<12s}{sum(solver.phase_seconds.values()):8.3f} s")

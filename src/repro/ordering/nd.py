@@ -7,12 +7,16 @@ pseudo-peripheral vertex, pick the level whose removal best separates the
 graph into balanced halves, order both halves recursively, and number the
 separator last, in ascending vertex order (AMD inside a separator moved
 fill by under 3 % either way and cost most of ND's time).  Subgraphs at or
-below ``leaf_size`` are ordered with AMD.
+below ``leaf_size`` are ordered by exact minimum degree, as METIS hands its
+small subgraphs to minimum degree: on so few vertices one Python-int bitset
+of neighbours per vertex is cheaper than AMD's quotient graph.
 
 Every vertex set is sorted, so each one's induced subgraph is cut once as
 a local CSR (:func:`~repro.ordering.rcm.induced_subgraph`) whose local
 order is the global order; the level structures are searched on it in
-compiled code, and leaves go to the AMD core as the same neighbour lists.
+compiled code, and leaves are ordered from the same neighbour lists.  A
+subgraph too shallow to dissect still goes to the AMD core: on a large
+one exact minimum degree would be quadratic.
 """
 
 from __future__ import annotations
@@ -53,9 +57,30 @@ def _pick_separator(sizes: np.ndarray) -> int:
     return best
 
 
-def _order_with_amd(adj: Adjacency, vertices: np.ndarray, out: list[int]) -> None:
-    local, _ = _amd_order(adj)
-    out.extend(vertices[local].tolist())
+def _minimum_degree(adj: Adjacency) -> list[int]:
+    """Exact minimum-degree elimination order of the graph ``adj``: the
+    pivot is the lowest-index vertex of least degree in the elimination
+    graph.  Each vertex's neighbours are one Python-int bitset, and its key
+    ``degree · n + vertex`` makes that pivot the smallest key."""
+    ptr, idx = adj
+    flat, bounds = idx.tolist(), ptr.tolist()
+    n = len(bounds) - 1
+    nbrs = [sum(1 << u for u in flat[bounds[v]:bounds[v + 1]]) for v in range(n)]
+    key = [s.bit_count() * n + v for v, s in enumerate(nbrs)]
+    order: list[int] = []
+    for _ in range(n):
+        v = min(key) % n
+        key[v] = n * n                     # above every live key
+        order.append(v)
+        # v's neighbours become a clique, and v leaves their sets
+        clique = rest = nbrs[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            nbrs[u] = (nbrs[u] | clique) & ~(low | (1 << v))
+            key[u] = nbrs[u].bit_count() * n + u
+    return order
 
 
 def _dissect(
@@ -69,7 +94,7 @@ def _dissect(
     induced subgraph in local numbering, ``degree`` its full-graph
     degrees."""
     if vertices.size <= leaf_size:
-        _order_with_amd(adj, vertices, out)
+        out.extend(vertices[_minimum_degree(adj)].tolist())
         return
 
     def recurse(part: np.ndarray) -> None:
@@ -87,7 +112,7 @@ def _dissect(
 
     if len(bounds) < 4:
         # graph too shallow to dissect — fall back to AMD
-        _order_with_amd(adj, vertices, out)
+        out.extend(vertices[_amd_order(adj)[0]].tolist())
         return
 
     d = _pick_separator(np.diff(bounds))
@@ -107,8 +132,8 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     a:
         Square sparse matrix.
     leaf_size:
-        Subgraphs at or below this size are ordered with AMD instead of
-        being dissected further.
+        Subgraphs at or below this size are ordered by exact minimum
+        degree instead of being dissected further.
     """
     if a.nrows != a.ncols:
         raise ValueError("nested dissection requires a square matrix")

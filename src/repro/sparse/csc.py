@@ -24,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = ["CSCMatrix", "coo_to_csc", "concat_ranges", "VALUE_DTYPES", "as_values"]
 
@@ -440,9 +441,7 @@ class CSCMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.ncols},)")
-        y = np.zeros(self.nrows, dtype=np.float64)
-        np.add.at(y, self.indices, self.data * x[self.cols_expanded()])
-        return y
+        return self._product(x, transposed=False)
 
     def norm_1(self) -> float:
         """Matrix 1-norm (max absolute column sum)."""
@@ -465,23 +464,36 @@ class CSCMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.ncols:
             raise ValueError(f"X has shape {x.shape}, expected ({self.ncols}, k)")
-        y = np.zeros((self.nrows, x.shape[1]), dtype=np.float64)
-        np.add.at(y, self.indices, self.data[:, None] * x[self.cols_expanded()])
-        return y
+        return self._product(x, transposed=False)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Compute ``Aᵀ @ x`` for a dense vector or ``(nrows, k)`` array
         ``x`` — the transposed counterpart of :meth:`matvec` /
-        :meth:`matmat`, over the same cached column expansion."""
+        :meth:`matmat`."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[0] != self.nrows:
             raise ValueError(
                 f"x has shape {x.shape}, expected ({self.nrows},) or "
                 f"({self.nrows}, k)"
             )
-        y = np.zeros((self.ncols, *x.shape[1:]), dtype=np.float64)
-        data = self.data[:, None] if x.ndim == 2 else self.data
-        np.add.at(y, self.cols_expanded(), data * x[self.indices])
+        return self._product(x, transposed=True)
+
+    def _product(self, x: np.ndarray, *, transposed: bool) -> np.ndarray:
+        """``A @ x`` (``Aᵀ @ x`` when ``transposed``) for a checked float64
+        vector or ``(·, k)`` array: SciPy's compiled CSC product (CSR of
+        ``Aᵀ``) on the stored arrays, with no ``nnz × k`` temporary.  Each
+        output row sums its terms from zero in storage order, the order a
+        per-entry accumulation adds them in, so the bits are the same."""
+        m, n = self.shape[::-1] if transposed else self.shape
+        x = np.ascontiguousarray(x)
+        y = np.zeros((m, *x.shape[1:]), dtype=np.float64)
+        arrays = (self.indptr, self.indices, self.data.astype(np.float64, copy=False), x, y)
+        matvec, matvecs = ((_sparsetools.csr_matvec, _sparsetools.csr_matvecs) if transposed
+                           else (_sparsetools.csc_matvec, _sparsetools.csc_matvecs))
+        if x.ndim == 1:
+            matvec(m, n, *arrays)
+        else:
+            matvecs(m, n, x.shape[1], *arrays)
         return y
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:

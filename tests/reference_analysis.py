@@ -458,7 +458,7 @@ def _dissect(adj, vertices: np.ndarray, leaf_size: int, out: list[int]) -> None:
     if vertices.size == 0:
         return
     if vertices.size <= leaf_size:
-        out.extend(int(vertices[i]) for i in reference_amd(_subgraph_matrix(adj, vertices)))
+        out.extend(int(vertices[i]) for i in minimum_degree(_subgraph_matrix(adj, vertices)))
         return
     mask = np.zeros(len(adj), dtype=bool)
     mask[vertices] = True

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import CSCMatrix, coo_to_csc, random_sparse
+from repro.sparse import CSCMatrix, coo_to_csc, generate, random_sparse
 
 
 def random_dense(rng: np.random.Generator, n: int, m: int, density: float) -> np.ndarray:
@@ -97,6 +99,78 @@ class TestCooAssembly:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             coo_to_csc((2, 2), [0, 1], [0], [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# products vs per-entry accumulation
+# ---------------------------------------------------------------------------
+
+def accumulated_product(a: CSCMatrix, x: np.ndarray, transposed: bool) -> np.ndarray:
+    """``A @ x`` (``Aᵀ @ x``) one stored entry at a time in storage order,
+    every output row summed from zero in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.zeros(((a.ncols if transposed else a.nrows), *x.shape[1:]))
+    for j in range(a.ncols):
+        for p in range(a.indptr[j], a.indptr[j + 1]):
+            i, v = int(a.indices[p]), float(a.data[p])
+            if transposed:
+                y[j] += v * x[i]
+            else:
+                y[i] += v * x[j]
+    return y
+
+
+def product_cases() -> list:
+    rng = np.random.default_rng(7)
+    d = random_dense(rng, 40, 30, 0.2)
+    d[:, [0, 11, 29]] = 0.0                           # empty columns
+    d[[3, 17], :] = 0.0                               # and empty rows
+    cases = {
+        "rect-empty-cols": CSCMatrix.from_dense(d),
+        "random-f64": random_sparse(120, 0.05, seed=3),
+        "random-f32": random_sparse(120, 0.05, seed=4).astype(np.float32),
+        "ecology1": generate("ecology1", scale=0.1, seed=0),
+        "audikw_1-f32": generate("audikw_1", scale=0.1, seed=0).astype(np.float32),
+    }
+    return [pytest.param(a, id=name) for name, a in cases.items()]
+
+
+@pytest.mark.parametrize("a", product_cases())
+@pytest.mark.parametrize("k", [None, 16])
+def test_products_match_per_entry_accumulation(a, k):
+    rng = np.random.default_rng(a.nnz)
+    shape = (lambda n: (n,)) if k is None else (lambda n: (n, k))
+    x, xt = rng.standard_normal(shape(a.ncols)), rng.standard_normal(shape(a.nrows))
+    got = a.matvec(x) if k is None else a.matmat(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, accumulated_product(a, x, transposed=False))
+    assert np.array_equal(a.rmatvec(xt), accumulated_product(a, xt, transposed=True))
+
+
+def test_products_take_strided_operands_and_check_shapes():
+    a = random_sparse(50, 0.1, seed=5)
+    x = np.random.default_rng(0).standard_normal((a.ncols, 32))[:, ::2]   # not contiguous
+    assert np.array_equal(a.matmat(x), accumulated_product(a, x, transposed=False))
+    assert np.array_equal(a.rmatvec(x), accumulated_product(a, x, transposed=True))
+    assert np.array_equal(a.matvec(x[:, 3]), a.matmat(x)[:, 3])
+    for call, bad in ((a.matvec, np.zeros((50, 2))), (a.matmat, np.zeros(50)),
+                      (a.matmat, np.zeros((49, 2))), (a.rmatvec, np.zeros((50, 2, 2)))):
+        with pytest.raises(ValueError, match="shape"):
+            call(bad)
+
+
+def test_matmat_allocates_no_nnz_by_k_temporary():
+    # nnz ≈ 40 000, k = 16: an (nnz, k) float64 temporary is 5 MB against
+    # a 64 KB result
+    a = random_sparse(500, 0.16, seed=1)
+    x = np.random.default_rng(1).standard_normal((a.ncols, 16))
+    tracemalloc.start()
+    try:
+        y = a.matmat(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * y.nbytes + 65536 < a.nnz * x.shape[1] * 8
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from . import reference_analysis as ref
+import repro.ordering.nd as nd_mod
 from repro import PanguLU
 from repro.core.blocking import block_partition
 from repro.core.dag import build_dag
@@ -36,6 +37,7 @@ from repro.sparse import (
     coo_to_csc,
     ensure_diagonal,
     generate,
+    grid_laplacian_2d,
     has_full_diagonal,
     paper_matrix_names,
     random_sparse,
@@ -378,6 +380,45 @@ def test_disconnected_graph_and_masked_bfs():
         np.testing.assert_array_equal(nested_dissection(a, leaf_size=leaf),
                                       ref.nested_dissection(a, leaf_size=leaf))
     np.testing.assert_array_equal(rcm(a), ref.rcm(a))
+
+
+# ----------------------------------------------------------------------
+# nested dissection's minimum-degree leaves
+# ----------------------------------------------------------------------
+def assert_leaf_is_minimum_degree(a: CSCMatrix) -> None:
+    want = ref.minimum_degree(a)
+    assert nd_mod._minimum_degree(adjacency(a)) == want.tolist()
+    if a.ncols:    # at or below leaf_size the whole graph is one leaf
+        np.testing.assert_array_equal(nested_dissection(a, leaf_size=a.ncols), want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_leaf_order_is_minimum_degree_on_random_graphs(seed):
+    # n = 30 … 63: one machine word per bitset
+    a = random_sparse(30 + 3 * seed, (0.03, 0.08, 0.2)[seed % 3], seed=seed,
+                      symmetric_pattern=seed % 2 == 0)
+    assert_leaf_is_minimum_degree(a)
+
+
+@pytest.mark.parametrize("n", [65, 150])
+def test_leaf_order_is_minimum_degree_past_one_machine_word(n):
+    # bitsets wider than 64 bits: a random graph and a grid Laplacian
+    assert_leaf_is_minimum_degree(random_sparse(n, 0.05, seed=n))
+    side = int(np.ceil(np.sqrt(n)))
+    assert_leaf_is_minimum_degree(grid_laplacian_2d(side, side))
+
+
+def test_leaf_order_is_minimum_degree_on_degenerate_graphs():
+    assert_leaf_is_minimum_degree(CSCMatrix.empty((0, 0)))
+    assert_leaf_is_minimum_degree(CSCMatrix.from_dense(np.array([[3.0]])))
+    # isolated vertices (degree 0, eliminated first, lowest index first)
+    # beside a path 1-4-7 and a triangle 3-5-6
+    d = np.eye(9)
+    for i, j in ((1, 4), (4, 7), (3, 5), (5, 6), (3, 6)):
+        d[i, j] = d[j, i] = 1.0
+    assert_leaf_is_minimum_degree(CSCMatrix.from_dense(d))
+    assert nd_mod._minimum_degree(adjacency(CSCMatrix.from_dense(d))) == \
+        [0, 2, 8, 1, 4, 7, 3, 5, 6]
 
 
 def test_phase_one_at_benchmark_scale():
