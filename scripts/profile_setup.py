@@ -10,11 +10,14 @@ envelope) and the ``phase_seconds`` of a second, unprofiled one — with phase 1
 ``permute`` calls by timing wrappers, and the ordering split again into
 the AMD core (seconds, calls, pivots), nested dissection's minimum-degree
 leaves (seconds, calls, vertices) and its pseudo-peripheral
-level-structure searches — and the cProfile top-N by
-cumulative time of a third.  cProfile taxes every Python call
-but not the work inside numpy, so the table finds candidates; the numbers
-that count are the unprofiled phase seconds and the repo benchmark's
-``setup_s`` (``make bench-e2e``).
+level-structure searches — and each ``symbolic_symmetric`` call on its
+own line: its seconds, whether it was the capped pass (phase 1's
+envelope test) or the kept one (phase 2's result), the column a tripped
+cap reached, and the kept pass split into symmetrise / column sweep /
+assembly — then the cProfile top-N by cumulative time of a third.
+cProfile taxes every Python call but not the work inside numpy, so the
+table finds candidates; the numbers that count are the unprofiled phase
+seconds and the repo benchmark's ``setup_s`` (``make bench-e2e``).
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 import repro.core.solver as solver_mod  # noqa: E402
 import repro.ordering.nd as nd_mod  # noqa: E402
+import repro.symbolic.fill as fill_mod  # noqa: E402
 from repro import PanguLU  # noqa: E402
 from repro.analysis import describe_ordering  # noqa: E402
 from repro.sparse import CSCMatrix, generate  # noqa: E402
@@ -73,6 +79,64 @@ def timed_calls(targets, tallies=None):
             setattr(owner, attr, fn)
 
 
+@contextmanager
+def symbolic_passes():
+    """Record every ``symbolic_symmetric`` call phase 1 makes (looked up in
+    ``repro.core.solver``) for the duration of the block; yields a list of
+    ``{"seconds", "limit", "kept", "symmetrise", "sweep", "reached", "n"}``
+    per call.  ``symmetrise`` / ``sweep`` time the two helpers where
+    ``repro.symbolic.fill`` looks them up.  For a pass whose cap tripped,
+    ``reached`` is the column whose structure pushed the running count
+    past the cap, found when the block exits by an uncapped sweep, so
+    the phase timers never see it."""
+    passes: list[dict] = []
+    symbolic, symmetrise, sweep = (solver_mod.symbolic_symmetric,
+                                   fill_mod.symmetrize_pattern, fill_mod.column_structures)
+
+    def part(name, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = fn(*args, **kwargs)
+            passes[-1][name] += time.perf_counter() - t0
+            return result
+        return timed
+
+    def timed_symbolic(a, *, limit=None):
+        passes.append({"symmetrise": 0.0, "sweep": 0.0, "limit": limit, "n": a.ncols})
+        t0 = time.perf_counter()
+        result = symbolic(a, limit=limit)
+        passes[-1].update(seconds=time.perf_counter() - t0, kept=result is not None, a=a)
+        return result
+
+    solver_mod.symbolic_symmetric = timed_symbolic
+    fill_mod.symmetrize_pattern = part("symmetrise", symmetrise)
+    fill_mod.column_structures = part("sweep", sweep)
+    try:
+        yield passes
+    finally:
+        solver_mod.symbolic_symmetric = symbolic
+        fill_mod.symmetrize_pattern, fill_mod.column_structures = symmetrise, sweep
+    for rec in passes:
+        a = rec.pop("a")
+        if not rec["kept"]:
+            ptr = sweep(symmetrise(a))[1]
+            rec["reached"] = int(np.searchsorted(ptr[1:], rec["limit"], side="right"))
+
+
+def print_passes(passes: list[dict]) -> None:
+    for k, rec in enumerate(passes, 1):
+        role = "kept" if rec["limit"] is None else (
+            "capped, kept" if rec["kept"] else "capped, thrown away")
+        line = f"    pass {k} {role:<20s}{rec['seconds']:8.3f} s  "
+        if rec["kept"]:
+            assembly = rec["seconds"] - rec["symmetrise"] - rec["sweep"]
+            line += (f"(symmetrise {rec['symmetrise']:.3f} / column sweep "
+                     f"{rec['sweep']:.3f} / assembly {assembly:.3f})")
+        else:
+            line += f"(cap {rec['limit']} tripped at column {rec['reached']} of {rec['n']})"
+        print(line)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("matrix", help="generator name (repro.sparse.paper_matrix_names())")
@@ -91,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
                      # the AMD core returns (order, pivots), a leaf its order
                      tallies={"_amd_order": lambda result: result[1],
                               "_minimum_degree": len}) as split:
-        solver.preprocess()
+        with symbolic_passes() as passes:
+            solver.preprocess()
     print(f"{args.matrix} x{args.scale}: n = {a.nrows}, nnz = {a.nnz}, "
           f"nnz(L+U) = {solver.symbolic.nnz_lu}")
     kept = describe_ordering(solver.options.ordering, solver.ordering_kept)
@@ -115,6 +180,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"({leaf_calls} calls, {leaf_vertices} vertices)")
                 print(f"      {'level structures':<22s}{bfs_s:8.3f} s  "
                       f"({bfs_calls} searches)")
+        if phase == "symbolic":
+            print_passes(passes)
     print(f"  {'setup':<12s}{sum(solver.phase_seconds.values()):8.3f} s")
 
     profile = cProfile.Profile()

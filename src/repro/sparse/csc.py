@@ -16,6 +16,14 @@ Sorted-unique columns are what make the paper's "bin-search" kernel
 addressing (``numpy.searchsorted`` into a fixed symbolic pattern) valid.
 Conversions to/from SciPy and dense NumPy arrays are provided for testing
 and for kernel variants that deliberately use a compiled fast path.
+
+The O(nnz) passes run in SciPy's compiled ``_sparsetools`` routines on
+the stored arrays, with the same results bit for bit as the per-entry
+formulations: the products (``csc_matvec(s)``, and ``csr_matvec(s)`` for
+``Aᵀ``), the transpose (``csr_tocsc``, :func:`transpose_arrays`) and the
+row re-sort of :meth:`CSCMatrix.permute` (``csr_sort_indices``);
+:func:`repro.sparse.patterns.symmetrize_pattern` adds ``csr_plus_csr``.
+``tests/test_csc.py`` calls each of them by name.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-__all__ = ["CSCMatrix", "coo_to_csc", "concat_ranges", "VALUE_DTYPES", "as_values"]
+__all__ = ["CSCMatrix", "coo_to_csc", "concat_ranges", "transpose_arrays", "VALUE_DTYPES",
+           "as_values"]
 
 #: value dtypes the container stores natively; anything else is coerced
 #: to float64 (ints, python floats, float16, …)
@@ -43,6 +52,20 @@ def as_values(values: np.ndarray, dtype: np.dtype | type | None = None) -> np.nd
     if dtype is None:
         dtype = arr.dtype if arr.dtype in VALUE_DTYPES else np.dtype(np.float64)
     return np.ascontiguousarray(arr, dtype=dtype)
+
+
+def transpose_arrays(
+    indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, nrows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, values)`` of the transpose of the CSC arrays of
+    a matrix with ``nrows`` rows: one compiled counting pass (SciPy's
+    ``csr_tocsc`` on the arrays read as the CSR form of the transpose).
+    The columns are walked left to right, so each row's entries arrive in
+    increasing column order — what a stable argsort of the rows gives."""
+    out = (np.empty(nrows + 1, np.int64), np.empty(indices.size, np.int64),
+           np.empty_like(values))
+    _sparsetools.csr_tocsc(indptr.size - 1, nrows, indptr, indices, values, *out)
+    return out
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -371,16 +394,8 @@ class CSCMatrix:
     # ------------------------------------------------------------------
     def transpose(self) -> "CSCMatrix":
         """Return the transpose (a CSC view of the CSR form of ``self``)."""
-        nrows, ncols = self.shape
-        t_indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=nrows), out=t_indptr[1:])
-        # stable sort by row: entries of a row arrive in increasing column
-        # order because the columns are walked left to right
-        order = np.argsort(self.indices, kind="stable")
-        return CSCMatrix(
-            (ncols, nrows), t_indptr, self.cols_expanded()[order],
-            self.data[order], check=False,
-        )
+        return CSCMatrix(self.shape[::-1], *transpose_arrays(
+            self.indptr, self.indices, self.data, self.nrows), check=False)
 
     def permute(self, row_perm: np.ndarray | None, col_perm: np.ndarray | None) -> "CSCMatrix":
         """Return ``A[row_perm, :][:, col_perm]`` — i.e. new[i, j] = old[row_perm[i], col_perm[j]].
@@ -401,11 +416,9 @@ class CSCMatrix:
             inv_row = np.empty(nrows, dtype=np.int64)
             inv_row[np.asarray(row_perm, dtype=np.int64)] = np.arange(nrows)
             indices = inv_row[indices]
-            # (column, new row) pairs are distinct: one sort on the fused
-            # key puts every column's rows back in increasing order
-            cols = np.repeat(np.arange(ncols, dtype=np.int64), counts)
-            order = np.argsort(cols * nrows + indices)
-            indices, data = indices[order], data[order]
+            # the new rows of one column are distinct, so SciPy's compiled
+            # per-column sort puts them (and their values) in one order
+            _sparsetools.csr_sort_indices(ncols, indptr, indices, data)
         return CSCMatrix(self.shape, indptr, indices, data, check=False)
 
     def require_finite(self, name: str) -> None:
@@ -519,27 +532,17 @@ class CSCMatrix:
     ) -> "CSCMatrix":
         """Extract the submatrix ``A[rows, cols]`` (rows must be sorted)."""
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(list(cols), dtype=np.int64)
+        cols = np.fromiter(cols, dtype=np.int64)
+        counts = np.diff(self.indptr)[cols]
+        src = concat_ranges(self.indptr[:-1][cols], counts)
         row_pos = np.full(self.nrows, -1, dtype=np.int64)
         row_pos[rows] = np.arange(rows.size)
-        chunks_idx: list[np.ndarray] = []
-        chunks_val: list[np.ndarray] = []
-        indptr = np.zeros(cols.size + 1, dtype=np.int64)
-        data = self.data
-        for out_j, j in enumerate(cols):
-            sl = self.col_slice(int(j))
-            rr = self.indices[sl]
-            keep = row_pos[rr] >= 0
-            chunks_idx.append(row_pos[rr[keep]])
-            chunks_val.append(data[sl][keep])
-            indptr[out_j + 1] = indptr[out_j] + chunks_idx[-1].size
-        indices = np.concatenate(chunks_idx) if chunks_idx else np.zeros(0, np.int64)
-        vals = (
-            np.concatenate(chunks_val)
-            if chunks_val
-            else np.zeros(0, dtype=self._dtype)
-        )
-        return CSCMatrix((rows.size, cols.size), indptr, indices, vals, check=False)
+        new_rows = row_pos[self.indices[src]]
+        keep = new_rows >= 0
+        # the kept entries before each column's first: the new pointers
+        indptr = np.r_[0, keep.cumsum()][np.r_[0, counts.cumsum()]]
+        return CSCMatrix((rows.size, cols.size), indptr, new_rows[keep],
+                         self.data[src[keep]], check=False)
 
     def __eq__(self, other: object) -> bool:
         """Exact structural and numerical equality."""

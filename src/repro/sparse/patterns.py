@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
-from .csc import CSCMatrix, concat_ranges, coo_to_csc
+from .csc import CSCMatrix, concat_ranges, coo_to_csc, transpose_arrays
 
 __all__ = [
     "symmetrize_pattern",
@@ -45,15 +46,27 @@ def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
     PanguLU symmetrises the matrix before its symmetric-pruned symbolic
     factorisation (Section 5.2); entries present only in ``A^T`` get value 0
     so the numeric phase still factorises the original values.
+
+    Two compiled O(nnz) passes: SciPy's ``csr_tocsc`` builds ``A^T`` and
+    ``csr_plus_csr`` merges the sorted columns of marker patterns (1 for
+    ``A``, 2 for ``A^T``; never 0, so the merge drops no entry).  An entry
+    of ``A`` alone keeps its value bit for bit; one of both reads
+    ``a + 0.0``, as when the two patterns are summed (a ``-0.0`` of ``A``
+    turns into ``+0.0`` there).
     """
-    at = a.transpose()
-    rows_a, cols_a = a.rows_cols()
-    rows_t, cols_t = at.rows_cols()
-    rows = np.concatenate([rows_a, rows_t])
-    cols = np.concatenate([cols_a, cols_t])
-    vals = np.concatenate([a.data, np.zeros(at.nnz)])
-    # summing duplicates keeps A's value where both patterns have the entry
-    return coo_to_csc(a.shape, rows, cols, vals)
+    if a.nrows != a.ncols:
+        raise ValueError(f"symmetrize_pattern requires a square matrix, got {a.shape}")
+    n, ones = a.ncols, np.ones(a.nnz, dtype=np.int8)
+    t_ptr, t_idx, _ = transpose_arrays(a.indptr, a.indices, ones, n)
+    ptr, idx = np.empty(n + 1, np.int64), np.empty(2 * a.nnz, np.int64)
+    marker = np.empty(2 * a.nnz, dtype=np.int8)
+    _sparsetools.csr_plus_csr(n, n, a.indptr, a.indices, ones, t_ptr, t_idx, ones + ones,
+                              ptr, idx, marker)
+    marker = marker[: ptr[-1]]
+    data = np.zeros(marker.size)
+    data[marker != 2] = a.data
+    data[marker == 3] += 0.0
+    return CSCMatrix(a.shape, ptr, idx[: marker.size], data, check=False)
 
 
 def adjacency(a: CSCMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -101,8 +101,11 @@ def column_structures(
     and ``parent[j] = min struct(L_j)``, so one left-to-right sweep finds
     tree and structures together: every child ``c < j`` is complete, and
     knows its parent, before column ``j`` is merged.  One
-    concatenate/sort/dedupe per column; a column with a single child and
-    no entries of its own is a slice of the child's array.
+    concatenate/sort/dedupe per column with several children passing
+    structures up; a column with one such child ``searchsorted``-s its own
+    entries into the child's tail, and where they all lie in it — the
+    column continues the child's supernode — or it has none, its
+    structure *is* that tail, a slice of the child's array.
 
     Returns ``(parent, ptr, rows)``: the etree (−1 for roots, the same tree
     as :func:`elimination_tree`) and the structures in CSC form without
@@ -127,14 +130,13 @@ def column_structures(
     for j in range(n):
         parts = inherited[j]
         own = own_rows[own_ptr[j] : own_ptr[j + 1]]
-        if own.size:
-            parts.append(own)
-        if len(parts) == 1:
-            struct = parts[0]
-        elif parts:
-            struct = sorted_unique(np.concatenate(parts))
-        else:
+        if not parts:
             struct = own
+        elif len(parts) == 1:
+            struct = _union(parts[0], own) if own.size else parts[0]
+        else:
+            parts.append(own)
+            struct = sorted_unique(np.concatenate(parts))
         inherited[j] = None
         structs.append(struct)
         if limit is not None:
@@ -150,3 +152,12 @@ def column_structures(
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([st.size for st in structs], out=ptr[1:])
     return parent, ptr, np.concatenate(structs) if n else own_rows
+
+
+def _union(tail: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """``tail ∪ own`` for sorted unique arrays: ``tail`` itself, not a copy,
+    when it already holds every entry of ``own`` (the column continues its
+    only child's supernode); otherwise the entries ``own`` adds, found by
+    one ``searchsorted``, sorted in."""
+    new = own[tail.take(tail.searchsorted(own), mode="clip") != own]
+    return np.sort(np.concatenate((tail, new))) if new.size else tail

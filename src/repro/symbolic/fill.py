@@ -9,12 +9,14 @@ fill of a symmetric structure obeys
 over the elimination tree — eliminating ``c`` connects its remaining
 neighbours, and the first of them (its etree parent) inherits the rest.
 :func:`~repro.symbolic.etree.column_structures` evaluates exactly that,
-one array merge per column.  Each column structure is merged into one
-parent only, never searched again from every later column that reaches it:
-this *is* what Eisenstat–Liu symmetric pruning achieves for symmetric
-structures (the pruned graph of a symmetric factor is its elimination
-tree), so the result is the symmetric-pruned fill, and the same pattern
-the row-subtree formulation enumerates row by row
+one array merge per column, or a slice of the child's structure where a
+column continues its only child's supernode.  Each column structure is
+merged into one parent only, never searched again from every later
+column that reaches it: this *is* what Eisenstat–Liu symmetric pruning
+achieves for symmetric structures (the pruned graph of a symmetric
+factor is its elimination tree), so the result is the symmetric-pruned
+fill, and the same pattern the row-subtree formulation enumerates row
+by row
 (``tests/reference_analysis.py`` keeps that walk as the oracle).
 
 The unsymmetric column-DFS fill used by the SuperLU_DIST-like baseline
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.csc import CSCMatrix
+from ..sparse.csc import CSCMatrix, transpose_arrays
 from ..sparse.patterns import concat_ranges, symmetrize_pattern
 from .etree import column_structures
 
@@ -88,9 +90,10 @@ def symbolic_symmetric(a: CSCMatrix, *, limit: int | None = None) -> SymbolicRes
     """Exact fill pattern of the symmetrised matrix (PanguLU's symbolic).
 
     The column structures of ``L`` are the strict lower triangle of the
-    filled pattern; ``U``'s pattern is the transpose (one stable argsort),
-    and column ``j`` of the result is written as upper part, diagonal,
-    lower part.  O(|L| log) after the symmetrisation.
+    filled pattern; ``U``'s pattern is the transpose (SciPy's compiled
+    ``csr_tocsc``), and column ``j`` of the result is written as upper
+    part, diagonal, lower part.  O(|L|) after the symmetrisation and the
+    column sweep.
 
     ``limit`` caps the strict lower count: the pass returns ``None`` as
     soon as that count exceeds it (see :func:`envelope_profile` for the
@@ -105,11 +108,12 @@ def symbolic_symmetric(a: CSCMatrix, *, limit: int | None = None) -> SymbolicRes
     parent, low_ptr, low_rows = structures
     nnz_strict = low_rows.size
     low_counts = np.diff(low_ptr)
-    low_cols = np.repeat(np.arange(n, dtype=np.int64), low_counts)
-    # transpose of the strict lower triangle: the entries of row i, in
-    # increasing column order, are the above-diagonal part of column i
-    up_counts = np.bincount(low_rows, minlength=n)
-    up_rows = low_cols[np.argsort(low_rows, kind="stable")]
+    # transpose of the strict lower triangle (its int8 values are unused):
+    # the entries of row i, in increasing column order, are the
+    # above-diagonal part of column i
+    unused = np.zeros(nnz_strict, dtype=np.int8)
+    up_ptr, up_rows, _ = transpose_arrays(low_ptr, low_rows, unused, n)
+    up_counts = np.diff(up_ptr)
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(up_counts + 1 + low_counts, out=indptr[1:])

@@ -1,9 +1,11 @@
 """Test-only oracles for the analysis phase.
 
-These are the interpreter-loop implementations the array algorithms in
-``repro.sparse``, ``repro.symbolic``, ``repro.ordering`` and
-``repro.core.blocking`` replaced: the per-column ``permute`` / ``diagonal``
-of the CSC container, per-entry row-subtree walks for the symbolic fill,
+These are the interpreter-loop and sorting implementations the array
+algorithms in ``repro.sparse``, ``repro.symbolic``, ``repro.ordering`` and
+``repro.core.blocking`` replaced: the argsort ``transpose`` and the
+per-column ``permute`` / ``diagonal`` of the CSC container, the
+sort-and-sum assembly of ``A + Aᵀ``, per-entry row-subtree walks for the
+symbolic fill,
 the set-based AMD (numpy scalars, element sizes re-summed at every
 pivot) and the nested dissection built on it over per-neighbour
 breadth-first search of adjacency lists, the exact minimum-degree
@@ -58,6 +60,17 @@ def symmetrize_pattern(a: CSCMatrix) -> CSCMatrix:
         np.concatenate([cols, rows]),
         np.concatenate([a.data, np.zeros(a.nnz)]),
     )
+
+
+def transpose(a: CSCMatrix) -> CSCMatrix:
+    """``Aᵀ`` by one stable ``argsort`` of the row indices: the columns are
+    walked left to right, so each row keeps increasing column order."""
+    nrows, ncols = a.shape
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a.indices, minlength=nrows), out=indptr[1:])
+    order = np.argsort(a.indices, kind="stable")
+    return CSCMatrix((ncols, nrows), indptr, a.cols_expanded()[order],
+                     a.data[order], check=False)
 
 
 def permute(a: CSCMatrix, row_perm, col_perm) -> CSCMatrix:

@@ -173,6 +173,43 @@ def test_matmat_allocates_no_nnz_by_k_temporary():
     assert peak <= 2 * y.nbytes + 65536 < a.nnz * x.shape[1] * 8
 
 
+def test_sparsetools_entry_points_the_package_calls():
+    """Every private ``scipy.sparse._sparsetools`` routine ``repro`` calls,
+    by name, on one 3×3 example: a SciPy release that moves or changes one
+    fails here, not deep inside a pipeline."""
+    from scipy.sparse import _sparsetools as st
+
+    i64, f64 = (lambda v: np.array(v, dtype=np.int64)), (lambda v: np.array(v, dtype=np.float64))
+    # A = [[1, 0, 2], [0, 3, 0], [4, 5, 6]] by rows (CSR) and by columns (CSC)
+    ptr, idx, val = i64([0, 2, 3, 6]), i64([0, 2, 1, 0, 1, 2]), f64([1, 2, 3, 4, 5, 6])
+    c_ptr, c_idx, c_val = np.empty(4, np.int64), np.empty(6, np.int64), np.empty(6)
+    st.csr_tocsc(3, 3, ptr, idx, val, c_ptr, c_idx, c_val)
+    assert c_ptr.tolist() == [0, 2, 4, 6] and c_idx.tolist() == [0, 2, 1, 2, 0, 2]
+    assert c_val.tolist() == [1, 4, 3, 5, 2, 6]
+
+    # marker merge of A (1) and the pattern of Aᵀ (2), the CSC arrays read by rows
+    s_ptr, s_idx, mark = np.empty(4, np.int64), np.empty(12, np.int64), np.empty(12, np.int8)
+    st.csr_plus_csr(3, 3, ptr, idx, np.ones(6, np.int8), c_ptr, c_idx, np.full(6, 2, np.int8),
+                    s_ptr, s_idx, mark)
+    assert s_ptr.tolist() == [0, 2, 4, 7]
+    assert s_idx[:7].tolist() == [0, 2, 1, 2, 0, 1, 2]
+    assert mark[:7].tolist() == [3, 3, 3, 2, 3, 1, 3]
+
+    u_idx, u_val = i64([2, 0, 2, 1, 2, 0]), f64([10, 20, 30, 40, 50, 60])
+    st.csr_sort_indices(3, c_ptr, u_idx, u_val)
+    assert u_idx.tolist() == [0, 2, 1, 2, 0, 2] and u_val.tolist() == [20, 10, 40, 30, 60, 50]
+
+    x, xs = f64([1, 2, 3]), f64([[1, 0], [2, 1], [3, 0]])
+    for matvec, matvecs, want, wants in (
+        (st.csc_matvec, st.csc_matvecs, [7, 6, 32], [[7, 0], [6, 3], [32, 5]]),       # A @ x
+        (st.csr_matvec, st.csr_matvecs, [13, 21, 20], [[13, 0], [21, 3], [20, 0]]),   # Aᵀ @ x
+    ):
+        y, ys = np.zeros(3), np.zeros((3, 2))
+        matvec(3, 3, c_ptr, c_idx, c_val, x, y)
+        matvecs(3, 3, 2, c_ptr, c_idx, c_val, xs, ys)
+        assert y.tolist() == want and ys.tolist() == wants
+
+
 # ---------------------------------------------------------------------------
 # operations vs dense reference
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,31 @@ class TestSymmetrize:
     def test_result_symmetric(self):
         a = random_sparse(25, 0.08, seed=5)
         assert is_structurally_symmetric(symmetrize_pattern(a))
+
+
+    def test_negative_zeros(self):
+        # stored −0.0 at (0, 0), (1, 0) and (2, 1); (1, 2) holds 5.0
+        a = CSCMatrix((3, 3), np.array([0, 2, 3, 4]), np.array([0, 1, 2, 1]),
+                      np.array([-0.0, -0.0, -0.0, 5.0]))
+        s = symmetrize_pattern(a)
+        assert s.dtype == np.float64
+        assert s.indptr.tolist() == [0, 2, 4, 5]
+        assert s.indices.tolist() == [0, 1, 0, 2, 1]
+        assert s.data.tolist() == [0.0, 0.0, 0.0, 0.0, 5.0]
+        # (1, 0) is A's alone and keeps −0.0; (0, 0) and (2, 1), which Aᵀ
+        # has too, read +0.0; (0, 1) comes from Aᵀ alone
+        np.testing.assert_array_equal(np.signbit(s.data), [False, True, False, False, False])
+
+    def test_float32_and_empty(self):
+        a = random_sparse(30, 0.1, seed=6)
+        np.testing.assert_array_equal(symmetrize_pattern(a.astype(np.float32)).data,
+                                      symmetrize_pattern(a).data.astype(np.float32))
+        s = symmetrize_pattern(CSCMatrix.empty((4, 4)))
+        assert s.nnz == 0 and s.indptr.tolist() == [0] * 5
+
+    def test_rejects_a_rectangular_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetrize_pattern(CSCMatrix.empty((3, 4)))
 
 
 class TestDiagonal:

@@ -42,7 +42,7 @@ from repro.sparse import (
     paper_matrix_names,
     random_sparse,
 )
-from repro.sparse.patterns import adjacency
+from repro.sparse.patterns import adjacency, symmetrize_pattern
 from repro.symbolic import (
     column_structures,
     elimination_tree,
@@ -79,6 +79,61 @@ def assert_same_matrix(got: CSCMatrix, want: CSCMatrix) -> None:
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.data, want.data)
+    # the two zeros compare equal: their signs are part of the bits
+    np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
+def awkward_matrix(shape, dtype, seed: int) -> CSCMatrix:
+    """A random pattern with empty rows and columns whose stored values
+    include ``+0.0`` and ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < 0.15
+    mask[:, ::5] = False
+    mask[::7, :] = False
+    cols, rows = np.nonzero(mask.T)
+    vals = rng.standard_normal(rows.size).astype(dtype)
+    vals[::4], vals[1::4] = 0.0, -0.0
+    indptr = np.zeros(shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
+    return CSCMatrix(shape, indptr, rows, vals)
+
+
+def assert_same_structures(a: CSCMatrix) -> None:
+    """``column_structures`` against the row-subtree fill, and the capped
+    ``symbolic_symmetric`` tripping exactly past the strict lower count."""
+    want, etree, nnz_strict = ref.symbolic_symmetric(a)
+    parent, ptr, rows = column_structures(symmetrize_pattern(a))
+    np.testing.assert_array_equal(parent, etree)
+    w_rows, w_cols = want.rows_cols()
+    below = w_rows > w_cols
+    np.testing.assert_array_equal(rows, w_rows[below])
+    np.testing.assert_array_equal(np.diff(ptr), np.bincount(w_cols[below], minlength=a.ncols))
+    assert symbolic_symmetric(a, limit=nnz_strict - 1) is None
+    capped = symbolic_symmetric(a, limit=nnz_strict)
+    assert capped is not None and capped.nnz_l == nnz_strict + a.ncols
+    assert_same_matrix(capped.filled, want)
+
+
+def single_tail_columns(a: CSCMatrix) -> tuple[int, int]:
+    """Of the columns whose etree children pass up exactly one tail and
+    that have own entries below the diagonal, how many have all of them
+    in that tail (the sweep's slice path) and how many do not (a merge)."""
+    want, parent, _ = ref.symbolic_symmetric(a)
+    s = ref.symmetrize_pattern(a)
+    low = [r[r > j] for j, r in enumerate(np.split(want.indices, want.indptr[1:-1]))]
+    own = [r[r > j] for j, r in enumerate(np.split(s.indices, s.indptr[1:-1]))]
+    tails: list[list[np.ndarray]] = [[] for _ in range(a.ncols)]
+    for c, p in enumerate(parent.tolist()):
+        if p >= 0 and low[c].size > 1:
+            tails[p].append(low[c][1:])
+    inside = outside = 0
+    for j in range(a.ncols):
+        if len(tails[j]) == 1 and own[j].size:
+            if np.isin(own[j], tails[j][0]).all():
+                inside += 1
+            else:
+                outside += 1
+    return inside, outside
 
 
 def assert_same_symbolic(a: CSCMatrix) -> None:
@@ -171,14 +226,9 @@ class TestSweep:
 
     def test_column_structures_are_the_strict_lower_fill(self, name):
         a = matrix(name)
-        want, etree, _ = ref.symbolic_symmetric(a)
-        parent, ptr, rows = column_structures(ref.symmetrize_pattern(a))
-        np.testing.assert_array_equal(parent, etree)
+        assert_same_structures(a)
+        parent, _, _ = column_structures(ref.symmetrize_pattern(a))
         np.testing.assert_array_equal(parent, elimination_tree(a))
-        w_rows, w_cols = want.rows_cols()
-        below = w_rows > w_cols
-        np.testing.assert_array_equal(rows, w_rows[below])
-        np.testing.assert_array_equal(np.diff(ptr), np.bincount(w_cols[below], minlength=a.ncols))
 
     def test_envelope_profile_and_capped_symbolic(self, name):
         a = matrix(name)
@@ -266,15 +316,24 @@ def test_coo_assembly_sums_duplicates_in_input_order(seed, dtype):
                        ref.coo_to_csc(shape, rows, cols, vals))
 
 
+SHAPES = [(37, 53), (53, 37), (40, 40), (1, 9), (9, 1), (0, 0), (0, 6), (6, 0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_transpose_is_the_stable_argsort(shape, dtype):
+    a = awkward_matrix(shape, dtype, sum(shape))
+    got = a.transpose()
+    assert_same_matrix(got, ref.transpose(a))
+    assert_same_matrix(got.transpose(), a)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("which", ["rows", "cols", "both", "neither"])
-@pytest.mark.parametrize("shape", [(37, 53), (53, 37), (40, 40), (1, 9), (9, 1)])
+@pytest.mark.parametrize("shape", SHAPES)
 def test_permute_and_diagonal(shape, which, dtype):
     rng = np.random.default_rng(sum(shape))
-    d = rng.standard_normal(shape).astype(dtype)
-    d[rng.random(shape) > 0.15] = 0.0
-    d[:, ::5] = 0.0  # empty columns
-    a = CSCMatrix.from_dense(d)
+    a = awkward_matrix(shape, dtype, sum(shape))
     p = rng.permutation(shape[0]) if which in ("rows", "both") else None
     q = rng.permutation(shape[1]) if which in ("cols", "both") else None
     got = a.permute(p, q)
@@ -284,6 +343,61 @@ def test_permute_and_diagonal(shape, which, dtype):
         diag = m.diagonal()
         assert diag.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(diag, ref.diagonal(m))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [0, 1, 9, 40, 97])
+def test_symmetrize_pattern_is_the_sorted_assembly(n, dtype):
+    a = awkward_matrix((n, n), dtype, n)
+    s = symmetrize_pattern(a)
+    want = ref.symmetrize_pattern(a)
+    assert s.shape == want.shape and s.dtype == want.dtype == np.float64
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(s, name), getattr(want, name))
+    # signs: A's value where only A has the entry, a + 0.0 (a −0.0 turns
+    # into +0.0) where Aᵀ has it too, +0.0 where only Aᵀ has it
+    stored = np.zeros((n, n), dtype=bool)
+    stored[a.indices, a.cols_expanded()] = True
+    rows, cols = s.rows_cols()
+    a_only = stored[rows, cols] & ~stored[cols, rows]
+    sign = np.zeros(s.nnz, dtype=bool)
+    at = entry_positions(s, a)
+    sign[at] = np.signbit(a.data) & ((a.data != 0) | a_only[at])
+    np.testing.assert_array_equal(np.signbit(s.data), sign)
+    if n == 97:   # both kinds of −0.0 occur
+        negative_zero = np.zeros(s.nnz, dtype=bool)
+        negative_zero[at] = np.signbit(a.data)
+        assert (negative_zero & a_only).any() and (negative_zero & ~a_only).any()
+
+
+def banded_graph(n: int, seed: int) -> CSCMatrix:
+    """Random entries inside a band of half-width 3 plus a few far ones:
+    etree chains whose columns sometimes stay inside the child's tail and
+    sometimes reach past it."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.nonzero(np.triu(np.tril(rng.random((n, n)) < 0.6, 3), -3))
+    far = rng.integers(0, n, (2, n // 8))
+    rows, cols = np.r_[rows, far[0], np.arange(n)], np.r_[cols, far[1], np.arange(n)]
+    return coo_to_csc((n, n), rows, cols, rng.standard_normal(rows.size))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_structures_take_the_child_tail_as_a_slice(seed):
+    a = banded_graph(40 + 13 * seed, seed)
+    inside, outside = single_tail_columns(a)
+    assert inside and outside
+    assert_same_structures(a)
+
+
+@pytest.mark.parametrize("name", ["grid", "cage12"])
+@pytest.mark.parametrize("order", ["nd", "natural"])
+def test_column_structures_slice_path_at_scale(name, order):
+    a = grid_laplacian_2d(20, 20) if name == "grid" else generate("cage12", scale=0.5, seed=0)
+    if order == "nd":
+        p = nested_dissection(a)
+        a = a.permute(p, p)
+    assert single_tail_columns(a)[0]
+    assert_same_structures(a)
 
 
 @pytest.mark.parametrize("seed", range(32))
