@@ -58,7 +58,15 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # the update tasks, writer chains, seeds, their verifier and the solve's write slots went
 # then +9: core.solver.order_by_fill, phase 1's keep-the-input-order rule (the profile
 # and the cap live in symbolic/); the transport's sender-side pickling is net 0
-MAX_CORE_RUNTIME_LINES=4068
+# then +226: resident ranks — runtime/distributed.py +144 (RankPool: open, ship a DAG
+# once per key, one command round, gather/close/discard, teardown that remembers lost
+# factors, a finaliser that only the master fires; the rank's command loop and its
+# kept share, against the one-shot _run_ranks it replaces), transports.py +50 (a command channel per rank, the
+# orphan check of an idle rank, a restartable loopback whose endpoints keep their
+# start's channels, FaultPlan.from_command), core/solver.py +31 (the handle's
+# close/with/pickling lifecycle, the pool it hands the engines, and blocks properties
+# that gather on read, so no reader sees unfactored values), +1 export
+MAX_CORE_RUNTIME_LINES=4294
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -92,7 +100,9 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # is one gather of its columns' ranges, not a per-column loop), +2 in symbolic/
 # (the column sweep merges a single child's tail by searchsorted, a slice when
 # the column adds nothing to it)
-MAX_SRC_LINES=8840
+# then +197: the +226 above, -29 in symbolic/ (postorder is a test oracle now;
+# entry_positions is one csr_plus_csr marker merge)
+MAX_SRC_LINES=9037
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver

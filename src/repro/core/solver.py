@@ -504,12 +504,30 @@ class Factorization:
     (which delegates its own ``solve``/``solve_transposed``/
     ``refactorize`` here).
 
-    The handle is **picklable**: the pattern-bound execution-plan cache
-    (which holds a lock and is cheap to rebuild lazily) is dropped on
-    serialisation by ``BlockMatrix.__getstate__`` (which also ships the
-    arena as three slabs), everything else round-trips, so a factorisation
-    computed once can be shipped to worker processes that each solve
-    their own right-hand sides.
+    On a rank engine (``"distributed"`` / ``"hybrid"``) the handle owns
+    one pool of **resident ranks**
+    (:class:`~repro.runtime.distributed.RankPool`), started by the
+    factorisation and kept across every :meth:`solve` and
+    :meth:`refactorize` — PanguLU's ``pangulu_init`` → ``gstrf`` →
+    ``gstrs`` × N → ``finalize`` handle.  The factors stay on the ranks
+    that computed them until something reads them: reading
+    :attr:`blocks` gathers them into this process (the ranks stay up),
+    and so do pickling, a switch of ``options.engine`` to a local engine
+    and :meth:`close`.  :meth:`close` gathers and then stops and joins
+    the ranks; the handle stays usable (a later rank-engine solve starts
+    a fresh pool from the gathered factors).  Leaving a ``with`` block
+    closes the handle; when it is collected, or at interpreter exit, a
+    finaliser stops and joins its ranks without gathering.  A fault that
+    tears the ranks down with the only copy of the factors leaves a
+    handle that raises on every read or solve until :meth:`refactorize`.
+
+    The handle is **picklable**: pickling gathers the factors and closes
+    the pool, the pattern-bound execution-plan cache (which holds a lock
+    and is cheap to rebuild lazily) is dropped on serialisation by
+    ``BlockMatrix.__getstate__`` (which also ships the arena as three
+    slabs), everything else round-trips, so a factorisation computed once
+    can be shipped to worker processes that each solve their own
+    right-hand sides.
 
     Attributes
     ----------
@@ -540,7 +558,10 @@ class Factorization:
         dag: TaskDAG,
         stats: RunReport | None,
         placement: PlacementPolicy | None = None,
+        pool=None,
     ) -> None:
+        from ..runtime.distributed import RankPool
+
         self.a = a
         self.options = options
         self.row_scale = row_scale
@@ -549,7 +570,7 @@ class Factorization:
         self.col_perm = col_perm
         self.symbolic = symbolic
         self.reordered = reordered
-        self.blocks = blocks
+        self._blocks = blocks  # the engines' operand; ``blocks`` reads it
         self.dag = dag
         self.stats = stats
         self.solve_count = 0
@@ -562,10 +583,43 @@ class Factorization:
         # engines share one single-owner DAG; distributed/hybrid need
         # the ownership map of their rank count) and solve direction
         self._tsolve_dags: dict = {}
+        self._pool = pool or RankPool()
 
     @property
     def n(self) -> int:
         return self.a.nrows
+
+    # ------------------------------------------------------------------
+    # the resident ranks' lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def blocks(self) -> BlockMatrix:
+        """The factored blocks, in this process: the resident ranks'
+        factors are gathered first (the ranks stay up)."""
+        self._pool.gather(self._blocks)
+        return self._blocks
+
+    def close(self) -> None:
+        """Gather the factors, then stop and join the resident ranks (a
+        no-op without them).  The handle stays usable."""
+        self._pool.close(self._blocks)
+
+    def __enter__(self) -> Factorization:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __getstate__(self) -> dict:
+        self.close()
+        # no rank travels; factors a fault lost stay lost in the copy
+        return {**self.__dict__, "_pool": self._pool.lost}
+
+    def __setstate__(self, state: dict) -> None:
+        from ..runtime.distributed import RankPool
+
+        self.__dict__.update(state)
+        self._pool = RankPool(lost=state["_pool"])
 
     # ------------------------------------------------------------------
     # engine dispatch
@@ -588,7 +642,7 @@ class Factorization:
         if self.placement is None or self.placement.nprocs != nprocs:
             self.placement = resolve_placement(
                 self.options.placement, nprocs
-            ).prepare(self.dag, self.blocks)
+            ).prepare(self.dag, self._blocks)
         return self.placement
 
     def _tsolve_dag(self, transposed: bool = False):
@@ -607,7 +661,7 @@ class Factorization:
 
         tdag = self._tsolve_dags.get(key)
         if tdag is None:
-            tdag = build_tsolve_dag(self.blocks, owner, transposed=transposed)
+            tdag = build_tsolve_dag(self._blocks, owner, transposed=transposed)
             if self.options.verify_schedule:
                 verify_dag(tdag)
             self._tsolve_dags[key] = tdag
@@ -634,9 +688,13 @@ class Factorization:
             scale_in, scale_out = scale_in[:, None], scale_out[:, None]
         c_hat = (scale_in * b)[perm_in]
         engine = get_tsolve_engine(self.options.resolved_engine())
+        placement = self._engine_placement()
+        if placement is None:
+            self.close()  # a local engine reads the factors in this process
         z_hat, self.last_tsolve_stats = engine(
-            self.blocks, self._tsolve_dag(transposed), c_hat, self.options,
-            recorder=recorder, placement=self._engine_placement(),
+            self.blocks if placement is None else self._blocks,
+            self._tsolve_dag(transposed), c_hat, self.options,
+            recorder=recorder, placement=placement, pool=self._pool,
         )
         z = np.empty_like(z_hat)
         z[perm_out] = z_hat
@@ -648,7 +706,7 @@ class Factorization:
     @property
     def factor_dtype(self) -> np.dtype:
         """Value dtype of the stored factors (``blocks.dtype``)."""
-        return self.blocks.dtype
+        return self._blocks.dtype
 
     def _account(self, t0: float) -> None:
         self.last_solve_seconds = time.perf_counter() - t0
@@ -747,7 +805,9 @@ class Factorization:
         (``options.use_arena``) the value injection is a single in-place
         overwrite of the preallocated value slab — no per-block array is
         allocated or rebound, so every block view, scatter plan and solve
-        DAG survives untouched.
+        DAG survives untouched.  On a rank engine the resident ranks
+        factorise in place: each is shipped only the new values of the
+        blocks it owns.
         """
         if a_new.shape != self.a.shape:
             raise ValueError("refactorize requires a same-shape matrix")
@@ -758,6 +818,9 @@ class Factorization:
             raise ValueError("refactorize requires the original sparsity pattern")
         a_new.require_finite("a_new")
         t0 = time.perf_counter()
+        placement = self._engine_placement()
+        if placement is None:
+            self._pool.discard(replaced=True)
         self.a = a_new
         work = a_new.scale(self.row_scale, self.col_scale).permute(
             self.row_perm, self.col_perm
@@ -772,29 +835,29 @@ class Factorization:
         refreshed[self.symbolic.a_positions] = self.reordered.data
         # stale overlays describe the previous values; the engine
         # re-compresses as it factorises
-        self.blocks.clear_compressed()
-        if self.blocks.arena is not None:
-            self.blocks.arena.refill(refreshed)
+        self._blocks.clear_compressed()
+        if self._blocks.arena is not None:
+            self._blocks.arena.refill(refreshed)
         else:
-            bs = self.blocks.bs
-            plan_cache = self.blocks.plan_cache
-            self.blocks = block_partition(
+            bs = self._blocks.bs
+            plan_cache = self._blocks.plan_cache
+            self._blocks = block_partition(
                 CSCMatrix(
                     filled.shape, filled.indptr, filled.indices, refreshed,
                     check=False,
                 ),
-                self.blocks.boundaries, dtype=self.blocks.dtype,
+                self._blocks.boundaries, dtype=self._blocks.dtype,
             )
-            self.blocks.bs = bs
+            self._blocks.bs = bs
             # same pattern ⇒ same boundaries ⇒ same storage slots: the
             # execution plans and the solve DAGs (which hold block indices,
             # not block references) built for the previous factorisation
             # stay valid
-            self.blocks.plan_cache = plan_cache
+            self._blocks.plan_cache = plan_cache
         engine = get_engine(self.options.resolved_engine())
         self.stats = engine(
-            self.blocks, self.dag, self.options,
-            placement=self._engine_placement(),
+            self._blocks, self.dag, self.options, placement=placement,
+            pool=self._pool,
         )
         self.refactorize_seconds = time.perf_counter() - t0
         return self.stats
@@ -836,7 +899,7 @@ class PanguLU:
         self.col_perm: np.ndarray | None = None   # fill-reducing permutation
         self.symbolic: SymbolicResult | None = None
         self.ordering_kept: dict | None = None    # order_by_fill's record
-        self.blocks: BlockMatrix | None = None
+        self._blocks: BlockMatrix | None = None
         self.dag: TaskDAG | None = None
         self.placement: PlacementPolicy | None = None
         self.numeric_stats: RunReport | None = None
@@ -877,22 +940,28 @@ class PanguLU:
         strategy = get_blocking_strategy(
             self.options.blocking, block_size=self.options.block_size
         )
-        self.blocks = strategy.partition(
+        self._blocks = strategy.partition(
             filled,
             arena=self.options.use_arena,
             dtype=self.options.resolved_factor_dtype(),
         )
-        self.dag = build_dag(self.blocks)
+        self.dag = build_dag(self._blocks)
         self.placement = placement = resolve_placement(
             self.options.placement, self.options.nprocs
-        ).prepare(self.dag, self.blocks)
+        ).prepare(self.dag, self._blocks)
         if self.options.verify_schedule:
             verify_dag(
                 self.dag, assignment=placement.assign(self.dag),
                 nprocs=placement.nprocs,
             )
         self.phase_seconds["preprocess"] = time.perf_counter() - t0
-        return self.blocks
+        return self._blocks
+
+    @property
+    def blocks(self) -> BlockMatrix | None:
+        """The blocked matrix of :meth:`preprocess`; once factorised, the
+        handle's factors (read through it, so a rank engine's come home)."""
+        return self._fact.blocks if self._fact is not None else self._blocks
 
     def factorize(self) -> Factorization:
         """Phase 4: numeric factorisation (idempotent — repeated calls
@@ -912,30 +981,32 @@ class PanguLU:
                 # engine directly) — wrap them in a handle all the same
                 self._fact = self._make_handle()
             return self._fact
-        if self.blocks is None:
+        if self._blocks is None:
             self.preprocess()
         t0 = time.perf_counter()
+        from ..runtime.distributed import RankPool
         from ..runtime.engines import get_engine
 
         engine = get_engine(self.options.resolved_engine())
         self.recorder = EventRecorder() if self.options.trace_events else None
+        pool = RankPool()  # the handle's resident ranks, on a rank engine
         self.numeric_stats = engine(
-            self.blocks, self.dag, self.options, recorder=self.recorder,
-            placement=self.placement,
+            self._blocks, self.dag, self.options, recorder=self.recorder,
+            placement=self.placement, pool=pool,
         )
         self.phase_seconds["numeric"] = time.perf_counter() - t0
         self._factorized = True
-        self._fact = self._make_handle()
+        self._fact = self._make_handle(pool)
         return self._fact
 
-    def _make_handle(self) -> Factorization:
+    def _make_handle(self, pool=None) -> Factorization:
         return Factorization(
             self.a, self.options,
             row_scale=self.row_scale, col_scale=self.col_scale,
             row_perm=self.row_perm, col_perm=self.col_perm,
             symbolic=self.symbolic, reordered=self._reordered,
-            blocks=self.blocks, dag=self.dag, stats=self.numeric_stats,
-            placement=self.placement,
+            blocks=self._blocks, dag=self.dag, stats=self.numeric_stats,
+            placement=self.placement, pool=pool,
         )
 
     @property
@@ -1036,7 +1107,7 @@ class PanguLU:
         injection and the numeric factorisation are repeated.
         """
         if self._fact is None:
-            if self.blocks is None:
+            if self._blocks is None:
                 self.preprocess()
             # value swap before the first numeric run: a handle over the
             # preprocessed blocks factorises the new values directly
@@ -1045,7 +1116,6 @@ class PanguLU:
         # keep the facade's view of the phase products in step
         self.a = self._fact.a
         self._reordered = self._fact.reordered
-        self.blocks = self._fact.blocks
         self.numeric_stats = stats
         self.phase_seconds["numeric"] = self._fact.refactorize_seconds
         self._factorized = True

@@ -54,6 +54,7 @@ _EXPORTS = {
     "LoopbackTransport": ".transports",
     "FaultPlan": ".transports",
     "InjectedFault": ".transports",
+    "RankPool": ".distributed",
     "factorize_distributed": ".distributed",
     "tsolve_distributed": ".distributed",
 }

@@ -3,7 +3,7 @@
 The closest in-repo analogue of PanguLU's MPI execution: the factorisation
 runs on ``n_procs`` ranks, each of which
 
-* initially holds **only the blocks it owns** under the configured
+* holds **only the blocks it owns** under the configured
   :class:`~repro.core.placement.PlacementPolicy` (2D block-cyclic by
   default; distributed memory, not shared) — its
   :meth:`BlockMatrix.restricted <repro.core.blocking.BlockMatrix.restricted>`
@@ -19,6 +19,21 @@ runs on ``n_procs`` ranks, each of which
 * decrements counters and releases tasks on receipt (Fig. 10 step 3b) —
   no barriers, no global synchronisation of any kind.
 
+The ranks are **resident** (:class:`RankPool`): started once, at a
+factorisation, they keep their share — factored in place — across every
+later command, as PanguLU's handle lives from ``pangulu_init`` through
+``gstrf`` and every ``gstrs`` to ``finalize``.  A rank serves four
+commands: *factor* (the master ships each rank the new values of its
+own blocks on a refactorisation), *solve* (``b`` out, the ``x`` segments
+back, the solve DAG shipped once per key), *gather* (the owned blocks'
+values home) and *stop*.  Only run reports come home after a
+factorisation; the factors come home on a gather, when the caller reads
+them.  Called without a ``pool``, :func:`factorize_distributed` and
+:func:`tsolve_distributed` open one for the call alone, gather the
+factors into the caller's :class:`~repro.core.blocking.BlockMatrix` and
+close it, so the result is indistinguishable from a sequential
+factorisation (asserted by the tests).
+
 The message substrate is a pluggable :class:`~repro.runtime.transports.
 Transport`: by default one OS process per rank with ``multiprocessing``
 queues (block payloads are the raw ``(indptr, indices, data)`` arrays —
@@ -26,17 +41,13 @@ on the arena layout these are zero-copy slab slices, and the wire-byte
 accounting is unchanged because a view's ``nbytes`` is the slice's size);
 the in-process :class:`~repro.runtime.transports.LoopbackTransport` runs
 the identical protocol on threads for deterministic testing and fault
-injection.  The master scatters the owned blocks, gathers the factored
-ones back, and patches them into the caller's
-:class:`~repro.core.blocking.BlockMatrix`, so the result is
-indistinguishable from a sequential factorisation (asserted by the
-tests).
+injection.
 
 Every rank runs the one lane driver (:func:`repro.runtime.lanes.run_lanes`)
 with its endpoint: this module only supplies the rank-side halves of the
 two jobs (what a finished task publishes, how a received message is
-installed), the rank main both phases share, and the master's
-scatter/gather.  With ``n_threads > 1`` each rank becomes a **hybrid**
+installed), the one rank main that serves every command, and the
+master's pool.  With ``n_threads > 1`` each rank becomes a **hybrid**
 rank (HYLU-style mixed parallelism): a dedicated receiver thread absorbs
 inbound block messages while ``n_threads`` compute threads drain the
 rank's one shared :class:`~repro.runtime.scheduler.SchedulerCore` — the
@@ -50,7 +61,10 @@ pay pickling costs that real MPI ranks do not.
 from __future__ import annotations
 
 import logging
+import os
 import time
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -71,7 +85,7 @@ from .transports import (
     TransportTimeout,
 )
 
-__all__ = ["factorize_distributed", "tsolve_distributed"]
+__all__ = ["RankPool", "factorize_distributed", "tsolve_distributed"]
 
 logger = logging.getLogger(__name__)
 
@@ -109,8 +123,8 @@ def _consumers(successors, owner_of_task: np.ndarray, rank: int) -> set[int]:
 
 class _RankFactorJob(FactorJob):
     """The factor job on one rank: owned tasks over the rank's
-    :meth:`~BlockMatrix.restricted` share of ``f``, panels shipped to
-    their consumers, received panels installed.
+    :meth:`~BlockMatrix.restricted` share, panels shipped to their
+    consumers, received panels installed.
 
     With ``compress_tol > 0`` the rank compresses its own GESSM/TSTRF
     panel outputs and ships low-rank ``"lr"`` payloads to their
@@ -119,13 +133,11 @@ class _RankFactorJob(FactorJob):
     """
 
     def __init__(
-        self, rank: int, recorder: EventRecorder | None, f: BlockMatrix,
-        owner_of_slot: np.ndarray, dag: TaskDAG, owner_of_task: np.ndarray,
-        options: NumericOptions,
+        self, rank: int, recorder: EventRecorder | None, share: BlockMatrix,
+        dag: TaskDAG, owner_of_task: np.ndarray, options: NumericOptions,
     ) -> None:
-        view = f.restricted(np.flatnonzero(owner_of_slot == rank))
         my_tasks = np.flatnonzero(owner_of_task == rank)
-        super().__init__(view, dag, options, my_tasks)
+        super().__init__(share, dag, options, my_tasks)
         self.rank = rank
         self.owner_of_task = owner_of_task
         self.core = SchedulerCore.from_dag(
@@ -161,13 +173,10 @@ class _RankFactorJob(FactorJob):
         # multiprocessing they are fresh arrays off the queue
         return _block_nbytes(view.install(bi, bj, indptr, indices, data))
 
-    def result(self) -> list[tuple[int, np.ndarray]]:
-        """What goes home beside the report: ``(slot, values)`` of the
-        owned blocks (received operand copies stay; owners always keep
-        the exact CSC arrays, so the gathered factors are
-        compression-free regardless of ``compress_tol``)."""
-        view = self.f
-        return [(slot, view.blk_values[slot].data) for slot in view.owned]
+    def result(self) -> None:
+        """Nothing goes home beside the report: the factors stay on the
+        rank until a gather."""
+        return None
 
 
 class _RankSolveJob(SolveJob):
@@ -184,12 +193,11 @@ class _RankSolveJob(SolveJob):
     """
 
     def __init__(
-        self, rank: int, recorder: EventRecorder | None, f: BlockMatrix,
-        owner_of_slot: np.ndarray, tdag: TSolveDAG, b: np.ndarray,
+        self, rank: int, recorder: EventRecorder | None, share: BlockMatrix,
+        tdag: TSolveDAG, b: np.ndarray,
     ) -> None:
-        view = f.restricted(np.flatnonzero(owner_of_slot == rank))
         y = b.copy()
-        super().__init__(view, tdag, y, np.empty_like(y))
+        super().__init__(share, tdag, y, np.empty_like(y))
         self.rank = rank
         self.owner_of_task = tdag.owner
         self.my_tasks = np.flatnonzero(tdag.owner == rank)
@@ -229,27 +237,80 @@ class _RankSolveJob(SolveJob):
         ]
 
 
+class _Rank:
+    """What one resident rank keeps between commands: its restricted
+    share of the matrix (factored in place, so every solve reads the
+    factors where they were computed, and the plan cache survives a
+    refactorisation) and the DAGs the master shipped, by key."""
+
+    def __init__(
+        self, rank: int, f: BlockMatrix, owner_of_slot: np.ndarray, known: dict
+    ) -> None:
+        self.rank = rank
+        self.f = f
+        self.owned = np.flatnonzero(owner_of_slot == rank)
+        self.share = f.restricted(self.owned)
+        self.known = dict(known)
+
+    def job(self, cmd, recorder: EventRecorder | None):
+        """The job of a ``"factor"`` or ``"solve"`` command."""
+        kind, _, key, shipped, *rest = cmd
+        if shipped is not None:
+            self.known[key] = shipped
+        if kind == "solve":
+            return _RankSolveJob(
+                self.rank, recorder, self.share, self.known[key], *rest
+            )
+        options, values = rest
+        dag, owner_of_task = self.known[key]
+        # a fresh share: the operand copies and overlays the last run
+        # received describe the old values
+        plans = self.share.plan_cache
+        self.share = self.f.restricted(self.owned)
+        self.share.plan_cache = plans
+        if values is not None:
+            for slot, data in zip(self.owned.tolist(), values):
+                self.share.blk_values[slot].data[...] = data
+        return _RankFactorJob(
+            self.rank, recorder, self.share, dag, owner_of_task, options
+        )
+
+    def values(self) -> list[np.ndarray]:
+        """The owned blocks' values, in slot order (a gather)."""
+        return [self.share.blk_values[slot].data for slot in self.owned.tolist()]
+
+
 def _rank_main(
-    rank: int, endpoint: Endpoint, build_job, payload: tuple,
-    trace: bool, n_threads: int,
+    rank: int, endpoint: Endpoint, f: BlockMatrix, owner_of_slot: np.ndarray,
+    n_threads: int, known: dict,
 ) -> None:
-    """One rank of either phase: build the rank's job from what the
-    master scattered, drain it with the lane driver over ``endpoint``,
-    ship the run's report and ``job.result()`` back.
+    """One resident rank: serve the master's commands until ``"stop"``.
+
+    ``"factor"`` and ``"solve"`` build the phase's job on the rank's
+    share and drain it with the lane driver over ``endpoint``;
+    ``"gather"`` sends the owned blocks' values.  Each command's result
+    goes home as ``("ok", rank, report, payload, recorder)``.
 
     Any failure on a compute lane or the receiver — a duplicated message
     refused by the rank's core as a second completion included — is
-    posted to the master as this rank's ``"error"``.
+    posted to the master as this rank's ``"error"`` and ends the rank
+    (its share is no longer trustworthy); a teardown, or a master that
+    is gone, ends it quietly.
     """
     try:
-        recorder = EventRecorder() if trace else None
-        job = build_job(rank, recorder, *payload)
-        report = run_lanes(
-            job.core, job, n_lanes=n_threads, endpoint=endpoint,
-            recorder=recorder,
-        )
-        endpoint.post_result(("ok", rank, report, job.result(), recorder))
-    except TransportStopped:  # master tore the pool down; exit quietly
+        state = _Rank(rank, f, owner_of_slot, known)
+        while (cmd := endpoint.next_command())[0] != "stop":
+            if cmd[0] == "gather":
+                endpoint.post_result(("ok", rank, None, state.values(), None))
+                continue
+            recorder = EventRecorder() if cmd[1] else None
+            job = state.job(cmd, recorder)
+            report = run_lanes(
+                job.core, job, n_lanes=n_threads, endpoint=endpoint,
+                recorder=recorder,
+            )
+            endpoint.post_result(("ok", rank, report, job.result(), recorder))
+    except TransportStopped:  # master tore the pool down, or is gone
         return
     except BaseException as exc:
         try:
@@ -292,59 +353,246 @@ def _owner_of_slot(f: BlockMatrix, placement: PlacementPolicy) -> np.ndarray:
     )
 
 
-def _run_ranks(
-    what: str, n_procs: int, n_threads: int, build_job, payload_of_rank,
-    install, *, transport: Transport | None, timeout: float,
-    recorder: EventRecorder | None,
-) -> RunReport:
-    """Launch ``n_procs`` ranks of :func:`_rank_main` and gather them:
-    each rank's report is merged into the returned one (and its recorder
-    into ``recorder``), its ``job.result()`` handed to ``install``.
-
-    ``timeout`` bounds the wait for each rank: a dead or hung rank tears
-    the pool down and raises, naming the ranks no longer alive (at once,
-    with their exit codes, when a process exited without a result).  A
-    rank's ``"error"`` does the same at once — a failed rank can no
-    longer feed its consumers, so the rest of the pool would block
-    forever on their inboxes.
-    """
-    report = RunReport(
-        n_workers=n_threads, n_procs=n_procs, tasks_per_proc=[0] * n_procs
-    )
-    t_start = time.perf_counter()
-    transport = transport or MultiprocessingTransport()
-    transport.start(
-        n_procs, _rank_main,
-        lambda rank: (
-            build_job, payload_of_rank(rank), recorder is not None, n_threads,
-        ),
-    )
-    for _ in range(n_procs):
+def _stop_ranks(transport: Transport, n_procs: int, master: int) -> None:
+    """A ``"stop"`` for every rank, then wait for them to exit (forced
+    after a grace period).  At interpreter exit a channel may already be
+    closed; its rank is then reaped all the same.  Only the master that
+    started the ranks stops them: a forked rank inherits its master's
+    finalisers, and must not fire them at another pool."""
+    if os.getpid() != master:
+        return
+    for rank in range(n_procs):
         try:
-            msg = transport.get_result(timeout)
-        except TransportTimeout as exc:
-            transport.terminate()
-            transport.join(timeout=5)
-            exits = f", exit codes {exc.exit_codes}" if exc.exit_codes else ""
+            transport.command(rank, ("stop",))
+        except (OSError, ValueError):  # pragma: no cover - closed at exit
+            pass
+    transport.join(timeout=5.0)
+
+
+class RankPool:
+    """Resident ranks: one pool, started at a factorisation and kept —
+    with each rank's factored share — across every later factor, solve
+    and gather command, until :meth:`close` or :meth:`discard`.
+
+    Not started until a distributed call needs it.  A call of another
+    pool shape (ranks, threads per rank, placement, transport) replaces
+    it: a factorisation discards the old ranks (their values are being
+    replaced), a solve gathers their factors first.  A
+    ``weakref.finalize`` stops and joins the ranks, without gathering,
+    when the pool is collected and at interpreter exit; a failed command
+    tears the pool down at once.  Torn down while the ranks held the only
+    copy of the factors, the pool refuses to solve or gather until the
+    next factorisation.
+    """
+
+    def __init__(self, *, lost: bool = False) -> None:
+        self.transport: Transport | None = None
+        self._shape: tuple | None = None
+        self._owned: list[np.ndarray] = []
+        self._shipped: dict[int, object] = {}  # id → the DAGs the ranks hold
+        self._pending = False  # the ranks hold factors ``f`` lacks
+        self._lost = lost      # ... and were torn down with them
+        self._stopper: weakref.finalize | None = None
+        self._timeout = 300.0  # the last call's, for a gather
+
+    @property
+    def is_open(self) -> bool:
+        return self.transport is not None
+
+    @property
+    def lost(self) -> bool:
+        """The ranks were torn down holding the only copy of the factors."""
+        return self._lost
+
+    def _open(self, f: BlockMatrix, shape: tuple, known: dict) -> None:
+        n_procs, n_threads, placement, transport = shape
+        owner_of_slot = _owner_of_slot(f, _resolve_pool(*shape[:3]))
+        self._owned = [np.flatnonzero(owner_of_slot == r) for r in range(n_procs)]
+        self.transport = transport or MultiprocessingTransport()
+        self.transport.start(
+            n_procs, _rank_main, lambda rank: (f, owner_of_slot, n_threads, known),
+        )
+        self._shape = shape
+        self._stopper = weakref.finalize(
+            self, _stop_ranks, self.transport, n_procs, os.getpid()
+        )
+
+    def _closed(self, lost: bool) -> None:
+        self.transport, self._shape, self._shipped = None, None, {}
+        self._pending, self._lost = False, lost
+
+    def discard(self, *, replaced: bool = False) -> None:
+        """Stop and join the ranks without gathering their values.
+        Unless ``f``'s values are being ``replaced``, factors that only
+        the ranks held are lost: a later solve or gather raises."""
+        if self._stopper is not None:
+            self._stopper()
+        self._closed(lost=not replaced and (self._pending or self._lost))
+
+    def _require_factors(self) -> None:
+        if self._lost:
             raise RuntimeError(
+                "the rank pool was torn down holding the only copy of the "
+                "factors; refactorize first"
+            )
+
+    def gather(self, f: BlockMatrix) -> None:
+        """Bring the ranks' factors into ``f`` (a no-op when ``f``
+        already holds them); the ranks stay up."""
+        self._require_factors()
+        if self._pending:
+            def install(rank: int, values) -> None:
+                for slot, data in zip(self._owned[rank].tolist(), values):
+                    f.blk_values[slot].data[...] = data
+
+            self._round("gather", [("gather",)] * len(self._owned), install,
+                        None, self._timeout, time.perf_counter())
+            self._pending = False
+
+    def close(self, f: BlockMatrix) -> None:
+        """Gather the factors into ``f`` (unless a fault lost them), then
+        stop and join the ranks."""
+        if not self._lost:
+            self.gather(f)
+        self.discard()
+
+    def _ship(self, f: BlockMatrix, shape: tuple, dag, payload) -> tuple[int, object]:
+        """``(key, payload())`` of a command on ``dag``, which the ranks
+        cache under its id: ``None`` in place of the payload once they
+        hold it, and when this call starts the pool — its ranks inherit
+        it by fork (holding ``dag`` keeps its id unique)."""
+        key, known = id(dag), id(dag) in self._shipped
+        self._shipped[key] = dag
+        if self.is_open:
+            return key, None if known else payload()
+        self._open(f, shape, {key: payload()})
+        return key, None
+
+    def _round(
+        self, what: str, commands: list, install, recorder, timeout: float,
+        t_start: float,
+    ) -> RunReport:
+        """One command per rank, then every rank's result: reports merged
+        into the returned one (recorders into ``recorder``), payloads
+        handed to ``install(rank, payload)``.
+
+        ``timeout`` bounds the wait for each rank: a dead or hung rank
+        tears the pool down and raises, naming the command and the ranks
+        no longer alive (at once, with their exit codes, when a process
+        exited without a result).  A rank's ``"error"`` does the same at
+        once — a failed rank can no longer feed its consumers, so the
+        rest of the pool would block forever on their inboxes.
+        """
+        n_procs = len(commands)
+        report = RunReport(
+            n_workers=self._shape[1], n_procs=n_procs,
+            tasks_per_proc=[0] * n_procs,
+        )
+        for rank, cmd in enumerate(commands):
+            self.transport.command(rank, cmd)
+        for _ in range(n_procs):
+            _, rank, part, payload, rank_recorder = self._result(what, timeout)
+            if part is not None:
+                report.merge(part)
+                report.tasks_per_proc[rank] = part.tasks_executed
+                report.nrhs = part.nrhs
+            if recorder is not None and rank_recorder is not None:
+                recorder.merge(rank_recorder)
+            install(rank, payload)
+        report.seconds = time.perf_counter() - t_start
+        return report
+
+    def _result(self, what: str, timeout: float):
+        """The next rank's ``"ok"`` result; a timeout or a rank's
+        ``"error"`` tears the pool down and raises."""
+        try:
+            msg = self.transport.get_result(timeout)
+            if msg[0] != "error":
+                return msg
+            error = RuntimeError(f"rank {msg[1]}: {msg[2]} (distributed {what})")
+        except TransportTimeout as exc:
+            exits = f", exit codes {exc.exit_codes}" if exc.exit_codes else ""
+            error = RuntimeError(
                 f"distributed {what} timed out after {exc.timeout:.3g}s "
                 f"(ranks no longer alive: {exc.dead_ranks}{exits}) — "
                 "worker crash or deadlock"
-            ) from None
-        if msg[0] == "error":
-            transport.terminate()
-            transport.join(timeout=30)
-            raise RuntimeError(f"rank {msg[1]}: {msg[2]}")
-        _, rank, part, result, rank_recorder = msg
-        report.merge(part)
-        report.tasks_per_proc[rank] = part.tasks_executed
-        report.nrhs = part.nrhs
-        if recorder is not None and rank_recorder is not None:
-            recorder.merge(rank_recorder)
-        install(result)
-    transport.join(timeout=30)
-    report.seconds = time.perf_counter() - t_start
-    return report
+            )
+        self._stopper.detach()
+        self.transport.terminate()
+        self.transport.join(timeout=5.0)
+        self._closed(lost=self._pending)
+        raise error
+
+    def factor(
+        self, f: BlockMatrix, dag: TaskDAG, options: NumericOptions,
+        shape: tuple, *, timeout: float, recorder,
+    ) -> RunReport:
+        """Factorise ``f``'s values on the ranks, which keep the factors.
+        A freshly started pool inherits the values (and the DAG) from
+        this process; an open one is shipped each rank's owned values."""
+        t_start, self._timeout = time.perf_counter(), timeout
+        if self._shape != shape:
+            self.discard(replaced=True)
+        values = [None] * shape[0]
+        if self.is_open:
+            values = [[f.blk_values[s].data for s in owned.tolist()]
+                      for owned in self._owned]
+        placement = _resolve_pool(*shape[:3])
+        key, entry = self._ship(
+            f, shape, dag, lambda: (dag, placement.assign(dag))
+        )
+        # from here on the factors, once made, are the ranks' alone
+        self._pending, self._lost = True, False
+        return self._round(
+            "factorisation",
+            [("factor", recorder is not None, key, entry, options, v)
+             for v in values],
+            lambda rank, payload: None, recorder, timeout, t_start,
+        )
+
+    def tsolve(
+        self, f: BlockMatrix, tdag: TSolveDAG, y0: np.ndarray, shape: tuple,
+        *, timeout: float, recorder,
+    ) -> tuple[np.ndarray, RunReport]:
+        """Both sweeps on the ranks' factors: ``y0`` out, ``x`` back."""
+        t_start, self._timeout = time.perf_counter(), timeout
+        if self.is_open and self._shape != shape:
+            self.close(f)
+        self._require_factors()
+        key, entry = self._ship(f, shape, tdag, lambda: tdag)
+        x = np.empty_like(y0)
+        filled = np.zeros(f.nb, dtype=bool)
+
+        def install(rank: int, xparts) -> None:
+            for k, arr in xparts:
+                x[f.block_slice(k)] = arr
+                filled[k] = True
+
+        report = self._round(
+            "tsolve", [("solve", recorder is not None, key, entry, y0)] * shape[0],
+            install, recorder, timeout, t_start,
+        )
+        if not np.all(filled):
+            raise RuntimeError(
+                f"distributed tsolve returned {int(filled.sum())} of {f.nb} "
+                "solution segments"
+            )
+        return x, report
+
+
+@contextmanager
+def _pool_of_call(pool: RankPool | None, f: BlockMatrix):
+    """``pool``; without one, a pool of this call alone, whose factors
+    are gathered into ``f`` before it is closed."""
+    if pool is not None:
+        yield pool
+        return
+    pool = RankPool()
+    try:
+        yield pool
+        pool.close(f)
+    finally:
+        pool.discard()
 
 
 def factorize_distributed(
@@ -358,6 +606,7 @@ def factorize_distributed(
     recorder: EventRecorder | None = None,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
+    pool: RankPool | None = None,
 ) -> RunReport:
     """Factorise ``f`` in place across ``n_procs`` ranks.
 
@@ -372,33 +621,32 @@ def factorize_distributed(
     so they select kernels, plan and compress exactly as the in-process
     engines do.
 
+    ``pool`` is a :class:`RankPool` that keeps the ranks, and the
+    factors on them, after the call: ``f``'s values in this process stay
+    those that were factored until :meth:`RankPool.gather` brings the
+    factors home.  Without one, the call opens a pool of its own,
+    gathers the factors into ``f`` and closes it.
+
     ``transport`` selects the message substrate: the default
     :class:`~repro.runtime.transports.MultiprocessingTransport` (one OS
     process per rank) or a
     :class:`~repro.runtime.transports.LoopbackTransport` (threads in this
     process, deterministic, fault-injectable).  ``timeout`` bounds the
     wait for each rank's result; a dead or hung rank (failure injection,
-    OOM kill, …) terminates the remaining pool and raises instead of
-    hanging the caller.  Pass a ``recorder`` to collect per-rank task and
-    message send/recv events from the real run (merged into it on
-    success) for Chrome-trace export.  A duplicated message is refused
-    by the receiving rank's core as a second completion and surfaces as
-    that rank's error instead of silent corruption.
+    OOM kill, …) terminates the pool and raises instead of hanging the
+    caller.  Pass a ``recorder`` to collect per-rank task and message
+    send/recv events from the real run (merged into it on success) for
+    Chrome-trace export.  A duplicated message is refused by the
+    receiving rank's core as a second completion and surfaces as that
+    rank's error instead of silent corruption.
     """
     options = options or NumericOptions()
-    placement = _resolve_pool(n_procs, n_threads, placement)
-    owner_of_slot = _owner_of_slot(f, placement)
-    owner_of_task = placement.assign(dag)
-
-    def install(blocks) -> None:
-        for slot, data in blocks:
-            f.blk_values[slot].data[...] = data
-
-    return _run_ranks(
-        "factorisation", n_procs, n_threads, _RankFactorJob,
-        lambda rank: (f, owner_of_slot, dag, owner_of_task, options),
-        install, transport=transport, timeout=timeout, recorder=recorder,
-    )
+    _resolve_pool(n_procs, n_threads, placement)
+    with _pool_of_call(pool, f) as p:
+        return p.factor(
+            f, dag, options, (n_procs, n_threads, placement, transport),
+            timeout=timeout, recorder=recorder,
+        )
 
 
 def tsolve_distributed(
@@ -412,6 +660,7 @@ def tsolve_distributed(
     recorder: EventRecorder | None = None,
     placement: PlacementPolicy | None = None,
     n_threads: int = 1,
+    pool: RankPool | None = None,
 ) -> tuple:
     """Both triangular sweeps across ``n_procs`` ranks.
 
@@ -428,29 +677,16 @@ def tsolve_distributed(
     :func:`repro.core.tsolve.tsolve_sequential`.  ``b`` passes
     :func:`~repro.core.tsolve.checked_rhs`.  With ``n_threads > 1``
     each rank drains its scheduler core with a thread pool (the
-    ``"hybrid"`` engine).  ``transport`` / ``timeout`` / ``recorder``
-    behave exactly as in :func:`factorize_distributed`.
+    ``"hybrid"`` engine).  ``pool`` / ``transport`` / ``timeout`` /
+    ``recorder`` behave exactly as in :func:`factorize_distributed`: the
+    pool's ranks solve with the factors they hold, a pool of the call
+    alone forks them from ``f``.
     Returns ``(x, RunReport)``.
     """
-    placement = _resolve_pool(n_procs, n_threads, placement)
+    _resolve_pool(n_procs, n_threads, placement)
     y0 = checked_rhs(b, f.n, panel=True)
-    owner_of_slot = _owner_of_slot(f, placement)
-    x = np.empty_like(y0)
-    filled = np.zeros(f.nb, dtype=bool)
-
-    def install(xparts) -> None:
-        for k, arr in xparts:
-            x[f.block_slice(k)] = arr
-            filled[k] = True
-
-    report = _run_ranks(
-        "tsolve", n_procs, n_threads, _RankSolveJob,
-        lambda rank: (f, owner_of_slot, tdag, y0),
-        install, transport=transport, timeout=timeout, recorder=recorder,
-    )
-    if not np.all(filled):
-        raise RuntimeError(
-            f"distributed tsolve returned {int(filled.sum())} of {f.nb} "
-            "solution segments"
+    with _pool_of_call(pool, f) as p:
+        return p.tsolve(
+            f, tdag, y0, (n_procs, n_threads, placement, transport),
+            timeout=timeout, recorder=recorder,
         )
-    return x, report

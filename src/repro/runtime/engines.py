@@ -5,20 +5,22 @@ lane driver (:func:`repro.runtime.lanes.run_lanes`): ranks over a
 message transport × threads per rank.  The registry maps the
 ``SolverOptions.engine`` string to a callable with the uniform signature
 
-``engine(blocks, dag, solver_options, *, recorder=None, placement=None)
--> RunReport``
+``engine(blocks, dag, solver_options, *, recorder=None, placement=None,
+pool=None) -> RunReport``
 
 so the :class:`~repro.core.solver.PanguLU` facade (and the CLI's
 ``--engine`` flag) dispatch by name instead of special-casing worker
 counts.  ``placement`` is the fitted
 :class:`~repro.core.placement.PlacementPolicy` deciding block→rank
-ownership for the multi-rank engines (the local engines ignore it).
+ownership for the multi-rank engines, ``pool`` the
+:class:`~repro.runtime.distributed.RankPool` of resident ranks they run
+on (a handle's, kept across its calls); the local engines ignore both.
 
 Phase 5 has a parallel registry: the same names map to
 *triangular-solve* engines with the signature
 
 ``tsolve_engine(blocks, tdag, b, solver_options, *, recorder=None,
-placement=None) -> (x, RunReport)``
+placement=None, pool=None) -> (x, RunReport)``
 
 registered via :func:`register_tsolve_engine` and dispatched by the
 :class:`~repro.core.solver.Factorization` handle, so one
@@ -117,13 +119,13 @@ def _pool(options, uses_ranks: bool, uses_threads: bool) -> tuple[int, int]:
 def _factor_engine(shape: tuple[bool, bool]) -> Callable:
     def engine(
         f, dag, options, *, recorder: EventRecorder | None = None,
-        placement=None,
+        placement=None, pool=None,
     ) -> RunReport:
         ranks, lanes = _pool(options, *shape)
         if ranks:
             return factorize_distributed(
                 f, dag, ranks, options=options.numeric, recorder=recorder,
-                placement=placement, n_threads=lanes,
+                placement=placement, n_threads=lanes, pool=pool,
             )
         return factorize(
             f, dag, options.numeric, recorder=recorder, n_lanes=lanes,
@@ -135,13 +137,13 @@ def _factor_engine(shape: tuple[bool, bool]) -> Callable:
 def _tsolve_engine(shape: tuple[bool, bool]) -> Callable:
     def engine(
         f, tdag, b, options, *, recorder: EventRecorder | None = None,
-        placement=None,
+        placement=None, pool=None,
     ) -> tuple:
         ranks, lanes = _pool(options, *shape)
         if ranks:
             return tsolve_distributed(
                 f, tdag, b, ranks, recorder=recorder, placement=placement,
-                n_threads=lanes,
+                n_threads=lanes, pool=pool,
             )
         return tsolve_lanes(f, tdag, b, n_lanes=lanes, recorder=recorder)
 

@@ -16,10 +16,13 @@ substrate, factored out:
   testable in-process without real process crashes.
 
 A transport owns the execution substrate (it launches the per-rank
-worker function) and hands each worker an :class:`Endpoint` with
-``send``/``recv``/``post_result``.  Adding an engine substrate (e.g. a
-socket or MPI transport) means implementing these two classes — the
-protocol itself is untouched.
+worker function once per pool) and hands each worker an :class:`Endpoint`
+with ``next_command`` (the master's commands, on a channel of their own)
+and ``send``/``recv``/``post_result``.  An idle rank waits for its next
+command in short slices and exits once its master is gone, so a killed
+master leaves no rank behind.  Adding an engine substrate (e.g. a socket
+or MPI transport) means implementing these two classes — the protocol
+itself is untouched.
 
 Both distributed consumers ride the same transports: the numeric phase
 (:func:`~repro.runtime.distributed.factorize_distributed`, factor-block
@@ -30,6 +33,7 @@ payloads).
 
 from __future__ import annotations
 
+import os
 import pickle
 import queue as queue_mod
 import threading
@@ -85,8 +89,9 @@ class FaultPlan:
     Attributes
     ----------
     dead_ranks:
-        Ranks that never run — their consumers starve, exercising the
-        master's timeout/teardown path.
+        Ranks that die — on their first command, or on the one
+        ``from_command`` names — so their consumers starve, exercising
+        the master's timeout/teardown path.
     fail_after:
         ``{rank: n}`` — rank raises :class:`InjectedFault` after
         executing ``n`` tasks (the mid-factorisation crash path).
@@ -108,6 +113,10 @@ class FaultPlan:
         With ``delay_seconds``, delay only every second message — later
         messages overtake earlier ones, testing reorder tolerance (the
         counter protocol never relies on arrival order).
+    from_command:
+        The command of the pool from which the faults act: ``0`` is the
+        first (a ``factorize``), ``1`` the second (say, the first solve
+        on the resident ranks).  A dead rank dies on receiving it.
     """
 
     dead_ranks: frozenset[int] = frozenset()
@@ -116,18 +125,25 @@ class FaultPlan:
     duplicate_from: frozenset[int] = frozenset()
     delay_seconds: float = 0.0
     stagger: bool = False
+    from_command: int = 0
 
 
 class Endpoint:
     """A rank's handle on the transport.
 
-    ``send``/``recv`` move protocol messages between ranks;
-    ``post_result`` ships the rank's final report to the master;
-    ``on_task_executed`` is a hook the engine calls after every task
-    (no-op here; the loopback transport uses it for fault injection).
+    ``next_command`` waits for the master's next command; ``send``/
+    ``recv`` move protocol messages between ranks; ``post_result`` ships
+    a command's result to the master; ``on_task_executed`` is a hook the
+    engine calls after every task (no-op here; the loopback transport
+    uses it for fault injection).
     """
 
     rank: int
+
+    def next_command(self):
+        """The master's next command; raises :class:`TransportStopped`
+        after a teardown or once the master is gone."""
+        raise NotImplementedError
 
     def send(self, dst: int, payload) -> None:
         raise NotImplementedError
@@ -148,12 +164,18 @@ class Endpoint:
 class Transport:
     """Factory/lifecycle interface the distributed engine drives.
 
-    ``start`` launches one worker per rank; ``get_result`` returns rank
-    reports as they arrive (raising :class:`TransportTimeout` on a
-    deadline); ``terminate`` tears everything down; ``join`` reaps.
+    ``start`` launches one worker per rank; ``command`` hands a rank its
+    next command (each round of commands restarts the count of results);
+    ``get_result`` returns rank results as they arrive (raising
+    :class:`TransportTimeout` on a deadline); ``terminate`` tears
+    everything down; ``join`` waits for the ranks to exit, forcing the
+    ones still running after ``timeout``.
     """
 
     def start(self, n_ranks: int, target, args_of_rank) -> None:
+        raise NotImplementedError
+
+    def command(self, rank: int, msg) -> None:
         raise NotImplementedError
 
     def get_result(self, timeout: float):
@@ -171,10 +193,27 @@ class Transport:
 # ----------------------------------------------------------------------
 
 class _MPEndpoint(Endpoint):
-    def __init__(self, rank: int, inboxes, result_q) -> None:
+    def __init__(self, rank: int, master: int, inboxes, commands, result_q) -> None:
         self.rank = rank
+        self._master = master
         self._inboxes = inboxes
+        self._commands = commands
         self._result_q = result_q
+
+    def _get(self, q):
+        """The next item of ``q``, waited for in slices between which the
+        master's liveness is checked: an orphaned rank (its master was
+        killed, so it was re-parented) stops instead of blocking
+        forever."""
+        while True:
+            try:
+                return q.get(timeout=MultiprocessingTransport.POLL_SECONDS)
+            except queue_mod.Empty:
+                if os.getppid() != self._master:
+                    raise TransportStopped from None
+
+    def next_command(self):
+        return self._get(self._commands[self.rank])
 
     def send(self, dst: int, payload) -> None:
         # pickled on the sending lane, not on the queue's feeder thread,
@@ -185,24 +224,27 @@ class _MPEndpoint(Endpoint):
 
     def recv(self, block: bool = True):
         inbox = self._inboxes[self.rank]
-        return pickle.loads(inbox.get() if block else inbox.get_nowait())
+        return pickle.loads(self._get(inbox) if block else inbox.get_nowait())
 
     def post_result(self, msg) -> None:
         self._result_q.put(msg)
 
 
-def _mp_entry(target, rank, inboxes, result_q, args) -> None:
-    target(rank, _MPEndpoint(rank, inboxes, result_q), *args)
+def _mp_entry(target, rank, master, inboxes, commands, result_q, args) -> None:
+    target(rank, _MPEndpoint(rank, master, inboxes, commands, result_q), *args)
 
 
 class MultiprocessingTransport(Transport):
-    """One ``fork``-context OS process per rank, queues for messages."""
+    """One ``fork``-context OS process per rank, queues for messages and
+    one more per rank for the master's commands."""
 
-    #: seconds ``get_result`` waits before it looks at the ranks again
+    #: seconds ``get_result`` waits before it looks at the ranks again,
+    #: and a rank before it looks at its master
     POLL_SECONDS = 0.2
 
     def __init__(self) -> None:
         self._procs: list = []
+        self._commands: list = []
         self._result_q = None
         self._received = 0
 
@@ -211,24 +253,36 @@ class MultiprocessingTransport(Transport):
 
         ctx = mp.get_context("fork")
         inboxes = [ctx.Queue() for _ in range(n_ranks)]
+        self._commands = [ctx.Queue() for _ in range(n_ranks)]
         self._result_q = ctx.Queue()
         self._procs, self._received = [], 0
         for rank in range(n_ranks):
             p = ctx.Process(
                 target=_mp_entry,
-                args=(target, rank, inboxes, self._result_q, args_of_rank(rank)),
+                args=(target, rank, os.getpid(), inboxes, self._commands,
+                      self._result_q, args_of_rank(rank)),
                 daemon=True,
             )
             p.start()
             self._procs.append(p)
 
+    @property
+    def pids(self) -> list[int]:
+        """The rank processes' ids, by rank."""
+        return [p.pid for p in self._procs]
+
+    def command(self, rank: int, msg) -> None:
+        self._received = 0
+        self._commands[rank].put(msg)
+
     def get_result(self, timeout: float):
         """The next rank result, waited for in short slices.  A rank
-        posts at most one result, so once more ranks have exited than
-        results arrived, one of them died without posting (killed, or
-        its result failed to pickle on the queue's feeder thread): after
-        one more drain — a rank that posted and then exited is not
-        misreported — that raises at once, not after ``timeout``."""
+        posts at most one result per round of commands, so once more
+        ranks have exited than results arrived, one of them died without
+        posting (killed, or its result failed to pickle on the queue's
+        feeder thread): after one more drain — a rank that posted and
+        then exited is not misreported — that raises at once, not after
+        ``timeout``."""
         t0, drained = time.perf_counter(), False
         while True:
             try:
@@ -254,6 +308,7 @@ class MultiprocessingTransport(Transport):
             p.join(timeout=timeout)
             if p.is_alive():  # pragma: no cover - stuck feeder safety net
                 p.terminate()
+                p.join(timeout=timeout)
 
 
 # ----------------------------------------------------------------------
@@ -261,19 +316,50 @@ class MultiprocessingTransport(Transport):
 # ----------------------------------------------------------------------
 
 class _LoopbackEndpoint(Endpoint):
+    """A loopback rank's channels — those of the transport's current
+    start, so a restarted transport's ranks never share them with a
+    straggler of the last one."""
+
     def __init__(self, rank: int, transport: LoopbackTransport) -> None:
         self.rank = rank
-        self._t = transport
+        self._faults = transport.faults
+        self._stop = transport.stop_event
+        self._inboxes = transport.inboxes
+        self._commands_q = transport.commands[rank]
+        self._results = transport.result_q
+        self._timers = transport.timers
         self._sends = 0
+        self._commands = 0
+        self._command = 0  # index of the command being served
+
+    def _faulty(self, ranks) -> bool:
+        """``self.rank`` is in ``ranks`` and the faults act by now."""
+        return self.rank in ranks and self._command >= self._faults.from_command
+
+    def _get(self, q):
+        while True:
+            if self._stop.is_set():
+                raise TransportStopped
+            try:
+                return q.get(timeout=0.05)
+            except queue_mod.Empty:
+                continue
+
+    def next_command(self):
+        msg = self._get(self._commands_q)
+        self._command, self._commands = self._commands, self._commands + 1
+        if self._faulty(self._faults.dead_ranks):
+            raise TransportStopped  # the rank "crashes": its thread ends
+        return msg
 
     def send(self, dst: int, payload) -> None:
-        t = self._t
-        if self.rank in t.faults.drop_from:
+        faults = self._faults
+        if self._faulty(faults.drop_from):
             return
         self._sends += 1
-        copies = 2 if self.rank in t.faults.duplicate_from else 1
-        delay = t.faults.delay_seconds
-        if delay > 0.0 and (not t.faults.stagger or self._sends % 2 == 1):
+        copies = 2 if self._faulty(faults.duplicate_from) else 1
+        delay = faults.delay_seconds if self._faulty({self.rank}) else 0.0
+        if delay > 0.0 and (not faults.stagger or self._sends % 2 == 1):
             # a real link serialises at send time: snapshot array members
             # so a delayed delivery carries the values being sent, not
             # whatever a shared (arena-slab-view) buffer holds when the
@@ -285,35 +371,28 @@ class _LoopbackEndpoint(Endpoint):
                 )
             for _ in range(copies):
                 timer = threading.Timer(
-                    delay, t.inboxes[dst].put, args=(payload,)
+                    delay, self._inboxes[dst].put, args=(payload,)
                 )
                 timer.daemon = True
                 timer.start()
-                t._timers.append(timer)
+                self._timers.append(timer)
         else:
             for _ in range(copies):
-                t.inboxes[dst].put(payload)
+                self._inboxes[dst].put(payload)
 
     def recv(self, block: bool = True):
-        t = self._t
-        if not block:
-            if t.stop_event.is_set():
-                raise TransportStopped
-            return t.inboxes[self.rank].get_nowait()
-        while True:
-            if t.stop_event.is_set():
-                raise TransportStopped
-            try:
-                return t.inboxes[self.rank].get(timeout=0.05)
-            except queue_mod.Empty:
-                continue
+        if block:
+            return self._get(self._inboxes[self.rank])
+        if self._stop.is_set():
+            raise TransportStopped
+        return self._inboxes[self.rank].get_nowait()
 
     def post_result(self, msg) -> None:
-        self._t.result_q.put(msg)
+        self._results.put(msg)
 
     def on_task_executed(self, count: int) -> None:
-        limit = self._t.faults.fail_after.get(self.rank)
-        if limit is not None and count >= limit:
+        limit = self._faults.fail_after.get(self.rank)
+        if limit is not None and count >= limit and self._faulty({self.rank}):
             raise InjectedFault(
                 f"injected fault: rank {self.rank} failed after {count} tasks"
             )
@@ -331,36 +410,44 @@ class LoopbackTransport(Transport):
     def __init__(self, *, faults: FaultPlan | None = None) -> None:
         self.faults = faults or FaultPlan()
         self.inboxes: list[queue_mod.Queue] = []
+        self.commands: list[queue_mod.Queue] = []
         self.result_q: queue_mod.Queue = queue_mod.Queue()
         self.stop_event = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._timers: list[threading.Timer] = []
+        self.threads: list[threading.Thread] = []
+        self.timers: list[threading.Timer] = []
 
     def start(self, n_ranks: int, target, args_of_rank) -> None:
         self.inboxes = [queue_mod.Queue() for _ in range(n_ranks)]
+        self.commands = [queue_mod.Queue() for _ in range(n_ranks)]
+        self.result_q, self.stop_event = queue_mod.Queue(), threading.Event()
+        self.threads = []
         for rank in range(n_ranks):
-            if rank in self.faults.dead_ranks:
-                continue  # the rank "crashed" before doing any work
             th = threading.Thread(
                 target=target,
                 args=(rank, _LoopbackEndpoint(rank, self), *args_of_rank(rank)),
-                daemon=True,
+                name=f"loopback-rank-{rank}", daemon=True,
             )
             th.start()
-            self._threads.append(th)
+            self.threads.append(th)
+
+    def command(self, rank: int, msg) -> None:
+        self.commands[rank].put(msg)
 
     def get_result(self, timeout: float):
         try:
             return self.result_q.get(timeout=timeout)
         except queue_mod.Empty:
-            dead = sorted(self.faults.dead_ranks)
+            dead = [r for r, th in enumerate(self.threads) if not th.is_alive()]
             raise TransportTimeout(timeout, dead) from None
 
     def terminate(self) -> None:
         self.stop_event.set()
-        for timer in self._timers:
+        for timer in self.timers:
             timer.cancel()
 
     def join(self, timeout: float = 30.0) -> None:
-        for th in self._threads:
+        for th in self.threads:
             th.join(timeout=timeout)
+            if th.is_alive():  # a rank that ignored its "stop"
+                self.terminate()
+                th.join(timeout=timeout)

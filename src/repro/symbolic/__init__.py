@@ -5,7 +5,6 @@ fill (PanguLU's path).  The baseline's Gilbert–Peierls column-DFS fill is
 from .etree import (
     column_structures,
     elimination_tree,
-    postorder,
 )
 from .fill import (
     SymbolicResult,
@@ -18,7 +17,6 @@ from .fill import (
 __all__ = [
     "elimination_tree",
     "column_structures",
-    "postorder",
     "SymbolicResult",
     "symbolic_symmetric",
     "envelope_profile",

@@ -1,10 +1,11 @@
-"""Elimination tree computation (Liu's algorithm) and related traversals.
+"""Elimination tree computation (Liu's algorithm) and the column
+structures it carries.
 
-The elimination tree of a (symmetrised) sparse matrix drives both symbolic
-factorisation paths in this reproduction: PanguLU's symmetric-pruned fill
-computation merges column structures up the etree
-(:func:`column_structures`), and the supernodal baseline uses the etree's
-postorder to detect supernodes.
+The elimination tree of a (symmetrised) sparse matrix drives PanguLU's
+symmetric-pruned fill computation, which merges column structures up the
+etree (:func:`column_structures`).  The supernodal baseline groups
+contiguous columns of its Gilbert–Peierls fill instead
+(:func:`repro.baseline.supernodes.detect_supernodes`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from ..sparse.patterns import sorted_unique, symmetrize_pattern
 __all__ = [
     "elimination_tree",
     "column_structures",
-    "postorder",
 ]
 
 
@@ -48,43 +48,6 @@ def elimination_tree(a: CSCMatrix, *, symmetrize: bool = True) -> np.ndarray:
                     break
                 i = anc
     return parent
-
-
-def postorder(parent: np.ndarray) -> np.ndarray:
-    """Postorder permutation of a forest given parent pointers.
-
-    Returns ``post`` such that ``post[k]`` is the k-th vertex in postorder
-    (children before parents; the forest roots appear last within their
-    trees).
-    """
-    n = parent.size
-    # build children lists (in increasing vertex order for determinism)
-    first_child = np.full(n, -1, dtype=np.int64)
-    next_sibling = np.full(n, -1, dtype=np.int64)
-    for v in range(n - 1, -1, -1):
-        p = int(parent[v])
-        if p >= 0:
-            next_sibling[v] = first_child[p]
-            first_child[p] = v
-    post = np.empty(n, dtype=np.int64)
-    k = 0
-    for root in range(n):
-        if parent[root] >= 0:
-            continue
-        # iterative DFS
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            c = int(first_child[v])
-            if c >= 0:
-                stack.append(c)
-                first_child[v] = next_sibling[c]  # consume child
-            else:
-                post[k] = stack.pop()
-                k += 1
-    if k != n:
-        raise ValueError("parent array does not describe a forest")
-    return post
 
 
 def column_structures(

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from ..sparse.csc import CSCMatrix, transpose_arrays
 from ..sparse.patterns import concat_ranges, symmetrize_pattern
@@ -156,26 +157,29 @@ def envelope_profile(a: CSCMatrix) -> int:
 def entry_positions(pattern: CSCMatrix, a: CSCMatrix) -> np.ndarray:
     """Position in ``pattern``'s arrays of every stored entry of ``a``.
 
-    One ``searchsorted`` over the fused key ``col · nrows + row``, which is
-    increasing along a CSC pattern.  Raises ``ValueError`` naming the first
-    column of ``a`` that ``pattern`` does not cover.
+    One compiled merge of the sorted columns (SciPy's ``csr_plus_csr``)
+    over markers — 1 for ``pattern``, 2 for ``a`` — so a merged entry
+    reads 3 where ``a`` meets ``pattern``, in ``a``'s storage order, and
+    2 where ``pattern`` misses it (the merge then outgrows ``pattern``).
+    Raises ``ValueError`` naming the first column of ``a`` that
+    ``pattern`` does not cover.
     """
     if pattern.shape != a.shape:
         raise ValueError("shape mismatch")
-    nrows = a.nrows
-    a_cols = a.cols_expanded()
-    wanted = a_cols * nrows + a.indices
-    have = np.repeat(
-        np.arange(pattern.ncols, dtype=np.int64) * nrows, np.diff(pattern.indptr)
+    ncols, nrows = pattern.ncols, pattern.nrows
+    size = pattern.nnz + a.nnz
+    ptr, idx = np.empty(ncols + 1, np.int64), np.empty(size, np.int64)
+    marker = np.empty(size, dtype=np.int8)
+    _sparsetools.csr_plus_csr(
+        ncols, nrows, pattern.indptr, pattern.indices,
+        np.ones(pattern.nnz, dtype=np.int8), a.indptr, a.indices,
+        np.full(a.nnz, 2, dtype=np.int8), ptr, idx, marker,
     )
-    have += pattern.indices
-    pos = np.searchsorted(have, wanted)
-    covered = pos < have.size
-    covered[covered] = have[pos[covered]] == wanted[covered]
-    if not covered.all():
-        j = int(a_cols[np.argmin(covered)])
+    if ptr[-1] > pattern.nnz:  # the merge gained entries of ``a`` alone
+        first = int(np.argmax(marker[: ptr[-1]] == 2))
+        j = int(np.searchsorted(ptr, first, side="right")) - 1
         raise ValueError(f"pattern does not cover column {j} of the input")
-    return pos
+    return np.flatnonzero(marker[: ptr[-1]] == 3)
 
 
 def fill_in_values(pattern: CSCMatrix, a: CSCMatrix) -> CSCMatrix:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -50,3 +55,24 @@ def dense_lu_nopivot(d: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def dense_lu():
     return dense_lu_nopivot
+
+
+def leaked_ranks() -> list[str]:
+    """Rank processes and loopback rank threads still running once every
+    collectable handle is gone (a collected handle's finaliser stops its
+    ranks)."""
+    gc.collect()
+    procs = [f"pid {p.pid}" for p in multiprocessing.active_children()]
+    threads = [th.name for th in threading.enumerate()
+               if th.name.startswith("loopback-rank-") and th.is_alive()]
+    return procs + threads
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if any rank outlived the tests: a rank that no
+    handle, ``close()`` or finaliser stopped is a leak."""
+    leaked = leaked_ranks()
+    if leaked:
+        print(f"\nranks left running after the tests: {', '.join(leaked)}",
+              file=sys.stderr)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -13,7 +13,9 @@ ordering AMD's quality is checked against, the
 per-column chunk loop of the block partition, and the support-mask
 task-DAG builder with its per-column flop counts.  They are slow and
 obviously right; ``tests/test_reference_analysis.py`` asserts the
-production code reproduces them bit for bit.  Nothing under ``src/``
+production code reproduces them bit for bit.  Two more are kept as
+oracles only: the fused-key ``searchsorted`` of ``entry_positions`` and
+the etree ``postorder`` (no production path needs one).  Nothing under ``src/``
 imports this module.
 """
 
@@ -164,6 +166,66 @@ def fill_in_values(pattern: CSCMatrix, a: CSCMatrix) -> CSCMatrix:
             raise ValueError(f"pattern does not cover column {j} of the input")
         data[int(out.indptr[j]) + pos] = a.data[sl_a]
     return out
+
+
+def entry_positions(pattern: CSCMatrix, a: CSCMatrix) -> np.ndarray:
+    """One ``searchsorted`` over the fused key ``col · nrows + row``, which
+    is increasing along a CSC pattern."""
+    if pattern.shape != a.shape:
+        raise ValueError("shape mismatch")
+    nrows = a.nrows
+    a_cols = a.cols_expanded()
+    wanted = a_cols * nrows + a.indices
+    have = np.repeat(
+        np.arange(pattern.ncols, dtype=np.int64) * nrows, np.diff(pattern.indptr)
+    )
+    have += pattern.indices
+    pos = np.searchsorted(have, wanted)
+    covered = pos < have.size
+    covered[covered] = have[pos[covered]] == wanted[covered]
+    if not covered.all():
+        j = int(a_cols[np.argmin(covered)])
+        raise ValueError(f"pattern does not cover column {j} of the input")
+    return pos
+
+
+def postorder(parent: np.ndarray) -> np.ndarray:
+    """Postorder permutation of a forest given parent pointers (the
+    iterative first-child / next-sibling DFS; no production path needs a
+    postorder, so it is kept here as the etree tests' oracle).
+
+    Returns ``post`` such that ``post[k]`` is the k-th vertex in postorder
+    (children before parents; the forest roots appear last within their
+    trees).
+    """
+    n = parent.size
+    # build children lists (in increasing vertex order for determinism)
+    first_child = np.full(n, -1, dtype=np.int64)
+    next_sibling = np.full(n, -1, dtype=np.int64)
+    for v in range(n - 1, -1, -1):
+        p = int(parent[v])
+        if p >= 0:
+            next_sibling[v] = first_child[p]
+            first_child[p] = v
+    post = np.empty(n, dtype=np.int64)
+    k = 0
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        # iterative DFS
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            c = int(first_child[v])
+            if c >= 0:
+                stack.append(c)
+                first_child[v] = next_sibling[c]  # consume child
+            else:
+                post[k] = stack.pop()
+                k += 1
+    if k != n:
+        raise ValueError("parent array does not describe a forest")
+    return post
 
 
 def symbolic_symmetric(a: CSCMatrix) -> tuple[CSCMatrix, np.ndarray, int]:

@@ -78,17 +78,16 @@ class TestRankShare:
         from repro.core.numeric import NumericOptions
         from repro.core.placement import CyclicPlacement
         from repro.kernels import Workspace
-        from repro.runtime.distributed import _owner_of_slot, _RankFactorJob
+        from repro.runtime.distributed import _owner_of_slot, _Rank
 
         bm, dag = _prepared()
         place = CyclicPlacement(2)
         owner = _owner_of_slot(bm, place)
-        job = _RankFactorJob(
-            1, None, bm, owner, dag, place.assign(dag), NumericOptions()
-        )
+        rank = _Rank(1, bm, owner, {0: (dag, place.assign(dag))})
+        job = rank.job(("factor", False, 0, None, NumericOptions(), None), None)
         assert job.n_slots == bm.num_blocks
         assert job.f is not bm and job.f.owned == set(np.flatnonzero(owner == 1))
-        assert sorted(slot for slot, _ in job.result()) == sorted(job.f.owned)
+        assert len(rank.values()) == len(job.f.owned)  # what a gather ships
         task = next(
             t for t in dag.tasks
             if t.k != t.bj and place.owner(t.bi, t.bj) == 1

@@ -546,6 +546,38 @@ def test_phase_one_at_benchmark_scale():
     np.testing.assert_array_equal(row_perm, res.row_perm[want])
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_entry_positions_is_the_fused_key_search(name):
+    a = generate(name, scale=0.2, seed=NAMES.index(name))
+    f = symbolic_symmetric(a).filled
+    got = entry_positions(f, a)
+    np.testing.assert_array_equal(got, ref.entry_positions(f, a))
+    assert got.dtype == np.int64
+
+
+def test_entry_positions_with_empty_columns_and_an_uncovered_entry():
+    a, f = matrix("ecology1"), filled("ecology1")
+    rows, cols = a.rows_cols()
+    # every third column of the input empty, then every fifth of both
+    for keep_a, keep_f in ((cols % 3 != 0, None), (cols % 5 != 0, 5)):
+        sub = coo_to_csc(a.shape, rows[keep_a], cols[keep_a], a.data[keep_a])
+        pattern = f
+        if keep_f is not None:
+            fr, fc = f.rows_cols()
+            kept = fc % keep_f != 0
+            pattern = coo_to_csc(f.shape, fr[kept], fc[kept], f.data[kept])
+        np.testing.assert_array_equal(entry_positions(pattern, sub),
+                                      ref.entry_positions(pattern, sub))
+    # one off-diagonal entry of the input struck from the pattern
+    at = int(np.flatnonzero(rows != cols)[rows.size // 2])
+    fr, fc = f.rows_cols()
+    kept = (fr != rows[at]) | (fc != cols[at])
+    pattern = coo_to_csc(f.shape, fr[kept], fc[kept], f.data[kept])
+    for fn in (entry_positions, ref.entry_positions):
+        with pytest.raises(ValueError, match=rf"does not cover column {cols[at]} "):
+            fn(pattern, a)
+
+
 def test_fill_in_values_names_the_first_uncovered_column():
     pattern = CSCMatrix.from_dense(np.eye(5) + np.eye(5, k=1))
     a = np.eye(5)

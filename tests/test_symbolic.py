@@ -12,9 +12,10 @@ from repro.sparse import CSCMatrix, grid_laplacian_2d, random_sparse
 from repro.symbolic import (
     elimination_tree,
     fill_in_values,
-    postorder,
     symbolic_symmetric,
 )
+
+from .reference_analysis import postorder
 
 
 def dense_lu_pattern(d: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from repro.runtime import (
     recorder_to_chrome_trace,
     write_recorder_trace,
 )
-from repro.runtime.distributed import _run_ranks
 from repro.runtime.transports import TransportTimeout
 from repro.sparse import random_sparse
 from repro.symbolic import symbolic_symmetric
@@ -132,10 +131,6 @@ def _post_then_exit(rank, endpoint):
     endpoint.post_result(("ok", rank))
 
 
-def _exit_without_result(rank, recorder):
-    os._exit(3)
-
-
 def _send_unpicklable(rank, endpoint):
     """Rank 0 sends rank 1 a payload that cannot be pickled; rank 1 waits
     for it, as a consumer of that message would."""
@@ -173,14 +168,20 @@ class TestMultiprocessingResults:
         assert got == {("ok", 0), ("ok", 1)}
         transport.join(timeout=5)
 
-    def test_run_names_the_dead_ranks_and_exit_codes(self):
+    def test_run_names_the_dead_ranks_and_exit_codes(self, monkeypatch):
+        """Ranks that exit while building their job (the forked ranks
+        inherit the patch) fail the command at once, naming their exit
+        codes."""
+        from repro.runtime.distributed import _RankFactorJob
+
+        def exit_without_result(*args, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(_RankFactorJob, "__init__", exit_without_result)
+        bm, dag = _prepared(seed=5)
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match=r"timed out.*exit codes \{\d: 3"):
-            _run_ranks(
-                "numeric", 2, 1, _exit_without_result, lambda rank: (),
-                lambda result: None, transport=None, timeout=120.0,
-                recorder=None,
-            )
+            factorize_distributed(bm, dag, 2, timeout=120.0)
         assert time.perf_counter() - t0 < 10.0
 
     def test_unpicklable_message_fails_in_the_sending_rank(self):
