@@ -66,7 +66,13 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # start's channels, FaultPlan.from_command), core/solver.py +31 (the handle's
 # close/with/pickling lifecycle, the pool it hands the engines, and blocks properties
 # that gather on read, so no reader sees unfactored values), +1 export
-MAX_CORE_RUNTIME_LINES=4294
+# then +77: accumulated target images — core/numeric.py +76 (PanelCache opens a
+# target's image, closes it on the panel task, publishes the solved panel or the
+# factored block's two inverses, writes an open image back as the one coherence
+# rule, drains at the run's end; FactorJob resolves each task's image layout and
+# which images its dense-mapped readers take), runtime/lanes.py +2 (job.finish
+# runs after a failed run too), runtime/distributed.py -1 (a send writes back first)
+MAX_CORE_RUNTIME_LINES=4371
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -102,7 +108,9 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # the column adds nothing to it)
 # then +197: the +226 above, -29 in symbolic/ (postorder is a test oracle now;
 # entry_positions is one csr_plus_csr marker merge)
-MAX_SRC_LINES=9037
+# then +131: the +77 above, the kernels/ +52 and devtools/ +1 below, +1 in
+# cholesky/ (LLtJob resolves no published images)
+MAX_SRC_LINES=9168
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver
@@ -115,7 +123,8 @@ line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 # rules tier-1 or a run-time guard already catches went
 # 1 144 -> 715 when dtype-flow took its keep test and could not see its seeds:
 # it went with the whole-program layer only it used (flow/, Project, ProjectRule)
-MAX_DEVTOOLS_LINES=715
+# 715 -> 716: kernel-purity names the kernel's own target image writable, like ws
+MAX_DEVTOOLS_LINES=716
 line_ratchet "src/repro/devtools" "$MAX_DEVTOOLS_LINES" src/repro/devtools
 
 # the kernels are paper-fidelity code mostly off the benchmark's path
@@ -132,7 +141,11 @@ line_ratchet "src/repro/devtools" "$MAX_DEVTOOLS_LINES" src/repro/devtools
 # panel is one product on that image (+5), not a scatter over (nnz, k)
 # operands; ssssm_c_v1 -2, Workspace's "b" buffer (its only user was C_V1) -1
 # then -2: upd_seg's in-place scatter became prod_seg, one block's product
-MAX_KERNELS_LINES=1238
+# then +52: the dense-mapped variants work on their target's accumulated image
+# when handed one (base.py +23: TargetImage and box_held; ssssm_c_v1 +12, the
+# in-place subtract on the operands' rows x columns; gessm/tstrf C_V2 and
+# getrf C_V1 +5 each; registry.py +2, TARGET_IMAGE_VERSIONS)
+MAX_KERNELS_LINES=1290
 line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that

@@ -11,8 +11,12 @@ driver times them) and what the driver spends around them (pop,
 complete, tally, plus the two clock reads and the label a timed run
 adds) — in seconds and in µs per task, and the multiply-adds of its
 dense-mapped tasks per family, on the full blocks against the occupied
-boxes their GEMMs run on (a count that repeats exactly); then the
-cProfile top-N by cumulative time of a third.  cProfile taxes every
+boxes their GEMMs run on (a count that repeats exactly), and the
+target images of its panel cache — how many opened, the median number
+of Schur updates one accumulated, their peak bytes against the peak of
+the published panel images, and how many a sparse task or a send had
+written back (the coherence rule); then the cProfile top-N by
+cumulative time of a third.  cProfile taxes every
 Python call but not the work inside numpy, so the table finds
 candidates; the numbers that count are the unprofiled seconds and the
 repo benchmark's ``numeric_s`` (``make bench-e2e``).
@@ -24,6 +28,7 @@ import argparse
 import cProfile
 import math
 import pstats
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -120,6 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     print("  dense-mapped multiply-adds: full blocks -> occupied boxes")
     for family, (full, box) in sorted(dense_mapped_madds(job, report).items()):
         print(f"    {family:<6s}{full:12.3e} ->{box:10.3e}  ({box / max(full, 1):6.1%})")
+    panels = job.panels
+    updates = panels.updates
+    print(f"  target images: {len(updates)} opened, median "
+          f"{statistics.median(updates) if updates else 0:g} updates each, "
+          f"peak {panels.open_peak_bytes} B open "
+          f"(published panel images: peak {panels.peak_bytes} B), "
+          f"{panels.write_backs} written back")
 
     refill()
     profile = cProfile.Profile()

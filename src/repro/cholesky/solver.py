@@ -68,8 +68,10 @@ class LLtJob(FactorJob):
     def __init__(self, f: BlockMatrix, dag: TaskDAG) -> None:
         super().__init__(f, dag, NumericOptions())
 
-    def _resolve_calls(self) -> None:
-        """Nothing to select: one kernel per task type."""
+    def _resolve_calls(self, runs) -> tuple[None, frozenset]:
+        """Nothing to select: one kernel per task type, and no image is
+        published or kept open — each is built by its first reader."""
+        return None, frozenset()
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str]:
         f, task, panels = self.f, self.tasks[tid], self.panels

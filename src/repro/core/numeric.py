@@ -31,7 +31,10 @@ from functools import partial
 
 import numpy as np
 
-from ..kernels.base import SingularBlockError, Workspace, box_image, triangle_inverse
+from ..kernels.base import (
+    SingularBlockError, TargetImage, Workspace, box_held, box_image,
+    dense_triangle_inverse, triangle_inverse,
+)
 from ..kernels.compress import CompressPolicy, ssssm_lr, try_compress
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
@@ -41,7 +44,9 @@ from ..kernels.plans import (
     build_solve_plan,
     build_ssssm_plan,
 )
-from ..kernels.registry import CACHED_OPERAND, KernelType, get_kernel
+from ..kernels.registry import (
+    CACHED_OPERAND, IMAGE_VERSIONS, TARGET_IMAGE_VERSIONS, KernelType, get_kernel,
+)
 from ..kernels.selector import SelectorPolicy, TaskFeatures
 from .blocking import BlockMatrix
 from .dag import Task, TaskDAG, TaskType
@@ -60,9 +65,10 @@ __all__ = [
 # registered for the `lock-discipline` lint rule: the panel cache is only
 # written under its lock (reads stay lock-free — see PanelCache.get), and
 # the lock is a leaf: images are built before it is taken
-__guarded_by__ = {
-    "self._lock": ("self._images", "self._uses", "self.nbytes", "self.peak_bytes"),
-}
+__guarded_by__ = {"self._lock": (
+    "self._images", "self._uses", "self._open", "self.nbytes", "self.peak_bytes",
+    "self.open_bytes", "self.open_peak_bytes", "self.updates", "self.write_backs",
+)}
 
 
 def _panel_blocks(k, bi, bj):
@@ -242,13 +248,15 @@ def _cached_plan(plans: PlanCache, ktype: KernelType, build, slots, blocks):
 def _run_kernel(
     family, kernel, takes, slots, blocks, ws: Workspace, pivot_floor: float,
     plans: PlanCache | None, panels: PanelCache | None,
+    image: TargetImage | None = None,
 ) -> tuple[int, bool]:
     """Call ``kernel`` on a task's ``blocks`` (kernel argument order,
     with their storage ``slots``), handing it what the variant declares
     (``takes``, its :data:`~repro.kernels.registry.CACHED_OPERAND` entry)
-    from the caches given.  Returns ``(replaced_pivots, planned)``."""
+    from the caches given, and its target's ``image`` if one is given.
+    Returns ``(replaced_pivots, planned)``."""
     ktype, _, build_plan = family
-    handed = {}
+    handed = {} if image is None else {"image": image}
     if ktype is KernelType.GETRF:
         handed["pivot_floor"] = pivot_floor
     if takes == "plan" and plans is not None:
@@ -310,39 +318,69 @@ def execute_task(
 
 
 def _nbytes(image) -> int:
-    """Bytes of a triangle inverse or of a ``(pos, dense)`` box image."""
+    """Bytes of a triangle inverse or of a box image tuple."""
     if isinstance(image, tuple):
         return sum(part.nbytes for part in image if part is not None)
     return image.nbytes
 
 
-class PanelCache:
-    """Dense images of one factorisation's published panels, so that a
-    dense-mapped task is one GEMM and touches only its own target.
+def _operand(block, axis: int) -> tuple:
+    """An SSSSM operand's :func:`box_image` with the rows (columns) it
+    holds — where an update places its product in the target's image."""
+    pos, dense = box_image(block, axis)
+    return pos, dense, box_held(pos, dense, axis)
 
-    Keyed by block slot: ``slot`` holds the :func:`box_image` of an
-    ``L(i,k)`` panel on its occupied rows or of a ``U(k,j)`` panel on
-    its occupied columns — the ``(pos, dense)`` pairs ``ssssm_c_v1``
-    multiplies — and ``(slot, lower)`` the inverse of one triangle of a
-    factored diagonal block (what ``gessm_c_v2`` / ``tstrf_c_v2``
-    multiply by).  An image is built by its first user — on a rank that
-    covers received panels too — and dropped by :meth:`release` when the
-    last task reading its block completes (``uses``: slot → number of
-    reads of it by the job's tasks), so with earliest-step-first
-    scheduling about two elimination steps of panels are alive at once.
+
+class PanelCache:
+    """The dense images of one factorisation, so that a dense-mapped task
+    is one GEMM on images and its target's values are written once.
+
+    **Target images.**  The first dense-mapped task on a block opens the
+    block's :class:`~repro.kernels.base.TargetImage` from its values
+    (:meth:`target`): every ``SSSSM/C_V1`` into it subtracts in place,
+    and its dense-mapped panel task (``GETRF/C_V1``, ``GESSM/C_V2``,
+    ``TSTRF/C_V2``) works on the accumulated image, writes the values
+    and closes it (:meth:`publish`).  An image is only ever touched
+    under its block's write guard.  :meth:`write_back` is the one
+    coherence rule: a task that reads or writes the values of a block
+    whose image is open writes the image back first.
+
+    **Published images.**  Keyed by block slot: ``slot`` holds the
+    box image of an ``L(i,k)`` panel on its occupied rows or of a
+    ``U(k,j)`` panel on its occupied columns — the ``(pos, dense,
+    held)`` operands ``ssssm_c_v1`` multiplies (:func:`box_held`) — and
+    ``(slot, lower)`` the inverse of one triangle of a factored diagonal
+    block (what ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by).  A panel
+    task publishes the keys in ``published`` (those a dense-mapped task
+    of the job reads) from its target's image; any other image is built
+    by its first user from the block's values — on a rank that covers
+    received panels.  :meth:`release` drops a block's images when the
+    last task reading it completes (``uses``: slot → number of reads of
+    it by the job's tasks), so with earliest-step-first scheduling about
+    two elimination steps of panels are alive at once.
 
     Reads are lock-free, builds raced and resolved with ``setdefault``
     (as in :class:`~repro.kernels.plans.PlanCache`): the lanes of a
     threaded run share one cache.  It belongs to one :class:`FactorJob`
-    and dies with it, so a refactorisation never sees an old image.
+    and dies with it — :meth:`drain` empties it when the job's run ends,
+    failed or not — so a refactorisation never sees an old image.
+    ``updates`` (per closed target image, its SSSSM updates),
+    ``write_backs`` and the byte peaks of either kind are what
+    ``scripts/profile_numeric.py`` prints.
     """
 
-    def __init__(self, uses: dict[int, int]) -> None:
+    def __init__(self, uses: dict[int, int], published=frozenset()) -> None:
         self._uses = uses
+        self._published = published
         self._images: dict = {}
+        self._open: dict[int, TargetImage] = {}
         self._lock = threading.Lock()
         self.nbytes = 0
         self.peak_bytes = 0
+        self.open_bytes = 0
+        self.open_peak_bytes = 0
+        self.updates: list[int] = []
+        self.write_backs = 0
 
     def get(self, key, build):
         """The image under ``key``, from ``build()`` on a miss."""
@@ -364,13 +402,62 @@ class PanelCache:
         images of ``A`` (rows) and ``B`` (columns) for SSSSM."""
         if ktype is KernelType.SSSSM:
             return {
-                "a_dense": self.get(slots[1], lambda: box_image(blocks[1], 0)),
-                "b_dense": self.get(slots[2], lambda: box_image(blocks[2], 1)),
+                "a_dense": self.get(slots[1], lambda: _operand(blocks[1], 0)),
+                "b_dense": self.get(slots[2], lambda: _operand(blocks[2], 1)),
             }
         lower = ktype is KernelType.GESSM
         return {"inv": self.get(
             (slots[0], lower), lambda: triangle_inverse(blocks[0], lower=lower)
         )}
+
+    def target(self, slot: int, block, axis: int | None) -> TargetImage:
+        """The open image of ``block`` (in ``slot``), opened from its
+        values on first use."""
+        image = self._open.get(slot)
+        if image is None:
+            image = TargetImage(block, axis)
+            with self._lock:
+                self._open[slot] = image
+                self.open_bytes += image.dense.nbytes
+                self.open_peak_bytes = max(self.open_peak_bytes, self.open_bytes)
+        return image
+
+    def _close(self, slot: int, written_back: bool = False) -> TargetImage | None:
+        image = self._open.get(slot)
+        if image is not None:
+            with self._lock:
+                del self._open[slot]
+                self.open_bytes -= image.dense.nbytes
+                self.updates.append(image.updates)
+                self.write_backs += written_back
+        return image
+
+    def write_back(self, slot: int, block) -> None:
+        """The coherence rule: before a task reads or writes the values
+        of ``block`` (in ``slot``) — a sparse variant, ``ssssm_lr``, a
+        send — an open image of it is written back and closed."""
+        image = self._close(slot, written_back=True)
+        if image is not None:
+            image.write_to(block)
+
+    def publish(self, slot: int, ktype: KernelType) -> None:
+        """The dense-mapped panel task of ``slot`` has written its
+        values from its image: close the image, keeping what the job's
+        dense-mapped readers multiply — the box image of a solved panel
+        as it is, or the triangle inverses of a factored diagonal block
+        (each ``trtri`` overwrites only its own triangle)."""
+        image = self._close(slot)
+        if ktype is not KernelType.GETRF:
+            if slot in self._published:
+                self.get(slot, lambda: (
+                    image.pos, image.dense, box_held(image.pos, image.dense, image.axis)
+                ))
+            return
+        for lower in (True, False):
+            if (slot, lower) in self._published:
+                self.get((slot, lower), lambda: dense_triangle_inverse(
+                    image.dense, lower=lower, unit=lower
+                ))
 
     def release(self, slots, written: int) -> None:
         """A task on the blocks in ``slots`` completed: all but the one
@@ -387,8 +474,18 @@ class PanelCache:
                         if image is not None:
                             self.nbytes -= _nbytes(image)
 
+    def drain(self, block_at) -> None:
+        """The run is over: open images go back into their blocks
+        (``block_at``: slot → block) — a partial run leaves some open,
+        and so may a failed one — and every image still held goes."""
+        for slot in list(self._open):
+            self.write_back(slot, block_at(slot))
+        with self._lock:
+            self._images.clear()
+            self.nbytes = 0
+
     def __len__(self) -> int:
-        return len(self._images)
+        return len(self._images) + len(self._open)
 
 
 class FactorJob:
@@ -407,10 +504,13 @@ class FactorJob:
     the storage slots of its blocks in kernel argument order — the
     coordinate rule of ``family`` through :meth:`BlockMatrix.slots_of`;
     ``family_slots`` holds them per task type as ``(tids, array)``),
-    ``target`` (the slot written) and
-    ``calls`` (per task ``(family, kernel, takes, label)``: the
-    selector's trees evaluated over :meth:`features`, then the registry
-    entry, what it is handed and its ``"TYPE/VERSION"`` label looked up
+    ``target`` (the slot written), ``axis`` (the layout of the target's
+    image: ``0`` for an ``L`` panel, ``1`` for a ``U`` panel, ``None``
+    for a diagonal block) and ``calls`` (per task ``(family, kernel,
+    takes, label, mapped)``: the selector's trees evaluated over
+    :meth:`features`, then the registry entry, what it is handed, its
+    ``"TYPE/VERSION"`` label and whether it works on its target's image
+    (:data:`~repro.kernels.registry.TARGET_IMAGE_VERSIONS`) looked up
     once per version).  A patched ``KERNEL_REGISTRY`` entry is what runs
     if it was patched before the job was built.  The one choice made at
     run time: with compression on, an SSSSM whose ``L(i,k)`` or
@@ -420,7 +520,7 @@ class FactorJob:
     The job holds the two caches operands are handed from: ``plans``,
     the plan cache of ``f`` (:func:`resolve_plan_cache` — it outlives
     the job, so a refactorisation replays the same plans), and
-    ``panels``, created here and gone with the job.
+    ``panels``, created here and emptied when the run ends.
     """
 
     name = "factorize"
@@ -441,6 +541,9 @@ class FactorJob:
         runs = np.ones(n, bool) if owned is None else np.isin(np.arange(n), owned)
         target = f.slots_of(table.bi, table.bj)
         self.target = target.tolist()
+        # sign(bj − bi): 0 a diagonal block (whole), 1 a U panel (by
+        # columns), −1 an L panel (by rows)
+        self.axis = [(None, 1, 0)[s] for s in np.sign(table.bj - table.bi).tolist()]
         self.args: list[tuple[int, ...]] = [()] * n
         self.family_slots = {}
         uses = np.zeros(f.num_blocks, dtype=np.int64)
@@ -453,8 +556,8 @@ class FactorJob:
             uses += np.bincount(slots[read], minlength=uses.size)
             for tid, args in zip(tids.tolist(), map(tuple, slots.tolist())):
                 self.args[tid] = args
-        self.panels = PanelCache(dict(enumerate(uses.tolist())))
-        self.calls = self._resolve_calls()
+        self.calls, published = self._resolve_calls(runs)
+        self.panels = PanelCache(dict(enumerate(uses.tolist())), published)
 
     def features(self, ttype: TaskType) -> tuple[np.ndarray, TaskFeatures]:
         """The task ids of one type and their selector features as one
@@ -465,8 +568,11 @@ class FactorJob:
         blocks = [structure[s] for s in slots.T]
         return tids, _features_of(ttype, self.table.flops[tids], blocks)
 
-    def _resolve_calls(self) -> list[tuple]:
+    def _resolve_calls(self, runs: np.ndarray) -> tuple[list[tuple], frozenset]:
+        """``calls``, and the keys of the images a panel task publishes:
+        those a dense-mapped task among the ones that ``runs`` reads."""
         calls: list = [None] * len(self.tasks)
+        published: set = set()
         for ttype, family in self.family.items():
             ktype = family[0]
             tids, feats = self.features(ttype)
@@ -474,33 +580,48 @@ class FactorJob:
             versions = tree.select_many(feats, tids.size)
             heads = {
                 v: (family, get_kernel(ktype, v), CACHED_OPERAND.get((ktype, v)),
-                    f"{ktype.value}/{v}")
+                    f"{ktype.value}/{v}", TARGET_IMAGE_VERSIONS[ktype] == v)
                 for v in np.unique(versions).tolist()
             }
             for tid, version in zip(tids.tolist(), versions.tolist()):
                 calls[tid] = heads[version]
-        return calls
+            reads = self.family_slots[ttype][1][
+                (versions == IMAGE_VERSIONS.get(ktype)) & runs[tids]
+            ]
+            if ktype is KernelType.SSSSM:
+                published.update(reads[:, 1:].ravel().tolist())
+            elif ktype in _PANEL_SOLVES:
+                lower = ktype is KernelType.GESSM
+                published.update((slot, lower) for slot in reads[:, 0].tolist())
+        return calls, frozenset(published)
 
     def write_slots(self, tid: int) -> tuple[int, ...]:
         return (self.target[tid],)
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str, int, bool]:
         # compression of a finished GESSM/TSTRF panel happens here, i.e.
-        # inside the driver's write-lock window — single writer preserved
-        f, compress, slots = self.f, self.compress, self.args[tid]
-        family, kernel, takes, label = self.calls[tid]
-        ktype = family[0]
+        # inside the driver's write-lock window — single writer preserved;
+        # so do all reads and writes of the target's image
+        f, compress, panels, slots = self.f, self.compress, self.panels, self.args[tid]
+        family, kernel, takes, label, mapped = self.calls[tid]
+        ktype, target = family[0], self.target[tid]
+        block = f.block_at(target)
         lr = None
         if compress is not None and ktype is KernelType.SSSSM:
             lr = _overlaid(f, self.tasks[tid])
+        if lr is not None or not mapped:
+            # only the target can have an open image: the operands are
+            # finished panels (or received ones)
+            panels.write_back(target, block)
         if lr is not None:
-            ssssm_lr(f.block_at(slots[0]), *lr, ws)
+            ssssm_lr(block, *lr, ws)
             label, replaced, planned = "SSSSM/LR", 0, False
         else:
+            image = panels.target(target, block, self.axis[tid]) if mapped else None
             try:
                 replaced, planned = _run_kernel(
                     family, kernel, takes, slots, [f.block_at(s) for s in slots],
-                    ws, self.options.pivot_floor, self.plans, self.panels,
+                    ws, self.options.pivot_floor, self.plans, panels, image,
                 )
             except SingularBlockError as exc:
                 task = self.tasks[tid]
@@ -509,9 +630,13 @@ class FactorJob:
                     f"{task.ttype.name}(k={task.k}) on block ({task.bi},{task.bj}), "
                     f"rows {rows.start}–{rows.stop - 1} of the reordered matrix: {exc}"
                 ) from exc
+            if mapped and ktype is KernelType.SSSSM:
+                image.updates += 1
+            elif mapped:
+                panels.publish(target, ktype)
         if compress is not None and ktype in _PANEL_SOLVES:
             _maybe_compress(f, self.tasks[tid], compress)
-        self.panels.release(slots, self.target[tid])
+        panels.release(slots, target)
         return label, replaced, planned
 
     def trace_label(self, tid: int) -> tuple[str, str]:
@@ -520,7 +645,9 @@ class FactorJob:
     def finish(self, report: RunReport) -> None:
         """The flops of the tasks that ran, the footprints of the plan
         cache and (at its peak) the panel cache, and what the overlay of
-        ``f`` holds (a rank: of its own blocks)."""
+        ``f`` holds (a rank: of its own blocks); then the panel cache is
+        drained — also after a failed run."""
+        self.panels.drain(self.f.block_at)
         ran = np.fromiter(report.kernel_choices, np.int64, len(report.kernel_choices))
         report.flops_total = int(self.table.flops[ran].sum())
         report.panel_cache_peak_bytes = self.panels.peak_bytes

@@ -13,11 +13,15 @@ kernel module:
   parameter, ``gessm_*``/``tstrf_*``/``diag_*`` → second, and so the
   shared ``panel_*`` solves the GESSM/TSTRF names call: the triangle of
   the factored diagonal block comes first and is read-only, the block or
-  dense panel solved in place second) and its ``ws`` workspace — one level of local aliasing (``c_data = c.data``) is
-  resolved.  Keyword-only parameters are
-  read-only operands like the rest: they carry the cached dense images
-  of the factorisation's panel cache (``inv=``, ``a_dense=``,
-  ``b_dense=``), which other lanes read at the same time;
+  dense panel solved in place second), its ``ws`` workspace and its
+  ``image`` — the dense image of that same output block, which the
+  factorisation keeps open under the block's write guard — one level of
+  local aliasing (``c_data = c.data``) is resolved.  The writable
+  parameters are named, not keyword-only by kind: every other
+  keyword-only parameter is a read-only operand like the rest — they
+  carry the cached dense images of the factorisation's panel cache
+  (``inv=``, ``a_dense=``, ``b_dense=``), which other lanes read at the
+  same time;
 * no ``import time`` / ``import random`` / ``np.random`` usage;
 * no module-level mutable state except ALL_CAPS registry constants, and
   no ``global`` statements inside kernels.
@@ -40,6 +44,10 @@ _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
     "panel": 1, "diag": 1, "prod": 0,
 }
+
+#: parameters any kernel may write, by name: the lane's scratch workspace
+#: and the dense image of the kernel's own output block
+_WRITABLE_BY_NAME = {"ws", "image"}
 
 _BANNED_MODULES = {"time", "random"}
 
@@ -152,7 +160,7 @@ class KernelPurityRule(Rule):
         widx = _WRITABLE_PARAM[fn.name.split("_", 1)[0]]
         if widx >= len(params):
             return
-        writable = {params[widx], "ws"}
+        writable = {params[widx], *_WRITABLE_BY_NAME}
         operands = set(params) | {a.arg for a in fn.args.kwonlyargs}
         readonly = operands - writable
         aliases = _alias_map(fn, operands)

@@ -44,7 +44,9 @@ __all__ = [
     "gather_dense",
     "BOX_OCCUPANCY",
     "box_image",
+    "box_held",
     "box_index",
+    "TargetImage",
     "dense_triangle_inverse",
     "triangle_inverse",
     "serial_matmul",
@@ -238,6 +240,53 @@ def box_image(block: CSCMatrix, axis: int) -> tuple[np.ndarray | None, np.ndarra
 def box_index(pos: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
     """Positions in a :func:`box_image` of the rows (columns) ``idx``."""
     return idx if pos is None else pos[idx]
+
+
+def box_held(pos: np.ndarray | None, dense: np.ndarray, axis: int) -> np.ndarray | None:
+    """The rows (``axis=0``) or columns of the block that a
+    :func:`box_image` ``(pos, dense)`` holds, in its order, its sentinel
+    not counted; ``None`` when it holds the whole block."""
+    return None if pos is None else np.flatnonzero(pos < dense.shape[axis] - 1)
+
+
+class TargetImage:
+    """The dense image of one target block from its first Schur update
+    to its panel task, laid out as the block's readers multiply it: the
+    :func:`box_image` of an ``L`` panel on its occupied rows
+    (``axis=0``) or of a ``U`` panel on its occupied columns
+    (``axis=1``), a diagonal block whole (``axis=None``).
+
+    ``ssssm_c_v1`` subtracts its products from ``dense`` in place, the
+    dense-mapped panel task solves or factors ``dense`` and writes the
+    block's values once; :meth:`write_to` is that write for an image a
+    sparse task needs back in the block.  An entry outside the block's
+    pattern stays zero: fill closure makes every product there zero."""
+
+    __slots__ = ("axis", "pos", "dense", "updates")
+
+    def __init__(self, block: CSCMatrix, axis: int | None) -> None:
+        self.axis = axis
+        if axis is None:
+            self.pos, self.dense = None, np.zeros(block.shape, dtype=block.dtype)
+            scatter_dense(block, self.dense)
+        else:
+            self.pos, self.dense = box_image(block, axis)
+        self.updates = 0
+
+    def index(self, held: np.ndarray | None, axis: int):
+        """Where the block rows (``axis=0``) or columns ``held`` lie in
+        the image — ``None`` is every one — as an array, or a slice
+        when that is all of the image's."""
+        if axis == self.axis and self.pos is not None:
+            return self.pos if held is None else self.pos[held]
+        return slice(None) if held is None else held
+
+    def write_to(self, block: CSCMatrix) -> None:
+        """The image's values into the block's pattern."""
+        idx = list(block.rows_cols())
+        if self.pos is not None:
+            idx[self.axis] = self.pos[idx[self.axis]]
+        block.data[...] = self.dense[tuple(idx)]
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

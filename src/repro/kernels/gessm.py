@@ -35,6 +35,7 @@ import scipy.sparse.linalg as spla
 from ..sparse.csc import CSCMatrix
 from .base import (
     SingularBlockError,
+    TargetImage,
     Triangle,
     Workspace,
     box_image,
@@ -162,20 +163,27 @@ def gessm_c_v1(
 
 
 def gessm_c_v2(
-    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None,
+    image: TargetImage | None = None,
 ) -> None:
     """Dense-mapped solve (CPU V2, "Direct"): one GEMM of the dense
     inverse of the unit-lower ``L`` with the image of ``B``'s occupied
     columns (:func:`~repro.kernels.base.box_image`, axis 1), gathered
     back at ``B``'s pattern.  ``inv`` is that inverse when the caller
     holds one (the factorisation's panel cache builds it once per
-    diagonal block); accuracy: see
+    diagonal block); ``image`` is ``B``'s image when the caller holds
+    it (the :class:`~repro.kernels.base.TargetImage` its Schur updates
+    accumulated in), and then takes the product: the box image of the
+    solved panel its readers multiply.  Accuracy: see
     :func:`~repro.kernels.base.triangle_inverse`."""
     if inv is None:
         inv = triangle_inverse(diag, lower=True)
-    pos, w = box_image(b, 1)
+    pos, w = box_image(b, 1) if image is None else (image.pos, image.dense)
+    out = serial_matmul(inv, w)
     rows, cols = b.rows_cols()
-    b.data[...] = serial_matmul(inv, w)[rows, box_index(pos, cols)]
+    b.data[...] = out[rows, box_index(pos, cols)]
+    if image is not None:
+        image.dense = out
 
 
 def gessm_g_v1(

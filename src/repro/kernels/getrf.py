@@ -24,6 +24,7 @@ import numpy as np
 from ..sparse.csc import CSCMatrix
 from .base import (
     SingularBlockError,
+    TargetImage,
     Workspace,
     dense_getrf,
     fix_pivot,
@@ -36,20 +37,27 @@ __all__ = ["getrf_c_v1", "getrf_g_v1", "getrf_g_v2", "GETRF_VARIANTS"]
 
 
 def getrf_c_v1(
-    block: CSCMatrix, ws: Workspace, *, pivot_floor: float = 0.0
+    block: CSCMatrix, ws: Workspace, *, pivot_floor: float = 0.0,
+    image: TargetImage | None = None,
 ) -> int:
     """Dense-mapped right-looking LU (CPU V1, "Direct" + "Row" in Table 1).
 
-    Scatters the block into the dense workspace, factors it with
+    Scatters the block into the dense workspace — or, handed the
+    block's dense ``image`` (the :class:`~repro.kernels.base.TargetImage`
+    its Schur updates accumulated in), works on that — factors it with
     :func:`~repro.kernels.base.dense_getrf` (one LAPACK ``getrf`` where
-    it pivots nowhere, else the rank-1-update loop), gathers back.  Wins
-    whenever the block is not tiny: the O(n³/3) dense work is one BLAS
-    call against a sparse loop's Python step per column.
+    it pivots nowhere, else the rank-1-update loop), gathers back; the
+    factored image stays in ``image``.  Wins whenever the block is not
+    tiny: the O(n³/3) dense work is one BLAS call against a sparse
+    loop's Python step per column.
     """
     n = block.ncols
-    w = ws.dense("a", (n, n), block.data.dtype)
-    scatter_dense(block, w)
-    scale = (float(np.abs(block.data).max()) if block.nnz else 0.0) or 1.0
+    if image is None:
+        w = ws.dense("a", (n, n), block.data.dtype)
+        scatter_dense(block, w)
+    else:
+        w = image.dense
+    scale = (float(np.abs(w).max()) if w.size else 0.0) or 1.0
     replaced = dense_getrf(w, pivot_floor, scale)
     gather_dense(block, w)
     return replaced

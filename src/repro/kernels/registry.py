@@ -30,6 +30,7 @@ __all__ = [
     "get_kernel",
     "is_gpu_version",
     "IMAGE_VERSIONS",
+    "TARGET_IMAGE_VERSIONS",
     "CACHED_OPERAND",
 ]
 
@@ -50,6 +51,12 @@ IMAGE_VERSIONS = {
     KernelType.TSTRF: "C_V2",
     KernelType.SSSSM: "C_V1",
 }
+
+#: the dense-mapped variant of each family, which works in place on its
+#: target's dense image when a caller holds one (``image=``, a
+#: :class:`~repro.kernels.base.TargetImage`): SSSSM subtracts into it,
+#: GETRF factors it, GESSM / TSTRF solve it and leave the product there
+TARGET_IMAGE_VERSIONS = {**IMAGE_VERSIONS, KernelType.GETRF: "C_V1"}
 
 #: What a variant can be handed by a caller that caches it, besides its
 #: blocks — the one thing the numeric driver looks up per task:

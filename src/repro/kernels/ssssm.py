@@ -12,8 +12,9 @@ The four variants follow Table 1 of the paper:
 =======  ==========  =================================  =============
 version  addressing  parallelising method               dense mapping
 =======  ==========  =================================  =============
-C_V1     Direct      one GEMM on the occupied box of    A and B
-                     A's rows × B's columns
+C_V1     Direct      one GEMM on the occupied box of    A, B and C
+                     A's rows × B's columns, subtracted
+                     in place from C's dense image
 C_V2     Bin-search  adaptive split-bin                 no
 G_V1     Bin-search  adaptive multi-level               no
 G_V2     Direct      warp-level column                  C only
@@ -27,7 +28,8 @@ import scipy.sparse as sp
 
 from ..sparse.csc import CSCMatrix
 from .base import (
-    Workspace, box_image, box_index, gather_dense, scatter_dense, serial_matmul,
+    TargetImage, Workspace, box_image, box_index, gather_dense, scatter_dense,
+    serial_matmul,
 )
 from .plans import SSSSMPlan, run_ssssm_plan
 
@@ -43,23 +45,45 @@ __all__ = [
 def ssssm_c_v1(
     c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace, *,
     a_dense: tuple | None = None, b_dense: tuple | None = None,
+    image: TargetImage | None = None,
 ) -> None:
-    """Dense GEMM with pattern gather (CPU V1, "Direct").
+    """Dense GEMM on dense-mapped operands and target (CPU V1, "Direct").
 
     One GEMM on the occupied box: ``A``'s occupied rows × ``B``'s
     occupied columns (:func:`~repro.kernels.base.box_image`, axis 0 and
-    1).  The product is gathered at ``C``'s pattern through the images'
-    ``pos`` maps and subtracted in place, so ``C`` is never densified;
-    an entry of ``C`` outside the box reads the sentinel zero.
-    ``a_dense`` / ``b_dense`` are those ``(pos, dense)`` images when the
-    caller holds them (the factorisation's panel cache keeps one per
-    published panel).  Wins when the blocks are dense (audikw_1-style
-    matrices) — where supernodal dense BLAS is competitive.
+    1).  ``a_dense`` / ``b_dense`` are those ``(pos, dense)`` images when
+    the caller holds them (the factorisation's panel cache keeps one per
+    published panel), with the rows (columns) each holds as a third
+    element (:func:`~repro.kernels.base.box_held`) — which a caller that
+    hands ``image`` must give.
+
+    Handed ``C``'s dense ``image`` (a
+    :class:`~repro.kernels.base.TargetImage`, kept by the factorisation
+    from ``C``'s first update to its panel task), the product is
+    subtracted from it in place on the operands' rows × columns, and
+    ``C``'s values are not touched.  Without it the product is gathered
+    at ``C``'s pattern through the images' ``pos`` maps and subtracted
+    from ``C``'s values, so ``C`` is never densified; an entry of ``C``
+    outside the box reads the sentinel zero.  Each entry of ``C`` gets
+    the same products either way.  Wins when the blocks are dense
+    (audikw_1-style matrices) — where supernodal dense BLAS is
+    competitive.
     """
-    pa, a_img = box_image(a, 0) if a_dense is None else a_dense
-    pb, b_img = box_image(b, 1) if b_dense is None else b_dense
-    rows, cols = c.rows_cols()
-    c.data[...] -= serial_matmul(a_img, b_img)[box_index(pa, rows), box_index(pb, cols)]
+    pa, a_img = box_image(a, 0) if a_dense is None else a_dense[:2]
+    pb, b_img = box_image(b, 1) if b_dense is None else b_dense[:2]
+    product = serial_matmul(a_img, b_img)
+    if image is None:
+        rows, cols = c.rows_cols()
+        c.data[...] -= product[box_index(pa, rows), box_index(pb, cols)]
+        return
+    ra, rb = a_dense[2], b_dense[2]
+    tr, tc = image.index(ra, 0), image.index(rb, 1)
+    if not (isinstance(tr, slice) or isinstance(tc, slice)):
+        tr = tr[:, None]    # rows × columns, as np.ix_ without its checks
+    # the operands' sentinel row and column (zero products) are left out
+    image.dense[tr, tc] -= product[
+        : None if ra is None else ra.size, : None if rb is None else rb.size
+    ]
 
 
 def ssssm_c_v2(

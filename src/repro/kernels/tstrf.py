@@ -21,6 +21,7 @@ import numpy as np
 
 from ..sparse.csc import CSCMatrix
 from .base import (
+    TargetImage,
     Workspace,
     box_image,
     box_index,
@@ -62,20 +63,25 @@ def tstrf_c_v1(
 
 
 def tstrf_c_v2(
-    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None
+    diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None,
+    image: TargetImage | None = None,
 ) -> None:
     """Dense-mapped solve (CPU V2, "Direct"): one GEMM of the image of
     ``B``'s occupied rows (:func:`~repro.kernels.base.box_image`, axis
     0) with the dense inverse of ``U`` from the right, gathered back at
-    ``B``'s pattern.  ``inv`` is that inverse when the caller holds one
-    (as for ``gessm_c_v2``); building it raises on a zero or missing
-    ``U`` diagonal, and the error of the result grows with ``cond(U)`` —
-    see :func:`~repro.kernels.base.triangle_inverse`."""
+    ``B``'s pattern.  ``inv`` is that inverse and ``image`` ``B``'s
+    image when the caller holds them (as for ``gessm_c_v2``); building
+    the inverse raises on a zero or missing ``U`` diagonal, and the
+    error of the result grows with ``cond(U)`` — see
+    :func:`~repro.kernels.base.triangle_inverse`."""
     if inv is None:
         inv = triangle_inverse(diag, lower=False)
-    pos, w = box_image(b, 0)
+    pos, w = box_image(b, 0) if image is None else (image.pos, image.dense)
+    out = serial_matmul(w, inv)
     rows, cols = b.rows_cols()
-    b.data[...] = serial_matmul(w, inv)[box_index(pos, rows), cols]
+    b.data[...] = out[box_index(pos, rows), cols]
+    if image is not None:
+        image.dense = out
 
 
 def tstrf_g_v1(

@@ -151,10 +151,9 @@ class _RankFactorJob(FactorJob):
             return None
         # panel results are final (the panel is its block's last writer),
         # so the live arrays are stable by the time any consumer reads them
-        return (
-            dests,
-            *_block_payload(self.f, tid, task.bi, task.bj, self.target[tid]),
-        )
+        slot = self.target[tid]
+        self.panels.write_back(slot, self.f.block_at(slot))
+        return dests, *_block_payload(self.f, tid, task.bi, task.bj, slot)
 
     def absorb(self, msg) -> int:
         _, bi, bj, tag = msg[:4]

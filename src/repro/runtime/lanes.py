@@ -37,7 +37,9 @@ with
     the task's trace name and the key its seconds are tallied under;
 ``finish(report)``
     fill the fields of the finished run's report only the phase knows
-    (flops, plan and overlay bytes; the RHS count);
+    (flops, plan and overlay bytes; the RHS count) and let go of what
+    the job holds for the run — called once the lanes have stopped,
+    after a failure too;
 
 and, on a rank (``endpoint`` given),
 
@@ -102,7 +104,8 @@ def run_lanes(
     here; a drained core is checked for deadlock.  Returns the run's
     :class:`~repro.runtime.scheduler.RunReport` — the lanes' tallies
     merged, ``n_workers``, ``max_ready_depth`` and the drain's wall-clock
-    ``seconds`` filled, then handed to ``job.finish``.
+    ``seconds`` filled; it is handed to ``job.finish`` first, as a failed
+    run's is before its exception leaves.
     """
     if n_lanes < 1:
         raise ValueError("need at least one lane")
@@ -241,10 +244,12 @@ def run_lanes(
             th.start()
         for th in pool:
             th.join()
-    if errors:
-        raise errors[0]
-    core.check(job.name)  # names the blocked frontier on deadlock
+    try:
+        if errors:
+            raise errors[0]
+        core.check(job.name)  # names the blocked frontier on deadlock
+    finally:
+        job.finish(total)
     total.max_ready_depth = core.max_ready_depth
     total.seconds = time.perf_counter() - t_start
-    job.finish(total)
     return total

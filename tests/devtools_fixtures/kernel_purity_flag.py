@@ -19,6 +19,11 @@ def gessm_bad(diag, b, ws, *, inv=None):
     b.data[...] = (inv @ ws.dense2d)[0]
 
 
+def ssssm_image_bad(c, a, b, ws, *, a_dense=None, b_dense=None, image=None):
+    image.dense[...] -= a_dense[1] @ b_dense[1]
+    a_dense[1][0, 0] = 0.0        # mutates the cached operand image other lanes read
+
+
 def panel_bad(tri, b, *, merge):
     vals = tri.data
     vals[tri.src[0]] = 0.0        # the shared sweep mutates the diagonal block

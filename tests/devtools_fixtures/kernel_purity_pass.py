@@ -13,10 +13,16 @@ def ssssm_good(c, a, b, ws):
     return c
 
 
-def gessm_good(diag, b, ws, *, inv=None):
+def gessm_good(diag, b, ws, *, inv=None, image=None):
     if inv is None:
         inv = np.eye(2)           # rebinding the name is not a mutation
     b.data[...] = (inv @ ws.dense2d)[0]  # reads the cached image, writes b
+    if image is not None:
+        image.dense = inv @ image.dense  # b's own dense image is writable
+
+
+def ssssm_image_good(c, a, b, ws, *, a_dense=None, b_dense=None, image=None):
+    image.dense[0, :] -= a_dense[1][0] @ b_dense[1]  # subtracts into C's image
 
 
 def panel_good(tri, b, *, merge):

@@ -103,10 +103,10 @@ SEEDED = {
     ),
     "kernel-purity:operand-as-scratch": (
         "kernel-purity", "kernels/ssssm.py",
-        "    rows, cols = c.rows_cols()\n",
-        "    rows, cols = c.rows_cols()\n"
-        "    a.data[...] *= -1.0  # A as scratch for the sign ...\n"
-        "    a.data[...] *= -1.0  # ... and restored\n",
+        "        rows, cols = c.rows_cols()\n",
+        "        rows, cols = c.rows_cols()\n"
+        "        a.data[...] *= -1.0  # A as scratch for the sign ...\n"
+        "        a.data[...] *= -1.0  # ... and restored\n",
     ),
     "no-bare-except-in-runtime:silent-post-failure": (
         "no-bare-except-in-runtime", "runtime/distributed.py",
@@ -186,12 +186,17 @@ def test_kernel_purity_flags_tsolve_roles():
 
 def test_kernel_purity_treats_cached_images_as_read_only():
     """The keyword-only image parameters of the dense-mapped variants are
-    operands shared across lanes: writing one is flagged, reading is not."""
+    operands shared across lanes: writing one is flagged, reading is not.
+    Only the target's own ``image`` is writable, by name — not keyword-only
+    parameters as a kind."""
     findings = _run_rule("kernel-purity", FIXTURES / "kernel_purity_flag.py")
+    messages = [f.message for f in findings]
+    assert any("gessm_bad() mutates read-only operand 'inv'" in m for m in messages)
     assert any(
-        "gessm_bad() mutates read-only operand 'inv'" in f.message
-        for f in findings
+        "ssssm_image_bad() mutates read-only operand 'a_dense'" in m
+        for m in messages
     )
+    assert not any("'image'" in m for m in messages)
 
 
 def test_kernel_purity_follows_the_writes_into_the_shared_panel_solves():

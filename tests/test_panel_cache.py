@@ -17,6 +17,8 @@ from repro import PanguLU, SolverOptions
 from repro.core import NumericOptions, block_partition, build_dag, factorize
 from repro.core.memory import memory_report
 from repro.core.numeric import PanelCache
+from repro.kernels import KernelType, SingularBlockError
+from repro.kernels.registry import KERNEL_REGISTRY
 from repro.kernels.selector import SelectorPolicy
 from repro.runtime import factorize_distributed
 from repro.runtime.transports import LoopbackTransport
@@ -34,16 +36,28 @@ def _prepared(seed=0):
 
 @pytest.fixture
 def caches(monkeypatch):
-    """Every :class:`PanelCache` the factor jobs of a test create."""
+    """Every :class:`PanelCache` the factor jobs of a test create; each
+    records what it still held — ``(published, open)`` images — when
+    its job drained it (``held``), as the drain empties it."""
     made = []
 
     class Recorded(PanelCache):
-        def __init__(self, uses):
-            super().__init__(uses)
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.held = None
             made.append(self)
+
+        def drain(self, block_at):
+            self.held = len(self._images), len(self._open)
+            super().drain(block_at)
 
     monkeypatch.setattr(numeric, "PanelCache", Recorded)
     return made
+
+
+def _empty(cache) -> bool:
+    return (len(cache) == 0 and cache.nbytes == 0 and cache.open_bytes == 0
+            and cache.held is not None)
 
 
 RUNS = {
@@ -62,8 +76,8 @@ def test_every_image_is_evicted_by_the_end_of_a_run(run, caches):
     assert "SSSSM/C_V1" in report.version_histogram()
     assert len(caches) == (2 if run == "2-ranks" else 1)
     for cache in caches:
-        assert len(cache) == 0 and cache.nbytes == 0
-        assert cache.peak_bytes > 0
+        assert cache.held == (0, 0) and _empty(cache)
+        assert cache.peak_bytes > 0 and cache.open_peak_bytes > 0
         assert not any(cache._uses.values())
     assert report.panel_cache_peak_bytes == max(c.peak_bytes for c in caches)
     mem = memory_report(bm, report)
@@ -80,14 +94,18 @@ def test_partial_run_counts_only_the_tasks_it_runs(caches):
     owned = [t.tid for t in dag.tasks if t.k < 3]
     factorize(bm, dag, owned=owned)
     (cache,) = caches
-    assert len(cache) == 0 and cache.peak_bytes > 0
+    assert _empty(cache) and cache.peak_bytes > 0
+    # the targets updated past the run's last panel go back to their blocks
+    published, still_open = cache.held
+    assert published == 0 and still_open > 0
+    assert cache.write_backs == still_open
 
 
 def test_sparse_selector_builds_no_image(caches):
     bm, dag = _prepared()
     report = factorize(bm, dag, NumericOptions(selector=SelectorPolicy.fixed()))
     assert report.panel_cache_peak_bytes == 0
-    assert caches[0].peak_bytes == 0
+    assert caches[0].peak_bytes == 0 and caches[0].open_peak_bytes == 0
 
 
 def test_blocks_wider_than_one_serial_gemm(caches):
@@ -130,7 +148,7 @@ def test_refactorize_never_reads_a_stale_image(caches):
     assert "SSSSM/C_V1" in fact.stats.version_histogram()
     old = fact.blocks.to_csc().data.copy()
     fact.refactorize(a2)
-    assert len(caches) == 2 and all(len(c) == 0 for c in caches)
+    assert len(caches) == 2 and all(_empty(c) for c in caches)
     assert all(c.peak_bytes > 0 for c in caches)
     sparse = PanguLU(a, SolverOptions(
         numeric=NumericOptions(selector=SelectorPolicy.fixed())
@@ -141,3 +159,43 @@ def test_refactorize_never_reads_a_stale_image(caches):
     assert np.abs(new - old).max() > 1e-3 * np.abs(ref).max()
     b = np.ones(a.nrows)
     assert np.abs(a2.matvec(fact.solve(b)) - b).max() < 1e-9
+
+
+# ----------------------------------------------------------------------
+# target images: none outlives its job
+# ----------------------------------------------------------------------
+
+def test_no_image_outlives_factorize_or_refactorize(caches):
+    """Through the facade — a factorisation, then a refactorisation —
+    every job ends with no open target image and no published panel
+    image, and the open images never weigh as much as the block arena."""
+    a = random_sparse(200, 0.04, seed=4)
+    solver = PanguLU(a)
+    fact = solver.factorize()
+    fact.refactorize(a)
+    assert len(caches) == 2
+    for cache in caches:
+        assert cache.held == (0, 0) and _empty(cache)
+        assert 0 < cache.open_peak_bytes < solver.blocks.arena.nbytes
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_no_image_outlives_a_failed_run(lanes, caches, monkeypatch):
+    """A ``SingularBlockError`` from the fourth dense-mapped GETRF: the
+    run fails with target images open and panel images published, and
+    the job lets go of all of them."""
+    getrf = KERNEL_REGISTRY[KernelType.GETRF]["C_V1"]
+    calls = []
+
+    def failing(block, ws, **kw):
+        calls.append(block)
+        if len(calls) == 4:
+            raise SingularBlockError("zero pivot")
+        return getrf(block, ws, **kw)
+
+    monkeypatch.setitem(KERNEL_REGISTRY[KernelType.GETRF], "C_V1", failing)
+    bm, dag = _prepared()
+    with pytest.raises(SingularBlockError, match="GETRF.*zero pivot"):
+        factorize(bm, dag, n_lanes=lanes)
+    (cache,) = caches
+    assert sum(cache.held) > 0 and _empty(cache)
