@@ -72,7 +72,14 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # rule, drains at the run's end; FactorJob resolves each task's image layout and
 # which images its dense-mapped readers take), runtime/lanes.py +2 (job.finish
 # runs after a failed run too), runtime/distributed.py -1 (a send writes back first)
-MAX_CORE_RUNTIME_LINES=4371
+# then -154: core/verify.py (-182) and verify_schedule with its call sites in
+# core/solver.py (-9) went after the keep test in docs/devtools.md; core/solver.py
+# +15 (RefinementStalled carries the replaced-pivot count, and factors with
+# replaced pivots are approximate, so they escalate and raise);
+# runtime/distributed.py +15 (_assignment: a task map that puts a task off its
+# block's rank or outside the pool is refused by name); runtime/lanes.py +7
+# (pooled in-process lanes name a deadlock instead of waiting forever)
+MAX_CORE_RUNTIME_LINES=4217
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -110,7 +117,8 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # entry_positions is one csr_plus_csr marker merge)
 # then +131: the +77 above, the kernels/ +52 and devtools/ +1 below, +1 in
 # cholesky/ (LLtJob resolves no published images)
-MAX_SRC_LINES=9168
+# then -164: the -154 above, -9 in the CLI (--verify), the devtools/ -1 below
+MAX_SRC_LINES=9004
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver
@@ -124,7 +132,9 @@ line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 # 1 144 -> 715 when dtype-flow took its keep test and could not see its seeds:
 # it went with the whole-program layer only it used (flow/, Project, ProjectRule)
 # 715 -> 716: kernel-purity names the kernel's own target image writable, like ws
-MAX_DEVTOOLS_LINES=716
+# 716 -> 715: kernel-purity's aliasing follows either arm of a conditional
+# expression (the one-root-per-name map became a set of roots)
+MAX_DEVTOOLS_LINES=715
 line_ratchet "src/repro/devtools" "$MAX_DEVTOOLS_LINES" src/repro/devtools
 
 # the kernels are paper-fidelity code mostly off the benchmark's path
@@ -153,7 +163,9 @@ line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 # 22 -> 18: use_mc64, rank_speeds, refine_tol and refine_max_iter were
 # set by no workload, benchmark, example or CLI flag — now constants
 # 18 -> 17: validate_concurrency — SchedulerCore checks every run itself
-MAX_OPTION_FIELDS=17
+# 17 -> 16: verify_schedule — the schedule verifier's checks were caught by
+# tier-1 or stayed always on (docs/devtools.md)
+MAX_OPTION_FIELDS=16
 echo "== option fields: SolverOptions + NumericOptions (ROADMAP: fewer knobs; ceiling $MAX_OPTION_FIELDS) =="
 PYTHONPATH=src python -c "
 import sys

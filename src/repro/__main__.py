@@ -56,17 +56,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             placement=args.placement,
             factor_dtype=args.dtype,
             trace_events=bool(args.trace),
-            verify_schedule=bool(args.verify),
         )
     )
     rng = np.random.default_rng(0)
     b = np.ones(a.nrows) if args.rhs == "ones" else rng.standard_normal(a.nrows)
     x = solver.solve(b)
     blocks = solver.blocks
-    if args.verify:
-        from .core.verify import verify_dag
-
-        print(verify_dag(solver.dag))
     if blocks.is_regular:
         shape = f"of {blocks.bs}"
     else:
@@ -233,11 +228,6 @@ def main(argv: list[str] | None = None) -> int:
                         "that greedily packs speed-scaled block loads")
     p.add_argument("--trace", help="write a chrome://tracing JSON of the real "
                                    "numeric + solve run to this path")
-    p.add_argument("--verify", action="store_true",
-                   help="statically verify every built DAG before "
-                        "execution (acyclicity, counter=indegree, "
-                        "the factor DAG's single-writer chains) "
-                        "and print the schedule report")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("info", help="matrix statistics")

@@ -79,8 +79,8 @@ def l_inverse(f: BlockMatrix, k: int) -> np.ndarray:
 
 def build_llt_dag(f: BlockMatrix) -> TaskDAG:
     """The task DAG of the right-looking block Cholesky of lower-stored
-    ``f``, in the factor DAG's own vocabulary so the shared scheduler,
-    lane driver and :func:`~repro.core.verify.verify_dag` take it as is:
+    ``f``, in the factor DAG's own vocabulary so the shared scheduler
+    and lane driver take it as is:
 
     * ``GETRF(k)``      is POTRF of ``(k, k)``        ← every SYRK into it;
     * ``TSTRF(i, k)``   is TRSM of ``(i, k)``, i > k  ← POTRF(k) + every

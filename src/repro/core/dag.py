@@ -146,7 +146,7 @@ class TaskDAG:
     use and dropped from pickles and deep copies.  ``entries`` /
     ``successors`` / ``n_deps`` — the per-task views
     :meth:`SchedulerCore.from_dag <repro.runtime.scheduler.SchedulerCore.from_dag>`
-    and :func:`~repro.core.verify.verify_dag` read, the attributes a
+    reads, the attributes a
     :class:`~repro.core.tsolve_dag.TSolveDAG` stores flat — are its
     columns.
     """

@@ -51,7 +51,6 @@ from .placement import PlacementPolicy, resolve_placement
 from .strategy import get_blocking_strategy
 from .tsolve import checked_rhs
 from .tsolve_dag import build_tsolve_dag
-from .verify import verify_dag
 
 __all__ = [
     "SolverOptions", "Factorization", "PanguLU", "RefinementStalled",
@@ -74,15 +73,19 @@ class RefinementStalled(ArithmeticError):
     """Iterative refinement on approximate factors could not reach the
     requested residual tolerance.
 
-    Raised by :meth:`Factorization.solve` on ``float32`` (or compressed)
-    factors when plain refinement stops contracting *and* the GMRES-IR
-    escalation also fails to reach :data:`REFINE_TOL` —
-    typically a sign that the matrix is too ill-conditioned for
-    single-precision factors (``κ(A) · ε₃₂ ≳ 1``).  Never raised for
-    exact ``float64`` factors: they have nothing more precise to
-    escalate to and return their best iterate.  The message reports the
-    achieved relative residual so callers can decide whether to accept
-    it or refactorise at ``factor_dtype="float64"``.
+    Raised by :meth:`Factorization.solve` on approximate factors —
+    ``float32``, compressed, or with pivots replaced by static pivoting
+    (GESP is static pivoting *plus* refinement) — when plain refinement
+    stops contracting *and* the GMRES-IR escalation also fails to reach
+    :data:`REFINE_TOL`.  With no pivot replaced this is typically a sign
+    that the matrix is too ill-conditioned for single-precision factors
+    (``κ(A) · ε₃₂ ≳ 1``); with replaced pivots, that the matrix needs
+    row interchanges, which static pivoting does not make.  Never raised
+    for exact ``float64`` factors with no replaced pivot: they have
+    nothing more precise to escalate to and return their best iterate.
+    The message reports the achieved relative residual, and the
+    replaced-pivot count when there is one, so callers can decide
+    whether to accept it.
 
     Attributes
     ----------
@@ -92,22 +95,36 @@ class RefinementStalled(ArithmeticError):
         The tolerance that was requested.
     iterations:
         Total refinement + escalation iterations spent.
+    pivots_replaced:
+        Pivots the factorisation replaced by static pivoting.
     """
 
-    def __init__(self, achieved: float, tol: float, iterations: int) -> None:
+    def __init__(
+        self, achieved: float, tol: float, iterations: int,
+        pivots_replaced: int = 0,
+    ) -> None:
         self.achieved = float(achieved)
         self.tol = float(tol)
         self.iterations = int(iterations)
+        self.pivots_replaced = int(pivots_replaced)
+        cause = (
+            f"{self.pivots_replaced} pivots were replaced by static "
+            "pivoting, and refinement could not correct the perturbed "
+            "factors"
+            if self.pivots_replaced else
+            "the matrix is likely too ill-conditioned for float32 factors "
+            '— refactorize with factor_dtype="float64"'
+        )
         super().__init__(
-            f"mixed-precision refinement stalled at relative residual "
-            f"{self.achieved:.3e} (tolerance {self.tol:.3e}, "
-            f"{self.iterations} iterations); the matrix is likely too "
-            f"ill-conditioned for float32 factors — refactorize with "
-            f'factor_dtype="float64"'
+            f"refinement on approximate factors stalled at relative "
+            f"residual {self.achieved:.3e} (tolerance {self.tol:.3e}, "
+            f"{self.iterations} iterations); {cause}"
         )
 
     def __reduce__(self):
-        return (type(self), (self.achieved, self.tol, self.iterations))
+        return (type(self), (
+            self.achieved, self.tol, self.iterations, self.pivots_replaced,
+        ))
 
 
 def _fgmres(
@@ -429,15 +446,6 @@ class SolverOptions:
         ``numeric.compress_min_order`` (see :class:`NumericOptions`),
         the one place the low-rank overlay knobs are stored — it is
         what travels to the ranks.
-    verify_schedule:
-        Statically verify every built DAG (the factor DAG at
-        preprocessing, each solve DAG on first use) with
-        :func:`repro.core.verify.verify_dag` before any engine executes
-        it: acyclicity, counter-equals-indegree and, on the factor DAG,
-        single-writer block chains.  A violation raises
-        :class:`~repro.core.verify.ScheduleViolation` with a named
-        diagnostic instead of deadlocking mid-run.  Also exposed as the
-        CLI ``--verify`` flag.
     """
 
     ordering: str = "nd"
@@ -451,7 +459,6 @@ class SolverOptions:
     n_workers: int = 1
     engine: str | None = None
     trace_events: bool = False
-    verify_schedule: bool = False
     compress_tol: InitVar[float | None] = None
     compress_min_order: InitVar[int | None] = None
 
@@ -662,8 +669,6 @@ class Factorization:
         tdag = self._tsolve_dags.get(key)
         if tdag is None:
             tdag = build_tsolve_dag(self._blocks, owner, transposed=transposed)
-            if self.options.verify_schedule:
-                verify_dag(tdag)
             self._tsolve_dags[key] = tdag
         return tdag
 
@@ -741,10 +746,12 @@ class Factorization:
     ) -> np.ndarray:
         """:func:`refined_solve` on this handle's factors, to
         :data:`REFINE_TOL` within :data:`REFINE_MAX_ITER` sweeps.
-        ``float32`` or compressed factors are the approximate ones that
-        escalate; when compressed factors stall even there, the handle
-        escalates once more — decompress, refactorise exactly, start
-        over — before :class:`RefinementStalled` reaches the caller."""
+        ``float32``, compressed factors and factors with replaced pivots
+        are the approximate ones that escalate; when compressed factors
+        stall even there, the handle escalates once more — decompress,
+        refactorise exactly, start over — before
+        :class:`RefinementStalled`, carrying the replaced-pivot count,
+        reaches the caller."""
         def apply_fn(r: np.ndarray) -> np.ndarray:
             return self.apply(r, transposed=transposed, recorder=recorder)
 
@@ -753,16 +760,19 @@ class Factorization:
                 return self.a.rmatvec(v)
             return self.a.matmat(v) if v.ndim == 2 else self.a.matvec(v)
 
+        replaced = self.stats.pivots_replaced
         try:
             return refined_solve(
                 apply_fn, product, b, tol=REFINE_TOL, budget=REFINE_MAX_ITER,
                 history=history,
                 exact=self.factor_dtype == np.float64
-                and not self.compression_active(),
+                and not self.compression_active() and not replaced,
             )
-        except RefinementStalled:
+        except RefinementStalled as err:
             if not self.compression_active():
-                raise
+                raise RefinementStalled(
+                    err.achieved, err.tol, err.iterations, replaced
+                ) from None
         self.decompress()
         return self._solve_refined(b, transposed, recorder, history)
 
@@ -946,14 +956,9 @@ class PanguLU:
             dtype=self.options.resolved_factor_dtype(),
         )
         self.dag = build_dag(self._blocks)
-        self.placement = placement = resolve_placement(
+        self.placement = resolve_placement(
             self.options.placement, self.options.nprocs
         ).prepare(self.dag, self._blocks)
-        if self.options.verify_schedule:
-            verify_dag(
-                self.dag, assignment=placement.assign(self.dag),
-                nprocs=placement.nprocs,
-            )
         self.phase_seconds["preprocess"] = time.perf_counter() - t0
         return self._blocks
 

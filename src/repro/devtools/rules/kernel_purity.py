@@ -33,7 +33,7 @@ import ast
 from collections.abc import Iterator
 
 from ..astlint import FileContext, Finding, Rule, register
-from ._util import dotted, functions, mutation_roots
+from ._util import dotted, functions, mutation_roots, root_name
 
 #: kernel-role prefix → index of the writable (output) parameter
 #: (the tsolve roles are the two phase-5 segment kernels: ``diag_seg``
@@ -52,28 +52,35 @@ _WRITABLE_BY_NAME = {"ws", "image"}
 _BANNED_MODULES = {"time", "random"}
 
 
-def _alias_map(fn: ast.FunctionDef, params: set[str]) -> dict[str, str]:
-    """Locals that alias a parameter's storage: ``c_data = c.data`` maps
-    ``c_data → c`` (tuple unpacking included)."""
-    aliases: dict[str, str] = {}
+def _value_roots(value: ast.AST) -> set[str]:
+    """Root names of the storage an assigned value may be (either arm
+    of a conditional)."""
+    if isinstance(value, ast.IfExp):
+        return _value_roots(value.body) | _value_roots(value.orelse)
+    root = root_name(value)
+    return {root} if root else set()
+
+
+def _alias_map(fn: ast.FunctionDef, params: set[str]) -> dict[str, set[str]]:
+    """Locals that may alias a parameter's storage: ``c_data = c.data``
+    maps ``c_data → {c}``.  A tuple target takes the roots of its own
+    element of a tuple value, else of the whole value, so ``pa, a_img =
+    box_image(a, 0) if a_dense is None else a_dense[:2]`` maps ``a_img →
+    {a_dense}``."""
+    aliases: dict[str, set[str]] = {}
     for node in ast.walk(fn):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target, value = node.targets[0], node.value
-        pairs: list[tuple[ast.AST, ast.AST]] = []
-        if isinstance(target, ast.Name):
-            pairs.append((target, value))
-        elif isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-            pairs.extend(zip(target.elts, value.elts))
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            pairs = list(zip(target.elts, value.elts))
+        else:
+            names = target.elts if isinstance(target, ast.Tuple) else [target]
+            pairs = [(t, value) for t in names]
         for t, v in pairs:
-            if not isinstance(t, ast.Name):
-                continue
-            path = dotted(v)
-            if path is None:
-                continue
-            root = path.split(".")[0]
-            if root in params:
-                aliases[t.id] = root
+            roots = _value_roots(v) & params
+            if isinstance(t, ast.Name) and roots:
+                aliases[t.id] = roots
     return aliases
 
 
@@ -168,8 +175,7 @@ class KernelPurityRule(Rule):
             if not isinstance(stmt, ast.stmt):
                 continue
             for root, node in mutation_roots(stmt):
-                owner = aliases.get(root, root)
-                if owner in readonly:
+                for owner in sorted(aliases.get(root, {root}) & readonly):
                     yield ctx.finding(
                         self.name, node,
                         f"kernel {fn.name}() mutates read-only operand "

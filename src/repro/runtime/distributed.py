@@ -352,6 +352,27 @@ def _owner_of_slot(f: BlockMatrix, placement: PlacementPolicy) -> np.ndarray:
     )
 
 
+def _assignment(dag: TaskDAG, placement: PlacementPolicy) -> np.ndarray:
+    """``placement.assign(dag)``, after refusing a task placed off the
+    rank that stores its block, or a block stored outside the pool: a
+    rank writes only the blocks it holds, so a split block's owner
+    would keep a stale copy."""
+    owner = placement.assign(dag)
+    home = np.asarray(
+        [placement.owner(t.bi, t.bj) for t in dag.tasks], dtype=np.int64
+    )
+    bad = np.flatnonzero((owner != home) | (home < 0) | (home >= placement.nprocs))
+    if bad.size:
+        t = dag.tasks[int(bad[0])]
+        raise ValueError(
+            f"placement {placement.name!r} puts block ({t.bi},{t.bj}) on rank "
+            f"{int(home[t.tid])} and its task {t.tid} on rank "
+            f"{int(owner[t.tid])}; a task runs where its block is stored, "
+            f"on one of ranks 0..{placement.nprocs - 1}"
+        )
+    return owner
+
+
 def _stop_ranks(transport: Transport, n_procs: int, master: int) -> None:
     """A ``"stop"`` for every rank, then wait for them to exit (forced
     after a grace period).  At interpreter exit a channel may already be
@@ -538,7 +559,7 @@ class RankPool:
                       for owned in self._owned]
         placement = _resolve_pool(*shape[:3])
         key, entry = self._ship(
-            f, shape, dag, lambda: (dag, placement.assign(dag))
+            f, shape, dag, lambda: (dag, _assignment(dag, placement))
         )
         # from here on the factors, once made, are the ranks' alone
         self._pending, self._lost = True, False

@@ -164,6 +164,17 @@ def run_lanes(
     def stalled() -> None:
         core.check(job.name)  # names the blocked frontier
 
+    idle = [0]  # pooled lanes waiting on the condition
+
+    def wait_or_stall() -> None:
+        """In-process lanes: once every lane waits with nothing ready,
+        no completion can come — a deadlock, named as the one lane's is."""
+        if idle[0] == n_lanes - 1:
+            stalled()
+        idle[0] += 1
+        cond.wait()
+        idle[0] -= 1
+
     def fail(exc: BaseException) -> None:
         """The one error path: record, and wake every waiting lane."""
         with gate:
@@ -233,7 +244,7 @@ def run_lanes(
         wait = receive_inline if endpoint is not None else stalled
         lane(0)
     else:
-        wait = cond.wait
+        wait = cond.wait if endpoint is not None else wait_or_stall
         if endpoint is not None:
             threading.Thread(target=receiver, daemon=True).start()
         pool = [

@@ -4,6 +4,8 @@ import time  # clocks are banned in kernel modules
 
 import numpy as np
 
+from repro.kernels.base import box_image
+
 _scratch = {}  # hidden module-level mutable state
 
 
@@ -22,6 +24,12 @@ def gessm_bad(diag, b, ws, *, inv=None):
 def ssssm_image_bad(c, a, b, ws, *, a_dense=None, b_dense=None, image=None):
     image.dense[...] -= a_dense[1] @ b_dense[1]
     a_dense[1][0, 0] = 0.0        # mutates the cached operand image other lanes read
+
+
+def ssssm_unpack_bad(c, a, b, ws, *, a_dense=None, image=None):
+    pa, a_img = box_image(a, 0) if a_dense is None else a_dense[:2]
+    a_img[0, 0] = 0.0             # writes the cached image through the unpack
+    image.dense[...] -= a_img @ b.data
 
 
 def panel_bad(tri, b, *, merge):

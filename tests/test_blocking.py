@@ -15,7 +15,6 @@ from repro.core import (
     choose_block_size,
 )
 from repro.core.blocking import KERNEL_ORDER, MIN_BLOCK_COLUMNS
-from repro.core.verify import verify_dag
 from repro.kernels.base import GETRF_SERIAL_ORDER
 from repro.sparse import CSCMatrix, generate, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
@@ -138,7 +137,6 @@ class TestBenchmarkMatrixOrders:
     def test_filled_dense_matrices_get_kernel_sized_blocks(self, name, scale):
         s = self._preprocessed(name, scale)
         assert 88 <= s.blocks.bs <= 112
-        verify_dag(s.dag)
 
     def test_grid2d_keeps_its_sqrt_grid(self):
         assert self._preprocessed("ecology1", 4.0).blocks.bs == 104

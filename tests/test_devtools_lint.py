@@ -108,6 +108,12 @@ SEEDED = {
         "        a.data[...] *= -1.0  # A as scratch for the sign ...\n"
         "        a.data[...] *= -1.0  # ... and restored\n",
     ),
+    "kernel-purity:write-through-conditional-unpack": (
+        "kernel-purity", "kernels/ssssm.py",
+        "    pa, a_img = box_image(a, 0) if a_dense is None else a_dense[:2]\n",
+        "    pa, a_img = box_image(a, 0) if a_dense is None else a_dense[:2]\n"
+        "    a_img[0, 0] = 0.0\n",
+    ),
     "no-bare-except-in-runtime:silent-post-failure": (
         "no-bare-except-in-runtime", "runtime/distributed.py",
         "        except (OSError, ValueError, TransportStopped) as post_exc:\n",
@@ -194,6 +200,11 @@ def test_kernel_purity_treats_cached_images_as_read_only():
     assert any("gessm_bad() mutates read-only operand 'inv'" in m for m in messages)
     assert any(
         "ssssm_image_bad() mutates read-only operand 'a_dense'" in m
+        for m in messages
+    )
+    # ... and through a name a conditional expression unpacks it into
+    assert any(
+        "ssssm_unpack_bad() mutates read-only operand 'a_dense'" in m
         for m in messages
     )
     assert not any("'image'" in m for m in messages)

@@ -4,11 +4,12 @@ LU (:func:`~repro.core.dag.build_dag`), Cholesky
 (:func:`~repro.cholesky.kernels.build_llt_dag`) and the supernodal
 baseline (:func:`~repro.baseline.dag.build_sn_dag`) all create their
 tasks through :class:`~repro.core.dag.EliminationBuilder`, so each must
-pass :func:`~repro.core.verify.verify_dag` and carry exactly its edges:
-a panel task waits for every update into its block plus its step's
-diagonal panel, an update for its operands' panel tasks and nothing
-else (so updates into one block stay unordered), and ``panel_of_block``
-names each block's panel task.
+carry exactly its edges: a panel task waits for every update into its
+block plus its step's diagonal panel, an update for its operands' panel
+tasks and nothing else (so updates into one block stay unordered), every
+edge runs forward in task order (so the graph is acyclic), each counter
+equals its task's in-degree, and ``panel_of_block`` names each block's
+panel task.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import pytest
 from repro import PanguLU
 from repro.baseline import SuperLUBaseline, build_sn_dag
 from repro.cholesky import PanguLLt
+from repro.core import block_partition, build_dag
 from repro.core.dag import TaskType
-from repro.core.verify import verify_dag
-from repro.sparse import generate
+from repro.sparse import generate, random_sparse
+from repro.symbolic import symbolic_symmetric
 
 
 def _lu(name):
@@ -73,7 +75,7 @@ def _predecessors(dag) -> list[set[int]]:
 )
 def test_every_factor_dag_is_wired_by_the_one_rule(build, name, operands):
     dag = build(name)
-    assert verify_dag(dag).kind == "factor"
+    assert all(s > t.tid for t in dag.tasks for s in t.successors)
     preds = _predecessors(dag)
     updates_into: dict[tuple[int, int], set[int]] = {}
     for t in dag.tasks:
@@ -92,4 +94,26 @@ def test_every_factor_dag_is_wired_by_the_one_rule(build, name, operands):
         assert t.n_deps == len(expect)
     assert dag.panel_of_block == panels
     assert dag.total_flops == sum(t.flops for t in dag.tasks)
+
+
+@pytest.mark.parametrize(
+    "n,bs,seed", [(40, 8, 0), (72, 13, 1), (90, 16, 2), (60, 60, 3)]
+)
+def test_factor_dags(n, bs, seed):
+    """LU DAGs of random patterns over the block-order range, down to a
+    single block: edges forward and in range, each counter equal to its
+    task's in-degree, at least one root, every block's tasks ending in
+    its one panel task, which every update into the block precedes."""
+    filled = symbolic_symmetric(random_sparse(n, 0.07, seed=seed)).filled
+    dag = build_dag(block_partition(filled, bs))
+    preds = _predecessors(dag)
+    assert all(s > t.tid and s < len(dag) for t in dag.tasks for s in t.successors)
+    assert [t.n_deps for t in dag.tasks] == [len(p) for p in preds]
+    assert any(t.n_deps == 0 for t in dag.tasks)
+    last_into: dict[tuple[int, int], int] = {}
+    for t in dag.tasks:
+        last_into[(t.bi, t.bj)] = t.tid
+        if t.ttype == TaskType.SSSSM:
+            assert dag.panel_of_block[(t.bi, t.bj)] in t.successors, t
+    assert dag.panel_of_block == last_into
 

@@ -5,14 +5,11 @@ table covers them all:
 
     {1 lane, 3 lanes, 2 ranks × 1, 2 ranks × 2 over loopback}
   × {factor, tsolve}
-  × {clean, validate, fail_after, dead_ranks, delay+stagger}
+  × {clean, fail_after, dead_ranks, delay+stagger}
 
 (the three fault scenarios need a transport, so they apply to the rank
 configurations only; delivery order gets two more inputs, 3 ranks × 1
-and the transposed solve, run under ``delay+stagger``; ``validate`` is
-the clean run preceded by the static ``verify_dag`` checks that
-``SolverOptions.verify_schedule`` turns on, with the ownership map on
-the rank configurations).  One-lane factors under the fixed (sparse-variant)
+and the transposed solve, run under ``delay+stagger``).  One-lane factors under the fixed (sparse-variant)
 selector are pinned bit-for-bit to the values the hand-written sequential
 loop produced before the fold; the default path calls BLAS, whose last
 bits depend on the kernel OpenBLAS dispatches for the CPU, so it is held
@@ -49,8 +46,7 @@ from repro.core import (
 from repro.core.numeric import FactorJob
 from repro.core.placement import CyclicPlacement
 from repro.core.tsolve import SolveJob, tsolve_lanes, tsolve_sequential
-from repro.core.tsolve_dag import build_tsolve_dag
-from repro.core.verify import verify_dag
+from repro.core.tsolve_dag import TSolveTaskType, build_tsolve_dag
 from repro.kernels.selector import SelectorPolicy
 from repro.runtime import (
     EventRecorder,
@@ -101,7 +97,6 @@ CONFIGS = {
 }
 FAULTS = {
     "clean": None,
-    "validate": None,
     "fail_after": FaultPlan(fail_after={0: 2}),
     "dead_ranks": FaultPlan(dead_ranks=frozenset({1})),
     "delay+stagger": FaultPlan(delay_seconds=0.002, stagger=True),
@@ -111,7 +106,7 @@ CELLS = [
     for config, cfg in CONFIGS.items()
     for phase in ("factor", "tsolve", "tsolveT")
     for scenario in FAULTS
-    if (cfg.ranks or scenario in ("clean", "validate"))
+    if (cfg.ranks or scenario == "clean")
     # the delivery-order inputs: three ranks and the transposed solve
     and (scenario == "delay+stagger" or (cfg.ranks != 3 and phase != "tsolveT"))
 ]
@@ -144,22 +139,8 @@ def _assert_near_pinned(bm, pinned) -> None:
     )
 
 
-def _verify(cfg: Config, dag) -> None:
-    """The static checks of the ``validate`` scenario: counters, cycles,
-    the factor DAG's writer chains and, on ranks, its ownership map the
-    run will use."""
-    if cfg.ranks and isinstance(dag, TaskDAG):
-        report = verify_dag(dag, assignment=CyclicPlacement(cfg.ranks).assign(dag),
-                            nprocs=cfg.ranks)
-    else:
-        report = verify_dag(dag)
-    assert report.n_tasks == len(dag)
-
-
 def _run_factor(cfg: Config, bm, dag, *, scenario="clean", options=None,
                 recorder=None, timeout=30.0):
-    if scenario == "validate":
-        _verify(cfg, dag)
     if not cfg.ranks:
         return factorize(bm, dag, options, n_lanes=cfg.lanes, recorder=recorder)
     return factorize_distributed(
@@ -173,8 +154,6 @@ def _run_tsolve(cfg: Config, f, b, *, scenario="clean", timeout=30.0,
                 transposed=False):
     owner = CyclicPlacement(cfg.ranks).owner if cfg.ranks else lambda bi, bj: 0
     tdag = build_tsolve_dag(f, owner, transposed=transposed)
-    if scenario == "validate":
-        _verify(cfg, tdag)
     if not cfg.ranks:
         return tsolve_lanes(f, tdag, b, n_lanes=cfg.lanes)
     return tsolve_distributed(
@@ -285,29 +264,23 @@ def test_sequential_factors_pinned(name):
 # drift the hand-written copies had accumulated
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("validate", [False, True])
 @pytest.mark.parametrize("n_threads", [1, 2])
 @pytest.mark.parametrize("phase", ["factor", "tsolve"])
 def test_duplicate_delivery_surfaces_on_every_rank_shape(
-    phase, n_threads, validate, factored
+    phase, n_threads, factored
 ):
     """A duplicated message is a second completion, which the receiving
     rank's core refuses; the failure in the receive lane is the rank's
     error, not a hang (the hybrid copies used to lose the receiver
     thread's exception and leave the compute threads waiting until the
-    master's timeout).  With ``validate`` the DAG first passes the static
-    checks: the fault is the transport's, which only the runtime guard
-    sees."""
+    master's timeout)."""
     transport = LoopbackTransport(
         faults=FaultPlan(duplicate_from=frozenset({0, 1}))
     )
-    cfg = Config(2, n_threads)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError) as exc:
         if phase == "factor":
             bm, dag = _prepared()
-            if validate:
-                _verify(cfg, dag)
             factorize_distributed(
                 bm, dag, 2, transport=transport, n_threads=n_threads,
                 timeout=30.0,
@@ -316,8 +289,6 @@ def test_duplicate_delivery_surfaces_on_every_rank_shape(
             tdag = build_tsolve_dag(
                 factored, CyclicPlacement(2).owner
             )
-            if validate:
-                _verify(cfg, tdag)
             tsolve_distributed(
                 factored, tdag, np.ones(factored.n), 2, transport=transport,
                 n_threads=n_threads, timeout=30.0,
@@ -326,6 +297,76 @@ def test_duplicate_delivery_surfaces_on_every_rank_shape(
     msg = str(exc.value)
     assert re.search(r"rank \d: CounterUnderflowError\('task \d+ completed "
                      r"twice \(lane \d\)", msg)
+
+
+@pytest.mark.parametrize("config", ["1-lane", "3-lanes"])
+def test_counter_above_in_degree_is_a_named_deadlock(config):
+    """A counter one above its task's in-degree never reaches zero: on
+    one lane or several, the drain stops once nothing can run and names
+    the blocked frontier, instead of waiting forever."""
+    bm, dag = _prepared()
+    last = dag.tasks[-1]
+    last.n_deps += 1
+    dag = TaskDAG(dag.tasks, dag.panel_of_block, dag.total_flops)
+    n = len(dag)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=(
+        rf"deadlock: executed {n - 1} of {n} tasks; blocked frontier: "
+        rf"task {last.tid} \(counter=1"
+    )):
+        factorize(bm, dag, n_lanes=CONFIGS[config].lanes)
+    assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.parametrize("config", ["1-lane", "3-lanes"])
+@pytest.mark.parametrize("phase", ["factor", "tsolve"])
+def test_cycle_is_a_named_deadlock(phase, config, factored):
+    """A 2-cycle closed with its counters kept equal to the in-degrees:
+    neither task of the cycle ever becomes ready, and the drain names
+    the first of them as the blocked frontier, in both phases."""
+    lanes = CONFIGS[config].lanes
+    if phase == "factor":
+        bm, dag = _prepared()
+        t = next(t for t in dag.tasks if t.successors)
+        dag.tasks[t.successors[0]].successors.append(t.tid)
+        t.n_deps += 1
+        dag = TaskDAG(dag.tasks, dag.panel_of_block, dag.total_flops)
+        first = t.tid
+        run = lambda: factorize(bm, dag, n_lanes=lanes)  # noqa: E731
+    else:
+        dag = build_tsolve_dag(factored, lambda bi, bj: 0)
+        first = int(np.flatnonzero(dag.kinds == int(TSolveTaskType.DIAG_F))[0])
+        (bwd,) = [s for s in dag.successors[first]
+                  if dag.kinds[s] == int(TSolveTaskType.DIAG_B)]
+        dag.successors[bwd].append(first)
+        dag.n_deps[first] += 1
+        run = lambda: tsolve_lanes(  # noqa: E731
+            factored, dag, np.ones(factored.n), n_lanes=lanes
+        )
+    n = len(dag)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=(
+        rf"deadlock: executed \d+ of {n} tasks; blocked frontier: "
+        rf"task {first} \(counter=1"
+    )):
+        run()
+    assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.parametrize("config", ["1-lane", "3-lanes"])
+def test_counter_below_in_degree_underflows(config):
+    """A counter one below its task's in-degree lets the task start
+    early; the completion of its last predecessor then drives the
+    counter negative, which the core refuses by naming the task."""
+    bm, dag = _prepared()
+    last = dag.tasks[-1]
+    assert last.n_deps >= 1
+    last.n_deps -= 1
+    dag = TaskDAG(dag.tasks, dag.panel_of_block, dag.total_flops)
+    with pytest.raises(CounterUnderflowError, match=(
+        rf"drove 1 dependency counter\(s\) negative: task {last.tid} at -1"
+    )):
+        factorize(bm, dag, n_lanes=CONFIGS[config].lanes)
 
 
 @pytest.mark.parametrize("config", ["1-lane", "3-lanes"])

@@ -113,9 +113,18 @@ class TestTSolveDAG:
             assert dag.sources[tid].tolist() == ks
             assert dag.n_deps[tid] == len(ks) + (not forward)
 
-    def test_acyclic_and_executable(self, prepared):
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("nprocs", [1, 2, 4])
+    def test_acyclic_and_executable(self, prepared, nprocs, transposed):
+        """Each counter is its task's in-degree, and a Kahn pass over
+        the counters reaches every task."""
         f = prepared.blocks
-        dag = build_tsolve_dag(f, ProcessGrid.square(2).owner)
+        dag = build_tsolve_dag(f, ProcessGrid.square(nprocs).owner,
+                               transposed=transposed)
+        indeg = np.zeros(len(dag), dtype=np.int64)
+        for outs in dag.successors:
+            np.add.at(indeg, np.asarray(outs, dtype=np.int64), 1)
+        np.testing.assert_array_equal(dag.n_deps, indeg)
         indeg = dag.n_deps.copy()
         stack = [t for t in range(len(dag)) if indeg[t] == 0]
         seen = 0

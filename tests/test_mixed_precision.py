@@ -138,9 +138,11 @@ class TestRefinementRecoversAccuracy:
             assert s.residual_norm(x, b) <= REFINE_TOL * 10
 
     def test_stalled_exception_pickles(self):
-        err = RefinementStalled(1e-5, 1e-12, 7)
+        err = RefinementStalled(1e-5, 1e-12, 7, 3)
         back = pickle.loads(pickle.dumps(err))
-        assert (back.achieved, back.tol, back.iterations) == (1e-5, 1e-12, 7)
+        assert (back.achieved, back.tol, back.iterations,
+                back.pivots_replaced) == (1e-5, 1e-12, 7, 3)
+        assert str(back) == str(err)
 
     def test_float64_path_unchanged_by_new_options(self):
         # a benign float64 solve is at tolerance after its first sweep,

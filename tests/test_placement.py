@@ -37,7 +37,6 @@ from repro.core.placement import (
 from repro.core.solver import PanguLU, SolverOptions
 from repro.core.tsolve import tsolve_sequential
 from repro.core.tsolve_dag import build_tsolve_dag
-from repro.core.verify import ScheduleViolation, verify_dag
 from repro.runtime import (
     CPU_PLATFORM,
     factorize_distributed,
@@ -312,35 +311,35 @@ class TestSpeedAwareBalancing:
 
 
 # ----------------------------------------------------------------------
-# ownership verification
+# ownership
 # ----------------------------------------------------------------------
+
+def _ranks_per_block(dag, assignment) -> list[set[int]]:
+    """The ranks each target block's tasks are assigned to."""
+    ranks: dict[tuple[int, int], set[int]] = {}
+    for t in dag.tasks:
+        ranks.setdefault((t.bi, t.bj), set()).add(int(assignment[t.tid]))
+    return list(ranks.values())
+
 
 class TestOwnershipVerification:
     def test_accepts_any_consistent_map(self):
-        bm, dag = _prepared()
-        for place in (
-            CyclicPlacement(4),
-            CostModelPlacement(4, SKEWED_SPEEDS).prepare(dag, bm),
+        """Every map that keeps each block's tasks on the block's owner
+        passes the engine's check and factors as the sequential loop."""
+        bm_ref, dag_ref = _prepared()
+        factorize(bm_ref, dag_ref)
+        ref = bm_ref.to_csc().to_dense()
+        for make in (
+            lambda dag, bm: CyclicPlacement(4),
+            lambda dag, bm: CostModelPlacement(4, SKEWED_SPEEDS).prepare(dag, bm),
         ):
-            report = verify_dag(dag, assignment=place.assign(dag), nprocs=4)
-            assert report.n_tasks == len(dag.tasks)
-
-    def test_rejects_split_ownership(self):
-        _, dag = _prepared()
-        asg = CyclicPlacement(4).assign(dag)
-        # move exactly one task of a multi-task block to another rank
-        targets = {}
-        split = None
-        for t in dag.tasks:
-            if (t.bi, t.bj) in targets:
-                split = t.tid
-                break
-            targets[(t.bi, t.bj)] = t.tid
-        assert split is not None
-        asg[split] = (asg[split] + 1) % 4
-        with pytest.raises(ScheduleViolation) as exc:
-            verify_dag(dag, assignment=asg, nprocs=4)
-        assert exc.value.code == "split-ownership"
+            bm, dag = _prepared()
+            place = make(dag, bm)
+            assert all(len(r) == 1 for r in _ranks_per_block(dag, place.assign(dag)))
+            factorize_distributed(
+                bm, dag, 4, transport=LoopbackTransport(), placement=place
+            )
+            np.testing.assert_allclose(bm.to_csc().to_dense(), ref, atol=1e-10)
 
     def test_balanced_task_map_is_simulator_only(self):
         """The engines run every task on its block's owner; the load
@@ -348,25 +347,49 @@ class TestOwnershipVerification:
         across ranks — fine for the simulator, not executable."""
         bm, dag = _prepared()
         place = CyclicPlacement(2)
-        verify_dag(dag, assignment=place.assign(dag), nprocs=2)
+        assert all(len(r) == 1 for r in _ranks_per_block(dag, place.assign(dag)))
         balanced = balance_loads(
             dag, place, place.assign(dag), weights=task_weights(dag, bm)
         )
-        with pytest.raises(ScheduleViolation) as exc:
-            verify_dag(dag, assignment=balanced, nprocs=2)
-        assert exc.value.code == "split-ownership"
+        assert any(len(r) == 2 for r in _ranks_per_block(dag, balanced))
 
-    def test_rejects_out_of_range_rank(self):
-        _, dag = _prepared()
-        asg = CyclicPlacement(4).assign(dag)
-        asg[0] = 7
-        with pytest.raises(ScheduleViolation, match="outside the valid"):
-            verify_dag(dag, assignment=asg, nprocs=4)
+    @pytest.mark.parametrize("engine", ["distributed", "hybrid"])
+    def test_rejects_out_of_range_rank(self, engine):
+        """An owner outside the pool is refused where the engine takes
+        the task map, naming the block and the rank."""
 
-    def test_rejects_wrong_length(self):
-        _, dag = _prepared()
-        with pytest.raises(ScheduleViolation, match="entries"):
-            verify_dag(dag, assignment=np.zeros(3, dtype=np.int64))
+        class OffGrid(CyclicPlacement):
+            def owner(self, bi, bj):
+                return self.nprocs if (bi, bj) == (0, 0) else super().owner(bi, bj)
+
+        s = PanguLU(grid_laplacian_2d(8, 8), SolverOptions(
+            engine=engine, nprocs=2, n_workers=2, placement=OffGrid(2),
+        ))
+        with pytest.raises(ValueError, match=r"block \(0,0\) on rank 2 .* "
+                                             r"ranks 0\.\.1"):
+            s.factorize()
+
+    @pytest.mark.parametrize("engine", ["distributed", "hybrid"])
+    def test_rejects_split_ownership(self, engine):
+        """A task map that moves the last panel task off its block's rank
+        is refused by name: the owner would keep the unfactored block (a
+        split whose owner never receives the panel back, so the gathered
+        factors would be silently wrong)."""
+
+        class LastPanelAway(CyclicPlacement):
+            def assign(self, dag):
+                asg = super().assign(dag)
+                asg[-1] = (asg[-1] + 1) % self.nprocs
+                return asg
+
+        s = PanguLU(grid_laplacian_2d(8, 8), SolverOptions(
+            engine=engine, nprocs=2, n_workers=2, placement=LastPanelAway(2),
+        ))
+        s.preprocess()
+        last = len(s.dag.tasks) - 1
+        with pytest.raises(ValueError, match=rf"its task {last} on rank \d; "
+                                             r"a task runs where its block"):
+            s.factorize()
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +439,6 @@ class TestEnginesHonourPlacement:
         s = PanguLU(a, SolverOptions(
             engine="distributed", nprocs=3,
             placement=CostModelPlacement(3, speeds=(1.0, 1.0, 0.5)),
-            verify_schedule=True,
         ))
         x = s.solve(b)
         assert s.placement is not None and s.placement.name == "cost"
@@ -508,7 +530,6 @@ class TestHybridEngine:
         x_ref = PanguLU(a, SolverOptions(engine="sequential")).solve(b)
         s = PanguLU(a, SolverOptions(
             engine="hybrid", nprocs=2, n_workers=2, placement="cost",
-            verify_schedule=True,
         ))
         np.testing.assert_allclose(s.solve(b), x_ref, atol=1e-10)
 
@@ -532,7 +553,6 @@ class TestPolicyContract:
         factorize(bm_ref, dag_ref)
         bm, dag = _prepared(seed=6)
         place = RowPlacement(3)
-        verify_dag(dag, assignment=place.assign(dag), nprocs=3)
         factorize_distributed(
             bm, dag, 3, transport=LoopbackTransport(), placement=place
         )

@@ -7,14 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from repro import PanguLU, SolverOptions
+from repro import PanguLU, RefinementStalled, SolverOptions
 from repro.core.mapping import ProcessGrid
 from repro.core.solver import REFINE_TOL, refined_solve
 from repro.core.tsolve_dag import build_tsolve_dag
 from repro.kernels import SingularBlockError
 from repro.runtime import engines, tsolve_distributed
 from repro.runtime.transports import LoopbackTransport
-from repro.sparse import CSCMatrix, random_sparse
+from repro.sparse import CSCMatrix, generate, random_sparse
 
 
 @pytest.fixture
@@ -154,6 +154,30 @@ class TestOnePolicy:
         assert len(sweeps) - n_before == len(history) < 10
         assert s.residual_norm(x, b) == pytest.approx(min(rels), rel=1e-12)
         assert s.residual_norm(x, b) <= res_bare * 1.0001  # never hurts
+
+    @pytest.mark.parametrize("factor", [0.1, 0.01, 0.001])
+    @pytest.mark.parametrize("name", ["apache2", "ecology1", "G3_circuit"])
+    def test_replaced_pivots_meet_tol_or_raise(self, name, factor):
+        """With the diagonal weakened, static pivoting replaces pivots of
+        these matrices: their float64 factors are approximate, so the
+        solve either refines to tolerance or says why it could not — it
+        never returns a residual above the tolerance."""
+        a = generate(name, scale=0.2)
+        rows, cols = a.rows_cols()
+        a.data = np.where(rows == cols, a.data * factor, a.data)
+        b = np.random.default_rng(0).standard_normal(a.nrows)
+        s = PanguLU(a)
+        replaced = s.factorize().stats.pivots_replaced
+        assert replaced > 0
+        try:
+            x = s.solve(b)
+        except RefinementStalled as err:
+            assert err.achieved > err.tol == REFINE_TOL
+            assert err.pivots_replaced == replaced
+            assert f"{replaced} pivots were replaced" in str(err)
+            assert "float32" not in str(err)
+        else:
+            assert s.residual_norm(x, b) <= REFINE_TOL
 
     def test_budget_caps_the_sweeps(self, sweeps):
         a = _ill_conditioned(60, 16, seed=0)

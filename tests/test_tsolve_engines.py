@@ -25,7 +25,6 @@ from repro.core.placement import CyclicPlacement
 from repro.core.solver import Factorization, PanguLU, SolverOptions
 from repro.core.tsolve import tsolve_lanes, tsolve_sequential
 from repro.core.tsolve_dag import build_tsolve_dag
-from repro.core.verify import verify_dag
 from repro.runtime import tsolve_distributed
 from repro.runtime.engines import available_tsolve_engines, get_tsolve_engine
 from repro.runtime.transports import LoopbackTransport
@@ -168,7 +167,6 @@ class TestTransposedDag:
             f, lambda bi, bj: 0, transposed=True
         )
         assert tdag.transposed
-        verify_dag(tdag)
         x1, s1 = tsolve_lanes(f, tdag, b)
         np.testing.assert_allclose(x1, np.linalg.solve(m.T, b), atol=1e-9)
         # a row/column mix-up would solve with m instead
@@ -178,7 +176,6 @@ class TestTransposedDag:
         grid_dag = build_tsolve_dag(
             f, ProcessGrid.square(2).owner, transposed=True
         )
-        verify_dag(grid_dag)
         xd, sd = tsolve_distributed(
             f, grid_dag, b, 2, transport=LoopbackTransport()
         )
@@ -196,9 +193,7 @@ class TestTransposedDag:
         a = generate("cage12", scale=0.12)
         b = _rhs(a.nrows, nrhs, seed=5)
         ref = PanguLU(a.transpose()).solve(b)
-        opts = SolverOptions(
-            nprocs=2, n_workers=2, verify_schedule=True,
-        )
+        opts = SolverOptions(nprocs=2, n_workers=2)
         fact = PanguLU(a, opts).factorize()
         applied = {}
         for engine in ("sequential", "threaded", "distributed", "hybrid"):
