@@ -87,8 +87,14 @@ def _dependency_levels(m: SupernodalMatrix) -> np.ndarray:
 
 
 def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG:
-    """Construct the supernodal task DAG with dense costs."""
+    """Construct the supernodal task DAG with dense costs.
+
+    Steps are created in ascending ``(level, step)`` order: a step's
+    level exceeds that of every step updating its panels, so that is a
+    topological order, and each block's chain of updates then climbs
+    the levels as every other edge does."""
     below, right = m.step_blocks
+    level = _dependency_levels(m)
     builder = EliminationBuilder()
     flops: list[float] = []
     gather: list[float] = []
@@ -101,7 +107,7 @@ def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG
         blk = m.block(i, j)
         out_b.append(8.0 * blk.size if blk is not None else 0.0)
 
-    for k in range(m.ns):
+    for k in np.argsort(level, kind="stable").tolist():
         w = m.width(k)
         add(TaskType.GETRF, k, k, k, (2.0 / 3.0) * w**3, ())
         row_blocks, col_blocks = below[k], right[k]
@@ -129,7 +135,7 @@ def build_sn_dag(m: SupernodalMatrix, part: SupernodePartition) -> SupernodalDAG
         flops=np.asarray(flops),
         gather_bytes=np.asarray(gather),
         out_bytes=np.asarray(out_b),
-        levels=_dependency_levels(m)[dag.table.k],
+        levels=level[dag.table.k],
     )
 
 

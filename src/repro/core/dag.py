@@ -14,21 +14,27 @@ column of ``L(i,k)`` meets a nonempty row of ``U(k,j)`` — its flop count
 is positive); fill closure then guarantees the target block exists.
 
 Dependencies — the one rule :class:`EliminationBuilder` wires every
-factor DAG by:
+factor DAG by: a task waits for the panel task of each block it reads
+and for the task that last wrote its own block.  So each block's Schur
+updates form one chain in step order, which its panel task ends:
 
-* ``GETRF(k)``      ← every ``SSSSM(·, k, k)``;
-* ``GESSM(k, j)``   ← ``GETRF(k)`` + every ``SSSSM(·, k, j)``;
-* ``TSTRF(i, k)``   ← ``GETRF(k)`` + every ``SSSSM(·, i, k)``;
-* ``SSSSM(k, i, j)``← ``TSTRF(i, k)`` + ``GESSM(k, j)``.
+* ``GETRF(k)``      ← the last ``SSSSM(·, k, k)``;
+* ``GESSM(k, j)``   ← ``GETRF(k)`` + the last ``SSSSM(·, k, j)``;
+* ``TSTRF(i, k)``   ← ``GETRF(k)`` + the last ``SSSSM(·, i, k)``;
+* ``SSSSM(k, i, j)``← ``TSTRF(i, k)`` + ``GESSM(k, j)`` + the
+  ``SSSSM(k', i, j)`` of the step ``k' < k`` before it into ``(i, j)``.
 
-The per-block *synchronisation-free array* of Section 4.4 is exactly the
-count of unfinished SSSSM predecessors of each block's panel task; it is
-exposed by :func:`sync_free_array` for tests and illustration.
+A block has one writer at a time by construction, and its updates run
+in the same order on every engine, so every engine computes the same
+factors bit for bit.  The per-block *synchronisation-free array* of
+Section 4.4 — the updates each block still has to receive — is exposed
+by :func:`sync_free_array` for tests and illustration.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -56,9 +62,6 @@ class TaskType(enum.IntEnum):
     GESSM = 1
     TSTRF = 2
     SSSSM = 3
-
-
-_SSSSM = TaskType.SSSSM
 
 
 @dataclass
@@ -210,40 +213,35 @@ class EliminationBuilder:
     them as they come, by the one dependency rule every factor DAG here
     follows — LU (:func:`build_dag`), Cholesky
     (:func:`~repro.cholesky.kernels.build_llt_dag`) and the supernodal
-    baseline (:func:`~repro.baseline.dag.build_sn_dag`):
+    baseline (:func:`~repro.baseline.dag.build_sn_dag`): a task waits for
+    the last writer of each block it reads and of the block it writes.
 
-    * an update (``SSSSM``) waits for the panel task of each block it
-      reads;
-    * a panel task (``GETRF`` / ``GESSM`` / ``TSTRF``) waits for that too,
-      and for every update already written into its own block, and is
-      then the block's ``panel_of_block`` entry — its last writer;
-    * updates into one block stay unordered among themselves.
-
-    ``reads`` are blocks whose panel task was added before; a block read
-    twice is passed once (a set).
+    ``reads`` are blocks whose panel task was added before (a block read
+    twice is passed once, a set), so their last writer is that panel
+    task.  The block a task writes gets a chain: its updates (``SSSSM``)
+    in the order they are added, then its panel task (``GETRF`` /
+    ``GESSM`` / ``TSTRF``), which is its last writer and so its
+    ``panel_of_block`` entry — one writer per block by the DAG.
     """
 
     def __init__(self) -> None:
         self.tasks: list[Task] = []
-        self.panel_of_block: dict[tuple[int, int], int] = {}
-        self._updates: dict[tuple[int, int], list[int]] = {}
+        self.last_writer: dict[tuple[int, int], int] = {}
 
     def add(self, ttype: TaskType, k: int, bi: int, bj: int, flops: int, reads=()) -> int:
-        tasks, panel = self.tasks, self.panel_of_block
+        tasks, last = self.tasks, self.last_writer
         tid = len(tasks)
-        preds = [panel[b] for b in reads]
-        if ttype is _SSSSM:
-            self._updates.setdefault((bi, bj), []).append(tid)
-        else:
-            preds += self._updates.pop((bi, bj), ())
-            panel[bi, bj] = tid
+        preds = [last[b] for b in reads]
+        if (bi, bj) in last:
+            preds.append(last[bi, bj])
+        last[bi, bj] = tid
         for p in preds:
             tasks[p].successors.append(tid)
         tasks.append(Task(tid, ttype, k, bi, bj, flops, len(preds)))
         return tid
 
     def dag(self) -> TaskDAG:
-        return TaskDAG(self.tasks, self.panel_of_block, sum(t.flops for t in self.tasks))
+        return TaskDAG(self.tasks, self.last_writer, sum(t.flops for t in self.tasks))
 
 
 def build_dag(f: BlockMatrix) -> TaskDAG:
@@ -299,12 +297,13 @@ def build_dag(f: BlockMatrix) -> TaskDAG:
 def sync_free_array(dag: TaskDAG, nb: int) -> dict[tuple[int, int], int]:
     """The paper's per-block synchronisation-free array (Fig. 9).
 
-    Value = number of GESSM/TSTRF/SSSSM operations the block still has to
-    receive before its next phase can fire: for a diagonal block, 0 means
-    GETRF may run (−1 after it completes, releasing its row and column);
-    for an off-diagonal block, 0 means its panel solve may run once the
+    Value = number of SSSSM updates the block still has to receive
+    before its panel task can fire: for a diagonal block, 0 means GETRF
+    may run (−1 after it completes, releasing its row and column); for
+    an off-diagonal block, 0 means its panel solve may run once the
     diagonal is done.
     """
     table = dag.table
-    ssssm_preds = table.n_deps - (table.ttype != TaskType.GETRF)
-    return {blk: int(ssssm_preds[tid]) for blk, tid in dag.panel_of_block.items()}
+    updates = table.ttype == TaskType.SSSSM
+    into = Counter(zip(table.bi[updates].tolist(), table.bj[updates].tolist()))
+    return {blk: into[blk] for blk in dag.panel_of_block}

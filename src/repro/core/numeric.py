@@ -200,8 +200,8 @@ def resolve_compress(options: NumericOptions) -> CompressPolicy | None:
 
 def _maybe_compress(f: BlockMatrix, task: Task, policy: CompressPolicy) -> None:
     """Try to install a low-rank overlay for a just-computed GESSM/TSTRF
-    panel block.  Runs inside the caller's write-lock window for the
-    target slot, so the block still has a single writer; the exact CSC
+    panel block.  Runs inside the panel task, the block's last writer by
+    the DAG, so the block still has a single writer; the exact CSC
     payload is left untouched (the overlay is additive)."""
     cb = try_compress(f.block(task.bi, task.bj), policy)
     if cb is not None:
@@ -300,7 +300,7 @@ def execute_task(
     With a :class:`~repro.kernels.compress.CompressPolicy` (``None`` by
     default — the bit-identical path) a just-finished GESSM/TSTRF panel
     is offered to the compressor before the task completes, inside the
-    same write-lock window.  Which operands carry an overlay is not this
+    same task.  Which operands carry an overlay is not this
     function's question: it runs ``version`` on the exact blocks.
     """
     family = ktype, operands_of, _ = _FAMILY[task.ttype]
@@ -340,10 +340,11 @@ class PanelCache:
     (:meth:`target`): every ``SSSSM/C_V1`` into it subtracts in place,
     and its dense-mapped panel task (``GETRF/C_V1``, ``GESSM/C_V2``,
     ``TSTRF/C_V2``) works on the accumulated image, writes the values
-    and closes it (:meth:`publish`).  An image is only ever touched
-    under its block's write guard.  :meth:`write_back` is the one
-    coherence rule: a task that reads or writes the values of a block
-    whose image is open writes the image back first.
+    and closes it (:meth:`publish`).  An image is only ever touched by
+    its block's one writer at a time, which the DAG chains (a block's
+    updates in step order, then its panel task).  :meth:`write_back` is
+    the one coherence rule: a task that reads or writes the values of a
+    block whose image is open writes the image back first.
 
     **Published images.**  Keyed by block slot: ``slot`` holds the
     box image of an ``L(i,k)`` panel on its occupied rows or of a
@@ -534,7 +535,6 @@ class FactorJob:
         self.tasks = dag.tasks
         self.table = table = dag.table
         self.options = options
-        self.n_slots = f.num_blocks
         self.plans = resolve_plan_cache(f, options)
         self.compress = resolve_compress(options)
         n = len(dag.tasks)
@@ -595,13 +595,10 @@ class FactorJob:
                 published.update((slot, lower) for slot in reads[:, 0].tolist())
         return calls, frozenset(published)
 
-    def write_slots(self, tid: int) -> tuple[int, ...]:
-        return (self.target[tid],)
-
     def execute(self, tid: int, ws: Workspace) -> tuple[str, int, bool]:
-        # compression of a finished GESSM/TSTRF panel happens here, i.e.
-        # inside the driver's write-lock window — single writer preserved;
-        # so do all reads and writes of the target's image
+        # the task is its target's one writer (the DAG chains a block's
+        # writers), so the compression of a finished GESSM/TSTRF panel
+        # and every read and write of the target's image happen here
         f, compress, panels, slots = self.f, self.compress, self.panels, self.args[tid]
         family, kernel, takes, label, mapped = self.calls[tid]
         ktype, target = family[0], self.target[tid]
@@ -676,8 +673,8 @@ def factorize(
     process always selects the most critical of the tasks to be
     computed").  One lane (the default) is the sequential engine; more
     lanes are the threaded engine, whose result equals the sequential
-    one up to floating-point reassociation of commuting Schur updates
-    (``n_lanes < 1`` is rejected by the lane driver).  ``owned`` restricts the run to a
+    one bit for bit: the DAG runs each block's Schur updates in step
+    order (``n_lanes < 1`` is rejected by the lane driver).  ``owned`` restricts the run to a
     predecessor-closed subset of task ids (the partial factorisation of
     :mod:`repro.core.schur`).  Pass an
     :class:`~repro.runtime.scheduler.EventRecorder` to capture

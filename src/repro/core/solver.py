@@ -413,11 +413,11 @@ class SolverOptions:
         over a message transport) or ``"hybrid"`` (``nprocs`` ranks ×
         ``n_workers`` threads per rank — HYLU-style mixed parallelism).
         ``None`` (default) picks ``"threaded"`` when ``n_workers > 1``,
-        else ``"sequential"``.  Given the same factors all engines
-        produce the bit-identical solution — each RHS segment's block
-        products are summed in a fixed order, whoever computed them; the
-        factors themselves agree across engines to rounding (the factor
-        DAG does not order the Schur updates of one block).
+        else ``"sequential"``.  All engines compute bit-identical
+        factors — the factor DAG gives each block one writer at a time,
+        its Schur updates in step order — and, given the same factors,
+        the bit-identical solution: each RHS segment's block products
+        are summed in a fixed order, whoever computed them.
     n_workers:
         Worker threads (lanes of :func:`repro.runtime.lanes.run_lanes`)
         for the ``"threaded"`` engine, and threads *per rank* for the
@@ -975,7 +975,7 @@ class PanguLU:
         Dispatches to the engine named by ``options.engine`` through the
         registry in :mod:`repro.runtime.engines` — every engine drains
         the same DAG through the shared scheduler core and produces the
-        same factors up to rounding.  The returned handle owns phase 5
+        same factors bit for bit.  The returned handle owns phase 5
         (and is picklable, so it can solve in other processes);
         ``solve`` / ``solve_transposed`` / ``refactorize`` on this
         object delegate to it.

@@ -105,14 +105,13 @@ class SolveJob:
     shared ``y``/``x`` arrays (``y`` holds ``b`` until the forward sweep
     overwrites it, segment by segment) and is traced as ``DIAG_F(i=3)``
     under its task kind.  Every segment has one writer and all its
-    readers are the writer's successors, so no task takes a write lock.
+    readers are the writer's successors, so no task takes a lock.
 
     ``f`` is the factored :class:`BlockMatrix` (on a distributed rank,
     its :meth:`~BlockMatrix.restricted` share).
     """
 
     name = "tsolve"
-    n_slots = 0
 
     def __init__(self, f, tdag: TSolveDAG, y: np.ndarray, x: np.ndarray) -> None:
         self.f = f
@@ -124,9 +123,6 @@ class SolveJob:
         self.lsums_of: dict[int, list[int]] = {}
         for tid in np.flatnonzero(np.isin(tdag.kinds, LSUM)).tolist():
             self.lsums_of.setdefault(tdag.successors[tid][0], []).append(tid)
-
-    def write_slots(self, tid: int) -> tuple[int, ...]:
-        return ()
 
     def execute(self, tid: int, ws) -> tuple:
         """Run one solve task.  An ``LSUM`` task stacks its products in

@@ -1,8 +1,8 @@
 """``counter-protocol`` — one task loop drives the scheduler cores.
 
 :class:`~repro.runtime.scheduler.SchedulerCore` is driven by the *loop
-around* ``pop()``/``complete()`` — write locks, timing, tallies,
-notify, publish, the error path.  That loop used to be written out once
+around* ``pop()``/``complete()`` — timing, tallies, notify, publish,
+the error path, the deadlock check.  That loop used to be written out once
 per engine and phase, and the copies drifted.  It now lives in
 ``runtime/lanes.py`` alone, so a ``.pop()`` / ``.complete()`` call on a
 scheduler core (a receiver named ``core`` / ``*_core`` / ``*.core``)

@@ -15,8 +15,9 @@ kernel module:
   the factored diagonal block comes first and is read-only, the block or
   dense panel solved in place second), its ``ws`` workspace and its
   ``image`` — the dense image of that same output block, which the
-  factorisation keeps open under the block's write guard — one level of
-  local aliasing (``c_data = c.data``) is resolved.  The writable
+  factorisation keeps open across the block's writers, one at a time by
+  the DAG — one level of local aliasing (``c_data = c.data``) is
+  resolved.  The writable
   parameters are named, not keyword-only by kind: every other
   keyword-only parameter is a read-only operand like the rest — they
   carry the cached dense images of the factorisation's panel cache

@@ -18,10 +18,11 @@ call or mutation outside a ``with <lock>:`` block.  Reads stay
 lock-free (the repo's low-contention pattern); ``__init__``/``__new__``
 are exempt because the object is not yet shared there.
 
-The lock order is the other half of the invariant.  The package has one
-nesting, a lane's slot locks → a cache lock (through ``job.execute``),
-and a lock declared here is always the inner one: nothing is taken
-while it is held.  So inside ``with <lock>:`` the rule also flags
+The lock order is the other half of the invariant.  A lock declared
+here is a leaf: nothing is taken while it is held (a task takes no
+lock of its own — the DAG gives each block one writer — so the
+package's locks never nest).  So inside ``with <lock>:`` the rule also
+flags
 
 * a nested ``with`` (or a later item of the same ``with``), an
   ``acquire()`` or an ``enter_context()``;
@@ -31,8 +32,7 @@ while it is held.  So inside ``with <lock>:`` the rule also flags
   parameter, like a cache's ``build``) — it could take any lock.
 
 That is the whole lock order of the package, checked module by module:
-the declared ``gate`` is never held while a slot lock is taken, and the
-cache locks stay leaves.
+the declared ``gate`` and the cache locks stay leaves.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ at ``O((m + n) · rank)`` cost instead of the sparse-product cost.
 Neither is a kernel variant the selector chooses among: whether an
 operand carries an overlay is what decides.
 
-The compressor runs inside the same write-lock window as the panel
-kernel that produced the block, so the block keeps a single writer;
+The compressor runs inside the task of the panel kernel that produced
+the block, the block's last writer by the DAG, so the block keeps a
+single writer;
 :func:`ssssm_lr` only *reads* the overlay and scatters into the
 target's stored pattern (out-of-pattern mass is dropped and recovered
 by iterative refinement, exactly like the drop-tolerance semantics of

@@ -25,11 +25,11 @@ placement=None, pool=None) -> (x, RunReport)``
 registered via :func:`register_tsolve_engine` and dispatched by the
 :class:`~repro.core.solver.Factorization` handle, so one
 ``SolverOptions.engine`` string governs both the factorisation and every
-subsequent solve.  Given the same factors every engine produces the
-bit-identical solution (each RHS segment's block products are summed in
-a fixed order, whoever computed them); the factors themselves agree
-across engines only to rounding,
-because the factor DAG leaves the Schur updates of one block unordered.
+subsequent solve.  Every engine computes the same factors bit for bit
+(the factor DAG gives each block one writer at a time, its updates in
+step order), and given the same factors the bit-identical solution (each
+RHS segment's block products are summed in a fixed order, whoever
+computed them).
 
 The built-ins of both registries come from one table,
 :data:`~repro.runtime.scheduler.ENGINE_SHAPES` — a new built-in is one

@@ -5,9 +5,13 @@ ready task, run its kernel, decrement counters, wake successors, no
 barriers.  :class:`~repro.runtime.scheduler.SchedulerCore` holds the
 state machine; this module holds the *loop around it*, once:
 
-    ready pop / wait → write locks → time → execute → record → tally →
-    complete + notify → fault hook → send what the task published →
-    (on any lane, receiver included) one error path → deadlock check
+    ready pop / wait → time → execute → record → tally → complete +
+    notify → fault hook → send what the task published → (on any lane,
+    receiver included) one error path → deadlock check
+
+No task takes a lock of its own: the DAG gives each block (phase 4) and
+each RHS segment (phase 5) one writer at a time, and every reader of it
+is a successor of its last writer.
 
 The four engines are ``n_lanes`` × ``endpoint``:
 
@@ -24,10 +28,6 @@ A phase plugs in as a **job** — :class:`repro.core.numeric.FactorJob`
 for phase 4, :class:`repro.core.tsolve.SolveJob` for phase 5 — an object
 with
 
-``n_slots``
-    size of the write-slot space (one lock per slot when lanes share it);
-``write_slots(tid) -> tuple[int, ...]``
-    the slots ``tid`` writes, in lock order;
 ``execute(tid, ws) -> tuple``
     run the task with the lane's :class:`~repro.kernels.base.Workspace`;
     returns the ``(label, replaced_pivots, planned)`` tail of
@@ -44,14 +44,13 @@ with
 and, on a rank (``endpoint`` given),
 
 ``outgoing(tid) -> (dests, message, nbytes) | None``
-    what ``tid`` published, built on its lane inside the task's
-    write-lock window; sent after the task completed.  Both phases
+    what ``tid`` published, built on its lane right after the task ran;
+    sent after the task completed.  Both phases
     publish final values only (a panel result, a solved segment, a stack
     of products), so a payload needs no snapshot.  Messages are tuples
     led by the producing task's id;
 ``absorb(message) -> nbytes``
-    install a received message's payload (called under the write locks
-    of the producing task's slots);
+    install a received message's payload (no local task writes it);
 ``owner_of_task``
     task id → rank, for the receive events' peer.
 """
@@ -61,7 +60,7 @@ from __future__ import annotations
 import queue as queue_mod
 import threading
 import time
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 
 from ..kernels.base import Workspace
 from .scheduler import EventRecorder, RunReport, SchedulerCore
@@ -72,7 +71,7 @@ __all__ = ["run_lanes"]
 # shared state and its lock, registered for the `lock-discipline` lint
 # rule: these operations only happen inside `with gate:` — the pool's
 # condition when lanes share the core, a no-op context on one lane — and
-# no lock is taken under the gate (slot locks come first, never inside it)
+# no lock is taken under the gate
 __guarded_by__ = {
     "gate": ("core.pop", "core.complete", "errors", "total.merge"),
 }
@@ -93,15 +92,16 @@ def run_lanes(
     lock and no thread start; with an ``endpoint`` it blocks on the
     endpoint only when nothing is ready, then drains the inbox without
     blocking.  More lanes are threads sharing the core under one
-    condition, with per-slot write locks (a stored block in phase 4, a
-    ``y``/``x`` RHS segment in phase 5), plus — given an ``endpoint`` —
-    a receiver thread.  That is the driver's single branch, taken from
-    the lane count.
+    condition, plus — given an ``endpoint`` — a receiver thread.  That
+    is the driver's single branch, taken from the lane count.
 
     Tasks are timed when ``timed`` or a ``recorder`` is given.  The first
     exception on any lane (compute or receiver) — a second completion
     refused by the core included — quiesces the pool and is re-raised
-    here; a drained core is checked for deadlock.  Returns the run's
+    here.  Once nothing is ready, no lane is running a task and no
+    message is still due, the run is a deadlock, and
+    :meth:`SchedulerCore.check` names its blocked frontier — on a rank
+    too, which knows how many messages it is due.  Returns the run's
     :class:`~repro.runtime.scheduler.RunReport` — the lanes' tallies
     merged, ``n_workers``, ``max_ready_depth`` and the drain's wall-clock
     ``seconds`` filled; it is handed to ``job.finish`` first, as a failed
@@ -112,24 +112,16 @@ def run_lanes(
     pooled = n_lanes > 1
     cond = threading.Condition() if pooled else None
     gate = cond if pooled else nullcontext()
-    locks = [threading.Lock() for _ in range(job.n_slots)] if pooled else None
-    no_lock = nullcontext()
     timed = timed or recorder is not None
     errors: list[BaseException] = []
     total = RunReport(n_workers=n_lanes)
     t_start = time.perf_counter()
-
-    def writing(tid: int):
-        """Context holding the write locks of the slots ``tid`` writes
-        (in slot order: ``DIAG_F`` takes ``y`` then ``x``); released in
-        reverse, however far the locking got."""
-        if locks is None:
-            return no_lock
-        stack = ExitStack()
-        with stack:
-            for s in job.write_slots(tid):
-                stack.enter_context(locks[s])
-            return stack.pop_all()
+    # messages still due: each remote task with a locally-owned successor
+    # (the only ones a rank's core keeps) sends exactly one
+    mask = core.owned_mask
+    due = [0 if endpoint is None else sum(
+        1 for t, succ in enumerate(core.successors) if succ and not mask[t]
+    )]
 
     def complete(tid: int) -> None:
         """Counter decrements of a local or remote completion, waking one
@@ -144,16 +136,20 @@ def run_lanes(
 
     def absorb(msg) -> None:
         src_tid = msg[0]
-        with writing(src_tid):
-            nbytes = job.absorb(msg)
+        nbytes = job.absorb(msg)
         if recorder is not None:
             recorder.recv(
                 endpoint.rank, int(job.owner_of_task[src_tid]), src_tid, nbytes
             )
         complete(src_tid)  # remote predecessor: releases local tasks
+        due[0] -= 1  # after the release, so no lane sees a false deadlock
 
-    def receive_inline() -> None:
-        """Nothing runnable: block for one message, then drain extras."""
+    def receive_or_stall() -> None:
+        """One lane, nothing runnable: with no message still due (always,
+        without an endpoint) a deadlock, named by its blocked frontier;
+        else block for one message, then drain extras."""
+        if not due[0]:
+            core.check(job.name)
         absorb(endpoint.recv())
         while True:
             try:
@@ -161,16 +157,14 @@ def run_lanes(
             except queue_mod.Empty:
                 return
 
-    def stalled() -> None:
-        core.check(job.name)  # names the blocked frontier
-
     idle = [0]  # pooled lanes waiting on the condition
 
     def wait_or_stall() -> None:
-        """In-process lanes: once every lane waits with nothing ready,
-        no completion can come — a deadlock, named as the one lane's is."""
-        if idle[0] == n_lanes - 1:
-            stalled()
+        """Pooled lanes: once every lane waits with nothing ready and no
+        message is still due, no completion can come — a deadlock, named
+        as the one lane's is."""
+        if idle[0] == n_lanes - 1 and not due[0]:
+            core.check(job.name)
         idle[0] += 1
         cond.wait()
         idle[0] -= 1
@@ -196,9 +190,8 @@ def run_lanes(
                     if errors or tid is None:
                         return
                 t0 = time.perf_counter() if timed else 0.0
-                with writing(tid):
-                    tallied = job.execute(tid, ws)
-                    published = None if endpoint is None else job.outgoing(tid)
+                tallied = job.execute(tid, ws)
+                published = None if endpoint is None else job.outgoing(tid)
                 if timed:
                     t1 = time.perf_counter()
                     name, cat = job.trace_label(tid)
@@ -226,25 +219,20 @@ def run_lanes(
                 total.merge(local)
 
     def receiver() -> None:
-        # each remote task with a locally-owned successor (the only ones
-        # a rank's core keeps) sends exactly one message here, so the
-        # receiver's lifetime is a fixed count
-        mask = core.owned_mask
-        expected = sum(
-            1 for t, succ in enumerate(core.successors)
-            if succ and not mask[t]
-        )
         try:
-            for _ in range(expected):
+            for _ in range(due[0]):
                 absorb(endpoint.recv())
         except BaseException as exc:  # same error path as the compute lanes
             fail(exc)
+            return
+        with gate:  # all in: a waiting lane may now find a deadlock
+            cond.notify_all()
 
     if not pooled:
-        wait = receive_inline if endpoint is not None else stalled
+        wait = receive_or_stall
         lane(0)
     else:
-        wait = cond.wait if endpoint is not None else wait_or_stall
+        wait = wait_or_stall
         if endpoint is not None:
             threading.Thread(target=receiver, daemon=True).start()
         pool = [

@@ -695,7 +695,9 @@ def build_dag(f: BlockMatrix) -> list[tuple]:
     successors)`` per task id: step by step GETRF, the GESSMs by block
     column, the TSTRFs by block row, then every SSSSM whose ``L(i,k)``
     has a stored column where ``U(k,j)`` has a stored row (the
-    per-block support masks the builder used to keep)."""
+    per-block support masks the builder used to keep), each task after
+    the panel task of every block it reads and after the task created
+    before it into its own block (each block's writers one chain)."""
     nb = f.nb
     col_support = [np.diff(b.indptr) > 0 for b in f.blk_values]
     row_support = []
@@ -706,7 +708,6 @@ def build_dag(f: BlockMatrix) -> list[tuple]:
 
     tasks: list[list] = []
     panel: dict[tuple[int, int], int] = {}
-    into: dict[tuple[int, int], list[int]] = {}
 
     def add(name, k, bi, bj, flops) -> int:
         tasks.append([name, k, bi, bj, int(flops), []])
@@ -737,15 +738,16 @@ def build_dag(f: BlockMatrix) -> list[tuple]:
                     continue
                 rownnz = np.zeros(b.nrows, dtype=np.int64)
                 np.add.at(rownnz, b.indices, 1)
-                tid = add("SSSSM", k, i, j, 2 * np.dot(np.diff(a.indptr), rownnz))
-                into.setdefault((i, j), []).append(tid)
+                add("SSSSM", k, i, j, 2 * np.dot(np.diff(a.indptr), rownnz))
 
+    writers: dict[tuple[int, int], list[int]] = {}
     for tid, (name, k, bi, bj, _, _) in enumerate(tasks):
         if name == "SSSSM":
             preds = [panel[(bi, k)], panel[(k, bj)]]
         else:
             preds = [] if name == "GETRF" else [panel[(k, k)]]
-            preds += into.get((bi, bj), [])
+        preds += writers.setdefault((bi, bj), [])[-1:]
+        writers[(bi, bj)].append(tid)
         for p in preds:
             tasks[p][5].append(tid)
     return [tuple(t) for t in tasks]

@@ -145,8 +145,9 @@ class TestJob:
     def test_dag_verifies(self, name):
         """The DAG the lane driver takes: every edge runs forward in
         task order (acyclic), every counter equals its task's in-degree,
-        and every SYRK into a block is a predecessor of that block's
-        panel task (one writer chain per block)."""
+        and each block's writers form one chain: every SYRK into a block
+        precedes the next one, in step order, and the last precedes the
+        block's panel task (one writer per block by the DAG)."""
         s = PanguLLt(generate(name, scale=0.1))
         s.preprocess()
         dag = s.dag
@@ -156,9 +157,14 @@ class TestJob:
             for u in t.successors:
                 in_degree[u] += 1
         assert [t.n_deps for t in dag.tasks] == in_degree
+        last: dict[tuple[int, int], object] = {}
         for t in dag.tasks:
-            if t.ttype == TaskType.SSSSM:
-                assert dag.panel_of_block[(t.bi, t.bj)] in t.successors, t
+            prev = last.get((t.bi, t.bj))
+            if prev is not None:
+                assert prev.ttype == TaskType.SSSSM and prev.k < t.k, (prev, t)
+                assert t.tid in prev.successors, (prev, t)
+            last[(t.bi, t.bj)] = t
+        assert {b: t.tid for b, t in last.items()} == dag.panel_of_block
 
     @pytest.mark.parametrize("name", ["apache2", "audikw_1"])
     def test_syrk_flops_equal_the_block_loops(self, name):
@@ -180,10 +186,10 @@ class TestJob:
         job = LLtJob(two.blocks, two.dag)
         run_lanes(SchedulerCore.from_dag(two.dag), job, n_lanes=2)
         assert len(job.panels) == 0   # every image evicted by its last reader
-        l1 = one.blocks.to_csc().to_dense()
-        l2 = two.blocks.to_csc().to_dense()
-        # SYRKs into one target commute only to rounding, as for LU
-        assert np.abs(l1 - l2).max() <= 1e-12 * np.abs(l1).max()
+        # the DAG runs the SYRKs into one target in step order on any lane
+        np.testing.assert_array_equal(
+            one.blocks.to_csc().to_dense(), two.blocks.to_csc().to_dense()
+        )
 
     def test_factorize_is_idempotent(self):
         s = PanguLLt(spd_random(50, 5))

@@ -4,12 +4,14 @@ LU (:func:`~repro.core.dag.build_dag`), Cholesky
 (:func:`~repro.cholesky.kernels.build_llt_dag`) and the supernodal
 baseline (:func:`~repro.baseline.dag.build_sn_dag`) all create their
 tasks through :class:`~repro.core.dag.EliminationBuilder`, so each must
-carry exactly its edges: a panel task waits for every update into its
-block plus its step's diagonal panel, an update for its operands' panel
-tasks and nothing else (so updates into one block stay unordered), every
-edge runs forward in task order (so the graph is acyclic), each counter
-equals its task's in-degree, and ``panel_of_block`` names each block's
-panel task.
+carry exactly its edges: a task waits for the panel task of each block it
+reads (an update its operands', a panel solve its step's diagonal block)
+and for the task created before it into its own block, and for nothing
+else — so each block's updates form one chain, in step order (LU and
+Cholesky) or in the baseline's level order, which the block's panel task
+ends.  Every edge runs forward in task order (so the graph is acyclic),
+each counter equals its task's in-degree, and ``panel_of_block`` names
+each block's panel task.
 """
 
 from __future__ import annotations
@@ -77,19 +79,22 @@ def test_every_factor_dag_is_wired_by_the_one_rule(build, name, operands):
     dag = build(name)
     assert all(s > t.tid for t in dag.tasks for s in t.successors)
     preds = _predecessors(dag)
-    updates_into: dict[tuple[int, int], set[int]] = {}
-    for t in dag.tasks:
-        if t.ttype == TaskType.SSSSM:
-            updates_into.setdefault((t.bi, t.bj), set()).add(t.tid)
-    panels = {}
+    panels, last_into = {}, {}
     for t in dag.tasks:
         if t.ttype == TaskType.SSSSM:
             expect = {dag.panel_of_block[b] for b in operands(t)}
         else:
             panels[(t.bi, t.bj)] = t.tid
-            expect = updates_into.get((t.bi, t.bj), set())
-            if t.ttype != TaskType.GETRF:
-                expect = expect | {dag.panel_of_block[(t.k, t.k)]}
+            expect = set() if t.ttype == TaskType.GETRF else {
+                dag.panel_of_block[(t.k, t.k)]
+            }
+        if (t.bi, t.bj) in last_into:
+            prev = dag.tasks[last_into[(t.bi, t.bj)]]
+            assert prev.ttype == TaskType.SSSSM, (name, prev, t)
+            if build is not _sn:
+                assert prev.k < t.k, (name, prev, t)
+            expect.add(prev.tid)
+        last_into[(t.bi, t.bj)] = t.tid
         assert preds[t.tid] == expect, (name, t)
         assert t.n_deps == len(expect)
     assert dag.panel_of_block == panels
@@ -102,8 +107,8 @@ def test_every_factor_dag_is_wired_by_the_one_rule(build, name, operands):
 def test_factor_dags(n, bs, seed):
     """LU DAGs of random patterns over the block-order range, down to a
     single block: edges forward and in range, each counter equal to its
-    task's in-degree, at least one root, every block's tasks ending in
-    its one panel task, which every update into the block precedes."""
+    task's in-degree, at least one root, every block's tasks one chain in
+    step order that ends in its one panel task."""
     filled = symbolic_symmetric(random_sparse(n, 0.07, seed=seed)).filled
     dag = build_dag(block_partition(filled, bs))
     preds = _predecessors(dag)
@@ -112,8 +117,8 @@ def test_factor_dags(n, bs, seed):
     assert any(t.n_deps == 0 for t in dag.tasks)
     last_into: dict[tuple[int, int], int] = {}
     for t in dag.tasks:
+        prev = last_into.get((t.bi, t.bj))
+        if prev is not None:
+            assert prev in preds[t.tid] and dag.tasks[prev].k < t.k, t
         last_into[(t.bi, t.bj)] = t.tid
-        if t.ttype == TaskType.SSSSM:
-            assert dag.panel_of_block[(t.bi, t.bj)] in t.successors, t
     assert dag.panel_of_block == last_into
-

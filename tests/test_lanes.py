@@ -13,18 +13,20 @@ and the transposed solve, run under ``delay+stagger``).  One-lane factors under 
 selector are pinned bit-for-bit to the values the hand-written sequential
 loop produced before the fold; the default path calls BLAS, whose last
 bits depend on the kernel OpenBLAS dispatches for the CPU, so it is held
-to ``1e-12·max|LU|`` of the pinned factors; the other configurations
-agree to rounding.  Every solve — engine, lane count, fault scenario — is
-bit-identical to the one-lane DAG replay (same kernels, same inputs,
-each segment's products summed in a fixed order), and that replay
-agrees with the per-column
-loop sweeps of ``tests/reference_tsolve.py`` to ``1e-12·‖x‖∞`` (the
-engines solve a diagonal block by a product with its inverse, the oracle
-by substitution).
+to ``1e-12·max|LU|`` of the pinned factors; every other configuration
+equals the one-lane factors bit for bit (the DAG runs each block's
+updates in step order, whoever runs them).  Every solve — engine, lane
+count, fault scenario — is bit-identical to the one-lane DAG replay
+(same kernels, same inputs, each segment's products summed in a fixed
+order), and that replay agrees with the per-column loop sweeps of
+``tests/reference_tsolve.py`` to ``1e-12·‖x‖∞`` (the engines solve a
+diagonal block by a product with its inverse, the oracle by
+substitution).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import heapq
 import pickle
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro import PanguLU
 from repro.core import (
     NumericOptions,
     TaskDAG,
@@ -57,7 +60,7 @@ from repro.runtime import (
 from repro.runtime.lanes import run_lanes
 from repro.runtime.scheduler import CounterUnderflowError, SchedulerCore
 from repro.runtime.transports import FaultPlan, LoopbackTransport
-from repro.sparse import grid_laplacian_2d, random_sparse
+from repro.sparse import generate, grid_laplacian_2d, random_sparse
 from repro.symbolic import symbolic_symmetric
 
 from .reference_tsolve import block_backward, block_forward
@@ -230,8 +233,8 @@ def test_engine_matrix(config, phase, scenario, factored):
         _check_report(stats, config)
         if config == "1-lane":
             _assert_near_pinned(bm, _pinned())
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), factored.to_csc().to_dense(), atol=1e-9
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), factored.to_csc().to_dense()
         )
     else:
         b = np.random.default_rng(3).standard_normal((factored.n, 2))
@@ -258,6 +261,24 @@ def test_sequential_factors_pinned(name):
     bm, dag = _prepared(name)
     factorize(bm, dag)
     _assert_near_pinned(bm, pinned)
+
+
+def test_rank_engines_repeat_the_sequential_factors():
+    """Three runs each of distributed 3 × 1 and hybrid 2 × 2 over loopback
+    give one value slab, the sequential one: the DAG orders each block's
+    updates, so neither the ranks' message timing nor the lanes' race
+    for the ready heap reaches the factors."""
+    s = PanguLU(generate("ecology1", scale=0.5))
+    s.preprocess()
+    seq = copy.deepcopy(s.blocks)
+    factorize(seq, s.dag)
+    shas = set()
+    for cfg in (CONFIGS["3x1"], CONFIGS["2x2"]):
+        for _ in range(3):
+            bm = copy.deepcopy(s.blocks)
+            _run_factor(cfg, bm, s.dag)
+            shas.add(_slab_sha(bm))
+    assert shas == {_slab_sha(seq)}
 
 
 # ----------------------------------------------------------------------
@@ -299,22 +320,28 @@ def test_duplicate_delivery_surfaces_on_every_rank_shape(
                      r"twice \(lane \d\)", msg)
 
 
-@pytest.mark.parametrize("config", ["1-lane", "3-lanes"])
+@pytest.mark.parametrize("config", ["1-lane", "3-lanes", "2x1", "2x2"])
 def test_counter_above_in_degree_is_a_named_deadlock(config):
     """A counter one above its task's in-degree never reaches zero: on
-    one lane or several, the drain stops once nothing can run and names
-    the blocked frontier, instead of waiting forever."""
+    one lane or several, in one process or on a rank, the drain stops
+    once nothing can run and no message is still due, and names the
+    blocked frontier, instead of waiting forever (on a rank: for the
+    master's timeout)."""
+    cfg = CONFIGS[config]
     bm, dag = _prepared()
     last = dag.tasks[-1]
     last.n_deps += 1
     dag = TaskDAG(dag.tasks, dag.panel_of_block, dag.total_flops)
     n = len(dag)
+    if cfg.ranks:  # the frontier is named by the rank that owns ``last``
+        place = CyclicPlacement(cfg.ranks)
+        n = int(np.sum(place.assign(dag) == place.owner(last.bi, last.bj)))
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match=(
         rf"deadlock: executed {n - 1} of {n} tasks; blocked frontier: "
         rf"task {last.tid} \(counter=1"
     )):
-        factorize(bm, dag, n_lanes=CONFIGS[config].lanes)
+        _run_factor(cfg, bm, dag, timeout=60.0)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -440,9 +467,8 @@ def test_oversubscribed_lanes_lose_no_update(factored):
                 bm, dag = _prepared()
                 stats = _run_factor(cfg, bm, dag)
                 assert stats.tasks_executed == len(dag) == len(stats.kernel_choices)
-                np.testing.assert_allclose(
-                    bm.to_csc().to_dense(), factored.to_csc().to_dense(),
-                    atol=1e-9,
+                np.testing.assert_array_equal(
+                    bm.to_csc().to_dense(), factored.to_csc().to_dense()
                 )
                 x, _ = _run_tsolve(cfg, factored, b)
                 assert np.array_equal(x, ref)

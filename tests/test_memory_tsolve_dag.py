@@ -227,4 +227,4 @@ class TestFacadeThreading:
         b = np.ones(a.nrows)
         x1 = PanguLU(a, SolverOptions(n_workers=1)).solve(b)
         x4 = PanguLU(a, SolverOptions(n_workers=4)).solve(b)
-        np.testing.assert_allclose(x1, x4, atol=1e-9)
+        assert np.array_equal(x1, x4)

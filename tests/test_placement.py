@@ -7,7 +7,7 @@ historical ``ProcessGrid.owner`` rule on every layer that consumes it;
 platform, strictly beat the cyclic map on speed-scaled load imbalance
 and on simulated makespan.  The hybrid engine (each rank driving a
 thread pool over the shared scheduler core) must match the other
-engines: bit-identical triangular solves, allclose factors.
+engines: bit-identical factors and triangular solves.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ class TestOwnershipVerification:
             factorize_distributed(
                 bm, dag, 4, transport=LoopbackTransport(), placement=place
             )
-            np.testing.assert_allclose(bm.to_csc().to_dense(), ref, atol=1e-10)
+            np.testing.assert_array_equal(bm.to_csc().to_dense(), ref)
 
     def test_balanced_task_map_is_simulator_only(self):
         """The engines run every task on its block's owner; the load
@@ -405,8 +405,8 @@ class TestEnginesHonourPlacement:
         stats = factorize_distributed(
             bm, dag, 3, transport=LoopbackTransport(), placement=place
         )
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), bm_ref.to_csc().to_dense(), atol=1e-10
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), bm_ref.to_csc().to_dense()
         )
         assert sum(stats.tasks_per_proc) == len(dag.tasks)
 
@@ -447,7 +447,7 @@ class TestEnginesHonourPlacement:
         np.testing.assert_array_equal(
             s.placement.assign(s.dag), ref.prepare(s.dag, s.blocks).assign(s.dag)
         )
-        np.testing.assert_allclose(x, x_ref, atol=1e-10)
+        np.testing.assert_array_equal(x, x_ref)
 
 
 # ----------------------------------------------------------------------
@@ -475,8 +475,8 @@ class TestHybridEngine:
             bm, dag, nprocs,
             transport=LoopbackTransport(), n_threads=n_threads,
         )
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), bm_ref.to_csc().to_dense(), atol=1e-10
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), bm_ref.to_csc().to_dense()
         )
         assert sum(stats.tasks_per_proc) == len(dag.tasks)
 
@@ -520,7 +520,7 @@ class TestHybridEngine:
             engine="hybrid", nprocs=2, n_workers=2,
         ))
         x = s.solve(b)
-        np.testing.assert_allclose(x, x_ref, atol=1e-10)
+        np.testing.assert_array_equal(x, x_ref)
         fact = s.factorize()
         assert fact.last_tsolve_stats.engine == "hybrid"
 
@@ -531,7 +531,7 @@ class TestHybridEngine:
         s = PanguLU(a, SolverOptions(
             engine="hybrid", nprocs=2, n_workers=2, placement="cost",
         ))
-        np.testing.assert_allclose(s.solve(b), x_ref, atol=1e-10)
+        np.testing.assert_array_equal(s.solve(b), x_ref)
 
 
 # ----------------------------------------------------------------------
@@ -556,8 +556,8 @@ class TestPolicyContract:
         factorize_distributed(
             bm, dag, 3, transport=LoopbackTransport(), placement=place
         )
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), bm_ref.to_csc().to_dense(), atol=1e-10
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), bm_ref.to_csc().to_dense()
         )
 
     def test_abstract_owner_required(self):

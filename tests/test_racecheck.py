@@ -180,8 +180,8 @@ def test_threaded_clean_run_with_real_locks_and_checker():
     factorize(ref, build_dag(ref))
     stats = factorize(bm, dag, n_lanes=4)
     assert stats.tasks_executed == len(dag.tasks)
-    np.testing.assert_allclose(
-        bm.to_csc().to_dense(), ref.to_csc().to_dense(), atol=1e-10
+    np.testing.assert_array_equal(
+        bm.to_csc().to_dense(), ref.to_csc().to_dense()
     )
 
 
@@ -235,6 +235,6 @@ def test_distributed_clean_run_under_validation():
     factorize(ref, build_dag(ref))
     stats = factorize_distributed(bm, dag, 3, transport=LoopbackTransport())
     assert sum(stats.tasks_per_proc) == len(dag.tasks)
-    np.testing.assert_allclose(
-        bm.to_csc().to_dense(), ref.to_csc().to_dense(), atol=1e-10
+    np.testing.assert_array_equal(
+        bm.to_csc().to_dense(), ref.to_csc().to_dense()
     )

@@ -107,8 +107,8 @@ def test_ranks_solve_bit_identically_to_the_replay_of_gathered_factors():
     pool.close(bm)
     ref, _ = tsolve_sequential(bm, b)
     assert np.array_equal(x, ref)
-    np.testing.assert_allclose(
-        bm.to_csc().to_dense(), one_shot.to_csc().to_dense(), atol=1e-12
+    np.testing.assert_array_equal(
+        bm.to_csc().to_dense(), one_shot.to_csc().to_dense()
     )
 
 
@@ -124,9 +124,8 @@ def test_refactorize_ships_values_to_the_open_pool():
         pass
     seq = PanguLU(a).factorize()  # the same analysis, refactorised in place
     seq.refactorize(a2)
-    np.testing.assert_allclose(
-        fact.blocks.to_csc().to_dense(), seq.blocks.to_csc().to_dense(),
-        atol=1e-12,
+    np.testing.assert_array_equal(
+        fact.blocks.to_csc().to_dense(), seq.blocks.to_csc().to_dense()
     )
 
 
@@ -143,9 +142,8 @@ def test_pickling_gathers_and_drops_the_pool():
 def test_reading_blocks_gathers_and_keeps_the_ranks():
     solver, fact, _ = _rank_handle()
     seq = PanguLU(solver.a).factorize()  # the same analysis, one lane
-    np.testing.assert_allclose(
-        solver.blocks.to_csc().to_dense(), seq.blocks.to_csc().to_dense(),
-        atol=1e-12,
+    np.testing.assert_array_equal(
+        solver.blocks.to_csc().to_dense(), seq.blocks.to_csc().to_dense()
     )
     assert fact._pool.is_open
     assert solver.lu_product_error() < 1e-12

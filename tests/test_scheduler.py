@@ -248,8 +248,8 @@ class TestEnginesAgree:
             bm, dag = _prepared(seed=5)
             opts = SolverOptions(n_workers=3, nprocs=2)
             stats = get_engine(name)(bm, dag, opts)
-            np.testing.assert_allclose(
-                bm.to_csc().to_dense(), ref, atol=1e-10, err_msg=name
+            np.testing.assert_array_equal(
+                bm.to_csc().to_dense(), ref, err_msg=name
             )
             assert stats.tasks_executed == len(dag.tasks), name
 

@@ -200,6 +200,5 @@ def test_mixed_variants_match_the_uncached_path_on_every_engine(compress, caches
     ):
         _refill(bm, pristine)
         run()
-        got = bm.to_csc().data
-        assert np.abs(got - seq).max() <= 1e-12 * np.abs(seq).max()
+        np.testing.assert_array_equal(bm.to_csc().data, seq)
     assert all(len(c) == 0 and c.open_bytes == 0 for c in caches)

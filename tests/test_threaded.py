@@ -25,8 +25,8 @@ class TestEquivalence:
         factorize(bm_seq, dag_seq)
         stats = factorize(bm_thr, dag_thr, n_lanes=workers)
         assert stats.tasks_executed == len(dag_thr.tasks)
-        np.testing.assert_allclose(
-            bm_thr.to_csc().to_dense(), bm_seq.to_csc().to_dense(), atol=1e-9
+        np.testing.assert_array_equal(
+            bm_thr.to_csc().to_dense(), bm_seq.to_csc().to_dense()
         )
 
     def test_on_paper_analogue(self):
@@ -38,10 +38,8 @@ class TestEquivalence:
         s2.preprocess()
         factorize(s1.blocks, s1.dag)
         factorize(s2.blocks, s2.dag, n_lanes=4)
-        np.testing.assert_allclose(
-            s2.blocks.to_csc().to_dense(),
-            s1.blocks.to_csc().to_dense(),
-            atol=1e-9,
+        np.testing.assert_array_equal(
+            s2.blocks.to_csc().to_dense(), s1.blocks.to_csc().to_dense()
         )
 
 

@@ -47,8 +47,8 @@ class TestLoopback:
         stats = factorize_distributed(
             bm, dag, nprocs, transport=LoopbackTransport()
         )
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), reference, atol=1e-10
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), reference
         )
         assert sum(stats.tasks_per_proc) == len(dag.tasks)
 
@@ -105,8 +105,8 @@ class TestFaultInjection:
             faults=FaultPlan(delay_seconds=0.005)
         )
         factorize_distributed(bm, dag, 3, transport=transport)
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), reference, atol=1e-10
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), reference
         )
 
     def test_reordered_messages_still_correct(self, reference):
@@ -117,8 +117,8 @@ class TestFaultInjection:
             faults=FaultPlan(delay_seconds=0.01, stagger=True)
         )
         factorize_distributed(bm, dag, 4, transport=transport)
-        np.testing.assert_allclose(
-            bm.to_csc().to_dense(), reference, atol=1e-10
+        np.testing.assert_array_equal(
+            bm.to_csc().to_dense(), reference
         )
 
 
