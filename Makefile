@@ -1,4 +1,4 @@
-.PHONY: check lint test bench-e2e bench-e2e-selftest profile-setup profile-numeric
+.PHONY: check lint test bench-e2e bench-e2e-selftest profile-setup profile-numeric profile-solve
 
 check:
 	sh scripts/check.sh
@@ -38,3 +38,10 @@ profile-setup:
 # task, then the cProfile top-15, e.g. `make profile-numeric MATRIX=audikw_1`
 profile-numeric:
 	python scripts/profile_numeric.py $(MATRIX) --scale $(SCALE)
+
+# where one solve spends its time, first and warm: solve-DAG build,
+# diagonal and block products, lane driver, refinement,
+# the trtri calls made and the kept inverses' bytes, then the cProfile
+# top-15, e.g. `make profile-solve MATRIX=ecology1 SCALE=4.0`
+profile-solve:
+	python scripts/profile_solve.py $(MATRIX) --scale $(SCALE)

@@ -84,7 +84,13 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # (no per-slot write locks, no writing() claim; a rank counts the messages it is
 # due and names a deadlock once they are in), core/numeric.py -3 and
 # core/tsolve.py -3 (no n_slots / write_slots in the job protocol)
-MAX_CORE_RUNTIME_LINES=4200
+# then -2: kept diagonal inverses — core/blocking.py +12 (BlockMatrix.inverses,
+# diag_inverse trusting a kept inverse only while its block holds the values it
+# was made from, keep_inverse), core/memory.py +3 (their bytes), core/numeric.py
+# -4 (PanelCache reads the kept inverse, publishes no triangle keys), core/solver.py
+# -2 (no exact flag), core/tsolve.py -1 (one prod_stack per task), core/tsolve_dag.py
+# -10 (the array-built solve DAG, the diagonal flops counted per block)
+MAX_CORE_RUNTIME_LINES=4198
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -124,7 +130,8 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # cholesky/ (LLtJob resolves no published images)
 # then -164: the -154 above, -9 in the CLI (--verify), the devtools/ -1 below
 # then -16: the -17 above, +1 in baseline/ (its steps are created in level order)
-MAX_SRC_LINES=8988
+# then -4: the -2 above, the kernels/ -2 below
+MAX_SRC_LINES=8984
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver
@@ -161,7 +168,13 @@ line_ratchet "src/repro/devtools" "$MAX_DEVTOOLS_LINES" src/repro/devtools
 # when handed one (base.py +23: TargetImage and box_held; ssssm_c_v1 +12, the
 # in-place subtract on the operands' rows x columns; gessm/tstrf C_V2 and
 # getrf C_V1 +5 each; registry.py +2, TARGET_IMAGE_VERSIONS)
-MAX_KERNELS_LINES=1290
+# then -2: kept diagonal inverses — base.py +17 (invert_factors and
+# inverse_triangle replace dense_triangle_inverse, Workspace.triangle, locate:
+# the bin-search addressing of the kernels and plans, once), tsolve_kernels.py +8
+# (prod_stack: a task's block products in one call, prod_seg folded in), gessm.py
+# +5 / tstrf.py -15 (the two dense-mapped panel solves are one panel_inverse),
+# ssssm.py -9 and plans.py -8 (their bin-search loops call locate)
+MAX_KERNELS_LINES=1288
 line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that

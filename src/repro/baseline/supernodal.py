@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels.base import dense_getrf, dense_triangle_inverse, serial_matmul
+from ..kernels.base import dense_getrf, inverse_triangle, invert_factors, serial_matmul
 from ..sparse.csc import CSCMatrix
 from .supernodes import SupernodePartition
 
@@ -193,8 +193,8 @@ def sn_factorize(
             diag, pivot_floor, float(np.abs(diag).max()) or 1.0
         )
         stats.panel_flops += (2.0 / 3.0) * w**3
-        linv = dense_triangle_inverse(diag.copy(), lower=True, unit=True)
-        uinv = dense_triangle_inverse(diag.copy(), lower=False, unit=False)
+        inv = invert_factors(diag.copy())
+        linv, uinv = (inverse_triangle(inv, lower=lower) for lower in (True, False))
         m.diag_inv[k] = (linv, uinv)
         for i in below[k]:
             blk = m.dense[(i, k)]

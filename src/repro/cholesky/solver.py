@@ -163,7 +163,7 @@ class PanguLLt:
             lines = block_line_sources(f, transposed=transposed)
             for i in order:
                 seg = v[f.block_slice(i)]
-                gather(f, i, lines[i][0], v, seg, transposed=transposed)
+                gather(f, i, *lines[i], v, seg, transposed=transposed)
                 inv = l_inverse(f, i)
                 seg[...] = (inv.T if transposed else inv) @ seg
         out = np.empty_like(v)
@@ -181,7 +181,7 @@ class PanguLLt:
         x = refined_solve(
             self._apply, self.a.matvec, b, tol=REFINE_TOL,
             budget=REFINE_MAX_ITER,
-            history=self.residual_history, exact=True,
+            history=self.residual_history,
         )
         self.phase_seconds["solve"] = time.perf_counter() - t0
         return x

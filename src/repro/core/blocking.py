@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels.base import GETRF_SERIAL_ORDER
+from ..kernels.base import GETRF_SERIAL_ORDER, invert_factors
 from ..sparse.blockrep import CompressedBlock
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import concat_ranges, run_starts
@@ -319,6 +319,15 @@ class BlockMatrix:
         Stored entries of every slot, recorded by
         :func:`block_partition` — layer-1 data, so a rank knows the
         ``nnz`` of blocks it does not hold (:meth:`slot_structure`).
+    inverses:
+        The kept packed inverses of factored diagonal blocks, by storage
+        slot: ``(values, inverse)``, the float64 inverse (``L⁻¹``
+        strictly below the diagonal, ``U⁻¹`` on and above it —
+        :func:`~repro.kernels.base.invert_factors`) and a copy of the
+        block values it was made from, read through
+        :meth:`diag_inverse`, which trusts it only while the block still
+        holds those values.  Not pickled, not shared with a
+        :meth:`restricted` copy.
     """
 
     n: int
@@ -334,6 +343,7 @@ class BlockMatrix:
     lr_overlay: dict = field(default_factory=dict, repr=False)
     owned: frozenset | None = field(default=None, repr=False)
     blk_nnz: np.ndarray | None = field(default=None, repr=False)
+    inverses: dict = field(default_factory=dict, repr=False)
     _index: dict | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -389,8 +399,9 @@ class BlockMatrix:
     def __getstate__(self) -> dict:
         """Serialise without the unpicklable/rebuildable parts.
 
-        The plan cache (holds a lock, rebuilt lazily) and the slot index
-        are always dropped.  With an arena, the per-block views are
+        The plan cache (holds a lock, rebuilt lazily), the slot index
+        and the kept inverses (recomputed on first use) are always
+        dropped.  With an arena, the per-block views are
         dropped too — the three slabs are the single source of truth, so
         pickling ships three contiguous buffers instead of thousands of
         small per-block arrays.
@@ -400,6 +411,7 @@ class BlockMatrix:
         }
         state["plan_cache"] = None
         state["_index"] = None
+        state["inverses"] = {}
         if self.arena is not None:
             state["blk_values"] = None
         return state
@@ -465,6 +477,25 @@ class BlockMatrix:
         slot = self.block_slot(bi, bj)
         return None if slot < 0 else self.block_at(slot)
 
+    def diag_inverse(self, slot: int) -> np.ndarray:
+        """The packed float64 inverse of the factored diagonal block in
+        ``slot``: the kept one (:attr:`inverses`) while the block holds
+        the values it was made from, else made from the values now and
+        kept — whoever wrote them, a refactorisation, a gather or a
+        caller.  A zero or missing ``U`` diagonal raises
+        :class:`~repro.kernels.base.SingularBlockError`."""
+        blk, kept = self.block_at(slot), self.inverses.get(slot)
+        if kept is None or not np.array_equal(kept[0], blk.data):
+            dense = blk.to_dense().astype(np.float64, copy=False)
+            kept = self.keep_inverse(slot, invert_factors(dense))
+        return kept[1]
+
+    def keep_inverse(self, slot: int, inv: np.ndarray) -> tuple:
+        """Keep ``inv`` as the packed inverse of the values the block in
+        ``slot`` holds now (:attr:`inverses`)."""
+        kept = self.inverses[slot] = (self.block_at(slot).data.copy(), inv)
+        return kept
+
     def block_at(self, slot: int) -> CSCMatrix:
         """The block in storage slot ``slot`` (held or raises, as
         :meth:`block`)."""
@@ -484,7 +515,8 @@ class BlockMatrix:
         the same layer-1 arrays, boundaries and arena that holds only
         the blocks in ``owned_slots`` (the same block objects — under a
         process transport the copy is the rank's own), with its own
-        empty overlay and no plan cache (plans are rank-local)."""
+        empty overlay and no plan cache (plans are rank-local) or kept
+        inverse."""
         owned = frozenset(int(s) for s in owned_slots)
         return dataclasses.replace(
             self,
@@ -493,6 +525,7 @@ class BlockMatrix:
                 for slot, blk in enumerate(self.blk_values)
             ],
             plan_cache=None, lr_overlay={}, owned=owned,
+            inverses={},
         )
 
     def install(

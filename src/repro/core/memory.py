@@ -65,6 +65,12 @@ class MemoryReport:
     lr_value_bytes:
         Numeric payload of the low-rank overlay (the ``U``/``V`` factor
         pairs of compressed GESSM/TSTRF panels).  0 with compression off.
+    inverse_bytes:
+        The kept packed inverses of the factored diagonal blocks
+        (:attr:`BlockMatrix.inverses <repro.core.blocking.BlockMatrix.inverses>`:
+        one dense float64 array per block, what every triangular solve
+        multiplies by, and the copy of the block values it was made
+        from) held in this process — a rank engine's stay on its ranks.
     compressed_csc_bytes:
         Exact CSC payload (values + within-block indices) of the blocks
         that also carry a low-rank overlay — what a consumer that reads
@@ -84,14 +90,15 @@ class MemoryReport:
     plan_bytes: int = 0
     arena_refill_bytes: int = 0
     lr_value_bytes: int = 0
+    inverse_bytes: int = 0
     compressed_csc_bytes: int = 0
     panel_cache_peak_bytes: int = 0
 
     @property
     def total_bytes(self) -> int:
-        """Full two-layer footprint, plans, refill map and low-rank
-        overlay included (the overlay is *additive* storage locally: the
-        exact CSC arrays stay authoritative underneath it)."""
+        """Full two-layer footprint, plans, refill map, low-rank overlay
+        and kept inverses included (the overlay is *additive* storage
+        locally: the exact CSC arrays stay authoritative underneath it)."""
         return (
             self.values_bytes
             + self.layer2_index_bytes
@@ -99,6 +106,7 @@ class MemoryReport:
             + self.plan_bytes
             + self.arena_refill_bytes
             + self.lr_value_bytes
+            + self.inverse_bytes
         )
 
     @property
@@ -171,6 +179,7 @@ def memory_report(f: BlockMatrix, run=None) -> MemoryReport:
         plan_bytes=int(plans.nbytes) if plans is not None else 0,
         arena_refill_bytes=int(refill),
         lr_value_bytes=int(lr_bytes),
+        inverse_bytes=sum(v.nbytes + inv.nbytes for v, inv in f.inverses.values()),
         compressed_csc_bytes=int(comp_csc),
         panel_cache_peak_bytes=run.panel_cache_peak_bytes if run is not None else 0,
     )

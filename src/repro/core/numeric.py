@@ -33,7 +33,7 @@ import numpy as np
 
 from ..kernels.base import (
     SingularBlockError, TargetImage, Workspace, box_held, box_image,
-    dense_triangle_inverse, triangle_inverse,
+    inverse_triangle, invert_factors, triangle_inverse,
 )
 from ..kernels.compress import CompressPolicy, ssssm_lr, try_compress
 from ..runtime.lanes import run_lanes
@@ -318,7 +318,7 @@ def execute_task(
 
 
 def _nbytes(image) -> int:
-    """Bytes of a triangle inverse or of a box image tuple."""
+    """Bytes of an inverse's triangle or of a box image tuple."""
     if isinstance(image, tuple):
         return sum(part.nbytes for part in image if part is not None)
     return image.nbytes
@@ -351,14 +351,26 @@ class PanelCache:
     ``U(k,j)`` panel on its occupied columns — the ``(pos, dense,
     held)`` operands ``ssssm_c_v1`` multiplies (:func:`box_held`) — and
     ``(slot, lower)`` the inverse of one triangle of a factored diagonal
-    block (what ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by).  A panel
-    task publishes the keys in ``published`` (those a dense-mapped task
-    of the job reads) from its target's image; any other image is built
-    by its first user from the block's values — on a rank that covers
-    received panels.  :meth:`release` drops a block's images when the
-    last task reading it completes (``uses``: slot → number of reads of
-    it by the job's tasks), so with earliest-step-first scheduling about
-    two elimination steps of panels are alive at once.
+    block (what ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by), built by
+    its first reader: read from the block's kept packed inverse
+    (:meth:`~repro.core.blocking.BlockMatrix.diag_inverse`) when the
+    block matrix ``f`` keeps it — a float64 block it stores — else that
+    triangle alone from the block's values (``trtri`` in the block's
+    dtype: a float32 factorisation's panels multiply float32 inverses; a
+    block received on a rank has its inverse dropped with its other
+    images).  A float64 ``GETRF/C_V1`` task inverts its factored image
+    in place and hands the packed inverse to the job, which keeps it on
+    ``f`` for the panel and the triangular solves; a float32
+    factorisation's kept float64 inverses are made by the first solve
+    that reads them, as each solve used to, not here.  A GESSM/TSTRF
+    panel task publishes the slots in ``published`` (those a
+    dense-mapped task of the job reads) from its target's image; any
+    other image is built by its first user from the block's values — on
+    a rank that covers received panels.
+    :meth:`release` drops a block's images when the last task reading it
+    completes (``uses``: slot → number of reads of it by the job's
+    tasks), so with earliest-step-first scheduling about two elimination
+    steps of panels are alive at once.
 
     Reads are lock-free, builds raced and resolved with ``setdefault``
     (as in :class:`~repro.kernels.plans.PlanCache`): the lanes of a
@@ -370,9 +382,10 @@ class PanelCache:
     ``scripts/profile_numeric.py`` prints.
     """
 
-    def __init__(self, uses: dict[int, int], published=frozenset()) -> None:
+    def __init__(self, uses: dict[int, int], published, f: BlockMatrix) -> None:
         self._uses = uses
         self._published = published
+        self._f = f
         self._images: dict = {}
         self._open: dict[int, TargetImage] = {}
         self._lock = threading.Lock()
@@ -406,10 +419,11 @@ class PanelCache:
                 "a_dense": self.get(slots[1], lambda: _operand(blocks[1], 0)),
                 "b_dense": self.get(slots[2], lambda: _operand(blocks[2], 1)),
             }
-        lower = ktype is KernelType.GESSM
-        return {"inv": self.get(
-            (slots[0], lower), lambda: triangle_inverse(blocks[0], lower=lower)
-        )}
+        lower, f, slot = ktype is KernelType.GESSM, self._f, slots[0]
+        kept = f.dtype == np.float64 and (f.owned is None or slot in f.owned)
+        return {"inv": self.get((slot, lower), lambda: inverse_triangle(
+            f.diag_inverse(slot), lower=lower
+        ) if kept else triangle_inverse(blocks[0], lower=lower))}
 
     def target(self, slot: int, block, axis: int | None) -> TargetImage:
         """The open image of ``block`` (in ``slot``), opened from its
@@ -441,24 +455,23 @@ class PanelCache:
         if image is not None:
             image.write_to(block)
 
-    def publish(self, slot: int, ktype: KernelType) -> None:
+    def publish(self, slot: int, ktype: KernelType) -> np.ndarray | None:
         """The dense-mapped panel task of ``slot`` has written its
         values from its image: close the image, keeping what the job's
         dense-mapped readers multiply — the box image of a solved panel
-        as it is, or the triangle inverses of a factored diagonal block
-        (each ``trtri`` overwrites only its own triangle)."""
+        as it is — or, for a float64 factored diagonal block, return its
+        packed inverse: the image inverted in place
+        (:func:`~repro.kernels.base.invert_factors`: each ``trtri``
+        overwrites only its own triangle)."""
         image = self._close(slot)
-        if ktype is not KernelType.GETRF:
-            if slot in self._published:
-                self.get(slot, lambda: (
-                    image.pos, image.dense, box_held(image.pos, image.dense, image.axis)
-                ))
-            return
-        for lower in (True, False):
-            if (slot, lower) in self._published:
-                self.get((slot, lower), lambda: dense_triangle_inverse(
-                    image.dense, lower=lower, unit=lower
-                ))
+        if ktype is KernelType.GETRF:
+            dense = image.dense
+            return invert_factors(dense) if dense.dtype == np.float64 else None
+        if slot in self._published:
+            self.get(slot, lambda: (
+                image.pos, image.dense, box_held(image.pos, image.dense, image.axis)
+            ))
+        return None
 
     def release(self, slots, written: int) -> None:
         """A task on the blocks in ``slots`` completed: all but the one
@@ -557,7 +570,7 @@ class FactorJob:
             for tid, args in zip(tids.tolist(), map(tuple, slots.tolist())):
                 self.args[tid] = args
         self.calls, published = self._resolve_calls(runs)
-        self.panels = PanelCache(dict(enumerate(uses.tolist())), published)
+        self.panels = PanelCache(dict(enumerate(uses.tolist())), published, f)
 
     def features(self, ttype: TaskType) -> tuple[np.ndarray, TaskFeatures]:
         """The task ids of one type and their selector features as one
@@ -569,8 +582,9 @@ class FactorJob:
         return tids, _features_of(ttype, self.table.flops[tids], blocks)
 
     def _resolve_calls(self, runs: np.ndarray) -> tuple[list[tuple], frozenset]:
-        """``calls``, and the keys of the images a panel task publishes:
-        those a dense-mapped task among the ones that ``runs`` reads."""
+        """``calls``, and the slots whose box images a panel task
+        publishes: those a dense-mapped SSSSM among the ones that
+        ``runs`` reads."""
         calls: list = [None] * len(self.tasks)
         published: set = set()
         for ttype, family in self.family.items():
@@ -585,14 +599,11 @@ class FactorJob:
             }
             for tid, version in zip(tids.tolist(), versions.tolist()):
                 calls[tid] = heads[version]
-            reads = self.family_slots[ttype][1][
-                (versions == IMAGE_VERSIONS.get(ktype)) & runs[tids]
-            ]
             if ktype is KernelType.SSSSM:
+                reads = self.family_slots[ttype][1][
+                    (versions == IMAGE_VERSIONS[ktype]) & runs[tids]
+                ]
                 published.update(reads[:, 1:].ravel().tolist())
-            elif ktype in _PANEL_SOLVES:
-                lower = ktype is KernelType.GESSM
-                published.update((slot, lower) for slot in reads[:, 0].tolist())
         return calls, frozenset(published)
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str, int, bool]:
@@ -629,8 +640,8 @@ class FactorJob:
                 ) from exc
             if mapped and ktype is KernelType.SSSSM:
                 image.updates += 1
-            elif mapped:
-                panels.publish(target, ktype)
+            elif mapped and (inv := panels.publish(target, ktype)) is not None:
+                f.keep_inverse(target, inv)
         if compress is not None and ktype in _PANEL_SOLVES:
             _maybe_compress(f, self.tasks[tid], compress)
         panels.release(slots, target)

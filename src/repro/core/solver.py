@@ -70,22 +70,22 @@ REFINE_MAX_ITER = 40
 
 
 class RefinementStalled(ArithmeticError):
-    """Iterative refinement on approximate factors could not reach the
-    requested residual tolerance.
+    """Iterative refinement could not reach the requested residual
+    tolerance.
 
-    Raised by :meth:`Factorization.solve` on approximate factors —
-    ``float32``, compressed, or with pivots replaced by static pivoting
-    (GESP is static pivoting *plus* refinement) — when plain refinement
-    stops contracting *and* the GMRES-IR escalation also fails to reach
-    :data:`REFINE_TOL`.  With no pivot replaced this is typically a sign
-    that the matrix is too ill-conditioned for single-precision factors
-    (``κ(A) · ε₃₂ ≳ 1``); with replaced pivots, that the matrix needs
-    row interchanges, which static pivoting does not make.  Never raised
-    for exact ``float64`` factors with no replaced pivot: they have
-    nothing more precise to escalate to and return their best iterate.
-    The message reports the achieved relative residual, and the
-    replaced-pivot count when there is one, so callers can decide
-    whether to accept it.
+    Raised by :meth:`Factorization.solve` — on any factors: ``float32``
+    or ``float64``, compressed or exact, with or without pivots replaced
+    by static pivoting (GESP is static pivoting *plus* refinement) —
+    when plain refinement stops contracting *and* the GMRES-IR
+    escalation also fails to reach :data:`REFINE_TOL`.  With no pivot
+    replaced this is typically a sign that the matrix is too
+    ill-conditioned for the factors' precision (``κ(A) · ε ≳ 1``; for
+    ``float32`` factors ``ε₃₂``); with replaced pivots, that the matrix
+    needs row interchanges, which static pivoting does not make.  No
+    solve returns an iterate short of the tolerance.  The message
+    reports the achieved relative residual, and the replaced-pivot
+    count when there is one, so callers can decide whether to accept
+    it.
 
     Attributes
     ----------
@@ -112,11 +112,11 @@ class RefinementStalled(ArithmeticError):
             "pivoting, and refinement could not correct the perturbed "
             "factors"
             if self.pivots_replaced else
-            "the matrix is likely too ill-conditioned for float32 factors "
-            '— refactorize with factor_dtype="float64"'
+            "the matrix is likely too ill-conditioned for the factors' "
+            'precision (float32 factors: refactorize with factor_dtype="float64")'
         )
         super().__init__(
-            f"refinement on approximate factors stalled at relative "
+            f"refinement stalled at relative "
             f"residual {self.achieved:.3e} (tolerance {self.tol:.3e}, "
             f"{self.iterations} iterations); {cause}"
         )
@@ -279,7 +279,7 @@ def require_at_least_one(options, *names: str) -> None:
 
 def refined_solve(
     apply_fn, product, b: np.ndarray, *, tol: float, budget: int,
-    history: list, exact: bool,
+    history: list,
 ) -> np.ndarray:
     """One application of the factors plus the refinement the residual
     asks for — the one policy of every solve, LU and Cholesky alike.
@@ -293,11 +293,11 @@ def refined_solve(
     (:data:`REFINE_TOL` for the facades), when ``budget`` sweeps are spent
     (:data:`REFINE_MAX_ITER`; ``0`` is the bare application: no residual
     taken), or when two consecutive sweeps fail to halve it, and
-    take the best iterate seen.  Short of the tolerance, ``exact``
-    factors return that iterate — nothing more precise exists to correct
-    it with; approximate ones escalate to a GMRES-IR inner loop (FGMRES
-    on ``A`` preconditioned by ``apply_fn``) and :class:`RefinementStalled`
-    is raised when that fails too.  ``history`` receives one ``(step,
+    take the best iterate seen.  Short of the tolerance, every solve
+    escalates to a GMRES-IR inner loop (FGMRES on ``A`` preconditioned
+    by ``apply_fn``) and :class:`RefinementStalled` is raised when that
+    fails too — whatever the factors' precision: no iterate short of
+    ``tol`` is returned.  ``history`` receives one ``(step,
     relative residual)`` pair per residual taken (the first is labelled
     ``"apply"``, or ``"decompress"`` when the caller retries with a
     non-empty history); a non-finite residual raises
@@ -333,7 +333,7 @@ def refined_solve(
         stall = stall + 1 if worst > 0.5 * prev else 0
         if worst < best[0]:
             best = (worst, x)
-    if best[0] <= tol or exact:
+    if best[0] <= tol:
         return best[1]
 
     # GMRES-IR escalation from where the sweeps left off, one
@@ -745,13 +745,11 @@ class Factorization:
         self, b: np.ndarray, transposed: bool, recorder, history: list
     ) -> np.ndarray:
         """:func:`refined_solve` on this handle's factors, to
-        :data:`REFINE_TOL` within :data:`REFINE_MAX_ITER` sweeps.
-        ``float32``, compressed factors and factors with replaced pivots
-        are the approximate ones that escalate; when compressed factors
-        stall even there, the handle escalates once more — decompress,
-        refactorise exactly, start over — before
-        :class:`RefinementStalled`, carrying the replaced-pivot count,
-        reaches the caller."""
+        :data:`REFINE_TOL` within :data:`REFINE_MAX_ITER` sweeps (and
+        its GMRES-IR escalation); when compressed factors stall even
+        there, the handle escalates once more — decompress, refactorise
+        exactly, start over — before :class:`RefinementStalled`,
+        carrying the replaced-pivot count, reaches the caller."""
         def apply_fn(r: np.ndarray) -> np.ndarray:
             return self.apply(r, transposed=transposed, recorder=recorder)
 
@@ -765,8 +763,6 @@ class Factorization:
             return refined_solve(
                 apply_fn, product, b, tol=REFINE_TOL, budget=REFINE_MAX_ITER,
                 history=history,
-                exact=self.factor_dtype == np.float64
-                and not self.compression_active() and not replaced,
             )
         except RefinementStalled as err:
             if not self.compression_active():
@@ -1079,19 +1075,23 @@ class PanguLU:
         ``‖A⁻¹‖₁`` is estimated by power iteration on the signs of
         ``A⁻¹``/``A⁻ᵀ`` applications — a lower bound that is typically
         within a small factor of the truth, at the cost of a handful of
-        triangular solves.
+        triangular solves.  The applications are the factors' own
+        (:meth:`Factorization.apply`, as LAPACK's ``gecon`` uses its LU
+        factors): an estimate needs no refinement, and on the
+        ill-conditioned matrices it is asked about a refined solve could
+        refuse to return.
         """
-        self.factorize()
+        fact = self.factorize()
         n = self.a.ncols
         norm_a = self.a.norm_1()
         x = np.full(n, 1.0 / n, dtype=np.float64)
         est = 0.0
         for _ in range(max_iter):
-            y = self.solve(x)
+            y = fact.apply(x)
             new_est = float(np.abs(y).sum())
             xi = np.sign(y)
             xi[xi == 0] = 1.0
-            z = self.solve_transposed(xi)
+            z = fact.apply(xi, transposed=True)
             j = int(np.argmax(np.abs(z)))
             if new_est <= est or float(np.abs(z[j])) <= float(z @ x):
                 est = max(est, new_est)

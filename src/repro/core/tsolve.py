@@ -6,10 +6,14 @@ the diagonal blocks plus the unit-lower part of each diagonal block) and
 ``L y = b`` (forward) and ``U x = y`` (backward); solving ``Aᵀ x = b``
 with ``Uᵀ y = b`` and ``Lᵀ x = y``.  Each sweep is one task per RHS
 segment (:mod:`repro.core.tsolve_dag`): the task gathers its block row
-(:func:`gather` — one product per stored block,
-:func:`~repro.kernels.tsolve_kernels.prod_seg`, summed in ascending
-``k``), then applies the dense inverse of the diagonal block's triangle
-(:func:`~repro.kernels.tsolve_kernels.diag_seg`).
+(:func:`gather` — every block's product in one
+:func:`~repro.kernels.tsolve_kernels.prod_stack` call over the blocks
+the solve DAG lists for the task, summed in ascending ``k``), then
+applies one triangle of the diagonal block's packed inverse
+(:func:`~repro.kernels.tsolve_kernels.diag_seg`), which the
+factorisation kept on the block matrix
+(:meth:`~repro.core.blocking.BlockMatrix.diag_inverse`): the solve
+inverts nothing the factorisation already inverted.
 
 There is one execution path, in either direction:
 :func:`~repro.core.tsolve_dag.build_tsolve_dag` tasks drained through the
@@ -31,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.base import SingularBlockError
-from ..kernels.tsolve_kernels import diag_seg, prod_seg
+from ..kernels.tsolve_kernels import diag_seg, prod_stack
 from ..runtime.lanes import run_lanes
 from ..runtime.scheduler import EventRecorder, RunReport, SchedulerCore
 from ..sparse.csc import as_values
@@ -70,28 +74,28 @@ def checked_rhs(b, n: int, *, panel: bool = False) -> np.ndarray:
 
 
 def segment_products(
-    f: BlockMatrix, i: int, ks, v: np.ndarray, *, transposed: bool = False
+    f: BlockMatrix, i: int, ks, slots, v: np.ndarray, *, transposed: bool = False
 ) -> np.ndarray:
-    """The products of segment ``i``'s blocks with the segments ``ks``
-    of ``v``, stacked in the order of ``ks``: ``B(i,k)·v_k``, or
-    ``B(k,i)ᵀ·v_k`` when ``transposed``."""
-    stack = np.empty((len(ks), f.block_order(i), *v.shape[1:]), dtype=v.dtype)
-    for out, k in zip(stack, np.asarray(ks).tolist()):
-        blk = f.block(k, i) if transposed else f.block(i, k)
-        prod_seg(out, blk, v[f.block_slice(k)], transposed=transposed)
-    return stack
+    """The products of segment ``i``'s blocks — in storage ``slots`` —
+    with the segments ``ks`` of ``v``, stacked in the order of ``ks``:
+    ``B(i,k)·v_k``, or ``B(k,i)ᵀ·v_k`` when ``transposed`` (one
+    :func:`~repro.kernels.tsolve_kernels.prod_stack` call)."""
+    blocks = [f.block_at(slot) for slot in np.asarray(slots).tolist()]
+    starts = f.boundaries[np.asarray(ks, dtype=np.int64)]
+    return prod_stack(blocks, starts, v, f.block_order(i), transposed=transposed)
 
 
 def gather(
-    f: BlockMatrix, i: int, ks, v: np.ndarray, seg: np.ndarray, *,
+    f: BlockMatrix, i: int, ks, slots, v: np.ndarray, seg: np.ndarray, *,
     transposed: bool = False, received=(),
 ) -> None:
     """``seg −= Σ_k B(i,k)·v_k`` (``B(k,i)ᵀ`` when ``transposed``) over
-    the segments ``ks`` and the ``(ks, stack)`` products ``received``
-    from other ranks: every product goes into one stack at its ``k``,
-    ascending, and the stack is summed as one reduction — so the result
-    does not depend on who computed which product."""
-    stack = segment_products(f, i, ks, v, transposed=transposed)
+    the segments ``ks`` (blocks in ``slots``) and the ``(ks, stack)``
+    products ``received`` from other ranks: every product goes into one
+    stack at its ``k``, ascending, and the stack is summed as one
+    reduction — so the result does not depend on who computed which
+    product."""
+    stack = segment_products(f, i, ks, slots, v, transposed=transposed)
     if received:
         ks = np.concatenate([ks, *(r for r, _ in received)])
         stack = np.concatenate([stack, *(s for _, s in received)])
@@ -128,8 +132,8 @@ class SolveJob:
         """Run one solve task.  An ``LSUM`` task stacks its products in
         :attr:`partials`; a diagonal task gathers its segment with them
         (:func:`gather`) and solves it with the triangle of its diagonal
-        block — ``L`` forward, ``U`` backward, the other way round when
-        transposed — writing ``y_i`` or ``x_i``.
+        block's packed inverse — ``L⁻¹`` forward, ``U⁻¹`` backward, the
+        other way round when transposed — writing ``y_i`` or ``x_i``.
 
         A zero ``U`` pivot raises :class:`SingularBlockError` naming the
         diagonal block, the column in it and the row of the reordered
@@ -143,7 +147,7 @@ class SolveJob:
         src = self.y if forward else self.x
         if kind in LSUM:
             self.partials[tid] = segment_products(
-                f, i, tdag.sources[tid], src, transposed=trans
+                f, i, tdag.sources[tid], tdag.slots[tid], src, transposed=trans
             )
             return ()
         seg = f.block_slice(i)
@@ -153,17 +157,18 @@ class SolveJob:
             (tdag.sources[lsum], self.partials.pop(lsum))
             for lsum in self.lsums_of.get(tid, ())
         ]
-        gather(f, i, tdag.sources[tid], src, src[seg], transposed=trans,
-               received=received)
-        diag = f.block(i, i)
+        gather(f, i, tdag.sources[tid], tdag.slots[tid], src, src[seg],
+               transposed=trans, received=received)
+        slot = f.block_slot(i, i)
         try:
-            diag_seg(diag, src[seg], lower=forward != trans, transposed=trans)
+            inv = f.diag_inverse(slot)
         except SingularBlockError:
-            j = int(np.flatnonzero(diag.diagonal() == 0.0)[0])
+            j = int(np.flatnonzero(f.block_at(slot).diagonal() == 0.0)[0])
             raise SingularBlockError(
                 f"zero/missing U diagonal in block {i}, column {j} "
                 f"(row {seg.start + j} of the reordered matrix)"
             ) from None
+        diag_seg(inv, src[seg], ws, lower=forward != trans, transposed=trans)
         return ()
 
     def trace_label(self, tid: int) -> tuple[str, str]:

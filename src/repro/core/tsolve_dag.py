@@ -67,7 +67,8 @@ class TSolveDAG:
 
     ``segment`` is the segment a task solves (``DIAG``) or sums products
     for (``LSUM``); ``sources[tid]`` the segments, ascending, whose block
-    products the task computes itself.  ``transposed`` is the direction
+    products the task computes itself, and ``slots[tid]`` the storage
+    slots of those blocks.  ``transposed`` is the direction
     flag: the product with source ``k`` reads block ``(i, k)`` in a
     plain solve, block ``(k, i)`` (transposed) in a transposed one.
     ``entries`` are the ready-heap priorities: forward tasks by
@@ -79,6 +80,7 @@ class TSolveDAG:
     kinds: np.ndarray
     segment: np.ndarray
     sources: list[np.ndarray]
+    slots: list[np.ndarray]
     flops: np.ndarray
     out_bytes: np.ndarray     # bytes a task's output carries to consumers
     n_deps: np.ndarray
@@ -115,15 +117,15 @@ def block_line_sources(
     return [(other[slots], slots) for slots in np.split(order, cuts)]
 
 
-def _diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
-    """Flops of a substitution with one triangle of diagonal block ``k``:
-    a multiply-add per strict entry, plus a division per column of ``U``
-    (``L`` is unit)."""
-    diag = f.block(k, k)
-    assert diag is not None
-    rows, cols = diag.rows_cols()
-    strict = np.count_nonzero(rows > cols if lower else rows < cols)
-    return 2.0 * strict + (0.0 if lower else diag.ncols)
+def _diag_solve_flops(f: BlockMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per diagonal block, the flops of a substitution with its ``L``
+    and with its ``U``: a multiply-add per strict entry, plus a division
+    per column of ``U`` (``L`` is unit)."""
+    strict = np.array([
+        [np.count_nonzero(op(d.indices, d.cols_expanded())) for op in (np.greater, np.less)]
+        for d in (f.block(k, k) for k in range(f.nb))
+    ], dtype=float).reshape(-1, 2)
+    return 2.0 * strict[:, 0], 2.0 * strict[:, 1] + np.diff(f.boundaries)
 
 
 def build_tsolve_dag(
@@ -134,83 +136,70 @@ def build_tsolve_dag(
     ``LSUM`` task on the owner of the blocks it multiplies — data stays
     put, vectors and products move).  ``transposed=True`` builds the
     graph of ``Aᵀ x = b`` (block columns in place of block rows).
+
+    Built over arrays of every stored block at once (the owner map is
+    called once per block): a task is keyed by its sweep, its segment's
+    place in the sweep, then the rank of an ``LSUM`` — a diagonal task
+    after those of its segment — and task ids follow the keys' order.
     """
     nb = f.nb
-    nnz = f.slot_structure().nnz
-    lines = block_line_sources(f, transposed=transposed)
-    kinds: list[int] = []
-    segment: list[int] = []
-    sources: list[np.ndarray] = []
-    flops: list[float] = []
-    out_b: list[float] = []
-    owner: list[int] = []
-    successors: list[list[int]] = []
-    n_deps: list[int] = []
+    line, other = (
+        (f.blk_colidx, f.blk_rowidx) if transposed else (f.blk_rowidx, f.blk_colidx)
+    )
+    rank = np.asarray([
+        owner_of_block(bi, bj)
+        for bi, bj in zip(f.blk_rowidx.tolist(), f.blk_colidx.tolist())
+    ], dtype=np.int64)
+    segs = np.arange(nb)
+    diag_rank = rank[f.slots_of(segs, segs)]
+    # every product: its block's slot, segment i, source k, sweep (1 back)
+    slot = np.lexsort((other, line))
+    slot = slot[line[slot] != other[slot]]
+    i, k = line[slot], other[slot]
+    back = (k > i).astype(np.int64)
+    ranks = int(rank.max(initial=0)) + 2  # ranks - 1: the diagonal task
 
-    def block_owner(i: int, k: int) -> int:
-        return int(owner_of_block(k, i) if transposed else owner_of_block(i, k))
+    def key(sweep, i, r):
+        return ((sweep * nb + np.where(sweep, nb - 1 - i, i)) * ranks + r)
 
-    def sweep(diag_kind, lsum_kind, order, lower: bool, after=None) -> list[int]:
-        """One sweep's tasks, segment by segment in ``order``: segment
-        ``i`` gathers the blocks of its line whose segment came earlier.
-        Returns each segment's diagonal task; ``after[i]`` (the forward
-        ``DIAG_F(i)``) is what the backward ``DIAG_B(i)`` starts from."""
-        diag_of = [-1] * nb
-        for i in order:
-            ks, slots = lines[i]
-            keep = np.take(diag_of, ks) >= 0
-            ks, slots = ks[keep], slots[keep]
-            ranks = np.asarray([block_owner(i, k) for k in ks.tolist()], dtype=np.int64)
-            p = block_owner(i, i)
-            tids: list[int] = []
-            # one LSUM per other rank holding blocks of the row, then the
-            # diagonal task, which waits for them
-            for r in [*np.unique(ranks[ranks != p]).tolist(), p]:
-                mine = ranks == r
-                preds = [diag_of[k] for k in ks[mine].tolist()]
-                fl = 2.0 * nnz[slots[mine]].sum()
-                nbytes = 8.0 * f.block_order(i)
-                if r == p:
-                    preds += tids + ([] if after is None else [after[i]])
-                    kind, fl = diag_kind, fl + _diag_solve_flops(f, i, lower=lower)
-                else:
-                    kind, nbytes = lsum_kind, nbytes * int(mine.sum())
-                tid = len(kinds)
-                kinds.append(int(kind))
-                segment.append(i)
-                sources.append(ks[mine].astype(np.int64))
-                flops.append(float(fl))
-                out_b.append(nbytes)
-                owner.append(r)
-                successors.append([])
-                n_deps.append(len(preds))
-                for q in preds:
-                    successors[q].append(tid)
-                tids.append(tid)
-            diag_of[i] = tids[-1]
-        return diag_of
-
+    r = rank[slot]
+    keys = key(back, i, np.where(r == diag_rank[i], ranks - 1, r))
+    both = np.repeat([0, 1], nb)
+    diag_keys = key(both, np.tile(segs, 2), ranks - 1)
+    tasks = np.unique(np.concatenate([keys, diag_keys]))
+    n = tasks.size
+    of = np.searchsorted(tasks, keys)               # each product's task
+    diag_tid = np.searchsorted(tasks, diag_keys).reshape(2, nb)
+    sweep = tasks // (nb * ranks)
+    segment = np.where(sweep, nb - 1 - tasks // ranks % nb, tasks // ranks % nb)
+    is_diag = tasks % ranks == ranks - 1
+    kinds = 2 * sweep + ~is_diag                    # DIAG_F, LSUM_F, DIAG_B, LSUM_B
+    counts = np.bincount(of, minlength=n)
+    nnz = f.slot_structure().nnz[slot]
+    flops = np.bincount(of, weights=2.0 * nnz, minlength=n).astype(float)
     # the forward diagonal solve is with L (Uᵀ when transposed), the
     # backward one with U (Lᵀ); x_i starts from y_i
-    diag_f = sweep(TSolveTaskType.DIAG_F, TSolveTaskType.LSUM_F, range(nb),
-                   not transposed)
-    sweep(TSolveTaskType.DIAG_B, TSolveTaskType.LSUM_B,
-          range(nb - 1, -1, -1), transposed, after=diag_f)
-
-    entries = [
-        (i if kind in FORWARD else 2 * nb - 1 - i, kind, tid)
-        for tid, (kind, i) in enumerate(zip(kinds, segment))
-    ]
+    diag_flops = np.stack(_diag_solve_flops(f)[::-1 if transposed else 1])
+    flops[is_diag] += diag_flops[sweep, segment][is_diag]
+    lsum = np.flatnonzero(~is_diag)
+    preds = np.concatenate([diag_tid[back, k], lsum, diag_tid[0]])
+    succs = np.concatenate([of, diag_tid[sweep[lsum], segment[lsum]], diag_tid[1]])
+    edges = np.lexsort((succs, preds))
+    cuts = np.searchsorted(preds[edges], np.arange(1, n)).tolist()
+    succ = succs[edges].tolist()
+    priority = np.where(sweep, 2 * nb - 1 - segment, segment)
+    by_task, task_ends = np.argsort(of, kind="stable"), np.cumsum(counts)[:-1]
     return TSolveDAG(
-        kinds=np.asarray(kinds, dtype=np.int64),
-        segment=np.asarray(segment, dtype=np.int64),
-        sources=sources,
-        flops=np.asarray(flops),
-        out_bytes=np.asarray(out_b),
-        n_deps=np.asarray(n_deps, dtype=np.int64),
-        successors=successors,
-        owner=np.asarray(owner, dtype=np.int64),
+        kinds=kinds,
+        segment=segment,
+        sources=np.split(k[by_task], task_ends),
+        slots=np.split(slot[by_task], task_ends),
+        flops=flops,
+        out_bytes=8.0 * np.diff(f.boundaries)[segment] * np.where(is_diag, 1, counts),
+        n_deps=np.bincount(succs, minlength=n),
+        successors=[succ[a:b] for a, b in zip([0, *cuts], [*cuts, len(succ)])],
+        owner=np.where(is_diag, diag_rank[segment], tasks % ranks),
         total_flops=float(np.sum(flops)),
-        entries=entries,
+        entries=list(zip(priority.tolist(), kinds.tolist(), range(n))),
         transposed=transposed,
     )

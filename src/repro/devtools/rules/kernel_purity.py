@@ -37,10 +37,11 @@ from ..astlint import FileContext, Finding, Rule, register
 from ._util import dotted, functions, mutation_roots, root_name
 
 #: kernel-role prefix → index of the writable (output) parameter
-#: (the tsolve roles are the two phase-5 segment kernels: ``diag_seg``
-#: writes its RHS segment — second parameter — and ``prod_seg`` one
-#: block's product into its output row of the gather's stack — first
-#: parameter; either direction, ``A`` or ``Aᵀ``)
+#: (the tsolve roles are the phase-5 segment kernels: ``diag_seg``
+#: writes its RHS segment — second parameter; a block-product kernel
+#: may write its first — ``prod_stack`` takes its blocks there and
+#: writes none of them, returning its stack; either direction, ``A`` or
+#: ``Aᵀ``)
 _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
     "panel": 1, "diag": 1, "prod": 0,

@@ -4,8 +4,8 @@ Schur update, structural FLOP counters, the kernel registry, the
 decision-tree selector of Fig. 8, and fixed-pattern execution plans
 (precomputed scatter addressing) that the sparse
 variants accept as ``plan=`` (their runners stay in
-:mod:`repro.kernels.plans`), and the two stateless kernels of the
-triangular solves (``diag_seg``, ``prod_seg``)."""
+:mod:`repro.kernels.plans`), and the kernels of the triangular solves
+(``diag_seg``, ``prod_stack``)."""
 
 from .base import SingularBlockError, Triangle, Workspace, triangle
 from .compress import CompressPolicy, lr_ssssm_flops, ssssm_lr, try_compress
@@ -64,7 +64,7 @@ from .tstrf import (
     tstrf_g_v2,
     tstrf_g_v3,
 )
-from .tsolve_kernels import diag_seg, prod_seg
+from .tsolve_kernels import diag_seg, prod_stack
 
 __all__ = [
     "KernelType",
@@ -103,5 +103,5 @@ __all__ = [
     "build_solve_plan",
     "build_getrf_plan",
     "diag_seg",
-    "prod_seg",
+    "prod_stack",
 ]

@@ -19,9 +19,10 @@ This module provides the kernel-family enum, the dense workspace,
 scatter/gather helpers, the dense image of a block's occupied rows or
 columns the dense-mapped GEMMs multiply (:func:`box_image`), the
 static-pivot rule of GETRF, the dense
-inverse the dense-mapped panel solves and the triangular solves'
-diagonal tasks multiply by (:func:`triangle_inverse` of a factored
-diagonal block), and the index view of either triangle of a factored
+inverses the dense-mapped panel solves and the triangular solves'
+diagonal tasks multiply by (a factored diagonal block's
+:func:`invert_factors`, read back one triangle at a time by
+:func:`inverse_triangle`), and the index view of either triangle of a factored
 diagonal block (:func:`triangle`) the sparse panel solves walk.
 """
 
@@ -46,9 +47,11 @@ __all__ = [
     "box_image",
     "box_held",
     "box_index",
+    "locate",
     "TargetImage",
-    "dense_triangle_inverse",
     "triangle_inverse",
+    "invert_factors",
+    "inverse_triangle",
     "serial_matmul",
     "diagonal_positions",
     "Triangle",
@@ -142,6 +145,7 @@ class Workspace:
     _dense_a: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float64))
     _dense_c: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float64))
     _vec: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float64))
+    _triangles: dict = field(default_factory=dict)
 
     def dense(
         self,
@@ -169,6 +173,21 @@ class Workspace:
         view = buf[: shape[0], : shape[1]]
         view[...] = 0.0
         return view
+
+    def triangle(self, inv: np.ndarray, *, lower: bool) -> np.ndarray:
+        """:func:`inverse_triangle` of a packed inverse ``inv``, in a
+        buffer kept per order and triangle: an identity whose part under
+        ``mask`` — ``L``'s strict lower triangle, or ``U``'s upper one
+        with the diagonal — takes the triangle on each call, so the
+        zeros of the other triangle and ``L``'s unit diagonal are
+        written once."""
+        n = inv.shape[0]
+        if (n, lower) not in self._triangles:
+            mask = np.tri(n, k=-1, dtype=bool) == lower
+            self._triangles[n, lower] = (np.eye(n, dtype=np.float64), mask)
+        buf, mask = self._triangles[n, lower]
+        np.copyto(buf, inv, where=mask)
+        return buf
 
     def vector(self, n: int, dtype: np.dtype | type = np.float64) -> np.ndarray:
         """Zeroed 1-D scratch of length ``n`` and dtype ``dtype``."""
@@ -237,6 +256,14 @@ def box_image(block: CSCMatrix, axis: int) -> tuple[np.ndarray | None, np.ndarra
     return pos, dense
 
 
+def locate(keys: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in the sorted, unique ``pattern`` and which
+    of them are in it — Table 1's bin-search addressing, of the kernels
+    and of the plans that replay them."""
+    pos = np.minimum(np.searchsorted(pattern, keys), max(pattern.size - 1, 0))
+    return pos, pattern[pos] == keys if pattern.size else np.zeros(keys.shape, bool)
+
+
 def box_index(pos: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
     """Positions in a :func:`box_image` of the rows (columns) ``idx``."""
     return idx if pos is None else pos[idx]
@@ -267,8 +294,7 @@ class TargetImage:
     def __init__(self, block: CSCMatrix, axis: int | None) -> None:
         self.axis = axis
         if axis is None:
-            self.pos, self.dense = None, np.zeros(block.shape, dtype=block.dtype)
-            scatter_dense(block, self.dense)
+            self.pos, self.dense = None, block.to_dense()
         else:
             self.pos, self.dense = box_image(block, axis)
         self.updates = 0
@@ -311,17 +337,14 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def triangle_inverse(
-    diag: CSCMatrix, *, lower: bool, unit: bool | None = None,
-    dtype: np.dtype | type | None = None,
+    diag: CSCMatrix, *, lower: bool, unit: bool | None = None
 ) -> np.ndarray:
     """Dense inverse of one triangle of a factored diagonal block: the
     lower ``L`` (``lower=True``) or the upper ``U``, in the block's value
-    dtype unless ``dtype`` names another (LAPACK ``trtri``; the solve
-    phase inverts float32 factors in float64, the precision of its
-    right-hand sides).  ``unit`` is ``trtri``'s own flag — the stored
-    diagonal is not the triangle's, which has ones there — and defaults
-    to ``lower``: an LU block keeps a unit ``L`` and ``U``'s diagonal; a
-    Cholesky block's ``L`` is ``lower=True, unit=False``.
+    dtype (LAPACK ``trtri``).  ``unit`` is ``trtri``'s own flag — the
+    stored diagonal is not the triangle's, which has ones there — and
+    defaults to ``lower``: an LU block keeps a unit ``L`` and ``U``'s
+    diagonal; a Cholesky block's ``L`` is ``lower=True, unit=False``.
 
     With it a panel solve is one GEMM — ``L⁻¹·B`` for GESSM, ``B·U⁻¹``
     for TSTRF — the ``DiagInv`` form of SuperLU_DIST.  A per-task
@@ -334,31 +357,46 @@ def triangle_inverse(
     A zero or structurally missing diagonal entry of a non-unit triangle
     raises :class:`SingularBlockError` naming the column.
     """
-    d = np.zeros(diag.shape, dtype=diag.dtype if dtype is None else dtype)
-    scatter_dense(diag, d)
-    return dense_triangle_inverse(d, lower=lower, unit=lower if unit is None else unit)
+    unit = lower if unit is None else unit
+    inv = _trtri(diag.to_dense(), lower=lower, unit=unit)
+    return inverse_triangle(inv, lower=lower, unit=unit)
 
 
-def dense_triangle_inverse(d: np.ndarray, *, lower: bool, unit: bool) -> np.ndarray:
-    """:func:`triangle_inverse` of a C-ordered dense array holding the
-    factors, whose named triangle ``trtri`` overwrites — hand it a copy
-    of anything still needed (the supernodal baseline does, once per
-    diagonal panel)."""
+def invert_factors(d: np.ndarray) -> np.ndarray:
+    """Overwrite a C-ordered dense LU-factored block with its packed
+    inverse and return it: ``L⁻¹`` strictly below the diagonal (its unit
+    diagonal implied), ``U⁻¹`` on and above it — two ``trtri`` calls,
+    each on its own triangle; :func:`inverse_triangle` reads either
+    back."""
+    return _trtri(_trtri(d, lower=True, unit=True), lower=False, unit=False)
+
+
+def _trtri(d: np.ndarray, *, lower: bool, unit: bool) -> np.ndarray:
+    """``trtri`` of one triangle of ``d``, in place (the call on the
+    transposed, Fortran-ordered view overwrites it: the inverse of the
+    transpose is the transpose of the inverse); the other triangle, and
+    a unit diagonal, are left as found."""
     (trtri,) = get_lapack_funcs(("trtri",), (d,))
-    # trtri on the transposed (Fortran-ordered) view avoids a copy: the
-    # inverse of the transpose is the transpose of the inverse
-    inv_t, info = trtri(d.T, lower=not lower, unitdiag=unit, overwrite_c=True)
+    _, info = trtri(d.T, lower=not lower, unitdiag=unit, overwrite_c=True)
     if info > 0:
         raise SingularBlockError(
             f"zero/missing {'L' if lower else 'U'} diagonal at {info - 1}"
         )
-    if info < 0:  # pragma: no cover - argument error, not data
-        raise ValueError(f"trtri: illegal argument {-info}")
-    # trtri leaves the other triangle (and a unit diagonal) as found
-    inv = np.tril(inv_t.T, -1 if unit else 0) if lower else np.triu(inv_t.T)
+    return d
+
+
+def inverse_triangle(
+    inv: np.ndarray, *, lower: bool, unit: bool | None = None
+) -> np.ndarray:
+    """One triangle of an inverted dense block as a C-ordered matrix of
+    its own: ``np.tril`` / ``np.triu`` of ``inv`` (ones on a ``unit``
+    diagonal — ``unit`` defaults to ``lower``, as for
+    :func:`triangle_inverse`)."""
+    unit = lower if unit is None else unit
+    tri = np.tril(inv, -1 if unit else 0) if lower else np.triu(inv)
     if unit:
-        np.fill_diagonal(inv, 1.0)
-    return inv
+        np.fill_diagonal(tri, 1.0)
+    return tri
 
 
 def diagonal_positions(block: CSCMatrix) -> np.ndarray:

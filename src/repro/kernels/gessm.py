@@ -40,6 +40,7 @@ from .base import (
     Workspace,
     box_image,
     box_index,
+    locate,
     serial_matmul,
     solve_levels,
     triangle,
@@ -58,6 +59,7 @@ __all__ = [
     "panel_levels",
     "panel_compiled",
     "panel_dense",
+    "panel_inverse",
 ]
 
 
@@ -100,10 +102,7 @@ def panel_sweep(tri: Triangle, b: CSCMatrix, *, merge: bool) -> None:
                 if common.size:
                     vals_c[pos_c] -= l_vals[pos_l] * xt
             else:
-                pos = np.searchsorted(rows_c, l_rows)
-                valid = pos < rows_c.size
-                np.minimum(pos, rows_c.size - 1, out=pos)
-                valid &= rows_c[pos] == l_rows
+                pos, valid = locate(l_rows, rows_c)
                 vals_c[pos[valid]] -= l_vals[valid] * xt
 
 
@@ -162,28 +161,40 @@ def gessm_c_v1(
     panel_sweep(triangle(diag, lower=True), b, merge=True)
 
 
+def panel_inverse(
+    diag: CSCMatrix, b: CSCMatrix, *, lower: bool, inv: np.ndarray | None,
+    image: TargetImage | None,
+) -> None:
+    """The dense-mapped solve of GESSM (``lower``: ``L⁻¹·B``, on the
+    image of ``B``'s occupied columns) or TSTRF (``B·U⁻¹``, on its
+    occupied rows; :func:`~repro.kernels.base.box_image`): one GEMM with
+    the dense inverse of the triangle, gathered back at ``B``'s pattern.
+    ``inv`` is that inverse when the caller holds one (the
+    factorisation's panel cache reads it from the diagonal block's kept
+    inverse); ``image`` is ``B``'s image when the caller holds it (the
+    :class:`~repro.kernels.base.TargetImage` its Schur updates
+    accumulated in), and then takes the product: the box image of the
+    solved panel its readers multiply.  Accuracy: see
+    :func:`~repro.kernels.base.triangle_inverse`."""
+    inv = triangle_inverse(diag, lower=lower) if inv is None else inv
+    axis = 1 if lower else 0
+    pos, w = box_image(b, axis) if image is None else (image.pos, image.dense)
+    out = serial_matmul(inv, w) if lower else serial_matmul(w, inv)
+    idx = list(b.rows_cols())
+    idx[axis] = box_index(pos, idx[axis])
+    b.data[...] = out[tuple(idx)]
+    if image is not None:
+        image.dense = out
+
+
 def gessm_c_v2(
     diag: CSCMatrix, b: CSCMatrix, ws: Workspace, *, inv: np.ndarray | None = None,
     image: TargetImage | None = None,
 ) -> None:
     """Dense-mapped solve (CPU V2, "Direct"): one GEMM of the dense
     inverse of the unit-lower ``L`` with the image of ``B``'s occupied
-    columns (:func:`~repro.kernels.base.box_image`, axis 1), gathered
-    back at ``B``'s pattern.  ``inv`` is that inverse when the caller
-    holds one (the factorisation's panel cache builds it once per
-    diagonal block); ``image`` is ``B``'s image when the caller holds
-    it (the :class:`~repro.kernels.base.TargetImage` its Schur updates
-    accumulated in), and then takes the product: the box image of the
-    solved panel its readers multiply.  Accuracy: see
-    :func:`~repro.kernels.base.triangle_inverse`."""
-    if inv is None:
-        inv = triangle_inverse(diag, lower=True)
-    pos, w = box_image(b, 1) if image is None else (image.pos, image.dense)
-    out = serial_matmul(inv, w)
-    rows, cols = b.rows_cols()
-    b.data[...] = out[rows, box_index(pos, cols)]
-    if image is not None:
-        image.dense = out
+    columns (:func:`panel_inverse`)."""
+    panel_inverse(diag, b, lower=True, inv=inv, image=image)
 
 
 def gessm_g_v1(

@@ -56,6 +56,7 @@ from .base import (
     SingularBlockError,
     diagonal_positions,
     fix_pivot,
+    locate,
     triangle,
 )
 
@@ -147,19 +148,6 @@ def _colkeys(indptr: np.ndarray, indices: np.ndarray, nrows: int) -> np.ndarray:
     return cols * nrows + indices
 
 
-def _locate(keys: np.ndarray, tgt_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``keys`` in the sorted ``tgt_key`` plus a validity
-    mask — the same structural masking as the bin-search kernels."""
-    pos = np.searchsorted(tgt_key, keys)
-    valid = pos < tgt_key.size
-    np.minimum(pos, max(tgt_key.size - 1, 0), out=pos)
-    if tgt_key.size:
-        valid &= tgt_key[pos] == keys
-    else:
-        valid[:] = False
-    return pos, valid
-
-
 def build_ssssm_plan(
     c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, *, entry_limit: int | None = None
 ) -> SSSSMPlan | None:
@@ -182,7 +170,7 @@ def build_ssssm_plan(
     # B entries column-major, then the A[:, t] column for each
     src_b, src_a = _flatten_segments(a.indptr[:-1][b.indices], counts)
     keys = b.cols_expanded()[src_b] * c.nrows + a.indices[src_a]
-    pos, valid = _locate(keys, _colkeys(c.indptr, c.indices, c.nrows))
+    pos, valid = locate(keys, _colkeys(c.indptr, c.indices, c.nrows))
     if valid.all():
         return SSSSMPlan(src_a=src_a, src_b=src_b, dst=pos)
     return SSSSMPlan(src_a=src_a[valid], src_b=src_b[valid], dst=pos[valid])
@@ -239,7 +227,7 @@ def _plan_steps(
     counts = src_end[step_t] - src_start[step_t]
     step_idx, src_flat = _flatten_segments(src_start[step_t], counts)
     keys = step_col[step_idx] * tgt_nrows + src_indices[src_flat]
-    pos, valid = _locate(keys, tgt_key)
+    pos, valid = locate(keys, tgt_key)
     seg = np.bincount(step_idx[valid], minlength=step_t.size)
     return src_flat[valid], pos[valid], seg
 

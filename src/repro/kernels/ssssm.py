@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 from ..sparse.csc import CSCMatrix
 from .base import (
-    TargetImage, Workspace, box_image, box_index, gather_dense, scatter_dense,
-    serial_matmul,
+    TargetImage, Workspace, box_image, box_index, gather_dense, locate,
+    scatter_dense, serial_matmul,
 )
 from .plans import SSSSMPlan, run_ssssm_plan
 
@@ -119,12 +119,8 @@ def ssssm_c_v2(
             lo_a, hi_a = int(a_indptr[t]), int(a_indptr[t + 1])
             if lo_a == hi_a:
                 continue
-            ar = a_indices[lo_a:hi_a]
             av = a_data[lo_a:hi_a]
-            pos = np.searchsorted(rows_cj, ar)
-            valid = pos < rows_cj.size
-            np.minimum(pos, rows_cj.size - 1, out=pos)
-            valid &= rows_cj[pos] == ar
+            pos, valid = locate(a_indices[lo_a:hi_a], rows_cj)
             c_data[lo + pos[valid]] -= av[valid] * v
 
 
@@ -145,14 +141,9 @@ def ssssm_g_v1(c: CSCMatrix, a: CSCMatrix, b: CSCMatrix, ws: Workspace) -> None:
         lo_p, hi_p = int(p.indptr[j]), int(p.indptr[j + 1])
         if lo_p == hi_p:
             continue
-        pr = p.indices[lo_p:hi_p]
         pv = p.data[lo_p:hi_p]
         lo, hi = int(c_indptr[j]), int(c_indptr[j + 1])
-        rows_cj = c_indices[lo:hi]
-        pos = np.searchsorted(rows_cj, pr)
-        valid = pos < rows_cj.size
-        np.minimum(pos, rows_cj.size - 1, out=pos)
-        valid &= rows_cj[pos] == pr
+        pos, valid = locate(p.indices[lo_p:hi_p], c_indices[lo:hi])
         c_data[lo + pos[valid]] -= pv[valid]
 
 

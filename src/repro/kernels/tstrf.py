@@ -20,16 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from .base import (
-    TargetImage,
-    Workspace,
-    box_image,
-    box_index,
-    serial_matmul,
-    triangle,
-    triangle_inverse,
-)
-from .gessm import panel_compiled, panel_dense, panel_levels, panel_sweep
+from .base import TargetImage, Workspace, triangle
+from .gessm import panel_compiled, panel_dense, panel_inverse, panel_levels, panel_sweep
 from .plans import SolvePlan, run_solve_plan
 
 __all__ = [
@@ -67,21 +59,10 @@ def tstrf_c_v2(
     image: TargetImage | None = None,
 ) -> None:
     """Dense-mapped solve (CPU V2, "Direct"): one GEMM of the image of
-    ``B``'s occupied rows (:func:`~repro.kernels.base.box_image`, axis
-    0) with the dense inverse of ``U`` from the right, gathered back at
-    ``B``'s pattern.  ``inv`` is that inverse and ``image`` ``B``'s
-    image when the caller holds them (as for ``gessm_c_v2``); building
-    the inverse raises on a zero or missing ``U`` diagonal, and the
-    error of the result grows with ``cond(U)`` — see
-    :func:`~repro.kernels.base.triangle_inverse`."""
-    if inv is None:
-        inv = triangle_inverse(diag, lower=False)
-    pos, w = box_image(b, 0) if image is None else (image.pos, image.dense)
-    out = serial_matmul(w, inv)
-    rows, cols = b.rows_cols()
-    b.data[...] = out[box_index(pos, rows), cols]
-    if image is not None:
-        image.dense = out
+    ``B``'s occupied rows with the dense inverse of ``U`` from the right
+    (:func:`~repro.kernels.gessm.panel_inverse`); building the inverse
+    raises on a zero or missing ``U`` diagonal."""
+    panel_inverse(diag, b, lower=False, inv=inv, image=image)
 
 
 def tstrf_g_v1(

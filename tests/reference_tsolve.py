@@ -15,7 +15,10 @@ engines agree with that replay bit for bit.
 ``solve_lower_unit`` / ``solve_upper`` are the diagonal-block
 substitutions ``tests/test_numeric.py`` checks by name, ``update`` the
 off-diagonal push, ``diag_solve_flops`` the per-column count in the
-solve DAG's diagonal-task flops.  Nothing here imports a kernel from ``src/``, and
+solve DAG's diagonal-task flops, and ``build_tsolve_dag_loop`` the
+per-segment pass the array-built
+:func:`repro.core.tsolve_dag.build_tsolve_dag` replaced, which must
+build the same tasks and edges.  Nothing here imports a kernel from ``src/``, and
 nothing under ``src/`` imports this module.
 """
 
@@ -25,6 +28,9 @@ import numpy as np
 
 from repro.core.blocking import BlockMatrix
 from repro.core.tsolve import checked_rhs
+from repro.core.tsolve_dag import (
+    FORWARD, TSolveDAG, TSolveTaskType, block_line_sources,
+)
 from repro.sparse.csc import CSCMatrix
 
 
@@ -116,3 +122,79 @@ def diag_solve_flops(f: BlockMatrix, k: int, *, lower: bool) -> float:
         pos = int(np.searchsorted(rows, j))
         strict += (rows.size - pos - 1) if lower else pos
     return 2.0 * strict + (0.0 if lower else n)
+
+
+def build_tsolve_dag_loop(
+    f: BlockMatrix, owner_of_block, *, transposed: bool = False
+) -> TSolveDAG:
+    """The solve DAG built segment by segment: per segment, in sweep
+    order, one ``LSUM`` per other rank holding blocks of its line whose
+    segment came earlier (ascending rank), then its diagonal task, which
+    waits for them (and, backward, for the segment's forward task)."""
+    nb = f.nb
+    nnz = f.slot_structure().nnz
+    lines = block_line_sources(f, transposed=transposed)
+    kinds, segment, sources, slot_of, flops, out_b, owner = [], [], [], [], [], [], []
+    successors: list[list[int]] = []
+    n_deps: list[int] = []
+
+    def block_owner(i: int, k: int) -> int:
+        return int(owner_of_block(k, i) if transposed else owner_of_block(i, k))
+
+    def sweep(diag_kind, lsum_kind, order, lower: bool, after=None) -> list[int]:
+        diag_of = [-1] * nb
+        for i in order:
+            ks, slots = lines[i]
+            keep = np.take(diag_of, ks) >= 0
+            ks, slots = ks[keep], slots[keep]
+            ranks = np.asarray([block_owner(i, k) for k in ks.tolist()], dtype=np.int64)
+            p = block_owner(i, i)
+            tids: list[int] = []
+            for r in [*np.unique(ranks[ranks != p]).tolist(), p]:
+                mine = ranks == r
+                preds = [diag_of[k] for k in ks[mine].tolist()]
+                fl = 2.0 * nnz[slots[mine]].sum()
+                nbytes = 8.0 * f.block_order(i)
+                if r == p:
+                    preds += tids + ([] if after is None else [after[i]])
+                    kind, fl = diag_kind, fl + diag_solve_flops(f, i, lower=lower)
+                else:
+                    kind, nbytes = lsum_kind, nbytes * int(mine.sum())
+                tid = len(kinds)
+                kinds.append(int(kind))
+                segment.append(i)
+                sources.append(ks[mine].astype(np.int64))
+                slot_of.append(slots[mine])
+                flops.append(float(fl))
+                out_b.append(nbytes)
+                owner.append(r)
+                successors.append([])
+                n_deps.append(len(preds))
+                for q in preds:
+                    successors[q].append(tid)
+                tids.append(tid)
+            diag_of[i] = tids[-1]
+        return diag_of
+
+    diag_f = sweep(TSolveTaskType.DIAG_F, TSolveTaskType.LSUM_F, range(nb),
+                   not transposed)
+    sweep(TSolveTaskType.DIAG_B, TSolveTaskType.LSUM_B,
+          range(nb - 1, -1, -1), transposed, after=diag_f)
+    entries = [
+        (i if kind in FORWARD else 2 * nb - 1 - i, kind, tid)
+        for tid, (kind, i) in enumerate(zip(kinds, segment))
+    ]
+    return TSolveDAG(
+        kinds=np.asarray(kinds, dtype=np.int64),
+        segment=np.asarray(segment, dtype=np.int64),
+        sources=sources,
+        slots=slot_of,
+        flops=np.asarray(flops),
+        out_bytes=np.asarray(out_b),
+        n_deps=np.asarray(n_deps, dtype=np.int64),
+        successors=successors,
+        owner=np.asarray(owner, dtype=np.int64),
+        total_flops=float(np.sum(flops)),
+        entries=entries,
+        transposed=transposed,
+    )

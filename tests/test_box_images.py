@@ -20,7 +20,7 @@ from repro.cholesky import CholeskyOptions, PanguLLt
 from repro.kernels import GESSM_VARIANTS, SSSSM_VARIANTS, TSTRF_VARIANTS, Workspace
 from repro.kernels.base import BOX_OCCUPANCY, box_image
 from repro.kernels.ssssm import ssssm_c_v1
-from repro.kernels.tsolve_kernels import prod_seg
+from repro.kernels.tsolve_kernels import prod_stack
 from repro.sparse import CSCMatrix, generate, grid_laplacian_2d
 
 ULP4 = 4 * np.finfo(np.float64).eps
@@ -201,12 +201,27 @@ class TestMultiRhsUpdate:
         blk = _block(rng, (m, n), dtype=dtype, density=0.3,
                      **{("cols" if transposed else "rows"): lines})
         src = rng.standard_normal((m if transposed else n, 16))
-        panel = rng.standard_normal((n if transposed else m, 16))
-        prod_seg(panel, blk, src, transposed=transposed)
+        out = n if transposed else m
+        start = np.zeros(1, dtype=np.int64)
+        (panel,) = prod_stack([blk], start, src, out, transposed=transposed)
         for j in range(16):
-            col = np.empty(panel.shape[0])
-            prod_seg(col, blk, src[:, j].copy(), transposed=transposed)
+            (col,) = prod_stack([blk], start, src[:, j].copy(), out,
+                                transposed=transposed)
             _close(panel[:, j], col)
         if lines is not None:
             untouched = np.setdiff1d(np.arange(panel.shape[0]), lines)
             assert not panel[untouched].any()
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_a_stack_is_its_blocks_products_bit_for_bit(self, transposed):
+        """Several blocks at their own offsets into the source, in one
+        ``bincount``: each row of the stack is that block's product alone."""
+        rng = np.random.default_rng(12)
+        blocks = [_block(rng, (8, 8), density=0.4) for _ in range(3)]
+        starts = np.array([16, 0, 8])
+        v = rng.standard_normal(24)
+        stack = prod_stack(blocks, starts, v, 8, transposed=transposed)
+        for row, blk, start in zip(stack, blocks, starts.tolist()):
+            (alone,) = prod_stack([blk], np.zeros(1, np.int64), v[start:start + 8], 8,
+                                  transposed=transposed)
+            assert np.array_equal(row, alone)

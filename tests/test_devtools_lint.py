@@ -121,9 +121,9 @@ SEEDED = {
         "        except (OSError, ValueError, TransportStopped) as post_exc:\n",
     ),
     "no-implicit-float64:inverse-in-default-dtype": (
-        "no-implicit-float64", "kernels/base.py",
-        "    d = np.zeros(diag.shape, dtype=diag.dtype if dtype is None else dtype)\n",
-        "    d = np.zeros(diag.shape)\n",
+        "no-implicit-float64", "sparse/csc.py",
+        "        out = np.zeros(self.shape, dtype=self._dtype)\n",
+        "        out = np.zeros(self.shape)\n",
     ),
 }
 

@@ -31,6 +31,8 @@ from repro.kernels.base import (
     SERIAL_GEMM_WORK,
     box_image,
     dense_getrf,
+    inverse_triangle,
+    invert_factors,
     serial_matmul,
     triangle,
     triangle_inverse,
@@ -407,10 +409,13 @@ class TestDenseMapped:
         for lower, fn, blk in (
             (True, GESSM_VARIANTS["C_V2"], b), (False, TSTRF_VARIANTS["C_V2"], r)
         ):
-            alone, handed = blk.copy(), blk.copy()
+            alone, handed, kept = blk.copy(), blk.copy(), blk.copy()
             fn(d, alone, ws)
             fn(d, handed, ws, inv=triangle_inverse(d, lower=lower))
+            # the panel cache's: a triangle of the block's packed inverse
+            fn(d, kept, ws, inv=inverse_triangle(_packed(d), lower=lower))
             assert np.array_equal(alone.data, handed.data)
+            assert np.array_equal(alone.data, kept.data)
         alone, handed = c.copy(), c.copy()
         SSSSM_VARIANTS["C_V1"](alone, r, b, ws)
         SSSSM_VARIANTS["C_V1"](
@@ -469,11 +474,17 @@ class TestDenseMapped:
         assert 1e9 < cond < 1e11
 
 
+def _packed(d: CSCMatrix) -> np.ndarray:
+    """The packed float64 inverse a block matrix keeps for ``d``
+    (:meth:`~repro.core.blocking.BlockMatrix.diag_inverse`)."""
+    return invert_factors(d.to_dense().astype(np.float64))
+
+
 class TestDiagSeg:
     """The solve phase's diagonal kernel: ``L⁻¹``, ``U⁻¹``, ``U⁻ᵀ``, ``L⁻ᵀ``
-    are one inverse each, against ``numpy.linalg.solve`` on the dense
-    triangle within the envelope :class:`TestDenseMapped` holds the
-    inverse form to."""
+    are one triangle each of the block's packed float64 inverse, against
+    ``numpy.linalg.solve`` on the dense triangle within the envelope
+    :class:`TestDenseMapped` holds the inverse form to."""
 
     ROLES = [(True, False), (False, False), (False, True), (True, True)]
 
@@ -488,7 +499,8 @@ class TestDiagSeg:
         rng = np.random.default_rng(n + nrhs)
         host = rng.standard_normal(n + 9 if nrhs == 1 else (n + 9, nrhs))
         before, values = host.copy(), d.data.copy()
-        diag_seg(d, host[4:4 + n], lower=lower, transposed=transposed)
+        diag_seg(_packed(d), host[4:4 + n], Workspace(), lower=lower,
+                 transposed=transposed)
         ref = np.linalg.solve(tri, before[4:4 + n])
         cond = np.linalg.cond(tri)
         bound = 8 * n * np.finfo(float).eps * cond * np.abs(ref).max()
@@ -521,8 +533,24 @@ class TestDiagSeg:
         d.data[d.indptr[2] + int(np.searchsorted(d.indices[d.col_slice(2)], 2))] = 0.0
         seg = np.ones(d.ncols)
         with pytest.raises(SingularBlockError, match="U diagonal at 2"):
-            diag_seg(d, seg, lower=False, transposed=transposed)
+            diag_seg(_packed(d), seg, Workspace(), lower=False,
+                     transposed=transposed)
         assert np.array_equal(seg, np.ones(d.ncols))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_packed_inverse_holds_both_triangle_inverses(self, dtype):
+        """``L⁻¹`` strictly below the diagonal, ``U⁻¹`` on and above it, in
+        float64 whatever the factor dtype: each triangle bit for bit what
+        its own ``trtri`` gives on the float64 values, and so is the
+        workspace's copy of it."""
+        d, _, _, _ = _factored(6, dtype=dtype)
+        wide = CSCMatrix(d.shape, d.indptr, d.indices, d.data.astype(np.float64))
+        packed, ws = _packed(d), Workspace()
+        assert packed.dtype == np.float64
+        for lower in (True, False):
+            alone = triangle_inverse(wide, lower=lower)
+            assert np.array_equal(inverse_triangle(packed, lower=lower), alone)
+            assert np.array_equal(ws.triangle(packed, lower=lower), alone)
 
 
 class TestSplitLU:

@@ -17,7 +17,7 @@ from repro.core import (
 from repro.runtime import A100_PLATFORM, simulate_tsolve
 from repro.sparse import generate, random_sparse
 
-from .reference_tsolve import diag_solve_flops
+from .reference_tsolve import build_tsolve_dag_loop, diag_solve_flops
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,27 @@ class TestTSolveDAG:
             for k in range(f.nb) for lower in (True, False)
         )
         assert dag.total_flops == off_diag + diag
+
+    @pytest.mark.parametrize("name", ["ecology1", "audikw_1", "cage12", "nlpkkt80"])
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_array_build_equals_the_per_segment_pass(self, name, nprocs, transposed):
+        """``build_tsolve_dag`` (array operations over every stored block)
+        builds the tasks, numbers, sources and their slots, flops, bytes, owners, edges
+        — successor lists in the same order — and priorities of the
+        per-segment pass it replaced, exactly."""
+        f = PanguLU(generate(name, scale=0.3)).preprocess()
+        owner = CyclicPlacement(nprocs).owner if nprocs > 1 else (lambda bi, bj: 0)
+        got = build_tsolve_dag(f, owner, transposed=transposed)
+        ref = build_tsolve_dag_loop(f, owner, transposed=transposed)
+        for name_ in ("kinds", "segment", "flops", "out_bytes", "n_deps", "owner"):
+            a, b = getattr(got, name_), getattr(ref, name_)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name_
+        assert len(got.sources) == len(ref.sources)
+        for lists in ((got.sources, ref.sources), (got.slots, ref.slots)):
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(*lists))
+        assert got.successors == ref.successors
+        assert got.entries == ref.entries and got.total_flops == ref.total_flops
 
     def test_simulation_completes(self, prepared):
         for p in (1, 4, 16):

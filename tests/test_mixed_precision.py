@@ -114,7 +114,7 @@ class TestRefinementRecoversAccuracy:
         with pytest.raises(RefinementStalled) as ei:
             refined_solve(
                 fact.apply, a.matvec, np.ones(n), tol=1e-30, budget=3,
-                history=[], exact=False,
+                history=[],
             )
         err = ei.value
         assert err.achieved > err.tol == 1e-30

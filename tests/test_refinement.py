@@ -9,7 +9,7 @@ import pytest
 
 from repro import PanguLU, RefinementStalled, SolverOptions
 from repro.core.mapping import ProcessGrid
-from repro.core.solver import REFINE_TOL, refined_solve
+from repro.core.solver import REFINE_MAX_ITER, REFINE_TOL, refined_solve
 from repro.core.tsolve_dag import build_tsolve_dag
 from repro.kernels import SingularBlockError
 from repro.runtime import engines, tsolve_distributed
@@ -55,24 +55,31 @@ class TestRefinementSteps:
         a = random_sparse(60, 0.08, seed=9)
         bad = a.scale(np.logspace(-5, 5, 60), None)
         b = np.ones(60)
-        s = PanguLU(bad)
-        res = {0: s.residual_norm(s.factorize().apply(b), b),
-               40: s.residual_norm(s.solve(b), b)}
-        assert res[40] <= res[0] * 1.0001  # refinement never hurts
-        # and on this conditioning it genuinely helps
-        assert res[40] < res[0] or res[0] < 1e-12
+        fact = PanguLU(bad).factorize()
+        history: list = []
+        # the rows' 1e10 spread puts the residual floor above REFINE_TOL:
+        # the solve escalates and raises rather than return short of it
+        with pytest.raises(RefinementStalled):
+            fact._solve_refined(b, False, None, history)
+        rels = [rel for step, rel in history if step != "fgmres"]
+        assert history[0][0] == "apply"
+        # on this conditioning the sweeps genuinely help
+        assert min(rels[1:]) < rels[0]
 
     def test_refinement_applies_to_multi_rhs(self):
         a = random_sparse(40, 0.08, seed=3)
         bad = a.scale(np.logspace(-3, 3, 40), None)
-        s = PanguLU(bad, SolverOptions())
+        fact = PanguLU(bad, SolverOptions()).factorize()
         B = np.eye(40)[:, :3]
-        X = s.solve(B)
         d = bad.to_dense()
-        # componentwise residual at the refinement floor
+        # the floor of the componentwise residual
         floor = np.finfo(float).eps * np.abs(d).sum(axis=1).max() * (
-            np.abs(X).max() + 1.0
+            np.abs(fact.apply(B)).max() + 1.0
         )
+        # the rows' spread puts it near REFINE_TOL, so the loop is asked
+        # for the floor itself (the facade refuses what it cannot reach)
+        X = refined_solve(fact.apply, bad.matmat, B, tol=10 * floor,
+                          budget=REFINE_MAX_ITER, history=[])
         assert np.abs(d @ X - B).max() < 1e4 * floor
 
     @staticmethod
@@ -137,23 +144,24 @@ class TestOnePolicy:
             ((step, rel),) = fact.last_tsolve_stats.residual_history
             assert step == "apply" and rel <= REFINE_TOL
 
-    def test_float64_floor_above_tol_returns_best_iterate(self, sweeps):
+    def test_float64_floor_above_tol_escalates_and_raises(self, sweeps):
+        """Exact float64 factors whose residual floor is above the
+        tolerance: the sweeps stall, GMRES-IR is tried, and the solve
+        raises — it does not return an iterate short of ``REFINE_TOL``."""
         a = _ill_conditioned(60, 12, seed=0)
         b = np.ones(60)
-        s = PanguLU(a)
-        res_bare = s.residual_norm(s.factorize().apply(b), b)
-        n_before = len(sweeps)
-        x = s.solve(b)  # must not raise RefinementStalled
-        history = s.factorize().last_tsolve_stats.residual_history
-        rels = [rel for _, rel in history]
-        assert min(rels) > REFINE_TOL  # the floor is above tol
-        assert [step for step, _ in history] == ["apply"] + ["sweep"] * (
-            len(history) - 1
-        )  # exact factors: no escalation step
-        # stopped on the stall rule, long before the budget
-        assert len(sweeps) - n_before == len(history) < 10
-        assert s.residual_norm(x, b) == pytest.approx(min(rels), rel=1e-12)
-        assert s.residual_norm(x, b) <= res_bare * 1.0001  # never hurts
+        fact = PanguLU(a).factorize()
+        assert fact.stats.pivots_replaced == 0
+        history: list = []
+        with pytest.raises(RefinementStalled) as ei:
+            fact._solve_refined(b, False, None, history)
+        err = ei.value
+        assert err.achieved > err.tol == REFINE_TOL
+        assert err.pivots_replaced == 0 and "factors' precision" in str(err)
+        steps = [step for step, _ in history]
+        # stopped on the stall rule, long before the budget, then escalated
+        assert steps[0] == "apply" and steps[-1] == "fgmres"
+        assert set(steps[1:-1]) == {"sweep"} and len(steps) < 10
 
     @pytest.mark.parametrize("factor", [0.1, 0.01, 0.001])
     @pytest.mark.parametrize("name", ["apache2", "ecology1", "G3_circuit"])
@@ -183,12 +191,45 @@ class TestOnePolicy:
         a = _ill_conditioned(60, 16, seed=0)
         fact = PanguLU(a).factorize()
         history = []
-        refined_solve(
-            fact.apply, a.matvec, np.ones(60), tol=REFINE_TOL, budget=1,
-            history=history, exact=True,
-        )
-        assert len(sweeps) == 2  # the apply and the one sweep allowed
-        assert len(history) == 2
+        with pytest.raises(RefinementStalled):
+            refined_solve(
+                fact.apply, a.matvec, np.ones(60), tol=REFINE_TOL, budget=1,
+                history=history,
+            )
+        # the apply and the one sweep allowed, then the escalation
+        assert [step for step, _ in history] == ["apply", "sweep", "fgmres"]
+
+
+class TestRefinedSolveEscalates:
+    """``refined_solve`` on float64 with a deliberately poor factor
+    application: the sweeps stall, and the GMRES-IR escalation either
+    reaches the tolerance or raises — there is no silent return."""
+
+    @staticmethod
+    def _spd(n: int = 30) -> CSCMatrix:
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+        return CSCMatrix.from_dense((q * np.linspace(1.0, 3.0, n)) @ q.T)
+
+    def test_poor_apply_recovered_by_gmres(self):
+        a = self._spd()
+        b = np.ones(a.nrows)
+        history: list = []
+        # "factors" that are the identity: A - I has norm 2, so plain
+        # refinement diverges; FGMRES on A still converges
+        x = refined_solve(lambda r: r.copy(), a.matvec, b, tol=REFINE_TOL,
+                          budget=40, history=history)
+        assert np.linalg.norm(b - a.matvec(x)) <= REFINE_TOL * np.linalg.norm(b)
+        steps = [step for step, _ in history]
+        assert steps[0] == "apply" and steps[-1] == "fgmres"
+        assert len(steps) < 10  # the stall rule stopped the sweeps early
+
+    def test_useless_apply_raises(self):
+        a = self._spd()
+        history: list = []
+        with pytest.raises(RefinementStalled) as ei:
+            refined_solve(lambda r: 0.0 * r, a.matvec, np.ones(a.nrows),
+                          tol=REFINE_TOL, budget=40, history=history)
+        assert ei.value.achieved > REFINE_TOL and history[-1][0] == "fgmres"
 
 
 class TestRefinementConvergence:
