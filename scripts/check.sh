@@ -90,7 +90,13 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # -4 (PanelCache reads the kept inverse, publishes no triangle keys), core/solver.py
 # -2 (no exact flag), core/tsolve.py -1 (one prod_stack per task), core/tsolve_dag.py
 # -10 (the array-built solve DAG, the diagonal flops counted per block)
-MAX_CORE_RUNTIME_LINES=4198
+# then +5: core/blocking.py keeps the keys layer 1 determines (the slot
+# index, blk_colidx, the slot keys, the slot structure) as cached
+# properties of BlockMatrix, built once per structure, shared with
+# restricted() copies and left out of pickles, where FactorJob rebuilt
+# them 13 times per factorisation; the slot index's field, its
+# per-column loop and its pickling line went with it
+MAX_CORE_RUNTIME_LINES=4203
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -131,7 +137,13 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # then -164: the -154 above, -9 in the CLI (--verify), the devtools/ -1 below
 # then -16: the -17 above, +1 in baseline/ (its steps are created in level order)
 # then -4: the -2 above, the kernels/ -2 below
-MAX_SRC_LINES=8984
+# then +30: +27 in ordering/ — nd.py +30 (ND orders all its leaves in one
+# batched uint64-bitset elimination, not one Python-int loop per leaf, and
+# the recursion keeps each leaf's output slot for it), rcm.py -3 (the
+# compiled traversal runs on int32 arrays with no sparse-matrix object,
+# the level bounds come off its predecessors) — the +5 above, the
+# devtools/ -2 below
+MAX_SRC_LINES=9014
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver
@@ -147,7 +159,9 @@ line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 # 715 -> 716: kernel-purity names the kernel's own target image writable, like ws
 # 716 -> 715: kernel-purity's aliasing follows either arm of a conditional
 # expression (the one-root-per-name map became a set of roots)
-MAX_DEVTOOLS_LINES=715
+# 715 -> 713: a prod_* kernel writes no parameter (its output index is
+# None), and the empty-parameter early return folded into the index check
+MAX_DEVTOOLS_LINES=713
 line_ratchet "src/repro/devtools" "$MAX_DEVTOOLS_LINES" src/repro/devtools
 
 # the kernels are paper-fidelity code mostly off the benchmark's path

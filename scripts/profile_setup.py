@@ -8,9 +8,10 @@ order, or the input order when the asked one passed the input order's
 envelope) and the ``phase_seconds`` of a second, unprofiled one — with phase 1
 (``reorder``) split into MC64, the fill-reducing ordering and the
 ``permute`` calls by timing wrappers, and the ordering split again into
-the AMD core (seconds, calls, pivots), nested dissection's minimum-degree
-leaves (seconds, calls, vertices) and its pseudo-peripheral
-level-structure searches — and each ``symbolic_symmetric`` call on its
+the AMD core (seconds, calls, pivots), nested dissection's one batch of
+minimum-degree leaves (seconds, leaves, vertices) and its
+pseudo-peripheral level-structure searches (seconds, searches, BFS runs)
+— and each ``symbolic_symmetric`` call on its
 own line: its seconds, whether it was the capped pass (phase 1's
 envelope test) or the kept one (phase 2's result), the column a tripped
 cap reached, and the kept pass split into symmetrise / column sweep /
@@ -44,18 +45,19 @@ from repro.sparse import CSCMatrix, generate  # noqa: E402
 
 # the package re-exports the function `amd` under the submodule's name
 amd_mod = importlib.import_module("repro.ordering.amd")
+rcm_mod = importlib.import_module("repro.ordering.rcm")
 
 
 @contextmanager
 def timed_calls(targets, tallies=None):
     """Wrap each ``(owner, attribute)`` in a wall-clock accumulator for
     the duration of the block; yields ``{attribute: [seconds, calls,
-    tallied]}``, where ``tallied`` sums ``tallies[attribute](result)`` over
-    the calls (0 without a tally) and owners sharing an attribute name
-    share its entry.  The phase-1 code looks these names up when it calls
+    tallied, tallied]}``, where the two ``tallied`` sum the pair
+    ``tallies[attribute](result)`` over the calls (0 without a tally) and
+    owners sharing an attribute name share its entry.  The phase-1 code looks these names up when it calls
     them, the way the benchmark harness relies on."""
     tallies = tallies or {}
-    stats = {attr: [0.0, 0, 0] for _, attr in targets}
+    stats = {attr: [0.0, 0, 0, 0] for _, attr in targets}
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr in targets]
 
     def wrap(attr, fn):
@@ -66,7 +68,9 @@ def timed_calls(targets, tallies=None):
             entry[0] += time.perf_counter() - t0
             entry[1] += 1
             if attr in tallies:
-                entry[2] += tallies[attr](result)
+                first, second = tallies[attr](result)
+                entry[2] += first
+                entry[3] += second
             return result
         return timed
 
@@ -150,11 +154,12 @@ def main(argv: list[str] | None = None) -> int:
     solver = PanguLU(a)
     with timed_calls([(solver_mod, "mc64"), (solver_mod, "fill_reducing_ordering"),
                       (CSCMatrix, "permute"), (nd_mod, "_amd_order"),
-                      (amd_mod, "_amd_order"), (nd_mod, "_minimum_degree"),
-                      (nd_mod, "level_structure")],
-                     # the AMD core returns (order, pivots), a leaf its order
-                     tallies={"_amd_order": lambda result: result[1],
-                              "_minimum_degree": len}) as split:
+                      (amd_mod, "_amd_order"), (nd_mod, "_minimum_degree_batch"),
+                      (nd_mod, "level_structure"), (rcm_mod, "_bfs")],
+                     # the AMD core returns (order, pivots), the batch each leaf's order
+                     tallies={"_amd_order": lambda result: (result[1], 0),
+                              "_minimum_degree_batch": lambda result: (
+                                  len(result), sum(order.size for order in result))}) as split:
         with symbolic_passes() as passes:
             solver.preprocess()
     print(f"{args.matrix} x{args.scale}: n = {a.nrows}, nnz = {a.nnz}, "
@@ -171,15 +176,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"    {part:<24s}{split[part][0]:8.3f} s")
                 if part != "fill_reducing_ordering":
                     continue
-                amd_s, amd_calls, amd_pivots = split["_amd_order"]
-                leaf_s, leaf_calls, leaf_vertices = split["_minimum_degree"]
-                bfs_s, bfs_calls, _ = split["level_structure"]
+                amd_s, amd_calls, amd_pivots, _ = split["_amd_order"]
+                leaf_s, batches, leaves, leaf_vertices = split["_minimum_degree_batch"]
+                search_s, searches, *_ = split["level_structure"]
                 print(f"      {'AMD core':<22s}{amd_s:8.3f} s  "
                       f"({amd_calls} calls, {amd_pivots} pivots)")
                 print(f"      {'minimum-degree leaves':<22s}{leaf_s:8.3f} s  "
-                      f"({leaf_calls} calls, {leaf_vertices} vertices)")
-                print(f"      {'level structures':<22s}{bfs_s:8.3f} s  "
-                      f"({bfs_calls} searches)")
+                      f"({batches} batch: {leaves} leaves, {leaf_vertices} vertices)")
+                print(f"      {'level structures':<22s}{search_s:8.3f} s  "
+                      f"({searches} searches, {split['_bfs'][1]} BFS runs)")
         if phase == "symbolic":
             print_passes(passes)
     print(f"  {'setup':<12s}{sum(solver.phase_seconds.values()):8.3f} s")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -256,6 +257,10 @@ class FactorArena:
             self.data[...] = filled_data[self.gather]
 
 
+#: BlockMatrix's cached properties that layer 1 alone determines
+_LAYER1_KEYS = ("_index", "blk_colidx", "_slot_keys", "_structure")
+
+
 @dataclass
 class BlockMatrix:
     """Two-layer block-sparse matrix.
@@ -344,7 +349,6 @@ class BlockMatrix:
     owned: frozenset | None = field(default=None, repr=False)
     blk_nnz: np.ndarray | None = field(default=None, repr=False)
     inverses: dict = field(default_factory=dict, repr=False)
-    _index: dict | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.boundaries is None:
@@ -399,9 +403,9 @@ class BlockMatrix:
     def __getstate__(self) -> dict:
         """Serialise without the unpicklable/rebuildable parts.
 
-        The plan cache (holds a lock, rebuilt lazily), the slot index
-        and the kept inverses (recomputed on first use) are always
-        dropped.  With an arena, the per-block views are
+        The plan cache (holds a lock, rebuilt lazily), the slot index,
+        the layer-1 keys and the kept inverses (recomputed on first use)
+        are always dropped.  With an arena, the per-block views are
         dropped too — the three slabs are the single source of truth, so
         pickling ships three contiguous buffers instead of thousands of
         small per-block arrays.
@@ -410,7 +414,6 @@ class BlockMatrix:
             f.name: getattr(self, f.name) for f in dataclasses.fields(self)
         }
         state["plan_cache"] = None
-        state["_index"] = None
         state["inverses"] = {}
         if self.arena is not None:
             state["blk_values"] = None
@@ -427,37 +430,43 @@ class BlockMatrix:
         """Number of stored (structurally nonzero) blocks."""
         return int(self.blk_colptr[-1])
 
+    # layer 1 is fixed once the matrix is partitioned: the keys derived
+    # from it (_LAYER1_KEYS) are built on first use, shared with
+    # restricted() copies and left out of pickles (__getstate__ copies
+    # the fields only)
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        """Storage slot by block coordinates ``(bi, bj)``."""
+        coords = zip(self.blk_rowidx.tolist(), self.blk_colidx.tolist())
+        return dict(zip(coords, range(self.num_blocks)))
+
     def block_slot(self, bi: int, bj: int) -> int:
         """Storage slot of block ``(bi, bj)`` or −1 if absent (O(1) via a
-        lazily-built dictionary index)."""
-        if self._index is None:
-            index: dict[tuple[int, int], int] = {}
-            for col in range(self.nb):
-                lo, hi = int(self.blk_colptr[col]), int(self.blk_colptr[col + 1])
-                for slot in range(lo, hi):
-                    index[(int(self.blk_rowidx[slot]), col)] = slot
-            self._index = index
+        dictionary index)."""
         return self._index.get((bi, bj), -1)
 
-    @property
+    @cached_property
     def blk_colidx(self) -> np.ndarray:
         """Block column of every storage slot (``blk_rowidx``'s
         counterpart, expanded from ``blk_colptr``)."""
         return np.repeat(np.arange(self.nb), np.diff(self.blk_colptr))
 
+    @cached_property
+    def _slot_keys(self) -> np.ndarray:
+        """``bj · nb + bi`` of every slot: ascending, block-column major."""
+        return self.blk_colidx * self.nb + self.blk_rowidx
+
     def slots_of(self, bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
         """:meth:`block_slot` of whole coordinate arrays: one binary
         search over the layer-1 keys (block-column major, rows sorted
         within a column), −1 where the block is absent."""
-        keys = self.blk_colidx * self.nb + self.blk_rowidx
+        keys = self._slot_keys
         wanted = np.asarray(bj) * self.nb + np.asarray(bi)
         slots = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
         return np.where(keys[slots] == wanted, slots, -1)
 
-    def slot_structure(self) -> np.recarray:
-        """Per storage slot, the ``nnz`` / ``ncols`` / ``density`` a
-        block's payload reports — from layer-1 data alone, so it covers
-        the blocks a rank's :meth:`restricted` share does not hold."""
+    @cached_property
+    def _structure(self) -> np.recarray:
         if self.blk_nnz is None:  # a hand-built structure: all blocks held
             self.blk_nnz = np.asarray(
                 [blk.nnz for blk in self.blk_values], dtype=np.int64
@@ -469,6 +478,12 @@ class BlockMatrix:
             [self.blk_nnz, ncols, self.blk_nnz / cells],
             names="nnz,ncols,density",
         )
+
+    def slot_structure(self) -> np.recarray:
+        """Per storage slot, the ``nnz`` / ``ncols`` / ``density`` a
+        block's payload reports — from layer-1 data alone, so it covers
+        the blocks a rank's :meth:`restricted` share does not hold."""
+        return self._structure
 
     def block(self, bi: int, bj: int) -> CSCMatrix | None:
         """The block at block coordinates ``(bi, bj)``, or None if empty.
@@ -516,9 +531,10 @@ class BlockMatrix:
         the blocks in ``owned_slots`` (the same block objects — under a
         process transport the copy is the rank's own), with its own
         empty overlay and no plan cache (plans are rank-local) or kept
-        inverse."""
+        inverse; it shares the layer-1 keys (:meth:`slots_of`,
+        :meth:`slot_structure`) as they are."""
         owned = frozenset(int(s) for s in owned_slots)
-        return dataclasses.replace(
+        share = dataclasses.replace(
             self,
             blk_values=[
                 blk if slot in owned else None
@@ -527,6 +543,8 @@ class BlockMatrix:
             plan_cache=None, lr_overlay={}, owned=owned,
             inverses={},
         )
+        share.__dict__.update((key, getattr(self, key)) for key in _LAYER1_KEYS)
+        return share
 
     def install(
         self, bi: int, bj: int, indptr: np.ndarray, indices: np.ndarray,

@@ -9,8 +9,9 @@ state) breaks the engines-agree cross-checks.  The rule enforces, per
 kernel module:
 
 * a ``<role>_*`` kernel writes only through its output parameter (by
-  calling convention: ``getrf_*``/``ssssm_*``/``prod_*`` → first
-  parameter, ``gessm_*``/``tstrf_*``/``diag_*`` → second, and so the
+  calling convention: ``getrf_*``/``ssssm_*`` → first parameter,
+  ``gessm_*``/``tstrf_*``/``diag_*`` → second, ``prod_*`` → none: it
+  returns its products), and so the
   shared ``panel_*`` solves the GESSM/TSTRF names call: the triangle of
   the factored diagonal block comes first and is read-only, the block or
   dense panel solved in place second), its ``ws`` workspace and its
@@ -36,15 +37,14 @@ from collections.abc import Iterator
 from ..astlint import FileContext, Finding, Rule, register
 from ._util import dotted, functions, mutation_roots, root_name
 
-#: kernel-role prefix → index of the writable (output) parameter
-#: (the tsolve roles are the phase-5 segment kernels: ``diag_seg``
-#: writes its RHS segment — second parameter; a block-product kernel
-#: may write its first — ``prod_stack`` takes its blocks there and
-#: writes none of them, returning its stack; either direction, ``A`` or
-#: ``Aᵀ``)
+#: kernel-role prefix → index of the writable (output) parameter, None
+#: for none (the tsolve roles are the phase-5 segment kernels:
+#: ``diag_seg`` writes its RHS segment — second parameter; a
+#: block-product kernel writes no parameter — ``prod_stack`` takes its
+#: blocks first and returns its stack; either direction, ``A`` or ``Aᵀ``)
 _WRITABLE_PARAM = {
     "getrf": 0, "gessm": 1, "tstrf": 1, "ssssm": 0,
-    "panel": 1, "diag": 1, "prod": 0,
+    "panel": 1, "diag": 1, "prod": None,
 }
 
 #: parameters any kernel may write, by name: the lane's scratch workspace
@@ -164,12 +164,11 @@ class KernelPurityRule(Rule):
 
     def _check_writes(self, fn: ast.FunctionDef, ctx: FileContext) -> Iterator[Finding]:
         params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-        if not params:
-            return
         widx = _WRITABLE_PARAM[fn.name.split("_", 1)[0]]
-        if widx >= len(params):
+        if widx is not None and widx >= len(params):
             return
-        writable = {params[widx], *_WRITABLE_BY_NAME}
+        output = None if widx is None else params[widx]
+        writable = {output, *_WRITABLE_BY_NAME}
         operands = set(params) | {a.arg for a in fn.args.kwonlyargs}
         readonly = operands - writable
         aliases = _alias_map(fn, operands)
@@ -181,7 +180,6 @@ class KernelPurityRule(Rule):
                     yield ctx.finding(
                         self.name, node,
                         f"kernel {fn.name}() mutates read-only operand "
-                        f"{owner!r} (designated output is "
-                        f"{params[widx]!r}) — another task may be reading "
-                        "that block concurrently",
+                        f"{owner!r} (designated output is {output!r}) — "
+                        "another task may be reading that block concurrently",
                     )

@@ -8,15 +8,17 @@ graph into balanced halves, order both halves recursively, and number the
 separator last, in ascending vertex order (AMD inside a separator moved
 fill by under 3 % either way and cost most of ND's time).  Subgraphs at or
 below ``leaf_size`` are ordered by exact minimum degree, as METIS hands its
-small subgraphs to minimum degree: on so few vertices one Python-int bitset
-of neighbours per vertex is cheaper than AMD's quotient graph.
+small subgraphs to minimum degree.
 
 Every vertex set is sorted, so each one's induced subgraph is cut once as
 a local CSR (:func:`~repro.ordering.rcm.induced_subgraph`) whose local
-order is the global order; the level structures are searched on it in
-compiled code, and leaves are ordered from the same neighbour lists.  A
-subgraph too shallow to dissect still goes to the AMD core: on a large
-one exact minimum degree would be quadratic.
+order is the global order, and the level structures are searched on it in
+compiled code.  A leaf is not cut: the recursion only leaves its sorted
+vertex set in its output slot, and once the last separator is numbered
+:func:`_minimum_degree_batch` orders every leaf in one elimination —
+each step takes one pivot in every leaf, on ``uint64`` neighbour bitsets
+read from the full graph.  A subgraph too shallow to dissect still goes
+to the AMD core: on a large one exact minimum degree would be quadratic.
 """
 
 from __future__ import annotations
@@ -24,63 +26,104 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse.csc import CSCMatrix
-from ..sparse.patterns import adjacency
+from ..sparse.patterns import adjacency, concat_ranges
 from .amd import _amd_order
 from .rcm import Adjacency, induced_subgraph, level_structure
 
 __all__ = ["nested_dissection"]
 
 
-def _pick_separator(sizes: np.ndarray) -> int:
-    """Choose the BFS level used as separator, given the level sizes.
+def _pick_separator(bounds: list[int]) -> int:
+    """Choose the BFS level used as separator, given the level boundaries
+    (level ``d`` is positions ``bounds[d]:bounds[d + 1]``).
 
     Scans the middle half of the level structure and picks the level
     minimising ``|separator| / min(|A|, |B|)`` where A/B are the vertex
-    counts strictly before/after it — small separator, balanced halves.
+    counts strictly before/after it — small separator, balanced halves;
+    the shallowest on ties.  A few dozen levels are scanned in the
+    interpreter faster than numpy sets up its arrays.
     """
-    depth = len(sizes)
-    sizes = np.asarray(sizes, dtype=np.float64)
-    prefix = np.cumsum(sizes)
-    total = prefix[-1]
+    depth = len(bounds) - 1
     lo = max(1, depth // 4)
-    hi = max(lo + 1, (3 * depth) // 4 + 1)
-    best, best_score = lo, np.inf
-    for d in range(lo, min(hi, depth - 1)):
-        before = prefix[d - 1]
-        after = total - prefix[d]
-        small = min(before, after)
-        if small <= 0:
-            continue
-        score = sizes[d] / small
-        if score < best_score:
-            best, best_score = d, score
+    hi = min(max(lo + 1, (3 * depth) // 4 + 1), depth - 1)
+    total = bounds[-1]
+    best, best_score = lo, float("inf")
+    for d in range(lo, hi):
+        small = min(bounds[d], total - bounds[d + 1])
+        if small > 0 and (bounds[d + 1] - bounds[d]) / small < best_score:
+            best, best_score = d, (bounds[d + 1] - bounds[d]) / small
     return best
+
+
+#: bit ``k`` of a 64-bit word
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _minimum_degree_batch(adj: Adjacency, leaves: list[np.ndarray]) -> list[np.ndarray]:
+    """Exact minimum-degree elimination order of each leaf — a sorted
+    vertex set of ``adj``, the sets disjoint — on the subgraph it induces,
+    every leaf eliminating one pivot per step of one batched elimination.
+
+    A leaf's vertex ``i`` (its local index) keeps its live neighbours as
+    bits of ``ceil(size / 64)`` ``uint64`` words; eliminating ``v`` ORs
+    ``v``'s set into each neighbour's and takes ``v`` out, and a degree is
+    ``np.bitwise_count``.  The pivot is the live vertex of least degree,
+    the lowest local index on ties (``argmin`` keeps the first).  Returns
+    each leaf's order as local indices."""
+    ptr, idx = adj
+    sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
+    width = int(sizes.max(initial=0))
+    if width == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in leaves]
+    # largest leaf first, so the leaves still eliminating at step t are a prefix
+    rank = np.argsort(-sizes, kind="stable")
+    sizes = sizes[rank]
+    words = -(-width // 64)
+    verts = np.concatenate([leaves[r] for r in rank])
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row = np.repeat(np.arange(rank.size) * width, sizes) + np.arange(verts.size) - first
+    # row of every leaf vertex in the (leaf, local index) layout, -1 elsewhere
+    where = np.full(ptr.size - 1, -1, dtype=np.int64)
+    where[verts] = row
+    starts, counts = ptr[verts], ptr[verts + 1] - ptr[verts]
+    nbr = where[idx[concat_ranges(starts, counts)]]
+    owner = np.repeat(row, counts)
+    inside = (nbr >= 0) & (nbr // width == owner // width)
+    dense = np.zeros((rank.size * width, 64 * words), dtype=bool)
+    dense[owner[inside], nbr[inside] % width] = True
+    bits = np.packbits(dense, bitorder="little").view("<u8").reshape(rank.size, width, words)
+    degree = np.full((rank.size, width), width, dtype=np.int64)   # width: no vertex
+    degree.reshape(-1)[row] = np.bitwise_count(bits.reshape(-1, words)[row]).sum(axis=1)
+    order = np.empty((rank.size, width), dtype=np.int64)
+    live = rank.size
+    for step in range(width):
+        while sizes[live - 1] <= step:
+            live -= 1
+        leaf = np.arange(live)
+        pivot = degree[:live].argmin(axis=1)
+        order[:live, step] = pivot
+        degree[leaf, pivot] = width
+        clique = bits[leaf, pivot]
+        # the pivots' neighbours, as (leaf, local index) pairs
+        found = np.unpackbits(clique.view(np.uint8), bitorder="little").view(bool)
+        at, u = np.divmod(np.flatnonzero(found), 64 * words)
+        if at.size == 0:
+            continue
+        merged = bits[at, u] | clique[at]
+        k = np.arange(at.size)
+        merged[k, u >> 6] &= ~_BIT[u & 63]
+        p = pivot[at]
+        merged[k, p >> 6] &= ~_BIT[p & 63]
+        bits[at, u] = merged
+        degree[at, u] = np.bitwise_count(merged).sum(axis=1)
+    return [order[j, :sizes[j]] for j in np.argsort(rank).tolist()]
 
 
 def _minimum_degree(adj: Adjacency) -> list[int]:
     """Exact minimum-degree elimination order of the graph ``adj``: the
     pivot is the lowest-index vertex of least degree in the elimination
-    graph.  Each vertex's neighbours are one Python-int bitset, and its key
-    ``degree · n + vertex`` makes that pivot the smallest key."""
-    ptr, idx = adj
-    flat, bounds = idx.tolist(), ptr.tolist()
-    n = len(bounds) - 1
-    nbrs = [sum(1 << u for u in flat[bounds[v]:bounds[v + 1]]) for v in range(n)]
-    key = [s.bit_count() * n + v for v, s in enumerate(nbrs)]
-    order: list[int] = []
-    for _ in range(n):
-        v = min(key) % n
-        key[v] = n * n                     # above every live key
-        order.append(v)
-        # v's neighbours become a clique, and v leaves their sets
-        clique = rest = nbrs[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            nbrs[u] = (nbrs[u] | clique) & ~(low | (1 << v))
-            key[u] = nbrs[u].bit_count() * n + u
-    return order
+    graph (:func:`_minimum_degree_batch` on one leaf, the whole graph)."""
+    return _minimum_degree_batch(adj, [np.arange(adj[0].size - 1)])[0].tolist()
 
 
 def _dissect(
@@ -88,18 +131,22 @@ def _dissect(
     vertices: np.ndarray,
     degree: np.ndarray,
     leaf_size: int,
-    out: list[int],
+    out: list[np.ndarray],
+    leaves: list[int],
 ) -> None:
-    """Order the sorted vertex set ``vertices`` into ``out``; ``adj`` is its
-    induced subgraph in local numbering, ``degree`` its full-graph
-    degrees."""
-    if vertices.size <= leaf_size:
-        out.extend(vertices[_minimum_degree(adj)].tolist())
-        return
+    """Order the sorted vertex set ``vertices`` (more than ``leaf_size``)
+    into ``out``; ``adj`` is its induced subgraph in local numbering,
+    ``degree`` its full-graph degrees.  A part at or below ``leaf_size``
+    goes into ``out`` as its sorted vertex set, its slot into ``leaves``:
+    :func:`nested_dissection` orders every leaf at the end, in one batch."""
 
     def recurse(part: np.ndarray) -> None:
-        _dissect(induced_subgraph(adj, part), vertices[part], degree[part],
-                 leaf_size, out)
+        if part.size <= leaf_size:
+            leaves.append(len(out))
+            out.append(vertices[part])
+        else:
+            _dissect(induced_subgraph(adj, part), vertices[part], degree[part],
+                     leaf_size, out, leaves)
 
     _, order, bounds = level_structure(adj, 0, degree)
     if order.size < vertices.size:
@@ -112,14 +159,14 @@ def _dissect(
 
     if len(bounds) < 4:
         # graph too shallow to dissect — fall back to AMD
-        out.extend(vertices[_amd_order(adj)[0]].tolist())
+        out.append(vertices[_amd_order(adj)[0]])
         return
 
-    d = _pick_separator(np.diff(bounds))
+    d = _pick_separator(bounds)
     recurse(np.sort(order[:bounds[d]]))
     recurse(np.sort(order[bounds[d + 1]:]))
     # separator last (eliminated after both halves), in ascending order
-    out.extend(vertices[np.sort(order[bounds[d]:bounds[d + 1]])].tolist())
+    out.append(vertices[np.sort(order[bounds[d]:bounds[d + 1]])])
 
 
 def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
@@ -141,9 +188,15 @@ def nested_dissection(a: CSCMatrix, *, leaf_size: int = 64) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     adj = adjacency(a)
-    out: list[int] = []
-    _dissect(adj, np.arange(n, dtype=np.int64), np.diff(adj[0]), leaf_size, out)
-    perm = np.asarray(out, dtype=np.int64)
+    vertices = np.arange(n, dtype=np.int64)
+    out, leaves = [vertices], [0]
+    if n > leaf_size:
+        out, leaves = [], []
+        _dissect(adj, vertices, np.diff(adj[0]), leaf_size, out, leaves)
+    orders = _minimum_degree_batch(adj, [out[k] for k in leaves])
+    for k, order in zip(leaves, orders):
+        out[k] = out[k][order]
+    perm = np.concatenate(out)
     if perm.size != n or np.unique(perm).size != n:  # pragma: no cover
         raise AssertionError("nested dissection produced an invalid permutation")
     return perm

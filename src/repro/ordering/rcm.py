@@ -5,15 +5,17 @@ Graphs are the flat ``(ptr, idx)`` arrays of
 :func:`repro.sparse.patterns.adjacency` (sorted neighbour lists, no
 self-loops).  A search restricted to a vertex set runs on that set's
 induced subgraph, cut out once as a local CSR; the traversal itself is
-``scipy.sparse.csgraph.breadth_first_order`` (compiled), so the
-interpreter pays per search, not per BFS level or per edge.
+the compiled routine behind ``scipy.sparse.csgraph.breadth_first_order``,
+called on the 32-bit ``(ptr, idx)`` pair directly (no sparse-matrix
+object per search), and the level boundaries are read off its
+predecessors in a few array passes and one lookup per level — so the
+interpreter pays per search and per level, not per vertex or per edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph._traversal import _breadth_first_directed
 
 from ..sparse.csc import CSCMatrix
 from ..sparse.patterns import adjacency, concat_ranges
@@ -45,21 +47,27 @@ def induced_subgraph(adj: Adjacency, vertices: np.ndarray) -> Adjacency:
     return sub_ptr, nbrs[inside]
 
 
-def _bfs(graph: csr_array, start: int) -> tuple[np.ndarray, list[int]]:
-    """Breadth-first order from ``start`` and its level boundaries: level
-    ``d`` is ``order[bounds[d]:bounds[d + 1]]``.  The positions of the
-    BFS parents never decrease along the order, so level ``d + 1`` starts
-    at the first vertex whose parent sits at or past the start of level
-    ``d``: one table lookup per level."""
-    order, pred = breadth_first_order(graph, start, directed=True,
-                                      return_predecessors=True)
-    pos = np.empty(graph.shape[0], dtype=np.int64)
-    pos[order] = np.arange(order.size, dtype=np.int64)
-    parent_pos = pos[pred[order[1:]]]
-    next_start = (1 + np.searchsorted(parent_pos, np.arange(order.size))).tolist()
+def _int32(adj: Adjacency) -> Adjacency:
+    """``adj`` in the 32-bit index type the compiled traversal takes."""
+    return adj[0].astype(np.int32), adj[1].astype(np.int32)
+
+
+def _bfs(graph: Adjacency, start: int) -> tuple[np.ndarray, list[int]]:
+    """Breadth-first order from ``start`` on the :func:`_int32` graph
+    ``graph``, and its level boundaries: level ``d`` is
+    ``order[bounds[d]:bounds[d + 1]]``.  The BFS parents' positions never
+    decrease along the order, so levels ``1 … d + 1`` are the children of
+    levels ``0 … d``: with the children counted per vertex and summed
+    along the order, each boundary is one lookup."""
+    ptr, idx = graph
+    m = ptr.size - 1
+    order = np.empty(m, dtype=np.int32)
+    pred = np.full(m, -9999, dtype=np.int32)
+    order = order[:_breadth_first_directed(start, idx, ptr, order, pred)]
+    ends = memoryview(np.cumsum(np.bincount(pred[order[1:]], minlength=m)[order]))
     bounds = [0, 1]
     while bounds[-1] < order.size:
-        bounds.append(next_start[bounds[-1]])
+        bounds.append(1 + ends[bounds[-1] - 1])
     return order, bounds
 
 
@@ -75,12 +83,12 @@ def level_structure(
     degrees while searching a subgraph.
     """
     m = adj[0].size - 1
-    graph = csr_array((np.ones(adj[1].size), adj[1], adj[0]), shape=(m, m))
+    graph = _int32(adj)
     v = start
     order, bounds = _bfs(graph, v)
     while True:
-        last = np.sort(order[bounds[-2]:])
-        cand = int(last[int(np.argmin(degree[last]))])
+        last = order[bounds[-2]:]
+        cand = int(last[np.argmin(degree[last] * m + last)])
         new_order, new_bounds = _bfs(graph, cand)
         if len(new_bounds) <= len(bounds):
             return v, order, bounds
@@ -114,11 +122,7 @@ def bfs_levels(
     if mask is not None and not mask[start]:
         raise ValueError("start vertex is masked out")
     vertices, sub = _restricted(adj, mask)
-    m = vertices.size
-    order, bounds = _bfs(
-        csr_array((np.ones(sub[1].size), sub[1], sub[0]), shape=(m, m)),
-        int(np.searchsorted(vertices, start)),
-    )
+    order, bounds = _bfs(_int32(sub), int(np.searchsorted(vertices, start)))
     level = np.full(adj[0].size - 1, -1, dtype=np.int64)
     level[vertices[order]] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     return level, _levels(vertices, order, bounds)

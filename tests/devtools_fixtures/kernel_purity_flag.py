@@ -38,10 +38,10 @@ def panel_bad(tri, b, *, merge):
     b.data[0] = vals[0]
 
 
-def prod_bad(out, blk, src, *, transposed=False):
+def prod_bad(blocks, starts, src, m, *, transposed=False):
     src[0] = 0.0                  # solve product mutates its source segment
-    blk.data[:] = 1.0             # and the factor block it should only read
-    out[...] = 0.0
+    blocks[0].data[:] = 1.0       # and a factor block it should only read
+    return np.zeros((len(blocks), m))
 
 
 def diag_bad(diag, x, *, lower):

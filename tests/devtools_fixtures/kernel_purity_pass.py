@@ -30,8 +30,11 @@ def panel_good(tri, b, *, merge):
     b.data[0] = b.data[0] - vals[0]  # the solved block is the only one written
 
 
-def prod_good(out, blk, src, *, transposed=False):
-    out[...] = np.bincount(blk.indices, weights=blk.data * src[:1])  # writes out only
+def prod_good(blocks, starts, src, m, *, transposed=False):
+    stack = np.empty((len(blocks), m))
+    for out, blk in zip(stack, blocks):
+        out[...] = np.bincount(blk.indices, weights=blk.data * src[:1])  # its own stack only
+    return stack
 
 
 def diag_good(diag, x, *, lower):

@@ -238,7 +238,7 @@ class TestSerialisation:
         bm.block_slot(0, 0)  # force the index
         state = bm.__getstate__()
         assert state["plan_cache"] is None
-        assert state["_index"] is None
+        assert not {"_index", "blk_colidx", "_slot_keys", "_structure"} & set(state)
         assert state["blk_values"] is None  # arena: slabs are the truth
         clone = pickle.loads(pickle.dumps(bm))
         assert len(clone.blk_values) == bm.num_blocks

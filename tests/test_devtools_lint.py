@@ -114,6 +114,12 @@ SEEDED = {
         "    pa, a_img = box_image(a, 0) if a_dense is None else a_dense[:2]\n"
         "    a_img[0, 0] = 0.0\n",
     ),
+    "kernel-purity:block-product-writes-a-block": (
+        "kernel-purity", "kernels/tsolve_kernels.py",
+        "    parts = [(blk.indices, blk.cols_expanded(), blk.data) for blk in blocks]\n",
+        "    blocks[0].data[...] = 0.0\n"
+        "    parts = [(blk.indices, blk.cols_expanded(), blk.data) for blk in blocks]\n",
+    ),
     "no-bare-except-in-runtime:silent-post-failure": (
         "no-bare-except-in-runtime", "runtime/distributed.py",
         "        except (OSError, ValueError, TransportStopped) as post_exc:\n",
@@ -184,8 +190,8 @@ def test_kernel_purity_flags_tsolve_roles():
     findings = _run_rule("kernel-purity", FIXTURES / "kernel_purity_flag.py")
     messages = "\n".join(f.message for f in findings)
     assert "prod_bad() mutates read-only operand 'src'" in messages
-    assert "prod_bad() mutates read-only operand 'blk'" in messages
-    assert "designated output is 'out'" in messages
+    assert "prod_bad() mutates read-only operand 'blocks'" in messages
+    assert "designated output is None" in messages
     assert "diag_bad() mutates read-only operand 'diag'" in messages
     assert "designated output is 'x'" in messages
 

@@ -11,6 +11,7 @@ comparison here is exact.
 from __future__ import annotations
 
 import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ from repro.symbolic import (
 )
 
 NAMES = paper_matrix_names()
+# the package re-exports the function `rcm` under the submodule's name
+rcm_mod = importlib.import_module("repro.ordering.rcm")
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,8 +403,7 @@ def test_column_structures_slice_path_at_scale(name, order):
     assert_same_structures(a)
 
 
-@pytest.mark.parametrize("seed", range(32))
-def test_orderings_on_random_patterns(seed):
+def random_pattern(seed: int) -> CSCMatrix:
     # sparse enough to leave isolated vertices and several components; every
     # fourth seed adds two more components and three isolated vertices
     n = 20 + (37 * seed) % 110
@@ -411,7 +413,39 @@ def test_orderings_on_random_patterns(seed):
         other = random_sparse(n // 3 + 1, 0.1, seed=seed + 100)
         parts = [a.to_scipy(), other.to_scipy(), sp.identity(3, format="csc")]
         a = CSCMatrix.from_scipy(sp.block_diag(parts, format="csc"))
-    assert_same_orderings(a)
+    return a
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_orderings_on_random_patterns(seed):
+    assert_same_orderings(random_pattern(seed))
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_bfs_bounds_are_the_oracle_levels(seed):
+    # the level boundaries read off the compiled BFS's predecessors, from
+    # every start (isolated vertices and other components included)
+    a = random_pattern(seed)
+    graph, lists = rcm_mod._int32(adjacency(a)), ref.adjacency_lists(a)
+    for start in range(0, a.ncols, 3):
+        order, bounds = rcm_mod._bfs(graph, start)
+        _, want = ref.bfs_levels(lists, start)
+        assert len(bounds) == len(want) + 1 and bounds[-1] == order.size
+        for lo, hi, w in zip(bounds, bounds[1:], want):
+            np.testing.assert_array_equal(np.sort(order[lo:hi]), w)
+
+
+def test_compiled_bfs_entry_point_the_package_calls():
+    """The private compiled routine behind ``csgraph.breadth_first_order``
+    that ``repro.ordering.rcm`` calls on raw ``int32`` arrays, on the path
+    0 - 1 - 2 plus an isolated vertex 3: a SciPy release that moves or
+    changes it fails here, not inside nested dissection."""
+    from scipy.sparse.csgraph._traversal import _breadth_first_directed
+
+    ptr, idx = np.array([0, 1, 3, 4, 4], np.int32), np.array([1, 0, 2, 1], np.int32)
+    order, pred = np.empty(4, np.int32), np.full(4, -9999, np.int32)
+    assert _breadth_first_directed(1, idx, ptr, order, pred) == 3
+    assert order[:3].tolist() == [1, 0, 2] and pred.tolist() == [1, -9999, 1, -9999]
 
 
 def test_nonsymmetric_random_patterns():
@@ -532,6 +566,59 @@ def test_leaf_order_is_minimum_degree_on_degenerate_graphs():
         d[i, j] = d[j, i] = 1.0
     assert_leaf_is_minimum_degree(CSCMatrix.from_dense(d))
     assert nd_mod._minimum_degree(adjacency(CSCMatrix.from_dense(d))) == \
+        [0, 2, 8, 1, 4, 7, 3, 5, 6]
+
+
+def assert_batch_is_minimum_degree(a: CSCMatrix, leaves: list[np.ndarray]) -> None:
+    """Every leaf of one batch — sorted vertex sets of ``a``, edges
+    between them included in ``a`` — ordered as the oracle orders the
+    submatrix the leaf induces."""
+    got = nd_mod._minimum_degree_batch(adjacency(a), leaves)
+    assert len(got) == len(leaves)
+    full = a.to_scipy().tocsr()
+    for leaf, order in zip(leaves, got):
+        sub = CSCMatrix.from_scipy(full[leaf][:, leaf].tocsc())
+        np.testing.assert_array_equal(order, ref.minimum_degree(sub))
+
+
+def test_leaf_batch_mixes_one_word_leaves_of_every_size():
+    # leaves of 1, 2, 63 and 64 vertices (leaf_size 64: one word each),
+    # interleaved over a random graph whose edges also join them
+    a = random_sparse(200, 0.06, seed=5)
+    owner = np.random.default_rng(5).permutation(np.repeat(np.arange(5), [1, 2, 63, 64, 70]))
+    leaves = [np.flatnonzero(owner == k) for k in range(4)]
+    assert [leaf.size for leaf in leaves] == [1, 2, 63, 64]
+    assert_batch_is_minimum_degree(a, leaves)
+    assert_batch_is_minimum_degree(a, leaves[::-1])
+
+
+def test_leaf_batch_past_one_machine_word():
+    # a 150-vertex grid leaf (three words) beside a 40-vertex random leaf
+    grid, other = grid_laplacian_2d(10, 15), random_sparse(40, 0.1, seed=7)
+    a = CSCMatrix.from_scipy(sp.block_diag([grid.to_scipy(), other.to_scipy()], format="csc"))
+    leaves = [np.arange(150), np.arange(150, 190)]
+    assert_batch_is_minimum_degree(a, leaves)
+    # nested dissection at leaf_size 150 splits the two components into
+    # exactly these leaves, and orders them in one batch
+    want = np.concatenate([leaf[ref.minimum_degree(CSCMatrix.from_scipy(
+        a.to_scipy()[leaf][:, leaf]))] for leaf in leaves])
+    np.testing.assert_array_equal(nested_dissection(a, leaf_size=150), want)
+    np.testing.assert_array_equal(nested_dissection(a, leaf_size=150),
+                                  ref.nested_dissection(a, leaf_size=150))
+
+
+def test_leaf_batch_with_isolated_vertices_and_two_components():
+    # leaf 0 induces isolated vertices 0, 2, 8, a path 1-4-7 and a
+    # triangle 3-5-6 (as in the degenerate-graph test) on vertices 0..8;
+    # vertices 9..29 form a second leaf, and edges join the two leaves
+    d = np.eye(30)
+    for i, j in ((1, 4), (4, 7), (3, 5), (5, 6), (3, 6), (0, 12), (2, 20), (8, 9),
+                 (9, 10), (10, 11), (11, 9), (15, 16), (16, 29), (7, 25)):
+        d[i, j] = d[j, i] = 1.0
+    a = CSCMatrix.from_dense(d)
+    leaves = [np.arange(9), np.arange(9, 30)]
+    assert_batch_is_minimum_degree(a, leaves)
+    assert nd_mod._minimum_degree_batch(adjacency(a), leaves)[0].tolist() == \
         [0, 2, 8, 1, 4, 7, 3, 5, 6]
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro import PanguLU, SolverOptions
 from repro.cholesky import LLtJob, PanguLLt
 from repro.core import NumericOptions, block_partition, build_dag
+from repro.core.blocking import _LAYER1_KEYS
 from repro.core.dag import TaskDAG, TaskType
 from repro.core.mapping import task_weights
 from repro.core.numeric import _FAMILY, FactorJob, task_features
@@ -174,6 +175,41 @@ def test_slots_of_and_slot_structure_match_the_blocks():
     for slot, blk in enumerate(f.blk_values):
         row = structure[slot]
         assert (row.nnz, row.ncols, row.density) == (blk.nnz, blk.ncols, blk.density)
+
+
+def test_layer1_keys_are_built_once_shared_and_not_pickled():
+    """The slot index, ``blk_colidx``, the slot keys and
+    ``slot_structure()`` are built once per structure: a refactorisation
+    and a rank's share keep the same objects, which equal the ones an
+    unpickled copy (which carries none of them) builds afresh."""
+    import pickle
+
+    a = cage_like(90, seed=3)
+    solver = PanguLU(a, SolverOptions(block_size=9))
+    solver.factorize()
+    f = solver.blocks
+    f.block_slot(0, 0)
+    kept = {name: f.__dict__[name] for name in _LAYER1_KEYS}
+    assert set(kept) == {"_index", "blk_colidx", "_slot_keys", "_structure"}
+
+    def assert_fresh(g):
+        fresh = pickle.loads(pickle.dumps(g))
+        assert not set(kept) & set(fresh.__dict__)
+        np.testing.assert_array_equal(g.blk_colidx, fresh.blk_colidx)
+        np.testing.assert_array_equal(g._slot_keys, fresh._slot_keys)
+        assert g._index == fresh._index
+        assert g.slot_structure().tolist() == fresh.slot_structure().tolist()
+
+    assert_fresh(f)
+    a2 = a.copy()
+    a2.data *= 1.5
+    solver.refactorize(a2)
+    assert solver.blocks is f
+    assert all(f.__dict__[name] is arr for name, arr in kept.items())
+    assert_fresh(f)
+    share = f.restricted([0, 3])
+    assert all(share.__dict__[name] is arr for name, arr in kept.items())
+    assert_fresh(share)
 
 
 def test_task_weights_floor_is_the_target_traffic():
