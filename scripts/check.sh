@@ -96,7 +96,13 @@ line_ratchet() {  # line_ratchet LABEL CEILING PATH...
 # restricted() copies and left out of pickles, where FactorJob rebuilt
 # them 13 times per factorisation; the slot index's field, its
 # per-column loop and its pickling line went with it
-MAX_CORE_RUNTIME_LINES=4203
+# then -31: one image per block — core/numeric.py -29 (PanelCache keeps one
+# table and one byte ledger: the open-image table, its ledger, _close,
+# _operand, the publish re-wrap, the updates/write_backs counters and
+# FactorJob's published set went; a panel keeps its image while an image
+# reader is due; the drain writes back only what the job's share owns),
+# runtime/distributed.py -2 (a send writes nothing back)
+MAX_CORE_RUNTIME_LINES=4172
 line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro/runtime
 # the whole package too, so code deleted from core/ + runtime/ cannot
 # quietly reappear in a sibling package
@@ -143,7 +149,9 @@ line_ratchet "core + runtime" "$MAX_CORE_RUNTIME_LINES" src/repro/core src/repro
 # compiled traversal runs on int32 arrays with no sparse-matrix object,
 # the level bounds come off its predecessors) — the +5 above, the
 # devtools/ -2 below
-MAX_SRC_LINES=9014
+# then -36: one image per block — the -31 above, the kernels/ -4 below, -1 in
+# cholesky/ (LLtJob reads TargetImages from the one table)
+MAX_SRC_LINES=8978
 line_ratchet "src/repro" "$MAX_SRC_LINES" src/repro
 
 # the static-analysis framework: one catalogue, one driver
@@ -188,7 +196,13 @@ line_ratchet "src/repro/devtools" "$MAX_DEVTOOLS_LINES" src/repro/devtools
 # (prod_stack: a task's block products in one call, prod_seg folded in), gessm.py
 # +5 / tstrf.py -15 (the two dense-mapped panel solves are one panel_inverse),
 # ssssm.py -9 and plans.py -8 (their bin-search loops call locate)
-MAX_KERNELS_LINES=1288
+# then -4: one image per block — base.py +8 (TargetImage holds its rows or
+# columns and its bytes and reads as the (pos, dense, held) operand, box_held
+# folded into it; inverse_triangle is a masked copy into an identity, the
+# mask cached per order, and Workspace.triangle that call on its kept
+# buffer), gessm.py -6 and getrf.py -6 (the uncached dense-mapped panel
+# solve and GETRF work on a TargetImage of their own)
+MAX_KERNELS_LINES=1284
 line_ratchet "src/repro/kernels" "$MAX_KERNELS_LINES" src/repro/kernels
 
 # a ratchet, not a report: a PR that adds a knob fails here; one that

@@ -11,12 +11,10 @@ driver times them) and what the driver spends around them (pop,
 complete, tally, plus the two clock reads and the label a timed run
 adds) — in seconds and in µs per task, and the multiply-adds of its
 dense-mapped tasks per family, on the full blocks against the occupied
-boxes their GEMMs run on (a count that repeats exactly), and the
-target images of its panel cache — how many opened, the median number
-of Schur updates one accumulated, their peak bytes against the peak of
-the published panel images, and how many a sparse task or a send had
-written back (the coherence rule); then the cProfile top-N by
-cumulative time of a third.  cProfile taxes every
+boxes their GEMMs run on (a count that repeats exactly), the median
+number of Schur updates a block receives (the DAG's sync-free array)
+and the peak bytes of its panel cache's block images and inverse
+triangles; then the cProfile top-N by cumulative time of a third.  cProfile taxes every
 Python call but not the work inside numpy, so the table finds
 candidates; the numbers that count are the unprofiled seconds and the
 repo benchmark's ``numeric_s`` (``make bench-e2e``).
@@ -36,7 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import PanguLU  # noqa: E402
-from repro.core.dag import build_dag  # noqa: E402
+from repro.core.dag import build_dag, sync_free_array  # noqa: E402
 from repro.core.numeric import FactorJob, NumericOptions  # noqa: E402
 from repro.kernels.base import box_image  # noqa: E402
 from repro.kernels.registry import IMAGE_VERSIONS, KernelType  # noqa: E402
@@ -125,13 +123,9 @@ def main(argv: list[str] | None = None) -> int:
     print("  dense-mapped multiply-adds: full blocks -> occupied boxes")
     for family, (full, box) in sorted(dense_mapped_madds(job, report).items()):
         print(f"    {family:<6s}{full:12.3e} ->{box:10.3e}  ({box / max(full, 1):6.1%})")
-    panels = job.panels
-    updates = panels.updates
-    print(f"  target images: {len(updates)} opened, median "
-          f"{statistics.median(updates) if updates else 0:g} updates each, "
-          f"peak {panels.open_peak_bytes} B open "
-          f"(published panel images: peak {panels.peak_bytes} B), "
-          f"{panels.write_backs} written back")
+    updates = sync_free_array(dag, blocks.nb).values()
+    print(f"  Schur updates per block: median {statistics.median(updates):g}; "
+          f"panel cache images: peak {job.panels.peak_bytes} B")
 
     refill()
     profile = cProfile.Profile()

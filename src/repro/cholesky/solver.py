@@ -24,7 +24,7 @@ from ..core.solver import (
 )
 from ..core.tsolve import gather
 from ..core.tsolve_dag import block_line_sources
-from ..kernels.base import Workspace, box_image
+from ..kernels.base import Workspace
 from ..kernels.ssssm import ssssm_c_v1
 from ..kernels.tstrf import tstrf_c_v2
 from ..runtime.lanes import run_lanes
@@ -68,10 +68,10 @@ class LLtJob(FactorJob):
     def __init__(self, f: BlockMatrix, dag: TaskDAG) -> None:
         super().__init__(f, dag, NumericOptions())
 
-    def _resolve_calls(self, runs) -> tuple[None, frozenset]:
-        """Nothing to select: one kernel per task type, and no image is
-        published or kept open — each is built by its first reader."""
-        return None, frozenset()
+    def _resolve_calls(self) -> tuple[None, np.ndarray]:
+        """Nothing to select: one kernel per task type, and every task
+        but POTRF — which reads no other block — reads images."""
+        return None, np.ones(len(self.tasks), dtype=bool)
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str]:
         f, task, panels = self.f, self.tasks[tid], self.panels
@@ -85,11 +85,10 @@ class LLtJob(FactorJob):
             tstrf_c_v2(*blocks, ws, inv=inv)
             label = "TSTRF/C_V2"
         else:
-            pos, l_jk = panels.get(slots[2], lambda: box_image(blocks[2], 0))
+            l_jk = panels.image(slots[2], blocks[2], 0)
             ssssm_c_v1(
-                *blocks, ws,
-                a_dense=panels.get(slots[1], lambda: box_image(blocks[1], 0)),
-                b_dense=(pos, l_jk.T),
+                *blocks, ws, a_dense=panels.image(slots[1], blocks[1], 0),
+                b_dense=(l_jk.pos, l_jk.dense.T),
             )
             label = "SSSSM/C_V1"
         panels.release(slots, self.target[tid])

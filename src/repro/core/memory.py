@@ -76,11 +76,12 @@ class MemoryReport:
         that also carry a low-rank overlay — what a consumer that reads
         the overlay *instead* of the CSC arrays avoids touching.
     panel_cache_peak_bytes:
-        High-water mark of the dense panel images the dense-mapped
-        kernels multiplied during the factorisation ``run`` (largest
-        rank's on the rank engines).  Transient working memory — the
-        images are gone when the run ends — so it is reported beside
-        :attr:`total_bytes`, not in it.
+        High-water mark of every dense image of the factorisation
+        ``run``'s panel cache — block images still accumulating their
+        Schur updates, solved panels' images and inverse triangles
+        (largest rank's on the rank engines).  Transient working memory
+        — the images are gone when the run ends — so it is reported
+        beside :attr:`total_bytes`, not in it.
     """
 
     values_bytes: int

@@ -32,8 +32,8 @@ from functools import partial
 import numpy as np
 
 from ..kernels.base import (
-    SingularBlockError, TargetImage, Workspace, box_held, box_image,
-    inverse_triangle, invert_factors, triangle_inverse,
+    SingularBlockError, TargetImage, Workspace, inverse_triangle, invert_factors,
+    triangle_inverse,
 )
 from ..kernels.compress import CompressPolicy, ssssm_lr, try_compress
 from ..runtime.lanes import run_lanes
@@ -45,7 +45,7 @@ from ..kernels.plans import (
     build_ssssm_plan,
 )
 from ..kernels.registry import (
-    CACHED_OPERAND, IMAGE_VERSIONS, TARGET_IMAGE_VERSIONS, KernelType, get_kernel,
+    CACHED_OPERAND, TARGET_IMAGE_VERSIONS, KernelType, get_kernel,
 )
 from ..kernels.selector import SelectorPolicy, TaskFeatures
 from .blocking import BlockMatrix
@@ -66,8 +66,7 @@ __all__ = [
 # written under its lock (reads stay lock-free — see PanelCache.get), and
 # the lock is a leaf: images are built before it is taken
 __guarded_by__ = {"self._lock": (
-    "self._images", "self._uses", "self._open", "self.nbytes", "self.peak_bytes",
-    "self.open_bytes", "self.open_peak_bytes", "self.updates", "self.write_backs",
+    "self._images", "self._uses", "self.nbytes", "self.peak_bytes",
 )}
 
 
@@ -317,84 +316,62 @@ def execute_task(
     return out
 
 
-def _nbytes(image) -> int:
-    """Bytes of an inverse's triangle or of a box image tuple."""
-    if isinstance(image, tuple):
-        return sum(part.nbytes for part in image if part is not None)
-    return image.nbytes
-
-
-def _operand(block, axis: int) -> tuple:
-    """An SSSSM operand's :func:`box_image` with the rows (columns) it
-    holds — where an update places its product in the target's image."""
-    pos, dense = box_image(block, axis)
-    return pos, dense, box_held(pos, dense, axis)
-
-
 class PanelCache:
     """The dense images of one factorisation, so that a dense-mapped task
     is one GEMM on images and its target's values are written once.
 
-    **Target images.**  The first dense-mapped task on a block opens the
-    block's :class:`~repro.kernels.base.TargetImage` from its values
-    (:meth:`target`): every ``SSSSM/C_V1`` into it subtracts in place,
-    and its dense-mapped panel task (``GETRF/C_V1``, ``GESSM/C_V2``,
-    ``TSTRF/C_V2``) works on the accumulated image, writes the values
-    and closes it (:meth:`publish`).  An image is only ever touched by
-    its block's one writer at a time, which the DAG chains (a block's
-    updates in step order, then its panel task).  :meth:`write_back` is
-    the one coherence rule: a task that reads or writes the values of a
-    block whose image is open writes the image back first.
+    One table, keyed by block slot: ``slot`` holds the block's one
+    :class:`~repro.kernels.base.TargetImage` (:meth:`image`), from its
+    first dense-mapped writer — or, for a block no dense-mapped task
+    writes (a panel a sparse variant solved, one received on a rank),
+    its first image reader — to its last image reader.  Every
+    ``SSSSM/C_V1`` into a block subtracts into its image; the block's
+    dense-mapped panel task (``GETRF/C_V1``, ``GESSM/C_V2``,
+    ``TSTRF/C_V2``) works on the accumulated image, writes the values,
+    and leaves a solved panel's image in place as the ``a_dense`` /
+    ``b_dense`` operand its dense-mapped SSSSM readers multiply
+    (:meth:`publish`).  An image is only ever written by its block's
+    one writer at a time, which the DAG chains (a block's updates in
+    step order, then its panel task), and read only after it.
+    :meth:`write_back` is the one coherence rule: a task that reads or
+    writes the values of a block whose image is still being accumulated
+    writes the image back first.
 
-    **Published images.**  Keyed by block slot: ``slot`` holds the
-    box image of an ``L(i,k)`` panel on its occupied rows or of a
-    ``U(k,j)`` panel on its occupied columns — the ``(pos, dense,
-    held)`` operands ``ssssm_c_v1`` multiplies (:func:`box_held`) — and
-    ``(slot, lower)`` the inverse of one triangle of a factored diagonal
-    block (what ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by), built by
-    its first reader: read from the block's kept packed inverse
+    ``(slot, lower)`` holds the inverse of one triangle of a factored
+    diagonal block (what ``gessm_c_v2`` / ``tstrf_c_v2`` multiply by),
+    built by its first reader: read from the block's kept packed inverse
     (:meth:`~repro.core.blocking.BlockMatrix.diag_inverse`) when the
     block matrix ``f`` keeps it — a float64 block it stores — else that
     triangle alone from the block's values (``trtri`` in the block's
     dtype: a float32 factorisation's panels multiply float32 inverses; a
-    block received on a rank has its inverse dropped with its other
-    images).  A float64 ``GETRF/C_V1`` task inverts its factored image
-    in place and hands the packed inverse to the job, which keeps it on
-    ``f`` for the panel and the triangular solves; a float32
-    factorisation's kept float64 inverses are made by the first solve
-    that reads them, as each solve used to, not here.  A GESSM/TSTRF
-    panel task publishes the slots in ``published`` (those a
-    dense-mapped task of the job reads) from its target's image; any
-    other image is built by its first user from the block's values — on
-    a rank that covers received panels.
-    :meth:`release` drops a block's images when the last task reading it
-    completes (``uses``: slot → number of reads of it by the job's
-    tasks), so with earliest-step-first scheduling about two elimination
-    steps of panels are alive at once.
+    block received on a rank has its inverse dropped with its image).
+    A float64 ``GETRF/C_V1`` task inverts its factored image in place
+    and hands the packed inverse to the job, which keeps it on ``f`` for
+    the panel and the triangular solves; a float32 factorisation's kept
+    float64 inverses are made by the first solve that reads them.
+
+    ``uses`` (slot → number of image reads of it by the job's tasks)
+    decides lifetimes: a finished panel keeps its image only while an
+    image reader is still due, and :meth:`release` drops a block's
+    images when its last image reader completes, so with
+    earliest-step-first scheduling about two elimination steps of
+    panels are alive at once.  One ledger counts every image:
+    ``nbytes`` now, ``peak_bytes`` its high-water mark.
 
     Reads are lock-free, builds raced and resolved with ``setdefault``
     (as in :class:`~repro.kernels.plans.PlanCache`): the lanes of a
     threaded run share one cache.  It belongs to one :class:`FactorJob`
     and dies with it — :meth:`drain` empties it when the job's run ends,
     failed or not — so a refactorisation never sees an old image.
-    ``updates`` (per closed target image, its SSSSM updates),
-    ``write_backs`` and the byte peaks of either kind are what
-    ``scripts/profile_numeric.py`` prints.
     """
 
-    def __init__(self, uses: dict[int, int], published, f: BlockMatrix) -> None:
+    def __init__(self, uses: dict[int, int], f: BlockMatrix) -> None:
         self._uses = uses
-        self._published = published
         self._f = f
         self._images: dict = {}
-        self._open: dict[int, TargetImage] = {}
         self._lock = threading.Lock()
         self.nbytes = 0
         self.peak_bytes = 0
-        self.open_bytes = 0
-        self.open_peak_bytes = 0
-        self.updates: list[int] = []
-        self.write_backs = 0
 
     def get(self, key, build):
         """The image under ``key``, from ``build()`` on a miss."""
@@ -404,10 +381,15 @@ class PanelCache:
             with self._lock:
                 kept = self._images.setdefault(key, image)
                 if kept is image:
-                    self.nbytes += _nbytes(image)
+                    self.nbytes += image.nbytes
                     self.peak_bytes = max(self.peak_bytes, self.nbytes)
             image = kept
         return image
+
+    def image(self, slot: int, block, axis: int | None) -> TargetImage:
+        """The image of ``block`` (in ``slot``), built from its values on
+        first use."""
+        return self.get(slot, lambda: TargetImage(block, axis))
 
     def images(self, ktype: KernelType, slots, blocks) -> dict:
         """The keyword images of one dense-mapped task, whose ``blocks``
@@ -416,8 +398,8 @@ class PanelCache:
         images of ``A`` (rows) and ``B`` (columns) for SSSSM."""
         if ktype is KernelType.SSSSM:
             return {
-                "a_dense": self.get(slots[1], lambda: _operand(blocks[1], 0)),
-                "b_dense": self.get(slots[2], lambda: _operand(blocks[2], 1)),
+                "a_dense": self.image(slots[1], blocks[1], 0),
+                "b_dense": self.image(slots[2], blocks[2], 1),
             }
         lower, f, slot = ktype is KernelType.GESSM, self._f, slots[0]
         kept = f.dtype == np.float64 and (f.owned is None or slot in f.owned)
@@ -425,58 +407,40 @@ class PanelCache:
             f.diag_inverse(slot), lower=lower
         ) if kept else triangle_inverse(blocks[0], lower=lower))}
 
-    def target(self, slot: int, block, axis: int | None) -> TargetImage:
-        """The open image of ``block`` (in ``slot``), opened from its
-        values on first use."""
-        image = self._open.get(slot)
-        if image is None:
-            image = TargetImage(block, axis)
-            with self._lock:
-                self._open[slot] = image
-                self.open_bytes += image.dense.nbytes
-                self.open_peak_bytes = max(self.open_peak_bytes, self.open_bytes)
-        return image
-
-    def _close(self, slot: int, written_back: bool = False) -> TargetImage | None:
-        image = self._open.get(slot)
-        if image is not None:
-            with self._lock:
-                del self._open[slot]
-                self.open_bytes -= image.dense.nbytes
-                self.updates.append(image.updates)
-                self.write_backs += written_back
+    def _drop(self, slot: int) -> TargetImage | None:
+        with self._lock:
+            image = self._images.pop(slot, None)
+            if image is not None:
+                self.nbytes -= image.nbytes
         return image
 
     def write_back(self, slot: int, block) -> None:
         """The coherence rule: before a task reads or writes the values
-        of ``block`` (in ``slot``) — a sparse variant, ``ssssm_lr``, a
-        send — an open image of it is written back and closed."""
-        image = self._close(slot, written_back=True)
+        of ``block`` (in ``slot``) — a sparse variant, ``ssssm_lr`` — an
+        image of it is written back and dropped."""
+        image = self._drop(slot)
         if image is not None:
             image.write_to(block)
 
     def publish(self, slot: int, ktype: KernelType) -> np.ndarray | None:
         """The dense-mapped panel task of ``slot`` has written its
-        values from its image: close the image, keeping what the job's
-        dense-mapped readers multiply — the box image of a solved panel
-        as it is — or, for a float64 factored diagonal block, return its
-        packed inverse: the image inverted in place
+        values from its image.  A solved panel's image stays as its
+        image readers' operand while one is due; a factored diagonal
+        block's goes, and for a float64 block its packed inverse is
+        returned: the image inverted in place
         (:func:`~repro.kernels.base.invert_factors`: each ``trtri``
         overwrites only its own triangle)."""
-        image = self._close(slot)
         if ktype is KernelType.GETRF:
-            dense = image.dense
+            dense = self._drop(slot).dense
             return invert_factors(dense) if dense.dtype == np.float64 else None
-        if slot in self._published:
-            self.get(slot, lambda: (
-                image.pos, image.dense, box_held(image.pos, image.dense, image.axis)
-            ))
+        if not self._uses[slot]:
+            self._drop(slot)
         return None
 
     def release(self, slots, written: int) -> None:
-        """A task on the blocks in ``slots`` completed: all but the one
-        it ``written`` have one read less to wait for, and after a
-        block's last its images go."""
+        """An image-reading task on the blocks in ``slots`` completed:
+        all but the one it ``written`` have one image read less to wait
+        for, and after a block's last its images go."""
         with self._lock:
             for slot in slots:
                 if slot == written:
@@ -486,20 +450,24 @@ class PanelCache:
                     for key in (slot, (slot, True), (slot, False)):
                         image = self._images.pop(key, None)
                         if image is not None:
-                            self.nbytes -= _nbytes(image)
+                            self.nbytes -= image.nbytes
 
-    def drain(self, block_at) -> None:
-        """The run is over: open images go back into their blocks
-        (``block_at``: slot → block) — a partial run leaves some open,
-        and so may a failed one — and every image still held goes."""
-        for slot in list(self._open):
-            self.write_back(slot, block_at(slot))
+    def drain(self) -> None:
+        """The run is over: the images of the blocks ``f`` owns go back
+        into them — a partial run leaves some being accumulated, and so
+        may a failed one; a finished panel's writes the values it
+        already holds — and every image still held goes (a received
+        block's is a copy of its values)."""
+        f = self._f
+        for key in list(self._images):
+            if not isinstance(key, tuple) and (f.owned is None or key in f.owned):
+                self.write_back(key, f.block_at(key))
         with self._lock:
             self._images.clear()
             self.nbytes = 0
 
     def __len__(self) -> int:
-        return len(self._images) + len(self._open)
+        return len(self._images)
 
 
 class FactorJob:
@@ -511,7 +479,7 @@ class FactorJob:
     ``f`` is the :class:`BlockMatrix` (on a distributed rank, its
     :meth:`~BlockMatrix.restricted` share); ``owned`` the task ids this
     job runs (``None``: all of them) — what the job's :class:`PanelCache`
-    counts a block's readers over.
+    counts a block's image readers over.
 
     Everything the pattern fixes is resolved here, over whole columns of
     the DAG's :class:`~repro.core.dag.TaskTable`: ``args`` (per task,
@@ -559,18 +527,19 @@ class FactorJob:
         self.axis = [(None, 1, 0)[s] for s in np.sign(table.bj - table.bi).tolist()]
         self.args: list[tuple[int, ...]] = [()] * n
         self.family_slots = {}
-        uses = np.zeros(f.num_blocks, dtype=np.int64)
         for ttype, (_, operands_of, _) in self.family.items():
             tids = np.flatnonzero(table.ttype == ttype)
             coords = operands_of(table.k[tids], table.bi[tids], table.bj[tids])
             slots = np.column_stack([f.slots_of(bi, bj) for bi, bj in coords])
             self.family_slots[ttype] = tids, slots
-            read = (slots != target[tids, None]) & runs[tids, None]
-            uses += np.bincount(slots[read], minlength=uses.size)
             for tid, args in zip(tids.tolist(), map(tuple, slots.tolist())):
                 self.args[tid] = args
-        self.calls, published = self._resolve_calls(runs)
-        self.panels = PanelCache(dict(enumerate(uses.tolist())), published, f)
+        self.calls, reads_images = self._resolve_calls()
+        uses = np.zeros(f.num_blocks, dtype=np.int64)
+        for tids, slots in self.family_slots.values():
+            read = (slots != target[tids, None]) & (runs & reads_images)[tids, None]
+            uses += np.bincount(slots[read], minlength=uses.size)
+        self.panels = PanelCache(dict(enumerate(uses.tolist())), f)
 
     def features(self, ttype: TaskType) -> tuple[np.ndarray, TaskFeatures]:
         """The task ids of one type and their selector features as one
@@ -581,12 +550,10 @@ class FactorJob:
         blocks = [structure[s] for s in slots.T]
         return tids, _features_of(ttype, self.table.flops[tids], blocks)
 
-    def _resolve_calls(self, runs: np.ndarray) -> tuple[list[tuple], frozenset]:
-        """``calls``, and the slots whose box images a panel task
-        publishes: those a dense-mapped SSSSM among the ones that
-        ``runs`` reads."""
+    def _resolve_calls(self) -> tuple[list[tuple], np.ndarray]:
+        """``calls``, and per task whether it reads the images of the
+        blocks it does not write (its variant takes ``"images"``)."""
         calls: list = [None] * len(self.tasks)
-        published: set = set()
         for ttype, family in self.family.items():
             ktype = family[0]
             tids, feats = self.features(ttype)
@@ -599,12 +566,7 @@ class FactorJob:
             }
             for tid, version in zip(tids.tolist(), versions.tolist()):
                 calls[tid] = heads[version]
-            if ktype is KernelType.SSSSM:
-                reads = self.family_slots[ttype][1][
-                    (versions == IMAGE_VERSIONS[ktype]) & runs[tids]
-                ]
-                published.update(reads[:, 1:].ravel().tolist())
-        return calls, frozenset(published)
+        return calls, np.array([call[2] == "images" for call in calls], dtype=bool)
 
     def execute(self, tid: int, ws: Workspace) -> tuple[str, int, bool]:
         # the task is its target's one writer (the DAG chains a block's
@@ -618,14 +580,14 @@ class FactorJob:
         if compress is not None and ktype is KernelType.SSSSM:
             lr = _overlaid(f, self.tasks[tid])
         if lr is not None or not mapped:
-            # only the target can have an open image: the operands are
-            # finished panels (or received ones)
+            # only the target's image can be behind its values: the
+            # operands are finished panels (or received ones)
             panels.write_back(target, block)
         if lr is not None:
             ssssm_lr(block, *lr, ws)
             label, replaced, planned = "SSSSM/LR", 0, False
         else:
-            image = panels.target(target, block, self.axis[tid]) if mapped else None
+            image = panels.image(target, block, self.axis[tid]) if mapped else None
             try:
                 replaced, planned = _run_kernel(
                     family, kernel, takes, slots, [f.block_at(s) for s in slots],
@@ -638,13 +600,14 @@ class FactorJob:
                     f"{task.ttype.name}(k={task.k}) on block ({task.bi},{task.bj}), "
                     f"rows {rows.start}–{rows.stop - 1} of the reordered matrix: {exc}"
                 ) from exc
-            if mapped and ktype is KernelType.SSSSM:
-                image.updates += 1
-            elif mapped and (inv := panels.publish(target, ktype)) is not None:
+            if mapped and ktype is not KernelType.SSSSM and (
+                inv := panels.publish(target, ktype)
+            ) is not None:
                 f.keep_inverse(target, inv)
         if compress is not None and ktype in _PANEL_SOLVES:
             _maybe_compress(f, self.tasks[tid], compress)
-        panels.release(slots, target)
+        if takes == "images":
+            panels.release(slots, target)
         return label, replaced, planned
 
     def trace_label(self, tid: int) -> tuple[str, str]:
@@ -655,7 +618,7 @@ class FactorJob:
         cache and (at its peak) the panel cache, and what the overlay of
         ``f`` holds (a rank: of its own blocks); then the panel cache is
         drained — also after a failed run."""
-        self.panels.drain(self.f.block_at)
+        self.panels.drain()
         ran = np.fromiter(report.kernel_choices, np.int64, len(report.kernel_choices))
         report.flops_total = int(self.table.flops[ran].sum())
         report.panel_cache_peak_bytes = self.panels.peak_bytes

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -45,7 +46,6 @@ __all__ = [
     "gather_dense",
     "BOX_OCCUPANCY",
     "box_image",
-    "box_held",
     "box_index",
     "locate",
     "TargetImage",
@@ -175,19 +175,13 @@ class Workspace:
         return view
 
     def triangle(self, inv: np.ndarray, *, lower: bool) -> np.ndarray:
-        """:func:`inverse_triangle` of a packed inverse ``inv``, in a
-        buffer kept per order and triangle: an identity whose part under
-        ``mask`` — ``L``'s strict lower triangle, or ``U``'s upper one
-        with the diagonal — takes the triangle on each call, so the
-        zeros of the other triangle and ``L``'s unit diagonal are
-        written once."""
-        n = inv.shape[0]
-        if (n, lower) not in self._triangles:
-            mask = np.tri(n, k=-1, dtype=bool) == lower
-            self._triangles[n, lower] = (np.eye(n, dtype=np.float64), mask)
-        buf, mask = self._triangles[n, lower]
-        np.copyto(buf, inv, where=mask)
-        return buf
+        """:func:`inverse_triangle` of a packed inverse ``inv`` into a
+        buffer kept per order and triangle, so the zeros of the other
+        triangle and ``L``'s unit diagonal are written once."""
+        key = inv.shape[0], lower
+        if key not in self._triangles:
+            self._triangles[key] = np.eye(key[0], dtype=np.float64)
+        return inverse_triangle(inv, lower=lower, out=self._triangles[key])
 
     def vector(self, n: int, dtype: np.dtype | type = np.float64) -> np.ndarray:
         """Zeroed 1-D scratch of length ``n`` and dtype ``dtype``."""
@@ -269,27 +263,25 @@ def box_index(pos: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
     return idx if pos is None else pos[idx]
 
 
-def box_held(pos: np.ndarray | None, dense: np.ndarray, axis: int) -> np.ndarray | None:
-    """The rows (``axis=0``) or columns of the block that a
-    :func:`box_image` ``(pos, dense)`` holds, in its order, its sentinel
-    not counted; ``None`` when it holds the whole block."""
-    return None if pos is None else np.flatnonzero(pos < dense.shape[axis] - 1)
-
-
 class TargetImage:
-    """The dense image of one target block from its first Schur update
-    to its panel task, laid out as the block's readers multiply it: the
-    :func:`box_image` of an ``L`` panel on its occupied rows
-    (``axis=0``) or of a ``U`` panel on its occupied columns
-    (``axis=1``), a diagonal block whole (``axis=None``).
+    """The dense image of one block, laid out as the block's readers
+    multiply it: the :func:`box_image` of an ``L`` panel on its occupied
+    rows (``axis=0``) or of a ``U`` panel on its occupied columns
+    (``axis=1``), a diagonal block whole (``axis=None``), with the rows
+    (columns) of the block it holds in its order, its sentinel not
+    counted (``held``; ``None`` when it holds them all).
 
     ``ssssm_c_v1`` subtracts its products from ``dense`` in place, the
     dense-mapped panel task solves or factors ``dense`` and writes the
-    block's values once; :meth:`write_to` is that write for an image a
-    sparse task needs back in the block.  An entry outside the block's
-    pattern stays zero: fill closure makes every product there zero."""
+    block's values once, and a solved panel's image is then what its
+    readers multiply: it reads as the ``(pos, dense, held)`` operand
+    ``ssssm_c_v1`` takes.  :meth:`write_to` is that write for an image
+    a sparse task needs back in the block.  An entry outside the
+    block's pattern stays zero: fill closure makes every product there
+    zero.  ``nbytes`` holds for the image's life: a solve replaces
+    ``dense`` by a product of the same shape and dtype."""
 
-    __slots__ = ("axis", "pos", "dense", "updates")
+    __slots__ = ("axis", "pos", "dense", "held")
 
     def __init__(self, block: CSCMatrix, axis: int | None) -> None:
         self.axis = axis
@@ -297,7 +289,15 @@ class TargetImage:
             self.pos, self.dense = None, block.to_dense()
         else:
             self.pos, self.dense = box_image(block, axis)
-        self.updates = 0
+        pos, sentinel = self.pos, self.dense.shape[axis or 0] - 1
+        self.held = None if pos is None else np.flatnonzero(pos < sentinel)
+
+    def __getitem__(self, i):
+        return (self.pos, self.dense, self.held)[i]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.pos, self.dense, self.held) if a is not None)
 
     def index(self, held: np.ndarray | None, axis: int):
         """Where the block rows (``axis=0``) or columns ``held`` lie in
@@ -385,18 +385,33 @@ def _trtri(d: np.ndarray, *, lower: bool, unit: bool) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=64)
+def _triangle_mask(n: int, lower: bool, unit: bool) -> np.ndarray:
+    """Where one triangle of an order-``n`` block lies: the strict lower
+    or upper part, with the diagonal unless ``unit``.  Read-only: it is
+    shared."""
+    mask = np.tri(n, k=-1, dtype=bool) == lower
+    np.fill_diagonal(mask, not unit)
+    mask.flags.writeable = False
+    return mask
+
+
 def inverse_triangle(
-    inv: np.ndarray, *, lower: bool, unit: bool | None = None
+    inv: np.ndarray, *, lower: bool, unit: bool | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One triangle of an inverted dense block as a C-ordered matrix of
-    its own: ``np.tril`` / ``np.triu`` of ``inv`` (ones on a ``unit``
-    diagonal — ``unit`` defaults to ``lower``, as for
-    :func:`triangle_inverse`)."""
+    its own: ``inv``'s entries under the triangle's mask copied into an
+    identity, which gives the zeros of the other triangle and the ones
+    of a ``unit`` diagonal (``unit`` defaults to ``lower``, as for
+    :func:`triangle_inverse`).  ``out`` is that identity when the caller
+    keeps one — or a buffer this call filled before for the same
+    triangle: only the masked entries are written."""
     unit = lower if unit is None else unit
-    tri = np.tril(inv, -1 if unit else 0) if lower else np.triu(inv)
-    if unit:
-        np.fill_diagonal(tri, 1.0)
-    return tri
+    n = inv.shape[0]
+    out = np.eye(n, dtype=inv.dtype) if out is None else out
+    np.copyto(out, inv, where=_triangle_mask(n, lower, unit))
+    return out
 
 
 def diagonal_positions(block: CSCMatrix) -> np.ndarray:

@@ -38,8 +38,6 @@ from .base import (
     TargetImage,
     Triangle,
     Workspace,
-    box_image,
-    box_index,
     locate,
     serial_matmul,
     solve_levels,
@@ -173,18 +171,15 @@ def panel_inverse(
     factorisation's panel cache reads it from the diagonal block's kept
     inverse); ``image`` is ``B``'s image when the caller holds it (the
     :class:`~repro.kernels.base.TargetImage` its Schur updates
-    accumulated in), and then takes the product: the box image of the
-    solved panel its readers multiply.  Accuracy: see
+    accumulated in), else one is made for the call.  The image takes
+    the product: the box image of the solved panel its readers
+    multiply.  Accuracy: see
     :func:`~repro.kernels.base.triangle_inverse`."""
     inv = triangle_inverse(diag, lower=lower) if inv is None else inv
-    axis = 1 if lower else 0
-    pos, w = box_image(b, axis) if image is None else (image.pos, image.dense)
-    out = serial_matmul(inv, w) if lower else serial_matmul(w, inv)
-    idx = list(b.rows_cols())
-    idx[axis] = box_index(pos, idx[axis])
-    b.data[...] = out[tuple(idx)]
-    if image is not None:
-        image.dense = out
+    image = TargetImage(b, 1 if lower else 0) if image is None else image
+    w = image.dense
+    image.dense = serial_matmul(inv, w) if lower else serial_matmul(w, inv)
+    image.write_to(b)
 
 
 def gessm_c_v2(

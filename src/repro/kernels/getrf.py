@@ -29,7 +29,6 @@ from .base import (
     dense_getrf,
     fix_pivot,
     gather_dense,
-    scatter_dense,
 )
 from .plans import GETRFPlan, run_getrf_plan
 
@@ -42,21 +41,16 @@ def getrf_c_v1(
 ) -> int:
     """Dense-mapped right-looking LU (CPU V1, "Direct" + "Row" in Table 1).
 
-    Scatters the block into the dense workspace — or, handed the
-    block's dense ``image`` (the :class:`~repro.kernels.base.TargetImage`
-    its Schur updates accumulated in), works on that — factors it with
+    Densifies the block into a :class:`~repro.kernels.base.TargetImage`
+    — or, handed the block's dense ``image`` (the one its Schur updates
+    accumulated in), works on that — factors it with
     :func:`~repro.kernels.base.dense_getrf` (one LAPACK ``getrf`` where
     it pivots nowhere, else the rank-1-update loop), gathers back; the
     factored image stays in ``image``.  Wins whenever the block is not
     tiny: the O(n³/3) dense work is one BLAS call against a sparse
     loop's Python step per column.
     """
-    n = block.ncols
-    if image is None:
-        w = ws.dense("a", (n, n), block.data.dtype)
-        scatter_dense(block, w)
-    else:
-        w = image.dense
+    w = (TargetImage(block, None) if image is None else image).dense
     scale = (float(np.abs(w).max()) if w.size else 0.0) or 1.0
     replaced = dense_getrf(w, pivot_floor, scale)
     gather_dense(block, w)

@@ -52,10 +52,11 @@ def ssssm_c_v1(
     One GEMM on the occupied box: ``A``'s occupied rows × ``B``'s
     occupied columns (:func:`~repro.kernels.base.box_image`, axis 0 and
     1).  ``a_dense`` / ``b_dense`` are those ``(pos, dense)`` images when
-    the caller holds them (the factorisation's panel cache keeps one per
-    published panel), with the rows (columns) each holds as a third
-    element (:func:`~repro.kernels.base.box_held`) — which a caller that
-    hands ``image`` must give.
+    the caller holds them (the factorisation's panel cache keeps each
+    solved panel's :class:`~repro.kernels.base.TargetImage`, which reads
+    as one), with the rows (columns) each holds as a third element
+    (:attr:`TargetImage.held <repro.kernels.base.TargetImage>`) — which a
+    caller that hands ``image`` must give.
 
     Handed ``C``'s dense ``image`` (a
     :class:`~repro.kernels.base.TargetImage`, kept by the factorisation

@@ -149,11 +149,10 @@ class _RankFactorJob(FactorJob):
         dests = _consumers(task.successors, self.owner_of_task, self.rank)
         if not dests:
             return None
-        # panel results are final (the panel is its block's last writer),
-        # so the live arrays are stable by the time any consumer reads them
-        slot = self.target[tid]
-        self.panels.write_back(slot, self.f.block_at(slot))
-        return dests, *_block_payload(self.f, tid, task.bi, task.bj, slot)
+        # panel results are final (the panel is its block's last writer,
+        # and wrote its values before it completed), so the live arrays
+        # are stable by the time any consumer reads them
+        return dests, *_block_payload(self.f, tid, task.bi, task.bj, self.target[tid])
 
     def absorb(self, msg) -> int:
         _, bi, bj, tag = msg[:4]

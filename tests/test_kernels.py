@@ -552,6 +552,30 @@ class TestDiagSeg:
             assert np.array_equal(inverse_triangle(packed, lower=lower), alone)
             assert np.array_equal(ws.triangle(packed, lower=lower), alone)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_inverse_triangle_equals_the_tril_triu_construction(self, dtype, lower, unit):
+        """The masked copy into an identity gives the bits of ``np.tril``
+        / ``np.triu`` with ``fill_diagonal`` on a unit diagonal — fresh,
+        and in a kept buffer refilled with other values in between."""
+        rng = np.random.default_rng(5)
+        inv, other = (rng.standard_normal((7, 7)).astype(dtype) for _ in range(2))
+        old = np.tril(inv, -1 if unit else 0) if lower else np.triu(inv)
+        if unit:
+            np.fill_diagonal(old, 1.0)
+        fresh = inverse_triangle(inv, lower=lower, unit=unit)
+        assert fresh.dtype == dtype and fresh.flags.c_contiguous
+        assert fresh.tobytes() == old.tobytes()
+        out = np.eye(7, dtype=dtype)
+        inverse_triangle(other, lower=lower, unit=unit, out=out)
+        assert inverse_triangle(inv, lower=lower, unit=unit, out=out) is out
+        assert out.tobytes() == old.tobytes()
+        if dtype == np.float64 and unit == lower:
+            ws = Workspace()
+            ws.triangle(other, lower=lower)
+            assert ws.triangle(inv, lower=lower).tobytes() == old.tobytes()
+
 
 class TestSplitLU:
     def test_split_reassembles(self, ws):

@@ -1,10 +1,11 @@
 """The per-factorisation dense panel cache (`repro.core.numeric.PanelCache`).
 
-A dense-mapped task multiplies cached dense images of its operands; an
-image lives from its first use until the last task reading its block
-completes.  Asserted here: every image is evicted by the end of a run on
-every engine shape, the peak is reported, and a refactorisation starts
-from an empty cache.
+A block has one dense image, from its first dense-mapped writer (or
+first image reader) until the last task reading its image completes.
+Asserted here: every image is evicted by the end of a run on every
+engine shape, the peak reported is that of every image — those being
+accumulated included — a panel no image reader is due for holds none,
+and a refactorisation starts from an empty cache.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def _prepared(seed=0):
 @pytest.fixture
 def caches(monkeypatch):
     """Every :class:`PanelCache` the factor jobs of a test create; each
-    records what it still held — ``(published, open)`` images — when
-    its job drained it (``held``), as the drain empties it."""
+    records how many images it still held when its job drained it
+    (``held``), as the drain empties it."""
     made = []
 
     class Recorded(PanelCache):
@@ -47,17 +48,16 @@ def caches(monkeypatch):
             self.held = None
             made.append(self)
 
-        def drain(self, block_at):
-            self.held = len(self._images), len(self._open)
-            super().drain(block_at)
+        def drain(self):
+            self.held = len(self._images)
+            super().drain()
 
     monkeypatch.setattr(numeric, "PanelCache", Recorded)
     return made
 
 
 def _empty(cache) -> bool:
-    return (len(cache) == 0 and cache.nbytes == 0 and cache.open_bytes == 0
-            and cache.held is not None)
+    return len(cache) == 0 and cache.nbytes == 0 and cache.held is not None
 
 
 RUNS = {
@@ -76,8 +76,8 @@ def test_every_image_is_evicted_by_the_end_of_a_run(run, caches):
     assert "SSSSM/C_V1" in report.version_histogram()
     assert len(caches) == (2 if run == "2-ranks" else 1)
     for cache in caches:
-        assert cache.held == (0, 0) and _empty(cache)
-        assert cache.peak_bytes > 0 and cache.open_peak_bytes > 0
+        assert cache.held == 0 and _empty(cache)
+        assert cache.peak_bytes > 0
         assert not any(cache._uses.values())
     assert report.panel_cache_peak_bytes == max(c.peak_bytes for c in caches)
     mem = memory_report(bm, report)
@@ -87,25 +87,97 @@ def test_every_image_is_evicted_by_the_end_of_a_run(run, caches):
     assert mem.panel_cache_peak_bytes < mem.dense_equivalent_bytes
 
 
+ENGINES = {
+    "1-lane": lambda bm, dag, options: factorize(bm, dag, options),
+    "3-lanes": lambda bm, dag, options: factorize(bm, dag, options, n_lanes=3),
+    "2x1-ranks": lambda bm, dag, options: factorize_distributed(
+        bm, dag, 2, options=options, transport=LoopbackTransport()
+    ),
+    "2x2-ranks": lambda bm, dag, options: factorize_distributed(
+        bm, dag, 2, options=options, n_threads=2, transport=LoopbackTransport()
+    ),
+}
+
+#: a forced selector under which the dense-mapped GETRF is the only task
+#: that works on an image: no other task reads or writes one
+GETRF_ON_IMAGES = {
+    KernelType.GETRF: "C_V1", KernelType.GESSM: "G_V1",
+    KernelType.TSTRF: "G_V1", KernelType.SSSSM: "C_V2",
+}
+
+
+@pytest.mark.parametrize("forced", [None, GETRF_ON_IMAGES], ids=["default", "getrf"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_reported_peak_covers_the_largest_image_being_accumulated(
+    engine, forced, monkeypatch
+):
+    """Every block image is in the one ledger: the peak a run reports is
+    at least the largest image any of its tasks opened."""
+    opened = []
+
+    class Recorded(numeric.TargetImage):
+        def __init__(self, block, axis):
+            super().__init__(block, axis)
+            opened.append(self.dense.nbytes)
+
+    monkeypatch.setattr(numeric, "TargetImage", Recorded)
+    bm, dag = _prepared()
+    selector = SelectorPolicy.default() if forced is None else SelectorPolicy.fixed(forced)
+    report = ENGINES[engine](bm, dag, NumericOptions(selector=selector))
+    assert opened and report.panel_cache_peak_bytes >= max(opened)
+
+
+def test_a_panel_no_image_reader_is_due_for_keeps_no_image(monkeypatch):
+    """Dense-mapped panel solves whose readers are all sparse SSSSMs:
+    each panel's image goes with its panel task.  Under the default
+    selector dense-mapped SSSSMs read panels, which keep theirs."""
+    kept = []
+
+    class Recorded(PanelCache):
+        def publish(self, slot, ktype):
+            inv = super().publish(slot, ktype)
+            kept.append(slot in self._images)
+            return inv
+
+    monkeypatch.setattr(numeric, "PanelCache", Recorded)
+    selector = SelectorPolicy.fixed({
+        KernelType.GETRF: "C_V1", KernelType.GESSM: "C_V2",
+        KernelType.TSTRF: "C_V2", KernelType.SSSSM: "C_V2",
+    })
+    report = factorize(*_prepared(), NumericOptions(selector=selector))
+    assert {"GESSM/C_V2", "TSTRF/C_V2"} <= set(report.version_histogram())
+    assert kept and not any(kept)
+    kept.clear()
+    factorize(*_prepared())
+    assert any(kept)
+
+
 def test_partial_run_counts_only_the_tasks_it_runs(caches):
     """A predecessor-closed subset (the Schur front end): blocks whose
-    later readers are not part of the run must still be let go."""
+    later readers are not part of the run must still be let go, and the
+    images of the targets updated past the run's last panel go back to
+    their blocks — the factors are the uncached replay's of the subset,
+    byte for byte."""
     bm, dag = _prepared()
+    pristine = [blk.data.copy() for blk in bm.blk_values]
     owned = [t.tid for t in dag.tasks if t.k < 3]
     factorize(bm, dag, owned=owned)
     (cache,) = caches
     assert _empty(cache) and cache.peak_bytes > 0
-    # the targets updated past the run's last panel go back to their blocks
-    published, still_open = cache.held
-    assert published == 0 and still_open > 0
-    assert cache.write_backs == still_open
+    assert cache.held > 0
+    factors = [blk.data.copy() for blk in bm.blk_values]
+    for blk, data in zip(bm.blk_values, pristine):
+        blk.data[...] = data
+    replay_unplanned(bm, dag, tids=owned)
+    for blk, ref in zip(bm.blk_values, factors):
+        assert blk.data.tobytes() == ref.tobytes()
 
 
 def test_sparse_selector_builds_no_image(caches):
     bm, dag = _prepared()
     report = factorize(bm, dag, NumericOptions(selector=SelectorPolicy.fixed()))
     assert report.panel_cache_peak_bytes == 0
-    assert caches[0].peak_bytes == 0 and caches[0].open_peak_bytes == 0
+    assert caches[0].peak_bytes == 0
 
 
 def test_blocks_wider_than_one_serial_gemm(caches):
@@ -167,23 +239,23 @@ def test_refactorize_never_reads_a_stale_image(caches):
 
 def test_no_image_outlives_factorize_or_refactorize(caches):
     """Through the facade — a factorisation, then a refactorisation —
-    every job ends with no open target image and no published panel
-    image, and the open images never weigh as much as the block arena."""
+    every job ends with no image, and the images never weigh as much as
+    the block arena."""
     a = random_sparse(200, 0.04, seed=4)
     solver = PanguLU(a)
     fact = solver.factorize()
     fact.refactorize(a)
     assert len(caches) == 2
     for cache in caches:
-        assert cache.held == (0, 0) and _empty(cache)
-        assert 0 < cache.open_peak_bytes < solver.blocks.arena.nbytes
+        assert cache.held == 0 and _empty(cache)
+        assert 0 < cache.peak_bytes < solver.blocks.arena.nbytes
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
 def test_no_image_outlives_a_failed_run(lanes, caches, monkeypatch):
     """A ``SingularBlockError`` from the fourth dense-mapped GETRF: the
-    run fails with target images open and panel images published, and
-    the job lets go of all of them."""
+    run fails with images held, being accumulated or finished, and the
+    job lets go of all of them."""
     getrf = KERNEL_REGISTRY[KernelType.GETRF]["C_V1"]
     calls = []
 
@@ -198,4 +270,4 @@ def test_no_image_outlives_a_failed_run(lanes, caches, monkeypatch):
     with pytest.raises(SingularBlockError, match="GETRF.*zero pivot"):
         factorize(bm, dag, n_lanes=lanes)
     (cache,) = caches
-    assert sum(cache.held) > 0 and _empty(cache)
+    assert cache.held > 0 and _empty(cache)

@@ -1,4 +1,4 @@
-"""Accumulated target images (`repro.core.numeric.PanelCache.target`).
+"""Accumulated target images (`repro.core.numeric.PanelCache.image`).
 
 A dense-mapped Schur update subtracts its product from its target's dense
 image, and the target's panel task solves (or factors) that image and
@@ -190,7 +190,7 @@ def test_mixed_variants_match_the_uncached_path_on_every_engine(compress, caches
         dag, report.kernel_choices, {"SSSSM/C_V1", sparse_update, "GETRF/G_V1"}
     )
     (cache,) = caches
-    assert cache.write_backs > 0 and len(cache) == 0
+    assert len(cache) == 0
     seq = bm.to_csc().data.copy()
     for run in (
         lambda: factorize(bm, dag, options, n_lanes=3),
@@ -201,4 +201,4 @@ def test_mixed_variants_match_the_uncached_path_on_every_engine(compress, caches
         _refill(bm, pristine)
         run()
         np.testing.assert_array_equal(bm.to_csc().data, seq)
-    assert all(len(c) == 0 and c.open_bytes == 0 for c in caches)
+    assert all(len(c) == 0 and c.nbytes == 0 for c in caches)
